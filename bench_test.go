@@ -189,12 +189,17 @@ func BenchmarkQuantizedMarshalI8(b *testing.B) {
 	for i := range payload {
 		payload[i] = rng.NormFloat64()
 	}
+	spec := comm.Spec{Value: comm.I8}
+	var frame []byte
+	var scratch []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame := comm.MarshalAs(comm.I8, 1, payload)
-		if _, _, _, err := comm.Decode(frame); err != nil {
+		frame = comm.MarshalSpecInto(frame[:0], spec, 1, payload, nil)
+		_, v, err := comm.DecodeSpec(scratch, frame, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		scratch = v
 	}
 }
 

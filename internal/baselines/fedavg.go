@@ -94,7 +94,7 @@ func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error 
 		if errs[idx] != nil {
 			return
 		}
-		sim.Ledger.RecordDown(c.ID, len(f.global))
+		sim.Downlink(c.ID, len(f.global))
 		for e := 0; e < f.LocalEpochs; e++ {
 			if f.Mu > 0 {
 				f.trainEpochProx(c, sim.Cfg.BatchSize, f.global)
@@ -129,7 +129,7 @@ func (f *FedAvg) roundGrouped(sim *fl.Simulation, participants []int) error {
 			if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
 				return err
 			}
-			sim.Ledger.RecordDown(c.ID, len(f.global))
+			sim.Downlink(c.ID, len(f.global))
 			cs[i] = c
 		}
 		for e := 0; e < f.LocalEpochs; e++ {
@@ -160,7 +160,7 @@ func (f *FedAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Updat
 	us := make([]*fl.Update, len(clients))
 	for i, id := range clients {
 		flat, bytes := sim.QuantizeUplink(id, nn.FlattenParams(cs[i].Model.Params()))
-		us[i] = &fl.Update{Client: id, Scale: fl.DataScale(cs[i]), Vecs: [][]float64{flat}, UpFloats: len(flat), UpBytes: bytes}
+		us[i] = &fl.Update{Client: id, Scale: fl.DataScale(cs[i]), Vecs: [][]float64{flat}, UpBytes: bytes}
 	}
 	return us, nil
 }
@@ -180,7 +180,7 @@ func (f *FedAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
 	if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
 		return err
 	}
-	sim.Ledger.RecordDown(c.ID, len(f.global))
+	sim.Downlink(c.ID, len(f.global))
 	if f.Mu > 0 {
 		f.snaps[client] = append(f.snaps[client][:0], f.global...)
 	}
@@ -199,7 +199,7 @@ func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) 
 		}
 	}
 	flat, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.Params()))
-	return &fl.Update{Client: client, Scale: fl.DataScale(c), Vecs: [][]float64{flat}, UpFloats: len(flat), UpBytes: bytes}, nil
+	return &fl.Update{Client: client, Scale: fl.DataScale(c), Vecs: [][]float64{flat}, UpBytes: bytes}, nil
 }
 
 // AsyncApply folds a staleness-weighted client model into the shards.

@@ -91,8 +91,8 @@ func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) erro
 		}
 		protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
 		reports[idx] = report{protos, counts}
-		sim.Ledger.RecordUp(c.ID, p.quantizeProtos(sim, protos))
-		sim.Ledger.RecordDown(c.ID, p.downloadFloats())
+		sim.Ledger.AddUp(c.ID, p.quantizeProtos(sim, protos))
+		sim.Downlink(c.ID, p.downloadFloats())
 	})
 	// Aggregate prototypes per class, weighted by sample counts.
 	sums := make([][]float64, p.numClasses)
@@ -189,7 +189,7 @@ func (p *FedProto) AsyncDispatch(sim *fl.Simulation, client int) error {
 		}
 	}
 	p.snaps[client] = snap
-	sim.Ledger.RecordDown(sim.ClientID(client), p.downloadFloats())
+	sim.Downlink(sim.ClientID(client), p.downloadFloats())
 	return nil
 }
 
@@ -201,21 +201,21 @@ func (p *FedProto) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error
 		p.trainEpoch(c, sim.Cfg.BatchSize, p.snaps[client])
 	}
 	protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
-	sent := p.quantizeProtos(sim, protos)
-	return &fl.Update{Client: client, Scale: 1, Vecs: protos, Counts: counts, UpFloats: sent}, nil
+	return &fl.Update{Client: client, Scale: 1, Vecs: protos, Counts: counts, UpBytes: p.quantizeProtos(sim, protos)}, nil
 }
 
 // quantizeProtos passes each reported class prototype through the wire
-// codec and returns the uploaded float count.
-func (p *FedProto) quantizeProtos(sim *fl.Simulation, protos [][]float64) int {
+// codec and returns the upload's size: the reported rows travel as one
+// dense frame.
+func (p *FedProto) quantizeProtos(sim *fl.Simulation, protos [][]float64) int64 {
 	sent := 0
 	for cls := range protos {
 		if protos[cls] != nil {
-			comm.RoundTripInPlace(sim.Cfg.Codec, protos[cls])
+			sim.Quantize(protos[cls])
 			sent += p.featDim
 		}
 	}
-	return sent
+	return comm.WireSizeAs(sim.Cfg.Codec, sent)
 }
 
 // AsyncApply folds each reported class prototype into its shard, weighted

@@ -186,7 +186,7 @@ func (k *KTpFL) softTransfer(sim *fl.Simulation, participants []int) error {
 				}
 			}
 		}
-		sim.Ledger.RecordDown(c.ID, m*numClasses)
+		sim.Downlink(c.ID, m*numClasses)
 		k.distill(c, target)
 	})
 	return nil
@@ -226,7 +226,7 @@ func (k *KTpFL) weightTransfer(sim *fl.Simulation, participants []int) error {
 			}
 		}
 		errs[idx] = nn.SetFlatParams(c.Model.Params(), personalized)
-		sim.Ledger.RecordDown(c.ID, len(personalized))
+		sim.Downlink(c.ID, len(personalized))
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -288,12 +288,12 @@ func (k *KTpFL) AsyncDispatch(sim *fl.Simulation, client int) error {
 	k.pending[client] = nil
 	c := sim.Client(client)
 	if k.ShareWeights {
-		sim.Ledger.RecordDown(c.ID, len(k.staged[client]))
+		sim.Downlink(c.ID, len(k.staged[client]))
 		err := nn.SetFlatParams(c.Model.Params(), k.staged[client])
 		k.staged[client] = nil
 		return err
 	}
-	sim.Ledger.RecordDown(c.ID, len(k.public)*k.numCls)
+	sim.Downlink(c.ID, len(k.public)*k.numCls)
 	return nil
 }
 
@@ -314,13 +314,14 @@ func (k *KTpFL) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
 	}
 	var report []float64
 	if k.ShareWeights {
-		report = sim.Quantize(nn.FlattenParams(c.Model.Params()))
+		report = nn.FlattenParams(c.Model.Params())
 	} else {
 		_, logits := c.Model.Forward(k.publicX, false)
 		soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
-		report = sim.Quantize(soft.AppendFloat64s(nil))
+		report = soft.AppendFloat64s(nil)
 	}
-	return &fl.Update{Client: client, Scale: 1, Vecs: [][]float64{report}, UpFloats: len(report)}, nil
+	report, bytes := sim.QuantizeUplink(client, report)
+	return &fl.Update{Client: client, Scale: 1, Vecs: [][]float64{report}, UpBytes: bytes}, nil
 }
 
 // AsyncApply files the client's latest report with its staleness weight.

@@ -4,7 +4,7 @@
 // trace to an uninterrupted run at the same seed (under the lossless f64
 // codec).
 //
-// # File format (version 4)
+// # File format (version 5)
 //
 // A checkpoint file is
 //
@@ -36,7 +36,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -58,8 +57,12 @@ const magic = "FEDCKPT1"
 // issued and the fleet geometry it built its state from); version 4 the
 // evaluation RNG stream, the explicit fleet size (a lazy-fleet checkpoint
 // holds only the clients that were ever materialized — the builder
-// reproduces the untouched rest) and the per-round evaluation sample ids.
-const Version = 4
+// reproduces the untouched rest) and the per-round evaluation sample ids;
+// version 5 stores an in-flight update's exact upload frame bytes where
+// version 4 stored an element count (which re-priced sparse uploads densely
+// on resume) and drops the ledger's codec word — the ledger books bytes and
+// has no codec.
+const Version = 5
 
 // Every decoded collection length is bounded by the bytes remaining in the
 // buffer (each element encodes at least one byte), so a corrupt or hostile
@@ -84,7 +87,7 @@ const (
 // codec.
 func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 	e := &encoder{codec: codec}
-	e.buf.WriteString(magic)
+	e.buf = append(e.buf, magic...)
 	e.u32(Version)
 	e.u32(uint32(codec))
 	e.u32(uint32(snap.DType))
@@ -116,7 +119,7 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 		e.f64(f.VTime)
 		u := f.Update
 		e.f64(u.Scale)
-		e.u64(uint64(u.UpFloats))
+		e.i64(u.UpBytes)
 		e.bool(u.Vecs != nil)
 		if u.Vecs != nil {
 			e.u64(uint64(len(u.Vecs)))
@@ -155,13 +158,12 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 
 	e.u64(uint64(len(snap.Trace)))
 	for _, ev := range snap.Trace {
-		e.buf.WriteByte(byte(ev.Kind))
+		e.buf = append(e.buf, byte(ev.Kind))
 		e.i64(int64(ev.Client))
 		e.u64(uint64(ev.Version))
 		e.f64(ev.Time)
 	}
 
-	e.u32(uint32(snap.Ledger.Codec))
 	e.traffic(snap.Ledger.Current)
 	e.u64(uint64(len(snap.Ledger.Rounds)))
 	for _, r := range snap.Ledger.Rounds {
@@ -227,7 +229,7 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 			}
 		}
 	}
-	return e.buf.Bytes(), nil
+	return e.buf, nil
 }
 
 // Unmarshal parses a checkpoint produced by Marshal (any codec).
@@ -279,7 +281,7 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 		}
 		u := &fl.Update{Client: fs.Client}
 		u.Scale = d.f64()
-		u.UpFloats = int(d.u64())
+		u.UpBytes = d.i64()
 		if d.bool() {
 			nv := d.count()
 			u.Vecs = make([][]float64, nv)
@@ -330,7 +332,6 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 		})
 	}
 
-	snap.Ledger.Codec = comm.Codec(d.u32())
 	snap.Ledger.Current = d.traffic()
 	nRounds := d.count()
 	for i := 0; i < nRounds && d.err == nil; i++ {
@@ -413,50 +414,40 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 	return snap, nil
 }
 
-// encoder writes the body; its Write targets never fail.
+// encoder appends the body to buf.
 type encoder struct {
-	buf   bytes.Buffer
+	buf   []byte
 	codec comm.Codec
 }
 
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
-
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
-
+func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *encoder) bool(v bool) {
 	if v {
-		e.buf.WriteByte(1)
+		e.buf = append(e.buf, 1)
 	} else {
-		e.buf.WriteByte(0)
+		e.buf = append(e.buf, 0)
 	}
 }
 
-// vec writes a presence byte and, when present, a comm frame. Bookkeeping
-// vectors pass lossless=true to pin the f64 codec.
+// vec writes a presence byte and, when present, a comm frame encoded
+// straight into the buffer behind its byte length. Bookkeeping vectors pass
+// lossless=true to pin the f64 codec.
 func (e *encoder) vec(tag uint32, v []float64, lossless bool) {
 	if v == nil {
-		e.buf.WriteByte(0)
+		e.buf = append(e.buf, 0)
 		return
 	}
-	e.buf.WriteByte(1)
+	e.buf = append(e.buf, 1)
 	codec := e.codec
 	if lossless {
 		codec = comm.F64
 	}
-	frame := comm.MarshalAs(codec, tag, v)
-	e.u64(uint64(len(frame)))
-	e.buf.Write(frame)
+	e.i64(comm.WireSizeAs(codec, len(v)))
+	e.buf = comm.MarshalSpecInto(e.buf, comm.Spec{Value: codec}, tag, v, nil)
 }
 
 func (e *encoder) traffic(t comm.RoundTraffic) {
@@ -544,7 +535,13 @@ func (d *decoder) vec(tag uint32) []float64 {
 	if frame == nil {
 		return nil
 	}
-	_, kind, payload, err := comm.Decode(frame)
+	// Checkpoints hold dense frames only: a top-k or delta frame here is a
+	// corrupt or foreign file, not something to decode leniently.
+	if c, _, _, err := comm.FrameInfo(frame); err == nil && !c.Dense() {
+		d.fail("frame for tag %d is a %s frame, checkpoints hold dense frames only", tag, c)
+		return nil
+	}
+	kind, payload, err := comm.DecodeSpec(nil, frame, nil)
 	if err != nil {
 		d.fail("frame for tag %d: %v", tag, err)
 		return nil

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
@@ -29,26 +30,29 @@ import (
 // keep every algorithm runnable.
 func fleet(t *testing.T, k int) []*fl.Client { return fleetOf(t, k, tensor.F64) }
 
-func fleetOf(t *testing.T, k int, dt tensor.DType) []*fl.Client {
+func fleetOf(t testing.TB, k int, dt tensor.DType) []*fl.Client {
+	return fleetWith(t, k, models.Config{FeatDim: 8, Hidden: 16, DType: dt}, func() opt.Optimizer { return opt.NewAdam(0.01) })
+}
+
+// fleetWith builds the fleet over an MLP of the given width and dtype (the
+// dataset fills in the geometry) with one optimizer per client.
+func fleetWith(t testing.TB, k int, cfg models.Config, mkOpt func() opt.Optimizer) []*fl.Client {
 	t.Helper()
 	ds := data.Generate(data.SynthFashion(6, 4, 3))
 	parts, err := data.Partition(ds, k, data.PartitionOptions{Kind: data.Dirichlet, Alpha: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Arch, cfg.InC, cfg.InH, cfg.InW, cfg.NumClasses = models.ArchMLP, ds.C, ds.H, ds.W, ds.NumClasses
 	clients := make([]*fl.Client, k)
 	for i := range clients {
-		m := models.New(models.Config{
-			Arch: models.ArchMLP, InC: ds.C, InH: ds.H, InW: ds.W,
-			FeatDim: 8, NumClasses: ds.NumClasses, Hidden: 16, DType: dt,
-		}, xrand.New(int64(i+1)))
 		rng, src := xrand.NewRand(int64(i + 100))
 		clients[i] = &fl.Client{
-			ID: i, Model: m, Train: parts[i].Train, Test: parts[i].Test,
+			ID: i, Model: models.New(cfg, xrand.New(int64(i+1))), Train: parts[i].Train, Test: parts[i].Test,
 			Aug:       data.NewAugmenter(ds.C, ds.H, ds.W),
 			Rng:       rng,
 			Src:       src,
-			Optimizer: opt.NewAdam(0.01),
+			Optimizer: mkOpt(),
 		}
 	}
 	return clients
@@ -78,13 +82,15 @@ func schedFor(kind fl.SchedulerKind) fl.SchedulerConfig {
 // fresh simulation resumed from it; histories and traces must match
 // byte for byte.
 func killResumeGolden(t *testing.T, kind fl.SchedulerKind, mkAlgo func() fl.Algorithm) {
-	killResumeGoldenOf(t, kind, tensor.F64, mkAlgo)
+	killResumeGoldenOf(t, kind, tensor.F64, comm.Spec{}, mkAlgo)
 }
 
-func killResumeGoldenOf(t *testing.T, kind fl.SchedulerKind, dt tensor.DType, mkAlgo func() fl.Algorithm) {
+// killResumeGoldenOf is the golden at a model dtype and upload framing
+// spec; it returns the decoded snapshot the run resumed from.
+func killResumeGoldenOf(t *testing.T, kind fl.SchedulerKind, dt tensor.DType, spec comm.Spec, mkAlgo func() fl.Algorithm) *fl.Snapshot {
 	t.Helper()
 	const rounds, captureRound = 5, 2
-	cfg := fl.Config{Rounds: rounds, BatchSize: 8, Seed: 9}
+	cfg := fl.Config{Rounds: rounds, BatchSize: 8, Seed: 9, Codec: spec.Value, TopK: spec.Frac, Delta: spec.Delta}
 	fleet := func(t *testing.T, k int) []*fl.Client { return fleetOf(t, k, dt) }
 
 	// Uninterrupted reference.
@@ -151,6 +157,7 @@ func killResumeGoldenOf(t *testing.T, kind fl.SchedulerKind, dt tensor.DType, mk
 		t.Fatalf("resumed scheduler trace differs from the uninterrupted run\nref: %d events\ngot: %d events",
 			len(refTrace.Events), len(resTrace.Events))
 	}
+	return snap
 }
 
 func TestKillResumeGoldenFedClassAvg(t *testing.T) {
@@ -167,7 +174,7 @@ func TestKillResumeGoldenFedClassAvg(t *testing.T) {
 func TestKillResumeGoldenFloat32(t *testing.T) {
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded, fl.SchedSemiSync} {
 		t.Run(kind.String(), func(t *testing.T) {
-			killResumeGoldenOf(t, kind, tensor.F32, func() fl.Algorithm { return core.New(core.DefaultOptions()) })
+			killResumeGoldenOf(t, kind, tensor.F32, comm.Spec{}, func() fl.Algorithm { return core.New(core.DefaultOptions()) })
 		})
 	}
 }
@@ -178,7 +185,7 @@ func TestKillResumeGoldenFloat32(t *testing.T) {
 func TestKillResumeGoldenBF16(t *testing.T) {
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded, fl.SchedSemiSync} {
 		t.Run(kind.String(), func(t *testing.T) {
-			killResumeGoldenOf(t, kind, tensor.BF16, func() fl.Algorithm { return core.New(core.DefaultOptions()) })
+			killResumeGoldenOf(t, kind, tensor.BF16, comm.Spec{}, func() fl.Algorithm { return core.New(core.DefaultOptions()) })
 		})
 	}
 }
@@ -213,6 +220,27 @@ func TestResumeRejectsDTypeMismatch(t *testing.T) {
 	_, err = fl.NewSimulation(fleetOf(t, 4, tensor.F64), cfg).RunScheduled(baselines.NewFedAvg(1), bad)
 	if err == nil {
 		t.Fatal("resuming an f32 checkpoint into an f64 fleet must fail")
+	}
+}
+
+// Uploads in flight at the snapshot carry their exact frame bytes through
+// the checkpoint: a resumed top-k run must book them at the sparse frame
+// size they were encoded at, not re-price them densely, so per-round
+// UpBytes match the uninterrupted run.
+func TestKillResumeGoldenSparseUplink(t *testing.T) {
+	for _, kind := range []fl.SchedulerKind{fl.SchedAsyncBounded, fl.SchedSemiSync} {
+		t.Run(kind.String(), func(t *testing.T) {
+			snap := killResumeGoldenOf(t, kind, tensor.F64, comm.NewSpec(comm.F32, 0.05, false),
+				func() fl.Algorithm { return baselines.NewFedAvg(1) })
+			if len(snap.Flights) == 0 {
+				t.Fatal("snapshot holds no in-flight update; the test would not exercise the flight's byte count")
+			}
+			for _, f := range snap.Flights {
+				if dense := comm.WireSizeAs(comm.F32, len(f.Update.Vecs[0])); f.Update.UpBytes <= 0 || f.Update.UpBytes >= dense/4 {
+					t.Fatalf("in-flight top-k upload restored at %d bytes (dense would be %d)", f.Update.UpBytes, dense)
+				}
+			}
+		})
 	}
 }
 
@@ -381,7 +409,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// The version-4 fields — eval RNG stream, explicit fleet size, per-round
+// The fields version 4 added — eval RNG stream, explicit fleet size, per-round
 // evaluation sample ids — must survive the wire format.
 func TestV4FieldsRoundTrip(t *testing.T) {
 	cfg := fl.Config{Rounds: 2, BatchSize: 8, Seed: 3, EvalSample: 2}
@@ -443,6 +471,31 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// Trailing bytes are an error too.
 	if _, err := ckpt.Unmarshal(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing bytes must be rejected")
+	}
+	// Files of the previous format version and frames of the structural
+	// codecs (checkpoints hold dense frames only) are rejected by name.
+	seeds := ckptSeeds(t)
+	for name, want := range map[string]string{"version-4": "version", "frame-topk": "dense frames only", "frame-delta": "dense frames only"} {
+		if _, err := ckpt.Unmarshal(seeds[name]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got error %v, want one mentioning %q", name, err, want)
+		}
+	}
+}
+
+// Marshal encodes every vector straight into the output buffer: a snapshot
+// of many vectors must cost far fewer allocations than it has vectors.
+func TestMarshalAllocsNoFramePerVector(t *testing.T) {
+	snap := &fl.Snapshot{Algo: &fl.AlgoState{Vecs: make([][]float64, 128)}}
+	for i := range snap.Algo.Vecs {
+		snap.Algo.Vecs[i] = make([]float64, 64)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := ckpt.Marshal(snap, comm.F32); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg >= float64(len(snap.Algo.Vecs))/4 {
+		t.Fatalf("Marshal of %d vectors allocates %.0f objects/op", len(snap.Algo.Vecs), avg)
 	}
 }
 

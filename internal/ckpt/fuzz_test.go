@@ -1,0 +1,209 @@
+package ckpt_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/baselines"
+	"repro/internal/ckpt"
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/fl"
+	"repro/internal/models"
+	"repro/internal/opt"
+	"repro/internal/transport"
+)
+
+// seedFleet is a two-client fleet narrow enough (a 2-unit MLP under plain
+// SGD) that a whole snapshot of it is a few kilobytes — a corpus entry the
+// fuzzer can mutate quickly and the repo can afford to check in.
+func seedFleet(t testing.TB) []*fl.Client {
+	return fleetWith(t, 2, models.Config{FeatDim: 4, Hidden: 2}, func() opt.Optimizer { return opt.NewSGD(0.05, 0, 0) })
+}
+
+// engineSeed runs one round under kind and returns the round-1 checkpoint.
+func engineSeed(t testing.TB, kind fl.SchedulerKind, algo fl.Algorithm, codec comm.Codec) []byte {
+	t.Helper()
+	var blob []byte
+	sched := fl.SchedulerConfig{Kind: kind, Costs: []float64{2, 1}, Checkpoint: func(snap *fl.Snapshot) error {
+		b, err := ckpt.Marshal(snap, codec)
+		blob = b
+		return err
+	}}
+	sim := fl.NewSimulation(seedFleet(t), fl.Config{Rounds: 1, BatchSize: 8, Seed: 3})
+	if _, err := sim.RunScheduled(algo, sched); err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// nodeSeed runs a one-round node federation over the inproc transport and
+// returns the server's checkpoint: no client states, but the session table
+// and the join declarations the server rebuilt its state from.
+func nodeSeed(t testing.TB) []byte {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	tr := transport.NewInproc(transport.Options{})
+	ln, err := tr.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := seedFleet(t)
+	errc := make(chan error, len(clients))
+	for _, c := range clients {
+		go func(c *fl.Client) {
+			conn, err := tr.Dial(ctx, "srv")
+			if err != nil {
+				errc <- err
+				return
+			}
+			errc <- (&fl.ClientNode{Client: c, Algo: core.New(core.DefaultOptions())}).Run(ctx, conn)
+		}(c)
+	}
+	var blob []byte
+	srv := fl.NewServerNode(core.New(core.DefaultOptions()), fl.NodeConfig{
+		Clients: len(clients), Rounds: 1, SampleRate: 1, BatchSize: 8, Seed: 3,
+		Checkpoint: func(snap *fl.Snapshot) error {
+			b, err := ckpt.Marshal(snap, comm.F64)
+			blob = b
+			return err
+		},
+	})
+	if _, err := srv.Serve(ctx, ln); err != nil {
+		t.Fatal(err)
+	}
+	for range clients {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blob
+}
+
+// nodeFreeAt is the offset of a checkpoint's first vector field (NodeFree):
+// the 20-byte header and eight scalar words precede it. The field is a
+// presence byte, the frame length, then the frame, whose codec is the top
+// byte of the little-endian codec/length word behind the 4-byte tag.
+const (
+	nodeFreeAt      = 20 + 8*8
+	firstFrameCodec = nodeFreeAt + 1 + 8 + 4 + 7
+)
+
+// withFirstFrameCodec returns blob up to the end of its first vector frame,
+// with that frame relabelled as codec c.
+func withFirstFrameCodec(t testing.TB, blob []byte, c comm.Codec) []byte {
+	t.Helper()
+	if blob[nodeFreeAt] != 1 || blob[firstFrameCodec] != byte(comm.F64) {
+		t.Fatal("checkpoint layout moved: the first vector frame is not where this helper patches")
+	}
+	end := nodeFreeAt + 1 + 8 + int(binary.LittleEndian.Uint64(blob[nodeFreeAt+1:]))
+	out := append([]byte(nil), blob[:end]...)
+	out[firstFrameCodec] = byte(c)
+	return out
+}
+
+// ckptSeeds is the fuzz corpus: one real snapshot per scheduler and bulk
+// codec, and one specimen of each rejection class the decoder enforces.
+func ckptSeeds(t testing.TB) map[string][]byte {
+	async := engineSeed(t, fl.SchedAsyncBounded, baselines.NewFedProto(1, 1.0), comm.F32)
+	v4 := append([]byte(nil), async[:nodeFreeAt]...)
+	v4[8] = 4
+	return map[string][]byte{
+		"sync-i8":       engineSeed(t, fl.SchedSync, baselines.NewFedAvg(1), comm.I8),
+		"async-flights": async,
+		"node-sessions": nodeSeed(t),
+		"truncated":     async[:len(async)/2],
+		"version-4":     v4,
+		"frame-topk":    withFirstFrameCodec(t, async, comm.TopK),
+		"frame-delta":   withFirstFrameCodec(t, async, comm.Delta),
+	}
+}
+
+// decodedElems counts every element a decoded snapshot holds. Each one is
+// backed by at least one input byte, which is what bounds the decoder's
+// allocations by the input length.
+func decodedElems(s *fl.Snapshot) int {
+	n := len(s.NodeFree) + len(s.Idle) + len(s.Away) + len(s.Flights) + len(s.History) + len(s.Trace) +
+		len(s.Ledger.Rounds) + len(s.Ledger.Clients) + len(s.Clients) + len(s.Sessions) + len(s.Joins)
+	vecs := func(vs [][]float64) {
+		n += len(vs)
+		for _, v := range vs {
+			n += len(v)
+		}
+	}
+	for _, f := range s.Flights {
+		vecs(f.Update.Vecs)
+		n += len(f.Update.Counts)
+	}
+	for _, m := range s.History {
+		n += len(m.PerClient) + len(m.EvalIDs)
+	}
+	for _, c := range s.Clients {
+		n += len(c.Params) + len(c.Buffers) + len(c.Opt.Ints)
+		vecs(c.Opt.Vecs)
+	}
+	if s.Algo != nil {
+		n += len(s.Algo.Ints)
+		vecs(s.Algo.Vecs)
+	}
+	for _, j := range s.Joins {
+		vecs(j.Init)
+	}
+	return n
+}
+
+// FuzzCkptUnmarshal hardens the checkpoint decoder: arbitrary bytes must
+// never panic or decode more elements than the input has bytes, and any
+// accepted file re-marshals canonically — marshalling it under f64,
+// decoding that and marshalling again is byte-identical.
+func FuzzCkptUnmarshal(f *testing.F) {
+	for _, s := range ckptSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		snap, err := ckpt.Unmarshal(b)
+		if err != nil {
+			return
+		}
+		if n := decodedElems(snap); n > len(b) {
+			t.Fatalf("decoded %d elements from %d bytes", n, len(b))
+		}
+		first, err := ckpt.Marshal(snap, comm.F64)
+		if err != nil {
+			t.Fatalf("re-marshalling an accepted checkpoint: %v", err)
+		}
+		again, err := ckpt.Unmarshal(first)
+		if err != nil {
+			t.Fatalf("re-decoding a re-marshalled checkpoint: %v", err)
+		}
+		second, err := ckpt.Marshal(again, comm.F64)
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("f64 re-marshal is not a fixed point (err %v, %d vs %d bytes)", err, len(first), len(second))
+		}
+	})
+}
+
+// TestWriteFuzzCorpus regenerates the checked-in seed corpus. Run with
+// REGEN_FUZZ_CORPUS=1 after changing the checkpoint format.
+func TestWriteFuzzCorpus(t *testing.T) {
+	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
+		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz seeds")
+	}
+	const dir = "testdata/fuzz/FuzzCkptUnmarshal/"
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range ckptSeeds(t) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(s)))
+		if err := os.WriteFile(dir+name, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

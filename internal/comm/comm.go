@@ -112,10 +112,6 @@ func (c Codec) payloadBytes(n int) int64 {
 	}
 }
 
-// WireSize returns the serialized size in bytes of a payload of n float64s
-// under the legacy lossless codec.
-func WireSize(n int) int64 { return WireSizeAs(F64, n) }
-
 // WireSizeAs returns the serialized size in bytes of an n-element payload
 // under the given codec.
 func WireSizeAs(c Codec, n int) int64 { return headerSize + c.payloadBytes(n) }
@@ -123,35 +119,14 @@ func WireSizeAs(c Codec, n int) int64 { return headerSize + c.payloadBytes(n) }
 // maxLen caps the element count encodable in the 56-bit length field.
 const maxLen = 1<<56 - 1
 
-// Marshal frames a float64 payload with a kind tag into wire bytes using
-// the lossless F64 codec (the legacy format, byte for byte).
-func Marshal(kind uint32, payload []float64) []byte {
-	return MarshalAs(F64, kind, payload)
-}
-
-// MarshalAs frames a float64 payload under the given codec.
-func MarshalAs(c Codec, kind uint32, payload []float64) []byte {
-	return MarshalNative(c, kind, payload)
-}
-
-// MarshalNative frames a payload of either element width under the given
-// codec in a freshly sized slice. The float64 instantiation is the legacy
-// format byte for byte, and a float32 payload under the F32 codec produces
-// exactly the frame the old float64-truncating path produced — but without
-// ever widening the data, so f32 models frame their uploads natively. Hot
-// paths that reuse a buffer across frames use MarshalNativeInto instead.
-func MarshalNative[F tensor.Float](c Codec, kind uint32, payload []F) []byte {
-	return MarshalNativeInto(make([]byte, 0, WireSizeAs(c, len(payload))), c, kind, payload)
-}
-
 // i8Scale returns the per-tensor quantization step maxAbs/127 over the
 // finite elements (0 for an empty, all-zero or all-non-finite payload). A
 // single overflowed weight must not stretch the grid to infinity and
 // NaN-poison every other element.
-func i8Scale[F tensor.Float](payload []F) float64 {
+func i8Scale(payload []float64) float64 {
 	var maxAbs float64
 	for _, v := range payload {
-		if a := math.Abs(float64(v)); a > maxAbs && !math.IsInf(a, 1) {
+		if a := math.Abs(v); a > maxAbs && !math.IsInf(a, 1) {
 			maxAbs = a
 		}
 	}
@@ -173,63 +148,32 @@ func quantizeI8(v, scale float64) int8 {
 	return int8(q)
 }
 
-// Unmarshal parses wire bytes produced by Marshal or MarshalAs, returning
-// the application kind and the payload dequantized to float64.
-func Unmarshal(b []byte) (kind uint32, payload []float64, err error) {
-	_, kind, payload, err = Decode(b)
-	return kind, payload, err
-}
-
-// Decode parses wire bytes and additionally reports the codec the frame was
-// encoded with. The frame must be exactly one message: trailing bytes are an
-// error, as is a length field inconsistent with the buffer size.
-func Decode(b []byte) (c Codec, kind uint32, payload []float64, err error) {
-	return DecodeNative[float64](b)
-}
-
-// DecodeNative parses wire bytes into a payload of the chosen element
-// width, without an intermediate float64 pass: a float32 consumer of an F32
-// frame reads the stored bits directly. Decoding an F64 frame into float32
-// narrows (lossy, like any f64→f32 cast); every other combination is exact
-// or matches the codec's own loss. Dense frames only — sparse and delta
-// frames carry basis state and go through DecodeSpec.
-func DecodeNative[F tensor.Float](b []byte) (c Codec, kind uint32, payload []F, err error) {
-	return DecodeNativeInto[F](nil, b)
-}
-
 // validScale rejects scales that would dequantize to non-finite values or
-// negative steps, which no Marshal-produced frame contains.
+// negative steps, which no MarshalSpecInto-produced frame contains.
 func validScale(scale float64) bool {
 	return scale >= 0 && !math.IsInf(scale, 0) && !math.IsNaN(scale)
 }
 
-// RoundTripInPlace passes v through the codec's quantization without
+// roundTripInPlace passes v through the dense codec's quantization without
 // building a frame: after the call, v holds exactly the values a receiver
-// would decode. F64 is a no-op; F32 rounds every element to float32; I8
-// snaps every element to its per-tensor int8 grid. It allocates nothing,
-// so lossy uplinks can be simulated on the training hot path.
-func RoundTripInPlace(c Codec, v []float64) {
-	RoundTripInPlaceOf(c, v)
-}
-
-// RoundTripInPlaceOf is the dtype-generic round trip. For a float32 vector
-// the F32 codec is the identity (the data is already at wire precision —
-// the point of native f32 frames), and I8 snaps to the int8 grid of the
-// widened values.
-func RoundTripInPlaceOf[F tensor.Float](c Codec, v []F) {
+// would decode. F64 is a no-op; F32 and BF16 round every element to the
+// narrower type; I8 snaps every element to its per-tensor int8 grid. It
+// allocates nothing, so lossy uplinks can be simulated on the training hot
+// path (RoundTripSpec).
+func roundTripInPlace(c Codec, v []float64) {
 	switch c {
 	case F32:
 		for i, x := range v {
-			v[i] = F(float32(x))
+			v[i] = float64(float32(x))
 		}
 	case I8:
 		scale := i8Scale(v)
 		for i, x := range v {
-			v[i] = F(float64(quantizeI8(float64(x), scale)) * scale)
+			v[i] = float64(quantizeI8(x, scale)) * scale
 		}
 	case BF16:
 		for i, x := range v {
-			v[i] = F(tensor.BF16ToF32(tensor.BF16FromF32(float32(x))))
+			v[i] = float64(tensor.BF16ToF32(tensor.BF16FromF32(float32(x))))
 		}
 	}
 }
@@ -242,11 +186,12 @@ type RoundTraffic struct {
 	Messages  int
 }
 
-// Ledger is a thread-safe traffic recorder. The zero value is ready to use
-// and accounts at the lossless F64 codec.
+// Ledger is a thread-safe traffic recorder. Bytes are its only currency:
+// callers book what crossed (or would cross) the wire — a frame size from
+// RoundTripSpec or WireSizeAs in the simulation, the socket's own count in
+// node mode — and the ledger never prices anything itself.
 type Ledger struct {
 	mu      sync.Mutex
-	codec   Codec
 	current RoundTraffic
 	rounds  []RoundTraffic
 	up      map[int]int64 // per-client cumulative upload
@@ -258,47 +203,7 @@ func NewLedger() *Ledger {
 	return &Ledger{up: make(map[int]int64), down: make(map[int]int64)}
 }
 
-// SetCodec selects the wire codec used to account subsequent payloads, so
-// Table-5 byte counts reflect compression.
-func (l *Ledger) SetCodec(c Codec) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.codec = c
-}
-
-// Codec reports the wire codec the ledger accounts at.
-func (l *Ledger) Codec() Codec {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.codec
-}
-
-// RecordUp logs a client → server payload of n values.
-func (l *Ledger) RecordUp(client int, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sz := WireSizeAs(l.codec, n)
-	l.current.UpBytes += sz
-	l.current.Messages++
-	l.up[client] += sz
-}
-
-// RecordDown logs a server → client payload of n values.
-func (l *Ledger) RecordDown(client int, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sz := WireSizeAs(l.codec, n)
-	l.current.DownBytes += sz
-	l.current.Messages++
-	l.down[client] += sz
-}
-
-// AddUp logs a client → server transfer by its raw wire size. Unlike
-// RecordUp, which prices a payload element count at the ledger's codec,
-// AddUp is for callers that know exactly what crossed the wire — transport
-// frame prefixes, message envelopes and handshakes included — so node-mode
-// accounting matches the socket byte for byte. Every call counts as one
-// message.
+// AddUp logs one client → server message of the given wire size.
 func (l *Ledger) AddUp(client int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -307,8 +212,7 @@ func (l *Ledger) AddUp(client int, bytes int64) {
 	l.up[client] += bytes
 }
 
-// AddDown logs a server → client transfer by its raw wire size (the
-// downlink counterpart of AddUp).
+// AddDown logs one server → client message of the given wire size.
 func (l *Ledger) AddDown(client int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -382,7 +286,6 @@ type ClientTraffic struct {
 // LedgerState is a serializable snapshot of a Ledger, so checkpointed runs
 // resume with continuous traffic accounting. Clients is sorted by id.
 type LedgerState struct {
-	Codec   Codec
 	Current RoundTraffic
 	Rounds  []RoundTraffic
 	Clients []ClientTraffic
@@ -393,7 +296,6 @@ func (l *Ledger) Snapshot() LedgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := LedgerState{
-		Codec:   l.codec,
 		Current: l.current,
 		Rounds:  append([]RoundTraffic(nil), l.rounds...),
 	}
@@ -422,7 +324,6 @@ func (l *Ledger) Snapshot() LedgerState {
 func (l *Ledger) Restore(st LedgerState) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.codec = st.Codec
 	l.current = st.Current
 	l.rounds = append(l.rounds[:0], st.Rounds...)
 	l.up = make(map[int]int64, len(st.Clients))

@@ -10,8 +10,8 @@ import (
 
 func TestMarshalRoundTrip(t *testing.T) {
 	payload := []float64{1.5, -2.25, 0, 1e300}
-	b := Marshal(7, payload)
-	kind, got, err := Unmarshal(b)
+	b := MarshalSpecInto(nil, Spec{}, 7, payload, nil)
+	kind, got, err := DecodeSpec(nil, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 // Property: round trip preserves arbitrary payloads and the wire size
-// matches WireSize exactly.
+// matches WireSizeAs exactly.
 func TestMarshalProperty(t *testing.T) {
 	f := func(kind uint32, seed int64, nRaw uint16) bool {
 		n := int(nRaw % 512)
@@ -38,11 +38,11 @@ func TestMarshalProperty(t *testing.T) {
 		for i := range payload {
 			payload[i] = rng.NormFloat64()
 		}
-		b := Marshal(kind, payload)
-		if int64(len(b)) != WireSize(n) {
+		b := MarshalSpecInto(nil, Spec{}, kind, payload, nil)
+		if int64(len(b)) != WireSizeAs(F64, n) {
 			return false
 		}
-		k2, p2, err := Unmarshal(b)
+		k2, p2, err := DecodeSpec(nil, b, nil)
 		if err != nil || k2 != kind || len(p2) != n {
 			return false
 		}
@@ -58,51 +58,57 @@ func TestMarshalProperty(t *testing.T) {
 	}
 }
 
-func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	if _, _, err := Unmarshal([]byte{1, 2}); err == nil {
+func TestDecodeRejectsCorrupt(t *testing.T) {
+	if _, _, err := DecodeSpec(nil, []byte{1, 2}, nil); err == nil {
 		t.Fatal("short header must error")
 	}
-	b := Marshal(1, []float64{1, 2, 3})
-	if _, _, err := Unmarshal(b[:len(b)-4]); err == nil {
+	b := MarshalSpecInto(nil, Spec{}, 1, []float64{1, 2, 3}, nil)
+	if _, _, err := DecodeSpec(nil, b[:len(b)-4], nil); err == nil {
 		t.Fatal("truncated payload must error")
 	}
-	if _, _, err := Unmarshal(append(b, 0)); err == nil {
+	if _, _, err := DecodeSpec(nil, append(b, 0), nil); err == nil {
 		t.Fatal("trailing bytes must error")
 	}
 }
 
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger()
-	l.RecordUp(0, 100)
-	l.RecordUp(1, 50)
-	l.RecordDown(0, 10)
+	l.AddUp(0, 100)
+	l.AddUp(1, 50)
+	l.AddDown(0, 10)
 	tr := l.EndRound(1)
 	if tr.Round != 1 || tr.Messages != 3 {
 		t.Fatalf("round traffic %+v", tr)
 	}
-	if tr.UpBytes != WireSize(100)+WireSize(50) {
+	if tr.UpBytes != 150 {
 		t.Fatalf("up bytes %d", tr.UpBytes)
 	}
-	if tr.DownBytes != WireSize(10) {
+	if tr.DownBytes != 10 {
 		t.Fatalf("down bytes %d", tr.DownBytes)
 	}
 	// Second round starts clean.
-	l.RecordUp(0, 1)
+	l.AddUp(0, 1)
 	tr2 := l.EndRound(2)
-	if tr2.UpBytes != WireSize(1) {
+	if tr2.UpBytes != 1 {
 		t.Fatalf("round 2 up bytes %d", tr2.UpBytes)
 	}
 	if got := len(l.Rounds()); got != 2 {
 		t.Fatalf("rounds %d", got)
 	}
-	if l.ClientUp(0) != WireSize(100)+WireSize(1) {
+	if l.ClientUp(0) != 101 {
 		t.Fatalf("client 0 up %d", l.ClientUp(0))
 	}
-	if l.TotalUp() != WireSize(100)+WireSize(50)+WireSize(1) {
+	if l.TotalUp() != 151 {
 		t.Fatalf("total up %d", l.TotalUp())
 	}
-	if l.TotalDown() != WireSize(10) || l.ClientDown(0) != WireSize(10) {
+	if l.TotalDown() != 10 || l.ClientDown(0) != 10 {
 		t.Fatal("down accounting wrong")
+	}
+	// Snapshot/Restore carries totals, per-client books and round history.
+	l2 := NewLedger()
+	l2.Restore(l.Snapshot())
+	if l2.TotalUp() != 151 || l2.ClientUp(1) != 50 || l2.ClientDown(0) != 10 || len(l2.Rounds()) != 2 {
+		t.Fatalf("restored ledger %+v", l2.Snapshot())
 	}
 }
 
@@ -112,8 +118,8 @@ func TestLedgerConcurrentSafety(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func(id int) {
 			for i := 0; i < 100; i++ {
-				l.RecordUp(id, 10)
-				l.RecordDown(id, 5)
+				l.AddUp(id, 10)
+				l.AddDown(id, 5)
 			}
 			done <- struct{}{}
 		}(w)
@@ -125,7 +131,7 @@ func TestLedgerConcurrentSafety(t *testing.T) {
 	if tr.Messages != 1600 {
 		t.Fatalf("messages %d, want 1600", tr.Messages)
 	}
-	if tr.UpBytes != 800*WireSize(10) {
+	if tr.UpBytes != 800*10 {
 		t.Fatalf("up bytes %d", tr.UpBytes)
 	}
 }
@@ -135,11 +141,15 @@ func TestLedgerConcurrentSafety(t *testing.T) {
 func TestQuantizedCodecs(t *testing.T) {
 	payload := []float64{0, 1.5, -2.25, 0.015625, -127, 126.5, 3.0000001}
 	for _, c := range []Codec{F64, F32, I8, BF16} {
-		b := MarshalAs(c, 9, payload)
+		b := MarshalSpecInto(nil, Spec{Value: c}, 9, payload, nil)
 		if int64(len(b)) != WireSizeAs(c, len(payload)) {
 			t.Fatalf("%s frame is %d bytes, want %d", c, len(b), WireSizeAs(c, len(payload)))
 		}
-		gotC, kind, got, err := Decode(b)
+		gotC, _, _, err := FrameInfo(b)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		kind, got, err := DecodeSpec(nil, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
@@ -172,9 +182,9 @@ func TestQuantizedCodecs(t *testing.T) {
 // counts and any stored frames stay valid.
 func TestF64MatchesLegacyLayout(t *testing.T) {
 	payload := []float64{1, -2, 3.5}
-	b := Marshal(7, payload)
-	if int64(len(b)) != WireSize(3) {
-		t.Fatalf("frame %d bytes, want %d", len(b), WireSize(3))
+	b := MarshalSpecInto(nil, Spec{}, 7, payload, nil)
+	if len(b) != 12+3*8 {
+		t.Fatalf("frame %d bytes, want %d", len(b), 12+3*8)
 	}
 	// Header: kind u32 LE, then count u64 LE with a zero codec byte.
 	want := []byte{7, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}
@@ -188,20 +198,24 @@ func TestF64MatchesLegacyLayout(t *testing.T) {
 	}
 }
 
-// Round-tripping through RoundTripInPlace must agree exactly with what a
-// receiver of a marshalled frame would decode.
-func TestRoundTripInPlaceMatchesWire(t *testing.T) {
+// Round-tripping a plain dense spec through RoundTripSpec must agree
+// exactly with what a receiver of the marshalled frame would decode, and
+// price it at the frame's size.
+func TestRoundTripMatchesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []Codec{F64, F32, I8, BF16} {
 		payload := make([]float64, 64)
 		for i := range payload {
 			payload[i] = rng.NormFloat64() * 10
 		}
-		_, _, wire, err := Decode(MarshalAs(c, 1, payload))
+		frame := MarshalSpecInto(nil, Spec{Value: c}, 1, payload, nil)
+		_, wire, err := DecodeSpec(nil, frame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		RoundTripInPlace(c, payload)
+		if size := RoundTripSpec(Spec{Value: c}, payload, nil); size != int64(len(frame)) {
+			t.Fatalf("%s priced at %d bytes, frame is %d", c, size, len(frame))
+		}
 		for i := range payload {
 			if payload[i] != wire[i] {
 				t.Fatalf("%s elem %d: in-place %v vs wire %v", c, i, payload[i], wire[i])
@@ -222,7 +236,7 @@ func TestI8CompressionRatio(t *testing.T) {
 // scale comes from the finite elements, NaN encodes as 0 and ±Inf saturate.
 func TestI8NonFiniteSafety(t *testing.T) {
 	payload := []float64{1, -2, math.Inf(1), math.NaN(), math.Inf(-1), 0.5}
-	_, _, got, err := Decode(MarshalAs(I8, 1, payload))
+	_, got, err := DecodeSpec(nil, MarshalSpecInto(nil, Spec{Value: I8}, 1, payload, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +251,10 @@ func TestI8NonFiniteSafety(t *testing.T) {
 		}
 	}
 	inPlace := append([]float64(nil), payload...)
-	RoundTripInPlace(I8, inPlace)
+	RoundTripSpec(Spec{Value: I8}, inPlace, nil)
 	for i, v := range inPlace {
 		if math.IsNaN(v) {
-			t.Fatalf("RoundTripInPlace left NaN at %d", i)
+			t.Fatalf("RoundTripSpec left NaN at %d", i)
 		}
 		if v != got[i] {
 			t.Fatalf("in-place %v differs from wire %v at %d", v, got[i], i)
@@ -249,35 +263,21 @@ func TestI8NonFiniteSafety(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptQuantized(t *testing.T) {
-	b := MarshalAs(I8, 2, []float64{1, -1, 0.5})
-	if _, _, _, err := Decode(b[:len(b)-1]); err == nil {
+	b := MarshalSpecInto(nil, Spec{Value: I8}, 2, []float64{1, -1, 0.5}, nil)
+	if _, _, err := DecodeSpec(nil, b[:len(b)-1], nil); err == nil {
 		t.Fatal("truncated int8 payload must error")
 	}
 	// Unknown codec byte.
 	bad := append([]byte(nil), b...)
 	bad[11] = 0x7f
-	if _, _, _, err := Decode(bad); err == nil {
+	if _, _, err := DecodeSpec(nil, bad, nil); err == nil {
 		t.Fatal("unknown codec must error")
 	}
 	// Non-finite scale.
 	nan := append([]byte(nil), b...)
 	binary.LittleEndian.PutUint64(nan[12:], math.Float64bits(math.NaN()))
-	if _, _, _, err := Decode(nan); err == nil {
+	if _, _, err := DecodeSpec(nil, nan, nil); err == nil {
 		t.Fatal("NaN scale must error")
-	}
-}
-
-func TestLedgerCodecAccounting(t *testing.T) {
-	l := NewLedger()
-	l.SetCodec(I8)
-	if l.Codec() != I8 {
-		t.Fatal("codec not set")
-	}
-	l.RecordUp(0, 100)
-	l.RecordDown(0, 40)
-	tr := l.EndRound(1)
-	if tr.UpBytes != WireSizeAs(I8, 100) || tr.DownBytes != WireSizeAs(I8, 40) {
-		t.Fatalf("codec accounting %+v", tr)
 	}
 }
 

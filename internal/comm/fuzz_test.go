@@ -9,32 +9,40 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal drives Decode with arbitrary frames. Invariants:
+// denseFrame is a plain dense frame of v under c.
+func denseFrame(c Codec, kind uint32, v []float64) []byte {
+	return MarshalSpecInto(nil, Spec{Value: c}, kind, v, nil)
+}
+
+// FuzzUnmarshal drives DecodeSpec with arbitrary frames. Invariants:
 //
-//   - Decode never panics and never allocates a payload longer than the
-//     input could hold.
+//   - DecodeSpec never panics, never accepts a vector of the wrong length,
+//     and never allocates a dense payload longer than the input could hold
+//     (sparse and delta frames are bounded by maxSparseLen instead).
 //   - An accepted frame re-encodes losslessly under F64 and byte-identically
 //     re-decodes (decoded values are exact wire values for every codec).
-//   - Frames produced by MarshalAs for any codec always decode, with the
-//     declared codec, kind and length.
+//   - An accepted dense frame re-encodes under its own codec into a frame
+//     that is accepted too.
+//
+// The delta basis, when the frame wants one, is synthesized from the header
+// so the tag-match path is exercised too.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: a well-formed frame per codec, edge payloads, and
-	// corruptions of each failure class Decode must reject.
+	// corruptions of each failure class DecodeSpec must reject.
 	seeds := [][]byte{
-		MarshalAs(F64, 7, []float64{1.5, -2.25, 0, 1e300}),
-		MarshalAs(F32, 1, []float64{0.5, -0.5, 3.0000001}),
-		MarshalAs(I8, 2, []float64{1, -1, 0.25, 126.9}),
-		MarshalAs(F64, 0, nil),
-		MarshalAs(I8, 9, []float64{0, 0, 0}),
-		MarshalAs(F32, 3, []float64{math.Inf(1), math.NaN()}),
+		denseFrame(F64, 7, []float64{1.5, -2.25, 0, 1e300}),
+		denseFrame(F32, 1, []float64{0.5, -0.5, 3.0000001}),
+		denseFrame(I8, 2, []float64{1, -1, 0.25, 126.9}),
+		denseFrame(F64, 0, nil),
+		denseFrame(I8, 9, []float64{0, 0, 0}),
+		denseFrame(F32, 3, []float64{math.Inf(1), math.NaN()}),
 		{1, 2},             // short header
 		make([]byte, 12),   // empty f64 frame
 		make([]byte, 1024), // zeroed: declares 0 elements but trails 1012 bytes
 	}
-	truncated := MarshalAs(I8, 4, []float64{3, -3})
+	truncated := denseFrame(I8, 4, []float64{3, -3})
 	seeds = append(seeds, truncated[:len(truncated)-1])
-	badCodec := MarshalAs(F64, 5, []float64{1})
-	badCodec = append([]byte(nil), badCodec...)
+	badCodec := denseFrame(F64, 5, []float64{1})
 	badCodec[11] = 0x42
 	seeds = append(seeds, badCodec)
 	seeds = append(seeds, sparseSeeds()...)
@@ -43,31 +51,44 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fuzzDecodeSpec(t, b)
-		c, kind, payload, err := Decode(b)
+		var ref *DeltaRef
+		if len(b) >= headerSize+deltaOverhead {
+			word := binary.LittleEndian.Uint64(b[4:])
+			if n := int(word & maxLen); Codec(word>>56) == Delta && n <= maxSparseLen {
+				ref = &DeltaRef{Tag: binary.LittleEndian.Uint64(b[headerSize:]), Base: make([]float64, n)}
+			}
+		}
+		kind, v, err := DecodeSpec(nil, b, ref)
 		if err != nil {
 			return
 		}
-		if int64(len(b)) != WireSizeAs(c, len(payload)) {
-			t.Fatalf("accepted %d-byte frame but %s/%d elements costs %d",
-				len(b), c, len(payload), WireSizeAs(c, len(payload)))
+		c, _, n, _ := FrameInfo(b)
+		if len(v) != n {
+			t.Fatalf("accepted frame decoded %d elements, header declares %d", len(v), n)
+		}
+		if v == nil {
+			t.Fatal("accepted frame decoded a nil vector")
+		}
+		if c.Dense() && int64(len(b)) != WireSizeAs(c, n) {
+			t.Fatalf("accepted %d-byte frame but %s/%d elements costs %d", len(b), c, n, WireSizeAs(c, n))
 		}
 		// Decoded values are exact wire values: re-encoding losslessly must
 		// round-trip bit for bit (NaNs compare by bit pattern).
-		again := MarshalAs(F64, kind, payload)
-		c2, kind2, payload2, err := Decode(again)
-		if err != nil || c2 != F64 || kind2 != kind || len(payload2) != len(payload) {
-			t.Fatalf("f64 re-encode failed: %v (codec %v kind %d len %d)", err, c2, kind2, len(payload2))
+		kind2, v2, err := DecodeSpec(nil, denseFrame(F64, kind, v), nil)
+		if err != nil || kind2 != kind || len(v2) != n {
+			t.Fatalf("f64 re-encode failed: %v (kind %d len %d)", err, kind2, len(v2))
 		}
-		for i := range payload {
-			if math.Float64bits(payload2[i]) != math.Float64bits(payload[i]) {
-				t.Fatalf("elem %d: %v != %v", i, payload2[i], payload[i])
+		for i := range v {
+			if math.Float64bits(v2[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("elem %d: %v != %v", i, v2[i], v[i])
 			}
 		}
 		// Re-encoding under the original codec must be accepted too (values
 		// may re-quantize, but the frame itself stays well formed).
-		if _, _, _, err := Decode(MarshalAs(c, kind, payload)); err != nil {
-			t.Fatalf("%s re-encode rejected: %v", c, err)
+		if c.Dense() {
+			if _, _, err := DecodeSpec(nil, denseFrame(c, kind, v), nil); err != nil {
+				t.Fatalf("%s re-encode rejected: %v", c, err)
+			}
 		}
 	})
 }
@@ -102,32 +123,6 @@ func sparseSeeds() [][]byte {
 		append(appendHeader(nil, TopK, 1, maxSparseLen), byte(I8), 0xff, 0xff, 0x7f), // huge k, tiny body
 	}
 	return append(seeds, corrupt...)
-}
-
-// fuzzDecodeSpec drives the spec-aware decoder with the same arbitrary
-// frame: it must never panic, never accept a vector of the wrong length,
-// and for delta frames never allocate a basis the header did not justify.
-// The basis, when the frame wants one, is synthesized from the header so
-// the tag-match path is exercised too.
-func fuzzDecodeSpec(t *testing.T, b []byte) {
-	var ref *DeltaRef
-	if len(b) >= headerSize+deltaOverhead {
-		word := binary.LittleEndian.Uint64(b[4:])
-		if n := int(word & maxLen); Codec(word>>56) == Delta && n <= maxSparseLen {
-			ref = &DeltaRef{Tag: binary.LittleEndian.Uint64(b[headerSize:]), Base: make([]float64, n)}
-		}
-	}
-	_, v, err := DecodeSpec(nil, b, ref)
-	if err != nil {
-		return
-	}
-	word := binary.LittleEndian.Uint64(b[4:])
-	if len(v) != int(word&maxLen) {
-		t.Fatalf("accepted frame decoded %d elements, header declares %d", len(v), word&maxLen)
-	}
-	if v == nil {
-		t.Fatal("accepted frame decoded a nil vector")
-	}
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus for the new

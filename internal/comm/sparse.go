@@ -24,8 +24,7 @@ import (
 // the difference against the slot's DeltaRef basis, with the residual body
 // either dense (sub = F64..BF16) or top-k (sub = TopK, its own body
 // following); delta inside delta is rejected. Both kinds are variable-size,
-// so ledgers book them by the exact encoded length (AddUp), never through
-// WireSizeAs.
+// so ledgers book them by the exact encoded length RoundTripSpec returns.
 
 // deltaOverhead is the DELTA frame's body prefix: basis tag + sub codec.
 const deltaOverhead = 8 + 1
@@ -72,11 +71,11 @@ func (c *coder) ints(n int) []int {
 
 // resizeF returns scratch resized to n elements, reallocating only when the
 // capacity is short — the decode-side analogue of append-style encoding.
-func resizeF[F tensor.Float](scratch []F, n int) []F {
+func resizeF(scratch []float64, n int) []float64 {
 	if cap(scratch) >= n && (n > 0 || scratch != nil) {
 		return scratch[:n]
 	}
-	return make([]F, n)
+	return make([]float64, n)
 }
 
 // elemBytes is the per-element payload cost of a dense codec, excluding the
@@ -102,20 +101,8 @@ func appendHeader(dst []byte, c Codec, kind uint32, n int) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(c)<<56|uint64(n))
 }
 
-// MarshalNativeInto is the append-style MarshalNative: it encodes a dense
-// frame into dst (growing it as needed) and returns the extended slice, so
-// hot paths reuse one buffer across messages instead of allocating a frame
-// per call.
-func MarshalNativeInto[F tensor.Float](dst []byte, c Codec, kind uint32, payload []F) []byte {
-	if !c.Dense() {
-		panic(fmt.Sprintf("comm: MarshalNativeInto wants a dense codec, got %s (sparse frames go through MarshalSpecInto)", c))
-	}
-	dst = appendHeader(dst, c, kind, len(payload))
-	return appendDense(dst, c, payload)
-}
-
 // appendDense appends the dense payload body of v under c.
-func appendDense[F tensor.Float](dst []byte, c Codec, payload []F) []byte {
+func appendDense(dst []byte, c Codec, payload []float64) []byte {
 	switch c {
 	case F32:
 		for _, v := range payload {
@@ -125,7 +112,7 @@ func appendDense[F tensor.Float](dst []byte, c Codec, payload []F) []byte {
 		scale := i8Scale(payload)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
 		for _, v := range payload {
-			dst = append(dst, byte(quantizeI8(float64(v), scale)))
+			dst = append(dst, byte(quantizeI8(v, scale)))
 		}
 	case BF16:
 		for _, v := range payload {
@@ -133,7 +120,7 @@ func appendDense[F tensor.Float](dst []byte, c Codec, payload []F) []byte {
 		}
 	default:
 		for _, v := range payload {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(v)))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
 	return dst
@@ -328,7 +315,7 @@ func MarshalSpecInto(dst []byte, spec Spec, kind uint32, v []float64, ref *Delta
 		} else {
 			dst = append(dst, byte(spec.Value))
 			dst = appendDense(dst, spec.Value, r)
-			RoundTripInPlace(spec.Value, r)
+			roundTripInPlace(spec.Value, r)
 		}
 		for i := range r {
 			ref.Base[i] += r[i]
@@ -350,10 +337,11 @@ func MarshalSpecInto(dst []byte, spec Spec, kind uint32, v []float64, ref *Delta
 		}
 		return dst
 	}
-	dst = MarshalNativeInto(dst, spec.Value, kind, v)
+	dst = appendHeader(dst, spec.Value, kind, n)
+	dst = appendDense(dst, spec.Value, v)
 	if spec.Delta && ref != nil {
 		ref.Base = append(ref.Base[:0], v...)
-		RoundTripInPlace(spec.Value, ref.Base)
+		roundTripInPlace(spec.Value, ref.Base)
 		ref.Tag = 1
 	}
 	return dst
@@ -430,11 +418,11 @@ func DecodeSpec(scratch []float64, b []byte, ref *DeltaRef) (kind uint32, v []fl
 
 // decodeDense fills payload from a dense body whose length the caller has
 // already validated against c.payloadBytes(len(payload)).
-func decodeDense[F tensor.Float](payload []F, c Codec, body []byte) error {
+func decodeDense(payload []float64, c Codec, body []byte) error {
 	switch c {
 	case F32:
 		for i := range payload {
-			payload[i] = F(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
+			payload[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
 		}
 	case I8:
 		scale := math.Float64frombits(binary.LittleEndian.Uint64(body))
@@ -443,15 +431,15 @@ func decodeDense[F tensor.Float](payload []F, c Codec, body []byte) error {
 		}
 		q := body[8:]
 		for i := range payload {
-			payload[i] = F(float64(int8(q[i])) * scale)
+			payload[i] = float64(int8(q[i])) * scale
 		}
 	case BF16:
 		for i := range payload {
-			payload[i] = F(tensor.BF16ToF32(binary.LittleEndian.Uint16(body[2*i:])))
+			payload[i] = float64(tensor.BF16ToF32(binary.LittleEndian.Uint16(body[2*i:])))
 		}
 	default:
 		for i := range payload {
-			payload[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
+			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 	}
 	return nil
@@ -603,47 +591,20 @@ func decodeDelta(scratch []float64, body []byte, n int, ref *DeltaRef) ([]float6
 	return out, nil
 }
 
-// DecodeNativeInto is DecodeNative with caller-owned scratch: the payload
-// reuses scratch's backing array when its capacity suffices, so a steady-
-// state decode loop allocates nothing. Dense frames only; sparse and delta
-// frames carry float64 semantics and go through DecodeSpec.
-func DecodeNativeInto[F tensor.Float](scratch []F, b []byte) (c Codec, kind uint32, payload []F, err error) {
-	var n int
-	if c, kind, n, err = FrameInfo(b); err != nil {
-		return 0, 0, nil, err
-	}
-	if !c.Dense() {
-		return 0, 0, nil, fmt.Errorf("comm: %s frames need a spec-aware decode (DecodeSpec)", c)
-	}
-	if want := WireSizeAs(c, n); int64(len(b)) != want {
-		return 0, 0, nil, fmt.Errorf("comm: %s frame of %d elements wants %d bytes, got %d", c, n, want, len(b))
-	}
-	payload = resizeF(scratch, n)
-	if err = decodeDense(payload, c, b[headerSize:]); err != nil {
-		return 0, 0, nil, err
-	}
-	return c, kind, payload, nil
-}
-
 // RoundTripSpec passes v through the spec's full framing loss in place —
 // after the call v holds exactly what a receiver of MarshalSpecInto's
 // frame would decode — and returns the exact frame size in bytes,
 // advancing ref the way the encoder does. It is how the in-process
-// simulation models sparse and delta uplinks bit-exactly and prices them
-// to the byte. A plain dense spec reduces to RoundTripInPlace plus
-// WireSizeAs, unchanged from the legacy path.
+// simulation models every uplink bit-exactly and prices it to the byte: a
+// plain dense spec costs WireSizeAs and touches no scratch.
 func RoundTripSpec(spec Spec, v []float64, ref *DeltaRef) int64 {
 	if !spec.Value.Dense() {
 		panic(fmt.Sprintf("comm: RoundTripSpec wants a dense value codec, got %s", spec.Value))
 	}
 	n := len(v)
-	if spec.Plain() {
-		RoundTripInPlace(spec.Value, v)
-		return WireSizeAs(spec.Value, n)
-	}
-	c := coderPool.Get().(*coder)
-	defer coderPool.Put(c)
 	if spec.Delta && ref != nil && ref.Tag != 0 && len(ref.Base) == n && n > 0 {
+		c := coderPool.Get().(*coder)
+		defer coderPool.Put(c)
 		r := c.floats(n)
 		for i := range v {
 			r[i] = v[i] - ref.Base[i]
@@ -653,7 +614,7 @@ func RoundTripSpec(spec Spec, v []float64, ref *DeltaRef) int64 {
 			c.buf = appendTopK(c.buf[:0], spec.Value, spec.Frac, r, r)
 			body = int64(len(c.buf))
 		} else {
-			RoundTripInPlace(spec.Value, r)
+			roundTripInPlace(spec.Value, r)
 			body = spec.Value.payloadBytes(n)
 		}
 		for i := range r {
@@ -663,18 +624,18 @@ func RoundTripSpec(spec Spec, v []float64, ref *DeltaRef) int64 {
 		ref.Tag++
 		return headerSize + deltaOverhead + body
 	}
+	size := WireSizeAs(spec.Value, n)
 	if spec.Sparse() && n > 0 {
+		c := coderPool.Get().(*coder)
 		c.buf = appendTopK(c.buf[:0], spec.Value, spec.Frac, v, v)
-		if spec.Delta && ref != nil {
-			ref.Base = append(ref.Base[:0], v...)
-			ref.Tag = 1
-		}
-		return headerSize + int64(len(c.buf))
+		size = headerSize + int64(len(c.buf))
+		coderPool.Put(c)
+	} else {
+		roundTripInPlace(spec.Value, v)
 	}
-	RoundTripInPlace(spec.Value, v)
 	if spec.Delta && ref != nil {
 		ref.Base = append(ref.Base[:0], v...)
 		ref.Tag = 1
 	}
-	return WireSizeAs(spec.Value, n)
+	return size
 }

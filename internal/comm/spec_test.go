@@ -357,10 +357,6 @@ func TestDecodeSpecRejections(t *testing.T) {
 	if _, _, err := DecodeSpec(nil, d2, dec); err == nil {
 		t.Fatal("replayed delta frame must be rejected")
 	}
-	// The dense-only decode path refuses structural frames outright.
-	if _, _, _, err := Decode(good); err == nil {
-		t.Fatal("Decode must reject top-k frames")
-	}
 }
 
 // A hostile header declaring a huge k must be rejected from the byte-length
@@ -384,24 +380,16 @@ func TestDecodeSpecHugeKCheap(t *testing.T) {
 	}
 }
 
-// MarshalSpecInto with a plain spec is MarshalNative byte for byte, and the
-// append-style path composes frames into one caller buffer.
-func TestMarshalSpecIntoPlain(t *testing.T) {
+// The append-style path composes frames into one caller buffer.
+func TestMarshalSpecIntoAppends(t *testing.T) {
 	v := specVec(33, 4)
-	for _, c := range []Codec{F64, F32, I8, BF16} {
-		want := MarshalAs(c, 5, v)
-		got := MarshalSpecInto(nil, Spec{Value: c}, 5, v, nil)
-		if string(got) != string(want) {
-			t.Fatalf("%s: spec frame differs from MarshalAs", c)
-		}
-	}
 	buf := MarshalSpecInto(nil, Spec{}, 1, v, nil)
 	one := len(buf)
 	buf = MarshalSpecInto(buf, Spec{Value: I8}, 2, v, nil)
-	if _, _, _, err := Decode(buf[:one]); err != nil {
+	if _, _, err := DecodeSpec(nil, buf[:one], nil); err != nil {
 		t.Fatalf("first frame in shared buffer: %v", err)
 	}
-	if _, _, _, err := Decode(buf[one:]); err != nil {
+	if _, _, err := DecodeSpec(nil, buf[one:], nil); err != nil {
 		t.Fatalf("second frame in shared buffer: %v", err)
 	}
 }

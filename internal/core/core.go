@@ -164,10 +164,10 @@ func (f *FedClassAvg) Round(sim *fl.Simulation, round int, participants []int) e
 		c := sim.Client(participants[idx])
 		if f.Opts.ShareAllWeights {
 			errs[idx] = nn.SetFlatParams(c.Model.Params(), f.globalAll)
-			sim.Ledger.RecordDown(c.ID, len(f.globalAll))
+			sim.Downlink(c.ID, len(f.globalAll))
 		} else {
 			errs[idx] = nn.SetFlatParams(c.Model.ClassifierParams(), f.globalClassifier)
-			sim.Ledger.RecordDown(c.ID, len(f.globalClassifier))
+			sim.Downlink(c.ID, len(f.globalClassifier))
 		}
 		if errs[idx] != nil {
 			return
@@ -216,12 +216,12 @@ func (f *FedClassAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
 		if err := nn.SetFlatParams(c.Model.Params(), f.globalAll); err != nil {
 			return err
 		}
-		sim.Ledger.RecordDown(c.ID, len(f.globalAll))
+		sim.Downlink(c.ID, len(f.globalAll))
 	} else {
 		if err := nn.SetFlatParams(c.Model.ClassifierParams(), f.globalClassifier); err != nil {
 			return err
 		}
-		sim.Ledger.RecordDown(c.ID, len(f.globalClassifier))
+		sim.Downlink(c.ID, len(f.globalClassifier))
 	}
 	f.snapC[client] = append(f.snapC[client][:0], f.globalClassifier...)
 	return nil
@@ -240,12 +240,10 @@ func (f *FedClassAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, er
 		all, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.Params()))
 		nC := nn.NumParams(c.Model.ClassifierParams())
 		u.Vecs = [][]float64{all[len(all)-nC:], all}
-		u.UpFloats = len(all)
 		u.UpBytes = bytes
 	} else {
 		flat, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.ClassifierParams()))
 		u.Vecs = [][]float64{flat}
-		u.UpFloats = len(flat)
 		u.UpBytes = bytes
 	}
 	return u, nil

@@ -198,18 +198,18 @@ func Table5(s Scale, name DatasetName) ([]CommCostRow, error) {
 	rows := []CommCostRow{
 		{
 			Method:        "Model sharing (MiniResNet)",
-			BytesPerRound: comm.WireSize(modelFloats),
+			BytesPerRound: comm.WireSizeAs(comm.F64, modelFloats),
 			Detail:        fmt.Sprintf("%d weights up per round (cfg %v)", modelFloats, cfg.Arch),
 		},
 		{
 			Method:        "KT-pFL",
-			BytesPerRound: comm.WireSize(softFloats),
+			BytesPerRound: comm.WireSizeAs(comm.F64, softFloats),
 			Detail: fmt.Sprintf("%d soft predictions per round; public set broadcast once = %d bytes",
-				softFloats, comm.WireSize(publicFloats)),
+				softFloats, comm.WireSizeAs(comm.F64, publicFloats)),
 		},
 		{
 			Method:        "Proposed (FedClassAvg)",
-			BytesPerRound: comm.WireSize(classifierFloats),
+			BytesPerRound: comm.WireSizeAs(comm.F64, classifierFloats),
 			Detail: fmt.Sprintf("%d classifier weights per round; at paper scale (featDim 512) ≈ %d bytes",
 				classifierFloats, paperClassifier),
 		},

@@ -213,14 +213,12 @@ type Update struct {
 	Vecs [][]float64
 	// Counts carries optional per-vector sample counts (FedProto).
 	Counts []int
-	// UpFloats is the upload payload size in values. The engine records it
-	// on the ledger when the update is delivered in virtual time — worker
-	// goroutines must not touch the ledger's round attribution themselves,
-	// or per-round byte counts would depend on real scheduling.
-	UpFloats int
-	// UpBytes is the exact upload frame size when spec framing (top-k or
-	// delta) applies, as returned by Simulation.QuantizeUplink. When
-	// non-zero it takes precedence over UpFloats' element-count pricing.
+	// UpBytes is the exact upload frame size, as returned by
+	// Simulation.QuantizeUplink (0 for a communication-free update). The
+	// engine books it on the ledger when the update is delivered in virtual
+	// time — worker goroutines must not touch the ledger's round
+	// attribution themselves, or per-round byte counts would depend on real
+	// scheduling.
 	UpBytes int64
 }
 
@@ -358,7 +356,7 @@ func (s *Simulation) RunScheduled(algo Algorithm, sched SchedulerConfig) ([]Roun
 // the call — cancellation leaks nothing.
 func (s *Simulation) RunScheduledContext(ctx context.Context, algo Algorithm, sched SchedulerConfig) ([]RoundMetrics, error) {
 	sched = sched.withDefaults(s)
-	s.setLossyUploads(algo)
+	s.up = newWireCodec(s.Cfg.WireSpec(), lossyUploads(algo))
 	switch sched.Kind {
 	case SchedSync:
 		return s.runSync(ctx, algo, &sched)
@@ -597,8 +595,6 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 		// costs wire bytes even if the server then drops it.
 		if u.UpBytes > 0 {
 			s.Ledger.AddUp(s.ClientID(ft.client), u.UpBytes)
-		} else if u.UpFloats > 0 {
-			s.Ledger.RecordUp(s.ClientID(ft.client), u.UpFloats)
 		}
 		u.Staleness = e.version - ft.version
 		if u.Staleness > sched.MaxStaleness {

@@ -207,15 +207,14 @@ type Simulation struct {
 
 	// store backs a lazy fleet (nil for eager simulations).
 	store *ClientStore
-	// Upload framing state (Config.TopK/Delta). upSel resolves each
-	// upload's per-vector spec; lossyUp gates it to algorithms whose
-	// uploads tolerate loss (set by the engine from the algorithm before
-	// the first round); upRefs holds the per-(client, length) delta bases,
-	// modeling one stable connection per client.
-	upSel   comm.Selector
-	lossyUp bool
-	upMu    sync.Mutex
-	upRefs  map[upSlot]*comm.DeltaRef
+	// up frames the simulated uplink (Config.Codec/TopK/Delta): one
+	// wireCodec stands in for the fleet's connections, with the client id
+	// as the vector slot, so delta bases exist only for clients that have
+	// uploaded. The engine rebuilds it from the algorithm before the first
+	// round; until then uploads are plain dense. upMu guards its basis map
+	// against parallel client loops.
+	up   *wireCodec
+	upMu sync.Mutex
 	// evalRng/evalSrc drive sampled evaluation (Config.EvalSample). The
 	// stream is separate from Rng and consumed only when sampling, so
 	// full-sweep runs never touch it.
@@ -268,25 +267,17 @@ func newSimulation(cfg Config) *Simulation {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
-	ledger := comm.NewLedger()
-	ledger.SetCodec(cfg.Codec)
 	rng, src := xrand.NewRand(cfg.Seed)
 	evalRng, evalSrc := xrand.NewRand(cfg.Seed ^ evalSeedMix)
 	return &Simulation{
-		Ledger:  ledger,
+		Ledger:  comm.NewLedger(),
 		Rng:     rng,
 		Cfg:     cfg,
 		src:     src,
 		evalRng: evalRng,
 		evalSrc: evalSrc,
-		upSel:   comm.Selector{Spec: cfg.WireSpec()},
+		up:      plainWire(cfg.Codec),
 	}
-}
-
-// upSlot names one upload delta-basis slot: a client and a vector length,
-// the simulation counterpart of the wire's per-connection vecSlot.
-type upSlot struct {
-	client, n int
 }
 
 // Lazy reports whether clients are materialized on demand from a store.
@@ -349,85 +340,41 @@ func (s *Simulation) Run(algo Algorithm) ([]RoundMetrics, error) {
 	return s.RunScheduled(algo, SchedulerConfig{Kind: SchedSync})
 }
 
-// Uplink records a client → server payload on the traffic ledger and passes
+// Uplink books a client → server payload on the traffic ledger and passes
 // it through the configured wire framing's loss in place — codec
 // quantization, top-k sparsification and delta residuals affect aggregation
 // exactly as the wire would, and the booked bytes are exactly the frame the
 // wire would carry. It returns v for chaining. Safe to call from parallel
 // client loops in sync rounds; AsyncLocal implementations must use
-// QuantizeUplink plus Update.UpFloats/UpBytes instead, so the engine books
-// the bytes at virtual delivery time.
+// QuantizeUplink plus Update.UpBytes instead, so the engine books the bytes
+// at virtual delivery time.
 func (s *Simulation) Uplink(client int, v []float64) []float64 {
-	spec := s.uplinkSpec(len(v))
-	if spec.Plain() {
-		// The legacy dense path, byte for byte: element-count pricing at the
-		// ledger's codec plus in-place codec quantization.
-		s.Ledger.RecordUp(client, len(v))
-		comm.RoundTripInPlace(s.Cfg.Codec, v)
-		return v
-	}
-	s.Ledger.AddUp(client, comm.RoundTripSpec(spec, v, s.upRef(spec, client, len(v))))
-	return v
-}
-
-// Quantize passes v through the configured wire codec in place (no ledger
-// recording, no sparsification) and returns it for chaining.
-func (s *Simulation) Quantize(v []float64) []float64 {
-	comm.RoundTripInPlace(s.Cfg.Codec, v)
+	v, bytes := s.QuantizeUplink(client, v)
+	s.Ledger.AddUp(client, bytes)
 	return v
 }
 
 // QuantizeUplink applies the upload framing's loss to v in place at
 // local-compute time and returns the exact frame bytes the engine must book
-// at virtual delivery time (Update.UpBytes). A plain dense upload returns
-// 0 bytes: the engine books it through the legacy element-count path
-// (Update.UpFloats), keeping dense runs byte-identical to previous
-// releases.
+// at virtual delivery time (Update.UpBytes).
 func (s *Simulation) QuantizeUplink(client int, v []float64) ([]float64, int64) {
-	spec := s.uplinkSpec(len(v))
-	if spec.Plain() {
-		comm.RoundTripInPlace(s.Cfg.Codec, v)
-		return v, 0
-	}
-	return v, comm.RoundTripSpec(spec, v, s.upRef(spec, client, len(v)))
-}
-
-// uplinkSpec resolves one upload vector's framing: plain dense at the
-// config codec unless the algorithm's uploads tolerate loss, in which case
-// the selector applies the configured sparsification and delta framing
-// (subject to its minimum-size floor).
-func (s *Simulation) uplinkSpec(n int) comm.Spec {
-	if !s.lossyUp {
-		return comm.Spec{Value: s.Cfg.Codec}
-	}
-	return s.upSel.For(msgUpdate, n)
-}
-
-// upRef returns the delta basis for one upload slot, creating it on first
-// use; nil when the resolved spec is not delta-framed.
-func (s *Simulation) upRef(spec comm.Spec, client, n int) *comm.DeltaRef {
-	if !spec.Delta {
-		return nil
-	}
 	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	if s.upRefs == nil {
-		s.upRefs = make(map[upSlot]*comm.DeltaRef)
-	}
-	slot := upSlot{client: client, n: n}
-	r := s.upRefs[slot]
-	if r == nil {
-		r = &comm.DeltaRef{}
-		s.upRefs[slot] = r
-	}
-	return r
+	ref := s.up.ref(msgUpdate, client, len(v))
+	s.upMu.Unlock()
+	return v, comm.RoundTripSpec(s.up.specFor(msgUpdate, len(v)), v, ref)
 }
 
-// setLossyUploads latches whether the algorithm's uploads may be
-// sparsified or delta-framed, called by the engine before the first round.
-func (s *Simulation) setLossyUploads(algo Algorithm) {
-	l, ok := algo.(interface{ LossyUploads() bool })
-	s.lossyUp = ok && l.LossyUploads()
+// Downlink books a server → client broadcast of n values, dense at the
+// configured codec (broadcasts never sparsify or delta-frame).
+func (s *Simulation) Downlink(client, n int) {
+	s.Ledger.AddDown(client, comm.WireSizeAs(s.Cfg.Codec, n))
+}
+
+// Quantize passes v through the configured dense codec in place (no ledger
+// booking, no sparsification) and returns it for chaining.
+func (s *Simulation) Quantize(v []float64) []float64 {
+	comm.RoundTripSpec(comm.Spec{Value: s.Cfg.Codec}, v, nil)
+	return v
 }
 
 // sampleParticipants draws ⌈K·rate⌉ distinct clients and applies failure

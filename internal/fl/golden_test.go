@@ -112,10 +112,11 @@ func TestAsyncSeededReproducibility(t *testing.T) {
 	}
 }
 
-// Every algorithm of the evaluation must run under every scheduler.
-func TestAllAlgorithmsRunUnderAllSchedulers(t *testing.T) {
+// goldenAlgos builds every algorithm of the evaluation, by name, sized for
+// goldenFleet.
+func goldenAlgos() map[string]func() fl.Algorithm {
 	ds := data.SynthFashion(6, 4, 3)
-	makeAlgo := map[string]func() fl.Algorithm{
+	return map[string]func() fl.Algorithm{
 		"Local":    func() fl.Algorithm { return baselines.NewLocalOnly(1) },
 		"FedAvg":   func() fl.Algorithm { return baselines.NewFedAvg(1) },
 		"FedProx":  func() fl.Algorithm { return baselines.NewFedProx(1, 0.1) },
@@ -133,7 +134,11 @@ func TestAllAlgorithmsRunUnderAllSchedulers(t *testing.T) {
 			return core.New(o)
 		},
 	}
-	for name, mk := range makeAlgo {
+}
+
+// Every algorithm of the evaluation must run under every scheduler.
+func TestAllAlgorithmsRunUnderAllSchedulers(t *testing.T) {
+	for name, mk := range goldenAlgos() {
 		for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded, fl.SchedSemiSync} {
 			sim := fl.NewSimulation(goldenFleet(t, 4), fl.Config{Rounds: 2, BatchSize: 8, Seed: 4, Codec: comm.F32})
 			hist, err := sim.RunScheduled(mk(), fl.SchedulerConfig{Kind: kind, Costs: []float64{2, 1, 1, 1}})

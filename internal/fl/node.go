@@ -248,9 +248,7 @@ type ServerNode struct {
 
 // NewServerNode builds a server node.
 func NewServerNode(algo WireAlgorithm, cfg NodeConfig) *ServerNode {
-	ledger := comm.NewLedger()
-	ledger.SetCodec(cfg.Codec)
-	return &ServerNode{cfg: cfg.withDefaults(), algo: algo, Ledger: ledger}
+	return &ServerNode{cfg: cfg.withDefaults(), algo: algo, Ledger: comm.NewLedger()}
 }
 
 // serverRun is the single-goroutine event loop driving one Serve call.

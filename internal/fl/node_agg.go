@@ -99,9 +99,7 @@ type AggregatorNode struct {
 
 // NewAggregatorNode builds an edge aggregator.
 func NewAggregatorNode(algo WireAlgorithm, cfg AggregatorConfig) *AggregatorNode {
-	ledger := comm.NewLedger()
-	ledger.SetCodec(cfg.Codec)
-	return &AggregatorNode{cfg: cfg.withDefaults(), algo: algo, Ledger: ledger}
+	return &AggregatorNode{cfg: cfg.withDefaults(), algo: algo, Ledger: comm.NewLedger()}
 }
 
 // dialResult is one upstream-dial delivery.

@@ -10,7 +10,7 @@ import (
 //
 // Policy: only client weight uploads (msgUpdate) ever sparsify or delta-
 // frame, and only when the algorithm's uploads tolerate loss
-// (LossyUploadWireAlgorithm). Dispatches, joins, evaluation traffic and the
+// (a LossyUploads method). Dispatches, joins, evaluation traffic and the
 // tree-topology bundles stay dense — those frames are cached and re-sent
 // verbatim across reconnects (pendingDispatch, the aggregator's join and
 // update frames), which a stateful delta frame could never survive, and
@@ -31,7 +31,10 @@ type vecSlot struct {
 	n    int
 }
 
-// wireCodec is one connection's (or one simulated client's) codec state.
+// wireCodec is one connection's codec state. The in-process simulation
+// holds a single one for the whole fleet's uplink and passes the client id
+// as the vector index, so the same policy and basis bookkeeping serve both
+// engines.
 type wireCodec struct {
 	sel  comm.Selector
 	refs map[vecSlot]*comm.DeltaRef
@@ -92,17 +95,12 @@ func (wc *wireCodec) ref(kind uint32, idx, n int) *comm.DeltaRef {
 	return r
 }
 
-// LossyUploadWireAlgorithm marks a wire algorithm whose client uploads are
-// weight vectors that tolerate lossy framing (sparsification, delta
-// residuals). Algorithms whose uploads are structural — prototype tables,
-// soft-prediction rows — do not implement it and always upload densely.
-type LossyUploadWireAlgorithm interface {
-	WireAlgorithm
-	LossyUploads() bool
-}
-
-// lossyUploads reports whether a's uploads may be sparsified.
-func lossyUploads(a WireAlgorithm) bool {
-	l, ok := a.(LossyUploadWireAlgorithm)
+// lossyUploads reports whether a's client uploads are weight vectors that
+// tolerate lossy framing (sparsification, delta residuals): the algorithm
+// says so with a LossyUploads() bool method. Algorithms whose uploads are
+// structural — prototype tables, soft-prediction rows — do not have one and
+// always upload densely.
+func lossyUploads(a Algorithm) bool {
+	l, ok := a.(interface{ LossyUploads() bool })
 	return ok && l.LossyUploads()
 }

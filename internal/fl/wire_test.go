@@ -47,7 +47,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 }
 
 // TestWireMessageQuantizes checks that a lossy codec quantizes payload
-// vectors exactly as comm.RoundTripInPlace would — the wire IS the codec.
+// vectors exactly as comm.RoundTripSpec models — the wire IS the codec.
 func TestWireMessageQuantizes(t *testing.T) {
 	v := []float64{0.123456789, -1.75, 3.0}
 	m := &wireMsg{kind: msgDispatch, vecs: [][]float64{append([]float64(nil), v...)}}
@@ -56,7 +56,7 @@ func TestWireMessageQuantizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append([]float64(nil), v...)
-	comm.RoundTripInPlace(comm.F32, want)
+	comm.RoundTripSpec(comm.Spec{Value: comm.F32}, want, nil)
 	for i := range want {
 		if got.vecs[0][i] != want[i] {
 			t.Fatalf("f32 wire value[%d] = %v, want quantized %v", i, got.vecs[0][i], want[i])

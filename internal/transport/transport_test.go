@@ -62,7 +62,7 @@ func TestRoundTrip(t *testing.T) {
 			srv := srvSide.c
 			defer srv.Close()
 
-			frame := comm.Marshal(7, []float64{1, 2, 3})
+			frame := comm.MarshalSpecInto(nil, comm.Spec{}, 7, []float64{1, 2, 3}, nil)
 			sent, err := cli.Send(frame)
 			if err != nil {
 				t.Fatal(err)
