@@ -556,6 +556,31 @@ func BenchmarkClassifierAveraging(b *testing.B) {
 	}
 }
 
+// BenchmarkExactPreReduce is one edge aggregator's round on the tree at the
+// benchmark fleet's geometry: four children's 107 722-weight uploads folded
+// exactly into a reused accumulator and rounded once.
+func BenchmarkExactPreReduce(b *testing.B) {
+	const d, children = 107722, 4
+	rng := rand.New(rand.NewSource(1))
+	vecs := make([][]float64, children)
+	for c := range vecs {
+		vecs[c] = make([]float64, d)
+		for i := range vecs[c] {
+			vecs[c][i] = 0.05 * rng.NormFloat64()
+		}
+	}
+	acc := fl.NewExactAccumulator(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Reset()
+		for _, v := range vecs {
+			acc.Fold(v, 30)
+		}
+		acc.Round()
+	}
+}
+
 // Sanity guard: the bench harness itself must produce valid accuracies.
 func TestBenchHarnessSanity(t *testing.T) {
 	s := benchScale()

@@ -31,6 +31,9 @@ type FedAvg struct {
 	acc   *fl.ShardedAccumulator
 	mix   float64
 	snaps [][]float64
+
+	// pre is the edge-aggregator half's reduction state (PreReduce).
+	pre fl.VecReducer
 }
 
 // NewFedAvg builds plain FedAvg.

@@ -43,6 +43,11 @@ type FedProto struct {
 	touched   []bool
 	mix       float64
 	snaps     [][][]float64
+
+	// preW and preAccs are the edge-aggregator half's reduction state
+	// (PreReduce): the weight accumulator and one per class.
+	preW    *fl.ExactAccumulator
+	preAccs []*fl.ExactAccumulator
 }
 
 // NewFedProto builds the algorithm.

@@ -39,26 +39,7 @@ func (l *LocalOnly) WireApplyAggregate(u *fl.AggUpdate) error { return nil }
 // Σ w_c·v_c with its summed weight, the quantity the root's normalization
 // divides by — identical arithmetic to flat fan-in, regrouped exactly.
 func (f *FedAvg) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
-	au := &fl.AggUpdate{Children: len(updates)}
-	var acc *fl.ExactAccumulator
-	for _, u := range updates {
-		if len(u.Vecs) != 1 || u.Vecs[0] == nil {
-			return nil, fmt.Errorf("baselines: client %d uploaded a malformed %s payload", u.Client, f.Name())
-		}
-		if acc == nil {
-			acc = fl.NewExactAccumulator(len(u.Vecs[0]))
-		} else if len(u.Vecs[0]) != acc.Len() {
-			return nil, fmt.Errorf("baselines: client %d uploaded %d weights, subtree peers uploaded %d",
-				u.Client, len(u.Vecs[0]), acc.Len())
-		}
-		acc.Fold(u.Vecs[0], u.Weight)
-	}
-	if acc != nil {
-		sum, w := acc.Round()
-		au.Vecs = [][]float64{sum}
-		au.Weight = w
-	}
-	return au, nil
+	return f.pre.PreReduce(updates)
 }
 
 // WireApplyAggregate folds one pre-weighted subtree sum into the shards.
@@ -102,24 +83,30 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 			}
 		}
 	}
-	wacc := fl.NewExactAccumulator(0)
+	// The accumulators are kept between rounds: a class is reset on its
+	// first fold of this call, so a class nobody reported stays nil below.
+	p.preW = fl.ReuseExactAccumulator(p.preW, 0)
+	for len(p.preAccs) < numCls {
+		p.preAccs = append(p.preAccs, nil)
+	}
 	accs := make([]*fl.ExactAccumulator, numCls)
 	counts := make([]int, numCls)
 	for _, u := range updates {
-		wacc.Fold(nil, u.Weight)
+		p.preW.Fold(nil, u.Weight)
 		for cls, proto := range u.Vecs {
 			counts[cls] += u.Counts[cls]
 			if proto == nil || u.Counts[cls] == 0 {
 				continue
 			}
 			if accs[cls] == nil {
-				accs[cls] = fl.NewExactAccumulator(featDim)
+				p.preAccs[cls] = fl.ReuseExactAccumulator(p.preAccs[cls], featDim)
+				accs[cls] = p.preAccs[cls]
 			}
 			// The same once-rounded product flat WireApply folds.
 			accs[cls].Fold(proto, u.Weight*float64(u.Counts[cls]))
 		}
 	}
-	_, au.Weight = wacc.Round()
+	_, au.Weight = p.preW.Round()
 	if numCls > 0 {
 		au.Vecs = make([][]float64, numCls)
 		au.VecWeights = make([]float64, numCls)

@@ -74,6 +74,9 @@ type FedClassAvg struct {
 	accAll *fl.ShardedAccumulator
 	mix    float64
 	snapC  [][]float64
+
+	// pre is the edge-aggregator half's reduction state (PreReduce).
+	pre fl.VecReducer
 }
 
 // New builds the algorithm.

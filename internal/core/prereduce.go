@@ -17,26 +17,7 @@ var _ fl.ReducibleWireAlgorithm = (*FedClassAvg)(nil)
 
 // PreReduce folds the subtree's uploads into one exact weighted sum.
 func (f *FedClassAvg) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
-	au := &fl.AggUpdate{Children: len(updates)}
-	var acc *fl.ExactAccumulator
-	for _, u := range updates {
-		if len(u.Vecs) != 1 || u.Vecs[0] == nil {
-			return nil, fmt.Errorf("core: client %d uploaded %d vectors, want 1", u.Client, len(u.Vecs))
-		}
-		if acc == nil {
-			acc = fl.NewExactAccumulator(len(u.Vecs[0]))
-		} else if len(u.Vecs[0]) != acc.Len() {
-			return nil, fmt.Errorf("core: client %d uploaded %d weights, subtree peers uploaded %d",
-				u.Client, len(u.Vecs[0]), acc.Len())
-		}
-		acc.Fold(u.Vecs[0], u.Weight)
-	}
-	if acc != nil {
-		sum, w := acc.Round()
-		au.Vecs = [][]float64{sum}
-		au.Weight = w
-	}
-	return au, nil
+	return f.pre.PreReduce(updates)
 }
 
 // WireApplyAggregate merges one pre-weighted subtree sum into the

@@ -84,3 +84,29 @@ func TestFedClassAvgPreReduceParity(t *testing.T) {
 		}
 	}
 }
+
+// An aggregator's second round reuses the first one's accumulator: all a
+// repeat PreReduce of the same geometry allocates is the aggregate it
+// ships — the AggUpdate, its one-slot Vecs and the rounded sum.
+func TestFedClassAvgPreReduceAllocs(t *testing.T) {
+	const n, k = 512, 4
+	rng := rand.New(rand.NewSource(17))
+	ups := make([]*fl.Update, k)
+	for c := range ups {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 0.05 * rng.NormFloat64()
+		}
+		ups[c] = &fl.Update{Client: c, Weight: 30, Vecs: [][]float64{v}}
+	}
+	algo := New(Options{})
+	reduce := func() {
+		if _, err := algo.PreReduce(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reduce()
+	if a := testing.AllocsPerRun(10, reduce); a != 3 {
+		t.Fatalf("repeat PreReduce: %v allocs per run, want 3 (the shipped aggregate)", a)
+	}
+}

@@ -45,8 +45,8 @@ type AggUpdate struct {
 // updates into one AggUpdate (PreReduce, client side of the edge) and the
 // root folds aggregates instead of updates (WireApplyAggregate). The
 // contract is exactness — PreReduce must use grouping-invariant sums
-// (ExactAccumulator) so that tree and flat fan-in agree bit for bit at the
-// reduction level. FedAvg, FedProx, FedClassAvg and FedProto qualify;
+// (ExactAccumulator) so that an aggregate is the same bits whatever order
+// its subtree reported in. FedAvg, FedProx, FedClassAvg and FedProto qualify;
 // KT-pFL's similarity matrix needs every client's individual payload and
 // deliberately does not implement this interface, so aggregators pass its
 // updates through unreduced.
@@ -59,6 +59,38 @@ type ReducibleWireAlgorithm interface {
 	// WireApplyAggregate folds one aggregate into the server's
 	// accumulators, the tree counterpart of WireApply.
 	WireApplyAggregate(u *AggUpdate) error
+}
+
+// VecReducer is the PreReduce of every algorithm whose upload is a single
+// weight vector (FedAvg, FedProx, FedClassAvg): one exact Σ w_c·v_c with
+// its summed weight. The zero value is ready; it keeps its accumulator
+// between calls, because an aggregator reduces the same geometry every
+// round, so an aggregator's algorithm instance holds one.
+type VecReducer struct {
+	acc *ExactAccumulator
+}
+
+// PreReduce folds the subtree's uploads into one exact weighted sum.
+func (r *VecReducer) PreReduce(updates []*Update) (*AggUpdate, error) {
+	au := &AggUpdate{Children: len(updates)}
+	for i, u := range updates {
+		if len(u.Vecs) != 1 || u.Vecs[0] == nil {
+			return nil, fmt.Errorf("fl: client %d uploaded a malformed payload (%d vectors, want 1)", u.Client, len(u.Vecs))
+		}
+		n := len(u.Vecs[0])
+		if i == 0 {
+			r.acc = ReuseExactAccumulator(r.acc, n)
+		} else if n != r.acc.Len() {
+			return nil, fmt.Errorf("fl: client %d uploaded %d weights, subtree peers uploaded %d", u.Client, n, r.acc.Len())
+		}
+		r.acc.Fold(u.Vecs[0], u.Weight)
+	}
+	if len(updates) > 0 {
+		sum, w := r.acc.Round()
+		au.Vecs = [][]float64{sum}
+		au.Weight = w
+	}
+	return au, nil
 }
 
 // PreReduceMode selects an aggregator's reduction policy.
