@@ -8,6 +8,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -178,6 +179,68 @@ func TestLazyFleetMemorySublinear(t *testing.T) {
 	const slack = 8 << 20
 	if grow100k > 3*grow10k+slack {
 		t.Fatalf("10× fleet grew retained heap %d → %d bytes — memory is not cohort-proportional", grow10k, grow100k)
+	}
+}
+
+// lazyAsyncRunHeap runs the async lazy fleet (fixed size, cohort and resident
+// budget, with churn) for the given number of commits and returns the live
+// heap while the simulation is still reachable, with how many clients the
+// run touched.
+func lazyAsyncRunHeap(t *testing.T, commits int) (heap uint64, touched int) {
+	t.Helper()
+	const k, rate, resident = 2000, 0.002, 8
+	s := benchScale()
+	build, _, err := experiments.NewLazyFleetBuilder(experiments.Fashion, data.Dirichlet, "homogeneous", k, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	var mu sync.Mutex
+	counted := func(i int) *fl.Client {
+		mu.Lock()
+		seen[i] = true
+		mu.Unlock()
+		return build(i)
+	}
+	algo, err := experiments.NewAlgorithm(experiments.MethodBaseline, experiments.Fashion, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One evaluation, at the end: the metrics history must not be what grows.
+	sim := fl.NewLazySimulation(k, counted, resident, fl.Config{
+		Rounds: commits, SampleRate: rate, BatchSize: s.BatchSize, Seed: s.Seed + 7, EvalEvery: commits,
+	})
+	sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, LeaveProb: 0.1, RejoinAfter: 2}
+	if _, err := sim.RunScheduled(algo, sched); err != nil {
+		t.Fatal(err)
+	}
+	touched = len(seen)
+	seen = nil
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(sim)
+	return ms.HeapAlloc, touched
+}
+
+// TestLazyFleetMemoryFlatInCommits is the other half of the virtual-fleet
+// memory contract: at a fixed fleet, cohort and resident budget, running ten
+// times as many commits touches several times as many clients, and each of
+// them may cost the heap an index entry — not its parameters and optimizer
+// moments (~1 MB for this model), which are on disk once it is evicted.
+func TestLazyFleetMemoryFlatInCommits(t *testing.T) {
+	const commits = 12
+	short, touchedShort := lazyAsyncRunHeap(t, commits)
+	long, touchedLong := lazyAsyncRunHeap(t, 10*commits)
+	newly := touchedLong - touchedShort
+	if newly < 4*touchedShort {
+		t.Fatalf("10× the commits touched %d → %d clients — the long run exercises nothing new", touchedShort, touchedLong)
+	}
+	t.Logf("touched %d → %d, heap %d → %d", touchedShort, touchedLong, short, long)
+	const perClient, slack = 32, 1 << 20
+	if grow := int64(long) - int64(short); grow > int64(perClient*newly+slack) {
+		t.Fatalf("%d more touched clients grew the retained heap by %d bytes (%d → %d), over %d B each + %d",
+			newly, grow, short, long, perClient, slack)
 	}
 }
 

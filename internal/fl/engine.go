@@ -545,6 +545,7 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 	for i := range e.idle {
 		e.idle[i] = true
 	}
+	e.ready.rebuild(e.idle, e.away, e.now)
 	if ga, ok := algo.(GroupLocalAlgorithm); ok && ga.GroupLocal() && CohortGrouping() {
 		e.groupAlgo = ga
 	}
@@ -584,9 +585,9 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 			}
 		}
 		ft := heap.Pop(&e.heap).(*flight)
-		e.now = ft.vtime
+		e.setNow(ft.vtime)
 		res := e.resolve(ft)
-		e.idle[ft.client] = true
+		e.markIdle(ft.client)
 		if res.err != nil {
 			return nil, fmt.Errorf("fl: %s client %d: %w", algo.Name(), ft.client, res.err)
 		}
@@ -678,6 +679,8 @@ type Engine struct {
 	// away[id] is the virtual time until which a churned-out client stays
 	// departed; a client is schedulable when idle and away <= now.
 	away []float64
+	// ready indexes the schedulable clients; see readySet.
+	ready readySet
 	// nodeFree[n] is when virtual node n finishes its queued work; a
 	// dispatch starts on the earliest-free node, so a cohort larger than
 	// Workers serializes on the virtual cluster exactly like runSync's
@@ -720,10 +723,19 @@ func (e *Engine) refill(cohortSize int) {
 	e.launchPending()
 }
 
-// schedulable reports whether a client can be engaged now: idle and not
-// churned away.
-func (e *Engine) schedulable(id int) bool {
-	return e.idle[id] && e.away[id] <= e.now
+// setNow moves the virtual clock forward and readmits the departed clients
+// that are due back.
+func (e *Engine) setNow(t float64) {
+	e.now = t
+	e.ready.advance(t, e.idle)
+}
+
+// markIdle returns a client whose flight has landed to the schedulable set.
+func (e *Engine) markIdle(id int) {
+	e.idle[id] = true
+	if e.away[id] <= e.now {
+		e.ready.add(id, 1)
+	}
 }
 
 // leaves rolls the churn die for a client about to be engaged; on a leave
@@ -733,6 +745,7 @@ func (e *Engine) leaves(id int) bool {
 		return false
 	}
 	e.away[id] = e.now + e.sched.RejoinAfter
+	e.ready.leave(id, e.away[id])
 	e.sched.Trace.add(TraceLeave, id, e.version, e.now)
 	return true
 }
@@ -740,16 +753,10 @@ func (e *Engine) leaves(id int) bool {
 // advanceToRejoin jumps the virtual clock to the earliest rejoin time of a
 // departed idle client; reports false when nobody is due back.
 func (e *Engine) advanceToRejoin() bool {
-	t := math.Inf(1)
-	for id, ok := range e.idle {
-		if ok && e.away[id] > e.now && e.away[id] < t {
-			t = e.away[id]
-		}
-	}
-	if math.IsInf(t, 1) {
+	if len(e.ready.rejoin) == 0 {
 		return false
 	}
-	e.now = t
+	e.setNow(e.ready.rejoin[0].at)
 	return true
 }
 
@@ -757,56 +764,30 @@ func (e *Engine) advanceToRejoin() bool {
 // local training; reports false when none remains. Clients that churn out
 // on the roll are skipped and another candidate is drawn.
 func (e *Engine) dispatchRandomIdle() bool {
-	for {
-		n := 0
-		for id := range e.idle {
-			if e.schedulable(id) {
-				n++
-			}
-		}
-		if n == 0 {
-			return false
-		}
-		pick := e.sim.Rng.Intn(n)
-		chosen := -1
-		for id := range e.idle {
-			if !e.schedulable(id) {
-				continue
-			}
-			if pick == 0 {
-				chosen = id
-				break
-			}
-			pick--
-		}
+	for e.ready.n > 0 {
+		chosen := e.ready.kth(e.sim.Rng.Intn(e.ready.n))
 		if e.leaves(chosen) {
 			continue
 		}
 		e.dispatch(chosen)
 		return true
 	}
+	return false
 }
 
 // dispatchCohort samples up to n schedulable clients without replacement
 // and dispatches them in client-id order — the semi-sync round opening.
 // Sampled clients may still churn out, shrinking the round's cohort.
 func (e *Engine) dispatchCohort(n int) {
-	avail := make([]int, 0, len(e.idle))
-	for id := range e.idle {
-		if e.schedulable(id) {
-			avail = append(avail, id)
-		}
+	if n > e.ready.n {
+		n = e.ready.n
 	}
-	if len(avail) == 0 {
+	if n == 0 {
 		return
 	}
-	if n > len(avail) {
-		n = len(avail)
-	}
-	idx := SamplePrefix(e.sim.Rng, len(avail), n)
-	picked := make([]int, n)
-	for i, p := range idx {
-		picked[i] = avail[p]
+	picked := SamplePrefix(e.sim.Rng, e.ready.n, n)
+	for i, p := range picked {
+		picked[i] = e.ready.kth(p)
 	}
 	sort.Ints(picked)
 	for _, id := range picked {
@@ -823,6 +804,7 @@ func (e *Engine) dispatchCohort(n int) {
 // time is reached.
 func (e *Engine) dispatch(id int) {
 	e.idle[id] = false
+	e.ready.add(id, -1)
 	e.sched.Trace.add(TraceDispatch, id, e.version, e.now)
 	// Start on the earliest-free virtual node, no sooner than now.
 	node := 0

@@ -192,7 +192,7 @@ type Algorithm interface {
 // Simulation owns the clients, the traffic ledger and the metrics history.
 // Clients live either eagerly in Clients (the historical layout) or behind
 // a lazy ClientStore (NewLazySimulation) that materializes them on demand
-// and spills evicted state through the snapshot buffer format; access goes
+// and spills evicted state to a segment file; access goes
 // through Client/NumClients so algorithms work against both.
 type Simulation struct {
 	Clients []*Client
@@ -236,8 +236,8 @@ func NewSimulation(clients []*Client, cfg Config) *Simulation {
 // NewLazySimulation builds a simulation over a virtual fleet of n clients
 // materialized on demand by build (which must construct client i as a pure
 // function of i). At most resident clients stay materialized; beyond that
-// the least-recently-used client's mutable state spills to compact
-// snapshot buffers and is restored bit-identically on re-dispatch, so any
+// the least-recently-used client's mutable state spills to the store's
+// segment file and is restored bit-identically on re-dispatch, so any
 // finite budget produces the same metrics and trace as budget ∞.
 // resident <= 0 means unbounded. When Cfg.EvalSample is unset it defaults
 // to the cohort size, keeping evaluation O(cohort) like everything else.

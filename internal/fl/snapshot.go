@@ -187,9 +187,9 @@ func cloneHistory(hist []RoundMetrics) []RoundMetrics {
 
 // captureClientState freezes one client's mutable state — flat parameters,
 // batch-norm buffers, RNG position and optimizer moments — into the
-// compact buffer format both checkpoints and the lazy store's spill path
-// use. The flat vectors are appended to the (cap-reused, length-reset)
-// slices passed in, so spill cycles can recycle buffers.
+// buffer format checkpoints hold (the lazy store's spill records carry the
+// same fields, framed; see store.go). The flat vectors are appended to the
+// (cap-reused, length-reset) slices passed in; nil asks for fresh ones.
 func captureClientState(c *Client, params, buffers []float64) (ClientState, error) {
 	if c.Src == nil {
 		return ClientState{}, fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
@@ -425,6 +425,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 	copy(e.nodeFree, snap.NodeFree)
 	copy(e.idle, snap.Idle)
 	copy(e.away, snap.Away)
+	e.ready.rebuild(e.idle, e.away, e.now)
 	e.heap = e.heap[:0]
 	for i := range snap.Flights {
 		fs := &snap.Flights[i]

@@ -2,12 +2,17 @@ package fl
 
 import (
 	"container/list"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"math/bits"
+	"os"
 	"sort"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
+	"repro/internal/opt"
+	"repro/internal/tensor"
 )
 
 // ClientStore backs a lazy virtual fleet: clients exist as a compact id
@@ -15,36 +20,69 @@ import (
 // client i as a pure function of i (experiments.ClientBuilder). At most
 // budget clients stay resident in an LRU; evicting one spills its mutable
 // state — flat parameters, batch-norm buffers, RNG position, optimizer
-// moments — into the checkpoint buffer format, and a later Get restores it
-// bit-identically into a freshly built client. Spill buffers are recycled
-// through a size-bucketed pool, so steady-state memory is proportional to
-// residents + touched cohort, never the fleet.
+// moments — as one record into the store's segment file, and a later Get
+// reads the record back, bit-identically, into a freshly built client.
+//
+// Memory is residents plus a 24-byte index entry (id → offset, length) per
+// spilled client; the spilled state itself is on disk. The segment is one
+// os.CreateTemp file under os.TempDir(), created by the first eviction
+// (an eager fleet, or budget ≤ 0, never has one) and unlinked at once, so it
+// has no name to clean up and its blocks go back to the filesystem when the
+// process ends, however it ends. A rehydrated client's slot goes on a free
+// list keyed by record length and the next spill of that length takes it:
+// the file only grows while more records of some length are spilled at once
+// than ever before, so its size is bounded by the spilled high-water mark
+// per record length (one architecture has two lengths, with and without
+// optimizer moments), not by the number of commits. On a tmpfs TMPDIR
+// those blocks are memory again — point TMPDIR at a disk for fleets whose
+// touched set does not fit in RAM.
 //
 // Every materialized client is treated as dirty (its state spills on
 // eviction even if it only evaluated); tracking cleanliness would save
-// spill space but risk missing a mutation path, and the spill set is
-// bounded by the touched set — O(rounds · cohort) — regardless of n.
+// writes but risk missing a mutation path.
 type ClientStore struct {
 	mu       sync.Mutex
 	n        int
 	build    func(int) *Client
 	budget   int // max resident clients; <= 0 means unbounded
 	resident map[int]*list.Element
-	lru      *list.List // of *Client; front = most recently used
-	spill    map[int]*ClientState
-	pool     bufferPool
+	lru      *list.List // of *resident; front = most recently used
+	// loading holds the ids some Get is materializing outside mu; a second
+	// Get of such an id waits on loaded for the first to publish its client.
+	loading map[int]bool
+	loaded  sync.Cond
+	seg     segment
+	sb      spillBuf    // record scratch of the paths that hold mu throughout
+	bufs    []*spillBuf // idle scratch of rehydrating Gets: one per Get that ever overlapped
+}
+
+// resident is a materialized client with its tensor lists, which cost a
+// handful of allocations to enumerate and are needed at both ends of a
+// residency (rehydrate, spill).
+type resident struct {
+	c      *Client
+	params []*nn.Param
+	bufs   [][]float64
+}
+
+func (r *resident) list() {
+	if r.params == nil && r.c.Model != nil {
+		r.params, r.bufs = r.c.Model.Params(), r.c.Model.Buffers()
+	}
 }
 
 // NewClientStore builds a store over n virtual clients.
 func NewClientStore(n int, build func(int) *Client, budget int) *ClientStore {
-	return &ClientStore{
+	st := &ClientStore{
 		n:        n,
 		build:    build,
 		budget:   budget,
 		resident: make(map[int]*list.Element),
 		lru:      list.New(),
-		spill:    make(map[int]*ClientState),
+		loading:  make(map[int]bool),
 	}
+	st.loaded.L = &st.mu
+	return st
 }
 
 // Len returns the virtual fleet size.
@@ -58,44 +96,64 @@ func (st *ClientStore) Resident() int {
 }
 
 // Get returns client id, building it (and restoring any spilled state) if
-// it is not resident. Safe to call concurrently for distinct ids — the
-// pattern of every parallel client loop; a same-id race is resolved to a
-// single client. The result stays resident at least until the next
-// EvictToBudget.
+// it is not resident. Safe to call concurrently — distinct ids build and
+// rehydrate in parallel, the pattern of every parallel client loop, and a
+// same-id race waits for the first caller's client. The result stays
+// resident at least until the next EvictToBudget.
 func (st *ClientStore) Get(id int) *Client {
 	if id < 0 || id >= st.n {
 		panic(fmt.Sprintf("fl: client id %d out of fleet range [0,%d)", id, st.n))
 	}
 	st.mu.Lock()
-	if el, ok := st.resident[id]; ok {
-		st.lru.MoveToFront(el)
-		c := el.Value.(*Client)
-		st.mu.Unlock()
-		return c
+	for {
+		if el, ok := st.resident[id]; ok {
+			st.lru.MoveToFront(el)
+			c := el.Value.(*resident).c
+			st.mu.Unlock()
+			return c
+		}
+		if !st.loading[id] {
+			break
+		}
+		st.loaded.Wait()
+	}
+	// This call owns id until it publishes: nothing else reads, frees or
+	// rewrites the record, so the heavy part runs outside the lock.
+	st.loading[id] = true
+	sp, spilled := st.seg.index[id]
+	f := st.seg.f
+	var sb *spillBuf
+	if spilled {
+		if n := len(st.bufs); n > 0 {
+			sb, st.bufs = st.bufs[n-1], st.bufs[:n-1]
+		} else {
+			sb = new(spillBuf)
+		}
 	}
 	st.mu.Unlock()
 
-	c := st.build(id) // heavy: runs outside the lock so cohorts build in parallel
+	r := &resident{c: st.build(id)}
+	var err error
+	if spilled {
+		err = r.rehydrate(f, sp, sb)
+	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.resident[id]; ok { // lost a same-id race; use the winner's
-		st.lru.MoveToFront(el)
-		return el.Value.(*Client)
-	}
-	if cs, ok := st.spill[id]; ok {
-		if err := restoreClientState(c, cs); err != nil {
-			// The builder is a pure function of id, so a shape/dtype mismatch
-			// with state this store captured itself is an invariant violation,
-			// not a recoverable condition.
+	delete(st.loading, id)
+	st.loaded.Broadcast()
+	if spilled {
+		st.bufs = append(st.bufs, sb)
+		if err != nil {
+			// The builder is a pure function of id and the record is this
+			// store's own, so a read or shape failure is an invariant
+			// violation, not a recoverable condition.
 			panic(fmt.Sprintf("fl: rehydrating client %d: %v", id, err))
 		}
-		delete(st.spill, id)
-		st.pool.put(cs.Params)
-		st.pool.put(cs.Buffers)
+		st.seg.release(id)
 	}
-	st.resident[id] = st.lru.PushFront(c)
-	return c
+	st.resident[id] = st.lru.PushFront(r)
+	return r.c
 }
 
 // EvictToBudget spills least-recently-used clients until the resident
@@ -109,53 +167,114 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 	}
 	for el := st.lru.Back(); el != nil && st.lru.Len() > st.budget; {
 		prev := el.Prev()
-		c := el.Value.(*Client)
-		if pinned == nil || !pinned(c.ID) {
-			if err := st.spillLocked(c); err != nil {
-				return err
+		r := el.Value.(*resident)
+		if pinned == nil || !pinned(r.c.ID) {
+			if err := st.spillLocked(r); err != nil {
+				return fmt.Errorf("fl: spilling client %d: %w", r.c.ID, err)
 			}
 			st.lru.Remove(el)
-			delete(st.resident, c.ID)
+			delete(st.resident, r.c.ID)
 		}
 		el = prev
 	}
 	return nil
 }
 
-func (st *ClientStore) spillLocked(c *Client) error {
-	var params, buffers []float64
-	if c.Model != nil {
-		params = st.pool.get(nn.NumParams(c.Model.Params()))
-		buffers = st.pool.get(nn.NumBuffered(c.Model.Buffers()))
+// lender is an optimizer that hands its state over by reference
+// (opt.SGD, opt.Adam); one that is only opt.Checkpointable goes through
+// the copying State/SetState.
+type lender interface {
+	Borrow() opt.Live
+	Adopt(opt.Live) error
+}
+
+// spillLocked writes r's state as one record. The flat parameters and
+// buffers pass through the scratch's staging vector; the moments are framed
+// where they lie.
+func (st *ClientStore) spillLocked(r *resident) error {
+	c := r.c
+	if c.Src == nil {
+		return fmt.Errorf("client has no serializable RNG (set fl.Client.Src via xrand.NewRand)")
 	}
-	cs, err := captureClientState(c, params, buffers)
+	var live opt.Live
+	switch o := c.Optimizer.(type) {
+	case nil:
+	case lender:
+		live = o.Borrow()
+	case opt.Checkpointable:
+		s := o.State()
+		live = opt.Live{Ints: s.Ints, F64: s.Vecs}
+	default:
+		return fmt.Errorf("optimizer cannot be checkpointed (implement opt.Checkpointable)")
+	}
+	r.list()
+	sb := &st.sb
+	sb.params = nn.AppendFlatParams(sb.params[:0], r.params)
+	sb.buffers = nn.AppendFlatBuffers(sb.buffers[:0], r.bufs)
+	sb.encode(c.Src.State(), sb.params, sb.buffers, live)
+	return st.seg.put(c.ID, sb.rec)
+}
+
+// rehydrate reads r's record and decodes it into the freshly built client:
+// parameters and buffers through the staging vector, moments into vectors
+// the optimizer adopts as they are.
+func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
+	if err := sb.read(f, sp); err != nil {
+		return err
+	}
+	c := r.c
+	_, lends := c.Optimizer.(lender)
+	rng, params, buffers, live, err := sb.decode(lends && c.DType().Backing() == tensor.F32)
 	if err != nil {
-		return fmt.Errorf("fl: spilling client %d: %w", c.ID, err)
+		return err
 	}
-	st.spill[c.ID] = &cs
+	c.Src.SetState(rng) // non-nil, or the spill would have failed
+	if c.Model != nil {
+		r.list()
+		if err := nn.SetFlatParams(r.params, params); err != nil {
+			return err
+		}
+		if err := nn.SetFlatBuffers(r.bufs, buffers); err != nil {
+			return err
+		}
+	}
+	switch o := c.Optimizer.(type) {
+	case lender:
+		return o.Adopt(live)
+	case opt.Checkpointable:
+		return o.SetState(opt.State{Ints: live.Ints, Vecs: live.F64})
+	}
 	return nil
 }
 
 // CaptureTouched snapshots every client this store has ever materialized —
-// resident ones freshly, spilled ones by copy — sorted by id, into
-// unpooled buffers a checkpoint may own indefinitely. Untouched clients
-// carry no state beyond their id (they are reproduced by the builder), so
-// they are deliberately absent.
+// resident ones from their tensors, spilled ones from their records —
+// sorted by id, into buffers a checkpoint may own indefinitely. Untouched
+// clients carry no state beyond their id (they are reproduced by the
+// builder), so they are deliberately absent.
 func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]ClientState, 0, len(st.resident)+len(st.spill))
-	for _, cs := range st.spill {
+	out := make([]ClientState, 0, len(st.resident)+len(st.seg.index))
+	sb := &st.sb
+	for id, sp := range st.seg.index {
+		if err := sb.read(st.seg.f, sp); err != nil {
+			return nil, fmt.Errorf("fl: reading spilled client %d: %w", id, err)
+		}
+		rng, params, buffers, live, err := sb.decode(false)
+		if err != nil {
+			return nil, fmt.Errorf("fl: reading spilled client %d: %w", id, err)
+		}
 		out = append(out, ClientState{
-			ID:      cs.ID,
-			Params:  CloneVec(cs.Params),
-			Buffers: CloneVec(cs.Buffers),
-			Rng:     cs.Rng,
-			Opt:     cs.Opt,
+			ID:      id,
+			Params:  append([]float64(nil), params...),
+			Buffers: append([]float64(nil), buffers...),
+			Rng:     rng,
+			Opt:     opt.State{Ints: live.Ints, Vecs: live.F64},
 		})
 	}
 	for el := st.lru.Front(); el != nil; el = el.Next() {
-		cs, err := captureClientState(el.Value.(*Client), nil, nil)
+		cs, err := captureClientState(el.Value.(*resident).c, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -166,62 +285,228 @@ func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
 }
 
 // RestoreTouched resets the store to hold exactly the given touched-client
-// states (cloned into the spill map); every resident client is dropped, so
-// the next Get of any id rebuilds and rehydrates from the checkpoint.
+// states, each as a spilled record; every resident client is dropped, so the
+// next Get of any id rebuilds and rehydrates from the checkpoint. The
+// records go into a new segment that replaces the old one only once every
+// state is written: a rejected restore leaves the store as it was.
 func (st *ClientStore) RestoreTouched(states []ClientState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, cs := range st.spill {
-		st.pool.put(cs.Params)
-		st.pool.put(cs.Buffers)
-	}
-	st.spill = make(map[int]*ClientState, len(states))
-	st.resident = make(map[int]*list.Element)
-	st.lru.Init()
-	for i := range states {
-		cs := &states[i]
+	var seg segment
+	put := func(cs *ClientState) error {
 		if cs.ID < 0 || cs.ID >= st.n {
 			return fmt.Errorf("fl: checkpoint references client %d of a %d-client fleet", cs.ID, st.n)
 		}
-		st.spill[cs.ID] = &ClientState{
-			ID:      cs.ID,
-			Params:  CloneVec(cs.Params),
-			Buffers: CloneVec(cs.Buffers),
-			Rng:     cs.Rng,
-			Opt:     cs.Opt,
+		if _, dup := seg.index[cs.ID]; dup {
+			return fmt.Errorf("fl: checkpoint holds client %d twice", cs.ID)
+		}
+		st.sb.encode(cs.Rng, cs.Params, cs.Buffers, opt.Live{Ints: cs.Opt.Ints, F64: cs.Opt.Vecs})
+		if err := seg.put(cs.ID, st.sb.rec); err != nil {
+			return fmt.Errorf("fl: restoring client %d: %w", cs.ID, err)
+		}
+		return nil
+	}
+	for i := range states {
+		if err := put(&states[i]); err != nil {
+			seg.close()
+			return err
 		}
 	}
+	st.seg.close()
+	st.seg = seg
+	st.resident = make(map[int]*list.Element)
+	st.lru.Init()
 	return nil
 }
 
-// bufferPool recycles spill vectors in power-of-two size buckets. Buffers
-// are stored under the largest power of two not exceeding their capacity,
-// so a get(n) hit always has capacity ≥ n. Callers hold the store lock.
-type bufferPool struct {
-	buckets map[int][][]float64
+// span locates one record in the segment file.
+type span struct{ off, n int64 }
+
+// segment is the spill file and what is known about it in memory: where each
+// spilled client's record lies and which slots are vacant. Callers hold the
+// store lock, except for reads of a record its loader owns (see Get).
+type segment struct {
+	f     *os.File          // nil until the first put
+	end   int64             // file length: below it every byte is a live or a vacant record
+	index map[int]span      // spilled client → its record
+	free  map[int64][]int64 // record length → offsets of vacant slots
 }
 
-func (p *bufferPool) get(n int) []float64 {
-	if n <= 0 {
+// put writes rec as id's record, into a vacant slot of its length when there
+// is one and at the end of the file otherwise.
+func (s *segment) put(id int, rec []byte) error {
+	if s.f == nil {
+		f, err := os.CreateTemp("", "fl-spill-*")
+		if err != nil {
+			return err
+		}
+		// Unlinked while open: the file has no name to leak, and its
+		// blocks are freed when the descriptor closes with the process.
+		if err := os.Remove(f.Name()); err != nil {
+			f.Close()
+			return err
+		}
+		s.f, s.index, s.free = f, make(map[int]span), make(map[int64][]int64)
+	}
+	sp := span{off: s.end, n: int64(len(rec))}
+	vacant := s.free[sp.n]
+	if len(vacant) > 0 {
+		sp.off = vacant[len(vacant)-1]
+	}
+	if _, err := s.f.WriteAt(rec, sp.off); err != nil {
+		return err
+	}
+	if len(vacant) > 0 {
+		s.free[sp.n] = vacant[:len(vacant)-1]
+	} else {
+		s.end += sp.n
+	}
+	s.index[id] = sp
+	return nil
+}
+
+// release forgets id's record and marks its slot vacant.
+func (s *segment) release(id int) {
+	sp := s.index[id]
+	delete(s.index, id)
+	s.free[sp.n] = append(s.free[sp.n], sp.off)
+}
+
+func (s *segment) close() {
+	if s.f != nil {
+		s.f.Close() // unlinked and never read again: nothing to report
+	}
+}
+
+// Record layout, little-endian:
+//
+//	[rng u64] [#ints u64] [ints i64…] [params] [buffers] [moment]…
+//
+// where each bracketed vector is the frame checkpoints write (ckpt v5): a
+// u64 byte length, then a lossless dense-f64 comm frame whose kind tag is
+// one of the rec* constants. Moments run to the end of the record.
+const (
+	recParams uint32 = iota + 1
+	recBuffers
+	recMoment
+)
+
+// spillBuf is the scratch one record passes through: its bytes, staging
+// vectors for the flat parameters and buffers, and one that widens (or
+// narrows) a float32 moment vector at a time. All keep their capacity, so a
+// warmed store encodes without allocating.
+type spillBuf struct {
+	rec             []byte
+	params, buffers []float64
+	vec             []float64
+}
+
+func appendFrame(b []byte, kind uint32, v []float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(comm.WireSizeAs(comm.F64, len(v))))
+	return comm.MarshalSpecInto(b, comm.Spec{Value: comm.F64}, kind, v, nil)
+}
+
+// encode writes one record into sb.rec.
+func (sb *spillBuf) encode(rng uint64, params, buffers []float64, live opt.Live) {
+	b := binary.LittleEndian.AppendUint64(sb.rec[:0], rng)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(live.Ints)))
+	for _, v := range live.Ints {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	b = appendFrame(b, recParams, params)
+	b = appendFrame(b, recBuffers, buffers)
+	for _, v := range live.F64 {
+		b = appendFrame(b, recMoment, v)
+	}
+	for _, v := range live.F32 {
+		sb.vec = sb.vec[:0]
+		for _, x := range v {
+			sb.vec = append(sb.vec, float64(x))
+		}
+		b = appendFrame(b, recMoment, sb.vec)
+	}
+	sb.rec = b
+}
+
+// read fills sb.rec with the record at sp.
+func (sb *spillBuf) read(f *os.File, sp span) error {
+	if int64(cap(sb.rec)) < sp.n {
+		sb.rec = make([]byte, sp.n)
+	}
+	sb.rec = sb.rec[:sp.n]
+	_, err := f.ReadAt(sb.rec, sp.off)
+	return err
+}
+
+// recReader walks a record, latching the first error.
+type recReader struct {
+	b   []byte
+	err error
+}
+
+var errTruncated = errors.New("spill record is truncated")
+
+func (r *recReader) take(n uint64) []byte {
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = errTruncated
+	}
+	if r.err != nil {
 		return nil
 	}
-	b := 1 << bits.Len(uint(n-1)) // smallest power of two ≥ n
-	if s := p.buckets[b]; len(s) > 0 {
-		buf := s[len(s)-1]
-		p.buckets[b] = s[:len(s)-1]
-		return buf[:0]
-	}
-	return make([]float64, 0, b)
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
 }
 
-func (p *bufferPool) put(buf []float64) {
-	c := cap(buf)
-	if c == 0 {
-		return
+func (r *recReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	b := 1 << (bits.Len(uint(c)) - 1) // largest power of two ≤ cap
-	if p.buckets == nil {
-		p.buckets = make(map[int][][]float64)
+	return 0
+}
+
+// frame decodes the next frame into scratch's capacity, or into a fresh
+// vector when that is short.
+func (r *recReader) frame(kind uint32, scratch []float64) []float64 {
+	fr := r.take(r.u64())
+	if r.err != nil {
+		return nil
 	}
-	p.buckets[b] = append(p.buckets[b], buf[:0])
+	k, v, err := comm.DecodeSpec(scratch, fr, nil)
+	if err == nil && k != kind {
+		err = fmt.Errorf("spill record has a frame of kind %d where %d belongs", k, kind)
+	}
+	r.err = err
+	return v
+}
+
+// decode parses sb.rec. The returned params and buffers are sb's staging
+// vectors, valid until its next use; the moment vectors are fresh, float32
+// when f32 is set and float64 otherwise.
+func (sb *spillBuf) decode(f32 bool) (rng uint64, params, buffers []float64, live opt.Live, err error) {
+	r := recReader{b: sb.rec}
+	rng = r.u64()
+	if n := r.u64(); n > uint64(len(r.b))/8 {
+		r.err = errTruncated
+	} else if n > 0 {
+		live.Ints = make([]int64, n)
+		for i := range live.Ints {
+			live.Ints[i] = int64(r.u64())
+		}
+	}
+	sb.params = r.frame(recParams, sb.params[:0])
+	sb.buffers = r.frame(recBuffers, sb.buffers[:0])
+	for r.err == nil && len(r.b) > 0 {
+		if !f32 {
+			live.F64 = append(live.F64, r.frame(recMoment, nil))
+			continue
+		}
+		sb.vec = r.frame(recMoment, sb.vec[:0])
+		w := make([]float32, len(sb.vec))
+		for i, x := range sb.vec {
+			w[i] = float32(x)
+		}
+		live.F32 = append(live.F32, w)
+	}
+	return rng, sb.params, sb.buffers, live, r.err
 }

@@ -1,0 +1,266 @@
+package fl
+
+import (
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// spilledBytes sums the live records of the store's segment.
+func (st *ClientStore) spilledBytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var n int64
+	for _, sp := range st.seg.index {
+		n += sp.n
+	}
+	return n
+}
+
+func (st *ClientStore) segmentLen() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.seg.end
+}
+
+// noSpillFiles fails if a segment file has a name: the store unlinks its
+// segment as soon as it is created, so none may ever be visible.
+func noSpillFiles(t *testing.T) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(os.TempDir(), "fl-spill-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("segment files left behind: %v", left)
+	}
+}
+
+func mustEvict(t *testing.T, st *ClientStore, pinned func(int) bool) {
+	t.Helper()
+	if err := st.EvictToBudget(pinned); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spillTrained materializes ids, trains each for an epoch, captures their
+// states and evicts down to the budget.
+func spillTrained(t *testing.T, st *ClientStore, ids ...int) map[int]ClientState {
+	t.Helper()
+	want := make(map[int]ClientState)
+	for _, id := range ids {
+		c := st.Get(id)
+		c.TrainEpochCE(8)
+		cs, err := captureClientState(c, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = cs
+	}
+	mustEvict(t, st, nil)
+	return want
+}
+
+// A snapshot naming a client outside the fleet, or one client twice, must be
+// rejected before the store changes: the residents stay, and a client that
+// was spilled still rehydrates to the state it was evicted with.
+func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
+	st := NewClientStore(8, lazyTestBuilder(t, 8), 2)
+	want := spillTrained(t, st, 3, 0, 1) // 3 is the least recently used: spilled
+	if st.Resident() != 2 {
+		t.Fatalf("%d resident, want 2", st.Resident())
+	}
+	good := want[0]
+	for name, states := range map[string][]ClientState{
+		"out of range": {good, {ID: 9}},
+		"negative":     {good, {ID: -1}},
+		"duplicate":    {good, want[1], good},
+	} {
+		if err := st.RestoreTouched(states); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if st.Resident() != 2 {
+			t.Fatalf("%s: rejected restore left %d resident, want 2", name, st.Resident())
+		}
+	}
+	got, err := captureClientState(st.Get(3), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want[3]) {
+		t.Fatal("client 3 lost its spilled state to a rejected restore")
+	}
+	noSpillFiles(t)
+}
+
+// On a warmed store an eviction allocates nothing — the record is encoded
+// from the live moments and a reused staging vector into a reused byte
+// buffer — and a rehydrate allocates the build plus the moment vectors the
+// optimizer keeps, not a decoded copy of the state.
+func TestClientStoreSpillAllocs(t *testing.T) {
+	const k, runs = 16, 5
+	build := lazyTestBuilder(t, k)
+	st := NewClientStore(k, build, 1)
+	ids := make([]int, 0, 2*(runs+1))
+	for id := 1; id <= 2*(runs+1); id++ {
+		ids = append(ids, id)
+	}
+	spillTrained(t, st, ids...)
+	st.Get(0)
+	mustEvict(t, st, nil) // everyone but client 0 is now spilled, scratch warmed
+
+	buildAllocs := testing.AllocsPerRun(runs, func() { build(1) })
+	next := 0
+	getAllocs := testing.AllocsPerRun(runs, func() {
+		next++
+		st.Get(next)
+	})
+	moments := float64(2 * len(st.Get(1).Model.Params()))
+	// Beyond the build and the moment vectors: the list of them as it grows,
+	// the step count, the model's tensor lists, the LRU entry.
+	const bookkeeping = 16
+	t.Logf("build %.0f allocs, rehydrating Get %.0f, %.0f moment vectors", buildAllocs, getAllocs, moments)
+	if over := getAllocs - buildAllocs - moments; over > bookkeeping {
+		t.Fatalf("rehydrate allocates %.0f beyond build (%.0f) and %.0f moment vectors, want ≤ %d",
+			over, buildAllocs, moments, bookkeeping)
+	}
+
+	// Clients 1..next are resident again; step them, then evict one a call.
+	for id := 1; id <= next; id++ {
+		st.Get(id).TrainEpochCE(8)
+	}
+	target := 0
+	pinned := func(id int) bool { return id != target }
+	evictAllocs := testing.AllocsPerRun(runs, func() {
+		target++
+		if err := st.EvictToBudget(pinned); err != nil {
+			panic(err)
+		}
+	})
+	if target != next || st.Resident() != 1 {
+		t.Fatalf("%d single evictions of %d rehydrated clients left %d resident, want client 0 alone", target, next, st.Resident())
+	}
+	if evictAllocs != 0 {
+		t.Fatalf("evicting a stepped client allocates %.0f times, want 0", evictAllocs)
+	}
+	noSpillFiles(t)
+}
+
+// An I/O failure while spilling comes back from EvictToBudget as an error
+// that wraps its cause, and the client it could not write stays resident.
+func TestClientStoreSpillErrorSurfaces(t *testing.T) {
+	st := NewClientStore(8, lazyTestBuilder(t, 8), 1)
+	spillTrained(t, st, 0, 1)
+	st.seg.f.Close()
+	st.Get(2)
+	err := st.EvictToBudget(nil)
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("evicting into a closed segment: %v, want an error wrapping os.ErrClosed", err)
+	}
+	if st.Resident() != 2 {
+		t.Fatalf("%d resident after a failed spill, want both clients kept", st.Resident())
+	}
+}
+
+// Concurrent Gets of one spilled client resolve to a single client carrying
+// the spilled state (run under -race).
+func TestClientStoreSameIDConcurrentGet(t *testing.T) {
+	st := NewClientStore(8, lazyTestBuilder(t, 8), 1)
+	want := spillTrained(t, st, 3, 0)
+	got := make([]*Client, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = st.Get(3)
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("Get %d returned a different client than Get 0", i)
+		}
+	}
+	cs, err := captureClientState(got[0], nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cs, want[3]) {
+		t.Fatal("concurrently rehydrated client differs from its spilled state")
+	}
+	if st.Resident() != 2 {
+		t.Fatalf("%d resident, want client 0 and one client 3", st.Resident())
+	}
+}
+
+// float32 and bfloat16 models round-trip bit-identically through a record
+// (widening is lossless), and their moments come back in float32.
+func TestClientStoreRecordDTypes(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.F32, tensor.BF16} {
+		t.Run(dt.String(), func(t *testing.T) {
+			f64 := lazyTestBuilder(t, 8)
+			build := func(i int) *Client {
+				c := f64(i)
+				nn.ConvertParams(c.Model.Params(), dt)
+				c.Model.Cfg.DType = dt
+				return c
+			}
+			st := NewClientStore(8, build, 1)
+			want := spillTrained(t, st, 3, 0)
+			c := st.Get(3)
+			if live := c.Optimizer.(lender).Borrow(); live.F32 == nil || live.F64 != nil {
+				t.Fatalf("rehydrated %s moments are not float32", dt)
+			}
+			got, err := captureClientState(c, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[3]) {
+				t.Fatalf("%s client differs after a spill round trip", dt)
+			}
+			twin := build(3)
+			twin.TrainEpochCE(8)
+			if a, b := c.TrainEpochCE(8), twin.TrainEpochCE(8); a != b {
+				t.Fatalf("post-rehydration training diverged: %g vs %g", a, b)
+			}
+		})
+	}
+}
+
+// The segment reuses vacated slots: under any churn of first touches,
+// evictions and rehydrations the file is no longer than one spilled
+// high-water mark per record length (two for this fleet: with and without
+// Adam moments), however many spill cycles ran.
+func TestSegmentBoundedBySpilledHighWater(t *testing.T) {
+	const k = 24
+	st := NewClientStore(k, lazyTestBuilder(t, k), 3)
+	rng := rand.New(rand.NewSource(5))
+	var peak int64
+	for step := 0; step < 400; step++ {
+		c := st.Get(rng.Intn(k))
+		if rng.Intn(3) > 0 {
+			c.TrainEpochCE(8)
+		}
+		if step%2 == 1 {
+			mustEvict(t, st, nil)
+		}
+		if n := st.spilledBytes(); n > peak {
+			peak = n
+		}
+	}
+	if peak == 0 {
+		t.Fatal("nothing was spilled — test exercises nothing")
+	}
+	if n := st.segmentLen(); n > 2*peak {
+		t.Fatalf("segment is %d bytes after 400 steps, spilled high-water mark %d: slots are not reused", n, peak)
+	}
+	noSpillFiles(t)
+}

@@ -9,6 +9,12 @@
 // checkpoint round trips are lossless at either dtype. A restored State is
 // held widened until the first Step reveals the parameter dtype, then
 // migrates onto the matching fast path.
+//
+// The state has one serialisation: Borrow lends the live counters and
+// moment vectors, Adopt takes ownership of a set, and State/SetState are
+// their copying forms. A caller that is done with the state before the
+// optimizer's next Step (the lazy client store writing or reading a spill
+// record) uses Borrow/Adopt and copies nothing.
 package opt
 
 import (
@@ -44,41 +50,78 @@ type Checkpointable interface {
 	SetState(State) error
 }
 
-func cloneVecs(vecs [][]float64) [][]float64 {
-	if vecs == nil {
-		return nil
-	}
-	out := make([][]float64, len(vecs))
-	for i, v := range vecs {
-		out[i] = append([]float64(nil), v...)
-	}
-	return out
+// Live is an optimizer's state by reference: its integer counters and its
+// moment vectors in the dtype they are kept in (at most one of F64/F32 is
+// non-nil; both are nil before the first Step). What Borrow returns aliases
+// the optimizer and is valid until its next Step or Adopt; what Adopt is
+// handed belongs to the optimizer from then on.
+type Live struct {
+	Ints []int64
+	F64  [][]float64
+	F32  [][]float32
 }
 
-// moments is a dtype-dispatched set of per-parameter state vectors: exactly
-// one of f64/f32 is non-nil once initialized. Snapshots widen to float64;
-// restores stage the widened form and narrow lazily on first use.
+// State returns a copy of l, widened to float64, that shares nothing with it.
+func (l Live) State() State {
+	st := State{Ints: append([]int64(nil), l.Ints...)}
+	switch {
+	case l.F32 != nil:
+		st.Vecs = make([][]float64, len(l.F32))
+		for i, v := range l.F32 {
+			w := make([]float64, len(v))
+			for j, x := range v {
+				w[j] = float64(x)
+			}
+			st.Vecs[i] = w
+		}
+	case l.F64 != nil:
+		st.Vecs = make([][]float64, len(l.F64))
+		for i, v := range l.F64 {
+			st.Vecs[i] = append([]float64(nil), v...)
+		}
+	}
+	return st
+}
+
+// Live returns a copy of st in the form Adopt takes.
+func (st State) Live() Live {
+	c := Live{Ints: st.Ints, F64: st.Vecs}.State()
+	return Live{Ints: c.Ints, F64: c.Vecs}
+}
+
+// moments is a dtype-dispatched set of state vectors, one group per kind of
+// moment and one vector per parameter in each group (Adam: every m, then
+// every v). At most one of f64/f32 is non-nil; adopted float64 vectors
+// narrow lazily on first use by a float32 model.
 type moments struct {
 	f64 [][]float64
 	f32 [][]float32
 }
 
-func (m *moments) empty() bool { return m.f64 == nil && m.f32 == nil }
+// adopt installs l's vectors; an empty set means "not stepped yet".
+func (m *moments) adopt(l Live) {
+	m.f64, m.f32 = nil, nil
+	if len(l.F64) > 0 {
+		m.f64 = l.F64
+	} else if len(l.F32) > 0 {
+		m.f32 = l.F32
+	}
+}
 
-func (m *moments) reset() { m.f64, m.f32 = nil, nil }
-
-// ensure sizes the state for the parameter list in its dtype, migrating a
-// restored float64 snapshot onto the f32 path when the model turns out to
-// be float32 (widening/narrowing of f32-exact values is lossless).
-func (m *moments) ensure(params []*nn.Param) {
+// ensure sizes the state for the parameter list in its dtype, groups vectors
+// per parameter, migrating adopted float64 vectors onto the f32 path when the
+// model turns out to be float32 (widening/narrowing of f32-exact values is
+// lossless).
+func (m *moments) ensure(params []*nn.Param, groups int) {
+	want := groups * len(params)
 	if nn.ParamsDType(params).Backing() == tensor.F32 {
 		if m.f32 != nil {
-			checkVecCount(len(m.f32), len(params))
+			checkVecCount(len(m.f32), want)
 			return
 		}
-		m.f32 = make([][]float32, len(params))
+		m.f32 = make([][]float32, want)
 		if m.f64 != nil { // restored snapshot: narrow it
-			checkVecCount(len(m.f64), len(params))
+			checkVecCount(len(m.f64), want)
 			for i, v := range m.f64 {
 				m.f32[i] = make([]float32, len(v))
 				for j, x := range v {
@@ -88,21 +131,21 @@ func (m *moments) ensure(params []*nn.Param) {
 			m.f64 = nil
 			return
 		}
-		for i, p := range params {
-			m.f32[i] = make([]float32, p.Value.Size())
+		for i := range m.f32 {
+			m.f32[i] = make([]float32, params[i%len(params)].Value.Size())
 		}
 		return
 	}
 	if m.f64 != nil {
-		checkVecCount(len(m.f64), len(params))
+		checkVecCount(len(m.f64), want)
 		return
 	}
 	if m.f32 != nil {
 		panic("opt: float32 optimizer state applied to a float64 model")
 	}
-	m.f64 = make([][]float64, len(params))
-	for i, p := range params {
-		m.f64[i] = make([]float64, p.Value.Size())
+	m.f64 = make([][]float64, want)
+	for i := range m.f64 {
+		m.f64[i] = make([]float64, params[i%len(params)].Value.Size())
 	}
 }
 
@@ -112,30 +155,8 @@ func (m *moments) ensure(params []*nn.Param) {
 // dtypes.
 func checkVecCount(have, want int) {
 	if have != want {
-		panic(fmt.Sprintf("opt: restored state has %d vectors, model has %d parameters", have, want))
+		panic(fmt.Sprintf("opt: restored state has %d vectors, model wants %d", have, want))
 	}
-}
-
-// snapshot widens the state to the float64 bookkeeping representation.
-func (m *moments) snapshot() [][]float64 {
-	if m.f32 != nil {
-		out := make([][]float64, len(m.f32))
-		for i, v := range m.f32 {
-			w := make([]float64, len(v))
-			for j, x := range v {
-				w[j] = float64(x)
-			}
-			out[i] = w
-		}
-		return out
-	}
-	return cloneVecs(m.f64)
-}
-
-// restore stages a widened snapshot; the next ensure narrows it if needed.
-func (m *moments) restore(vecs [][]float64) {
-	m.f64 = cloneVecs(vecs)
-	m.f32 = nil
 }
 
 // SGD is stochastic gradient descent with optional classical momentum and
@@ -156,7 +177,7 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 // Step applies v ← μv + g + λw; w ← w − η·v.
 func (s *SGD) Step(params []*nn.Param) {
 	if s.Momentum != 0 {
-		s.velocity.ensure(params)
+		s.velocity.ensure(params, 1)
 	}
 	f32 := nn.ParamsDType(params).Backing() == tensor.F32
 	for i, p := range params {
@@ -196,32 +217,33 @@ func sgdStep[F tensor.Float](w, g, v []F, lr, momentum, weightDecay F) {
 	}
 }
 
-// State captures the momentum velocities (empty until the first momentum
-// Step), widened to float64.
-func (s *SGD) State() State {
-	return State{Vecs: s.velocity.snapshot()}
-}
+// Borrow lends the momentum velocities (none until the first momentum Step).
+func (s *SGD) Borrow() Live { return Live{F64: s.velocity.f64, F32: s.velocity.f32} }
 
-// SetState restores momentum velocities captured by State.
-func (s *SGD) SetState(st State) error {
-	if len(st.Ints) != 0 {
-		return fmt.Errorf("opt: SGD state carries %d ints, want 0", len(st.Ints))
+// Adopt takes ownership of velocities lent by Borrow or decoded from a copy.
+func (s *SGD) Adopt(l Live) error {
+	if len(l.Ints) != 0 {
+		return fmt.Errorf("opt: SGD state carries %d ints, want 0", len(l.Ints))
 	}
-	if len(st.Vecs) == 0 {
-		s.velocity.reset()
-		return nil
-	}
-	s.velocity.restore(st.Vecs)
+	s.velocity.adopt(l)
 	return nil
 }
+
+// State captures the momentum velocities, widened to float64.
+func (s *SGD) State() State { return s.Borrow().State() }
+
+// SetState restores momentum velocities captured by State.
+func (s *SGD) SetState(st State) error { return s.Adopt(st.Live()) }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
-	t int
-	m moments
-	v moments
+	// t is the step count, an array so Borrow can lend it as Live.Ints
+	// without allocating.
+	t [1]int64
+	// mv holds the first moments of every parameter, then the second.
+	mv moments
 }
 
 // NewAdam builds an Adam optimizer with the conventional defaults for any
@@ -230,45 +252,40 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// State captures the step count and first/second moment vectors (Vecs is
-// the m vectors followed by the v vectors; empty until the first Step),
-// widened to float64.
-func (a *Adam) State() State {
-	st := State{Ints: []int64{int64(a.t)}}
-	st.Vecs = append(a.m.snapshot(), a.v.snapshot()...)
-	return st
-}
+// Borrow lends the step count and the moment vectors (every m, then every
+// v; none until the first Step).
+func (a *Adam) Borrow() Live { return Live{Ints: a.t[:], F64: a.mv.f64, F32: a.mv.f32} }
 
-// SetState restores a snapshot captured by State.
-func (a *Adam) SetState(st State) error {
-	if len(st.Ints) != 1 {
-		return fmt.Errorf("opt: Adam state carries %d ints, want 1", len(st.Ints))
+// Adopt takes ownership of moments lent by Borrow or decoded from a copy.
+func (a *Adam) Adopt(l Live) error {
+	if len(l.Ints) != 1 {
+		return fmt.Errorf("opt: Adam state carries %d ints, want 1", len(l.Ints))
 	}
-	if len(st.Vecs)%2 != 0 {
-		return fmt.Errorf("opt: Adam state carries %d moment vectors, want an even count", len(st.Vecs))
+	if n := len(l.F64) + len(l.F32); n%2 != 0 {
+		return fmt.Errorf("opt: Adam state carries %d moment vectors, want an even count", n)
 	}
-	a.t = int(st.Ints[0])
-	if len(st.Vecs) == 0 {
-		a.m.reset()
-		a.v.reset()
-		return nil
-	}
-	half := len(st.Vecs) / 2
-	a.m.restore(st.Vecs[:half])
-	a.v.restore(st.Vecs[half:])
+	a.t[0] = l.Ints[0]
+	a.mv.adopt(l)
 	return nil
 }
 
+// State captures the step count and first/second moment vectors, widened to
+// float64.
+func (a *Adam) State() State { return a.Borrow().State() }
+
+// SetState restores a snapshot captured by State.
+func (a *Adam) SetState(st State) error { return a.Adopt(st.Live()) }
+
 // Step applies one bias-corrected Adam update.
 func (a *Adam) Step(params []*nn.Param) {
-	a.m.ensure(params)
-	a.v.ensure(params)
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.mv.ensure(params, 2)
+	a.t[0]++
+	n := len(params)
+	c1 := 1 - math.Pow(a.Beta1, float64(a.t[0]))
+	c2 := 1 - math.Pow(a.Beta2, float64(a.t[0]))
 	if nn.ParamsDType(params).Backing() == tensor.F32 {
 		for i, p := range params {
-			adamStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), a.m.f32[i], a.v.f32[i],
+			adamStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), a.mv.f32[i], a.mv.f32[n+i],
 				float32(a.LR), float32(a.Beta1), float32(a.Beta2), float32(a.Eps), float32(c1), float32(c2))
 			// BF16 storage invariant (see SGD.Step): moments stay float32.
 			tensor.RoundBF16InPlace(p.Value)
@@ -276,7 +293,7 @@ func (a *Adam) Step(params []*nn.Param) {
 		return
 	}
 	for i, p := range params {
-		adamStep(p.Value.Data, p.Grad.Data, a.m.f64[i], a.v.f64[i],
+		adamStep(p.Value.Data, p.Grad.Data, a.mv.f64[i], a.mv.f64[n+i],
 			a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 	}
 }

@@ -128,3 +128,54 @@ func TestRestoredStateShapeMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// Borrow lends the optimizer's own vectors and counter without allocating,
+// Adopt keeps the vectors it is handed, and State/SetState — their copying
+// forms — share nothing with either side.
+func TestBorrowAdoptAliasStateCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p, target := quadParams(rng, 4)
+	params := []*nn.Param{p}
+	a := NewAdam(0.1)
+	for i := 0; i < 3; i++ {
+		lossAndGrad(p, target)
+		a.Step(params)
+	}
+	live := a.Borrow()
+	if len(live.Ints) != 1 || live.Ints[0] != 3 || len(live.F64) != 2 || live.F32 != nil {
+		t.Fatalf("borrowed %+v, want step 3 and m, v in float64", live)
+	}
+	if &live.F64[0][0] != &a.Borrow().F64[0][0] {
+		t.Fatal("Borrow copied the moments")
+	}
+	if n := testing.AllocsPerRun(10, func() { live = a.Borrow() }); n != 0 {
+		t.Fatalf("Borrow allocates %.0f times", n)
+	}
+
+	st := a.State()
+	if &st.Vecs[0][0] == &live.F64[0][0] || &st.Ints[0] == &live.Ints[0] {
+		t.Fatal("State aliases the optimizer")
+	}
+	b := NewAdam(0.1)
+	if err := b.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	st.Vecs[0][0]++ // must not reach b
+	if got := b.Borrow(); got.F64[0][0] != live.F64[0][0] || got.Ints[0] != 3 {
+		t.Fatal("SetState kept a reference to its argument")
+	}
+
+	vecs := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	if err := b.Adopt(Live{Ints: []int64{7}, F64: vecs}); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Borrow(); &got.F64[1][0] != &vecs[1][0] || got.Ints[0] != 7 {
+		t.Fatal("Adopt copied the vectors it was given")
+	}
+	if err := b.Adopt(Live{Ints: []int64{1}, F64: vecs[:1]}); err == nil {
+		t.Fatal("Adam adopted an odd number of moment vectors")
+	}
+	if err := NewSGD(0.1, 0.9, 0).Adopt(Live{Ints: []int64{1}}); err == nil {
+		t.Fatal("SGD adopted a step counter")
+	}
+}
