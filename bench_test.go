@@ -1,11 +1,11 @@
-// Package repro's root benchmark harness: one testing.B benchmark per table
-// and figure of the paper's evaluation, each running the corresponding
-// experiment at the tiny scale (see DESIGN.md §3 for the experiment index
-// and cmd/tables / cmd/figures for the full-scale reproductions).
+// Package repro's root microbenchmarks: the kernel, layer, local-epoch, codec
+// and fold hot paths, each paired with the allocs/op figure it must hold
+// (TestHotPathAllocs), plus the virtual-fleet memory gates. Whole-round and
+// end-to-end measurement lives in benchmark/ (BENCHMARK.json); the paper's
+// tables and figures run from cmd/tables and cmd/figures.
 package repro
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -15,10 +15,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 func benchScale() experiments.Scale {
@@ -27,108 +25,213 @@ func benchScale() experiments.Scale {
 	return s
 }
 
-func runMethod(b *testing.B, method string, fleetKind string) {
-	b.Helper()
-	s := benchScale()
-	var factory experiments.ClientFactory
-	switch fleetKind {
-	case "het":
-		factory, _, _ = experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	case "hom":
-		factory, _, _ = experiments.NewHomogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	case "proto":
-		factory, _, _ = experiments.NewProtoFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
+// A hotPath is one gated microbenchmark. setup builds the operands and
+// returns the timed operation; allocs is its allocs/op at one worker, the
+// figure the retired bench-compare job enforced, and loops bounds how many
+// parallel loops the operation runs: beyond one worker each of them also
+// allocates its range closure and a task closure per worker.
+type hotPath struct {
+	name   string
+	setup  func(tb testing.TB) func()
+	allocs float64
+	loops  float64
+}
+
+var hotPaths = []hotPath{
+	{"MatMul64", matMul(tensor.F64, false), 3, 1},
+	{"MatMul32", matMul(tensor.F32, false), 3, 1},
+	{"MatMulInto64", matMul(tensor.F64, true), 0, 1},
+	{"MatMulInto32", matMul(tensor.F32, true), 0, 1},
+	{"ConvForward", convForward(tensor.F64), 14, 8},
+	{"ConvForward32", convForward(tensor.F32), 14, 8},
+	{"ConvTrainStep", convTrainStep(tensor.F64), 6, 5},
+	{"ConvTrainStep32", convTrainStep(tensor.F32), 6, 5},
+	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 158, 50},
+	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 156, 50},
+	{"ClassifierAveraging", classifierAveraging, 0, 0},
+	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},
+	{"MarshalTopK", codecRoundTrip(comm.NewSpec(comm.F32, 0.05, false)), 0, 0},
+	{"DecodeDelta", codecRoundTrip(comm.NewSpec(comm.I8, 0, true)), 0, 0},
+}
+
+func bench(b *testing.B, name string) {
+	for _, h := range hotPaths {
+		if h.name == name {
+			op := h.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			return
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(method, experiments.Fashion, factory, s, 1.0); err != nil {
-			b.Fatal(err)
+	b.Fatalf("no hot path %q", name)
+}
+
+func BenchmarkMatMul64(b *testing.B)            { bench(b, "MatMul64") }
+func BenchmarkMatMul32(b *testing.B)            { bench(b, "MatMul32") }
+func BenchmarkMatMulInto64(b *testing.B)        { bench(b, "MatMulInto64") }
+func BenchmarkMatMulInto32(b *testing.B)        { bench(b, "MatMulInto32") }
+func BenchmarkConvForward(b *testing.B)         { bench(b, "ConvForward") }
+func BenchmarkConvForward32(b *testing.B)       { bench(b, "ConvForward32") }
+func BenchmarkConvTrainStep(b *testing.B)       { bench(b, "ConvTrainStep") }
+func BenchmarkConvTrainStep32(b *testing.B)     { bench(b, "ConvTrainStep32") }
+func BenchmarkClientLocalEpoch(b *testing.B)    { bench(b, "ClientLocalEpoch") }
+func BenchmarkClientLocalEpoch32(b *testing.B)  { bench(b, "ClientLocalEpoch32") }
+func BenchmarkClassifierAveraging(b *testing.B) { bench(b, "ClassifierAveraging") }
+func BenchmarkQuantizedMarshalI8(b *testing.B)  { bench(b, "QuantizedMarshalI8") }
+func BenchmarkMarshalTopK(b *testing.B)         { bench(b, "MarshalTopK") }
+func BenchmarkDecodeDelta(b *testing.B)         { bench(b, "DecodeDelta") }
+
+// TestHotPathAllocs moves the one portable gate of the retired bench-compare
+// job into go test: every hot path holds its recorded steady-state allocs/op
+// (exactly 0 where that was the figure).
+func TestHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts; the alloc gate runs without -race")
+	}
+	for _, h := range hotPaths {
+		op := h.setup(t)
+		for i := 0; i < 4; i++ {
+			op() // size the cached workspaces (of each of the fleet's four models)
+		}
+		want := h.allocs
+		if w := tensor.Workers(); w > 1 {
+			want += h.loops * float64(1+w)
+		}
+		if got := testing.AllocsPerRun(40, op); got > want {
+			t.Errorf("%s: %v allocs/op, want <= %v", h.name, got, want)
 		}
 	}
 }
 
-// runThroughput measures committed rounds per unit of virtual cluster time
-// for one scheduler over a homogeneous fleet with a 2×-slow straggler; the
-// rounds/vtime metric is what the sync-vs-async comparison reads.
-func runThroughput(b *testing.B, kind fl.SchedulerKind) {
-	b.Helper()
+// matMul is the 64×64 GEMM: allocating (tensor, shape and data of the
+// result) or into a reused output, the steady-state path the layers use.
+func matMul(dt tensor.DType, into bool) func(testing.TB) func() {
+	return func(testing.TB) func() {
+		a, c, out := tensor.NewOf(dt, 64, 64), tensor.NewOf(dt, 64, 64), tensor.NewOf(dt, 64, 64)
+		a.Fill(0.5)
+		c.Fill(0.25)
+		if into {
+			return func() { tensor.MatMulInto(out, a, c) }
+		}
+		return func() { tensor.MatMul(a, c) }
+	}
+}
+
+func benchFleet(tb testing.TB, dt tensor.DType) []*fl.Client {
 	s := benchScale()
-	s.Rounds = 6
-	factory, _, err := experiments.NewHomogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
+	s.DType = dt
+	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sched := fl.SchedulerConfig{
-		Kind:  kind,
-		Decay: 0.5,
-		Costs: experiments.StragglerCosts(s.Clients, 1, 2),
-	}
-	var simTime float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hist, err := experiments.RunScheduled(experiments.MethodFedAvg, experiments.Fashion, factory, s, 1.0, sched, comm.Spec{Value: comm.F64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		simTime = hist[len(hist)-1].SimTime
-	}
-	if simTime > 0 {
-		b.ReportMetric(float64(s.Rounds)/simTime, "rounds/vtime")
+	return factory()
+}
+
+// convForward is one training-mode forward pass of the fleet's first model.
+func convForward(dt tensor.DType) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		model := benchFleet(tb, dt)[0].Model
+		x := tensor.NewOf(dt, 8, 1, 12, 12)
+		x.Fill(0.1)
+		return func() { model.Forward(x, true) }
 	}
 }
 
-// --- Scheduler round throughput under straggler heterogeneity ---
-
-func BenchmarkRoundThroughputSync(b *testing.B)  { runThroughput(b, fl.SchedSync) }
-func BenchmarkRoundThroughputAsync(b *testing.B) { runThroughput(b, fl.SchedAsyncBounded) }
-func BenchmarkRoundThroughputSemiSync(b *testing.B) {
-	runThroughput(b, fl.SchedSemiSync)
-}
-
-// BenchmarkRoundThroughput10k runs rounds over a 10 000-client virtual
-// fleet at cohort-proportional cost: clients materialize on dispatch and at
-// most 64 stay resident. The interesting number is that this completes at
-// all in benchmark time — an eager fleet of this size would spend the whole
-// budget constructing 10 000 models.
-func BenchmarkRoundThroughput10k(b *testing.B) {
-	s := benchScale()
-	const k = 10_000
-	build, _, err := experiments.NewLazyFleetBuilder(experiments.Fashion, data.Dirichlet, "homogeneous", k, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched := fl.SchedulerConfig{Kind: fl.SchedSync}
-	var simTime float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hist, err := experiments.RunLazyScheduled(experiments.MethodFedAvg, experiments.Fashion, build, k, s, 0.0008, 64, 0, sched, comm.Spec{Value: comm.F64})
-		if err != nil {
-			b.Fatal(err)
+// convTrainStep is one forward+backward pass of a single convolution layer
+// on the batched im2col path.
+func convTrainStep(dt tensor.DType) func(testing.TB) func() {
+	return func(testing.TB) func() {
+		rng := rand.New(rand.NewSource(1))
+		layer := nn.NewConv2D(8, 16, 3, 1, 1, 1, rng)
+		nn.ConvertParams(layer.Params(), dt)
+		x := tensor.NewOf(dt, 8, 8, 12, 12)
+		x.FillRandn(rng, 1)
+		grad := tensor.NewOf(dt, 8, 16, 12, 12)
+		grad.FillRandn(rng, 1)
+		return func() {
+			layer.Forward(x, true)
+			layer.Backward(grad)
 		}
-		simTime = hist[len(hist)-1].SimTime
-	}
-	if simTime > 0 {
-		b.ReportMetric(float64(s.Rounds)/simTime, "rounds/vtime")
 	}
 }
 
-// BenchmarkRoundThroughputTree runs the 2-level aggregation tree — a root
-// server, two edge aggregators and the client nodes, all over the inproc
-// transport — so the hierarchical wire path's round cost sits in the same
-// BENCH file as the flat schedulers it amortizes.
-func BenchmarkRoundThroughputTree(b *testing.B) {
-	s := benchScale()
-	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "homogeneous", s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
+// clientLocalEpoch is one cross-entropy epoch, cycling over the four
+// heterogeneous architectures (the figure is their average).
+func clientLocalEpoch(dt tensor.DType) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		clients, s, i := benchFleet(tb, dt), benchScale(), 0
+		return func() {
+			clients[i%len(clients)].TrainEpochCE(s.BatchSize)
+			i++
+		}
 	}
+}
+
+func classifierAveraging(tb testing.TB) func() {
+	clients := benchFleet(tb, tensor.F64)
+	dst := clients[0].Model.ClassifierParams()
+	srcs := make([][]*nn.Param, len(clients))
+	weights := make([]float64, len(clients))
+	for i, c := range clients {
+		srcs[i] = c.Model.ClassifierParams()
+		weights[i] = 1 / float64(len(clients))
+	}
+	return func() {
+		if err := nn.AverageInto(dst, srcs, weights); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// codecRoundTrip is the wire codec's hot path under one framing spec —
+// quantize, top-k select and index-pack, or residual against the slot's
+// basis — into reused buffers, then the decode that folds it back.
+func codecRoundTrip(spec comm.Spec) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		payload := make([]float64, 4096)
+		rng := rand.New(rand.NewSource(1))
+		for i := range payload {
+			payload[i] = rng.NormFloat64()
+		}
+		enc, dec := &comm.DeltaRef{}, &comm.DeltaRef{}
+		var frame []byte
+		var scratch []float64
+		return func() {
+			frame = comm.MarshalSpecInto(frame[:0], spec, 1, payload, enc)
+			_, v, err := comm.DecodeSpec(scratch, frame, dec)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			scratch = v
+		}
+	}
+}
+
+// BenchmarkExactPreReduce is one edge aggregator's round on the tree at the
+// benchmark fleet's geometry: four children's 107 722-weight uploads folded
+// exactly into a reused accumulator and rounded once.
+func BenchmarkExactPreReduce(b *testing.B) {
+	const d, children = 107722, 4
+	rng := rand.New(rand.NewSource(1))
+	vecs := make([][]float64, children)
+	for c := range vecs {
+		vecs[c] = make([]float64, d)
+		for i := range vecs[c] {
+			vecs[c][i] = 0.05 * rng.NormFloat64()
+		}
+	}
+	acc := fl.NewExactAccumulator(d)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.RunTreeNodes(context.Background(), experiments.MethodFedAvg, experiments.Fashion,
-			build, s.Clients, 2, s, 1.0, comm.Spec{Value: comm.F64}, transport.NewInproc(transport.Options{}), "bench-tree")
-		if err != nil {
-			b.Fatal(err)
+		acc.Reset()
+		for _, v := range vecs {
+			acc.Fold(v, 30)
 		}
+		acc.Round()
 	}
 }
 
@@ -242,423 +345,4 @@ func TestLazyFleetMemoryFlatInCommits(t *testing.T) {
 		t.Fatalf("%d more touched clients grew the retained heap by %d bytes (%d → %d), over %d B each + %d",
 			newly, grow, short, long, perClient, slack)
 	}
-}
-
-// --- Quantized codec hot path ---
-
-func BenchmarkQuantizedMarshalI8(b *testing.B) {
-	payload := make([]float64, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range payload {
-		payload[i] = rng.NormFloat64()
-	}
-	spec := comm.Spec{Value: comm.I8}
-	var frame []byte
-	var scratch []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame = comm.MarshalSpecInto(frame[:0], spec, 1, payload, nil)
-		_, v, err := comm.DecodeSpec(scratch, frame, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scratch = v
-	}
-}
-
-// BenchmarkMarshalTopK measures the sparse encode hot path — top-k
-// selection plus varint-delta index packing into a reused buffer — and
-// reports the frame size so -compare catches both speed and density
-// regressions.
-func BenchmarkMarshalTopK(b *testing.B) {
-	payload := make([]float64, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range payload {
-		payload[i] = rng.NormFloat64()
-	}
-	spec := comm.NewSpec(comm.F32, 0.05, false)
-	buf := make([]byte, 0, comm.MarshalSpecBound(spec, len(payload)))
-	b.ResetTimer()
-	var frame []byte
-	for i := 0; i < b.N; i++ {
-		frame = comm.MarshalSpecInto(buf[:0], spec, 1, payload, nil)
-	}
-	b.ReportMetric(float64(len(frame)), "frame-B/op")
-}
-
-// BenchmarkDecodeDelta measures the delta decode hot path: fold a residual
-// frame into the connection's basis. Encoder and decoder bases advance in
-// lockstep outside the timed region's allocations (scratch is reused), so
-// steady state is zero-alloc.
-func BenchmarkDecodeDelta(b *testing.B) {
-	payload := make([]float64, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range payload {
-		payload[i] = rng.NormFloat64()
-	}
-	spec := comm.NewSpec(comm.I8, 0, true)
-	encRef := &comm.DeltaRef{}
-	decRef := &comm.DeltaRef{}
-	buf := make([]byte, 0, comm.MarshalSpecBound(spec, len(payload)))
-	// Establish the basis on both ends, then pre-encode one residual frame.
-	basis := comm.MarshalSpecInto(buf[:0], spec, 1, payload, encRef)
-	scratch := make([]float64, len(payload))
-	if _, _, err := comm.DecodeSpec(scratch, basis, decRef); err != nil {
-		b.Fatal(err)
-	}
-	for i := range payload {
-		payload[i] += 0.01 * rng.NormFloat64()
-	}
-	frame := append([]byte(nil), comm.MarshalSpecInto(buf[:0], spec, 1, payload, encRef)...)
-	savedTag, savedBase := decRef.Tag, append([]float64(nil), decRef.Base...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := comm.DecodeSpec(scratch, frame, decRef); err != nil {
-			b.Fatal(err)
-		}
-		// Rewind the basis so every iteration decodes the same frame.
-		decRef.Tag = savedTag
-		copy(decRef.Base, savedBase)
-	}
-	b.ReportMetric(float64(len(frame)), "frame-B/op")
-}
-
-// --- Table 2: heterogeneous personalized FL (one bench per method) ---
-
-func BenchmarkTable2_Baseline(b *testing.B) { runMethod(b, experiments.MethodBaseline, "het") }
-func BenchmarkTable2_FedProto(b *testing.B) { runMethod(b, experiments.MethodFedProto, "proto") }
-func BenchmarkTable2_KTpFL(b *testing.B)    { runMethod(b, experiments.MethodKTpFL, "het") }
-func BenchmarkTable2_Proposed(b *testing.B) { runMethod(b, experiments.MethodProposed, "het") }
-
-// --- Table 3: homogeneous FL ---
-
-func BenchmarkTable3_FedAvg(b *testing.B)  { runMethod(b, experiments.MethodFedAvg, "hom") }
-func BenchmarkTable3_FedProx(b *testing.B) { runMethod(b, experiments.MethodFedProx, "hom") }
-func BenchmarkTable3_KTpFLWeight(b *testing.B) {
-	runMethod(b, experiments.MethodKTpFLWeight, "hom")
-}
-func BenchmarkTable3_ProposedWeight(b *testing.B) {
-	runMethod(b, experiments.MethodProposedWeight, "hom")
-}
-
-// --- Table 4: ablation ---
-
-func BenchmarkTable4_Ablation(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(s, []experiments.DatasetName{experiments.Fashion}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table 5: communication cost ---
-
-func BenchmarkTable5_CommCost(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table5(s, experiments.CIFAR10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figures 2/3: non-iid partitions ---
-
-func BenchmarkFigure2_Partition(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure23(experiments.CIFAR10, data.Dirichlet, s.Clients, s)
-		experiments.Figure23(experiments.CIFAR10, data.Skewed, s.Clients, s)
-	}
-}
-
-func BenchmarkFigure3_PartitionEMNIST(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure23(experiments.EMNIST, data.Dirichlet, s.Clients, s)
-		experiments.Figure23(experiments.EMNIST, data.Skewed, s.Clients, s)
-	}
-}
-
-// --- Figures 4/5: heterogeneous learning curves ---
-
-func BenchmarkFigure4_Curves(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure45(experiments.Fashion, data.Dirichlet, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5_CurvesSkewed(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure45(experiments.Fashion, data.Skewed, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figures 6/7: homogeneous learning curves ---
-
-func BenchmarkFigure6_Curves(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure67(experiments.Fashion, s.Clients, 1.0, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7_CurvesSampled(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure67(experiments.Fashion, s.LargeClients, 0.1, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 8: t-SNE feature clustering ---
-
-func BenchmarkFigure8_TSNE(b *testing.B) {
-	s := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(experiments.Fashion, s, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 9: layer conductance ---
-
-func BenchmarkFigure9_Conductance(b *testing.B) {
-	s := benchScale()
-	s.Rounds = 3
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(experiments.Fashion, s); err != nil {
-			// At tiny scale a shared probe may not exist; that is a valid
-			// outcome of the experiment, not a harness failure.
-			b.Skipf("no shared probe at tiny scale: %v", err)
-		}
-	}
-}
-
-// --- Micro-benchmarks of the numerical substrate ---
-
-func BenchmarkMatMul64(b *testing.B) {
-	a := tensor.New(64, 64)
-	c := tensor.New(64, 64)
-	a.Fill(0.5)
-	c.Fill(0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(a, c)
-	}
-}
-
-// BenchmarkMatMulInto64 measures the steady-state (allocation-free) GEMM
-// path the layers use.
-func BenchmarkMatMulInto64(b *testing.B) {
-	a := tensor.New(64, 64)
-	c := tensor.New(64, 64)
-	out := tensor.New(64, 64)
-	a.Fill(0.5)
-	c.Fill(0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(out, a, c)
-	}
-}
-
-func BenchmarkConvForward(b *testing.B) {
-	s := benchScale()
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := factory()[0]
-	x := tensor.New(8, 1, 12, 12)
-	x.Fill(0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Model.Forward(x, true)
-	}
-}
-
-// BenchmarkConvTrainStep measures one forward+backward pass of a single
-// convolution layer on the batched im2col path.
-func BenchmarkConvTrainStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	layer := nn.NewConv2D(8, 16, 3, 1, 1, 1, rng)
-	x := tensor.New(8, 8, 12, 12)
-	x.FillRandn(rng, 1)
-	grad := tensor.New(8, 16, 12, 12)
-	grad.FillRandn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		layer.Forward(x, true)
-		layer.Backward(grad)
-	}
-}
-
-func BenchmarkClientLocalEpoch(b *testing.B) {
-	s := benchScale()
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clients := factory()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clients[i%len(clients)].TrainEpochCE(s.BatchSize)
-	}
-}
-
-// --- float32 fast path: the same hot paths at the narrow dtype ---
-
-func BenchmarkMatMul32(b *testing.B) {
-	a := tensor.NewOf(tensor.F32, 64, 64)
-	c := tensor.NewOf(tensor.F32, 64, 64)
-	a.Fill(0.5)
-	c.Fill(0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(a, c)
-	}
-}
-
-func BenchmarkMatMulInto32(b *testing.B) {
-	a := tensor.NewOf(tensor.F32, 64, 64)
-	c := tensor.NewOf(tensor.F32, 64, 64)
-	out := tensor.NewOf(tensor.F32, 64, 64)
-	a.Fill(0.5)
-	c.Fill(0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(out, a, c)
-	}
-}
-
-func BenchmarkConvForward32(b *testing.B) {
-	s := benchScale()
-	s.DType = tensor.F32
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := factory()[0]
-	x := tensor.NewOf(tensor.F32, 8, 1, 12, 12)
-	x.Fill(0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Model.Forward(x, true)
-	}
-}
-
-func BenchmarkConvTrainStep32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	layer := nn.NewConv2D(8, 16, 3, 1, 1, 1, rng)
-	nn.ConvertParams(layer.Params(), tensor.F32)
-	x := tensor.NewOf(tensor.F32, 8, 8, 12, 12)
-	x.FillRandn(rng, 1)
-	grad := tensor.NewOf(tensor.F32, 8, 16, 12, 12)
-	grad.FillRandn(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		layer.Forward(x, true)
-		layer.Backward(grad)
-	}
-}
-
-func BenchmarkClientLocalEpoch32(b *testing.B) {
-	s := benchScale()
-	s.DType = tensor.F32
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clients := factory()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clients[i%len(clients)].TrainEpochCE(s.BatchSize)
-	}
-}
-
-func BenchmarkClassifierAveraging(b *testing.B) {
-	s := benchScale()
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clients := factory()
-	dst := clients[0].Model.ClassifierParams()
-	srcs := make([][]*nn.Param, len(clients))
-	weights := make([]float64, len(clients))
-	for i, c := range clients {
-		srcs[i] = c.Model.ClassifierParams()
-		weights[i] = 1 / float64(len(clients))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := nn.AverageInto(dst, srcs, weights); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExactPreReduce is one edge aggregator's round on the tree at the
-// benchmark fleet's geometry: four children's 107 722-weight uploads folded
-// exactly into a reused accumulator and rounded once.
-func BenchmarkExactPreReduce(b *testing.B) {
-	const d, children = 107722, 4
-	rng := rand.New(rand.NewSource(1))
-	vecs := make([][]float64, children)
-	for c := range vecs {
-		vecs[c] = make([]float64, d)
-		for i := range vecs[c] {
-			vecs[c][i] = 0.05 * rng.NormFloat64()
-		}
-	}
-	acc := fl.NewExactAccumulator(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Reset()
-		for _, v := range vecs {
-			acc.Fold(v, 30)
-		}
-		acc.Round()
-	}
-}
-
-// Sanity guard: the bench harness itself must produce valid accuracies.
-func TestBenchHarnessSanity(t *testing.T) {
-	s := benchScale()
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := experiments.Run(experiments.MethodProposed, experiments.Fashion, factory, s, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin := experiments.Final(hist)
-	if fin.MeanAcc < 0 || fin.MeanAcc > 1 || fin.UpBytes <= 0 {
-		t.Fatalf("bad metrics: %+v", fin)
-	}
-	var _ []*fl.Client = factory()
-	var _ = models.ArchResNet
 }

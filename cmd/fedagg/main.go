@@ -28,157 +28,65 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/comm"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/tensor"
+	"repro/internal/runspec"
 	"repro/internal/transport"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:0", "TCP address to listen on for this subtree's clients (port 0 picks a free port, printed on stdout)")
-		upstream    = flag.String("upstream", "", "fedserver TCP address (required)")
-		agg         = flag.Int("agg", -1, "this aggregator's index, in [0, -aggregators)")
-		aggregators = flag.Int("aggregators", 0, "total aggregator count (must match the server's -aggregators)")
-		clients     = flag.Int("clients", 0, "total fleet size (0 = scale default; must match the server)")
-		dataset     = flag.String("dataset", "fashion", "dataset: cifar10 | fashion | emnist")
-		method      = flag.String("method", experiments.MethodProposed, "method (must match the server)")
-		seed        = flag.Int64("seed", 1, "experiment seed (must match the server)")
-		featDim     = flag.Int("featdim", 0, "shared feature dimension (0 = scale default)")
-		codecName   = flag.String("codec", "f64", "wire codec: f64 | f32 | i8 | bf16 | topk (must match the server)")
-		topk        = flag.Float64("topk", 0, "top-k upload fraction, in (0, 1) (must match the server)")
-		delta       = flag.Bool("delta", false, "delta-framed weight uploads (must match the server)")
-		dtypeName   = flag.String("dtype", "f64", "model element type: f64 | f32")
-		heartbeat   = flag.Duration("heartbeat", fl.DefaultHeartbeat, "downstream heartbeat interval (this subtree's clients echo it)")
-		deadAfter   = flag.Duration("dead", 0, "declare a silent child connection dead after this long (0 = 5x heartbeat)")
-		window      = flag.Duration("window", fl.DefaultReconnectWindow, "how long a dead child may take to reconnect before it is churned")
-		dialBudget  = flag.Duration("dial-timeout", 30*time.Second, "how long to keep retrying the first upstream dial while the server comes up")
-		reconnect   = flag.Duration("reconnect", 30*time.Second, "how long to keep redialing upstream after a mid-run disconnect")
-		preName     = flag.String("prereduce", "auto", "pre-reduction policy: auto | force | off")
-	)
+	spec := runspec.Register(flag.CommandLine, runspec.Agg)
 	flag.Parse()
 
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "fedagg: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	fatal := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fedagg: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	if args := flag.Args(); len(args) > 0 {
 		usage("unexpected arguments %q", strings.Join(args, " "))
 	}
-	s := experiments.ScaleFromEnv(experiments.Small())
-	s.Seed = *seed
-	if *clients < 0 {
-		usage("-clients must be >= 0, got %d", *clients)
-	}
-	if *clients > 0 {
-		s.Clients = *clients
-	}
-	if *featDim < 0 {
-		usage("-featdim must be >= 0, got %d", *featDim)
-	}
-	if *featDim > 0 {
-		s.FeatDim = *featDim
-	}
-	if *upstream == "" {
-		usage("-upstream is required (the fedserver address this aggregator reports to)")
-	}
-	if *aggregators < 1 || *aggregators > s.Clients {
-		usage("-aggregators must be in [1, %d (clients)], got %d", s.Clients, *aggregators)
-	}
-	if *agg < 0 || *agg >= *aggregators {
-		usage("-agg must be in [0, %d (aggregators)), got %d", *aggregators, *agg)
-	}
-	if *heartbeat <= 0 {
-		usage("-heartbeat must be > 0, got %v", *heartbeat)
-	}
-	if *deadAfter < 0 {
-		usage("-dead must be >= 0, got %v", *deadAfter)
-	}
-	if *window <= 0 {
-		usage("-window must be > 0, got %v", *window)
-	}
-	if *dialBudget < 0 {
-		usage("-dial-timeout must be >= 0, got %v", *dialBudget)
-	}
-	if *reconnect <= 0 {
-		usage("-reconnect must be > 0, got %v", *reconnect)
-	}
-	name, err := experiments.ParseDataset(*dataset)
-	if err != nil {
+	if err := spec.Validate(runspec.Agg); err != nil {
 		usage("%v", err)
 	}
-	spec, err := comm.ParseSpec(*codecName, *topk, *delta)
-	if err != nil {
-		usage("%v", err)
-	}
-	dtype, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		usage("%v", err)
-	}
-	s.DType = dtype
-	pre, err := fl.ParsePreReduce(*preName)
-	if err != nil {
-		usage("%v", err)
-	}
-	algo, err := experiments.WireAlgorithmFor(*method, name, s)
-	if err != nil {
-		usage("%v", err)
-	}
-	// -prereduce force on a non-associative algorithm can never produce a
-	// sound reduction; refuse at startup rather than mid-round.
-	if err := fl.CheckPreReduce(algo, pre); err != nil {
-		usage("%v", err)
-	}
+	s := spec.Scale(runspec.Agg)
+	cfg := spec.AggregatorConfig(s)
+	algo, err := experiments.WireAlgorithmFor(spec.Method, spec.DataName(), s)
+	fatal(err)
 
-	tr := transport.NewTCP(transport.Options{DType: dtype, Spec: spec})
-	ln, err := tr.Listen(*addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedagg: %v\n", err)
-		os.Exit(1)
-	}
+	tr := transport.NewTCP(transport.Options{DType: s.DType, Spec: spec.Wire()})
+	ln, err := tr.Listen(spec.Addr)
+	fatal(err)
 	// The bound address goes out first (and unbuffered) so orchestration —
 	// scripts, the CI tree test — can listen on :0 and scrape the port.
 	fmt.Printf("# fedagg listening on %s\n", ln.Addr())
-	bounds := fl.TreeSplit(s.Clients, *aggregators)
+	bounds := fl.TreeSplit(s.Clients, cfg.Aggregators)
 	fmt.Printf("# fedagg %d/%d: clients [%d, %d) of %d, upstream %s, prereduce %s\n",
-		*agg, *aggregators, bounds[*agg], bounds[*agg+1], s.Clients, *upstream, pre)
+		cfg.Index, cfg.Aggregators, bounds[cfg.Index], bounds[cfg.Index+1], s.Clients, spec.Upstream, cfg.PreReduce)
 
-	ctx := context.Background()
-	node := fl.NewAggregatorNode(algo, fl.AggregatorConfig{
-		Index:           *agg,
-		Aggregators:     *aggregators,
-		Clients:         s.Clients,
-		Codec:           spec.Value,
-		TopK:            spec.Frac,
-		Delta:           spec.Delta,
-		Seed:            *seed*1000 + 500 + int64(*agg),
-		Heartbeat:       *heartbeat,
-		DeadAfter:       *deadAfter,
-		ReconnectWindow: *window,
-		PreReduce:       pre,
-		Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
-			// First dial waits out server startup for -dial-timeout;
-			// mid-run redials (token != 0) get the -reconnect budget.
-			budget := *dialBudget
-			if token != 0 {
-				budget = *reconnect
-			}
-			return transport.DialRetry(ctx, tr, *upstream, transport.RetryOptions{
-				Budget: budget,
-				Seed:   *seed*1000 + 500 + int64(*agg),
-				Token:  token,
-			})
-		},
-	})
-	if err := node.Run(ctx, ln); err != nil {
-		fmt.Fprintf(os.Stderr, "fedagg: %v\n", err)
-		os.Exit(1)
+	cfg.Dialer = func(ctx context.Context, token uint64) (transport.Conn, error) {
+		// First dial waits out server startup for -dial-timeout;
+		// mid-run redials (token != 0) get the -reconnect budget.
+		budget := spec.DialTimeout
+		if token != 0 {
+			budget = spec.Reconnect
+		}
+		return transport.DialRetry(ctx, tr, spec.Upstream, transport.RetryOptions{
+			Budget: budget,
+			Seed:   spec.DialSeed(runspec.Agg),
+			Token:  token,
+		})
 	}
+	node := fl.NewAggregatorNode(algo, cfg)
+	fatal(node.Run(context.Background(), ln))
 	st := node.Stats
 	fmt.Printf("# faults: reconnects=%d disconnects=%d churned=%d resends=%d\n",
 		st.Reconnects, st.Disconnects, st.Churned, st.Resends)
-	fmt.Printf("# fedagg %d: federation complete\n", *agg)
+	fmt.Printf("# fedagg %d: federation complete\n", cfg.Index)
 }

@@ -26,13 +26,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/tensor"
+	"repro/internal/runspec"
 	"repro/internal/transport"
 )
 
@@ -51,106 +48,43 @@ func loadToken(path string) uint64 {
 }
 
 func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:7143", "fedserver TCP address")
-		id         = flag.Int("id", -1, "this client's id, in [0, -clients)")
-		clients    = flag.Int("clients", 0, "total fleet size (0 = scale default; must match the server)")
-		dataset    = flag.String("dataset", "fashion", "dataset: cifar10 | fashion | emnist")
-		partition  = flag.String("partition", "dir", "partition: dir | skewed")
-		fleet      = flag.String("fleet", "heterogeneous", "fleet: "+experiments.FleetNames)
-		method     = flag.String("method", experiments.MethodProposed, "method (must match the server)")
-		seed       = flag.Int64("seed", 1, "experiment seed (must match the server)")
-		featDim    = flag.Int("featdim", 0, "shared feature dimension (0 = scale default)")
-		codecName  = flag.String("codec", "f64", "wire codec: f64 | f32 | i8 | bf16 | topk (must match the server)")
-		topk       = flag.Float64("topk", 0, "top-k upload fraction, in (0, 1) (must match the server)")
-		delta      = flag.Bool("delta", false, "delta-framed weight uploads (must match the server)")
-		dtypeName  = flag.String("dtype", "f64", "model element type: f64 | f32 | bf16")
-		dialBudget = flag.Duration("dial-timeout", 30*time.Second, "how long to keep retrying the first dial while the server comes up")
-		reconnect  = flag.Duration("reconnect", 30*time.Second, "how long to keep redialing after a mid-run disconnect")
-		sessFile   = flag.String("session", "", "file to persist the session token in (restart resumes the session)")
-		chaosSeed  = flag.Int64("chaos-seed", 0, "fault-injection seed (0 = chaos off)")
-		chaosDrop  = flag.Float64("chaos-drop", 0, "chaos: probability a message send kills the connection")
-		chaosDelay = flag.Float64("chaos-delay", 0, "chaos: probability a message is delayed")
-		chaosDup   = flag.Float64("chaos-dup", 0, "chaos: probability a received message is duplicated")
-	)
+	spec := runspec.Register(flag.CommandLine, runspec.Client)
 	flag.Parse()
 
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "fedclient: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	fatal := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fedclient: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	if args := flag.Args(); len(args) > 0 {
 		usage("unexpected arguments %q", strings.Join(args, " "))
 	}
-	s := experiments.ScaleFromEnv(experiments.Small())
-	s.Seed = *seed
-	if *clients < 0 {
-		usage("-clients must be >= 0, got %d", *clients)
-	}
-	if *clients > 0 {
-		s.Clients = *clients
-	}
-	if *featDim < 0 {
-		usage("-featdim must be >= 0, got %d", *featDim)
-	}
-	if *featDim > 0 {
-		s.FeatDim = *featDim
-	}
-	if *id < 0 || *id >= s.Clients {
-		usage("-id must be in [0, %d (clients)), got %d", s.Clients, *id)
-	}
-	if *dialBudget < 0 {
-		usage("-dial-timeout must be >= 0, got %v", *dialBudget)
-	}
-	if *reconnect < 0 {
-		usage("-reconnect must be >= 0, got %v", *reconnect)
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"-chaos-drop", *chaosDrop}, {"-chaos-delay", *chaosDelay}, {"-chaos-dup", *chaosDup}} {
-		if p.v < 0 || p.v > 1 {
-			usage("%s must be in [0, 1], got %v", p.name, p.v)
-		}
-	}
-	name, err := experiments.ParseDataset(*dataset)
-	if err != nil {
+	if err := spec.Validate(runspec.Client); err != nil {
 		usage("%v", err)
 	}
-	kind, err := data.ParsePartition(*partition)
-	if err != nil {
-		usage("%v", err)
-	}
-	spec, err := comm.ParseSpec(*codecName, *topk, *delta)
-	if err != nil {
-		usage("%v", err)
-	}
-	dtype, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		usage("%v", err)
-	}
-	s.DType = dtype
+	s := spec.Scale(runspec.Client)
+	id, addr := spec.ID, spec.Addr
 
-	build, _, err := experiments.NewFleetBuilder(name, kind, *fleet, s.Clients, s)
-	if err != nil {
-		usage("%v", err)
-	}
-	algo, err := experiments.WireAlgorithmFor(*method, name, s)
-	if err != nil {
-		usage("%v", err)
-	}
-
-	client := build(*id)
+	build, _, err := experiments.NewFleetBuilder(spec.DataName(), spec.PartitionKind(), spec.Fleet, s.Clients, s)
+	fatal(err)
+	algo, err := experiments.WireAlgorithmFor(spec.Method, spec.DataName(), s)
+	fatal(err)
+	client := build(id)
 	fmt.Printf("# fedclient %d/%d: %s, %d train / %d test examples, dialing %s\n",
-		*id, s.Clients, client.Model.Name, len(client.Train), len(client.Test), *addr)
+		id, s.Clients, client.Model.Name, len(client.Train), len(client.Test), addr)
 
-	var tr transport.Transport = transport.NewTCP(transport.Options{DType: dtype, Spec: spec})
-	if *chaosSeed != 0 {
+	var tr transport.Transport = transport.NewTCP(transport.Options{DType: s.DType, Spec: spec.Wire()})
+	if spec.ChaosSeed != 0 {
 		tr = transport.NewChaos(tr, transport.ChaosConfig{
-			Seed:  *chaosSeed,
-			Drop:  *chaosDrop,
-			Delay: *chaosDelay,
-			Dup:   *chaosDup,
+			Seed:  spec.ChaosSeed,
+			Drop:  spec.ChaosDrop,
+			Delay: spec.ChaosDelay,
+			Dup:   spec.ChaosDup,
 		})
 	}
 	ctx := context.Background()
@@ -160,54 +94,44 @@ func main() {
 	// (dtype/codec/version mismatch) is deterministic — retrying cannot
 	// succeed — so DialRetry fails it immediately instead of hammering the
 	// server's accept loop for the whole window.
-	retry := transport.RetryOptions{
-		Budget: *dialBudget,
-		Seed:   *seed*1000 + int64(*id),
-		Token:  0,
-	}
-	if *sessFile != "" {
-		retry.Token = loadToken(*sessFile)
+	retry := transport.RetryOptions{Budget: spec.DialTimeout, Seed: spec.DialSeed(runspec.Client)}
+	if spec.Session != "" {
+		retry.Token = loadToken(spec.Session)
 		if retry.Token != 0 {
-			fmt.Printf("# fedclient %d: resuming session %#x from %s\n", *id, retry.Token, *sessFile)
+			fmt.Printf("# fedclient %d: resuming session %#x from %s\n", id, retry.Token, spec.Session)
 		}
 	}
 	var conn transport.Conn
-	if *dialBudget == 0 {
+	if spec.DialTimeout == 0 {
 		// A zero budget means one attempt, fail fast — CI's dead-port test
 		// and scripts that manage their own ordering rely on it.
-		conn, err = transport.DialWithToken(ctx, tr, *addr, retry.Token)
+		conn, err = transport.DialWithToken(ctx, tr, addr, retry.Token)
 	} else {
-		conn, err = transport.DialRetry(ctx, tr, *addr, retry)
+		conn, err = transport.DialRetry(ctx, tr, addr, retry)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedclient: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 
 	node := &fl.ClientNode{
 		Client: client,
 		Algo:   algo,
 		Token:  retry.Token,
 	}
-	if *reconnect > 0 {
+	if spec.Reconnect > 0 {
 		node.Dialer = func(ctx context.Context, token uint64) (transport.Conn, error) {
-			return transport.DialRetry(ctx, tr, *addr, transport.RetryOptions{
-				Budget: *reconnect,
-				Seed:   *seed*1000 + int64(*id) + 1,
+			return transport.DialRetry(ctx, tr, addr, transport.RetryOptions{
+				Budget: spec.Reconnect,
+				Seed:   spec.DialSeed(runspec.Client) + 1,
 				Token:  token,
 			})
 		}
 	}
-	if *sessFile != "" {
+	if spec.Session != "" {
 		node.OnToken = func(tok uint64) {
 			// Best-effort persistence: losing the token only costs the
 			// restarted process its session, never the federation.
-			_ = os.WriteFile(*sessFile, []byte(strconv.FormatUint(tok, 16)+"\n"), 0o644)
+			_ = os.WriteFile(spec.Session, []byte(strconv.FormatUint(tok, 16)+"\n"), 0o644)
 		}
 	}
-	if err := node.Run(ctx, conn); err != nil {
-		fmt.Fprintf(os.Stderr, "fedclient: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# fedclient %d: federation complete\n", *id)
+	fatal(node.Run(ctx, conn))
+	fmt.Printf("# fedclient %d: federation complete\n", id)
 }

@@ -33,195 +33,69 @@ import (
 	"strings"
 
 	"repro/internal/ckpt"
-	"repro/internal/comm"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/tensor"
+	"repro/internal/runspec"
 	"repro/internal/transport"
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:7143", "TCP address to listen on (port 0 picks a free port, printed on stdout)")
-		clients   = flag.Int("clients", 0, "number of client processes to wait for (0 = scale default)")
-		aggCount  = flag.Int("aggregators", 0, "tree topology: serve this many fedagg processes instead of clients directly (0 = flat)")
-		dataset   = flag.String("dataset", "fashion", "dataset: cifar10 | fashion | emnist")
-		method    = flag.String("method", experiments.MethodProposed, "method: Baseline | FedProto | KT-pFL | KT-pFL+weight | FedAvg | FedProx | Proposed | Proposed+weight")
-		rounds    = flag.Int("rounds", 0, "communication rounds (0 = scale default)")
-		rate      = flag.Float64("rate", 1.0, "client sampling rate per round, in (0, 1]")
-		seed      = flag.Int64("seed", 1, "experiment seed (must match the clients')")
-		featDim   = flag.Int("featdim", 0, "shared feature dimension (0 = scale default)")
-		codecName = flag.String("codec", "f64", "wire codec: f64 | f32 | i8 | bf16 | topk (f32 values at 5% density)")
-		topk      = flag.Float64("topk", 0, "sparsify weight uploads to this largest-|v| fraction, in (0, 1) (0 = dense; composes with any -codec)")
-		delta     = flag.Bool("delta", false, "frame weight uploads as deltas against the last committed basis (clients must pass the same flag)")
-		dtypeName = flag.String("dtype", "f64", "model element type: f64 | f32 | bf16 (handshake-validated against clients)")
-		schedName = flag.String("sched", "sync", "scheduler: sync | async | semisync")
-		staleness = flag.Int("staleness", 0, "async: drop updates staler than this many commits (0 = default 8)")
-		decay     = flag.Float64("decay", 0, "staleness decay α in weight 1/(1+α·s) (0 = no decay)")
-		quorum    = flag.Int("quorum", 0, "semisync: commit after K applied updates (0 = majority; at most -clients)")
-		ckptDir   = flag.String("checkpoint", "", "directory to write a snapshot to after every committed round")
-		ckptCodec = flag.String("ckpt-codec", "f64", "checkpoint vector codec: f64 | f32 | i8 | bf16")
-		ckptEvery = flag.Int("every", 1, "checkpoint every Nth committed round")
-		resume    = flag.String("resume", "", "checkpoint file to resume the federation from")
-		heartbeat = flag.Duration("heartbeat", fl.DefaultHeartbeat, "server heartbeat interval (clients echo it)")
-		deadAfter = flag.Duration("dead", 0, "declare a silent connection dead after this long (0 = 5x heartbeat)")
-		window    = flag.Duration("window", fl.DefaultReconnectWindow, "how long a dead client may take to reconnect before it is churned")
-		evalSmpl  = flag.Int("evalsample", 0, "evaluate a deterministic per-round sample of this many clients instead of the full federation (0 = full sweep)")
-	)
+	spec := runspec.Register(flag.CommandLine, runspec.Server)
 	flag.Parse()
 
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "fedserver: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	fatal := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	if args := flag.Args(); len(args) > 0 {
 		usage("unexpected arguments %q", strings.Join(args, " "))
 	}
-	s := experiments.ScaleFromEnv(experiments.Small())
-	s.Seed = *seed
-	if *clients < 0 {
-		usage("-clients must be >= 0, got %d", *clients)
-	}
-	if *rounds < 0 {
-		usage("-rounds must be >= 0, got %d", *rounds)
-	}
-	if *featDim < 0 {
-		usage("-featdim must be >= 0, got %d", *featDim)
-	}
-	if *clients > 0 {
-		s.Clients = *clients
-	}
-	if *rounds > 0 {
-		s.Rounds = *rounds
-	}
-	if *featDim > 0 {
-		s.FeatDim = *featDim
-	}
-	if *rate <= 0 || *rate > 1 {
-		usage("-rate must be in (0, 1], got %v", *rate)
-	}
-	name, err := experiments.ParseDataset(*dataset)
-	if err != nil {
+	if err := spec.Validate(runspec.Server); err != nil {
 		usage("%v", err)
 	}
-	spec, err := comm.ParseSpec(*codecName, *topk, *delta)
-	if err != nil {
-		usage("%v", err)
-	}
-	snapCodec, err := comm.ParseCodec(*ckptCodec)
-	if err != nil {
-		usage("%v", err)
-	}
-	dtype, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		usage("%v", err)
-	}
-	s.DType = dtype
-	schedKind, err := fl.ParseScheduler(*schedName)
-	if err != nil {
-		usage("%v", err)
-	}
-	if *staleness < 0 {
-		usage("-staleness must be >= 0, got %d", *staleness)
-	}
-	if *decay < 0 {
-		usage("-decay must be >= 0, got %v", *decay)
-	}
-	if *quorum < 0 || *quorum > s.Clients {
-		usage("-quorum must be in [0, %d (clients)], got %d — a quorum above the client count can never be met", s.Clients, *quorum)
-	}
-	if *ckptEvery < 1 {
-		usage("-every must be >= 1, got %d", *ckptEvery)
-	}
-	if *heartbeat <= 0 {
-		usage("-heartbeat must be > 0, got %v", *heartbeat)
-	}
-	if *deadAfter < 0 {
-		usage("-dead must be >= 0, got %v", *deadAfter)
-	}
-	if *window <= 0 {
-		usage("-window must be > 0, got %v", *window)
-	}
-	if *evalSmpl < 0 {
-		usage("-evalsample must be >= 0, got %d", *evalSmpl)
-	}
-	if *aggCount < 0 || *aggCount > s.Clients {
-		usage("-aggregators must be in [0, %d (clients)], got %d", s.Clients, *aggCount)
-	}
-	if *aggCount > 0 {
-		// The tree topology's interlocks mirror fl.NodeConfig's: the root
-		// commits a round when every aggregator reports (sync only), and
-		// checkpoint/resume is undefined while aggregators deliberately
-		// keep no snapshot state (DESIGN.md §11).
-		if schedKind != fl.SchedSync {
-			usage("-aggregators requires -sched sync (the tree commits a round when every aggregator reports)")
-		}
-		if *ckptDir != "" || *resume != "" {
-			usage("-aggregators does not support -checkpoint/-resume (aggregators keep no snapshot state; restart the tree instead)")
-		}
-	}
-	if _, err := experiments.WireAlgorithmFor(*method, name, s); err != nil {
-		usage("%v", err)
-	}
-	var snap *fl.Snapshot
-	if *resume != "" {
-		snap, err = ckpt.Load(*resume)
+	s := spec.Scale(runspec.Server)
+	cfg := spec.NodeConfig(s)
+	if spec.Resume != "" {
+		snap, err := ckpt.Load(spec.Resume)
 		if err != nil {
 			usage("%v", err)
 		}
+		cfg.Resume = snap
 	}
 
-	tr := transport.NewTCP(transport.Options{DType: dtype, Spec: spec})
-	ln, err := tr.Listen(*addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
-		os.Exit(1)
-	}
+	tr := transport.NewTCP(transport.Options{DType: s.DType, Spec: spec.Wire()})
+	ln, err := tr.Listen(spec.Addr)
+	fatal(err)
 	// The bound address goes out first (and unbuffered) so orchestration —
 	// scripts, the CI smoke test — can listen on :0 and scrape the port.
 	fmt.Printf("# fedserver listening on %s\n", ln.Addr())
 	fmt.Printf("# fedserver %s on %s (%d clients, %d rounds, rate %.2f, sched %s, codec %s, dtype %s)\n",
-		*method, name, s.Clients, s.Rounds, *rate, schedKind, spec, dtype)
-	if *aggCount > 0 {
-		fmt.Printf("# topology: tree (%d aggregators)\n", *aggCount)
+		spec.Method, spec.DataName(), s.Clients, s.Rounds, spec.Rate, cfg.Sched, spec.Wire(), s.DType)
+	if spec.Aggregators > 0 {
+		fmt.Printf("# topology: tree (%d aggregators)\n", spec.Aggregators)
 	}
-	if snap != nil {
-		fmt.Fprintf(os.Stderr, "fedserver: resuming from %s at round %d\n", *resume, snap.Round)
+	if cfg.Resume != nil {
+		fmt.Fprintf(os.Stderr, "fedserver: resuming from %s at round %d\n", spec.Resume, cfg.Resume.Round)
 	}
 
-	algo, err := experiments.WireAlgorithmFor(*method, name, s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
-		os.Exit(1)
-	}
+	algo, err := experiments.WireAlgorithmFor(spec.Method, spec.DataName(), s)
+	fatal(err)
 	// CSV rows stream as rounds commit, so orchestration (and the churn
 	// smoke test) can watch progress without waiting for the run to end.
 	fmt.Println("round,local_epochs,mean_acc,std_acc,up_bytes,down_bytes,sim_time")
-	cfg := experiments.NodeConfigFor(s, *rate, spec, s.Clients)
-	cfg.Sched = schedKind
-	cfg.MaxStaleness = *staleness
-	cfg.Decay = *decay
-	cfg.Quorum = *quorum
-	cfg.EvalSample = *evalSmpl
-	cfg.Aggregators = *aggCount
-	cfg.Heartbeat = *heartbeat
-	cfg.DeadAfter = *deadAfter
-	cfg.ReconnectWindow = *window
-	cfg.Resume = snap
-	if *ckptDir != "" {
-		cfg.Checkpoint = ckpt.Saver(*ckptDir, snapCodec)
-		cfg.CheckpointEvery = *ckptEvery
-	}
 	cfg.OnRound = func(m fl.RoundMetrics) {
 		fmt.Printf("%d,%d,%.4f,%.4f,%d,%d,%.2f\n",
 			m.Round, m.LocalEpochs, m.MeanAcc, m.StdAcc, m.UpBytes, m.DownBytes, m.SimTime)
 	}
 	srv := fl.NewServerNode(algo, cfg)
 	hist, err := srv.Serve(context.Background(), ln)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 	st := srv.Stats
 	fmt.Printf("# faults: reconnects=%d disconnects=%d churned=%d stale_drops=%d resends=%d\n",
 		st.Reconnects, st.Disconnects, st.Churned, st.Drops, st.Resends)

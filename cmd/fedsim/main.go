@@ -29,370 +29,97 @@ import (
 	"strings"
 
 	"repro/internal/ckpt"
-	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/models"
-	"repro/internal/tensor"
+	"repro/internal/runspec"
 	"repro/internal/transport"
 )
 
 func main() {
-	var (
-		dataset    = flag.String("dataset", "fashion", "dataset: cifar10 | fashion | emnist")
-		partition  = flag.String("partition", "dir", "partition: dir | skewed")
-		fleet      = flag.String("fleet", "heterogeneous", "fleet: heterogeneous | homogeneous | proto")
-		archRot    = flag.String("arch", "", "custom fleet: comma-separated architecture rotation, e.g. resnet,shufflenet,googlenet,alexnet (overrides -fleet)")
-		widthRot   = flag.String("width", "", "with -arch: comma-separated per-client width multipliers, e.g. 1,2,3")
-		dtypeName  = flag.String("dtype", "f64", "model element type: f64 (golden reference) | f32 (SIMD fast path) | bf16 (2-byte storage, f32 compute)")
-		method     = flag.String("method", experiments.MethodProposed, "method: Baseline | FedProto | KT-pFL | KT-pFL+weight | FedAvg | FedProx | Proposed | Proposed+weight | CA | CA+PR | CA+CL | CA+PR+CL")
-		clients    = flag.Int("clients", 0, "number of clients (0 = scale default)")
-		rounds     = flag.Int("rounds", 0, "communication rounds (0 = scale default)")
-		rate       = flag.Float64("rate", 1.0, "client sampling rate per round, in (0, 1]")
-		seed       = flag.Int64("seed", 1, "experiment seed")
-		featDim    = flag.Int("featdim", 0, "shared feature dimension (0 = scale default)")
-		schedName  = flag.String("sched", "sync", "scheduler: sync | async | semisync")
-		staleness  = flag.Int("staleness", 0, "async: drop updates staler than this many commits (0 = default 8)")
-		decay      = flag.Float64("decay", 0, "staleness decay α in weight 1/(1+α·s) (0 = no decay)")
-		mix        = flag.Float64("mix", 0, "commit mixing λ into committed state, in [0, 1] (0 = 1, plain averaging)")
-		quorum     = flag.Int("quorum", 0, "semisync: commit after K applied updates (0 = majority; at most -clients)")
-		workers    = flag.Int("workers", 0, "virtual server nodes (0 = one per client)")
-		codecName  = flag.String("codec", "f64", "wire codec: f64 | f32 | i8 | bf16 | topk (f32 values at 5% density)")
-		topk       = flag.Float64("topk", 0, "sparsify weight uploads to this largest-|v| fraction, in (0, 1) (0 = dense; composes with any -codec)")
-		delta      = flag.Bool("delta", false, "frame weight uploads as deltas against the last committed basis")
-		stragglers = flag.Int("stragglers", 0, "number of straggler clients (at most -clients)")
-		slowdown   = flag.Float64("slowdown", 2, "virtual cost factor of straggler clients (>= 1)")
-		leave      = flag.Float64("leave", 0, "client churn: per-engagement leave probability, in [0, 1)")
-		rejoin     = flag.Float64("rejoin", 0, "client churn: virtual time away before rejoining (0 = default 2)")
-		ckptDir    = flag.String("checkpoint", "", "directory to write round-NNNNN.ckpt snapshots into")
-		every      = flag.Int("every", 1, "with -checkpoint: snapshot every N committed rounds")
-		resume     = flag.String("resume", "", "checkpoint file to resume from (same flags as the original run)")
-		traceFile  = flag.String("trace", "", "file to write the scheduler event trace to")
-		ckptCodec  = flag.String("ckptcodec", "f64", "checkpoint payload codec: f64 (lossless replay) | f32 | i8")
-		transName  = flag.String("transport", "inproc", "federation transport: inproc (virtual-clock engine) | tcp (server/client nodes over localhost sockets)")
-		topology   = flag.String("topology", "flat", "aggregation topology: flat (every client reports to the server) | tree (clients report to -aggregators edge aggregators, which pre-reduce upstream)")
-		aggCount   = flag.Int("aggregators", 0, "with -topology tree: number of edge aggregators, in [1, -clients]")
-		resident   = flag.Int("resident", 0, "virtual fleet: keep at most this many materialized clients resident in memory; the rest spill to compact state buffers (0 = eager fleet, all clients materialized)")
-		evalSample = flag.Int("evalsample", 0, "with -resident: evaluate a deterministic per-round sample of this many clients instead of the full fleet (0 = cohort-size default)")
-	)
+	spec := runspec.Register(flag.CommandLine, runspec.Sim)
 	flag.Parse()
 
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "fedsim: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if args := flag.Args(); len(args) > 0 {
-		usage("unexpected arguments %q", strings.Join(args, " "))
-	}
-
-	s := experiments.Small()
-	s.Seed = *seed
-	if *clients < 0 {
-		usage("-clients must be >= 0, got %d", *clients)
-	}
-	if *rounds < 0 {
-		usage("-rounds must be >= 0, got %d", *rounds)
-	}
-	if *featDim < 0 {
-		usage("-featdim must be >= 0, got %d", *featDim)
-	}
-	if *clients > 0 {
-		s.Clients = *clients
-	}
-	if *rounds > 0 {
-		s.Rounds = *rounds
-	}
-	if *featDim > 0 {
-		s.FeatDim = *featDim
-	}
-
-	// Flag validation: every constraint that would otherwise deadlock the
-	// quorum, invert the straggler model or silently misbehave fails fast
-	// here with a usage error.
-	name, err := experiments.ParseDataset(*dataset)
-	if err != nil {
-		usage("%v", err)
-	}
-	kind, err := data.ParsePartition(*partition)
-	if err != nil {
-		usage("%v", err)
-	}
-	schedKind, err := fl.ParseScheduler(*schedName)
-	if err != nil {
-		usage("%v", err)
-	}
-	spec, err := comm.ParseSpec(*codecName, *topk, *delta)
-	if err != nil {
-		usage("%v", err)
-	}
-	if spec.Delta {
-		// Delta bases are per-client O(model) state that lives outside the
-		// checkpoint format and outside the lazy fleet's resident budget,
-		// and churned clients would keep stale bases in the virtual-clock
-		// model. Those runs stay dense (optionally top-k).
-		switch {
-		case *ckptDir != "" || *resume != "":
-			usage("-delta does not compose with -checkpoint/-resume (delta bases are not checkpointed); drop -delta or checkpoint a dense run")
-		case *resident > 0:
-			usage("-delta does not compose with -resident (per-client delta bases defeat the O(resident) memory budget)")
-		case *leave > 0:
-			usage("-delta does not compose with -leave churn in the virtual-clock engine; use -transport tcp, where reconnects fall back to dense")
-		}
-	}
-	snapCodec, err := comm.ParseCodec(*ckptCodec)
-	if err != nil {
-		usage("%v", err)
-	}
-	dtype, err := tensor.ParseDType(*dtypeName)
-	if err != nil {
-		usage("%v", err)
-	}
-	s.DType = dtype
-	var arches []models.Arch
-	var widths []int
-	if *archRot != "" {
-		if arches, err = experiments.ParseArchRotation(*archRot); err != nil {
-			usage("%v", err)
-		}
-	}
-	if *widthRot != "" {
-		if *archRot == "" {
-			usage("-width requires -arch")
-		}
-		if widths, err = experiments.ParseWidthRotation(*widthRot); err != nil {
-			usage("%v", err)
-		}
-	}
-	if *rate <= 0 || *rate > 1 {
-		usage("-rate must be in (0, 1], got %v", *rate)
-	}
-	if *staleness < 0 {
-		usage("-staleness must be >= 0, got %d", *staleness)
-	}
-	if *decay < 0 {
-		usage("-decay must be >= 0, got %v", *decay)
-	}
-	if *mix < 0 || *mix > 1 {
-		usage("-mix must be in [0, 1], got %v", *mix)
-	}
-	if *quorum < 0 || *quorum > s.Clients {
-		usage("-quorum must be in [0, %d (clients)], got %d — a quorum above the client count can never be met", s.Clients, *quorum)
-	}
-	if *workers < 0 {
-		usage("-workers must be >= 0, got %d", *workers)
-	}
-	if *stragglers < 0 || *stragglers > s.Clients {
-		usage("-stragglers must be in [0, %d (clients)], got %d", s.Clients, *stragglers)
-	}
-	if *slowdown < 1 {
-		usage("-slowdown must be >= 1, got %v — factors below 1 would make stragglers the fastest clients", *slowdown)
-	}
-	if *leave < 0 || *leave >= 1 {
-		usage("-leave must be in [0, 1), got %v", *leave)
-	}
-	if *rejoin < 0 {
-		usage("-rejoin must be >= 0, got %v", *rejoin)
-	}
-	if *every < 1 {
-		usage("-every must be >= 1, got %d", *every)
-	}
-	if *resident < 0 {
-		usage("-resident must be >= 0, got %d", *resident)
-	}
-	if *evalSample < 0 {
-		usage("-evalsample must be >= 0, got %d", *evalSample)
-	}
-	if *evalSample > 0 && *resident == 0 {
-		usage("-evalsample requires -resident (eager fleets evaluate the full fleet)")
-	}
-	if *resident > 0 && *archRot != "" {
-		usage("-resident does not support -arch rotations yet (use -fleet)")
-	}
-	trName, err := transport.ParseName(*transName)
-	if err != nil {
-		usage("%v", err)
-	}
-	tree := false
-	switch *topology {
-	case "flat":
-		if *aggCount != 0 {
-			usage("-aggregators requires -topology tree")
-		}
-	case "tree":
-		tree = true
-		if *aggCount < 1 || *aggCount > s.Clients {
-			usage("-topology tree needs -aggregators in [1, %d (clients)], got %d", s.Clients, *aggCount)
-		}
-		if schedKind != fl.SchedSync {
-			usage("-topology tree requires -sched sync (the tree commits a round when every aggregator reports)")
-		}
-		// The tree always runs the node split — server, aggregator and
-		// client nodes over a transport — so the virtual-clock-only
-		// features are rejected exactly as under -transport tcp.
-		switch {
-		case *ckptDir != "" || *resume != "":
-			usage("-topology tree does not support -checkpoint/-resume (tree checkpointing is root-only and lives in fedserver)")
-		case *traceFile != "":
-			usage("-topology tree does not support -trace (scheduler traces are defined on the virtual clock)")
-		case *leave > 0:
-			usage("-topology tree does not support -leave (node-mode churn is real: kill a client or aggregator process)")
-		case *stragglers > 0:
-			usage("-topology tree does not support -stragglers (node-mode stragglers are real: nice a client process)")
-		case *archRot != "":
-			usage("-topology tree does not support -arch rotations yet (use -fleet)")
-		case *resident > 0:
-			usage("-topology tree does not support -resident (node-mode clients are separate node instances; memory is bounded per node)")
-		}
-	default:
-		usage("unknown topology %q (want flat | tree)", *topology)
-	}
-	if trName == "tcp" && !tree {
-		// The tcp transport runs the node split: one server node plus one
-		// client node per client over real localhost sockets. All three
-		// schedules run on the wire (DESIGN.md §9), but the virtual-clock
-		// features — simulated churn, stragglers, traces — are defined in
-		// virtual time, which does not exist across sockets (DESIGN.md §8).
-		// Node-mode checkpointing belongs to the fedserver process (its
-		// -checkpoint/-resume flags), not to this single-process harness.
-		switch {
-		case *ckptDir != "" || *resume != "":
-			usage("-transport tcp does not support -checkpoint/-resume here (run fedserver -checkpoint/-resume for node-mode snapshots)")
-		case *traceFile != "":
-			usage("-transport tcp does not support -trace (scheduler traces are defined on the virtual clock)")
-		case *leave > 0:
-			usage("-transport tcp does not support -leave (node-mode churn is real: kill a client process)")
-		case *stragglers > 0:
-			usage("-transport tcp does not support -stragglers (node-mode stragglers are real: nice a client process)")
-		case *archRot != "":
-			usage("-transport tcp does not support -arch rotations yet (use -fleet)")
-		case *resident > 0:
-			usage("-transport tcp does not support -resident (node-mode clients are separate processes; memory is bounded per process)")
-		}
-	}
-
-	sched := fl.SchedulerConfig{
-		Kind:            schedKind,
-		MaxStaleness:    *staleness,
-		Decay:           *decay,
-		MixRate:         *mix,
-		Quorum:          *quorum,
-		Workers:         *workers,
-		LeaveProb:       *leave,
-		RejoinAfter:     *rejoin,
-		CheckpointEvery: *every,
-	}
-	if *traceFile != "" || *ckptDir != "" || *resume != "" {
-		// Checkpoints carry the event history, so a checkpointing run must
-		// trace even without -trace — that is what lets a resumed run
-		// reproduce the full trace.
-		sched.Trace = &fl.Trace{}
-	}
-	if *stragglers > 0 {
-		sched.Costs = experiments.StragglerCosts(s.Clients, *stragglers, *slowdown)
-	}
-	if *ckptDir != "" {
-		sched.Checkpoint = ckpt.Saver(*ckptDir, snapCodec)
-	}
-	if *resume != "" {
-		snap, err := ckpt.Load(*resume)
+	fatal := func(err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
 			os.Exit(1)
 		}
-		if snap.Kind != schedKind {
-			usage("checkpoint %s was taken under the %s scheduler, -sched asks for %s", *resume, snap.Kind, schedKind)
-		}
-		// Lazy checkpoints hold only the touched clients, so the fleet size
-		// is carried explicitly (FleetSize == 0 only in pre-lazy snapshots,
-		// where every client is present).
-		fleetSize := snap.FleetSize
-		if fleetSize == 0 {
-			fleetSize = len(snap.Clients)
-		}
-		if fleetSize != s.Clients {
-			usage("checkpoint %s holds a %d-client fleet, flags configure %d", *resume, fleetSize, s.Clients)
-		}
-		if snap.Round >= s.Rounds {
-			usage("checkpoint %s is already at round %d of %d — nothing to resume", *resume, snap.Round, s.Rounds)
-		}
-		if snap.DType != dtype {
-			usage("checkpoint %s was taken at dtype %s, -dtype asks for %s", *resume, snap.DType, dtype)
+	}
+	if args := flag.Args(); len(args) > 0 {
+		usage("unexpected arguments %q", strings.Join(args, " "))
+	}
+	if err := spec.Validate(runspec.Sim); err != nil {
+		usage("%v", err)
+	}
+	s := spec.Scale(runspec.Sim)
+	name, kind, wire := spec.DataName(), spec.PartitionKind(), spec.Wire()
+	sched := spec.SchedulerConfig(s)
+	if spec.Resume != "" {
+		snap, err := ckpt.Load(spec.Resume)
+		fatal(err)
+		if err := checkResume(snap, sched.Kind, s); err != nil {
+			usage("checkpoint %s %v", spec.Resume, err)
 		}
 		sched.Resume = snap
 	}
 
+	// Node mode and the lazy fleet build clients one id at a time; the eager
+	// engine takes a factory for the whole fleet.
 	var factory experiments.ClientFactory
 	var builder experiments.ClientBuilder
-	fleetDesc := *fleet
-	if trName == "tcp" || tree {
-		builder, _, err = experiments.NewFleetBuilder(name, kind, *fleet, s.Clients, s)
-		if err != nil {
-			usage("%v", err)
-		}
-	} else if *resident > 0 {
-		builder, _, err = experiments.NewLazyFleetBuilder(name, kind, *fleet, s.Clients, s)
-		if err != nil {
-			usage("%v", err)
-		}
-		fleetDesc = fmt.Sprintf("%s/lazy(resident %d)", *fleet, *resident)
-	} else if len(arches) > 0 {
+	var err error
+	fleetDesc := spec.Fleet
+	switch {
+	case spec.Resident > 0:
+		builder, _, err = experiments.NewLazyFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
+		fleetDesc = fmt.Sprintf("%s/lazy(resident %d)", spec.Fleet, spec.Resident)
+	case spec.Arch != "":
+		arches, widths := spec.Rotation()
 		factory, _, err = experiments.NewRotationFleet(name, kind, s.Clients, s, arches, widths)
-		fleetDesc = "custom(" + *archRot + ")"
-	} else {
-		switch *fleet {
-		case "heterogeneous":
-			factory, _, err = experiments.NewHeterogeneousFleet(name, kind, s.Clients, s)
-		case "homogeneous":
-			factory, _, err = experiments.NewHomogeneousFleet(name, kind, s.Clients, s)
-		case "proto":
-			factory, _, err = experiments.NewProtoFleet(name, kind, s.Clients, s)
-		default:
-			usage("unknown fleet %q (want heterogeneous | homogeneous | proto, or -arch for a custom rotation)", *fleet)
-		}
+		fleetDesc = "custom(" + spec.Arch + ")"
+	default:
+		builder, _, err = experiments.NewFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
+		factory = builder.Factory(s.Clients)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 
+	tree := spec.Topology == "tree"
 	topoDesc := ""
 	if tree {
-		topoDesc = fmt.Sprintf(", topology tree/%d", *aggCount)
+		topoDesc = fmt.Sprintf(", topology tree/%d", spec.Aggregators)
 	}
 	fmt.Printf("# fedsim %s on %s (%s, %s fleet, %d clients, %d rounds, rate %.2f, sched %s, codec %s, dtype %s, transport %s%s)\n",
-		*method, name, kind, fleetDesc, s.Clients, s.Rounds, *rate, schedKind, spec, dtype, trName, topoDesc)
+		spec.Method, name, kind, fleetDesc, s.Clients, s.Rounds, spec.Rate, sched.Kind, wire, s.DType, spec.Transport, topoDesc)
 	if sched.Resume != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: resumed from %s at round %d\n", *resume, sched.Resume.Round)
+		fmt.Fprintf(os.Stderr, "fedsim: resumed from %s at round %d\n", spec.Resume, sched.Resume.Round)
 	}
 	var hist []fl.RoundMetrics
-	if tree {
-		// The 2-level tree always runs the node split, over channel
-		// connections for -transport inproc and real sockets for tcp.
-		var tr transport.Transport
-		addr := "fedsim"
-		if trName == "tcp" {
-			tr, addr = transport.NewTCP(transport.Options{DType: dtype, Spec: spec}), "127.0.0.1:0"
-		} else {
-			tr = transport.NewInproc(transport.Options{DType: dtype, Spec: spec})
+	switch {
+	case spec.NodeMode():
+		// One server node plus one client node per client, each speaking the
+		// wire protocol, over real localhost sockets for -transport tcp; the
+		// tree also runs over channel connections for -transport inproc.
+		opts := transport.Options{DType: s.DType, Spec: wire}
+		tr, addr := transport.Transport(transport.NewInproc(opts)), "fedsim"
+		if spec.Transport == "tcp" {
+			tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
 		}
-		hist, err = experiments.RunTreeNodes(context.Background(), *method, name, builder, s.Clients, *aggCount, s, *rate, spec, tr, addr,
-			func(cfg *fl.NodeConfig) { experiments.ApplyNodeSched(cfg, sched) })
-	} else if trName == "tcp" {
-		// Node split over real localhost sockets: one server node plus one
-		// client node per client, each speaking the wire protocol.
-		tr := transport.NewTCP(transport.Options{DType: dtype, Spec: spec})
-		hist, err = experiments.RunNodes(context.Background(), *method, name, builder, s.Clients, s, *rate, spec, tr, "127.0.0.1:0",
-			func(cfg *fl.NodeConfig) { experiments.ApplyNodeSched(cfg, sched) })
-	} else if *resident > 0 {
-		hist, err = experiments.RunLazyScheduled(*method, name, builder, s.Clients, s, *rate, *resident, *evalSample, sched, spec)
-	} else {
-		hist, err = experiments.RunScheduled(*method, name, factory, s, *rate, sched, spec)
+		node := func(cfg *fl.NodeConfig) { *cfg = spec.NodeConfig(s) }
+		if tree {
+			hist, err = experiments.RunTreeNodes(context.Background(), spec.Method, name, builder, s.Clients, spec.Aggregators, s, spec.Rate, wire, tr, addr, node)
+		} else {
+			hist, err = experiments.RunNodes(context.Background(), spec.Method, name, builder, s.Clients, s, spec.Rate, wire, tr, addr, node)
+		}
+	case spec.Resident > 0:
+		hist, err = experiments.RunLazyScheduled(spec.Method, name, builder, s.Clients, s, spec.Rate, spec.Resident, spec.EvalSample, sched, wire)
+	default:
+		hist, err = experiments.RunScheduled(spec.Method, name, factory, s, spec.Rate, sched, wire)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 	fmt.Println("round,local_epochs,mean_acc,std_acc,up_bytes,down_bytes,sim_time")
 	for _, m := range hist {
 		fmt.Printf("%d,%d,%.4f,%.4f,%d,%d,%.2f\n",
@@ -405,17 +132,36 @@ func main() {
 	}
 	// The inproc engine books virtual time; node mode books wall clock.
 	unit := "virtual time unit"
-	if trName == "tcp" || tree {
+	if spec.NodeMode() {
 		unit = "wall-clock second"
 	}
 	fmt.Printf("# final: %.4f ± %.4f (%.2f rounds per %s)\n", fin.MeanAcc, fin.StdAcc, throughput, unit)
 
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, sched.Trace); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
-		}
+	if spec.Trace != "" {
+		fatal(writeTrace(spec.Trace, sched.Trace))
 	}
+}
+
+// checkResume holds a loaded snapshot against the run the flags describe;
+// these are the usage errors that need the file. Lazy checkpoints hold only
+// the touched clients, so the fleet size is carried explicitly (FleetSize
+// is 0 only in pre-lazy snapshots, where every client is present).
+func checkResume(snap *fl.Snapshot, kind fl.SchedulerKind, s experiments.Scale) error {
+	fleetSize := snap.FleetSize
+	if fleetSize == 0 {
+		fleetSize = len(snap.Clients)
+	}
+	switch {
+	case snap.Kind != kind:
+		return fmt.Errorf("was taken under the %s scheduler, -sched asks for %s", snap.Kind, kind)
+	case fleetSize != s.Clients:
+		return fmt.Errorf("holds a %d-client fleet, flags configure %d", fleetSize, s.Clients)
+	case snap.Round >= s.Rounds:
+		return fmt.Errorf("is already at round %d of %d — nothing to resume", snap.Round, s.Rounds)
+	case snap.DType != s.DType:
+		return fmt.Errorf("was taken at dtype %s, -dtype asks for %s", snap.DType, s.DType)
+	}
+	return nil
 }
 
 // writeTrace dumps the scheduler event sequence as one CSV line per event,

@@ -10,7 +10,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
+)
+
+// built caches one binary per package directory for the life of the test
+// process: a rejection loop links its binary once, not once per case.
+var (
+	builtMu sync.Mutex
+	built   = map[string]string{} // dir -> binary path
 )
 
 // Build compiles the main package at dir (relative to the test's working
@@ -26,14 +34,24 @@ func Build(t *testing.T, dir string) string {
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	bin := filepath.Join(t.TempDir(), filepath.Base(dir)+".bin")
-	if dir == "." {
-		bin = filepath.Join(t.TempDir(), "smoke.bin")
+	builtMu.Lock()
+	defer builtMu.Unlock()
+	if bin, ok := built[dir]; ok {
+		return bin
 	}
-	build := exec.Command(goBin, "build", "-o", bin, dir)
-	if out, err := build.CombinedOutput(); err != nil {
+	// Not t.TempDir: the binary outlives the test that first asks for it.
+	tmp, err := os.MkdirTemp("", "cmdtest-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(tmp, filepath.Base(dir)+".bin")
+	if dir == "." {
+		bin = filepath.Join(tmp, "smoke.bin")
+	}
+	if out, err := exec.Command(goBin, "build", "-o", bin, dir).CombinedOutput(); err != nil {
 		t.Fatalf("go build %s: %v\n%s", dir, err, out)
 	}
+	built[dir] = bin
 	return bin
 }
 

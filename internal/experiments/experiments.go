@@ -2,8 +2,7 @@
 // to a runnable configuration: it constructs datasets, partitions, client
 // fleets and algorithms, and emits the same rows/series the paper reports.
 // DESIGN.md carries the experiment index; cmd/tables and cmd/figures are the
-// command-line entry points; bench_test.go wraps each experiment in a
-// testing.B benchmark.
+// command-line entry points.
 package experiments
 
 import (
@@ -201,6 +200,12 @@ func NewLazyFleetBuilder(name DatasetName, kind data.PartitionKind, fleet string
 	return buildClient(name, ds, s, pickArch, nil, lp.Client), ds, nil
 }
 
+// KnownFleet reports whether fleet is one of FleetNames.
+func KnownFleet(fleet string) bool {
+	_, err := pickArchFor(fleet)
+	return err == nil
+}
+
 func pickArchFor(fleet string) (func(int) models.Arch, error) {
 	switch fleet {
 	case "heterogeneous", "":
@@ -284,14 +289,19 @@ func newFleet(name DatasetName, kind data.PartitionKind, k int, s Scale, pickArc
 	if err != nil {
 		return nil, nil, err
 	}
-	factory := func() []*fl.Client {
+	return build.Factory(k), ds, nil
+}
+
+// Factory is the eager form of a builder: every call materializes clients
+// 0..k-1 afresh.
+func (build ClientBuilder) Factory(k int) ClientFactory {
+	return func() []*fl.Client {
 		clients := make([]*fl.Client, k)
-		for i := 0; i < k; i++ {
+		for i := range clients {
 			clients[i] = build(i)
 		}
 		return clients
 	}
-	return factory, ds, nil
 }
 
 // newFleetBuilder is the per-client core of newFleet: everything about
@@ -419,7 +429,14 @@ func RunScheduled(method string, name DatasetName, factory ClientFactory, s Scal
 	if err != nil {
 		return nil, err
 	}
-	sim := fl.NewSimulation(factory(), fl.Config{
+	return fl.NewSimulation(factory(), runConfig(s, sampleRate, spec)).RunScheduled(algo, sched)
+}
+
+// runConfig is the one place a Scale becomes an fl.Config: the simulation
+// seed is s.Seed+7, and NodeConfigFor copies it so a node federation
+// samples exactly the cohorts the in-process run samples.
+func runConfig(s Scale, sampleRate float64, spec comm.Spec) fl.Config {
+	return fl.Config{
 		Rounds:     s.Rounds,
 		SampleRate: sampleRate,
 		BatchSize:  s.BatchSize,
@@ -427,8 +444,7 @@ func RunScheduled(method string, name DatasetName, factory ClientFactory, s Scal
 		Codec:      spec.Value,
 		TopK:       spec.Frac,
 		Delta:      spec.Delta,
-	})
-	return sim.RunScheduled(algo, sched)
+	}
 }
 
 // RunLazyScheduled executes one method over a virtual fleet of k clients:
@@ -441,17 +457,9 @@ func RunLazyScheduled(method string, name DatasetName, build ClientBuilder, k in
 	if err != nil {
 		return nil, err
 	}
-	sim := fl.NewLazySimulation(k, build, resident, fl.Config{
-		Rounds:     s.Rounds,
-		SampleRate: sampleRate,
-		BatchSize:  s.BatchSize,
-		Seed:       s.Seed + 7,
-		Codec:      spec.Value,
-		TopK:       spec.Frac,
-		Delta:      spec.Delta,
-		EvalSample: evalSample,
-	})
-	return sim.RunScheduled(algo, sched)
+	cfg := runConfig(s, sampleRate, spec)
+	cfg.EvalSample = evalSample
+	return fl.NewLazySimulation(k, build, resident, cfg).RunScheduled(algo, sched)
 }
 
 // StragglerCosts builds a per-client virtual cost vector where the first

@@ -34,29 +34,25 @@ func WireAlgorithmFor(method string, name DatasetName, s Scale) (fl.WireAlgorith
 // is seeded with the simulation seed (s.Seed+7), so a node federation
 // visits exactly the cohorts the in-process sync run visits.
 func NodeConfigFor(s Scale, rate float64, spec comm.Spec, clients int) fl.NodeConfig {
+	c := runConfig(s, rate, spec)
 	return fl.NodeConfig{
 		Clients:    clients,
-		Rounds:     s.Rounds,
-		SampleRate: rate,
-		BatchSize:  s.BatchSize,
-		Seed:       s.Seed + 7,
-		Codec:      spec.Value,
-		TopK:       spec.Frac,
-		Delta:      spec.Delta,
+		Rounds:     c.Rounds,
+		SampleRate: c.SampleRate,
+		BatchSize:  c.BatchSize,
+		Seed:       c.Seed,
+		Codec:      c.Codec,
+		TopK:       c.TopK,
+		Delta:      c.Delta,
 		DType:      s.DType,
 	}
 }
 
-// ApplyNodeSched copies the scheduler knobs that exist on the wire —
-// policy, staleness bound, decay, quorum — onto a node config. Virtual-
-// clock-only knobs (costs, churn injection, mix rate) have no node-mode
-// meaning and are ignored.
-func ApplyNodeSched(cfg *fl.NodeConfig, sched fl.SchedulerConfig) {
-	cfg.Sched = sched.Kind
-	cfg.MaxStaleness = sched.MaxStaleness
-	cfg.Decay = sched.Decay
-	cfg.Quorum = sched.Quorum
-}
+// ClientDialSeed and AggregatorDialSeed seed a node's dial-retry jitter from
+// the experiment seed, so a fleet's reconnect schedules are deterministic
+// yet desynchronized.
+func ClientDialSeed(seed int64, id int) int64        { return seed*1000 + int64(id) }
+func AggregatorDialSeed(seed int64, index int) int64 { return seed*1000 + 500 + int64(index) }
 
 // ServeNode runs the server half of a method on an already-bound listener
 // and returns the metrics history (fedserver's core). Options mutate the
@@ -94,10 +90,8 @@ func RunClientNode(ctx context.Context, method string, name DatasetName, build C
 		Client: build(id),
 		Algo:   algo,
 		Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
-			// Per-client jitter seeds keep a fleet's reconnect schedules
-			// deterministic yet desynchronized.
 			return transport.DialRetry(ctx, tr, addr, transport.RetryOptions{
-				Seed:  s.Seed*1000 + int64(id),
+				Seed:  ClientDialSeed(s.Seed, id),
 				Token: token,
 			})
 		},
@@ -122,7 +116,7 @@ func RunAggregatorNode(ctx context.Context, method string, name DatasetName, s S
 		index := cfg.Index
 		cfg.Dialer = func(ctx context.Context, token uint64) (transport.Conn, error) {
 			return transport.DialRetry(ctx, tr, upstreamAddr, transport.RetryOptions{
-				Seed:  s.Seed*1000 + 500 + int64(index),
+				Seed:  AggregatorDialSeed(s.Seed, index),
 				Token: token,
 			})
 		}

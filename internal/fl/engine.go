@@ -137,10 +137,7 @@ func (c SchedulerConfig) withDefaults(sim *Simulation) SchedulerConfig {
 			// One virtual node per client would make every scheduler array —
 			// and sync-makespan packing — O(fleet); a lazy fleet defaults to
 			// one node per cohort member instead.
-			c.Workers = int(math.Ceil(float64(sim.NumClients()) * sim.Cfg.SampleRate))
-			if c.Workers < 1 {
-				c.Workers = 1
-			}
+			c.Workers, _ = cohortPolicy(sim.NumClients(), sim.Cfg.SampleRate, SchedSync, 0)
 		} else {
 			c.Workers = len(sim.Clients)
 		}
@@ -186,10 +183,39 @@ func (c *SchedulerConfig) cost(i int) float64 {
 // StalenessWeight returns the decay factor 1/(1+α·s) applied to an update
 // that is s commits stale.
 func (c *SchedulerConfig) StalenessWeight(staleness int) float64 {
-	if staleness <= 0 || c.Decay <= 0 {
+	return stalenessWeight(c.Decay, staleness)
+}
+
+func stalenessWeight(decay float64, staleness int) float64 {
+	if staleness <= 0 || decay <= 0 {
 		return 1
 	}
-	return 1 / (1 + c.Decay*float64(staleness))
+	return 1 / (1 + decay*float64(staleness))
+}
+
+// cohortPolicy is the one statement of how many updates make a round: the
+// cohort is ⌈k·rate⌉ clamped to [1, k], and a commit lands every cohort
+// applies — under semisync at the quorum instead (default the cohort's
+// majority, capped at the cohort).
+func cohortPolicy(k int, rate float64, kind SchedulerKind, quorum int) (cohort, commitEvery int) {
+	cohort = int(math.Ceil(float64(k) * rate))
+	if cohort > k {
+		cohort = k
+	}
+	if cohort < 1 {
+		cohort = 1
+	}
+	commitEvery = cohort
+	if kind == SchedSemiSync {
+		commitEvery = quorum
+		if commitEvery <= 0 {
+			commitEvery = (cohort + 1) / 2
+		}
+		if commitEvery > cohort {
+			commitEvery = cohort
+		}
+	}
+	return cohort, commitEvery
 }
 
 // Update is one client's contribution, delivered to the server through the
@@ -506,23 +532,7 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 	k := s.NumClients()
 	// One virtual round's worth of updates: async commits every
 	// ⌈K·rate⌉ applies, semi-sync at its quorum.
-	cohortSize := int(math.Ceil(float64(k) * s.Cfg.SampleRate))
-	if cohortSize < 1 {
-		cohortSize = 1
-	}
-	if cohortSize > k {
-		cohortSize = k
-	}
-	commitEvery := cohortSize
-	if sched.Kind == SchedSemiSync {
-		commitEvery = sched.Quorum
-		if commitEvery <= 0 {
-			commitEvery = (cohortSize + 1) / 2
-		}
-		if commitEvery > cohortSize {
-			commitEvery = cohortSize
-		}
-	}
+	cohortSize, commitEvery := cohortPolicy(k, s.Cfg.SampleRate, sched.Kind, sched.Quorum)
 
 	// At most one flight exists per client, so a queue that can hold every
 	// client's result guarantees workers never block on delivery while

@@ -244,11 +244,7 @@ func NewSimulation(clients []*Client, cfg Config) *Simulation {
 func NewLazySimulation(n int, build func(int) *Client, resident int, cfg Config) *Simulation {
 	s := newSimulation(cfg)
 	if s.Cfg.EvalSample <= 0 {
-		cohort := int(math.Ceil(float64(n) * s.Cfg.SampleRate))
-		if cohort < 1 {
-			cohort = 1
-		}
-		s.Cfg.EvalSample = cohort
+		s.Cfg.EvalSample, _ = cohortPolicy(n, s.Cfg.SampleRate, SchedSync, 0)
 	}
 	s.store = NewClientStore(n, build, resident)
 	return s

@@ -381,25 +381,7 @@ func newServerRun(n *ServerNode) *serverRun {
 	// only when cfg.EvalSample is in effect — full-sweep runs never touch
 	// it, so their cohort schedule is byte-identical to previous releases.
 	r.evalRng, r.evalSrc = xrand.NewRand(cfg.Seed ^ evalSeedMix)
-	cohortSize := int(math.Ceil(float64(k) * cfg.SampleRate))
-	if cohortSize < 1 {
-		cohortSize = 1
-	}
-	if cohortSize > k {
-		cohortSize = k
-	}
-	r.cohortSize = cohortSize
-	r.commitEvery = cohortSize
-	if cfg.Sched == SchedSemiSync {
-		q := cfg.Quorum
-		if q <= 0 {
-			q = (cohortSize + 1) / 2
-		}
-		if q > cohortSize {
-			q = cohortSize
-		}
-		r.commitEvery = q
-	}
+	r.cohortSize, r.commitEvery = cohortPolicy(k, cfg.SampleRate, cfg.Sched, cfg.Quorum)
 	return r
 }
 
@@ -905,8 +887,7 @@ func (r *serverRun) processUpdate(u *Update) {
 		r.n.Stats.Drops++
 		return
 	}
-	sched := SchedulerConfig{Decay: r.cfg.Decay}
-	u.Weight = u.Scale * sched.StalenessWeight(u.Staleness)
+	u.Weight = u.Scale * stalenessWeight(r.cfg.Decay, u.Staleness)
 	if err := r.algo.WireApply(u); err != nil {
 		r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), u.Client, err)
 		return

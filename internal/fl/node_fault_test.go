@@ -21,7 +21,9 @@ import (
 
 // applySched returns a NodeConfig option selecting a wire scheduler.
 func applySched(sched fl.SchedulerConfig) func(*fl.NodeConfig) {
-	return func(cfg *fl.NodeConfig) { experiments.ApplyNodeSched(cfg, sched) }
+	return func(cfg *fl.NodeConfig) {
+		cfg.Sched, cfg.MaxStaleness, cfg.Decay, cfg.Quorum = sched.Kind, sched.MaxStaleness, sched.Decay, sched.Quorum
+	}
 }
 
 // TestNodeAsyncWireParity runs the bounded-staleness schedule as real
