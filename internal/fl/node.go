@@ -19,9 +19,12 @@ import (
 // evaluation collection, speaking the wire protocol of wire.go over any
 // transport.Listener — in-memory channels for deterministic single-process
 // federations, real TCP sockets for `fedserver` plus N `fedclient`
-// processes. The session/heartbeat/reconnect machinery lives in the
-// PeerTable (peertable.go), shared with the edge AggregatorNode
-// (node_agg.go); the client half lives in node_client.go.
+// processes. Everything a listener decides about the peers below it —
+// admission, adoption, triage, the round and evaluation barriers, liveness,
+// the stop drain — is the PeerTable's (peertable.go), shared with the edge
+// AggregatorNode (node_agg.go); this file is what only the root does:
+// scheduling, tree joins, commit, evaluation aggregation, checkpoints. The
+// client half lives in node_client.go.
 //
 // The runtime is a single-goroutine event loop. Reader goroutines (one per
 // live connection) and the accept loop deliver decoded messages and
@@ -191,15 +194,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.MaxStaleness <= 0 {
 		c.MaxStaleness = 8
 	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultHeartbeat
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 5 * c.Heartbeat
-	}
-	if c.ReconnectWindow <= 0 {
-		c.ReconnectWindow = DefaultReconnectWindow
-	}
+	defaultLiveness(&c.Heartbeat, &c.DeadAfter, &c.ReconnectWindow)
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
@@ -257,23 +252,18 @@ type serverRun struct {
 	cfg  NodeConfig
 	algo WireAlgorithm
 	k    int
-	// wc frames the server's own encodes. The server never encodes an
-	// upload kind, so its frames are always dense; upload decoding runs
-	// through each reader's per-connection wireCodec in the PeerTable.
-	wc *wireCodec
 
-	// pt owns the downstream sessions (clients in flat mode, aggregators
-	// in tree mode); sessions aliases pt's table for direct indexing.
+	// pt is the fan-in (clients in flat mode, aggregators in tree mode):
+	// sessions, joins, the round and evaluation barriers, the stop drain.
+	// sessions aliases pt's table for direct indexing.
 	pt       *PeerTable
 	sessions []*peerSession
 
-	// Tree-topology state: bounds is the TreeSplit partition, and
-	// clientChurned marks the union of churned subtrees over the global
-	// client-id space (evaluation and cohort filtering consult it).
-	tree          bool
-	aggs          int
-	bounds        []int
-	clientChurned []bool
+	// Tree-topology state: bounds is the TreeSplit partition of the client-id
+	// space over the aggregator sessions.
+	tree   bool
+	aggs   int
+	bounds []int
 
 	rng     *rand.Rand
 	rngSrc  *xrand.Source
@@ -285,29 +275,18 @@ type serverRun struct {
 	cohortSize  int
 	commitEvery int
 	semiOpen    bool // a semisync cohort is outstanding
-	// stopping marks the shutdown drain: the federation is complete and
-	// the loop only persists to deliver stop frames to sessions that were
-	// disconnected when it finished.
-	stopping  bool
-	stopFrame []byte
-	start     time.Time
+	start       time.Time
 
-	joins     []WireJoin
-	joined    int
-	assembled bool
-
-	// Sync-barrier state: the open round's cohort and collected updates.
-	// In tree mode awaiting is keyed by aggregator index and aggUpdates
-	// collects the pre-reduced contributions; updates still carries any
-	// passthrough per-client payloads.
-	awaiting   map[int]bool
+	// Sync-barrier state: the updates collected for the round pt.round
+	// awaits. In tree mode the barrier is keyed by aggregator index and
+	// aggUpdates collects the pre-reduced contributions; updates still
+	// carries any passthrough per-client payloads.
 	updates    map[int]*Update
 	aggUpdates map[int]*AggUpdate
-	// Evaluation state: outstanding requests, per-client accuracies, and
-	// the sampled id set when cfg.EvalSample is in effect.
-	evalWait map[int]bool
-	evalPer  []float64
-	evalIDs  []int
+	// Evaluation state for the evaluation pt.eval awaits: per-client
+	// accuracies, and the sampled id set when cfg.EvalSample is in effect.
+	evalPer []float64
+	evalIDs []int
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
 	// an evaluation observes one consistent committed model.
 	holdback []*Update
@@ -351,30 +330,18 @@ func (n *ServerNode) Serve(ctx context.Context, ln transport.Listener) ([]RoundM
 func newServerRun(n *ServerNode) *serverRun {
 	cfg := n.cfg
 	k := cfg.Clients
-	r := &serverRun{
-		n:     n,
-		cfg:   cfg,
-		algo:  n.algo,
-		k:     k,
-		wc:    newWireCodec(cfg.WireSpec(), lossyUploads(n.algo)),
-		joins: make([]WireJoin, k),
-	}
-	sessionCount := k
+	r := &serverRun{n: n, cfg: cfg, algo: n.algo, k: k}
+	noun, sessionCount, readJoin := "client", k, readClientJoin
 	if cfg.Aggregators > 0 {
 		r.tree = true
 		r.aggs = cfg.Aggregators
 		r.bounds = TreeSplit(k, r.aggs)
-		r.clientChurned = make([]bool, k)
-		sessionCount = r.aggs
+		noun, sessionCount, readJoin = "aggregator", r.aggs, r.readTreeJoin
 	}
-	validJoin := func(m *wireMsg) bool {
-		if r.tree {
-			return m.kind == msgTreeJoin && len(m.ints) >= 2
-		}
-		return m.kind == msgJoin && len(m.ints) == joinIntCount
-	}
-	r.pt = newPeerTable(sessionCount, 0, cfg.WireSpec(), lossyUploads(n.algo), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
-		cfg.Seed, n.Ledger, &n.Stats, validJoin)
+	r.pt = newPeerTable(noun, sessionCount, 0, k, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
+		cfg.Seed, n.Ledger, &n.Stats, readJoin)
+	r.pt.fed = [welToken]int64{int64(k), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.EvalEvery)}
+	r.pt.round.done, r.pt.eval.done = r.completeRound, r.completeEval
 	r.sessions = r.pt.sessions
 	r.rng, r.rngSrc = xrand.NewRand(cfg.Seed)
 	// Sampled evaluation draws from its own serializable stream, consumed
@@ -385,73 +352,33 @@ func newServerRun(n *ServerNode) *serverRun {
 	return r
 }
 
-// send forwards to the peer table (kept as a method for the call sites'
-// readability; booking and teardown live there).
-func (r *serverRun) send(s *peerSession, frame []byte) bool { return r.pt.send(s, frame) }
-
 // loop is the event loop: every state transition happens here.
 func (r *serverRun) loop(ctx context.Context) ([]RoundMetrics, error) {
-	interval := r.cfg.Heartbeat
-	if r.cfg.DeadAfter < interval {
-		interval = r.cfg.DeadAfter
-	}
-	if r.cfg.ReconnectWindow < interval {
-		interval = r.cfg.ReconnectWindow
-	}
-	if interval /= 2; interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(r.pt.tickInterval())
 	defer ticker.Stop()
 	r.start = time.Now()
 	r.pt.lastBeat = r.start
-	if r.assembled {
-		r.advance()
-	}
-	for !r.done && r.fatal == nil {
-		select {
-		case ev := <-r.pt.events:
-			r.handleInbound(ev)
-		case ac := <-r.pt.conns:
-			r.handleConn(ac)
-		case <-ticker.C:
-			r.handleTick()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if r.assembled && r.fatal == nil && !r.done {
+	for {
+		if r.pt.assembled && r.fatal == nil {
 			r.advance()
 		}
-	}
-	if r.fatal != nil {
-		return nil, r.fatal
-	}
-	// Graceful shutdown: every connected, unchurned peer gets a stop. A
-	// session that is disconnected right now keeps the same reconnect
-	// window it gets mid-run — its peer is re-dialing and would
-	// otherwise spin against a closed listener, never learning the run is
-	// over. The drain below persists until every such session is adopted
-	// (adopt delivers the stop) or its window degrades it to churn; when
-	// everyone was connected at the finish, it does not run at all.
-	r.stopping = true
-	r.stopFrame = encodeMsg(&wireMsg{kind: msgStop}, r.wc)
-	for _, s := range r.sessions {
-		if s.conn != nil && !s.churned {
-			// A send success proves nothing about delivery; the peer's
-			// msgStopAck marks the session stopped.
-			r.send(s, r.stopFrame)
+		if r.done || r.fatal != nil {
+			break
+		}
+		if err := r.step(ctx, ticker); err != nil {
+			return nil, err
 		}
 	}
-	for r.pt.pendingStops() && r.fatal == nil {
-		select {
-		case ev := <-r.pt.events:
-			r.handleInbound(ev)
-		case ac := <-r.pt.conns:
-			r.handleConn(ac)
-		case <-ticker.C:
-			r.handleTick()
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	// Graceful shutdown: the stop phase holds every unchurned session open
+	// until its peer acknowledged the goodbye — adopt hands it to a session
+	// that was disconnected at the finish — or its window degrades it to
+	// churn; when everyone acks at once, the drain is a few frames long.
+	if r.fatal == nil {
+		r.pt.beginStop()
+	}
+	for r.fatal == nil && r.pt.pendingStops() {
+		if err := r.step(ctx, ticker); err != nil {
+			return nil, err
 		}
 	}
 	if r.fatal != nil {
@@ -460,239 +387,48 @@ func (r *serverRun) loop(ctx context.Context) ([]RoundMetrics, error) {
 	return r.n.History, nil
 }
 
-// peerNoun names the downstream peer kind in operator-facing errors.
-func (r *serverRun) peerNoun() string {
-	if r.tree {
-		return "aggregator"
+// step serves one event of the fan-in; the error is ctx's.
+func (r *serverRun) step(ctx context.Context, ticker *time.Ticker) error {
+	select {
+	case ev := <-r.pt.events:
+		r.handleInbound(ev)
+	case ac := <-r.pt.conns:
+		if err := r.pt.admit(ac, uint64(r.version)); err != nil {
+			r.fatal = fmt.Errorf("fl: server %w", err)
+		} else if r.pt.full() {
+			// The fleet is complete: build the algorithm's server state from
+			// its joins and welcome everyone; advance() then opens round 1.
+			if err := r.algo.WireSetup(r.pt.joins, r.cfg.Shards); err != nil {
+				r.fatal = fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
+			} else {
+				r.pt.assemble()
+			}
+		}
+	case <-ticker.C:
+		r.pt.tick(uint64(r.version))
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return "client"
+	return nil
 }
 
-// handleConn admits one accepted connection: a join during assembly, a
-// token or late join after it.
-func (r *serverRun) handleConn(ac acceptedConn) {
-	if ac.err != nil {
-		if !r.assembled {
-			r.fatal = fmt.Errorf("fl: server listener closed with %d of %d %ss joined: %w",
-				r.joined, len(r.sessions), r.peerNoun(), ac.err)
-		}
-		// After assembly a dead listener only forecloses reconnects; the
-		// reconnect window degrades the affected sessions to churn.
-		return
+// readTreeJoin is the tree root's readJoin: an aggregator's join carries its
+// whole child range's declarations in one frame, validated against the
+// server's own TreeSplit so both sides agree on who fronts whom. (The table
+// refuses an index outside [0, aggs) itself.)
+func (r *serverRun) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
+	if m.kind != msgTreeJoin || len(m.ints) < 2 {
+		return 0, nil, errNotJoin
 	}
-	r.pt.forgetEmbryo(ac.conn)
-	if ac.token != 0 {
-		sess := r.pt.findToken(ac.token)
-		if sess == nil {
-			r.pt.refuse(ac.conn, fmt.Sprintf("unknown session token %#x", ac.token))
-			return
-		}
-		if sess.churned {
-			r.pt.refuse(ac.conn, fmt.Sprintf("%s %d session expired (reconnect window elapsed)", r.peerNoun(), sess.id))
-			return
-		}
-		if sess.conn != nil {
-			// The old connection is a zombie the dead-interval check has not
-			// caught yet; the live re-dial wins.
-			r.pt.markDisconnected(sess)
-		}
-		r.adopt(sess, ac.conn, 0)
-		return
-	}
-	if r.tree {
-		r.handleTreeJoin(ac)
-		return
-	}
-	m := ac.join
-	id := int(m.ints[joinID])
-	if id < 0 || id >= r.k {
-		r.pt.refuse(ac.conn, fmt.Sprintf("client id %d out of range [0, %d)", id, r.k))
-		return
-	}
-	if m.name != r.algo.Name() {
-		r.pt.refuse(ac.conn, fmt.Sprintf("client runs %q, server runs %q", m.name, r.algo.Name()))
-		return
-	}
-	sess := r.sessions[id]
-	if r.assembled {
-		if sess.churned {
-			r.pt.refuse(ac.conn, fmt.Sprintf("client %d session expired (reconnect window elapsed)", id))
-			return
-		}
-		if sess.conn != nil {
-			// The old connection is a zombie whose death event has not been
-			// processed yet (the re-join can race it through the accept
-			// path); the live re-dial wins, as on the token path.
-			r.pt.markDisconnected(sess)
-		}
-		// A token-less rejoin: a restarted client process that lost its
-		// token file, or one whose join-phase connection died before the
-		// welcome. Adopt it — the resume message re-teaches the token.
-		r.adopt(sess, ac.conn, ac.wire)
-		return
-	}
-	if sess.conn != nil {
-		r.pt.markDisconnected(sess)
-	}
-	r.joins[id] = WireJoin{
-		ID:            id,
-		TrainSize:     int(m.ints[joinTrainSize]),
-		FeatDim:       int(m.ints[joinFeatDim]),
-		NumClasses:    int(m.ints[joinNumClasses]),
-		NumParams:     int(m.ints[joinNumParams]),
-		NumClassifier: int(m.ints[joinNumClassifier]),
-		Init:          m.vecs,
-	}
-	r.pt.attach(sess, ac.conn, ac.wire)
-	if !sess.joined {
-		sess.joined = true
-		r.joined++
-	}
-	if r.joined == len(r.sessions) {
-		r.finishAssembly()
-	}
-}
-
-// handleTreeJoin admits one aggregator's join: the whole child range's
-// declarations arrive in one frame, validated against the server's own
-// TreeSplit so both sides agree on who fronts whom.
-func (r *serverRun) handleTreeJoin(ac acceptedConn) {
-	agg, lo, hi, joins, err := decodeTreeJoin(ac.join)
+	agg, lo, hi, joins, err := decodeTreeJoin(m)
 	if err != nil {
-		r.pt.refuse(ac.conn, fmt.Sprintf("malformed tree join: %s", err))
-		return
+		return 0, nil, fmt.Errorf("malformed tree join: %s", err)
 	}
-	if agg < 0 || agg >= r.aggs {
-		r.pt.refuse(ac.conn, fmt.Sprintf("aggregator index %d out of range [0, %d)", agg, r.aggs))
-		return
+	if agg >= 0 && agg < r.aggs && (lo != r.bounds[agg] || hi != r.bounds[agg+1]) {
+		return 0, nil, fmt.Errorf("aggregator %d claims range [%d, %d), server assigns [%d, %d)",
+			agg, lo, hi, r.bounds[agg], r.bounds[agg+1])
 	}
-	if lo != r.bounds[agg] || hi != r.bounds[agg+1] {
-		r.pt.refuse(ac.conn, fmt.Sprintf("aggregator %d claims range [%d, %d), server assigns [%d, %d)",
-			agg, lo, hi, r.bounds[agg], r.bounds[agg+1]))
-		return
-	}
-	if ac.join.name != r.algo.Name() {
-		r.pt.refuse(ac.conn, fmt.Sprintf("aggregator runs %q, server runs %q", ac.join.name, r.algo.Name()))
-		return
-	}
-	sess := r.sessions[agg]
-	if r.assembled {
-		if sess.churned {
-			r.pt.refuse(ac.conn, fmt.Sprintf("aggregator %d session expired (reconnect window elapsed)", agg))
-			return
-		}
-		if sess.conn != nil {
-			r.pt.markDisconnected(sess)
-		}
-		r.adopt(sess, ac.conn, ac.wire)
-		return
-	}
-	if sess.conn != nil {
-		r.pt.markDisconnected(sess)
-	}
-	copy(r.joins[lo:hi], joins)
-	r.pt.attach(sess, ac.conn, ac.wire)
-	if !sess.joined {
-		sess.joined = true
-		r.joined++
-	}
-	if r.joined == len(r.sessions) {
-		r.finishAssembly()
-	}
-}
-
-// finishAssembly builds the algorithm's server state from the full fleet's
-// joins, issues session tokens and welcomes everyone. The trailing
-// advance() in the event loop opens round 1.
-func (r *serverRun) finishAssembly() {
-	if err := r.algo.WireSetup(r.joins, r.cfg.Shards); err != nil {
-		r.fatal = fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
-		return
-	}
-	r.pt.issueTokens()
-	r.assembled = true
-	for _, s := range r.sessions {
-		welcome := &wireMsg{kind: msgWelcome, name: r.algo.Name(), ints: r.welcomeInts(s)}
-		if !r.send(s, encodeMsg(welcome, r.wc)) {
-			// The peer died between joining and the welcome; the reconnect
-			// window (or churn) picks it up.
-			continue
-		}
-	}
-}
-
-// welcomeInts builds the welcome/resume layout for one session. An
-// aggregator receives the same layout a client would — the fleet size,
-// round horizon and cadence it relays downstream, plus its own token and
-// the root's liveness parameters.
-func (r *serverRun) welcomeInts(s *peerSession) []int64 {
-	return []int64{
-		int64(r.k), int64(r.cfg.Rounds), int64(r.cfg.BatchSize), int64(r.cfg.EvalEvery),
-		int64(s.token), r.cfg.Heartbeat.Milliseconds(), r.cfg.DeadAfter.Milliseconds(),
-	}
-}
-
-// adopt attaches a connection to a disconnected session and replays what
-// the peer is owed: the resume message (it may be a restarted process
-// that never saw its welcome), then any outstanding dispatch or
-// evaluation request.
-func (r *serverRun) adopt(sess *peerSession, conn transport.Conn, joinWire int64) {
-	sess.downAt = time.Time{}
-	r.n.Stats.Reconnects++
-	r.pt.attach(sess, conn, joinWire)
-	resume := &wireMsg{kind: msgResume, a: uint64(r.version), name: r.algo.Name(), ints: r.welcomeInts(sess)}
-	if !r.send(sess, encodeMsg(resume, r.wc)) {
-		return
-	}
-	if sess.busy && sess.pendingDispatch != nil {
-		r.n.Stats.Resends++
-		if !r.send(sess, sess.pendingDispatch) {
-			return
-		}
-	}
-	if r.evalWait != nil && r.evalWait[sess.id] {
-		r.n.Stats.Resends++
-		frame := sess.pendingEval
-		if frame == nil {
-			frame = encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version)}, r.wc)
-		}
-		if !r.send(sess, frame) {
-			return
-		}
-	}
-	if r.stopping {
-		// The federation finished while this peer was reconnecting; its
-		// re-dial gets the goodbye it re-dialed for (and owes the ack that
-		// completes the session).
-		r.send(sess, r.stopFrame)
-	}
-}
-
-// churn permanently removes a session from the federation: cohorts skip
-// it, barriers stop waiting for it, its evaluation slot stays NaN. In tree
-// mode the session is an aggregator, and the whole subtree it fronts
-// churns with it — the clients behind a dead aggregator are unreachable.
-func (r *serverRun) churn(s *peerSession) {
-	if !r.pt.churnSession(s) {
-		return
-	}
-	if r.tree {
-		for id := r.bounds[s.id]; id < r.bounds[s.id+1]; id++ {
-			r.clientChurned[id] = true
-		}
-	}
-	if r.awaiting != nil && r.awaiting[s.id] {
-		delete(r.awaiting, s.id)
-		if len(r.awaiting) == 0 {
-			r.completeRound()
-		}
-	}
-	if r.evalWait != nil && r.evalWait[s.id] {
-		delete(r.evalWait, s.id)
-		if len(r.evalWait) == 0 {
-			r.completeEval()
-		}
-	}
+	return agg, joins, nil
 }
 
 func (r *serverRun) aliveCount() int {
@@ -716,52 +452,23 @@ func (r *serverRun) outstanding() int {
 	return busy
 }
 
-// handleInbound processes one reader delivery.
+// handleInbound interprets what the table's triage left to the role: the
+// answers to the root's dispatches and evaluation requests, in whichever
+// shape the topology delivers them.
 func (r *serverRun) handleInbound(ev inbound) {
-	sess := r.sessions[ev.id]
-	if ev.err == nil {
-		// Every frame that crossed the wire is booked — heartbeat echoes
-		// and frames racing a disconnect on an abandoned connection
-		// included: the ledger prices traffic, not semantics.
-		r.n.Ledger.AddUp(ev.id, ev.wire)
-	}
-	if ev.gen != sess.gen {
-		// A message from a connection this session already abandoned.
-		return
-	}
-	if ev.err != nil {
-		if sess.stopped {
-			// The peer closed after acknowledging its stop: an orderly
-			// goodbye, not a disconnect to wait out.
-			if sess.conn != nil {
-				sess.conn.Close()
-				sess.conn = nil
-				sess.gen++
-			}
-			return
-		}
-		r.pt.markDisconnected(sess)
-		return
-	}
-	sess.lastSeen = time.Now()
-	m := ev.msg
-	switch m.kind {
-	case msgHeartbeat:
-		// The arrival already refreshed lastSeen; nothing else to do.
-	case msgUpdate:
+	sess, m, err := r.pt.triage(ev)
+	switch {
+	case err != nil:
+		r.fatal = fmt.Errorf("fl: %w", err)
+	case m == nil:
+	case m.kind == msgUpdate && !r.tree:
 		r.handleUpdate(sess, m)
-	case msgAggUpdate:
+	case m.kind == msgAggUpdate && r.tree:
 		r.handleAggUpdate(sess, m)
-	case msgTreeUpdate:
+	case m.kind == msgTreeUpdate && r.tree:
 		r.handleTreeUpdate(sess, m)
-	case msgEvalRes:
+	case m.kind == msgEvalRes:
 		r.handleEvalRes(sess, m)
-	case msgErr:
-		r.fatal = fmt.Errorf("fl: %s %d failed: %s", r.peerNoun(), ev.id, m.name)
-	case msgStopAck:
-		// The goodbye landed; the session is complete and its EOF (the
-		// peer exits after acking) is orderly.
-		sess.stopped = true
 	default:
 		// Duplicate joins, replayed frames after a chaos duplication, and
 		// unknown kinds are tolerated noise, not protocol violations: the
@@ -770,15 +477,11 @@ func (r *serverRun) handleInbound(ev inbound) {
 	}
 }
 
-// handleUpdate folds one upload into the scheduler, deduplicating replays:
-// only the answer to the session's outstanding dispatch counts.
+// handleUpdate folds one upload into the scheduler.
 func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) {
-	if r.tree || !sess.busy || sess.dispVersion != m.a {
-		r.n.Stats.Ignored++
+	if !r.pt.answered(sess, m.a) {
 		return
 	}
-	sess.busy = false
-	sess.pendingDispatch = nil
 	u := &Update{
 		Client:  sess.id,
 		Version: int(m.a),
@@ -786,7 +489,7 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) {
 		Vecs:    m.vecs,
 		Counts:  m.counts,
 	}
-	if r.evalWait != nil && r.cfg.Sched != SchedSync {
+	if r.pt.eval.active() && r.cfg.Sched != SchedSync {
 		r.holdback = append(r.holdback, u)
 		return
 	}
@@ -798,8 +501,7 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) {
 // trusted peer (the startup guard on the aggregator should have refused
 // it), so it is fatal, not noise.
 func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) {
-	if !r.tree || !sess.busy || sess.dispVersion != m.a {
-		r.n.Stats.Ignored++
+	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
 		return
 	}
 	if _, ok := r.algo.(ReducibleWireAlgorithm); !ok {
@@ -812,37 +514,21 @@ func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) {
 		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed aggregate: %w", sess.id, err)
 		return
 	}
-	sess.busy = false
-	sess.pendingDispatch = nil
-	if r.awaiting == nil || !r.awaiting[sess.id] {
-		r.n.Stats.Ignored++
-		return
-	}
 	au.Agg = sess.id
 	r.aggUpdates[sess.id] = au
-	delete(r.awaiting, sess.id)
-	if len(r.awaiting) == 0 {
-		r.completeTreeRound()
-	}
+	r.pt.round.resolve(sess.id)
 }
 
 // handleTreeUpdate collects one aggregator's passthrough bundle: its
 // children's raw updates, unreduced, for algorithms with no sound
 // pre-reduction.
 func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) {
-	if !r.tree || !sess.busy || sess.dispVersion != m.a {
-		r.n.Stats.Ignored++
+	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
 		return
 	}
 	ups, err := decodeTreeUpdate(m)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed update bundle: %w", sess.id, err)
-		return
-	}
-	sess.busy = false
-	sess.pendingDispatch = nil
-	if r.awaiting == nil || !r.awaiting[sess.id] {
-		r.n.Stats.Ignored++
 		return
 	}
 	lo, hi := r.bounds[sess.id], r.bounds[sess.id+1]
@@ -854,24 +540,16 @@ func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) {
 		}
 		r.updates[u.Client] = u
 	}
-	delete(r.awaiting, sess.id)
-	if len(r.awaiting) == 0 {
-		r.completeTreeRound()
-	}
+	r.pt.round.resolve(sess.id)
 }
 
 // processUpdate routes an accepted update through the configured schedule.
 func (r *serverRun) processUpdate(u *Update) {
 	if r.cfg.Sched == SchedSync {
-		if r.awaiting == nil || !r.awaiting[u.Client] {
-			r.n.Stats.Ignored++
-			return
-		}
-		u.Weight = u.Scale
-		r.updates[u.Client] = u
-		delete(r.awaiting, u.Client)
-		if len(r.awaiting) == 0 {
-			r.completeSyncRound()
+		if r.pt.expects(&r.pt.round, r.sessions[u.Client]) {
+			u.Weight = u.Scale
+			r.updates[u.Client] = u
+			r.pt.round.resolve(u.Client)
 		}
 		return
 	}
@@ -898,7 +576,8 @@ func (r *serverRun) processUpdate(u *Update) {
 	}
 }
 
-// completeRound closes the open barrier for whichever topology is running.
+// completeRound folds what the completed barrier collected, for whichever
+// topology is running.
 func (r *serverRun) completeRound() {
 	if r.tree {
 		r.completeTreeRound()
@@ -921,7 +600,6 @@ func (r *serverRun) completeSyncRound() {
 			return
 		}
 	}
-	r.awaiting = nil
 	r.updates = nil
 	r.commit()
 }
@@ -957,7 +635,6 @@ func (r *serverRun) completeTreeRound() {
 			}
 		}
 	}
-	r.awaiting = nil
 	r.updates = nil
 	r.aggUpdates = nil
 	r.commit()
@@ -1010,7 +687,7 @@ func (r *serverRun) finishRound(m *RoundMetrics) {
 // requests fan out through the aggregators, each carrying the id list its
 // subtree owes.
 func (r *serverRun) startEval() {
-	r.evalWait = make(map[int]bool)
+	r.pt.eval.open()
 	r.evalPer = make([]float64, r.k)
 	for i := range r.evalPer {
 		r.evalPer[i] = math.NaN()
@@ -1032,17 +709,13 @@ func (r *serverRun) startEval() {
 			ask[i] = r.sessions[id]
 		}
 	}
-	req := encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version)}, r.wc)
+	req := encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version)}, r.pt.wc)
 	for _, s := range ask {
-		if s.churned {
-			continue
+		if !s.churned {
+			r.pt.ask(s, req)
 		}
-		r.evalWait[s.id] = true
-		r.send(s, req) // a failed send leaves the request owed on adoption
 	}
-	if len(r.evalWait) == 0 {
-		r.completeEval()
-	}
+	r.pt.eval.settle()
 }
 
 // startTreeEval fans the evaluation out per subtree: each live aggregator
@@ -1058,33 +731,20 @@ func (r *serverRun) startTreeEval() {
 	}
 	perAgg := make([][]int64, r.aggs)
 	for _, id := range want {
-		if r.clientChurned[id] {
-			continue
+		if a := r.ownerOf(id); !r.sessions[a].churned {
+			perAgg[a] = append(perAgg[a], int64(id))
 		}
-		a := r.ownerOf(id)
-		if r.sessions[a].churned {
-			continue
+	}
+	for a, ids := range perAgg {
+		if len(ids) > 0 {
+			r.pt.ask(r.sessions[a], encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version), ints: ids}, r.pt.wc))
 		}
-		perAgg[a] = append(perAgg[a], int64(id))
 	}
-	for a := 0; a < r.aggs; a++ {
-		if len(perAgg[a]) == 0 {
-			continue
-		}
-		s := r.sessions[a]
-		frame := encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version), ints: perAgg[a]}, r.wc)
-		r.evalWait[a] = true
-		s.pendingEval = frame
-		r.send(s, frame) // a failed send leaves the request owed on adoption
-	}
-	if len(r.evalWait) == 0 {
-		r.completeEval()
-	}
+	r.pt.eval.settle()
 }
 
 func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
-	if r.evalWait == nil || !r.evalWait[sess.id] {
-		r.n.Stats.Ignored++
+	if !r.pt.expects(&r.pt.eval, sess) {
 		return
 	}
 	if r.tree {
@@ -1102,14 +762,11 @@ func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
 			}
 			r.evalPer[id] = acc
 		}
-		sess.pendingEval = nil
 	} else {
 		r.evalPer[sess.id] = bitsF64(m.b)
 	}
-	delete(r.evalWait, sess.id)
-	if len(r.evalWait) == 0 {
-		r.completeEval()
-	}
+	sess.pendingEval = nil
+	r.pt.eval.resolve(sess.id)
 }
 
 // completeEval aggregates the collected accuracies (churned and unsampled
@@ -1117,13 +774,12 @@ func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
 // entries in the same index order the old pre-filter did), accounts the
 // round, then releases any updates held back during the evaluation.
 func (r *serverRun) completeEval() {
-	r.evalWait = nil
 	mean, std := MeanStd(r.evalPer)
 	m := RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: r.evalPer, EvalIDs: r.evalIDs}
 	r.evalPer = nil
 	r.evalIDs = nil
 	r.finishRound(&m)
-	for len(r.holdback) > 0 && r.evalWait == nil && r.fatal == nil {
+	for len(r.holdback) > 0 && !r.pt.eval.active() && r.fatal == nil {
 		u := r.holdback[0]
 		r.holdback = r.holdback[1:]
 		r.processUpdate(u)
@@ -1168,7 +824,7 @@ func (r *serverRun) buildSnapshot() (*Snapshot, error) {
 		History:   cloneHistory(r.n.History),
 		Ledger:    r.n.Ledger.Snapshot(),
 		Algo:      st,
-		Joins:     cloneJoins(r.joins),
+		Joins:     cloneJoins(r.pt.joins),
 	}
 	snap.Sessions = make([]SessionState, r.k)
 	for i, s := range r.sessions {
@@ -1203,8 +859,8 @@ func (r *serverRun) restore(snap *Snapshot) error {
 	if !ok {
 		return fmt.Errorf("fl: %s cannot restore a checkpoint (implement fl.CheckpointableAlgorithm)", r.algo.Name())
 	}
-	r.joins = cloneJoins(snap.Joins)
-	if err := r.algo.WireSetup(r.joins, r.cfg.Shards); err != nil {
+	r.pt.joins = cloneJoins(snap.Joins)
+	if err := r.algo.WireSetup(r.pt.joins, r.cfg.Shards); err != nil {
 		return fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
 	}
 	if snap.Algo != nil {
@@ -1227,9 +883,9 @@ func (r *serverRun) restore(snap *Snapshot) error {
 		s.joined = true
 		s.downAt = now
 	}
-	r.joined = r.k
+	r.pt.joined = r.k
 	r.version = snap.Round
-	r.assembled = true
+	r.pt.assembled = true
 	return nil
 }
 
@@ -1242,7 +898,7 @@ func (r *serverRun) advance() {
 			r.fatal = fmt.Errorf("fl: round %d: every client has left the federation", r.version+1)
 			return
 		}
-		if r.evalWait != nil {
+		if r.pt.eval.active() {
 			return
 		}
 		if r.version >= r.cfg.Rounds {
@@ -1260,7 +916,7 @@ func (r *serverRun) advance() {
 			r.openSemiCohort()
 			return
 		default: // SchedSync
-			if r.awaiting != nil {
+			if r.pt.round.active() {
 				return
 			}
 			if r.tree {
@@ -1268,7 +924,7 @@ func (r *serverRun) advance() {
 			} else {
 				r.openSyncRound()
 			}
-			if r.awaiting != nil {
+			if r.pt.round.active() {
 				return
 			}
 			// The whole cohort was churned: the round committed empty;
@@ -1283,26 +939,22 @@ func (r *serverRun) advance() {
 // dispatches to every member.
 func (r *serverRun) openSyncRound() {
 	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate, 0)
-	r.awaiting = make(map[int]bool, len(cohort))
 	r.updates = make(map[int]*Update, len(cohort))
+	r.pt.round.open()
 	for _, id := range cohort {
-		if r.sessions[id].churned {
-			continue
+		if !r.sessions[id].churned {
+			r.pt.round.ids[id] = true
 		}
-		r.awaiting[id] = true
-	}
-	if len(r.awaiting) == 0 {
-		r.completeSyncRound()
-		return
 	}
 	for _, id := range cohort {
-		if r.awaiting[id] {
+		if r.pt.round.ids[id] {
 			r.dispatch(r.sessions[id])
 			if r.fatal != nil {
 				return
 			}
 		}
 	}
+	r.pt.round.settle()
 }
 
 // ownerOf maps a global client id to the aggregator fronting it.
@@ -1317,32 +969,27 @@ func (r *serverRun) openTreeRound() {
 	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate, 0)
 	members := make([][]int, r.aggs)
 	for _, id := range cohort {
-		if r.clientChurned[id] {
-			continue
+		if a := r.ownerOf(id); !r.sessions[a].churned {
+			members[a] = append(members[a], id)
 		}
-		members[r.ownerOf(id)] = append(members[r.ownerOf(id)], id)
 	}
-	r.awaiting = make(map[int]bool, r.aggs)
 	r.updates = make(map[int]*Update)
 	r.aggUpdates = make(map[int]*AggUpdate, r.aggs)
-	for a := 0; a < r.aggs; a++ {
-		if len(members[a]) == 0 || r.sessions[a].churned {
-			continue
+	r.pt.round.open()
+	for a := range members {
+		if len(members[a]) > 0 {
+			r.pt.round.ids[a] = true
 		}
-		r.awaiting[a] = true
 	}
-	if len(r.awaiting) == 0 {
-		r.completeTreeRound()
-		return
-	}
-	for a := 0; a < r.aggs; a++ {
-		if r.awaiting[a] {
+	for a := range members {
+		if r.pt.round.ids[a] {
 			r.dispatchTree(a, members[a])
 			if r.fatal != nil {
 				return
 			}
 		}
 	}
+	r.pt.round.settle()
 }
 
 // dispatchTree builds one subtree's batched broadcast: WireDispatch once
@@ -1358,12 +1005,7 @@ func (r *serverRun) dispatchTree(a int, members []int) {
 		}
 		payloads[i] = vecs
 	}
-	frame := encodeTreeDispatch(uint64(r.version), members, payloads, r.wc)
-	s := r.sessions[a]
-	s.busy = true
-	s.dispVersion = uint64(r.version)
-	s.pendingDispatch = frame
-	r.send(s, frame)
+	r.pt.dispatch(r.sessions[a], uint64(r.version), encodeTreeDispatch(uint64(r.version), members, payloads, r.pt.wc))
 }
 
 // dispatchIdle keeps the async pipeline full: idle, unchurned sessions are
@@ -1418,27 +1060,12 @@ func (r *serverRun) openSemiCohort() {
 	r.semiOpen = true
 }
 
-// dispatch sends one broadcast, caching the encoded frame for resend on
-// adoption (the payload cannot be regenerated: WireDispatch may consume
-// algorithm state). A disconnected session keeps the dispatch owed.
+// dispatch sends one client its broadcast.
 func (r *serverRun) dispatch(s *peerSession) {
 	vecs, err := r.algo.WireDispatch(s.id)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), s.id, err)
 		return
 	}
-	frame := encodeMsg(&wireMsg{kind: msgDispatch, a: uint64(r.version), vecs: vecs}, r.wc)
-	s.busy = true
-	s.dispVersion = uint64(r.version)
-	s.pendingDispatch = frame
-	r.send(s, frame)
-}
-
-// handleTick runs the failure discipline through the peer table; expired
-// reconnect windows degrade to churn (whole subtrees, in tree mode).
-func (r *serverRun) handleTick() {
-	if !r.assembled {
-		return
-	}
-	r.pt.tick(uint64(r.version), r.churn)
+	r.pt.dispatch(s, uint64(r.version), encodeMsg(&wireMsg{kind: msgDispatch, a: uint64(r.version), vecs: vecs}, r.pt.wc))
 }

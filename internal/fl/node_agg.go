@@ -4,28 +4,31 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/transport"
 )
 
-// This file is the edge-aggregator role of the tree topology: an
-// AggregatorNode faces a contiguous range of clients downstream — through
-// the same PeerTable the root uses, so joins, heartbeats, reconnect
-// windows and churn behave identically one level down — and is itself a
-// client upstream: it dials the root, joins on behalf of its whole child
-// range (msgTreeJoin), echoes heartbeats, re-dials with its session token
-// after a connection loss, and answers each batched dispatch with either a
-// pre-reduced aggregate (ReducibleWireAlgorithm + ExactAccumulator, exact
-// regrouping of flat fan-in) or its children's raw updates bundled
-// unreduced (the passthrough for non-associative algorithms like KT-pFL).
+// This file is the edge-aggregator role of the tree topology. An
+// AggregatorNode is composed, not restated: facing its contiguous range of
+// clients it runs the PeerTable — the same fan-in, admission to stop drain,
+// the root runs — and facing the root it keeps the uplink a ClientNode
+// keeps, so it joins (on behalf of its whole child range, msgTreeJoin),
+// echoes heartbeats and re-dials with its session token exactly as a client
+// does. What is written here is only what an aggregator does that neither
+// of them does: relay the root's welcome to its children, fan a batched
+// dispatch out and answer it with either a pre-reduced aggregate
+// (ReducibleWireAlgorithm + ExactAccumulator, exact regrouping of flat
+// fan-in) or the children's raw updates bundled unreduced (the passthrough
+// for non-associative algorithms like KT-pFL), relay evaluations, and
+// acknowledge the root's stop once every child acknowledged its own.
 //
 // The aggregator holds no round state worth checkpointing: every frame it
-// owes upstream is cached and replayed on adoption, and if the process
-// dies outright the root churns its whole subtree after the reconnect
-// window — restart-from-scratch semantics, documented in DESIGN.md §11.
+// owes upstream is cached and replayed when the root re-dispatches after an
+// adoption, and if the process dies outright the root churns its whole
+// subtree after the reconnect window — restart-from-scratch semantics,
+// documented in DESIGN.md §11.
 //
 // Ledger accounting: the aggregator's ledger prices its downstream side
 // (child joins, dispatch fan-out, uploads, heartbeats). Its upstream
@@ -71,15 +74,7 @@ type AggregatorConfig struct {
 }
 
 func (c AggregatorConfig) withDefaults() AggregatorConfig {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultHeartbeat
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 5 * c.Heartbeat
-	}
-	if c.ReconnectWindow <= 0 {
-		c.ReconnectWindow = DefaultReconnectWindow
-	}
+	defaultLiveness(&c.Heartbeat, &c.DeadAfter, &c.ReconnectWindow)
 	return c
 }
 
@@ -102,83 +97,44 @@ func NewAggregatorNode(algo WireAlgorithm, cfg AggregatorConfig) *AggregatorNode
 	return &AggregatorNode{cfg: cfg.withDefaults(), algo: algo, Ledger: comm.NewLedger()}
 }
 
-// dialResult is one upstream-dial delivery.
-type dialResult struct {
-	conn transport.Conn
-	err  error
-}
-
-// upEvent is one upstream-reader delivery; gen stamps the connection
-// incarnation like the PeerTable's inbound events.
-type upEvent struct {
-	gen   int
-	frame []byte
-	err   error
-}
-
 // aggRun is the single-goroutine event loop driving one Run call.
 type aggRun struct {
-	n   *AggregatorNode
-	cfg AggregatorConfig
-	ctx context.Context
-
+	n      *AggregatorNode
+	cfg    AggregatorConfig
 	algo   WireAlgorithm
 	lo, hi int
-	// wc frames the aggregator's own encodes (downstream dispatch fan-out,
-	// upstream aggregates) — all dense kinds, so cached replay frames stay
-	// valid. Child upload decoding runs through each reader's
-	// per-connection wireCodec in the PeerTable.
-	wc *wireCodec
 
-	pt    *PeerTable
-	joins []WireJoin
-
-	joined    int
-	assembled bool
-
-	// Upstream connection state. upDeadMs is the root-announced dead
-	// interval, read by the upstream reader to bound each Recv (atomic:
-	// the event loop stores it when the welcome arrives).
-	up        transport.Conn
-	upGen     int
-	upToken   uint64
-	upDialing bool
-	upDeadMs  atomic.Int64
-	upEvents  chan upEvent
-	upDials   chan dialResult
-	upWelcome []int64
+	pt *PeerTable
+	up *uplink
+	// joinFrame is the tree join, encoded once every child has joined.
 	joinFrame []byte
 
-	// Round state: the open dispatch being collected, and the cached
-	// answer frame of the last finished round (a re-dispatched round the
-	// root lost the answer to is resent, not recollected).
+	// Round state: the dispatch being collected (pt.round is its barrier),
+	// and the cached answer frame of the last finished round — a
+	// re-dispatched round the root lost the answer to is resent, not
+	// recollected.
 	version     uint64
-	collecting  bool
-	awaiting    map[int]bool
 	updates     map[int]*Update
 	haveLast    bool
 	lastVersion uint64
 	lastFrame   []byte
 
-	// Evaluation state, with the same resend cache.
+	// Evaluation state (pt.eval is its barrier), with the same resend cache.
 	evalVersion  uint64
-	evalWait     map[int]bool
 	evalAcc      map[int]uint64
 	evalIDs      []int
 	haveLastEval bool
 	lastEvalVer  uint64
 	lastEvalFrm  []byte
 
-	stopping  bool
-	stopFrame []byte
-
 	fatal error
 	done  bool
 }
 
 // Run accepts the child range's joins on the listener, joins the root on
-// their behalf, and relays rounds until the root's stop (nil) or a fatal
-// error. Cancelling ctx tears everything down and returns ctx.Err().
+// their behalf, and relays rounds until the root's stop has been relayed,
+// acknowledged below and acknowledged above (nil) or a fatal error.
+// Cancelling ctx tears everything down and returns ctx.Err().
 func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	defer ln.Close()
 	cfg := n.cfg
@@ -197,261 +153,85 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	}
 	bounds := TreeSplit(cfg.Clients, cfg.Aggregators)
 	lo, hi := bounds[cfg.Index], bounds[cfg.Index+1]
-	g := &aggRun{
-		n:        n,
-		cfg:      cfg,
-		ctx:      ctx,
-		algo:     n.algo,
-		lo:       lo,
-		hi:       hi,
-		wc:       newWireCodec(cfg.WireSpec(), lossyUploads(n.algo)),
-		joins:    make([]WireJoin, hi-lo),
-		upEvents: make(chan upEvent, 8),
-		upDials:  make(chan dialResult, 1),
-	}
-	g.pt = newPeerTable(hi-lo, lo, cfg.WireSpec(), lossyUploads(n.algo), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
-		cfg.Seed, n.Ledger, &n.Stats, func(m *wireMsg) bool {
-			return m.kind == msgJoin && len(m.ints) == joinIntCount
-		})
+	g := &aggRun{n: n, cfg: cfg, algo: n.algo, lo: lo, hi: hi}
+	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
+		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
+	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
+	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, cfg.Dialer, nil)
 	defer g.pt.shutdown()
-	defer g.closeUp()
+	defer g.up.close()
 	go g.pt.acceptLoop(ln)
-	return g.loop(ctx)
-}
 
-func (g *aggRun) closeUp() {
-	if g.up != nil {
-		g.up.Close()
-		g.up = nil
-	}
-}
-
-// loop is the event loop: every state transition happens here.
-func (g *aggRun) loop(ctx context.Context) error {
-	interval := g.cfg.Heartbeat
-	if g.cfg.DeadAfter < interval {
-		interval = g.cfg.DeadAfter
-	}
-	if g.cfg.ReconnectWindow < interval {
-		interval = g.cfg.ReconnectWindow
-	}
-	if interval /= 2; interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(g.pt.tickInterval())
 	defer ticker.Stop()
 	g.pt.lastBeat = time.Now()
-	for g.fatal == nil && !g.done {
+	for g.fatal == nil && g.up.err == nil && !g.done {
 		select {
 		case ev := <-g.pt.events:
-			g.handleChildInbound(ev)
+			g.handleChild(ev)
 		case ac := <-g.pt.conns:
-			g.handleChildConn(ac)
-		case dr := <-g.upDials:
-			g.handleDialResult(dr)
-		case ue := <-g.upEvents:
-			g.handleUpEvent(ue)
+			if err := g.pt.admit(ac, g.version); err != nil {
+				g.fail(err)
+			} else if g.pt.full() && g.up.conn == nil && !g.up.dialing {
+				// The subtree is complete: join the root on its behalf.
+				g.up.dial(nil)
+			}
+		case d := <-g.up.dials:
+			if g.up.dialed(d) {
+				if g.joinFrame == nil {
+					g.joinFrame = encodeTreeJoin(cfg.Index, lo, hi, g.pt.joins, g.algo.Name(), g.pt.wc)
+				}
+				g.up.send(g.joinFrame)
+			}
+		case f := <-g.up.frames:
+			if m := g.up.receive(f); m != nil {
+				g.handleUp(m)
+			}
 		case <-ticker.C:
-			g.handleTick()
+			g.pt.tick(g.version)
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if g.stopping && g.fatal == nil && !g.done && !g.pt.pendingStops() {
-			// Every child is stopped or churned: acknowledge the root's stop
-			// (best-effort if the upstream link is down — the root's reconnect
-			// window resolves the session either way) and finish.
-			g.sendUp(encodeMsg(&wireMsg{kind: msgStopAck}, g.wc))
-			g.done = true
+		if g.pt.stopping && !g.pt.pendingStops() && g.fatal == nil {
+			// Every child is stopped or churned: acknowledge the root's stop.
+			// If the link is down the re-dial is already under way, and the
+			// ack goes out the moment it lands.
+			g.done = g.up.send(encodeMsg(&wireMsg{kind: msgStopAck}, g.pt.wc))
 		}
 	}
-	return g.fatal
+	if g.fatal != nil {
+		return g.fatal
+	}
+	return g.up.err
 }
 
 // fail reports a downstream failure upstream (so the root aborts the run
 // with the cause) and ends this aggregator.
-func (g *aggRun) fail(format string, args ...any) {
-	err := fmt.Errorf(format, args...)
-	g.sendUp(encodeMsg(&wireMsg{kind: msgErr, name: err.Error()}, g.wc))
+func (g *aggRun) fail(err error) {
+	g.up.send(encodeMsg(&wireMsg{kind: msgErr, name: err.Error()}, g.pt.wc))
 	g.fatal = fmt.Errorf("fl: aggregator %d: %w", g.cfg.Index, err)
 }
 
-// ---- upstream side ----
-
-// dialUpstream starts one asynchronous dial attempt, presenting whatever
-// session token the aggregator holds.
-func (g *aggRun) dialUpstream() {
-	g.upDialing = true
-	token := g.upToken
-	go func() {
-		conn, err := g.cfg.Dialer(g.ctx, token)
-		select {
-		case g.upDials <- dialResult{conn: conn, err: err}:
-		case <-g.pt.stop:
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-}
-
-func (g *aggRun) handleDialResult(dr dialResult) {
-	g.upDialing = false
-	if dr.err != nil {
-		if g.ctx.Err() != nil {
-			g.fatal = g.ctx.Err()
-			return
-		}
-		g.fatal = fmt.Errorf("fl: aggregator %d: upstream dial: %w", g.cfg.Index, dr.err)
-		return
-	}
-	g.up = dr.conn
-	g.upGen++
-	go g.upReader(g.upGen, dr.conn)
-	if g.upToken == 0 {
-		// No session yet (first dial, or the join-phase connection died
-		// before the welcome): a fresh tree join is idempotent pre-assembly
-		// on the root, exactly like a client's re-join.
-		if g.joinFrame == nil {
-			g.joinFrame = encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.joins, g.algo.Name(), g.wc)
-		}
-		g.sendUp(g.joinFrame)
-	}
-}
-
-// upReader pumps upstream frames into the event loop until the connection
-// dies, bounding each read by the root-announced dead interval.
-func (g *aggRun) upReader(gen int, conn transport.Conn) {
-	deliver := func(ev upEvent) bool {
-		select {
-		case g.upEvents <- ev:
-			return true
-		case <-g.pt.stop:
-			return false
-		}
-	}
-	for {
-		if d := g.upDeadMs.Load(); d > 0 {
-			conn.SetReadDeadline(time.Now().Add(time.Duration(d) * time.Millisecond))
-		}
-		b, _, err := conn.Recv()
-		if err != nil {
-			deliver(upEvent{gen: gen, err: err})
-			return
-		}
-		if !deliver(upEvent{gen: gen, frame: b}) {
-			return
-		}
-	}
-}
-
-// sendUp writes one frame upstream, tearing the connection down (and
-// triggering a re-dial) on failure. The frame stays owed: every upstream
-// send is either re-derivable or cached for replay.
-func (g *aggRun) sendUp(frame []byte) bool {
-	if g.up == nil {
-		return false
-	}
-	d := time.Duration(g.upDeadMs.Load()) * time.Millisecond
-	if d <= 0 {
-		d = g.cfg.DeadAfter
-	}
-	g.up.SetWriteDeadline(time.Now().Add(d))
-	if _, err := g.up.Send(frame); err != nil {
-		g.upLost()
-		return false
-	}
-	g.up.SetWriteDeadline(time.Time{})
-	return true
-}
-
-// upLost tears down the upstream connection and re-dials (unless the run
-// is stopping — then the drain finishes and the root's reconnect window
-// resolves the session).
-func (g *aggRun) upLost() {
-	if g.up != nil {
-		g.up.Close()
-		g.up = nil
-	}
-	g.upGen++
-	if !g.stopping && !g.upDialing && g.fatal == nil {
-		g.dialUpstream()
-	}
-}
-
-func (g *aggRun) handleUpEvent(ue upEvent) {
-	if ue.gen != g.upGen {
-		return
-	}
-	if ue.err != nil {
-		if g.ctx.Err() != nil {
-			g.fatal = g.ctx.Err()
-			return
-		}
-		g.upLost()
-		return
-	}
-	m, err := decodeMsg(ue.frame)
-	if err != nil {
-		g.fatal = fmt.Errorf("fl: aggregator %d: upstream frame: %w", g.cfg.Index, err)
-		return
-	}
-	g.handleUp(m)
-}
-
-// handleUp processes one root message.
+// handleUp processes one root message the uplink passed through.
 func (g *aggRun) handleUp(m *wireMsg) {
 	switch m.kind {
 	case msgWelcome, msgResume:
-		if len(m.ints) != welIntCount {
-			g.fatal = fmt.Errorf("fl: aggregator %d: malformed welcome", g.cfg.Index)
-			return
+		if !g.pt.assembled {
+			// Relay the root's federation parameters downstream; the table
+			// substitutes its own token grants and liveness discipline.
+			copy(g.pt.fed[:], m.ints)
+			g.pt.assemble()
 		}
-		if m.name != g.algo.Name() {
-			g.fatal = fmt.Errorf("fl: aggregator %d runs %q, server runs %q", g.cfg.Index, g.algo.Name(), m.name)
-			return
-		}
-		g.upDeadMs.Store(m.ints[welDeadMs])
-		if tok := uint64(m.ints[welToken]); tok != 0 {
-			g.upToken = tok
-		}
-		g.upWelcome = m.ints
-		if !g.assembled {
-			g.welcomeChildren()
-		}
-	case msgHeartbeat:
-		// Echo verbatim, like any client: traffic is the liveness signal.
-		g.sendUp(encodeMsg(&wireMsg{kind: msgHeartbeat, a: m.a}, g.wc))
 	case msgTreeDispatch:
 		g.handleTreeDispatch(m)
 	case msgEvalReq:
 		g.handleUpEvalReq(m)
 	case msgStop:
-		g.beginStop()
-	case msgErr:
-		g.fatal = fmt.Errorf("fl: aggregator %d refused by server: %s", g.cfg.Index, m.name)
+		// Relay the goodbye; the loop acknowledges upstream once every
+		// child session resolves.
+		g.pt.beginStop()
 	default:
 		g.n.Stats.Ignored++
-	}
-}
-
-// welcomeChildren issues child tokens and relays the root's federation
-// parameters downstream, substituting this aggregator's own token grants
-// and liveness discipline — each tree edge has its own failure clocks.
-func (g *aggRun) welcomeChildren() {
-	g.pt.issueTokens()
-	g.assembled = true
-	for _, s := range g.pt.sessions {
-		welcome := &wireMsg{kind: msgWelcome, name: g.algo.Name(), ints: g.childWelcomeInts(s)}
-		if !g.pt.send(s, encodeMsg(welcome, g.wc)) {
-			continue // the reconnect window (or churn) picks it up
-		}
-	}
-}
-
-func (g *aggRun) childWelcomeInts(s *peerSession) []int64 {
-	return []int64{
-		g.upWelcome[welClients], g.upWelcome[welRounds], g.upWelcome[welBatch], g.upWelcome[welEvalEvery],
-		int64(s.token), g.cfg.Heartbeat.Milliseconds(), g.cfg.DeadAfter.Milliseconds(),
 	}
 }
 
@@ -460,13 +240,13 @@ func (g *aggRun) childWelcomeInts(s *peerSession) []int64 {
 // of a finished round means the root lost the answer — resend the cached
 // frame rather than retraining the subtree.
 func (g *aggRun) handleTreeDispatch(m *wireMsg) {
-	if g.collecting && m.a == g.version {
+	if g.pt.round.active() && m.a == g.version {
 		g.n.Stats.Ignored++
 		return
 	}
-	if !g.collecting && g.haveLast && m.a == g.lastVersion {
+	if !g.pt.round.active() && g.haveLast && m.a == g.lastVersion {
 		g.n.Stats.Resends++
-		g.sendUp(g.lastFrame)
+		g.up.send(g.lastFrame)
 		return
 	}
 	ids, payloads, err := decodeTreeDispatch(m)
@@ -475,36 +255,26 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 		return
 	}
 	g.version = m.a
-	g.collecting = true
-	g.awaiting = make(map[int]bool, len(ids))
 	g.updates = make(map[int]*Update, len(ids))
+	g.pt.round.open()
 	for i, id := range ids {
 		if id < g.lo || id >= g.hi {
 			g.fatal = fmt.Errorf("fl: aggregator %d: dispatch for client %d outside range [%d, %d)",
 				g.cfg.Index, id, g.lo, g.hi)
 			return
 		}
-		s := g.pt.sessionByID(id)
-		if s.churned {
-			continue
+		if s := g.pt.sessionByID(id); !s.churned {
+			g.pt.round.ids[id] = true
+			g.pt.dispatch(s, m.a, encodeMsg(&wireMsg{kind: msgDispatch, a: m.a, vecs: payloads[i]}, g.pt.wc))
 		}
-		frame := encodeMsg(&wireMsg{kind: msgDispatch, a: m.a, vecs: payloads[i]}, g.wc)
-		s.busy = true
-		s.dispVersion = m.a
-		s.pendingDispatch = frame
-		g.awaiting[id] = true
-		g.pt.send(s, frame) // a failed send leaves the dispatch owed on adoption
 	}
-	if len(g.awaiting) == 0 {
-		g.finishRound()
-	}
+	g.pt.round.settle()
 }
 
-// finishRound answers the open round: pre-reduce the collected updates
+// finishRound answers the completed round: pre-reduce the collected updates
 // when the policy and the algorithm allow it, bundle them raw otherwise.
 // The frame is cached before the send so an upstream loss replays it.
 func (g *aggRun) finishRound() {
-	g.collecting = false
 	ids := make([]int, 0, len(g.updates))
 	for id := range g.updates {
 		ids = append(ids, id)
@@ -514,41 +284,40 @@ func (g *aggRun) finishRound() {
 	for i, id := range ids {
 		ups[i] = g.updates[id]
 	}
+	g.updates = nil
 	var frame []byte
 	if red, ok := g.algo.(ReducibleWireAlgorithm); ok && g.cfg.PreReduce != PreReduceOff {
 		au, err := red.PreReduce(ups)
 		if err != nil {
-			g.fail("%s pre-reduce: %s", g.algo.Name(), err)
+			g.fail(fmt.Errorf("%s pre-reduce: %s", g.algo.Name(), err))
 			return
 		}
 		au.Agg = g.cfg.Index
-		frame = encodeAggUpdate(g.version, au, g.wc)
+		frame = encodeAggUpdate(g.version, au, g.pt.wc)
 	} else {
-		frame = encodeTreeUpdate(g.version, ups, g.wc)
+		frame = encodeTreeUpdate(g.version, ups, g.pt.wc)
 	}
 	g.lastFrame, g.lastVersion, g.haveLast = frame, g.version, true
-	g.awaiting = nil
-	g.updates = nil
-	g.sendUp(frame)
+	g.up.send(frame)
 }
 
 // handleUpEvalReq fans an evaluation request out to the requested, live
-// children, caching the per-child frame for replay on adoption.
+// children.
 func (g *aggRun) handleUpEvalReq(m *wireMsg) {
-	if g.evalWait != nil && m.a == g.evalVersion {
+	if g.pt.eval.active() && m.a == g.evalVersion {
 		g.n.Stats.Ignored++
 		return
 	}
-	if g.evalWait == nil && g.haveLastEval && m.a == g.lastEvalVer {
+	if !g.pt.eval.active() && g.haveLastEval && m.a == g.lastEvalVer {
 		g.n.Stats.Resends++
-		g.sendUp(g.lastEvalFrm)
+		g.up.send(g.lastEvalFrm)
 		return
 	}
 	g.evalVersion = m.a
-	g.evalWait = make(map[int]bool, len(m.ints))
 	g.evalAcc = make(map[int]uint64, len(m.ints))
 	g.evalIDs = g.evalIDs[:0]
-	frame := encodeMsg(&wireMsg{kind: msgEvalReq, a: m.a}, g.wc)
+	g.pt.eval.open()
+	frame := encodeMsg(&wireMsg{kind: msgEvalReq, a: m.a}, g.pt.wc)
 	for _, iv := range m.ints {
 		id := int(iv)
 		if id < g.lo || id >= g.hi {
@@ -556,18 +325,12 @@ func (g *aggRun) handleUpEvalReq(m *wireMsg) {
 				g.cfg.Index, id, g.lo, g.hi)
 			return
 		}
-		s := g.pt.sessionByID(id)
-		if s.churned {
-			continue
+		if s := g.pt.sessionByID(id); !s.churned {
+			g.evalIDs = append(g.evalIDs, id)
+			g.pt.ask(s, frame)
 		}
-		g.evalIDs = append(g.evalIDs, id)
-		g.evalWait[id] = true
-		s.pendingEval = frame
-		g.pt.send(s, frame) // a failed send leaves the request owed on adoption
 	}
-	if len(g.evalWait) == 0 {
-		g.finishEval()
-	}
+	g.pt.eval.settle()
 }
 
 // finishEval relays the collected accuracies upstream as [id, bits] pairs
@@ -581,239 +344,48 @@ func (g *aggRun) finishEval() {
 			ids = append(ids, id)
 		}
 	}
-	frame := encodeMsg(&wireMsg{kind: msgEvalRes, a: g.evalVersion, ints: aggEvalInts(ids, g.evalAcc)}, g.wc)
+	frame := encodeMsg(&wireMsg{kind: msgEvalRes, a: g.evalVersion, ints: aggEvalInts(ids, g.evalAcc)}, g.pt.wc)
 	g.lastEvalFrm, g.lastEvalVer, g.haveLastEval = frame, g.evalVersion, true
-	g.evalWait = nil
 	g.evalAcc = nil
 	g.evalIDs = nil
-	g.sendUp(frame)
+	g.up.send(frame)
 }
 
-// beginStop relays the root's goodbye downstream; the loop's drain
-// condition acknowledges upstream once every child session resolves.
-func (g *aggRun) beginStop() {
-	if g.stopping {
-		return
-	}
-	g.stopping = true
-	g.stopFrame = encodeMsg(&wireMsg{kind: msgStop}, g.wc)
-	for _, s := range g.pt.sessions {
-		if s.conn != nil && !s.churned {
-			g.pt.send(s, g.stopFrame)
-		}
-	}
-}
-
-// ---- downstream side ----
-
-// handleChildConn admits one accepted child connection, mirroring the
-// root's flat join flow one level down.
-func (g *aggRun) handleChildConn(ac acceptedConn) {
-	if ac.err != nil {
-		if g.joined < len(g.pt.sessions) {
-			g.fail("listener closed with %d of %d clients joined: %s", g.joined, len(g.pt.sessions), ac.err)
-		}
-		return
-	}
-	g.pt.forgetEmbryo(ac.conn)
-	if ac.token != 0 {
-		sess := g.pt.findToken(ac.token)
-		if sess == nil {
-			g.pt.refuse(ac.conn, fmt.Sprintf("unknown session token %#x", ac.token))
+// handleChild interprets what the table's triage left to the role: a
+// child's upload into the open round, a child's accuracy into the open
+// evaluation.
+func (g *aggRun) handleChild(ev inbound) {
+	s, m, err := g.pt.triage(ev)
+	switch {
+	case err != nil:
+		g.fail(err)
+	case m == nil:
+	case m.kind == msgUpdate:
+		if !g.pt.answered(s, m.a) || !g.pt.expects(&g.pt.round, s) {
 			return
 		}
-		if sess.churned {
-			g.pt.refuse(ac.conn, fmt.Sprintf("client %d session expired (reconnect window elapsed)", sess.id))
+		scale := bitsF64(m.b)
+		g.updates[s.id] = &Update{
+			Client:  s.id,
+			Version: int(m.a),
+			Scale:   scale,
+			// The sync barrier's final weight IS the scale (the root applies
+			// the same rule on its flat path); pre-reduction folds by Weight.
+			Weight: scale,
+			Vecs:   m.vecs,
+			Counts: m.counts,
+		}
+		g.pt.round.resolve(s.id)
+	case m.kind == msgEvalRes:
+		if !g.pt.expects(&g.pt.eval, s) {
 			return
 		}
-		if sess.conn != nil {
-			g.pt.markDisconnected(sess)
-		}
-		g.adoptChild(sess, ac.conn, 0)
-		return
-	}
-	m := ac.join
-	id := int(m.ints[joinID])
-	if id < g.lo || id >= g.hi {
-		g.pt.refuse(ac.conn, fmt.Sprintf("client id %d outside this aggregator's range [%d, %d)", id, g.lo, g.hi))
-		return
-	}
-	if m.name != g.algo.Name() {
-		g.pt.refuse(ac.conn, fmt.Sprintf("client runs %q, aggregator runs %q", m.name, g.algo.Name()))
-		return
-	}
-	sess := g.pt.sessionByID(id)
-	if g.assembled {
-		if sess.churned {
-			g.pt.refuse(ac.conn, fmt.Sprintf("client %d session expired (reconnect window elapsed)", id))
-			return
-		}
-		if sess.conn != nil {
-			g.pt.markDisconnected(sess)
-		}
-		g.adoptChild(sess, ac.conn, ac.wire)
-		return
-	}
-	if sess.conn != nil {
-		g.pt.markDisconnected(sess)
-	}
-	g.joins[id-g.lo] = WireJoin{
-		ID:            id,
-		TrainSize:     int(m.ints[joinTrainSize]),
-		FeatDim:       int(m.ints[joinFeatDim]),
-		NumClasses:    int(m.ints[joinNumClasses]),
-		NumParams:     int(m.ints[joinNumParams]),
-		NumClassifier: int(m.ints[joinNumClassifier]),
-		Init:          m.vecs,
-	}
-	g.pt.attach(sess, ac.conn, ac.wire)
-	if !sess.joined {
-		sess.joined = true
-		g.joined++
-	}
-	if g.joined == len(g.pt.sessions) && g.up == nil && !g.upDialing {
-		g.dialUpstream()
-	}
-}
-
-// adoptChild attaches a reconnecting child and replays what it is owed.
-func (g *aggRun) adoptChild(sess *peerSession, conn transport.Conn, joinWire int64) {
-	sess.downAt = time.Time{}
-	g.n.Stats.Reconnects++
-	g.pt.attach(sess, conn, joinWire)
-	resume := &wireMsg{kind: msgResume, a: g.version, name: g.algo.Name(), ints: g.childWelcomeInts(sess)}
-	if !g.pt.send(sess, encodeMsg(resume, g.wc)) {
-		return
-	}
-	if sess.busy && sess.pendingDispatch != nil {
-		g.n.Stats.Resends++
-		if !g.pt.send(sess, sess.pendingDispatch) {
-			return
-		}
-	}
-	if g.evalWait != nil && g.evalWait[sess.id] && sess.pendingEval != nil {
-		g.n.Stats.Resends++
-		if !g.pt.send(sess, sess.pendingEval) {
-			return
-		}
-	}
-	if g.stopping {
-		g.pt.send(sess, g.stopFrame)
-	}
-}
-
-// churnChild retires a child permanently; open barriers stop waiting for
-// it (the round or evaluation completes without its contribution, exactly
-// as the root completes without a churned flat client's).
-func (g *aggRun) churnChild(s *peerSession) {
-	if !g.pt.churnSession(s) {
-		return
-	}
-	if g.awaiting != nil && g.awaiting[s.id] {
-		delete(g.awaiting, s.id)
-		if len(g.awaiting) == 0 && g.collecting {
-			g.finishRound()
-		}
-	}
-	if g.evalWait != nil && g.evalWait[s.id] {
-		delete(g.evalWait, s.id)
-		if len(g.evalWait) == 0 {
-			g.finishEval()
-		}
-	}
-}
-
-// handleChildInbound processes one child reader delivery.
-func (g *aggRun) handleChildInbound(ev inbound) {
-	sess := g.pt.sessionByID(ev.id)
-	if ev.err == nil {
-		g.n.Ledger.AddUp(ev.id, ev.wire)
-	}
-	if ev.gen != sess.gen {
-		return
-	}
-	if ev.err != nil {
-		if sess.stopped {
-			if sess.conn != nil {
-				sess.conn.Close()
-				sess.conn = nil
-				sess.gen++
-			}
-			return
-		}
-		g.pt.markDisconnected(sess)
-		return
-	}
-	sess.lastSeen = time.Now()
-	m := ev.msg
-	switch m.kind {
-	case msgHeartbeat:
-		// The arrival already refreshed lastSeen.
-	case msgUpdate:
-		g.handleChildUpdate(sess, m)
-	case msgEvalRes:
-		g.handleChildEvalRes(sess, m)
-	case msgErr:
-		g.fail("client %d failed: %s", ev.id, m.name)
-	case msgStopAck:
-		sess.stopped = true
+		// Relayed upstream bit for bit: the float64 pattern never leaves
+		// the integer slots.
+		g.evalAcc[s.id] = m.b
+		s.pendingEval = nil
+		g.pt.eval.resolve(s.id)
 	default:
 		g.n.Stats.Ignored++
 	}
-}
-
-// handleChildUpdate collects one child upload into the open round, with
-// the same dedup rule the root applies: only the answer to the session's
-// outstanding dispatch counts.
-func (g *aggRun) handleChildUpdate(sess *peerSession, m *wireMsg) {
-	if !sess.busy || sess.dispVersion != m.a {
-		g.n.Stats.Ignored++
-		return
-	}
-	sess.busy = false
-	sess.pendingDispatch = nil
-	if g.awaiting == nil || !g.awaiting[sess.id] {
-		g.n.Stats.Ignored++
-		return
-	}
-	scale := bitsF64(m.b)
-	g.updates[sess.id] = &Update{
-		Client:  sess.id,
-		Version: int(m.a),
-		Scale:   scale,
-		// The sync barrier's final weight IS the scale (the root applies
-		// the same rule on its flat path); pre-reduction folds by Weight.
-		Weight: scale,
-		Vecs:   m.vecs,
-		Counts: m.counts,
-	}
-	delete(g.awaiting, sess.id)
-	if len(g.awaiting) == 0 && g.collecting {
-		g.finishRound()
-	}
-}
-
-// handleChildEvalRes collects one child accuracy, relayed upstream bit-
-// for-bit (the float64 pattern never leaves the integer slots).
-func (g *aggRun) handleChildEvalRes(sess *peerSession, m *wireMsg) {
-	if g.evalWait == nil || !g.evalWait[sess.id] {
-		g.n.Stats.Ignored++
-		return
-	}
-	g.evalAcc[sess.id] = m.b
-	sess.pendingEval = nil
-	delete(g.evalWait, sess.id)
-	if len(g.evalWait) == 0 {
-		g.finishEval()
-	}
-}
-
-// handleTick runs the downstream failure discipline once the children are
-// welcomed; expired reconnect windows churn the child (and the open
-// barriers complete without it).
-func (g *aggRun) handleTick() {
-	if !g.assembled {
-		return
-	}
-	g.pt.tick(g.version, g.churnChild)
 }

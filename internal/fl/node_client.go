@@ -2,34 +2,30 @@ package fl
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
 // This file is the client half of the node runtime: a ClientNode that owns
-// one client's model, data and optimizer, serves the server's dispatch and
-// evaluation requests, and survives connection loss by re-dialing with its
-// session token.
+// one client's model, data and optimizer, serves the dispatch and
+// evaluation requests of whoever it dialed — the server, or an edge
+// aggregator it cannot tell from one — and survives connection loss by
+// re-dialing with its session token. The link itself (read pump, welcome
+// intake, heartbeat echo, the re-dial rule) is the uplink of uplink.go,
+// shared with the aggregator; what is here is what only a client does.
 //
-// The runtime splits across two goroutines per connection so that a long
-// local-training step never blocks the protocol: a read loop pumps frames
-// (heartbeats keep flowing, so the server sees a slow trainer as alive),
-// and a training worker runs WireLocal off the serve loop, delivering its
-// result through a channel. Replay tolerance is symmetrical with the
-// server's: a duplicate dispatch for the round already being trained is
-// ignored, a re-dispatch for a round already answered triggers a resend of
-// the cached update frame (the server evidently lost it), and the server
-// deduplicates whatever arrives twice.
-
-// errConnLost marks a serve pass that ended because the connection died
-// (as opposed to a protocol error or a server refusal). Run reconnects on
-// it when a Dialer and a session token are available.
-var errConnLost = errors.New("connection lost")
+// A long local-training step never blocks the protocol: the uplink's pump
+// keeps frames flowing (heartbeats are echoed, so the server sees a slow
+// trainer as alive), and a training worker runs WireLocal off the event
+// loop, delivering its result through a channel — across a reconnect if
+// need be: an update trained on the old connection is delivered on the new
+// one. Replay tolerance is symmetrical with the server's: a duplicate
+// dispatch for the round already being trained is ignored, a re-dispatch
+// for a round already answered triggers a resend of the cached update (the
+// server evidently lost it), and the server deduplicates whatever arrives
+// twice.
 
 // ClientNode runs one client's half of a federation over a transport.
 type ClientNode struct {
@@ -57,18 +53,13 @@ type trainResult struct {
 	err     error
 }
 
-// clientRun is the per-Run state that survives reconnects.
+// clientRun is the single-goroutine event loop driving one Run call.
 type clientRun struct {
-	cn    *ClientNode
-	c     *Client
-	token uint64
-	batch int
-	// deadMs is the server-announced dead interval in milliseconds, read
-	// by the read loop to bound each Recv (atomic: the serve loop updates
-	// it when a welcome arrives).
-	deadMs   atomic.Int64
+	cn       *ClientNode
+	c        *Client
+	up       *uplink
+	batch    int
 	welcomed bool
-	joined   bool
 
 	training     bool
 	trainVersion uint64
@@ -88,43 +79,45 @@ type clientRun struct {
 	lastUpdate  *wireMsg
 	lastVersion uint64
 	haveLast    bool
+
+	fatal error
+	done  bool
 }
 
 // Run joins the federation over conn and serves dispatch and evaluation
-// requests until the server sends a stop (nil) or the connection
-// irrecoverably dies (error). With a Dialer and a granted session token, a
-// connection loss triggers a re-dial that resumes the session instead of
-// ending the run. Cancelling ctx closes the connection and returns
-// ctx.Err().
+// requests until the server's stop has been acknowledged (nil) or the link
+// irrecoverably dies (error). With a Dialer, a connection loss triggers a
+// re-dial that resumes the session instead of ending the run. Cancelling
+// ctx closes the connection and returns ctx.Err().
 func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
-	cr := &clientRun{cn: cn, c: cn.Client, token: cn.Token, batch: 32, trainDone: make(chan trainResult, 1)}
+	cr := &clientRun{cn: cn, c: cn.Client, batch: 32, trainDone: make(chan trainResult, 1)}
+	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, cn.Dialer, cn.OnToken)
 	defer cr.drain()
-	for {
-		err := cr.serve(ctx, conn)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
+	defer cr.up.close()
+	if cr.up.attach(conn) {
+		cr.join()
+	}
+	for cr.fatal == nil && cr.up.err == nil && !cr.done {
+		select {
+		case f := <-cr.up.frames:
+			if m := cr.up.receive(f); m != nil {
+				cr.handle(m)
+			}
+		case d := <-cr.up.dials:
+			if cr.up.dialed(d) {
+				cr.join()
+			}
+		case res := <-cr.trainDone:
+			cr.training = false
+			cr.finishTraining(res)
+		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if !errors.Is(err, errConnLost) || cn.Dialer == nil {
-			return err
-		}
-		if cr.token == 0 {
-			// The connection died before a token was granted (join or welcome
-			// lost). A fresh pre-assembly join is idempotent on the server, so
-			// redial and join again rather than giving up on the federation.
-			cr.joined = false
-		}
-		next, derr := cn.Dialer(ctx, cr.token)
-		if derr != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("fl: client %d: reconnect after %v: %w", cr.c.ID, err, derr)
-		}
-		conn = next
 	}
+	if cr.fatal != nil {
+		return cr.fatal
+	}
+	return cr.up.err
 }
 
 // drain reaps an in-flight training worker so Run never leaks a goroutine,
@@ -136,164 +129,40 @@ func (cr *clientRun) drain() {
 	}
 }
 
-// awaitStop distinguishes shutdown from failure after a send failed: the
-// server sends stop frames and then tears connections down, so a client
-// mid-echo can see its write fail while the stop sits in the read queue.
-// Already-received frames are drained (briefly — the connection is dead,
-// so the read loop finishes fast) looking for the stop that explains the
-// failure; anything else is discarded, which is safe because a live server
-// resends whatever a reconnecting client owes.
-func (cr *clientRun) awaitStop(conn transport.Conn, frames <-chan frameOrErr) bool {
-	for {
-		select {
-		case fe := <-frames:
-			if fe.err != nil {
-				return false
-			}
-			if m, err := decodeMsg(fe.b); err == nil && m.kind == msgStop {
-				// Best-effort ack on a connection that just failed a send;
-				// if it does not land, the server re-delivers the stop to a
-				// re-dial or churns the session at the window.
-				conn.Send(encodeMsg(&wireMsg{kind: msgStopAck}, nil))
-				return true
-			}
-		case <-time.After(200 * time.Millisecond):
-			return false
-		}
-	}
-}
-
-// frameOrErr is one read-loop delivery.
-type frameOrErr struct {
-	b   []byte
-	err error
-}
-
-// serve drives one connection until stop (nil), connection loss
-// (errConnLost) or a fatal protocol error.
-func (cr *clientRun) serve(ctx context.Context, conn transport.Conn) error {
-	defer conn.Close()
+// join declares this client on a connection that resumes no session.
+func (cr *clientRun) join() {
 	c := cr.c
-	// The connection's codec state is rebuilt per serve pass: a reconnect
-	// starts with no delta bases, so the first upload re-establishes them
-	// densely — matching the server reader's equally fresh decoder.
-	wc := newWireCodec(conn.Hello().Spec, lossyUploads(cr.cn.Algo))
-	stop := make(chan struct{})
-	defer close(stop)
-
-	frames := make(chan frameOrErr, 4)
-	go func() {
-		for {
-			// The dead interval bounds every read once the welcome announced
-			// it: a server that goes silent — not merely slow — trips the
-			// deadline and the client re-dials.
-			if d := cr.deadMs.Load(); d > 0 {
-				conn.SetReadDeadline(time.Now().Add(time.Duration(d) * time.Millisecond))
-			}
-			b, _, err := conn.Recv()
-			if err != nil {
-				select {
-				case frames <- frameOrErr{err: err}:
-				case <-stop:
-				}
-				return
-			}
-			select {
-			case frames <- frameOrErr{b: b}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	if !cr.joined && cr.token == 0 {
-		init, err := cr.cn.Algo.WireInit(c)
-		if err != nil {
-			return fmt.Errorf("fl: client %d init payload: %w", c.ID, err)
-		}
-		join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: init, ints: make([]int64, joinIntCount)}
-		join.ints[joinID] = int64(c.ID)
-		join.ints[joinTrainSize] = int64(len(c.Train))
-		if c.Model != nil {
-			join.ints[joinFeatDim] = int64(c.Model.Cfg.FeatDim)
-			join.ints[joinNumClasses] = int64(c.Model.Cfg.NumClasses)
-			join.ints[joinNumParams] = int64(nn.NumParams(c.Model.Params()))
-			join.ints[joinNumClassifier] = int64(nn.NumParams(c.Model.ClassifierParams()))
-		}
-		if _, err := conn.Send(encodeMsg(join, wc)); err != nil {
-			return fmt.Errorf("fl: client %d join: %w: %v", c.ID, errConnLost, err)
-		}
-		cr.joined = true
+	init, err := cr.cn.Algo.WireInit(c)
+	if err != nil {
+		cr.fatal = fmt.Errorf("fl: client %d init payload: %w", c.ID, err)
+		return
 	}
-
-	for {
-		select {
-		case fe := <-frames:
-			if fe.err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fl: client %d: %w: %v", c.ID, errConnLost, fe.err)
-			}
-			m, err := decodeMsg(fe.b)
-			if err != nil {
-				return fmt.Errorf("fl: client %d: %w", c.ID, err)
-			}
-			done, err := cr.handle(conn, wc, m)
-			if err != nil && errors.Is(err, errConnLost) && cr.awaitStop(conn, frames) {
-				return nil
-			}
-			if done || err != nil {
-				return err
-			}
-		case res := <-cr.trainDone:
-			cr.training = false
-			if err := cr.finishTraining(conn, wc, res); err != nil {
-				if errors.Is(err, errConnLost) && cr.awaitStop(conn, frames) {
-					return nil
-				}
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: init, ints: make([]int64, joinIntCount)}
+	join.ints[joinID] = int64(c.ID)
+	join.ints[joinTrainSize] = int64(len(c.Train))
+	if c.Model != nil {
+		join.ints[joinFeatDim] = int64(c.Model.Cfg.FeatDim)
+		join.ints[joinNumClasses] = int64(c.Model.Cfg.NumClasses)
+		join.ints[joinNumParams] = int64(nn.NumParams(c.Model.Params()))
+		join.ints[joinNumClassifier] = int64(nn.NumParams(c.Model.ClassifierParams()))
 	}
+	cr.up.send(encodeMsg(join, cr.up.wc))
 }
 
-// handle processes one server message. done reports a clean stop.
-func (cr *clientRun) handle(conn transport.Conn, wc *wireCodec, m *wireMsg) (done bool, err error) {
-	c := cr.c
+// handle processes one server message the uplink passed through. A failed
+// send anywhere below needs no handling here: the uplink re-dials, and the
+// server replays on adoption whatever prompts the frame again.
+func (cr *clientRun) handle(m *wireMsg) {
 	switch m.kind {
 	case msgWelcome, msgResume:
-		if len(m.ints) != welIntCount {
-			return false, fmt.Errorf("fl: client %d: malformed welcome", c.ID)
-		}
-		if m.name != cr.cn.Algo.Name() {
-			return false, fmt.Errorf("fl: client %d runs %q, server runs %q", c.ID, cr.cn.Algo.Name(), m.name)
-		}
 		if b := int(m.ints[welBatch]); b > 0 {
 			cr.batch = b
 		}
-		cr.deadMs.Store(m.ints[welDeadMs])
-		if tok := uint64(m.ints[welToken]); tok != 0 && tok != cr.token {
-			cr.token = tok
-			if cr.cn.OnToken != nil {
-				cr.cn.OnToken(tok)
-			}
-		}
 		cr.welcomed = true
-		cr.joined = true
-	case msgHeartbeat:
-		// Echo verbatim: traffic is the liveness signal, and the echo keeps
-		// flowing even while the worker trains.
-		if _, err := conn.Send(encodeMsg(&wireMsg{kind: msgHeartbeat, a: m.a}, wc)); err != nil {
-			return false, fmt.Errorf("fl: client %d heartbeat: %w: %v", c.ID, errConnLost, err)
-		}
 	case msgDispatch:
-		if !cr.welcomed {
-			return false, fmt.Errorf("fl: client %d: dispatch before welcome", c.ID)
-		}
 		switch {
+		case !cr.welcomed:
+			cr.fatal = fmt.Errorf("fl: client %d: dispatch before welcome", cr.c.ID)
 		case cr.training && m.a == cr.trainVersion:
 			// A resend of the round being trained (the server adopted a
 			// reconnect while the worker was mid-round): already in hand.
@@ -303,33 +172,26 @@ func (cr *clientRun) handle(conn transport.Conn, wc *wireCodec, m *wireMsg) (don
 			// The server re-dispatched a round already answered: the update
 			// was lost in the disconnect. Re-encode the cached message
 			// through this connection's codec state and resend.
-			if _, err := conn.Send(encodeMsg(cr.lastUpdate, wc)); err != nil {
-				return false, fmt.Errorf("fl: client %d upload resend: %w: %v", c.ID, errConnLost, err)
-			}
+			cr.up.send(encodeMsg(cr.lastUpdate, cr.up.wc))
 		default:
 			cr.startTraining(m)
 		}
 	case msgEvalReq:
 		if cr.training {
 			cr.pendingEval = m
-			break
-		}
-		if err := cr.sendEval(conn, wc, m); err != nil {
-			return false, err
+		} else {
+			cr.sendEval(m)
 		}
 	case msgStop:
 		// Acknowledge the goodbye; the server holds the session open until
 		// the ack lands (both transports flush in-flight frames on close,
-		// so exiting immediately after the send is safe).
-		conn.Send(encodeMsg(&wireMsg{kind: msgStopAck}, wc))
-		return true, nil
-	case msgErr:
-		return false, fmt.Errorf("fl: client %d refused by server: %s", c.ID, m.name)
+		// so exiting immediately after the send is safe). If the send
+		// fails, the re-dial is handed the stop again.
+		cr.done = cr.up.send(encodeMsg(&wireMsg{kind: msgStopAck}, cr.up.wc))
 	default:
 		// Unknown kinds and replayed frames are tolerated noise; the
 		// reconnect machinery makes duplicates a normal occurrence.
 	}
-	return false, nil
 }
 
 // startTraining hands one dispatch to the worker goroutine.
@@ -343,35 +205,26 @@ func (cr *clientRun) startTraining(m *wireMsg) {
 	}()
 }
 
-// finishTraining uploads a finished round, caching the encoded frame for
+// finishTraining uploads a finished round, caching the message for
 // replay, then services whatever queued up behind the training.
-func (cr *clientRun) finishTraining(conn transport.Conn, wc *wireCodec, res trainResult) error {
-	c := cr.c
+func (cr *clientRun) finishTraining(res trainResult) {
 	if res.err != nil {
-		conn.Send(encodeMsg(&wireMsg{kind: msgErr, name: res.err.Error()}, wc))
-		return fmt.Errorf("fl: client %d local round: %w", c.ID, res.err)
+		cr.up.send(encodeMsg(&wireMsg{kind: msgErr, name: res.err.Error()}, cr.up.wc))
+		cr.fatal = fmt.Errorf("fl: client %d local round: %w", cr.c.ID, res.err)
+		return
 	}
 	up := &wireMsg{kind: msgUpdate, a: res.version, b: f64bits(res.u.Scale), vecs: res.u.Vecs, counts: res.u.Counts}
 	cr.lastUpdate, cr.lastVersion, cr.haveLast = up, res.version, true
-	if _, err := conn.Send(encodeMsg(up, wc)); err != nil {
-		return fmt.Errorf("fl: client %d upload: %w: %v", c.ID, errConnLost, err)
-	}
+	cr.up.send(encodeMsg(up, cr.up.wc))
 	if nd := cr.nextDispatch; nd != nil {
 		cr.nextDispatch = nil
 		cr.startTraining(nd)
-		return nil
-	}
-	if pe := cr.pendingEval; pe != nil {
+	} else if pe := cr.pendingEval; pe != nil {
 		cr.pendingEval = nil
-		return cr.sendEval(conn, wc, pe)
+		cr.sendEval(pe)
 	}
-	return nil
 }
 
-func (cr *clientRun) sendEval(conn transport.Conn, wc *wireCodec, m *wireMsg) error {
-	res := &wireMsg{kind: msgEvalRes, a: m.a, b: f64bits(cr.c.EvalAccuracy())}
-	if _, err := conn.Send(encodeMsg(res, wc)); err != nil {
-		return fmt.Errorf("fl: client %d evaluation: %w: %v", cr.c.ID, errConnLost, err)
-	}
-	return nil
+func (cr *clientRun) sendEval(m *wireMsg) {
+	cr.up.send(encodeMsg(&wireMsg{kind: msgEvalRes, a: m.a, b: f64bits(cr.c.EvalAccuracy())}, cr.up.wc))
 }

@@ -7,7 +7,10 @@ package fl_test
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +283,176 @@ func TestTreeConfigInterlocks(t *testing.T) {
 			if _, err := fl.NewServerNode(algo, cfg).Serve(context.Background(), ln); err == nil {
 				t.Fatal("invalid tree config accepted")
 			}
+		})
+	}
+}
+
+// stopCutConn dies right after handing the first stop frame to its reader:
+// the aggregator behind it has the goodbye, and no way to acknowledge it on
+// this connection. (Sends fail explicitly once dead: a write racing a close
+// may otherwise still "succeed" — the very thing a stop-ack cannot rely on —
+// and the test would depend on who wins.)
+type stopCutConn struct {
+	transport.Conn
+	cut  *atomic.Bool // shared: only the first stop, on the first connection, cuts
+	dead atomic.Bool
+}
+
+func (c *stopCutConn) Recv() ([]byte, int64, error) {
+	b, n, err := c.Conn.Recv()
+	if err == nil && fl.IsStopFrame(b) && c.cut.CompareAndSwap(false, true) {
+		c.dead.Store(true)
+		c.Conn.Close()
+	}
+	return b, n, err
+}
+
+func (c *stopCutConn) Send(frame []byte) (int64, error) {
+	if c.dead.Load() {
+		return 0, io.ErrClosedPipe
+	}
+	return c.Conn.Send(frame)
+}
+
+// TestTreeStopAckSurvivesUplinkLoss loses one aggregator's upstream
+// connection between the root's stop and the aggregator's acknowledgement.
+// The aggregator owes the ack like any client does: it must re-dial with its
+// token, be handed the stop again and acknowledge it — not exit and leave
+// the root to wait out the reconnect window and churn a subtree that had
+// finished every round.
+func TestTreeStopAckSurvivesUplinkLoss(t *testing.T) {
+	const aggs = 2
+	const window = 20 * time.Second
+	s := nodeScale()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := experiments.RunTreeNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
+		transport.NewInproc(transport.Options{}), "tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := fl.TreeSplit(s.Clients, aggs)
+	nodeErr := make(chan error, aggs+s.Clients)
+	var cut atomic.Bool
+	for a := 0; a < aggs; a++ {
+		aggAddr := fmt.Sprintf("agg%d", a)
+		ln, err := tr.Listen(aggAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fl.AggregatorConfig{Index: a, Aggregators: aggs, Clients: s.Clients, Codec: comm.F64, Seed: s.Seed + int64(a),
+			ReconnectWindow: window}
+		if a == 0 {
+			cfg.Dialer = func(ctx context.Context, token uint64) (transport.Conn, error) {
+				conn, err := transport.DialRetry(ctx, tr, "root", transport.RetryOptions{Token: token, Seed: 11})
+				if err != nil {
+					return nil, err
+				}
+				return &stopCutConn{Conn: conn, cut: &cut}, nil
+			}
+		}
+		go func() {
+			nodeErr <- experiments.RunAggregatorNode(ctx, experiments.MethodProposed, experiments.Fashion, s, cfg, tr, "root", ln)
+		}()
+		for id := bounds[a]; id < bounds[a+1]; id++ {
+			go func(id int) {
+				nodeErr <- experiments.RunClientNode(ctx, experiments.MethodProposed, experiments.Fashion, build, id, s, tr, aggAddr)
+			}(id)
+		}
+	}
+	var stopAt time.Time
+	srv, hist, err := experiments.ServeNode(ctx, experiments.MethodProposed, experiments.Fashion, s, 1.0, comm.Spec{Value: comm.F64}, s.Clients, rootLn,
+		func(cfg *fl.NodeConfig) {
+			cfg.Aggregators = aggs
+			cfg.ReconnectWindow = window
+			cfg.OnRound = func(m fl.RoundMetrics) {
+				if m.Round == s.Rounds {
+					stopAt = time.Now() // the stop phase opens right after the last round is announced
+				}
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drain := time.Since(stopAt); drain > window/4 {
+		t.Errorf("root's stop drain took %v, want < %v (it waited out the reconnect window)", drain, window/4)
+	}
+	if !cut.Load() {
+		t.Fatal("the upstream connection was never cut: the test exercised nothing")
+	}
+	if srv.Stats.Churned != 0 {
+		t.Errorf("root churned %d sessions, want 0 (the aggregator owed only its ack)", srv.Stats.Churned)
+	}
+	if srv.Stats.Reconnects < 1 {
+		t.Errorf("root adopted %d reconnects, want >= 1 (the aggregator must re-dial to acknowledge)", srv.Stats.Reconnects)
+	}
+	requireSamePerClient(t, hist, clean)
+	for i := 0; i < aggs+s.Clients; i++ {
+		if err := <-nodeErr; err != nil {
+			t.Errorf("node: %v", err)
+		}
+	}
+}
+
+// TestTreeChaosFederation shakes both edges of the tree — aggregator↔root
+// and client↔aggregator — with a fault-injecting transport. The sync
+// barrier makes the outcome exact, not approximate: answers are cached
+// frames replayed verbatim, applies run in sorted-id order, and nobody
+// churns inside the 30 s window, so PerClient must equal the fault-free
+// tree run bit for bit. Each run must also finish promptly (a peer re-dials
+// until its stop is acknowledged, so no edge waits out a reconnect window)
+// and leave no goroutine behind — the aggregator's dial and upstream-reader
+// goroutines included.
+func TestTreeChaosFederation(t *testing.T) {
+	const aggs = 2
+	s := nodeScale()
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{experiments.MethodProposed, experiments.MethodKTpFL} {
+		method := method
+		t.Run(method, func(t *testing.T) {
+			baseline := settledGoroutines()
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			clean, err := experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
+				transport.NewInproc(transport.Options{}), "tree")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				chaos := transport.NewChaos(transport.NewInproc(transport.Options{}), transport.ChaosConfig{
+					Seed: seed, Drop: 0.03, Dup: 0.05, Delay: 0.1, MaxDelay: 5 * time.Millisecond,
+				})
+				start := time.Now()
+				shaken, err := experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
+					chaos, "tree", func(cfg *fl.NodeConfig) {
+						cfg.Heartbeat = 50 * time.Millisecond
+						cfg.DeadAfter = 500 * time.Millisecond
+						cfg.ReconnectWindow = 30 * time.Second
+					})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				took := time.Since(start)
+				t.Logf("seed %d: %v", seed, took)
+				if took > 5*time.Second {
+					t.Errorf("seed %d: shaken tree run took %v, want < 5s (an edge waited out its reconnect window)", seed, took)
+				}
+				requireSamePerClient(t, shaken, clean)
+			}
+			waitNodeGoroutines(t, baseline)
 		})
 	}
 }

@@ -11,26 +11,47 @@ import (
 	"repro/internal/transport"
 )
 
-// PeerTable is the downstream-facing session machinery shared by every
-// aggregating role — the root ServerNode and the edge AggregatorNode. It
-// owns the accept loop, the handshake greeter, the per-connection reader
-// goroutines, the session table with its reconnect-token identity, the
-// liveness tick (heartbeats out, hung peers torn down, expired reconnect
-// windows surfaced to the role) and the ledger booking of every frame.
-// Policy — who may join, what a message means, when a session churns —
-// stays with the role; the PeerTable moves bytes and tracks liveness.
+// PeerTable is the fan-in: everything a listener decides about the peers
+// below it, written once for every role that has peers below it — the root
+// ServerNode (facing clients, or aggregators in tree mode) and the edge
+// AggregatorNode (facing its child range). It owns
 //
-// Everything here was extracted verbatim from the ServerNode event loop:
-// the flat topology's behavior (and wire bytes) are identical to the
-// pre-refactor server. All methods except the accept/greet/reader
-// goroutines must be called from the role's single event-loop goroutine.
+//   - the plumbing: accept loop, greeter, per-connection readers, ledger
+//     booking of every frame, deadline-bounded sends;
+//   - admission: a token names its session, a join claims a seat by id
+//     (range check, algorithm-name check, a live re-dial replaces a zombie
+//     connection, a late token-less re-join is an adoption), the join
+//     declarations and the assembly count;
+//   - adoption: the resume message, then replay of whatever the peer is
+//     owed — its dispatch, its evaluation request, its stop;
+//   - inbound triage: generation check, orderly close after a stop-ack,
+//     heartbeats, a peer-reported failure;
+//   - the two barriers (round, evaluation) that complete when the last
+//     awaited session answers or churns, and the busy/dispVersion dedup
+//     that decides which answer counts;
+//   - liveness: heartbeats out, hung peers torn down, expired reconnect
+//     windows churned; and the stop phase that holds every session open
+//     until its peer acknowledged the goodbye or its window ran out.
+//
+// What is left to a role is what actually differs: which frame is a join
+// (readJoin), what to do once every seat is taken (full), what a round or
+// an evaluation is made of and what completing one means (round.done,
+// eval.done). All methods except the accept/greet/reader goroutines must be
+// called from the role's single event-loop goroutine.
 type PeerTable struct {
+	// noun names the peer kind ("client", "aggregator") and algo the
+	// algorithm every peer must run, in refusals, errors and welcomes.
+	noun string
+	algo string
 	// spec and lossy rebuild a fresh decode-side wireCodec for every
 	// connection incarnation: delta bases live and die with one connection,
 	// so a reconnect decodes densely until a new basis is established —
-	// mirroring the peer's encoder, which is rebuilt the same way.
+	// mirroring the peer's encoder, which is rebuilt the same way. wc frames
+	// what the table and its role send down: never an upload kind, so always
+	// dense, and a cached frame stays valid for replay.
 	spec      comm.Spec
 	lossy     bool
+	wc        *wireCodec
 	heartbeat time.Duration
 	deadAfter time.Duration
 	window    time.Duration
@@ -39,11 +60,31 @@ type PeerTable struct {
 	// base offsets session ids: session i carries id base+i (an edge
 	// aggregator's sessions are its global child-id range).
 	base int
-	// validJoin classifies a fresh connection's first frame; anything
-	// else is dropped by the greeter.
-	validJoin func(*wireMsg) bool
+	// readJoin parses a fresh connection's first frame into the seat it
+	// claims and the client declarations it carries. errNotJoin drops the
+	// connection silently, any other error refuses it with the reason. It
+	// runs on the greeter goroutine, so it must not touch loop state.
+	readJoin func(*wireMsg) (id int, decls []WireJoin, err error)
 
 	sessions []*peerSession
+	// joins collects the declarations of every client at or below this
+	// table, indexed by client id - base; joined counts taken seats.
+	joins  []WireJoin
+	joined int
+	// assembled flips when the role welcomes the full table: from then on an
+	// admitted connection is an adoption, and the liveness tick runs.
+	assembled bool
+	// fed is the federation's welcome prefix (fleet size, rounds, batch
+	// size, evaluation cadence); the table appends each session's token and
+	// its own liveness discipline.
+	fed [welToken]int64
+	// round and eval are the open barriers, keyed by session id.
+	round, eval awaitSet
+	// stopping marks the stop phase; stopFrame is the goodbye owed to every
+	// session that has not acknowledged it.
+	stopping  bool
+	stopFrame []byte
+
 	events   chan inbound
 	conns    chan acceptedConn
 	stop     chan struct{}
@@ -56,6 +97,33 @@ type PeerTable struct {
 
 	tokenRng *rand.Rand
 	lastBeat time.Time
+}
+
+// awaitSet is a barrier over session ids: it completes — done runs, once —
+// when the last awaited id is resolved, by an answer or by churn. ids is nil
+// while the barrier is closed.
+type awaitSet struct {
+	ids  map[int]bool
+	done func()
+}
+
+func (a *awaitSet) open()        { a.ids = make(map[int]bool) }
+func (a *awaitSet) active() bool { return a.ids != nil }
+
+// resolve stops waiting for id.
+func (a *awaitSet) resolve(id int) {
+	if a.ids[id] {
+		delete(a.ids, id)
+		a.settle()
+	}
+}
+
+// settle completes an open barrier that waits on nobody (any more).
+func (a *awaitSet) settle() {
+	if a.ids != nil && len(a.ids) == 0 {
+		a.ids = nil
+		a.done()
+	}
 }
 
 // peerSession is one downstream peer's server-side session: the identity
@@ -81,13 +149,14 @@ type peerSession struct {
 	dispVersion     uint64
 	pendingDispatch []byte
 	// pendingEval caches an outstanding evaluation request for resend on
-	// adoption when the frame carries more than the round number (the tree
-	// roles' id lists); nil means re-encode the plain request.
+	// adoption (a tree request carries the id list its subtree owes).
 	pendingEval []byte
-	// stopped marks that the session's peer acknowledged its stop frame:
-	// the session is complete, and a subsequent EOF from the closing peer
-	// is an orderly goodbye, not a disconnect to wait out.
-	stopped bool
+	// stopSent marks that the stop frame was written to some connection of
+	// this session, stopped that the peer acknowledged it: the session is
+	// complete, and a subsequent EOF from the closing peer is an orderly
+	// goodbye, not a disconnect to wait out.
+	stopSent bool
+	stopped  bool
 }
 
 // inbound is one reader-goroutine delivery: a decoded message or the error
@@ -103,36 +172,81 @@ type inbound struct {
 }
 
 // acceptedConn is one accept-loop delivery: a handshaken connection with
-// either its decoded join frame (fresh peer) or the session token it
-// presented in the transport hello (reconnecting peer), or the error that
-// ended accepting.
+// either the session token it presented in the transport hello
+// (reconnecting peer) or its parsed join frame (fresh peer) — the claimed
+// seat, the algorithm name, the declarations, or bad, the reason to refuse
+// it — or the error that ended accepting.
 type acceptedConn struct {
 	conn  transport.Conn
 	token uint64
-	join  *wireMsg
+	id    int
+	name  string
+	decls []WireJoin
+	bad   error
 	wire  int64
 	err   error
 }
 
-// newPeerTable builds a table of count sessions carrying ids base..base+count-1.
-func newPeerTable(count, base int, spec comm.Spec, lossy bool, heartbeat, deadAfter, window time.Duration,
-	tokenSeed int64, ledger *comm.Ledger, stats *NodeStats, validJoin func(*wireMsg) bool) *PeerTable {
+// errNotJoin is readJoin's verdict on a first frame that is not a join at
+// all: the greeter drops the connection without a word.
+var errNotJoin = errors.New("not a join frame")
+
+// readClientJoin is the readJoin of every table whose peers are ClientNodes.
+func readClientJoin(m *wireMsg) (int, []WireJoin, error) {
+	if m.kind != msgJoin || len(m.ints) != joinIntCount {
+		return 0, nil, errNotJoin
+	}
+	id := int(m.ints[joinID])
+	return id, []WireJoin{{
+		ID:            id,
+		TrainSize:     int(m.ints[joinTrainSize]),
+		FeatDim:       int(m.ints[joinFeatDim]),
+		NumClasses:    int(m.ints[joinNumClasses]),
+		NumParams:     int(m.ints[joinNumParams]),
+		NumClassifier: int(m.ints[joinNumClassifier]),
+		Init:          m.vecs,
+	}}, nil
+}
+
+// defaultLiveness fills the failure discipline NodeConfig and
+// AggregatorConfig share.
+func defaultLiveness(heartbeat, deadAfter, window *time.Duration) {
+	if *heartbeat <= 0 {
+		*heartbeat = DefaultHeartbeat
+	}
+	if *deadAfter <= 0 {
+		*deadAfter = 5 * *heartbeat
+	}
+	if *window <= 0 {
+		*window = DefaultReconnectWindow
+	}
+}
+
+// newPeerTable builds a table of count sessions carrying ids
+// base..base+count-1, fronting fleet clients that must all run algo.
+func newPeerTable(noun string, count, base, fleet int, algo WireAlgorithm, spec comm.Spec,
+	heartbeat, deadAfter, window time.Duration, tokenSeed int64, ledger *comm.Ledger, stats *NodeStats,
+	readJoin func(*wireMsg) (int, []WireJoin, error)) *PeerTable {
 	pt := &PeerTable{
+		noun:      noun,
+		algo:      algo.Name(),
 		spec:      spec,
-		lossy:     lossy,
+		lossy:     lossyUploads(algo),
 		heartbeat: heartbeat,
 		deadAfter: deadAfter,
 		window:    window,
 		ledger:    ledger,
 		stats:     stats,
 		base:      base,
-		validJoin: validJoin,
+		readJoin:  readJoin,
 		sessions:  make([]*peerSession, count),
+		joins:     make([]WireJoin, fleet),
 		events:    make(chan inbound, 8*count+32),
 		conns:     make(chan acceptedConn, count+8),
 		stop:      make(chan struct{}),
 		embryos:   make(map[transport.Conn]struct{}),
 	}
+	pt.wc = newWireCodec(spec, pt.lossy)
 	for i := range pt.sessions {
 		pt.sessions[i] = &peerSession{id: base + i}
 	}
@@ -140,6 +254,13 @@ func newPeerTable(count, base int, spec comm.Spec, lossy bool, heartbeat, deadAf
 	// bit is forced so a token is never zero (zero means "fresh dial").
 	pt.tokenRng = rand.New(rand.NewSource(tokenSeed ^ 0x746f6b656e)) // "token"
 	return pt
+}
+
+// tickInterval is the liveness tick: half the shortest of the three clocks
+// it serves, floored so a test-sized discipline does not spin.
+func (pt *PeerTable) tickInterval() time.Duration {
+	interval := min(pt.heartbeat, pt.deadAfter, pt.window) / 2
+	return max(interval, 5*time.Millisecond)
 }
 
 // sessionByID maps a global peer id back to its session.
@@ -214,8 +335,8 @@ func (pt *PeerTable) acceptLoop(ln transport.Listener) {
 
 // greet classifies one accepted connection. A nonzero hello token is a
 // reconnect claim, forwarded immediately; a fresh connection must produce
-// a valid join frame within joinTimeout or be dropped (a
-// handshaken-but-silent peer must not pin the federation).
+// a join frame within joinTimeout or be dropped (a handshaken-but-silent
+// peer must not pin the federation).
 func (pt *PeerTable) greet(conn transport.Conn) {
 	if tok := conn.Hello().Token; tok != 0 {
 		pt.deliverConn(acceptedConn{conn: conn, token: tok})
@@ -223,19 +344,21 @@ func (pt *PeerTable) greet(conn transport.Conn) {
 	}
 	conn.SetReadDeadline(time.Now().Add(joinTimeout))
 	frame, wire, err := conn.Recv()
-	if err != nil {
+	ac := acceptedConn{conn: conn, wire: wire}
+	if err == nil {
+		conn.SetReadDeadline(time.Time{})
+		var m *wireMsg
+		if m, err = decodeMsg(frame); err == nil {
+			ac.name = m.name
+			ac.id, ac.decls, ac.bad = pt.readJoin(m)
+		}
+	}
+	if err != nil || errors.Is(ac.bad, errNotJoin) {
 		pt.forgetEmbryo(conn)
 		conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-	m, err := decodeMsg(frame)
-	if err != nil || !pt.validJoin(m) {
-		pt.forgetEmbryo(conn)
-		conn.Close()
-		return
-	}
-	pt.deliverConn(acceptedConn{conn: conn, join: m, wire: wire})
+	pt.deliverConn(ac)
 }
 
 func (pt *PeerTable) deliverConn(ac acceptedConn) {
@@ -296,14 +419,6 @@ func (pt *PeerTable) attach(s *peerSession, conn transport.Conn, joinWire int64)
 	go pt.reader(s.id, s.gen, conn)
 }
 
-// issueTokens draws every session's reconnect token from the dedicated
-// stream, in session order.
-func (pt *PeerTable) issueTokens() {
-	for _, s := range pt.sessions {
-		s.token = pt.tokenRng.Uint64() | 1<<63
-	}
-}
-
 func (pt *PeerTable) findToken(token uint64) *peerSession {
 	for _, s := range pt.sessions {
 		if s.joined && s.token == token {
@@ -314,9 +429,123 @@ func (pt *PeerTable) findToken(token uint64) *peerSession {
 }
 
 // refuse rejects a connection with an explanatory error message.
-func (pt *PeerTable) refuse(conn transport.Conn, reason string) {
-	conn.Send(encodeMsg(&wireMsg{kind: msgErr, name: reason}, nil))
+func (pt *PeerTable) refuse(conn transport.Conn, format string, args ...any) {
+	conn.Send(encodeMsg(&wireMsg{kind: msgErr, name: fmt.Sprintf(format, args...)}, nil))
 	conn.Close()
+}
+
+// full reports that every seat is taken and the role has not welcomed the
+// table yet — its cue to do whatever assembly means for it.
+func (pt *PeerTable) full() bool { return pt.joined == len(pt.sessions) && !pt.assembled }
+
+// admit seats one accepted connection: a token names its session, a join
+// claims the seat of its id. Before assembly a seat is (re)claimed and its
+// declarations recorded; after it, every admitted connection — token or
+// token-less re-join (a restarted process that lost its token file, or one
+// whose join-phase connection died before the welcome) — is an adoption.
+// The error is the listener dying before the table filled; after that a
+// dead listener only forecloses reconnects, and the window churns whoever
+// needed one.
+func (pt *PeerTable) admit(ac acceptedConn, version uint64) error {
+	if ac.err != nil {
+		if pt.joined < len(pt.sessions) {
+			return fmt.Errorf("listener closed with %d of %d %ss joined: %w", pt.joined, len(pt.sessions), pt.noun, ac.err)
+		}
+		return nil
+	}
+	pt.forgetEmbryo(ac.conn)
+	var s *peerSession
+	switch lo, hi := pt.base, pt.base+len(pt.sessions); {
+	case ac.token != 0:
+		if s = pt.findToken(ac.token); s == nil {
+			pt.refuse(ac.conn, "unknown session token %#x", ac.token)
+			return nil
+		}
+	case ac.bad != nil:
+		pt.refuse(ac.conn, "%s", ac.bad)
+		return nil
+	case ac.id < lo || ac.id >= hi:
+		pt.refuse(ac.conn, "%s id %d outside the accepted range [%d, %d)", pt.noun, ac.id, lo, hi)
+		return nil
+	case ac.name != pt.algo:
+		pt.refuse(ac.conn, "%s %d runs %q, the federation runs %q", pt.noun, ac.id, ac.name, pt.algo)
+		return nil
+	default:
+		s = pt.sessionByID(ac.id)
+	}
+	if s.churned {
+		pt.refuse(ac.conn, "%s %d session expired (reconnect window elapsed)", pt.noun, s.id)
+		return nil
+	}
+	if s.conn != nil {
+		// The old connection is a zombie whose death the dead-interval check
+		// or the event queue has not surfaced yet; the live re-dial wins.
+		pt.markDisconnected(s)
+	}
+	if pt.assembled {
+		pt.adopt(s, ac.conn, ac.wire, version)
+		return nil
+	}
+	for _, j := range ac.decls {
+		pt.joins[j.ID-pt.base] = j
+	}
+	pt.attach(s, ac.conn, ac.wire)
+	if !s.joined {
+		s.joined = true
+		pt.joined++
+	}
+	return nil
+}
+
+// welcomeInts is the welcome/resume layout for one session: the
+// federation's parameters, the session's token, this table's liveness
+// discipline (each tree edge has its own failure clocks).
+func (pt *PeerTable) welcomeInts(s *peerSession) []int64 {
+	return append(pt.fed[:len(pt.fed):len(pt.fed)],
+		int64(s.token), pt.heartbeat.Milliseconds(), pt.deadAfter.Milliseconds())
+}
+
+// assemble closes the join phase: every session draws its reconnect token
+// from the dedicated stream, in session order, and is welcomed with the
+// federation's parameters (fed, which the role has set by now). A peer that died since joining is picked up by
+// the reconnect window (or churn).
+func (pt *PeerTable) assemble() {
+	pt.assembled = true
+	for _, s := range pt.sessions {
+		s.token = pt.tokenRng.Uint64() | 1<<63
+	}
+	for _, s := range pt.sessions {
+		pt.send(s, encodeMsg(&wireMsg{kind: msgWelcome, name: pt.algo, ints: pt.welcomeInts(s)}, pt.wc))
+	}
+}
+
+// adopt attaches a connection to a disconnected session and replays what
+// the peer is owed: the resume message (it may be a restarted process that
+// never saw its welcome), then any outstanding dispatch or evaluation
+// request, then — in the stop phase — the goodbye it re-dialed for.
+func (pt *PeerTable) adopt(s *peerSession, conn transport.Conn, joinWire int64, version uint64) {
+	s.downAt = time.Time{}
+	pt.stats.Reconnects++
+	pt.attach(s, conn, joinWire)
+	resume := &wireMsg{kind: msgResume, a: version, name: pt.algo, ints: pt.welcomeInts(s)}
+	if !pt.send(s, encodeMsg(resume, pt.wc)) {
+		return
+	}
+	if s.busy && s.pendingDispatch != nil {
+		pt.stats.Resends++
+		if !pt.send(s, s.pendingDispatch) {
+			return
+		}
+	}
+	if pt.eval.ids[s.id] && s.pendingEval != nil {
+		pt.stats.Resends++
+		if !pt.send(s, s.pendingEval) {
+			return
+		}
+	}
+	if pt.stopping {
+		s.stopSent = pt.send(s, pt.stopFrame) || s.stopSent
+	}
 }
 
 // send writes one frame to a session, booking the wire bytes on success
@@ -338,6 +567,97 @@ func (pt *PeerTable) send(s *peerSession, frame []byte) bool {
 	return true
 }
 
+// dispatch sends a session its round broadcast and marks the answer
+// outstanding. The frame is cached for replay on adoption (the payload
+// cannot be regenerated: WireDispatch may consume algorithm state), so a
+// disconnected session keeps the dispatch owed.
+func (pt *PeerTable) dispatch(s *peerSession, version uint64, frame []byte) {
+	s.busy, s.dispVersion, s.pendingDispatch = true, version, frame
+	pt.send(s, frame)
+}
+
+// answered deduplicates uploads: only the answer to the session's
+// outstanding dispatch counts (and settles it); replays after a reconnect
+// resend or a chaos duplication are tolerated noise.
+func (pt *PeerTable) answered(s *peerSession, version uint64) bool {
+	if !s.busy || s.dispVersion != version {
+		pt.stats.Ignored++
+		return false
+	}
+	s.busy, s.pendingDispatch = false, nil
+	return true
+}
+
+// ask sends a session an evaluation request and awaits the reply; like a
+// dispatch, the frame stays owed across a disconnect.
+func (pt *PeerTable) ask(s *peerSession, frame []byte) {
+	pt.eval.ids[s.id] = true
+	s.pendingEval = frame
+	pt.send(s, frame)
+}
+
+// expects reports whether barrier b still waits on s; an answer nobody
+// waits for is noise.
+func (pt *PeerTable) expects(b *awaitSet, s *peerSession) bool {
+	waiting := b.ids[s.id]
+	if !waiting {
+		pt.stats.Ignored++
+	}
+	return waiting
+}
+
+// triage books one reader delivery and handles what means the same thing
+// under every role: a stale generation, a lost connection (orderly after a
+// stop-ack, a disconnect to wait out otherwise), a heartbeat echo, the
+// stop-ack itself. It returns the message when it is the role's to
+// interpret, or the failure a peer reported — that is a bug, not churn,
+// and every role aborts on it.
+func (pt *PeerTable) triage(ev inbound) (*peerSession, *wireMsg, error) {
+	s := pt.sessionByID(ev.id)
+	if ev.err == nil {
+		// Every frame that crossed the wire is booked — heartbeat echoes
+		// and frames racing a disconnect on an abandoned connection
+		// included: the ledger prices traffic, not semantics.
+		pt.ledger.AddUp(ev.id, ev.wire)
+		if ev.msg.kind == msgStopAck {
+			// The goodbye landed; the session is complete and its EOF (the
+			// peer exits after acking) is orderly. The ack speaks for the
+			// session, not for the connection it came in on: when our own
+			// write to the closing connection fails first, the ack arrives
+			// under an abandoned generation and is still the last word.
+			s.stopped = true
+			return s, nil, nil
+		}
+	}
+	if ev.gen != s.gen {
+		// A message from a connection this session already abandoned.
+		return s, nil, nil
+	}
+	if ev.err != nil {
+		if s.stopped {
+			// The peer closed after acknowledging its stop: an orderly
+			// goodbye, not a disconnect to wait out.
+			if s.conn != nil {
+				s.conn.Close()
+				s.conn = nil
+				s.gen++
+			}
+			return s, nil, nil
+		}
+		pt.markDisconnected(s)
+		return s, nil, nil
+	}
+	s.lastSeen = time.Now()
+	switch ev.msg.kind {
+	case msgHeartbeat:
+		// The arrival already refreshed lastSeen; nothing else to do.
+		return s, nil, nil
+	case msgErr:
+		return s, nil, fmt.Errorf("%s %d failed: %s", pt.noun, ev.id, ev.msg.name)
+	}
+	return s, ev.msg, nil
+}
+
 // markDisconnected tears down a session's connection, starting its
 // reconnect-window clock. Owed state (pending dispatch, eval slot) is
 // preserved for replay on adoption.
@@ -352,12 +672,12 @@ func (pt *PeerTable) markDisconnected(s *peerSession) {
 	pt.stats.Disconnects++
 }
 
-// churnSession permanently retires a session: cohorts skip it, its
-// evaluation slot stays NaN. Returns false if it was already churned.
-// Role-level cleanup (open barriers, subtree bookkeeping) is the caller's.
-func (pt *PeerTable) churnSession(s *peerSession) bool {
+// churn permanently retires a session: cohorts skip it, the open barriers
+// stop waiting for it (and complete without its contribution if it was the
+// last), its evaluation slot stays NaN. Churn never aborts a run.
+func (pt *PeerTable) churn(s *peerSession) {
 	if s.churned {
-		return false
+		return
 	}
 	s.churned = true
 	pt.stats.Churned++
@@ -369,11 +689,31 @@ func (pt *PeerTable) churnSession(s *peerSession) bool {
 	s.busy = false
 	s.pendingDispatch = nil
 	s.pendingEval = nil
-	return true
+	pt.round.resolve(s.id)
+	pt.eval.resolve(s.id)
 }
 
-// pendingStops reports whether any live session still owes its peer a
-// stop frame.
+// beginStop opens the stop phase: every connected session gets the goodbye
+// now, a disconnected one when adopt seats its re-dial. A send success
+// proves nothing about delivery — the peer's msgStopAck marks the session
+// stopped, and a peer re-dials until its ack went out — so the role keeps
+// serving the table while pendingStops. How long a lost session is waited
+// for is tick's decision.
+func (pt *PeerTable) beginStop() {
+	if pt.stopping {
+		return
+	}
+	pt.stopping = true
+	pt.stopFrame = encodeMsg(&wireMsg{kind: msgStop}, pt.wc)
+	for _, s := range pt.sessions {
+		if !s.churned {
+			s.stopSent = pt.send(s, pt.stopFrame)
+		}
+	}
+}
+
+// pendingStops reports whether any live session has yet to acknowledge its
+// stop.
 func (pt *PeerTable) pendingStops() bool {
 	for _, s := range pt.sessions {
 		if !s.churned && !s.stopped {
@@ -383,10 +723,19 @@ func (pt *PeerTable) pendingStops() bool {
 	return false
 }
 
-// tick runs the failure discipline: heartbeats out (stamped with the
-// role's committed version), hung peers torn down, expired reconnect
-// windows surfaced to the role's churn policy.
-func (pt *PeerTable) tick(version uint64, onChurn func(*peerSession)) {
+// tick runs the failure discipline once the table is assembled: heartbeats
+// out (stamped with the role's version), hung peers torn down, expired
+// reconnect windows churned. A session that never saw its stop keeps, in
+// the stop phase, the window it gets mid-run: its peer is re-dialing and
+// would otherwise spin against a closed listener, never learning the run is
+// over. One whose stop was written and whose connection then broke is
+// either gone — the ack died with the connection, and no re-dial will ever
+// come — or re-dialing this instant; silence for one dead interval settles
+// which, as it does for a connected peer.
+func (pt *PeerTable) tick(version uint64) {
+	if !pt.assembled {
+		return
+	}
 	now := time.Now()
 	beat := now.Sub(pt.lastBeat) >= pt.heartbeat
 	if beat {
@@ -409,8 +758,12 @@ func (pt *PeerTable) tick(version uint64, onChurn func(*peerSession)) {
 				pt.send(s, hb)
 			}
 		}
-		if s.conn == nil && !s.downAt.IsZero() && now.Sub(s.downAt) > pt.window {
-			onChurn(s)
+		wait := pt.window
+		if s.stopSent {
+			wait = min(wait, pt.deadAfter)
+		}
+		if s.conn == nil && !s.downAt.IsZero() && now.Sub(s.downAt) > wait {
+			pt.churn(s)
 		}
 	}
 }
