@@ -6,17 +6,21 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 func benchScale() experiments.Scale {
@@ -103,6 +107,80 @@ func TestHotPathAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(40, op); got > want {
 			t.Errorf("%s: %v allocs/op, want <= %v", h.name, got, want)
 		}
+	}
+}
+
+// TestWireRoundAllocs is the node wire path's allocation gate: what one
+// committed round allocates, process-wide, once every owned buffer has come
+// into being. The fleet is the wire benchmark workloads' — 8 FedAvg MLP
+// clients at FeatDim 64, d = 107 722 weights, 862 KB a vector — run 8 sync
+// rounds in this process over the three shapes those workloads take. Each
+// round trains, uploads, folds, broadcasts and evaluates; with a fresh frame
+// per message, a copy per inproc send and fresh vectors per decode the
+// figures were ≈ 48, ≈ 74 and ≈ 31 MB. What is left is training's batch
+// tensors and small envelopes.
+func TestWireRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
+	}
+	const clients, rounds, warm = 8, 8, 3
+	for _, tc := range []struct {
+		name  string
+		tcp   bool
+		aggs  int
+		spec  comm.Spec
+		maxMB float64
+	}{
+		{"inproc flat dense f64", false, 0, comm.Spec{}, 6},
+		{"inproc tree dense f64", false, 2, comm.Spec{}, 8},
+		{"tcp flat topk+delta f32", true, 0, comm.NewSpec(comm.F32, 0.05, true), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := experiments.Small()
+			s.Rounds, s.FeatDim, s.TrainPerClass, s.TestPerClass = rounds, 64, 24, 16
+			factory, _, err := experiments.NewRotationFleet(experiments.Fashion, data.Dirichlet, clients, s,
+				[]models.Arch{models.ArchMLP}, []int{8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet := factory()
+			build := func(i int) *fl.Client { return fleet[i] }
+			if d := nn.NumParams(fleet[0].Model.Params()); d != 107722 {
+				t.Fatalf("fleet geometry drifted: d = %d, the benchmark's is 107722", d)
+			}
+			opts := transport.Options{DType: s.DType, Spec: tc.spec}
+			var tr transport.Transport = transport.NewInproc(opts)
+			addr := "allocs"
+			if tc.tcp {
+				tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
+			}
+			var total []uint64 // TotalAlloc as each round commits
+			sample := func(cfg *fl.NodeConfig) {
+				cfg.OnRound = func(fl.RoundMetrics) {
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					total = append(total, ms.TotalAlloc)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			if tc.aggs > 0 {
+				_, err = experiments.RunTreeNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, tc.aggs, s, 1, tc.spec, tr, addr, sample)
+			} else {
+				_, err = experiments.RunNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, s, 1, tc.spec, tr, addr, sample)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(total) != rounds {
+				t.Fatalf("%d rounds committed, want %d", len(total), rounds)
+			}
+			perRound := float64(total[rounds-1]-total[warm-1]) / float64(rounds-warm) / (1 << 20)
+			t.Logf("%.2f MB allocated per round over rounds %d-%d", perRound, warm+1, rounds)
+			if perRound > tc.maxMB {
+				t.Errorf("%.2f MB allocated per round, want <= %v", perRound, tc.maxMB)
+			}
+		})
 	}
 }
 

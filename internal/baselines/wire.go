@@ -107,7 +107,7 @@ func (f *FedAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*
 			c.TrainEpochCE(batchSize)
 		}
 	}
-	flat := nn.FlattenParams(c.Model.Params())
+	flat := c.FlatUpload(c.Model.Params())
 	return &fl.Update{Client: c.ID, Scale: fl.DataScale(c), Vecs: [][]float64{flat}}, nil
 }
 
@@ -305,7 +305,7 @@ func (k *KTpFL) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*f
 	}
 	var report []float64
 	if k.ShareWeights {
-		report = nn.FlattenParams(c.Model.Params())
+		report = c.FlatUpload(c.Model.Params())
 	} else {
 		_, logits := c.Model.Forward(k.publicX, false)
 		soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
@@ -314,7 +314,8 @@ func (k *KTpFL) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*f
 	return &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}}, nil
 }
 
-// WireApply files the client's latest report with its weight.
+// WireApply files a copy of the client's latest report with its weight: the
+// report outlives the call (the next commits read it), u.Vecs does not.
 func (k *KTpFL) WireApply(u *fl.Update) error {
 	if len(u.Vecs) != 1 || u.Vecs[0] == nil {
 		return fmt.Errorf("baselines: client %d uploaded a malformed %s report", u.Client, k.Name())
@@ -322,7 +323,7 @@ func (k *KTpFL) WireApply(u *fl.Update) error {
 	if u.Client < 0 || u.Client >= len(k.latest) {
 		return fmt.Errorf("baselines: %s report from unknown client %d", k.Name(), u.Client)
 	}
-	k.latest[u.Client] = u.Vecs[0]
+	k.latest[u.Client] = append(k.latest[u.Client][:0], u.Vecs[0]...)
 	k.latestW[u.Client] = u.Weight
 	return nil
 }

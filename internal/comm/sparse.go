@@ -350,17 +350,16 @@ func MarshalSpecInto(dst []byte, spec Spec, kind uint32, v []float64, ref *Delta
 // MarshalSpecBound is an upper bound on MarshalSpecInto's frame size for an
 // n-element vector, for sizing a message buffer in one allocation.
 func MarshalSpecBound(spec Spec, n int) int {
+	if spec.Sparse() && n > 0 {
+		// A sparse spec never frames a non-empty vector densely: it is a
+		// top-k frame, bare or as a delta residual, so the bound is top-k's.
+		k := topkCount(spec.Frac, n)
+		return headerSize + deltaOverhead + 1 + binary.MaxVarintLen64 + 8 +
+			k*(uvarintLen(uint64(n))+elemBytes(spec.Value))
+	}
 	bound := int(WireSizeAs(spec.Value, n))
 	if spec.Delta {
 		bound += deltaOverhead
-	}
-	if spec.Sparse() && n > 0 {
-		k := topkCount(spec.Frac, n)
-		sb := headerSize + deltaOverhead + 1 + binary.MaxVarintLen64 + 8 +
-			k*(uvarintLen(uint64(n))+elemBytes(spec.Value))
-		if sb > bound {
-			bound = sb
-		}
 	}
 	return bound
 }

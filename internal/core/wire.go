@@ -112,9 +112,9 @@ func (f *FedClassAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float6
 	f.localUpdate(c, batchSize, ref)
 	u := &fl.Update{Client: c.ID, Scale: fl.DataScale(c)}
 	if f.Opts.ShareAllWeights {
-		u.Vecs = [][]float64{nn.FlattenParams(c.Model.Params())}
+		u.Vecs = [][]float64{c.FlatUpload(c.Model.Params())}
 	} else {
-		u.Vecs = [][]float64{nn.FlattenParams(c.Model.ClassifierParams())}
+		u.Vecs = [][]float64{c.FlatUpload(c.Model.ClassifierParams())}
 	}
 	return u, nil
 }

@@ -335,7 +335,17 @@ func (e *ExactAccumulator) Merge(o *ExactAccumulator) {
 // rounding of the whole reduction — plus the exact weight total. The
 // accumulator is not reset; Round is a pure observation.
 func (e *ExactAccumulator) Round() (sum []float64, wsum float64) {
-	sum = make([]float64, e.n)
+	return e.RoundInto(nil)
+}
+
+// RoundInto is Round writing the sums into dst, reallocated only when its
+// capacity is short, for a caller that rounds the same geometry every
+// round.
+func (e *ExactAccumulator) RoundInto(dst []float64) (sum []float64, wsum float64) {
+	if dst == nil || cap(dst) < e.n {
+		dst = make([]float64, e.n)
+	}
+	sum = dst[:e.n]
 	if e.poisoned {
 		copy(sum, e.plain)
 		return sum, e.plainW

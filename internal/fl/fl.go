@@ -36,6 +36,21 @@ type Client struct {
 	// pair with xrand.NewRand). Checkpointing requires it: a client's
 	// training stream can only be frozen and resumed through Src.
 	Src *xrand.Source
+
+	// upload is the flat vector FlatUpload fills.
+	upload []float64
+}
+
+// FlatUpload flattens params into the one vector the client keeps for its
+// wire upload and returns it: a WireLocal that uploads weights flattens here
+// every round instead of allocating a model-sized vector. The result is
+// valid until the next FlatUpload on the same client.
+func (c *Client) FlatUpload(params []*nn.Param) []float64 {
+	if n := nn.NumParams(params); cap(c.upload) < n {
+		c.upload = make([]float64, 0, n)
+	}
+	c.upload = nn.AppendFlatParams(c.upload[:0], params)
+	return c.upload
 }
 
 // InputGeometry returns the client's input tensor dimensions.

@@ -290,6 +290,8 @@ type serverRun struct {
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
 	// an evaluation observes one consistent committed model.
 	holdback []*Update
+	// bcast is the flat root's shared dispatch frame (see dispatch).
+	bcast broadcastFrame
 
 	fatal error
 	done  bool
@@ -455,18 +457,25 @@ func (r *serverRun) outstanding() int {
 // handleInbound interprets what the table's triage left to the role: the
 // answers to the root's dispatches and evaluation requests, in whichever
 // shape the topology delivers them.
+//
+// The three update handlers report whether the round now holds the
+// message's vectors (a barrier waits on them, or they are held back behind
+// an evaluation); everything else — folded already, noise, or consumed by
+// the triage — is released here, the one place a dropped message's vectors
+// go back to the free list.
 func (r *serverRun) handleInbound(ev inbound) {
 	sess, m, err := r.pt.triage(ev)
+	kept := false
 	switch {
 	case err != nil:
 		r.fatal = fmt.Errorf("fl: %w", err)
 	case m == nil:
 	case m.kind == msgUpdate && !r.tree:
-		r.handleUpdate(sess, m)
+		kept = r.handleUpdate(sess, m)
 	case m.kind == msgAggUpdate && r.tree:
-		r.handleAggUpdate(sess, m)
+		kept = r.handleAggUpdate(sess, m)
 	case m.kind == msgTreeUpdate && r.tree:
-		r.handleTreeUpdate(sess, m)
+		kept = r.handleTreeUpdate(sess, m)
 	case m.kind == msgEvalRes:
 		r.handleEvalRes(sess, m)
 	default:
@@ -475,12 +484,15 @@ func (r *serverRun) handleInbound(ev inbound) {
 		// reconnect machinery makes duplicates a normal occurrence.
 		r.n.Stats.Ignored++
 	}
+	if !kept {
+		r.pt.vecs.release(ev.msg)
+	}
 }
 
 // handleUpdate folds one upload into the scheduler.
-func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) {
+func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) {
-		return
+		return false
 	}
 	u := &Update{
 		Client:  sess.id,
@@ -491,89 +503,97 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) {
 	}
 	if r.pt.eval.active() && r.cfg.Sched != SchedSync {
 		r.holdback = append(r.holdback, u)
-		return
+		return true
 	}
-	r.processUpdate(u)
+	return r.processUpdate(u)
 }
 
 // handleAggUpdate collects one aggregator's pre-reduced contribution. A
 // reduction of a non-reducible algorithm is a protocol violation by a
 // trusted peer (the startup guard on the aggregator should have refused
 // it), so it is fatal, not noise.
-func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) {
+func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
-		return
+		return false
 	}
 	if _, ok := r.algo.(ReducibleWireAlgorithm); !ok {
 		r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (run fedagg with -prereduce off)",
 			sess.id, r.algo.Name())
-		return
+		return false
 	}
 	au, err := decodeAggUpdate(m)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed aggregate: %w", sess.id, err)
-		return
+		return false
 	}
 	au.Agg = sess.id
 	r.aggUpdates[sess.id] = au
 	r.pt.round.resolve(sess.id)
+	return true
 }
 
 // handleTreeUpdate collects one aggregator's passthrough bundle: its
 // children's raw updates, unreduced, for algorithms with no sound
 // pre-reduction.
-func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) {
+func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
-		return
+		return false
 	}
 	ups, err := decodeTreeUpdate(m)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed update bundle: %w", sess.id, err)
-		return
+		return false
 	}
 	lo, hi := r.bounds[sess.id], r.bounds[sess.id+1]
 	for _, u := range ups {
 		if u.Client < lo || u.Client >= hi {
 			r.fatal = fmt.Errorf("fl: aggregator %d forwarded an update for client %d outside its range [%d, %d)",
 				sess.id, u.Client, lo, hi)
-			return
+			return false
 		}
+	}
+	for _, u := range ups {
 		r.updates[u.Client] = u
 	}
 	r.pt.round.resolve(sess.id)
+	return true
 }
 
-// processUpdate routes an accepted update through the configured schedule.
-func (r *serverRun) processUpdate(u *Update) {
+// processUpdate routes an accepted update through the configured schedule
+// and reports whether the sync barrier now holds it: the async schedules
+// fold or drop it on the spot, and its vectors are the caller's to release.
+func (r *serverRun) processUpdate(u *Update) (kept bool) {
 	if r.cfg.Sched == SchedSync {
-		if r.pt.expects(&r.pt.round, r.sessions[u.Client]) {
-			u.Weight = u.Scale
-			r.updates[u.Client] = u
-			r.pt.round.resolve(u.Client)
+		if !r.pt.expects(&r.pt.round, r.sessions[u.Client]) {
+			return false
 		}
-		return
+		u.Weight = u.Scale
+		r.updates[u.Client] = u
+		r.pt.round.resolve(u.Client)
+		return true
 	}
 	if r.version >= r.cfg.Rounds {
 		// The federation has committed its full horizon; a straggler's
 		// late update (often released from the final-eval holdback) must
 		// not commit a round beyond Rounds.
 		r.n.Stats.Ignored++
-		return
+		return false
 	}
 	u.Staleness = r.version - u.Version
 	if u.Staleness > r.cfg.MaxStaleness {
 		r.n.Stats.Drops++
-		return
+		return false
 	}
 	u.Weight = u.Scale * stalenessWeight(r.cfg.Decay, u.Staleness)
 	if err := r.algo.WireApply(u); err != nil {
 		r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), u.Client, err)
-		return
+		return false
 	}
 	r.applied++
 	if r.applied >= r.commitEvery {
 		r.commit()
 	}
+	return false
 }
 
 // completeRound folds what the completed barrier collected, for whichever
@@ -587,7 +607,7 @@ func (r *serverRun) completeRound() {
 }
 
 // completeSyncRound aggregates the collected barrier updates in client-id
-// order (deterministic) and commits.
+// order (deterministic), hands their vectors back and commits.
 func (r *serverRun) completeSyncRound() {
 	ids := make([]int, 0, len(r.updates))
 	for id := range r.updates {
@@ -600,8 +620,21 @@ func (r *serverRun) completeSyncRound() {
 			return
 		}
 	}
-	r.updates = nil
+	r.releaseRound()
 	r.commit()
+}
+
+// releaseRound closes the sync barrier's collections: every update and
+// aggregate has been folded (WireApply keeps nothing of u.Vecs), so their
+// vectors go back to the fan-in's free list for the next round's decodes.
+func (r *serverRun) releaseRound() {
+	for _, u := range r.updates {
+		r.pt.vecs.put(u.Vecs...)
+	}
+	for _, au := range r.aggUpdates {
+		r.pt.vecs.put(au.Vecs...)
+	}
+	r.updates, r.aggUpdates = nil, nil
 }
 
 // completeTreeRound folds the collected subtree contributions in
@@ -635,8 +668,7 @@ func (r *serverRun) completeTreeRound() {
 			}
 		}
 	}
-	r.updates = nil
-	r.aggUpdates = nil
+	r.releaseRound()
 	r.commit()
 }
 
@@ -709,7 +741,7 @@ func (r *serverRun) startEval() {
 			ask[i] = r.sessions[id]
 		}
 	}
-	req := encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version)}, r.pt.wc)
+	req := &wireMsg{kind: msgEvalReq, a: uint64(r.version)}
 	for _, s := range ask {
 		if !s.churned {
 			r.pt.ask(s, req)
@@ -737,7 +769,7 @@ func (r *serverRun) startTreeEval() {
 	}
 	for a, ids := range perAgg {
 		if len(ids) > 0 {
-			r.pt.ask(r.sessions[a], encodeMsg(&wireMsg{kind: msgEvalReq, a: uint64(r.version), ints: ids}, r.pt.wc))
+			r.pt.ask(r.sessions[a], &wireMsg{kind: msgEvalReq, a: uint64(r.version), ints: ids})
 		}
 	}
 	r.pt.eval.settle()
@@ -782,7 +814,9 @@ func (r *serverRun) completeEval() {
 	for len(r.holdback) > 0 && !r.pt.eval.active() && r.fatal == nil {
 		u := r.holdback[0]
 		r.holdback = r.holdback[1:]
-		r.processUpdate(u)
+		if !r.processUpdate(u) {
+			r.pt.vecs.put(u.Vecs...)
+		}
 	}
 }
 
@@ -1005,7 +1039,7 @@ func (r *serverRun) dispatchTree(a int, members []int) {
 		}
 		payloads[i] = vecs
 	}
-	r.pt.dispatch(r.sessions[a], uint64(r.version), encodeTreeDispatch(uint64(r.version), members, payloads, r.pt.wc))
+	r.pt.dispatchMsg(r.sessions[a], treeDispatchMsg(uint64(r.version), members, payloads))
 }
 
 // dispatchIdle keeps the async pipeline full: idle, unchurned sessions are
@@ -1060,12 +1094,66 @@ func (r *serverRun) openSemiCohort() {
 	r.semiOpen = true
 }
 
-// dispatch sends one client its broadcast.
+// broadcastFrame is the flat root's memory of its last dispatch: the vectors
+// WireDispatch returned (by identity, not content) and, once two successive
+// dispatches returned the same ones, their encoding at one version.
+type broadcastFrame struct {
+	last    [][]float64
+	frame   []byte
+	version uint64
+	valid   bool
+}
+
+// sameVecs reports whether two payloads are the same vectors — same backing
+// arrays, lengths and nil entries — not merely equal ones.
+func sameVecs(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || (a[i] == nil) != (b[i] == nil) ||
+			len(a[i]) > 0 && &a[i][0] != &b[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// dispatch sends one client its broadcast. An algorithm that broadcasts one
+// global (FedAvg, FedProx, FedClassAvg) returns the identical vectors to
+// every client, and a dispatch frame is dense and stateless (uploadKind
+// gates sparse and delta framing to msgUpdate), so its bytes are identical
+// by construction: from the second client on it is encoded once per
+// committed version and every session caches the same frame. A personalized
+// broadcast (KT-pFL's staged transfer, FedProto's table copy) never repeats
+// and is encoded into the session's own frame.
 func (r *serverRun) dispatch(s *peerSession) {
 	vecs, err := r.algo.WireDispatch(s.id)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), s.id, err)
 		return
 	}
-	r.pt.dispatch(s, uint64(r.version), encodeMsg(&wireMsg{kind: msgDispatch, a: uint64(r.version), vecs: vecs}, r.pt.wc))
+	version := uint64(r.version)
+	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs}
+	b := &r.bcast
+	shared := sameVecs(vecs, b.last)
+	b.last = append(b.last[:0], vecs...)
+	if !shared {
+		b.valid = false
+		r.pt.dispatchMsg(s, m)
+		return
+	}
+	if !b.valid || b.version != version {
+		// A straggler of an older version (async) may still owe an answer to
+		// the frame's bytes: they are then its to replay, and this version
+		// gets a buffer of its own.
+		buf := b.frame
+		if r.pt.owes(buf) {
+			buf = nil
+		}
+		b.frame = appendMsg(buf[:0], m, r.pt.wc)
+		b.version, b.valid = version, true
+	}
+	s.dispFrame = nil
+	r.pt.dispatch(s, version, b.frame)
 }

@@ -157,7 +157,10 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
 		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
 	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
-	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, cfg.Dialer, nil)
+	// One free list for both readers: the root's batched dispatch is re-encoded
+	// and released before the children's uploads come in, so the uploads
+	// decode into the very vectors the dispatch just vacated.
+	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
 	defer g.pt.shutdown()
 	defer g.up.close()
 	go g.pt.acceptLoop(ln)
@@ -186,6 +189,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 		case f := <-g.up.frames:
 			if m := g.up.receive(f); m != nil {
 				g.handleUp(m)
+				g.up.release(m) // nothing of a root message outlives its handler
 			}
 		case <-ticker.C:
 			g.pt.tick(g.version)
@@ -196,7 +200,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 			// Every child is stopped or churned: acknowledge the root's stop.
 			// If the link is down the re-dial is already under way, and the
 			// ack goes out the moment it lands.
-			g.done = g.up.send(encodeMsg(&wireMsg{kind: msgStopAck}, g.pt.wc))
+			g.done = g.up.sendMsg(&wireMsg{kind: msgStopAck})
 		}
 	}
 	if g.fatal != nil {
@@ -208,7 +212,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 // fail reports a downstream failure upstream (so the root aborts the run
 // with the cause) and ends this aggregator.
 func (g *aggRun) fail(err error) {
-	g.up.send(encodeMsg(&wireMsg{kind: msgErr, name: err.Error()}, g.pt.wc))
+	g.up.sendMsg(&wireMsg{kind: msgErr, name: err.Error()})
 	g.fatal = fmt.Errorf("fl: aggregator %d: %w", g.cfg.Index, err)
 }
 
@@ -265,7 +269,7 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 		}
 		if s := g.pt.sessionByID(id); !s.churned {
 			g.pt.round.ids[id] = true
-			g.pt.dispatch(s, m.a, encodeMsg(&wireMsg{kind: msgDispatch, a: m.a, vecs: payloads[i]}, g.pt.wc))
+			g.pt.dispatchMsg(s, &wireMsg{kind: msgDispatch, a: m.a, vecs: payloads[i]})
 		}
 	}
 	g.pt.round.settle()
@@ -273,7 +277,9 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 
 // finishRound answers the completed round: pre-reduce the collected updates
 // when the policy and the algorithm allow it, bundle them raw otherwise.
-// The frame is cached before the send so an upstream loss replays it.
+// Once the answer is encoded — into lastFrame, the aggregator's own, where it
+// stays cached so an upstream loss replays it — the children's vectors go
+// back to the free list.
 func (g *aggRun) finishRound() {
 	ids := make([]int, 0, len(g.updates))
 	for id := range g.updates {
@@ -285,7 +291,7 @@ func (g *aggRun) finishRound() {
 		ups[i] = g.updates[id]
 	}
 	g.updates = nil
-	var frame []byte
+	var answer *wireMsg
 	if red, ok := g.algo.(ReducibleWireAlgorithm); ok && g.cfg.PreReduce != PreReduceOff {
 		au, err := red.PreReduce(ups)
 		if err != nil {
@@ -293,12 +299,16 @@ func (g *aggRun) finishRound() {
 			return
 		}
 		au.Agg = g.cfg.Index
-		frame = encodeAggUpdate(g.version, au, g.pt.wc)
+		answer = aggUpdateMsg(g.version, au)
 	} else {
-		frame = encodeTreeUpdate(g.version, ups, g.pt.wc)
+		answer = treeUpdateMsg(g.version, ups)
 	}
-	g.lastFrame, g.lastVersion, g.haveLast = frame, g.version, true
-	g.up.send(frame)
+	g.lastFrame = appendMsg(g.lastFrame[:0], answer, g.pt.wc)
+	g.lastVersion, g.haveLast = g.version, true
+	for _, u := range ups {
+		g.pt.vecs.put(u.Vecs...)
+	}
+	g.up.send(g.lastFrame)
 }
 
 // handleUpEvalReq fans an evaluation request out to the requested, live
@@ -317,7 +327,7 @@ func (g *aggRun) handleUpEvalReq(m *wireMsg) {
 	g.evalAcc = make(map[int]uint64, len(m.ints))
 	g.evalIDs = g.evalIDs[:0]
 	g.pt.eval.open()
-	frame := encodeMsg(&wireMsg{kind: msgEvalReq, a: m.a}, g.pt.wc)
+	req := &wireMsg{kind: msgEvalReq, a: m.a}
 	for _, iv := range m.ints {
 		id := int(iv)
 		if id < g.lo || id >= g.hi {
@@ -327,7 +337,7 @@ func (g *aggRun) handleUpEvalReq(m *wireMsg) {
 		}
 		if s := g.pt.sessionByID(id); !s.churned {
 			g.evalIDs = append(g.evalIDs, id)
-			g.pt.ask(s, frame)
+			g.pt.ask(s, req)
 		}
 	}
 	g.pt.eval.settle()
@@ -344,11 +354,12 @@ func (g *aggRun) finishEval() {
 			ids = append(ids, id)
 		}
 	}
-	frame := encodeMsg(&wireMsg{kind: msgEvalRes, a: g.evalVersion, ints: aggEvalInts(ids, g.evalAcc)}, g.pt.wc)
-	g.lastEvalFrm, g.lastEvalVer, g.haveLastEval = frame, g.evalVersion, true
+	g.lastEvalFrm = appendMsg(g.lastEvalFrm[:0],
+		&wireMsg{kind: msgEvalRes, a: g.evalVersion, ints: aggEvalInts(ids, g.evalAcc)}, g.pt.wc)
+	g.lastEvalVer, g.haveLastEval = g.evalVersion, true
 	g.evalAcc = nil
 	g.evalIDs = nil
-	g.up.send(frame)
+	g.up.send(g.lastEvalFrm)
 }
 
 // handleChild interprets what the table's triage left to the role: a
@@ -362,7 +373,7 @@ func (g *aggRun) handleChild(ev inbound) {
 	case m == nil:
 	case m.kind == msgUpdate:
 		if !g.pt.answered(s, m.a) || !g.pt.expects(&g.pt.round, s) {
-			return
+			break
 		}
 		scale := bitsF64(m.b)
 		g.updates[s.id] = &Update{
@@ -375,10 +386,12 @@ func (g *aggRun) handleChild(ev inbound) {
 			Vecs:   m.vecs,
 			Counts: m.counts,
 		}
+		// The open round holds the vectors now; finishRound releases them.
 		g.pt.round.resolve(s.id)
+		return
 	case m.kind == msgEvalRes:
 		if !g.pt.expects(&g.pt.eval, s) {
-			return
+			break
 		}
 		// Relayed upstream bit for bit: the float64 pattern never leaves
 		// the integer slots.
@@ -388,4 +401,5 @@ func (g *aggRun) handleChild(ev inbound) {
 	default:
 		g.n.Stats.Ignored++
 	}
+	g.pt.vecs.release(ev.msg)
 }

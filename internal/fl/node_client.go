@@ -61,8 +61,16 @@ type clientRun struct {
 	batch    int
 	welcomed bool
 
+	// vecs is the free list the uplink's pump decodes dispatches into. A
+	// dispatch's vectors are released when WireLocal has returned — not when
+	// the next dispatch is decoded, which may be queued in nextDispatch while
+	// the worker is still training against this one — or at once when the
+	// dispatch is dropped as a duplicate.
+	vecs vecList
+
 	training     bool
 	trainVersion uint64
+	trainMsg     *wireMsg // the dispatch the worker is training on
 	trainDone    chan trainResult
 	// nextDispatch holds a dispatch that arrived mid-training (the server
 	// moved on — async redispatch); pendingEval an evaluation request that
@@ -75,7 +83,9 @@ type clientRun struct {
 	// delta-framed upload is stateful: every send must be re-encoded
 	// through the connection's current wireCodec so encoder and decoder
 	// advance their delta bases in lockstep (a verbatim byte replay would
-	// desync the tags).
+	// desync the tags). Its vectors are WireLocal's result, valid until the
+	// next WireLocal on this client: handle re-encodes it only while no
+	// worker is training, so it is never read past that.
 	lastUpdate  *wireMsg
 	lastVersion uint64
 	haveLast    bool
@@ -91,7 +101,7 @@ type clientRun struct {
 // ctx closes the connection and returns ctx.Err().
 func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	cr := &clientRun{cn: cn, c: cn.Client, batch: 32, trainDone: make(chan trainResult, 1)}
-	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, cn.Dialer, cn.OnToken)
+	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, &cr.vecs, cn.Dialer, cn.OnToken)
 	defer cr.drain()
 	defer cr.up.close()
 	if cr.up.attach(conn) {
@@ -100,8 +110,8 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	for cr.fatal == nil && cr.up.err == nil && !cr.done {
 		select {
 		case f := <-cr.up.frames:
-			if m := cr.up.receive(f); m != nil {
-				cr.handle(m)
+			if m := cr.up.receive(f); m != nil && !cr.handle(m) {
+				cr.up.release(m)
 			}
 		case d := <-cr.up.dials:
 			if cr.up.dialed(d) {
@@ -109,6 +119,7 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 			}
 		case res := <-cr.trainDone:
 			cr.training = false
+			cr.up.release(cr.trainMsg)
 			cr.finishTraining(res)
 		case <-ctx.Done():
 			return ctx.Err()
@@ -146,13 +157,17 @@ func (cr *clientRun) join() {
 		join.ints[joinNumParams] = int64(nn.NumParams(c.Model.Params()))
 		join.ints[joinNumClassifier] = int64(nn.NumParams(c.Model.ClassifierParams()))
 	}
+	// Sent once per connection, and as large as the init payload: a frame of
+	// its own, so the uplink's upload frame is sized by an upload.
 	cr.up.send(encodeMsg(join, cr.up.wc))
 }
 
-// handle processes one server message the uplink passed through. A failed
-// send anywhere below needs no handling here: the uplink re-dials, and the
-// server replays on adoption whatever prompts the frame again.
-func (cr *clientRun) handle(m *wireMsg) {
+// handle processes one server message the uplink passed through and reports
+// whether it kept the message (a dispatch to train on, now or next); any
+// other is the caller's to release. A failed send anywhere below needs no
+// handling here: the uplink re-dials, and the server replays on adoption
+// whatever prompts the frame again.
+func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 	switch m.kind {
 	case msgWelcome, msgResume:
 		if b := int(m.ints[welBatch]); b > 0 {
@@ -167,14 +182,17 @@ func (cr *clientRun) handle(m *wireMsg) {
 			// A resend of the round being trained (the server adopted a
 			// reconnect while the worker was mid-round): already in hand.
 		case cr.training:
+			cr.up.release(cr.nextDispatch) // superseded unread, if any
 			cr.nextDispatch = m
+			return true
 		case cr.haveLast && m.a == cr.lastVersion:
 			// The server re-dispatched a round already answered: the update
 			// was lost in the disconnect. Re-encode the cached message
 			// through this connection's codec state and resend.
-			cr.up.send(encodeMsg(cr.lastUpdate, cr.up.wc))
+			cr.up.sendMsg(cr.lastUpdate)
 		default:
 			cr.startTraining(m)
+			return true
 		}
 	case msgEvalReq:
 		if cr.training {
@@ -187,17 +205,18 @@ func (cr *clientRun) handle(m *wireMsg) {
 		// the ack lands (both transports flush in-flight frames on close,
 		// so exiting immediately after the send is safe). If the send
 		// fails, the re-dial is handed the stop again.
-		cr.done = cr.up.send(encodeMsg(&wireMsg{kind: msgStopAck}, cr.up.wc))
+		cr.done = cr.up.sendMsg(&wireMsg{kind: msgStopAck})
 	default:
 		// Unknown kinds and replayed frames are tolerated noise; the
 		// reconnect machinery makes duplicates a normal occurrence.
 	}
+	return false
 }
 
 // startTraining hands one dispatch to the worker goroutine.
 func (cr *clientRun) startTraining(m *wireMsg) {
 	cr.training = true
-	cr.trainVersion = m.a
+	cr.trainVersion, cr.trainMsg = m.a, m
 	version, vecs, batch := m.a, m.vecs, cr.batch
 	go func() {
 		u, err := cr.cn.Algo.WireLocal(cr.c, batch, vecs)
@@ -209,13 +228,13 @@ func (cr *clientRun) startTraining(m *wireMsg) {
 // replay, then services whatever queued up behind the training.
 func (cr *clientRun) finishTraining(res trainResult) {
 	if res.err != nil {
-		cr.up.send(encodeMsg(&wireMsg{kind: msgErr, name: res.err.Error()}, cr.up.wc))
+		cr.up.sendMsg(&wireMsg{kind: msgErr, name: res.err.Error()})
 		cr.fatal = fmt.Errorf("fl: client %d local round: %w", cr.c.ID, res.err)
 		return
 	}
 	up := &wireMsg{kind: msgUpdate, a: res.version, b: f64bits(res.u.Scale), vecs: res.u.Vecs, counts: res.u.Counts}
 	cr.lastUpdate, cr.lastVersion, cr.haveLast = up, res.version, true
-	cr.up.send(encodeMsg(up, cr.up.wc))
+	cr.up.sendMsg(up)
 	if nd := cr.nextDispatch; nd != nil {
 		cr.nextDispatch = nil
 		cr.startTraining(nd)
@@ -226,5 +245,5 @@ func (cr *clientRun) finishTraining(res trainResult) {
 }
 
 func (cr *clientRun) sendEval(m *wireMsg) {
-	cr.up.send(encodeMsg(&wireMsg{kind: msgEvalRes, a: m.a, b: f64bits(cr.c.EvalAccuracy())}, cr.up.wc))
+	cr.up.sendMsg(&wireMsg{kind: msgEvalRes, a: m.a, b: f64bits(cr.c.EvalAccuracy())})
 }

@@ -49,9 +49,17 @@ type PeerTable struct {
 	// mirroring the peer's encoder, which is rebuilt the same way. wc frames
 	// what the table and its role send down: never an upload kind, so always
 	// dense, and a cached frame stays valid for replay.
-	spec      comm.Spec
-	lossy     bool
-	wc        *wireCodec
+	spec  comm.Spec
+	lossy bool
+	wc    *wireCodec
+	// vecs is the role's free list of decoded payload vectors: the readers
+	// decode into it, and the role releases a message's vectors once it has
+	// folded or re-encoded them (or at once, when it drops the message). ctl
+	// is the frame every uncached send — welcome, resume, heartbeat — is
+	// encoded into; both come into being with the first frame that needs
+	// them.
+	vecs      vecList
+	ctl       []byte
 	heartbeat time.Duration
 	deadAfter time.Duration
 	window    time.Duration
@@ -151,6 +159,10 @@ type peerSession struct {
 	// pendingEval caches an outstanding evaluation request for resend on
 	// adoption (a tree request carries the id list its subtree owes).
 	pendingEval []byte
+	// dispFrame and evalFrame are the session's own encode buffers behind
+	// those two caches: a frame in one is free to be overwritten once its
+	// answer arrived or a newer dispatch or request supersedes it.
+	dispFrame, evalFrame []byte
 	// stopSent marks that the stop frame was written to some connection of
 	// this session, stopped that the peer acknowledged it: the session is
 	// complete, and a subsequent EOF from the closing peer is an orderly
@@ -376,9 +388,10 @@ func (pt *PeerTable) deliverConn(ac acceptedConn) {
 // connection dies. Each reader owns a fresh wireCodec: the delta bases a
 // connection's uploads accumulate are discarded with the connection, so an
 // adopted reconnect starts dense — exactly as the peer's rebuilt encoder
-// does.
+// does. Every frame is decoded before the next Recv retires it.
 func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 	wc := newWireCodec(pt.spec, pt.lossy)
+	wc.vecs = &pt.vecs
 	deliver := func(ev inbound) bool {
 		select {
 		case pt.events <- ev:
@@ -515,7 +528,7 @@ func (pt *PeerTable) assemble() {
 		s.token = pt.tokenRng.Uint64() | 1<<63
 	}
 	for _, s := range pt.sessions {
-		pt.send(s, encodeMsg(&wireMsg{kind: msgWelcome, name: pt.algo, ints: pt.welcomeInts(s)}, pt.wc))
+		pt.sendMsg(s, &wireMsg{kind: msgWelcome, name: pt.algo, ints: pt.welcomeInts(s)})
 	}
 }
 
@@ -527,8 +540,7 @@ func (pt *PeerTable) adopt(s *peerSession, conn transport.Conn, joinWire int64, 
 	s.downAt = time.Time{}
 	pt.stats.Reconnects++
 	pt.attach(s, conn, joinWire)
-	resume := &wireMsg{kind: msgResume, a: version, name: pt.algo, ints: pt.welcomeInts(s)}
-	if !pt.send(s, encodeMsg(resume, pt.wc)) {
+	if !pt.sendMsg(s, &wireMsg{kind: msgResume, a: version, name: pt.algo, ints: pt.welcomeInts(s)}) {
 		return
 	}
 	if s.busy && s.pendingDispatch != nil {
@@ -567,13 +579,39 @@ func (pt *PeerTable) send(s *peerSession, frame []byte) bool {
 	return true
 }
 
+// sendMsg encodes one uncached message into the table's control frame and
+// sends it.
+func (pt *PeerTable) sendMsg(s *peerSession, m *wireMsg) bool {
+	pt.ctl = appendMsg(pt.ctl[:0], m, pt.wc)
+	return pt.send(s, pt.ctl)
+}
+
 // dispatch sends a session its round broadcast and marks the answer
 // outstanding. The frame is cached for replay on adoption (the payload
 // cannot be regenerated: WireDispatch may consume algorithm state), so a
-// disconnected session keeps the dispatch owed.
+// disconnected session keeps the dispatch owed, and whoever owns the frame
+// must leave it alone until the session answered or is dispatched to again.
 func (pt *PeerTable) dispatch(s *peerSession, version uint64, frame []byte) {
 	s.busy, s.dispVersion, s.pendingDispatch = true, version, frame
 	pt.send(s, frame)
+}
+
+// owes reports whether some session's outstanding dispatch is cached in
+// frame's memory.
+func (pt *PeerTable) owes(frame []byte) bool {
+	for _, s := range pt.sessions {
+		if s.busy && len(frame) > 0 && len(s.pendingDispatch) > 0 && &s.pendingDispatch[0] == &frame[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// dispatchMsg is dispatch for a broadcast only this session gets, encoded
+// into the session's own frame.
+func (pt *PeerTable) dispatchMsg(s *peerSession, m *wireMsg) {
+	s.dispFrame = appendMsg(s.dispFrame[:0], m, pt.wc)
+	pt.dispatch(s, m.a, s.dispFrame)
 }
 
 // answered deduplicates uploads: only the answer to the session's
@@ -589,11 +627,12 @@ func (pt *PeerTable) answered(s *peerSession, version uint64) bool {
 }
 
 // ask sends a session an evaluation request and awaits the reply; like a
-// dispatch, the frame stays owed across a disconnect.
-func (pt *PeerTable) ask(s *peerSession, frame []byte) {
+// dispatch, the frame — the session's own — stays owed across a disconnect.
+func (pt *PeerTable) ask(s *peerSession, m *wireMsg) {
 	pt.eval.ids[s.id] = true
-	s.pendingEval = frame
-	pt.send(s, frame)
+	s.evalFrame = appendMsg(s.evalFrame[:0], m, pt.wc)
+	s.pendingEval = s.evalFrame
+	pt.send(s, s.pendingEval)
 }
 
 // expects reports whether barrier b still waits on s; an answer nobody
@@ -687,8 +726,8 @@ func (pt *PeerTable) churn(s *peerSession) {
 		s.gen++
 	}
 	s.busy = false
-	s.pendingDispatch = nil
-	s.pendingEval = nil
+	s.pendingDispatch, s.dispFrame = nil, nil
+	s.pendingEval, s.evalFrame = nil, nil
 	pt.round.resolve(s.id)
 	pt.eval.resolve(s.id)
 }
@@ -753,7 +792,8 @@ func (pt *PeerTable) tick(version uint64) {
 				pt.markDisconnected(s)
 			} else if beat {
 				if hb == nil {
-					hb = encodeMsg(&wireMsg{kind: msgHeartbeat, a: version}, nil)
+					hb = appendMsg(pt.ctl[:0], &wireMsg{kind: msgHeartbeat, a: version}, nil)
+					pt.ctl = hb
 				}
 				pt.send(s, hb)
 			}

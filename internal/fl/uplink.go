@@ -45,6 +45,13 @@ type uplink struct {
 	// connection: delta bases die with it, so the first upload after a
 	// reconnect goes dense — matching the equally fresh decoder above.
 	wc *wireCodec
+	// rc is the pump's decode context: plain dense (nothing sent down is
+	// ever sparse or delta framed), drawing payload vectors from the owning
+	// role's free list, which the role refills through release. out is the
+	// frame every uncached message the role sends up is encoded into — a
+	// client's upload above all; it comes into being with the first send.
+	rc  wireCodec
+	out []byte
 	// deadMs is the announced dead interval in milliseconds, read by the
 	// pump to bound each Recv (atomic: the event loop stores it when a
 	// welcome arrives).
@@ -57,12 +64,15 @@ type uplink struct {
 	err error
 }
 
-// upFrame is one pump delivery; gen stamps the connection incarnation so
-// frames from an abandoned connection are recognizable.
+// upFrame is one pump delivery: a decoded message, the error that ended the
+// connection (err), or the reason a frame did not decode (bad). gen stamps
+// the connection incarnation so frames from an abandoned connection are
+// recognizable.
 type upFrame struct {
 	gen int
-	b   []byte
+	m   *wireMsg
 	err error
+	bad error
 }
 
 // upDial is one dial-goroutine delivery; cause is the loss that triggered
@@ -73,9 +83,12 @@ type upDial struct {
 	err   error
 }
 
-func newUplink(ctx context.Context, who string, algo WireAlgorithm, token uint64,
+// newUplink builds a link that decodes into vecs, the owning role's free
+// list.
+func newUplink(ctx context.Context, who string, algo WireAlgorithm, token uint64, vecs *vecList,
 	dialer func(context.Context, uint64) (transport.Conn, error), onToken func(uint64)) *uplink {
 	u := &uplink{
+		rc:      wireCodec{vecs: vecs},
 		who:     who,
 		algo:    algo.Name(),
 		lossy:   lossyUploads(algo),
@@ -150,25 +163,39 @@ func (u *uplink) attach(conn transport.Conn) (join bool) {
 	return u.token == 0
 }
 
-// pump moves one connection's frames into the event loop until it dies.
-// Once a welcome announced the dead interval it bounds every read: a peer
-// that goes silent — not merely slow — trips the deadline and is re-dialed.
+// pump moves one connection's messages into the event loop until it dies,
+// decoding each frame before the next Recv retires it. Once a welcome
+// announced the dead interval it bounds every read: a peer that goes silent
+// — not merely slow — trips the deadline and is re-dialed.
 func (u *uplink) pump(gen int, conn transport.Conn) {
 	for {
 		if d := u.deadMs.Load(); d > 0 {
 			conn.SetReadDeadline(time.Now().Add(time.Duration(d) * time.Millisecond))
 		}
-		b, _, err := conn.Recv()
+		f := upFrame{gen: gen}
+		var b []byte
+		if b, _, f.err = conn.Recv(); f.err == nil {
+			f.m, f.bad = decodeMsgWc(b, &u.rc)
+		}
 		select {
-		case u.frames <- upFrame{gen: gen, b: b, err: err}:
+		case u.frames <- f:
 		case <-u.ctx.Done():
 			return
 		}
-		if err != nil {
+		if f.err != nil || f.bad != nil {
 			return
 		}
 	}
 }
+
+// sendMsg encodes one message into the link's own frame and sends it up.
+func (u *uplink) sendMsg(m *wireMsg) bool {
+	u.out = appendMsg(u.out[:0], m, u.wc)
+	return u.send(u.out)
+}
+
+// release hands a message's decoded vectors back to the role's free list.
+func (u *uplink) release(m *wireMsg) { u.rc.vecs.release(m) }
 
 // send writes one frame up, bounded by the announced dead interval (by
 // joinTimeout before any welcome). A failure loses the connection; the
@@ -215,21 +242,22 @@ func (u *uplink) lost(cause error) {
 // resume is validated and its token and dead interval taken in before the
 // role sees it.
 func (u *uplink) receive(f upFrame) *wireMsg {
+	m := f.m
 	if f.gen != u.gen {
+		u.release(m)
 		return nil
 	}
 	if f.err != nil {
 		u.lost(f.err)
 		return nil
 	}
-	m, err := decodeMsg(f.b)
-	if err != nil {
-		u.fail("upstream frame: %w", err)
+	if f.bad != nil {
+		u.fail("upstream frame: %w", f.bad)
 		return nil
 	}
 	switch m.kind {
 	case msgHeartbeat:
-		u.send(encodeMsg(&wireMsg{kind: msgHeartbeat, a: m.a}, u.wc))
+		u.sendMsg(&wireMsg{kind: msgHeartbeat, a: m.a})
 		return nil
 	case msgErr:
 		u.fail("refused by server: %s", m.name)

@@ -118,12 +118,19 @@ type wireMsg struct {
 func f64bits(v float64) uint64 { return math.Float64bits(v) }
 func bitsF64(b uint64) float64 { return math.Float64frombits(b) }
 
-// encodeMsg serializes a message, framing payload vectors per the
-// connection's wireCodec (nil = plain dense f64). Vectors are encoded
-// straight into the message buffer — sized once from MarshalSpecBound —
-// with the frame length patched in after the fact, so the envelope costs
-// one allocation regardless of how many vectors it carries.
-func encodeMsg(m *wireMsg, wc *wireCodec) []byte {
+// encodeMsg serializes a message into a fresh frame the caller owns — the
+// form for frames encoded once and kept (a join, the stop) and for cold
+// control traffic; everything a round repeats goes through appendMsg.
+func encodeMsg(m *wireMsg, wc *wireCodec) []byte { return appendMsg(nil, m, wc) }
+
+// appendMsg serializes a message after dst[:len(dst)] and returns the
+// extended buffer, framing payload vectors per the connection's wireCodec
+// (nil = plain dense f64). The buffer is the caller's: a role passes the
+// same one back every round (buf = appendMsg(buf[:0], …)) and the frame is
+// valid until it does. Vectors are encoded straight into it — grown once,
+// from MarshalSpecBound, when its capacity is short — with the frame length
+// patched in after the fact.
+func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	size := 4 + 8 + 8 + 8 + len(m.name) + 8 + 8*len(m.ints) + 8 + 8*len(m.counts) + 8
 	for _, v := range m.vecs {
 		size++ // presence byte
@@ -131,30 +138,24 @@ func encodeMsg(m *wireMsg, wc *wireCodec) []byte {
 			size += 8 + comm.MarshalSpecBound(wc.specFor(m.kind, len(v)), len(v))
 		}
 	}
-	b := make([]byte, 0, size)
-	var w [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(w[:4], v)
-		b = append(b, w[:4]...)
+	b := dst
+	if cap(b)-len(b) < size {
+		b = append(make([]byte, 0, len(dst)+size), dst...)
 	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		b = append(b, w[:]...)
-	}
-	u32(m.kind)
-	u64(m.a)
-	u64(m.b)
-	u64(uint64(len(m.name)))
+	b = binary.LittleEndian.AppendUint32(b, m.kind)
+	b = binary.LittleEndian.AppendUint64(b, m.a)
+	b = binary.LittleEndian.AppendUint64(b, m.b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.name)))
 	b = append(b, m.name...)
-	u64(uint64(len(m.ints)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.ints)))
 	for _, v := range m.ints {
-		u64(uint64(v))
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	u64(uint64(len(m.counts)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.counts)))
 	for _, v := range m.counts {
-		u64(uint64(int64(v)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 	}
-	u64(uint64(len(m.vecs)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.vecs)))
 	for i, v := range m.vecs {
 		if v == nil {
 			b = append(b, 0)
@@ -225,15 +226,20 @@ func (d *msgDecoder) count(elemBytes int) int {
 	return int(v)
 }
 
-// decodeMsg parses one message frame of the plain dense protocol.
+// decodeMsg parses one message frame of the plain dense protocol into
+// freshly allocated vectors the caller keeps (a join's init payload).
 func decodeMsg(frame []byte) (*wireMsg, error) {
 	return decodeMsgWc(frame, nil)
 }
 
 // decodeMsgWc parses one message frame, resolving sparse and delta vector
 // frames through the connection's wireCodec (nil accepts dense and top-k
-// frames but rejects delta, which needs a negotiated basis).
+// frames but rejects delta, which needs a negotiated basis). Nothing in the
+// result aliases frame. Payload vectors are drawn from the codec's vecList
+// when it has one: they are the message's until the role that owns the list
+// puts them back, and a message that fails to decode returns its own.
 func decodeMsgWc(frame []byte, wc *wireCodec) (*wireMsg, error) {
+	list := wc.list()
 	d := &msgDecoder{b: frame}
 	m := &wireMsg{}
 	m.kind = d.u32()
@@ -275,22 +281,28 @@ func decodeMsgWc(frame []byte, wc *wireCodec) (*wireMsg, error) {
 			if vb == nil {
 				break
 			}
+			// The scratch is only ever resized after DecodeSpec has checked
+			// the declared count against the bytes the frame carries, so a
+			// hostile count allocates nothing, with or without scratch.
 			var ref *comm.DeltaRef
+			var scratch []float64
 			if wc != nil {
 				if _, _, n, err := comm.FrameInfo(vb); err == nil {
 					ref = wc.ref(m.kind, i, n)
+					scratch = list.take(n)
 				}
 			}
-			tag, payload, err := comm.DecodeSpec(nil, vb, ref)
+			tag, payload, err := comm.DecodeSpec(scratch, vb, ref)
 			if err != nil {
+				list.put(scratch)
 				d.fail("vector %d: %v", i, err)
 				break
 			}
+			m.vecs = append(m.vecs, payload)
 			if tag != m.kind {
 				d.fail("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
 				break
 			}
-			m.vecs = append(m.vecs, payload)
 		}
 		if d.err == nil && len(m.vecs) != nVecs {
 			d.fail("message declared %d vectors, carried %d", nVecs, len(m.vecs))
@@ -299,11 +311,12 @@ func decodeMsgWc(frame []byte, wc *wireCodec) (*wireMsg, error) {
 			m.vecs = nil
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.off)
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("fl: wire message: %d trailing bytes", len(d.b)-d.off)
+	if d.err != nil {
+		list.put(m.vecs...)
+		return nil, d.err
 	}
 	return m, nil
 }
@@ -344,15 +357,21 @@ type WireAlgorithm interface {
 	WireSetup(joins []WireJoin, shards int) error
 	// WireDispatch encodes the broadcast payload for one client (server
 	// half). A nil or empty result is a valid "nothing to send" broadcast
-	// (the local-only baseline, KT-pFL before the first commit).
+	// (the local-only baseline, KT-pFL before the first commit). Vectors it
+	// returns to more than one client (a shared global) must change only in
+	// WireCommit: the server encodes them once per committed version.
 	WireDispatch(client int) ([][]float64, error)
 	// WireLocal installs a decoded broadcast into the client, runs local
 	// training and returns the upload (client half). The dispatch payload
 	// arrives exactly as WireDispatch produced it, modulo codec
-	// quantization.
+	// quantization; it is the caller's again when WireLocal returns, so
+	// nothing of it may be kept. The returned Update.Vecs are valid until
+	// the next WireLocal on the same client (Client.FlatUpload's vector).
 	WireLocal(c *Client, batchSize int, dispatch [][]float64) (*Update, error)
 	// WireApply folds one weighted update into the server's accumulators
-	// (server half; u.Weight is final).
+	// (server half; u.Weight is final). It must not retain u.Vecs past the
+	// call — the fan-in decodes the next upload into them — and copies what
+	// it needs to keep.
 	WireApply(u *Update) error
 	// WireCommit merges accumulated state into the committed globals,
 	// completing one round (server half).

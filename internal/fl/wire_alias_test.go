@@ -1,0 +1,278 @@
+package fl
+
+import (
+	"context"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+)
+
+// The two ownership tests of the node wire path, each at the spot where a
+// wrong release would silently train or aggregate on someone else's bytes.
+// Both play one side of the protocol by hand over an inproc connection.
+
+// testPeer speaks the wire protocol from the test's side of a connection.
+type testPeer struct {
+	t    *testing.T
+	conn transport.Conn
+	wire int64 // bytes this peer has sent, framing included
+}
+
+func (p *testPeer) send(m *wireMsg) {
+	p.t.Helper()
+	n, err := p.conn.Send(encodeMsg(m, nil))
+	if err != nil {
+		p.t.Fatalf("send %#x: %v", m.kind, err)
+	}
+	p.wire += n
+}
+
+// expect reads until a message of the wanted kind arrives, skipping
+// heartbeats (which it echoes, as a live peer would).
+func (p *testPeer) expect(kind uint32) *wireMsg {
+	p.t.Helper()
+	for {
+		b, _, err := p.conn.Recv()
+		if err != nil {
+			p.t.Fatalf("waiting for %#x: %v", kind, err)
+		}
+		m, err := decodeMsg(b)
+		if err != nil {
+			p.t.Fatalf("waiting for %#x: %v", kind, err)
+		}
+		if m.kind == kind {
+			return m
+		}
+		if m.kind == msgHeartbeat {
+			p.send(m)
+			continue
+		}
+		p.t.Fatalf("got message %#x while waiting for %#x", m.kind, kind)
+	}
+}
+
+func ramp(n int, start float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = start + float64(i)
+	}
+	return v
+}
+
+func bitsSum(v []float64) uint64 {
+	var s uint64
+	for i, x := range v {
+		s = s*1099511628211 + math.Float64bits(x) + uint64(i)
+	}
+	return s
+}
+
+// stubWire is the smallest WireAlgorithm: one broadcast vector, one upload
+// vector, and hooks for what each test observes.
+type stubWire struct {
+	global []float64
+
+	// local, when set, runs inside WireLocal with the decoded dispatch.
+	local func(dispatch [][]float64)
+
+	mu      sync.Mutex
+	applied map[int][]float64 // WireApply's view of each client's vector, copied
+}
+
+func (a *stubWire) Name() string                        { return "stub" }
+func (a *stubWire) Setup(*Simulation) error             { return nil }
+func (a *stubWire) Round(*Simulation, int, []int) error { return nil }
+func (a *stubWire) EpochsPerRound() int                 { return 1 }
+func (a *stubWire) WireInit(*Client) ([][]float64, error) {
+	return nil, nil
+}
+func (a *stubWire) WireSetup([]WireJoin, int) error { return nil }
+func (a *stubWire) WireDispatch(int) ([][]float64, error) {
+	return [][]float64{a.global}, nil
+}
+func (a *stubWire) WireLocal(c *Client, _ int, dispatch [][]float64) (*Update, error) {
+	if a.local != nil {
+		a.local(dispatch)
+	}
+	return &Update{Client: c.ID, Scale: 1, Vecs: [][]float64{{float64(c.ID)}}}, nil
+}
+func (a *stubWire) WireApply(u *Update) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.applied == nil {
+		a.applied = map[int][]float64{}
+	}
+	a.applied[u.Client] = append([]float64(nil), u.Vecs[0]...)
+	return nil
+}
+func (a *stubWire) WireCommit() error { return nil }
+
+func welcomeFor(algo WireAlgorithm, clients int) *wireMsg {
+	ints := make([]int64, welIntCount)
+	ints[welClients], ints[welRounds], ints[welBatch], ints[welEvalEvery] = int64(clients), 2, 4, 1
+	tok := uint64(1)<<63 | 7
+	ints[welToken] = int64(tok)
+	ints[welHeartbeatMs], ints[welDeadMs] = 1000, 60000
+	return &wireMsg{kind: msgWelcome, name: algo.Name(), ints: ints}
+}
+
+// TestClientDispatchValidUntilWireLocalReturns: a client is handed the next
+// version's dispatch — different bytes, same size — while its worker still
+// trains on the current one. The queued dispatch is decoded (the uplink's
+// pump decodes before its next Recv) while the first one's vectors are still
+// lent out, so they must not be the same memory: WireLocal's view of
+// dispatch[0] is bit-identical on entry and on exit, and the queued dispatch
+// reaches the second WireLocal intact.
+func TestClientDispatchValidUntilWireLocalReturns(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const n = 4096
+	first, second := ramp(n, 1), ramp(n, -7e6)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	type view struct{ entry, exit uint64 }
+	var views []view
+	algo := &stubWire{}
+	algo.local = func(dispatch [][]float64) {
+		v := view{entry: bitsSum(dispatch[0])}
+		if len(views) == 0 {
+			close(entered)
+			<-release
+		}
+		v.exit = bitsSum(dispatch[0])
+		views = append(views, v)
+	}
+
+	tr := transport.NewInproc(transport.Options{})
+	ln, err := tr.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := tr.Dial(ctx, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- (&ClientNode{Client: &Client{ID: 0}, Algo: algo}).Run(ctx, conn) }()
+	srvConn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvConn.Close()
+	srv := &testPeer{t: t, conn: srvConn}
+
+	srv.expect(msgJoin)
+	srv.send(welcomeFor(algo, 1))
+	srv.send(&wireMsg{kind: msgDispatch, a: 0, vecs: [][]float64{first}})
+	<-entered
+	// The worker is inside WireLocal. Push the next version through the same
+	// uplink; the heartbeat echo proves the client has decoded and queued it.
+	srv.send(&wireMsg{kind: msgDispatch, a: 1, vecs: [][]float64{second}})
+	srv.send(&wireMsg{kind: msgHeartbeat, a: 99})
+	if hb := srv.expect(msgHeartbeat); hb.a != 99 {
+		t.Fatalf("heartbeat echo carries %d, want 99", hb.a)
+	}
+	close(release)
+	for v := uint64(0); v < 2; v++ {
+		if up := srv.expect(msgUpdate); up.a != v {
+			t.Fatalf("update for version %d, want %d", up.a, v)
+		}
+	}
+	srv.send(&wireMsg{kind: msgStop})
+	srv.expect(msgStopAck)
+	if err := <-done; err != nil {
+		t.Fatalf("client run: %v", err)
+	}
+
+	if len(views) != 2 {
+		t.Fatalf("WireLocal ran %d times, want 2", len(views))
+	}
+	if want := bitsSum(first); views[0].entry != want || views[0].exit != want {
+		t.Fatalf("dispatch[0] changed under WireLocal: entry %#x exit %#x, sent %#x", views[0].entry, views[0].exit, want)
+	}
+	if want := bitsSum(second); views[1].entry != want || views[1].exit != want {
+		t.Fatalf("queued dispatch reached WireLocal as %#x/%#x, sent %#x", views[1].entry, views[1].exit, want)
+	}
+}
+
+// TestFanInDuplicateUpdateAliasing: client 0's upload waits at the sync
+// barrier when a duplicate of it — same version, different bytes, as only a
+// buggy peer would send, so that aliasing shows — arrives and is dropped by
+// the dedup. Dropping it releases the duplicate's vector, which client 1's
+// upload is then decoded into. What WireApply folds for client 0 must be the
+// first copy, bit for bit, and client 1's its own.
+func TestFanInDuplicateUpdateAliasing(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const n = 4096
+	algo := &stubWire{global: ramp(n, 0.5)}
+	srv := NewServerNode(algo, NodeConfig{Clients: 2, Rounds: 1, Seed: 1})
+	tr := transport.NewInproc(transport.Options{})
+	ln, err := tr.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(ctx, ln)
+		served <- err
+	}()
+
+	peers := make([]*testPeer, 2)
+	for id := range peers {
+		conn, err := tr.Dial(ctx, "srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		peers[id] = &testPeer{t: t, conn: conn}
+		join := &wireMsg{kind: msgJoin, name: algo.Name(), ints: make([]int64, joinIntCount)}
+		join.ints[joinID] = int64(id)
+		peers[id].send(join)
+	}
+	for _, p := range peers {
+		p.expect(msgWelcome)
+		if d := p.expect(msgDispatch); bitsSum(d.vecs[0]) != bitsSum(algo.global) {
+			t.Fatal("dispatch does not carry the global")
+		}
+	}
+
+	x0, dup, x1 := ramp(n, 100), ramp(n, -100), ramp(n, 3e9)
+	p0, p1 := peers[0], peers[1]
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{x0}})
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{dup}})
+	// The event loop books a frame when it starts on it, so the heartbeat
+	// being booked means the duplicate before it is fully dealt with.
+	p0.send(&wireMsg{kind: msgHeartbeat})
+	for srv.Ledger.ClientUp(0) != p0.wire {
+		if ctx.Err() != nil {
+			t.Fatalf("server booked %d of client 0's %d bytes", srv.Ledger.ClientUp(0), p0.wire)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p1.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{x1}})
+
+	for _, p := range peers {
+		req := p.expect(msgEvalReq)
+		p.send(&wireMsg{kind: msgEvalRes, a: req.a, b: f64bits(0.5)})
+	}
+	for _, p := range peers {
+		p.expect(msgStop)
+		p.send(&wireMsg{kind: msgStopAck})
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if srv.Stats.Ignored == 0 {
+		t.Fatal("the duplicate update was not dropped by the dedup")
+	}
+	for id, want := range [][]float64{x0, x1} {
+		if got := algo.applied[id]; bitsSum(got) != bitsSum(want) || len(got) != n {
+			t.Fatalf("client %d: WireApply folded %#x (%d values), uploaded %#x", id, bitsSum(got), len(got), bitsSum(want))
+		}
+	}
+}

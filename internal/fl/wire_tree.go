@@ -65,9 +65,13 @@ type ReducibleWireAlgorithm interface {
 // weight vector (FedAvg, FedProx, FedClassAvg): one exact Σ w_c·v_c with
 // its summed weight. The zero value is ready; it keeps its accumulator
 // between calls, because an aggregator reduces the same geometry every
-// round, so an aggregator's algorithm instance holds one.
+// round, so an aggregator's algorithm instance holds one. The aggregate it
+// returns is valid until the next call.
 type VecReducer struct {
 	acc *ExactAccumulator
+	// sum is the rounded aggregate PreReduce returns: the reducer's own
+	// vector, valid until the next PreReduce.
+	sum []float64
 }
 
 // PreReduce folds the subtree's uploads into one exact weighted sum.
@@ -86,9 +90,8 @@ func (r *VecReducer) PreReduce(updates []*Update) (*AggUpdate, error) {
 		r.acc.Fold(u.Vecs[0], u.Weight)
 	}
 	if len(updates) > 0 {
-		sum, w := r.acc.Round()
-		au.Vecs = [][]float64{sum}
-		au.Weight = w
+		r.sum, au.Weight = r.acc.RoundInto(r.sum)
+		au.Vecs = [][]float64{r.sum}
 	}
 	return au, nil
 }
@@ -220,22 +223,22 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	return agg, lo, hi, joins, nil
 }
 
-// encodeTreeDispatch frames one round's batched broadcast for a subtree:
-// the root calls WireDispatch once per cohort member and ships the
-// payloads to the member's aggregator in one frame.
+// treeDispatchMsg is one round's batched broadcast for a subtree: the root
+// calls WireDispatch once per cohort member and ships the payloads to the
+// member's aggregator in one frame.
 //
 //	a      = round version
 //	ints   = cohort member ids (ascending)
 //	counts = per-member payload vector count
 //	vecs   = the members' dispatch payloads, concatenated
-func encodeTreeDispatch(version uint64, members []int, payloads [][][]float64, wc *wireCodec) []byte {
+func treeDispatchMsg(version uint64, members []int, payloads [][][]float64) *wireMsg {
 	m := &wireMsg{kind: msgTreeDispatch, a: version}
 	for i, id := range members {
 		m.ints = append(m.ints, int64(id))
 		m.counts = append(m.counts, len(payloads[i]))
 		m.vecs = append(m.vecs, payloads[i]...)
 	}
-	return encodeMsg(m, wc)
+	return m
 }
 
 // decodeTreeDispatch parses a batched broadcast back into per-member
@@ -262,7 +265,7 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 	return ids, payloads, nil
 }
 
-// encodeAggUpdate frames a pre-reduced aggregate.
+// aggUpdateMsg is a pre-reduced aggregate.
 //
 //	a      = round version
 //	b      = summed weight (float64 bits)
@@ -270,7 +273,7 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 //	         algorithm accumulates slots under independent weights
 //	counts = slot-wise summed integer counts
 //	vecs   = pre-weighted vector sums (nil slots allowed)
-func encodeAggUpdate(version uint64, au *AggUpdate, wc *wireCodec) []byte {
+func aggUpdateMsg(version uint64, au *AggUpdate) *wireMsg {
 	m := &wireMsg{kind: msgAggUpdate, a: version, b: f64bits(au.Weight)}
 	m.ints = append(m.ints, int64(au.Children))
 	for _, w := range au.VecWeights {
@@ -278,7 +281,7 @@ func encodeAggUpdate(version uint64, au *AggUpdate, wc *wireCodec) []byte {
 	}
 	m.counts = au.Counts
 	m.vecs = au.Vecs
-	return encodeMsg(m, wc)
+	return m
 }
 
 // decodeAggUpdate parses a pre-reduced aggregate.
@@ -308,7 +311,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 	return au, nil
 }
 
-// encodeTreeUpdate frames a subtree's raw updates unreduced — the
+// treeUpdateMsg is a subtree's raw updates unreduced — the
 // passthrough path for algorithms with no sound pre-reduction. The root
 // applies the bundled updates in ascending id order, which (ranges being
 // contiguous) reproduces flat fan-in's sorted apply order exactly.
@@ -317,7 +320,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 //	ints   = per update: [client id, scale bits, nVecs, nCounts]
 //	counts = the updates' integer counts, concatenated
 //	vecs   = the updates' vectors, concatenated
-func encodeTreeUpdate(version uint64, ups []*Update, wc *wireCodec) []byte {
+func treeUpdateMsg(version uint64, ups []*Update) *wireMsg {
 	m := &wireMsg{kind: msgTreeUpdate, a: version}
 	for _, u := range ups {
 		m.ints = append(m.ints, int64(u.Client), int64(f64bits(u.Scale)),
@@ -325,7 +328,7 @@ func encodeTreeUpdate(version uint64, ups []*Update, wc *wireCodec) []byte {
 		m.counts = append(m.counts, u.Counts...)
 		m.vecs = append(m.vecs, u.Vecs...)
 	}
-	return encodeMsg(m, wc)
+	return m
 }
 
 // decodeTreeUpdate parses a passthrough bundle back into updates. Weight

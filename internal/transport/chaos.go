@@ -146,9 +146,12 @@ type chaosConn struct {
 	cfg     ChaosConfig
 	sendRng *rand.Rand
 	recvRng *rand.Rand
-	// replay holds a duplicated frame awaiting redelivery.
+	// replay is the connection's own copy of a duplicated frame — the inner
+	// connection recycles the original on its next Recv — and replaying
+	// marks it as awaiting redelivery.
 	replay     []byte
 	replayWire int64
+	replaying  bool
 }
 
 func (c *chaosConn) Send(frame []byte) (int64, error) {
@@ -163,10 +166,9 @@ func (c *chaosConn) Send(frame []byte) (int64, error) {
 }
 
 func (c *chaosConn) Recv() ([]byte, int64, error) {
-	if c.replay != nil {
-		b, wire := c.replay, c.replayWire
-		c.replay = nil
-		return b, wire, nil
+	if c.replaying {
+		c.replaying = false
+		return c.replay, c.replayWire, nil
 	}
 	b, wire, err := c.Conn.Recv()
 	if err != nil {
@@ -180,8 +182,8 @@ func (c *chaosConn) Recv() ([]byte, int64, error) {
 		time.Sleep(time.Duration(c.recvRng.Int63n(int64(c.cfg.MaxDelay))) + 1)
 	}
 	if c.cfg.Dup > 0 && c.recvRng.Float64() < c.cfg.Dup {
-		c.replay = append([]byte(nil), b...)
-		c.replayWire = wire
+		c.replay = append(c.replay[:0], b...)
+		c.replayWire, c.replaying = wire, true
 	}
 	return b, wire, nil
 }

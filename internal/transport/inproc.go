@@ -78,9 +78,10 @@ func (t *Inproc) dial(ctx context.Context, addr string, token uint64) (Conn, err
 	}
 	// One buffered channel per direction; capacity bounds in-flight frames,
 	// and a full channel applies real backpressure to the sender.
-	c2s := make(chan []byte, 64)
-	s2c := make(chan []byte, 64)
 	pipe := &pipeState{closed: make(chan struct{})}
+	c2s, s2c := &pipe.lanes[0], &pipe.lanes[1]
+	c2s.frames = make(chan []byte, 64)
+	s2c.frames = make(chan []byte, 64)
 	dialer := &inprocConn{send: c2s, recv: s2c, pipe: pipe, peer: hello}
 	accepted := &inprocConn{send: s2c, recv: c2s, pipe: pipe, peer: hello}
 	select {
@@ -123,51 +124,126 @@ func (l *inprocListener) Close() error {
 	return nil
 }
 
-// pipeState is the teardown signal shared by the two endpoints of one
-// inproc connection: closing either side tears the pipe down, like a
-// socket.
+// pipeState is what the two endpoints of one inproc connection share: the
+// teardown signal (closing either side tears the pipe down, like a socket)
+// and one lane per direction.
 type pipeState struct {
 	once   sync.Once
 	closed chan struct{}
+	lanes  [2]lane
 }
 
 func (p *pipeState) close() { p.once.Do(func() { close(p.closed) }) }
 
-// inprocConn is one direction-pair of channels.
+// lane is one direction of an inproc connection: the frames in flight and
+// the free list their buffers cycle through. The sender copies every frame
+// into a buffer it takes from the list; the receiver puts a frame's buffer
+// back when its next Recv retires that frame. Two slots, so a direction
+// that alternates a model-sized frame with a control frame keeps one
+// buffer of each size instead of growing the small one every round.
+type lane struct {
+	frames chan []byte
+
+	mu   sync.Mutex
+	free [2][]byte
+}
+
+// take removes and returns the tightest free buffer that holds n bytes, or
+// nil when neither does.
+func (l *lane) take(n int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i, b := range l.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := l.free[best]
+	l.free[best] = nil
+	return b
+}
+
+// put returns a retired frame's buffer to the free list, displacing the
+// smaller resident when both slots are taken.
+func (l *lane) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	small := 0
+	if cap(l.free[1]) < cap(l.free[0]) {
+		small = 1
+	}
+	if cap(b) > cap(l.free[small]) {
+		l.free[small] = b
+	}
+}
+
+// inprocConn is one endpoint: the lane it sends on and the lane it
+// receives from.
 type inprocConn struct {
-	send chan []byte
-	recv chan []byte
+	send *lane
+	recv *lane
 	pipe *pipeState
 	peer Hello
 
 	mu            sync.Mutex
 	readDeadline  time.Time
 	writeDeadline time.Time
+
+	// held is the frame the last Recv returned; the next Recv recycles it.
+	// sendTimer and recvTimer are the two directions' deadline timers, each
+	// built by the first deadline-bounded call and Reset by the later ones.
+	// Each is touched only by its direction's single caller.
+	held                 []byte
+	sendTimer, recvTimer *time.Timer
 }
 
-// deadlineTimer returns a channel that fires at the deadline, or nil (a
-// never-ready select case) when no deadline is set. The returned stop
-// func releases the timer.
-func deadlineTimer(dl time.Time) (<-chan time.Time, func()) {
+// arm points the direction's timer at the deadline and returns its channel,
+// or nil (a never-ready select case) when no deadline is set. A Reset timer
+// delivers no stale tick (go 1.23 timer semantics), so there is nothing to
+// drain.
+func arm(t **time.Timer, dl time.Time) <-chan time.Time {
 	if dl.IsZero() {
-		return nil, func() {}
+		return nil
 	}
-	t := time.NewTimer(time.Until(dl))
-	return t.C, func() { t.Stop() }
+	if *t == nil {
+		*t = time.NewTimer(time.Until(dl))
+	} else {
+		(*t).Reset(time.Until(dl))
+	}
+	return (*t).C
 }
 
+// disarm stops a direction's timer once its call is over, if it has one.
+func disarm(t *time.Timer) {
+	if t != nil {
+		t.Stop()
+	}
+}
+
+// Send copies the frame at the boundary — the receiver must never observe a
+// sender-side mutation, exactly as bytes on a socket would not — into a
+// buffer recycled through the lane's free list.
 func (c *inprocConn) Send(frame []byte) (int64, error) {
-	// Frames are copied at the boundary: the receiver must never observe a
-	// sender-side mutation, exactly as bytes on a socket would not.
-	b := append([]byte(nil), frame...)
+	// A lane with no buffer to spare grows one by append, which does not
+	// clear what the copy is about to overwrite.
+	b := append(c.send.take(len(frame))[:0], frame...)
 	c.mu.Lock()
-	expire, stop := deadlineTimer(c.writeDeadline)
+	dl := c.writeDeadline
 	c.mu.Unlock()
-	defer stop()
+	expire := arm(&c.sendTimer, dl)
+	defer disarm(c.sendTimer)
 	select {
-	case c.send <- b:
+	case c.send.frames <- b:
 		return FrameOverhead + int64(len(b)), nil
 	case <-expire:
+		c.send.put(b)
 		return 0, fmt.Errorf("transport: inproc send: %w", ErrDeadline)
 	case <-c.pipe.closed:
 		return 0, io.ErrClosedPipe
@@ -175,12 +251,16 @@ func (c *inprocConn) Send(frame []byte) (int64, error) {
 }
 
 func (c *inprocConn) Recv() ([]byte, int64, error) {
+	c.recv.put(c.held)
+	c.held = nil
 	c.mu.Lock()
-	expire, stop := deadlineTimer(c.readDeadline)
+	dl := c.readDeadline
 	c.mu.Unlock()
-	defer stop()
+	expire := arm(&c.recvTimer, dl)
+	defer disarm(c.recvTimer)
 	select {
-	case b := <-c.recv:
+	case b := <-c.recv.frames:
+		c.held = b
 		return b, FrameOverhead + int64(len(b)), nil
 	case <-expire:
 		return nil, 0, fmt.Errorf("transport: inproc recv: %w", ErrDeadline)
@@ -188,7 +268,8 @@ func (c *inprocConn) Recv() ([]byte, int64, error) {
 		// Drain frames that were already in flight before the close, so a
 		// graceful shutdown message is not lost to a racing Close.
 		select {
-		case b := <-c.recv:
+		case b := <-c.recv.frames:
+			c.held = b
 			return b, FrameOverhead + int64(len(b)), nil
 		default:
 			return nil, 0, io.EOF

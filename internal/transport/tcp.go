@@ -29,7 +29,7 @@ import (
 // deadline — a peer that sends less (truncated), junk (bad magic,
 // out-of-range dtype/codec) or something else entirely is rejected with a
 // typed ErrHandshake before any payload is parsed. Every Recv enforces
-// the per-connection read limit before allocating.
+// the per-connection read limit before growing its read buffer.
 
 // tcpMagic guards against pointing a node at an arbitrary TCP service
 // (and a stale node at a newer federation: the magic carries the generation).
@@ -156,6 +156,10 @@ type tcpConn struct {
 
 	sendMu sync.Mutex // Send is called from round and shutdown paths
 
+	// rbuf is the read buffer every Recv fills and returns a prefix of: it
+	// comes into being on the first frame and grows to the largest seen.
+	rbuf []byte
+
 	hsSent, hsRecv int64
 }
 
@@ -241,7 +245,10 @@ func (c *tcpConn) Recv() ([]byte, int64, error) {
 	if n > c.limit {
 		return nil, FrameOverhead, fmt.Errorf("transport: peer declared a %d-byte frame, connection limit is %d", n, c.limit)
 	}
-	b := make([]byte, n)
+	if int64(cap(c.rbuf)) < n {
+		c.rbuf = make([]byte, n)
+	}
+	b := c.rbuf[:n]
 	if _, err := io.ReadFull(c.nc, b); err != nil {
 		return nil, FrameOverhead, wrapIOErr(err)
 	}

@@ -68,7 +68,7 @@ const Version = 4
 const FrameOverhead = 4
 
 // DefaultMaxFrame is the default per-connection read limit. A peer
-// declaring a larger frame is cut off before any allocation — the limit
+// declaring a larger frame is cut off before the read buffer grows — the limit
 // bounds memory, not correctness (the largest legitimate frame is a full
 // model broadcast, far below this).
 const DefaultMaxFrame = 64 << 20
@@ -125,10 +125,13 @@ type Hello struct {
 // framing overhead included, so callers can account real traffic.
 type Conn interface {
 	// Send writes one frame and returns the bytes put on the wire
-	// (FrameOverhead + len(frame)).
+	// (FrameOverhead + len(frame)). The frame is the caller's again when
+	// Send returns: no transport keeps a reference to it.
 	Send(frame []byte) (int64, error)
-	// Recv reads the next frame and returns the wire bytes consumed. A
-	// cleanly closed peer yields io.EOF.
+	// Recv reads the next frame and returns the wire bytes consumed. The
+	// frame is valid until the next Recv on this connection, which may
+	// reuse its memory (the bufio.Scanner.Bytes contract): decode or copy
+	// it before reading on. A cleanly closed peer yields io.EOF.
 	Recv() ([]byte, int64, error)
 	// Close tears the connection down, unblocking any pending Recv.
 	Close() error
