@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -56,21 +57,28 @@ var hotPaths = []hotPath{
 	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},
 	{"MarshalTopK", codecRoundTrip(comm.NewSpec(comm.F32, 0.05, false)), 0, 0},
 	{"DecodeDelta", codecRoundTrip(comm.NewSpec(comm.I8, 0, true)), 0, 0},
+	{"TopKDeltaEncode", topKDelta("log-normal", false), 0, 0},
+	{"TopKDeltaDecode", topKDelta("log-normal", true), 0, 0},
 }
 
 func bench(b *testing.B, name string) {
 	for _, h := range hotPaths {
 		if h.name == name {
-			op := h.setup(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op()
-			}
+			timeOp(b, h.setup)
 			return
 		}
 	}
 	b.Fatalf("no hot path %q", name)
+}
+
+// timeOp times the operation setup returns, its operands built off the clock.
+func timeOp(b *testing.B, setup func(testing.TB) func()) {
+	op := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }
 
 func BenchmarkMatMul64(b *testing.B)            { bench(b, "MatMul64") }
@@ -87,6 +95,18 @@ func BenchmarkClassifierAveraging(b *testing.B) { bench(b, "ClassifierAveraging"
 func BenchmarkQuantizedMarshalI8(b *testing.B)  { bench(b, "QuantizedMarshalI8") }
 func BenchmarkMarshalTopK(b *testing.B)         { bench(b, "MarshalTopK") }
 func BenchmarkDecodeDelta(b *testing.B)         { bench(b, "DecodeDelta") }
+
+// BenchmarkTopKDeltaEncode and its Decode twin time the sparse uplink's codec
+// per residual class: the typical one and the three a radix select must not
+// degenerate on.
+func BenchmarkTopKDeltaEncode(b *testing.B) { benchTopKDelta(b, false) }
+func BenchmarkTopKDeltaDecode(b *testing.B) { benchTopKDelta(b, true) }
+
+func benchTopKDelta(b *testing.B, decode bool) {
+	for _, class := range []string{"log-normal", "single binade", "mostly zero", "all equal"} {
+		b.Run(class, func(b *testing.B) { timeOp(b, topKDelta(class, decode)) })
+	}
+}
 
 // TestHotPathAllocs moves the one portable gate of the retired bench-compare
 // job into go test: every hot path holds its recorded steady-state allocs/op
@@ -284,6 +304,76 @@ func codecRoundTrip(spec comm.Spec) func(testing.TB) func() {
 				tb.Fatal(err)
 			}
 			scratch = v
+		}
+	}
+}
+
+// topKDelta is the sparse uplink's codec at the wire benchmark's geometry — a
+// 107 722-weight vector under top-k 5 % of f32 with delta framing, two vectors
+// alternating as benchmark/probe.go's comm.encode_ms does — as a steady-state
+// encode, or as the decode of the frames that encode produced. class shapes
+// the step between the two vectors, which is what the residuals look like
+// once the basis has caught up: log-normal magnitudes on gaussian weights, or,
+// from zero weights so the residuals are exact, one binade, a step that is
+// zero on all but 1 % of the coordinates, and one value everywhere.
+func topKDelta(class string, decode bool) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		const d = 107722
+		spec := comm.NewSpec(comm.F32, 0.05, true)
+		rng := rand.New(rand.NewSource(1))
+		var vecs [2][]float64
+		vecs[0], vecs[1] = make([]float64, d), make([]float64, d)
+		for i := range vecs[0] {
+			var w, step float64
+			sign := float64(1 - 2*rng.Intn(2))
+			switch class {
+			case "log-normal":
+				w, step = 0.05*rng.NormFloat64(), sign*1e-3*math.Exp(rng.NormFloat64())
+			case "single binade":
+				step = sign * (1 + rng.Float64()) / 1024
+			case "mostly zero":
+				if rng.Intn(100) == 0 {
+					step = sign * rng.Float64()
+				}
+			case "all equal":
+				step = 0.5
+			default:
+				tb.Fatalf("no residual class %q", class)
+			}
+			vecs[0][i], vecs[1][i] = w, w+step
+		}
+		enc := &comm.DeltaRef{}
+		var frame []byte
+		i := 0
+		encode := func() {
+			frame = comm.MarshalSpecInto(frame[:0], spec, 1, vecs[i%2], enc)
+			i++
+		}
+		for i < 64 { // past the frames that walk the basis onto the weights
+			encode()
+		}
+		if !decode {
+			return encode
+		}
+		// Two consecutive frames and the basis they apply to; each decode is
+		// handed the tag its frame was encoded against.
+		dec := &comm.DeltaRef{Base: append([]float64(nil), enc.Base...)}
+		var frames [2][]byte
+		var tags [2]uint64
+		for j := range frames {
+			tags[j] = enc.Tag
+			encode()
+			frames[j] = append([]byte(nil), frame...)
+		}
+		var scratch []float64
+		return func() {
+			dec.Tag = tags[i%2]
+			_, v, err := comm.DecodeSpec(scratch, frames[i%2], dec)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			scratch = v
+			i++
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -144,6 +145,14 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for i, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(s)))
 		if err := os.WriteFile("testdata/fuzz/FuzzUnmarshal/"+names[i], []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The encoder's target: a seed per input class, the value codec rotating.
+	for class, c := range topkClasses {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\nuint16(6554)\nuint8(%d)\n", strconv.Quote(string(fuzzSeed(class))), class)
+		name := strings.ReplaceAll(c.name, " ", "-")
+		if err := os.WriteFile("testdata/fuzz/FuzzTopKEncode/"+name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 // either dense (sub = F64..BF16) or top-k (sub = TopK, its own body
 // following); delta inside delta is rejected. Both kinds are variable-size,
 // so ledgers book them by the exact encoded length RoundTripSpec returns.
+// DESIGN §13 has the selection rules the bytes depend on.
 
 // deltaOverhead is the DELTA frame's body prefix: basis tag + sub codec.
 const deltaOverhead = 8 + 1
@@ -35,15 +36,77 @@ const deltaOverhead = 8 + 1
 // this cap bounds what a hostile header can make the decoder allocate.
 const maxSparseLen = 1 << 22
 
+// radixBits is the digit width of the top-k radix select, and radixTop the
+// shift of its first digit: a key has 63 significant bits, so the first
+// digit is the exponent and the leading mantissa bit.
+const (
+	radixBits = 12
+	radixTop  = 63 - radixBits
+)
+
+// digitHist counts keys by one radix digit. Over a long input the keys are
+// counted in four lanes by position and the lanes summed, so that a run of
+// equal digits — an all-zero residual is the common case — is four chains of
+// dependent increments in flight, not one; a short input would only pay for
+// clearing and summing the other three. (32-bit counts: a vector of 2³²
+// elements is 32 GiB.)
+type digitHist struct {
+	lane [4][1 << radixBits]uint32
+	mask int // lanes in use, less one
+}
+
+// reset clears h for counting n keys and returns the lane mask to add them
+// with. The counting loops hold it in a register: h.mask is 64 KiB from the
+// first counter, and a load of it after each increment would alias that
+// counter's store in the low address bits.
+func (h *digitHist) reset(n int) (mask int) {
+	if n >= 1<<14 {
+		mask = len(h.lane) - 1
+	}
+	for l := 0; l <= mask; l++ {
+		h.lane[l] = [1 << radixBits]uint32{}
+	}
+	h.mask = mask
+	return mask
+}
+
+// add counts the key at position i, whose digit is d. (The constant masks
+// repeat what mask and the digit's width already bound, for the compiler.)
+func (h *digitHist) add(mask, i int, d uint64) { h.lane[i&mask&3][d&(1<<radixBits-1)]++ }
+
+// sum returns the counts per digit.
+func (h *digitHist) sum() *[1 << radixBits]uint32 {
+	if h.mask != 0 {
+		for d := range h.lane[0] {
+			h.lane[0][d] += h.lane[1][d] + h.lane[2][d] + h.lane[3][d]
+		}
+	}
+	return &h.lane[0]
+}
+
+// count resets h to cand counted by the digit at shift and reports whether
+// every key in cand is the same.
+func (h *digitHist) count(cand []uint64, shift uint) bool {
+	mask := h.reset(len(cand))
+	and, or := ^uint64(0), uint64(0)
+	for i, key := range cand {
+		and, or = and&key, or|key
+		h.add(mask, i, key>>(shift&63))
+	}
+	return and == or
+}
+
 // coder is the pooled scratch a single marshal or decode call borrows:
-// selection keys, kept indices, dequantized values, residuals and byte
-// staging. Steady state, every slice has grown to working size and the
-// codec paths allocate nothing.
+// selection keys and their digit histogram, kept indices and dequantized
+// values, dense residuals and byte staging. Steady state, every slice has
+// grown to working size and the codec paths allocate nothing.
 type coder struct {
-	f64 []float64
-	deq []float64
-	idx []int
-	buf []byte
+	f64  []float64
+	keys []uint64
+	hist digitHist
+	deq  []float64
+	idx  []int
+	buf  []byte
 }
 
 var coderPool = sync.Pool{New: func() any { return new(coder) }}
@@ -55,18 +118,32 @@ func (c *coder) floats(n int) []float64 {
 	return c.f64[:n]
 }
 
-func (c *coder) deqFloats(n int) []float64 {
-	if cap(c.deq) < n {
-		c.deq = make([]float64, n)
+// resize sizes the kept-index and kept-value scratch for k entries.
+func (c *coder) resize(k int) {
+	if cap(c.idx) < k {
+		c.idx = make([]int, k)
+		c.deq = make([]float64, k)
 	}
-	return c.deq[:n]
+	c.idx, c.deq = c.idx[:k], c.deq[:k]
 }
 
-func (c *coder) ints(n int) []int {
-	if cap(c.idx) < n {
-		c.idx = make([]int, n)
+// fold advances base by the kept values: base[idx[j]] += deq[j], leaving
+// each sum in deq. Sender, receiver and model all advance through this one
+// loop, so their bases agree to the bit whatever the operands.
+func (c *coder) fold(base []float64) {
+	for j, ix := range c.idx {
+		s := base[ix] + c.deq[j]
+		base[ix], c.deq[j] = s, s
 	}
-	return c.idx[:n]
+}
+
+// scatter makes out the dense vector a receiver of the kept entries decodes:
+// zero everywhere but out[idx[j]] = deq[j].
+func (c *coder) scatter(out []float64) {
+	clear(out)
+	for j, ix := range c.idx {
+		out[ix] = c.deq[j]
+	}
 }
 
 // resizeF returns scratch resized to n elements, reallocating only when the
@@ -140,153 +217,156 @@ func topkCount(frac float64, n int) int {
 	return k
 }
 
-// topkKey is the selection magnitude of x: |x|, with NaN mapped below every
-// finite and infinite value so a NaN element is kept only when nothing
-// finite is left to keep.
-func topkKey(x float64) float64 {
-	a := math.Abs(x)
-	if math.IsNaN(a) {
-		return -1
+// infBits is the bit pattern of +Inf, the largest magnitude that is a number.
+const infBits = 0x7ff << 52
+
+// magKey is the selection key of x: the bit pattern of |x| plus one, and zero
+// for NaN. Integer order on keys is the order of magnitudes with +Inf on top
+// and NaN below every number, so a NaN element is kept only when nothing
+// else is left to keep.
+func magKey(x float64) uint64 {
+	b := math.Float64bits(x) &^ (1 << 63)
+	if b > infBits {
+		return 0
 	}
-	return a
+	return b + 1
 }
 
-// kthLargest returns the k-th largest value of s (1-based), partially
-// reordering s in place. Median-of-three Hoare partitioning keeps
-// equal-heavy inputs — an all-zero residual is the common case — near
-// O(n) instead of quadratic.
-func kthLargest(s []float64, k int) float64 {
-	lo, hi := 0, len(s)-1
-	target := len(s) - k
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
+// selectTopK returns the k-th largest selection key of r = v − base (r = v
+// when base is nil) and how many elements holding exactly that key are among
+// the k largest. It is a radix select: one pass derives every key and counts
+// its leading digit, then the bucket holding the k-th key is narrowed one
+// digit at a time over its own members only, compacted to the front of the
+// key scratch, until they all hold one key. The last digit overlaps the one
+// before it; at most six digits cover a key, so the work is linear in n for
+// any input.
+func (c *coder) selectTopK(v, base []float64, k int) (kth uint64, ties int) {
+	if cap(c.keys) < len(v) {
+		c.keys = make([]uint64, len(v))
+	}
+	cand := c.keys[:len(v)]
+	mask := c.hist.reset(len(v))
+	if base == nil {
+		for i, x := range v {
+			key := magKey(x)
+			cand[i] = key
+			c.hist.add(mask, i, key>>radixTop)
 		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
-		}
-		s[lo], s[mid] = s[mid], s[lo]
-		pivot := s[lo]
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if s[i] >= pivot {
-					break
-				}
-			}
-			for {
-				j--
-				if s[j] <= pivot {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
-		}
-		if target <= j {
-			hi = j
-		} else {
-			lo = j + 1
+	} else {
+		base = base[:len(v)]
+		for i, x := range v {
+			key := magKey(x - base[i])
+			cand[i] = key
+			c.hist.add(mask, i, key>>radixTop)
 		}
 	}
-	return s[lo]
+	// Candidates share every key bit above the current digit, high; c.hist
+	// counts them by that digit, and need of them are among the k largest.
+	shift, high, need := uint(radixTop), uint64(0), k
+	for {
+		hist := c.hist.sum()
+		b := len(hist) - 1
+		for ; int(hist[b]) < need; b-- {
+			need -= int(hist[b])
+		}
+		prefix := high<<radixBits | uint64(b) // key >> shift across the bucket
+		cand = cand[:compactPrefix(cand, shift, prefix)]
+		next := shift - min(shift, radixBits)
+		if c.hist.count(cand, next) {
+			return cand[0], need
+		}
+		high, shift = prefix>>(next+radixBits-shift), next
+	}
 }
 
-// appendTopK appends a top-k body — [inner u8][k uvarint][scale f64 when
-// inner is I8][indices][values] — keeping the k largest-|v| elements with
-// ties broken by index order. When rt is non-nil (it may alias v) it
-// receives the dense vector a receiver of the body would decode.
-func appendTopK(dst []byte, inner Codec, frac float64, v, rt []float64) []byte {
-	n := len(v)
-	k := topkCount(frac, n)
-	c := coderPool.Get().(*coder)
-	abs := c.floats(n)
-	for i, x := range v {
-		abs[i] = topkKey(x)
-	}
-	t := kthLargest(abs, k)
-	// Budget the ties: everything strictly above the threshold is kept, and
-	// the remaining slots go to threshold-equal elements in index order.
+// compactPrefix moves the keys with key>>shift == prefix to the front of
+// cand, in order, and returns how many there are. It writes before it tests
+// so the loop carries no branch: a match one time in ten is the worst case
+// for a predictor.
+func compactPrefix(cand []uint64, shift uint, prefix uint64) int {
 	m := 0
-	for _, x := range v {
-		if topkKey(x) > t {
+	for _, key := range cand {
+		cand[m] = key
+		if key>>(shift&63) == prefix {
 			m++
 		}
 	}
-	idxs := c.ints(k)
-	kept, eq := 0, 0
-	var keptMax float64
+	return m
+}
+
+// keep fills c.idx and c.deq with the k kept indices and their residuals:
+// every element whose key is above kth, and the first ties of those holding
+// it. An element of base that is not kept is stored as base[i]+0, which is
+// what folding a zero residual into it stores: a −0 there becomes +0.
+func (c *coder) keep(v, base []float64, k int, kth uint64, ties int) {
+	c.resize(k)
+	idxs, deq := c.idx, c.deq
+	kept := 0
 	for i, x := range v {
-		a := topkKey(x)
-		if a > t || (a == t && eq < k-m) {
-			if a == t {
-				eq++
+		var b float64
+		if base != nil {
+			b = base[i]
+			x -= b
+		}
+		key := magKey(x)
+		if key > kth || (key == kth && ties > 0) {
+			if key == kth {
+				ties--
 			}
-			idxs[kept] = i
+			idxs[kept], deq[kept] = i, x
 			kept++
-			if a > keptMax && !math.IsInf(a, 1) {
-				keptMax = a
-			}
+		} else if s := b + 0; math.Float64bits(s) != math.Float64bits(b) {
+			base[i] = s
 		}
 	}
+}
+
+// appendTopK appends the top-k body of r = v − base (r = v when base is nil)
+// — [inner u8][k uvarint][scale f64 when inner is I8][indices][values] —
+// keeping the k largest-|r| elements with ties broken by index order, and
+// leaves the kept indices and the values a receiver decodes for them in
+// c.idx and c.deq. Neither v nor the kept entries of base are written.
+func (c *coder) appendTopK(dst []byte, inner Codec, frac float64, v, base []float64) []byte {
+	k := topkCount(frac, len(v))
+	kth, ties := c.selectTopK(v, base, k)
+	c.keep(v, base, k, kth, ties)
+	deq := c.deq
 	dst = append(dst, byte(inner))
 	dst = binary.AppendUvarint(dst, uint64(k))
-	scale := keptMax / 127
+	var scale float64
 	if inner == I8 {
+		scale = i8Scale(deq)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
 	}
 	prev := 0
-	for j, ix := range idxs {
-		if j == 0 {
-			dst = binary.AppendUvarint(dst, uint64(ix))
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(ix-prev))
-		}
+	for _, ix := range c.idx {
+		dst = binary.AppendUvarint(dst, uint64(ix-prev))
 		prev = ix
 	}
-	deq := c.deqFloats(k)
 	switch inner {
 	case F32:
-		for j, ix := range idxs {
-			x := float32(v[ix])
+		for j, r := range deq {
+			x := float32(r)
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 			deq[j] = float64(x)
 		}
 	case I8:
-		for j, ix := range idxs {
-			q := quantizeI8(v[ix], scale)
+		for j, r := range deq {
+			q := quantizeI8(r, scale)
 			dst = append(dst, byte(q))
 			deq[j] = float64(q) * scale
 		}
 	case BF16:
-		for j, ix := range idxs {
-			h := tensor.BF16FromF32(float32(v[ix]))
+		for j, r := range deq {
+			h := tensor.BF16FromF32(float32(r))
 			dst = binary.LittleEndian.AppendUint16(dst, h)
 			deq[j] = float64(tensor.BF16ToF32(h))
 		}
 	default:
-		for j, ix := range idxs {
-			x := v[ix]
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-			deq[j] = x
+		for _, r := range deq {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r))
 		}
 	}
-	if rt != nil {
-		for i := range rt {
-			rt[i] = 0
-		}
-		for j, ix := range idxs {
-			rt[ix] = deq[j]
-		}
-	}
-	coderPool.Put(c)
 	return dst
 }
 
@@ -303,38 +383,38 @@ func MarshalSpecInto(dst []byte, spec Spec, kind uint32, v []float64, ref *Delta
 	n := len(v)
 	if spec.Delta && ref != nil && ref.Tag != 0 && len(ref.Base) == n && n > 0 {
 		c := coderPool.Get().(*coder)
-		r := c.floats(n)
-		for i := range v {
-			r[i] = v[i] - ref.Base[i]
-		}
 		dst = appendHeader(dst, Delta, kind, n)
 		dst = binary.LittleEndian.AppendUint64(dst, ref.Tag)
 		if spec.Sparse() {
 			dst = append(dst, byte(TopK))
-			dst = appendTopK(dst, spec.Value, spec.Frac, r, r)
+			dst = c.appendTopK(dst, spec.Value, spec.Frac, v, ref.Base)
+			c.fold(ref.Base)
 		} else {
+			r := c.floats(n)
+			for i := range v {
+				r[i] = v[i] - ref.Base[i]
+			}
 			dst = append(dst, byte(spec.Value))
 			dst = appendDense(dst, spec.Value, r)
 			roundTripInPlace(spec.Value, r)
-		}
-		for i := range r {
-			ref.Base[i] += r[i]
+			for i := range r {
+				ref.Base[i] += r[i]
+			}
 		}
 		ref.Tag++
 		coderPool.Put(c)
 		return dst
 	}
 	if spec.Sparse() && n > 0 {
+		c := coderPool.Get().(*coder)
 		dst = appendHeader(dst, TopK, kind, n)
-		var rt []float64
+		dst = c.appendTopK(dst, spec.Value, spec.Frac, v, nil)
 		if spec.Delta && ref != nil {
 			ref.Base = resizeF(ref.Base, n)
-			rt = ref.Base
-		}
-		dst = appendTopK(dst, spec.Value, spec.Frac, v, rt)
-		if rt != nil {
+			c.scatter(ref.Base)
 			ref.Tag = 1
 		}
+		coderPool.Put(c)
 		return dst
 	}
 	dst = appendHeader(dst, spec.Value, kind, n)
@@ -401,9 +481,13 @@ func DecodeSpec(scratch []float64, b []byte, ref *DeltaRef) (kind uint32, v []fl
 			return 0, nil, err
 		}
 	case c == TopK:
-		if v, err = decodeTopKBody(scratch, b[headerSize:], n); err != nil {
+		cd := coderPool.Get().(*coder)
+		defer coderPool.Put(cd)
+		if err := cd.parseTopK(b[headerSize:], n); err != nil {
 			return 0, nil, err
 		}
+		v = resizeF(scratch, n)
+		cd.scatter(v)
 	default: // Delta
 		v, err = decodeDelta(scratch, b[headerSize:], n, ref)
 		return kind, v, err
@@ -444,28 +528,29 @@ func decodeDense(payload []float64, c Codec, body []byte) error {
 	return nil
 }
 
-// decodeTopKBody parses a top-k body into a dense n-element vector. Every
-// validation — inner codec, k range, index monotonicity and bounds, exact
-// body length — happens before the n-proportional output is touched, and
-// nothing is allocated in proportion to the declared k beyond the bytes
-// the body actually carries.
-func decodeTopKBody(scratch []float64, body []byte, n int) ([]float64, error) {
+// parseTopK parses the top-k body of an n-element vector into c.idx and
+// c.deq, the kept indices and their decoded values. Every validation — inner
+// codec, k range, index monotonicity and bounds, exact body length — happens
+// here, before the caller touches its n-proportional output, and nothing is
+// allocated in proportion to the declared k beyond the bytes the body
+// actually carries.
+func (c *coder) parseTopK(body []byte, n int) error {
 	if n > maxSparseLen {
-		return nil, fmt.Errorf("comm: top-k frame declares %d elements, cap is %d", n, maxSparseLen)
+		return fmt.Errorf("comm: top-k frame declares %d elements, cap is %d", n, maxSparseLen)
 	}
 	if len(body) < 2 {
-		return nil, fmt.Errorf("comm: top-k body of %d bytes is truncated", len(body))
+		return fmt.Errorf("comm: top-k body of %d bytes is truncated", len(body))
 	}
 	inner := Codec(body[0])
 	if !inner.Dense() {
-		return nil, fmt.Errorf("comm: top-k inner codec %d is not a dense codec", body[0])
+		return fmt.Errorf("comm: top-k inner codec %d is not a dense codec", body[0])
 	}
 	k64, sz := binary.Uvarint(body[1:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("comm: top-k kept count is malformed")
+		return fmt.Errorf("comm: top-k kept count is malformed")
 	}
 	if k64 == 0 || k64 > uint64(n) {
-		return nil, fmt.Errorf("comm: top-k keeps %d of %d elements", k64, n)
+		return fmt.Errorf("comm: top-k keeps %d of %d elements", k64, n)
 	}
 	k := int(k64)
 	rest := body[1+sz:]
@@ -477,68 +562,63 @@ func decodeTopKBody(scratch []float64, body []byte, n int) ([]float64, error) {
 	// Cheap lower bound before parsing anything k-proportional: k indices
 	// cost at least a byte each, plus k values and the scale.
 	if len(rest) < scaleBytes+k*(1+eb) {
-		return nil, fmt.Errorf("comm: top-k body of %d bytes cannot hold %d entries", len(rest), k)
+		return fmt.Errorf("comm: top-k body of %d bytes cannot hold %d entries", len(rest), k)
 	}
 	var scale float64
 	if inner == I8 {
 		scale = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 		if !validScale(scale) {
-			return nil, fmt.Errorf("comm: invalid int8 scale %g", scale)
+			return fmt.Errorf("comm: invalid int8 scale %g", scale)
 		}
 		rest = rest[8:]
 	}
-	c := coderPool.Get().(*coder)
-	defer coderPool.Put(c)
-	idxs := c.ints(k)
+	c.resize(k)
+	idxs, deq := c.idx, c.deq
 	prev := 0
 	for j := range idxs {
 		g, gsz := binary.Uvarint(rest)
 		if gsz <= 0 {
-			return nil, fmt.Errorf("comm: top-k index %d is malformed", j)
+			return fmt.Errorf("comm: top-k index %d is malformed", j)
 		}
 		rest = rest[gsz:]
 		if g >= uint64(n) {
-			return nil, fmt.Errorf("comm: top-k index %d out of range", j)
+			return fmt.Errorf("comm: top-k index %d out of range", j)
 		}
 		ix := int(g)
 		if j > 0 {
 			if g == 0 {
-				return nil, fmt.Errorf("comm: top-k index stream is non-monotone at entry %d", j)
+				return fmt.Errorf("comm: top-k index stream is non-monotone at entry %d", j)
 			}
 			ix = prev + int(g)
 			if ix >= n {
-				return nil, fmt.Errorf("comm: top-k index %d out of range", j)
+				return fmt.Errorf("comm: top-k index %d out of range", j)
 			}
 		}
 		idxs[j] = ix
 		prev = ix
 	}
 	if len(rest) != k*eb {
-		return nil, fmt.Errorf("comm: top-k values want %d bytes, got %d", k*eb, len(rest))
-	}
-	out := resizeF(scratch, n)
-	for i := range out {
-		out[i] = 0
+		return fmt.Errorf("comm: top-k values want %d bytes, got %d", k*eb, len(rest))
 	}
 	switch inner {
 	case F32:
-		for j, ix := range idxs {
-			out[ix] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rest[4*j:])))
+		for j := range deq {
+			deq[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rest[4*j:])))
 		}
 	case I8:
-		for j, ix := range idxs {
-			out[ix] = float64(int8(rest[j])) * scale
+		for j := range deq {
+			deq[j] = float64(int8(rest[j])) * scale
 		}
 	case BF16:
-		for j, ix := range idxs {
-			out[ix] = float64(tensor.BF16ToF32(binary.LittleEndian.Uint16(rest[2*j:])))
+		for j := range deq {
+			deq[j] = float64(tensor.BF16ToF32(binary.LittleEndian.Uint16(rest[2*j:])))
 		}
 	default:
-		for j, ix := range idxs {
-			out[ix] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*j:]))
+		for j := range deq {
+			deq[j] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*j:]))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // decodeDelta parses a delta body against the slot's basis and advances it.
@@ -563,31 +643,44 @@ func decodeDelta(scratch []float64, body []byte, n int, ref *DeltaRef) ([]float6
 	}
 	c := coderPool.Get().(*coder)
 	defer coderPool.Put(c)
-	var r []float64
-	var err error
 	switch {
 	case sub == TopK:
-		r, err = decodeTopKBody(c.floats(n), body, n)
+		if err := c.parseTopK(body, n); err != nil {
+			return nil, err
+		}
+		// A zero residual still folds in: every element is stored as
+		// base[i]+0, the kept ones as the sums fold made of them before.
+		base, out := ref.Base, resizeF(scratch, n)
+		c.fold(base)
+		for i, b := range base {
+			s := b + 0
+			out[i] = s
+			if math.Float64bits(s) != math.Float64bits(b) {
+				base[i] = s
+			}
+		}
+		for j, ix := range c.idx {
+			base[ix], out[ix] = c.deq[j], c.deq[j]
+		}
+		ref.Tag++
+		return out, nil
 	case sub.Dense():
 		if int64(len(body)) != sub.payloadBytes(n) {
-			err = fmt.Errorf("comm: %s delta residual of %d elements wants %d bytes, got %d", sub, n, sub.payloadBytes(n), len(body))
-		} else {
-			r = c.floats(n)
-			err = decodeDense(r, sub, body)
+			return nil, fmt.Errorf("comm: %s delta residual of %d elements wants %d bytes, got %d", sub, n, sub.payloadBytes(n), len(body))
 		}
-	default:
-		err = fmt.Errorf("comm: delta residual codec %d is not dense or top-k", uint8(sub))
+		r := c.floats(n)
+		if err := decodeDense(r, sub, body); err != nil {
+			return nil, err
+		}
+		out := resizeF(scratch, n)
+		for i := range out {
+			out[i] = ref.Base[i] + r[i]
+		}
+		ref.Base = append(ref.Base[:0], out...)
+		ref.Tag++
+		return out, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := resizeF(scratch, n)
-	for i := range out {
-		out[i] = ref.Base[i] + r[i]
-	}
-	ref.Base = append(ref.Base[:0], out...)
-	ref.Tag++
-	return out, nil
+	return nil, fmt.Errorf("comm: delta residual codec %d is not dense or top-k", uint8(sub))
 }
 
 // RoundTripSpec passes v through the spec's full framing loss in place —
@@ -604,20 +697,21 @@ func RoundTripSpec(spec Spec, v []float64, ref *DeltaRef) int64 {
 	if spec.Delta && ref != nil && ref.Tag != 0 && len(ref.Base) == n && n > 0 {
 		c := coderPool.Get().(*coder)
 		defer coderPool.Put(c)
-		r := c.floats(n)
-		for i := range v {
-			r[i] = v[i] - ref.Base[i]
-		}
 		var body int64
 		if spec.Sparse() {
-			c.buf = appendTopK(c.buf[:0], spec.Value, spec.Frac, r, r)
+			c.buf = c.appendTopK(c.buf[:0], spec.Value, spec.Frac, v, ref.Base)
+			c.fold(ref.Base)
 			body = int64(len(c.buf))
 		} else {
+			r := c.floats(n)
+			for i := range v {
+				r[i] = v[i] - ref.Base[i]
+			}
 			roundTripInPlace(spec.Value, r)
+			for i := range r {
+				ref.Base[i] += r[i]
+			}
 			body = spec.Value.payloadBytes(n)
-		}
-		for i := range r {
-			ref.Base[i] += r[i]
 		}
 		copy(v, ref.Base)
 		ref.Tag++
@@ -626,7 +720,8 @@ func RoundTripSpec(spec Spec, v []float64, ref *DeltaRef) int64 {
 	size := WireSizeAs(spec.Value, n)
 	if spec.Sparse() && n > 0 {
 		c := coderPool.Get().(*coder)
-		c.buf = appendTopK(c.buf[:0], spec.Value, spec.Frac, v, v)
+		c.buf = c.appendTopK(c.buf[:0], spec.Value, spec.Frac, v, nil)
+		c.scatter(v)
 		size = headerSize + int64(len(c.buf))
 		coderPool.Put(c)
 	} else {
