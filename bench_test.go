@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -47,6 +48,7 @@ var hotPaths = []hotPath{
 	{"MatMul32", matMul(tensor.F32, false), 3, 1},
 	{"MatMulInto64", matMul(tensor.F64, true), 0, 1},
 	{"MatMulInto32", matMul(tensor.F32, true), 0, 1},
+	{"MatMulForms", matMulForms, 0, float64(2 * len(gemmForms))},
 	{"ConvForward", convForward(tensor.F64), 14, 8},
 	{"ConvForward32", convForward(tensor.F32), 14, 8},
 	{"ConvTrainStep", convTrainStep(tensor.F64), 6, 5},
@@ -215,6 +217,69 @@ func matMul(dt tensor.DType, into bool) func(testing.TB) func() {
 			return func() { tensor.MatMulInto(out, a, c) }
 		}
 		return func() { tensor.MatMul(a, c) }
+	}
+}
+
+// gemmForms are the three GEMM forms at the shapes the benchmark workloads
+// run them. a is m×k; b and out follow from the form: NN out = a·b (b k×n),
+// ATB out = aᵀ·b (b m×n, out k×n), ABT out = a·bᵀ (b n×k, out m×n). Each
+// layer contributes its forward product and its two backward ones, as
+// internal/nn issues them: a Conv2D with outC output channels, K = inC·kh·kw
+// and P = batch·spatial runs W·cols (outC,K,P), Wᵀ·gmat (outC,K,P) and
+// cols·gmatᵀ (K,P,outC); a Dense layer of batch B runs x·W (B,in,out), xᵀ·g
+// (B,in,out) and g·Wᵀ (B,out,in).
+var gemmForms = []struct {
+	form    string
+	m, k, n int
+}{
+	// het_sync conv: outC 8, K 72, P 4608.
+	{"NN", 8, 72, 4608}, {"ATB", 8, 72, 4608}, {"ABT", 72, 4608, 8},
+	// wire MLP's first Dense: B 16, 144 → 512.
+	{"NN", 16, 144, 512}, {"ATB", 16, 144, 512}, {"ABT", 16, 512, 144},
+	// lazy_async_churn conv: outC 8, K 72, P 144.
+	{"NN", 8, 72, 144}, {"ATB", 8, 72, 144}, {"ABT", 72, 144, 8},
+}
+
+// gemmForm is one of gemmForms as an Into product at dtype dt.
+func gemmForm(i int, dt tensor.DType) func() {
+	f := gemmForms[i]
+	a, b, out := tensor.NewOf(dt, f.m, f.k), tensor.NewOf(dt, f.k, f.n), tensor.NewOf(dt, f.m, f.n)
+	run := tensor.MatMulInto
+	switch f.form {
+	case "ATB":
+		b, out, run = tensor.NewOf(dt, f.m, f.n), tensor.NewOf(dt, f.k, f.n), tensor.MatMulATBInto
+	case "ABT":
+		b, run = tensor.NewOf(dt, f.n, f.k), tensor.MatMulABTInto
+	}
+	rng := rand.New(rand.NewSource(int64(i)))
+	a.FillUniform(rng, -1, 1)
+	b.FillUniform(rng, -1, 1)
+	return func() { run(out, a, b) }
+}
+
+// matMulForms runs every gemmForms product at both dtypes.
+func matMulForms(testing.TB) func() {
+	var ops []func()
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		for i := range gemmForms {
+			ops = append(ops, gemmForm(i, dt))
+		}
+	}
+	return func() {
+		for _, op := range ops {
+			op()
+		}
+	}
+}
+
+// BenchmarkMatMulForms times each of gemmForms alone, per dtype.
+func BenchmarkMatMulForms(b *testing.B) {
+	for i, f := range gemmForms {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%v", f.form, f.m, f.k, f.n, dt), func(b *testing.B) {
+				timeOp(b, func(testing.TB) func() { return gemmForm(i, dt) })
+			})
+		}
 	}
 }
 

@@ -199,28 +199,6 @@ func TestMatMulF32MatchesF64(t *testing.T) {
 	}
 }
 
-// The portable and FMA f32 kernels must agree closely on the same inputs
-// (FMA fuses the multiply-add, so results are not bit-identical, but they
-// share the ascending accumulation order).
-func TestF32KernelsAgreeAcrossDispatch(t *testing.T) {
-	if !useFMA32 {
-		t.Skip("no AVX2+FMA on this host")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, s := range [][3]int{{8, 16, 8}, {13, 29, 21}, {64, 64, 64}} {
-		m, k, n := s[0], s[1], s[2]
-		a := randTensorOf(F32, rng, m, k)
-		b := randTensorOf(F32, rng, k, n)
-		fma := NewOf(F32, m, n)
-		gemmNNRangeFMA32(fma.F32, a.F32, b.F32, k, n, 0, m, false)
-		portable := NewOf(F32, m, n)
-		gemmNNRange[float32](portable.F32, a.F32, b.F32, k, n, 0, m, false)
-		if !ApproxEqual(fma, portable, 1e-4*math.Sqrt(float64(k))) {
-			t.Errorf("FMA and portable f32 kernels diverge at %v", s)
-		}
-	}
-}
-
 func TestPoolDTypeSeparation(t *testing.T) {
 	p := NewPool()
 	a := p.GetOf(F32, 4, 4)
@@ -331,33 +309,6 @@ func BenchmarkMatMulInto32Tensor(b *testing.B) {
 	}
 }
 
-// The f32 transpose pack must agree exactly with the generic scalar pack at
-// every pk (vector blocks + scalar tails) and jw (partial widths fall back).
-func TestPackPanelCols32MatchesGeneric(t *testing.T) {
-	if !useFMA32 {
-		t.Skip("no AVX2 on this host")
-	}
-	rng := rand.New(rand.NewSource(14))
-	const ld = 37
-	src := make([]float32, 16*ld)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
-	for _, pk := range []int{1, 7, 8, 9, 16, 23, 32} {
-		for _, jw := range []int{8, 5} {
-			want := make([]float32, gemmKC*fmaNR)
-			got := make([]float32, gemmKC*fmaNR)
-			packPanelCols(want, src, 2, ld, 3, jw, pk)
-			packPanelCols32(got, src, 2, ld, 3, jw, pk)
-			for i := 0; i < pk*fmaNR; i++ {
-				if want[i] != got[i] {
-					t.Fatalf("pk=%d jw=%d: element %d differs (%v vs %v)", pk, jw, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // The vector primitives must match their scalar fallbacks bit for bit at
 // both widths, including the NaN/-0 relu edge cases.
 func TestVecPrimitivesMatchScalar(t *testing.T) {
@@ -443,18 +394,14 @@ func TestGEMMShardLayoutIndependence(t *testing.T) {
 			var ref *Tensor
 			for _, shards := range []int{1, 2, 3, 5, 8, 16} {
 				out := NewOf(dt, rows, n)
-				if dt == F32 {
-					kernel := gemmNNRange[float32]
-					if useFMA32 {
-						kernel = gemmNNRangeFMA32
+				chunk, nsh := shardRanges(rows, shards)
+				for s := 0; s < nsh; s++ {
+					lo, hi := s*chunk, min(s*chunk+chunk, rows)
+					if dt == F32 {
+						gemmRange(opNN, simdTierFor[float32](n), Of[float32](out), Of[float32](a), Of[float32](b), rows, k, n, lo, hi, false)
+					} else {
+						gemmRange(opNN, simdTierFor[float64](n), out.Data, a.Data, b.Data, rows, k, n, lo, hi, false)
 					}
-					runSharded(kernel, Of[float32](out), Of[float32](a), Of[float32](b), k, n, rows, shards, false)
-				} else {
-					kernel := gemmNNRange[float64]
-					if useFMA {
-						kernel = gemmNNRangeFMA
-					}
-					runSharded(kernel, out.Data, a.Data, b.Data, k, n, rows, shards, false)
 				}
 				if ref == nil {
 					ref = out

@@ -1,7 +1,7 @@
-// AVX2+FMA micro-kernels for the blocked GEMM drivers in gemm_amd64.go:
+// AVX2+FMA micro-kernels for the blocked GEMM driver in gemm_simd.go:
 // a 4×8 float64 tile and an 8×8 float32 tile (double the lane count at
 // half the element width). Only assembled on amd64; callers gate on the
-// useFMA/useFMA32 runtime checks.
+// useFMA runtime check.
 
 #include "textflag.h"
 

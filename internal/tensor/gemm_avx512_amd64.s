@@ -1,8 +1,8 @@
-// AVX-512 micro-kernels for the blocked GEMM drivers in
-// gemm_avx512_amd64.go: an 8×8 float64 tile and 8×16 / 4×16 float32 tiles
-// (one 512-bit ZMM vector of output columns per row). Only assembled on
-// amd64; callers gate on the useAVX512/useAVX51232 runtime checks, which
-// require AVX512F+DQ+BW+VL with OS ZMM state enabled.
+// AVX-512 micro-kernels for the blocked GEMM driver in gemm_simd.go: an
+// 8×8 float64 tile and 8×16 / 4×16 float32 tiles (one 512-bit ZMM vector of
+// output columns per row). Only assembled on amd64; callers gate on the
+// useAVX512 runtime check, which requires AVX512F+DQ+BW+VL with OS ZMM
+// state enabled.
 //
 // All kernels share the AVX2 tier's calling convention (byte strides, load
 // flag) and its per-element accumulation order — one fused multiply-add per

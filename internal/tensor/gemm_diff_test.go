@@ -4,6 +4,7 @@ package tensor
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -16,29 +17,38 @@ import (
 // What "exact" means per tier:
 //   - portable: every element is a plain mul+add chain in ascending
 //     reduction order, reproduced bit-for-bit by a naive scalar loop;
-//   - AVX2/AVX-512 f64: fused rows (the tile-aligned multiple-of-4 prefix
-//     of each shard) are math.FMA chains, tail rows mul+add — both mimicked
-//     exactly in scalar code;
-//   - AVX2 vs AVX-512 f32: the tiers share per-element accumulation order
-//     and fusion, so their outputs are compared bit-for-bit against each
-//     other (Go has no scalar float32 FMA to mimic against), plus a
-//     tolerance check against a float64 reference to catch errors that
-//     corrupt both tiers identically (they share no assembly, so a common
-//     wrong offset would have to be a driver bug, covered by the f64 mimic).
+//   - AVX2/AVX-512: fused rows (the tile-aligned multiple-of-4 prefix of
+//     each shard) are FMA chains, one rounding per step, tail rows mul+add —
+//     both mimicked exactly in scalar code, the f32 FMA through an exact
+//     big.Float sum rounded once to float32.
 
 // tierState saves and force-sets the kernel dispatch tiers.
-type tierState struct{ fma, fma32, a512, a51232 bool }
+type tierState struct{ fma, a512 bool }
 
 func setTiers(fma, avx512 bool) tierState {
-	s := tierState{useFMA, useFMA32, useAVX512, useAVX51232}
-	useFMA, useFMA32 = fma, fma
-	useAVX512, useAVX51232 = avx512, avx512
+	s := tierState{useFMA, useAVX512}
+	useFMA, useAVX512 = fma, avx512
 	return s
 }
 
-func (s tierState) restore() {
-	useFMA, useFMA32 = s.fma, s.fma32
-	useAVX512, useAVX51232 = s.a512, s.a51232
+func (s tierState) restore() { useFMA, useAVX512 = s.fma, s.a512 }
+
+// tierCase is one kernel tier a test forces with setTiers.
+type tierCase struct {
+	name        string
+	fma, avx512 bool
+}
+
+// hostTiers lists the tiers this host can run, portable first.
+func hostTiers() []tierCase {
+	tiers := []tierCase{{"portable", false, false}}
+	if detectFMA() {
+		tiers = append(tiers, tierCase{"avx2", true, false})
+	}
+	if detectAVX512() {
+		tiers = append(tiers, tierCase{"avx512", true, true})
+	}
+	return tiers
 }
 
 // runForm invokes the public driver for the form. a is m×k; b is k×n (NN),
@@ -48,7 +58,7 @@ func runForm(form gemmForm, out, a, b *Tensor, acc bool) {
 	case form == formNN && !acc:
 		MatMulInto(out, a, b)
 	case form == formNN && acc:
-		gemmNN(out, a, b, true)
+		gemm(opNN, out, a, b, true)
 	case form == formATB && !acc:
 		MatMulATBInto(out, a, b)
 	case form == formATB && acc:
@@ -64,6 +74,26 @@ func runForm(form gemmForm, out, a, b *Tensor, acc bool) {
 // code: the same shard plan, the same fused-row classes when fused is true
 // (asm tiers), plain mul+add everywhere when false (portable tier).
 func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) {
+	mimic(form, out, a, b, m, k, n, acc, fused, math.FMA)
+}
+
+// mimicF32 is mimicF64 at float32.
+func mimicF32(form gemmForm, out, a, b []float32, m, k, n int, acc, fused bool) {
+	mimic(form, out, a, b, m, k, n, acc, fused, fma32)
+}
+
+// fma32 is float32's fused multiply-add: x·y+z summed exactly, then rounded
+// once to nearest even. 1024 bits hold any float32 product plus any float32
+// addend without rounding.
+func fma32(x, y, z float32) float32 {
+	s := new(big.Float).SetPrec(1024).SetFloat64(float64(x))
+	s.Mul(s, big.NewFloat(float64(y)))
+	s.Add(s, big.NewFloat(float64(z)))
+	f, _ := s.Float32()
+	return f
+}
+
+func mimic[F Float](form gemmForm, out, a, b []F, m, k, n int, acc, fused bool, fma func(x, y, z F) F) {
 	rows, red := m, k
 	if form == formATB {
 		rows, red = k, m
@@ -84,12 +114,12 @@ func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) 
 				// zero and adds the seed at the end; every other kernel (and
 				// the asm tiers' load flag) seeds the accumulator up front.
 				seedLast := acc && form == formABT && !fused
-				var c float64
+				var c F
 				if acc && !seedLast {
 					c = out[r*cols+j]
 				}
 				for t := 0; t < red; t++ {
-					var av, bv float64
+					var av, bv F
 					switch form {
 					case formNN:
 						av, bv = a[r*k+t], b[t*n+j]
@@ -99,7 +129,7 @@ func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) 
 						av, bv = a[r*k+t], b[j*k+t]
 					}
 					if rowFused {
-						c = math.FMA(av, bv, c)
+						c = fma(av, bv, c)
 					} else {
 						c += av * bv
 					}
@@ -110,36 +140,6 @@ func mimicF64(form gemmForm, out, a, b []float64, m, k, n int, acc, fused bool) 
 					out[r*cols+j] = c
 				}
 			}
-		}
-	}
-}
-
-// mimicRef32 computes a float64 reference from float32 inputs for the
-// tolerance check of the f32 tiers.
-func mimicRef32(form gemmForm, out []float64, a, b []float32, m, k, n int, acc bool) {
-	rows, red := m, k
-	if form == formATB {
-		rows, red = k, m
-	}
-	for r := 0; r < rows; r++ {
-		for j := 0; j < n; j++ {
-			var c float64
-			if acc {
-				c = out[r*n+j]
-			}
-			for t := 0; t < red; t++ {
-				var av, bv float32
-				switch form {
-				case formNN:
-					av, bv = a[r*k+t], b[t*n+j]
-				case formATB:
-					av, bv = a[t*k+r], b[t*n+j]
-				case formABT:
-					av, bv = a[r*k+t], b[j*k+t]
-				}
-				c += float64(av) * float64(bv)
-			}
-			out[r*n+j] = c
 		}
 	}
 }
@@ -231,7 +231,6 @@ func TestGEMMDifferentialF32(t *testing.T) {
 	if !detectFMA() {
 		t.Skip("no AVX2+FMA on this host")
 	}
-	hasAVX512 := detectAVX512()
 	defer setTiers(false, false).restore()
 	rng := rand.New(rand.NewSource(43))
 	for _, shape := range diffShapes(rng) {
@@ -245,50 +244,20 @@ func TestGEMMDifferentialF32(t *testing.T) {
 			for _, acc := range []bool{false, true} {
 				seed := NewOf(F32, orr, oc)
 				fillNonzero(seed, rng)
-
-				// Portable tier: exact against the naive mul+add mimic.
-				setTiers(false, false)
-				portable := seed.Clone()
-				runForm(form, portable, a, b, acc)
-				ref32 := make([]float32, orr*oc)
-				if acc {
-					copy(ref32, seed.F32)
-				}
-				mimicMulAdd32(form, ref32, a.F32, b.F32, m, k, n, acc)
-				for i := range ref32 {
-					if math.Float32bits(ref32[i]) != math.Float32bits(portable.F32[i]) {
-						t.Fatalf("portable form=%d m=%d k=%d n=%d acc=%v: element %d = %x, mimic %x",
-							form, m, k, n, acc, i, math.Float32bits(portable.F32[i]), math.Float32bits(ref32[i]))
+				for _, tier := range hostTiers() {
+					setTiers(tier.fma, tier.avx512)
+					got := seed.Clone()
+					runForm(form, got, a, b, acc)
+					ref := make([]float32, orr*oc)
+					if acc {
+						copy(ref, seed.F32)
 					}
-				}
-
-				// AVX2 tier: tolerance against a float64 reference.
-				setTiers(true, false)
-				avx2 := seed.Clone()
-				runForm(form, avx2, a, b, acc)
-				ref := make([]float64, orr*oc)
-				if acc {
-					for i, v := range seed.F32 {
-						ref[i] = float64(v)
-					}
-				}
-				mimicRef32(form, ref, a.F32, b.F32, m, k, n, acc)
-				for i := range ref {
-					if d := math.Abs(float64(avx2.F32[i]) - ref[i]); d > 1e-4*(1+math.Abs(ref[i])) {
-						t.Fatalf("avx2 form=%d m=%d k=%d n=%d acc=%v: element %d = %v, reference %v",
-							form, m, k, n, acc, i, avx2.F32[i], ref[i])
-					}
-				}
-
-				// AVX-512 tier: bit-identical to the AVX2 tier.
-				if hasAVX512 {
-					setTiers(true, true)
-					avx512 := seed.Clone()
-					runForm(form, avx512, a, b, acc)
-					for i := range avx512.F32 {
-						if math.Float32bits(avx512.F32[i]) != math.Float32bits(avx2.F32[i]) {
-							t.Fatalf("avx512 form=%d m=%d k=%d n=%d acc=%v: element %d = %x, avx2 %x",
-								form, m, k, n, acc, i, math.Float32bits(avx512.F32[i]), math.Float32bits(avx2.F32[i]))
+					mimicF32(form, ref, a.F32, b.F32, m, k, n, acc, tier.fma)
+					for i := range ref {
+						if math.Float32bits(ref[i]) != math.Float32bits(got.F32[i]) {
+							t.Fatalf("%s form=%d m=%d k=%d n=%d acc=%v: element %d = %x, mimic %x",
+								tier.name, form, m, k, n, acc, i,
+								math.Float32bits(got.F32[i]), math.Float32bits(ref[i]))
 						}
 					}
 				}
@@ -297,36 +266,116 @@ func TestGEMMDifferentialF32(t *testing.T) {
 	}
 }
 
-// mimicMulAdd32 is the naive mul+add float32 reference, exact for the
-// portable tier (accumulation is per-element sequential there too).
-func mimicMulAdd32(form gemmForm, out []float32, a, b []float32, m, k, n int, acc bool) {
-	rows, red := m, k
-	if form == formATB {
-		rows, red = k, m
+// runBatchForm is runForm's batched counterpart.
+func runBatchForm(form gemmForm, outs, as, bs []*Tensor, acc bool) {
+	switch {
+	case form == formNN && !acc:
+		MatMulBatchInto(outs, as, bs)
+	case form == formNN && acc:
+		batchGemm(opNN, outs, as, bs, true)
+	case form == formATB && !acc:
+		MatMulBatchATBInto(outs, as, bs)
+	case form == formATB && acc:
+		MatMulBatchATBAcc(outs, as, bs)
+	case form == formABT && !acc:
+		MatMulBatchABTInto(outs, as, bs)
+	default:
+		MatMulBatchABTAcc(outs, as, bs)
 	}
-	seedLast := acc && form == formABT // see mimicF64
-	for r := 0; r < rows; r++ {
-		for j := 0; j < n; j++ {
-			var c float32
-			if !seedLast {
-				c = out[r*n+j]
-			}
-			for t := 0; t < red; t++ {
-				var av, bv float32
-				switch form {
-				case formNN:
-					av, bv = a[r*k+t], b[t*n+j]
-				case formATB:
-					av, bv = a[t*k+r], b[t*n+j]
-				case formABT:
-					av, bv = a[r*k+t], b[j*k+t]
+}
+
+// An empty reduction — k = 0 for A·B and A·Bᵀ, m = 0 for Aᵀ·B — zeroes out
+// for Into and leaves it untouched for Acc, on every tier, form and dtype,
+// standalone and batched.
+func TestGEMMEmptyReduction(t *testing.T) {
+	defer setTiers(useFMA, useAVX512).restore()
+	for _, tier := range hostTiers() {
+		setTiers(tier.fma, tier.avx512)
+		for _, dt := range []DType{F64, F32} {
+			for form := formNN; form <= formABT; form++ {
+				m, k, n := 5, 0, 19
+				if form == formATB {
+					m, k = 0, 5
 				}
-				c += av * bv
+				ar, ac, br, bc, orr, oc := operandShapes(form, m, k, n)
+				a, b := NewOf(dt, ar, ac), NewOf(dt, br, bc)
+				for _, acc := range []bool{false, true} {
+					for _, batched := range []bool{false, true} {
+						outs := []*Tensor{NewOf(dt, orr, oc), NewOf(dt, orr, oc)}
+						for _, o := range outs {
+							o.Fill(7)
+						}
+						if batched {
+							runBatchForm(form, outs, []*Tensor{a, a}, []*Tensor{b, b}, acc)
+						} else {
+							runForm(form, outs[0], a, b, acc)
+							outs = outs[:1]
+						}
+						want := 0.0
+						if acc {
+							want = 7
+						}
+						for _, o := range outs {
+							for r := 0; r < orr; r++ {
+								for j := 0; j < oc; j++ {
+									if got := o.At(r, j); got != want {
+										t.Fatalf("%s %v form=%d acc=%v batched=%v: out[%d,%d] = %v, want %v",
+											tier.name, dt, form, acc, batched, r, j, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
 			}
-			if seedLast {
-				out[r*n+j] += c
-			} else {
-				out[r*n+j] = c
+		}
+	}
+}
+
+// The portable and FMA f32 kernels must agree closely on the same inputs
+// (FMA fuses the multiply-add, so results are not bit-identical, but they
+// share the ascending accumulation order).
+func TestF32KernelsAgreeAcrossDispatch(t *testing.T) {
+	if !useFMA {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range [][3]int{{8, 16, 8}, {13, 29, 21}, {64, 64, 64}} {
+		m, k, n := s[0], s[1], s[2]
+		a := randTensorOf(F32, rng, m, k)
+		b := randTensorOf(F32, rng, k, n)
+		fma := NewOf(F32, m, n)
+		simdRange(opNN, &avx2F32, fma.F32, a.F32, b.F32, m, k, n, 0, m, false)
+		portable := NewOf(F32, m, n)
+		gemmNNRange[float32](portable.F32, a.F32, b.F32, k, n, 0, m, false)
+		if !ApproxEqual(fma, portable, 1e-4*math.Sqrt(float64(k))) {
+			t.Errorf("FMA and portable f32 kernels diverge at %v", s)
+		}
+	}
+}
+
+// The f32 transpose pack must agree exactly with the generic scalar pack at
+// every pk (vector blocks + scalar tails) and jw (partial widths fall back).
+func TestPackPanelCols32MatchesGeneric(t *testing.T) {
+	if !useFMA {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(14))
+	const ld = 37
+	src := make([]float32, 16*ld)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	for _, pk := range []int{1, 7, 8, 9, 16, 23, 32} {
+		for _, jw := range []int{8, 5} {
+			want := make([]float32, gemmKC*fmaNR)
+			got := make([]float32, gemmKC*fmaNR)
+			packPanelCols(want, src, 2, ld, 3, jw, pk)
+			packPanelCols32(got, src, 2, ld, 3, jw, pk)
+			for i := 0; i < pk*fmaNR; i++ {
+				if want[i] != got[i] {
+					t.Fatalf("pk=%d jw=%d: element %d differs (%v vs %v)", pk, jw, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -2,65 +2,21 @@
 
 package tensor
 
+import "unsafe"
+
 // Non-amd64 builds always take the portable blocked kernels, at either
-// element width.
+// element width: simdTierFor returns no tier, so sweepTiles is never reached.
 const (
-	useFMA      = false
-	useFMA32    = false
-	useAVX512   = false
-	useAVX51232 = false
+	useFMA    = false
+	useAVX512 = false
 )
 
 // CPUFeatures reports no SIMD tiers: non-amd64 builds run the portable
 // kernels only.
 func CPUFeatures() []string { return nil }
 
-func gemmNNRangeFMA(out, a, b []float64, k, n, lo, hi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmATRangeFMA(out, a, b []float64, m, k, n, plo, phi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmABTRangeFMA(out, a, b []float64, k, n, ilo, ihi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmNNRangeFMA32(out, a, b []float32, k, n, lo, hi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmATRangeFMA32(out, a, b []float32, m, k, n, plo, phi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmABTRangeFMA32(out, a, b []float32, k, n, ilo, ihi int, acc bool) {
-	panic("tensor: FMA kernel unavailable")
-}
-
-func gemmNNRangeAVX512(out, a, b []float64, k, n, lo, hi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
-}
-
-func gemmATRangeAVX512(out, a, b []float64, m, k, n, plo, phi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
-}
-
-func gemmABTRangeAVX512(out, a, b []float64, k, n, ilo, ihi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
-}
-
-func gemmNNRangeAVX51232(out, a, b []float32, k, n, lo, hi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
-}
-
-func gemmATRangeAVX51232(out, a, b []float32, m, k, n, plo, phi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
-}
-
-func gemmABTRangeAVX51232(out, a, b []float32, k, n, ilo, ihi int, acc bool) {
-	panic("tensor: AVX-512 kernel unavailable")
+func sweepTiles(t simdTile, rows int, c unsafe.Pointer, ldc int, a unsafe.Pointer, aRow, aStep int, bp unsafe.Pointer, pk, load int) int {
+	panic("tensor: SIMD kernel unavailable")
 }
 
 // MaxPool2x2F32 reports the AVX-512 max-pool kernel unavailable on non-amd64

@@ -20,28 +20,17 @@ const (
 	gemmNR = 4
 )
 
-// fmaNR is the packed-panel width of the AVX2+FMA micro-kernels: 8 lanes,
-// which is two 4-lane vectors of float64 (the 4×8 kernel) or one 8-lane
-// vector of float32 (the 8×8 kernel); see gemm_amd64.go. It is declared
-// here so the shared panel scratch can size for either kernel on every
-// platform.
+// fmaNR is the packed-panel width of the AVX2+FMA tiers and of the AVX-512
+// f64 tier: 8 lanes, two 4-lane vectors of float64, one 8-lane vector of
+// float32, or one 512-bit vector of float64 (see gemm_simd.go). It is
+// declared here so the shared panel scratch can size for either kernel on
+// every platform.
 const fmaNR = 8
 
-// avx512NR is the packed-panel width of the AVX-512 float32 micro-kernels:
-// 16 lanes, one 512-bit ZMM vector per panel row (see gemm_avx512_amd64.go).
-// The f64 AVX-512 kernel keeps the 8-wide panel (8 float64 = one ZMM), so
-// only the float32 scratch sizes for this width.
+// avx512NR is the packed-panel width of the AVX-512 float32 tier: 16 lanes,
+// one 512-bit ZMM vector per panel row. Only the float32 scratch sizes for
+// this width.
 const avx512NR = 16
-
-// avx51232For reports whether the float32 AVX-512 kernels should carry a
-// product whose packed-panel dimension is n. Below one full 16-lane panel
-// the wider tile buys nothing and its packing/tail overhead costs ~30% on
-// the small dense products of a training step, so narrow products stay on
-// the 8-wide AVX2 tier. Purely a speed choice: every tier produces
-// bit-identical results (the differential harness enforces it), so the
-// crossover can move without touching any golden. The f64 kernels keep the
-// FMA tier's 8-wide panel and have no such penalty.
-func avx51232For(n int) bool { return useAVX51232 && n >= avx512NR }
 
 // panelScratch64/panelScratch32 recycle the packed-B panels across GEMM
 // calls so the blocked kernels allocate nothing in steady state. Panels are
@@ -99,16 +88,12 @@ func gemmShards(rows, work int) int {
 	return s
 }
 
-// gemmKernel is one sharded range kernel: rows [lo,hi) of one of the three
-// product forms over flat slices.
-type gemmKernel[F Float] func(out, a, b []F, k, n, lo, hi int, acc bool)
-
 // shardRanges splits [0,rows) into ranges whose boundaries are multiples of
-// the widest micro-kernel tile height (fmaNR covers the 8-row f32, 4-row
-// f64/f32 and 2-row portable tiles alike). Tile-aligned boundaries make a
-// row's tile membership — and therefore its FMA-vs-tail rounding — a
-// function of the row index alone, so GEMM results are bit-identical at
-// every worker count and shard layout, not merely at every concurrency cap.
+// the widest micro-kernel tile height (fmaNR covers the 8-row, 4-row and
+// 2-row portable tiles alike). Tile-aligned boundaries make a row's tile
+// membership — and therefore its FMA-vs-tail rounding — a function of the
+// row index alone, so GEMM results are bit-identical at every worker count
+// and shard layout, not merely at every concurrency cap.
 func shardRanges(rows, shards int) (chunk, nShards int) {
 	chunk = (rows + shards - 1) / shards
 	chunk = (chunk + fmaNR - 1) &^ (fmaNR - 1)
@@ -116,27 +101,140 @@ func shardRanges(rows, shards int) (chunk, nShards int) {
 	return chunk, nShards
 }
 
-// runSharded executes a range kernel over [0,rows) in tile-aligned shards.
-func runSharded[F Float](kernel gemmKernel[F], out, a, b []F, k, n, rows, shards int, acc bool) {
+// opShardPlan is every product's shard geometry: the tile-aligned chunk size
+// and shard count for the given output rows and multiply-add count.
+func opShardPlan(rows, work int) (chunk, nsh int) {
+	shards := gemmShards(rows, work)
 	if shards <= 1 {
-		kernel(out, a, b, k, n, 0, rows, acc)
+		return rows, 1
+	}
+	chunk, nsh = shardRanges(rows, shards)
+	if nsh <= 1 {
+		return rows, 1
+	}
+	return chunk, nsh
+}
+
+// gemmOp names one of the three product forms every GEMM entry point lowers
+// to.
+type gemmOp uint8
+
+const (
+	opNN  gemmOp = iota // out = a·b:  a m×k, b k×n, out m×n
+	opATB               // out = aᵀ·b: a m×k, b m×n, out k×n
+	opABT               // out = a·bᵀ: a m×k, b n×k, out m×n
+)
+
+var gemmOpNames = [...]string{"MatMul", "MatMulATB", "MatMulABT"}
+
+// gemmDims validates one product's operands and returns its output rows,
+// reduction length and output columns.
+func gemmDims(op gemmOp, out, a, b *Tensor) (rows, red, cols int) {
+	m, k := a.Shape[0], a.Shape[1]
+	var inner int // b's dimension that must match the reduction
+	switch op {
+	case opNN:
+		rows, red, cols, inner = m, k, b.Shape[1], b.Shape[0]
+	case opATB:
+		rows, red, cols, inner = k, m, b.Shape[1], b.Shape[0]
+	default:
+		rows, red, cols, inner = m, k, b.Shape[0], b.Shape[1]
+	}
+	if inner != red || out.Shape[0] != rows || out.Shape[1] != cols {
+		panic("tensor: " + gemmOpNames[op] + " shape mismatch")
+	}
+	if dt := out.DT.Backing(); a.DT.Backing() != dt || b.DT.Backing() != dt {
+		panic("tensor: " + gemmOpNames[op] + " operands of mixed dtypes")
+	}
+	return rows, red, cols
+}
+
+// gemm computes out = op(a, b) (acc=false) or out += op(a, b) (acc=true)
+// with a cache-blocked, register-tiled kernel, sharding output rows across
+// the worker pool. The operands' common dtype selects the instantiation and
+// simdTierFor the kernel tier.
+func gemm(op gemmOp, out, a, b *Tensor, acc bool) {
+	rows, red, cols := gemmDims(op, out, a, b)
+	runGemm(op, gemmSet{out: out, a: a, b: b}, rows, red, cols, acc)
+}
+
+// gemmSet is the products of one launch — a standalone product in out, a, b,
+// or a batch in outs, as, bs — all of one geometry and dtype. The launch
+// closure captures it by value, so a standalone product costs no allocation
+// beyond the pool dispatch itself.
+type gemmSet struct {
+	out, a, b    *Tensor
+	outs, as, bs []*Tensor
+}
+
+func (s gemmSet) count() int {
+	if s.outs == nil {
+		return 1
+	}
+	return len(s.outs)
+}
+
+func (s gemmSet) at(g int) (out, a, b *Tensor) {
+	if s.outs == nil {
+		return s.out, s.a, s.b
+	}
+	return s.outs[g], s.as[g], s.bs[g]
+}
+
+// runGemm is the one sharded runner behind every GEMM entry point. An empty
+// output is left alone; an empty reduction zeroes out for Into and leaves it
+// untouched for Acc, on every tier and form.
+func runGemm(op gemmOp, s gemmSet, rows, red, cols int, acc bool) {
+	out, _, _ := s.at(0)
+	switch {
+	case rows == 0 || cols == 0:
+	case red == 0 && acc:
+	case red == 0:
+		for g := 0; g < s.count(); g++ {
+			out, _, _ = s.at(g)
+			out.Zero()
+		}
+	case out.DT.Backing() == F32:
+		launch[float32](op, s, rows, red, cols, acc)
+	default:
+		launch[float64](op, s, rows, red, cols, acc)
+	}
+}
+
+// launch runs every (product, shard) unit of a launch on one tier and one
+// shard plan — the plan the product would get alone, so a batched product
+// is computed bit for bit as its standalone call — inline when there is a
+// single unit, across the worker pool otherwise.
+func launch[F Float](op gemmOp, s gemmSet, rows, red, cols int, acc bool) {
+	t := simdTierFor[F](cols)
+	chunk, nsh := opShardPlan(rows, rows*red*cols)
+	if s.count()*nsh == 1 {
+		out, a, b := s.at(0)
+		gemmRange(op, t, Of[F](out), Of[F](a), Of[F](b), rows, red, cols, 0, rows, acc)
 		return
 	}
-	chunk, nShards := shardRanges(rows, shards)
-	if nShards <= 1 {
-		kernel(out, a, b, k, n, 0, rows, acc)
-		return
-	}
-	ParallelSharded(nShards, nShards, func(_, slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo := s * chunk
-			hi := lo + chunk
-			if hi > rows {
-				hi = rows
-			}
-			kernel(out, a, b, k, n, lo, hi, acc)
+	ParallelSharded(s.count()*nsh, curWorkers(), func(_, ulo, uhi int) {
+		for u := ulo; u < uhi; u++ {
+			out, a, b := s.at(u / nsh)
+			lo := u % nsh * chunk
+			gemmRange(op, t, Of[F](out), Of[F](a), Of[F](b), rows, red, cols, lo, min(lo+chunk, rows), acc)
 		}
 	})
+}
+
+// gemmRange computes output rows [lo,hi) of op on tier t, or on the portable
+// kernels when t is nil.
+func gemmRange[F Float](op gemmOp, t *simdTier[F], out, a, b []F, rows, red, cols, lo, hi int, acc bool) {
+	switch {
+	case t != nil:
+		simdRange(op, t, out, a, b, rows, red, cols, lo, hi, acc)
+	case op == opNN:
+		gemmNNRange(out, a, b, red, cols, lo, hi, acc)
+	case op == opATB:
+		gemmATRange(out, a, b, red, rows, cols, lo, hi, acc)
+	default:
+		gemmABTRange(out, a, b, red, cols, lo, hi, acc)
+	}
 }
 
 // MatMul returns a·b for rank-2 tensors a (m×k) and b (k×n).
@@ -144,62 +242,14 @@ func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 operands")
 	}
-	if a.Shape[1] != b.Shape[0] {
-		panic("tensor: MatMul inner dimension mismatch")
-	}
 	out := NewOf(a.DT, a.Shape[0], b.Shape[1])
-	gemmNN(out, a, b, false)
+	gemm(opNN, out, a, b, false)
 	return out
 }
 
 // MatMulInto computes out = a·b, reusing out's storage. out must be m×n and
 // may not alias a or b.
-func MatMulInto(out, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || out.Shape[0] != m || out.Shape[1] != n {
-		panic("tensor: MatMulInto shape mismatch")
-	}
-	gemmNN(out, a, b, false)
-}
-
-// gemmNN computes out = a·b (acc=false) or out += a·b (acc=true) with a
-// cache-blocked, register-tiled kernel, sharding output rows across the
-// worker pool. Every output element accumulates its k terms in ascending
-// order regardless of blocking, so results match the naive kernel. The
-// operands' common dtype selects the kernel instantiation (and, on amd64,
-// the 4×8 f64 or 8×8 f32 FMA micro-kernel).
-func gemmNN(out, a, b *Tensor, acc bool) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if n == 0 || m == 0 {
-		return
-	}
-	if k == 0 {
-		if !acc {
-			out.Zero()
-		}
-		return
-	}
-	shards := gemmShards(m, m*k*n)
-	if out.DT.Backing() == F32 {
-		kernel := gemmNNRange[float32]
-		if avx51232For(n) {
-			kernel = gemmNNRangeAVX51232
-		} else if useFMA32 {
-			kernel = gemmNNRangeFMA32
-		}
-		runSharded(kernel, Of[float32](out), Of[float32](a), Of[float32](b), k, n, m, shards, acc)
-		return
-	}
-	kernel := gemmNNRange[float64]
-	if useAVX512 {
-		kernel = gemmNNRangeAVX512
-	} else if useFMA {
-		kernel = gemmNNRangeFMA
-	}
-	runSharded(kernel, out.Data, Of[float64](a), Of[float64](b), k, n, m, shards, acc)
-}
+func MatMulInto(out, a, b *Tensor) { gemm(opNN, out, a, b, false) }
 
 // gemmNNRange computes rows [lo,hi) of out = a·b. For each k-block it packs
 // a gemmNR-wide B panel once and streams gemmMR-row register tiles through
@@ -331,72 +381,16 @@ func gemmNNRange[F Float](out, a, b []F, k, n, lo, hi int, acc bool) {
 // a is m×k, b is m×n; the result is k×n.
 func MatMulATB(a, b *Tensor) *Tensor {
 	out := NewOf(a.DT, a.Shape[1], b.Shape[1])
-	gemmAT(out, a, b, true)
+	gemm(opATB, out, a, b, true)
 	return out
 }
 
 // MatMulATBInto computes out = aᵀ·b, reusing out's storage (k×n).
-func MatMulATBInto(out, a, b *Tensor) { gemmAT(out, a, b, false) }
+func MatMulATBInto(out, a, b *Tensor) { gemm(opATB, out, a, b, false) }
 
 // MatMulATBAcc computes out += aᵀ·b, accumulating into out (k×n). It lets
 // backward passes accumulate weight gradients without a scratch product.
-func MatMulATBAcc(out, a, b *Tensor) { gemmAT(out, a, b, true) }
-
-func gemmAT(out, a, b *Tensor, acc bool) {
-	m, k := a.Shape[0], a.Shape[1]
-	if b.Shape[0] != m {
-		panic("tensor: MatMulATB leading dimension mismatch")
-	}
-	n := b.Shape[1]
-	if out.Shape[0] != k || out.Shape[1] != n {
-		panic("tensor: MatMulATB output shape mismatch")
-	}
-	if k == 0 || n == 0 {
-		return
-	}
-	shards := gemmShards(k, m*k*n)
-	if out.DT.Backing() == F32 {
-		kernel := gemmATRange[float32]
-		if avx51232For(n) {
-			kernel = gemmATRangeAVX51232
-		} else if useFMA32 {
-			kernel = gemmATRangeFMA32
-		}
-		runShardedAT(kernel, Of[float32](out), Of[float32](a), Of[float32](b), m, k, n, shards, acc)
-		return
-	}
-	kernel := gemmATRange[float64]
-	if useAVX512 {
-		kernel = gemmATRangeAVX512
-	} else if useFMA {
-		kernel = gemmATRangeFMA
-	}
-	runShardedAT(kernel, out.Data, Of[float64](a), Of[float64](b), m, k, n, shards, acc)
-}
-
-// runShardedAT executes an Aᵀ·B range kernel (whose reduction length m rides
-// along) over output rows [0,k), in tile-aligned shards like runSharded.
-func runShardedAT[F Float](kernel func(out, a, b []F, m, k, n, plo, phi int, acc bool), out, a, b []F, m, k, n, shards int, acc bool) {
-	if shards <= 1 {
-		kernel(out, a, b, m, k, n, 0, k, acc)
-		return
-	}
-	chunk, nShards := shardRanges(k, shards)
-	if nShards <= 1 {
-		kernel(out, a, b, m, k, n, 0, k, acc)
-		return
-	}
-	ParallelSharded(nShards, nShards, func(_, slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo := s * chunk
-			hi := lo + chunk
-			if hi > k {
-				hi = k
-			}
-			kernel(out, a, b, m, k, n, lo, hi, acc)
-		}
-	})
-}
+func MatMulATBAcc(out, a, b *Tensor) { gemm(opATB, out, a, b, true) }
 
 // gemmATRange computes output rows [plo,phi) of out = aᵀ·b by streaming b
 // row-wise and scattering each a[i,p] as a 4-row axpy block.
@@ -444,53 +438,15 @@ func gemmATRange[F Float](out, a, b []F, m, k, n, plo, phi int, acc bool) {
 // a is m×k, b is n×k; the result is m×n.
 func MatMulABT(a, b *Tensor) *Tensor {
 	out := NewOf(a.DT, a.Shape[0], b.Shape[0])
-	gemmABT(out, a, b, true)
+	gemm(opABT, out, a, b, true)
 	return out
 }
 
 // MatMulABTInto computes out = a·bᵀ, reusing out's storage (m×n).
-func MatMulABTInto(out, a, b *Tensor) { gemmABT(out, a, b, false) }
+func MatMulABTInto(out, a, b *Tensor) { gemm(opABT, out, a, b, false) }
 
 // MatMulABTAcc computes out += a·bᵀ, accumulating into out (m×n).
-func MatMulABTAcc(out, a, b *Tensor) { gemmABT(out, a, b, true) }
-
-func gemmABT(out, a, b *Tensor, acc bool) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	if b.Shape[1] != k {
-		panic("tensor: MatMulABT trailing dimension mismatch")
-	}
-	if out.Shape[0] != m || out.Shape[1] != n {
-		panic("tensor: MatMulABT output shape mismatch")
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		if !acc {
-			out.Zero()
-		}
-		return
-	}
-	shards := gemmShards(m, m*k*n)
-	if out.DT.Backing() == F32 {
-		kernel := gemmABTRange[float32]
-		if avx51232For(n) {
-			kernel = gemmABTRangeAVX51232
-		} else if useFMA32 {
-			kernel = gemmABTRangeFMA32
-		}
-		runSharded(kernel, Of[float32](out), Of[float32](a), Of[float32](b), k, n, m, shards, acc)
-		return
-	}
-	kernel := gemmABTRange[float64]
-	if useAVX512 {
-		kernel = gemmABTRangeAVX512
-	} else if useFMA {
-		kernel = gemmABTRangeFMA
-	}
-	runSharded(kernel, out.Data, Of[float64](a), Of[float64](b), k, n, m, shards, acc)
-}
+func MatMulABTAcc(out, a, b *Tensor) { gemm(opABT, out, a, b, true) }
 
 // gemmABTRange computes rows [ilo,ihi) of out = a·bᵀ as 2×4 register tiles
 // of dot products, reading each pair of a rows and quad of b rows once.
