@@ -171,11 +171,11 @@ func TestMultiProcessSmokeParity(t *testing.T) {
 	// The in-process reference at the identical configuration.
 	s := experiments.Tiny()
 	s.Clients, s.Rounds, s.Seed = clients, rounds, 1
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, clients, s)
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Run(experiments.MethodProposed, experiments.Fashion, factory, s, 1.0)
+	want, err := experiments.Run(experiments.MethodProposed, experiments.Fashion, build, clients, s, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

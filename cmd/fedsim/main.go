@@ -67,25 +67,27 @@ func main() {
 		sched.Resume = snap
 	}
 
-	// Node mode and the lazy fleet build clients one id at a time; the eager
-	// engine takes a factory for the whole fleet.
-	var factory experiments.ClientFactory
-	var builder experiments.ClientBuilder
+	// One per-id builder serves the eager engine, the lazy store and node
+	// mode: -fleet names a rotation, -arch/-width scripts one, and -resident
+	// draws each client's split on demand instead of partitioning up front.
+	var build experiments.ClientBuilder
 	var err error
+	lazy := spec.Resident > 0
 	fleetDesc := spec.Fleet
 	switch {
-	case spec.Resident > 0:
-		builder, _, err = experiments.NewLazyFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
-		fleetDesc = fmt.Sprintf("%s/lazy(resident %d)", spec.Fleet, spec.Resident)
 	case spec.Arch != "":
 		arches, widths := spec.Rotation()
-		factory, _, err = experiments.NewRotationFleet(name, kind, s.Clients, s, arches, widths)
+		build, _, err = experiments.NewRotationBuilder(name, kind, s.Clients, s, arches, widths, lazy)
 		fleetDesc = "custom(" + spec.Arch + ")"
+	case lazy:
+		build, _, err = experiments.NewLazyFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
 	default:
-		builder, _, err = experiments.NewFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
-		factory = builder.Factory(s.Clients)
+		build, _, err = experiments.NewFleetBuilder(name, kind, spec.Fleet, s.Clients, s)
 	}
 	fatal(err)
+	if lazy {
+		fleetDesc = fmt.Sprintf("%s/lazy(resident %d)", fleetDesc, spec.Resident)
+	}
 
 	tree := spec.Topology == "tree"
 	topoDesc := ""
@@ -110,14 +112,12 @@ func main() {
 		}
 		node := func(cfg *fl.NodeConfig) { *cfg = spec.NodeConfig(s) }
 		if tree {
-			hist, err = experiments.RunTreeNodes(context.Background(), spec.Method, name, builder, s.Clients, spec.Aggregators, s, spec.Rate, wire, tr, addr, node)
+			hist, err = experiments.RunTreeNodes(context.Background(), spec.Method, name, build, s.Clients, spec.Aggregators, s, spec.Rate, wire, tr, addr, node)
 		} else {
-			hist, err = experiments.RunNodes(context.Background(), spec.Method, name, builder, s.Clients, s, spec.Rate, wire, tr, addr, node)
+			hist, err = experiments.RunNodes(context.Background(), spec.Method, name, build, s.Clients, s, spec.Rate, wire, tr, addr, node)
 		}
-	case spec.Resident > 0:
-		hist, err = experiments.RunLazyScheduled(spec.Method, name, builder, s.Clients, s, spec.Rate, spec.Resident, spec.EvalSample, sched, wire)
 	default:
-		hist, err = experiments.RunScheduled(spec.Method, name, factory, s, spec.Rate, sched, wire)
+		hist, err = experiments.RunScheduled(spec.Method, name, build, s.Clients, s, spec.Rate, spec.Resident, spec.EvalSample, sched, wire)
 	}
 	fatal(err)
 	fmt.Println("round,local_epochs,mean_acc,std_acc,up_bytes,down_bytes,sim_time")
@@ -143,19 +143,14 @@ func main() {
 }
 
 // checkResume holds a loaded snapshot against the run the flags describe;
-// these are the usage errors that need the file. Lazy checkpoints hold only
-// the touched clients, so the fleet size is carried explicitly (FleetSize
-// is 0 only in pre-lazy snapshots, where every client is present).
+// these are the usage errors that need the file. A checkpoint holds only
+// the touched clients, so the fleet size is carried explicitly.
 func checkResume(snap *fl.Snapshot, kind fl.SchedulerKind, s experiments.Scale) error {
-	fleetSize := snap.FleetSize
-	if fleetSize == 0 {
-		fleetSize = len(snap.Clients)
-	}
 	switch {
 	case snap.Kind != kind:
 		return fmt.Errorf("was taken under the %s scheduler, -sched asks for %s", snap.Kind, kind)
-	case fleetSize != s.Clients:
-		return fmt.Errorf("holds a %d-client fleet, flags configure %d", fleetSize, s.Clients)
+	case snap.FleetSize != s.Clients:
+		return fmt.Errorf("holds a %d-client fleet, flags configure %d", snap.FleetSize, s.Clients)
 	case snap.Round >= s.Rounds:
 		return fmt.Errorf("is already at round %d of %d — nothing to resume", snap.Round, s.Rounds)
 	case snap.DType != s.DType:

@@ -94,9 +94,11 @@ func TestFedsimDTypeAndRotationFlags(t *testing.T) {
 	}
 }
 
-// The -resident flag: a lazy virtual fleet runs end to end, any finite
-// budget reproduces any other budget byte for byte, a mid-run checkpoint
-// resumes, and the flag interlocks reject in the standard usage style.
+// The -resident flag: a lazy virtual fleet runs end to end — a named fleet
+// or an -arch/-width rotation alike — any finite budget reproduces any other
+// budget byte for byte, a mid-run checkpoint resumes, -evalsample samples an
+// eager fleet too, and the flag interlocks reject in the standard usage
+// style.
 func TestFedsimLazyFleetFlags(t *testing.T) {
 	common := []string{"-dataset", "fashion", "-clients", "50", "-rounds", "3",
 		"-featdim", "16", "-rate", "0.1", "-method", "FedAvg", "-fleet", "homogeneous", "-seed", "3"}
@@ -124,14 +126,18 @@ func TestFedsimLazyFleetFlags(t *testing.T) {
 		t.Fatalf("lazy resume differs from uninterrupted run\n--- full ---\n%s\n--- resumed ---\n%s", small, resumed)
 	}
 
-	if out := cmdtest.RunErr(t, 2, nil, "-evalsample", "4"); !strings.Contains(out, "-evalsample requires -resident") {
-		t.Fatalf("evalsample without resident:\n%s", out)
+	rotation := []string{"-method", "Proposed", "-arch", "resnet,cnn2", "-width", "1,2"}
+	rotSmall := run(append([]string{"-resident", "2"}, rotation...)...)
+	if rotLarge := run(append([]string{"-resident", "40"}, rotation...)...); rotSmall != rotLarge {
+		t.Fatalf("resident budget changed a rotation fleet's metrics\n--- resident 2 ---\n%s\n--- resident 40 ---\n%s", rotSmall, rotLarge)
+	}
+
+	out := cmdtest.Run(t, nil, "-dataset", "fashion", "-clients", "8", "-rounds", "2", "-featdim", "16", "-evalsample", "4")
+	if !strings.Contains(out, "# final:") {
+		t.Fatalf("eager run with -evalsample:\n%s", out)
 	}
 	if out := cmdtest.RunErr(t, 2, nil, "-resident", "-1"); !strings.Contains(out, "-resident") {
 		t.Fatalf("negative resident:\n%s", out)
-	}
-	if out := cmdtest.RunErr(t, 2, nil, "-resident", "4", "-arch", "resnet,cnn2"); !strings.Contains(out, "arch") {
-		t.Fatalf("resident with arch rotation:\n%s", out)
 	}
 	if out := cmdtest.RunErr(t, 2, nil, "-resident", "4", "-transport", "tcp"); !strings.Contains(out, "resident") {
 		t.Fatalf("resident over tcp:\n%s", out)
@@ -162,6 +168,12 @@ func TestFedsimTransportFlag(t *testing.T) {
 	if !strings.Contains(out, "sched semisync") || !strings.Contains(out, "# final:") {
 		t.Fatalf("tcp semisync run output:\n%s", out)
 	}
+	// A scripted rotation is a per-id builder, so client nodes build it too.
+	out = cmdtest.Run(t, nil, "-dataset", "fashion", "-clients", "3", "-rounds", "1",
+		"-featdim", "16", "-transport", "tcp", "-arch", "resnet,cnn2")
+	if !strings.Contains(out, "custom(resnet,cnn2)") || !strings.Contains(out, "# final:") {
+		t.Fatalf("tcp rotation run output:\n%s", out)
+	}
 
 	common := []string{"-dataset", "fashion", "-clients", "3", "-rounds", "1", "-featdim", "16", "-transport", "tcp"}
 	rejects := []struct {
@@ -172,7 +184,6 @@ func TestFedsimTransportFlag(t *testing.T) {
 		{[]string{"-trace", "/tmp/x.trace"}, "trace"},
 		{[]string{"-leave", "0.2"}, "leave"},
 		{[]string{"-stragglers", "1"}, "straggler"},
-		{[]string{"-arch", "resnet,cnn2"}, "arch"},
 	}
 	for _, tc := range rejects {
 		out := cmdtest.RunErr(t, 2, nil, append(append([]string(nil), common...), tc.extra...)...)

@@ -11,13 +11,14 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
+	"repro/internal/models"
 )
 
 func main() {
 	s := experiments.ScaleFromEnv(experiments.Small())
 	s.Rounds = 3
 	name := experiments.CIFAR10
-	hom, _, err := experiments.NewHomogeneousFleet(name, data.Dirichlet, s.Clients, s)
+	hom, _, err := experiments.NewRotationFleet(name, data.Dirichlet, s.Clients, s, []models.Arch{models.ArchResNet}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func main() {
 
 	type runSpec struct {
 		method  string
-		factory experiments.ClientFactory
+		factory func() []*fl.Client
 	}
 	for _, rs := range []runSpec{
 		{experiments.MethodFedAvg, hom},

@@ -18,11 +18,11 @@ func main() {
 
 	for _, kind := range []data.PartitionKind{data.Dirichlet, data.Skewed} {
 		fmt.Printf("== %s, %s partition, %d clients ==\n", name, kind, s.Clients)
-		het, _, err := experiments.NewHeterogeneousFleet(name, kind, s.Clients, s)
+		het, _, err := experiments.NewFleetBuilder(name, kind, "heterogeneous", s.Clients, s)
 		if err != nil {
 			log.Fatal(err)
 		}
-		proto, _, err := experiments.NewProtoFleet(name, kind, s.Clients, s)
+		proto, _, err := experiments.NewFleetBuilder(name, kind, "proto", s.Clients, s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,11 +32,11 @@ func main() {
 			experiments.MethodKTpFL,
 			experiments.MethodProposed,
 		} {
-			factory := het
+			build := het
 			if method == experiments.MethodFedProto {
-				factory = proto // FedProto needs matching feature dims (milder heterogeneity)
+				build = proto // FedProto needs matching feature dims (milder heterogeneity)
 			}
-			hist, err := experiments.Run(method, name, factory, s, 1.0)
+			hist, err := experiments.Run(method, name, build, s.Clients, s, 1.0)
 			if err != nil {
 				log.Fatal(err)
 			}

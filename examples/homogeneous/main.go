@@ -15,7 +15,7 @@ func main() {
 	s := experiments.ScaleFromEnv(experiments.Small())
 	s.Rounds = min(s.Rounds, 15)
 	name := experiments.Fashion
-	factory, _, err := experiments.NewHomogeneousFleet(name, data.Dirichlet, s.Clients, s)
+	build, _, err := experiments.NewFleetBuilder(name, data.Dirichlet, "homogeneous", s.Clients, s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func main() {
 		experiments.MethodProposed,
 		experiments.MethodProposedWeight,
 	} {
-		hist, err := experiments.Run(method, name, factory, s, 1.0)
+		hist, err := experiments.Run(method, name, build, s.Clients, s, 1.0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -194,7 +194,7 @@ func (p *FedProto) AsyncDispatch(sim *fl.Simulation, client int) error {
 		}
 	}
 	p.snaps[client] = snap
-	sim.Downlink(sim.ClientID(client), p.downloadFloats())
+	sim.Downlink(client, p.downloadFloats())
 	return nil
 }
 

@@ -1,0 +1,59 @@
+package ckpt_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/comm"
+	"repro/internal/data"
+	"repro/internal/experiments"
+	"repro/internal/fl"
+)
+
+// TestEagerCheckpointBytesPinned pins what a checkpoint of an eager fleet
+// holds, byte for byte: one SHA-256 over the marshalled snapshots of Tiny-scale
+// FedClassAvg runs on the heterogeneous fleet — sync and async, rounds 1 and 2
+// — recorded at 8930139, when an eager simulation still captured its clients
+// from a slice of its own. The kill-resume goldens compare a run with itself;
+// this literal only holds if a refactor of the capture path writes the same
+// files. The async server state is laid out per accumulator shard, whose
+// default count follows GOMAXPROCS, so the runs fix two shards: the literal
+// holds on any host.
+func TestEagerCheckpointBytesPinned(t *testing.T) {
+	const want = "04c71ee1591d88b731c3eee88b37df59bfc5294dc887a8fd720a20bf8a22e631"
+	s := experiments.Tiny()
+	h := sha256.New()
+	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded} {
+		build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make([]*fl.Client, s.Clients)
+		for i := range clients {
+			clients[i] = build(i)
+		}
+		algo, err := experiments.NewAlgorithm(experiments.MethodProposed, experiments.Fashion, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := 0
+		sched := fl.SchedulerConfig{Kind: kind, Shards: 2, Checkpoint: func(snap *fl.Snapshot) error {
+			b, err := ckpt.Marshal(snap, comm.F64)
+			h.Write(b)
+			snaps++
+			return err
+		}}
+		sim := fl.NewSimulation(clients, fl.Config{Rounds: 2, BatchSize: s.BatchSize, Seed: s.Seed + 7})
+		if _, err := sim.RunScheduled(algo, sched); err != nil {
+			t.Fatal(err)
+		}
+		if snaps != 2 {
+			t.Fatalf("%s run wrote %d checkpoints, want 2", kind, snaps)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("eager checkpoint bytes moved: SHA-256 %s, want %s", got, want)
+	}
+}

@@ -32,11 +32,11 @@ func parityRun(t *testing.T, dt tensor.DType) float64 {
 	s := ScaleFromEnv(Tiny())
 	s.Rounds = 3
 	s.DType = dt
-	factory, _, err := NewHeterogeneousFleet(Fashion, data.Dirichlet, s.Clients, s)
+	build, _, err := NewFleetBuilder(Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Run(MethodProposed, Fashion, factory, s, 1.0)
+	hist, err := Run(MethodProposed, Fashion, build, s.Clients, s, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestF32AllSchedulers(t *testing.T) {
 			run := func() []fl.RoundMetrics {
 				s := Tiny()
 				s.DType = tensor.F32
-				factory, _, err := NewHeterogeneousFleet(Fashion, data.Dirichlet, s.Clients, s)
+				build, _, err := NewFleetBuilder(Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hist, err := RunScheduled(MethodProposed, Fashion, factory, s, 1.0,
+				hist, err := RunScheduled(MethodProposed, Fashion, build, s.Clients, s, 1.0, 0, 0,
 					fl.SchedulerConfig{Kind: kind}, comm.Spec{})
 				if err != nil {
 					t.Fatal(err)
@@ -89,7 +89,8 @@ func TestF32AllSchedulers(t *testing.T) {
 }
 
 // The rotation fleet reproduces fedsim's -arch/-width composition: client i
-// gets arches[i % len] at widths[i % len].
+// gets arches[i % len] at widths[i % len], from the eager factory and from
+// the per-id builder over either partition.
 func TestRotationFleetComposition(t *testing.T) {
 	s := Tiny()
 	arches, err := ParseArchRotation("resnet, alexnet")
@@ -104,7 +105,10 @@ func TestRotationFleetComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := factory()
+	lazy, _, err := NewRotationBuilder(Fashion, data.Dirichlet, 4, s, arches, widths, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []struct {
 		arch  models.Arch
 		width int
@@ -112,14 +116,20 @@ func TestRotationFleetComposition(t *testing.T) {
 		{models.ArchResNet, 1}, {models.ArchAlexNet, 2},
 		{models.ArchResNet, 1}, {models.ArchAlexNet, 2},
 	}
-	for i, c := range clients {
-		if c.Model.Cfg.Arch != want[i].arch || c.Model.Cfg.Width != want[i].width {
-			t.Fatalf("client %d: %v width %d, want %v width %d",
-				i, c.Model.Cfg.Arch, c.Model.Cfg.Width, want[i].arch, want[i].width)
+	for i, c := range factory() {
+		for _, c := range []*fl.Client{c, lazy(i)} {
+			if c.Model.Cfg.Arch != want[i].arch || c.Model.Cfg.Width != want[i].width {
+				t.Fatalf("client %d: %v width %d, want %v width %d",
+					i, c.Model.Cfg.Arch, c.Model.Cfg.Width, want[i].arch, want[i].width)
+			}
 		}
 	}
 	// A rotation fleet must actually train.
-	hist, err := Run(MethodProposed, Fashion, factory, s, 1.0)
+	build, _, err := NewRotationBuilder(Fashion, data.Dirichlet, 4, s, arches, widths, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := Run(MethodProposed, Fashion, build, 4, s, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

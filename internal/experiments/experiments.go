@@ -156,104 +156,83 @@ func HyperparamsFor(name DatasetName, s Scale) Hyperparams {
 	return h
 }
 
-// ClientFactory produces a fresh, identically initialized client fleet.
-// Every algorithm in a comparison consumes its own fleet so methods start
-// from the same weights and data.
-type ClientFactory func() []*fl.Client
-
 // ClientBuilder constructs one client of a fleet by id. Every client's
 // data split, model initialization and RNG streams depend only on the
-// fleet configuration and the id, so a fedclient process can build exactly
-// its own client — identical to the one the in-process factory would have
-// produced at the same index — without materializing anyone else's model.
+// fleet configuration and the id, so one builder serves every engine: an
+// eager fleet is build(0..k-1), a lazy store rebuilds whichever client it
+// needs, and a fedclient process builds exactly its own client without
+// materializing anyone else's model.
 type ClientBuilder func(i int) *fl.Client
+
+// fleet materializes clients 0..k-1 afresh. Every algorithm in a comparison
+// consumes its own fleet, so methods start from the same weights and data.
+func (build ClientBuilder) fleet(k int) []*fl.Client {
+	clients := make([]*fl.Client, k)
+	for i := range clients {
+		clients[i] = build(i)
+	}
+	return clients
+}
 
 // FleetNames lists the -fleet flag values NewFleetBuilder accepts.
 const FleetNames = "heterogeneous | homogeneous | proto"
 
-// NewFleetBuilder returns a single-client builder for one of the named
-// fleet kinds — the node-mode form of NewHeterogeneousFleet and friends.
+// NewFleetBuilder returns the per-id builder of a named fleet. Each name is
+// a rotation (NewRotationBuilder): heterogeneous is the Table 2 setting,
+// the four mini architectures equally distributed; homogeneous is Table 3's
+// MiniResNet; proto is FedProto's milder heterogeneity, CNN2 at per-client
+// widths. Every client gets a personalized non-iid split, its own RNGs and
+// an Adam optimizer.
 func NewFleetBuilder(name DatasetName, kind data.PartitionKind, fleet string, k int, s Scale) (ClientBuilder, *data.Dataset, error) {
-	pickArch, err := pickArchFor(fleet)
+	arches, err := fleetRotation(fleet)
 	if err != nil {
 		return nil, nil, err
 	}
-	return newFleetBuilder(name, kind, k, s, pickArch, nil)
+	return NewRotationBuilder(name, kind, k, s, arches, nil, false)
 }
 
-// NewLazyFleetBuilder is NewFleetBuilder for virtual fleets: the data split
-// comes from data.LazyPartitioner, so client i's examples are derived on
-// demand as a pure function of (seed, i) instead of partitioned eagerly —
-// the only construction whose memory stays O(dataset) for a million
-// clients. Model init, RNG streams and optimizers follow the same per-id
-// formulas as the eager builder.
+// NewLazyFleetBuilder is NewFleetBuilder for virtual fleets, with each data
+// split drawn on demand (NewRotationBuilder with lazy set).
 func NewLazyFleetBuilder(name DatasetName, kind data.PartitionKind, fleet string, k int, s Scale) (ClientBuilder, *data.Dataset, error) {
-	pickArch, err := pickArchFor(fleet)
+	arches, err := fleetRotation(fleet)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds := data.Generate(Spec(name, s))
-	lp, err := data.NewLazyPartitioner(ds, k, data.PartitionOptions{Kind: kind, Alpha: 0.5, Seed: s.Seed + 17})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	return buildClient(name, ds, s, pickArch, nil, lp.Client), ds, nil
+	return NewRotationBuilder(name, kind, k, s, arches, nil, true)
 }
 
 // KnownFleet reports whether fleet is one of FleetNames.
 func KnownFleet(fleet string) bool {
-	_, err := pickArchFor(fleet)
+	_, err := fleetRotation(fleet)
 	return err == nil
 }
 
-func pickArchFor(fleet string) (func(int) models.Arch, error) {
+func fleetRotation(fleet string) ([]models.Arch, error) {
 	switch fleet {
 	case "heterogeneous", "":
-		return func(i int) models.Arch { return models.HeterogeneousSet[i%len(models.HeterogeneousSet)] }, nil
+		return models.HeterogeneousSet, nil
 	case "homogeneous":
-		return func(int) models.Arch { return models.ArchResNet }, nil
+		return []models.Arch{models.ArchResNet}, nil
 	case "proto":
-		return func(int) models.Arch { return models.ArchCNN2 }, nil
+		return []models.Arch{models.ArchCNN2}, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown fleet %q (want %s)", fleet, FleetNames)
 }
 
-// NewHeterogeneousFleet builds the Table 2 setting: k clients over the
-// four mini architectures (equally distributed), personalized non-iid
-// splits, per-client RNGs and Adam optimizers.
-func NewHeterogeneousFleet(name DatasetName, kind data.PartitionKind, k int, s Scale) (ClientFactory, *data.Dataset, error) {
-	return newFleet(name, kind, k, s, func(i int) models.Arch {
-		return models.HeterogeneousSet[i%len(models.HeterogeneousSet)]
-	}, nil)
+// NewHeterogeneousFleet is the eager Table 2 fleet as a factory: every call
+// materializes k clients of NewFleetBuilder's heterogeneous fleet afresh.
+func NewHeterogeneousFleet(name DatasetName, kind data.PartitionKind, k int, s Scale) (func() []*fl.Client, *data.Dataset, error) {
+	return NewRotationFleet(name, kind, k, s, models.HeterogeneousSet, nil)
 }
 
-// NewHomogeneousFleet builds the Table 3 setting: every client runs
-// MiniResNet.
-func NewHomogeneousFleet(name DatasetName, kind data.PartitionKind, k int, s Scale) (ClientFactory, *data.Dataset, error) {
-	return newFleet(name, kind, k, s, func(int) models.Arch { return models.ArchResNet }, nil)
-}
-
-// NewProtoFleet builds the FedProto setting: CNN2 models whose widths vary
-// per client (the paper's milder heterogeneity for FedProto).
-func NewProtoFleet(name DatasetName, kind data.PartitionKind, k int, s Scale) (ClientFactory, *data.Dataset, error) {
-	return newFleet(name, kind, k, s, func(int) models.Arch { return models.ArchCNN2 }, nil)
-}
-
-// NewRotationFleet builds a fleet whose composition is scripted instead of
-// hardcoded: client i runs arches[i % len(arches)] at width multiplier
-// widths[i % len(widths)] (widths nil or empty = the default width). It is
-// the programmatic form of fedsim's -arch/-width flags.
-func NewRotationFleet(name DatasetName, kind data.PartitionKind, k int, s Scale, arches []models.Arch, widths []int) (ClientFactory, *data.Dataset, error) {
-	if len(arches) == 0 {
-		return nil, nil, fmt.Errorf("experiments: rotation fleet needs at least one architecture")
+// NewRotationFleet is NewRotationBuilder's eager partition as a factory:
+// every call materializes clients 0..k-1 afresh.
+func NewRotationFleet(name DatasetName, kind data.PartitionKind, k int, s Scale, arches []models.Arch, widths []int) (func() []*fl.Client, *data.Dataset, error) {
+	build, ds, err := NewRotationBuilder(name, kind, k, s, arches, widths, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	var pickWidth func(int) int
-	if len(widths) > 0 {
-		pickWidth = func(i int) int { return widths[i%len(widths)] }
-	}
-	return newFleet(name, kind, k, s, func(i int) models.Arch {
-		return arches[i%len(arches)]
-	}, pickWidth)
+	return func() []*fl.Client { return build.fleet(k) }, ds, nil
 }
 
 // ParseArchRotation parses a comma-separated architecture rotation like
@@ -284,47 +263,42 @@ func ParseWidthRotation(s string) ([]int, error) {
 	return widths, nil
 }
 
-func newFleet(name DatasetName, kind data.PartitionKind, k int, s Scale, pickArch func(int) models.Arch, pickWidth func(int) int) (ClientFactory, *data.Dataset, error) {
-	build, ds, err := newFleetBuilder(name, kind, k, s, pickArch, pickWidth)
-	if err != nil {
-		return nil, nil, err
-	}
-	return build.Factory(k), ds, nil
-}
-
-// Factory is the eager form of a builder: every call materializes clients
-// 0..k-1 afresh.
-func (build ClientBuilder) Factory(k int) ClientFactory {
-	return func() []*fl.Client {
-		clients := make([]*fl.Client, k)
-		for i := range clients {
-			clients[i] = build(i)
-		}
-		return clients
-	}
-}
-
-// newFleetBuilder is the per-client core of newFleet: everything about
-// client i — split, architecture, width, init seed, RNG streams — is a
-// pure function of the fleet configuration and i.
-func newFleetBuilder(name DatasetName, kind data.PartitionKind, k int, s Scale, pickArch func(int) models.Arch, pickWidth func(int) int) (ClientBuilder, *data.Dataset, error) {
-	ds := data.Generate(Spec(name, s))
-	parts, err := data.Partition(ds, k, data.PartitionOptions{Kind: kind, Alpha: 0.5, Seed: s.Seed + 17})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	return buildClient(name, ds, s, pickArch, pickWidth, func(i int) data.ClientData { return parts[i] }), ds, nil
-}
-
-// buildClient is the shared per-client core of the eager and lazy fleet
-// builders: everything about client i except its data split — architecture,
+// NewRotationBuilder returns the per-id builder of a scripted fleet: client
+// i runs arches[i % len(arches)] at width multiplier widths[i % len(widths)]
+// (widths empty = the architecture's default: 1, or 1 + i%3 for CNN2). It
+// is the programmatic form of fedsim's -arch/-width flags, and every named
+// fleet is one. Everything about client i but its data split — architecture,
 // width, init seed, RNG streams, optimizer — is a pure function of the
-// fleet configuration and i; the split function supplies the rest.
-func buildClient(name DatasetName, ds *data.Dataset, s Scale, pickArch func(int) models.Arch, pickWidth func(int) int, split func(int) data.ClientData) ClientBuilder {
+// fleet configuration and i. The split is the eager data.Partition unless
+// lazy is set; then data.LazyPartitioner derives client i's examples on
+// demand as a pure function of (seed, i) — the only construction whose
+// memory stays O(dataset) for a million clients, and a different (equally
+// valid) sample of the same mixture, so the two are separate experiment
+// configurations (DESIGN.md §10).
+func NewRotationBuilder(name DatasetName, kind data.PartitionKind, k int, s Scale, arches []models.Arch, widths []int, lazy bool) (ClientBuilder, *data.Dataset, error) {
+	if len(arches) == 0 {
+		return nil, nil, fmt.Errorf("experiments: rotation fleet needs at least one architecture")
+	}
+	ds := data.Generate(Spec(name, s))
+	opts := data.PartitionOptions{Kind: kind, Alpha: 0.5, Seed: s.Seed + 17}
+	var split func(int) data.ClientData
+	if lazy {
+		lp, err := data.NewLazyPartitioner(ds, k, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %w", err)
+		}
+		split = lp.Client
+	} else {
+		parts, err := data.Partition(ds, k, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %w", err)
+		}
+		split = func(i int) data.ClientData { return parts[i] }
+	}
 	h := HyperparamsFor(name, s)
 	return func(i int) *fl.Client {
 		part := split(i)
-		arch := pickArch(i)
+		arch := arches[i%len(arches)]
 		cfg := models.Config{
 			Arch: arch, InC: ds.C, InH: ds.H, InW: ds.W,
 			FeatDim: s.FeatDim, NumClasses: ds.NumClasses,
@@ -333,8 +307,8 @@ func buildClient(name DatasetName, ds *data.Dataset, s Scale, pickArch func(int)
 		if arch == models.ArchCNN2 {
 			cfg.Width = 1 + i%3 // per-client channel heterogeneity
 		}
-		if pickWidth != nil {
-			cfg.Width = pickWidth(i)
+		if len(widths) > 0 {
+			cfg.Width = widths[i%len(widths)]
 		}
 		seed := s.Seed*1000003 + int64(i)*7919
 		// Both the training stream (augmentation, batch shuffling) and
@@ -351,7 +325,7 @@ func buildClient(name DatasetName, ds *data.Dataset, s Scale, pickArch func(int)
 			Src:       src,
 			Optimizer: opt.NewAdam(h.LR),
 		}
-	}
+	}, ds, nil
 }
 
 // Method names used across tables.
@@ -415,21 +389,35 @@ func NewAlgorithm(method string, name DatasetName, s Scale) (fl.Algorithm, error
 	}
 }
 
-// Run executes one method on a fresh fleet under the sync scheduler and
-// returns its metrics history.
-func Run(method string, name DatasetName, factory ClientFactory, s Scale, sampleRate float64) ([]fl.RoundMetrics, error) {
-	return RunScheduled(method, name, factory, s, sampleRate, fl.SchedulerConfig{}, comm.Spec{Value: comm.F64})
+// Run executes one method on a fresh eager fleet of k clients under the
+// sync scheduler and returns its metrics history.
+func Run(method string, name DatasetName, build ClientBuilder, k int, s Scale, sampleRate float64) ([]fl.RoundMetrics, error) {
+	return RunScheduled(method, name, build, k, s, sampleRate, 0, 0, fl.SchedulerConfig{}, comm.Spec{Value: comm.F64})
 }
 
-// RunScheduled executes one method on a fresh fleet under an arbitrary
-// scheduler and wire framing spec. The zero SchedulerConfig and a plain
-// dense f64 spec reproduce Run exactly.
-func RunScheduled(method string, name DatasetName, factory ClientFactory, s Scale, sampleRate float64, sched fl.SchedulerConfig, spec comm.Spec) ([]fl.RoundMetrics, error) {
+// RunScheduled executes one method on a fresh fleet of k clients under an
+// arbitrary scheduler and wire framing spec. With resident 0 the fleet is
+// eager: build(0..k-1), every client resident (fl.NewSimulation).
+// Otherwise it is virtual: clients materialize on dispatch through build
+// and at most resident of them stay in memory, so memory is O(resident +
+// cohort), not O(k) (fl.NewLazySimulation). evalSample caps how many
+// clients each evaluation touches (0 = every client, or the cohort size on
+// a virtual fleet). Resident and evalSample 0, the zero SchedulerConfig and
+// a plain dense f64 spec reproduce Run exactly.
+func RunScheduled(method string, name DatasetName, build ClientBuilder, k int, s Scale, sampleRate float64, resident, evalSample int, sched fl.SchedulerConfig, spec comm.Spec) ([]fl.RoundMetrics, error) {
 	algo, err := NewAlgorithm(method, name, s)
 	if err != nil {
 		return nil, err
 	}
-	return fl.NewSimulation(factory(), runConfig(s, sampleRate, spec)).RunScheduled(algo, sched)
+	cfg := runConfig(s, sampleRate, spec)
+	cfg.EvalSample = evalSample
+	var sim *fl.Simulation
+	if resident > 0 {
+		sim = fl.NewLazySimulation(k, build, resident, cfg)
+	} else {
+		sim = fl.NewSimulation(build.fleet(k), cfg)
+	}
+	return sim.RunScheduled(algo, sched)
 }
 
 // runConfig is the one place a Scale becomes an fl.Config: the simulation
@@ -445,21 +433,6 @@ func runConfig(s Scale, sampleRate float64, spec comm.Spec) fl.Config {
 		TopK:       spec.Frac,
 		Delta:      spec.Delta,
 	}
-}
-
-// RunLazyScheduled executes one method over a virtual fleet of k clients:
-// clients materialize on dispatch through build, and at most resident of
-// them stay in memory (0 = unbounded); the rest spill to compact state
-// buffers. evalSample caps how many clients each evaluation touches
-// (0 = the cohort-size default). Memory is O(resident + cohort), not O(k).
-func RunLazyScheduled(method string, name DatasetName, build ClientBuilder, k int, s Scale, sampleRate float64, resident, evalSample int, sched fl.SchedulerConfig, spec comm.Spec) ([]fl.RoundMetrics, error) {
-	algo, err := NewAlgorithm(method, name, s)
-	if err != nil {
-		return nil, err
-	}
-	cfg := runConfig(s, sampleRate, spec)
-	cfg.EvalSample = evalSample
-	return fl.NewLazySimulation(k, build, resident, cfg).RunScheduled(algo, sched)
 }
 
 // StragglerCosts builds a per-client virtual cost vector where the first

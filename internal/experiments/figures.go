@@ -49,13 +49,13 @@ func HistogramMarkdown(hist [][]int, title string) string {
 // Figure45 reproduces the heterogeneous learning curves (Figures 4 and 5):
 // FedClassAvg vs KT-pFL vs the local baseline on one dataset/partition.
 func Figure45(name DatasetName, kind data.PartitionKind, s Scale) ([]CurveSeries, error) {
-	factory, _, err := NewHeterogeneousFleet(name, kind, s.Clients, s)
+	build, _, err := NewFleetBuilder(name, kind, "heterogeneous", s.Clients, s)
 	if err != nil {
 		return nil, err
 	}
 	var out []CurveSeries
 	for _, m := range []string{MethodProposed, MethodKTpFL, MethodBaseline} {
-		hist, err := Run(m, name, factory, s, 1.0)
+		hist, err := Run(m, name, build, s.Clients, s, 1.0)
 		if err != nil {
 			return nil, fmt.Errorf("figure45 %s: %w", m, err)
 		}
@@ -67,13 +67,13 @@ func Figure45(name DatasetName, kind data.PartitionKind, s Scale) ([]CurveSeries
 // Figure67 reproduces the homogeneous learning curves (Figures 6 and 7):
 // FedClassAvg(+weight) vs KT-pFL(+weight) vs FedAvg under Dir(0.5).
 func Figure67(name DatasetName, k int, rate float64, s Scale) ([]CurveSeries, error) {
-	factory, _, err := NewHomogeneousFleet(name, data.Dirichlet, k, s)
+	build, _, err := NewFleetBuilder(name, data.Dirichlet, "homogeneous", k, s)
 	if err != nil {
 		return nil, err
 	}
 	var out []CurveSeries
 	for _, m := range []string{MethodProposedWeight, MethodKTpFLWeight, MethodFedAvg} {
-		hist, err := Run(m, name, factory, s, rate)
+		hist, err := Run(m, name, build, k, s, rate)
 		if err != nil {
 			return nil, fmt.Errorf("figure67 %s: %w", m, err)
 		}
@@ -100,7 +100,7 @@ type Figure8Result struct {
 // reports kNN label purity and client-mixing — the quantitative version of
 // the paper's Figure 8 claim.
 func Figure8(name DatasetName, s Scale, perClient int) (*Figure8Result, error) {
-	factory, _, err := NewHeterogeneousFleet(name, data.Dirichlet, s.Clients, s)
+	build, _, err := NewFleetBuilder(name, data.Dirichlet, "heterogeneous", s.Clients, s)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func Figure8(name DatasetName, s Scale, perClient int) (*Figure8Result, error) {
 	}
 
 	// Baseline: local training only.
-	baseClients := factory()
+	baseClients := build.fleet(s.Clients)
 	baseSim := fl.NewSimulation(baseClients, fl.Config{Rounds: s.Rounds, BatchSize: s.BatchSize, Seed: s.Seed + 7})
 	baseAlgo, err := NewAlgorithm(MethodBaseline, name, s)
 	if err != nil {
@@ -142,7 +142,7 @@ func Figure8(name DatasetName, s Scale, perClient int) (*Figure8Result, error) {
 	bFeats, bLabels, bOwners := collect(baseClients)
 
 	// Proposed.
-	propClients := factory()
+	propClients := build.fleet(s.Clients)
 	propSim := fl.NewSimulation(propClients, fl.Config{Rounds: s.Rounds, BatchSize: s.BatchSize, Seed: s.Seed + 7})
 	propAlgo, err := NewAlgorithm(MethodProposed, name, s)
 	if err != nil {
@@ -181,11 +181,11 @@ type Figure9Result struct {
 // by the most clients, and compares the layer-conductance rank scores of
 // the classifier input units across those clients.
 func Figure9(name DatasetName, s Scale) (*Figure9Result, error) {
-	factory, ds, err := NewHeterogeneousFleet(name, data.Dirichlet, s.Clients, s)
+	build, ds, err := NewFleetBuilder(name, data.Dirichlet, "heterogeneous", s.Clients, s)
 	if err != nil {
 		return nil, err
 	}
-	clients := factory()
+	clients := build.fleet(s.Clients)
 	sim := fl.NewSimulation(clients, fl.Config{Rounds: s.Rounds, BatchSize: s.BatchSize, Seed: s.Seed + 7})
 	algo, err := NewAlgorithm(MethodProposed, name, s)
 	if err != nil {

@@ -13,11 +13,11 @@ func TestFedClassAvgLearns(t *testing.T) {
 	s.Rounds = 12
 	s.TrainPerClass = 24
 	s.TestPerClass = 16
-	factory, ds, err := NewHeterogeneousFleet(Fashion, data.Dirichlet, s.Clients, s)
+	build, ds, err := NewFleetBuilder(Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Run(MethodProposed, Fashion, factory, s, 1.0)
+	hist, err := Run(MethodProposed, Fashion, build, s.Clients, s, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,21 +36,21 @@ func TestFedClassAvgLearns(t *testing.T) {
 func TestAllMethodsRun(t *testing.T) {
 	s := Tiny()
 	s.Rounds = 2
-	het, _, err := NewHeterogeneousFleet(Fashion, data.Skewed, s.Clients, s)
+	het, _, err := NewFleetBuilder(Fashion, data.Skewed, "heterogeneous", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hom, _, err := NewHomogeneousFleet(Fashion, data.Dirichlet, s.Clients, s)
+	hom, _, err := NewFleetBuilder(Fashion, data.Dirichlet, "homogeneous", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto, _, err := NewProtoFleet(Fashion, data.Dirichlet, s.Clients, s)
+	proto, _, err := NewFleetBuilder(Fashion, data.Dirichlet, "proto", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		method  string
-		factory ClientFactory
+		method string
+		build  ClientBuilder
 	}{
 		{MethodBaseline, het},
 		{MethodFedProto, proto},
@@ -68,7 +68,7 @@ func TestAllMethodsRun(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.method, func(t *testing.T) {
-			hist, err := Run(tc.method, Fashion, tc.factory, s, 1.0)
+			hist, err := Run(tc.method, Fashion, tc.build, s.Clients, s, 1.0)
 			if err != nil {
 				t.Fatal(err)
 			}

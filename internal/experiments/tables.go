@@ -75,20 +75,20 @@ func Table2(s Scale, datasets []DatasetName, kinds []data.PartitionKind) (*Table
 		for _, kind := range kinds {
 			cond := fmt.Sprintf("%s %s", name, kind)
 			t.Conditions = append(t.Conditions, cond)
-			hetFactory, _, err := NewHeterogeneousFleet(name, kind, s.Clients, s)
+			het, _, err := NewFleetBuilder(name, kind, "heterogeneous", s.Clients, s)
 			if err != nil {
 				return nil, err
 			}
-			protoFactory, _, err := NewProtoFleet(name, kind, s.Clients, s)
+			proto, _, err := NewFleetBuilder(name, kind, "proto", s.Clients, s)
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range t.Methods {
-				factory := hetFactory
+				build := het
 				if m == MethodFedProto {
-					factory = protoFactory
+					build = proto
 				}
-				hist, err := Run(m, name, factory, s, 1.0)
+				hist, err := Run(m, name, build, s.Clients, s, 1.0)
 				if err != nil {
 					return nil, fmt.Errorf("table2 %s/%s: %w", m, cond, err)
 				}
@@ -122,12 +122,12 @@ func Table3(s Scale, datasets []DatasetName) (*TableResult, error) {
 		for _, st := range settings {
 			cond := fmt.Sprintf("%s %s", name, st.label)
 			t.Conditions = append(t.Conditions, cond)
-			factory, _, err := NewHomogeneousFleet(name, data.Dirichlet, st.k, s)
+			build, _, err := NewFleetBuilder(name, data.Dirichlet, "homogeneous", st.k, s)
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range t.Methods {
-				hist, err := Run(m, name, factory, s, st.rate)
+				hist, err := Run(m, name, build, st.k, s, st.rate)
 				if err != nil {
 					return nil, fmt.Errorf("table3 %s/%s: %w", m, cond, err)
 				}
@@ -149,12 +149,12 @@ func Table4(s Scale, datasets []DatasetName) (*TableResult, error) {
 	for _, name := range datasets {
 		cond := string(name)
 		t.Conditions = append(t.Conditions, cond)
-		factory, _, err := NewHeterogeneousFleet(name, data.Dirichlet, s.Clients, s)
+		build, _, err := NewFleetBuilder(name, data.Dirichlet, "heterogeneous", s.Clients, s)
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range t.Methods {
-			hist, err := Run(m, name, factory, s, 1.0)
+			hist, err := Run(m, name, build, s.Clients, s, 1.0)
 			if err != nil {
 				return nil, fmt.Errorf("table4 %s/%s: %w", m, cond, err)
 			}
@@ -183,13 +183,13 @@ func Table5(s Scale, name DatasetName) ([]CommCostRow, error) {
 		Arch: models.ArchResNet, InC: spec.C, InH: spec.H, InW: spec.W,
 		FeatDim: s.FeatDim, NumClasses: spec.NumClasses,
 	}
-	factory, ds, err := NewHomogeneousFleet(name, data.Dirichlet, 2, s)
+	build, ds, err := NewFleetBuilder(name, data.Dirichlet, "homogeneous", 2, s)
 	if err != nil {
 		return nil, err
 	}
-	clients := factory()
-	modelFloats := nn.NumParams(clients[0].Model.Params())
-	classifierFloats := nn.NumParams(clients[0].Model.ClassifierParams())
+	model := build(0).Model
+	modelFloats := nn.NumParams(model.Params())
+	classifierFloats := nn.NumParams(model.ClassifierParams())
 	publicFloats := s.PublicSize * ds.InputDim()
 	softFloats := s.PublicSize * ds.NumClasses
 

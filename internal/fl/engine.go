@@ -81,7 +81,8 @@ type SchedulerConfig struct {
 	Kind SchedulerKind
 	// Workers is the number of virtual server nodes executing client
 	// updates concurrently (default: one node per client, the paper's MPI
-	// layout).
+	// layout; one per cohort member on a lazy simulation, where per-client
+	// scheduler arrays would be O(fleet)).
 	Workers int
 	// MaxStaleness bounds async staleness: an update whose dispatch-time
 	// model version is more than MaxStaleness commits old is dropped
@@ -133,14 +134,7 @@ type SchedulerConfig struct {
 // withDefaults fills structural zero fields.
 func (c SchedulerConfig) withDefaults(sim *Simulation) SchedulerConfig {
 	if c.Workers <= 0 {
-		if sim.Lazy() {
-			// One virtual node per client would make every scheduler array —
-			// and sync-makespan packing — O(fleet); a lazy fleet defaults to
-			// one node per cohort member instead.
-			c.Workers, _ = cohortPolicy(sim.NumClients(), sim.Cfg.SampleRate, SchedSync, 0)
-		} else {
-			c.Workers = len(sim.Clients)
-		}
+		c.Workers = sim.workers
 	}
 	if c.MaxStaleness <= 0 {
 		c.MaxStaleness = 8
@@ -459,10 +453,8 @@ func (s *Simulation) runSync(ctx context.Context, algo Algorithm, sched *Schedul
 		}
 		// Round boundary is a safe point: nothing is in flight, so any
 		// resident client beyond the budget can spill.
-		if s.store != nil {
-			if err := s.store.EvictToBudget(nil); err != nil {
-				return nil, fmt.Errorf("fl: evicting after round %d: %w", t, err)
-			}
+		if err := s.store.EvictToBudget(nil); err != nil {
+			return nil, fmt.Errorf("fl: evicting after round %d: %w", t, err)
 		}
 	}
 	return s.History, nil
@@ -605,7 +597,7 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 		// The upload reaches the server now (virtual delivery time); it
 		// costs wire bytes even if the server then drops it.
 		if u.UpBytes > 0 {
-			s.Ledger.AddUp(s.ClientID(ft.client), u.UpBytes)
+			s.Ledger.AddUp(ft.client, u.UpBytes)
 		}
 		u.Staleness = e.version - ft.version
 		if u.Staleness > sched.MaxStaleness {
@@ -660,10 +652,8 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 		// Safe point: every client whose flight is still in the heap may have
 		// local training running on the pool, so it stays pinned; anyone else
 		// beyond the budget can spill.
-		if s.store != nil {
-			if err := s.store.EvictToBudget(e.pinned()); err != nil {
-				return nil, fmt.Errorf("fl: evicting at version %d: %w", e.version, err)
-			}
+		if err := s.store.EvictToBudget(e.pinned); err != nil {
+			return nil, fmt.Errorf("fl: evicting at version %d: %w", e.version, err)
 		}
 	}
 	return s.History, nil
@@ -705,15 +695,17 @@ type Engine struct {
 	pending   []int
 }
 
-// pinned returns an eviction guard over the clients whose flights are
-// still in the heap — their local training may be running on the pool, so
-// their state must not be captured until the flight resolves.
-func (e *Engine) pinned() func(id int) bool {
-	inflight := make(map[int]bool, e.heap.Len())
+// pinned is the eviction guard: it reports whether id's flight is still in
+// the heap — its local training may be running on the pool, so its state
+// must not be captured until the flight resolves. EvictToBudget asks only
+// about eviction candidates, so an unbounded store never asks.
+func (e *Engine) pinned(id int) bool {
 	for _, f := range e.heap {
-		inflight[f.client] = true
+		if f.client == id {
+			return true
+		}
 	}
-	return func(id int) bool { return inflight[id] }
+	return false
 }
 
 // refill tops the virtual nodes back up: the async scheduler keeps every

@@ -6,6 +6,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -150,8 +151,8 @@ type Config struct {
 	// the only affordable option for virtual fleets where N is far larger
 	// than the per-round cohort. The sample is drawn from a dedicated RNG
 	// stream, so enabling it never perturbs cohort sampling or failure
-	// injection. 0 (the default) sweeps every client, byte-identical to
-	// previous releases.
+	// injection. 0 sweeps every client, byte-identical to previous
+	// releases; NewLazySimulation turns it into the cohort size.
 	EvalSample int
 	// Codec selects the wire codec payloads are accounted (and, through
 	// Uplink, quantized) with. The zero value is lossless float64.
@@ -204,13 +205,15 @@ type Algorithm interface {
 	EpochsPerRound() int
 }
 
-// Simulation owns the clients, the traffic ledger and the metrics history.
-// Clients live either eagerly in Clients (the historical layout) or behind
-// a lazy ClientStore (NewLazySimulation) that materializes them on demand
-// and spills evicted state to a segment file; access goes
-// through Client/NumClients so algorithms work against both.
+// Simulation owns the fleet, the traffic ledger and the metrics history.
+// The fleet is one ClientStore over the ids [0, n), reached through
+// Client/NumClients: NewSimulation holds every client resident from
+// construction, NewLazySimulation materializes clients on demand and spills
+// evicted state to a segment file. The two constructors differ only in the
+// policies they fix as values below — Setup's probe set, the default virtual
+// node count and the default evaluation sample — so nothing after
+// construction asks which one ran.
 type Simulation struct {
-	Clients []*Client
 	Ledger  *comm.Ledger
 	Rng     *rand.Rand
 	Cfg     Config
@@ -220,8 +223,10 @@ type Simulation struct {
 	// the scheduler's sampling stream.
 	src *xrand.Source
 
-	// store backs a lazy fleet (nil for eager simulations).
 	store *ClientStore
+	// probe is how many leading ids SetupIDs returns, and workers the
+	// default SchedulerConfig.Workers.
+	probe, workers int
 	// up frames the simulated uplink (Config.Codec/TopK/Delta): one
 	// wireCodec stands in for the fleet's connections, with the client id
 	// as the vector slot, so delta bases exist only for clients that have
@@ -241,10 +246,21 @@ type Simulation struct {
 // scheduler stream at the same seed ("eval" in ASCII).
 const evalSeedMix = 0x6576616c
 
-// NewSimulation builds a simulation over the given clients.
+// NewSimulation builds a simulation over the given clients, every one
+// resident from construction and never evicted: a store whose budget is
+// unbounded. Client i must have ID i. Setup probes every client, the
+// scheduler defaults to one virtual node per client (the paper's MPI
+// layout), and an unset Cfg.EvalSample sweeps the whole fleet.
 func NewSimulation(clients []*Client, cfg Config) *Simulation {
-	s := newSimulation(cfg)
-	s.Clients = clients
+	st := NewClientStore(len(clients), func(id int) *Client { return clients[id] }, 0)
+	for i, c := range clients {
+		if c.ID != i {
+			panic(fmt.Sprintf("fl: client %d sits at fleet index %d; a fleet's ids are its indices", c.ID, i))
+		}
+		st.Get(i)
+	}
+	s := newSimulation(cfg, st)
+	s.probe, s.workers = len(clients), len(clients)
 	return s
 }
 
@@ -254,18 +270,21 @@ func NewSimulation(clients []*Client, cfg Config) *Simulation {
 // the least-recently-used client's mutable state spills to the store's
 // segment file and is restored bit-identically on re-dispatch, so any
 // finite budget produces the same metrics and trace as budget ∞.
-// resident <= 0 means unbounded. When Cfg.EvalSample is unset it defaults
-// to the cohort size, keeping evaluation O(cohort) like everything else.
+// resident <= 0 means unbounded. Everything else stays O(cohort): Setup
+// probes the first min(n, 64) clients, the scheduler defaults to one
+// virtual node per cohort member, and an unset Cfg.EvalSample evaluates a
+// cohort-sized sample.
 func NewLazySimulation(n int, build func(int) *Client, resident int, cfg Config) *Simulation {
-	s := newSimulation(cfg)
+	s := newSimulation(cfg, NewClientStore(n, build, resident))
+	cohort, _ := cohortPolicy(n, s.Cfg.SampleRate, SchedSync, 0)
+	s.probe, s.workers = min(n, setupProbeWidth), cohort
 	if s.Cfg.EvalSample <= 0 {
-		s.Cfg.EvalSample, _ = cohortPolicy(n, s.Cfg.SampleRate, SchedSync, 0)
+		s.Cfg.EvalSample = cohort
 	}
-	s.store = NewClientStore(n, build, resident)
 	return s
 }
 
-func newSimulation(cfg Config) *Simulation {
+func newSimulation(cfg Config, st *ClientStore) *Simulation {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 1
 	}
@@ -285,59 +304,34 @@ func newSimulation(cfg Config) *Simulation {
 		Rng:     rng,
 		Cfg:     cfg,
 		src:     src,
+		store:   st,
 		evalRng: evalRng,
 		evalSrc: evalSrc,
 		up:      plainWire(cfg.Codec),
 	}
 }
 
-// Lazy reports whether clients are materialized on demand from a store.
-func (s *Simulation) Lazy() bool { return s.store != nil }
-
 // NumClients returns the fleet size without materializing anyone.
-func (s *Simulation) NumClients() int {
-	if s.store != nil {
-		return s.store.Len()
-	}
-	return len(s.Clients)
-}
+func (s *Simulation) NumClients() int { return s.store.Len() }
 
 // Client returns client id, materializing (and restoring spilled state
-// into) it if the fleet is lazy. The returned client stays resident at
+// into) it if it is not resident. The returned client stays resident at
 // least until the next eviction safe point.
-func (s *Simulation) Client(id int) *Client {
-	if s.store != nil {
-		return s.store.Get(id)
-	}
-	return s.Clients[id]
-}
-
-// ClientID maps a compact index to the client's public ID without
-// materializing it; lazy fleets use the identity id space.
-func (s *Simulation) ClientID(i int) int {
-	if s.store != nil {
-		return i
-	}
-	return s.Clients[i].ID
-}
+func (s *Simulation) Client(id int) *Client { return s.store.Get(id) }
 
 // setupProbeWidth caps how many clients Setup probes in a lazy fleet.
 const setupProbeWidth = 64
 
 // SetupIDs returns the client ids an Algorithm's Setup should inspect for
 // fleet-wide invariants (architecture homogeneity, feature dims) and
-// initial aggregates. Eager fleets return every id — the historical
-// behavior. Lazy fleets return a fixed prefix (min(n, 64)): fleet builders
+// initial aggregates. An eager simulation returns every id — the historical
+// behavior. A lazy one returns a fixed prefix (min(n, 64)): fleet builders
 // construct clients from a small arch rotation, so a prefix witnesses
 // every architecture, and a budget-independent probe set keeps the
 // determinism contract (Setup must not depend on what happens to be
 // resident).
 func (s *Simulation) SetupIDs() []int {
-	n := s.NumClients()
-	if s.store != nil && n > setupProbeWidth {
-		n = setupProbeWidth
-	}
-	ids := make([]int, n)
+	ids := make([]int, s.probe)
 	for i := range ids {
 		ids[i] = i
 	}

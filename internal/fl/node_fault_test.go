@@ -35,20 +35,16 @@ func TestNodeAsyncWireParity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, MaxStaleness: 4}
-	want, err := experiments.RunScheduled(experiments.MethodProposed, experiments.Fashion, factory, s, 1.0, sched, comm.Spec{Value: comm.F64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, MaxStaleness: 4}
+	want, err := experiments.RunScheduled(experiments.MethodProposed, experiments.Fashion, build, s.Clients, s, 1.0, 0, 0, sched, comm.Spec{Value: comm.F64})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	tr := transport.NewInproc(transport.Options{})
 	got, err := experiments.RunNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64}, tr, "srv",
 		applySched(sched))

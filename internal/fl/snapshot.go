@@ -29,8 +29,9 @@ import (
 //   - The RNG streams: the simulation's sampling stream plus every
 //     client's private stream (augmentation, batch shuffling), captured
 //     through the serializable xrand sources.
-//   - Every client: flattened parameters, non-trainable buffers
-//     (batch-norm running statistics) and optimizer state.
+//   - Every touched client — every client of an eager fleet: flattened
+//     parameters, non-trainable buffers (batch-norm running statistics) and
+//     optimizer state.
 //   - The algorithm's server state, via CheckpointableAlgorithm.
 //   - The traffic ledger, metrics history and trace so far.
 //
@@ -104,9 +105,10 @@ type Snapshot struct {
 	Applied int     // applies since the last commit (async)
 	Rng     uint64  // simulation sampling stream position
 	EvalRng uint64  // sampled-evaluation stream position
-	// FleetSize is the virtual fleet size. For a lazy fleet Clients holds
-	// only the touched (ever-materialized) clients, so the resume-time
-	// size check needs the fleet size recorded independently.
+	// FleetSize is the fleet size. Clients holds only the touched
+	// (ever-materialized) clients — every client of an eager fleet, a
+	// subset of a lazy one — so the resume-time size check needs the fleet
+	// size recorded independently.
 	FleetSize int
 	// DType is the model element type the run trained in. Flat vectors in a
 	// snapshot are always float64 bookkeeping (f32 values widen exactly),
@@ -209,35 +211,30 @@ func captureClientState(c *Client, params, buffers []float64) (ClientState, erro
 	return cs, nil
 }
 
-// restoreClientState is the inverse of captureClientState; the client's
-// model/optimizer must already exist (restore copies into them, so the
-// source buffers may be recycled afterwards).
-func restoreClientState(c *Client, cs *ClientState) error {
-	if c.ID != cs.ID {
-		return fmt.Errorf("fl: state for client %d restored into client %d", cs.ID, c.ID)
-	}
+// checkClientState reports, without touching c, why cs — a state taken at
+// dtype dt — cannot be rehydrated into c: a client of another architecture,
+// dtype or optimizer, whose record would otherwise fail in the middle of a
+// run, at the first Get that rehydrates it.
+func checkClientState(c *Client, cs *ClientState, dt tensor.DType) error {
 	if c.Src == nil {
 		return fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
 	}
-	c.Src.SetState(cs.Rng)
 	if c.Model != nil {
-		if err := nn.SetFlatParams(c.Model.Params(), cs.Params); err != nil {
-			return fmt.Errorf("fl: restoring client %d parameters: %w", c.ID, err)
+		if c.Model.DType() != dt {
+			return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
 		}
-		if err := nn.SetFlatBuffers(c.Model.Buffers(), cs.Buffers); err != nil {
-			return fmt.Errorf("fl: restoring client %d buffers: %w", c.ID, err)
+		if n := nn.NumParams(c.Model.Params()); len(cs.Params) != n {
+			return fmt.Errorf("fl: restoring client %d parameters: checkpoint has %d values, model has %d", c.ID, len(cs.Params), n)
 		}
-	}
-	if c.Optimizer != nil {
-		co, ok := c.Optimizer.(opt.Checkpointable)
-		if !ok {
-			return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
-		}
-		if err := co.SetState(cs.Opt); err != nil {
-			return fmt.Errorf("fl: restoring client %d optimizer: %w", c.ID, err)
+		if n := nn.NumBuffered(c.Model.Buffers()); len(cs.Buffers) != n {
+			return fmt.Errorf("fl: restoring client %d buffers: checkpoint has %d values, model has %d", c.ID, len(cs.Buffers), n)
 		}
 	}
-	return nil
+	switch c.Optimizer.(type) {
+	case nil, lender, opt.Checkpointable:
+		return nil
+	}
+	return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
 }
 
 // captureCommon fills the scheduler-independent parts of a snapshot: RNG
@@ -260,16 +257,10 @@ func (s *Simulation) captureCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 		snap.EvalRng = s.evalSrc.State()
 	}
 	snap.FleetSize = s.NumClients()
-	if s.store != nil {
+	// A fleet trains at one dtype; client 0 speaks for it.
+	if snap.FleetSize > 0 {
 		if c := s.Client(0); c.Model != nil {
 			snap.DType = c.Model.DType()
-		}
-	} else {
-		for _, c := range s.Clients {
-			if c.Model != nil {
-				snap.DType = c.Model.DType()
-				break
-			}
 		}
 	}
 	snap.History = cloneHistory(s.History)
@@ -277,25 +268,10 @@ func (s *Simulation) captureCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 		snap.Trace = append([]TraceEvent(nil), sched.Trace.Events...)
 	}
 	snap.Ledger = s.Ledger.Snapshot()
-	if s.store != nil {
-		// A lazy fleet checkpoints only the touched clients; everyone else is
-		// reproduced exactly by the builder.
-		states, err := s.store.CaptureTouched()
-		if err != nil {
-			return err
-		}
-		snap.Clients = states
-		return nil
-	}
-	snap.Clients = make([]ClientState, len(s.Clients))
-	for i, c := range s.Clients {
-		cs, err := captureClientState(c, nil, nil)
-		if err != nil {
-			return err
-		}
-		snap.Clients[i] = cs
-	}
-	return nil
+	// Only the touched clients carry state — on an eager simulation, every
+	// client; everyone else is reproduced exactly by the builder.
+	snap.Clients, err = s.store.CaptureTouched()
+	return err
 }
 
 // restoreCommon is the inverse of captureCommon, overwriting simulation,
@@ -308,24 +284,13 @@ func (s *Simulation) restoreCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 	if s.src == nil {
 		return fmt.Errorf("fl: simulation has no serializable RNG (use fl.NewSimulation)")
 	}
-	if s.store != nil {
-		if snap.FleetSize != s.store.Len() {
-			return fmt.Errorf("fl: checkpoint has a %d-client fleet, simulation has %d", snap.FleetSize, s.store.Len())
-		}
-		if c := s.Client(0); c.Model != nil && c.Model.DType() != snap.DType {
-			return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)",
-				snap.DType, c.Model.DType())
-		}
-	} else {
-		if len(snap.Clients) != len(s.Clients) {
-			return fmt.Errorf("fl: checkpoint has %d clients, simulation has %d", len(snap.Clients), len(s.Clients))
-		}
-		for _, c := range s.Clients {
-			if c.Model != nil && c.Model.DType() != snap.DType {
-				return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)",
-					snap.DType, c.Model.DType())
-			}
-		}
+	if snap.FleetSize != s.NumClients() {
+		return fmt.Errorf("fl: checkpoint has a %d-client fleet, simulation has %d", snap.FleetSize, s.NumClients())
+	}
+	// The store checks every state before it replaces anything, so a
+	// rejected checkpoint leaves the simulation as it was.
+	if err := s.store.RestoreTouched(snap.Clients, snap.DType); err != nil {
+		return err
 	}
 	s.src.SetState(snap.Rng)
 	if s.evalSrc != nil {
@@ -335,17 +300,6 @@ func (s *Simulation) restoreCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 	s.Ledger.Restore(snap.Ledger)
 	if sched.Trace != nil {
 		sched.Trace.Events = append(sched.Trace.Events[:0], snap.Trace...)
-	}
-	if s.store != nil {
-		if err := s.store.RestoreTouched(snap.Clients); err != nil {
-			return err
-		}
-	} else {
-		for i := range snap.Clients {
-			if err := restoreClientState(s.Clients[i], &snap.Clients[i]); err != nil {
-				return err
-			}
-		}
 	}
 	if snap.Algo != nil {
 		if err := ca.AlgoRestore(s, snap.Algo); err != nil {

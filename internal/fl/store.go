@@ -15,27 +15,31 @@ import (
 	"repro/internal/tensor"
 )
 
-// ClientStore backs a lazy virtual fleet: clients exist as a compact id
-// space [0,n) and materialize on demand through a builder that constructs
-// client i as a pure function of i (experiments.ClientBuilder). At most
-// budget clients stay resident in an LRU; evicting one spills its mutable
-// state — flat parameters, batch-norm buffers, RNG position, optimizer
-// moments — as one record into the store's segment file, and a later Get
-// reads the record back, bit-identically, into a freshly built client.
+// ClientStore holds a fleet: clients exist as a compact id space [0,n) and
+// materialize on demand through a builder that constructs client i as a
+// pure function of i (experiments.ClientBuilder). At most budget clients
+// stay resident in an LRU; evicting one spills its mutable state — flat
+// parameters, batch-norm buffers, RNG position, optimizer moments — as one
+// record into the store's segment file, and a later Get reads the record
+// back, bit-identically, into a freshly built client. An eager fleet
+// (NewSimulation) is the store with no budget and every client resident
+// from construction; its builder hands back the client it was given, which
+// only a resume ever asks for again.
 //
 // Memory is residents plus a 24-byte index entry (id → offset, length) per
 // spilled client; the spilled state itself is on disk. The segment is one
-// os.CreateTemp file under os.TempDir(), created by the first eviction
-// (an eager fleet, or budget ≤ 0, never has one) and unlinked at once, so it
-// has no name to clean up and its blocks go back to the filesystem when the
-// process ends, however it ends. A rehydrated client's slot goes on a free
-// list keyed by record length and the next spill of that length takes it:
-// the file only grows while more records of some length are spilled at once
-// than ever before, so its size is bounded by the spilled high-water mark
-// per record length (one architecture has two lengths, with and without
-// optimizer moments), not by the number of commits. On a tmpfs TMPDIR
-// those blocks are memory again — point TMPDIR at a disk for fleets whose
-// touched set does not fit in RAM.
+// os.CreateTemp file under os.TempDir(), created by the first eviction or
+// by a resume (RestoreTouched writes the checkpoint's clients into a fresh
+// one, on an eager fleet too; a run with budget ≤ 0 that never resumes has
+// none) and unlinked at once, so it has no name to clean up and its blocks
+// go back to the filesystem when the process ends, however it ends. A
+// rehydrated client's slot goes on a free list keyed by record length and
+// the next spill of that length takes it: the file only grows while more
+// records of some length are spilled at once than ever before, so its size
+// is bounded by the spilled high-water mark per record length (one
+// architecture has two lengths, with and without optimizer moments), not by
+// the number of commits. On a tmpfs TMPDIR those blocks are memory again —
+// point TMPDIR at a disk for fleets whose touched set does not fit in RAM.
 //
 // Every materialized client is treated as dirty (its state spills on
 // eviction even if it only evaluated); tracking cleanliness would save
@@ -146,7 +150,8 @@ func (st *ClientStore) Get(id int) *Client {
 		st.bufs = append(st.bufs, sb)
 		if err != nil {
 			// The builder is a pure function of id and the record is this
-			// store's own, so a read or shape failure is an invariant
+			// store's own — spilled from this client, or checked against it
+			// by RestoreTouched — so a read or shape failure is an invariant
 			// violation, not a recoverable condition.
 			panic(fmt.Sprintf("fl: rehydrating client %d: %v", id, err))
 		}
@@ -228,7 +233,7 @@ func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	if err != nil {
 		return err
 	}
-	c.Src.SetState(rng) // non-nil, or the spill would have failed
+	c.Src.SetState(rng) // non-nil, or the spill or restore would have failed
 	if c.Model != nil {
 		r.list()
 		if err := nn.SetFlatParams(r.params, params); err != nil {
@@ -285,18 +290,42 @@ func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
 }
 
 // RestoreTouched resets the store to hold exactly the given touched-client
-// states, each as a spilled record; every resident client is dropped, so the
-// next Get of any id rebuilds and rehydrates from the checkpoint. The
-// records go into a new segment that replaces the old one only once every
-// state is written: a rejected restore leaves the store as it was.
-func (st *ClientStore) RestoreTouched(states []ClientState) error {
+// states, taken at dtype dt, each as a spilled record; every resident client
+// is dropped, so the next Get of any id rebuilds and rehydrates from the
+// checkpoint. Each state is first checked against its client — the resident
+// one, or one built for the check — so a checkpoint of another fleet is an
+// error here, not a failed rehydration mid-run. A client the store already
+// holds must have a state: an eager store holds every client from
+// construction, and a lazy one resumed in a fresh process has touched only
+// Setup's probe set, which the checkpointed run touched too. The records go
+// into a new segment that replaces the old one only once every state is
+// checked and written: a rejected restore leaves the store as it was. It
+// must not run concurrently with Get.
+func (st *ClientStore) RestoreTouched(states []ClientState, dt tensor.DType) error {
+	for i := range states {
+		cs := &states[i]
+		if cs.ID < 0 || cs.ID >= st.n {
+			return fmt.Errorf("fl: checkpoint references client %d of a %d-client fleet", cs.ID, st.n)
+		}
+		// A client built for the check is built outside the lock, as Get
+		// builds, and dropped after it.
+		st.mu.Lock()
+		el, ok := st.resident[cs.ID]
+		st.mu.Unlock()
+		var c *Client
+		if ok {
+			c = el.Value.(*resident).c
+		} else {
+			c = st.build(cs.ID)
+		}
+		if err := checkClientState(c, cs, dt); err != nil {
+			return err
+		}
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var seg segment
 	put := func(cs *ClientState) error {
-		if cs.ID < 0 || cs.ID >= st.n {
-			return fmt.Errorf("fl: checkpoint references client %d of a %d-client fleet", cs.ID, st.n)
-		}
 		if _, dup := seg.index[cs.ID]; dup {
 			return fmt.Errorf("fl: checkpoint holds client %d twice", cs.ID)
 		}
@@ -311,6 +340,21 @@ func (st *ClientStore) RestoreTouched(states []ClientState) error {
 			seg.close()
 			return err
 		}
+	}
+	lacking := st.n
+	for id := range st.resident {
+		if _, ok := seg.index[id]; !ok {
+			lacking = min(lacking, id)
+		}
+	}
+	for id := range st.seg.index {
+		if _, ok := seg.index[id]; !ok {
+			lacking = min(lacking, id)
+		}
+	}
+	if lacking < st.n {
+		seg.close()
+		return fmt.Errorf("fl: checkpoint has no state for client %d, which this fleet already holds", lacking)
 	}
 	st.seg.close()
 	st.seg = seg

@@ -83,7 +83,7 @@ func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
 		"negative":     {good, {ID: -1}},
 		"duplicate":    {good, want[1], good},
 	} {
-		if err := st.RestoreTouched(states); err == nil {
+		if err := st.RestoreTouched(states, tensor.F64); err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
 		if st.Resident() != 2 {

@@ -81,8 +81,6 @@ var interlocks = []struct {
 	{"-topology tree", requires, "-aggregators", Sim, impossible, "a tree needs at least one edge aggregator", []string{"-topology", "tree"}},
 	{"-agg", requires, "-upstream", Agg, impossible, "an aggregator reports to a fedserver", []string{"-agg", "0", "-aggregators", "2", "-upstream", ""}},
 	{"-width", requires, "-arch", Sim, impossible, "width multipliers rotate over the -arch rotation", []string{"-width", "1,2"}},
-	{"-evalsample", requires, "-resident", Sim, missingState, "eager fleets evaluate the full fleet", []string{"-evalsample", "4"}},
-	{"-arch", excludes, "-resident/" + nodeMode, Sim, missingState, "scripted rotations exist only as an eager inproc factory; per-id fleet builders take -fleet names", []string{"-arch", "resnet,cnn2", "-resident", "4"}},
 	{"-delta", excludes, "-checkpoint/-resume", Sim, missingState, "delta bases are not checkpointed; drop -delta or checkpoint a dense run", []string{"-delta", "-checkpoint", "ckpts"}},
 	{"-delta", excludes, "-resident", Sim, missingState, "per-client delta bases defeat the O(resident) memory budget", []string{"-delta", "-resident", "4"}},
 	{"-delta", excludes, "-leave", Sim, missingState, "the virtual-clock engine keeps a churned client's stale basis; over real sockets a reconnect falls back to dense", []string{"-delta", "-leave", "0.2"}},

@@ -74,7 +74,7 @@ func (s *Spec) decls() []decl {
 		{"staleness", Sim | Server, &s.Staleness, 0, "async: drop updates staler than this many commits (0 = default 8)"},
 		{"decay", Sim | Server, &s.Decay, 0.0, "staleness decay α in weight 1/(1+α·s) (0 = no decay)"},
 		{"quorum", Sim | Server, &s.Quorum, 0, "semisync: commit after K applied updates (0 = majority; at most -clients)"},
-		{"evalsample", Sim | Server, &s.EvalSample, 0, "evaluate a deterministic per-round sample of this many clients instead of every client (0 = fedsim: the cohort size, fedserver: full sweep)"},
+		{"evalsample", Sim | Server, &s.EvalSample, 0, "evaluate a deterministic per-round sample of this many clients instead of every client (0 = full sweep; under fedsim -resident, the cohort size)"},
 		{"checkpoint", Sim | Server, &s.Checkpoint, "", "directory to write round-NNNNN.ckpt snapshots into"},
 		{"every", Sim | Server, &s.Every, 1, "with -checkpoint: snapshot every N committed rounds"},
 		{"resume", Sim | Server, &s.Resume, "", "checkpoint file to resume from (same flags as the original run)"},
