@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
@@ -55,6 +56,7 @@ var hotPaths = []hotPath{
 	{"ConvTrainStep32", convTrainStep(tensor.F32), 6, 5},
 	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 158, 50},
 	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 156, 50},
+	{"ClientLocalEpochGroup", clientLocalEpochGroup, 927, 270},
 	{"ClassifierAveraging", classifierAveraging, 0, 0},
 	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},
 	{"MarshalTopK", codecRoundTrip(comm.NewSpec(comm.F32, 0.05, false)), 0, 0},
@@ -83,20 +85,21 @@ func timeOp(b *testing.B, setup func(testing.TB) func()) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B)            { bench(b, "MatMul64") }
-func BenchmarkMatMul32(b *testing.B)            { bench(b, "MatMul32") }
-func BenchmarkMatMulInto64(b *testing.B)        { bench(b, "MatMulInto64") }
-func BenchmarkMatMulInto32(b *testing.B)        { bench(b, "MatMulInto32") }
-func BenchmarkConvForward(b *testing.B)         { bench(b, "ConvForward") }
-func BenchmarkConvForward32(b *testing.B)       { bench(b, "ConvForward32") }
-func BenchmarkConvTrainStep(b *testing.B)       { bench(b, "ConvTrainStep") }
-func BenchmarkConvTrainStep32(b *testing.B)     { bench(b, "ConvTrainStep32") }
-func BenchmarkClientLocalEpoch(b *testing.B)    { bench(b, "ClientLocalEpoch") }
-func BenchmarkClientLocalEpoch32(b *testing.B)  { bench(b, "ClientLocalEpoch32") }
-func BenchmarkClassifierAveraging(b *testing.B) { bench(b, "ClassifierAveraging") }
-func BenchmarkQuantizedMarshalI8(b *testing.B)  { bench(b, "QuantizedMarshalI8") }
-func BenchmarkMarshalTopK(b *testing.B)         { bench(b, "MarshalTopK") }
-func BenchmarkDecodeDelta(b *testing.B)         { bench(b, "DecodeDelta") }
+func BenchmarkMatMul64(b *testing.B)              { bench(b, "MatMul64") }
+func BenchmarkMatMul32(b *testing.B)              { bench(b, "MatMul32") }
+func BenchmarkMatMulInto64(b *testing.B)          { bench(b, "MatMulInto64") }
+func BenchmarkMatMulInto32(b *testing.B)          { bench(b, "MatMulInto32") }
+func BenchmarkConvForward(b *testing.B)           { bench(b, "ConvForward") }
+func BenchmarkConvForward32(b *testing.B)         { bench(b, "ConvForward32") }
+func BenchmarkConvTrainStep(b *testing.B)         { bench(b, "ConvTrainStep") }
+func BenchmarkConvTrainStep32(b *testing.B)       { bench(b, "ConvTrainStep32") }
+func BenchmarkClientLocalEpoch(b *testing.B)      { bench(b, "ClientLocalEpoch") }
+func BenchmarkClientLocalEpoch32(b *testing.B)    { bench(b, "ClientLocalEpoch32") }
+func BenchmarkClientLocalEpochGroup(b *testing.B) { bench(b, "ClientLocalEpochGroup") }
+func BenchmarkClassifierAveraging(b *testing.B)   { bench(b, "ClassifierAveraging") }
+func BenchmarkQuantizedMarshalI8(b *testing.B)    { bench(b, "QuantizedMarshalI8") }
+func BenchmarkMarshalTopK(b *testing.B)           { bench(b, "MarshalTopK") }
+func BenchmarkDecodeDelta(b *testing.B)           { bench(b, "DecodeDelta") }
 
 // BenchmarkTopKDeltaEncode and its Decode twin time the sparse uplink's codec
 // per residual class: the typical one and the three a radix select must not
@@ -317,6 +320,36 @@ func convTrainStep(dt tensor.DType) func(testing.TB) func() {
 		return func() {
 			layer.Forward(x, true)
 			layer.Backward(grad)
+		}
+	}
+}
+
+// clientLocalEpochGroup is one FedClassAvg local update — two views, SupCon,
+// the classifier's proximal pull — of two MiniResNet clients trained as one
+// group, through the async engine's entry point.
+func clientLocalEpochGroup(tb testing.TB) func() {
+	s := benchScale()
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "homogeneous", 2, s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim := fl.NewSimulation([]*fl.Client{build(0), build(1)}, fl.Config{BatchSize: s.BatchSize})
+	algo := core.New(core.DefaultOptions())
+	if err := algo.Setup(sim); err != nil {
+		tb.Fatal(err)
+	}
+	if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{Shards: 1, MixRate: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	ids := []int{0, 1}
+	for _, id := range ids {
+		if err := algo.AsyncDispatch(sim, id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return func() {
+		if _, err := algo.AsyncLocalGroup(sim, ids); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // FedAvg is communication-efficient federated averaging over homogeneous
@@ -77,95 +75,92 @@ func (f *FedAvg) Setup(sim *fl.Simulation) error {
 	return nil
 }
 
-// Round broadcasts, trains locally (with optional proximal term) and
-// aggregates all weights. With grouping enabled (and no proximal term) the
-// cohort trains as same-configuration lockstep groups with cross-client
-// batched GEMMs — byte-identical to the per-client path by the grouping
-// invariance contract (DESIGN.md §12).
+// Round broadcasts, trains each same-configuration group of participants in
+// lockstep (with the optional proximal term against the broadcast) and
+// aggregates all weights.
 func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error {
 	if len(participants) == 0 {
 		return nil
 	}
-	if f.GroupLocal() && fl.CohortGrouping() {
-		return f.roundGrouped(sim, participants)
-	}
+	us := make([]*fl.Update, len(participants))
 	errs := make([]error, len(participants))
-	flats := make([][]float64, len(participants))
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		errs[idx] = nn.SetFlatParams(c.Model.Params(), f.global)
-		if errs[idx] != nil {
-			return
-		}
-		sim.Downlink(c.ID, len(f.global))
-		for e := 0; e < f.LocalEpochs; e++ {
-			if f.Mu > 0 {
-				f.trainEpochProx(c, sim.Cfg.BatchSize, f.global)
-			} else {
-				c.TrainEpochCE(sim.Cfg.BatchSize)
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
+		refs := make([][]float64, len(group))
+		for i, c := range group {
+			if errs[pos[i]] = f.download(sim, c); errs[pos[i]] != nil {
+				return
 			}
+			refs[i] = f.global
 		}
-		flats[idx] = sim.Uplink(c.ID, nn.FlattenParams(c.Model.Params()))
+		for i, u := range f.local(sim, group, refs) {
+			sim.Ledger.AddUp(u.Client, u.UpBytes)
+			us[pos[i]] = u
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	f.global = weightedAverage(sim, participants, flats)
+	f.global = fl.WeightedAverage(us, 0)
 	return nil
 }
 
-// roundGrouped is the cohort-grouped sync round: broadcast per client, then
-// one lockstep training pass per same-configuration group, then the same
-// weighted aggregation over uploads in participant order.
-func (f *FedAvg) roundGrouped(sim *fl.Simulation, participants []int) error {
-	flats := make([][]float64, len(participants))
-	slot := make(map[int]int, len(participants))
-	for i, id := range participants {
-		slot[id] = i
+// download installs the committed global model on one client.
+func (f *FedAvg) download(sim *fl.Simulation, c *fl.Client) error {
+	if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
+		return err
 	}
-	for _, grp := range fl.GroupCohort(sim, participants) {
-		cs := make([]*fl.Client, len(grp))
-		for i, id := range grp {
-			c := sim.Client(id)
-			if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
-				return err
-			}
-			sim.Downlink(c.ID, len(f.global))
-			cs[i] = c
-		}
-		for e := 0; e < f.LocalEpochs; e++ {
-			fl.TrainEpochGroupCE(cs, sim.Cfg.BatchSize)
-		}
-		for i, id := range grp {
-			flats[slot[id]] = sim.Uplink(cs[i].ID, nn.FlattenParams(cs[i].Model.Params()))
-		}
-	}
-	f.global = weightedAverage(sim, participants, flats)
+	sim.Downlink(c.ID, len(f.global))
 	return nil
 }
 
-// GroupLocal reports whether lockstep grouped training is valid: plain
-// FedAvg groups; FedProx's proximal reference is per client, so it opts out.
-func (f *FedAvg) GroupLocal() bool { return f.Mu == 0 }
+// train runs a group's local epochs; under FedProx each client's proximal
+// reference is refs[k], the weights it downloaded.
+func (f *FedAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
+	var obj fl.Objective
+	if f.Mu > 0 {
+		params := make([][]*nn.Param, len(group))
+		for k, c := range group {
+			params[k] = c.Model.Params()
+		}
+		// FedProx uses (μ/2)‖w−w_g‖², i.e. Proximal with ρ = μ/2.
+		obj.Hook = func(k int) { loss.Proximal(params[k], refs[k], f.Mu/2) }
+	}
+	fl.TrainEpochs(group, batchSize, f.LocalEpochs, obj)
+}
 
-// AsyncLocalGroup trains a same-configuration cohort slice in lockstep and
+// local trains a group and returns each client's full weights, passed
+// through the upload framing with their bytes not yet booked.
+func (f *FedAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]float64) []*fl.Update {
+	f.train(group, sim.Cfg.BatchSize, refs)
+	us := make([]*fl.Update, len(group))
+	for i, c := range group {
+		flat, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.Params()))
+		us[i] = &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}, UpBytes: bytes}
+	}
+	return us
+}
+
+// AsyncLocalGroup trains a group against its dispatch snapshots and
 // returns each client's update, in order.
 func (f *FedAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
-	cs := make([]*fl.Client, len(clients))
+	group := make([]*fl.Client, len(clients))
+	refs := make([][]float64, len(clients))
 	for i, id := range clients {
-		cs[i] = sim.Client(id)
+		group[i], refs[i] = sim.Client(id), f.snaps[id]
 	}
-	for e := 0; e < f.LocalEpochs; e++ {
-		fl.TrainEpochGroupCE(cs, sim.Cfg.BatchSize)
+	return f.local(sim, group, refs), nil
+}
+
+// AsyncLocal is AsyncLocalGroup for one client. Its only caller is
+// benchmark/shim.go; it retires with the one algorithm surface.
+func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
+	us, err := f.AsyncLocalGroup(sim, []int{client})
+	if err != nil {
+		return nil, err
 	}
-	us := make([]*fl.Update, len(clients))
-	for i, id := range clients {
-		flat, bytes := sim.QuantizeUplink(id, nn.FlattenParams(cs[i].Model.Params()))
-		us[i] = &fl.Update{Client: id, Scale: fl.DataScale(cs[i]), Vecs: [][]float64{flat}, UpBytes: bytes}
-	}
-	return us, nil
+	return us[0], nil
 }
 
 // AsyncSetup sizes the sharded aggregation state.
@@ -179,30 +174,13 @@ func (f *FedAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error
 // AsyncDispatch broadcasts the committed global model to one client and,
 // for FedProx, snapshots it as the proximal reference.
 func (f *FedAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
-	c := sim.Client(client)
-	if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
+	if err := f.download(sim, sim.Client(client)); err != nil {
 		return err
 	}
-	sim.Downlink(c.ID, len(f.global))
 	if f.Mu > 0 {
 		f.snaps[client] = append(f.snaps[client][:0], f.global...)
 	}
 	return nil
-}
-
-// AsyncLocal trains the client against its dispatch snapshot and uploads
-// its full weights.
-func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
-	c := sim.Client(client)
-	for e := 0; e < f.LocalEpochs; e++ {
-		if f.Mu > 0 {
-			f.trainEpochProx(c, sim.Cfg.BatchSize, f.snaps[client])
-		} else {
-			c.TrainEpochCE(sim.Cfg.BatchSize)
-		}
-	}
-	flat, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.Params()))
-	return &fl.Update{Client: client, Scale: fl.DataScale(c), Vecs: [][]float64{flat}, UpBytes: bytes}, nil
 }
 
 // AsyncApply folds a staleness-weighted client model into the shards.
@@ -255,59 +233,9 @@ func (f *FedAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 	return nil
 }
 
-// trainEpochProx is one cross-entropy epoch with the FedProx proximal term
-// against the given reference weights (the client's last download).
-func (f *FedAvg) trainEpochProx(c *fl.Client, batchSize int, global []float64) {
-	params := c.Model.Params()
-	for _, b := range data.Batches(c.Train, batchSize, c.Rng) {
-		x, y := c.AugmentedBatch(b)
-		_, logits := c.Model.Forward(x, true)
-		_, dlogits := loss.CrossEntropy(logits, y)
-		dfeat := c.Model.Classifier.Backward(dlogits)
-		c.Model.Extractor.Backward(dfeat)
-		// FedProx uses (μ/2)‖w−w_g‖², i.e. Proximal with ρ = μ/2.
-		loss.Proximal(params, global, f.Mu/2)
-		c.Optimizer.Step(params)
-		nn.ZeroGrads(params)
-	}
-}
-
-// weightedAverage computes the |D_k|-weighted flat average of the selected
-// clients' uploaded weight vectors.
-func weightedAverage(sim *fl.Simulation, ids []int, flats [][]float64) []float64 {
-	var total float64
-	for _, id := range ids {
-		total += float64(len(sim.Client(id).Train))
-	}
-	var out []float64
-	for i, id := range ids {
-		c := sim.Client(id)
-		wgt := 1.0 / float64(len(ids))
-		if total > 0 {
-			wgt = float64(len(c.Train)) / total
-		}
-		flat := flats[i]
-		if out == nil {
-			out = make([]float64, len(flat))
-		}
-		for j, v := range flat {
-			out[j] += wgt * v
-		}
-	}
-	return out
-}
-
 func max1(v int) int {
 	if v <= 0 {
 		return 1
 	}
 	return v
-}
-
-// batchForward is a shared helper: forward a labeled (augmented) batch,
-// returning features, logits and labels.
-func batchForward(c *fl.Client, b []data.Example, train bool) (feats, logits *tensor.Tensor, y []int) {
-	x, y := c.AugmentedBatch(b)
-	feats, logits = c.Model.Forward(x, train)
-	return feats, logits, y
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/fl"
-	"repro/internal/loss"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -84,26 +82,23 @@ func (p *FedProto) Setup(sim *fl.Simulation) error {
 // Round trains participants with the prototype regularizer, then aggregates
 // their fresh local prototypes weighted by per-class sample counts.
 func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) error {
-	type report struct {
-		protos [][]float64
-		counts []int
-	}
-	reports := make([]report, len(participants))
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		for e := 0; e < p.LocalEpochs; e++ {
-			p.trainEpoch(c, sim.Cfg.BatchSize, p.globalProtos)
+	us := make([]*fl.Update, len(participants))
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
+		tables := make([][][]float64, len(group))
+		for i := range tables {
+			tables[i] = p.globalProtos
 		}
-		protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
-		reports[idx] = report{protos, counts}
-		sim.Ledger.AddUp(c.ID, p.quantizeProtos(sim, protos))
-		sim.Downlink(c.ID, p.downloadFloats())
+		for i, u := range p.local(sim, group, tables) {
+			sim.Ledger.AddUp(u.Client, u.UpBytes)
+			sim.Downlink(u.Client, p.downloadFloats())
+			us[pos[i]] = u
+		}
 	})
 	// Aggregate prototypes per class, weighted by sample counts.
 	sums := make([][]float64, p.numClasses)
 	totals := make([]int, p.numClasses)
-	for _, r := range reports {
-		for cls, proto := range r.protos {
+	for _, u := range us {
+		for cls, proto := range u.Vecs {
 			if proto == nil {
 				continue
 			}
@@ -111,9 +106,9 @@ func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) erro
 				sums[cls] = make([]float64, p.featDim)
 			}
 			for j, v := range proto {
-				sums[cls][j] += v * float64(r.counts[cls])
+				sums[cls][j] += v * float64(u.Counts[cls])
 			}
-			totals[cls] += r.counts[cls]
+			totals[cls] += u.Counts[cls]
 		}
 	}
 	for cls := range sums {
@@ -141,28 +136,35 @@ func (p *FedProto) downloadFloats() int {
 	return n
 }
 
-// trainEpoch runs one epoch of CE + prototype regularization against the
-// given prototype table (the global table in sync rounds, the client's
+// train runs a group's local epochs of CE + prototype regularization, client
+// k against prototype table tables[k] (the global table in sync rounds, its
 // dispatch snapshot under async schedulers).
-func (p *FedProto) trainEpoch(c *fl.Client, batchSize int, protos [][]float64) {
-	params := c.Model.Params()
-	for _, b := range data.Batches(c.Train, batchSize, c.Rng) {
-		feats, logits, y := batchForward(c, b, true)
-		_, dlogits := loss.CrossEntropy(logits, y)
-		dfeat := c.Model.Classifier.Backward(dlogits)
-		// Prototype pull: d/df λ‖f − proto‖²/N = 2λ(f − proto)/N. Features
-		// and their gradient are model-dtype; the prototype table is float64
-		// bookkeeping, widened per element inside the pull.
+func (p *FedProto) train(group []*fl.Client, batchSize int, tables [][][]float64) {
+	// Prototype pull: d/df λ‖f − proto‖²/N = 2λ(f − proto)/N. Features and
+	// their gradient are model-dtype; the prototype table is float64
+	// bookkeeping, widened per element inside the pull.
+	head := func(k int, feats, dfeats *tensor.Tensor, labels []int) {
 		scale := 2 * p.Lambda / float64(feats.Rows())
 		if feats.DT.Backing() == tensor.F32 {
-			protoPull(tensor.Of[float32](feats), tensor.Of[float32](dfeat), protos, y, scale, feats.Cols())
+			protoPull(tensor.Of[float32](feats), tensor.Of[float32](dfeats), tables[k], labels, scale, feats.Cols())
 		} else {
-			protoPull(feats.Data, tensor.Of[float64](dfeat), protos, y, scale, feats.Cols())
+			protoPull(feats.Data, dfeats.Data, tables[k], labels, scale, feats.Cols())
 		}
-		c.Model.Extractor.Backward(dfeat)
-		c.Optimizer.Step(params)
-		nn.ZeroGrads(params)
 	}
+	fl.TrainEpochs(group, batchSize, p.LocalEpochs, fl.Objective{Head: head})
+}
+
+// local trains a group and returns each client's fresh local prototypes
+// with their per-class sample counts, passed through the wire codec with
+// their bytes not yet booked.
+func (p *FedProto) local(sim *fl.Simulation, group []*fl.Client, tables [][][]float64) []*fl.Update {
+	p.train(group, sim.Cfg.BatchSize, tables)
+	us := make([]*fl.Update, len(group))
+	for i, c := range group {
+		protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts, UpBytes: p.quantizeProtos(sim, protos)}
+	}
+	return us
 }
 
 // AsyncSetup builds the class-segmented aggregation state: shard s is class
@@ -198,15 +200,15 @@ func (p *FedProto) AsyncDispatch(sim *fl.Simulation, client int) error {
 	return nil
 }
 
-// AsyncLocal trains with the snapshot regularizer and uploads fresh local
-// prototypes with their per-class sample counts.
-func (p *FedProto) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
-	c := sim.Client(client)
-	for e := 0; e < p.LocalEpochs; e++ {
-		p.trainEpoch(c, sim.Cfg.BatchSize, p.snaps[client])
+// AsyncLocalGroup trains a group against its snapshot regularizers and
+// uploads fresh local prototypes with their per-class sample counts.
+func (p *FedProto) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
+	group := make([]*fl.Client, len(clients))
+	tables := make([][][]float64, len(clients))
+	for i, id := range clients {
+		group[i], tables[i] = sim.Client(id), p.snaps[id]
 	}
-	protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
-	return &fl.Update{Client: client, Scale: 1, Vecs: protos, Counts: counts, UpBytes: p.quantizeProtos(sim, protos)}, nil
+	return p.local(sim, group, tables), nil
 }
 
 // quantizeProtos passes each reported class prototype through the wire

@@ -55,7 +55,7 @@ type KTpFL struct {
 	latest  [][]float64
 	latestW []float64
 	pending [][]float64
-	staged  [][]float64 // moved pending → staged at dispatch, consumed by AsyncLocal
+	staged  [][]float64 // moved pending → staged at dispatch, consumed by AsyncLocalGroup
 	numCls  int
 }
 
@@ -134,11 +134,8 @@ func (k *KTpFL) Round(sim *fl.Simulation, round int, participants []int) error {
 		return nil
 	}
 	// 1. Local supervised training.
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		for e := 0; e < k.LocalEpochs; e++ {
-			c.TrainEpochCE(sim.Cfg.BatchSize)
-		}
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, _ []int) {
+		fl.TrainEpochs(group, sim.Cfg.BatchSize, k.LocalEpochs, fl.Objective{})
 	})
 	if k.ShareWeights {
 		return k.weightTransfer(sim, participants)
@@ -297,31 +294,35 @@ func (k *KTpFL) AsyncDispatch(sim *fl.Simulation, client int) error {
 	return nil
 }
 
-// AsyncLocal distills toward any staged target, runs supervised local
-// epochs, and uploads a fresh report (soft predictions, or flat weights for
-// the "+weight" variant).
-func (k *KTpFL) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
-	c := sim.Client(client)
-	if !k.ShareWeights && k.staged[client] != nil {
-		m := len(k.public)
-		target := tensor.New(m, k.numCls)
-		target.SetFromFloat64s(k.staged[client])
-		k.staged[client] = nil
-		k.distill(c, target)
+// AsyncLocalGroup distills each client toward any staged target, runs the
+// group's supervised local epochs, and uploads a fresh report per client
+// (soft predictions, or flat weights for the "+weight" variant).
+func (k *KTpFL) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
+	group := make([]*fl.Client, len(clients))
+	for i, id := range clients {
+		group[i] = sim.Client(id)
+		if !k.ShareWeights && k.staged[id] != nil {
+			target := tensor.New(len(k.public), k.numCls)
+			target.SetFromFloat64s(k.staged[id])
+			k.staged[id] = nil
+			k.distill(group[i], target)
+		}
 	}
-	for e := 0; e < k.LocalEpochs; e++ {
-		c.TrainEpochCE(sim.Cfg.BatchSize)
+	fl.TrainEpochs(group, sim.Cfg.BatchSize, k.LocalEpochs, fl.Objective{})
+	us := make([]*fl.Update, len(clients))
+	for i, c := range group {
+		var report []float64
+		if k.ShareWeights {
+			report = nn.FlattenParams(c.Model.Params())
+		} else {
+			_, logits := c.Model.Forward(k.publicX, false)
+			soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
+			report = soft.AppendFloat64s(nil)
+		}
+		report, bytes := sim.QuantizeUplink(c.ID, report)
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}, UpBytes: bytes}
 	}
-	var report []float64
-	if k.ShareWeights {
-		report = nn.FlattenParams(c.Model.Params())
-	} else {
-		_, logits := c.Model.Forward(k.publicX, false)
-		soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
-		report = soft.AppendFloat64s(nil)
-	}
-	report, bytes := sim.QuantizeUplink(client, report)
-	return &fl.Update{Client: client, Scale: 1, Vecs: [][]float64{report}, UpBytes: bytes}, nil
+	return us, nil
 }
 
 // AsyncApply files the client's latest report with its staleness weight.
@@ -457,7 +458,10 @@ func (k *KTpFL) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 
 // distill runs DistillSteps of temperature-scaled KL toward the target on
 // the public set. Targets are staged as float64 server state and narrow to
-// the model dtype here, once, before the distillation loop.
+// the model dtype here, once, before the distillation loop. It is the one
+// training loop outside fl.TrainEpochs: its batch is the whole public set,
+// drawn from no client's batch schedule or Rng, and folding it in would make
+// the driver branch on where a batch comes from.
 func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 	params := c.Model.Params()
 	target = target.AsType(c.DType())

@@ -34,11 +34,8 @@ func (l *LocalOnly) Setup(sim *fl.Simulation) error { return nil }
 
 // Round trains every participant locally; nothing is exchanged.
 func (l *LocalOnly) Round(sim *fl.Simulation, round int, participants []int) error {
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		for e := 0; e < l.LocalEpochs; e++ {
-			c.TrainEpochCE(sim.Cfg.BatchSize)
-		}
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, _ []int) {
+		fl.TrainEpochs(group, sim.Cfg.BatchSize, l.LocalEpochs, fl.Objective{})
 	})
 	return nil
 }
@@ -52,13 +49,15 @@ func (l *LocalOnly) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) er
 // AsyncDispatch is a no-op: nothing is broadcast.
 func (l *LocalOnly) AsyncDispatch(sim *fl.Simulation, client int) error { return nil }
 
-// AsyncLocal trains the client and reports a communication-free update.
-func (l *LocalOnly) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
-	c := sim.Client(client)
-	for e := 0; e < l.LocalEpochs; e++ {
-		c.TrainEpochCE(sim.Cfg.BatchSize)
+// AsyncLocalGroup trains a group and reports communication-free updates.
+func (l *LocalOnly) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
+	group := make([]*fl.Client, len(clients))
+	us := make([]*fl.Update, len(clients))
+	for i, id := range clients {
+		group[i], us[i] = sim.Client(id), &fl.Update{Client: id}
 	}
-	return &fl.Update{Client: client}, nil
+	fl.TrainEpochs(group, sim.Cfg.BatchSize, l.LocalEpochs, fl.Objective{})
+	return us, nil
 }
 
 // AsyncApply is a no-op.

@@ -44,9 +44,7 @@ func (l *LocalOnly) WireDispatch(client int) ([][]float64, error) { return nil, 
 
 // WireLocal trains locally and uploads a communication-free update.
 func (l *LocalOnly) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*fl.Update, error) {
-	for e := 0; e < l.LocalEpochs; e++ {
-		c.TrainEpochCE(batchSize)
-	}
+	fl.TrainEpochs([]*fl.Client{c}, batchSize, l.LocalEpochs, fl.Objective{})
 	return &fl.Update{Client: c.ID}, nil
 }
 
@@ -100,15 +98,9 @@ func (f *FedAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*
 	if err := nn.SetFlatParams(c.Model.Params(), dispatch[0]); err != nil {
 		return nil, err
 	}
-	for e := 0; e < f.LocalEpochs; e++ {
-		if f.Mu > 0 {
-			f.trainEpochProx(c, batchSize, dispatch[0])
-		} else {
-			c.TrainEpochCE(batchSize)
-		}
-	}
+	f.train([]*fl.Client{c}, batchSize, dispatch)
 	flat := c.FlatUpload(c.Model.Params())
-	return &fl.Update{Client: c.ID, Scale: fl.DataScale(c), Vecs: [][]float64{flat}}, nil
+	return &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}}, nil
 }
 
 // WireApply folds one weighted model into the shards.
@@ -192,9 +184,7 @@ func (p *FedProto) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) 
 			return nil, fmt.Errorf("baselines: FedProto prototype %d has %d dims, model has %d", cls, len(proto), p.featDim)
 		}
 	}
-	for e := 0; e < p.LocalEpochs; e++ {
-		p.trainEpoch(c, batchSize, table)
-	}
+	p.train([]*fl.Client{c}, batchSize, [][][]float64{table})
 	protos, counts := p.localPrototypes(c, batchSize)
 	return &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts}, nil
 }
@@ -300,9 +290,7 @@ func (k *KTpFL) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*f
 			k.distill(c, target)
 		}
 	}
-	for e := 0; e < k.LocalEpochs; e++ {
-		c.TrainEpochCE(batchSize)
-	}
+	fl.TrainEpochs([]*fl.Client{c}, batchSize, k.LocalEpochs, fl.Objective{})
 	var report []float64
 	if k.ShareWeights {
 		report = c.FlatUpload(c.Model.Params())

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
@@ -150,41 +149,26 @@ func (f *FedClassAvg) Setup(sim *fl.Simulation) error {
 	return nil
 }
 
-// Round performs one FedClassAvg communication round.
+// Round performs one FedClassAvg communication round: each same-
+// configuration group of participants downloads, trains in lockstep against
+// the broadcast classifier and uploads.
 func (f *FedClassAvg) Round(sim *fl.Simulation, round int, participants []int) error {
 	if len(participants) == 0 {
 		return nil
 	}
-	// Broadcast + local update, one goroutine per participant. Errors are
-	// collected per index to stay race-free under the worker pool.
+	us := make([]*fl.Update, len(participants))
 	errs := make([]error, len(participants))
-	flatC := make([][]float64, len(participants))
-	var flatAll [][]float64
-	if f.Opts.ShareAllWeights {
-		flatAll = make([][]float64, len(participants))
-	}
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		if f.Opts.ShareAllWeights {
-			errs[idx] = nn.SetFlatParams(c.Model.Params(), f.globalAll)
-			sim.Downlink(c.ID, len(f.globalAll))
-		} else {
-			errs[idx] = nn.SetFlatParams(c.Model.ClassifierParams(), f.globalClassifier)
-			sim.Downlink(c.ID, len(f.globalClassifier))
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
+		refs := make([][]float64, len(group))
+		for i, c := range group {
+			if errs[pos[i]] = f.download(sim, c); errs[pos[i]] != nil {
+				return
+			}
+			refs[i] = f.globalClassifier
 		}
-		if errs[idx] != nil {
-			return
-		}
-		f.localUpdate(c, sim.Cfg.BatchSize, f.globalClassifier)
-		if f.Opts.ShareAllWeights {
-			// The classifier rides inside the one full-weight frame
-			// (extractor then classifier), so it is the quantized tail of
-			// that upload — never fresher than what crossed the wire.
-			flatAll[idx] = sim.Uplink(c.ID, nn.FlattenParams(c.Model.Params()))
-			nC := nn.NumParams(c.Model.ClassifierParams())
-			flatC[idx] = flatAll[idx][len(flatAll[idx])-nC:]
-		} else {
-			flatC[idx] = sim.Uplink(c.ID, nn.FlattenParams(c.Model.ClassifierParams()))
+		for i, u := range f.local(sim, group, refs) {
+			sim.Ledger.AddUp(u.Client, u.UpBytes)
+			us[pos[i]] = u
 		}
 	})
 	for _, err := range errs {
@@ -192,12 +176,71 @@ func (f *FedClassAvg) Round(sim *fl.Simulation, round int, participants []int) e
 			return err
 		}
 	}
-	// Aggregate.
-	f.globalClassifier = weightedFlatAverage(sim, participants, flatC)
+	f.globalClassifier = fl.WeightedAverage(us, 0)
 	if f.Opts.ShareAllWeights {
-		f.globalAll = weightedFlatAverage(sim, participants, flatAll)
+		f.globalAll = fl.WeightedAverage(us, 1)
 	}
 	return nil
+}
+
+// download installs the committed classifier (or, with ShareAllWeights, the
+// full model) on one client.
+func (f *FedClassAvg) download(sim *fl.Simulation, c *fl.Client) error {
+	global, params := f.globalClassifier, c.Model.ClassifierParams()
+	if f.Opts.ShareAllWeights {
+		global, params = f.globalAll, c.Model.Params()
+	}
+	if err := nn.SetFlatParams(params, global); err != nil {
+		return err
+	}
+	sim.Downlink(c.ID, len(global))
+	return nil
+}
+
+// train runs a group's local epochs with the paper's composite objective:
+// cross-entropy on view one, SupCon over both views, and the proximal pull of
+// client k's classifier toward refs[k], the classifier it downloaded.
+func (f *FedClassAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
+	obj := fl.Objective{TwoViews: f.Opts.UseContrastive}
+	if f.Opts.UseContrastive {
+		opts := loss.SupConOptions{Temperature: f.Opts.Tau}
+		obj.Head = func(_ int, feats, dfeats *tensor.Tensor, labels []int) {
+			_, dcl := loss.SupCon(feats, labels, opts)
+			dfeats.AddInPlace(dcl)
+		}
+	}
+	if f.Opts.UseProximal {
+		clfs := make([][]*nn.Param, len(group))
+		for k, c := range group {
+			clfs[k] = c.Model.ClassifierParams()
+		}
+		obj.Hook = func(k int) { loss.Proximal(clfs[k], refs[k], f.Opts.Rho) }
+	}
+	fl.TrainEpochs(group, batchSize, f.Opts.LocalEpochs, obj)
+}
+
+// local trains a group and returns each client's upload — the classifier,
+// or with ShareAllWeights the full weights and the classifier as their tail —
+// passed through the upload framing with its bytes not yet booked.
+func (f *FedClassAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]float64) []*fl.Update {
+	f.train(group, sim.Cfg.BatchSize, refs)
+	us := make([]*fl.Update, len(group))
+	for i, c := range group {
+		u := &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train))}
+		if f.Opts.ShareAllWeights {
+			// The classifier rides inside the one full-weight frame
+			// (extractor then classifier), so it is the quantized tail of
+			// that upload — never fresher than what crossed the wire.
+			all, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.Params()))
+			nC := nn.NumParams(c.Model.ClassifierParams())
+			u.Vecs, u.UpBytes = [][]float64{all[len(all)-nC:], all}, bytes
+		} else {
+			flat, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.ClassifierParams()))
+			u.Vecs, u.UpBytes = [][]float64{flat}, bytes
+		}
+		us[i] = u
+	}
+	return us
 }
 
 // AsyncSetup sizes the sharded aggregation state.
@@ -214,42 +257,22 @@ func (f *FedClassAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) 
 // AsyncDispatch broadcasts the committed classifier (or, with
 // ShareAllWeights, the full model) and snapshots the proximal reference.
 func (f *FedClassAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
-	c := sim.Client(client)
-	if f.Opts.ShareAllWeights {
-		if err := nn.SetFlatParams(c.Model.Params(), f.globalAll); err != nil {
-			return err
-		}
-		sim.Downlink(c.ID, len(f.globalAll))
-	} else {
-		if err := nn.SetFlatParams(c.Model.ClassifierParams(), f.globalClassifier); err != nil {
-			return err
-		}
-		sim.Downlink(c.ID, len(f.globalClassifier))
+	if err := f.download(sim, sim.Client(client)); err != nil {
+		return err
 	}
 	f.snapC[client] = append(f.snapC[client][:0], f.globalClassifier...)
 	return nil
 }
 
-// AsyncLocal runs the composite-objective local epochs against the
-// dispatch snapshot and uploads the classifier (and full weights when
-// shared).
-func (f *FedClassAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
-	c := sim.Client(client)
-	f.localUpdate(c, sim.Cfg.BatchSize, f.snapC[client])
-	u := &fl.Update{Client: client, Scale: fl.DataScale(c)}
-	if f.Opts.ShareAllWeights {
-		// As in the sync round, the classifier is the quantized tail of
-		// the single full-weight frame.
-		all, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.Params()))
-		nC := nn.NumParams(c.Model.ClassifierParams())
-		u.Vecs = [][]float64{all[len(all)-nC:], all}
-		u.UpBytes = bytes
-	} else {
-		flat, bytes := sim.QuantizeUplink(client, nn.FlattenParams(c.Model.ClassifierParams()))
-		u.Vecs = [][]float64{flat}
-		u.UpBytes = bytes
+// AsyncLocalGroup trains a group against its dispatch snapshots and
+// uploads each client's classifier (and full weights when shared).
+func (f *FedClassAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
+	group := make([]*fl.Client, len(clients))
+	refs := make([][]float64, len(clients))
+	for i, id := range clients {
+		group[i], refs[i] = sim.Client(id), f.snapC[id]
 	}
-	return u, nil
+	return f.local(sim, group, refs), nil
 }
 
 // AsyncApply folds the staleness-weighted classifier (and optionally full
@@ -343,108 +366,20 @@ func (f *FedClassAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 	return nil
 }
 
-// LocalUpdate runs the client's local epochs with the paper's composite
-// objective. Exported so ablation and analysis code can drive single
-// clients directly.
+// LocalUpdate trains one client alone against the global classifier. Its
+// only caller is benchmark/probe.go; it retires with the one algorithm
+// surface.
 func (f *FedClassAvg) LocalUpdate(c *fl.Client, batchSize int) {
-	f.localUpdate(c, batchSize, f.globalClassifier)
-}
-
-// localUpdate is LocalUpdate against an explicit global-classifier
-// reference (the client's dispatch snapshot under async schedulers).
-func (f *FedClassAvg) localUpdate(c *fl.Client, batchSize int, globalC []float64) {
-	for e := 0; e < f.Opts.LocalEpochs; e++ {
-		for _, batch := range data.Batches(c.Train, batchSize, c.Rng) {
-			f.step(c, batch, globalC)
-		}
-	}
-}
-
-// step performs one mini-batch update.
-func (f *FedClassAvg) step(c *fl.Client, batch []data.Example, globalC []float64) {
-	n := len(batch)
-	ch, h, w := c.InputGeometry()
-	dim := ch * h * w
-	dt := c.DType()
-	labels := make([]int, n)
-	// The input batch and the feature-gradient accumulator are pooled (in
-	// the model dtype): both are fully consumed by the extractor's backward
-	// pass, so they return to the pool at the end of the step. Augmented
-	// views arrive as float64 bookkeeping and narrow while packing.
-	var x *tensor.Tensor
-	if f.Opts.UseContrastive {
-		// Stack both augmented views: rows [0,n) = x', rows [n,2n) = x''.
-		x = tensor.GetTensorOf(dt, 2*n, ch, h, w)
-		for i, ex := range batch {
-			v1, v2 := c.Aug.TwoViews(ex.X, c.Rng)
-			x.WriteFloat64sAt(i*dim, v1)
-			x.WriteFloat64sAt((n+i)*dim, v2)
-			labels[i] = ex.Y
-		}
-	} else {
-		x = tensor.GetTensorOf(dt, n, ch, h, w)
-		for i, ex := range batch {
-			x.WriteFloat64sAt(i*dim, c.Aug.Apply(ex.X, c.Rng))
-			labels[i] = ex.Y
-		}
-	}
-	feats := c.Model.Extractor.Forward(x, true)
-	// Cross-entropy on view one.
-	view1 := feats.SliceRows(0, n)
-	logits := c.Model.Classifier.Forward(view1, true)
-	_, dlogits := loss.CrossEntropy(logits, labels)
-	dview1 := c.Model.Classifier.Backward(dlogits)
-	dfeats := tensor.GetTensorOf(dt, feats.Rows(), feats.Cols())
-	tensor.CopySegment(dfeats, 0, dview1, 0, n*feats.Cols())
-	if f.Opts.UseContrastive {
-		_, dcl := loss.SupCon(feats, labels, loss.SupConOptions{Temperature: f.Opts.Tau})
-		dfeats.AddInPlace(dcl)
-	}
-	c.Model.Extractor.Backward(dfeats)
-	tensor.PutTensor(dfeats)
-	tensor.PutTensor(x)
-	if f.Opts.UseProximal && globalC != nil {
-		loss.Proximal(c.Model.ClassifierParams(), globalC, f.Opts.Rho)
-	}
-	params := c.Model.Params()
-	c.Optimizer.Step(params)
-	nn.ZeroGrads(params)
+	f.train([]*fl.Client{c}, batchSize, [][]float64{f.globalClassifier})
 }
 
 // averageFlat computes the |D_k|-weighted average of the selected clients'
 // chosen parameter subsets, flattened.
 func (f *FedClassAvg) averageFlat(sim *fl.Simulation, ids []int, pick func(*fl.Client) []*nn.Param) []float64 {
-	flats := make([][]float64, len(ids))
-	for i, id := range ids {
-		flats[i] = nn.FlattenParams(pick(sim.Client(id)))
-	}
-	return weightedFlatAverage(sim, ids, flats)
-}
-
-// weightedFlatAverage folds pre-flattened (and wire-quantized) uploads with
-// the same |D_k| weighting as averageFlat.
-func weightedFlatAverage(sim *fl.Simulation, ids []int, flats [][]float64) []float64 {
-	var total float64
-	for _, id := range ids {
-		total += float64(len(sim.Client(id).Train))
-	}
-	if total == 0 {
-		total = float64(len(ids))
-	}
-	var out []float64
+	us := make([]*fl.Update, len(ids))
 	for i, id := range ids {
 		c := sim.Client(id)
-		wgt := float64(len(c.Train)) / total
-		if len(c.Train) == 0 {
-			wgt = 1 / total
-		}
-		flat := flats[i]
-		if out == nil {
-			out = make([]float64, len(flat))
-		}
-		for j, v := range flat {
-			out[j] += wgt * v
-		}
+		us[i] = &fl.Update{Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{nn.FlattenParams(pick(c))}}
 	}
-	return out
+	return fl.WeightedAverage(us, 0)
 }

@@ -55,17 +55,15 @@ func (f *FedClassAvg) WireSetup(joins []fl.WireJoin, shards int) error {
 	if f.Opts.ShareAllWeights {
 		want = ref.NumParams
 	}
-	sizes := make([]int, len(joins))
-	flats := make([][]float64, len(joins))
+	inits := make([]*fl.Update, len(joins))
 	for i, j := range joins {
 		if len(j.Init) != 1 || len(j.Init[0]) != want {
 			return fmt.Errorf("core: client %d joined with a malformed init payload", j.ID)
 		}
-		sizes[i] = j.TrainSize
-		flats[i] = j.Init[0]
+		inits[i] = &fl.Update{Client: j.ID, Scale: fl.DataScale(j.TrainSize), Vecs: j.Init}
 	}
 	if f.Opts.ShareAllWeights {
-		f.globalAll = wireWeightedAverage(sizes, flats)
+		f.globalAll = fl.WeightedAverage(inits, 0)
 		nC := ref.NumClassifier
 		if nC <= 0 || nC > len(f.globalAll) {
 			return fmt.Errorf("core: client 0 declared %d classifier weights of %d total", nC, len(f.globalAll))
@@ -73,7 +71,7 @@ func (f *FedClassAvg) WireSetup(joins []fl.WireJoin, shards int) error {
 		f.globalClassifier = append([]float64(nil), f.globalAll[len(f.globalAll)-nC:]...)
 		f.accAll = fl.NewSharded(len(f.globalAll), shards)
 	} else {
-		f.globalClassifier = wireWeightedAverage(sizes, flats)
+		f.globalClassifier = fl.WeightedAverage(inits, 0)
 	}
 	f.accC = fl.NewSharded(len(f.globalClassifier), shards)
 	f.mix = 1
@@ -109,8 +107,8 @@ func (f *FedClassAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float6
 		}
 		ref = dispatch[0]
 	}
-	f.localUpdate(c, batchSize, ref)
-	u := &fl.Update{Client: c.ID, Scale: fl.DataScale(c)}
+	f.train([]*fl.Client{c}, batchSize, [][]float64{ref})
+	u := &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train))}
 	if f.Opts.ShareAllWeights {
 		u.Vecs = [][]float64{c.FlatUpload(c.Model.Params())}
 	} else {
@@ -149,31 +147,4 @@ func (f *FedClassAvg) WireCommit() error {
 		f.accAll.CommitInto(f.globalAll, f.mix, nil)
 	}
 	return nil
-}
-
-// wireWeightedAverage is weightedFlatAverage fed by join-time sizes
-// instead of a live simulation: weight |D_k|/|D|, empty clients weighted
-// 1/|D| so their payload still counts.
-func wireWeightedAverage(sizes []int, flats [][]float64) []float64 {
-	var total float64
-	for _, s := range sizes {
-		total += float64(s)
-	}
-	if total == 0 {
-		total = float64(len(sizes))
-	}
-	var out []float64
-	for i, flat := range flats {
-		wgt := float64(sizes[i]) / total
-		if sizes[i] == 0 {
-			wgt = 1 / total
-		}
-		if out == nil {
-			out = make([]float64, len(flat))
-		}
-		for j, v := range flat {
-			out[j] += wgt * v
-		}
-	}
-	return out
 }

@@ -33,10 +33,10 @@ import (
 // honest way to measure straggler effects on a host with any core count.
 // Local training still executes eagerly and concurrently on the shared
 // tensor worker pool; only the *ordering* of server-side state transitions
-// follows the virtual clock, and every AsyncLocal consumes nothing but its
-// dispatch-time snapshot. The engine is therefore deterministic for a fixed
-// seed and cost vector regardless of real goroutine scheduling, while
-// wall-clock time still scales with cores.
+// follows the virtual clock, and every AsyncLocalGroup consumes nothing but
+// its clients' dispatch-time snapshots. The engine is therefore
+// deterministic for a fixed seed and cost vector regardless of real
+// goroutine scheduling, while wall-clock time still scales with cores.
 
 // SchedulerKind selects the federation schedule.
 type SchedulerKind int
@@ -242,13 +242,35 @@ type Update struct {
 	UpBytes int64
 }
 
-// DataScale is the |D_k| aggregation weight algorithms attach to a
-// client's update (1 for an empty client so its update still counts).
-func DataScale(c *Client) float64 {
-	if len(c.Train) == 0 {
+// DataScale is the |D_k| aggregation weight of a client with trainSize
+// examples, which algorithms attach to its update: 1 for an empty client, so
+// its update still counts.
+func DataScale(trainSize int) float64 {
+	if trainSize == 0 {
 		return 1
 	}
-	return float64(len(c.Train))
+	return float64(trainSize)
+}
+
+// WeightedAverage is the sync rounds' |D_k| average of the updates' vec-th
+// vectors: Σ_k (Scale_k/Σ Scale)·Vecs_k[vec], folded in update order, with
+// Scale the clients' DataScale weights.
+func WeightedAverage(us []*Update, vec int) []float64 {
+	var total float64
+	for _, u := range us {
+		total += u.Scale
+	}
+	var out []float64
+	for _, u := range us {
+		w := u.Scale / total
+		if out == nil {
+			out = make([]float64, len(u.Vecs[vec]))
+		}
+		for j, x := range u.Vecs[vec] {
+			out[j] += w * x
+		}
+	}
+	return out
 }
 
 // AsyncAlgorithm is implemented by algorithms that can run under the async
@@ -262,11 +284,13 @@ type AsyncAlgorithm interface {
 	// broadcast half of a round). Runs on the engine goroutine, strictly
 	// ordered with commits, so the snapshot is consistent.
 	AsyncDispatch(sim *Simulation, client int) error
-	// AsyncLocal runs the client's local training and returns its non-nil
-	// update. Runs concurrently with other clients (and with server-side
-	// applies and commits) on the shared worker pool: it must touch only
-	// client-local state and the snapshot taken by AsyncDispatch.
-	AsyncLocal(sim *Simulation, client int) (*Update, error)
+	// AsyncLocalGroup runs the local training of clients dispatched in one
+	// refill that share a model configuration — one GroupCohort group, often
+	// a single client — and returns one non-nil update per client, in order.
+	// Runs concurrently with other groups (and with server-side applies and
+	// commits) on the shared worker pool: it must touch only the clients'
+	// local state and the snapshots taken by AsyncDispatch.
+	AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error)
 	// AsyncApply folds one staleness-weighted update into the server's
 	// sharded accumulators (u.Weight is final). Engine goroutine.
 	AsyncApply(sim *Simulation, u *Update) error
@@ -548,9 +572,6 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 		e.idle[i] = true
 	}
 	e.ready.rebuild(e.idle, e.away, e.now)
-	if ga, ok := algo.(GroupLocalAlgorithm); ok && ga.GroupLocal() && CohortGrouping() {
-		e.groupAlgo = ga
-	}
 	defer e.quiesce() // never leave a pool worker running on any exit path
 
 	if sched.Resume != nil {
@@ -686,13 +707,10 @@ type Engine struct {
 	// Workers serializes on the virtual cluster exactly like runSync's
 	// makespan packing.
 	nodeFree []float64
-	// groupAlgo, when non-nil, batches same-configuration clients'
-	// AsyncLocal calls into lockstep group tasks (cohort grouping). pending
-	// buffers the clients dispatched in the current refill until
+	// pending buffers the clients dispatched in the current refill until
 	// launchPending partitions and launches them; it is always drained
 	// before the engine blocks or snapshots.
-	groupAlgo GroupLocalAlgorithm
-	pending   []int
+	pending []int
 }
 
 // pinned is the eviction guard: it reports whether id's flight is still in
@@ -800,10 +818,10 @@ func (e *Engine) dispatchCohort(n int) {
 	}
 }
 
-// dispatch snapshots server state down to the client and launches its local
-// update as a persistent-pool task. The result is delivered through the
-// buffered event queue and consumed when the update's virtual completion
-// time is reached.
+// dispatch snapshots server state down to the client and queues its local
+// update for the refill's launch (launchPending). The result is delivered
+// through the buffered event queue and consumed when the update's virtual
+// completion time is reached.
 func (e *Engine) dispatch(id int) {
 	e.idle[id] = false
 	e.ready.add(id, -1)
@@ -827,46 +845,24 @@ func (e *Engine) dispatch(id int) {
 		ft.res = &asyncResult{client: id, err: err}
 		return
 	}
-	if e.groupAlgo != nil {
-		// Deferred launch: the client joins the current refill's pending
-		// set and starts training when launchPending partitions it.
-		e.pending = append(e.pending, id)
-		return
-	}
-	e.spawnLocal(id)
-}
-
-// spawnLocal launches one client's solo local update on the worker pool.
-func (e *Engine) spawnLocal(id int) {
-	sim, algo, queue := e.sim, e.algo, e.queue
-	tensor.Spawn(func() {
-		u, err := algo.AsyncLocal(sim, id)
-		if err == nil && u == nil {
-			err = fmt.Errorf("AsyncLocal returned a nil update")
-		}
-		queue <- asyncResult{client: id, u: u, err: err}
-	})
+	e.pending = append(e.pending, id)
 }
 
 // launchPending partitions the clients dispatched since the last launch into
-// same-configuration groups and starts one lockstep task per group (solo
-// tasks for singletons). A failing group task pushes a result for every
-// member, so the engine's virtual-time resolution never deadlocks.
+// same-configuration groups and starts one AsyncLocalGroup task per group. A
+// failing group task pushes a result for every member, so the engine's
+// virtual-time resolution never deadlocks.
 func (e *Engine) launchPending() {
-	if e.groupAlgo == nil || len(e.pending) == 0 {
-		return
-	}
 	ids := e.pending
 	e.pending = nil
-	for _, grp := range GroupCohort(e.sim, ids) {
-		if len(grp) == 1 {
-			e.spawnLocal(grp[0])
-			continue
+	for _, pos := range GroupCohort(e.sim, ids) {
+		grp := make([]int, len(pos))
+		for i, p := range pos {
+			grp[i] = ids[p]
 		}
-		grp := grp
-		sim, ga, queue := e.sim, e.groupAlgo, e.queue
+		sim, algo, queue := e.sim, e.algo, e.queue
 		tensor.Spawn(func() {
-			us, err := ga.AsyncLocalGroup(sim, grp)
+			us, err := algo.AsyncLocalGroup(sim, grp)
 			if err == nil && len(us) != len(grp) {
 				err = fmt.Errorf("AsyncLocalGroup returned %d updates for %d clients", len(us), len(grp))
 			}

@@ -25,8 +25,12 @@ func (s *stubAsync) Round(sim *Simulation, round int, participants []int) error 
 }
 func (s *stubAsync) AsyncSetup(sim *Simulation, sched *SchedulerConfig) error { return nil }
 func (s *stubAsync) AsyncDispatch(sim *Simulation, client int) error          { return nil }
-func (s *stubAsync) AsyncLocal(sim *Simulation, client int) (*Update, error) {
-	return &Update{Client: client, Scale: 1, Vecs: [][]float64{{1}}}, nil
+func (s *stubAsync) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error) {
+	us := make([]*Update, len(clients))
+	for i, id := range clients {
+		us[i] = &Update{Client: id, Scale: 1, Vecs: [][]float64{{1}}}
+	}
+	return us, nil
 }
 func (s *stubAsync) AsyncApply(sim *Simulation, u *Update) error {
 	s.applied++

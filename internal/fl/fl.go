@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/loss"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -68,20 +67,34 @@ func (c *Client) DType() tensor.DType {
 	return c.Model.DType()
 }
 
-// AugmentedBatch packs a batch into a model-dtype tensor, applying one
-// augmentation per example when the client has an augmenter. Augmentation
-// itself runs in float64 bookkeeping (it is per-pixel arithmetic on the
-// stored examples); the batch narrows once, here, at the model boundary.
+// AugmentedBatch packs a batch into a new model-dtype tensor, applying one
+// augmentation per example when the client has an augmenter.
 func (c *Client) AugmentedBatch(b []data.Example) (x *tensor.Tensor, y []int) {
 	ch, h, w := c.InputGeometry()
-	if c.Aug == nil {
-		return data.BatchTensorOf(c.DType(), b, ch, h, w)
-	}
-	aug := make([]data.Example, len(b))
+	x, y = tensor.NewOf(c.DType(), len(b), ch, h, w), make([]int, len(b))
+	c.packViews(x, b, 1, y)
+	return x, y
+}
+
+// packViews writes the given number of augmented views of each example of b
+// into x — view v of example i at row v·len(b)+i — and the labels into y.
+// Each example draws its views from the client's Rng in order; without an
+// augmenter every view is the example itself. Augmentation runs in float64 bookkeeping (it
+// is per-pixel arithmetic on the stored examples); the batch narrows once,
+// here, at the model boundary.
+func (c *Client) packViews(x *tensor.Tensor, b []data.Example, views int, y []int) {
+	ch, h, w := c.InputGeometry()
+	dim := ch * h * w
 	for i, ex := range b {
-		aug[i] = data.Example{X: c.Aug.Apply(ex.X, c.Rng), Y: ex.Y}
+		for v := 0; v < views; v++ {
+			view := ex.X
+			if c.Aug != nil {
+				view = c.Aug.Apply(ex.X, c.Rng)
+			}
+			x.WriteFloat64sAt((v*len(b)+i)*dim, view)
+		}
+		y[i] = ex.Y
 	}
-	return data.BatchTensorOf(c.DType(), aug, ch, h, w)
 }
 
 // EvalAccuracy computes test accuracy with the model in evaluation mode,
@@ -109,30 +122,10 @@ func (c *Client) EvalAccuracy() float64 {
 	return float64(correct) / float64(len(c.Test))
 }
 
-// TrainEpochCE trains one epoch with plain cross-entropy (the local-only
-// baseline and the post-aggregation update of weight-sharing methods),
-// returning the average loss. Inputs pass through the client's augmenter so
-// every method trains on the same augmented distribution.
+// TrainEpochCE trains the client alone for one plain cross-entropy epoch
+// (TrainEpochs with the zero Objective) and returns its average loss.
 func (c *Client) TrainEpochCE(batchSize int) float64 {
-	params := c.Model.Params()
-	batches := data.Batches(c.Train, batchSize, c.Rng)
-	var total float64
-	var count int
-	for _, b := range batches {
-		x, y := c.AugmentedBatch(b)
-		_, logits := c.Model.Forward(x, true)
-		l, dlogits := loss.CrossEntropy(logits, y)
-		total += l
-		count++
-		dfeat := c.Model.Classifier.Backward(dlogits)
-		c.Model.Extractor.Backward(dfeat)
-		c.Optimizer.Step(params)
-		nn.ZeroGrads(params)
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
+	return TrainEpochs([]*Client{c}, batchSize, 1, Objective{})[0]
 }
 
 // Config controls a Simulation run.
@@ -350,7 +343,7 @@ func (s *Simulation) Run(algo Algorithm) ([]RoundMetrics, error) {
 // quantization, top-k sparsification and delta residuals affect aggregation
 // exactly as the wire would, and the booked bytes are exactly the frame the
 // wire would carry. It returns v for chaining. Safe to call from parallel
-// client loops in sync rounds; AsyncLocal implementations must use
+// client loops in sync rounds; AsyncLocalGroup implementations must use
 // QuantizeUplink plus Update.UpBytes instead, so the engine books the bytes
 // at virtual delivery time.
 func (s *Simulation) Uplink(client int, v []float64) []float64 {

@@ -208,6 +208,40 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// WeightedAverage weights each update by its DataScale: |D_k| for a client
+// with data, 1 for an empty one. With every client holding data that is the
+// historical |D_k|/|D| average bit for bit; an empty client among full ones
+// counts as one example.
+func TestWeightedAverageDataScaleRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sizes := []int{7, 13, 1, 29}
+	var us []*Update
+	var total float64
+	for _, n := range sizes {
+		v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		us = append(us, &Update{Scale: DataScale(n), Vecs: [][]float64{v}})
+		total += float64(n)
+	}
+	want := make([]float64, 3)
+	for i, u := range us {
+		for j, x := range u.Vecs[0] {
+			want[j] += float64(sizes[i]) / total * x
+		}
+	}
+	for j, got := range WeightedAverage(us, 0) {
+		if math.Float64bits(got) != math.Float64bits(want[j]) {
+			t.Fatalf("element %d: %v, want the |D_k|/|D| average %v", j, got, want[j])
+		}
+	}
+	empty := []*Update{
+		{Scale: DataScale(3), Vecs: [][]float64{{4}}},
+		{Scale: DataScale(0), Vecs: [][]float64{{8}}},
+	}
+	if got := WeightedAverage(empty, 0)[0]; got != 3.0/4*4+1.0/4*8 {
+		t.Fatalf("an empty client among full ones averages to %v, want it weighted as one example (5)", got)
+	}
+}
+
 func TestAugmentedBatchWithoutAugmenter(t *testing.T) {
 	clients := testFleet(t, 1)
 	c := clients[0]

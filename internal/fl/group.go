@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"sync/atomic"
-
 	"repro/internal/data"
 	"repro/internal/loss"
 	"repro/internal/models"
@@ -10,53 +8,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// Cross-client cohort grouping (DESIGN.md §12): clients of a dispatched
-// cohort that share a model configuration — architecture, geometry and
-// dtype, i.e. the comparable models.Config — train in lockstep, with each
-// layer's per-client GEMMs lowered into one batched launch. Grouping is a
-// pure dispatch optimization: a grouped run is byte-identical to an
-// ungrouped one at every GOMAXPROCS (the grouping-invariance contract),
-// because the batched GEMM entry points preserve each product's standalone
-// shard plan and every client's private RNG stream is consumed in exactly
-// the order its solo epoch would consume it.
+// One local step (DESIGN.md §12): every method trains through TrainEpochs,
+// one epoch driver over a group of clients that share a model configuration
+// — architecture, geometry and dtype, i.e. the comparable models.Config —
+// and training one client is a group of one. A group trains in lockstep,
+// each layer's per-client GEMMs lowered into one batched launch. That is a
+// pure dispatch choice: a group step is byte-identical to stepping its
+// clients one after another at every GOMAXPROCS, because the batched GEMM
+// entry points keep each product's standalone shard plan and every client's
+// private RNG stream is consumed in exactly the order its solo epoch would
+// consume it.
 
-// cohortGrouping gates cross-client batched execution globally. On by
-// default; tests toggle it to prove grouping invariance.
-var cohortGrouping atomic.Bool
-
-func init() { cohortGrouping.Store(true) }
-
-// SetCohortGrouping enables or disables cross-client batched cohort
-// execution and returns the previous setting. Toggle only between runs.
-func SetCohortGrouping(on bool) bool { return cohortGrouping.Swap(on) }
-
-// CohortGrouping reports whether cohort grouping is enabled.
-func CohortGrouping() bool { return cohortGrouping.Load() }
-
-// GroupLocalAlgorithm is implemented by algorithms whose local updates for
-// same-configuration clients can run in lockstep as one batched task.
-type GroupLocalAlgorithm interface {
-	AsyncAlgorithm
-	// GroupLocal reports whether grouped local execution is valid for the
-	// algorithm's current settings (FedProx's proximal term, for example,
-	// opts out and trains per client).
-	GroupLocal() bool
-	// AsyncLocalGroup runs the local updates of a same-configuration cohort
-	// slice in lockstep and returns one non-nil update per client, in
-	// order. It has AsyncLocal's concurrency contract.
-	AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error)
-}
-
-// GroupCohort partitions a cohort's client ids by model configuration, in
-// first-seen order; ids within a group keep their cohort order. Clients
+// GroupCohort partitions a cohort by model configuration, in first-seen
+// order, returning each group as positions into ids in cohort order. Clients
 // without a model each form their own singleton group.
 func GroupCohort(sim *Simulation, ids []int) [][]int {
 	groups := make([][]int, 0, 4)
 	index := make(map[models.Config]int, 4)
-	for _, id := range ids {
+	for p, id := range ids {
 		c := sim.Client(id)
 		if c.Model == nil {
-			groups = append(groups, []int{id})
+			groups = append(groups, []int{p})
 			continue
 		}
 		gi, ok := index[c.Model.Cfg]
@@ -65,77 +37,187 @@ func GroupCohort(sim *Simulation, ids []int) [][]int {
 			index[c.Model.Cfg] = gi
 			groups = append(groups, nil)
 		}
-		groups[gi] = append(groups[gi], id)
+		groups[gi] = append(groups[gi], p)
 	}
 	return groups
 }
 
-// TrainEpochGroupCE trains one plain cross-entropy epoch for a group of
-// same-configuration clients in lockstep, returning each client's average
-// loss. Per client it is byte-identical to TrainEpochCE: every client's
-// batch schedule is drawn from its own RNG at epoch start, its batches are
-// visited in the same order, and its optimizer steps after each batch.
-// Clients with fewer batches simply drop out of later lockstep steps.
-func TrainEpochGroupCE(clients []*Client, batchSize int) []float64 {
-	losses := make([]float64, len(clients))
-	if len(clients) == 0 {
-		return losses
-	}
-	if len(clients) == 1 {
-		losses[0] = clients[0].TrainEpochCE(batchSize)
-		return losses
-	}
-	g := len(clients)
-	batches := make([][][]data.Example, g)
+// ParallelGroups runs f once per GroupCohort group of ids, the groups in
+// parallel on the worker pool: f receives the group's clients and their
+// positions in ids. It is how a sync round trains its participants.
+func ParallelGroups(sim *Simulation, ids []int, f func(group []*Client, pos []int)) {
+	groups := GroupCohort(sim, ids)
+	ParallelClients(len(groups), func(g int) {
+		group := make([]*Client, len(groups[g]))
+		for i, p := range groups[g] {
+			group[i] = sim.Client(ids[p])
+		}
+		f(group, groups[g])
+	})
+}
+
+// Objective is one method's local loss over a group, its per-client parts
+// indexed by the client's place k in the group. Every method's loss holds
+// the classifier's cross-entropy on view one, which the driver takes; a
+// method adds the rest through the head and the hook.
+type Objective struct {
+	// TwoViews feeds the extractor two augmented views of each batch, stacked
+	// as rows [0,n) and [n,2n); the classifier sees the first. Unset, the
+	// extractor sees one view.
+	TwoViews bool
+	// Head, when set, adds client k's feature-space loss gradient into
+	// dfeats, which arrives holding the classifier's gradient (zero on the
+	// view-two rows). feats are the extractor's outputs over every row,
+	// labels the batch's n labels.
+	Head func(k int, feats, dfeats *tensor.Tensor, labels []int)
+	// Hook, when set, adjusts client k's parameter gradients after the
+	// backward pass, before its optimizer steps.
+	Hook func(k int)
+}
+
+// TrainEpochs trains a group of same-configuration clients for the given
+// epochs under obj and returns each client's mean view-one cross-entropy
+// over the steps it took. At each epoch's start every client draws its batch
+// schedule from its own Rng, in group order. Each step, every client packs
+// its views in group order, and then the group runs the extractor forward,
+// the classifier forward on view one, the cross-entropy and head, the
+// classifier and extractor backward, the hook, and each client's optimizer
+// step. Clients with fewer batches drop out of later steps. A step of two or
+// more clients runs the nn batched entry points, a step of one the plain
+// layer methods.
+func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float64 {
+	g := len(group)
+	losses := make([]float64, g)
+	taken := make([]int, g)
 	params := make([][]*nn.Param, g)
-	counts := make([]int, g)
-	steps := 0
-	for i, c := range clients {
-		batches[i] = data.Batches(c.Train, batchSize, c.Rng)
-		params[i] = c.Model.Params()
-		if len(batches[i]) > steps {
-			steps = len(batches[i])
-		}
+	batches := make([][][]data.Example, g)
+	for k, c := range group {
+		params[k] = c.Model.Params()
 	}
-	active := make([]int, 0, g)
-	exts := make([]*nn.Sequential, 0, g)
-	clfs := make([]*nn.Dense, 0, g)
-	xs := make([]*tensor.Tensor, 0, g)
-	ys := make([][]int, 0, g)
-	dls := make([]*tensor.Tensor, 0, g)
-	for step := 0; step < steps; step++ {
-		active, exts, clfs, xs, ys = active[:0], exts[:0], clfs[:0], xs[:0], ys[:0]
-		for i, c := range clients {
-			if step >= len(batches[i]) {
-				continue
+	var st step
+	for e := 0; e < epochs; e++ {
+		steps := 0
+		for k, c := range group {
+			batches[k] = data.Batches(c.Train, batchSize, c.Rng)
+			steps = max(steps, len(batches[k]))
+		}
+		for s := 0; s < steps; s++ {
+			st.reset()
+			for k, c := range group {
+				if s < len(batches[k]) {
+					st.pack(k, c, batches[k][s], obj.TwoViews)
+				}
 			}
-			x, y := c.AugmentedBatch(batches[i][step])
-			active = append(active, i)
-			exts = append(exts, c.Model.Extractor)
-			clfs = append(clfs, c.Model.Classifier)
-			xs = append(xs, c.Model.CastInput(x))
-			ys = append(ys, y)
-		}
-		feats := nn.SequentialForwardBatch(exts, xs, true)
-		logits := nn.DenseForwardBatch(clfs, feats, true)
-		dls = dls[:0]
-		for j, i := range active {
-			l, dl := loss.CrossEntropy(logits[j], ys[j])
-			losses[i] += l
-			counts[i]++
-			dls = append(dls, dl)
-		}
-		dfeats := nn.DenseBackwardBatch(clfs, dls)
-		nn.SequentialBackwardBatch(exts, dfeats)
-		for _, i := range active {
-			clients[i].Optimizer.Step(params[i])
-			nn.ZeroGrads(params[i])
+			solo := len(st.k) == 1
+			if solo {
+				st.feats = append(st.feats[:0], st.exts[0].Forward(st.xs[0], true))
+			} else {
+				st.feats = nn.SequentialForwardBatch(st.exts, st.xs, true)
+			}
+			views := st.feats
+			if obj.TwoViews {
+				views = st.viewOne()
+			}
+			if solo {
+				st.logits = append(st.logits[:0], st.clfs[0].Forward(views[0], true))
+			} else {
+				st.logits = nn.DenseForwardBatch(st.clfs, views, true)
+			}
+			st.grads = st.grads[:0]
+			for j, k := range st.k {
+				l, dl := loss.CrossEntropy(st.logits[j], st.ys[j])
+				losses[k] += l
+				taken[k]++
+				st.grads = append(st.grads, dl)
+			}
+			if solo {
+				st.grads[0] = st.clfs[0].Backward(st.grads[0])
+			} else {
+				st.grads = nn.DenseBackwardBatch(st.clfs, st.grads)
+			}
+			for j, k := range st.k {
+				if obj.TwoViews {
+					// The view-one gradient widens to every row, zero below.
+					f, d := st.feats[j], st.grads[j]
+					st.grads[j] = tensor.GetTensorOf(f.DT, f.Rows(), f.Cols())
+					tensor.CopySegment(st.grads[j], 0, d, 0, d.Size())
+				}
+				if obj.Head != nil {
+					obj.Head(k, st.feats[j], st.grads[j], st.ys[j])
+				}
+			}
+			if solo {
+				st.exts[0].Backward(st.grads[0])
+			} else {
+				nn.SequentialBackwardBatch(st.exts, st.grads)
+			}
+			for j, k := range st.k {
+				if obj.TwoViews {
+					tensor.PutTensor(st.grads[j])
+				}
+				tensor.PutTensor(st.xs[j])
+				if obj.Hook != nil {
+					obj.Hook(k)
+				}
+				group[k].Optimizer.Step(params[k])
+				nn.ZeroGrads(params[k])
+			}
 		}
 	}
-	for i := range losses {
-		if counts[i] > 0 {
-			losses[i] /= float64(counts[i])
+	for k, n := range taken {
+		if n > 0 {
+			losses[k] /= float64(n)
 		}
 	}
 	return losses
+}
+
+// step holds one lockstep step's operands, one entry per client taking the
+// step; TrainEpochs reuses it across steps.
+type step struct {
+	k     []int // the clients' places in the group
+	exts  []*nn.Sequential
+	clfs  []*nn.Dense
+	xs    []*tensor.Tensor // pooled packed inputs
+	ys    [][]int
+	feats []*tensor.Tensor
+	// views are row headers over the view-one half of feats (TwoViews).
+	views  []*tensor.Tensor
+	logits []*tensor.Tensor
+	grads  []*tensor.Tensor
+}
+
+func (st *step) reset() {
+	st.k, st.exts, st.clfs, st.xs, st.ys = st.k[:0], st.exts[:0], st.clfs[:0], st.xs[:0], st.ys[:0]
+}
+
+// pack appends client c (place k) with its batch b packed into a pooled
+// model-dtype input.
+func (st *step) pack(k int, c *Client, b []data.Example, twoViews bool) {
+	views := 1
+	if twoViews {
+		views = 2
+	}
+	ch, h, w := c.InputGeometry()
+	x := tensor.GetTensorOf(c.DType(), views*len(b), ch, h, w)
+	y := make([]int, len(b))
+	c.packViews(x, b, views, y)
+	st.k = append(st.k, k)
+	st.exts = append(st.exts, c.Model.Extractor)
+	st.clfs = append(st.clfs, c.Model.Classifier)
+	st.xs = append(st.xs, x)
+	st.ys = append(st.ys, y)
+}
+
+// viewOne points one header per client at the view-one rows of its
+// features.
+func (st *step) viewOne() []*tensor.Tensor {
+	for len(st.views) < len(st.feats) {
+		st.views = append(st.views, &tensor.Tensor{})
+	}
+	for j, f := range st.feats {
+		n := len(st.ys[j])
+		tensor.ViewInto(st.views[j], f, 0, n*f.Cols(), n, f.Cols())
+	}
+	return st.views[:len(st.feats)]
 }

@@ -8,27 +8,17 @@ import (
 	"testing"
 )
 
-// groupStub makes dispatch buffer its clients instead of spawning their
-// local updates, so the scheduling decisions can be driven on their own.
-type groupStub struct{ stubAsync }
-
-func (g *groupStub) GroupLocal() bool { return true }
-func (g *groupStub) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error) {
-	return nil, nil
-}
-
 // dispatchEngine is an async engine over n bare clients with churn, ready to
-// take dispatch decisions; nothing it dispatches ever trains.
+// take dispatch decisions. Dispatch only buffers a client for the refill's
+// launch, and nothing here launches, so nothing it dispatches ever trains.
 func dispatchEngine(n, workers int) *Engine {
-	algo := &groupStub{}
 	e := &Engine{
-		sim:       NewSimulation(nil, Config{Seed: 5}),
-		algo:      algo,
-		groupAlgo: algo,
-		sched:     &SchedulerConfig{Kind: SchedAsyncBounded, Workers: workers, LeaveProb: 0.1, RejoinAfter: 2},
-		idle:      make([]bool, n),
-		away:      make([]float64, n),
-		nodeFree:  make([]float64, workers),
+		sim:      NewSimulation(nil, Config{Seed: 5}),
+		algo:     &stubAsync{},
+		sched:    &SchedulerConfig{Kind: SchedAsyncBounded, Workers: workers, LeaveProb: 0.1, RejoinAfter: 2},
+		idle:     make([]bool, n),
+		away:     make([]float64, n),
+		nodeFree: make([]float64, workers),
 	}
 	for i := range e.idle {
 		e.idle[i] = true

@@ -24,8 +24,8 @@ import (
 //     update. In-flight local training is quiesced first, so each flight is
 //     stored with its *computed* result; recomputation is never needed and
 //     the result equals what the uninterrupted run would have delivered,
-//     because AsyncLocal consumes only client-local state and its
-//     dispatch-time snapshot.
+//     because AsyncLocalGroup consumes only its clients' local state and
+//     dispatch-time snapshots.
 //   - The RNG streams: the simulation's sampling stream plus every
 //     client's private stream (augmentation, batch shuffling), captured
 //     through the serializable xrand sources.

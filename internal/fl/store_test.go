@@ -53,9 +53,13 @@ func (a *trainAlgo) Round(sim *Simulation, round int, participants []int) error 
 }
 func (a *trainAlgo) AsyncSetup(sim *Simulation, sched *SchedulerConfig) error { return nil }
 func (a *trainAlgo) AsyncDispatch(sim *Simulation, client int) error          { return nil }
-func (a *trainAlgo) AsyncLocal(sim *Simulation, client int) (*Update, error) {
-	sim.Client(client).TrainEpochCE(sim.Cfg.BatchSize)
-	return &Update{Client: client}, nil
+func (a *trainAlgo) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error) {
+	us := make([]*Update, len(clients))
+	for i, id := range clients {
+		sim.Client(id).TrainEpochCE(sim.Cfg.BatchSize)
+		us[i] = &Update{Client: id}
+	}
+	return us, nil
 }
 func (a *trainAlgo) AsyncApply(sim *Simulation, u *Update) error { return nil }
 func (a *trainAlgo) AsyncCommit(sim *Simulation) error           { return nil }
