@@ -67,8 +67,9 @@ import (
 // 2-level tree whose downstream peers are AggregatorNodes, each fronting a
 // contiguous range of the client-id space (TreeSplit). The root still
 // samples cohorts from the same RNG stream and still calls WireDispatch
-// once per cohort member — payloads travel batched per subtree — so the
-// model arithmetic is flat fan-in regrouped, not a different algorithm. A
+// once per cohort member — payloads travel batched per subtree, a shared
+// global as one copy — so the model arithmetic is flat fan-in regrouped,
+// not a different algorithm. A
 // dead aggregator churns its whole subtree after the reconnect window;
 // checkpoints remain root-only (and are currently mutually exclusive with
 // the tree, see Serve). See DESIGN.md §11.
@@ -290,8 +291,6 @@ type serverRun struct {
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
 	// an evaluation observes one consistent committed model.
 	holdback []*Update
-	// bcast is the flat root's shared dispatch frame (see dispatch).
-	bcast broadcastFrame
 
 	fatal error
 	done  bool
@@ -1028,7 +1027,9 @@ func (r *serverRun) openTreeRound() {
 
 // dispatchTree builds one subtree's batched broadcast: WireDispatch once
 // per member (the same calls flat mode makes, in the same ascending
-// order), shipped in a single frame the aggregator fans out.
+// order), shipped in a single frame the aggregator fans out — one copy for
+// the whole subtree when every member got the same vectors (treeDispatchMsg
+// decides), one per member otherwise.
 func (r *serverRun) dispatchTree(a int, members []int) {
 	payloads := make([][][]float64, len(members))
 	for i, id := range members {
@@ -1094,66 +1095,16 @@ func (r *serverRun) openSemiCohort() {
 	r.semiOpen = true
 }
 
-// broadcastFrame is the flat root's memory of its last dispatch: the vectors
-// WireDispatch returned (by identity, not content) and, once two successive
-// dispatches returned the same ones, their encoding at one version.
-type broadcastFrame struct {
-	last    [][]float64
-	frame   []byte
-	version uint64
-	valid   bool
-}
-
-// sameVecs reports whether two payloads are the same vectors — same backing
-// arrays, lengths and nil entries — not merely equal ones.
-func sameVecs(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) || (a[i] == nil) != (b[i] == nil) ||
-			len(a[i]) > 0 && &a[i][0] != &b[i][0] {
-			return false
-		}
-	}
-	return true
-}
-
 // dispatch sends one client its broadcast. An algorithm that broadcasts one
 // global (FedAvg, FedProx, FedClassAvg) returns the identical vectors to
-// every client, and a dispatch frame is dense and stateless (uploadKind
-// gates sparse and delta framing to msgUpdate), so its bytes are identical
-// by construction: from the second client on it is encoded once per
-// committed version and every session caches the same frame. A personalized
-// broadcast (KT-pFL's staged transfer, FedProto's table copy) never repeats
-// and is encoded into the session's own frame.
+// every client, so from the second client on the table encodes them once per
+// committed version; a personalized broadcast (KT-pFL's staged transfer,
+// FedProto's table copy) never repeats and gets the session's own frame.
 func (r *serverRun) dispatch(s *peerSession) {
 	vecs, err := r.algo.WireDispatch(s.id)
 	if err != nil {
 		r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), s.id, err)
 		return
 	}
-	version := uint64(r.version)
-	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs}
-	b := &r.bcast
-	shared := sameVecs(vecs, b.last)
-	b.last = append(b.last[:0], vecs...)
-	if !shared {
-		b.valid = false
-		r.pt.dispatchMsg(s, m)
-		return
-	}
-	if !b.valid || b.version != version {
-		// A straggler of an older version (async) may still owe an answer to
-		// the frame's bytes: they are then its to replay, and this version
-		// gets a buffer of its own.
-		buf := b.frame
-		if r.pt.owes(buf) {
-			buf = nil
-		}
-		b.frame = appendMsg(buf[:0], m, r.pt.wc)
-		b.version, b.valid = version, true
-	}
-	s.dispFrame = nil
-	r.pt.dispatch(s, version, b.frame)
+	r.pt.broadcast(uint64(r.version), vecs, s)
 }

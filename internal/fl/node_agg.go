@@ -18,7 +18,8 @@ import (
 // echoes heartbeats and re-dials with its session token exactly as a client
 // does. What is written here is only what an aggregator does that neither
 // of them does: relay the root's welcome to its children, fan a batched
-// dispatch out and answer it with either a pre-reduced aggregate
+// dispatch out (a shared payload as one cached frame, through the table's
+// broadcast) and answer it with either a pre-reduced aggregate
 // (ReducibleWireAlgorithm + ExactAccumulator, exact regrouping of flat
 // fan-in) or the children's raw updates bundled unreduced (the passthrough
 // for non-associative algorithms like KT-pFL), relay evaluations, and
@@ -159,7 +160,8 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
 	// One free list for both readers: the root's batched dispatch is re-encoded
 	// and released before the children's uploads come in, so the uploads
-	// decode into the very vectors the dispatch just vacated.
+	// decode into the vectors the dispatch just vacated and those the last
+	// round's uploads left behind.
 	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
 	defer g.pt.shutdown()
 	defer g.up.close()
@@ -242,7 +244,9 @@ func (g *aggRun) handleUp(m *wireMsg) {
 // handleTreeDispatch fans one batched broadcast out to the subtree. A
 // duplicate of the round being collected is already in hand; a duplicate
 // of a finished round means the root lost the answer — resend the cached
-// frame rather than retraining the subtree.
+// frame rather than retraining the subtree. Live members that share one
+// payload — every member, when the root sent the shared layout — go out as
+// one broadcast: one child frame, the same bytes to each.
 func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 	if g.pt.round.active() && m.a == g.version {
 		g.n.Stats.Ignored++
@@ -258,9 +262,8 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 		g.fatal = fmt.Errorf("fl: aggregator %d: %w", g.cfg.Index, err)
 		return
 	}
-	g.version = m.a
-	g.updates = make(map[int]*Update, len(ids))
-	g.pt.round.open()
+	live := make([]*peerSession, 0, len(ids))
+	vecs := make([][][]float64, 0, len(ids))
 	for i, id := range ids {
 		if id < g.lo || id >= g.hi {
 			g.fatal = fmt.Errorf("fl: aggregator %d: dispatch for client %d outside range [%d, %d)",
@@ -268,9 +271,22 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 			return
 		}
 		if s := g.pt.sessionByID(id); !s.churned {
-			g.pt.round.ids[id] = true
-			g.pt.dispatchMsg(s, &wireMsg{kind: msgDispatch, a: m.a, vecs: payloads[i]})
+			live, vecs = append(live, s), append(vecs, payloads[i])
 		}
+	}
+	g.version = m.a
+	g.updates = make(map[int]*Update, len(live))
+	g.pt.round.open()
+	for _, s := range live {
+		g.pt.round.ids[s.id] = true
+	}
+	for i := 0; i < len(live); {
+		j := i + 1
+		for j < len(live) && sameVecs(vecs[j], vecs[i]) {
+			j++
+		}
+		g.pt.broadcast(m.a, vecs[i], live[i:j]...)
+		i = j
 	}
 	g.pt.round.settle()
 }

@@ -7,7 +7,11 @@ package fl_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"sync/atomic"
@@ -22,8 +26,9 @@ import (
 )
 
 // runFlatAndTree runs the same federation flat and as a 2-aggregator tree
-// at the same seed and returns both histories.
-func runFlatAndTree(t *testing.T, method, fleet string, s experiments.Scale, aggs int) (flat, tree []fl.RoundMetrics) {
+// at the same seed and returns both histories. Options mutate both roots'
+// node configs.
+func runFlatAndTree(t *testing.T, method, fleet string, s experiments.Scale, aggs int, opts ...func(*fl.NodeConfig)) (flat, tree []fl.RoundMetrics) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -32,16 +37,45 @@ func runFlatAndTree(t *testing.T, method, fleet string, s experiments.Scale, agg
 		t.Fatal(err)
 	}
 	flat, err = experiments.RunNodes(ctx, method, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64},
-		transport.NewInproc(transport.Options{}), "flat")
+		transport.NewInproc(transport.Options{}), "flat", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree, err = experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
-		transport.NewInproc(transport.Options{}), "tree")
+		transport.NewInproc(transport.Options{}), "tree", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return flat, tree
+}
+
+// quietHeartbeat keeps liveness probes off the ledger: a run that finishes
+// inside one heartbeat interval books the same frames every time, so its
+// per-round byte counts can be compared exactly.
+func quietHeartbeat(cfg *fl.NodeConfig) { cfg.Heartbeat = time.Hour }
+
+// treeHistorySHA256 is one SHA-256 over every tree run of
+// TestTreeParityAllMethods — per evaluation point the round, the MeanAcc
+// bits, every PerClient bit pattern and the root's UpBytes — recorded at
+// 4abdf47, when the root still shipped one copy of the global per cohort
+// member. A tree change that flips one prediction or moves the root's
+// uplink by one byte moves it, where the 0.02 tolerance would not notice.
+// A wrong payload too close to the right one to flip a prediction (KT-pFL's
+// per-client transfers differ in the fourth digit at this scale) is
+// TestTreeFanOutDeliversEachPayload's to catch.
+const treeHistorySHA256 = "a04811a3f736821f3d94766df4d25508b68a10a097815dabfd20256a3c373fa0"
+
+// hashHistory folds one run's history into h.
+func hashHistory(h hash.Hash, hist []fl.RoundMetrics) {
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, m := range hist {
+		word(uint64(m.Round))
+		word(math.Float64bits(m.MeanAcc))
+		for _, acc := range m.PerClient {
+			word(math.Float64bits(acc))
+		}
+		word(uint64(m.UpBytes))
+	}
 }
 
 // TestTreeParityAllMethods is the tentpole's acceptance gate: for every
@@ -49,7 +83,8 @@ func runFlatAndTree(t *testing.T, method, fleet string, s experiments.Scale, agg
 // reproduce the flat federation's metrics at the same seed within the
 // repo-wide 0.02 parity tolerance, per round and per client. The
 // associative methods pre-reduce on the aggregators (exact regrouping via
-// the ExactAccumulator); KT-pFL passes its updates through unreduced.
+// the ExactAccumulator); KT-pFL passes its updates through unreduced. The
+// tree runs themselves are pinned bit for bit by treeHistorySHA256.
 func TestTreeParityAllMethods(t *testing.T) {
 	cases := []struct {
 		method string
@@ -61,11 +96,13 @@ func TestTreeParityAllMethods(t *testing.T) {
 		{experiments.MethodFedProto, "proto"},
 		{experiments.MethodKTpFL, "heterogeneous"},
 	}
+	h := sha256.New()
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.method, func(t *testing.T) {
 			s := nodeScale()
-			flat, tree := runFlatAndTree(t, tc.method, tc.fleet, s, 2)
+			flat, tree := runFlatAndTree(t, tc.method, tc.fleet, s, 2, quietHeartbeat)
+			hashHistory(h, tree)
 			if len(tree) != len(flat) {
 				t.Fatalf("tree run has %d evaluation points, flat run has %d", len(tree), len(flat))
 			}
@@ -85,6 +122,12 @@ func TestTreeParityAllMethods(t *testing.T) {
 				}
 			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != treeHistorySHA256 {
+		t.Errorf("tree histories hash to %s, pinned %s", got, treeHistorySHA256)
 	}
 }
 
@@ -129,6 +172,50 @@ func TestTreeRootUplinkShrinks(t *testing.T) {
 			t.Fatalf("round %d: tree root uplink %d bytes vs flat %d — reduction below the fan-in margin",
 				tree[i].Round, tree[i].UpBytes, flat[i].UpBytes)
 		}
+	}
+}
+
+// TestTreeRootDownlinkShrinks verifies the downlink half on the same fleet:
+// a method that broadcasts one global ships each aggregator one copy for its
+// whole subtree, so the root's steady-state downlink falls by ~the fan-in
+// (two frames of one payload against six). KT-pFL and FedProto build a
+// payload per client, and their per-member frames must not move a byte:
+// their per-round totals are pinned to literals recorded at 4abdf47.
+func TestTreeRootDownlinkShrinks(t *testing.T) {
+	s := nodeScale()
+	s.Clients = 6
+	for _, tc := range []struct {
+		method, fleet string
+		pinned        []int64 // root DownBytes per round; nil for a shared broadcast
+	}{
+		{experiments.MethodFedAvg, "homogeneous", nil},
+		{experiments.MethodFedProx, "homogeneous", nil},
+		{experiments.MethodProposed, "heterogeneous", nil},
+		{experiments.MethodKTpFL, "heterogeneous", []int64{604, 8174, 8174}},
+		{experiments.MethodFedProto, "proto", []int64{668, 9308, 9308}},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			flat, tree := runFlatAndTree(t, tc.method, tc.fleet, s, 2, quietHeartbeat)
+			if tc.pinned != nil {
+				got := make([]int64, len(tree))
+				for i, m := range tree {
+					got[i] = m.DownBytes
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.pinned) {
+					t.Fatalf("tree root downlink %v bytes per round, pinned %v", got, tc.pinned)
+				}
+				return
+			}
+			for i := 1; i < len(tree); i++ {
+				if tree[i].DownBytes <= 0 || flat[i].DownBytes <= 0 {
+					t.Fatalf("round %d: no downlink booked (tree %d, flat %d)", tree[i].Round, tree[i].DownBytes, flat[i].DownBytes)
+				}
+				if float64(tree[i].DownBytes) > 0.4*float64(flat[i].DownBytes) {
+					t.Fatalf("round %d: tree root downlink %d bytes vs flat %d — above 0.4× flat",
+						tree[i].Round, tree[i].DownBytes, flat[i].DownBytes)
+				}
+			}
+		})
 	}
 }
 

@@ -26,6 +26,10 @@ import (
 //     owed — its dispatch, its evaluation request, its stop;
 //   - inbound triage: generation check, orderly close after a stop-ack,
 //     heartbeats, a peer-reported failure;
+//   - the dispatch frames: a session's own, cached for replay, and one
+//     frame per version for a broadcast that reaches several sessions
+//     (broadcast) — the flat root's global and an aggregator's shared
+//     fan-out alike;
 //   - the two barriers (round, evaluation) that complete when the last
 //     awaited session answers or churns, and the busy/dispVersion dedup
 //     that decides which answer counts;
@@ -92,6 +96,8 @@ type PeerTable struct {
 	// session that has not acknowledged it.
 	stopping  bool
 	stopFrame []byte
+	// bcast is the table's memory of its last broadcast (see broadcast).
+	bcast broadcastFrame
 
 	events   chan inbound
 	conns    chan acceptedConn
@@ -612,6 +618,70 @@ func (pt *PeerTable) owes(frame []byte) bool {
 func (pt *PeerTable) dispatchMsg(s *peerSession, m *wireMsg) {
 	s.dispFrame = appendMsg(s.dispFrame[:0], m, pt.wc)
 	pt.dispatch(s, m.a, s.dispFrame)
+}
+
+// broadcastFrame is a table's memory of its last broadcast: the vectors it
+// carried (by identity, not content) and, once they reached more than one
+// session, their encoding at one version.
+type broadcastFrame struct {
+	last    [][]float64
+	frame   []byte
+	version uint64
+	valid   bool
+}
+
+// sameVecs reports whether two payloads are the same vectors — same backing
+// arrays, lengths and nil entries — not merely equal ones.
+func sameVecs(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || (a[i] == nil) != (b[i] == nil) ||
+			len(a[i]) > 0 && &a[i][0] != &b[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// broadcast dispatches vecs, stamped version, to every session in ss. Vectors
+// that reach more than one session — several at once (an aggregator fanning
+// out a shared tree dispatch), or the same vectors as the previous broadcast
+// (a root handing FedAvg's, FedProx's or FedClassAvg's global to one client
+// after another) — are encoded once per version into the table's frame, and
+// every session's cache points at it: a dispatch frame is dense and
+// stateless (uploadKind gates sparse and delta framing to msgUpdate), so its
+// bytes are the same for every session by construction. A broadcast for one
+// session that does not repeat the last (KT-pFL's staged transfer, FedProto's
+// table copy) is encoded into that session's own frame.
+func (pt *PeerTable) broadcast(version uint64, vecs [][]float64, ss ...*peerSession) {
+	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs}
+	b := &pt.bcast
+	same := sameVecs(vecs, b.last)
+	b.last = append(b.last[:0], vecs...)
+	if !same {
+		b.valid = false
+		if len(ss) == 1 {
+			pt.dispatchMsg(ss[0], m)
+			return
+		}
+	}
+	if !b.valid || b.version != version {
+		// A straggler of an older version (async) may still owe an answer to
+		// the frame's bytes: they are then its to replay, and this version
+		// gets a buffer of its own.
+		buf := b.frame
+		if pt.owes(buf) {
+			buf = nil
+		}
+		b.frame = appendMsg(buf[:0], m, pt.wc)
+		b.version, b.valid = version, true
+	}
+	for _, s := range ss {
+		s.dispFrame = nil
+		pt.dispatch(s, version, b.frame)
+	}
 }
 
 // answered deduplicates uploads: only the answer to the session's

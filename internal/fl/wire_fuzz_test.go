@@ -25,14 +25,18 @@ func corpusMsgs() []*wireMsg {
 		{kind: msgResume, a: 6, name: "welcome-back", ints: []int64{4, 10, 32, 1, int64(-0x7fff3f0011ffffff), 1000, 5000}},
 		{kind: msgStopAck},
 		// Tree-topology kinds: an aggregator joining on behalf of children
-		// [2, 4), a batched subtree dispatch, a pre-reduced aggregate with
-		// per-vector weights, and a passthrough bundle of raw updates.
+		// [2, 4), a batched subtree dispatch in both layouts (a payload per
+		// member, one payload shared by every member), a pre-reduced
+		// aggregate with per-vector weights, and a passthrough bundle of raw
+		// updates.
 		{kind: msgTreeJoin, a: 1, name: "FedAvg", ints: []int64{2, 4,
 			2, 1200, 64, 10, 5000, 650,
 			3, 900, 64, 10, 5000, 650},
 			counts: []int{1, 1}, vecs: [][]float64{{0.5, -0.25}, {1, 0}}},
 		{kind: msgTreeDispatch, a: 3, ints: []int64{2, 3}, counts: []int{2, 1},
 			vecs: [][]float64{{1, 2}, nil, {-0.125}}},
+		{kind: msgTreeDispatch, a: 3, b: treeShared, ints: []int64{2, 3, 5}, counts: []int{2},
+			vecs: [][]float64{{1, 2}, nil}},
 		{kind: msgAggUpdate, a: 3, b: f64bits(2.5),
 			ints:   []int64{2, int64(f64bits(1.5)), int64(f64bits(1))},
 			counts: []int{7, 2}, vecs: [][]float64{{0.5}, {0.25, -1}}},
@@ -45,7 +49,9 @@ func corpusMsgs() []*wireMsg {
 // FuzzDecodeMsg hardens the envelope decoder: arbitrary bytes must never
 // panic or over-allocate, and any frame that decodes must survive an
 // encode/decode round trip unchanged (no silent coercion of hostile
-// input into a different message).
+// input into a different message). A frame of a tree kind then goes through
+// that kind's own decoder, which must refuse what it cannot parse, not
+// panic on it.
 func FuzzDecodeMsg(f *testing.F) {
 	for _, m := range corpusMsgs() {
 		f.Add(encodeMsg(m, plainWire(comm.F64)))
@@ -75,6 +81,16 @@ func FuzzDecodeMsg(f *testing.F) {
 		m, err := decodeMsg(data)
 		if err != nil {
 			return
+		}
+		switch m.kind {
+		case msgTreeJoin:
+			decodeTreeJoin(m)
+		case msgTreeDispatch:
+			decodeTreeDispatch(m)
+		case msgAggUpdate:
+			decodeAggUpdate(m)
+		case msgTreeUpdate:
+			decodeTreeUpdate(m)
 		}
 		// A decoded message re-encodes canonically (f64 frames are exact)
 		// and decodes back to the same message.

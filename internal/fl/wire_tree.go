@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the hierarchical half of the wire protocol: the message
@@ -211,7 +212,7 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 			return fail("child %d carries id %d, want %d", i, joins[i].ID, lo+i)
 		}
 		n := m.counts[i]
-		if n < 0 || off+n > len(m.vecs) {
+		if n < 0 || n > len(m.vecs)-off {
 			return fail("init vectors overrun: child %d wants %d of %d", i, n, len(m.vecs)-off)
 		}
 		joins[i].Init = m.vecs[off : off+n]
@@ -223,44 +224,106 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	return agg, lo, hi, joins, nil
 }
 
+// treeShared marks (in the b slot) a tree dispatch whose members all get one
+// payload.
+const treeShared = 1
+
 // treeDispatchMsg is one round's batched broadcast for a subtree: the root
 // calls WireDispatch once per cohort member and ships the payloads to the
-// member's aggregator in one frame.
+// member's aggregator in one frame, in one of two layouts. When every
+// member's payload is the same vectors (sharedPayload) — a global broadcast,
+// FedAvg's, FedProx's, FedClassAvg's — the frame carries one copy:
 //
 //	a      = round version
+//	b      = treeShared
+//	ints   = cohort member ids (ascending)
+//	counts = [payload vector count]
+//	vecs   = the one payload every member gets
+//
+// Otherwise — KT-pFL's and FedProto's per-client payloads — it carries one
+// per member:
+//
+//	a      = round version
+//	b      = 0
 //	ints   = cohort member ids (ascending)
 //	counts = per-member payload vector count
 //	vecs   = the members' dispatch payloads, concatenated
 func treeDispatchMsg(version uint64, members []int, payloads [][][]float64) *wireMsg {
 	m := &wireMsg{kind: msgTreeDispatch, a: version}
-	for i, id := range members {
+	for _, id := range members {
 		m.ints = append(m.ints, int64(id))
-		m.counts = append(m.counts, len(payloads[i]))
-		m.vecs = append(m.vecs, payloads[i]...)
+	}
+	if sharedPayload(payloads) {
+		m.b, m.counts, m.vecs = treeShared, []int{len(payloads[0])}, payloads[0]
+		return m
+	}
+	for _, p := range payloads {
+		m.counts = append(m.counts, len(p))
+		m.vecs = append(m.vecs, p...)
 	}
 	return m
 }
 
+// sharedPayload reports whether a subtree's payloads are one payload sent
+// several times: more than one member, every payload the same vectors as the
+// first (sameVecs, the test the table's broadcast cache applies), and at
+// least one vector with elements to carry that identity. An empty payload or
+// a table of nil entries has none — a fresh per-client table of nils looks
+// exactly like a shared one — so it keeps the per-member layout.
+func sharedPayload(payloads [][][]float64) bool {
+	held := func(v []float64) bool { return len(v) > 0 }
+	if len(payloads) < 2 || !slices.ContainsFunc(payloads[0], held) {
+		return false
+	}
+	for _, p := range payloads[1:] {
+		if !sameVecs(p, payloads[0]) {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeTreeDispatch parses a batched broadcast back into per-member
-// payloads.
+// payloads; in the shared layout every member's is the same slice. Member
+// ids must be strictly ascending, as TreeSplit's contiguous ranges send
+// them: a repeated id would dispatch twice to one session.
 func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err error) {
-	if len(m.counts) != len(m.ints) {
-		return nil, nil, fmt.Errorf("fl: tree dispatch: %d members, %d payload counts", len(m.ints), len(m.counts))
+	fail := func(format string, args ...any) ([]int, [][][]float64, error) {
+		return nil, nil, fmt.Errorf("fl: tree dispatch: "+format, args...)
 	}
 	ids = make([]int, len(m.ints))
-	payloads = make([][][]float64, len(m.ints))
-	off := 0
 	for i, iv := range m.ints {
 		ids[i] = int(iv)
-		n := m.counts[i]
-		if n < 0 || off+n > len(m.vecs) {
-			return nil, nil, fmt.Errorf("fl: tree dispatch: payload vectors overrun at member %d", i)
+		if i > 0 && ids[i] <= ids[i-1] {
+			return fail("member id %d follows %d (want strictly ascending)", ids[i], ids[i-1])
 		}
-		payloads[i] = m.vecs[off : off+n]
-		off += n
 	}
-	if off != len(m.vecs) {
-		return nil, nil, fmt.Errorf("fl: tree dispatch: %d trailing vectors", len(m.vecs)-off)
+	payloads = make([][][]float64, len(ids))
+	switch m.b {
+	case treeShared:
+		if len(ids) == 0 || len(m.counts) != 1 || m.counts[0] != len(m.vecs) {
+			return fail("shared payload for %d members declares %v vectors, carries %d", len(ids), m.counts, len(m.vecs))
+		}
+		for i := range payloads {
+			payloads[i] = m.vecs
+		}
+	case 0:
+		if len(m.counts) != len(ids) {
+			return fail("%d members, %d payload counts", len(ids), len(m.counts))
+		}
+		off := 0
+		for i, n := range m.counts {
+			if n < 0 || n > len(m.vecs)-off {
+				return fail("payload vectors overrun at member %d", i)
+			}
+			payloads[i] = m.vecs[off : off+n]
+			off += n
+		}
+		if off != len(m.vecs) {
+			return fail("%d trailing vectors", len(m.vecs)-off)
+		}
+	default:
+		return fail("unknown layout %d", m.b)
 	}
 	return ids, payloads, nil
 }
@@ -342,10 +405,10 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 	for i := 0; i < len(m.ints); i += 4 {
 		scale := bitsF64(uint64(m.ints[i+1]))
 		nVecs, nCounts := int(m.ints[i+2]), int(m.ints[i+3])
-		if nVecs < 0 || vOff+nVecs > len(m.vecs) {
+		if nVecs < 0 || nVecs > len(m.vecs)-vOff {
 			return nil, fmt.Errorf("fl: tree update: vectors overrun at update %d", i/4)
 		}
-		if nCounts < 0 || cOff+nCounts > len(m.counts) {
+		if nCounts < 0 || nCounts > len(m.counts)-cOff {
 			return nil, fmt.Errorf("fl: tree update: counts overrun at update %d", i/4)
 		}
 		u := &Update{

@@ -1,8 +1,13 @@
 package fl
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/transport"
 )
 
 // VecReducer keeps one accumulator across rounds: a second reduction must
@@ -54,5 +59,189 @@ func TestVecReducer(t *testing.T) {
 				t.Fatalf("sum[%d] = %v, want %v", i, au.Vecs[0][i], v)
 			}
 		}
+	}
+}
+
+// The tree dispatch ships one copy of a payload every member shares and one
+// payload per member otherwise; both layouts survive the wire, and the
+// shared one decodes to the same slice for every member.
+func TestTreeDispatchLayouts(t *testing.T) {
+	global := [][]float64{{1, 2, 3}, nil}
+	fresh := func() [][]float64 { return [][]float64{{1, 2, 3}, nil} }
+	for _, tc := range []struct {
+		name     string
+		members  []int
+		payloads [][][]float64
+		shared   bool
+	}{
+		{"global", []int{2, 3, 5}, [][][]float64{global, global, global}, true},
+		{"per-client copies", []int{2, 3}, [][][]float64{fresh(), fresh()}, false},
+		{"one member", []int{4}, [][][]float64{global}, false},
+		{"nothing to send", []int{0, 1}, [][][]float64{nil, nil}, false},
+		{"nil table", []int{0, 1}, [][][]float64{make([][]float64, 3), make([][]float64, 3)}, false},
+		{"one differs", []int{0, 1, 2}, [][][]float64{global, global, fresh()}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := treeDispatchMsg(7, tc.members, tc.payloads)
+			if got := m.b == treeShared; got != tc.shared {
+				t.Fatalf("shared layout = %v, want %v", got, tc.shared)
+			}
+			dm, err := decodeMsg(encodeMsg(m, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, payloads, err := decodeTreeDispatch(dm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != len(tc.members) {
+				t.Fatalf("decoded %d members, want %d", len(ids), len(tc.members))
+			}
+			for i, id := range ids {
+				if id != tc.members[i] {
+					t.Fatalf("member %d: id %d, want %d", i, id, tc.members[i])
+				}
+				if len(payloads[i]) != len(tc.payloads[i]) {
+					t.Fatalf("member %d: %d vectors, want %d", i, len(payloads[i]), len(tc.payloads[i]))
+				}
+				for j, v := range tc.payloads[i] {
+					if got := payloads[i][j]; (got == nil) != (v == nil) || len(got) != len(v) || len(v) > 0 && got[0] != v[0] {
+						t.Fatalf("member %d vector %d: %v, want %v", i, j, got, v)
+					}
+				}
+				if tc.shared && !sameVecs(payloads[i], payloads[0]) {
+					t.Fatalf("member %d decoded its own copy of the shared payload", i)
+				}
+			}
+		})
+	}
+}
+
+// A hostile or corrupt tree dispatch is an error, never a panic and never a
+// member dispatched twice.
+func TestTreeDispatchRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *wireMsg
+		want string
+	}{
+		{"repeated id", &wireMsg{b: treeShared, ints: []int64{2, 2}, counts: []int{1}, vecs: [][]float64{{1}}}, "strictly ascending"},
+		{"descending ids", &wireMsg{ints: []int64{3, 2}, counts: []int{0, 0}}, "strictly ascending"},
+		{"unknown layout", &wireMsg{b: 2, ints: []int64{1}, counts: []int{0}}, "unknown layout"},
+		{"shared, no members", &wireMsg{b: treeShared, counts: []int{0}}, "shared payload"},
+		{"shared, two counts", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{1, 1}, vecs: [][]float64{{1}, {2}}}, "shared payload"},
+		{"shared, short", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{2}, vecs: [][]float64{{1}}}, "shared payload"},
+		{"count mismatch", &wireMsg{ints: []int64{1, 2}, counts: []int{1}}, "2 members, 1 payload counts"},
+		{"overflowing count", &wireMsg{ints: []int64{1, 2}, counts: []int{1, int(^uint(0) >> 1)}, vecs: [][]float64{{1}}}, "overrun"},
+		{"trailing", &wireMsg{ints: []int64{1}, counts: []int{0}, vecs: [][]float64{{1}}}, "trailing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.m.kind = msgTreeDispatch
+			if _, _, err := decodeTreeDispatch(tc.m); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decodeTreeDispatch error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// echoWire hands each client either one shared global or a payload of its
+// own, as the round's mode says, and each client uploads the dispatch it was
+// handed: the root's WireApply sees exactly what every client received.
+type echoWire struct {
+	stubWire
+	modes  []string // per round: "shared", "own", or "mixed" (even ids share)
+	commit int
+	sent   map[int][]float64 // this round's WireDispatch results, by client
+	bad    []string
+}
+
+func (a *echoWire) WireDispatch(id int) ([][]float64, error) {
+	v := a.global
+	if mode := a.modes[a.commit]; mode == "own" || mode == "mixed" && id%2 == 1 {
+		v = ramp(len(a.global), float64(1000*(id+1)+a.commit))
+	}
+	a.sent[id] = v
+	return [][]float64{v}, nil
+}
+
+func (a *echoWire) WireLocal(c *Client, _ int, dispatch [][]float64) (*Update, error) {
+	return &Update{Client: c.ID, Scale: 1, Vecs: [][]float64{append([]float64(nil), dispatch[0]...)}}, nil
+}
+
+func (a *echoWire) WireApply(u *Update) error {
+	if want := a.sent[u.Client]; len(u.Vecs) != 1 || bitsSum(u.Vecs[0]) != bitsSum(want) {
+		a.bad = append(a.bad, fmt.Sprintf("round %d client %d received another payload", a.commit+1, u.Client))
+	}
+	return nil
+}
+
+func (a *echoWire) WireCommit() error {
+	a.commit++
+	for i := range a.global {
+		a.global[i] = float64(a.commit) + float64(i)/8
+	}
+	return nil
+}
+
+// TestTreeFanOutDeliversEachPayload runs a two-aggregator tree whose rounds
+// alternate a shared global (one copy per subtree, one child frame), a
+// payload per client and a mix of the two: every client must be handed
+// exactly the vectors WireDispatch returned for it, in every round — the
+// aggregator's cached frame may never carry the previous round's global or
+// another member's payload.
+func TestTreeFanOutDeliversEachPayload(t *testing.T) {
+	// A stale frame is answered at the wrong version, which no barrier
+	// accepts: that failure is a hang, cut short here.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const clients, aggs = 6, 2
+	modes := []string{"shared", "own", "mixed", "shared", "shared"}
+	algo := &echoWire{stubWire: stubWire{global: ramp(512, 0)}, modes: modes, sent: map[int][]float64{}}
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, aggs+clients)
+	bounds := TreeSplit(clients, aggs)
+	for a := 0; a < aggs; a++ {
+		addr := fmt.Sprintf("agg%d", a)
+		ln, err := tr.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := NewAggregatorNode(algo, AggregatorConfig{Index: a, Aggregators: aggs, Clients: clients, Seed: int64(a),
+			Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
+				return transport.DialWithToken(ctx, tr, "root", token)
+			}})
+		go func() { errs <- agg.Run(ctx, ln) }()
+		for id := bounds[a]; id < bounds[a+1]; id++ {
+			conn, err := tr.Dial(ctx, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func(id int) { errs <- (&ClientNode{Client: &Client{ID: id}, Algo: algo}).Run(ctx, conn) }(id)
+		}
+	}
+	srv := NewServerNode(algo, NodeConfig{Clients: clients, Aggregators: aggs, Rounds: len(modes), Seed: 1, Heartbeat: time.Hour})
+	hist, err := srv.Serve(ctx, rootLn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < aggs+clients; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("node: %v", err)
+		}
+	}
+	if len(hist) != len(modes) {
+		t.Fatalf("%d rounds committed, want %d", len(hist), len(modes))
+	}
+	for _, b := range algo.bad {
+		t.Error(b)
+	}
+	// The layout shows in the root's downlink: a shared round ships one copy
+	// per subtree, the other rounds one per client.
+	if shared, own := hist[3].DownBytes, hist[1].DownBytes; 2*shared >= own {
+		t.Errorf("shared round booked %d bytes down, per-client round %d: not one copy per subtree", shared, own)
 	}
 }

@@ -129,7 +129,7 @@ func TestReadDeadline(t *testing.T) {
 	}
 }
 
-// helloBytes builds a raw FEDWIRE3 hello with the given field overrides,
+// helloBytes builds a raw hello with the given field overrides,
 // for the malformed-handshake table.
 func helloBytes(magic string, version, dtype, codec uint32, token uint64) []byte {
 	b := make([]byte, helloSize)
@@ -156,6 +156,9 @@ func TestTCPHandshakeHardeningAccept(t *testing.T) {
 		{"garbage", []byte("GET / HTTP/1.1\r\nHost: chaos\r\n\r\n...."), "magic"},
 		{"zeros", make([]byte, helloSize), "magic"},
 		{"old-magic", helloBytes("FEDWIRE2", Version, 0, 0, 0), "magic"},
+		// A v4 peer reads the shared tree dispatch as a malformed batch: it
+		// is refused at the hello, never admitted to misread one.
+		{"v4-peer", helloBytes("FEDWIRE4", 4, 0, 0, 0), "magic"},
 		{"bad-dtype", helloBytes(tcpMagic, Version, 99, 0, 0), "dtype"},
 		{"bad-codec", helloBytes(tcpMagic, Version, 0, 99, 0), "codec"},
 		{"oversized", append(helloBytes(tcpMagic, Version, 99, 0, 0), make([]byte, 4096)...), "dtype"},
@@ -203,6 +206,7 @@ func TestTCPHandshakeHardeningDial(t *testing.T) {
 		want string
 	}{
 		{"truncated", []byte("FEDWIRE3"), "truncated"},
+		{"v4-peer", helloBytes("FEDWIRE4", 4, 0, 0, 0), "magic"},
 		{"garbage", []byte("SSH-2.0-OpenSSH_9.6 go away now.....")[:helloSize], "magic"},
 		{"bad-dtype", helloBytes(tcpMagic, Version, 77, 0, 0), "dtype"},
 		{"bad-codec", helloBytes(tcpMagic, Version, 0, 77, 0), "codec"},

@@ -17,7 +17,7 @@ import (
 // The tcp transport: length-prefixed frames over real sockets. The wire
 // format per connection is
 //
-//	handshake  "FEDWIRE4" [version u32][dtype u32][spec u32][token u64]  (28 bytes, each way)
+//	handshake  "FEDWIRE5" [version u32][dtype u32][spec u32][token u64]  (28 bytes, each way)
 //	frame      [length u32][frame bytes]                                  (length-prefixed, little-endian)
 //
 // The dialer sends its hello first; the acceptor validates it, replies
@@ -33,7 +33,7 @@ import (
 
 // tcpMagic guards against pointing a node at an arbitrary TCP service
 // (and a stale node at a newer federation: the magic carries the generation).
-const tcpMagic = "FEDWIRE4"
+const tcpMagic = "FEDWIRE5"
 
 // helloSize is the fixed handshake size per direction.
 const helloSize = len(tcpMagic) + 12 + 8

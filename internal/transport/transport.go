@@ -60,7 +60,12 @@ var ErrDeadline = errors.New("deadline exceeded")
 // plain dense spec packs to the bare codec value, but a v3 peer would
 // truncate the packed word to its low byte and silently misread a sparse
 // negotiation — the bump turns that corruption into a clean rejection.
-const Version = 4
+// Version 5 added the shared layout of the batched tree dispatch (one
+// payload for every member of a subtree, marked in the envelope's b slot).
+// The hello layout is again unchanged, but a v4 aggregator ignores the mark
+// and would read the frame as a batch whose members have no payload counts —
+// so the magic moves to "FEDWIRE5" and a v4 peer is refused at the hello.
+const Version = 5
 
 // FrameOverhead is the per-frame wire overhead: the uint32 length prefix.
 // The inproc transport books the same arithmetic so byte accounting is
