@@ -554,8 +554,8 @@ func TestLazyFleetMemorySublinear(t *testing.T) {
 // lazyAsyncRunHeap runs the async lazy fleet (fixed size, cohort and resident
 // budget, with churn) for the given number of commits and returns the live
 // heap while the simulation is still reachable, with how many clients the
-// run touched.
-func lazyAsyncRunHeap(t *testing.T, commits int) (heap uint64, touched int) {
+// run touched and how many bytes the run allocated.
+func lazyAsyncRunHeap(t *testing.T, commits int) (heap uint64, touched int, alloc uint64) {
 	t.Helper()
 	const k, rate, resident = 2000, 0.002, 8
 	s := benchScale()
@@ -580,16 +580,20 @@ func lazyAsyncRunHeap(t *testing.T, commits int) (heap uint64, touched int) {
 		Rounds: commits, SampleRate: rate, BatchSize: s.BatchSize, Seed: s.Seed + 7, EvalEvery: commits,
 	})
 	sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, LeaveProb: 0.1, RejoinAfter: 2}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
 	if _, err := sim.RunScheduled(algo, sched); err != nil {
 		t.Fatal(err)
 	}
+	runtime.ReadMemStats(&ms)
+	alloc = ms.TotalAlloc - before
 	touched = len(seen)
 	seen = nil
 	runtime.GC()
-	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	runtime.KeepAlive(sim)
-	return ms.HeapAlloc, touched
+	return ms.HeapAlloc, touched, alloc
 }
 
 // TestLazyFleetMemoryFlatInCommits is the other half of the virtual-fleet
@@ -599,8 +603,8 @@ func lazyAsyncRunHeap(t *testing.T, commits int) (heap uint64, touched int) {
 // moments (~1 MB for this model), which are on disk once it is evicted.
 func TestLazyFleetMemoryFlatInCommits(t *testing.T) {
 	const commits = 12
-	short, touchedShort := lazyAsyncRunHeap(t, commits)
-	long, touchedLong := lazyAsyncRunHeap(t, 10*commits)
+	short, touchedShort, _ := lazyAsyncRunHeap(t, commits)
+	long, touchedLong, _ := lazyAsyncRunHeap(t, 10*commits)
 	newly := touchedLong - touchedShort
 	if newly < 4*touchedShort {
 		t.Fatalf("10× the commits touched %d → %d clients — the long run exercises nothing new", touchedShort, touchedLong)
@@ -610,5 +614,27 @@ func TestLazyFleetMemoryFlatInCommits(t *testing.T) {
 	if grow := int64(long) - int64(short); grow > int64(perClient*newly+slack) {
 		t.Fatalf("%d more touched clients grew the retained heap by %d bytes (%d → %d), over %d B each + %d",
 			newly, grow, short, long, perClient, slack)
+	}
+}
+
+// TestLazyRoundAllocBytes gates the bytes one commit of the async lazy fleet
+// allocates, fleet construction and setup excluded: the difference between
+// 10× and 1× the commits of lazyAsyncRunHeap, per extra commit. Each commit
+// builds or rehydrates clients, trains them and spills others. While every
+// model kept its layer workspaces for life, each of those builds allocated
+// them afresh: 4.55 MB a commit. With workspaces leased per pass from the
+// tensor pool it is 0.76 MB, nearly all of it the built clients' parameters,
+// gradients and optimizer moments.
+func TestLazyRoundAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
+	}
+	const commits, measuredMB = 12, 0.76
+	_, _, short := lazyAsyncRunHeap(t, commits)
+	_, _, long := lazyAsyncRunHeap(t, 10*commits)
+	perCommit := float64(long-short) / (9 * commits) / (1 << 20)
+	t.Logf("%.3f MB allocated per commit", perCommit)
+	if perCommit > 1.3*measuredMB {
+		t.Errorf("%.3f MB allocated per commit, want <= %.3f (1.3 × %.2f)", perCommit, 1.3*measuredMB, measuredMB)
 	}
 }

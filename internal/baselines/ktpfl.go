@@ -461,7 +461,8 @@ func (k *KTpFL) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 // the model dtype here, once, before the distillation loop. It is the one
 // training loop outside fl.TrainEpochs: its batch is the whole public set,
 // drawn from no client's batch schedule or Rng, and folding it in would make
-// the driver branch on where a batch comes from.
+// the driver branch on where a batch comes from. Like TrainEpochs it is one
+// pass, and it hands the model's workspaces back when it returns.
 func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 	params := c.Model.Params()
 	target = target.AsType(c.DType())
@@ -473,4 +474,5 @@ func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 		c.Optimizer.Step(params)
 		nn.ZeroGrads(params)
 	}
+	c.Model.ReleaseWorkspaces()
 }

@@ -98,27 +98,31 @@ func (c *Client) packViews(x *tensor.Tensor, b []data.Example, views int, y []in
 }
 
 // EvalAccuracy computes test accuracy with the model in evaluation mode,
-// batching the test set to bound memory.
+// batching the test set into pooled model-dtype tensors to bound memory. It
+// is one pass: on return the model's workspaces are back in the pool.
 func (c *Client) EvalAccuracy() float64 {
 	if len(c.Test) == 0 {
 		return 0
 	}
 	ch, h, w := c.InputGeometry()
+	dim := ch * h * w
 	const evalBatch = 64
 	correct := 0
 	for lo := 0; lo < len(c.Test); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > len(c.Test) {
-			hi = len(c.Test)
+		b := c.Test[lo:min(lo+evalBatch, len(c.Test))]
+		x := tensor.GetTensorOf(c.DType(), len(b), ch, h, w)
+		for i, ex := range b {
+			x.WriteFloat64sAt(i*dim, ex.X)
 		}
-		x, y := data.BatchTensorOf(c.DType(), c.Test[lo:hi], ch, h, w)
 		_, logits := c.Model.Forward(x, false)
-		for i := range y {
-			if logits.ArgMaxRow(i) == y[i] {
+		for i, ex := range b {
+			if logits.ArgMaxRow(i) == ex.Y {
 				correct++
 			}
 		}
+		tensor.PutTensor(x)
 	}
+	c.Model.ReleaseWorkspaces()
 	return float64(correct) / float64(len(c.Test))
 }
 

@@ -84,7 +84,8 @@ type Objective struct {
 // classifier and extractor backward, the hook, and each client's optimizer
 // step. Clients with fewer batches drop out of later steps. A step of two or
 // more clients runs the nn batched entry points, a step of one the plain
-// layer methods.
+// layer methods. The epochs are one pass: on return every client's layer
+// workspaces are back in the tensor pool.
 func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float64 {
 	g := len(group)
 	losses := make([]float64, g)
@@ -168,6 +169,9 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 		if n > 0 {
 			losses[k] /= float64(n)
 		}
+	}
+	for _, c := range group {
+		c.Model.ReleaseWorkspaces()
 	}
 	return losses
 }

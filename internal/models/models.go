@@ -106,10 +106,11 @@ type SplitModel struct {
 	Extractor  *nn.Sequential
 	Classifier *nn.Dense
 
-	// xcast is the cached model-dtype staging buffer for inputs arriving in
-	// a different dtype (dataset tensors are always float64 bookkeeping).
+	// xcast is the model-dtype staging buffer for inputs arriving in a
+	// different dtype (dataset tensors are always float64 bookkeeping).
 	// It is overwritten by the next cast, matching the layer buffer
 	// contract: an input is consumed by the forward/backward pair it feeds.
+	// Like the layer workspaces it is leased for one pass.
 	xcast *tensor.Tensor
 }
 
@@ -161,7 +162,7 @@ func (m *SplitModel) DType() tensor.DType { return m.Cfg.DType }
 
 // CastInput returns x in the model dtype, staging through a cached buffer
 // when a conversion is needed. The returned tensor is valid until the next
-// CastInput call on this model.
+// CastInput or ReleaseWorkspaces call on this model.
 func (m *SplitModel) CastInput(x *tensor.Tensor) *tensor.Tensor {
 	if x.DT == m.Cfg.DType {
 		return x
@@ -183,6 +184,21 @@ func (m *SplitModel) Forward(x *tensor.Tensor, train bool) (feats, logits *tenso
 	feats = m.Extractor.Forward(m.CastInput(x), train)
 	logits = m.Classifier.Forward(feats, train)
 	return feats, logits
+}
+
+// ReleaseWorkspaces ends a pass: the extractor's and the classifier's layer
+// workspaces and the input staging buffer go back to the tensor pool
+// (nn.Release), so a model between passes holds only its parameters,
+// gradients and running statistics. Every tensor Forward or Features
+// returned is invalid afterwards. The pass drivers — fl.TrainEpochs,
+// fl.Client.EvalAccuracy, KT-pFL's distillation — call it when they return;
+// any other Forward caller's buffers stay leased until the model's next
+// pass ends.
+func (m *SplitModel) ReleaseWorkspaces() {
+	nn.Release(m.Extractor)
+	nn.Release(m.Classifier)
+	tensor.PutTensor(m.xcast)
+	m.xcast = nil
 }
 
 // Params returns all trainable parameters (extractor then classifier).

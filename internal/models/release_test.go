@@ -1,0 +1,206 @@
+package models
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
+)
+
+var (
+	tensorPtr = reflect.TypeOf((*tensor.Tensor)(nil))
+	paramPtr  = reflect.TypeOf((*nn.Param)(nil))
+)
+
+// walkTensors calls visit for every *tensor.Tensor slot a model reaches
+// outside its parameters: struct fields and ring slots (leases, or
+// references into another layer's lease) with view false, and cached view
+// headers — elements of tensor slices and of the shape layers' view rings —
+// with view true. Reflection reaches every layer type, including ones added
+// later, so none can escape the checks below.
+func walkTensors(v reflect.Value, path string, view bool, visit func(path string, t reflect.Value, view bool)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		switch {
+		case v.Type() == tensorPtr:
+			visit(path, v, view)
+		case v.Type() == paramPtr || v.IsNil():
+		default:
+			walkTensors(v.Elem(), path, view, visit)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			walkTensors(v.Elem(), path, view, visit)
+		}
+	case reflect.Struct:
+		view = view || v.Type().Name() == "viewRing2"
+		for i := 0; i < v.NumField(); i++ {
+			walkTensors(v.Field(i), path+"."+v.Type().Field(i).Name, view, visit)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			el := v.Index(i)
+			walkTensors(el, fmt.Sprintf("%s[%d]", path, i), view || (v.Kind() == reflect.Slice && el.Type() == tensorPtr), visit)
+		}
+	}
+}
+
+// holdsStorage reports whether a *tensor.Tensor slot points at any storage.
+func holdsStorage(t reflect.Value) bool {
+	if t.IsNil() {
+		return false
+	}
+	e := t.Elem()
+	return !e.FieldByName("Data").IsNil() || !e.FieldByName("F32").IsNil()
+}
+
+// leaseShape is one buffer a model held: its dtype and shape.
+type leaseShape struct {
+	dt    tensor.DType
+	shape []int
+}
+
+// leases lists the buffers m holds in struct fields and ring slots.
+func leases(m *SplitModel) []leaseShape {
+	var out []leaseShape
+	walkTensors(reflect.ValueOf(m), "model", false, func(_ string, t reflect.Value, view bool) {
+		if view || t.IsNil() {
+			return
+		}
+		e := t.Elem()
+		ls := leaseShape{dt: tensor.DType(e.FieldByName("DT").Uint())}
+		sh := e.FieldByName("Shape")
+		for i := 0; i < sh.Len(); i++ {
+			ls.shape = append(ls.shape, int(sh.Index(i).Int()))
+		}
+		out = append(out, ls)
+	})
+	return out
+}
+
+// fillPool puts one tensor per listed buffer, filled with v, on top of its
+// bucket in the default pool: the next requests of those sizes get them.
+func fillPool(ls []leaseShape, v float64) {
+	ts := make([]*tensor.Tensor, len(ls))
+	for i, l := range ls {
+		ts[i] = tensor.GetTensorOf(l.dt, l.shape...)
+		ts[i].Fill(v)
+	}
+	for _, t := range ts {
+		tensor.PutTensor(t)
+	}
+}
+
+// releaseInput returns the fixed operands of the release tests: an input
+// batch and a gradient for the logits.
+func releaseInput(dt tensor.DType, classes int) (x, g *tensor.Tensor) {
+	rng := rand.New(rand.NewSource(11))
+	x = tensor.New(4, 1, 12, 12)
+	x.FillRandn(rng, 1)
+	g = tensor.NewOf(dt, 4, classes)
+	g.FillRandn(rng, 0.1)
+	return x, g
+}
+
+// trainStep runs one train-mode forward and backward and returns the
+// logits' and the gradients' bits.
+func trainStep(m *SplitModel, x, g *tensor.Tensor) (logits, grads []uint64) {
+	_, l := m.Forward(x, true)
+	m.Extractor.Backward(m.Classifier.Backward(g))
+	return bits(l.AppendFloat64s(nil)), bits(nn.FlattenGrads(m.Params()))
+}
+
+// evalLogits runs one eval-mode forward and returns the logits' bits.
+func evalLogits(m *SplitModel, x *tensor.Tensor) []uint64 {
+	_, l := m.Forward(x, false)
+	return bits(l.AppendFloat64s(nil))
+}
+
+func bits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, f := range v {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+// TestReleasedWorkspacesAreScratch guards the lease contract: pooled buffers
+// arrive dirty, so every layer must write each element before it reads it.
+// A probe pass records the buffers a model takes; the reference model then
+// runs on zero-filled buffers of those sizes (what a fresh allocation gives)
+// and the model under test on NaN-filled ones, through a train-mode step, a
+// release and an eval-mode forward. Any read of an unwritten element shows
+// as a NaN, or as any other bit difference.
+func TestReleasedWorkspacesAreScratch(t *testing.T) {
+	for _, a := range allArchs() {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			t.Run(fmt.Sprintf("%v/%v", a, dt), func(t *testing.T) {
+				cfg := cfgFor(a)
+				cfg.DType = dt
+				x, g := releaseInput(dt, cfg.NumClasses)
+
+				probe := New(cfg, xrand.New(21))
+				trainStep(probe, x, g)
+				ls := leases(probe)
+				probe.ReleaseWorkspaces()
+
+				run := func(fill float64) (logits, grads, eval []uint64) {
+					m := New(cfg, xrand.New(21))
+					fillPool(ls, fill)
+					logits, grads = trainStep(m, x, g)
+					m.ReleaseWorkspaces()
+					fillPool(ls, fill)
+					eval = evalLogits(m, x)
+					m.ReleaseWorkspaces()
+					return logits, grads, eval
+				}
+				wantL, wantG, wantE := run(0)
+				gotL, gotG, gotE := run(math.NaN())
+				if !slices.Equal(gotL, wantL) {
+					t.Error("train-mode logits differ on dirty buffers")
+				}
+				if !slices.Equal(gotG, wantG) {
+					t.Error("gradients differ on dirty buffers")
+				}
+				if !slices.Equal(gotE, wantE) {
+					t.Error("eval-mode logits differ on dirty buffers")
+				}
+			})
+		}
+	}
+}
+
+// TestReleaseCoversEveryLayer checks that ReleaseWorkspaces leaves nothing
+// behind: after a step, every tensor field and ring slot of every layer New
+// builds is nil, and every cached view header points at no storage, so no
+// layer can keep a buffer the pool has handed to another model.
+func TestReleaseCoversEveryLayer(t *testing.T) {
+	for _, a := range allArchs() {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			t.Run(fmt.Sprintf("%v/%v", a, dt), func(t *testing.T) {
+				cfg := cfgFor(a)
+				cfg.DType = dt
+				x, g := releaseInput(dt, cfg.NumClasses)
+				m := New(cfg, xrand.New(22))
+				trainStep(m, x, g)
+				if len(leases(m)) == 0 {
+					t.Fatal("the walk found no buffers after a step")
+				}
+				m.ReleaseWorkspaces()
+				walkTensors(reflect.ValueOf(m), "model", false, func(path string, tv reflect.Value, view bool) {
+					if !view && !tv.IsNil() {
+						t.Errorf("%s still holds a tensor after ReleaseWorkspaces", path)
+					} else if holdsStorage(tv) {
+						t.Errorf("view %s still points at storage after ReleaseWorkspaces", path)
+					}
+				})
+			})
+		}
+	}
+}

@@ -53,6 +53,12 @@ func reluBwd[F tensor.Float](dx, grad, y []F) {
 // Params returns nil; ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
+func (r *ReLU) release() {
+	r.out.release()
+	putBack(&r.dx)
+	r.y = nil
+}
+
 // Dropout zeroes activations with probability P during training and scales
 // survivors by 1/(1-P) (inverted dropout), so evaluation is the identity.
 // The mask stays float64 bookkeeping (one multiplier per element drawn from
@@ -131,3 +137,8 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
+
+func (d *Dropout) release() {
+	d.out.release()
+	putBack(&d.dx)
+}

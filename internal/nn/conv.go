@@ -14,10 +14,10 @@ import (
 // [groups·kernelElems, N·outH·outW] so the forward pass is a single GEMM per
 // group per batch rather than one tiny GEMM per sample.
 //
-// The layer keeps its im2col, GEMM and gradient workspaces across calls,
-// sized and typed to match the parameters' dtype; steady-state training
-// allocates nothing. See the package comment for the activation aliasing
-// contract.
+// The layer keeps its im2col, GEMM and gradient workspaces across the calls
+// of a pass, sized and typed to match the parameters' dtype; steady-state
+// training allocates nothing. See the package comment for the workspace
+// lease and the activation aliasing contract.
 type Conv2D struct {
 	InC, OutC    int
 	KH, KW       int
@@ -31,10 +31,10 @@ type Conv2D struct {
 	outCPerGroup int
 	kernelElems  int
 
-	// Reusable workspaces, sized on first use and whenever the input
-	// geometry changes. The backward-only workspaces (gmat, dcols, dx) are
-	// allocated lazily in Backward so evaluation-mode forwards never pay
-	// for them.
+	// Reusable workspaces, sized on first use in a pass and whenever the
+	// input geometry changes. The backward-only workspaces (gmat, dcols,
+	// dwt, dx) are taken lazily in Backward so evaluation-mode forwards
+	// never pay for them.
 	cols    *tensor.Tensor // [Groups·kernelElems, N·spatial] im2col matrix
 	gemmOut *tensor.Tensor // [outCPerGroup, N·spatial] per-group product
 	gmat    *tensor.Tensor // [OutC, N·spatial] gathered output gradient
@@ -270,6 +270,17 @@ func addTransposed[F tensor.Float](dst, src []F, m, n int) {
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
+
+// release also forgets the geometry, so the next Forward rebuilds the
+// workspaces and every group view.
+func (c *Conv2D) release() {
+	c.out.release()
+	putBack(&c.cols, &c.gemmOut, &c.gmat, &c.dcols, &c.dwt, &c.dx)
+	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.colsV, c.gmatV, c.dcolsV} {
+		dropViews(vs)
+	}
+	c.batch, c.bwdOK = 0, false
+}
 
 // im2col unrolls sample i of x into its column block of the batch im2col
 // matrix: cols[row, i·spatial + p] holds the receptive-field element `row`

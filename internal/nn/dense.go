@@ -8,9 +8,10 @@ import (
 )
 
 // Dense is a fully connected layer: y = x·W + b with x of shape [N, in].
-// Output and input-gradient buffers are reused across iterations; the weight
-// gradient accumulates directly into W.Grad, so a steady-state step
-// allocates nothing. All buffers follow the parameters' dtype.
+// Output and input-gradient buffers are reused across the iterations of a
+// pass; the weight gradient accumulates directly into W.Grad, so a
+// steady-state step allocates nothing. All buffers follow the parameters'
+// dtype.
 type Dense struct {
 	In, Out int
 	W, B    *Param
@@ -72,6 +73,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the weight and bias parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
+
+func (d *Dense) release() {
+	d.out.release()
+	putBack(&d.dx)
+	d.x = nil
+}
 
 func panicShape(op string, x *tensor.Tensor, want int) {
 	panic(fmt.Sprintf("%s: unexpected input shape %v (want trailing dim %d)", op, x.Shape, want))

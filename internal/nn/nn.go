@@ -9,12 +9,20 @@
 // instance must not be shared between concurrently training models. Every
 // client in the federated simulation owns its own model instance.
 //
-// Activation aliasing contract: layers own their output buffers and reuse
-// them across iterations (double-buffered), so steady-state training
-// performs no heap allocations. A tensor returned by Forward or Backward
-// stays valid until the same layer's corresponding method runs twice more;
-// callers that retain activations longer (for example to compare outputs
-// across several passes) must Clone them.
+// Workspaces are leased per pass. A layer takes its output, gradient and
+// scratch buffers from the tensor package's default pool on first use
+// (tensor.EnsureOf), reuses them across the iterations of a pass
+// (outputs double-buffered), and Release hands every one of them back when
+// the pass ends. A model between passes holds only its parameters,
+// gradients and running statistics, and steady-state training performs no
+// heap allocations because the pool serves the next pass. Pooled buffers
+// arrive dirty: every layer overwrites each element it later reads.
+//
+// Activation aliasing contract: a tensor returned by Forward or Backward
+// stays valid until the same layer's corresponding method runs twice more
+// or Release ends the pass, whichever comes first. Callers that retain
+// activations longer (for example to compare outputs across several
+// passes) must Clone them.
 package nn
 
 import (
@@ -42,6 +50,26 @@ func (r *ring2) next(dt tensor.DType, shape ...int) *tensor.Tensor {
 	return t
 }
 
+func (r *ring2) release() { putBack(&r.bufs[0], &r.bufs[1]) }
+
+// putBack returns workspaces to the tensor pool and clears their fields.
+func putBack(ws ...**tensor.Tensor) {
+	for _, w := range ws {
+		tensor.PutTensor(*w)
+		*w = nil
+	}
+}
+
+// dropViews detaches cached view headers from the storage they point into;
+// the headers stay for the next pass to re-point.
+func dropViews(vs []*tensor.Tensor) {
+	for _, v := range vs {
+		if v != nil {
+			v.Data, v.F32 = nil, nil
+		}
+	}
+}
+
 // viewRing2 double-buffers reshaped views: tensor headers sharing another
 // tensor's storage (and dtype), used by shape-only layers to avoid per-call
 // header allocations.
@@ -61,6 +89,8 @@ func (r *viewRing2) next(src *tensor.Tensor, shape ...int) *tensor.Tensor {
 	return v
 }
 
+func (r *viewRing2) release() { dropViews(r.views[:]) }
+
 // Param is a trainable parameter with its accumulated gradient.
 type Param struct {
 	Name  string
@@ -77,12 +107,22 @@ func newParam(name string, shape ...int) *Param {
 // previous activation and returns the next; Backward consumes dL/d(output)
 // and returns dL/d(input), accumulating parameter gradients as a side
 // effect. The train flag selects training behaviour (batch statistics,
-// dropout masks).
+// dropout masks). release ends a pass (see Release), so every layer is
+// declared in this package.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+	release()
 }
+
+// Release ends a pass over l: every workspace l and its sublayers hold —
+// output rings, input gradients, normalization caches, im2col and GEMM
+// scratch — goes back to the tensor pool, and every cached reference to an
+// activation is dropped. Parameters, gradients and running statistics
+// stay. Tensors l returned are invalid afterwards; the next pass takes its
+// buffers from the pool again.
+func Release(l Layer) { l.release() }
 
 // Sequential chains layers front to back.
 type Sequential struct {
@@ -115,6 +155,12 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
+}
+
+func (s *Sequential) release() {
+	for _, l := range s.Layers {
+		l.release()
+	}
 }
 
 // Append adds layers to the end of the sequence.

@@ -26,7 +26,7 @@ type BatchNorm2D struct {
 	RunningMean []float64
 	RunningVar  []float64
 
-	// caches for backward (reused across iterations)
+	// caches for backward (reused across the iterations of a pass)
 	xhat           *tensor.Tensor
 	invStd         []float64
 	inShape        []int
@@ -161,6 +161,11 @@ func bn2dBackward[F tensor.Float](bn *BatchNorm2D, gradd, xhd, dxd, gamma, dGamm
 
 // Params returns gamma and beta.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
+
+func (bn *BatchNorm2D) release() {
+	bn.out.release()
+	putBack(&bn.xhat, &bn.dx)
+}
 
 // Buffers returns the running statistics, the layer's non-trainable state.
 func (bn *BatchNorm2D) Buffers() [][]float64 {
@@ -302,6 +307,11 @@ func bn1dBackward[F tensor.Float](bn *BatchNorm1D, gradd, xhd, dxd, gamma, dGamm
 
 // Params returns gamma and beta.
 func (bn *BatchNorm1D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
+
+func (bn *BatchNorm1D) release() {
+	bn.out.release()
+	putBack(&bn.xhat, &bn.dx)
+}
 
 // Buffers returns the running statistics, the layer's non-trainable state.
 func (bn *BatchNorm1D) Buffers() [][]float64 {

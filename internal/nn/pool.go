@@ -170,6 +170,11 @@ func maxPoolBwd[F tensor.Float](dxd, gradd []F, argmax []int) {
 // Params returns nil; pooling has no parameters.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
+func (m *MaxPool2D) release() {
+	m.out.release()
+	putBack(&m.dx)
+}
+
 // GlobalAvgPool averages each channel's spatial map, mapping [N, C, H, W]
 // to [N, C]. It is the standard head before the final FC layers.
 type GlobalAvgPool struct {
@@ -236,6 +241,11 @@ func gapBwd[F tensor.Float](dxd, gradd []F, n, c, h, w int) {
 // Params returns nil; pooling has no parameters.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
 
+func (g *GlobalAvgPool) release() {
+	g.out.release()
+	putBack(&g.dx)
+}
+
 // Flatten reshapes [N, ...] activations to [N, rest], remembering the input
 // shape so Backward can restore it. Both directions return cached view
 // headers over the argument's storage, so no data moves and nothing is
@@ -266,3 +276,8 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; flattening has no parameters.
 func (f *Flatten) Params() []*Param { return nil }
+
+func (f *Flatten) release() {
+	f.fwd.release()
+	f.bwd.release()
+}

@@ -63,6 +63,15 @@ func (r *Residual) Params() []*Param {
 	return ps
 }
 
+func (r *Residual) release() {
+	r.Body.release()
+	if r.Skip != nil {
+		r.Skip.release()
+	}
+	r.out.release()
+	putBack(&r.dx)
+}
+
 // Buffers returns the non-trainable state of both paths.
 func (r *Residual) Buffers() [][]float64 {
 	bs := r.Body.Buffers()
@@ -160,6 +169,15 @@ func (in *Inception) Params() []*Param {
 	return ps
 }
 
+func (in *Inception) release() {
+	for _, br := range in.Branches {
+		br.release()
+	}
+	clear(in.outs)
+	in.out.release()
+	putBack(&in.gb)
+}
+
 // Buffers returns the non-trainable state of all branches.
 func (in *Inception) Buffers() [][]float64 {
 	var bs [][]float64
@@ -187,7 +205,7 @@ func (cs *ChannelShuffle) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1)%cs.Groups != 0 {
 		panic(fmt.Sprintf("nn: ChannelShuffle input %v with groups %d", x.Shape, cs.Groups))
 	}
-	cs.inShape = append([]int(nil), x.Shape...)
+	cs.inShape = append(cs.inShape[:0], x.Shape...)
 	return cs.permute(x, false)
 }
 
@@ -223,3 +241,8 @@ func (cs *ChannelShuffle) permute(x *tensor.Tensor, inverse bool) *tensor.Tensor
 
 // Params returns nil; shuffling has no parameters.
 func (cs *ChannelShuffle) Params() []*Param { return nil }
+
+func (cs *ChannelShuffle) release() {
+	cs.out.release()
+	putBack(&cs.dx)
+}

@@ -70,10 +70,14 @@ func (p *Pool) getRaw(dt DType, shape ...int) *Tensor {
 	}
 	bk.mu.Unlock()
 	if t == nil {
+		// Room for a rank-4 shape up front: a pooled tensor serves requests
+		// of every rank, and a rank-2 header growing to rank 4 would
+		// allocate on some later Get.
+		t = &Tensor{Shape: make([]int, 0, 4), DT: dt}
 		if dt.Backing() == F32 {
-			t = &Tensor{F32: make([]float32, 1<<b), DT: dt}
+			t.F32 = make([]float32, 1<<b)
 		} else {
-			t = &Tensor{Data: make([]float64, 1<<b)}
+			t.Data = make([]float64, 1<<b)
 		}
 	}
 	if dt.Backing() == F32 {
@@ -118,7 +122,8 @@ func (p *Pool) Put(t *Tensor) {
 
 // defaultPool serves the package-level GetTensor/PutTensor helpers used by
 // the training-step and loss code for batch-lifetime scratch (input stacks,
-// feature-gradient accumulators, the O(batch²) contrastive intermediates).
+// feature-gradient accumulators, the O(batch²) contrastive intermediates)
+// and EnsureOf, through which every layer workspace comes and goes.
 var defaultPool = NewPool()
 
 // GetTensor returns a zeroed float64 tensor of the given shape from the
@@ -138,10 +143,13 @@ func PutTensor(t *Tensor) { defaultPool.Put(t) }
 func Ensure(t *Tensor, shape ...int) *Tensor { return EnsureOf(F64, t, shape...) }
 
 // EnsureOf returns a tensor of the given dtype and shape, reusing t's
-// storage when its dtype matches and its capacity suffices, and allocating
-// otherwise. The contents are unspecified; callers must overwrite every
-// element. It is the building block for layers that keep their activation
-// and gradient buffers across iterations.
+// storage when its dtype matches and its capacity suffices. Otherwise it
+// puts t back into the default pool and takes a replacement from there, so
+// t must not be used afterwards. The contents are unspecified — a pooled
+// buffer arrives holding whatever its last user wrote — and callers must
+// overwrite every element. It is the building block of the layer
+// workspaces, which hold their buffers for one pass and hand them back with
+// PutTensor when it ends.
 func EnsureOf(dt DType, t *Tensor, shape ...int) *Tensor {
 	n := 1
 	for _, s := range shape {
@@ -150,20 +158,18 @@ func EnsureOf(dt DType, t *Tensor, shape ...int) *Tensor {
 		}
 		n *= s
 	}
-	if t == nil || t.DT != dt {
-		return NewOf(dt, shape...)
-	}
-	if dt.Backing() == F32 {
-		if cap(t.F32) < n {
-			return NewOf(dt, shape...)
+	if t != nil && t.DT == dt {
+		if dt.Backing() == F32 && cap(t.F32) >= n {
+			t.F32 = t.F32[:n]
+			t.Shape = append(t.Shape[:0], shape...)
+			return t
 		}
-		t.F32 = t.F32[:n]
-	} else {
-		if cap(t.Data) < n {
-			return NewOf(dt, shape...)
+		if dt.Backing() != F32 && cap(t.Data) >= n {
+			t.Data = t.Data[:n]
+			t.Shape = append(t.Shape[:0], shape...)
+			return t
 		}
-		t.Data = t.Data[:n]
 	}
-	t.Shape = append(t.Shape[:0], shape...)
-	return t
+	defaultPool.Put(t)
+	return defaultPool.getRaw(dt, shape...)
 }
