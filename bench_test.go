@@ -623,13 +623,16 @@ func TestLazyFleetMemoryFlatInCommits(t *testing.T) {
 // builds or rehydrates clients, trains them and spills others. While every
 // model kept its layer workspaces for life, each of those builds allocated
 // them afresh: 4.55 MB a commit. With workspaces leased per pass from the
-// tensor pool it is 0.76 MB, nearly all of it the built clients' parameters,
-// gradients and optimizer moments.
+// tensor pool it was 0.76 MB, nearly all of it the built clients'
+// parameters, gradients and optimizer moments. With evicted clients handing
+// that storage to the next build it is 0.12 MB (0.06 when this test runs
+// alone: what earlier tests leave in the pool moves it), the layers' own
+// structs and tensor headers.
 func TestLazyRoundAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
 	}
-	const commits, measuredMB = 12, 0.76
+	const commits, measuredMB = 12, 0.12
 	_, _, short := lazyAsyncRunHeap(t, commits)
 	_, _, long := lazyAsyncRunHeap(t, 10*commits)
 	perCommit := float64(long-short) / (9 * commits) / (1 << 20)

@@ -130,13 +130,14 @@ func (f *FedAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
 	fl.TrainEpochs(group, batchSize, f.LocalEpochs, obj)
 }
 
-// local trains a group and returns each client's full weights, passed
-// through the upload framing with their bytes not yet booked.
+// local trains a group and returns each client's full weights — its
+// FlatUpload vector, valid until its next local — passed through the upload
+// framing with their bytes not yet booked.
 func (f *FedAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]float64) []*fl.Update {
 	f.train(group, sim.Cfg.BatchSize, refs)
 	us := make([]*fl.Update, len(group))
 	for i, c := range group {
-		flat, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.Params()))
+		flat, bytes := sim.QuantizeUplink(c.ID, c.FlatUpload(c.Model.Params()))
 		us[i] = &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}, UpBytes: bytes}
 	}
 	return us

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // LazyPartitioner is the virtual-fleet counterpart of Partition: instead of
@@ -74,7 +75,19 @@ func (p *LazyPartitioner) Client(i int) ClientData {
 	if i < 0 || i >= p.k {
 		panic(fmt.Sprintf("data: lazy partition client %d out of range [0,%d)", i, p.k))
 	}
-	rng := rand.New(rand.NewSource(p.opts.Seed*1000003 + int64(i)*7919 ^ 0x70617274)) // "part"
+	rng := splitRngs.Get().(*rand.Rand)
+	defer splitRngs.Put(rng)
+	rng.Seed(p.splitSeed(i))
+	return p.split(i, rng)
+}
+
+// splitSeed seeds client i's draws.
+func (p *LazyPartitioner) splitSeed(i int) int64 {
+	return p.opts.Seed*1000003 + int64(i)*7919 ^ 0x70617274 // "part"
+}
+
+// split draws client i's split from rng, seeded with splitSeed(i).
+func (p *LazyPartitioner) split(i int, rng *rand.Rand) ClientData {
 	var props []float64
 	switch p.opts.Kind {
 	case Dirichlet:
@@ -96,6 +109,10 @@ func (p *LazyPartitioner) Client(i int) ClientData {
 		Test:  drawWithReplacement(p.testPools, props, p.testPer, rng),
 	}
 }
+
+// splitRngs recycles Client's generators: a math/rand source is ~5 KB, and
+// a reseeded one draws exactly what a fresh source of that seed would.
+var splitRngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // NumClients returns k.
 func (p *LazyPartitioner) NumClients() int { return p.k }

@@ -1,7 +1,9 @@
 package data
 
 import (
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -30,6 +32,38 @@ func TestLazyPartitionerPerClientDeterminism(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Client(7).Train, a.Client(8).Train) {
 		t.Fatal("distinct clients drew identical training splits")
+	}
+}
+
+// Client reseeds a recycled generator; the split must be the one a fresh
+// source of the same seed draws, for 1 000 ids drawn in parallel, under both
+// partition kinds.
+func TestLazyPartitionerRecycledRngMatchesFresh(t *testing.T) {
+	ds := Generate(SynthFashion(8, 4, 3))
+	for _, kind := range []PartitionKind{Dirichlet, Skewed} {
+		p, err := NewLazyPartitioner(ds, 1000, PartitionOptions{Kind: kind, Alpha: 0.5, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan int, 1000)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < 1000; i += 8 {
+					fresh := p.split(i, rand.New(rand.NewSource(p.splitSeed(i))))
+					if !reflect.DeepEqual(p.Client(i), fresh) {
+						errs <- i
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for i := range errs {
+			t.Fatalf("kind %d: client %d differs from a fresh source's draw", kind, i)
+		}
 	}
 }
 

@@ -6,3 +6,9 @@ func IsStopFrame(frame []byte) bool {
 	m, err := decodeMsg(frame)
 	return err == nil && m.kind == msgStop
 }
+
+// LazyTestBuilder and TrainAlgo lend the external test package the lazy
+// fleet and the training algorithm of the store tests.
+var LazyTestBuilder = lazyTestBuilder
+
+type TrainAlgo = trainAlgo

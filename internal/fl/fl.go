@@ -37,17 +37,20 @@ type Client struct {
 	// training stream can only be frozen and resumed through Src.
 	Src *xrand.Source
 
-	// upload is the flat vector FlatUpload fills.
+	// upload is the flat vector FlatUpload fills, exact-length storage from
+	// the tensor pool.
 	upload []float64
 }
 
 // FlatUpload flattens params into the one vector the client keeps for its
-// wire upload and returns it: a WireLocal that uploads weights flattens here
-// every round instead of allocating a model-sized vector. The result is
-// valid until the next FlatUpload on the same client.
+// upload and returns it: a method that uploads weights flattens here every
+// round instead of allocating a model-sized vector. The result is valid
+// until the next FlatUpload on the same client, or until the client store
+// evicts the client.
 func (c *Client) FlatUpload(params []*nn.Param) []float64 {
 	if n := nn.NumParams(params); cap(c.upload) < n {
-		c.upload = make([]float64, 0, n)
+		tensor.PutStorage(c.upload)
+		c.upload = tensor.GetStorage[float64](n)[:0]
 	}
 	c.upload = nn.AppendFlatParams(c.upload[:0], params)
 	return c.upload
@@ -451,7 +454,9 @@ func (s *Simulation) Evaluate() RoundMetrics {
 	return s.evaluateWith(nil, 0)
 }
 
-// evaluateWith is the scheduler-facing evaluation: clients whose away
+// evaluateWith is the scheduler-facing evaluation, which reaches clients
+// through the store's clean accessor: evaluating a client changes none of
+// its state, so it leaves a clean client clean. Clients whose away
 // horizon extends past the current virtual time are marked NaN in
 // PerClient and excluded from the mean/std, matching the node runtime's
 // churn semantics (DESIGN.md §9). A nil away slice means no churn. When
@@ -470,7 +475,7 @@ func (s *Simulation) evaluateWith(away []float64, now float64) RoundMetrics {
 				accs[i] = math.NaN()
 				return
 			}
-			accs[i] = s.Client(id).EvalAccuracy()
+			accs[i] = s.store.getClean(id).EvalAccuracy()
 		})
 		mean, std := MeanStd(accs)
 		return RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: accs, EvalIDs: ids}
@@ -481,7 +486,7 @@ func (s *Simulation) evaluateWith(away []float64, now float64) RoundMetrics {
 			accs[i] = math.NaN()
 			return
 		}
-		accs[i] = s.Client(i).EvalAccuracy()
+		accs[i] = s.store.getClean(i).EvalAccuracy()
 	})
 	mean, std := MeanStd(accs)
 	return RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: accs}

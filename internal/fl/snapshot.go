@@ -257,9 +257,10 @@ func (s *Simulation) captureCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 		snap.EvalRng = s.evalSrc.State()
 	}
 	snap.FleetSize = s.NumClients()
-	// A fleet trains at one dtype; client 0 speaks for it.
+	// A fleet trains at one dtype; client 0 speaks for it, read through the
+	// clean accessor so asking does not put it into the checkpoint.
 	if snap.FleetSize > 0 {
-		if c := s.Client(0); c.Model != nil {
+		if c := s.store.getClean(0); c.Model != nil {
 			snap.DType = c.Model.DType()
 		}
 	}

@@ -41,9 +41,16 @@ import (
 // the number of commits. On a tmpfs TMPDIR those blocks are memory again —
 // point TMPDIR at a disk for fleets whose touched set does not fit in RAM.
 //
-// Every materialized client is treated as dirty (its state spills on
-// eviction even if it only evaluated); tracking cleanliness would save
-// writes but risk missing a mutation path.
+// A resident entry is clean while its client's state is still what the
+// builder or its record made it: evaluation reaches clients through a clean
+// accessor (EvalAccuracy reads parameters, buffers and nothing else), and
+// every other Get marks the entry dirty. A clean entry is evicted by
+// forgetting it, with no write: the builder rebuilds it, or its record —
+// which a clean rehydrated client keeps, and which is released only when the
+// client turns dirty — restores it. Either way the client that comes back
+// is bit-identical. An evicted client's storage (parameters, gradients,
+// optimizer moments, upload vector) goes to the tensor pool, where the next
+// client built takes it over.
 type ClientStore struct {
 	mu       sync.Mutex
 	n        int
@@ -62,11 +69,15 @@ type ClientStore struct {
 
 // resident is a materialized client with its tensor lists, which cost a
 // handful of allocations to enumerate and are needed at both ends of a
-// residency (rehydrate, spill).
+// residency (rehydrate, spill), and its clean bit.
 type resident struct {
 	c      *Client
 	params []*nn.Param
 	bufs   [][]float64
+	// clean: nothing but evaluation has reached c since it was built or
+	// rehydrated. A clean client is indexed in the segment iff it was
+	// rehydrated; a dirty one never is.
+	clean bool
 }
 
 func (r *resident) list() {
@@ -100,11 +111,19 @@ func (st *ClientStore) Resident() int {
 }
 
 // Get returns client id, building it (and restoring any spilled state) if
-// it is not resident. Safe to call concurrently — distinct ids build and
-// rehydrate in parallel, the pattern of every parallel client loop, and a
-// same-id race waits for the first caller's client. The result stays
-// resident at least until the next EvictToBudget.
-func (st *ClientStore) Get(id int) *Client {
+// it is not resident, and marks it dirty: the caller may change its state.
+// Safe to call concurrently — distinct ids build and rehydrate in parallel,
+// the pattern of every parallel client loop, and a same-id race waits for
+// the first caller's client. The result stays resident at least until the
+// next EvictToBudget.
+func (st *ClientStore) Get(id int) *Client { return st.get(id, true) }
+
+// getClean is Get for a caller that changes none of the client's state —
+// evaluation. It leaves a clean entry clean, and a rehydrated client keeps
+// its record.
+func (st *ClientStore) getClean(id int) *Client { return st.get(id, false) }
+
+func (st *ClientStore) get(id int, dirty bool) *Client {
 	if id < 0 || id >= st.n {
 		panic(fmt.Sprintf("fl: client id %d out of fleet range [0,%d)", id, st.n))
 	}
@@ -112,9 +131,15 @@ func (st *ClientStore) Get(id int) *Client {
 	for {
 		if el, ok := st.resident[id]; ok {
 			st.lru.MoveToFront(el)
-			c := el.Value.(*resident).c
+			r := el.Value.(*resident)
+			if dirty && r.clean {
+				r.clean = false
+				if _, ok := st.seg.index[id]; ok {
+					st.seg.release(id)
+				}
+			}
 			st.mu.Unlock()
-			return c
+			return r.c
 		}
 		if !st.loading[id] {
 			break
@@ -136,7 +161,7 @@ func (st *ClientStore) Get(id int) *Client {
 	}
 	st.mu.Unlock()
 
-	r := &resident{c: st.build(id)}
+	r := &resident{c: st.build(id), clean: !dirty}
 	var err error
 	if spilled {
 		err = r.rehydrate(f, sp, sb)
@@ -155,15 +180,19 @@ func (st *ClientStore) Get(id int) *Client {
 			// violation, not a recoverable condition.
 			panic(fmt.Sprintf("fl: rehydrating client %d: %v", id, err))
 		}
-		st.seg.release(id)
+		if dirty {
+			st.seg.release(id)
+		}
 	}
 	st.resident[id] = st.lru.PushFront(r)
 	return r.c
 }
 
-// EvictToBudget spills least-recently-used clients until the resident
+// EvictToBudget evicts least-recently-used clients until the resident
 // count is within budget, skipping clients the scheduler still holds in
-// flight (pinned). A nil pinned means nothing is pinned.
+// flight (pinned). A nil pinned means nothing is pinned. A dirty client
+// spills its state as a record; a clean one is forgotten. Either way its
+// storage goes back to the tensor pool.
 func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -174,11 +203,14 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 		prev := el.Prev()
 		r := el.Value.(*resident)
 		if pinned == nil || !pinned(r.c.ID) {
-			if err := st.spillLocked(r); err != nil {
-				return fmt.Errorf("fl: spilling client %d: %w", r.c.ID, err)
+			if !r.clean {
+				if err := st.spillLocked(r); err != nil {
+					return fmt.Errorf("fl: spilling client %d: %w", r.c.ID, err)
+				}
 			}
 			st.lru.Remove(el)
 			delete(st.resident, r.c.ID)
+			r.recycle()
 		}
 		el = prev
 	}
@@ -193,10 +225,38 @@ type lender interface {
 	Adopt(opt.Live) error
 }
 
-// spillLocked writes r's state as one record. The flat parameters and
-// buffers pass through the scratch's staging vector; the moments are framed
-// where they lie.
+// recycle hands the storage of a client the store dropped — workspaces,
+// parameter values and gradients, a lending optimizer's moments, the upload
+// vector — to the tensor pool for the next client built to take, and clears
+// the fields that held it. Nothing may use the client afterwards; the
+// scheduler's pin keeps every client whose update is still in flight
+// resident.
+func (r *resident) recycle() {
+	c := r.c
+	if c.Model != nil {
+		r.list()
+		c.Model.ReleaseWorkspaces()
+		nn.RecycleParams(r.params)
+	}
+	if o, ok := c.Optimizer.(lender); ok {
+		o.Borrow().Recycle()
+	}
+	tensor.PutStorage(c.upload)
+	c.Model, c.Optimizer, c.upload = nil, nil, nil
+}
+
+// spillLocked writes r's state as one record.
 func (st *ClientStore) spillLocked(r *resident) error {
+	if err := st.sb.encodeClient(r); err != nil {
+		return err
+	}
+	return st.seg.put(r.c.ID, st.sb.rec)
+}
+
+// encodeClient writes r's state as one record into sb.rec. The flat
+// parameters and buffers pass through the staging vectors; the moments are
+// framed where they lie.
+func (sb *spillBuf) encodeClient(r *resident) error {
 	c := r.c
 	if c.Src == nil {
 		return fmt.Errorf("client has no serializable RNG (set fl.Client.Src via xrand.NewRand)")
@@ -213,11 +273,10 @@ func (st *ClientStore) spillLocked(r *resident) error {
 		return fmt.Errorf("optimizer cannot be checkpointed (implement opt.Checkpointable)")
 	}
 	r.list()
-	sb := &st.sb
 	sb.params = nn.AppendFlatParams(sb.params[:0], r.params)
 	sb.buffers = nn.AppendFlatBuffers(sb.buffers[:0], r.bufs)
 	sb.encode(c.Src.State(), sb.params, sb.buffers, live)
-	return st.seg.put(c.ID, sb.rec)
+	return nil
 }
 
 // rehydrate reads r's record and decodes it into the freshly built client:
@@ -252,11 +311,13 @@ func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	return nil
 }
 
-// CaptureTouched snapshots every client this store has ever materialized —
-// resident ones from their tensors, spilled ones from their records —
-// sorted by id, into buffers a checkpoint may own indefinitely. Untouched
-// clients carry no state beyond their id (they are reproduced by the
-// builder), so they are deliberately absent.
+// CaptureTouched snapshots every client this store has ever marked dirty,
+// once each — dirty residents from their tensors, everyone else from their
+// records (a clean rehydrated client is resident and indexed; its record is
+// its state) — sorted by id, into buffers a checkpoint may own
+// indefinitely. A client never dirtied carries no state beyond its id (the
+// builder reproduces it), so it is deliberately absent: evaluation alone
+// does not put a client into a checkpoint.
 func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -279,7 +340,11 @@ func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
 		})
 	}
 	for el := st.lru.Front(); el != nil; el = el.Next() {
-		cs, err := captureClientState(el.Value.(*resident).c, nil, nil)
+		r := el.Value.(*resident)
+		if r.clean {
+			continue
+		}
+		cs, err := captureClientState(r.c, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -342,8 +407,8 @@ func (st *ClientStore) RestoreTouched(states []ClientState, dt tensor.DType) err
 		}
 	}
 	lacking := st.n
-	for id := range st.resident {
-		if _, ok := seg.index[id]; !ok {
+	for id, el := range st.resident {
+		if _, ok := seg.index[id]; !ok && !el.Value.(*resident).clean {
 			lacking = min(lacking, id)
 		}
 	}
@@ -525,8 +590,9 @@ func (r *recReader) frame(kind uint32, scratch []float64) []float64 {
 }
 
 // decode parses sb.rec. The returned params and buffers are sb's staging
-// vectors, valid until its next use; the moment vectors are fresh, float32
-// when f32 is set and float64 otherwise.
+// vectors, valid until its next use; the moment vectors are exact-length
+// storage from the tensor pool, float32 when f32 is set and float64
+// otherwise, and belong to the caller.
 func (sb *spillBuf) decode(f32 bool) (rng uint64, params, buffers []float64, live opt.Live, err error) {
 	r := recReader{b: sb.rec}
 	rng = r.u64()
@@ -541,12 +607,12 @@ func (sb *spillBuf) decode(f32 bool) (rng uint64, params, buffers []float64, liv
 	sb.params = r.frame(recParams, sb.params[:0])
 	sb.buffers = r.frame(recBuffers, sb.buffers[:0])
 	for r.err == nil && len(r.b) > 0 {
+		sb.vec = r.frame(recMoment, sb.vec[:0])
 		if !f32 {
-			live.F64 = append(live.F64, r.frame(recMoment, nil))
+			live.F64 = append(live.F64, append(tensor.GetStorage[float64](len(sb.vec))[:0], sb.vec...))
 			continue
 		}
-		sb.vec = r.frame(recMoment, sb.vec[:0])
-		w := make([]float32, len(sb.vec))
+		w := tensor.GetStorage[float32](len(sb.vec))
 		for i, x := range sb.vec {
 			w[i] = float32(x)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -100,10 +101,21 @@ func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
 	noSpillFiles(t)
 }
 
+// allocBytes returns the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // On a warmed store an eviction allocates nothing — the record is encoded
 // from the live moments and a reused staging vector into a reused byte
-// buffer — and a rehydrate allocates the build plus the moment vectors the
-// optimizer keeps, not a decoded copy of the state.
+// buffer, and the client's storage goes to the tensor pool — and a client
+// built or rehydrated after evictions takes the evicted clients' parameter,
+// gradient and moment storage instead of allocating its own: it allocates
+// less than one parameter-sized vector.
 func TestClientStoreSpillAllocs(t *testing.T) {
 	const k, runs = 16, 5
 	build := lazyTestBuilder(t, k)
@@ -116,20 +128,21 @@ func TestClientStoreSpillAllocs(t *testing.T) {
 	st.Get(0)
 	mustEvict(t, st, nil) // everyone but client 0 is now spilled, scratch warmed
 
-	buildAllocs := testing.AllocsPerRun(runs, func() { build(1) })
-	next := 0
-	getAllocs := testing.AllocsPerRun(runs, func() {
+	vector := uint64(8 * nn.NumParams(st.Get(0).Model.Params()))
+	buildBytes := allocBytes(func() { build(1) })
+	next := 1
+	st.Get(next) // the first rehydrating Get sizes its record scratch
+	var getBytes uint64
+	for range runs {
 		next++
-		st.Get(next)
-	})
-	moments := float64(2 * len(st.Get(1).Model.Params()))
-	// Beyond the build and the moment vectors: the list of them as it grows,
-	// the step count, the model's tensor lists, the LRU entry.
-	const bookkeeping = 16
-	t.Logf("build %.0f allocs, rehydrating Get %.0f, %.0f moment vectors", buildAllocs, getAllocs, moments)
-	if over := getAllocs - buildAllocs - moments; over > bookkeeping {
-		t.Fatalf("rehydrate allocates %.0f beyond build (%.0f) and %.0f moment vectors, want ≤ %d",
-			over, buildAllocs, moments, bookkeeping)
+		getBytes = max(getBytes, allocBytes(func() { st.Get(next) }))
+	}
+	t.Logf("build %d B, rehydrating Get ≤ %d B, one parameter vector %d B", buildBytes, getBytes, vector)
+	if buildBytes >= vector {
+		t.Errorf("a build after evictions allocates %d B, want < %d (one parameter vector): it does not take recycled storage", buildBytes, vector)
+	}
+	if getBytes >= vector {
+		t.Errorf("a rehydrating Get after evictions allocates %d B, want < %d (one parameter vector): it does not take recycled storage", getBytes, vector)
 	}
 
 	// Clients 1..next are resident again; step them, then evict one a call.

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,7 +10,9 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -278,54 +282,117 @@ func TestLazyBudgetByteIdentity(t *testing.T) {
 	}
 }
 
-// A budgeted lazy run must checkpoint and resume byte-identically, with the
-// checkpoint holding only the touched clients.
-func TestLazySnapshotResumeByteIdentical(t *testing.T) {
-	const k, rounds, killAt = 12, 4, 2
-	sched := func() SchedulerConfig {
-		return SchedulerConfig{Kind: SchedSync, Trace: &Trace{}}
+// primeNaN puts NaN-filled storage into the tensor pool at every length the
+// fleet's clients keep — each parameter's value, gradient and two Adam
+// moments, at f64 and f32, and the upload vector — once per client, so the
+// next clients built, stepped or rehydrated take dirty storage.
+func primeNaN(fleet []*Client) {
+	put := func(n int) {
+		v, w := make([]float64, n), make([]float32, n)
+		for i := range v {
+			v[i], w[i] = math.NaN(), float32(math.NaN())
+		}
+		tensor.PutStorage(v)
+		tensor.PutStorage(w)
 	}
-	newSim := func() *Simulation {
-		return NewLazySimulation(k, lazyTestBuilder(t, k), 2, Config{
-			Rounds: rounds, SampleRate: 0.5, BatchSize: 8, Seed: 11,
+	for _, c := range fleet {
+		params := c.Model.Params()
+		for _, p := range params {
+			for range 4 {
+				put(p.Value.Size())
+			}
+		}
+		put(nn.NumParams(params))
+	}
+}
+
+// Storage from the pool is scratch: with NaN-filled storage primed at every
+// length the fleet keeps, TestLazyBudgetByteIdentity's runs give the bits
+// they give without it — metrics, trace and every touched client's final
+// state — under every scheduler, at budget ∞ and at budget 2, where every
+// later build also takes an evicted client's storage.
+func TestRecycledStorageIsScratch(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedSync, SchedAsyncBounded, SchedSemiSync} {
+		t.Run(kind.String(), func(t *testing.T) {
+			run := func(resident int) ([]RoundMetrics, *Trace, []ClientState) {
+				tr := &Trace{}
+				sim := NewLazySimulation(12, lazyTestBuilder(t, 12), resident, Config{
+					Rounds: 4, SampleRate: 0.5, BatchSize: 8, Seed: 11,
+				})
+				hist, err := sim.RunScheduled(&trainAlgo{}, SchedulerConfig{Kind: kind, Trace: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				states, err := sim.store.CaptureTouched()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hist, tr, states
+			}
+			want, wantTr, wantStates := run(0)
+			build := lazyTestBuilder(t, 12)
+			fleet := make([]*Client, 12)
+			for i := range fleet {
+				fleet[i] = build(i)
+			}
+			for _, resident := range []int{0, 2} {
+				primeNaN(fleet)
+				got, tr, states := run(resident)
+				if !reflect.DeepEqual(states, wantStates) {
+					t.Fatalf("budget %d on NaN-primed storage left different client states", resident)
+				}
+				if !reflect.DeepEqual(tr, wantTr) {
+					t.Fatalf("budget %d on NaN-primed storage produced a different scheduler trace", resident)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("budget %d on NaN-primed storage produced different metrics:\n%+v\nvs\n%+v", resident, got, want)
+				}
+			}
 		})
 	}
+}
 
-	// Uninterrupted run, snapshotting at every boundary.
-	var atKill *Snapshot
-	full := sched()
-	full.Checkpoint = func(snap *Snapshot) error {
-		if snap.Round == killAt {
-			atKill = snap
+// Evaluation changes nothing a spill record holds — the fact a clean entry's
+// eviction by forgetting rests on. For every architecture at f64 and f32, a
+// client that has trained encodes to the same record bytes (parameters,
+// buffers, RNG position, optimizer moments) before and after EvalAccuracy.
+func TestEvalMutatesNothing(t *testing.T) {
+	ds := data.Generate(data.SynthFashion(6, 4, 3))
+	parts, err := data.Partition(ds, 2, data.PartitionOptions{Kind: data.Dirichlet, Alpha: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := []models.Arch{models.ArchMLP, models.ArchAlexNet, models.ArchResNet, models.ArchShuffleNet, models.ArchGoogLeNet, models.ArchCNN2}
+	for _, arch := range archs {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			t.Run(fmt.Sprintf("%v/%v", arch, dt), func(t *testing.T) {
+				rng, src := xrand.NewRand(3)
+				c := &Client{
+					Model: models.New(models.Config{
+						Arch: arch, InC: ds.C, InH: ds.H, InW: ds.W, FeatDim: 8, NumClasses: ds.NumClasses, Hidden: 12, DType: dt,
+					}, xrand.New(5)),
+					Train: parts[0].Train, Test: parts[0].Test,
+					Aug: data.NewAugmenter(ds.C, ds.H, ds.W), Rng: rng, Src: src,
+					Optimizer: opt.NewAdam(0.01),
+				}
+				if len(c.Test) == 0 {
+					t.Fatal("the client has no test examples — the evaluation reads nothing")
+				}
+				c.TrainEpochCE(8)
+				record := func() []byte {
+					var sb spillBuf
+					if err := sb.encodeClient(&resident{c: c}); err != nil {
+						t.Fatal(err)
+					}
+					return sb.rec
+				}
+				before := record()
+				c.EvalAccuracy()
+				if !bytes.Equal(record(), before) {
+					t.Fatal("EvalAccuracy changed the client's spill record")
+				}
+			})
 		}
-		return nil
-	}
-	wantHist, err := newSim().RunScheduled(&trainAlgo{}, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if atKill == nil {
-		t.Fatalf("no snapshot at round %d", killAt)
-	}
-	if atKill.FleetSize != k {
-		t.Fatalf("snapshot fleet size %d, want %d", atKill.FleetSize, k)
-	}
-	if len(atKill.Clients) >= k {
-		t.Fatalf("lazy snapshot holds %d clients — it must hold only the touched subset of %d", len(atKill.Clients), k)
-	}
-
-	// Resume from the mid-run snapshot and compare the full history.
-	res := sched()
-	res.Resume = atKill
-	gotHist, err := newSim().RunScheduled(&trainAlgo{}, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantHist, gotHist) {
-		t.Fatalf("resumed history differs:\n%+v\nvs\n%+v", gotHist, wantHist)
-	}
-	if !reflect.DeepEqual(full.Trace, res.Trace) {
-		t.Fatal("resumed trace differs from the uninterrupted one")
 	}
 }
 

@@ -51,6 +51,33 @@ func walkTensors(v reflect.Value, path string, view bool, visit func(path string
 	}
 }
 
+// walkParams calls visit for every *nn.Param slot a model reaches by
+// reflection, so a parameter some layer's Params leaves out is found too.
+func walkParams(v reflect.Value, path string, visit func(path string, p reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		switch {
+		case v.IsNil() || v.Type() == tensorPtr:
+		case v.Type() == paramPtr:
+			visit(path, v)
+		default:
+			walkParams(v.Elem(), path, visit)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			walkParams(v.Elem(), path, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			walkParams(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			walkParams(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	}
+}
+
 // holdsStorage reports whether a *tensor.Tensor slot points at any storage.
 func holdsStorage(t reflect.Value) bool {
 	if t.IsNil() {
@@ -179,7 +206,10 @@ func TestReleasedWorkspacesAreScratch(t *testing.T) {
 // TestReleaseCoversEveryLayer checks that ReleaseWorkspaces leaves nothing
 // behind: after a step, every tensor field and ring slot of every layer New
 // builds is nil, and every cached view header points at no storage, so no
-// layer can keep a buffer the pool has handed to another model.
+// layer can keep a buffer the pool has handed to another model. Recycling
+// the parameters then leaves no parameter anywhere in the model holding
+// storage either — what the client store relies on when it hands an evicted
+// model's storage to the next one built.
 func TestReleaseCoversEveryLayer(t *testing.T) {
 	for _, a := range allArchs() {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
@@ -200,6 +230,19 @@ func TestReleaseCoversEveryLayer(t *testing.T) {
 						t.Errorf("view %s still points at storage after ReleaseWorkspaces", path)
 					}
 				})
+				nn.RecycleParams(m.Params())
+				found := 0
+				walkParams(reflect.ValueOf(m), "model", func(path string, p reflect.Value) {
+					found++
+					for _, f := range []string{"Value", "Grad"} {
+						if holdsStorage(p.Elem().FieldByName(f)) {
+							t.Errorf("%s.%s still holds storage after RecycleParams", path, f)
+						}
+					}
+				})
+				if found == 0 {
+					t.Fatal("the walk found no parameters")
+				}
 			})
 		}
 	}

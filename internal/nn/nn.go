@@ -16,13 +16,21 @@
 // the pass ends. A model between passes holds only its parameters,
 // gradients and running statistics, and steady-state training performs no
 // heap allocations because the pool serves the next pass. Pooled buffers
-// arrive dirty: every layer overwrites each element it later reads.
+// arrive dirty: every layer overwrites each element it later reads. An
+// evaluation-mode pass keeps nothing for a backward pass, so a Sequential
+// hands each layer's workspaces back as soon as no later layer can read
+// them (Sequential.Forward). Parameters and gradients live on exact-length
+// pool storage too (tensor.NewStorageOf): RecycleParams hands it back when
+// a model's life ends, and the next model built takes it over. It arrives
+// dirty as well; newParam zeroes it.
 //
 // Activation aliasing contract: a tensor returned by Forward or Backward
 // stays valid until the same layer's corresponding method runs twice more
-// or Release ends the pass, whichever comes first. Callers that retain
-// activations longer (for example to compare outputs across several
-// passes) must Clone them.
+// or Release ends the pass, whichever comes first. Inside an
+// evaluation-mode Sequential.Forward, a layer's output is valid only until
+// the layers after it have read it, so only what that Forward returns
+// obeys the rule. Callers that retain activations longer (for example to
+// compare outputs across several passes) must Clone them.
 package nn
 
 import (
@@ -98,9 +106,23 @@ type Param struct {
 	Grad  *tensor.Tensor
 }
 
-// newParam allocates a named parameter and matching zero gradient.
+// newParam builds a named parameter with a zero value and a zero gradient,
+// both on exact-length storage from the tensor pool (tensor.NewStorageOf):
+// a model built after another was recycled takes over its storage.
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
+	return &Param{Name: name, Value: tensor.NewStorageOf(tensor.F64, shape...), Grad: tensor.NewStorageOf(tensor.F64, shape...)}
+}
+
+// RecycleParams hands every parameter's value and gradient storage to the
+// tensor pool (tensor.RecycleStorage) and drops both tensors, so a
+// recycled parameter holds nothing. It ends the parameters' life: the
+// model they belong to must not be used again.
+func RecycleParams(params []*Param) {
+	for _, p := range params {
+		tensor.RecycleStorage(p.Value)
+		tensor.RecycleStorage(p.Grad)
+		p.Value, p.Grad = nil, nil
+	}
 }
 
 // Layer is one differentiable stage of a model. Forward consumes the
@@ -132,12 +154,36 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward runs every layer in order.
+// Forward runs every layer in order. An evaluation-mode forward (train
+// false) keeps nothing for a backward pass, so it hands each layer's
+// workspaces back to the pool as soon as nothing downstream can read them:
+// once the layer after the one whose storage holds the activation has
+// written its output into storage of its own. A layer whose output shares
+// its input's storage (Flatten's view, evaluation Dropout's identity) keeps
+// the owner alive one layer longer. The last owner's output is what Forward
+// returns, so it stays.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	owner := -1 // the layer whose storage x is in; -1 is the caller's input
+	for i, l := range s.Layers {
+		y := l.Forward(x, train)
+		if !train && !sameStorage(x, y) {
+			if owner >= 0 {
+				s.Layers[owner].release()
+			}
+			owner = i
+		}
+		x = y
 	}
 	return x
+}
+
+// sameStorage reports whether b starts at a's first element — a view or
+// the tensor itself.
+func sameStorage(a, b *tensor.Tensor) bool {
+	if a.DT.Backing() == tensor.F32 {
+		return len(a.F32) > 0 && len(b.F32) > 0 && &a.F32[0] == &b.F32[0]
+	}
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // Backward runs every layer's backward pass in reverse order.
@@ -288,12 +334,24 @@ func FlattenGrads(params []*Param) []float64 {
 // dtype in place (no-op for parameters already there). Models are built with
 // float64 initialization — so a given seed yields the same weights, merely
 // rounded, at every dtype — and converted immediately afterwards; layer
-// workspaces follow the activations' dtype lazily on the first pass.
+// workspaces follow the activations' dtype lazily on the first pass. The
+// converted tensors take pool storage like newParam's, and the storage they
+// replace goes back to the pool.
 func ConvertParams(params []*Param, dt tensor.DType) {
 	for _, p := range params {
-		p.Value = p.Value.AsType(dt)
-		p.Grad = p.Grad.AsType(dt)
+		p.Value = convertStorage(p.Value, dt)
+		p.Grad = convertStorage(p.Grad, dt)
 	}
+}
+
+func convertStorage(t *tensor.Tensor, dt tensor.DType) *tensor.Tensor {
+	if t.DT == dt {
+		return t
+	}
+	out := tensor.NewStorageOf(dt, t.Shape...)
+	tensor.ConvertInto(out, t)
+	tensor.RecycleStorage(t)
+	return out
 }
 
 // ParamsDType reports the dtype of a parameter list (F64 for an empty one).

@@ -240,3 +240,49 @@ func TestConv2DGroupsValidation(t *testing.T) {
 	}()
 	NewConv2D(3, 4, 3, 1, 1, 2, rand.New(rand.NewSource(1)))
 }
+
+// An evaluation-mode Sequential.Forward hands layers' workspaces back while
+// it runs. It must give the bits its layers give run one by one with
+// nothing released — through a chain whose outputs alias their inputs
+// (evaluation Dropout's identity, then Flatten's view), where the Dense
+// after them reads the storage of the ReLU before them and writes an output
+// of the same size, which a premature release would hand it to overwrite
+// mid-read — and leave the layers it released holding no workspace.
+func TestEvalForwardReleasesBehind(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		rng := rand.New(rand.NewSource(31))
+		s := NewSequential(
+			NewConv2D(1, 4, 3, 1, 1, 1, rng),
+			NewReLU(),
+			NewDropout(0.5, rng),
+			NewFlatten(),
+			NewDense(4*6*6, 4*6*6, rng),
+			NewReLU(),
+			NewDense(4*6*6, 3, rng),
+		)
+		ConvertParams(s.Params(), dt)
+		x := tensor.NewOf(dt, 5, 1, 6, 6)
+		x.FillRandn(rng, 1)
+		ref := x
+		for _, l := range s.Layers {
+			ref = l.Forward(ref, false)
+		}
+		want := ref.AppendFloat64s(nil)
+		Release(s)
+		for pass := 0; pass < 2; pass++ {
+			got := s.Forward(x, false).AppendFloat64s(nil)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v pass %d: output %d is %v, layer by layer %v", dt, pass, i, got[i], want[i])
+				}
+			}
+		}
+		if c := s.Layers[0].(*Conv2D); c.cols != nil || c.out.bufs != [2]*tensor.Tensor{} {
+			t.Fatalf("%v: the first convolution still holds workspaces after an evaluation forward", dt)
+		}
+		if s.Layers[6].(*Dense).out.bufs == [2]*tensor.Tensor{} {
+			t.Fatalf("%v: the last layer released the output Forward returned", dt)
+		}
+		Release(s)
+	}
+}

@@ -14,7 +14,9 @@
 // moment vectors, Adopt takes ownership of a set, and State/SetState are
 // their copying forms. A caller that is done with the state before the
 // optimizer's next Step (the lazy client store writing or reading a spill
-// record) uses Borrow/Adopt and copies nothing.
+// record) uses Borrow/Adopt and copies nothing. Moment vectors are
+// exact-length storage from the tensor pool, and Live.Recycle hands a
+// borrowed set back when the optimizer's life ends.
 package opt
 
 import (
@@ -83,6 +85,19 @@ func (l Live) State() State {
 	return st
 }
 
+// Recycle hands l's moment vectors to the tensor pool (tensor.PutStorage),
+// for the next optimizer that sizes its state or the next spill record
+// decoded to take. It ends the lending optimizer's life: it must not step
+// again.
+func (l Live) Recycle() {
+	for _, v := range l.F64 {
+		tensor.PutStorage(v)
+	}
+	for _, v := range l.F32 {
+		tensor.PutStorage(v)
+	}
+}
+
 // Live returns a copy of st in the form Adopt takes.
 func (st State) Live() Live {
 	c := Live{Ints: st.Ints, F64: st.Vecs}.State()
@@ -111,7 +126,8 @@ func (m *moments) adopt(l Live) {
 // ensure sizes the state for the parameter list in its dtype, groups vectors
 // per parameter, migrating adopted float64 vectors onto the f32 path when the
 // model turns out to be float32 (widening/narrowing of f32-exact values is
-// lossless).
+// lossless). Vectors are exact-length storage from the tensor pool; the
+// float64 vectors a migration replaces go back to it.
 func (m *moments) ensure(params []*nn.Param, groups int) {
 	want := groups * len(params)
 	if nn.ParamsDType(params).Backing() == tensor.F32 {
@@ -123,16 +139,18 @@ func (m *moments) ensure(params []*nn.Param, groups int) {
 		if m.f64 != nil { // restored snapshot: narrow it
 			checkVecCount(len(m.f64), want)
 			for i, v := range m.f64 {
-				m.f32[i] = make([]float32, len(v))
+				w := tensor.GetStorage[float32](len(v))
 				for j, x := range v {
-					m.f32[i][j] = float32(x)
+					w[j] = float32(x)
 				}
+				m.f32[i] = w
+				tensor.PutStorage(v)
 			}
 			m.f64 = nil
 			return
 		}
 		for i := range m.f32 {
-			m.f32[i] = make([]float32, params[i%len(params)].Value.Size())
+			m.f32[i] = tensor.ZeroStorage[float32](params[i%len(params)].Value.Size())
 		}
 		return
 	}
@@ -145,7 +163,7 @@ func (m *moments) ensure(params []*nn.Param, groups int) {
 	}
 	m.f64 = make([][]float64, want)
 	for i := range m.f64 {
-		m.f64[i] = make([]float64, params[i%len(params)].Value.Size())
+		m.f64[i] = tensor.ZeroStorage[float64](params[i%len(params)].Value.Size())
 	}
 }
 

@@ -5,18 +5,74 @@ import (
 	"sync"
 )
 
-// Pool is a size-bucketed free list of tensors. Buffers are grouped by
-// dtype and by the power-of-two ceiling of their element count, so a Get
-// for any shape is served by any previously Put tensor of the same dtype
-// bucket. Steady-state training that Gets and Puts its scratch tensors
-// performs no heap allocations. A Pool is safe for concurrent use.
+// Pool is a free list of tensor storage that serves two kinds of request.
+// Scratch (Get, GetOf, EnsureOf) is grouped by dtype and by the
+// power-of-two ceiling of its element count, so a Get for any shape is
+// served by any previously Put tensor of the same dtype bucket, and
+// steady-state training that Gets and Puts its scratch performs no heap
+// allocations. Storage a caller keeps — parameters, gradients, optimizer
+// moments, upload vectors — is handed out at exactly the requested length
+// (GetStorage, ZeroStorage, NewStorageOf) from lists keyed by length, since
+// the same lengths are asked for over and over and a rounded-up buffer
+// would hold its slack for as long as it is kept; it comes back through
+// PutStorage or RecycleStorage for the next request of that length. The
+// two never serve each other. A Pool is safe for concurrent use.
 type Pool struct {
 	buckets [numDTypes][poolBuckets]poolBucket
+	f64     exactList[float64]
+	f32     exactList[float32]
 }
 
 type poolBucket struct {
 	mu   sync.Mutex
 	free []*Tensor
+}
+
+// exactList is the free storage of one element type, by length. An emptied
+// list keeps its capacity, so a store that recycles as much as it takes
+// settles into handing storage back and forth without allocating.
+type exactList[F Float] struct {
+	mu   sync.Mutex
+	free map[int][][]F
+}
+
+// get returns n elements, recycled when the list has storage of that
+// length and otherwise allocated (and so zero); zero clears recycled ones.
+func (l *exactList[F]) get(n int, zero bool) []F {
+	l.mu.Lock()
+	if vs := l.free[n]; len(vs) > 0 {
+		v := vs[len(vs)-1]
+		vs[len(vs)-1] = nil
+		l.free[n] = vs[:len(vs)-1]
+		l.mu.Unlock()
+		if zero {
+			clear(v)
+		}
+		return v
+	}
+	l.mu.Unlock()
+	return make([]F, n)
+}
+
+func (l *exactList[F]) put(v []F) {
+	if cap(v) == 0 {
+		return
+	}
+	v = v[:cap(v)]
+	l.mu.Lock()
+	if l.free == nil {
+		l.free = make(map[int][][]F)
+	}
+	l.free[len(v)] = append(l.free[len(v)], v)
+	l.mu.Unlock()
+}
+
+// exactFor returns p's list for element type F.
+func exactFor[F Float](p *Pool) *exactList[F] {
+	if l, ok := any(&p.f32).(*exactList[F]); ok {
+		return l
+	}
+	return any(&p.f64).(*exactList[F])
 }
 
 // poolBuckets covers element counts up to 2^47; tensors beyond that are
@@ -122,8 +178,9 @@ func (p *Pool) Put(t *Tensor) {
 
 // defaultPool serves the package-level GetTensor/PutTensor helpers used by
 // the training-step and loss code for batch-lifetime scratch (input stacks,
-// feature-gradient accumulators, the O(batch²) contrastive intermediates)
-// and EnsureOf, through which every layer workspace comes and goes.
+// feature-gradient accumulators, the O(batch²) contrastive intermediates),
+// EnsureOf, through which every layer workspace comes and goes, and the
+// exact-length storage of GetStorage, ZeroStorage and NewStorageOf.
 var defaultPool = NewPool()
 
 // GetTensor returns a zeroed float64 tensor of the given shape from the
@@ -137,6 +194,46 @@ func GetTensorOf(dt DType, shape ...int) *Tensor { return defaultPool.GetOf(dt, 
 // PutTensor returns a tensor obtained from GetTensor/GetTensorOf to the
 // default pool.
 func PutTensor(t *Tensor) { defaultPool.Put(t) }
+
+// GetStorage returns exactly n elements of storage from the default pool,
+// with unspecified contents: a recycled slice arrives holding whatever its
+// last owner wrote, so the caller must overwrite every element. Its length
+// and capacity are n. PutStorage hands it back.
+func GetStorage[F Float](n int) []F { return exactFor[F](defaultPool).get(n, false) }
+
+// ZeroStorage is GetStorage for a caller that needs n zeros.
+func ZeroStorage[F Float](n int) []F { return exactFor[F](defaultPool).get(n, true) }
+
+// PutStorage hands storage to the default pool for the next GetStorage of
+// its capacity. The caller must not use v (or any slice sharing it)
+// afterwards. A nil or empty v is ignored.
+func PutStorage[F Float](v []F) { exactFor[F](defaultPool).put(v) }
+
+// NewStorageOf returns a zero-filled tensor of the given dtype and shape
+// whose storage comes from the default pool at exactly the shape's element
+// count (ZeroStorage): the constructor of tensors a model keeps, such as its
+// parameters and their gradients. RecycleStorage hands the storage back.
+func NewStorageOf(dt DType, shape ...int) *Tensor {
+	t := &Tensor{Shape: append([]int(nil), shape...), DT: dt}
+	if dt.Backing() == F32 {
+		t.F32 = ZeroStorage[float32](sizeOf(shape))
+	} else {
+		t.Data = ZeroStorage[float64](sizeOf(shape))
+	}
+	return t
+}
+
+// RecycleStorage hands t's storage to the default pool (PutStorage) and
+// detaches it from t, which then holds no elements. Nothing may use the
+// storage afterwards through another tensor or slice sharing it.
+func RecycleStorage(t *Tensor) {
+	if t.DT.Backing() == F32 {
+		PutStorage(t.F32)
+	} else {
+		PutStorage(t.Data)
+	}
+	t.Data, t.F32 = nil, nil
+}
 
 // Ensure returns a float64 tensor of the given shape, reusing t's storage
 // when possible; see EnsureOf.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,6 +46,86 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("pooled Get/Put allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// Exact-length storage comes back at exactly the requested length, serves
+// only later requests of its length and element type, never scratch, and a
+// warmed list hands storage back and forth without allocating.
+func TestPoolExactStorage(t *testing.T) {
+	p := NewPool()
+	f64, f32 := exactFor[float64](p), exactFor[float32](p)
+	v := f64.get(30, false)
+	if len(v) != 30 || cap(v) != 30 {
+		t.Fatalf("exact storage of 30 has len %d, cap %d", len(v), cap(v))
+	}
+	f64.put(v)
+	if w := f32.get(30, false); len(w) != 30 {
+		t.Fatalf("float32 storage of 30 has len %d", len(w))
+	}
+	if w := f64.get(31, false); &w[0] == &v[0] {
+		t.Fatal("a request of 31 took the storage put back at 30")
+	}
+	if w := f64.get(30, false); &w[0] != &v[0] {
+		t.Fatal("a request of 30 did not take the storage put back at 30")
+	}
+	pow := f64.get(32, false)
+	f64.put(pow)
+	if g := p.Get(32); &g.Data[0] == &pow[0] {
+		t.Fatal("scratch took exact-length storage")
+	}
+	if avg := testing.AllocsPerRun(100, func() { f64.put(f64.get(32, false)) }); avg > 0 {
+		t.Fatalf("exact Get/Put allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// Exact storage taken and handed back from many goroutines at once is never
+// handed to two holders (run under -race).
+func TestPoolExactStorageConcurrent(t *testing.T) {
+	p := NewPool()
+	l := exactFor[float64](p)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v := l.get(17+i%3, false)
+				for j := range v {
+					v[j] = float64(g)
+				}
+				for j := range v {
+					if v[j] != float64(g) {
+						t.Errorf("goroutine %d: storage shared with goroutine %v", g, v[j])
+						return
+					}
+				}
+				l.put(v)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// NewStorageOf zero-fills storage that arrives dirty, and RecycleStorage
+// detaches it from the tensor it hands back.
+func TestNewStorageOfZeroFills(t *testing.T) {
+	for _, dt := range []DType{F64, F32, BF16} {
+		dirty := NewStorageOf(dt, 3, 7)
+		dirty.Fill(math.NaN())
+		RecycleStorage(dirty)
+		if dirty.Data != nil || dirty.F32 != nil || dirty.Size() != 0 {
+			t.Fatalf("%v: a recycled tensor still holds storage", dt)
+		}
+		x := NewStorageOf(dt, 7, 3)
+		if x.DT != dt || x.Size() != 21 || x.Dim(0) != 7 {
+			t.Fatalf("%v: NewStorageOf gave %v %v", dt, x.DT, x.Shape)
+		}
+		for i, v := range x.AppendFloat64s(nil) {
+			if v != 0 {
+				t.Fatalf("%v: element %d is %v on recycled storage, want 0", dt, i, v)
+			}
+		}
 	}
 }
 
