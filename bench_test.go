@@ -35,8 +35,10 @@ func benchScale() experiments.Scale {
 // A hotPath is one gated microbenchmark. setup builds the operands and
 // returns the timed operation; allocs is its allocs/op at one worker, the
 // figure the retired bench-compare job enforced, and loops bounds how many
-// parallel loops the operation runs: beyond one worker each of them also
-// allocates its range closure and a task closure per worker.
+// parallel loops the operation runs: beyond one worker each of them may
+// allocate its range closure and a task closure per worker. (The worker
+// pool's dispatch and the GEMM launches no longer allocate in steady state,
+// so the allowance is an upper bound.)
 type hotPath struct {
 	name   string
 	setup  func(tb testing.TB) func()
@@ -228,15 +230,18 @@ func matMul(dt tensor.DType, into bool) func(testing.TB) func() {
 // ATB out = aᵀ·b (b m×n, out k×n), ABT out = a·bᵀ (b n×k, out m×n). Each
 // layer contributes its forward product and its two backward ones, as
 // internal/nn issues them: a Conv2D with outC output channels, K = inC·kh·kw
-// and P = batch·spatial runs W·cols (outC,K,P), Wᵀ·gmat (outC,K,P) and
-// cols·gmatᵀ (K,P,outC); a Dense layer of batch B runs x·W (B,in,out), xᵀ·g
+// and P = block·spatial (a block is the samples whose lowering fits the
+// layer's element budget) runs W·cols (outC,K,P), Wᵀ·gmat (outC,K,P) and
+// cols·gmatᵀ (K,P,outC) per block; a Dense layer of batch B runs x·W (B,in,out), xᵀ·g
 // (B,in,out) and g·Wᵀ (B,out,in).
 var gemmForms = []struct {
 	form    string
 	m, k, n int
 }{
-	// het_sync conv: outC 8, K 72, P 4608.
-	{"NN", 8, 72, 4608}, {"ATB", 8, 72, 4608}, {"ABT", 72, 4608, 8},
+	// het_sync conv: outC 8, K 72, P 1296. The 8→8 3×3 convolution at 12×12
+	// lowers its contrastive batch of 32 in blocks of 9 samples (9·144
+	// columns), the last of 5.
+	{"NN", 8, 72, 1296}, {"ATB", 8, 72, 1296}, {"ABT", 72, 1296, 8},
 	// wire MLP's first Dense: B 16, 144 → 512.
 	{"NN", 16, 144, 512}, {"ATB", 16, 144, 512}, {"ABT", 16, 512, 144},
 	// lazy_async_churn conv: outC 8, K 72, P 144.
@@ -307,7 +312,7 @@ func convForward(dt tensor.DType) func(testing.TB) func() {
 }
 
 // convTrainStep is one forward+backward pass of a single convolution layer
-// on the batched im2col path.
+// whose batch lowers in one block.
 func convTrainStep(dt tensor.DType) func(testing.TB) func() {
 	return func(testing.TB) func() {
 		rng := rand.New(rand.NewSource(1))

@@ -11,47 +11,68 @@ import (
 // cached workspaces, steady-state Forward/Backward must not touch the heap.
 // The only tolerated residue is the handful of parallel-dispatch closures a
 // layer hands to the persistent worker pool — a small constant independent
-// of batch size, channel count and spatial extent.
+// of batch size, block count, channel count and spatial extent.
 func parallelDispatchBudget() float64 {
-	// Each parallel loop costs the user closure plus the shard wrapper, and
-	// every shard handed to the pool costs one task closure, so the residue
-	// scales with the worker count (but not with batch size, channels or
-	// spatial extent). A layer method runs at most ~4 parallel loops
-	// (im2col/gather/col2im plus sharded GEMMs); add slack for a panel
-	// scratch revived after a GC cycle.
+	// A parallel loop may cost its closure and, per shard handed to the
+	// pool, dispatch state, so the allowance scales with the worker count
+	// (but not with batch size, block count, channels or spatial extent).
+	// Conv2D's per-sample range function is built with the layer and the
+	// pool's dispatch and GEMM launches reuse pooled state, so today's
+	// figure is 0; the slack covers pooled state (panels, launches,
+	// WaitGroups) revived after a GC cycle.
 	return float64(8 + 4*tensor.Workers())
 }
 
-func TestConv2DForwardAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	layer := NewConv2D(4, 8, 3, 1, 1, 1, rng)
-	x := tensor.New(4, 4, 10, 10)
+// convAllocShapes are the alloc gates' convolution batches: one block at
+// 10×10, and a ragged three blocks (2, 2, 1 samples) at 32×32, where one
+// sample lowers to 36 Ki of the convBlockElems budget. Per-call
+// allocation must not grow with the block count any more than with batch
+// size.
+var convAllocShapes = []struct{ n, side, blocks int }{{4, 10, 1}, {5, 32, 3}}
+
+// convAllocLayer builds the alloc gates' 4→8 3×3 convolution at dt with an
+// input and an output gradient of the given shape, and checks its block
+// count after one warm-up training step.
+func convAllocLayer(t *testing.T, dt tensor.DType, seed int64, n, side, blocks int) (layer *Conv2D, x, grad *tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	layer = NewConv2D(4, 8, 3, 1, 1, 1, rng)
+	ConvertParams(layer.Params(), dt)
+	x = tensor.NewOf(dt, n, 4, side, side)
 	x.FillRandn(rng, 1)
-	layer.Forward(x, true) // warm up workspaces
+	grad = tensor.NewOf(dt, n, 8, side, side)
+	grad.FillRandn(rng, 1)
 	layer.Forward(x, true)
-	avg := testing.AllocsPerRun(50, func() {
+	layer.Backward(grad)
+	if got := layer.blocks(); got != blocks {
+		t.Fatalf("batch %d at %dx%d lowers in %d blocks, want %d", n, side, side, got, blocks)
+	}
+	return layer, x, grad
+}
+
+func TestConv2DForwardAllocs(t *testing.T) {
+	for _, sh := range convAllocShapes {
+		layer, x, _ := convAllocLayer(t, tensor.F64, 1, sh.n, sh.side, sh.blocks)
 		layer.Forward(x, true)
-	})
-	if budget := parallelDispatchBudget(); avg > budget {
-		t.Fatalf("Conv2D.Forward allocates %.1f objects/op in steady state, want <= %.0f", avg, budget)
+		avg := testing.AllocsPerRun(50, func() {
+			layer.Forward(x, true)
+		})
+		if budget := parallelDispatchBudget(); avg > budget {
+			t.Fatalf("Conv2D.Forward over %d blocks allocates %.1f objects/op in steady state, want <= %.0f", sh.blocks, avg, budget)
+		}
 	}
 }
 
 func TestConv2DTrainStepAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	layer := NewConv2D(4, 8, 3, 1, 1, 1, rng)
-	x := tensor.New(4, 4, 10, 10)
-	x.FillRandn(rng, 1)
-	grad := tensor.New(4, 8, 10, 10)
-	grad.FillRandn(rng, 1)
-	layer.Forward(x, true)
-	layer.Backward(grad)
-	avg := testing.AllocsPerRun(50, func() {
-		layer.Forward(x, true)
-		layer.Backward(grad)
-	})
-	if budget := 2 * parallelDispatchBudget(); avg > budget {
-		t.Fatalf("Conv2D forward+backward allocates %.1f objects/op in steady state, want <= %.0f", avg, budget)
+	for _, sh := range convAllocShapes {
+		layer, x, grad := convAllocLayer(t, tensor.F64, 2, sh.n, sh.side, sh.blocks)
+		avg := testing.AllocsPerRun(50, func() {
+			layer.Forward(x, true)
+			layer.Backward(grad)
+		})
+		if budget := 2 * parallelDispatchBudget(); avg > budget {
+			t.Fatalf("Conv2D forward+backward over %d blocks allocates %.1f objects/op in steady state, want <= %.0f", sh.blocks, avg, budget)
+		}
 	}
 }
 
@@ -74,21 +95,15 @@ func TestDenseForwardAllocs(t *testing.T) {
 // dtype dispatch happens per call, never per element, and the per-dtype
 // pools serve the narrow buffers.
 func TestConv2DTrainStepAllocsF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	layer := NewConv2D(4, 8, 3, 1, 1, 1, rng)
-	ConvertParams(layer.Params(), tensor.F32)
-	x := tensor.NewOf(tensor.F32, 4, 4, 10, 10)
-	x.FillRandn(rng, 1)
-	grad := tensor.NewOf(tensor.F32, 4, 8, 10, 10)
-	grad.FillRandn(rng, 1)
-	layer.Forward(x, true)
-	layer.Backward(grad)
-	avg := testing.AllocsPerRun(50, func() {
-		layer.Forward(x, true)
-		layer.Backward(grad)
-	})
-	if budget := 2 * parallelDispatchBudget(); avg > budget {
-		t.Fatalf("f32 Conv2D forward+backward allocates %.1f objects/op in steady state, want <= %.0f", avg, budget)
+	for _, sh := range convAllocShapes {
+		layer, x, grad := convAllocLayer(t, tensor.F32, 12, sh.n, sh.side, sh.blocks)
+		avg := testing.AllocsPerRun(50, func() {
+			layer.Forward(x, true)
+			layer.Backward(grad)
+		})
+		if budget := 2 * parallelDispatchBudget(); avg > budget {
+			t.Fatalf("f32 Conv2D forward+backward over %d blocks allocates %.1f objects/op in steady state, want <= %.0f", sh.blocks, avg, budget)
+		}
 	}
 }
 

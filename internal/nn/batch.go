@@ -90,130 +90,43 @@ func sameConvConfig(cs []*Conv2D) bool {
 	return true
 }
 
-// Conv2DForwardBatch runs cs[g].Forward(xs[g], train) for every g. The
-// im2col lowerings run per client; each channel group's per-client GEMMs
-// fuse into one batched launch, with the bias-fused scatter per client in
-// between (each client's gemmOut scratch is reused across its groups, so
-// group products must scatter before the next group index runs).
+// Conv2DForwardBatch runs cs[g].Forward(xs[g], train) for every g through
+// the convolution block driver (convForward): block by block, each member
+// lowers its own block, and each channel group's per-client GEMMs of that
+// block fuse into one batched launch across the members whose block widths
+// match, with the bias-fused scatter per client in between (each client's
+// gemmOut scratch is reused across its groups, so group products must
+// scatter before the next group index runs).
 func Conv2DForwardBatch(cs []*Conv2D, xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	if len(cs) != len(xs) {
 		panic("nn: Conv2DForwardBatch length mismatch")
 	}
+	outs := make([]*tensor.Tensor, len(cs))
 	if !sameConvConfig(cs) {
-		outs := make([]*tensor.Tensor, len(cs))
 		for g, c := range cs {
 			outs[g] = c.Forward(xs[g], train)
 		}
 		return outs
 	}
-	outs := make([]*tensor.Tensor, len(cs))
-	ns := make([]int, len(cs))
-	for g, c := range cs {
-		x := xs[g]
-		if x.Rank() != 4 || x.Dim(1) != c.InC {
-			panic("nn: Conv2DForwardBatch input shape mismatch")
-		}
-		if x.DT != c.W.Value.DT {
-			panic("nn: Conv2DForwardBatch input dtype mismatch (cast inputs at the model boundary)")
-		}
-		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-		c.ensureWorkspace(n, h, w)
-		ns[g] = n
-		outs[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
-		if x.DT.Backing() == tensor.F32 {
-			xd, colsd := tensor.Of[float32](x), tensor.Of[float32](c.cols)
-			parallelFor(n, func(i int) { im2col(c, xd, colsd, i) })
-		} else {
-			parallelFor(n, func(i int) { im2col(c, x.Data, c.cols.Data, i) })
-		}
-	}
-	gemmOuts := make([]*tensor.Tensor, len(cs))
-	wgs := make([]*tensor.Tensor, len(cs))
-	colsVs := make([]*tensor.Tensor, len(cs))
-	for grp := 0; grp < cs[0].Groups; grp++ {
-		for g, c := range cs {
-			gemmOuts[g], wgs[g], colsVs[g] = c.gemmOut, c.wgV[grp], c.colsV[grp]
-		}
-		tensor.MatMulBatchInto(gemmOuts, wgs, colsVs)
-		for g, c := range cs {
-			if outs[g].DT.Backing() == tensor.F32 {
-				convScatterGroup(c, tensor.Of[float32](outs[g]), tensor.Of[float32](c.gemmOut),
-					tensor.Of[float32](c.B.Value), grp, ns[g])
-			} else {
-				convScatterGroup(c, outs[g].Data, c.gemmOut.Data, c.B.Value.Data, grp, ns[g])
-			}
-		}
-	}
+	convForward(cs, xs, outs, train)
 	return outs
 }
 
-// Conv2DBackwardBatch runs cs[g].Backward(grads[g]) for every g, fusing each
-// channel group's weight- and column-gradient GEMMs across the clients.
+// Conv2DBackwardBatch runs cs[g].Backward(grads[g]) for every g through the
+// backward block driver (convBackward), fusing each block's weight- and
+// column-gradient GEMMs per channel group across the clients.
 func Conv2DBackwardBatch(cs []*Conv2D, grads []*tensor.Tensor) []*tensor.Tensor {
 	if len(cs) != len(grads) {
 		panic("nn: Conv2DBackwardBatch length mismatch")
 	}
+	dxs := make([]*tensor.Tensor, len(cs))
 	if !sameConvConfig(cs) {
-		dxs := make([]*tensor.Tensor, len(cs))
 		for g, c := range cs {
 			dxs[g] = c.Backward(grads[g])
 		}
 		return dxs
 	}
-	dxs := make([]*tensor.Tensor, len(cs))
-	ns := make([]int, len(cs))
-	for g, c := range cs {
-		grad := grads[g]
-		n := grad.Dim(0)
-		if n != c.batch || grad.Dim(1) != c.OutC {
-			panic("nn: Conv2DBackwardBatch grad shape does not match forward batch")
-		}
-		c.ensureBackwardWorkspace()
-		c.dx = tensor.EnsureOf(grad.DT, c.dx, n, c.InC, c.inH, c.inW)
-		if !c.convInitsDX() {
-			c.dx.Zero()
-		}
-		dxs[g] = c.dx
-		ns[g] = n
-		if grad.DT.Backing() == tensor.F32 {
-			convGatherGrad(c, tensor.Of[float32](grad), tensor.Of[float32](c.gmat),
-				tensor.Of[float32](c.B.Grad), n)
-		} else {
-			convGatherGrad(c, grad.Data, c.gmat.Data, c.B.Grad.Data, n)
-		}
-	}
-	dwts := make([]*tensor.Tensor, len(cs))
-	gms := make([]*tensor.Tensor, len(cs))
-	colsVs := make([]*tensor.Tensor, len(cs))
-	dcolsVs := make([]*tensor.Tensor, len(cs))
-	wgs := make([]*tensor.Tensor, len(cs))
-	for grp := 0; grp < cs[0].Groups; grp++ {
-		for g, c := range cs {
-			dwts[g], gms[g], colsVs[g] = c.dwt, c.gmatV[grp], c.colsV[grp]
-			dcolsVs[g], wgs[g] = c.dcolsV[grp], c.wgV[grp]
-		}
-		// Same transposed dW form as the standalone backward (see
-		// convBackward): pack the short gmat operand, then scatter the
-		// transpose into the zeroed weight gradient.
-		tensor.MatMulBatchABTInto(dwts, colsVs, gms)
-		for g, c := range cs {
-			if grads[g].DT.Backing() == tensor.F32 {
-				addTransposed(tensor.Of[float32](c.dwV[grp]), tensor.Of[float32](c.dwt),
-					c.outCPerGroup, c.kernelElems)
-			} else {
-				addTransposed(c.dwV[grp].Data, c.dwt.Data, c.outCPerGroup, c.kernelElems)
-			}
-		}
-		tensor.MatMulBatchATBInto(dcolsVs, wgs, gms)
-	}
-	for g, c := range cs {
-		if grads[g].DT.Backing() == tensor.F32 {
-			dcolsd, dxd := tensor.Of[float32](c.dcols), tensor.Of[float32](c.dx)
-			parallelFor(ns[g], func(i int) { col2im(c, dcolsd, dxd, i) })
-		} else {
-			parallelFor(ns[g], func(i int) { col2im(c, c.dcols.Data, c.dx.Data, i) })
-		}
-	}
+	convBackward(cs, grads, dxs)
 	return dxs
 }
 

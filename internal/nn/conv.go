@@ -9,10 +9,17 @@ import (
 
 // Conv2D is a 2-D convolution over [N, C, H, W] inputs with optional grouped
 // convolution (groups > 1 partitions input and output channels, as in
-// ShuffleNet). Weights are stored as [outC, (inC/groups)·kH·kW], and the
-// whole batch is lowered into one im2col matrix of shape
-// [groups·kernelElems, N·outH·outW] so the forward pass is a single GEMM per
-// group per batch rather than one tiny GEMM per sample.
+// ShuffleNet). Weights are stored as [outC, (inC/groups)·kH·kW].
+//
+// The batch is lowered in blocks: a block is the largest run of samples
+// whose im2col matrix [groups·kernelElems, block·outH·outW] fits
+// convBlockElems, and each block's lowering, GEMMs and scatter (in backward:
+// gather, dW, dcols and col2im) finish before the next block starts, so the
+// matrix stays cache-resident between the lowering and the products that
+// read it. Only the last block's columns survive a forward, so a training
+// Forward keeps its input and Backward lowers each block again, as Dense
+// reads its input again; a batch that fits one block reuses the forward's
+// lowering.
 //
 // The layer keeps its im2col, GEMM and gradient workspaces across the calls
 // of a pass, sized and typed to match the parameters' dtype; steady-state
@@ -27,29 +34,60 @@ type Conv2D struct {
 	inH, inW     int // set on Forward
 	outH, outW   int
 	batch        int
+	blk          int // samples per block (the last block may hold fewer)
 	inCPerGroup  int
 	outCPerGroup int
 	kernelElems  int
 
+	// x is a training Forward's input, which Backward lowers again; an
+	// evaluation Forward and release clear it. gy is Backward's output
+	// gradient for the duration of the call.
+	x, gy *tensor.Tensor
+
+	// The current block: samples [b0, b0+bn) of the batch, and what the
+	// per-sample range function (task) does to them.
+	b0, bn int
+	phase  convPhase
+	task   func(shard, lo, hi int)
+
 	// Reusable workspaces, sized on first use in a pass and whenever the
 	// input geometry changes. The backward-only workspaces (gmat, dcols,
-	// dwt, dx) are taken lazily in Backward so evaluation-mode forwards
+	// dwt, dbs, dx) are taken lazily in Backward so evaluation-mode forwards
 	// never pay for them.
-	cols    *tensor.Tensor // [Groups·kernelElems, N·spatial] im2col matrix
-	gemmOut *tensor.Tensor // [outCPerGroup, N·spatial] per-group product
-	gmat    *tensor.Tensor // [OutC, N·spatial] gathered output gradient
-	dcols   *tensor.Tensor // [Groups·kernelElems, N·spatial] column gradient
-	dwt     *tensor.Tensor // [kernelElems, outCPerGroup] transposed dW product
+	cols    *tensor.Tensor // [Groups·kernelElems, blk·spatial] one block's im2col matrix
+	gemmOut *tensor.Tensor // [outCPerGroup, blk·spatial] per-group product
+	gmat    *tensor.Tensor // [OutC, blk·spatial] one block's gathered output gradient
+	dcols   *tensor.Tensor // [Groups·kernelElems, blk·spatial] column gradient
+	dwt     *tensor.Tensor // [Groups·kernelElems, outCPerGroup] transposed dW, summed over blocks
+	dbs     *tensor.Tensor // [OutC] bias gradient, summed over blocks
 	dx      *tensor.Tensor
 	out     ring2
 	bwdOK   bool // backward workspaces match the current geometry
 
-	// Cached per-group views over the workspaces and weights, rebuilt only
-	// on geometry changes so the hot path creates no tensor headers.
-	wgV, dwV     []*tensor.Tensor
-	colsV, gmatV []*tensor.Tensor
-	dcolsV       []*tensor.Tensor
+	// Cached per-group views over the workspaces and weights. The weight
+	// views are rebuilt on geometry changes, the block views retargeted per
+	// block, so the hot path creates no tensor headers.
+	wgV, dwV, dwtV []*tensor.Tensor
+	colsV, gmatV   []*tensor.Tensor
+	dcolsV         []*tensor.Tensor
 }
+
+// convBlockElems is the im2col element budget of one block: 768 KB at
+// float64, which leaves room in a 2 MB L2 for the column gradient of the
+// same block. It splits the 8→8 3×3 convolution at 12×12 of a contrastive
+// batch of 32 (324 Ki elements whole) into four blocks, while the 8→16 one
+// at 6×6 (81 Ki) stays a single block and pays no re-lowering.
+const convBlockElems = 96 << 10
+
+// convPhase selects what Conv2D.task does to each sample of the current
+// block.
+type convPhase uint8
+
+const (
+	phaseLower  convPhase = iota // im2col from x
+	phaseGather                  // gather gy into gmat, lowering first when the block must be rebuilt
+	phaseCol2im                  // scatter dcols into dx
+)
 
 // NewConv2D constructs a grouped convolution layer with He-normal weights.
 func NewConv2D(inC, outC, k, stride, pad, groups int, rng *rand.Rand) *Conv2D {
@@ -64,6 +102,7 @@ func NewConv2D(inC, outC, k, stride, pad, groups int, rng *rand.Rand) *Conv2D {
 	c.kernelElems = c.inCPerGroup * k * k
 	c.W = newParam("conv.W", outC, c.kernelElems)
 	c.B = newParam("conv.B", outC)
+	c.task = c.runRange
 	heInit(c.W.Value, c.kernelElems, rng)
 	return c
 }
@@ -75,9 +114,18 @@ func (c *Conv2D) OutputShape(h, w int) (int, int) {
 	return oh, ow
 }
 
-// ensureWorkspace (re)builds the batch workspaces and group views when the
-// input geometry (or the model dtype) changes; with a stable geometry it is
-// a cheap no-op.
+// blockSamples is the block rule: as many samples as fit convBlockElems
+// columns of the lowering, at least one, at most the batch.
+func (c *Conv2D) blockSamples(n int) int {
+	return min(n, max(1, convBlockElems/(c.Groups*c.kernelElems*c.outH*c.outW)))
+}
+
+// blocks reports how many blocks the current batch lowers in.
+func (c *Conv2D) blocks() int { return (c.batch + c.blk - 1) / c.blk }
+
+// ensureWorkspace (re)builds the block workspaces and the weight views when
+// the input geometry (or the model dtype) changes; with a stable geometry
+// it is a cheap no-op.
 func (c *Conv2D) ensureWorkspace(n, h, w int) {
 	dt := c.W.Value.DT
 	oh, ow := c.OutputShape(h, w)
@@ -88,14 +136,15 @@ func (c *Conv2D) ensureWorkspace(n, h, w int) {
 		return
 	}
 	c.batch, c.inH, c.inW, c.outH, c.outW = n, h, w, oh, ow
+	c.blk = c.blockSamples(n)
 	c.bwdOK = false
-	ns := n * oh * ow
-	ke, sp := c.kernelElems, ns
+	ke, sp := c.kernelElems, c.blk*oh*ow
 	c.cols = tensor.EnsureOf(dt, c.cols, c.Groups*ke, sp)
 	c.gemmOut = tensor.EnsureOf(dt, c.gemmOut, c.outCPerGroup, sp)
 	if len(c.wgV) != c.Groups {
 		c.wgV = make([]*tensor.Tensor, c.Groups)
 		c.dwV = make([]*tensor.Tensor, c.Groups)
+		c.dwtV = make([]*tensor.Tensor, c.Groups)
 		c.colsV = make([]*tensor.Tensor, c.Groups)
 		c.gmatV = make([]*tensor.Tensor, c.Groups)
 		c.dcolsV = make([]*tensor.Tensor, c.Groups)
@@ -103,7 +152,6 @@ func (c *Conv2D) ensureWorkspace(n, h, w int) {
 	for g := 0; g < c.Groups; g++ {
 		wlo, whi := g*c.outCPerGroup*ke, (g+1)*c.outCPerGroup*ke
 		setView(&c.wgV[g], c.W.Value, wlo, whi, c.outCPerGroup, ke)
-		setView(&c.colsV[g], c.cols, g*ke*sp, (g+1)*ke*sp, ke, sp)
 	}
 }
 
@@ -115,18 +163,75 @@ func (c *Conv2D) ensureBackwardWorkspace() {
 		return
 	}
 	dt := c.W.Value.DT
-	ke := c.kernelElems
-	sp := c.batch * c.outH * c.outW
+	ke, ocg := c.kernelElems, c.outCPerGroup
+	sp := c.blk * c.outH * c.outW
 	c.gmat = tensor.EnsureOf(dt, c.gmat, c.OutC, sp)
 	c.dcols = tensor.EnsureOf(dt, c.dcols, c.Groups*ke, sp)
-	c.dwt = tensor.EnsureOf(dt, c.dwt, ke, c.outCPerGroup)
+	c.dwt = tensor.EnsureOf(dt, c.dwt, c.Groups*ke, ocg)
+	c.dbs = tensor.EnsureOf(dt, c.dbs, c.OutC)
 	for g := 0; g < c.Groups; g++ {
-		wlo, whi := g*c.outCPerGroup*ke, (g+1)*c.outCPerGroup*ke
-		setView(&c.dwV[g], c.W.Grad, wlo, whi, c.outCPerGroup, ke)
-		setView(&c.dcolsV[g], c.dcols, g*ke*sp, (g+1)*ke*sp, ke, sp)
-		setView(&c.gmatV[g], c.gmat, g*c.outCPerGroup*sp, (g+1)*c.outCPerGroup*sp, c.outCPerGroup, sp)
+		setView(&c.dwV[g], c.W.Grad, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
+		setView(&c.dwtV[g], c.dwt, g*ke*ocg, (g+1)*ke*ocg, ke, ocg)
 	}
 	c.bwdOK = true
+}
+
+// hasBlock reports whether block b holds any of the batch's samples.
+func (c *Conv2D) hasBlock(b int) bool { return b*c.blk < c.batch }
+
+// setBlock makes block b current: samples [b·blk, min((b+1)·blk, N)), with
+// the group views of the lowering (and, in backward, of the gradient
+// workspaces) retargeted at its width.
+func (c *Conv2D) setBlock(b int, backward bool) {
+	c.b0 = b * c.blk
+	c.bn = min(c.blk, c.batch-c.b0)
+	ke, ocg, w := c.kernelElems, c.outCPerGroup, c.bn*c.outH*c.outW
+	for g := 0; g < c.Groups; g++ {
+		setView(&c.colsV[g], c.cols, g*ke*w, (g+1)*ke*w, ke, w)
+		if backward {
+			setView(&c.dcolsV[g], c.dcols, g*ke*w, (g+1)*ke*w, ke, w)
+			setView(&c.gmatV[g], c.gmat, g*ocg*w, (g+1)*ocg*w, ocg, w)
+		}
+	}
+	if !backward {
+		c.gemmOut = tensor.EnsureOf(c.gemmOut.DT, c.gemmOut, ocg, w)
+	}
+}
+
+// runPhase runs the current phase over every sample of the current block on
+// the worker pool. task is built once per layer, so a dispatch allocates
+// nothing however many blocks a batch has.
+func (c *Conv2D) runPhase(p convPhase) {
+	c.phase = p
+	tensor.ParallelSharded(c.bn, tensor.Workers(), c.task)
+}
+
+// runRange is task: the current phase over samples [lo,hi) of the current
+// block.
+func (c *Conv2D) runRange(_, lo, hi int) {
+	if c.cols.DT.Backing() == tensor.F32 {
+		convRange[float32](c, lo, hi)
+	} else {
+		convRange[float64](c, lo, hi)
+	}
+}
+
+func convRange[F tensor.Float](c *Conv2D, lo, hi int) {
+	w := c.bn * c.outH * c.outW
+	for j := lo; j < hi; j++ {
+		i := c.b0 + j
+		switch c.phase {
+		case phaseLower:
+			im2col(c, tensor.Of[F](c.x), tensor.Of[F](c.cols), i, j, w)
+		case phaseGather:
+			if c.blocks() > 1 {
+				im2col(c, tensor.Of[F](c.x), tensor.Of[F](c.cols), i, j, w)
+			}
+			convGatherGrad(c, tensor.Of[F](c.gy), tensor.Of[F](c.gmat), i, j, w)
+		case phaseCol2im:
+			col2im(c, tensor.Of[F](c.dcols), tensor.Of[F](c.dx), i, j, w)
+		}
+	}
 }
 
 // setView retargets a cached rank-2 view header at elements [lo,hi) of a
@@ -142,46 +247,75 @@ func setView(vp **tensor.Tensor, src *tensor.Tensor, lo, hi, r, cols int) {
 
 // Forward computes the convolution for a batch [N, C, H, W].
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D.Forward input shape %v, want [N,%d,H,W]", x.Shape, c.InC))
-	}
-	if x.DT != c.W.Value.DT {
-		panic(fmt.Sprintf("nn: Conv2D.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, c.W.Value.DT))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.ensureWorkspace(n, h, w)
-	out := c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
-	if x.DT.Backing() == tensor.F32 {
-		convForward(c, tensor.Of[float32](x), tensor.Of[float32](out),
-			tensor.Of[float32](c.cols), tensor.Of[float32](c.gemmOut), tensor.Of[float32](c.B.Value), n)
-	} else {
-		convForward(c, x.Data, out.Data, c.cols.Data, c.gemmOut.Data, c.B.Value.Data, n)
-	}
-	return out
+	cs, xs, outs := [1]*Conv2D{c}, [1]*tensor.Tensor{x}, [1]*tensor.Tensor{}
+	convForward(cs[:], xs[:], outs[:], train)
+	return outs[0]
 }
 
-// convForward runs the dtype-generic forward: per-sample im2col lowering,
-// one GEMM per group, and the bias-fused scatter back to [N, C, H, W].
-func convForward[F tensor.Float](c *Conv2D, xd, outd, colsd, gemmOutd, bias []F, n int) {
-	parallelFor(n, func(i int) { im2col(c, xd, colsd, i) })
-	for g := 0; g < c.Groups; g++ {
-		tensor.MatMulInto(c.gemmOut, c.wgV[g], c.colsV[g])
-		convScatterGroup(c, outd, gemmOutd, bias, g, n)
+// convForward is the forward block driver behind Conv2D.Forward (a group of
+// one) and Conv2DForwardBatch: for each block index, every member lowers
+// its block, then per channel group the members' products run as fused
+// launches and each member scatters its product, bias fused, into its
+// output. The output columns are independent, so the blocks change no bit
+// of the whole-batch product.
+func convForward(cs []*Conv2D, xs, outs []*tensor.Tensor, train bool) {
+	nb := 0
+	for g, c := range cs {
+		x := xs[g]
+		if x.Rank() != 4 || x.Dim(1) != c.InC {
+			panic(fmt.Sprintf("nn: Conv2D.Forward input shape %v, want [N,%d,H,W]", x.Shape, c.InC))
+		}
+		if x.DT != c.W.Value.DT {
+			panic(fmt.Sprintf("nn: Conv2D.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, c.W.Value.DT))
+		}
+		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+		c.ensureWorkspace(n, h, w)
+		c.x = x
+		outs[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
+		nb = max(nb, c.blocks())
+	}
+	l := newConvLaunch(len(cs))
+	for b := 0; b < nb; b++ {
+		for _, c := range cs {
+			if c.hasBlock(b) {
+				c.setBlock(b, false)
+				c.runPhase(phaseLower)
+			}
+		}
+		for grp := 0; grp < cs[0].Groups; grp++ {
+			l.run(cs, b, productW, grp)
+			for g, c := range cs {
+				if !c.hasBlock(b) {
+					continue
+				}
+				if y := outs[g]; y.DT.Backing() == tensor.F32 {
+					convScatterGroup(c, tensor.Of[float32](y), tensor.Of[float32](c.gemmOut), tensor.Of[float32](c.B.Value), grp)
+				} else {
+					convScatterGroup(c, y.Data, c.gemmOut.Data, c.B.Value.Data, grp)
+				}
+			}
+		}
+	}
+	if !train {
+		for _, c := range cs {
+			c.x = nil
+		}
 	}
 }
 
-// convScatterGroup scatters one group's [outCPerGroup, N·spatial] GEMM
-// product back to the per-sample layout, fusing the bias add. Shared by the
-// standalone forward and the cross-client batched forward.
-func convScatterGroup[F tensor.Float](c *Conv2D, outd, gemmOutd, bias []F, g, n int) {
+// convScatterGroup scatters one group's [outCPerGroup, bn·spatial] product
+// of the current block back to the per-sample layout, fusing the bias add.
+func convScatterGroup[F tensor.Float](c *Conv2D, outd, gemmOutd, bias []F, g int) {
 	spatial := c.outH * c.outW
+	w := c.bn * spatial
 	for oc := 0; oc < c.outCPerGroup; oc++ {
 		ch := g*c.outCPerGroup + oc
 		b := bias[ch]
-		src := gemmOutd[oc*n*spatial : (oc+1)*n*spatial]
-		for i := 0; i < n; i++ {
+		src := gemmOutd[oc*w : (oc+1)*w]
+		for j := 0; j < c.bn; j++ {
+			i := c.b0 + j
 			tensor.AddScalarInto(outd[(i*c.OutC+ch)*spatial:(i*c.OutC+ch+1)*spatial],
-				src[i*spatial:(i+1)*spatial], b)
+				src[j*spatial:(j+1)*spatial], b)
 		}
 	}
 }
@@ -193,66 +327,222 @@ func (c *Conv2D) convInitsDX() bool {
 	return c.Stride == 1 && c.outW == c.inW && c.outH == c.inH
 }
 
-// Backward accumulates dW, dB and returns dX. It reuses the im2col matrix
-// built by the preceding Forward call.
+// Backward accumulates dW, dB and returns dX. It lowers each block of the
+// preceding training Forward's input again (a single-block batch reuses
+// the forward's lowering), so it must follow a training-mode Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Dim(0)
-	if n != c.batch || grad.Dim(1) != c.OutC {
-		panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward batch %d", grad.Shape, c.batch))
-	}
-	c.ensureBackwardWorkspace()
-	c.dx = tensor.EnsureOf(grad.DT, c.dx, n, c.InC, c.inH, c.inW)
-	if !c.convInitsDX() {
-		c.dx.Zero()
-	}
-	if grad.DT.Backing() == tensor.F32 {
-		convBackward(c, tensor.Of[float32](grad), tensor.Of[float32](c.gmat),
-			tensor.Of[float32](c.B.Grad), tensor.Of[float32](c.dcols), tensor.Of[float32](c.dx), n)
-	} else {
-		convBackward(c, grad.Data, c.gmat.Data, c.B.Grad.Data, c.dcols.Data, c.dx.Data, n)
-	}
-	return c.dx
+	cs, grads, dxs := [1]*Conv2D{c}, [1]*tensor.Tensor{grad}, [1]*tensor.Tensor{}
+	convBackward(cs[:], grads[:], dxs[:])
+	return dxs[0]
 }
 
-// convBackward runs the dtype-generic backward: gradient gather to
-// channel-major, bias reduction, the two GEMMs per group, and the col2im
-// scatter back to the input gradient.
-func convBackward[F tensor.Float](c *Conv2D, gradd, gm, db, dcolsd, dxd []F, n int) {
-	convGatherGrad(c, gradd, gm, db, n)
-	for g := 0; g < c.Groups; g++ {
-		// dW_g += gmat_g · colsᵀ_g, computed as the transposed product
-		// dWᵀ_g = cols_g · gmatᵀ_g: the ABT kernel transpose-packs its
-		// second operand, and gmat_g (outCPerGroup rows) is an order of
-		// magnitude shorter than cols_g (kernelElems rows), so this form
-		// packs ~10× fewer elements and reuses each panel across every
-		// kernelElems output row. dW is zero on entry (grads are cleared
-		// each step), so scattering the transpose back is bit-identical
-		// to accumulating the direct product.
-		tensor.MatMulABTInto(c.dwt, c.colsV[g], c.gmatV[g])
-		addTransposed(tensor.Of[F](c.dwV[g]), tensor.Of[F](c.dwt), c.outCPerGroup, c.kernelElems)
-		// dcols_g = W_gᵀ · gmat_g
-		tensor.MatMulATBInto(c.dcolsV[g], c.wgV[g], c.gmatV[g])
+// convBackward is the backward block driver behind Conv2D.Backward and
+// Conv2DBackwardBatch. Per block, every member re-lowers its block and
+// gathers the output gradient into channel-major order, then per channel
+// group the dW and dcols products run as fused launches, then every member
+// scatters its column gradient into dx. dW is the one reduction over
+// samples: dWᵀ = cols·gmatᵀ is an Into at block 0 and an Acc after, in
+// ascending sample order, and the kernels run one multiply-add chain per
+// element across those calls, so the sum is the whole-batch product's bit
+// for bit. It and the bias sums reach the parameter gradients once, after
+// the last block.
+func convBackward(cs []*Conv2D, grads, dxs []*tensor.Tensor) {
+	nb := 0
+	for g, c := range cs {
+		grad := grads[g]
+		if c.x == nil {
+			panic("nn: Conv2D.Backward without a training-mode Forward: an evaluation Forward keeps no input to lower again")
+		}
+		if grad.Rank() != 4 || grad.Dim(0) != c.batch || grad.Dim(1) != c.OutC {
+			panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward batch %d", grad.Shape, c.batch))
+		}
+		c.ensureBackwardWorkspace()
+		c.dx = tensor.EnsureOf(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
+		if !c.convInitsDX() {
+			c.dx.Zero()
+		}
+		c.gy = grad
+		dxs[g] = c.dx
+		nb = max(nb, c.blocks())
 	}
-	parallelFor(n, func(i int) { col2im(c, dcolsd, dxd, i) })
+	l := newConvLaunch(len(cs))
+	for b := 0; b < nb; b++ {
+		for _, c := range cs {
+			if c.hasBlock(b) {
+				c.setBlock(b, true)
+				c.runPhase(phaseGather)
+				if c.dbs.DT.Backing() == tensor.F32 {
+					convBiasSums(c, tensor.Of[float32](c.gmat), tensor.Of[float32](c.dbs), b == 0)
+				} else {
+					convBiasSums(c, c.gmat.Data, c.dbs.Data, b == 0)
+				}
+			}
+		}
+		dw := productDWInto
+		if b > 0 {
+			dw = productDWAcc
+		}
+		for grp := 0; grp < cs[0].Groups; grp++ {
+			l.run(cs, b, dw, grp)
+			l.run(cs, b, productDCols, grp)
+		}
+		for _, c := range cs {
+			if c.hasBlock(b) {
+				c.runPhase(phaseCol2im)
+			}
+		}
+	}
+	for _, c := range cs {
+		if c.dbs.DT.Backing() == tensor.F32 {
+			convApplyGrads(c, tensor.Of[float32](c.B.Grad), tensor.Of[float32](c.dbs))
+		} else {
+			convApplyGrads(c, c.B.Grad.Data, c.dbs.Data)
+		}
+		c.gy = nil
+	}
 }
 
-// convGatherGrad gathers the output gradient into the [OutC, N·spatial]
-// channel-major layout — so the weight and column gradients are one GEMM per
-// group each — and folds the bias gradient reduction. Shared by the
-// standalone backward and the cross-client batched backward.
-func convGatherGrad[F tensor.Float](c *Conv2D, gradd, gm, db []F, n int) {
+// convGatherGrad copies sample i of the output gradient into column block
+// j of the [OutC, w] channel-major gather, so the weight and column
+// gradients are one GEMM per group each.
+func convGatherGrad[F tensor.Float](c *Conv2D, gradd, gm []F, i, j, w int) {
 	spatial := c.outH * c.outW
-	parallelFor(c.OutC, func(ch int) {
-		tensor.CopyRows(gm[ch*n*spatial:(ch+1)*n*spatial], gradd[ch*spatial:],
-			n, spatial, spatial, c.OutC*spatial)
-	})
+	src := gradd[i*c.OutC*spatial : (i+1)*c.OutC*spatial]
 	for ch := 0; ch < c.OutC; ch++ {
-		seg := gm[ch*n*spatial : (ch+1)*n*spatial]
+		copy(gm[ch*w+j*spatial:ch*w+(j+1)*spatial], src[ch*spatial:(ch+1)*spatial])
+	}
+}
+
+// convBiasSums folds the current block's gathered gradient into the
+// per-channel running sums, one addition chain per channel in ascending
+// sample order; the first block starts the chains.
+func convBiasSums[F tensor.Float](c *Conv2D, gm, dbs []F, first bool) {
+	w := c.bn * c.outH * c.outW
+	for ch := 0; ch < c.OutC; ch++ {
 		var s F
-		for _, v := range seg {
+		if !first {
+			s = dbs[ch]
+		}
+		for _, v := range gm[ch*w : (ch+1)*w] {
 			s += v
 		}
+		dbs[ch] = s
+	}
+}
+
+// convApplyGrads adds the summed bias gradient and the transposed weight
+// gradient, each once, to the parameter gradients. dW is zero on entry
+// (grads are cleared each step), so scattering the transpose is
+// bit-identical to accumulating the direct product.
+func convApplyGrads[F tensor.Float](c *Conv2D, db, dbs []F) {
+	for ch, s := range dbs {
 		db[ch] += s
+	}
+	for g := 0; g < c.Groups; g++ {
+		addTransposed(tensor.Of[F](c.dwV[g]), tensor.Of[F](c.dwtV[g]), c.outCPerGroup, c.kernelElems)
+	}
+}
+
+// convProduct names the GEMMs of a block, per channel group g.
+type convProduct uint8
+
+const (
+	productW      convProduct = iota // gemmOut = W_g · cols_g
+	productDWInto                    // dWᵀ_g = cols_g · gmat_gᵀ, the first block
+	productDWAcc                     // dWᵀ_g += cols_g · gmat_gᵀ, every later block
+	productDCols                     // dcols_g = W_gᵀ · gmat_g
+)
+
+// operands returns product p's output and operands for group g of the
+// current block. dWᵀ rather than dW: the A·Bᵀ kernel transpose-packs its
+// second operand, and gmat_g (outCPerGroup rows) is an order of magnitude
+// shorter than cols_g (kernelElems rows), so this form packs ~10× fewer
+// elements and reuses each panel across every kernelElems output row.
+func (c *Conv2D) operands(p convProduct, g int) (out, a, b *tensor.Tensor) {
+	switch p {
+	case productW:
+		return c.gemmOut, c.wgV[g], c.colsV[g]
+	case productDCols:
+		return c.dcolsV[g], c.wgV[g], c.gmatV[g]
+	default:
+		return c.dwtV[g], c.colsV[g], c.gmatV[g]
+	}
+}
+
+// convLaunch is the operand lists of a group's fused launches, reused
+// across the blocks of one driver call; a group of one needs none.
+type convLaunch struct {
+	outs, as, bs []*tensor.Tensor
+	fused        []bool
+}
+
+func newConvLaunch(members int) *convLaunch {
+	if members == 1 {
+		return nil
+	}
+	return &convLaunch{
+		outs:  make([]*tensor.Tensor, 0, members),
+		as:    make([]*tensor.Tensor, 0, members),
+		bs:    make([]*tensor.Tensor, 0, members),
+		fused: make([]bool, members),
+	}
+}
+
+// run issues product p for group g of block b of every member that has the
+// block: members whose block widths match share one batched launch, which
+// computes each product bit for bit as its standalone call.
+func (l *convLaunch) run(cs []*Conv2D, b int, p convProduct, g int) {
+	if l == nil {
+		out, a, bm := cs[0].operands(p, g)
+		runProduct(p, out, a, bm)
+		return
+	}
+	clear(l.fused)
+	for lead, c0 := range cs {
+		if l.fused[lead] || !c0.hasBlock(b) {
+			continue
+		}
+		l.outs, l.as, l.bs = l.outs[:0], l.as[:0], l.bs[:0]
+		for m := lead; m < len(cs); m++ {
+			c := cs[m]
+			if l.fused[m] || !c.hasBlock(b) || c.bn*c.outH*c.outW != c0.bn*c0.outH*c0.outW {
+				continue
+			}
+			l.fused[m] = true
+			out, a, bm := c.operands(p, g)
+			l.outs, l.as, l.bs = append(l.outs, out), append(l.as, a), append(l.bs, bm)
+		}
+		if len(l.outs) == 1 {
+			runProduct(p, l.outs[0], l.as[0], l.bs[0])
+		} else {
+			runProducts(p, l.outs, l.as, l.bs)
+		}
+	}
+}
+
+func runProduct(p convProduct, out, a, b *tensor.Tensor) {
+	switch p {
+	case productW:
+		tensor.MatMulInto(out, a, b)
+	case productDWInto:
+		tensor.MatMulABTInto(out, a, b)
+	case productDWAcc:
+		tensor.MatMulABTAcc(out, a, b)
+	default:
+		tensor.MatMulATBInto(out, a, b)
+	}
+}
+
+func runProducts(p convProduct, outs, as, bs []*tensor.Tensor) {
+	switch p {
+	case productW:
+		tensor.MatMulBatchInto(outs, as, bs)
+	case productDWInto:
+		tensor.MatMulBatchABTInto(outs, as, bs)
+	case productDWAcc:
+		tensor.MatMulBatchABTAcc(outs, as, bs)
+	default:
+		tensor.MatMulBatchATBInto(outs, as, bs)
 	}
 }
 
@@ -271,27 +561,29 @@ func addTransposed[F tensor.Float](dst, src []F, m, n int) {
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// release also forgets the geometry, so the next Forward rebuilds the
-// workspaces and every group view.
+// release also forgets the geometry and the retained input, so the next
+// Forward rebuilds the workspaces and every group view, and a Backward
+// before it fails.
 func (c *Conv2D) release() {
 	c.out.release()
-	putBack(&c.cols, &c.gemmOut, &c.gmat, &c.dcols, &c.dwt, &c.dx)
-	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.colsV, c.gmatV, c.dcolsV} {
+	putBack(&c.cols, &c.gemmOut, &c.gmat, &c.dcols, &c.dwt, &c.dbs, &c.dx)
+	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.dwtV, c.colsV, c.gmatV, c.dcolsV} {
 		dropViews(vs)
 	}
+	c.x, c.gy = nil, nil
 	c.batch, c.bwdOK = 0, false
 }
 
-// im2col unrolls sample i of x into its column block of the batch im2col
-// matrix: cols[row, i·spatial + p] holds the receptive-field element `row`
-// of output pixel p. Every position is written, so the workspace needs no
-// zeroing between batches. For stride 1 (every convolution in the model
-// zoo) each output row is zero-pad, one contiguous copy, zero-pad — a
-// memmove instead of a bounds check per pixel, which matters twice over on
-// the float32 path where the same move touches half the bytes.
-func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i int) {
+// im2col unrolls sample i of x into column block j of the current block's
+// im2col matrix, whose rows are ns wide: cols[row, j·spatial + p] holds the
+// receptive-field element `row` of output pixel p. Every position is
+// written, so the workspace needs no zeroing between blocks. For stride 1
+// (every convolution in the model zoo) each output row is zero-pad, one
+// contiguous copy, zero-pad — a memmove instead of a bounds check per pixel,
+// which matters twice over on the float32 path where the same move touches
+// half the bytes.
+func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i, j, ns int) {
 	spatial := c.outH * c.outW
-	ns := c.batch * spatial
 	chanSize := c.inH * c.inW
 	base := i * c.InC * chanSize
 	for ch := 0; ch < c.InC; ch++ {
@@ -302,7 +594,7 @@ func im2col[F tensor.Float](c *Conv2D, xd, colsd []F, i int) {
 			ihOff := kh - c.Pad
 			for kw := 0; kw < c.KW; kw++ {
 				rowIdx := g*c.kernelElems + (chInG*c.KH+kh)*c.KW + kw
-				dst := colsd[rowIdx*ns+i*spatial : rowIdx*ns+(i+1)*spatial]
+				dst := colsd[rowIdx*ns+j*spatial : rowIdx*ns+(j+1)*spatial]
 				if c.Stride == 1 {
 					off := kw - c.Pad
 					if ihOff == 0 && off == 0 && c.outW == c.inW && c.outH == c.inH {
@@ -449,15 +741,15 @@ func zeroCols[F tensor.Float](plane []F, w, lo, hi int) {
 	}
 }
 
-// col2im scatters sample i's column block of the gradient matrix back into
-// dx, accumulating where receptive fields overlap. Stride-1 rows accumulate
-// over one contiguous span with no per-pixel bounds checks. In the same-size
-// geometry the first tap initializes each channel plane (copy plus edge
-// clears), so callers skip zeroing dx beforehand; every other geometry
-// accumulates into a caller-zeroed dx (see convInitsDX).
-func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i int) {
+// col2im scatters column block j of the current block's gradient matrix
+// (rows ns wide) back into sample i of dx, accumulating where receptive
+// fields overlap. Stride-1 rows accumulate over one contiguous span with no
+// per-pixel bounds checks. In the same-size geometry the first tap
+// initializes each channel plane (copy plus edge clears), so callers skip
+// zeroing dx beforehand; every other geometry accumulates into a
+// caller-zeroed dx (see convInitsDX).
+func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i, j, ns int) {
 	spatial := c.outH * c.outW
-	ns := c.batch * spatial
 	chanSize := c.inH * c.inW
 	base := i * c.InC * chanSize
 	fast := c.convInitsDX()
@@ -470,7 +762,7 @@ func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i int) {
 			ihOff := kh - c.Pad
 			for kw := 0; kw < c.KW; kw++ {
 				rowIdx := g*c.kernelElems + (chInG*c.KH+kh)*c.KW + kw
-				src := dcolsd[rowIdx*ns+i*spatial : rowIdx*ns+(i+1)*spatial]
+				src := dcolsd[rowIdx*ns+j*spatial : rowIdx*ns+(j+1)*spatial]
 				if c.Stride == 1 {
 					off := kw - c.Pad
 					if ihOff == 0 && off == 0 && c.outW == c.inW && c.outH == c.inH {

@@ -7,7 +7,11 @@
 //
 // Layers are stateful: Forward caches whatever Backward needs, so a layer
 // instance must not be shared between concurrently training models. Every
-// client in the federated simulation owns its own model instance.
+// client in the federated simulation owns its own model instance. Dense and
+// Conv2D cache a pointer to their input and read it again in Backward
+// (Conv2D lowers it block by block a second time), so Backward must follow
+// a training-mode Forward; the aliasing contract below already keeps that
+// input valid, since the producing layer runs no Forward in between.
 //
 // Workspaces are leased per pass. A layer takes its output, gradient and
 // scratch buffers from the tensor package's default pool on first use

@@ -110,12 +110,8 @@ func mimic[F Float](form gemmForm, out, a, b []F, m, k, n int, acc, fused bool, 
 		for r := lo; r < hi; r++ {
 			rowFused := fused && r < fmaHi
 			for j := 0; j < cols; j++ {
-				// The portable ABT kernel accumulates each dot product from
-				// zero and adds the seed at the end; every other kernel (and
-				// the asm tiers' load flag) seeds the accumulator up front.
-				seedLast := acc && form == formABT && !fused
 				var c F
-				if acc && !seedLast {
+				if acc {
 					c = out[r*cols+j]
 				}
 				for t := 0; t < red; t++ {
@@ -134,11 +130,7 @@ func mimic[F Float](form gemmForm, out, a, b []F, m, k, n int, acc, fused bool, 
 						c += av * bv
 					}
 				}
-				if seedLast {
-					out[r*cols+j] += c
-				} else {
-					out[r*cols+j] = c
-				}
+				out[r*cols+j] = c
 			}
 		}
 	}

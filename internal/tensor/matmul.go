@@ -203,23 +203,76 @@ func runGemm(op gemmOp, s gemmSet, rows, red, cols int, acc bool) {
 
 // launch runs every (product, shard) unit of a launch on one tier and one
 // shard plan — the plan the product would get alone, so a batched product
-// is computed bit for bit as its standalone call — inline when there is a
-// single unit, across the worker pool otherwise.
+// is computed bit for bit as its standalone call — inline, in unit order,
+// when there is a single unit or a single goroutine to run them, across the
+// worker pool otherwise. Neither path allocates: the inline one keeps its
+// launchState on the stack, the pooled one takes a state whose range
+// function is already bound, so a caller may split its work into as many
+// launches as it likes.
 func launch[F Float](op gemmOp, s gemmSet, rows, red, cols int, acc bool) {
-	t := simdTierFor[F](cols)
 	chunk, nsh := opShardPlan(rows, rows*red*cols)
-	if s.count()*nsh == 1 {
-		out, a, b := s.at(0)
-		gemmRange(op, t, Of[F](out), Of[F](a), Of[F](b), rows, red, cols, 0, rows, acc)
+	plan := launchState[F]{op: op, t: simdTierFor[F](cols), s: s,
+		rows: rows, red: red, cols: cols, chunk: chunk, nsh: nsh, acc: acc}
+	units := s.count() * nsh
+	if units == 1 || curWorkers() == 1 {
+		plan.run(0, 0, units)
 		return
 	}
-	ParallelSharded(s.count()*nsh, curWorkers(), func(_, ulo, uhi int) {
-		for u := ulo; u < uhi; u++ {
-			out, a, b := s.at(u / nsh)
-			lo := u % nsh * chunk
-			gemmRange(op, t, Of[F](out), Of[F](a), Of[F](b), rows, red, cols, lo, min(lo+chunk, rows), acc)
-		}
-	})
+	l := getLaunch[F]()
+	plan.units = l.units
+	*l = plan
+	ParallelSharded(units, curWorkers(), l.units)
+	*l = launchState[F]{units: l.units} // hold no operands while pooled
+	putLaunch(l)
+}
+
+// launchState is one launch's plan. units is run bound to the state, built
+// once per pooled state.
+type launchState[F Float] struct {
+	op                          gemmOp
+	t                           *simdTier[F]
+	s                           gemmSet
+	rows, red, cols, chunk, nsh int
+	acc                         bool
+	units                       func(shard, ulo, uhi int)
+}
+
+// run computes units [ulo,uhi): unit u is shard u mod nsh of product u/nsh.
+func (l *launchState[F]) run(_, ulo, uhi int) {
+	for u := ulo; u < uhi; u++ {
+		out, a, b := l.s.at(u / l.nsh)
+		lo := u % l.nsh * l.chunk
+		gemmRange(l.op, l.t, Of[F](out), Of[F](a), Of[F](b), l.rows, l.red, l.cols, lo, min(lo+l.chunk, l.rows), l.acc)
+	}
+}
+
+var launchStates64 = sync.Pool{New: func() any {
+	l := new(launchState[float64])
+	l.units = l.run
+	return l
+}}
+
+var launchStates32 = sync.Pool{New: func() any {
+	l := new(launchState[float32])
+	l.units = l.run
+	return l
+}}
+
+func getLaunch[F Float]() *launchState[F] {
+	var z F
+	if unsafe.Sizeof(z) == 4 {
+		return launchStates32.Get().(*launchState[F])
+	}
+	return launchStates64.Get().(*launchState[F])
+}
+
+func putLaunch[F Float](l *launchState[F]) {
+	var z F
+	if unsafe.Sizeof(z) == 4 {
+		launchStates32.Put(any(l).(*launchState[float32]))
+		return
+	}
+	launchStates64.Put(any(l).(*launchState[float64]))
 }
 
 // gemmRange computes output rows [lo,hi) of op on tier t, or on the portable
@@ -449,8 +502,14 @@ func MatMulABTInto(out, a, b *Tensor) { gemm(opABT, out, a, b, false) }
 func MatMulABTAcc(out, a, b *Tensor) { gemm(opABT, out, a, b, true) }
 
 // gemmABTRange computes rows [ilo,ihi) of out = a·bᵀ as 2×4 register tiles
-// of dot products, reading each pair of a rows and quad of b rows once.
+// of dot products, reading each pair of a rows and quad of b rows once. Into
+// clears the rows first and every accumulator starts from out's element, so
+// an Into followed by Accs over consecutive slices of the reduction is one
+// mul+add chain per element, as on the SIMD tiers.
 func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
+	if !acc {
+		clear(out[ilo*n : ihi*n])
+	}
 	i := ilo
 	for ; i+2 <= ihi; i += 2 {
 		a0 := a[i*k : i*k+k]
@@ -463,7 +522,8 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 			b1 := b[(j+1)*k : (j+1)*k+k]
 			b2 := b[(j+2)*k : (j+2)*k+k]
 			b3 := b[(j+3)*k : (j+3)*k+k]
-			var c00, c01, c02, c03, c10, c11, c12, c13 F
+			c00, c01, c02, c03 := o0[j], o0[j+1], o0[j+2], o0[j+3]
+			c10, c11, c12, c13 := o1[j], o1[j+1], o1[j+2], o1[j+3]
 			for p := 0; p < k; p++ {
 				av0, av1 := a0[p], a1[p]
 				bv := b0[p]
@@ -479,34 +539,17 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 				c03 += av0 * bv
 				c13 += av1 * bv
 			}
-			if acc {
-				o0[j] += c00
-				o0[j+1] += c01
-				o0[j+2] += c02
-				o0[j+3] += c03
-				o1[j] += c10
-				o1[j+1] += c11
-				o1[j+2] += c12
-				o1[j+3] += c13
-			} else {
-				o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
-				o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
-			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : j*k+k]
-			var c0, c1 F
+			c0, c1 := o0[j], o1[j]
 			for p, bv := range brow {
 				c0 += a0[p] * bv
 				c1 += a1[p] * bv
 			}
-			if acc {
-				o0[j] += c0
-				o1[j] += c1
-			} else {
-				o0[j] = c0
-				o1[j] = c1
-			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
 	for ; i < ihi; i++ {
@@ -514,15 +557,11 @@ func gemmABTRange[F Float](out, a, b []F, k, n, ilo, ihi int, acc bool) {
 		o0 := out[i*n : i*n+n]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : j*k+k]
-			var c0 F
+			c0 := o0[j]
 			for p, bv := range brow {
 				c0 += a0[p] * bv
 			}
-			if acc {
-				o0[j] += c0
-			} else {
-				o0[j] = c0
-			}
+			o0[j] = c0
 		}
 	}
 }

@@ -23,22 +23,47 @@ import (
 // rather than blocking.
 var (
 	poolWorkers int
-	poolTasks   chan func()
+	poolTasks   chan poolTask
 	poolTokens  chan struct{}
 )
+
+// poolTask is one unit of work handed to a pool worker: a whole function
+// (run) or one range of a ParallelSharded call (shard over [lo,hi)). Tasks
+// travel through the channel by value and the WaitGroup of a sharded call
+// comes from waitGroups, so dispatching a range allocates nothing: a caller
+// that reuses its range function dispatches for free. The worker returns its
+// token before signalling wg, as every dispatcher expects.
+type poolTask struct {
+	run       func()
+	shard     func(shard, lo, hi int)
+	s, lo, hi int
+	wg        *sync.WaitGroup
+}
+
+// waitGroups recycles the WaitGroups of ParallelSharded calls; one is reused
+// only after its Wait has returned.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 func init() {
 	poolWorkers = runtime.GOMAXPROCS(0)
 	if poolWorkers < 1 {
 		poolWorkers = 1
 	}
-	poolTasks = make(chan func(), poolWorkers)
+	poolTasks = make(chan poolTask, poolWorkers)
 	poolTokens = make(chan struct{}, poolWorkers)
 	for i := 0; i < poolWorkers; i++ {
 		poolTokens <- struct{}{}
 		go func() {
-			for f := range poolTasks {
-				f()
+			for t := range poolTasks {
+				if t.run != nil {
+					t.run()
+				} else {
+					t.shard(t.s, t.lo, t.hi)
+				}
+				poolTokens <- struct{}{}
+				if t.wg != nil {
+					t.wg.Done()
+				}
 			}
 		}()
 	}
@@ -87,10 +112,7 @@ func curWorkers() int {
 // oversubscribing the machine.
 func Spawn(f func()) {
 	<-poolTokens
-	poolTasks <- func() {
-		f()
-		poolTokens <- struct{}{}
-	}
+	poolTasks <- poolTask{run: f}
 }
 
 // ParallelSharded splits [0,n) into at most shards contiguous ranges and
@@ -110,7 +132,7 @@ func ParallelSharded(n, shards int, f func(shard, lo, hi int)) {
 		return
 	}
 	chunk := (n + shards - 1) / shards
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup
 	shard := 0
 	// The worker cap bounds concurrency only: shard boundaries are identical
 	// at every cap, so per-shard arithmetic (and any caller-side reduction
@@ -126,13 +148,11 @@ func ParallelSharded(n, shards int, f func(shard, lo, hi int)) {
 			select {
 			case <-poolTokens:
 				dispatched++
-				wg.Add(1)
-				s, l, h := shard, lo, hi
-				poolTasks <- func() {
-					f(s, l, h)
-					poolTokens <- struct{}{}
-					wg.Done()
+				if wg == nil {
+					wg = waitGroups.Get().(*sync.WaitGroup)
 				}
+				wg.Add(1)
+				poolTasks <- poolTask{shard: f, s: shard, lo: lo, hi: hi, wg: wg}
 				continue
 			default:
 			}
@@ -140,7 +160,10 @@ func ParallelSharded(n, shards int, f func(shard, lo, hi int)) {
 		f(shard, lo, hi)
 	}
 	f(0, 0, chunk)
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+		waitGroups.Put(wg)
+	}
 }
 
 // Parallel runs f(i) for i in [0,n) with dynamic load balancing: the caller
@@ -184,11 +207,7 @@ func Parallel(n int, f func(i int)) {
 			break
 		}
 		wg.Add(1)
-		poolTasks <- func() {
-			run()
-			poolTokens <- struct{}{}
-			wg.Done()
-		}
+		poolTasks <- poolTask{run: run, wg: &wg}
 	}
 	run()
 	wg.Wait()
