@@ -4,13 +4,13 @@
 // trace to an uninterrupted run at the same seed (under the lossless f64
 // codec).
 //
-// # File format (version 5)
+// # File format (version 6)
 //
 // A checkpoint file is
 //
 //	[8]  magic "FEDCKPT1"
 //	[4]  format version (uint32, little-endian)
-//	[4]  bulk payload codec (uint32: comm.F64 | comm.F32 | comm.I8)
+//	[4]  bulk payload codec (uint32: comm.F64 | comm.F32 | comm.I8 | comm.BF16)
 //	[4]  model dtype (uint32: tensor.F64 | tensor.F32) — version 2
 //	[..] body
 //
@@ -28,11 +28,14 @@
 // by a presence byte (nil vectors are first-class: FedProto prototypes) and
 // the frame's byte length. Bulk state (model parameters, optimizer moments,
 // in-flight payloads, algorithm vectors) is framed with the codec from the
-// header, so checkpoints can be quantized to float32 or int8 for an 2-8×
-// size cut; bookkeeping vectors (virtual clock state, metrics history,
+// header, so checkpoints can be quantized to float32, bfloat16 or int8 for a
+// 2-8× size cut; bookkeeping vectors (virtual clock state, metrics history,
 // ledger) always use the lossless f64 codec. Quantized checkpoints restore
 // and continue fine but forfeit the byte-identical replay contract, exactly
 // as a quantized uplink forfeits lossless aggregation.
+//
+// The client section is [#clients u64], then per client [id u64][record
+// length u64][fl.ClientRecord at the bulk codec], whose fields fl reads.
 package ckpt
 
 import (
@@ -42,7 +45,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/fl"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -61,8 +63,8 @@ const magic = "FEDCKPT1"
 // version 5 stores an in-flight update's exact upload frame bytes where
 // version 4 stored an element count (which re-priced sparse uploads densely
 // on resume) and drops the ledger's codec word — the ledger books bytes and
-// has no codec.
-const Version = 5
+// has no codec; version 6 stores each client as its client-store record.
+const Version = 6
 
 // Every decoded collection length is bounded by the bytes remaining in the
 // buffer (each element encodes at least one byte), so a corrupt or hostile
@@ -74,18 +76,17 @@ const (
 	tagNodeFree uint32 = iota + 1
 	tagAway
 	tagFlightVec
-	tagFlightCounts
 	tagPerClient
-	tagParams
-	tagBuffers
-	tagOptVec
 	tagAlgoVec
 	tagJoinInit
 )
 
 // Marshal serializes a snapshot, framing bulk payloads with the given
-// codec.
+// dense codec.
 func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
+	if !codec.Dense() {
+		return nil, fmt.Errorf("ckpt: bulk codec %s is not a dense codec (want f64 | f32 | i8 | bf16)", codec)
+	}
 	e := &encoder{codec: codec}
 	e.buf = append(e.buf, magic...)
 	e.u32(Version)
@@ -177,20 +178,15 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 	}
 
 	e.u64(uint64(len(snap.Clients)))
-	for i := range snap.Clients {
-		c := &snap.Clients[i]
+	for _, c := range snap.Clients {
 		e.u64(uint64(c.ID))
-		e.u64(c.Rng)
-		e.vec(tagParams, c.Params, false)
-		e.vec(tagBuffers, c.Buffers, false)
-		e.u64(uint64(len(c.Opt.Ints)))
-		for _, v := range c.Opt.Ints {
-			e.i64(v)
+		at := len(e.buf)
+		e.u64(0) // the record's length, known once it is written
+		var err error
+		if e.buf, err = fl.AppendRecord(e.buf, c.Rec, codec); err != nil {
+			return nil, fmt.Errorf("ckpt: client %d: %w", c.ID, err)
 		}
-		e.u64(uint64(len(c.Opt.Vecs)))
-		for _, v := range c.Opt.Vecs {
-			e.vec(tagOptVec, v, false)
-		}
+		binary.LittleEndian.PutUint64(e.buf[at:], uint64(len(e.buf)-at-8))
 	}
 
 	e.bool(snap.Algo != nil)
@@ -245,8 +241,7 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 	if v := d.u32(); v != Version {
 		return nil, fmt.Errorf("ckpt: format version %d, this build reads %d", v, Version)
 	}
-	codec := comm.Codec(d.u32())
-	if codec > comm.I8 {
+	if codec := d.u32(); codec > math.MaxUint8 || !comm.Codec(codec).Dense() {
 		return nil, fmt.Errorf("ckpt: unknown bulk codec %d", codec)
 	}
 	dtype := tensor.DType(d.u32())
@@ -348,20 +343,10 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 
 	nClients := d.count()
 	for i := 0; i < nClients && d.err == nil; i++ {
-		cs := fl.ClientState{ID: int(d.u64()), Rng: d.u64()}
-		cs.Params = d.vec(tagParams)
-		cs.Buffers = d.vec(tagBuffers)
-		st := opt.State{}
-		nInts := d.count()
-		for j := 0; j < nInts && d.err == nil; j++ {
-			st.Ints = append(st.Ints, d.i64())
-		}
-		nVecs := d.count()
-		for j := 0; j < nVecs && d.err == nil; j++ {
-			st.Vecs = append(st.Vecs, d.vec(tagOptVec))
-		}
-		cs.Opt = st
-		snap.Clients = append(snap.Clients, cs)
+		snap.Clients = append(snap.Clients, fl.ClientRecord{ID: int(d.u64()), Rec: append([]byte(nil), d.take(d.count())...)})
+	}
+	if err := fl.CheckRecords(snap.Clients); err != nil {
+		d.fail("%v", err)
 	}
 
 	if d.bool() {

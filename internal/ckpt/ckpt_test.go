@@ -18,6 +18,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/models"
 	"repro/internal/opt"
@@ -381,6 +382,51 @@ func TestQuantizedCheckpointRestores(t *testing.T) {
 	}
 }
 
+// A bf16 checkpoint loads and resumes to completion, on an eager fleet and
+// on a lazy one, and is smaller than the f32 checkpoint of the same
+// snapshot; a codec that is not dense is an error from Marshal.
+func TestBF16CheckpointRestores(t *testing.T) {
+	s := experiments.Tiny()
+	cfg := fl.Config{Rounds: 3, BatchSize: s.BatchSize, Seed: s.Seed + 7}
+	for _, budget := range []int{0, 2} {
+		var f32Blob, bf16Blob []byte
+		sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Shards: 2, Checkpoint: func(snap *fl.Snapshot) error {
+			if snap.Round != 2 {
+				return nil
+			}
+			var err error
+			if f32Blob, err = ckpt.Marshal(snap, comm.F32); err != nil {
+				return err
+			}
+			bf16Blob, err = ckpt.Marshal(snap, comm.BF16)
+			return err
+		}}
+		if _, err := tinySim(t, budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
+			t.Fatal(err)
+		}
+		if len(bf16Blob) >= len(f32Blob) {
+			t.Fatalf("budget %d: bf16 checkpoint is %d bytes, f32 %d — want it smaller", budget, len(bf16Blob), len(f32Blob))
+		}
+		snap, err := ckpt.Unmarshal(bf16Blob)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		res := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Shards: 2, Resume: snap}
+		hist, err := tinySim(t, budget, cfg).RunScheduled(tinyFedClassAvg(t), res)
+		if err != nil {
+			t.Fatalf("budget %d: bf16 resume: %v", budget, err)
+		}
+		if len(hist) != cfg.Rounds {
+			t.Fatalf("budget %d: bf16 resume recorded %d rounds, want %d", budget, len(hist), cfg.Rounds)
+		}
+	}
+	for _, c := range []comm.Codec{comm.TopK, comm.Delta} {
+		if _, err := ckpt.Marshal(&fl.Snapshot{}, c); err == nil {
+			t.Fatalf("Marshal accepted the %s codec", c)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fl.Config{Rounds: 2, BatchSize: 8, Seed: 3}
@@ -472,10 +518,18 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := ckpt.Unmarshal(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing bytes must be rejected")
 	}
-	// Files of the previous format version and frames of the structural
-	// codecs (checkpoints hold dense frames only) are rejected by name.
+	// Files of earlier format versions, frames of the structural codecs
+	// (checkpoints hold dense frames only) and client records that do not
+	// decode are rejected by name.
 	seeds := ckptSeeds(t)
-	for name, want := range map[string]string{"version-4": "version", "frame-topk": "dense frames only", "frame-delta": "dense frames only"} {
+	for name, want := range map[string]string{
+		"version-4":        "version",
+		"version-5":        "version",
+		"frame-topk":       "dense frames only",
+		"frame-delta":      "dense frames only",
+		"record-truncated": "record is truncated",
+		"record-kind":      "frame of kind",
+	} {
 		if _, err := ckpt.Unmarshal(seeds[name]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: got error %v, want one mentioning %q", name, err, want)
 		}

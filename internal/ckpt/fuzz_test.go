@@ -109,20 +109,57 @@ func withFirstFrameCodec(t testing.TB, blob []byte, c comm.Codec) []byte {
 	return out
 }
 
+// firstRecord locates a checkpoint's first client record: its offset and
+// its bytes, which Unmarshal copies as they lie in the file.
+func firstRecord(t testing.TB, blob []byte) (int, []byte) {
+	t.Helper()
+	snap, err := ckpt.Unmarshal(blob)
+	if err != nil || len(snap.Clients) == 0 {
+		t.Fatalf("seed checkpoint holds no client record (err %v)", err)
+	}
+	rec := snap.Clients[0].Rec
+	at := bytes.Index(blob, rec)
+	if at < 16 || binary.LittleEndian.Uint64(blob[at-8:]) != uint64(len(rec)) {
+		t.Fatal("checkpoint layout moved: the first client record is not behind its length")
+	}
+	return at, rec
+}
+
 // ckptSeeds is the fuzz corpus: one real snapshot per scheduler and bulk
 // codec, and one specimen of each rejection class the decoder enforces.
 func ckptSeeds(t testing.TB) map[string][]byte {
 	async := engineSeed(t, fl.SchedAsyncBounded, baselines.NewFedProto(1, 1.0), comm.F32)
-	v4 := append([]byte(nil), async[:nodeFreeAt]...)
-	v4[8] = 4
+	version := func(v byte) []byte {
+		b := append([]byte(nil), async[:nodeFreeAt]...)
+		b[8] = v
+		return b
+	}
+	// The first record one byte short, behind a length that agrees.
+	at, rec := firstRecord(t, async)
+	short := append([]byte(nil), async[:at-8]...)
+	short = binary.LittleEndian.AppendUint64(short, uint64(len(rec)-1))
+	short = append(append(short, rec[:len(rec)-1]...), async[at+len(rec):]...)
+	// The first record's parameter frame relabelled with the buffers' tag. A
+	// record opens [rng u64][#ints u64][ints…], then the parameter frame
+	// behind its u64 length; the frame opens with its u32 kind tag, 1 for
+	// parameters and 2 for buffers (internal/fl store.go).
+	tag := at + 16 + 8*int(binary.LittleEndian.Uint64(rec[8:])) + 8
+	if binary.LittleEndian.Uint32(async[tag:]) != 1 {
+		t.Fatal("record layout moved: the parameter frame's tag is not where this seed patches")
+	}
+	kind := append([]byte(nil), async...)
+	binary.LittleEndian.PutUint32(kind[tag:], 2)
 	return map[string][]byte{
-		"sync-i8":       engineSeed(t, fl.SchedSync, baselines.NewFedAvg(1), comm.I8),
-		"async-flights": async,
-		"node-sessions": nodeSeed(t),
-		"truncated":     async[:len(async)/2],
-		"version-4":     v4,
-		"frame-topk":    withFirstFrameCodec(t, async, comm.TopK),
-		"frame-delta":   withFirstFrameCodec(t, async, comm.Delta),
+		"sync-i8":          engineSeed(t, fl.SchedSync, baselines.NewFedAvg(1), comm.I8),
+		"async-flights":    async,
+		"node-sessions":    nodeSeed(t),
+		"truncated":        async[:len(async)/2],
+		"version-4":        version(4),
+		"version-5":        version(5),
+		"frame-topk":       withFirstFrameCodec(t, async, comm.TopK),
+		"frame-delta":      withFirstFrameCodec(t, async, comm.Delta),
+		"record-truncated": short,
+		"record-kind":      kind,
 	}
 }
 
@@ -146,8 +183,7 @@ func decodedElems(s *fl.Snapshot) int {
 		n += len(m.PerClient) + len(m.EvalIDs)
 	}
 	for _, c := range s.Clients {
-		n += len(c.Params) + len(c.Buffers) + len(c.Opt.Ints)
-		vecs(c.Opt.Vecs)
+		n += len(c.Rec)
 	}
 	if s.Algo != nil {
 		n += len(s.Algo.Ints)

@@ -16,13 +16,16 @@ import (
 // holds, byte for byte: one SHA-256 over the marshalled snapshots of Tiny-scale
 // FedClassAvg runs on the heterogeneous fleet — sync and async, rounds 1 and 2
 // — recorded at 8930139, when an eager simulation still captured its clients
-// from a slice of its own. The kill-resume goldens compare a run with itself;
-// this literal only holds if a refactor of the capture path writes the same
-// files. The async server state is laid out per accumulator shard, whose
+// from a slice of its own, and re-pinned once at format version 6, whose
+// client section is the client store's records in place of a field traversal
+// of its own; TestRestoredStatePinned, recorded before that change, shows the
+// new files restore the same state. The kill-resume goldens compare a run
+// with itself; this literal only holds if a refactor of the capture path
+// writes the same files. The async server state is laid out per accumulator shard, whose
 // default count follows GOMAXPROCS, so the runs fix two shards: the literal
 // holds on any host.
 func TestEagerCheckpointBytesPinned(t *testing.T) {
-	const want = "04c71ee1591d88b731c3eee88b37df59bfc5294dc887a8fd720a20bf8a22e631"
+	const want = "f537d192c66ba7551e627373b2af878046bfb77af83171c96692f0c0f1a798d2"
 	s := experiments.Tiny()
 	h := sha256.New()
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded} {

@@ -54,16 +54,8 @@ func TestRestoreRejectsMismatchedFleet(t *testing.T) {
 
 			sim := fleet(mixed)
 			c0, c1 := sim.Client(0), sim.Client(1)
-			state := func() [2]ClientState {
-				var out [2]ClientState
-				for i, c := range []*Client{c0, c1} {
-					cs, err := captureClientState(c, nil, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out[i] = cs
-				}
-				return out
+			state := func() [2][]byte {
+				return [2][]byte{clientRecord(t, c0), clientRecord(t, c1)}
 			}
 			before := state()
 			_, err := sim.RunScheduled(&trainAlgo{}, SchedulerConfig{Resume: snap})

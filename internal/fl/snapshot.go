@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/comm"
-	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -29,9 +27,8 @@ import (
 //   - The RNG streams: the simulation's sampling stream plus every
 //     client's private stream (augmentation, batch shuffling), captured
 //     through the serializable xrand sources.
-//   - Every touched client — every client of an eager fleet: flattened
-//     parameters, non-trainable buffers (batch-norm running statistics) and
-//     optimizer state.
+//   - Every touched client — every client of an eager fleet — as its
+//     ClientRecord.
 //   - The algorithm's server state, via CheckpointableAlgorithm.
 //   - The traffic ledger, metrics history and trace so far.
 //
@@ -40,18 +37,11 @@ import (
 // quiesce, every dispatched local update has already consumed them, and the
 // next dispatch overwrites them before their next read.
 
-// ClientState is one client's checkpointed state.
-type ClientState struct {
-	ID int
-	// Params is the model's flat parameter vector (nn.FlattenParams).
-	Params []float64
-	// Buffers is the model's flat non-trainable state (batch-norm running
-	// statistics; nn.FlattenBuffers).
-	Buffers []float64
-	// Rng is the client's serializable RNG position.
-	Rng uint64
-	// Opt is the optimizer state (Adam moments, SGD velocity).
-	Opt opt.State
+// ClientRecord is one client's checkpointed state: Rec is the record the
+// client store spills it as (store.go), whose fields only this package reads.
+type ClientRecord struct {
+	ID  int
+	Rec []byte
 }
 
 // FlightState is one quiesced in-flight update: the dispatch bookkeeping
@@ -125,11 +115,11 @@ type Snapshot struct {
 	History []RoundMetrics
 	Trace   []TraceEvent
 	Ledger  comm.LedgerState
-	Clients []ClientState
+	Clients []ClientRecord
 	Algo    *AlgoState
 
-	// Node-mode (ServerNode) state. A server checkpoint has no ClientState
-	// — client models live in other processes — but must preserve the
+	// Node-mode (ServerNode) state. A server checkpoint has no client
+	// records — client models live in other processes — but must preserve the
 	// session table and the join-time declarations so a restarted server
 	// can rebuild its algorithm state via WireSetup and honor reconnecting
 	// clients' tokens.
@@ -185,56 +175,6 @@ func cloneHistory(hist []RoundMetrics) []RoundMetrics {
 		}
 	}
 	return out
-}
-
-// captureClientState freezes one client's mutable state — flat parameters,
-// batch-norm buffers, RNG position and optimizer moments — into the
-// buffer format checkpoints hold (the lazy store's spill records carry the
-// same fields, framed; see store.go). The flat vectors are appended to the
-// (cap-reused, length-reset) slices passed in; nil asks for fresh ones.
-func captureClientState(c *Client, params, buffers []float64) (ClientState, error) {
-	if c.Src == nil {
-		return ClientState{}, fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
-	}
-	cs := ClientState{ID: c.ID, Rng: c.Src.State()}
-	if c.Model != nil {
-		cs.Params = nn.AppendFlatParams(params[:0], c.Model.Params())
-		cs.Buffers = nn.AppendFlatBuffers(buffers[:0], c.Model.Buffers())
-	}
-	if c.Optimizer != nil {
-		co, ok := c.Optimizer.(opt.Checkpointable)
-		if !ok {
-			return ClientState{}, fmt.Errorf("fl: client %d optimizer cannot be checkpointed (implement opt.Checkpointable)", c.ID)
-		}
-		cs.Opt = co.State()
-	}
-	return cs, nil
-}
-
-// checkClientState reports, without touching c, why cs — a state taken at
-// dtype dt — cannot be rehydrated into c: a client of another architecture,
-// dtype or optimizer, whose record would otherwise fail in the middle of a
-// run, at the first Get that rehydrates it.
-func checkClientState(c *Client, cs *ClientState, dt tensor.DType) error {
-	if c.Src == nil {
-		return fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
-	}
-	if c.Model != nil {
-		if c.Model.DType() != dt {
-			return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
-		}
-		if n := nn.NumParams(c.Model.Params()); len(cs.Params) != n {
-			return fmt.Errorf("fl: restoring client %d parameters: checkpoint has %d values, model has %d", c.ID, len(cs.Params), n)
-		}
-		if n := nn.NumBuffered(c.Model.Buffers()); len(cs.Buffers) != n {
-			return fmt.Errorf("fl: restoring client %d buffers: checkpoint has %d values, model has %d", c.ID, len(cs.Buffers), n)
-		}
-	}
-	switch c.Optimizer.(type) {
-	case nil, lender, opt.Checkpointable:
-		return nil
-	}
-	return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
 }
 
 // captureCommon fills the scheduler-independent parts of a snapshot: RNG

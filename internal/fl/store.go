@@ -29,7 +29,7 @@ import (
 // Memory is residents plus a 24-byte index entry (id → offset, length) per
 // spilled client; the spilled state itself is on disk. The segment is one
 // os.CreateTemp file under os.TempDir(), created by the first eviction or
-// by a resume (RestoreTouched writes the checkpoint's clients into a fresh
+// by a resume (RestoreTouched writes the checkpoint's records into a fresh
 // one, on an eager fleet too; a run with budget ≤ 0 that never resumes has
 // none) and unlinked at once, so it has no name to clean up and its blocks
 // go back to the filesystem when the process ends, however it ends. A
@@ -288,7 +288,8 @@ func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	}
 	c := r.c
 	_, lends := c.Optimizer.(lender)
-	rng, params, buffers, live, err := sb.decode(lends && c.DType().Backing() == tensor.F32)
+	var live opt.Live
+	rng, params, buffers, err := sb.decode(sb.rec, &live, lends && c.DType().Backing() == tensor.F32)
 	if err != nil {
 		return err
 	}
@@ -311,120 +312,145 @@ func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	return nil
 }
 
-// CaptureTouched snapshots every client this store has ever marked dirty,
-// once each — dirty residents from their tensors, everyone else from their
-// records (a clean rehydrated client is resident and indexed; its record is
-// its state) — sorted by id, into buffers a checkpoint may own
-// indefinitely. A client never dirtied carries no state beyond its id (the
-// builder reproduces it), so it is deliberately absent: evaluation alone
-// does not put a client into a checkpoint.
-func (st *ClientStore) CaptureTouched() ([]ClientState, error) {
+// CaptureTouched copies out the record of every client this store has ever
+// marked dirty, once each, sorted by id, into buffers a checkpoint may own
+// indefinitely: a dirty resident is encoded from its tensors, everyone else
+// read from the segment as it lies (a clean rehydrated client is resident
+// and indexed; its record is its state). A client never dirtied carries no
+// state beyond its id (the builder reproduces it), so it is deliberately
+// absent: evaluation alone does not put a client into a checkpoint.
+func (st *ClientStore) CaptureTouched() ([]ClientRecord, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]ClientState, 0, len(st.resident)+len(st.seg.index))
-	sb := &st.sb
+	out := make([]ClientRecord, 0, len(st.resident)+len(st.seg.index))
 	for id, sp := range st.seg.index {
-		if err := sb.read(st.seg.f, sp); err != nil {
+		rec := make([]byte, sp.n)
+		if _, err := st.seg.f.ReadAt(rec, sp.off); err != nil {
 			return nil, fmt.Errorf("fl: reading spilled client %d: %w", id, err)
 		}
-		rng, params, buffers, live, err := sb.decode(false)
-		if err != nil {
-			return nil, fmt.Errorf("fl: reading spilled client %d: %w", id, err)
-		}
-		out = append(out, ClientState{
-			ID:      id,
-			Params:  append([]float64(nil), params...),
-			Buffers: append([]float64(nil), buffers...),
-			Rng:     rng,
-			Opt:     opt.State{Ints: live.Ints, Vecs: live.F64},
-		})
+		out = append(out, ClientRecord{ID: id, Rec: rec})
 	}
 	for el := st.lru.Front(); el != nil; el = el.Next() {
 		r := el.Value.(*resident)
 		if r.clean {
 			continue
 		}
-		cs, err := captureClientState(r.c, nil, nil)
-		if err != nil {
-			return nil, err
+		if err := st.sb.encodeClient(r); err != nil {
+			return nil, fmt.Errorf("fl: checkpointing client %d: %w", r.c.ID, err)
 		}
-		out = append(out, cs)
+		// A copy: the spill scratch is reused by the next eviction.
+		out = append(out, ClientRecord{ID: r.c.ID, Rec: append([]byte(nil), st.sb.rec...)})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out, nil
 }
 
 // RestoreTouched resets the store to hold exactly the given touched-client
-// states, taken at dtype dt, each as a spilled record; every resident client
-// is dropped, so the next Get of any id rebuilds and rehydrates from the
-// checkpoint. Each state is first checked against its client — the resident
-// one, or one built for the check — so a checkpoint of another fleet is an
-// error here, not a failed rehydration mid-run. A client the store already
-// holds must have a state: an eager store holds every client from
-// construction, and a lazy one resumed in a fresh process has touched only
-// Setup's probe set, which the checkpointed run touched too. The records go
-// into a new segment that replaces the old one only once every state is
-// checked and written: a rejected restore leaves the store as it was. It
-// must not run concurrently with Get.
-func (st *ClientStore) RestoreTouched(states []ClientState, dt tensor.DType) error {
-	for i := range states {
-		cs := &states[i]
-		if cs.ID < 0 || cs.ID >= st.n {
-			return fmt.Errorf("fl: checkpoint references client %d of a %d-client fleet", cs.ID, st.n)
+// records, taken at dtype dt; every resident client is dropped, so the next
+// Get of any id rebuilds and rehydrates from the checkpoint. Each record is
+// first checked: its id is in the fleet and appears once, it decodes, and
+// it fits its client — the resident one, or one built for the check — so a
+// checkpoint of another fleet is an error here, not a failed rehydration
+// mid-run. A client the store already holds must have a record: an eager
+// store holds every client from construction, and a lazy one resumed in a
+// fresh process has touched only Setup's probe set, which the checkpointed
+// run touched too. Only then do the records go, byte for byte and lossy
+// ones too, into a new segment that replaces the old one: a rejected restore
+// leaves the store as it was. It must not run concurrently with Get.
+func (st *ClientStore) RestoreTouched(recs []ClientRecord, dt tensor.DType) error {
+	held := make(map[int]bool, len(recs))
+	var sb spillBuf
+	for _, cr := range recs {
+		if cr.ID < 0 || cr.ID >= st.n {
+			return fmt.Errorf("fl: checkpoint references client %d of a %d-client fleet", cr.ID, st.n)
 		}
+		if held[cr.ID] {
+			return fmt.Errorf("fl: checkpoint holds client %d twice", cr.ID)
+		}
+		held[cr.ID] = true
 		// A client built for the check is built outside the lock, as Get
 		// builds, and dropped after it.
 		st.mu.Lock()
-		el, ok := st.resident[cs.ID]
+		el, ok := st.resident[cr.ID]
 		st.mu.Unlock()
 		var c *Client
 		if ok {
 			c = el.Value.(*resident).c
 		} else {
-			c = st.build(cs.ID)
+			c = st.build(cr.ID)
 		}
-		if err := checkClientState(c, cs, dt); err != nil {
+		if err := sb.check(c, cr.Rec, dt); err != nil {
 			return err
 		}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var seg segment
-	put := func(cs *ClientState) error {
-		if _, dup := seg.index[cs.ID]; dup {
-			return fmt.Errorf("fl: checkpoint holds client %d twice", cs.ID)
-		}
-		st.sb.encode(cs.Rng, cs.Params, cs.Buffers, opt.Live{Ints: cs.Opt.Ints, F64: cs.Opt.Vecs})
-		if err := seg.put(cs.ID, st.sb.rec); err != nil {
-			return fmt.Errorf("fl: restoring client %d: %w", cs.ID, err)
-		}
-		return nil
-	}
-	for i := range states {
-		if err := put(&states[i]); err != nil {
-			seg.close()
-			return err
-		}
-	}
 	lacking := st.n
 	for id, el := range st.resident {
-		if _, ok := seg.index[id]; !ok && !el.Value.(*resident).clean {
+		if !held[id] && !el.Value.(*resident).clean {
 			lacking = min(lacking, id)
 		}
 	}
 	for id := range st.seg.index {
-		if _, ok := seg.index[id]; !ok {
+		if !held[id] {
 			lacking = min(lacking, id)
 		}
 	}
 	if lacking < st.n {
-		seg.close()
 		return fmt.Errorf("fl: checkpoint has no state for client %d, which this fleet already holds", lacking)
+	}
+	var seg segment
+	for _, cr := range recs {
+		if err := seg.put(cr.ID, cr.Rec); err != nil {
+			seg.close()
+			return fmt.Errorf("fl: restoring client %d: %w", cr.ID, err)
+		}
 	}
 	st.seg.close()
 	st.seg = seg
 	st.resident = make(map[int]*list.Element)
 	st.lru.Init()
+	return nil
+}
+
+// check reports, without touching c, why rec — a record taken at dtype dt —
+// cannot be rehydrated into c: it does not decode, or c has another
+// architecture, dtype or optimizer, and the first Get would fail mid-run.
+func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
+	if c.Src == nil {
+		return fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
+	}
+	_, params, buffers, err := sb.decode(rec, nil, false)
+	if err != nil {
+		return fmt.Errorf("fl: restoring client %d: %w", c.ID, err)
+	}
+	if c.Model != nil {
+		if c.Model.DType() != dt {
+			return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
+		}
+		if n := nn.NumParams(c.Model.Params()); len(params) != n {
+			return fmt.Errorf("fl: restoring client %d parameters: checkpoint has %d values, model has %d", c.ID, len(params), n)
+		}
+		if n := nn.NumBuffered(c.Model.Buffers()); len(buffers) != n {
+			return fmt.Errorf("fl: restoring client %d buffers: checkpoint has %d values, model has %d", c.ID, len(buffers), n)
+		}
+	}
+	switch c.Optimizer.(type) {
+	case nil, lender, opt.Checkpointable:
+		return nil
+	}
+	return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
+}
+
+// CheckRecords reports the first of recs that does not decode: what a
+// checkpoint's client section must pass to load.
+func CheckRecords(recs []ClientRecord) error {
+	var sb spillBuf
+	for _, cr := range recs {
+		if _, _, _, err := sb.decode(cr.Rec, nil, false); err != nil {
+			return fmt.Errorf("client %d: %w", cr.ID, err)
+		}
+	}
 	return nil
 }
 
@@ -491,9 +517,9 @@ func (s *segment) close() {
 //
 //	[rng u64] [#ints u64] [ints i64…] [params] [buffers] [moment]…
 //
-// where each bracketed vector is the frame checkpoints write (ckpt v5): a
-// u64 byte length, then a lossless dense-f64 comm frame whose kind tag is
-// one of the rec* constants. Moments run to the end of the record.
+// where each bracketed vector is a u64 byte length, then a dense comm frame
+// (lossless f64 when spilled) whose kind tag is one of the rec* constants.
+// Moments run to the end. The checkpoint's client section is these records.
 const (
 	recParams uint32 = iota + 1
 	recBuffers
@@ -510,9 +536,9 @@ type spillBuf struct {
 	vec             []float64
 }
 
-func appendFrame(b []byte, kind uint32, v []float64) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(comm.WireSizeAs(comm.F64, len(v))))
-	return comm.MarshalSpecInto(b, comm.Spec{Value: comm.F64}, kind, v, nil)
+func appendFrame(b []byte, c comm.Codec, kind uint32, v []float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(comm.WireSizeAs(c, len(v))))
+	return comm.MarshalSpecInto(b, comm.Spec{Value: c}, kind, v, nil)
 }
 
 // encode writes one record into sb.rec.
@@ -522,19 +548,41 @@ func (sb *spillBuf) encode(rng uint64, params, buffers []float64, live opt.Live)
 	for _, v := range live.Ints {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	b = appendFrame(b, recParams, params)
-	b = appendFrame(b, recBuffers, buffers)
+	b = appendFrame(b, comm.F64, recParams, params)
+	b = appendFrame(b, comm.F64, recBuffers, buffers)
 	for _, v := range live.F64 {
-		b = appendFrame(b, recMoment, v)
+		b = appendFrame(b, comm.F64, recMoment, v)
 	}
 	for _, v := range live.F32 {
 		sb.vec = sb.vec[:0]
 		for _, x := range v {
 			sb.vec = append(sb.vec, float64(x))
 		}
-		b = appendFrame(b, recMoment, sb.vec)
+		b = appendFrame(b, comm.F64, recMoment, sb.vec)
 	}
 	sb.rec = b
+}
+
+// AppendRecord appends the client record rec to dst with every vector frame
+// at the dense codec c: a frame already at c is copied byte for byte, any
+// other decoded and framed again at c. Checkpoints write clients through it.
+func AppendRecord(dst, rec []byte, c comm.Codec) ([]byte, error) {
+	r := recReader{b: rec}
+	r.header()
+	dst = append(dst, rec[:len(rec)-len(r.b)]...)
+	var v []float64
+	for kind := recParams; r.err == nil && (kind <= recBuffers || len(r.b) > 0); kind = min(kind+1, recMoment) {
+		switch fr, fc := r.next(kind); {
+		case r.err != nil:
+		case fc == c:
+			dst = append(binary.LittleEndian.AppendUint64(dst, uint64(len(fr))), fr...)
+		default:
+			if _, v, r.err = comm.DecodeSpec(v[:0], fr, nil); r.err == nil {
+				dst = appendFrame(dst, c, kind, v)
+			}
+		}
+	}
+	return dst, r.err
 }
 
 // read fills sb.rec with the record at sp.
@@ -553,7 +601,7 @@ type recReader struct {
 	err error
 }
 
-var errTruncated = errors.New("spill record is truncated")
+var errTruncated = errors.New("client record is truncated")
 
 func (r *recReader) take(n uint64) []byte {
 	if r.err == nil && n > uint64(len(r.b)) {
@@ -574,49 +622,72 @@ func (r *recReader) u64() uint64 {
 	return 0
 }
 
-// frame decodes the next frame into scratch's capacity, or into a fresh
-// vector when that is short.
-func (r *recReader) frame(kind uint32, scratch []float64) []float64 {
+// header reads the RNG position and the optimizer ints, still encoded.
+func (r *recReader) header() (rng uint64, ints []byte) {
+	rng = r.u64()
+	if n := r.u64(); n > uint64(len(r.b))/8 {
+		r.err = errTruncated
+	} else {
+		ints = r.take(8 * n)
+	}
+	return rng, ints
+}
+
+// next returns the next vector frame, which must carry the given kind tag,
+// and its codec.
+func (r *recReader) next(kind uint32) ([]byte, comm.Codec) {
 	fr := r.take(r.u64())
+	if r.err != nil {
+		return nil, 0
+	}
+	c, k, _, err := comm.FrameInfo(fr)
+	if err == nil && k != kind {
+		err = fmt.Errorf("client record has a frame of kind %d where %d belongs", k, kind)
+	}
+	r.err = err
+	return fr, c
+}
+
+// frame decodes the next frame, of the given kind, into scratch's capacity,
+// or into a fresh vector when that is short.
+func (r *recReader) frame(kind uint32, scratch []float64) []float64 {
+	fr, _ := r.next(kind)
 	if r.err != nil {
 		return nil
 	}
-	k, v, err := comm.DecodeSpec(scratch, fr, nil)
-	if err == nil && k != kind {
-		err = fmt.Errorf("spill record has a frame of kind %d where %d belongs", k, kind)
-	}
+	_, v, err := comm.DecodeSpec(scratch, fr, nil)
 	r.err = err
 	return v
 }
 
-// decode parses sb.rec. The returned params and buffers are sb's staging
-// vectors, valid until its next use; the moment vectors are exact-length
-// storage from the tensor pool, float32 when f32 is set and float64
-// otherwise, and belong to the caller.
-func (sb *spillBuf) decode(f32 bool) (rng uint64, params, buffers []float64, live opt.Live, err error) {
-	r := recReader{b: sb.rec}
-	rng = r.u64()
-	if n := r.u64(); n > uint64(len(r.b))/8 {
-		r.err = errTruncated
-	} else if n > 0 {
-		live.Ints = make([]int64, n)
+// decode parses rec. The returned params and buffers are sb's staging
+// vectors, valid until its next use. The optimizer ints and moments go into
+// live — the moments as exact-length tensor-pool storage, float32 when f32
+// is set and float64 otherwise, which belongs to the caller — or nowhere.
+func (sb *spillBuf) decode(rec []byte, live *opt.Live, f32 bool) (rng uint64, params, buffers []float64, err error) {
+	r := recReader{b: rec}
+	rng, ints := r.header()
+	if live != nil && len(ints) > 0 {
+		live.Ints = make([]int64, len(ints)/8)
 		for i := range live.Ints {
-			live.Ints[i] = int64(r.u64())
+			live.Ints[i] = int64(binary.LittleEndian.Uint64(ints[8*i:]))
 		}
 	}
 	sb.params = r.frame(recParams, sb.params[:0])
 	sb.buffers = r.frame(recBuffers, sb.buffers[:0])
 	for r.err == nil && len(r.b) > 0 {
 		sb.vec = r.frame(recMoment, sb.vec[:0])
-		if !f32 {
+		switch {
+		case live == nil:
+		case !f32:
 			live.F64 = append(live.F64, append(tensor.GetStorage[float64](len(sb.vec))[:0], sb.vec...))
-			continue
+		default:
+			w := tensor.GetStorage[float32](len(sb.vec))
+			for i, x := range sb.vec {
+				w[i] = float32(x)
+			}
+			live.F32 = append(live.F32, w)
 		}
-		w := tensor.GetStorage[float32](len(sb.vec))
-		for i, x := range sb.vec {
-			w[i] = float32(x)
-		}
-		live.F32 = append(live.F32, w)
 	}
-	return rng, sb.params, sb.buffers, live, r.err
+	return rng, sb.params, sb.buffers, r.err
 }

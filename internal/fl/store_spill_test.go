@@ -1,16 +1,17 @@
 package fl
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -52,24 +53,35 @@ func mustEvict(t *testing.T, st *ClientStore, pinned func(int) bool) {
 }
 
 // spillTrained materializes ids, trains each for an epoch, captures their
-// states and evicts down to the budget.
-func spillTrained(t *testing.T, st *ClientStore, ids ...int) map[int]ClientState {
+// records and evicts down to the budget.
+func spillTrained(t *testing.T, st *ClientStore, ids ...int) map[int][]byte {
 	t.Helper()
-	want := make(map[int]ClientState)
+	want := make(map[int][]byte)
 	for _, id := range ids {
 		c := st.Get(id)
 		c.TrainEpochCE(8)
-		cs, err := captureClientState(c, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = cs
+		want[id] = clientRecord(t, c)
 	}
 	mustEvict(t, st, nil)
 	return want
 }
 
-// A snapshot naming a client outside the fleet, or one client twice, must be
+// shortParams re-encodes rec with one parameter value fewer: a record that
+// decodes, for a model one value smaller.
+func shortParams(t *testing.T, rec []byte) []byte {
+	t.Helper()
+	var sb spillBuf
+	var live opt.Live
+	rng, params, buffers, err := sb.decode(rec, &live, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.encode(rng, params[:len(params)-1], buffers, live)
+	return sb.rec
+}
+
+// A snapshot naming a client outside the fleet, or one client twice, or
+// holding a record that does not decode or does not fit its client, must be
 // rejected before the store changes: the residents stay, and a client that
 // was spilled still rehydrates to the state it was evicted with.
 func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
@@ -78,24 +90,22 @@ func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
 	if st.Resident() != 2 {
 		t.Fatalf("%d resident, want 2", st.Resident())
 	}
-	good := want[0]
-	for name, states := range map[string][]ClientState{
-		"out of range": {good, {ID: 9}},
-		"negative":     {good, {ID: -1}},
-		"duplicate":    {good, want[1], good},
+	good, one := ClientRecord{ID: 0, Rec: want[0]}, want[1]
+	for name, recs := range map[string][]ClientRecord{
+		"out of range":          {good, {ID: 9}},
+		"negative":              {good, {ID: -1}},
+		"duplicate":             {good, {ID: 1, Rec: one}, good},
+		"truncated record":      {good, {ID: 1, Rec: one[:len(one)-1]}},
+		"short parameter frame": {good, {ID: 1, Rec: shortParams(t, one)}},
 	} {
-		if err := st.RestoreTouched(states, tensor.F64); err == nil {
+		if err := st.RestoreTouched(recs, tensor.F64); err == nil {
 			t.Fatalf("%s: restore accepted", name)
 		}
 		if st.Resident() != 2 {
 			t.Fatalf("%s: rejected restore left %d resident, want 2", name, st.Resident())
 		}
 	}
-	got, err := captureClientState(st.Get(3), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want[3]) {
+	if !bytes.Equal(clientRecord(t, st.Get(3)), want[3]) {
 		t.Fatal("client 3 lost its spilled state to a rejected restore")
 	}
 	noSpillFiles(t)
@@ -202,11 +212,7 @@ func TestClientStoreSameIDConcurrentGet(t *testing.T) {
 			t.Fatalf("Get %d returned a different client than Get 0", i)
 		}
 	}
-	cs, err := captureClientState(got[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cs, want[3]) {
+	if !bytes.Equal(clientRecord(t, got[0]), want[3]) {
 		t.Fatal("concurrently rehydrated client differs from its spilled state")
 	}
 	if st.Resident() != 2 {
@@ -232,11 +238,7 @@ func TestClientStoreRecordDTypes(t *testing.T) {
 			if live := c.Optimizer.(lender).Borrow(); live.F32 == nil || live.F64 != nil {
 				t.Fatalf("rehydrated %s moments are not float32", dt)
 			}
-			got, err := captureClientState(c, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want[3]) {
+			if !bytes.Equal(clientRecord(t, c), want[3]) {
 				t.Fatalf("%s client differs after a spill round trip", dt)
 			}
 			twin := build(3)

@@ -204,10 +204,7 @@ func TestClientStoreEvictRehydrateBitIdentical(t *testing.T) {
 
 	c := st.Get(3)
 	c.TrainEpochCE(8)
-	before, err := captureClientState(c, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := clientRecord(t, c)
 
 	// Touch enough other clients to push 3 out, twice over, exercising the
 	// buffer pool's recycle path.
@@ -225,11 +222,7 @@ func TestClientStoreEvictRehydrateBitIdentical(t *testing.T) {
 	if re == c {
 		t.Fatal("client 3 was never evicted — test exercises nothing")
 	}
-	after, err := captureClientState(re, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
+	if !bytes.Equal(clientRecord(t, re), before) {
 		t.Fatal("rehydrated client state differs from its pre-eviction state")
 	}
 
@@ -314,7 +307,7 @@ func primeNaN(fleet []*Client) {
 func TestRecycledStorageIsScratch(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedSync, SchedAsyncBounded, SchedSemiSync} {
 		t.Run(kind.String(), func(t *testing.T) {
-			run := func(resident int) ([]RoundMetrics, *Trace, []ClientState) {
+			run := func(resident int) ([]RoundMetrics, *Trace, []ClientRecord) {
 				tr := &Trace{}
 				sim := NewLazySimulation(12, lazyTestBuilder(t, 12), resident, Config{
 					Rounds: 4, SampleRate: 0.5, BatchSize: 8, Seed: 11,
@@ -352,6 +345,17 @@ func TestRecycledStorageIsScratch(t *testing.T) {
 	}
 }
 
+// clientRecord returns c's state as the record bytes encodeClient writes:
+// the comparator for a client's whole state.
+func clientRecord(t testing.TB, c *Client) []byte {
+	t.Helper()
+	var sb spillBuf
+	if err := sb.encodeClient(&resident{c: c}); err != nil {
+		t.Fatal(err)
+	}
+	return sb.rec
+}
+
 // Evaluation changes nothing a spill record holds — the fact a clean entry's
 // eviction by forgetting rests on. For every architecture at f64 and f32, a
 // client that has trained encodes to the same record bytes (parameters,
@@ -379,16 +383,9 @@ func TestEvalMutatesNothing(t *testing.T) {
 					t.Fatal("the client has no test examples — the evaluation reads nothing")
 				}
 				c.TrainEpochCE(8)
-				record := func() []byte {
-					var sb spillBuf
-					if err := sb.encodeClient(&resident{c: c}); err != nil {
-						t.Fatal(err)
-					}
-					return sb.rec
-				}
-				before := record()
+				before := clientRecord(t, c)
 				c.EvalAccuracy()
-				if !bytes.Equal(record(), before) {
+				if !bytes.Equal(clientRecord(t, c), before) {
 					t.Fatal("EvalAccuracy changed the client's spill record")
 				}
 			})

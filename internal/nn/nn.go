@@ -2,8 +2,8 @@
 // backpropagation. It provides the building blocks (dense, convolution,
 // pooling, batch normalization, residual and inception composites) used to
 // construct the miniature heterogeneous architectures of the FedClassAvg
-// reproduction, plus parameter flattening/serialization used by the
-// federated aggregation and communication-accounting code.
+// reproduction, plus the parameter flattening the federated aggregation,
+// communication and checkpoint code exchange flat vectors through.
 //
 // Layers are stateful: Forward caches whatever Backward needs, so a layer
 // instance must not be shared between concurrently training models. Every
@@ -388,20 +388,6 @@ func AverageInto(dst []*Param, srcs [][]*Param, weights []float64) error {
 		// BF16 storage invariant: the average accumulates at full float32
 		// precision, then re-narrows once at the end (no-op otherwise).
 		tensor.RoundBF16InPlace(p.Value)
-	}
-	return nil
-}
-
-// CopyParams copies values from src into dst (structures must match).
-func CopyParams(dst, src []*Param) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: CopyParams count mismatch %d vs %d", len(dst), len(src))
-	}
-	for i := range dst {
-		if dst[i].Value.Size() != src[i].Value.Size() {
-			return fmt.Errorf("nn: CopyParams size mismatch at %d", i)
-		}
-		dst[i].Value.CopyFrom(src[i].Value)
 	}
 	return nil
 }

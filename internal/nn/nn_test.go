@@ -104,21 +104,6 @@ func TestAverageErrors(t *testing.T) {
 	}
 }
 
-func TestCopyParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	src := NewDense(3, 2, rng).Params()
-	dst := NewDense(3, 2, rng).Params()
-	if err := CopyParams(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	fs, fd := FlattenParams(src), FlattenParams(dst)
-	for i := range fs {
-		if fs[i] != fd[i] {
-			t.Fatal("CopyParams did not copy")
-		}
-	}
-}
-
 func TestDropoutModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDropout(0.5, rng)

@@ -176,22 +176,18 @@ func (p *Pool) Put(t *Tensor) {
 	bk.mu.Unlock()
 }
 
-// defaultPool serves the package-level GetTensor/PutTensor helpers used by
+// defaultPool serves the package-level GetTensorOf/PutTensor helpers used by
 // the training-step and loss code for batch-lifetime scratch (input stacks,
 // feature-gradient accumulators, the O(batch²) contrastive intermediates),
 // EnsureOf, through which every layer workspace comes and goes, and the
 // exact-length storage of GetStorage, ZeroStorage and NewStorageOf.
 var defaultPool = NewPool()
 
-// GetTensor returns a zeroed float64 tensor of the given shape from the
-// default pool.
-func GetTensor(shape ...int) *Tensor { return defaultPool.Get(shape...) }
-
 // GetTensorOf returns a zeroed tensor of the given dtype and shape from the
 // default pool.
 func GetTensorOf(dt DType, shape ...int) *Tensor { return defaultPool.GetOf(dt, shape...) }
 
-// PutTensor returns a tensor obtained from GetTensor/GetTensorOf to the
+// PutTensor returns a tensor obtained from GetTensorOf to the
 // default pool.
 func PutTensor(t *Tensor) { defaultPool.Put(t) }
 

@@ -76,19 +76,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
 }
 
-// FromSlice32 wraps float32 data in a tensor of the given shape without
-// copying.
-func FromSlice32(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
-	}
-	return &Tensor{F32: data, Shape: append([]int(nil), shape...), DT: F32}
-}
-
 // Size returns the total number of elements.
 func (t *Tensor) Size() int {
 	if t.DT.Backing() == F32 {
