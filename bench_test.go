@@ -317,7 +317,7 @@ func convTrainStep(dt tensor.DType) func(testing.TB) func() {
 	return func(testing.TB) func() {
 		rng := rand.New(rand.NewSource(1))
 		layer := nn.NewConv2D(8, 16, 3, 1, 1, 1, rng)
-		nn.ConvertParams(layer.Params(), dt)
+		nn.Pack(layer.Params(), dt)
 		x := tensor.NewOf(dt, 8, 8, 12, 12)
 		x.FillRandn(rng, 1)
 		grad := tensor.NewOf(dt, 8, 16, 12, 12)

@@ -178,7 +178,7 @@ func compareUpdates(t *testing.T, name string, a, b *fl.Update) {
 func compareClients(t *testing.T, name string, a, b *fl.Client) {
 	t.Helper()
 	sameBits(t, name+" params", nn.FlattenParams(a.Model.Params()), nn.FlattenParams(b.Model.Params()))
-	sameBits(t, name+" buffers", nn.FlattenBuffers(a.Model.Buffers()), nn.FlattenBuffers(b.Model.Buffers()))
+	sameBits(t, name+" buffers", nn.AppendFlatBuffers(nil, a.Model.Buffers()), nn.AppendFlatBuffers(nil, b.Model.Buffers()))
 	if a.Src.State() != b.Src.State() {
 		t.Fatalf("%s: RNG at %x grouped, %x solo", name, a.Src.State(), b.Src.State())
 	}

@@ -523,12 +523,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// decode are rejected by name.
 	seeds := ckptSeeds(t)
 	for name, want := range map[string]string{
-		"version-4":        "version",
-		"version-5":        "version",
-		"frame-topk":       "dense frames only",
-		"frame-delta":      "dense frames only",
-		"record-truncated": "record is truncated",
-		"record-kind":      "frame of kind",
+		"version-4":          "version",
+		"version-5":          "version",
+		"frame-topk":         "dense frames only",
+		"frame-delta":        "dense frames only",
+		"record-truncated":   "record is truncated",
+		"record-kind":        "frame of kind",
+		"record-moment-huge": "claiming 1099511627776 values",
 	} {
 		if _, err := ckpt.Unmarshal(seeds[name]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: got error %v, want one mentioning %q", name, err, want)

@@ -149,17 +149,25 @@ func ckptSeeds(t testing.TB) map[string][]byte {
 	}
 	kind := append([]byte(nil), async...)
 	binary.LittleEndian.PutUint32(kind[tag:], 2)
+	// The first record with a moment frame (tag 3) appended that holds one
+	// f64 value and claims 2^40 in its header: rejected before anything
+	// that size is allocated.
+	mom := comm.MarshalSpecInto(nil, comm.Spec{Value: comm.F64}, 3, []float64{1}, nil)
+	binary.LittleEndian.PutUint64(mom[4:], uint64(comm.F64)<<56|1<<40)
+	huge := binary.LittleEndian.AppendUint64(append([]byte(nil), async[:at-8]...), uint64(len(rec)+8+len(mom)))
+	huge = append(append(binary.LittleEndian.AppendUint64(append(huge, rec...), uint64(len(mom))), mom...), async[at+len(rec):]...)
 	return map[string][]byte{
-		"sync-i8":          engineSeed(t, fl.SchedSync, baselines.NewFedAvg(1), comm.I8),
-		"async-flights":    async,
-		"node-sessions":    nodeSeed(t),
-		"truncated":        async[:len(async)/2],
-		"version-4":        version(4),
-		"version-5":        version(5),
-		"frame-topk":       withFirstFrameCodec(t, async, comm.TopK),
-		"frame-delta":      withFirstFrameCodec(t, async, comm.Delta),
-		"record-truncated": short,
-		"record-kind":      kind,
+		"sync-i8":            engineSeed(t, fl.SchedSync, baselines.NewFedAvg(1), comm.I8),
+		"async-flights":      async,
+		"node-sessions":      nodeSeed(t),
+		"truncated":          async[:len(async)/2],
+		"version-4":          version(4),
+		"version-5":          version(5),
+		"frame-topk":         withFirstFrameCodec(t, async, comm.TopK),
+		"frame-delta":        withFirstFrameCodec(t, async, comm.Delta),
+		"record-truncated":   short,
+		"record-kind":        kind,
+		"record-moment-huge": huge,
 	}
 }
 

@@ -120,7 +120,7 @@ func hashClient(h hash.Hash, c *fl.Client) {
 	}
 	word(uint64(c.ID))
 	vec(nn.FlattenParams(c.Model.Params()))
-	vec(nn.FlattenBuffers(c.Model.Buffers()))
+	vec(nn.AppendFlatBuffers(nil, c.Model.Buffers()))
 	st := c.Optimizer.(opt.Checkpointable).State()
 	word(uint64(len(st.Ints)))
 	for _, v := range st.Ints {

@@ -42,11 +42,11 @@ type Client struct {
 	upload []float64
 }
 
-// FlatUpload flattens params into the one vector the client keeps for its
-// upload and returns it: a method that uploads weights flattens here every
-// round instead of allocating a model-sized vector. The result is valid
-// until the next FlatUpload on the same client, or until the client store
-// evicts the client.
+// FlatUpload copies params into the one vector the client keeps for its
+// upload — a copy, since the uplink codec rounds in place — and returns it:
+// a method that uploads weights flattens here every round instead of
+// allocating a model-sized vector. The result is valid until the next
+// FlatUpload on the same client, or until the client store evicts it.
 func (c *Client) FlatUpload(params []*nn.Param) []float64 {
 	if n := nn.NumParams(params); cap(c.upload) < n {
 		tensor.PutStorage(c.upload)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -223,6 +224,7 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 type lender interface {
 	Borrow() opt.Live
 	Adopt(opt.Live) error
+	Fits(opt.Live) error
 }
 
 // recycle hands the storage of a client the store dropped — workspaces,
@@ -253,61 +255,67 @@ func (st *ClientStore) spillLocked(r *resident) error {
 	return st.seg.put(r.c.ID, st.sb.rec)
 }
 
-// encodeClient writes r's state as one record into sb.rec. The flat
-// parameters and buffers pass through the staging vectors; the moments are
-// framed where they lie.
+// encodeClient writes r's state as one record into sb.rec. Float64
+// parameters and moments are framed where they lie, in their slabs; the
+// buffers and float32 values pass through sb.vec.
 func (sb *spillBuf) encodeClient(r *resident) error {
 	c := r.c
 	if c.Src == nil {
 		return fmt.Errorf("client has no serializable RNG (set fl.Client.Src via xrand.NewRand)")
 	}
 	var live opt.Live
+	var vecs [][]float64 // a copying optimizer's moments, one vector per parameter
 	switch o := c.Optimizer.(type) {
 	case nil:
 	case lender:
 		live = o.Borrow()
 	case opt.Checkpointable:
 		s := o.State()
-		live = opt.Live{Ints: s.Ints, F64: s.Vecs}
+		live.Ints, vecs = s.Ints, s.Vecs
 	default:
 		return fmt.Errorf("optimizer cannot be checkpointed (implement opt.Checkpointable)")
 	}
 	r.list()
-	sb.params = nn.AppendFlatParams(sb.params[:0], r.params)
-	sb.buffers = nn.AppendFlatBuffers(sb.buffers[:0], r.bufs)
-	sb.encode(c.Src.State(), sb.params, sb.buffers, live)
+	b := binary.LittleEndian.AppendUint64(sb.rec[:0], c.Src.State())
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(live.Ints)))
+	for _, v := range live.Ints {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	if vals, _ := nn.Flat(r.params); vals.DT == tensor.F64 {
+		b = appendFrame(b, comm.F64, recParams, vals.Data) // where it lies
+	} else {
+		sb.vec = vals.AppendFloat64s(sb.vec[:0])
+		b = appendFrame(b, comm.F64, recParams, sb.vec)
+	}
+	sb.vec = nn.AppendFlatBuffers(sb.vec[:0], r.bufs)
+	b = appendFrame(b, comm.F64, recBuffers, sb.vec)
+	for _, v := range vecs {
+		b = appendFrame(b, comm.F64, recMoment, v)
+	}
+	live.Blocks(&sb.vec, func(v []float64) { b = appendFrame(b, comm.F64, recMoment, v) })
+	sb.rec = b
 	return nil
 }
 
 // rehydrate reads r's record and decodes it into the freshly built client:
-// parameters and buffers through the staging vector, moments into vectors
-// the optimizer adopts as they are.
+// float64 parameters straight into the model's value slab, moments into a
+// slab the optimizer adopts as it is.
 func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	if err := sb.read(f, sp); err != nil {
 		return err
 	}
 	c := r.c
-	_, lends := c.Optimizer.(lender)
-	var live opt.Live
-	rng, params, buffers, err := sb.decode(sb.rec, &live, lends && c.DType().Backing() == tensor.F32)
+	r.list()
+	rng, live, err := sb.decode(sb.rec, r.params, r.bufs, true)
 	if err != nil {
 		return err
 	}
 	c.Src.SetState(rng) // non-nil, or the spill or restore would have failed
-	if c.Model != nil {
-		r.list()
-		if err := nn.SetFlatParams(r.params, params); err != nil {
-			return err
-		}
-		if err := nn.SetFlatBuffers(r.bufs, buffers); err != nil {
-			return err
-		}
-	}
 	switch o := c.Optimizer.(type) {
 	case lender:
-		return o.Adopt(live)
+		return o.Adopt(opt.LiveOf(live.Ints, live.F64, live.Sizes, c.DType().Backing() == tensor.F32))
 	case opt.Checkpointable:
-		return o.SetState(opt.State{Ints: live.Ints, Vecs: live.F64})
+		return o.SetState(live.State())
 	}
 	return nil
 }
@@ -414,32 +422,28 @@ func (st *ClientStore) RestoreTouched(recs []ClientRecord, dt tensor.DType) erro
 }
 
 // check reports, without touching c, why rec — a record taken at dtype dt —
-// cannot be rehydrated into c: it does not decode, or c has another
-// architecture, dtype or optimizer, and the first Get would fail mid-run.
+// cannot be rehydrated into c: it does not decode, or it does not fit c's
+// architecture, dtype or optimizer (a lending one is asked; another checks
+// at rehydration), and the first Get would fail mid-run.
 func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
 	if c.Src == nil {
 		return fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
 	}
-	_, params, buffers, err := sb.decode(rec, nil, false)
+	if c.Model != nil && c.Model.DType() != dt {
+		return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
+	}
+	r := &resident{c: c}
+	r.list()
+	_, live, err := sb.decode(rec, r.params, r.bufs, false)
+	if o, ok := c.Optimizer.(lender); ok && err == nil {
+		err = o.Fits(live)
+	} else if _, ok := c.Optimizer.(opt.Checkpointable); !ok && c.Optimizer != nil {
+		return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
+	}
 	if err != nil {
-		return fmt.Errorf("fl: restoring client %d: %w", c.ID, err)
+		return fmt.Errorf("fl: restoring client %d %w", c.ID, err)
 	}
-	if c.Model != nil {
-		if c.Model.DType() != dt {
-			return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
-		}
-		if n := nn.NumParams(c.Model.Params()); len(params) != n {
-			return fmt.Errorf("fl: restoring client %d parameters: checkpoint has %d values, model has %d", c.ID, len(params), n)
-		}
-		if n := nn.NumBuffered(c.Model.Buffers()); len(buffers) != n {
-			return fmt.Errorf("fl: restoring client %d buffers: checkpoint has %d values, model has %d", c.ID, len(buffers), n)
-		}
-	}
-	switch c.Optimizer.(type) {
-	case nil, lender, opt.Checkpointable:
-		return nil
-	}
-	return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
+	return nil
 }
 
 // CheckRecords reports the first of recs that does not decode: what a
@@ -447,7 +451,7 @@ func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
 func CheckRecords(recs []ClientRecord) error {
 	var sb spillBuf
 	for _, cr := range recs {
-		if _, _, _, err := sb.decode(cr.Rec, nil, false); err != nil {
+		if _, _, err := sb.decode(cr.Rec, nil, nil, false); err != nil {
 			return fmt.Errorf("client %d: %w", cr.ID, err)
 		}
 	}
@@ -519,48 +523,26 @@ func (s *segment) close() {
 //
 // where each bracketed vector is a u64 byte length, then a dense comm frame
 // (lossless f64 when spilled) whose kind tag is one of the rec* constants.
-// Moments run to the end. The checkpoint's client section is these records.
+// The moments run to the end, a frame per parameter per kind of moment: the
+// optimizer's slab in blocks. The checkpoint's client section is these
+// records.
 const (
 	recParams uint32 = iota + 1
 	recBuffers
 	recMoment
 )
 
-// spillBuf is the scratch one record passes through: its bytes, staging
-// vectors for the flat parameters and buffers, and one that widens (or
-// narrows) a float32 moment vector at a time. All keep their capacity, so a
-// warmed store encodes without allocating.
+// spillBuf is the scratch one record passes through: its bytes and a
+// staging vector. Both keep their capacity, so a warmed store encodes
+// without allocating.
 type spillBuf struct {
-	rec             []byte
-	params, buffers []float64
-	vec             []float64
+	rec []byte
+	vec []float64
 }
 
 func appendFrame(b []byte, c comm.Codec, kind uint32, v []float64) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(comm.WireSizeAs(c, len(v))))
 	return comm.MarshalSpecInto(b, comm.Spec{Value: c}, kind, v, nil)
-}
-
-// encode writes one record into sb.rec.
-func (sb *spillBuf) encode(rng uint64, params, buffers []float64, live opt.Live) {
-	b := binary.LittleEndian.AppendUint64(sb.rec[:0], rng)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(live.Ints)))
-	for _, v := range live.Ints {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	b = appendFrame(b, comm.F64, recParams, params)
-	b = appendFrame(b, comm.F64, recBuffers, buffers)
-	for _, v := range live.F64 {
-		b = appendFrame(b, comm.F64, recMoment, v)
-	}
-	for _, v := range live.F32 {
-		sb.vec = sb.vec[:0]
-		for _, x := range v {
-			sb.vec = append(sb.vec, float64(x))
-		}
-		b = appendFrame(b, comm.F64, recMoment, sb.vec)
-	}
-	sb.rec = b
 }
 
 // AppendRecord appends the client record rec to dst with every vector frame
@@ -572,12 +554,12 @@ func AppendRecord(dst, rec []byte, c comm.Codec) ([]byte, error) {
 	dst = append(dst, rec[:len(rec)-len(r.b)]...)
 	var v []float64
 	for kind := recParams; r.err == nil && (kind <= recBuffers || len(r.b) > 0); kind = min(kind+1, recMoment) {
-		switch fr, fc := r.next(kind); {
+		switch fr, fc, _ := r.next(kind); {
 		case r.err != nil:
 		case fc == c:
 			dst = append(binary.LittleEndian.AppendUint64(dst, uint64(len(fr))), fr...)
 		default:
-			if _, v, r.err = comm.DecodeSpec(v[:0], fr, nil); r.err == nil {
+			if v = r.decode(fr, v[:0]); r.err == nil {
 				dst = appendFrame(dst, c, kind, v)
 			}
 		}
@@ -622,72 +604,95 @@ func (r *recReader) u64() uint64 {
 	return 0
 }
 
-// header reads the RNG position and the optimizer ints, still encoded.
-func (r *recReader) header() (rng uint64, ints []byte) {
+// header reads the RNG position and the optimizer ints.
+func (r *recReader) header() (rng uint64, ints []int64) {
 	rng = r.u64()
 	if n := r.u64(); n > uint64(len(r.b))/8 {
 		r.err = errTruncated
 	} else {
-		ints = r.take(8 * n)
+		for b := r.take(8 * n); len(b) > 0; b = b[8:] {
+			ints = append(ints, int64(binary.LittleEndian.Uint64(b)))
+		}
 	}
 	return rng, ints
 }
 
-// next returns the next vector frame, which must carry the given kind tag,
-// and its codec.
-func (r *recReader) next(kind uint32) ([]byte, comm.Codec) {
+// next returns the next vector frame, which must carry the given kind tag
+// and be dense and exactly as long as its element count says (so that
+// count bounds what decoding it allocates), its codec and that count.
+func (r *recReader) next(kind uint32) ([]byte, comm.Codec, int) {
 	fr := r.take(r.u64())
 	if r.err != nil {
-		return nil, 0
+		return nil, 0, 0
 	}
-	c, k, _, err := comm.FrameInfo(fr)
-	if err == nil && k != kind {
+	c, k, n, err := comm.FrameInfo(fr)
+	switch {
+	case err != nil:
+	case k != kind:
 		err = fmt.Errorf("client record has a frame of kind %d where %d belongs", k, kind)
+	case !c.Dense() || int64(len(fr)) != comm.WireSizeAs(c, n):
+		err = fmt.Errorf("client record has a %s frame of %d bytes claiming %d values", c, len(fr), n)
 	}
-	r.err = err
-	return fr, c
+	if r.err = err; err != nil {
+		return nil, 0, 0
+	}
+	return fr, c, n
 }
 
-// frame decodes the next frame, of the given kind, into scratch's capacity,
-// or into a fresh vector when that is short.
-func (r *recReader) frame(kind uint32, scratch []float64) []float64 {
-	fr, _ := r.next(kind)
+// decode decodes frame fr into scratch's capacity, or into a fresh vector
+// when that is short.
+func (r *recReader) decode(fr []byte, scratch []float64) []float64 {
 	if r.err != nil {
-		return nil
+		return scratch
 	}
 	_, v, err := comm.DecodeSpec(scratch, fr, nil)
 	r.err = err
 	return v
 }
 
-// decode parses rec. The returned params and buffers are sb's staging
-// vectors, valid until its next use. The optimizer ints and moments go into
-// live — the moments as exact-length tensor-pool storage, float32 when f32
-// is set and float64 otherwise, which belongs to the caller — or nowhere.
-func (sb *spillBuf) decode(rec []byte, live *opt.Live, f32 bool) (rng uint64, params, buffers []float64, err error) {
+// decode parses rec and checks it against a model with the given
+// parameters and buffers (none with nil params): the value counts, and
+// moment frames as long as their parameters, a whole number of kinds. With
+// into set it writes the values into the model, a float64 model's straight
+// into its value slab. It returns the RNG position and the optimizer state,
+// whose moment slab is sb's scratch: valid until sb is next used.
+func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, into bool) (rng uint64, live opt.Live, err error) {
 	r := recReader{b: rec}
-	rng, ints := r.header()
-	if live != nil && len(ints) > 0 {
-		live.Ints = make([]int64, len(ints)/8)
-		for i := range live.Ints {
-			live.Ints[i] = int64(binary.LittleEndian.Uint64(ints[8*i:]))
+	rng, live.Ints = r.header()
+	model, total := params != nil, nn.NumParams(params)
+	if fr, _, n := r.next(recParams); model && r.err == nil && n != total {
+		return rng, live, fmt.Errorf("parameters: checkpoint has %d values, model has %d", n, total)
+	} else if vals, _ := nn.Flat(params); into && vals.DT == tensor.F64 {
+		r.decode(fr, vals.Data[:0])
+	} else if sb.vec = r.decode(fr, sb.vec[:0]); into && r.err == nil {
+		r.err = nn.SetFlatParams(params, sb.vec)
+	}
+	if fr, _, n := r.next(recBuffers); model && r.err == nil && n != nn.NumBuffered(bufs) {
+		return rng, live, fmt.Errorf("buffers: checkpoint has %d values, model has %d", n, nn.NumBuffered(bufs))
+	} else if sb.vec = r.decode(fr, sb.vec[:0]); into && r.err == nil {
+		r.err = nn.SetFlatBuffers(bufs, sb.vec)
+	}
+	// The moment frames, end to end, are the slab.
+	sb.vec = sb.vec[:0]
+	for i := 0; r.err == nil && len(r.b) > 0; i++ {
+		fr, _, n := r.next(recMoment)
+		if model && r.err == nil && (len(params) == 0 || n != params[i%len(params)].Value.Size()) {
+			return rng, live, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", i, n)
+		}
+		sb.vec = slices.Grow(sb.vec, n)
+		sb.vec = sb.vec[:len(sb.vec)+len(r.decode(fr, sb.vec[len(sb.vec):]))]
+	}
+	switch {
+	case r.err != nil:
+		return rng, live, fmt.Errorf("record: %w", r.err)
+	case !model || len(sb.vec) == 0:
+	case len(sb.vec)%total != 0:
+		return rng, live, fmt.Errorf("moments: %d values are not a whole number of kinds over %d parameter values", len(sb.vec), total)
+	default:
+		live.F64, live.Sizes = sb.vec, make([]int, len(params))
+		for i, p := range params {
+			live.Sizes[i] = p.Value.Size()
 		}
 	}
-	sb.params = r.frame(recParams, sb.params[:0])
-	sb.buffers = r.frame(recBuffers, sb.buffers[:0])
-	for r.err == nil && len(r.b) > 0 {
-		sb.vec = r.frame(recMoment, sb.vec[:0])
-		switch {
-		case live == nil:
-		case !f32:
-			live.F64 = append(live.F64, append(tensor.GetStorage[float64](len(sb.vec))[:0], sb.vec...))
-		default:
-			w := tensor.GetStorage[float32](len(sb.vec))
-			for i, x := range sb.vec {
-				w[i] = float32(x)
-			}
-			live.F32 = append(live.F32, w)
-		}
-	}
-	return rng, sb.params, sb.buffers, r.err
+	return rng, live, nil
 }

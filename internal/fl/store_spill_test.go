@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -66,18 +66,27 @@ func spillTrained(t *testing.T, st *ClientStore, ids ...int) map[int][]byte {
 	return want
 }
 
-// shortParams re-encodes rec with one parameter value fewer: a record that
-// decodes, for a model one value smaller.
-func shortParams(t *testing.T, rec []byte) []byte {
+// rewriteRecord decodes rec's vectors — parameters, buffers, then every
+// moment frame — lets edit change them, and encodes the result behind rec's
+// RNG position and optimizer ints: a record that decodes, for some other
+// model or optimizer.
+func rewriteRecord(t *testing.T, rec []byte, edit func(vecs [][]float64) [][]float64) []byte {
 	t.Helper()
-	var sb spillBuf
-	var live opt.Live
-	rng, params, buffers, err := sb.decode(rec, &live, false)
-	if err != nil {
-		t.Fatal(err)
+	r := recReader{b: rec}
+	r.header()
+	out := append([]byte(nil), rec[:len(rec)-len(r.b)]...)
+	var vecs [][]float64
+	for kind := recParams; r.err == nil && len(r.b) > 0; kind = min(kind+1, recMoment) {
+		fr, _, _ := r.next(kind)
+		vecs = append(vecs, r.decode(fr, nil))
 	}
-	sb.encode(rng, params[:len(params)-1], buffers, live)
-	return sb.rec
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, v := range edit(vecs) {
+		out = appendFrame(out, comm.F64, min(recParams+uint32(i), recMoment), v)
+	}
+	return out
 }
 
 // A snapshot naming a client outside the fleet, or one client twice, or
@@ -91,12 +100,37 @@ func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
 		t.Fatalf("%d resident, want 2", st.Resident())
 	}
 	good, one := ClientRecord{ID: 0, Rec: want[0]}, want[1]
+	// A rewritten client 1 comes with every other client the store holds,
+	// so only its own record can be what is rejected. Its vectors are the
+	// parameters, the buffers, then Adam's m and v for each of the MLP's
+	// six parameters.
+	rewrite := func(edit func(vecs [][]float64) [][]float64) []ClientRecord {
+		return []ClientRecord{good, {ID: 1, Rec: rewriteRecord(t, one, edit)}, {ID: 3, Rec: want[3]}}
+	}
 	for name, recs := range map[string][]ClientRecord{
-		"out of range":          {good, {ID: 9}},
-		"negative":              {good, {ID: -1}},
-		"duplicate":             {good, {ID: 1, Rec: one}, good},
-		"truncated record":      {good, {ID: 1, Rec: one[:len(one)-1]}},
-		"short parameter frame": {good, {ID: 1, Rec: shortParams(t, one)}},
+		"out of range":     {good, {ID: 9}},
+		"negative":         {good, {ID: -1}},
+		"duplicate":        {good, {ID: 1, Rec: one}, good},
+		"truncated record": {good, {ID: 1, Rec: one[:len(one)-1]}},
+		"short parameter frame": rewrite(func(vecs [][]float64) [][]float64 {
+			vecs[0] = vecs[0][:len(vecs[0])-1]
+			return vecs
+		}),
+		"first two m vectors swapped": rewrite(func(vecs [][]float64) [][]float64 {
+			vecs[2], vecs[3] = vecs[3], vecs[2]
+			return vecs
+		}),
+		"two moment vectors dropped": rewrite(func(vecs [][]float64) [][]float64 {
+			return vecs[:len(vecs)-2]
+		}),
+		"v vectors dropped": rewrite(func(vecs [][]float64) [][]float64 {
+			return vecs[:2+6] // decodes as one kind of moment: Adam wants two
+		}),
+		"one moment vector short": rewrite(func(vecs [][]float64) [][]float64 {
+			last := vecs[len(vecs)-1]
+			vecs[len(vecs)-1] = last[:len(last)-1]
+			return vecs
+		}),
 	} {
 		if err := st.RestoreTouched(recs, tensor.F64); err == nil {
 			t.Fatalf("%s: restore accepted", name)
@@ -225,13 +259,7 @@ func TestClientStoreSameIDConcurrentGet(t *testing.T) {
 func TestClientStoreRecordDTypes(t *testing.T) {
 	for _, dt := range []tensor.DType{tensor.F32, tensor.BF16} {
 		t.Run(dt.String(), func(t *testing.T) {
-			f64 := lazyTestBuilder(t, 8)
-			build := func(i int) *Client {
-				c := f64(i)
-				nn.ConvertParams(c.Model.Params(), dt)
-				c.Model.Cfg.DType = dt
-				return c
-			}
+			build := lazyTestBuilderOf(t, 8, dt)
 			st := NewClientStore(8, build, 1)
 			want := spillTrained(t, st, 3, 0)
 			c := st.Get(3)

@@ -21,6 +21,12 @@ import (
 // partitioned synthetic dataset.
 func lazyTestBuilder(t *testing.T, k int) func(int) *Client {
 	t.Helper()
+	return lazyTestBuilderOf(t, k, tensor.F64)
+}
+
+// lazyTestBuilderOf is lazyTestBuilder with models of dtype dt.
+func lazyTestBuilderOf(t *testing.T, k int, dt tensor.DType) func(int) *Client {
+	t.Helper()
 	ds := data.Generate(data.SynthFashion(6, 4, 3))
 	lp, err := data.NewLazyPartitioner(ds, k, data.PartitionOptions{Kind: data.Dirichlet, Alpha: 0.5, Seed: 1})
 	if err != nil {
@@ -29,7 +35,7 @@ func lazyTestBuilder(t *testing.T, k int) func(int) *Client {
 	return func(i int) *Client {
 		part := lp.Client(i)
 		m := models.New(models.Config{
-			Arch: models.ArchMLP, InC: 1, InH: 12, InW: 12, FeatDim: 8, NumClasses: 10, Hidden: 16,
+			Arch: models.ArchMLP, InC: 1, InH: 12, InW: 12, FeatDim: 8, NumClasses: 10, Hidden: 16, DType: dt,
 		}, xrand.New(int64(i+1)))
 		rng, src := xrand.NewRand(int64(i) * 7919)
 		return &Client{
@@ -276,26 +282,26 @@ func TestLazyBudgetByteIdentity(t *testing.T) {
 }
 
 // primeNaN puts NaN-filled storage into the tensor pool at every length the
-// fleet's clients keep — each parameter's value, gradient and two Adam
-// moments, at f64 and f32, and the upload vector — once per client, so the
-// next clients built, stepped or rehydrated take dirty storage.
+// fleet's clients take — a model's value and gradient slabs and its upload
+// vector, as long as its parameters, an Adam step's moment slab, twice
+// that, and each parameter's float64 initialization before packing, at f64
+// and f32 — once per client, so the next clients built, stepped or
+// rehydrated take dirty storage.
 func primeNaN(fleet []*Client) {
-	put := func(n int) {
-		v, w := make([]float64, n), make([]float32, n)
-		for i := range v {
-			v[i], w[i] = math.NaN(), float32(math.NaN())
-		}
-		tensor.PutStorage(v)
-		tensor.PutStorage(w)
-	}
 	for _, c := range fleet {
-		params := c.Model.Params()
-		for _, p := range params {
-			for range 4 {
-				put(p.Value.Size())
-			}
+		n := nn.NumParams(c.Model.Params())
+		sizes := []int{n, n, n, 2 * n}
+		for _, p := range c.Model.Params() {
+			sizes = append(sizes, p.Value.Size())
 		}
-		put(nn.NumParams(params))
+		for _, size := range sizes {
+			v, w := make([]float64, size), make([]float32, size)
+			for i := range v {
+				v[i], w[i] = math.NaN(), float32(math.NaN())
+			}
+			tensor.PutStorage(v)
+			tensor.PutStorage(w)
+		}
 	}
 }
 

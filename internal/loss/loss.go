@@ -215,31 +215,23 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 }
 
 // Proximal adds the gradient of ρ·‖w − w_global‖² to the parameter
-// gradients and returns the penalty value. globalFlat must have the layout
-// produced by nn.FlattenParams on the same parameter list; the difference
-// is computed in float64 bookkeeping and the gradient contribution narrows
-// to the parameter dtype.
+// gradients and returns the penalty value, in one pass over the packed run
+// params (nn.Flat). globalFlat must have the layout nn.FlattenParams gives
+// it; the difference is computed in float64 bookkeeping and the gradient
+// contribution narrows to the parameter dtype.
 func Proximal(params []*nn.Param, globalFlat []float64, rho float64) float64 {
 	if rho == 0 {
 		return 0
 	}
-	var penalty float64
-	off := 0
-	for _, p := range params {
-		// The accumulator threads through every parameter so the summation
-		// order (and thus the float64 result) matches the historical
-		// single-loop implementation bit for bit.
-		if p.Value.DT.Backing() == tensor.F32 {
-			penalty = proximalParam(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), globalFlat[off:], rho, penalty)
-		} else {
-			penalty = proximalParam(p.Value.Data, p.Grad.Data, globalFlat[off:], rho, penalty)
-		}
-		off += p.Value.Size()
+	w, g := nn.Flat(params)
+	if w.DT.Backing() == tensor.F32 {
+		return rho * proximal(w.F32, g.F32, globalFlat, rho)
 	}
-	return rho * penalty
+	return rho * proximal(w.Data, g.Data, globalFlat, rho)
 }
 
-func proximalParam[F tensor.Float](w, g []F, globalFlat []float64, rho, penalty float64) float64 {
+func proximal[F tensor.Float](w, g []F, globalFlat []float64, rho float64) float64 {
+	var penalty float64
 	for j := range w {
 		d := float64(w[j]) - globalFlat[j]
 		penalty += d * d

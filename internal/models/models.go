@@ -112,14 +112,16 @@ type SplitModel struct {
 	// contract: an input is consumed by the forward/backward pair it feeds.
 	// Like the layer workspaces it is leased for one pass.
 	xcast *tensor.Tensor
+	// params is Params(), in the order of the model's slabs.
+	params []*nn.Param
 }
 
 // New builds a model for the given config with weights drawn from the
 // serializable source, so initialization is snapshot-reproducible exactly
 // like sampling and augmentation streams. Weights are always initialized in
 // float64 — a given seed yields the same draw sequence at every dtype — and
-// narrowed to Config.DType afterwards, which makes f32-vs-f64 parity runs
-// start from identical (merely rounded) weights.
+// packed into Config.DType slabs afterwards (nn.Pack), classifier last,
+// which makes f32-vs-f64 parity runs start from identical weights.
 func New(cfg Config, src *xrand.Source) *SplitModel {
 	if cfg.Width <= 0 {
 		cfg.Width = 1
@@ -151,9 +153,8 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 		Extractor:  ext,
 		Classifier: nn.NewDense(cfg.FeatDim, cfg.NumClasses, rng),
 	}
-	if cfg.DType != tensor.F64 {
-		nn.ConvertParams(m.Params(), cfg.DType)
-	}
+	m.params = append(ext.Params(), m.Classifier.Params()...)
+	nn.Pack(m.params, cfg.DType)
 	return m
 }
 
@@ -201,17 +202,13 @@ func (m *SplitModel) ReleaseWorkspaces() {
 	m.xcast = nil
 }
 
-// Params returns all trainable parameters (extractor then classifier).
-func (m *SplitModel) Params() []*nn.Param {
-	return append(m.Extractor.Params(), m.Classifier.Params()...)
-}
+// Params returns all trainable parameters (extractor then classifier) —
+// the model's own list, which callers must not modify.
+func (m *SplitModel) Params() []*nn.Param { return m.params }
 
 // ClassifierParams returns only the classifier parameters — the payload
-// FedClassAvg exchanges.
+// FedClassAvg exchanges, and the tail of the model's slabs.
 func (m *SplitModel) ClassifierParams() []*nn.Param { return m.Classifier.Params() }
-
-// ExtractorParams returns only the extractor parameters.
-func (m *SplitModel) ExtractorParams() []*nn.Param { return m.Extractor.Params() }
 
 // Buffers returns the model's non-trainable state (batch-norm running
 // statistics), which checkpoints capture alongside Params. The classifier

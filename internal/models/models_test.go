@@ -102,7 +102,7 @@ func TestArchitecturesActuallyDiffer(t *testing.T) {
 	seen := map[int]Arch{}
 	for _, a := range HeterogeneousSet {
 		m := New(cfgFor(a), xrand.New(5))
-		n := nn.NumParams(m.ExtractorParams())
+		n := nn.NumParams(m.Extractor.Params())
 		if prev, dup := seen[n]; dup {
 			t.Fatalf("%v and %v have identical extractor param counts (%d); heterogeneity lost", prev, a, n)
 		}
@@ -116,7 +116,7 @@ func TestCNN2WidthHeterogeneity(t *testing.T) {
 		cfg := cfgFor(ArchCNN2)
 		cfg.Width = w
 		m := New(cfg, xrand.New(6))
-		counts[nn.NumParams(m.ExtractorParams())] = true
+		counts[nn.NumParams(m.Extractor.Params())] = true
 		// Classifier stays fixed regardless of width.
 		if nn.NumParams(m.ClassifierParams()) != 16*10+10 {
 			t.Fatal("CNN2 classifier shape must not depend on width")

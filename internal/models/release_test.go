@@ -140,7 +140,8 @@ func releaseInput(dt tensor.DType, classes int) (x, g *tensor.Tensor) {
 func trainStep(m *SplitModel, x, g *tensor.Tensor) (logits, grads []uint64) {
 	_, l := m.Forward(x, true)
 	m.Extractor.Backward(m.Classifier.Backward(g))
-	return bits(l.AppendFloat64s(nil)), bits(nn.FlattenGrads(m.Params()))
+	_, gs := nn.Flat(m.Params())
+	return bits(l.AppendFloat64s(nil)), bits(gs.AppendFloat64s(nil))
 }
 
 // evalLogits runs one eval-mode forward and returns the logits' bits.

@@ -37,7 +37,7 @@ func convAllocLayer(t *testing.T, dt tensor.DType, seed int64, n, side, blocks i
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	layer = NewConv2D(4, 8, 3, 1, 1, 1, rng)
-	ConvertParams(layer.Params(), dt)
+	Pack(layer.Params(), dt)
 	x = tensor.NewOf(dt, n, 4, side, side)
 	x.FillRandn(rng, 1)
 	grad = tensor.NewOf(dt, n, 8, side, side)
@@ -110,7 +110,7 @@ func TestConv2DTrainStepAllocsF32(t *testing.T) {
 func TestDenseTrainStepAllocsF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	layer := NewDense(64, 32, rng)
-	ConvertParams(layer.Params(), tensor.F32)
+	Pack(layer.Params(), tensor.F32)
 	x := tensor.NewOf(tensor.F32, 16, 64)
 	x.FillRandn(rng, 1)
 	grad := tensor.NewOf(tensor.F32, 16, 32)
@@ -129,6 +129,7 @@ func TestDenseTrainStepAllocsF32(t *testing.T) {
 func TestDenseTrainStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	layer := NewDense(64, 32, rng)
+	Pack(layer.Params(), tensor.F64)
 	x := tensor.New(16, 64)
 	x.FillRandn(rng, 1)
 	grad := tensor.New(16, 32)

@@ -21,7 +21,7 @@ func buildBatchNet(seed int64, dt tensor.DType, side int) *Sequential {
 		NewFlatten(),
 		NewDense(4*side*side, 5, rng),
 	)
-	ConvertParams(s.Params(), dt)
+	Pack(s.Params(), dt)
 	return s
 }
 

@@ -139,7 +139,7 @@ func TestConvBlockedMatchesWholeBatch(t *testing.T) {
 func checkConvBlocked(t *testing.T, dt tensor.DType, inC, outC, k, stride, pad, groups, h, n, blocks int) {
 	layer := func() *Conv2D {
 		c := NewConv2D(inC, outC, k, stride, pad, groups, rand.New(rand.NewSource(5)))
-		ConvertParams(c.Params(), dt)
+		Pack(c.Params(), dt)
 		rng := rand.New(rand.NewSource(6))
 		c.W.Grad.FillUniform(rng, -1, 1)
 		c.B.Grad.FillUniform(rng, -1, 1)
@@ -204,6 +204,7 @@ func TestConvBackwardNeedsTrainingForward(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConv2D(2, 4, 3, 1, 1, 1, rng)
+			Pack(c.Params(), tensor.F64)
 			tc.prep(c)
 			defer func() {
 				r := recover()
@@ -215,6 +216,7 @@ func TestConvBackwardNeedsTrainingForward(t *testing.T) {
 		})
 	}
 	c := NewConv2D(2, 4, 3, 1, 1, 1, rng)
+	Pack(c.Params(), tensor.F64)
 	c.Forward(x, true)
 	c.Backward(gy) // the contract's positive case
 }

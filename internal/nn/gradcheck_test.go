@@ -42,8 +42,8 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 		l, _ := quadLoss(y)
 		return l
 	}
-	// Analytic gradients.
-	ZeroGrads(layer.Params())
+	// Analytic gradients, from the zero gradients packing gives.
+	Pack(layer.Params(), tensor.F64)
 	y := layer.Forward(x.Clone(), true)
 	_, dy := quadLoss(y)
 	dx := layer.Backward(dy)
@@ -137,6 +137,7 @@ func TestBatchNorm1DGradients(t *testing.T) {
 func TestBatchNormEvalModeBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	layer := NewBatchNorm1D(4)
+	Pack(layer.Params(), tensor.F64)
 	// Train once to move running stats, then check eval-mode gradients.
 	x := randInput(rng, 6, 4)
 	layer.Forward(x, true)

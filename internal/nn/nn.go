@@ -23,10 +23,10 @@
 // arrive dirty: every layer overwrites each element it later reads. An
 // evaluation-mode pass keeps nothing for a backward pass, so a Sequential
 // hands each layer's workspaces back as soon as no later layer can read
-// them (Sequential.Forward). Parameters and gradients live on exact-length
-// pool storage too (tensor.NewStorageOf): RecycleParams hands it back when
-// a model's life ends, and the next model built takes it over. It arrives
-// dirty as well; newParam zeroes it.
+// them (Sequential.Forward). A model's parameters live in two exact-length
+// pool slabs, one for values and one for gradients, in Params() order
+// (Pack), so every flat view of a run of them is one range (Flat);
+// RecycleParams hands the slabs to the next model packed.
 //
 // Activation aliasing contract: a tensor returned by Forward or Backward
 // stays valid until the same layer's corresponding method runs twice more
@@ -110,21 +110,65 @@ type Param struct {
 	Grad  *tensor.Tensor
 }
 
-// newParam builds a named parameter with a zero value and a zero gradient,
-// both on exact-length storage from the tensor pool (tensor.NewStorageOf):
-// a model built after another was recycled takes over its storage.
+// newParam builds a named float64 parameter for a layer to initialize: a
+// zero value on exact-length pool storage, and no gradient until Pack.
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, Value: tensor.NewStorageOf(tensor.F64, shape...), Grad: tensor.NewStorageOf(tensor.F64, shape...)}
+	return &Param{Name: name, Value: tensor.NewStorageOf(tensor.F64, shape...), Grad: new(tensor.Tensor)}
 }
 
-// RecycleParams hands every parameter's value and gradient storage to the
-// tensor pool (tensor.RecycleStorage) and drops both tensors, so a
-// recycled parameter holds nothing. It ends the parameters' life: the
-// model they belong to must not be used again.
-func RecycleParams(params []*Param) {
+// Pack moves freshly built parameters into one value slab and one gradient
+// slab of dtype dt, in order: each Value becomes a view of its block,
+// narrowed from its float64 initialization, each Grad a zero view, and the
+// value storage they had goes back to the pool. Layer workspaces follow the
+// activations' dtype lazily on the first pass.
+func Pack(params []*Param, dt tensor.DType) {
+	n, off := NumParams(params), 0
+	vals, grads := tensor.NewStorageOf(dt, n), tensor.NewStorageOf(dt, n)
 	for _, p := range params {
-		tensor.RecycleStorage(p.Value)
-		tensor.RecycleStorage(p.Grad)
+		init, size := p.Value.Data, p.Value.Size()
+		tensor.ViewInto(p.Value, vals, off, off+size, p.Value.Shape...)
+		tensor.ViewInto(p.Grad, grads, off, off+size, p.Value.Shape...)
+		p.Value.SetFromFloat64s(init)
+		tensor.PutStorage(init)
+		off += size
+	}
+}
+
+// Flat returns the values and the gradients params cover as two flat
+// tensors over their model's slabs — the storage itself. params must be a
+// contiguous run of one packed model's parameters, such as Params() or
+// ClassifierParams(); it panics otherwise.
+func Flat(params []*Param) (vals, grads tensor.Tensor) {
+	if len(params) == 0 {
+		return vals, grads
+	}
+	n, off := NumParams(params), 0
+	vals, grads = span(params[0].Value, 0, n), span(params[0].Grad, 0, n)
+	for _, p := range params {
+		if v, g := span(&vals, off, n), span(&grads, off, n); !sameStorage(&v, p.Value) || !sameStorage(&g, p.Grad) {
+			panic("nn: parameters are not a contiguous run of one packed model")
+		}
+		off += p.Value.Size()
+	}
+	return vals, grads
+}
+
+// span returns t's storage from lo to hi (up to its capacity) flat.
+func span(t *tensor.Tensor, lo, hi int) tensor.Tensor {
+	if t.DT.Backing() == tensor.F32 {
+		return tensor.Tensor{DT: t.DT, F32: t.F32[lo:hi:hi]}
+	}
+	return tensor.Tensor{DT: t.DT, Data: t.Data[lo:hi:hi]}
+}
+
+// RecycleParams ends a packed model's life: its two slabs go back to the
+// tensor pool for the next model packed, and every parameter drops its
+// views. params must be all of the model's parameters, in order.
+func RecycleParams(params []*Param) {
+	v, g := Flat(params)
+	tensor.RecycleStorage(&v)
+	tensor.RecycleStorage(&g)
+	for _, p := range params {
 		p.Value, p.Grad = nil, nil
 	}
 }
@@ -248,13 +292,8 @@ func NumBuffered(bufs [][]float64) int {
 	return n
 }
 
-// FlattenBuffers concatenates buffer slices into one vector, in order.
-func FlattenBuffers(bufs [][]float64) []float64 {
-	return AppendFlatBuffers(make([]float64, 0, NumBuffered(bufs)), bufs)
-}
-
-// AppendFlatBuffers appends the flattened buffers to out (reusing its
-// capacity), for callers that recycle flat vectors across spill cycles.
+// AppendFlatBuffers appends the buffer slices to out (reusing its capacity),
+// in order: the flat vector checkpoints and spill records carry.
 func AppendFlatBuffers(out []float64, bufs [][]float64) []float64 {
 	for _, b := range bufs {
 		out = append(out, b...)
@@ -262,7 +301,7 @@ func AppendFlatBuffers(out []float64, bufs [][]float64) []float64 {
 	return out
 }
 
-// SetFlatBuffers writes a flat vector produced by FlattenBuffers back into
+// SetFlatBuffers writes a flat vector produced by AppendFlatBuffers back into
 // the live buffer slices. It returns an error if the lengths disagree.
 func SetFlatBuffers(bufs [][]float64, flat []float64) error {
 	if len(flat) != NumBuffered(bufs) {
@@ -276,11 +315,10 @@ func SetFlatBuffers(bufs [][]float64, flat []float64) error {
 	return nil
 }
 
-// ZeroGrads resets the gradients of all parameters.
+// ZeroGrads resets the gradients of a packed run of parameters (see Flat).
 func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		p.Grad.Zero()
-	}
+	_, g := Flat(params)
+	g.Zero()
 }
 
 // NumParams returns the total scalar parameter count.
@@ -292,10 +330,10 @@ func NumParams(params []*Param) int {
 	return n
 }
 
-// FlattenParams concatenates all parameter values into one float64 vector,
-// in order. Flat vectors are the federation's always-f64 bookkeeping
-// representation; float32 parameters widen exactly, so flatten/set round
-// trips are lossless at either dtype.
+// FlattenParams copies a packed run of parameter values (see Flat) into one
+// float64 vector, in order. Flat vectors are the federation's always-f64
+// bookkeeping representation; float32 parameters widen exactly, so
+// flatten/set round trips are lossless at either dtype.
 func FlattenParams(params []*Param) []float64 {
 	return AppendFlatParams(make([]float64, 0, NumParams(params)), params)
 }
@@ -303,59 +341,20 @@ func FlattenParams(params []*Param) []float64 {
 // AppendFlatParams appends the flattened parameters to out (reusing its
 // capacity), for callers that recycle flat vectors across spill cycles.
 func AppendFlatParams(out []float64, params []*Param) []float64 {
-	for _, p := range params {
-		out = p.Value.AppendFloat64s(out)
-	}
-	return out
+	v, _ := Flat(params)
+	return v.AppendFloat64s(out)
 }
 
-// SetFlatParams writes a flat vector produced by FlattenParams back into the
-// parameters, narrowing to the model dtype. It returns an error if the
-// lengths disagree.
+// SetFlatParams writes a flat vector produced by FlattenParams back into a
+// packed run of parameters, narrowing to the model dtype. It returns an
+// error if the lengths disagree.
 func SetFlatParams(params []*Param, flat []float64) error {
 	if len(flat) != NumParams(params) {
 		return fmt.Errorf("nn: flat vector has %d values, model has %d parameters", len(flat), NumParams(params))
 	}
-	off := 0
-	for _, p := range params {
-		n := p.Value.Size()
-		p.Value.SetFromFloat64s(flat[off : off+n])
-		off += n
-	}
+	v, _ := Flat(params)
+	v.SetFromFloat64s(flat)
 	return nil
-}
-
-// FlattenGrads concatenates all parameter gradients into one float64 vector.
-func FlattenGrads(params []*Param) []float64 {
-	out := make([]float64, 0, NumParams(params))
-	for _, p := range params {
-		out = p.Grad.AppendFloat64s(out)
-	}
-	return out
-}
-
-// ConvertParams rebinds every parameter's value and gradient to the given
-// dtype in place (no-op for parameters already there). Models are built with
-// float64 initialization — so a given seed yields the same weights, merely
-// rounded, at every dtype — and converted immediately afterwards; layer
-// workspaces follow the activations' dtype lazily on the first pass. The
-// converted tensors take pool storage like newParam's, and the storage they
-// replace goes back to the pool.
-func ConvertParams(params []*Param, dt tensor.DType) {
-	for _, p := range params {
-		p.Value = convertStorage(p.Value, dt)
-		p.Grad = convertStorage(p.Grad, dt)
-	}
-}
-
-func convertStorage(t *tensor.Tensor, dt tensor.DType) *tensor.Tensor {
-	if t.DT == dt {
-		return t
-	}
-	out := tensor.NewStorageOf(dt, t.Shape...)
-	tensor.ConvertInto(out, t)
-	tensor.RecycleStorage(t)
-	return out
 }
 
 // ParamsDType reports the dtype of a parameter list (F64 for an empty one).

@@ -16,6 +16,7 @@ func TestFlattenSetRoundTrip(t *testing.T) {
 		NewDense(6, 3, rng),
 	)
 	params := m.Params()
+	Pack(params, tensor.F64)
 	flat := FlattenParams(params)
 	if len(flat) != NumParams(params) {
 		t.Fatalf("flat length %d, want %d", len(flat), NumParams(params))
@@ -41,6 +42,7 @@ func TestFlattenSetRoundTrip(t *testing.T) {
 func TestZeroGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDense(3, 3, rng)
+	Pack(d.Params(), tensor.F64)
 	d.W.Grad.Fill(5)
 	ZeroGrads(d.Params())
 	if d.W.Grad.MaxAbs() != 0 {
@@ -53,7 +55,11 @@ func TestZeroGrads(t *testing.T) {
 func TestAverageIdentityProperty(t *testing.T) {
 	f := func(seed int64, w1Raw, w2Raw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		mk := func() []*Param { return NewDense(3, 2, rand.New(rand.NewSource(42))).Params() }
+		mk := func() []*Param {
+			ps := NewDense(3, 2, rand.New(rand.NewSource(42))).Params()
+			Pack(ps, tensor.F64)
+			return ps
+		}
 		a, b, dst := mk(), mk(), mk()
 		w1 := float64(w1Raw%100) + 1
 		w2 := float64(w2Raw%100) + 1
@@ -245,7 +251,7 @@ func TestEvalForwardReleasesBehind(t *testing.T) {
 			NewReLU(),
 			NewDense(4*6*6, 3, rng),
 		)
-		ConvertParams(s.Params(), dt)
+		Pack(s.Params(), dt)
 		x := tensor.NewOf(dt, 5, 1, 6, 6)
 		x.FillRandn(rng, 1)
 		ref := x

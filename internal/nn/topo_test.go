@@ -140,7 +140,8 @@ func TestTopoDTypeParity(t *testing.T) {
 	}
 	m64 := build()
 	m32 := build() // identical weights (same seed)
-	ConvertParams(m32.Params(), tensor.F32)
+	Pack(m64.Params(), tensor.F64)
+	Pack(m32.Params(), tensor.F32)
 
 	rng := rand.New(rand.NewSource(26))
 	x64 := tensor.New(2, 2, 4, 4)

@@ -1,27 +1,31 @@
 // Package opt implements the first-order optimizers used by the
 // reproduction: SGD with momentum/weight decay and Adam. Optimizers keep
-// per-parameter state keyed by position, so a single optimizer instance must
-// stay paired with one parameter list for its lifetime.
+// their state in the order of the parameter list they step, so a single
+// optimizer instance must stay paired with one parameter list for its
+// lifetime.
 //
-// Moment vectors live in the model dtype (they are touched once per element
-// per step, exactly like the parameters), while the serializable State
-// snapshot is always float64 bookkeeping: float32 moments widen exactly, so
-// checkpoint round trips are lossless at either dtype. A restored State is
-// held widened until the first Step reveals the parameter dtype, then
-// migrates onto the matching fast path.
+// The moments are one slab in the model dtype (they are touched once per
+// element per step, exactly like the parameters), a block per parameter
+// for each kind of moment in turn — the model's arena order (nn.Pack) —
+// stepped one block per kernel call (see tensor.AdamStep). The
+// serializable State snapshot is float64 bookkeeping: float32 moments
+// widen exactly, so checkpoint round trips are lossless at either dtype. A
+// restored State is held widened until the first Step reveals the
+// parameter dtype, then migrates onto the matching fast path.
 //
 // The state has one serialisation: Borrow lends the live counters and
-// moment vectors, Adopt takes ownership of a set, and State/SetState are
+// moment slab, Adopt takes ownership of a set, and State/SetState are
 // their copying forms. A caller that is done with the state before the
 // optimizer's next Step (the lazy client store writing or reading a spill
-// record) uses Borrow/Adopt and copies nothing. Moment vectors are
+// record) uses Borrow/Adopt and copies nothing. Moment slabs are
 // exact-length storage from the tensor pool, and Live.Recycle hands a
-// borrowed set back when the optimizer's life ends.
+// borrowed one back when the optimizer's life ends.
 package opt
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -53,127 +57,148 @@ type Checkpointable interface {
 }
 
 // Live is an optimizer's state by reference: its integer counters and its
-// moment vectors in the dtype they are kept in (at most one of F64/F32 is
-// non-nil; both are nil before the first Step). What Borrow returns aliases
-// the optimizer and is valid until its next Step or Adopt; what Adopt is
-// handed belongs to the optimizer from then on.
+// moment slab in the dtype it is kept in (at most one of F64/F32 is
+// non-nil; both are nil before the first Step) — a block per parameter of
+// Sizes for each kind of moment in turn, the order of State's vectors.
+// What Borrow returns aliases the optimizer and is valid until its next
+// Step or Adopt; what Adopt is handed belongs to the optimizer from then on.
 type Live struct {
-	Ints []int64
-	F64  [][]float64
-	F32  [][]float32
+	Ints  []int64
+	F64   []float64
+	F32   []float32
+	Sizes []int
 }
 
-// State returns a copy of l, widened to float64, that shares nothing with it.
+// LiveOf lays out a state: the counters ints, and the moment slab vec over
+// parameter blocks of sizes, copied into exact-length pool storage —
+// float32 when f32 is set.
+func LiveOf(ints []int64, vec []float64, sizes []int, f32 bool) Live {
+	l := Live{Ints: ints, Sizes: sizes}
+	switch {
+	case len(vec) == 0:
+	case f32:
+		l.F32 = tensor.GetStorage[float32](len(vec))
+		for j, x := range vec {
+			l.F32[j] = float32(x)
+		}
+	default:
+		l.F64 = append(tensor.GetStorage[float64](len(vec))[:0], vec...)
+	}
+	return l
+}
+
+// State returns a copy of l, widened to float64, that shares nothing with
+// it: the slab split into its blocks.
 func (l Live) State() State {
 	st := State{Ints: append([]int64(nil), l.Ints...)}
-	switch {
-	case l.F32 != nil:
-		st.Vecs = make([][]float64, len(l.F32))
-		for i, v := range l.F32 {
-			w := make([]float64, len(v))
-			for j, x := range v {
-				w[j] = float64(x)
-			}
-			st.Vecs[i] = w
-		}
-	case l.F64 != nil:
-		st.Vecs = make([][]float64, len(l.F64))
-		for i, v := range l.F64 {
-			st.Vecs[i] = append([]float64(nil), v...)
-		}
-	}
+	l.Blocks(new([]float64), func(b []float64) { st.Vecs = append(st.Vecs, append([]float64(nil), b...)) })
 	return st
 }
 
-// Recycle hands l's moment vectors to the tensor pool (tensor.PutStorage),
-// for the next optimizer that sizes its state or the next spill record
-// decoded to take. It ends the lending optimizer's life: it must not step
-// again.
+// Blocks calls f with each block of the moment slab in order, a block per
+// parameter of Sizes for each kind of moment, as float64: a float32 slab is
+// widened into *scratch first, reusing its capacity.
+func (l Live) Blocks(scratch *[]float64, f func([]float64)) {
+	slab := l.F64
+	if l.F32 != nil {
+		*scratch = (&tensor.Tensor{DT: tensor.F32, F32: l.F32}).AppendFloat64s((*scratch)[:0])
+		slab = *scratch
+	}
+	for len(slab) > 0 && len(l.Sizes) > 0 {
+		for _, n := range l.Sizes {
+			f(slab[:n])
+			slab = slab[n:]
+		}
+	}
+}
+
+// Recycle hands l's moment slab to the tensor pool for the next optimizer
+// or spill record decoded to take. It ends the lending optimizer's life.
 func (l Live) Recycle() {
-	for _, v := range l.F64 {
-		tensor.PutStorage(v)
-	}
-	for _, v := range l.F32 {
-		tensor.PutStorage(v)
-	}
+	tensor.PutStorage(l.F64)
+	tensor.PutStorage(l.F32)
 }
 
-// Live returns a copy of st in the form Adopt takes.
-func (st State) Live() Live {
-	c := Live{Ints: st.Ints, F64: st.Vecs}.State()
-	return Live{Ints: c.Ints, F64: c.Vecs}
-}
-
-// moments is a dtype-dispatched set of state vectors, one group per kind of
-// moment and one vector per parameter in each group (Adam: every m, then
-// every v). At most one of f64/f32 is non-nil; adopted float64 vectors
-// narrow lazily on first use by a float32 model.
+// moments is an optimizer's moment slab, laid out as Live's, with the state
+// methods both optimizers share, each passing its counters and kinds of
+// moment. An adopted float64 slab narrows lazily for a float32 model.
 type moments struct {
-	f64 [][]float64
-	f32 [][]float32
+	f64   []float64
+	f32   []float32
+	sizes []int
 }
 
-// adopt installs l's vectors; an empty set means "not stepped yet".
-func (m *moments) adopt(l Live) {
-	m.f64, m.f32 = nil, nil
-	if len(l.F64) > 0 {
-		m.f64 = l.F64
-	} else if len(l.F32) > 0 {
-		m.f32 = l.F32
+// adopt copies l's counters into ints and takes ownership of its slab.
+func (m *moments) adopt(l Live, ints []int64, kinds int) error {
+	if err := m.fits(l, len(ints), kinds); err != nil {
+		return err
 	}
+	copy(ints, l.Ints)
+	m.f64, m.f32, m.sizes = l.F64, l.F32, l.Sizes
+	return nil
 }
 
-// ensure sizes the state for the parameter list in its dtype, groups vectors
-// per parameter, migrating adopted float64 vectors onto the f32 path when the
-// model turns out to be float32 (widening/narrowing of f32-exact values is
-// lossless). Vectors are exact-length storage from the tensor pool; the
-// float64 vectors a migration replaces go back to it.
-func (m *moments) ensure(params []*nn.Param, groups int) {
-	want := groups * len(params)
-	if nn.ParamsDType(params).Backing() == tensor.F32 {
-		if m.f32 != nil {
-			checkVecCount(len(m.f32), want)
-			return
-		}
-		m.f32 = make([][]float32, want)
-		if m.f64 != nil { // restored snapshot: narrow it
-			checkVecCount(len(m.f64), want)
-			for i, v := range m.f64 {
-				w := tensor.GetStorage[float32](len(v))
-				for j, x := range v {
-					w[j] = float32(x)
-				}
-				m.f32[i] = w
-				tensor.PutStorage(v)
-			}
-			m.f64 = nil
-			return
-		}
-		for i := range m.f32 {
-			m.f32[i] = tensor.ZeroStorage[float32](params[i%len(params)].Value.Size())
-		}
-		return
+// fits reports why l cannot be adopted: it carries another number of
+// counters, or a moment slab that is neither empty (not stepped yet) nor
+// kinds blocks of l.Sizes.
+func (m *moments) fits(l Live, ints, kinds int) error {
+	n := 0
+	for _, size := range l.Sizes {
+		n += size
 	}
-	if m.f64 != nil {
-		checkVecCount(len(m.f64), want)
-		return
+	switch slab := len(l.F64) + len(l.F32); {
+	case len(l.Ints) != ints:
+		return fmt.Errorf("opt: state carries %d ints, want %d", len(l.Ints), ints)
+	case l.F64 != nil && l.F32 != nil:
+		return fmt.Errorf("opt: state carries float64 and float32 moments")
+	case slab != 0 && slab != kinds*n:
+		return fmt.Errorf("opt: state carries %d moments, want %d per value of %d", slab, kinds, n)
 	}
-	if m.f32 != nil {
+	return nil
+}
+
+// setState restores a snapshot captured by State: its vectors, one per
+// parameter per kind, lie end to end in the slab.
+func (m *moments) setState(st State, ints []int64, kinds int) error {
+	per := len(st.Vecs) / max(kinds, 1)
+	if per*kinds != len(st.Vecs) {
+		return fmt.Errorf("opt: state carries %d moment vectors, not %d per parameter", len(st.Vecs), kinds)
+	}
+	sizes := make([]int, per)
+	for i := range sizes {
+		sizes[i] = len(st.Vecs[i])
+	}
+	return m.adopt(LiveOf(slices.Clone(st.Ints), slices.Concat(st.Vecs...), sizes, false), ints, kinds)
+}
+
+// ensure sizes the state for the parameter list in its dtype — a zero pool
+// slab of kinds blocks on the first Step — or migrates an adopted float64
+// slab onto the f32 path when the model turns out to be float32 (narrowing
+// f32-exact values is lossless).
+func (m *moments) ensure(params []*nn.Param, kinds int) {
+	f32 := nn.ParamsDType(params).Backing() == tensor.F32
+	switch {
+	case m.f64 == nil && m.f32 == nil:
+		m.sizes = make([]int, len(params))
+		for i, p := range params {
+			m.sizes[i] = p.Value.Size()
+		}
+		if n := kinds * nn.NumParams(params); f32 {
+			m.f32 = tensor.ZeroStorage[float32](n)
+		} else {
+			m.f64 = tensor.ZeroStorage[float64](n)
+		}
+	case f32 && m.f64 != nil: // restored snapshot: narrow it
+		m.f32 = LiveOf(nil, m.f64, nil, true).F32
+		tensor.PutStorage(m.f64)
+		m.f64 = nil
+	case !f32 && m.f32 != nil:
 		panic("opt: float32 optimizer state applied to a float64 model")
 	}
-	m.f64 = make([][]float64, want)
-	for i := range m.f64 {
-		m.f64[i] = tensor.ZeroStorage[float64](params[i%len(params)].Value.Size())
-	}
-}
-
-// checkVecCount turns a state/model shape mismatch (a restored snapshot
-// from a differently shaped model) into a diagnostic panic instead of an
-// index-out-of-range deep inside the update loop, symmetrically for both
-// dtypes.
-func checkVecCount(have, want int) {
-	if have != want {
-		panic(fmt.Sprintf("opt: restored state has %d vectors, model wants %d", have, want))
+	if len(m.sizes) != len(params) {
+		// A restored snapshot of a differently shaped model: a diagnostic
+		// here, not an index-out-of-range deep inside the update loop.
+		panic(fmt.Sprintf("opt: restored state has moments for %d parameters, model has %d", len(m.sizes), len(params)))
 	}
 }
 
@@ -184,7 +209,7 @@ type SGD struct {
 	Momentum    float64
 	WeightDecay float64
 
-	velocity moments
+	moments // the velocity, with momentum
 }
 
 // NewSGD builds an SGD optimizer.
@@ -192,76 +217,66 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
+// kinds is the number of moments SGD keeps per value: the velocity, with
+// momentum.
+func (s *SGD) kinds() int {
+	if s.Momentum != 0 {
+		return 1
+	}
+	return 0
+}
+
+// The state methods (see Live; Fits reports why Adopt would refuse): SGD
+// keeps no counters, and its velocity slab exists after a momentum Step.
+func (s *SGD) Borrow() Live            { return Live{F64: s.f64, F32: s.f32, Sizes: s.sizes} }
+func (s *SGD) Adopt(l Live) error      { return s.adopt(l, nil, s.kinds()) }
+func (s *SGD) Fits(l Live) error       { return s.fits(l, 0, s.kinds()) }
+func (s *SGD) State() State            { return s.Borrow().State() }
+func (s *SGD) SetState(st State) error { return s.setState(st, nil, s.kinds()) }
+
 // Step applies v ← μv + g + λw; w ← w − η·v.
 func (s *SGD) Step(params []*nn.Param) {
 	if s.Momentum != 0 {
-		s.velocity.ensure(params, 1)
+		s.ensure(params, 1)
 	}
-	f32 := nn.ParamsDType(params).Backing() == tensor.F32
-	for i, p := range params {
-		if f32 {
-			var v []float32
-			if s.Momentum != 0 {
-				v = s.velocity.f32[i]
-			}
-			sgdStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), v,
-				float32(s.LR), float32(s.Momentum), float32(s.WeightDecay))
+	off := 0
+	for _, p := range params {
+		if p.Value.DT.Backing() == tensor.F32 {
+			sgdStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), s.f32, off, s.LR, s.Momentum, s.WeightDecay)
 			// BF16 storage invariant: parameters re-narrow after every
 			// mutation so serialized values round-trip exactly. Velocity
 			// stays full float32 — it is optimizer state, not storage.
 			tensor.RoundBF16InPlace(p.Value)
 		} else {
-			var v []float64
-			if s.Momentum != 0 {
-				v = s.velocity.f64[i]
-			}
-			sgdStep(p.Value.Data, p.Grad.Data, v, s.LR, s.Momentum, s.WeightDecay)
+			sgdStep(p.Value.Data, p.Grad.Data, s.f64, off, s.LR, s.Momentum, s.WeightDecay)
 		}
+		off += p.Value.Size()
 	}
 }
 
-func sgdStep[F tensor.Float](w, g, v []F, lr, momentum, weightDecay F) {
-	switch {
-	case momentum != 0:
+// sgdStep updates block w, which lies at offset off of the velocity slab.
+func sgdStep[F tensor.Float](w, g, vel []F, off int, lr, momentum, weightDecay float64) {
+	lrF, muF, wdF := F(lr), F(momentum), F(weightDecay)
+	if momentum == 0 {
 		for j := range w {
-			gj := g[j] + weightDecay*w[j]
-			v[j] = momentum*v[j] + gj
-			w[j] -= lr * v[j]
+			w[j] -= lrF * (g[j] + wdF*w[j])
 		}
-	default:
-		for j := range w {
-			w[j] -= lr * (g[j] + weightDecay*w[j])
-		}
+		return
+	}
+	v := vel[off : off+len(w)]
+	for j := range w {
+		gj := g[j] + wdF*w[j]
+		v[j] = muF*v[j] + gj
+		w[j] -= lrF * v[j]
 	}
 }
-
-// Borrow lends the momentum velocities (none until the first momentum Step).
-func (s *SGD) Borrow() Live { return Live{F64: s.velocity.f64, F32: s.velocity.f32} }
-
-// Adopt takes ownership of velocities lent by Borrow or decoded from a copy.
-func (s *SGD) Adopt(l Live) error {
-	if len(l.Ints) != 0 {
-		return fmt.Errorf("opt: SGD state carries %d ints, want 0", len(l.Ints))
-	}
-	s.velocity.adopt(l)
-	return nil
-}
-
-// State captures the momentum velocities, widened to float64.
-func (s *SGD) State() State { return s.Borrow().State() }
-
-// SetState restores momentum velocities captured by State.
-func (s *SGD) SetState(st State) error { return s.Adopt(st.Live()) }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
-	// t is the step count, an array so Borrow can lend it as Live.Ints
-	// without allocating.
-	t [1]int64
-	// mv holds the first moments of every parameter, then the second.
-	mv moments
+	t       [1]int64 // the step count: an array, so Borrow lends it without allocating
+	moments          // every m, then every v
 }
 
 // NewAdam builds an Adam optimizer with the conventional defaults for any
@@ -270,52 +285,36 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Borrow lends the step count and the moment vectors (every m, then every
-// v; none until the first Step).
-func (a *Adam) Borrow() Live { return Live{Ints: a.t[:], F64: a.mv.f64, F32: a.mv.f32} }
-
-// Adopt takes ownership of moments lent by Borrow or decoded from a copy.
-func (a *Adam) Adopt(l Live) error {
-	if len(l.Ints) != 1 {
-		return fmt.Errorf("opt: Adam state carries %d ints, want 1", len(l.Ints))
-	}
-	if n := len(l.F64) + len(l.F32); n%2 != 0 {
-		return fmt.Errorf("opt: Adam state carries %d moment vectors, want an even count", n)
-	}
-	a.t[0] = l.Ints[0]
-	a.mv.adopt(l)
-	return nil
-}
-
-// State captures the step count and first/second moment vectors, widened to
-// float64.
-func (a *Adam) State() State { return a.Borrow().State() }
-
-// SetState restores a snapshot captured by State.
-func (a *Adam) SetState(st State) error { return a.Adopt(st.Live()) }
+// The state methods (see Live; Fits reports why Adopt would refuse): Adam
+// keeps its step count, and its moment slab exists after a Step.
+func (a *Adam) Borrow() Live            { return Live{Ints: a.t[:], F64: a.f64, F32: a.f32, Sizes: a.sizes} }
+func (a *Adam) Adopt(l Live) error      { return a.adopt(l, a.t[:], 2) }
+func (a *Adam) Fits(l Live) error       { return a.fits(l, 1, 2) }
+func (a *Adam) State() State            { return a.Borrow().State() }
+func (a *Adam) SetState(st State) error { return a.setState(st, a.t[:], 2) }
 
 // Step applies one bias-corrected Adam update.
 func (a *Adam) Step(params []*nn.Param) {
-	a.mv.ensure(params, 2)
+	a.ensure(params, 2)
 	a.t[0]++
-	n := len(params)
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t[0]))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t[0]))
-	if nn.ParamsDType(params).Backing() == tensor.F32 {
-		for i, p := range params {
-			adamStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), a.mv.f32[i], a.mv.f32[n+i],
-				float32(a.LR), float32(a.Beta1), float32(a.Beta2), float32(a.Eps), float32(c1), float32(c2))
+	off := 0
+	for _, p := range params {
+		if a.f32 != nil {
+			adamStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), a.f32, off, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 			// BF16 storage invariant (see SGD.Step): moments stay float32.
 			tensor.RoundBF16InPlace(p.Value)
+		} else {
+			adamStep(p.Value.Data, p.Grad.Data, a.f64, off, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 		}
-		return
-	}
-	for i, p := range params {
-		adamStep(p.Value.Data, p.Grad.Data, a.mv.f64[i], a.mv.f64[n+i],
-			a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
+		off += p.Value.Size()
 	}
 }
 
-func adamStep[F tensor.Float](w, g, m, v []F, lr, beta1, beta2, eps, c1, c2 F) {
-	tensor.AdamStep(w, g, m, v, lr, beta1, beta2, eps, c1, c2)
+// adamStep updates block w, which lies at offset off of the m and v halves
+// of the moment slab mv.
+func adamStep[F tensor.Float](w, g, mv []F, off int, lr, beta1, beta2, eps, c1, c2 float64) {
+	m, v := mv[off:off+len(w)], mv[len(mv)/2+off:len(mv)/2+off+len(w)]
+	tensor.AdamStep(w, g, m, v, F(lr), F(beta1), F(beta2), F(eps), F(c1), F(c2))
 }

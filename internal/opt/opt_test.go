@@ -109,7 +109,7 @@ func TestRestoredStateShapeMismatchPanics(t *testing.T) {
 	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 		rng := rand.New(rand.NewSource(41))
 		layer := nn.NewDense(3, 2, rng)
-		nn.ConvertParams(layer.Params(), dt)
+		nn.Pack(layer.Params(), dt)
 		ad := NewAdam(0.01)
 		if err := ad.SetState(State{Ints: []int64{1}, Vecs: [][]float64{{1, 2}, {3, 4}}}); err != nil {
 			t.Fatal(err)
@@ -142,10 +142,10 @@ func TestBorrowAdoptAliasStateCopies(t *testing.T) {
 		a.Step(params)
 	}
 	live := a.Borrow()
-	if len(live.Ints) != 1 || live.Ints[0] != 3 || len(live.F64) != 2 || live.F32 != nil {
-		t.Fatalf("borrowed %+v, want step 3 and m, v in float64", live)
+	if len(live.Ints) != 1 || live.Ints[0] != 3 || len(live.F64) != 2*4 || live.F32 != nil || len(live.Sizes) != 1 {
+		t.Fatalf("borrowed %+v, want step 3 and m, v in one float64 slab", live)
 	}
-	if &live.F64[0][0] != &a.Borrow().F64[0][0] {
+	if &live.F64[0] != &a.Borrow().F64[0] {
 		t.Fatal("Borrow copied the moments")
 	}
 	if n := testing.AllocsPerRun(10, func() { live = a.Borrow() }); n != 0 {
@@ -153,29 +153,75 @@ func TestBorrowAdoptAliasStateCopies(t *testing.T) {
 	}
 
 	st := a.State()
-	if &st.Vecs[0][0] == &live.F64[0][0] || &st.Ints[0] == &live.Ints[0] {
-		t.Fatal("State aliases the optimizer")
+	if len(st.Vecs) != 2 || &st.Vecs[0][0] == &live.F64[0] || &st.Ints[0] == &live.Ints[0] {
+		t.Fatal("State aliases the optimizer, or does not split m and v")
 	}
 	b := NewAdam(0.1)
 	if err := b.SetState(st); err != nil {
 		t.Fatal(err)
 	}
 	st.Vecs[0][0]++ // must not reach b
-	if got := b.Borrow(); got.F64[0][0] != live.F64[0][0] || got.Ints[0] != 3 {
+	if got := b.Borrow(); got.F64[0] != live.F64[0] || got.Ints[0] != 3 {
 		t.Fatal("SetState kept a reference to its argument")
 	}
 
-	vecs := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	if err := b.Adopt(Live{Ints: []int64{7}, F64: vecs}); err != nil {
+	slab := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := b.Adopt(Live{Ints: []int64{7}, F64: slab, Sizes: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Borrow(); &got.F64[1][0] != &vecs[1][0] || got.Ints[0] != 7 {
-		t.Fatal("Adopt copied the vectors it was given")
+	if got := b.Borrow(); &got.F64[4] != &slab[4] || got.Ints[0] != 7 {
+		t.Fatal("Adopt copied the slab it was given")
 	}
-	if err := b.Adopt(Live{Ints: []int64{1}, F64: vecs[:1]}); err == nil {
-		t.Fatal("Adam adopted an odd number of moment vectors")
+	if err := b.Adopt(Live{Ints: []int64{1}, F64: slab[:4], Sizes: []int{4}}); err == nil {
+		t.Fatal("Adam adopted one moment per value")
+	}
+	if err := b.Adopt(Live{Ints: []int64{1}, F64: slab, Sizes: []int{3}}); err == nil {
+		t.Fatal("Adam adopted a slab longer than its blocks")
 	}
 	if err := NewSGD(0.1, 0.9, 0).Adopt(Live{Ints: []int64{1}}); err == nil {
 		t.Fatal("SGD adopted a step counter")
+	}
+}
+
+// SGD and Adam are exported structs, so they step and lend their state when
+// built as literals or when Momentum changes after NewSGD, exactly as the
+// constructors' instances do: the moment layout follows the
+// hyperparameters at each call, not the constructor.
+func TestOptimizerLiteralsMatchConstructors(t *testing.T) {
+	lateMomentum := NewSGD(0.05, 0, 0)
+	lateMomentum.Momentum = 0.9
+	for _, tc := range []struct {
+		name      string
+		got, want interface {
+			Optimizer
+			Borrow() Live
+		}
+		ints, kinds int
+	}{
+		{"Adam literal", &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, NewAdam(0.1), 1, 2},
+		{"SGD momentum set after NewSGD", lateMomentum, NewSGD(0.05, 0.9, 0), 0, 1},
+		{"SGD literal", &SGD{LR: 0.05, Momentum: 0.9}, NewSGD(0.05, 0.9, 0), 0, 1},
+	} {
+		var vals [2][]float64
+		for i, o := range []Optimizer{tc.got, tc.want} {
+			p, target := quadParams(rand.New(rand.NewSource(5)), 6)
+			for range 3 {
+				lossAndGrad(p, target)
+				o.Step([]*nn.Param{p})
+			}
+			vals[i] = p.Value.Data
+		}
+		for j := range vals[0] {
+			if vals[0][j] != vals[1][j] {
+				t.Fatalf("%s: value %d is %v, the constructor's instance reaches %v", tc.name, j, vals[0][j], vals[1][j])
+			}
+		}
+		live := tc.got.Borrow()
+		if len(live.Ints) != tc.ints || len(live.F64) != tc.kinds*6 {
+			t.Fatalf("%s: lends %d ints and %d moments, want %d and %d", tc.name, len(live.Ints), len(live.F64), tc.ints, tc.kinds*6)
+		}
+		if tc.ints == 1 && live.Ints[0] != 3 {
+			t.Fatalf("%s: lends step count %d after 3 steps", tc.name, live.Ints[0])
+		}
 	}
 }

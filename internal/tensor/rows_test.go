@@ -186,6 +186,71 @@ func TestAdamStep64MatchesScalar(t *testing.T) {
 	}
 }
 
+// The parameter arena relies on this: an f64 AdamStep over a concatenation
+// of blocks is bit-identical to one call per block, since every element is
+// updated by the same scalar-exact sequence wherever it falls. The f32 fast
+// path has no such property (its tail rounds differently; see AdamStep), so
+// optimizers call it per block; the test reports how many f32 elements
+// differ on this host.
+func TestAdamStepConcatenatedBlocks(t *testing.T) {
+	blocks := []int{10, 6, 13, 3}
+	one, per := adamBlocks[float64](blocks, false), adamBlocks[float64](blocks, true)
+	for i := range one {
+		if math.Float64bits(one[i]) != math.Float64bits(per[i]) {
+			t.Fatalf("f64: element %d of w‖m‖v is %v in one call, %v per block", i, one[i], per[i])
+		}
+	}
+	one32, per32 := adamBlocks[float32](blocks, false), adamBlocks[float32](blocks, true)
+	differ := 0
+	for i := range one32 {
+		if one32[i] != per32[i] {
+			differ++
+		}
+	}
+	t.Logf("f32: one call and per-block calls differ on %d of %d elements of w‖m‖v", differ, len(one32))
+}
+
+// adamBlocks runs one Adam step over seeded operands laid out as the given
+// blocks — one call over all of them, or one per block — and returns w‖m‖v.
+func adamBlocks[F Float](blocks []int, perBlock bool) []F {
+	n := 0
+	for _, b := range blocks {
+		n += b
+	}
+	rng := rand.New(rand.NewSource(37))
+	w, g, m, v := make([]F, n), make([]F, n), make([]F, n), make([]F, n)
+	for i := range w {
+		w[i], g[i], m[i], v[i] = F(rng.NormFloat64()), F(rng.NormFloat64()), F(rng.NormFloat64()), F(rng.Float64())
+	}
+	c1, c2 := F(1-math.Pow(0.9, 3)), F(1-math.Pow(0.999, 3))
+	if !perBlock {
+		blocks = []int{n}
+	}
+	off := 0
+	for _, b := range blocks {
+		lo, hi := off, off+b
+		AdamStep(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], 1e-3, 0.9, 0.999, 1e-8, c1, c2)
+		off = hi
+	}
+	return append(append(w, m...), v...)
+}
+
+// AdamStep refuses slices of different lengths before any kernel reads
+// through them.
+func TestAdamStepLengthMismatchPanics(t *testing.T) {
+	long, short := make([]float64, 16), make([]float64, 8)
+	for i, args := range [][4][]float64{{long, long, short, long}, {long, short, long, long}, {long, long, long, short}, {short, long, long, long}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("case %d: mismatched lengths did not panic", i)
+				}
+			}()
+			AdamStep(args[0], args[1], args[2], args[3], 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+		}()
+	}
+}
+
 // TestAddScalarIntoMatchesScalar locks both dtypes of the broadcast-add
 // kernel to the scalar loop bit-for-bit (element-independent adds).
 func TestAddScalarIntoMatchesScalar(t *testing.T) {

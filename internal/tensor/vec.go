@@ -301,9 +301,15 @@ func BNGrad[F Float](gy, xh, dst []F, scale, m, sumDy, sumDyXhat F) {
 
 // AdamStep applies one bias-corrected Adam update over a parameter block:
 // m = β1·m + (1-β1)·g, v = β2·v + (1-β2)·g², w -= lr·(m/c1)/(√(v/c2)+eps).
-// The float64 instantiation is the scalar reference loop (bit-frozen); the
-// float32 fast path runs the AVX kernel with a scalar tail.
+// The slices must have one length. At float64 the scalar reference loop
+// (bit-frozen) and its exact AVX mirror make one call over concatenated
+// blocks equal one call per block; at float32 the AVX lanes fuse multiplies
+// and compute (m̂/(√v̂+ε))·lr, the scalar tail lr·m̂/(√v̂+ε), so optimizers
+// call it once per parameter block.
 func AdamStep[F Float](w, g, m, v []F, lr, beta1, beta2, eps, c1, c2 F) {
+	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic("tensor: AdamStep slices differ in length")
+	}
 	var z F
 	n := 0
 	if useVec && len(w) >= 8 {
