@@ -343,7 +343,7 @@ func clientLocalEpochGroup(tb testing.TB) func() {
 	if err := algo.Setup(sim); err != nil {
 		tb.Fatal(err)
 	}
-	if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{Shards: 1, MixRate: 1}); err != nil {
+	if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{MixRate: 1}); err != nil {
 		tb.Fatal(err)
 	}
 	ids := []int{0, 1}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,38 @@ func TestFedsimCheckpointResumeGolden(t *testing.T) {
 	}
 	if string(ft) != string(rt) {
 		t.Fatal("resumed scheduler trace differs from uninterrupted run")
+	}
+}
+
+// An async checkpoint holds no trace of the core count: the same run at
+// GOMAXPROCS 1 and 4 writes byte-identical files, for FedClassAvg and for
+// FedAvg's full-model average.
+func TestFedsimCheckpointBytesAcrossCores(t *testing.T) {
+	for _, method := range []string{"Proposed", "FedAvg"} {
+		dirs := map[string]string{}
+		for _, procs := range []string{"1", "4"} {
+			dirs[procs] = filepath.Join(t.TempDir(), "ckpt")
+			cmdtest.Run(t, []string{"GOMAXPROCS=" + procs}, "-dataset", "fashion", "-method", method,
+				"-sched", "async", "-clients", "4", "-rounds", "2", "-fleet", "homogeneous",
+				"-checkpoint", dirs[procs])
+		}
+		files, err := filepath.Glob(filepath.Join(dirs["1"], "*.ckpt"))
+		if err != nil || len(files) != 2 {
+			t.Fatalf("%s: checkpoints %v (err %v), want 2", method, files, err)
+		}
+		for _, one := range files {
+			a, err := os.ReadFile(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(dirs["4"], filepath.Base(one)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s: %s differs between GOMAXPROCS 1 and 4", method, filepath.Base(one))
+			}
+		}
 	}
 }
 

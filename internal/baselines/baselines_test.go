@@ -145,6 +145,42 @@ func TestFedProtoPrototypeAggregation(t *testing.T) {
 	}
 }
 
+// A class's first committed prototype is the reported mean at any commit
+// mix; only a class that already has a prototype mixes (1-λ)·old + λ·mean.
+// Class 1 is never reported and stays nil.
+func TestFedProtoFirstCommitTakesMean(t *testing.T) {
+	for _, tc := range []struct {
+		mix          float64
+		first, later []float64
+	}{
+		{mix: 1, first: []float64{4, 4}, later: []float64{8, 8}},
+		{mix: 0.5, first: []float64{4, 4}, later: []float64{6, 6}},
+	} {
+		p := &FedProto{featDim: 2, numClasses: 2, globalProtos: make([][]float64, 2)}
+		p.setupAcc(tc.mix)
+		for round, want := range [][]float64{tc.first, tc.later} {
+			report := []float64{4, 4}
+			if round > 0 {
+				report = []float64{8, 8}
+			}
+			u := &fl.Update{Vecs: [][]float64{report, nil}, Counts: []int{3, 0}, Weight: 1}
+			if err := p.AsyncApply(nil, u); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.AsyncCommit(nil); err != nil {
+				t.Fatal(err)
+			}
+			got := p.globalProtos[0]
+			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("mix %v commit %d: class 0 prototype %v, want %v", tc.mix, round+1, got, want)
+			}
+			if p.globalProtos[1] != nil {
+				t.Fatalf("mix %v commit %d: unreported class 1 got prototype %v", tc.mix, round+1, p.globalProtos[1])
+			}
+		}
+	}
+}
+
 func TestFedProtoRejectsMismatchedFeatureDims(t *testing.T) {
 	clients := fleet(t, 2, mlp)
 	clients[1].Model = models.New(models.Config{

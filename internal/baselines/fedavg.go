@@ -7,6 +7,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // FedAvg is communication-efficient federated averaging over homogeneous
@@ -166,7 +167,7 @@ func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) 
 
 // AsyncSetup sizes the sharded aggregation state.
 func (f *FedAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	f.acc = fl.NewSharded(len(f.global), sched.Shards)
+	f.acc = fl.NewSharded(len(f.global), tensor.Workers())
 	f.mix = sched.MixRate
 	f.snaps = make([][]float64, sim.NumClients())
 	return nil
@@ -184,7 +185,7 @@ func (f *FedAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
 	return nil
 }
 
-// AsyncApply folds a staleness-weighted client model into the shards.
+// AsyncApply folds a staleness-weighted client model into the accumulator.
 func (f *FedAvg) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
 	f.acc.Accumulate(u.Vecs[0], u.Weight)
 	return nil
@@ -199,25 +200,17 @@ func (f *FedAvg) AsyncCommit(sim *fl.Simulation) error {
 // Global returns a copy of the current global weight vector.
 func (f *FedAvg) Global() []float64 { return append([]float64(nil), f.global...) }
 
-// AlgoSnapshot captures the server state. Layout: Ints = [hasAcc]; Vecs =
-// [global] plus, under async schedulers, the accumulator's sums and
-// per-shard weights. Per-client proximal snapshots are not captured — after
-// the engine's quiesce they are dead until the next dispatch rewrites them.
+// AlgoSnapshot captures the server state. Layout: Vecs = [global]. The
+// accumulator is empty at every checkpoint boundary, and per-client proximal
+// snapshots are dead after the engine's quiesce until the next dispatch
+// rewrites them, so neither is captured.
 func (f *FedAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
-	st := &fl.AlgoState{Vecs: [][]float64{fl.CloneVec(f.global)}}
-	hasAcc := int64(0)
-	if f.acc != nil {
-		hasAcc = 1
-		sum, wsum := f.acc.Snapshot()
-		st.Vecs = append(st.Vecs, sum, wsum)
-	}
-	st.Ints = []int64{hasAcc}
-	return st, nil
+	return &fl.AlgoState{Vecs: [][]float64{fl.CloneVec(f.global)}}, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
 func (f *FedAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
-	if len(st.Ints) != 1 || len(st.Vecs) < 1 {
+	if len(st.Ints) != 0 || len(st.Vecs) != 1 {
 		return fmt.Errorf("baselines: malformed %s state (%d ints, %d vecs)", f.Name(), len(st.Ints), len(st.Vecs))
 	}
 	if len(st.Vecs[0]) != len(f.global) {
@@ -225,12 +218,6 @@ func (f *FedAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 			f.Name(), len(st.Vecs[0]), len(f.global))
 	}
 	copy(f.global, st.Vecs[0])
-	if st.Ints[0] == 1 {
-		if f.acc == nil || len(st.Vecs) != 3 {
-			return fmt.Errorf("baselines: %s checkpoint carries accumulator state for a different scheduler", f.Name())
-		}
-		return f.acc.RestoreState(st.Vecs[1], st.Vecs[2])
-	}
 	return nil
 }
 

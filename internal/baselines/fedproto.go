@@ -31,16 +31,13 @@ type FedProto struct {
 	// globalProtos[c] is nil until some client has reported class c.
 	globalProtos [][]float64
 
-	// Async-scheduler state: a class-segmented sharded accumulator (each
-	// class aggregates concurrently under its own weight), the committed
-	// prototype table as one flat buffer, and per-client broadcast
-	// snapshots so local training regularizes against the prototypes the
-	// client actually downloaded.
-	acc       *fl.ShardedAccumulator
-	committed []float64
-	touched   []bool
-	mix       float64
-	snaps     [][][]float64
+	// Async-scheduler state: a class-segmented accumulator (each class
+	// aggregates under its own weight) and per-client broadcast snapshots so
+	// local training regularizes against the prototypes the client actually
+	// downloaded.
+	acc   *fl.ShardedAccumulator
+	mix   float64
+	snaps [][][]float64
 
 	// preW and preAccs are the edge-aggregator half's reduction state
 	// (PreReduce): the weight accumulator and one per class.
@@ -167,19 +164,39 @@ func (p *FedProto) local(sim *fl.Simulation, group []*fl.Client, tables [][][]fl
 	return us
 }
 
-// AsyncSetup builds the class-segmented aggregation state: shard s is class
-// s's prototype, so classes aggregate concurrently under per-class weights.
+// AsyncSetup builds the class-segmented aggregation state: segment s is
+// class s's prototype, aggregated under its own weight.
 func (p *FedProto) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
+	p.setupAcc(sched.MixRate)
+	p.snaps = make([][][]float64, sim.NumClients())
+	return nil
+}
+
+// setupAcc sizes the class-segmented accumulator and sets the commit mix.
+func (p *FedProto) setupAcc(mix float64) {
 	segs := make([]int, p.numClasses)
 	for i := range segs {
 		segs[i] = p.featDim
 	}
 	p.acc = fl.NewSegmented(segs)
-	p.committed = make([]float64, p.numClasses*p.featDim)
-	p.touched = make([]bool, p.numClasses)
-	p.mix = sched.MixRate
-	p.snaps = make([][][]float64, sim.NumClients())
-	return nil
+	p.mix = mix
+}
+
+// commit merges each class's buffered mean into its global prototype. A
+// class nobody reported keeps its previous prototype; a class reported for
+// the first time takes the mean itself, since there is no previous
+// prototype to mix it with.
+func (p *FedProto) commit() {
+	for cls, proto := range p.globalProtos {
+		if proto != nil {
+			p.acc.CommitSegment(cls, proto, p.mix)
+			continue
+		}
+		proto = make([]float64, p.featDim)
+		if p.acc.CommitSegment(cls, proto, 1) {
+			p.globalProtos[cls] = proto
+		}
+	}
 }
 
 // AsyncDispatch snapshots the committed prototype table down to the client.
@@ -225,7 +242,7 @@ func (p *FedProto) quantizeProtos(sim *fl.Simulation, protos [][]float64) int64 
 	return comm.WireSizeAs(sim.Cfg.Codec, sent)
 }
 
-// AsyncApply folds each reported class prototype into its shard, weighted
+// AsyncApply folds each reported class prototype into its segment, weighted
 // by sample count and staleness decay.
 func (p *FedProto) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
 	for cls, proto := range u.Vecs {
@@ -237,70 +254,35 @@ func (p *FedProto) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
 	return nil
 }
 
-// AsyncCommit merges per-class shards; classes nobody reported keep their
-// previous prototype.
+// AsyncCommit merges the per-class means into the global prototypes.
 func (p *FedProto) AsyncCommit(sim *fl.Simulation) error {
-	p.acc.CommitInto(p.committed, p.mix, p.touched)
-	for cls, ok := range p.touched {
-		if ok {
-			p.globalProtos[cls] = p.committed[cls*p.featDim : (cls+1)*p.featDim]
-		}
-	}
+	p.commit()
 	return nil
 }
 
-// AlgoSnapshot captures the server state. Layout: Ints = [numClasses,
-// hasAcc]; Vecs = numClasses global prototypes (nil for never-reported
-// classes) plus, under async schedulers, the committed buffer, the touched
-// flags (0/1) and the class-segmented accumulator's sums and weights.
-// Per-client dispatch snapshots are not captured — dead after the quiesce.
+// AlgoSnapshot captures the server state. Layout: Ints = [numClasses];
+// Vecs = numClasses global prototypes (nil for never-reported classes). The
+// accumulator is empty at every checkpoint boundary, and per-client dispatch
+// snapshots are dead after the quiesce, so neither is captured.
 func (p *FedProto) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
-	st := &fl.AlgoState{}
+	st := &fl.AlgoState{Ints: []int64{int64(p.numClasses)}}
 	for _, proto := range p.globalProtos {
 		st.Vecs = append(st.Vecs, fl.CloneVec(proto))
 	}
-	hasAcc := int64(0)
-	if p.acc != nil {
-		hasAcc = 1
-		touched := make([]float64, len(p.touched))
-		for i, ok := range p.touched {
-			if ok {
-				touched[i] = 1
-			}
-		}
-		sum, wsum := p.acc.Snapshot()
-		st.Vecs = append(st.Vecs, fl.CloneVec(p.committed), touched, sum, wsum)
-	}
-	st.Ints = []int64{int64(p.numClasses), hasAcc}
 	return st, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
 func (p *FedProto) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
-	if len(st.Ints) != 2 || int(st.Ints[0]) != p.numClasses || len(st.Vecs) < p.numClasses {
+	if len(st.Ints) != 1 || int(st.Ints[0]) != p.numClasses || len(st.Vecs) != p.numClasses {
 		return fmt.Errorf("baselines: malformed FedProto state (%d ints, %d vecs, %d classes)",
 			len(st.Ints), len(st.Vecs), p.numClasses)
 	}
-	for cls := 0; cls < p.numClasses; cls++ {
-		proto := st.Vecs[cls]
+	for cls, proto := range st.Vecs {
 		if proto != nil && len(proto) != p.featDim {
 			return fmt.Errorf("baselines: checkpoint prototype %d has %d dims, model has %d", cls, len(proto), p.featDim)
 		}
 		p.globalProtos[cls] = fl.CloneVec(proto)
-	}
-	if st.Ints[1] == 1 {
-		if p.acc == nil || len(st.Vecs) != p.numClasses+4 {
-			return fmt.Errorf("baselines: FedProto checkpoint carries accumulator state for a different scheduler")
-		}
-		committed, touched := st.Vecs[p.numClasses], st.Vecs[p.numClasses+1]
-		if len(committed) != len(p.committed) || len(touched) != len(p.touched) {
-			return fmt.Errorf("baselines: FedProto checkpoint committed/touched sizes do not match")
-		}
-		copy(p.committed, committed)
-		for i, v := range touched {
-			p.touched[i] = v != 0
-		}
-		return p.acc.RestoreState(st.Vecs[p.numClasses+2], st.Vecs[p.numClasses+3])
 	}
 	return nil
 }

@@ -89,7 +89,7 @@ func localTwin(t *testing.T, arch func(int) models.Arch, newAlgo func() fl.Async
 	if err := algo.Setup(sim); err != nil {
 		t.Fatal(err)
 	}
-	if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{Shards: 1, MixRate: 1}); err != nil {
+	if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{MixRate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for id := range clients {

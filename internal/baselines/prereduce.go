@@ -42,7 +42,7 @@ func (f *FedAvg) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 	return f.pre.PreReduce(updates)
 }
 
-// WireApplyAggregate folds one pre-weighted subtree sum into the shards.
+// WireApplyAggregate folds one pre-weighted subtree sum into the accumulator.
 func (f *FedAvg) WireApplyAggregate(u *fl.AggUpdate) error {
 	if u.Children == 0 {
 		return nil
@@ -121,8 +121,8 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 	return au, nil
 }
 
-// WireApplyAggregate folds pre-weighted per-class sums into the segment
-// shards under their summed weights.
+// WireApplyAggregate folds pre-weighted per-class sums into the class
+// segments under their summed weights.
 func (p *FedProto) WireApplyAggregate(u *fl.AggUpdate) error {
 	if u.Children == 0 {
 		return nil

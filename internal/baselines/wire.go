@@ -103,7 +103,7 @@ func (f *FedAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*
 	return &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}}, nil
 }
 
-// WireApply folds one weighted model into the shards.
+// WireApply folds one weighted model into the accumulator.
 func (f *FedAvg) WireApply(u *fl.Update) error {
 	if len(u.Vecs) != 1 || len(u.Vecs[0]) != f.acc.Len() {
 		return fmt.Errorf("baselines: client %d uploaded a malformed %s payload", u.Client, f.Name())
@@ -142,14 +142,7 @@ func (p *FedProto) WireSetup(joins []fl.WireJoin, shards int) error {
 		}
 	}
 	p.globalProtos = make([][]float64, p.numClasses)
-	segs := make([]int, p.numClasses)
-	for i := range segs {
-		segs[i] = p.featDim
-	}
-	p.acc = fl.NewSegmented(segs)
-	p.committed = make([]float64, p.numClasses*p.featDim)
-	p.touched = make([]bool, p.numClasses)
-	p.mix = 1
+	p.setupAcc(1)
 	return nil
 }
 
@@ -189,7 +182,7 @@ func (p *FedProto) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) 
 	return &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts}, nil
 }
 
-// WireApply folds each reported class prototype into its segment shard,
+// WireApply folds each reported class prototype into its segment,
 // weighted by sample count.
 func (p *FedProto) WireApply(u *fl.Update) error {
 	if len(u.Vecs) > p.numClasses || len(u.Counts) != len(u.Vecs) {
@@ -208,15 +201,9 @@ func (p *FedProto) WireApply(u *fl.Update) error {
 	return nil
 }
 
-// WireCommit merges per-class shards; unreported classes keep their
-// previous prototype.
+// WireCommit merges the per-class means into the global prototypes.
 func (p *FedProto) WireCommit() error {
-	p.acc.CommitInto(p.committed, p.mix, p.touched)
-	for cls, ok := range p.touched {
-		if ok {
-			p.globalProtos[cls] = p.committed[cls*p.featDim : (cls+1)*p.featDim]
-		}
-	}
+	p.commit()
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // trace to an uninterrupted run at the same seed (under the lossless f64
 // codec).
 //
-// # File format (version 6)
+// # File format (version 7)
 //
 // A checkpoint file is
 //
@@ -63,8 +63,11 @@ const magic = "FEDCKPT1"
 // version 5 stores an in-flight update's exact upload frame bytes where
 // version 4 stored an element count (which re-priced sparse uploads densely
 // on resume) and drops the ledger's codec word — the ledger books bytes and
-// has no codec; version 6 stores each client as its client-store record.
-const Version = 6
+// has no codec; version 6 stores each client as its client-store record;
+// version 7 drops the server accumulators from the algorithm section — a
+// checkpoint is taken at a commit boundary, where they are empty, and their
+// per-shard weights made the file depend on the worker count.
+const Version = 7
 
 // Every decoded collection length is bounded by the bytes remaining in the
 // buffer (each element encodes at least one byte), so a corrupt or hostile

@@ -390,7 +390,7 @@ func TestBF16CheckpointRestores(t *testing.T) {
 	cfg := fl.Config{Rounds: 3, BatchSize: s.BatchSize, Seed: s.Seed + 7}
 	for _, budget := range []int{0, 2} {
 		var f32Blob, bf16Blob []byte
-		sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Shards: 2, Checkpoint: func(snap *fl.Snapshot) error {
+		sched := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Checkpoint: func(snap *fl.Snapshot) error {
 			if snap.Round != 2 {
 				return nil
 			}
@@ -411,7 +411,7 @@ func TestBF16CheckpointRestores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
-		res := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Shards: 2, Resume: snap}
+		res := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Resume: snap}
 		hist, err := tinySim(t, budget, cfg).RunScheduled(tinyFedClassAvg(t), res)
 		if err != nil {
 			t.Fatalf("budget %d: bf16 resume: %v", budget, err)
@@ -525,6 +525,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	for name, want := range map[string]string{
 		"version-4":          "version",
 		"version-5":          "version",
+		"version-6":          "version",
 		"frame-topk":         "dense frames only",
 		"frame-delta":        "dense frames only",
 		"record-truncated":   "record is truncated",

@@ -163,6 +163,7 @@ func ckptSeeds(t testing.TB) map[string][]byte {
 		"truncated":          async[:len(async)/2],
 		"version-4":          version(4),
 		"version-5":          version(5),
+		"version-6":          version(6),
 		"frame-topk":         withFirstFrameCodec(t, async, comm.TopK),
 		"frame-delta":        withFirstFrameCodec(t, async, comm.Delta),
 		"record-truncated":   short,

@@ -16,16 +16,16 @@ import (
 // holds, byte for byte: one SHA-256 over the marshalled snapshots of Tiny-scale
 // FedClassAvg runs on the heterogeneous fleet — sync and async, rounds 1 and 2
 // — recorded at 8930139, when an eager simulation still captured its clients
-// from a slice of its own, and re-pinned once at format version 6, whose
-// client section is the client store's records in place of a field traversal
-// of its own; TestRestoredStatePinned, recorded before that change, shows the
-// new files restore the same state. The kill-resume goldens compare a run
-// with itself; this literal only holds if a refactor of the capture path
-// writes the same files. The async server state is laid out per accumulator shard, whose
-// default count follows GOMAXPROCS, so the runs fix two shards: the literal
-// holds on any host.
+// from a slice of its own, and re-pinned at format version 6, whose client
+// section is the client store's records in place of a field traversal of its
+// own (TestRestoredStatePinned, recorded before that change, shows the new
+// files restore the same state), and at version 7, which drops the empty
+// server accumulators from the algorithm section (decoded, the two versions'
+// snapshots of these runs differ in nothing else). The kill-resume goldens
+// compare a run with itself; this literal only holds if a refactor of the
+// capture path writes the same files. It holds at any GOMAXPROCS.
 func TestEagerCheckpointBytesPinned(t *testing.T) {
-	const want = "f537d192c66ba7551e627373b2af878046bfb77af83171c96692f0c0f1a798d2"
+	const want = "072f051ae26b476f4187ca5702e54d7b479505184a01614d4a9b0deb29cd8621"
 	s := experiments.Tiny()
 	h := sha256.New()
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded} {
@@ -42,7 +42,7 @@ func TestEagerCheckpointBytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps := 0
-		sched := fl.SchedulerConfig{Kind: kind, Shards: 2, Checkpoint: func(snap *fl.Snapshot) error {
+		sched := fl.SchedulerConfig{Kind: kind, Checkpoint: func(snap *fl.Snapshot) error {
 			b, err := ckpt.Marshal(snap, comm.F64)
 			h.Write(b)
 			snaps++

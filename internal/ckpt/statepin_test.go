@@ -55,11 +55,10 @@ func tinyFedClassAvg(t testing.TB) fl.Algorithm {
 // optimizer state and RNG position after a resume, recorded at 5ef0b84, when
 // the checkpoint's client section still had its own per-field codec. The
 // runs are Tiny-scale FedClassAvg on the heterogeneous fleet — eager sync,
-// eager async and lazy async at budget 2, async with two accumulator shards
-// so the literal holds on any host — each checkpointed at round 1 under the
-// lossless f64 codec and under i8, decoded, and resumed into a fresh
-// simulation configured for that one round, so nothing trains after the
-// restore. The i8 half holds only if the client section quantizes every
+// eager async and lazy async at budget 2 — each checkpointed at round 1
+// under the lossless f64 codec and under i8, decoded, and resumed into a
+// fresh simulation configured for that one round, so nothing trains after
+// the restore. The i8 half holds only if the client section quantizes every
 // vector exactly as that format did.
 func TestRestoredStatePinned(t *testing.T) {
 	const want = "8c3728adcee4d9570dbe46e796cab689f4f78b3e9a1cfcaaa10621cc75fed8da"
@@ -72,7 +71,7 @@ func TestRestoredStatePinned(t *testing.T) {
 		budget int // 0: an eager fleet
 	}{{fl.SchedSync, 0}, {fl.SchedAsyncBounded, 0}, {fl.SchedAsyncBounded, 2}} {
 		blobs := map[comm.Codec][]byte{}
-		sched := fl.SchedulerConfig{Kind: run.kind, Shards: 2, Checkpoint: func(snap *fl.Snapshot) error {
+		sched := fl.SchedulerConfig{Kind: run.kind, Checkpoint: func(snap *fl.Snapshot) error {
 			for _, codec := range codecs {
 				b, err := ckpt.Marshal(snap, codec)
 				if err != nil {
@@ -94,7 +93,7 @@ func TestRestoredStatePinned(t *testing.T) {
 				t.Fatalf("%s budget %d: the checkpoint holds no client", run.kind, run.budget)
 			}
 			sim := tinySim(t, run.budget, cfg)
-			res := fl.SchedulerConfig{Kind: run.kind, Shards: 2, Resume: snap}
+			res := fl.SchedulerConfig{Kind: run.kind, Resume: snap}
 			if _, err := sim.RunScheduled(tinyFedClassAvg(t), res); err != nil {
 				t.Fatalf("%s budget %d %s resume: %v", run.kind, run.budget, codec, err)
 			}

@@ -245,9 +245,9 @@ func (f *FedClassAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]flo
 
 // AsyncSetup sizes the sharded aggregation state.
 func (f *FedClassAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	f.accC = fl.NewSharded(len(f.globalClassifier), sched.Shards)
+	f.accC = fl.NewSharded(len(f.globalClassifier), tensor.Workers())
 	if f.Opts.ShareAllWeights {
-		f.accAll = fl.NewSharded(len(f.globalAll), sched.Shards)
+		f.accAll = fl.NewSharded(len(f.globalAll), tensor.Workers())
 	}
 	f.mix = sched.MixRate
 	f.snapC = make([][]float64, sim.NumClients())
@@ -276,7 +276,7 @@ func (f *FedClassAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.
 }
 
 // AsyncApply folds the staleness-weighted classifier (and optionally full
-// weights) into the shards.
+// weights) into the accumulators.
 func (f *FedClassAvg) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
 	f.accC.Accumulate(u.Vecs[0], u.Weight)
 	if f.Opts.ShareAllWeights {
@@ -300,11 +300,10 @@ func (f *FedClassAvg) GlobalClassifier() []float64 {
 	return append([]float64(nil), f.globalClassifier...)
 }
 
-// AlgoSnapshot captures the server state. Layout: Ints = [shareAll,
-// hasAcc]; Vecs = [globalClassifier, globalAll?] plus, under async
-// schedulers, the classifier accumulator's sums and weights and (with
-// ShareAllWeights) the full-weight accumulator's. Per-client proximal
-// snapshots (snapC) are not captured — dead after the engine's quiesce.
+// AlgoSnapshot captures the server state. Layout: Ints = [shareAll]; Vecs =
+// [globalClassifier, globalAll?]. The accumulators are empty at every
+// checkpoint boundary, and per-client proximal snapshots (snapC) are dead
+// after the engine's quiesce, so neither is captured.
 func (f *FedClassAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
 	shareAll := int64(0)
 	st := &fl.AlgoState{Vecs: [][]float64{fl.CloneVec(f.globalClassifier)}}
@@ -312,23 +311,13 @@ func (f *FedClassAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
 		shareAll = 1
 		st.Vecs = append(st.Vecs, fl.CloneVec(f.globalAll))
 	}
-	hasAcc := int64(0)
-	if f.accC != nil {
-		hasAcc = 1
-		sum, wsum := f.accC.Snapshot()
-		st.Vecs = append(st.Vecs, sum, wsum)
-		if f.Opts.ShareAllWeights {
-			sumA, wsumA := f.accAll.Snapshot()
-			st.Vecs = append(st.Vecs, sumA, wsumA)
-		}
-	}
-	st.Ints = []int64{shareAll, hasAcc}
+	st.Ints = []int64{shareAll}
 	return st, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
 func (f *FedClassAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
-	if len(st.Ints) != 2 || len(st.Vecs) < 1 {
+	if len(st.Ints) != 1 || len(st.Vecs) < 1 {
 		return fmt.Errorf("core: malformed %s state (%d ints, %d vecs)", f.Name(), len(st.Ints), len(st.Vecs))
 	}
 	shareAll := st.Ints[0] == 1
@@ -340,28 +329,11 @@ func (f *FedClassAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 			len(st.Vecs[0]), len(f.globalClassifier))
 	}
 	copy(f.globalClassifier, st.Vecs[0])
-	next := 1
 	if shareAll {
 		if len(st.Vecs) < 2 || len(st.Vecs[1]) != len(f.globalAll) {
 			return fmt.Errorf("core: checkpoint full-weight vector does not match the model")
 		}
 		copy(f.globalAll, st.Vecs[1])
-		next = 2
-	}
-	if st.Ints[1] == 1 {
-		want := next + 2
-		if shareAll {
-			want += 2
-		}
-		if f.accC == nil || len(st.Vecs) != want {
-			return fmt.Errorf("core: checkpoint carries accumulator state for a different scheduler")
-		}
-		if err := f.accC.RestoreState(st.Vecs[next], st.Vecs[next+1]); err != nil {
-			return err
-		}
-		if shareAll {
-			return f.accAll.RestoreState(st.Vecs[next+2], st.Vecs[next+3])
-		}
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ import (
 // rotation (clients i and i+4 share an architecture), and homogeneous
 // MiniResNet for the weight-sharing methods. The literal was recorded with
 // every client trained alone, before the methods trained as groups; it holds
-// at every GOMAXPROCS. Shards is fixed as in TestEagerCheckpointBytesPinned.
+// at every GOMAXPROCS.
 func TestLocalStepPinned(t *testing.T) {
 	const want = "2c4ca4a944fe4624828be0e6e11b6300bab65b5cb30d67e61591cbbbbf921551"
 	const clients = 8
@@ -58,7 +58,7 @@ func TestLocalStepPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				sim := fl.NewSimulation(fleet, fl.Config{Rounds: 2, BatchSize: s.BatchSize, Seed: s.Seed + 7})
-				hist, err := sim.RunScheduled(algo, fl.SchedulerConfig{Kind: kind, Shards: 2})
+				hist, err := sim.RunScheduled(algo, fl.SchedulerConfig{Kind: kind})
 				if err != nil {
 					t.Fatalf("%s/%s/%v: %v", tc.method, kind, dt, err)
 				}

@@ -21,7 +21,7 @@ func (f *FedClassAvg) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 }
 
 // WireApplyAggregate merges one pre-weighted subtree sum into the
-// accumulators; with ShareAllWeights its tail feeds the classifier shards.
+// accumulators; with ShareAllWeights its tail feeds the classifier accumulator.
 func (f *FedClassAvg) WireApplyAggregate(u *fl.AggUpdate) error {
 	if u.Children == 0 {
 		return nil

@@ -97,12 +97,6 @@ type SchedulerConfig struct {
 	// Quorum is the semi-sync K: commit after K applied updates (default
 	// ⌈participants/2⌉).
 	Quorum int
-	// QueueDepth is the buffered event-queue capacity between client
-	// workers and the server loop (default 2·Workers).
-	QueueDepth int
-	// Shards is the server-state shard count for concurrent aggregation
-	// (default tensor.Workers()).
-	Shards int
 	// Costs[i] is the virtual duration of one local update on client i
 	// (nil or missing entries = 1). Stragglers get costs > 1.
 	Costs []float64
@@ -141,12 +135,6 @@ func (c SchedulerConfig) withDefaults(sim *Simulation) SchedulerConfig {
 	}
 	if c.MixRate <= 0 || c.MixRate > 1 {
 		c.MixRate = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.Shards <= 0 {
-		c.Shards = tensor.Workers()
 	}
 	if c.RejoinAfter <= 0 {
 		c.RejoinAfter = 2
@@ -294,7 +282,7 @@ type AsyncAlgorithm interface {
 	// AsyncApply folds one staleness-weighted update into the server's
 	// sharded accumulators (u.Weight is final). Engine goroutine.
 	AsyncApply(sim *Simulation, u *Update) error
-	// AsyncCommit merges accumulated shards into committed server state
+	// AsyncCommit merges the accumulators into committed server state
 	// and completes one virtual round. Engine goroutine.
 	AsyncCommit(sim *Simulation) error
 }
@@ -554,15 +542,11 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 	// client's result guarantees workers never block on delivery while
 	// holding a pool token — the engine may itself block on a token in
 	// dispatch, and a worker stuck sending would deadlock it.
-	depth := sched.QueueDepth
-	if depth < k {
-		depth = k
-	}
 	e := &Engine{
 		sim:      s,
 		algo:     algo,
 		sched:    sched,
-		queue:    make(chan asyncResult, depth),
+		queue:    make(chan asyncResult, k),
 		arrived:  make(map[int]*asyncResult, sched.Workers),
 		idle:     make([]bool, k),
 		away:     make([]float64, k),

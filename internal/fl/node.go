@@ -129,9 +129,6 @@ type NodeConfig struct {
 	// reconnects fall back to a dense basis automatically. It must match
 	// the transport's negotiated spec.
 	Delta bool
-	// Shards is the sharded-accumulator shard count (default
-	// tensor.Workers()).
-	Shards int
 	// Sched selects the scheduling policy (default SchedSync).
 	Sched SchedulerKind
 	// MaxStaleness bounds async staleness: an update whose dispatch-time
@@ -188,9 +185,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = tensor.Workers()
 	}
 	if c.MaxStaleness <= 0 {
 		c.MaxStaleness = 8
@@ -399,7 +393,7 @@ func (r *serverRun) step(ctx context.Context, ticker *time.Ticker) error {
 		} else if r.pt.full() {
 			// The fleet is complete: build the algorithm's server state from
 			// its joins and welcome everyone; advance() then opens round 1.
-			if err := r.algo.WireSetup(r.pt.joins, r.cfg.Shards); err != nil {
+			if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
 				r.fatal = fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
 			} else {
 				r.pt.assemble()
@@ -893,7 +887,7 @@ func (r *serverRun) restore(snap *Snapshot) error {
 		return fmt.Errorf("fl: %s cannot restore a checkpoint (implement fl.CheckpointableAlgorithm)", r.algo.Name())
 	}
 	r.pt.joins = cloneJoins(snap.Joins)
-	if err := r.algo.WireSetup(r.pt.joins, r.cfg.Shards); err != nil {
+	if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
 		return fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
 	}
 	if snap.Algo != nil {

@@ -1,113 +1,85 @@
 package fl
 
-import (
-	"fmt"
-	"sync"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// ShardedAccumulator is the server-side aggregation state of the async
-// federation engine: a flat vector of length n split into contiguous
-// shards, each with its own lock and weight total, so concurrent deliveries
-// fold in parallel and a commit merges every shard at once. Two layouts are
-// supported: an even split for monolithic weight vectors (NewSharded) and a
-// segment-per-shard split for structured state such as per-class prototypes
-// (NewSegmented), where each segment accumulates under its own weight.
+// ShardedAccumulator is the server-side aggregation state of every
+// scheduler: a running weighted sum over a flat vector cut into segments,
+// with one weight total per segment. A NewSharded vector (a model's
+// weights) is one segment; NewSegmented gives structured state such as
+// per-class prototypes one segment, and one weight, per class.
+//
+// Every call comes from the one goroutine that applies and commits updates
+// (the engine goroutine, or the server node's loop), so there are no locks.
+// A fold's elements may be split across the worker pool, but every element
+// sees the same sequence of operations at any split, so the state — and
+// every committed bit — is independent of the worker count. Checkpoints are
+// taken at commit boundaries, where the accumulator is empty, so it is
+// never serialized.
 type ShardedAccumulator struct {
-	bounds []int // shard s covers [bounds[s], bounds[s+1])
+	bounds []int // segment s covers [bounds[s], bounds[s+1])
 	sum    []float64
 	wsum   []float64
-	locks  []sync.Mutex
+	split  int // most pool shards a full-vector fold's elements split into
 }
 
-// NewSharded builds an accumulator over n elements split into at most
-// shards even contiguous ranges.
+// NewSharded builds a one-segment accumulator over n elements whose folds
+// split their elements into at most shards ranges on the worker pool.
 func NewSharded(n, shards int) *ShardedAccumulator {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 { // n == 0
-		shards = 1
-	}
-	bounds := make([]int, shards+1)
-	chunk := (n + shards - 1) / shards
-	for s := 1; s < shards; s++ {
-		hi := s * chunk
-		if hi > n {
-			hi = n
-		}
-		bounds[s] = hi
-	}
-	bounds[shards] = n
-	return newFromBounds(bounds)
+	return newAccumulator([]int{0, n}, shards)
 }
 
-// NewSegmented builds an accumulator with one shard per segment; segment s
-// has segLens[s] elements and its own aggregation weight.
+// NewSegmented builds an accumulator with one segment per entry of segLens;
+// segment s has segLens[s] elements and its own aggregation weight.
 func NewSegmented(segLens []int) *ShardedAccumulator {
 	bounds := make([]int, len(segLens)+1)
 	for s, l := range segLens {
 		bounds[s+1] = bounds[s] + l
 	}
-	return newFromBounds(bounds)
+	return newAccumulator(bounds, 1)
 }
 
-func newFromBounds(bounds []int) *ShardedAccumulator {
-	shards := len(bounds) - 1
+func newAccumulator(bounds []int, split int) *ShardedAccumulator {
 	return &ShardedAccumulator{
 		bounds: bounds,
-		sum:    make([]float64, bounds[shards]),
-		wsum:   make([]float64, shards),
-		locks:  make([]sync.Mutex, shards),
+		sum:    make([]float64, bounds[len(bounds)-1]),
+		wsum:   make([]float64, len(bounds)-1),
+		split:  split,
 	}
 }
 
 // Len returns the total element count.
 func (a *ShardedAccumulator) Len() int { return len(a.sum) }
 
-// Shards returns the shard count.
-func (a *ShardedAccumulator) Shards() int { return len(a.wsum) }
-
-// Accumulate folds one full-length weighted vector into every shard,
-// processing shards concurrently on the worker pool. Safe against
-// concurrent Accumulate and AccumulateSegment calls.
+// Accumulate folds one full-length vector under weight w into every
+// segment: sum[i] += w·vec[i], and each segment's weight total gains w.
 func (a *ShardedAccumulator) Accumulate(vec []float64, w float64) {
 	if len(vec) != len(a.sum) {
 		panic("fl: ShardedAccumulator.Accumulate length mismatch")
 	}
-	tensor.ParallelSharded(a.Shards(), a.Shards(), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			a.lockedFold(s, vec[a.bounds[s]:a.bounds[s+1]], w)
+	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
+		sum := a.sum[lo:hi]
+		for i, v := range vec[lo:hi] {
+			sum[i] += w * v
 		}
 	})
-}
-
-// AccumulateSegment folds a weighted vector into one segment shard (for
-// example one class prototype). seg must have the shard's exact length.
-func (a *ShardedAccumulator) AccumulateSegment(s int, seg []float64, w float64) {
-	if len(seg) != a.bounds[s+1]-a.bounds[s] {
-		panic("fl: ShardedAccumulator.AccumulateSegment length mismatch")
+	for s := range a.wsum {
+		a.wsum[s] += w
 	}
-	a.lockedFold(s, seg, w)
 }
 
-func (a *ShardedAccumulator) lockedFold(s int, seg []float64, w float64) {
-	a.locks[s].Lock()
-	sum := a.sum[a.bounds[s]:a.bounds[s+1]]
+// AccumulateSegment folds a weighted vector into one segment (for example
+// one class prototype). seg must have the segment's exact length.
+func (a *ShardedAccumulator) AccumulateSegment(s int, seg []float64, w float64) {
+	sum := a.segment(s, seg, "AccumulateSegment")
 	for i, v := range seg {
 		sum[i] += w * v
 	}
 	a.wsum[s] += w
-	a.locks[s].Unlock()
 }
 
 // Merge folds a pre-weighted partial sum carrying weight w into every
-// shard: sum[i] += vec[i], and each shard's weight total gains w. This is
-// the root's half of hierarchical aggregation — an edge aggregator's
+// segment: sum[i] += vec[i], and each segment's weight total gains w. This
+// is the root's half of hierarchical aggregation — an edge aggregator's
 // PreReduce delivers Σ w_c·v_c with Σ w_c, already multiplied out, so the
 // fold must not weight the vector again. The flat Accumulate path is the
 // degenerate case Merge(w·v, w) computed exactly by the aggregator.
@@ -115,121 +87,77 @@ func (a *ShardedAccumulator) Merge(vec []float64, w float64) {
 	if len(vec) != len(a.sum) {
 		panic("fl: ShardedAccumulator.Merge length mismatch")
 	}
-	tensor.ParallelSharded(a.Shards(), a.Shards(), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			a.lockedMerge(s, vec[a.bounds[s]:a.bounds[s+1]], w)
+	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
+		sum := a.sum[lo:hi]
+		for i, v := range vec[lo:hi] {
+			sum[i] += v
 		}
 	})
-}
-
-// MergeSegment folds a pre-weighted partial sum into one segment shard,
-// the segmented counterpart of Merge (per-class prototype sums arriving
-// from an aggregator with their summed weights).
-func (a *ShardedAccumulator) MergeSegment(s int, seg []float64, w float64) {
-	if len(seg) != a.bounds[s+1]-a.bounds[s] {
-		panic("fl: ShardedAccumulator.MergeSegment length mismatch")
+	for s := range a.wsum {
+		a.wsum[s] += w
 	}
-	a.lockedMerge(s, seg, w)
 }
 
-func (a *ShardedAccumulator) lockedMerge(s int, seg []float64, w float64) {
-	a.locks[s].Lock()
-	sum := a.sum[a.bounds[s]:a.bounds[s+1]]
+// MergeSegment folds a pre-weighted partial sum into one segment, the
+// segmented counterpart of Merge (per-class prototype sums arriving from an
+// aggregator with their summed weights).
+func (a *ShardedAccumulator) MergeSegment(s int, seg []float64, w float64) {
+	sum := a.segment(s, seg, "MergeSegment")
 	for i, v := range seg {
 		sum[i] += v
 	}
 	a.wsum[s] += w
-	a.locks[s].Unlock()
 }
 
-// Snapshot returns copies of the running sums and per-shard weights, the
-// accumulator's full mutable state (the shard layout is structural and
-// rebuilt from configuration). At a commit boundary both are all zero, but
-// the checkpoint format stores them anyway so the representation never
-// depends on where snapshots are taken.
-func (a *ShardedAccumulator) Snapshot() (sum, wsum []float64) {
-	sum = make([]float64, len(a.sum))
-	wsum = make([]float64, len(a.wsum))
-	for s := range a.locks {
-		a.locks[s].Lock()
-		copy(sum[a.bounds[s]:a.bounds[s+1]], a.sum[a.bounds[s]:a.bounds[s+1]])
-		wsum[s] = a.wsum[s]
-		a.locks[s].Unlock()
+// segment returns segment s's running sum after checking that seg has its
+// length.
+func (a *ShardedAccumulator) segment(s int, seg []float64, op string) []float64 {
+	sum := a.sum[a.bounds[s]:a.bounds[s+1]]
+	if len(seg) != len(sum) {
+		panic("fl: ShardedAccumulator." + op + " length mismatch")
 	}
-	return sum, wsum
-}
-
-// RestoreState overwrites the running sums and per-shard weights from a
-// snapshot. The element vector must match exactly; the shard count may
-// differ (the even split follows tensor.Workers(), so a checkpoint taken
-// on an 8-core box must restore on a 1-core one) as long as the source
-// weights are uniform — full-vector Accumulate folds the same weight into
-// every shard, so a uniform weight maps exactly onto any layout.
-func (a *ShardedAccumulator) RestoreState(sum, wsum []float64) error {
-	if len(sum) != len(a.sum) {
-		return fmt.Errorf("fl: accumulator snapshot holds %d values, accumulator holds %d", len(sum), len(a.sum))
-	}
-	if len(wsum) != len(a.wsum) {
-		uniform := len(wsum) > 0
-		for _, w := range wsum[1:] {
-			if w != wsum[0] {
-				uniform = false
-				break
-			}
-		}
-		if !uniform {
-			return fmt.Errorf("fl: accumulator snapshot has %d shards with non-uniform weights, accumulator has %d",
-				len(wsum), len(a.wsum))
-		}
-		for s := range a.locks {
-			a.locks[s].Lock()
-			copy(a.sum[a.bounds[s]:a.bounds[s+1]], sum[a.bounds[s]:a.bounds[s+1]])
-			a.wsum[s] = wsum[0]
-			a.locks[s].Unlock()
-		}
-		return nil
-	}
-	for s := range a.locks {
-		a.locks[s].Lock()
-		copy(a.sum[a.bounds[s]:a.bounds[s+1]], sum[a.bounds[s]:a.bounds[s+1]])
-		a.wsum[s] = wsum[s]
-		a.locks[s].Unlock()
-	}
-	return nil
+	return sum
 }
 
 // CommitInto merges the accumulated weighted means into dst and resets the
-// accumulator: for every shard with positive weight,
-//
-//	dst[i] = (1-mix)·dst[i] + mix·sum[i]/wsum
-//
-// Shards that received no weight leave dst untouched (so, for example,
-// unseen prototype classes keep their previous value). When touched is
-// non-nil it must have Shards() entries and is set to whether each shard
-// committed. Shards merge concurrently on the worker pool; the per-element
-// arithmetic is independent of the worker count, so commits are
-// deterministic.
+// accumulator: every segment with positive weight commits as CommitSegment
+// does, and segments that received no weight leave dst untouched. When
+// touched is non-nil it must have an entry per segment and is set to whether
+// each segment committed.
 func (a *ShardedAccumulator) CommitInto(dst []float64, mix float64, touched []bool) {
 	if len(dst) != len(a.sum) {
 		panic("fl: ShardedAccumulator.CommitInto length mismatch")
 	}
-	tensor.ParallelSharded(a.Shards(), a.Shards(), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			a.locks[s].Lock()
-			w := a.wsum[s]
-			if touched != nil {
-				touched[s] = w > 0
-			}
-			if w > 0 {
-				inv := 1 / w
-				keep := 1 - mix
-				for i := a.bounds[s]; i < a.bounds[s+1]; i++ {
-					dst[i] = keep*dst[i] + mix*a.sum[i]*inv
-					a.sum[i] = 0
-				}
-				a.wsum[s] = 0
-			}
-			a.locks[s].Unlock()
+	for s := range a.wsum {
+		ok := a.CommitSegment(s, dst[a.bounds[s]:a.bounds[s+1]], mix)
+		if touched != nil {
+			touched[s] = ok
+		}
+	}
+}
+
+// CommitSegment merges segment s's weighted mean into dst, which has the
+// segment's length, and resets the segment. When the segment has positive
+// weight,
+//
+//	dst[i] = (1-mix)·dst[i] + mix·sum[i]/wsum
+//
+// and it reports true; otherwise dst is left as it is (so, for example, an
+// unseen prototype class keeps its previous value) and it reports false.
+func (a *ShardedAccumulator) CommitSegment(s int, dst []float64, mix float64) bool {
+	sum := a.segment(s, dst, "CommitSegment")
+	w := a.wsum[s]
+	if w <= 0 {
+		return false
+	}
+	inv := 1 / w
+	keep := 1 - mix
+	tensor.ParallelSharded(len(sum), a.split, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = keep*dst[i] + mix*sum[i]*inv
+			sum[i] = 0
 		}
 	})
+	a.wsum[s] = 0
+	return true
 }

@@ -353,7 +353,8 @@ type WireAlgorithm interface {
 	WireInit(c *Client) ([][]float64, error)
 	// WireSetup builds initial server state from the full fleet's joins,
 	// ordered by client id (server half). It replaces Setup+AsyncSetup in
-	// node mode.
+	// node mode; shards caps the pool ranges an accumulator fold splits
+	// into (NewSharded).
 	WireSetup(joins []WireJoin, shards int) error
 	// WireDispatch encodes the broadcast payload for one client (server
 	// half). A nil or empty result is a valid "nothing to send" broadcast
