@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -59,7 +60,8 @@ var hotPaths = []hotPath{
 	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 158, 50},
 	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 156, 50},
 	{"ClientLocalEpochGroup", clientLocalEpochGroup, 927, 270},
-	{"ClassifierAveraging", classifierAveraging, 0, 0},
+	// One range closure per fold: benchFleet's four uploads and the commit.
+	{"ClassifierAveraging", classifierAveraging, 5, 5},
 	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},
 	{"MarshalTopK", codecRoundTrip(comm.NewSpec(comm.F32, 0.05, false)), 0, 0},
 	{"DecodeDelta", codecRoundTrip(comm.NewSpec(comm.I8, 0, true)), 0, 0},
@@ -371,19 +373,22 @@ func clientLocalEpoch(dt tensor.DType) func(testing.TB) func() {
 	}
 }
 
+// classifierAveraging is FedClassAvg's server fold: one Accumulate per
+// client's classifier upload, then the commit into the global classifier.
 func classifierAveraging(tb testing.TB) func() {
 	clients := benchFleet(tb, tensor.F64)
-	dst := clients[0].Model.ClassifierParams()
-	srcs := make([][]*nn.Param, len(clients))
-	weights := make([]float64, len(clients))
+	ups := make([][]float64, len(clients))
 	for i, c := range clients {
-		srcs[i] = c.Model.ClassifierParams()
-		weights[i] = 1 / float64(len(clients))
+		ups[i] = nn.FlattenParams(c.Model.ClassifierParams())
 	}
+	global := slices.Clone(ups[0])
+	acc := fl.NewSharded(len(global), tensor.Workers())
+	w := 1 / float64(len(clients))
 	return func() {
-		if err := nn.AverageInto(dst, srcs, weights); err != nil {
-			tb.Fatal(err)
+		for _, u := range ups {
+			acc.Accumulate(u, w)
 		}
+		acc.CommitInto(global, 1, nil)
 	}
 }
 

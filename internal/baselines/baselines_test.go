@@ -138,10 +138,13 @@ func TestFedProtoPrototypeAggregation(t *testing.T) {
 			t.Fatalf("prototype dim %d", len(proto))
 		}
 	}
-	// Traffic: prototypes only, far less than model weights.
-	modelBytes := int64(12 + 8*nn.NumParams(clients[0].Model.Params()))
-	if up := sim.Ledger.ClientUp(0); up >= 2*modelBytes {
-		t.Fatalf("FedProto traffic %d should be well below model sharing %d", up, modelBytes)
+	// Traffic: prototypes only, far less than every client sharing its
+	// model weights.
+	modelBytes := int64(len(clients)) * int64(12+8*nn.NumParams(clients[0].Model.Params()))
+	for _, r := range sim.Ledger.Rounds() {
+		if r.UpBytes >= modelBytes {
+			t.Fatalf("round %d: FedProto traffic %d should be well below model sharing %d", r.Round, r.UpBytes, modelBytes)
+		}
 	}
 }
 
@@ -210,9 +213,14 @@ func TestKTpFLRunsAndCommunicatesSoftPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per-round per-client upload = 12 public examples × 10 classes floats.
-	want := int64(2) * int64(12+8*12*10)
-	if up := sim.Ledger.ClientUp(0); up != want {
-		t.Fatalf("KT-pFL upload %d, want %d", up, want)
+	want := int64(len(clients)) * int64(12+8*12*10)
+	for _, r := range sim.Ledger.Rounds() {
+		if r.UpBytes != want {
+			t.Fatalf("round %d: KT-pFL upload %d, want %d", r.Round, r.UpBytes, want)
+		}
+	}
+	if n := len(sim.Ledger.Rounds()); n != 2 {
+		t.Fatalf("ledger holds %d rounds, want 2", n)
 	}
 	// Coefficient rows must be stochastic (sum to 1).
 	for _, row := range algo.coeff {

@@ -94,7 +94,7 @@ func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error 
 			refs[i] = f.global
 		}
 		for i, u := range f.local(sim, group, refs) {
-			sim.Ledger.AddUp(u.Client, u.UpBytes)
+			sim.Ledger.AddUp(u.UpBytes)
 			us[pos[i]] = u
 		}
 	})
@@ -112,7 +112,7 @@ func (f *FedAvg) download(sim *fl.Simulation, c *fl.Client) error {
 	if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
 		return err
 	}
-	sim.Downlink(c.ID, len(f.global))
+	sim.Downlink(len(f.global))
 	return nil
 }
 

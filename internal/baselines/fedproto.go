@@ -86,8 +86,8 @@ func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) erro
 			tables[i] = p.globalProtos
 		}
 		for i, u := range p.local(sim, group, tables) {
-			sim.Ledger.AddUp(u.Client, u.UpBytes)
-			sim.Downlink(u.Client, p.downloadFloats())
+			sim.Ledger.AddUp(u.UpBytes)
+			sim.Downlink(p.downloadFloats())
 			us[pos[i]] = u
 		}
 	})
@@ -213,7 +213,7 @@ func (p *FedProto) AsyncDispatch(sim *fl.Simulation, client int) error {
 		}
 	}
 	p.snaps[client] = snap
-	sim.Downlink(client, p.downloadFloats())
+	sim.Downlink(p.downloadFloats())
 	return nil
 }
 

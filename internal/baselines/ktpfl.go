@@ -183,7 +183,7 @@ func (k *KTpFL) softTransfer(sim *fl.Simulation, participants []int) error {
 				}
 			}
 		}
-		sim.Downlink(c.ID, m*numClasses)
+		sim.Downlink(m * numClasses)
 		k.distill(c, target)
 	})
 	return nil
@@ -223,7 +223,7 @@ func (k *KTpFL) weightTransfer(sim *fl.Simulation, participants []int) error {
 			}
 		}
 		errs[idx] = nn.SetFlatParams(c.Model.Params(), personalized)
-		sim.Downlink(c.ID, len(personalized))
+		sim.Downlink(len(personalized))
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -285,12 +285,12 @@ func (k *KTpFL) AsyncDispatch(sim *fl.Simulation, client int) error {
 	k.pending[client] = nil
 	c := sim.Client(client)
 	if k.ShareWeights {
-		sim.Downlink(c.ID, len(k.staged[client]))
+		sim.Downlink(len(k.staged[client]))
 		err := nn.SetFlatParams(c.Model.Params(), k.staged[client])
 		k.staged[client] = nil
 		return err
 	}
-	sim.Downlink(c.ID, len(k.public)*k.numCls)
+	sim.Downlink(len(k.public) * k.numCls)
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // trace to an uninterrupted run at the same seed (under the lossless f64
 // codec).
 //
-// # File format (version 7)
+// # File format (version 8)
 //
 // A checkpoint file is
 //
@@ -66,8 +66,10 @@ const magic = "FEDCKPT1"
 // has no codec; version 6 stores each client as its client-store record;
 // version 7 drops the server accumulators from the algorithm section — a
 // checkpoint is taken at a commit boundary, where they are empty, and their
-// per-shard weights made the file depend on the worker count.
-const Version = 7
+// per-shard weights made the file depend on the worker count; version 8
+// drops the ledger's per-client byte totals — the ledger keeps only its
+// round history, whose sums are the run's totals.
+const Version = 8
 
 // Every decoded collection length is bounded by the bytes remaining in the
 // buffer (each element encodes at least one byte), so a corrupt or hostile
@@ -172,12 +174,6 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 	e.u64(uint64(len(snap.Ledger.Rounds)))
 	for _, r := range snap.Ledger.Rounds {
 		e.traffic(r)
-	}
-	e.u64(uint64(len(snap.Ledger.Clients)))
-	for _, c := range snap.Ledger.Clients {
-		e.i64(int64(c.Client))
-		e.i64(c.Up)
-		e.i64(c.Down)
 	}
 
 	e.u64(uint64(len(snap.Clients)))
@@ -334,14 +330,6 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 	nRounds := d.count()
 	for i := 0; i < nRounds && d.err == nil; i++ {
 		snap.Ledger.Rounds = append(snap.Ledger.Rounds, d.traffic())
-	}
-	nLC := d.count()
-	for i := 0; i < nLC && d.err == nil; i++ {
-		snap.Ledger.Clients = append(snap.Ledger.Clients, comm.ClientTraffic{
-			Client: int(d.i64()),
-			Up:     d.i64(),
-			Down:   d.i64(),
-		})
 	}
 
 	nClients := d.count()

@@ -158,6 +158,13 @@ func killResumeGoldenOf(t *testing.T, kind fl.SchedulerKind, dt tensor.DType, sp
 		t.Fatalf("resumed scheduler trace differs from the uninterrupted run\nref: %d events\ngot: %d events",
 			len(refTrace.Events), len(resTrace.Events))
 	}
+	// The history's rows carry per-round bytes only; the ledger's totals and
+	// its round list must survive the resume too.
+	if ref, got := refSim.Ledger, resSim.Ledger; ref.TotalUp() != got.TotalUp() || ref.TotalDown() != got.TotalDown() ||
+		!reflect.DeepEqual(ref.Rounds(), got.Rounds()) {
+		t.Fatalf("resumed ledger differs from the uninterrupted run\nref: up %d down %d %+v\ngot: up %d down %d %+v",
+			ref.TotalUp(), ref.TotalDown(), ref.Rounds(), got.TotalUp(), got.TotalDown(), got.Rounds())
+	}
 	return snap
 }
 
@@ -526,6 +533,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"version-4":          "version",
 		"version-5":          "version",
 		"version-6":          "version",
+		"version-7":          "version",
 		"frame-topk":         "dense frames only",
 		"frame-delta":        "dense frames only",
 		"record-truncated":   "record is truncated",

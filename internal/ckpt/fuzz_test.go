@@ -16,15 +16,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/transport"
 )
 
-// seedFleet is a two-client fleet narrow enough (a 2-unit MLP under plain
-// SGD) that a whole snapshot of it is a few kilobytes — a corpus entry the
-// fuzzer can mutate quickly and the repo can afford to check in.
+// seedFleet is a two-client fleet narrow enough (a 2-unit MLP under a
+// stateless optimizer) that a whole snapshot of it is a few kilobytes — a
+// corpus entry the fuzzer can mutate quickly and the repo can afford to
+// check in.
 func seedFleet(t testing.TB) []*fl.Client {
-	return fleetWith(t, 2, models.Config{FeatDim: 4, Hidden: 2}, func() opt.Optimizer { return opt.NewSGD(0.05, 0, 0) })
+	return fleetWith(t, 2, models.Config{FeatDim: 4, Hidden: 2}, func() opt.Optimizer { return plainStep{} })
+}
+
+// plainStep is w ← w − 0.05·g on float64 parameters. It keeps no state, so
+// its client records carry no counter and no moment.
+type plainStep struct{}
+
+func (plainStep) Step(params []*nn.Param) {
+	for _, p := range params {
+		for i, g := range p.Grad.Data {
+			p.Value.Data[i] -= 0.05 * g
+		}
+	}
+}
+
+func (plainStep) State() opt.State { return opt.State{} }
+
+func (plainStep) SetState(st opt.State) error {
+	if len(st.Ints)+len(st.Vecs) != 0 {
+		return fmt.Errorf("plainStep keeps no state, got %d ints and %d vectors", len(st.Ints), len(st.Vecs))
+	}
+	return nil
 }
 
 // engineSeed runs one round under kind and returns the round-1 checkpoint.
@@ -164,6 +187,7 @@ func ckptSeeds(t testing.TB) map[string][]byte {
 		"version-4":          version(4),
 		"version-5":          version(5),
 		"version-6":          version(6),
+		"version-7":          version(7),
 		"frame-topk":         withFirstFrameCodec(t, async, comm.TopK),
 		"frame-delta":        withFirstFrameCodec(t, async, comm.Delta),
 		"record-truncated":   short,
@@ -177,7 +201,7 @@ func ckptSeeds(t testing.TB) map[string][]byte {
 // allocations by the input length.
 func decodedElems(s *fl.Snapshot) int {
 	n := len(s.NodeFree) + len(s.Idle) + len(s.Away) + len(s.Flights) + len(s.History) + len(s.Trace) +
-		len(s.Ledger.Rounds) + len(s.Ledger.Clients) + len(s.Clients) + len(s.Sessions) + len(s.Joins)
+		len(s.Ledger.Rounds) + len(s.Clients) + len(s.Sessions) + len(s.Joins)
 	vecs := func(vs [][]float64) {
 		n += len(vs)
 		for _, v := range vs {

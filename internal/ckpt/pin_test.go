@@ -21,11 +21,14 @@ import (
 // own (TestRestoredStatePinned, recorded before that change, shows the new
 // files restore the same state), and at version 7, which drops the empty
 // server accumulators from the algorithm section (decoded, the two versions'
-// snapshots of these runs differ in nothing else). The kill-resume goldens
+// snapshots of these runs differ in nothing else), and at version 8, which
+// drops the ledger's per-client byte totals (decoded, the snapshots differ in
+// nothing else, and each version-7 file's per-client totals sum to its round
+// history plus open round). The kill-resume goldens
 // compare a run with itself; this literal only holds if a refactor of the
 // capture path writes the same files. It holds at any GOMAXPROCS.
 func TestEagerCheckpointBytesPinned(t *testing.T) {
-	const want = "072f051ae26b476f4187ca5702e54d7b479505184a01614d4a9b0deb29cd8621"
+	const want = "8789b020c8ec58d5a173ba529d0990cedbc0b722811c3ddd6ed3cf88327c4714"
 	s := experiments.Tiny()
 	h := sha256.New()
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded} {

@@ -32,7 +32,6 @@ package comm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/tensor"
@@ -194,31 +193,25 @@ type Ledger struct {
 	mu      sync.Mutex
 	current RoundTraffic
 	rounds  []RoundTraffic
-	up      map[int]int64 // per-client cumulative upload
-	down    map[int]int64
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{up: make(map[int]int64), down: make(map[int]int64)}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
 // AddUp logs one client → server message of the given wire size.
-func (l *Ledger) AddUp(client int, bytes int64) {
+func (l *Ledger) AddUp(bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.current.UpBytes += bytes
 	l.current.Messages++
-	l.up[client] += bytes
 }
 
 // AddDown logs one server → client message of the given wire size.
-func (l *Ledger) AddDown(client int, bytes int64) {
+func (l *Ledger) AddDown(bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.current.DownBytes += bytes
 	l.current.Messages++
-	l.down[client] += bytes
 }
 
 // EndRound finalizes the current round's traffic and starts a new one.
@@ -244,9 +237,9 @@ func (l *Ledger) Rounds() []RoundTraffic {
 func (l *Ledger) TotalUp() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var s int64
-	for _, v := range l.up {
-		s += v
+	s := l.current.UpBytes
+	for _, r := range l.rounds {
+		s += r.UpBytes
 	}
 	return s
 }
@@ -255,69 +248,28 @@ func (l *Ledger) TotalUp() int64 {
 func (l *Ledger) TotalDown() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var s int64
-	for _, v := range l.down {
-		s += v
+	s := l.current.DownBytes
+	for _, r := range l.rounds {
+		s += r.DownBytes
 	}
 	return s
 }
 
-// ClientUp returns the cumulative upload bytes for one client.
-func (l *Ledger) ClientUp(client int) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.up[client]
-}
-
-// ClientDown returns the cumulative download bytes for one client.
-func (l *Ledger) ClientDown(client int) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.down[client]
-}
-
-// ClientTraffic is one client's cumulative byte counts, the per-client view
-// of a LedgerState.
-type ClientTraffic struct {
-	Client   int
-	Up, Down int64
-}
-
 // LedgerState is a serializable snapshot of a Ledger, so checkpointed runs
-// resume with continuous traffic accounting. Clients is sorted by id.
+// resume with continuous traffic accounting.
 type LedgerState struct {
 	Current RoundTraffic
 	Rounds  []RoundTraffic
-	Clients []ClientTraffic
 }
 
 // Snapshot captures the ledger's full state.
 func (l *Ledger) Snapshot() LedgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := LedgerState{
+	return LedgerState{
 		Current: l.current,
 		Rounds:  append([]RoundTraffic(nil), l.rounds...),
 	}
-	ids := make([]int, 0, len(l.up)+len(l.down))
-	seen := make(map[int]bool, len(l.up)+len(l.down))
-	for id := range l.up {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	for id := range l.down {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.Clients = append(st.Clients, ClientTraffic{Client: id, Up: l.up[id], Down: l.down[id]})
-	}
-	return st
 }
 
 // Restore overwrites the ledger with a snapshot captured by Snapshot.
@@ -326,14 +278,4 @@ func (l *Ledger) Restore(st LedgerState) {
 	defer l.mu.Unlock()
 	l.current = st.Current
 	l.rounds = append(l.rounds[:0], st.Rounds...)
-	l.up = make(map[int]int64, len(st.Clients))
-	l.down = make(map[int]int64, len(st.Clients))
-	for _, c := range st.Clients {
-		if c.Up != 0 {
-			l.up[c.Client] = c.Up
-		}
-		if c.Down != 0 {
-			l.down[c.Client] = c.Down
-		}
-	}
 }

@@ -73,9 +73,9 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger()
-	l.AddUp(0, 100)
-	l.AddUp(1, 50)
-	l.AddDown(0, 10)
+	l.AddUp(100)
+	l.AddUp(50)
+	l.AddDown(10)
 	tr := l.EndRound(1)
 	if tr.Round != 1 || tr.Messages != 3 {
 		t.Fatalf("round traffic %+v", tr)
@@ -87,7 +87,7 @@ func TestLedgerAccounting(t *testing.T) {
 		t.Fatalf("down bytes %d", tr.DownBytes)
 	}
 	// Second round starts clean.
-	l.AddUp(0, 1)
+	l.AddUp(1)
 	tr2 := l.EndRound(2)
 	if tr2.UpBytes != 1 {
 		t.Fatalf("round 2 up bytes %d", tr2.UpBytes)
@@ -95,20 +95,23 @@ func TestLedgerAccounting(t *testing.T) {
 	if got := len(l.Rounds()); got != 2 {
 		t.Fatalf("rounds %d", got)
 	}
-	if l.ClientUp(0) != 101 {
-		t.Fatalf("client 0 up %d", l.ClientUp(0))
-	}
-	if l.TotalUp() != 151 {
+	// The totals count the open round too.
+	l.AddUp(7)
+	l.AddDown(3)
+	if l.TotalUp() != 158 {
 		t.Fatalf("total up %d", l.TotalUp())
 	}
-	if l.TotalDown() != 10 || l.ClientDown(0) != 10 {
-		t.Fatal("down accounting wrong")
+	if l.TotalDown() != 13 {
+		t.Fatalf("total down %d", l.TotalDown())
 	}
-	// Snapshot/Restore carries totals, per-client books and round history.
+	// Snapshot/Restore carries the round history and the open round.
 	l2 := NewLedger()
 	l2.Restore(l.Snapshot())
-	if l2.TotalUp() != 151 || l2.ClientUp(1) != 50 || l2.ClientDown(0) != 10 || len(l2.Rounds()) != 2 {
+	if l2.TotalUp() != 158 || l2.TotalDown() != 13 || len(l2.Rounds()) != 2 {
 		t.Fatalf("restored ledger %+v", l2.Snapshot())
+	}
+	if tr3 := l2.EndRound(3); tr3.UpBytes != 7 || tr3.DownBytes != 3 || tr3.Messages != 2 {
+		t.Fatalf("restored open round %+v", tr3)
 	}
 }
 
@@ -116,13 +119,13 @@ func TestLedgerConcurrentSafety(t *testing.T) {
 	l := NewLedger()
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
-		go func(id int) {
+		go func() {
 			for i := 0; i < 100; i++ {
-				l.AddUp(id, 10)
-				l.AddDown(id, 5)
+				l.AddUp(10)
+				l.AddDown(5)
 			}
 			done <- struct{}{}
-		}(w)
+		}()
 	}
 	for w := 0; w < 8; w++ {
 		<-done

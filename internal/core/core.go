@@ -167,7 +167,7 @@ func (f *FedClassAvg) Round(sim *fl.Simulation, round int, participants []int) e
 			refs[i] = f.globalClassifier
 		}
 		for i, u := range f.local(sim, group, refs) {
-			sim.Ledger.AddUp(u.Client, u.UpBytes)
+			sim.Ledger.AddUp(u.UpBytes)
 			us[pos[i]] = u
 		}
 	})
@@ -193,7 +193,7 @@ func (f *FedClassAvg) download(sim *fl.Simulation, c *fl.Client) error {
 	if err := nn.SetFlatParams(params, global); err != nil {
 		return err
 	}
-	sim.Downlink(c.ID, len(global))
+	sim.Downlink(len(global))
 	return nil
 }
 

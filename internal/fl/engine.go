@@ -602,13 +602,10 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 		// The upload reaches the server now (virtual delivery time); it
 		// costs wire bytes even if the server then drops it.
 		if u.UpBytes > 0 {
-			s.Ledger.AddUp(ft.client, u.UpBytes)
+			s.Ledger.AddUp(u.UpBytes)
 		}
 		u.Staleness = e.version - ft.version
 		if u.Staleness > sched.MaxStaleness {
-			sched.Trace.add(TraceDrop, ft.client, e.version, e.now)
-		} else if s.Cfg.DropProb > 0 && s.Rng.Float64() < s.Cfg.DropProb {
-			// Failure injection: the update is lost in transit.
 			sched.Trace.add(TraceDrop, ft.client, e.version, e.now)
 		} else {
 			u.Weight = u.Scale * sched.StalenessWeight(u.Staleness)

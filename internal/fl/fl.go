@@ -141,9 +141,6 @@ type Config struct {
 	SampleRate float64 // fraction of clients participating per round
 	BatchSize  int
 	Seed       int64
-	// DropProb injects client failures: a sampled client drops out of the
-	// round (its update is lost) with this probability.
-	DropProb float64
 	// EvalEvery evaluates accuracy every n rounds (default 1).
 	EvalEvery int
 	// EvalSample, when positive, evaluates a fresh cohort of that many
@@ -355,7 +352,7 @@ func (s *Simulation) Run(algo Algorithm) ([]RoundMetrics, error) {
 // at virtual delivery time.
 func (s *Simulation) Uplink(client int, v []float64) []float64 {
 	v, bytes := s.QuantizeUplink(client, v)
-	s.Ledger.AddUp(client, bytes)
+	s.Ledger.AddUp(bytes)
 	return v
 }
 
@@ -371,8 +368,8 @@ func (s *Simulation) QuantizeUplink(client int, v []float64) ([]float64, int64) 
 
 // Downlink books a server → client broadcast of n values, dense at the
 // configured codec (broadcasts never sparsify or delta-frame).
-func (s *Simulation) Downlink(client, n int) {
-	s.Ledger.AddDown(client, comm.WireSizeAs(s.Cfg.Codec, n))
+func (s *Simulation) Downlink(n int) {
+	s.Ledger.AddDown(comm.WireSizeAs(s.Cfg.Codec, n))
 }
 
 // Quantize passes v through the configured dense codec in place (no ledger
@@ -382,21 +379,19 @@ func (s *Simulation) Quantize(v []float64) []float64 {
 	return v
 }
 
-// sampleParticipants draws ⌈K·rate⌉ distinct clients and applies failure
-// injection.
+// sampleParticipants draws ⌈K·rate⌉ distinct clients.
 func (s *Simulation) sampleParticipants() []int {
-	return SampleCohort(s.Rng, s.NumClients(), s.Cfg.SampleRate, s.Cfg.DropProb)
+	return SampleCohort(s.Rng, s.NumClients(), s.Cfg.SampleRate)
 }
 
-// SampleCohort draws ⌈k·rate⌉ distinct client ids in ascending order and
-// applies per-client failure injection, consuming exactly the RNG stream
-// the simulation's schedulers consume. It is shared with the node runtime
-// so a ServerNode at seed S samples the same cohorts as the in-process
-// sync run at seed S. Sampling is a partial Fisher–Yates over the compact
-// id space: O(n) time and memory for an n-client cohort, independent of
-// the fleet size k — the property that lets million-client fleets sample
-// at cohort cost.
-func SampleCohort(rng *rand.Rand, k int, rate, dropProb float64) []int {
+// SampleCohort draws ⌈k·rate⌉ distinct client ids in ascending order,
+// consuming exactly the RNG stream the simulation's schedulers consume. It
+// is shared with the node runtime so a ServerNode at seed S samples the
+// same cohorts as the in-process sync run at seed S. Sampling is a partial
+// Fisher–Yates over the compact id space: O(n) time and memory for an
+// n-client cohort, independent of the fleet size k — the property that
+// lets million-client fleets sample at cohort cost.
+func SampleCohort(rng *rand.Rand, k int, rate float64) []int {
 	if rate <= 0 || rate > 1 {
 		rate = 1
 	}
@@ -406,16 +401,7 @@ func SampleCohort(rng *rand.Rand, k int, rate, dropProb float64) []int {
 	}
 	picked := SamplePrefix(rng, k, n)
 	sort.Ints(picked)
-	if dropProb <= 0 {
-		return picked
-	}
-	kept := picked[:0]
-	for _, id := range picked {
-		if rng.Float64() >= dropProb {
-			kept = append(kept, id)
-		}
-	}
-	return kept
+	return picked
 }
 
 // SamplePrefix draws n distinct integers uniformly from [0,k) in the order

@@ -158,26 +158,6 @@ func TestSimulationErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionDropsClients(t *testing.T) {
-	clients := testFleet(t, 4)
-	sim := NewSimulation(clients, Config{Rounds: 30, SampleRate: 1, DropProb: 0.5, Seed: 5})
-	algo := &countingAlgo{}
-	if _, err := sim.Run(algo); err != nil {
-		t.Fatal(err)
-	}
-	full, dropped := 0, 0
-	for _, p := range algo.participants {
-		if len(p) == 4 {
-			full++
-		} else {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("DropProb 0.5 never dropped anyone over 30 rounds")
-	}
-}
-
 func TestSimulationDeterminism(t *testing.T) {
 	run := func() []float64 {
 		clients := testFleet(t, 3)

@@ -965,7 +965,7 @@ func (r *serverRun) advance() {
 // stays deterministic and matches the inproc sync scheduler — and
 // dispatches to every member.
 func (r *serverRun) openSyncRound() {
-	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate, 0)
+	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate)
 	r.updates = make(map[int]*Update, len(cohort))
 	r.pt.round.open()
 	for _, id := range cohort {
@@ -993,7 +993,7 @@ func (r *serverRun) ownerOf(id int) int {
 // mode uses — the schedule is identical at equal seeds — then groups the
 // members by subtree and dispatches one batched frame per live aggregator.
 func (r *serverRun) openTreeRound() {
-	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate, 0)
+	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate)
 	members := make([][]int, r.aggs)
 	for _, id := range cohort {
 		if a := r.ownerOf(id); !r.sessions[a].churned {

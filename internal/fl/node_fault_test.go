@@ -7,6 +7,7 @@ package fl_test
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -220,6 +221,8 @@ func TestNodeServerCheckpointResume(t *testing.T) {
 	}
 
 	var snaps []*fl.Snapshot
+	var srv1 *fl.ServerNode
+	var up1, down1 int64 // the first incarnation's ledger totals at its last checkpoint
 	algo1, err := experiments.WireAlgorithmFor(experiments.MethodProposed, experiments.Fashion, s)
 	if err != nil {
 		t.Fatal(err)
@@ -228,12 +231,13 @@ func TestNodeServerCheckpointResume(t *testing.T) {
 	cfg := experiments.NodeConfigFor(s, 1.0, comm.Spec{Value: comm.F64}, k)
 	cfg.Checkpoint = func(snap *fl.Snapshot) error {
 		snaps = append(snaps, snap)
+		up1, down1 = srv1.Ledger.TotalUp(), srv1.Ledger.TotalDown()
 		if snap.Round >= stopAfter {
 			kill() // the "SIGKILL": no goodbye to the clients
 		}
 		return nil
 	}
-	srv1 := fl.NewServerNode(algo1, cfg)
+	srv1 = fl.NewServerNode(algo1, cfg)
 
 	clientErr := make(chan error, k)
 	for i := 0; i < k; i++ {
@@ -288,6 +292,16 @@ func TestNodeServerCheckpointResume(t *testing.T) {
 	}
 	if srv2.Stats.Reconnects != k {
 		t.Errorf("resumed server adopted %d reconnects, want %d (every client)", srv2.Stats.Reconnects, k)
+	}
+	// The resumed ledger continues the first incarnation's: its committed
+	// rounds first, then one row per resumed round, and totals that start
+	// from the first incarnation's and grow with every resumed round.
+	before, after := srv1.Ledger.Rounds(), srv2.Ledger.Rounds()
+	if len(before) < stopAfter || len(after) != s.Rounds || !reflect.DeepEqual(after[:stopAfter], before[:stopAfter]) {
+		t.Fatalf("resumed ledger rounds %+v do not continue the first incarnation's %+v", after, before)
+	}
+	if up, down := srv2.Ledger.TotalUp(), srv2.Ledger.TotalDown(); up <= up1 || down <= down1 {
+		t.Fatalf("resumed ledger totals up %d down %d, first incarnation's were up %d down %d at its checkpoint", up, down, up1, down1)
 	}
 }
 

@@ -431,9 +431,9 @@ func (pt *PeerTable) attach(s *peerSession, conn transport.Conn, joinWire int64)
 	s.gen++
 	s.lastSeen = time.Now()
 	hsSent, hsRecv := conn.HandshakeBytes()
-	pt.ledger.AddUp(s.id, joinWire+hsRecv)
+	pt.ledger.AddUp(joinWire + hsRecv)
 	if hsSent > 0 {
-		pt.ledger.AddDown(s.id, hsSent)
+		pt.ledger.AddDown(hsSent)
 	}
 	go pt.reader(s.id, s.gen, conn)
 }
@@ -581,7 +581,7 @@ func (pt *PeerTable) send(s *peerSession, frame []byte) bool {
 		return false
 	}
 	s.conn.SetWriteDeadline(time.Time{})
-	pt.ledger.AddDown(s.id, wire)
+	pt.ledger.AddDown(wire)
 	return true
 }
 
@@ -727,7 +727,7 @@ func (pt *PeerTable) triage(ev inbound) (*peerSession, *wireMsg, error) {
 		// Every frame that crossed the wire is booked — heartbeat echoes
 		// and frames racing a disconnect on an abandoned connection
 		// included: the ledger prices traffic, not semantics.
-		pt.ledger.AddUp(ev.id, ev.wire)
+		pt.ledger.AddUp(ev.wire)
 		if ev.msg.kind == msgStopAck {
 			// The goodbye landed; the session is complete and its EOF (the
 			// peer exits after acking) is orderly. The ack speaks for the

@@ -219,7 +219,7 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 }
 
 // lender is an optimizer that hands its state over by reference
-// (opt.SGD, opt.Adam); one that is only opt.Checkpointable goes through
+// (opt.Adam); one that is only opt.Checkpointable goes through
 // the copying State/SetState.
 type lender interface {
 	Borrow() opt.Live

@@ -131,7 +131,7 @@ func TestSamplePrefixMatchesFullShuffle(t *testing.T) {
 
 func TestSampleCohortAscendingAndDeterministic(t *testing.T) {
 	draw := func() []int {
-		return SampleCohort(rand.New(rand.NewSource(5)), 100000, 0.0002, 0)
+		return SampleCohort(rand.New(rand.NewSource(5)), 100000, 0.0002)
 	}
 	a, b := draw(), draw()
 	if len(a) != 20 {
@@ -154,7 +154,7 @@ func TestSampleCohortDistributionSpread(t *testing.T) {
 	const k = 100000
 	max, rounds := 0, 50
 	for r := 0; r < rounds; r++ {
-		for _, id := range SampleCohort(rng, k, 0.0001, 0) {
+		for _, id := range SampleCohort(rng, k, 0.0001) {
 			if id > max {
 				max = id
 			}
@@ -163,26 +163,6 @@ func TestSampleCohortDistributionSpread(t *testing.T) {
 	// 500 uniform draws: P(all below k/2) = 2^-500.
 	if max < k/2 {
 		t.Fatalf("500 draws never exceeded id %d of %d — sampler is not uniform over the fleet", max, k)
-	}
-}
-
-func TestSampleCohortDropProb(t *testing.T) {
-	full := SampleCohort(rand.New(rand.NewSource(9)), 50, 0.8, 0)
-	dropped := SampleCohort(rand.New(rand.NewSource(9)), 50, 0.8, 0.5)
-	if len(dropped) >= len(full) {
-		t.Fatalf("drop probability 0.5 kept %d of %d over repeated rounds", len(dropped), len(full))
-	}
-	// The kept cohort is an ascending subset of the drop-free draw: failure
-	// injection consumes its own draws after sampling, never perturbing
-	// which clients were picked.
-	j := 0
-	for _, id := range dropped {
-		for j < len(full) && full[j] != id {
-			j++
-		}
-		if j == len(full) {
-			t.Fatalf("kept id %d was never picked: full %v, kept %v", id, full, dropped)
-		}
 	}
 }
 

@@ -248,9 +248,9 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 	// The event loop books a frame when it starts on it, so the heartbeat
 	// being booked means the duplicate before it is fully dealt with.
 	p0.send(&wireMsg{kind: msgHeartbeat})
-	for srv.Ledger.ClientUp(0) != p0.wire {
+	for srv.Ledger.TotalUp() != p0.wire+p1.wire {
 		if ctx.Err() != nil {
-			t.Fatalf("server booked %d of client 0's %d bytes", srv.Ledger.ClientUp(0), p0.wire)
+			t.Fatalf("server booked %d of the clients' %d bytes", srv.Ledger.TotalUp(), p0.wire+p1.wire)
 		}
 		time.Sleep(time.Millisecond)
 	}

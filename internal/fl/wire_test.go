@@ -114,14 +114,14 @@ func TestWireMessageRejectsCorruption(t *testing.T) {
 // the simulation's RNG stream identically — the node scheduler's parity
 // foundation.
 func TestSampleCohortMatchesSimulation(t *testing.T) {
-	sim := NewSimulation(bareClients(7), Config{Rounds: 1, SampleRate: 0.5, Seed: 11, DropProb: 0.2})
+	sim := NewSimulation(bareClients(7), Config{Rounds: 1, SampleRate: 0.5, Seed: 11})
 	var fromSim [][]int
 	for i := 0; i < 5; i++ {
 		fromSim = append(fromSim, append([]int(nil), sim.sampleParticipants()...))
 	}
-	sim2 := NewSimulation(bareClients(7), Config{Rounds: 1, SampleRate: 0.5, Seed: 11, DropProb: 0.2})
+	sim2 := NewSimulation(bareClients(7), Config{Rounds: 1, SampleRate: 0.5, Seed: 11})
 	for i := 0; i < 5; i++ {
-		got := SampleCohort(sim2.Rng, 7, 0.5, 0.2)
+		got := SampleCohort(sim2.Rng, 7, 0.5)
 		if len(got) != len(fromSim[i]) {
 			t.Fatalf("draw %d: %v vs %v", i, got, fromSim[i])
 		}
@@ -136,7 +136,7 @@ func TestSampleCohortMatchesSimulation(t *testing.T) {
 			}
 		}
 	}
-	if n := len(SampleCohort(sim.Rng, 5, 1, 0)); n != 5 {
+	if n := len(SampleCohort(sim.Rng, 5, 1)); n != 5 {
 		t.Fatalf("full-rate cohort has %d of 5", n)
 	}
 }

@@ -54,20 +54,6 @@ func crossEntropy[F tensor.Float](logits, grad []F, labels []int, c int) float64
 	return total * inv
 }
 
-// Accuracy returns the fraction of rows whose argmax equals the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	if len(labels) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range labels {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}
-
 // SupConOptions configures the supervised contrastive loss.
 type SupConOptions struct {
 	// Temperature scales similarities; the paper (following Khosla et al.)

@@ -66,20 +66,6 @@ func TestCrossEntropyStability(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float64{
-		2, 1, 0,
-		0, 5, 1,
-		1, 0, 3,
-	}, 3, 3)
-	if got := Accuracy(logits, []int{0, 1, 1}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy = %g, want 2/3", got)
-	}
-	if got := Accuracy(tensor.New(0, 3), nil); got != 0 {
-		t.Fatalf("empty accuracy = %g, want 0", got)
-	}
-}
-
 func TestSupConGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	features := tensor.New(8, 5) // 2N=8, N=4

@@ -126,22 +126,14 @@ func TestBatchNorm2DGradients(t *testing.T) {
 	checkLayerGradients(t, layer, randInput(rng, 4, 3, 3, 3), 1e-4)
 }
 
-func TestBatchNorm1DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	layer := NewBatchNorm1D(6)
-	layer.Gamma.Value.FillUniform(rng, 0.5, 1.5)
-	layer.Beta.Value.FillUniform(rng, -0.5, 0.5)
-	checkLayerGradients(t, layer, randInput(rng, 5, 6), 1e-4)
-}
-
 func TestBatchNormEvalModeBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	layer := NewBatchNorm1D(4)
+	layer := NewBatchNorm2D(4)
 	Pack(layer.Params(), tensor.F64)
 	// Train once to move running stats, then check eval-mode gradients.
-	x := randInput(rng, 6, 4)
+	x := randInput(rng, 6, 4, 2, 2)
 	layer.Forward(x, true)
-	evalX := randInput(rng, 3, 4)
+	evalX := randInput(rng, 3, 4, 2, 2)
 	lossFn := func() float64 {
 		y := layer.Forward(evalX.Clone(), false)
 		l, _ := quadLoss(y)

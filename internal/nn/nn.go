@@ -176,9 +176,9 @@ func RecycleParams(params []*Param) {
 // Layer is one differentiable stage of a model. Forward consumes the
 // previous activation and returns the next; Backward consumes dL/d(output)
 // and returns dL/d(input), accumulating parameter gradients as a side
-// effect. The train flag selects training behaviour (batch statistics,
-// dropout masks). release ends a pass (see Release), so every layer is
-// declared in this package.
+// effect. The train flag selects training behaviour (batch statistics).
+// release ends a pass (see Release), so every layer is declared in this
+// package.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -207,9 +207,8 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 // workspaces back to the pool as soon as nothing downstream can read them:
 // once the layer after the one whose storage holds the activation has
 // written its output into storage of its own. A layer whose output shares
-// its input's storage (Flatten's view, evaluation Dropout's identity) keeps
-// the owner alive one layer longer. The last owner's output is what Forward
-// returns, so it stays.
+// its input's storage (Flatten's view) keeps the owner alive one layer
+// longer. The last owner's output is what Forward returns, so it stays.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	owner := -1 // the layer whose storage x is in; -1 is the caller's input
 	for i, l := range s.Layers {
@@ -363,32 +362,6 @@ func ParamsDType(params []*Param) tensor.DType {
 		return tensor.F64
 	}
 	return params[0].Value.DT
-}
-
-// AverageInto overwrites dst parameters with the weighted average of the
-// source parameter sets: dst_i = Σ_k weights[k]·src[k]_i. The weights are
-// used as given (callers normalize). All parameter sets must have identical
-// structure.
-func AverageInto(dst []*Param, srcs [][]*Param, weights []float64) error {
-	if len(srcs) != len(weights) {
-		return fmt.Errorf("nn: %d sources but %d weights", len(srcs), len(weights))
-	}
-	for i, p := range dst {
-		p.Value.Zero()
-		for k, src := range srcs {
-			if len(src) != len(dst) {
-				return fmt.Errorf("nn: source %d has %d params, dst has %d", k, len(src), len(dst))
-			}
-			if src[i].Value.Size() != p.Value.Size() {
-				return fmt.Errorf("nn: source %d param %d size mismatch", k, i)
-			}
-			p.Value.AxpyInPlace(weights[k], src[i].Value)
-		}
-		// BF16 storage invariant: the average accumulates at full float32
-		// precision, then re-narrows once at the end (no-op otherwise).
-		tensor.RoundBF16InPlace(p.Value)
-	}
-	return nil
 }
 
 // heInit fills a weight tensor with He-normal initialization for the given

@@ -3,7 +3,6 @@ package nn
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 )
@@ -50,111 +49,15 @@ func TestZeroGrads(t *testing.T) {
 	}
 }
 
-// Property: averaging identical parameter sets with any normalized weights
-// reproduces the original values.
-func TestAverageIdentityProperty(t *testing.T) {
-	f := func(seed int64, w1Raw, w2Raw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func() []*Param {
-			ps := NewDense(3, 2, rand.New(rand.NewSource(42))).Params()
-			Pack(ps, tensor.F64)
-			return ps
-		}
-		a, b, dst := mk(), mk(), mk()
-		w1 := float64(w1Raw%100) + 1
-		w2 := float64(w2Raw%100) + 1
-		s := w1 + w2
-		if err := AverageInto(dst, [][]*Param{a, b}, []float64{w1 / s, w2 / s}); err != nil {
-			return false
-		}
-		flatA := FlattenParams(a)
-		flatD := FlattenParams(dst)
-		for i := range flatA {
-			if diff := flatA[i] - flatD[i]; diff > 1e-9 || diff < -1e-9 {
-				return false
-			}
-		}
-		_ = rng
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAverageWeighted(t *testing.T) {
-	mk := func(v float64) []*Param {
-		p := &Param{Name: "w", Value: tensor.New(2), Grad: tensor.New(2)}
-		p.Value.Fill(v)
-		return []*Param{p}
-	}
-	dst := mk(0)
-	if err := AverageInto(dst, [][]*Param{mk(1), mk(3)}, []float64{0.25, 0.75}); err != nil {
-		t.Fatal(err)
-	}
-	if got := dst[0].Value.Data[0]; got != 0.25*1+0.75*3 {
-		t.Fatalf("weighted average %v", got)
-	}
-}
-
-func TestAverageErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := NewDense(2, 2, rng).Params()
-	b := NewDense(3, 3, rng).Params()
-	dst := NewDense(2, 2, rng).Params()
-	if err := AverageInto(dst, [][]*Param{a, b}, []float64{0.5, 0.5}); err == nil {
-		t.Fatal("size mismatch must error")
-	}
-	if err := AverageInto(dst, [][]*Param{a}, []float64{0.5, 0.5}); err == nil {
-		t.Fatal("weight count mismatch must error")
-	}
-}
-
-func TestDropoutModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDropout(0.5, rng)
-	x := tensor.New(4, 8)
-	x.Fill(1)
-	// Eval mode: identity.
-	if out := d.Forward(x, false); !tensor.ApproxEqual(out, x, 0) {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	// Train mode: some zeros, survivors scaled by 2.
-	out := d.Forward(x, true)
-	zeros, twos := 0, 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			twos++
-		default:
-			t.Fatalf("unexpected value %v", v)
-		}
-	}
-	if zeros == 0 || twos == 0 {
-		t.Fatalf("dropout mask degenerate: %d zeros, %d twos", zeros, twos)
-	}
-	// Backward uses the same mask.
-	g := tensor.New(4, 8)
-	g.Fill(1)
-	dg := d.Backward(g)
-	for i, v := range out.Data {
-		if (v == 0) != (dg.Data[i] == 0) {
-			t.Fatal("backward mask differs from forward mask")
-		}
-	}
-}
-
 func TestBatchNormRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	bn := NewBatchNorm1D(3)
-	x := tensor.New(64, 3)
-	// Feature 0 ~ N(5, 4), others standard.
+	bn := NewBatchNorm2D(3)
+	x := tensor.New(64, 3, 1, 1)
+	// Channel 0 ~ N(5, 4), others standard.
 	for i := 0; i < 64; i++ {
-		x.Set(i, 0, 5+2*rng.NormFloat64())
-		x.Set(i, 1, rng.NormFloat64())
-		x.Set(i, 2, rng.NormFloat64())
+		x.Data[i*3] = 5 + 2*rng.NormFloat64()
+		x.Data[i*3+1] = rng.NormFloat64()
+		x.Data[i*3+2] = rng.NormFloat64()
 	}
 	for e := 0; e < 50; e++ {
 		bn.Forward(x, true)
@@ -165,12 +68,12 @@ func TestBatchNormRunningStats(t *testing.T) {
 	if bn.RunningVar[0] < 2.5 || bn.RunningVar[0] > 6 {
 		t.Fatalf("running var %v should approach 4", bn.RunningVar[0])
 	}
-	// Eval output for the mean input should be ≈ beta (0) for feature 0 at
+	// Eval output for the mean input should be ≈ beta (0) for channel 0 at
 	// value 5.
-	probe := tensor.New(1, 3)
-	probe.Set(0, 0, 5)
+	probe := tensor.New(1, 3, 1, 1)
+	probe.Data[0] = 5
 	out := bn.Forward(probe, false)
-	if v := out.At(0, 0); v < -0.5 || v > 0.5 {
+	if v := out.Data[0]; v < -0.5 || v > 0.5 {
 		t.Fatalf("eval normalization off: %v", v)
 	}
 }
@@ -235,7 +138,7 @@ func TestConv2DGroupsValidation(t *testing.T) {
 // An evaluation-mode Sequential.Forward hands layers' workspaces back while
 // it runs. It must give the bits its layers give run one by one with
 // nothing released — through a chain whose outputs alias their inputs
-// (evaluation Dropout's identity, then Flatten's view), where the Dense
+// (two Flatten views in a row), where the Dense
 // after them reads the storage of the ReLU before them and writes an output
 // of the same size, which a premature release would hand it to overwrite
 // mid-read — and leave the layers it released holding no workspace.
@@ -245,7 +148,7 @@ func TestEvalForwardReleasesBehind(t *testing.T) {
 		s := NewSequential(
 			NewConv2D(1, 4, 3, 1, 1, 1, rng),
 			NewReLU(),
-			NewDropout(0.5, rng),
+			NewFlatten(),
 			NewFlatten(),
 			NewDense(4*6*6, 4*6*6, rng),
 			NewReLU(),

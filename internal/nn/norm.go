@@ -171,149 +171,3 @@ func (bn *BatchNorm2D) release() {
 func (bn *BatchNorm2D) Buffers() [][]float64 {
 	return [][]float64{bn.RunningMean, bn.RunningVar}
 }
-
-// BatchNorm1D normalizes each feature of [N, D] activations over the batch.
-type BatchNorm1D struct {
-	D           int
-	Eps         float64
-	Momentum    float64
-	Gamma, Beta *Param
-
-	RunningMean []float64
-	RunningVar  []float64
-
-	xhat           *tensor.Tensor
-	invStd         []float64
-	usedBatchStats bool
-	out            ring2
-	dx             *tensor.Tensor
-}
-
-// NewBatchNorm1D builds a batch-norm layer for d features.
-func NewBatchNorm1D(d int) *BatchNorm1D {
-	bn := &BatchNorm1D{
-		D:           d,
-		Eps:         1e-5,
-		Momentum:    0.9,
-		Gamma:       newParam("bn1d.gamma", d),
-		Beta:        newParam("bn1d.beta", d),
-		RunningMean: make([]float64, d),
-		RunningVar:  make([]float64, d),
-	}
-	bn.Gamma.Value.Fill(1)
-	for i := range bn.RunningVar {
-		bn.RunningVar[i] = 1
-	}
-	return bn
-}
-
-// Forward normalizes with batch statistics in training mode and running
-// statistics in evaluation mode.
-func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Cols() != bn.D {
-		panic(fmt.Sprintf("nn: BatchNorm1D input shape %v, want [N,%d]", x.Shape, bn.D))
-	}
-	n := x.Rows()
-	out := bn.out.next(x.DT, n, bn.D)
-	bn.xhat = tensor.EnsureOf(x.DT, bn.xhat, n, bn.D)
-	if cap(bn.invStd) < bn.D {
-		bn.invStd = make([]float64, bn.D)
-	}
-	bn.invStd = bn.invStd[:bn.D]
-	bn.usedBatchStats = train && n > 1
-	if x.DT.Backing() == tensor.F32 {
-		bn1dForward(bn, tensor.Of[float32](x), tensor.Of[float32](out), tensor.Of[float32](bn.xhat),
-			tensor.Of[float32](bn.Gamma.Value), tensor.Of[float32](bn.Beta.Value), n)
-	} else {
-		bn1dForward(bn, x.Data, out.Data, bn.xhat.Data, bn.Gamma.Value.Data, bn.Beta.Value.Data, n)
-	}
-	return out
-}
-
-func bn1dForward[F tensor.Float](bn *BatchNorm1D, xd, outd, xhd, gamma, beta []F, n int) {
-	m := float64(n)
-	d := bn.D
-	for j := 0; j < d; j++ {
-		var mean, variance float64
-		if bn.usedBatchStats {
-			var s float64
-			for i := 0; i < n; i++ {
-				s += float64(xd[i*d+j])
-			}
-			mean = s / m
-			var sq float64
-			for i := 0; i < n; i++ {
-				dv := float64(xd[i*d+j]) - mean
-				sq += dv * dv
-			}
-			variance = sq / m
-			bn.RunningMean[j] = bn.Momentum*bn.RunningMean[j] + (1-bn.Momentum)*mean
-			bn.RunningVar[j] = bn.Momentum*bn.RunningVar[j] + (1-bn.Momentum)*variance
-		} else {
-			mean, variance = bn.RunningMean[j], bn.RunningVar[j]
-		}
-		inv := 1 / math.Sqrt(variance+bn.Eps)
-		bn.invStd[j] = inv
-		g, b := gamma[j], beta[j]
-		meanF, invF := F(mean), F(inv)
-		for i := 0; i < n; i++ {
-			nv := (xd[i*d+j] - meanF) * invF
-			xhd[i*d+j] = nv
-			outd[i*d+j] = g*nv + b
-		}
-	}
-}
-
-// Backward implements the standard batch-norm gradient per feature.
-func (bn *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Rows()
-	bn.dx = tensor.EnsureOf(grad.DT, bn.dx, n, bn.D)
-	if grad.DT.Backing() == tensor.F32 {
-		bn1dBackward(bn, tensor.Of[float32](grad), tensor.Of[float32](bn.xhat), tensor.Of[float32](bn.dx),
-			tensor.Of[float32](bn.Gamma.Value), tensor.Of[float32](bn.Gamma.Grad), tensor.Of[float32](bn.Beta.Grad), n)
-	} else {
-		bn1dBackward(bn, grad.Data, bn.xhat.Data, bn.dx.Data,
-			bn.Gamma.Value.Data, bn.Gamma.Grad.Data, bn.Beta.Grad.Data, n)
-	}
-	return bn.dx
-}
-
-func bn1dBackward[F tensor.Float](bn *BatchNorm1D, gradd, xhd, dxd, gamma, dGamma, dBeta []F, n int) {
-	m := float64(n)
-	d := bn.D
-	for j := 0; j < d; j++ {
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			v := float64(gradd[i*d+j])
-			sumDy += v
-			sumDyXhat += v * float64(xhd[i*d+j])
-		}
-		dGamma[j] += F(sumDyXhat)
-		dBeta[j] += F(sumDy)
-		if !bn.usedBatchStats {
-			scale := F(float64(gamma[j]) * bn.invStd[j])
-			for i := 0; i < n; i++ {
-				dxd[i*d+j] = scale * gradd[i*d+j]
-			}
-			continue
-		}
-		scale := F(float64(gamma[j]) * bn.invStd[j] / m)
-		mF, sumDyF, sumDyXhatF := F(m), F(sumDy), F(sumDyXhat)
-		for i := 0; i < n; i++ {
-			dxd[i*d+j] = scale * (mF*gradd[i*d+j] - sumDyF - xhd[i*d+j]*sumDyXhatF)
-		}
-	}
-}
-
-// Params returns gamma and beta.
-func (bn *BatchNorm1D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
-
-func (bn *BatchNorm1D) release() {
-	bn.out.release()
-	putBack(&bn.xhat, &bn.dx)
-}
-
-// Buffers returns the running statistics, the layer's non-trainable state.
-func (bn *BatchNorm1D) Buffers() [][]float64 {
-	return [][]float64{bn.RunningMean, bn.RunningVar}
-}

@@ -1,8 +1,7 @@
-// Package opt implements the first-order optimizers used by the
-// reproduction: SGD with momentum/weight decay and Adam. Optimizers keep
-// their state in the order of the parameter list they step, so a single
-// optimizer instance must stay paired with one parameter list for its
-// lifetime.
+// Package opt implements the optimizer every client of the reproduction
+// trains under: Adam. It keeps its state in the order of the parameter list
+// it steps, so a single optimizer instance must stay paired with one
+// parameter list for its lifetime.
 //
 // The moments are one slab in the model dtype (they are touched once per
 // element per step, exactly like the parameters), a block per parameter
@@ -119,164 +118,16 @@ func (l Live) Recycle() {
 	tensor.PutStorage(l.F32)
 }
 
-// moments is an optimizer's moment slab, laid out as Live's, with the state
-// methods both optimizers share, each passing its counters and kinds of
-// moment. An adopted float64 slab narrows lazily for a float32 model.
-type moments struct {
-	f64   []float64
-	f32   []float32
-	sizes []int
-}
-
-// adopt copies l's counters into ints and takes ownership of its slab.
-func (m *moments) adopt(l Live, ints []int64, kinds int) error {
-	if err := m.fits(l, len(ints), kinds); err != nil {
-		return err
-	}
-	copy(ints, l.Ints)
-	m.f64, m.f32, m.sizes = l.F64, l.F32, l.Sizes
-	return nil
-}
-
-// fits reports why l cannot be adopted: it carries another number of
-// counters, or a moment slab that is neither empty (not stepped yet) nor
-// kinds blocks of l.Sizes.
-func (m *moments) fits(l Live, ints, kinds int) error {
-	n := 0
-	for _, size := range l.Sizes {
-		n += size
-	}
-	switch slab := len(l.F64) + len(l.F32); {
-	case len(l.Ints) != ints:
-		return fmt.Errorf("opt: state carries %d ints, want %d", len(l.Ints), ints)
-	case l.F64 != nil && l.F32 != nil:
-		return fmt.Errorf("opt: state carries float64 and float32 moments")
-	case slab != 0 && slab != kinds*n:
-		return fmt.Errorf("opt: state carries %d moments, want %d per value of %d", slab, kinds, n)
-	}
-	return nil
-}
-
-// setState restores a snapshot captured by State: its vectors, one per
-// parameter per kind, lie end to end in the slab.
-func (m *moments) setState(st State, ints []int64, kinds int) error {
-	per := len(st.Vecs) / max(kinds, 1)
-	if per*kinds != len(st.Vecs) {
-		return fmt.Errorf("opt: state carries %d moment vectors, not %d per parameter", len(st.Vecs), kinds)
-	}
-	sizes := make([]int, per)
-	for i := range sizes {
-		sizes[i] = len(st.Vecs[i])
-	}
-	return m.adopt(LiveOf(slices.Clone(st.Ints), slices.Concat(st.Vecs...), sizes, false), ints, kinds)
-}
-
-// ensure sizes the state for the parameter list in its dtype — a zero pool
-// slab of kinds blocks on the first Step — or migrates an adopted float64
-// slab onto the f32 path when the model turns out to be float32 (narrowing
-// f32-exact values is lossless).
-func (m *moments) ensure(params []*nn.Param, kinds int) {
-	f32 := nn.ParamsDType(params).Backing() == tensor.F32
-	switch {
-	case m.f64 == nil && m.f32 == nil:
-		m.sizes = make([]int, len(params))
-		for i, p := range params {
-			m.sizes[i] = p.Value.Size()
-		}
-		if n := kinds * nn.NumParams(params); f32 {
-			m.f32 = tensor.ZeroStorage[float32](n)
-		} else {
-			m.f64 = tensor.ZeroStorage[float64](n)
-		}
-	case f32 && m.f64 != nil: // restored snapshot: narrow it
-		m.f32 = LiveOf(nil, m.f64, nil, true).F32
-		tensor.PutStorage(m.f64)
-		m.f64 = nil
-	case !f32 && m.f32 != nil:
-		panic("opt: float32 optimizer state applied to a float64 model")
-	}
-	if len(m.sizes) != len(params) {
-		// A restored snapshot of a differently shaped model: a diagnostic
-		// here, not an index-out-of-range deep inside the update loop.
-		panic(fmt.Sprintf("opt: restored state has moments for %d parameters, model has %d", len(m.sizes), len(params)))
-	}
-}
-
-// SGD is stochastic gradient descent with optional classical momentum and
-// decoupled L2 weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	moments // the velocity, with momentum
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
-}
-
-// kinds is the number of moments SGD keeps per value: the velocity, with
-// momentum.
-func (s *SGD) kinds() int {
-	if s.Momentum != 0 {
-		return 1
-	}
-	return 0
-}
-
-// The state methods (see Live; Fits reports why Adopt would refuse): SGD
-// keeps no counters, and its velocity slab exists after a momentum Step.
-func (s *SGD) Borrow() Live            { return Live{F64: s.f64, F32: s.f32, Sizes: s.sizes} }
-func (s *SGD) Adopt(l Live) error      { return s.adopt(l, nil, s.kinds()) }
-func (s *SGD) Fits(l Live) error       { return s.fits(l, 0, s.kinds()) }
-func (s *SGD) State() State            { return s.Borrow().State() }
-func (s *SGD) SetState(st State) error { return s.setState(st, nil, s.kinds()) }
-
-// Step applies v ← μv + g + λw; w ← w − η·v.
-func (s *SGD) Step(params []*nn.Param) {
-	if s.Momentum != 0 {
-		s.ensure(params, 1)
-	}
-	off := 0
-	for _, p := range params {
-		if p.Value.DT.Backing() == tensor.F32 {
-			sgdStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), s.f32, off, s.LR, s.Momentum, s.WeightDecay)
-			// BF16 storage invariant: parameters re-narrow after every
-			// mutation so serialized values round-trip exactly. Velocity
-			// stays full float32 — it is optimizer state, not storage.
-			tensor.RoundBF16InPlace(p.Value)
-		} else {
-			sgdStep(p.Value.Data, p.Grad.Data, s.f64, off, s.LR, s.Momentum, s.WeightDecay)
-		}
-		off += p.Value.Size()
-	}
-}
-
-// sgdStep updates block w, which lies at offset off of the velocity slab.
-func sgdStep[F tensor.Float](w, g, vel []F, off int, lr, momentum, weightDecay float64) {
-	lrF, muF, wdF := F(lr), F(momentum), F(weightDecay)
-	if momentum == 0 {
-		for j := range w {
-			w[j] -= lrF * (g[j] + wdF*w[j])
-		}
-		return
-	}
-	v := vel[off : off+len(w)]
-	for j := range w {
-		gj := g[j] + wdF*w[j]
-		v[j] = muF*v[j] + gj
-		w[j] -= lrF * v[j]
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction. Its
+// moment slab is laid out as Live's: every m, then every v. An adopted
+// float64 slab narrows lazily for a float32 model.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
-	t       [1]int64 // the step count: an array, so Borrow lends it without allocating
-	moments          // every m, then every v
+	t     [1]int64 // the step count: an array, so Borrow lends it without allocating
+	f64   []float64
+	f32   []float32
+	sizes []int
 }
 
 // NewAdam builds an Adam optimizer with the conventional defaults for any
@@ -285,17 +136,90 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// The state methods (see Live; Fits reports why Adopt would refuse): Adam
-// keeps its step count, and its moment slab exists after a Step.
-func (a *Adam) Borrow() Live            { return Live{Ints: a.t[:], F64: a.f64, F32: a.f32, Sizes: a.sizes} }
-func (a *Adam) Adopt(l Live) error      { return a.adopt(l, a.t[:], 2) }
-func (a *Adam) Fits(l Live) error       { return a.fits(l, 1, 2) }
-func (a *Adam) State() State            { return a.Borrow().State() }
-func (a *Adam) SetState(st State) error { return a.setState(st, a.t[:], 2) }
+// Borrow lends the step count and the moment slab (see Live), which exists
+// after a Step.
+func (a *Adam) Borrow() Live { return Live{Ints: a.t[:], F64: a.f64, F32: a.f32, Sizes: a.sizes} }
+
+// Adopt copies l's step count and takes ownership of its slab.
+func (a *Adam) Adopt(l Live) error {
+	if err := a.Fits(l); err != nil {
+		return err
+	}
+	copy(a.t[:], l.Ints)
+	a.f64, a.f32, a.sizes = l.F64, l.F32, l.Sizes
+	return nil
+}
+
+// Fits reports why l cannot be adopted: it carries another number of
+// counters than the one step count, or a moment slab that is neither empty
+// (not stepped yet) nor two blocks (m and v) of l.Sizes.
+func (a *Adam) Fits(l Live) error {
+	n := 0
+	for _, size := range l.Sizes {
+		n += size
+	}
+	switch slab := len(l.F64) + len(l.F32); {
+	case len(l.Ints) != 1:
+		return fmt.Errorf("opt: state carries %d ints, want 1", len(l.Ints))
+	case l.F64 != nil && l.F32 != nil:
+		return fmt.Errorf("opt: state carries float64 and float32 moments")
+	case slab != 0 && slab != 2*n:
+		return fmt.Errorf("opt: state carries %d moments, want 2 per value of %d", slab, n)
+	}
+	return nil
+}
+
+// State returns a copy of the state that shares nothing with a.
+func (a *Adam) State() State { return a.Borrow().State() }
+
+// SetState restores a snapshot captured by State: its vectors, every m
+// then every v, lie end to end in the slab.
+func (a *Adam) SetState(st State) error {
+	per := len(st.Vecs) / 2
+	if 2*per != len(st.Vecs) {
+		return fmt.Errorf("opt: state carries %d moment vectors, not 2 per parameter", len(st.Vecs))
+	}
+	sizes := make([]int, per)
+	for i := range sizes {
+		sizes[i] = len(st.Vecs[i])
+	}
+	return a.Adopt(LiveOf(slices.Clone(st.Ints), slices.Concat(st.Vecs...), sizes, false))
+}
+
+// ensure sizes the state for the parameter list in its dtype — a zero pool
+// slab of m and v blocks on the first Step — or migrates an adopted float64
+// slab onto the f32 path when the model turns out to be float32 (narrowing
+// f32-exact values is lossless).
+func (a *Adam) ensure(params []*nn.Param) {
+	f32 := nn.ParamsDType(params).Backing() == tensor.F32
+	switch {
+	case a.f64 == nil && a.f32 == nil:
+		a.sizes = make([]int, len(params))
+		for i, p := range params {
+			a.sizes[i] = p.Value.Size()
+		}
+		if n := 2 * nn.NumParams(params); f32 {
+			a.f32 = tensor.ZeroStorage[float32](n)
+		} else {
+			a.f64 = tensor.ZeroStorage[float64](n)
+		}
+	case f32 && a.f64 != nil: // restored snapshot: narrow it
+		a.f32 = LiveOf(nil, a.f64, nil, true).F32
+		tensor.PutStorage(a.f64)
+		a.f64 = nil
+	case !f32 && a.f32 != nil:
+		panic("opt: float32 optimizer state applied to a float64 model")
+	}
+	if len(a.sizes) != len(params) {
+		// A restored snapshot of a differently shaped model: a diagnostic
+		// here, not an index-out-of-range deep inside the update loop.
+		panic(fmt.Sprintf("opt: restored state has moments for %d parameters, model has %d", len(a.sizes), len(params)))
+	}
+}
 
 // Step applies one bias-corrected Adam update.
 func (a *Adam) Step(params []*nn.Param) {
-	a.ensure(params, 2)
+	a.ensure(params)
 	a.t[0]++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t[0]))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t[0]))
@@ -303,7 +227,9 @@ func (a *Adam) Step(params []*nn.Param) {
 	for _, p := range params {
 		if a.f32 != nil {
 			adamStep(tensor.Of[float32](p.Value), tensor.Of[float32](p.Grad), a.f32, off, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
-			// BF16 storage invariant (see SGD.Step): moments stay float32.
+			// BF16 storage invariant: parameters re-narrow after every
+			// mutation so serialized values round-trip exactly. The moments
+			// stay full float32 — they are optimizer state, not storage.
 			tensor.RoundBF16InPlace(p.Value)
 		} else {
 			adamStep(p.Value.Data, p.Grad.Data, a.f64, off, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)

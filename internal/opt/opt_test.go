@@ -46,33 +46,8 @@ func converges(t *testing.T, o Optimizer, steps int, tol float64) {
 	}
 }
 
-func TestSGDConverges(t *testing.T) {
-	converges(t, NewSGD(0.05, 0, 0), 200, 1e-4)
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	converges(t, NewSGD(0.02, 0.9, 0), 200, 1e-4)
-}
-
 func TestAdamConverges(t *testing.T) {
 	converges(t, NewAdam(0.1), 300, 1e-3)
-}
-
-func TestSGDStepDirection(t *testing.T) {
-	p := &nn.Param{Name: "w", Value: tensor.FromSlice([]float64{1}, 1), Grad: tensor.FromSlice([]float64{2}, 1)}
-	NewSGD(0.5, 0, 0).Step([]*nn.Param{p})
-	if p.Value.Data[0] != 0 {
-		t.Fatalf("w = %v, want 1 - 0.5·2 = 0", p.Value.Data[0])
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := &nn.Param{Name: "w", Value: tensor.FromSlice([]float64{10}, 1), Grad: tensor.New(1)}
-	NewSGD(0.1, 0, 0.5).Step([]*nn.Param{p})
-	// w ← w − lr·λ·w = 10 − 0.1·0.5·10 = 9.5
-	if math.Abs(p.Value.Data[0]-9.5) > 1e-12 {
-		t.Fatalf("w = %v, want 9.5", p.Value.Data[0])
-	}
 }
 
 func TestAdamFirstStepIsLRSized(t *testing.T) {
@@ -88,14 +63,14 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 }
 
 func TestOptimizerStatePerParameter(t *testing.T) {
-	// Momentum must be tracked per parameter, not shared.
+	// Moments must be tracked per parameter, not shared.
 	a := &nn.Param{Name: "a", Value: tensor.New(1), Grad: tensor.FromSlice([]float64{1}, 1)}
 	b := &nn.Param{Name: "b", Value: tensor.New(1), Grad: tensor.FromSlice([]float64{-1}, 1)}
-	o := NewSGD(0.1, 0.9, 0)
+	o := NewAdam(0.1)
 	o.Step([]*nn.Param{a, b})
 	o.Step([]*nn.Param{a, b})
 	if a.Value.Data[0] >= 0 || b.Value.Data[0] <= 0 {
-		t.Fatalf("momentum mixed across params: a=%v b=%v", a.Value.Data[0], b.Value.Data[0])
+		t.Fatalf("moments mixed across params: a=%v b=%v", a.Value.Data[0], b.Value.Data[0])
 	}
 	if math.Abs(a.Value.Data[0]+b.Value.Data[0]) > 1e-12 {
 		t.Fatalf("symmetric problem should stay symmetric: a=%v b=%v", a.Value.Data[0], b.Value.Data[0])
@@ -178,50 +153,34 @@ func TestBorrowAdoptAliasStateCopies(t *testing.T) {
 	if err := b.Adopt(Live{Ints: []int64{1}, F64: slab, Sizes: []int{3}}); err == nil {
 		t.Fatal("Adam adopted a slab longer than its blocks")
 	}
-	if err := NewSGD(0.1, 0.9, 0).Adopt(Live{Ints: []int64{1}}); err == nil {
-		t.Fatal("SGD adopted a step counter")
+	if err := b.Adopt(Live{F64: slab, Sizes: []int{4}}); err == nil {
+		t.Fatal("Adam adopted a state without its step count")
 	}
 }
 
-// SGD and Adam are exported structs, so they step and lend their state when
-// built as literals or when Momentum changes after NewSGD, exactly as the
-// constructors' instances do: the moment layout follows the
-// hyperparameters at each call, not the constructor.
+// Adam is an exported struct, so it steps and lends its state when built as
+// a literal exactly as the constructor's instance does.
 func TestOptimizerLiteralsMatchConstructors(t *testing.T) {
-	lateMomentum := NewSGD(0.05, 0, 0)
-	lateMomentum.Momentum = 0.9
-	for _, tc := range []struct {
-		name      string
-		got, want interface {
-			Optimizer
-			Borrow() Live
+	got, want := &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, NewAdam(0.1)
+	var vals [2][]float64
+	for i, o := range []Optimizer{got, want} {
+		p, target := quadParams(rand.New(rand.NewSource(5)), 6)
+		for range 3 {
+			lossAndGrad(p, target)
+			o.Step([]*nn.Param{p})
 		}
-		ints, kinds int
-	}{
-		{"Adam literal", &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}, NewAdam(0.1), 1, 2},
-		{"SGD momentum set after NewSGD", lateMomentum, NewSGD(0.05, 0.9, 0), 0, 1},
-		{"SGD literal", &SGD{LR: 0.05, Momentum: 0.9}, NewSGD(0.05, 0.9, 0), 0, 1},
-	} {
-		var vals [2][]float64
-		for i, o := range []Optimizer{tc.got, tc.want} {
-			p, target := quadParams(rand.New(rand.NewSource(5)), 6)
-			for range 3 {
-				lossAndGrad(p, target)
-				o.Step([]*nn.Param{p})
-			}
-			vals[i] = p.Value.Data
+		vals[i] = p.Value.Data
+	}
+	for j := range vals[0] {
+		if vals[0][j] != vals[1][j] {
+			t.Fatalf("value %d is %v, the constructor's instance reaches %v", j, vals[0][j], vals[1][j])
 		}
-		for j := range vals[0] {
-			if vals[0][j] != vals[1][j] {
-				t.Fatalf("%s: value %d is %v, the constructor's instance reaches %v", tc.name, j, vals[0][j], vals[1][j])
-			}
-		}
-		live := tc.got.Borrow()
-		if len(live.Ints) != tc.ints || len(live.F64) != tc.kinds*6 {
-			t.Fatalf("%s: lends %d ints and %d moments, want %d and %d", tc.name, len(live.Ints), len(live.F64), tc.ints, tc.kinds*6)
-		}
-		if tc.ints == 1 && live.Ints[0] != 3 {
-			t.Fatalf("%s: lends step count %d after 3 steps", tc.name, live.Ints[0])
-		}
+	}
+	live := got.Borrow()
+	if len(live.Ints) != 1 || len(live.F64) != 2*6 {
+		t.Fatalf("lends %d ints and %d moments, want 1 and %d", len(live.Ints), len(live.F64), 2*6)
+	}
+	if live.Ints[0] != 3 {
+		t.Fatalf("lends step count %d after 3 steps", live.Ints[0])
 	}
 }

@@ -164,18 +164,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Reshape returns a tensor sharing t's data with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != t.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (size %d) to %v", t.Shape, t.Size(), shape))
-	}
-	return &Tensor{Data: t.Data, F32: t.F32, DT: t.DT, Shape: append([]int(nil), shape...)}
-}
-
 // ViewInto retargets view at elements [lo, hi) of src's storage with the
 // given shape (whose product must be hi-lo), sharing src's dtype and
 // backing. It allocates nothing and is the building block for the cached
@@ -771,11 +759,6 @@ func normalizeRowsK[F Float](d []F, r, c int, eps float64) []float64 {
 		}
 	}
 	return norms
-}
-
-// LogSumExpRow returns log Σ_j exp(row_j) computed stably.
-func LogSumExpRow(row []float64) float64 {
-	return float64(LogSumExpOf(row))
 }
 
 // LogSumExpOf is the dtype-generic stable log-sum-exp: the max is found in
