@@ -36,6 +36,11 @@
 //
 // The client section is [#clients u64], then per client [id u64][record
 // length u64][fl.ClientRecord at the bulk codec], whose fields fl reads.
+//
+// The body decodes through comm.Reader, as wire messages and client records
+// do; its bounding rule (internal/comm reader.go, DESIGN §8 "One reader")
+// makes a corrupt or hostile count an error, never an allocation of the
+// size it claims.
 package ckpt
 
 import (
@@ -70,10 +75,6 @@ const magic = "FEDCKPT1"
 // drops the ledger's per-client byte totals — the ledger keeps only its
 // round history, whose sums are the run's totals.
 const Version = 8
-
-// Every decoded collection length is bounded by the bytes remaining in the
-// buffer (each element encodes at least one byte), so a corrupt or hostile
-// length field fails cleanly instead of attempting a huge allocation.
 
 // frame tags label the comm frames inside a checkpoint, one per field, so
 // a decoder desync surfaces as a tag mismatch instead of silent garbage.
@@ -229,165 +230,171 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 
 // Unmarshal parses a checkpoint produced by Marshal (any codec).
 func Unmarshal(b []byte) (*fl.Snapshot, error) {
-	d := &decoder{b: b}
 	if len(b) < len(magic)+12 {
 		return nil, fmt.Errorf("ckpt: %d bytes is shorter than the header", len(b))
 	}
-	if string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("ckpt: bad magic %q", b[:len(magic)])
+	d := comm.NewReader(b, "ckpt")
+	if m := d.Take(len(magic)); string(m) != magic {
+		return nil, fmt.Errorf("ckpt: bad magic %q", m)
 	}
-	d.off = len(magic)
-	if v := d.u32(); v != Version {
+	if v := d.U32(); v != Version {
 		return nil, fmt.Errorf("ckpt: format version %d, this build reads %d", v, Version)
 	}
-	if codec := d.u32(); codec > math.MaxUint8 || !comm.Codec(codec).Dense() {
+	if codec := d.U32(); codec > math.MaxUint8 || !comm.Codec(codec).Dense() {
 		return nil, fmt.Errorf("ckpt: unknown bulk codec %d", codec)
 	}
-	dtype := tensor.DType(d.u32())
+	dtype := tensor.DType(d.U32())
 	if !dtype.Valid() {
 		return nil, fmt.Errorf("ckpt: unknown model dtype %d", uint8(dtype))
 	}
 
 	snap := &fl.Snapshot{DType: dtype}
-	snap.Kind = fl.SchedulerKind(d.u64())
-	snap.Round = int(d.u64())
-	snap.Now = d.f64()
-	snap.Seq = int(d.u64())
-	snap.Applied = int(d.u64())
-	snap.Rng = d.u64()
-	snap.EvalRng = d.u64()
-	snap.FleetSize = int(d.u64())
-	snap.NodeFree = d.vec(tagNodeFree)
-	nIdle := d.count()
-	snap.Idle = make([]bool, nIdle)
+	snap.Kind = fl.SchedulerKind(d.U64())
+	snap.Round = int(d.U64())
+	snap.Now = d.F64()
+	snap.Seq = int(d.U64())
+	snap.Applied = int(d.U64())
+	snap.Rng = d.U64()
+	snap.EvalRng = d.U64()
+	snap.FleetSize = int(d.U64())
+	snap.NodeFree = vec(&d, tagNodeFree)
+	snap.Idle = make([]bool, d.Count(1))
 	for i := range snap.Idle {
-		snap.Idle[i] = d.bool()
+		snap.Idle[i] = d.Bool()
 	}
-	snap.Away = d.vec(tagAway)
+	snap.Away = vec(&d, tagAway)
 
-	nFlights := d.count()
-	for i := 0; i < nFlights && d.err == nil; i++ {
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
 		fs := fl.FlightState{
-			Client:  int(d.u64()),
-			Version: int(d.u64()),
-			Seq:     int(d.u64()),
-			VTime:   d.f64(),
+			Client:  int(d.U64()),
+			Version: int(d.U64()),
+			Seq:     int(d.U64()),
+			VTime:   d.F64(),
 		}
-		u := &fl.Update{Client: fs.Client}
-		u.Scale = d.f64()
-		u.UpBytes = d.i64()
-		if d.bool() {
-			nv := d.count()
-			u.Vecs = make([][]float64, nv)
-			for j := range u.Vecs {
-				u.Vecs[j] = d.vec(tagFlightVec)
-			}
-		}
-		if d.bool() {
-			nc := d.count()
-			u.Counts = make([]int, nc)
+		u := &fl.Update{Client: fs.Client, Scale: d.F64(), UpBytes: d.I64()}
+		u.Vecs = vecTable(&d, tagFlightVec)
+		if d.Bool() {
+			u.Counts = make([]int, d.Count(8))
 			for j := range u.Counts {
-				u.Counts[j] = int(d.i64())
+				u.Counts[j] = int(d.I64())
 			}
 		}
 		fs.Update = u
 		snap.Flights = append(snap.Flights, fs)
 	}
 
-	nHist := d.count()
-	for i := 0; i < nHist && d.err == nil; i++ {
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
 		m := fl.RoundMetrics{
-			Round:       int(d.u64()),
-			LocalEpochs: int(d.u64()),
-			MeanAcc:     d.f64(),
-			StdAcc:      d.f64(),
-			SimTime:     d.f64(),
-			UpBytes:     d.i64(),
-			DownBytes:   d.i64(),
+			Round:       int(d.U64()),
+			LocalEpochs: int(d.U64()),
+			MeanAcc:     d.F64(),
+			StdAcc:      d.F64(),
+			SimTime:     d.F64(),
+			UpBytes:     d.I64(),
+			DownBytes:   d.I64(),
 		}
-		m.PerClient = d.vec(tagPerClient)
-		if d.bool() {
-			nIDs := d.count()
-			m.EvalIDs = make([]int, 0, nIDs)
-			for j := 0; j < nIDs && d.err == nil; j++ {
-				m.EvalIDs = append(m.EvalIDs, int(d.i64()))
+		m.PerClient = vec(&d, tagPerClient)
+		if d.Bool() {
+			m.EvalIDs = make([]int, d.Count(8))
+			for j := range m.EvalIDs {
+				m.EvalIDs[j] = int(d.I64())
 			}
 		}
 		snap.History = append(snap.History, m)
 	}
 
-	nTrace := d.count()
-	for i := 0; i < nTrace && d.err == nil; i++ {
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
 		snap.Trace = append(snap.Trace, fl.TraceEvent{
-			Kind:    fl.TraceEventKind(d.u8()),
-			Client:  int(d.i64()),
-			Version: int(d.u64()),
-			Time:    d.f64(),
+			Kind:    fl.TraceEventKind(d.U8()),
+			Client:  int(d.I64()),
+			Version: int(d.U64()),
+			Time:    d.F64(),
 		})
 	}
 
-	snap.Ledger.Current = d.traffic()
-	nRounds := d.count()
-	for i := 0; i < nRounds && d.err == nil; i++ {
-		snap.Ledger.Rounds = append(snap.Ledger.Rounds, d.traffic())
+	snap.Ledger.Current = traffic(&d)
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		snap.Ledger.Rounds = append(snap.Ledger.Rounds, traffic(&d))
 	}
 
-	nClients := d.count()
-	for i := 0; i < nClients && d.err == nil; i++ {
-		snap.Clients = append(snap.Clients, fl.ClientRecord{ID: int(d.u64()), Rec: append([]byte(nil), d.take(d.count())...)})
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		snap.Clients = append(snap.Clients, fl.ClientRecord{ID: int(d.U64()), Rec: append([]byte(nil), d.Frame()...)})
 	}
 	if err := fl.CheckRecords(snap.Clients); err != nil {
-		d.fail("%v", err)
+		d.Failf("%v", err)
 	}
 
-	if d.bool() {
+	if d.Bool() {
 		st := &fl.AlgoState{}
-		nInts := d.count()
-		for j := 0; j < nInts && d.err == nil; j++ {
-			st.Ints = append(st.Ints, d.i64())
+		if n := d.Count(8); n > 0 {
+			st.Ints = make([]int64, n)
+			for j := range st.Ints {
+				st.Ints[j] = d.I64()
+			}
 		}
-		nVecs := d.count()
-		for j := 0; j < nVecs && d.err == nil; j++ {
-			st.Vecs = append(st.Vecs, d.vec(tagAlgoVec))
+		for j := d.Count(1); j > 0 && d.Err() == nil; j-- {
+			st.Vecs = append(st.Vecs, vec(&d, tagAlgoVec))
 		}
 		snap.Algo = st
 	}
 
-	nSessions := d.count()
-	for i := 0; i < nSessions && d.err == nil; i++ {
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
 		snap.Sessions = append(snap.Sessions, fl.SessionState{
-			ID:      int(d.u64()),
-			Token:   d.u64(),
-			Churned: d.bool(),
+			ID:      int(d.U64()),
+			Token:   d.U64(),
+			Churned: d.Bool(),
 		})
 	}
-	nJoins := d.count()
-	for i := 0; i < nJoins && d.err == nil; i++ {
-		j := fl.WireJoin{
-			ID:            int(d.u64()),
-			TrainSize:     int(d.u64()),
-			FeatDim:       int(d.u64()),
-			NumClasses:    int(d.u64()),
-			NumParams:     int(d.u64()),
-			NumClassifier: int(d.u64()),
-		}
-		if d.bool() {
-			nv := d.count()
-			j.Init = make([][]float64, nv)
-			for k := range j.Init {
-				j.Init[k] = d.vec(tagJoinInit)
-			}
-		}
-		snap.Joins = append(snap.Joins, j)
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		snap.Joins = append(snap.Joins, fl.WireJoin{
+			ID:            int(d.U64()),
+			TrainSize:     int(d.U64()),
+			FeatDim:       int(d.U64()),
+			NumClasses:    int(d.U64()),
+			NumParams:     int(d.U64()),
+			NumClassifier: int(d.U64()),
+			Init:          vecTable(&d, tagJoinInit),
+		})
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes", len(d.b)-d.off)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return snap, nil
+}
+
+// vec reads a vector slot: a presence byte and, when it is set, one dense
+// frame with the expected tag. A top-k or delta frame here is a corrupt or
+// foreign file, not something to decode leniently.
+func vec(d *comm.Reader, tag uint32) []float64 {
+	if !d.Bool() {
+		return nil
+	}
+	fr, _, _ := d.DenseFrame(tag)
+	return d.Decode(fr, nil)
+}
+
+// vecTable reads a presence byte and, when it is set, a count of vector
+// slots. The table grows with the slots actually parsed: a slot is one byte
+// on disk but a 24-byte slice header decoded.
+func vecTable(d *comm.Reader, tag uint32) [][]float64 {
+	if !d.Bool() {
+		return nil
+	}
+	vs := [][]float64{}
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		vs = append(vs, vec(d, tag))
+	}
+	return vs
+}
+
+func traffic(d *comm.Reader) comm.RoundTraffic {
+	return comm.RoundTraffic{
+		Round:     int(d.I64()),
+		UpBytes:   d.I64(),
+		DownBytes: d.I64(),
+		Messages:  int(d.I64()),
+	}
 }
 
 // encoder appends the body to buf.
@@ -417,13 +424,11 @@ func (e *encoder) vec(tag uint32, v []float64, lossless bool) {
 		e.buf = append(e.buf, 0)
 		return
 	}
-	e.buf = append(e.buf, 1)
 	codec := e.codec
 	if lossless {
 		codec = comm.F64
 	}
-	e.i64(comm.WireSizeAs(codec, len(v)))
-	e.buf = comm.MarshalSpecInto(e.buf, comm.Spec{Value: codec}, tag, v, nil)
+	e.buf = comm.AppendFrame(append(e.buf, 1), comm.Spec{Value: codec}, tag, v, nil)
 }
 
 func (e *encoder) traffic(t comm.RoundTraffic) {
@@ -431,109 +436,4 @@ func (e *encoder) traffic(t comm.RoundTraffic) {
 	e.i64(t.UpBytes)
 	e.i64(t.DownBytes)
 	e.i64(int64(t.Messages))
-}
-
-// decoder walks the body, latching the first error.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("ckpt: "+format, args...)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated at byte %d (want %d more)", d.off, n)
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a collection length and bounds it by the remaining bytes:
-// every encoded element occupies at least one byte, so any larger count is
-// corrupt and must not reach an allocation.
-func (d *decoder) count() int {
-	v := d.u64()
-	if v > uint64(len(d.b)-d.off) {
-		d.fail("count %d exceeds the %d remaining bytes", v, len(d.b)-d.off)
-		return 0
-	}
-	return int(v)
-}
-
-// vec reads a presence byte and, when present, one comm frame with the
-// expected tag.
-func (d *decoder) vec(tag uint32) []float64 {
-	if !d.bool() {
-		return nil
-	}
-	n := d.count()
-	frame := d.take(n)
-	if frame == nil {
-		return nil
-	}
-	// Checkpoints hold dense frames only: a top-k or delta frame here is a
-	// corrupt or foreign file, not something to decode leniently.
-	if c, _, _, err := comm.FrameInfo(frame); err == nil && !c.Dense() {
-		d.fail("frame for tag %d is a %s frame, checkpoints hold dense frames only", tag, c)
-		return nil
-	}
-	kind, payload, err := comm.DecodeSpec(nil, frame, nil)
-	if err != nil {
-		d.fail("frame for tag %d: %v", tag, err)
-		return nil
-	}
-	if kind != tag {
-		d.fail("frame tag %d where %d was expected", kind, tag)
-		return nil
-	}
-	return payload
-}
-
-func (d *decoder) traffic() comm.RoundTraffic {
-	return comm.RoundTraffic{
-		Round:     int(d.i64()),
-		UpBytes:   d.i64(),
-		DownBytes: d.i64(),
-		Messages:  int(d.i64()),
-	}
 }

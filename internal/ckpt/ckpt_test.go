@@ -6,10 +6,12 @@ package ckpt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -597,5 +599,70 @@ func TestResumeValidation(t *testing.T) {
 	bad2.Resume = snap
 	if _, err := fl.NewSimulation(fleet(t, 3), cfg).RunScheduled(baselines.NewFedAvg(1), bad2); err == nil {
 		t.Fatal("resuming with a different fleet size must fail")
+	}
+}
+
+// A forged collection count must not reach an allocation: Unmarshal of a
+// valid checkpoint with one count raised to every byte left in the file
+// must allocate at most a few times the file's size before it fails. A
+// vector table costs 24 bytes of slice header per slot against one
+// presence byte on disk, and a word list 8 bytes per element, so a decoder
+// that sized either from the declared count would allocate 8 to 24 times
+// the file here.
+func TestUnmarshalAllocsBoundedByInput(t *testing.T) {
+	var blob []byte
+	sched := schedFor(fl.SchedAsyncBounded)
+	sched.Checkpoint = func(snap *fl.Snapshot) error {
+		var err error
+		blob, err = ckpt.Marshal(snap, comm.F64)
+		return err
+	}
+	sim := fl.NewSimulation(fleet(t, 4), fl.Config{Rounds: 1, BatchSize: 8, Seed: 3})
+	if _, err := sim.RunScheduled(baselines.NewFedProto(1, 1.0), sched); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ckpt.Unmarshal(blob)
+	if err != nil || len(snap.Flights) == 0 || snap.Flights[0].Update.Counts == nil {
+		t.Fatalf("checkpoint holds no flight with counts (err %v)", err)
+	}
+	// The first flight's vector table sits behind the 20-byte header, eight
+	// scalar words, the NodeFree vector, the Idle flags, the Away vector,
+	// the flight count and the flight's six words; its word list follows
+	// the table.
+	slot := func(v []float64) int {
+		if v == nil {
+			return 1
+		}
+		return 1 + 8 + int(comm.WireSizeAs(comm.F64, len(v)))
+	}
+	u := snap.Flights[0].Update
+	vecsAt := 20 + 8*8 + slot(snap.NodeFree) + 8 + len(snap.Idle) + slot(snap.Away) + 8 + 6*8 + 1
+	countsAt := vecsAt + 8 + 1
+	for _, v := range u.Vecs {
+		countsAt += slot(v)
+	}
+	for _, c := range []struct {
+		name    string
+		at, was int
+	}{
+		{"vector table", vecsAt, len(u.Vecs)},
+		{"word list", countsAt, len(u.Counts)},
+	} {
+		if got := binary.LittleEndian.Uint64(blob[c.at:]); got != uint64(c.was) {
+			t.Fatalf("%s: checkpoint layout moved: count %d where %d belongs", c.name, got, c.was)
+		}
+		forged := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(forged[c.at:], uint64(len(forged)-c.at-8))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ckpt.Unmarshal(forged)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: forged count decoded", c.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(forged)) {
+			t.Fatalf("%s: a forged count in a %d-byte checkpoint allocated %d bytes (%.1fx)",
+				c.name, len(forged), alloc, float64(alloc)/float64(len(forged)))
+		}
 	}
 }

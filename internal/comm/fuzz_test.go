@@ -52,6 +52,7 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		readerAgrees(t, b)
 		var ref *DeltaRef
 		if len(b) >= headerSize+deltaOverhead {
 			word := binary.LittleEndian.Uint64(b[4:])
@@ -92,6 +93,32 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readerAgrees checks the Reader's dense path against DecodeSpec on one
+// frame: read back behind its length, the frame passes DenseFrame and
+// Decode exactly when it is a dense frame DecodeSpec accepts, decodes to
+// the same bits, and leaves nothing unread.
+func readerAgrees(t *testing.T, b []byte) {
+	var kind uint32
+	if len(b) >= 4 {
+		kind = binary.LittleEndian.Uint32(b)
+	}
+	r := NewReader(append(binary.LittleEndian.AppendUint64(nil, uint64(len(b))), b...), "fuzz")
+	fr, _, _ := r.DenseFrame(kind)
+	got := r.Decode(fr, nil)
+	c, _, _, _ := FrameInfo(b)
+	_, want, err := DecodeSpec(nil, b, nil)
+	if accepted := r.End() == nil; accepted != (err == nil && c.Dense()) {
+		t.Fatalf("reader accepted %v, DecodeSpec error %v on a %s frame", accepted, err, c)
+	} else if !accepted {
+		return
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("reader decoded elem %d as %v, DecodeSpec as %v", i, got[i], want[i])
+		}
+	}
 }
 
 // sparseSeeds builds well-formed and corrupt TOPK/DELTA frames for the fuzz

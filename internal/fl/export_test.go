@@ -3,7 +3,7 @@ package fl
 // IsStopFrame lets the external test package recognize the goodbye on the
 // wire without exporting the envelope.
 func IsStopFrame(frame []byte) bool {
-	m, err := decodeMsg(frame)
+	m, err := decodeMsg(frame, nil)
 	return err == nil && m.kind == msgStop
 }
 

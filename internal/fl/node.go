@@ -490,7 +490,7 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	u := &Update{
 		Client:  sess.id,
 		Version: int(m.a),
-		Scale:   bitsF64(m.b),
+		Scale:   math.Float64frombits(m.b),
 		Vecs:    m.vecs,
 		Counts:  m.counts,
 	}
@@ -788,7 +788,7 @@ func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
 			r.evalPer[id] = acc
 		}
 	} else {
-		r.evalPer[sess.id] = bitsF64(m.b)
+		r.evalPer[sess.id] = math.Float64frombits(m.b)
 	}
 	sess.pendingEval = nil
 	r.pt.eval.resolve(sess.id)

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -391,7 +392,7 @@ func (g *aggRun) handleChild(ev inbound) {
 		if !g.pt.answered(s, m.a) || !g.pt.expects(&g.pt.round, s) {
 			break
 		}
-		scale := bitsF64(m.b)
+		scale := math.Float64frombits(m.b)
 		g.updates[s.id] = &Update{
 			Client:  s.id,
 			Version: int(m.a),

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/nn"
 	"repro/internal/transport"
@@ -159,7 +160,7 @@ func (cr *clientRun) join() {
 	}
 	// Sent once per connection, and as large as the init payload: a frame of
 	// its own, so the uplink's upload frame is sized by an upload.
-	cr.up.send(encodeMsg(join, cr.up.wc))
+	cr.up.send(appendMsg(nil, join, cr.up.wc))
 }
 
 // handle processes one server message the uplink passed through and reports
@@ -232,7 +233,7 @@ func (cr *clientRun) finishTraining(res trainResult) {
 		cr.fatal = fmt.Errorf("fl: client %d local round: %w", cr.c.ID, res.err)
 		return
 	}
-	up := &wireMsg{kind: msgUpdate, a: res.version, b: f64bits(res.u.Scale), vecs: res.u.Vecs, counts: res.u.Counts}
+	up := &wireMsg{kind: msgUpdate, a: res.version, b: math.Float64bits(res.u.Scale), vecs: res.u.Vecs, counts: res.u.Counts}
 	cr.lastUpdate, cr.lastVersion, cr.haveLast = up, res.version, true
 	cr.up.sendMsg(up)
 	if nd := cr.nextDispatch; nd != nil {
@@ -245,5 +246,5 @@ func (cr *clientRun) finishTraining(res trainResult) {
 }
 
 func (cr *clientRun) sendEval(m *wireMsg) {
-	cr.up.sendMsg(&wireMsg{kind: msgEvalRes, a: m.a, b: f64bits(cr.c.EvalAccuracy())})
+	cr.up.sendMsg(&wireMsg{kind: msgEvalRes, a: m.a, b: math.Float64bits(cr.c.EvalAccuracy())})
 }

@@ -366,7 +366,7 @@ func (pt *PeerTable) greet(conn transport.Conn) {
 	if err == nil {
 		conn.SetReadDeadline(time.Time{})
 		var m *wireMsg
-		if m, err = decodeMsg(frame); err == nil {
+		if m, err = decodeMsg(frame, nil); err == nil {
 			ac.name = m.name
 			ac.id, ac.decls, ac.bad = pt.readJoin(m)
 		}
@@ -412,7 +412,7 @@ func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 			deliver(inbound{id: id, gen: gen, err: err})
 			return
 		}
-		m, err := decodeMsgWc(frame, wc)
+		m, err := decodeMsg(frame, wc)
 		if err != nil {
 			deliver(inbound{id: id, gen: gen, err: err})
 			return
@@ -449,7 +449,7 @@ func (pt *PeerTable) findToken(token uint64) *peerSession {
 
 // refuse rejects a connection with an explanatory error message.
 func (pt *PeerTable) refuse(conn transport.Conn, format string, args ...any) {
-	conn.Send(encodeMsg(&wireMsg{kind: msgErr, name: fmt.Sprintf(format, args...)}, nil))
+	conn.Send(appendMsg(nil, &wireMsg{kind: msgErr, name: fmt.Sprintf(format, args...)}, nil))
 	conn.Close()
 }
 
@@ -813,7 +813,7 @@ func (pt *PeerTable) beginStop() {
 		return
 	}
 	pt.stopping = true
-	pt.stopFrame = encodeMsg(&wireMsg{kind: msgStop}, pt.wc)
+	pt.stopFrame = appendMsg(nil, &wireMsg{kind: msgStop}, pt.wc)
 	for _, s := range pt.sessions {
 		if !s.churned {
 			s.stopSent = pt.send(s, pt.stopFrame)

@@ -3,7 +3,6 @@ package fl
 import (
 	"container/list"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -282,17 +281,17 @@ func (sb *spillBuf) encodeClient(r *resident) error {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	if vals, _ := nn.Flat(r.params); vals.DT == tensor.F64 {
-		b = appendFrame(b, comm.F64, recParams, vals.Data) // where it lies
+		b = comm.AppendFrame(b, comm.Spec{}, recParams, vals.Data, nil) // where it lies
 	} else {
 		sb.vec = vals.AppendFloat64s(sb.vec[:0])
-		b = appendFrame(b, comm.F64, recParams, sb.vec)
+		b = comm.AppendFrame(b, comm.Spec{}, recParams, sb.vec, nil)
 	}
 	sb.vec = nn.AppendFlatBuffers(sb.vec[:0], r.bufs)
-	b = appendFrame(b, comm.F64, recBuffers, sb.vec)
+	b = comm.AppendFrame(b, comm.Spec{}, recBuffers, sb.vec, nil)
 	for _, v := range vecs {
-		b = appendFrame(b, comm.F64, recMoment, v)
+		b = comm.AppendFrame(b, comm.Spec{}, recMoment, v, nil)
 	}
-	live.Blocks(&sb.vec, func(v []float64) { b = appendFrame(b, comm.F64, recMoment, v) })
+	live.Blocks(&sb.vec, func(v []float64) { b = comm.AppendFrame(b, comm.Spec{}, recMoment, v, nil) })
 	sb.rec = b
 	return nil
 }
@@ -522,7 +521,8 @@ func (s *segment) close() {
 //	[rng u64] [#ints u64] [ints i64…] [params] [buffers] [moment]…
 //
 // where each bracketed vector is a u64 byte length, then a dense comm frame
-// (lossless f64 when spilled) whose kind tag is one of the rec* constants.
+// (lossless f64 when spilled) whose kind tag is one of the rec* constants:
+// written by comm.AppendFrame, read back through comm.Reader.DenseFrame.
 // The moments run to the end, a frame per parameter per kind of moment: the
 // optimizer's slab in blocks. The checkpoint's client section is these
 // records.
@@ -540,31 +540,26 @@ type spillBuf struct {
 	vec []float64
 }
 
-func appendFrame(b []byte, c comm.Codec, kind uint32, v []float64) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(comm.WireSizeAs(c, len(v))))
-	return comm.MarshalSpecInto(b, comm.Spec{Value: c}, kind, v, nil)
-}
-
 // AppendRecord appends the client record rec to dst with every vector frame
 // at the dense codec c: a frame already at c is copied byte for byte, any
 // other decoded and framed again at c. Checkpoints write clients through it.
 func AppendRecord(dst, rec []byte, c comm.Codec) ([]byte, error) {
-	r := recReader{b: rec}
-	r.header()
-	dst = append(dst, rec[:len(rec)-len(r.b)]...)
+	r := comm.NewReader(rec, "client record")
+	recHeader(&r)
+	dst = append(dst, rec[:len(rec)-r.Len()]...)
 	var v []float64
-	for kind := recParams; r.err == nil && (kind <= recBuffers || len(r.b) > 0); kind = min(kind+1, recMoment) {
-		switch fr, fc, _ := r.next(kind); {
-		case r.err != nil:
+	for kind := recParams; r.Err() == nil && (kind <= recBuffers || r.Len() > 0); kind = min(kind+1, recMoment) {
+		switch fr, fc, _ := r.DenseFrame(kind); {
+		case r.Err() != nil:
 		case fc == c:
 			dst = append(binary.LittleEndian.AppendUint64(dst, uint64(len(fr))), fr...)
 		default:
-			if v = r.decode(fr, v[:0]); r.err == nil {
-				dst = appendFrame(dst, c, kind, v)
+			if v = r.Decode(fr, v[:0]); r.Err() == nil {
+				dst = comm.AppendFrame(dst, comm.Spec{Value: c}, kind, v, nil)
 			}
 		}
 	}
-	return dst, r.err
+	return dst, r.Err()
 }
 
 // read fills sb.rec with the record at sp.
@@ -577,77 +572,16 @@ func (sb *spillBuf) read(f *os.File, sp span) error {
 	return err
 }
 
-// recReader walks a record, latching the first error.
-type recReader struct {
-	b   []byte
-	err error
-}
-
-var errTruncated = errors.New("client record is truncated")
-
-func (r *recReader) take(n uint64) []byte {
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.err = errTruncated
-	}
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *recReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// header reads the RNG position and the optimizer ints.
-func (r *recReader) header() (rng uint64, ints []int64) {
-	rng = r.u64()
-	if n := r.u64(); n > uint64(len(r.b))/8 {
-		r.err = errTruncated
-	} else {
-		for b := r.take(8 * n); len(b) > 0; b = b[8:] {
-			ints = append(ints, int64(binary.LittleEndian.Uint64(b)))
+// recHeader reads a record's RNG position and optimizer ints.
+func recHeader(r *comm.Reader) (rng uint64, ints []int64) {
+	rng = r.U64()
+	if n := r.Count(8); n > 0 {
+		ints = make([]int64, n)
+		for i := range ints {
+			ints[i] = r.I64()
 		}
 	}
 	return rng, ints
-}
-
-// next returns the next vector frame, which must carry the given kind tag
-// and be dense and exactly as long as its element count says (so that
-// count bounds what decoding it allocates), its codec and that count.
-func (r *recReader) next(kind uint32) ([]byte, comm.Codec, int) {
-	fr := r.take(r.u64())
-	if r.err != nil {
-		return nil, 0, 0
-	}
-	c, k, n, err := comm.FrameInfo(fr)
-	switch {
-	case err != nil:
-	case k != kind:
-		err = fmt.Errorf("client record has a frame of kind %d where %d belongs", k, kind)
-	case !c.Dense() || int64(len(fr)) != comm.WireSizeAs(c, n):
-		err = fmt.Errorf("client record has a %s frame of %d bytes claiming %d values", c, len(fr), n)
-	}
-	if r.err = err; err != nil {
-		return nil, 0, 0
-	}
-	return fr, c, n
-}
-
-// decode decodes frame fr into scratch's capacity, or into a fresh vector
-// when that is short.
-func (r *recReader) decode(fr []byte, scratch []float64) []float64 {
-	if r.err != nil {
-		return scratch
-	}
-	_, v, err := comm.DecodeSpec(scratch, fr, nil)
-	r.err = err
-	return v
 }
 
 // decode parses rec and checks it against a model with the given
@@ -657,34 +591,38 @@ func (r *recReader) decode(fr []byte, scratch []float64) []float64 {
 // into its value slab. It returns the RNG position and the optimizer state,
 // whose moment slab is sb's scratch: valid until sb is next used.
 func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, into bool) (rng uint64, live opt.Live, err error) {
-	r := recReader{b: rec}
-	rng, live.Ints = r.header()
+	r := comm.NewReader(rec, "client record")
+	rng, live.Ints = recHeader(&r)
 	model, total := params != nil, nn.NumParams(params)
-	if fr, _, n := r.next(recParams); model && r.err == nil && n != total {
+	if fr, _, n := r.DenseFrame(recParams); model && r.Err() == nil && n != total {
 		return rng, live, fmt.Errorf("parameters: checkpoint has %d values, model has %d", n, total)
 	} else if vals, _ := nn.Flat(params); into && vals.DT == tensor.F64 {
-		r.decode(fr, vals.Data[:0])
-	} else if sb.vec = r.decode(fr, sb.vec[:0]); into && r.err == nil {
-		r.err = nn.SetFlatParams(params, sb.vec)
+		r.Decode(fr, vals.Data[:0])
+	} else if sb.vec = r.Decode(fr, sb.vec[:0]); into && r.Err() == nil {
+		if err := nn.SetFlatParams(params, sb.vec); err != nil {
+			return rng, live, fmt.Errorf("parameters: %w", err)
+		}
 	}
-	if fr, _, n := r.next(recBuffers); model && r.err == nil && n != nn.NumBuffered(bufs) {
+	if fr, _, n := r.DenseFrame(recBuffers); model && r.Err() == nil && n != nn.NumBuffered(bufs) {
 		return rng, live, fmt.Errorf("buffers: checkpoint has %d values, model has %d", n, nn.NumBuffered(bufs))
-	} else if sb.vec = r.decode(fr, sb.vec[:0]); into && r.err == nil {
-		r.err = nn.SetFlatBuffers(bufs, sb.vec)
+	} else if sb.vec = r.Decode(fr, sb.vec[:0]); into && r.Err() == nil {
+		if err := nn.SetFlatBuffers(bufs, sb.vec); err != nil {
+			return rng, live, fmt.Errorf("buffers: %w", err)
+		}
 	}
 	// The moment frames, end to end, are the slab.
 	sb.vec = sb.vec[:0]
-	for i := 0; r.err == nil && len(r.b) > 0; i++ {
-		fr, _, n := r.next(recMoment)
-		if model && r.err == nil && (len(params) == 0 || n != params[i%len(params)].Value.Size()) {
+	for i := 0; r.Err() == nil && r.Len() > 0; i++ {
+		fr, _, n := r.DenseFrame(recMoment)
+		if model && r.Err() == nil && (len(params) == 0 || n != params[i%len(params)].Value.Size()) {
 			return rng, live, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", i, n)
 		}
 		sb.vec = slices.Grow(sb.vec, n)
-		sb.vec = sb.vec[:len(sb.vec)+len(r.decode(fr, sb.vec[len(sb.vec):]))]
+		sb.vec = sb.vec[:len(sb.vec)+len(r.Decode(fr, sb.vec[len(sb.vec):]))]
 	}
 	switch {
-	case r.err != nil:
-		return rng, live, fmt.Errorf("record: %w", r.err)
+	case r.Err() != nil:
+		return rng, live, r.Err()
 	case !model || len(sb.vec) == 0:
 	case len(sb.vec)%total != 0:
 		return rng, live, fmt.Errorf("moments: %d values are not a whole number of kinds over %d parameter values", len(sb.vec), total)

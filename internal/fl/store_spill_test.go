@@ -72,19 +72,19 @@ func spillTrained(t *testing.T, st *ClientStore, ids ...int) map[int][]byte {
 // model or optimizer.
 func rewriteRecord(t *testing.T, rec []byte, edit func(vecs [][]float64) [][]float64) []byte {
 	t.Helper()
-	r := recReader{b: rec}
-	r.header()
-	out := append([]byte(nil), rec[:len(rec)-len(r.b)]...)
+	r := comm.NewReader(rec, "client record")
+	recHeader(&r)
+	out := append([]byte(nil), rec[:len(rec)-r.Len()]...)
 	var vecs [][]float64
-	for kind := recParams; r.err == nil && len(r.b) > 0; kind = min(kind+1, recMoment) {
-		fr, _, _ := r.next(kind)
-		vecs = append(vecs, r.decode(fr, nil))
+	for kind := recParams; r.Err() == nil && r.Len() > 0; kind = min(kind+1, recMoment) {
+		fr, _, _ := r.DenseFrame(kind)
+		vecs = append(vecs, r.Decode(fr, nil))
 	}
-	if r.err != nil {
-		t.Fatal(r.err)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	for i, v := range edit(vecs) {
-		out = appendFrame(out, comm.F64, min(recParams+uint32(i), recMoment), v)
+		out = comm.AppendFrame(out, comm.Spec{}, min(recParams+uint32(i), recMoment), v, nil)
 	}
 	return out
 }

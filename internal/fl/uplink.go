@@ -175,7 +175,7 @@ func (u *uplink) pump(gen int, conn transport.Conn) {
 		f := upFrame{gen: gen}
 		var b []byte
 		if b, _, f.err = conn.Recv(); f.err == nil {
-			f.m, f.bad = decodeMsgWc(b, &u.rc)
+			f.m, f.bad = decodeMsg(b, &u.rc)
 		}
 		select {
 		case u.frames <- f:

@@ -2,8 +2,6 @@ package fl
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 
 	"repro/internal/comm"
 )
@@ -32,8 +30,9 @@ import (
 // quantizes uploads and broadcasts exactly as the wire would, because the
 // frame IS the wire.
 //
-// Decoding bounds every collection length by the bytes remaining in the
-// buffer, so corrupt or hostile frames fail cleanly without allocation.
+// A message decodes through comm.Reader, whose bounding rule (comm's
+// reader.go) makes corrupt or hostile frames fail cleanly without
+// allocating for what they claim.
 
 // The message kinds. The base offset keeps them disjoint from the ckpt
 // frame tags, so a checkpoint fed to the message decoder dies loudly.
@@ -114,22 +113,13 @@ type wireMsg struct {
 	vecs   [][]float64
 }
 
-// f64bits / bitsF64 move float64 scalars through the b slot.
-func f64bits(v float64) uint64 { return math.Float64bits(v) }
-func bitsF64(b uint64) float64 { return math.Float64frombits(b) }
-
-// encodeMsg serializes a message into a fresh frame the caller owns — the
-// form for frames encoded once and kept (a join, the stop) and for cold
-// control traffic; everything a round repeats goes through appendMsg.
-func encodeMsg(m *wireMsg, wc *wireCodec) []byte { return appendMsg(nil, m, wc) }
-
 // appendMsg serializes a message after dst[:len(dst)] and returns the
 // extended buffer, framing payload vectors per the connection's wireCodec
 // (nil = plain dense f64). The buffer is the caller's: a role passes the
 // same one back every round (buf = appendMsg(buf[:0], …)) and the frame is
-// valid until it does. Vectors are encoded straight into it — grown once,
-// from MarshalSpecBound, when its capacity is short — with the frame length
-// patched in after the fact.
+// valid until it does; a frame encoded once and kept (a join, the stop)
+// starts from nil. Vectors are encoded straight into it — grown once, from
+// MarshalSpecBound, when its capacity is short.
 func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	size := 4 + 8 + 8 + 8 + len(m.name) + 8 + 8*len(m.ints) + 8 + 8*len(m.counts) + 8
 	for _, v := range m.vecs {
@@ -161,124 +151,46 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 			b = append(b, 0)
 			continue
 		}
-		b = append(b, 1)
-		lenAt := len(b)
-		b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-		b = comm.MarshalSpecInto(b, wc.specFor(m.kind, len(v)), m.kind, v, wc.ref(m.kind, i, len(v)))
-		binary.LittleEndian.PutUint64(b[lenAt:], uint64(len(b)-lenAt-8))
+		b = comm.AppendFrame(append(b, 1), wc.specFor(m.kind, len(v)), m.kind, v, wc.ref(m.kind, i, len(v)))
 	}
 	return b
 }
 
-// msgDecoder walks a message frame, latching the first error.
-type msgDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *msgDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("fl: wire message: "+format, args...)
-	}
-}
-
-func (d *msgDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated at byte %d (want %d more)", d.off, n)
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *msgDecoder) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-
-func (d *msgDecoder) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
-// count reads a collection length bounded by the remaining bytes divided
-// by the per-element encoded cost, so a hostile length field can never
-// make the decoder allocate more memory than the frame itself occupies
-// (a count of N int64s must be backed by 8N bytes, a count of vector
-// slots by at least one presence byte each).
-func (d *msgDecoder) count(elemBytes int) int {
-	v := d.u64()
-	if v > uint64((len(d.b)-d.off)/elemBytes) {
-		d.fail("count %d exceeds the %d remaining bytes", v, len(d.b)-d.off)
-		return 0
-	}
-	return int(v)
-}
-
-// decodeMsg parses one message frame of the plain dense protocol into
-// freshly allocated vectors the caller keeps (a join's init payload).
-func decodeMsg(frame []byte) (*wireMsg, error) {
-	return decodeMsgWc(frame, nil)
-}
-
-// decodeMsgWc parses one message frame, resolving sparse and delta vector
+// decodeMsg parses one message frame, resolving sparse and delta vector
 // frames through the connection's wireCodec (nil accepts dense and top-k
 // frames but rejects delta, which needs a negotiated basis). Nothing in the
 // result aliases frame. Payload vectors are drawn from the codec's vecList
 // when it has one: they are the message's until the role that owns the list
 // puts them back, and a message that fails to decode returns its own.
-func decodeMsgWc(frame []byte, wc *wireCodec) (*wireMsg, error) {
+func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 	list := wc.list()
-	d := &msgDecoder{b: frame}
-	m := &wireMsg{}
-	m.kind = d.u32()
-	m.a = d.u64()
-	m.b = d.u64()
-	nameLen := d.count(1)
-	m.name = string(d.take(nameLen))
-	nInts := d.count(8)
-	if nInts > 0 && d.err == nil {
-		m.ints = make([]int64, nInts)
+	r := comm.NewReader(frame, "fl: wire message")
+	m := &wireMsg{kind: r.U32(), a: r.U64(), b: r.U64()}
+	m.name = string(r.Take(r.Count(1)))
+	if n := r.Count(8); n > 0 {
+		m.ints = make([]int64, n)
 		for i := range m.ints {
-			m.ints[i] = int64(d.u64())
+			m.ints[i] = r.I64()
 		}
 	}
-	nCounts := d.count(8)
-	if nCounts > 0 && d.err == nil {
-		m.counts = make([]int, nCounts)
+	if n := r.Count(8); n > 0 {
+		m.counts = make([]int, n)
 		for i := range m.counts {
-			m.counts[i] = int(int64(d.u64()))
+			m.counts[i] = int(r.I64())
 		}
 	}
-	nVecs := d.count(1)
-	if nVecs > 0 && d.err == nil {
+	if n := r.Count(1); n > 0 {
 		// A vector slot costs one presence byte on the wire but 24 bytes
-		// of slice header decoded, so the table grows with the bytes
+		// of slice header decoded, so the table grows with the slots
 		// actually parsed instead of trusting the declared count.
-		m.vecs = make([][]float64, 0, min(nVecs, 64))
-		for i := 0; i < nVecs; i++ {
-			present := d.take(1)
-			if present == nil {
-				break
-			}
-			if present[0] == 0 {
+		m.vecs = make([][]float64, 0, min(n, 64))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			if !r.Bool() {
 				m.vecs = append(m.vecs, nil)
 				continue
 			}
-			frameLen := d.count(1)
-			vb := d.take(frameLen)
-			if vb == nil {
+			vb := r.Frame()
+			if r.Err() != nil {
 				break
 			}
 			// The scratch is only ever resized after DecodeSpec has checked
@@ -295,28 +207,18 @@ func decodeMsgWc(frame []byte, wc *wireCodec) (*wireMsg, error) {
 			tag, payload, err := comm.DecodeSpec(scratch, vb, ref)
 			if err != nil {
 				list.put(scratch)
-				d.fail("vector %d: %v", i, err)
+				r.Failf("vector %d: %v", i, err)
 				break
 			}
 			m.vecs = append(m.vecs, payload)
 			if tag != m.kind {
-				d.fail("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
-				break
+				r.Failf("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
 			}
 		}
-		if d.err == nil && len(m.vecs) != nVecs {
-			d.fail("message declared %d vectors, carried %d", nVecs, len(m.vecs))
-		}
-		if len(m.vecs) == 0 {
-			m.vecs = nil
-		}
 	}
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("%d trailing bytes", len(d.b)-d.off)
-	}
-	if d.err != nil {
+	if err := r.End(); err != nil {
 		list.put(m.vecs...)
-		return nil, d.err
+		return nil, err
 	}
 	return m, nil
 }

@@ -23,7 +23,7 @@ type testPeer struct {
 
 func (p *testPeer) send(m *wireMsg) {
 	p.t.Helper()
-	n, err := p.conn.Send(encodeMsg(m, nil))
+	n, err := p.conn.Send(appendMsg(nil, m, nil))
 	if err != nil {
 		p.t.Fatalf("send %#x: %v", m.kind, err)
 	}
@@ -39,7 +39,7 @@ func (p *testPeer) expect(kind uint32) *wireMsg {
 		if err != nil {
 			p.t.Fatalf("waiting for %#x: %v", kind, err)
 		}
-		m, err := decodeMsg(b)
+		m, err := decodeMsg(b, nil)
 		if err != nil {
 			p.t.Fatalf("waiting for %#x: %v", kind, err)
 		}
@@ -243,8 +243,8 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 
 	x0, dup, x1 := ramp(n, 100), ramp(n, -100), ramp(n, 3e9)
 	p0, p1 := peers[0], peers[1]
-	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{x0}})
-	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{dup}})
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{x0}})
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{dup}})
 	// The event loop books a frame when it starts on it, so the heartbeat
 	// being booked means the duplicate before it is fully dealt with.
 	p0.send(&wireMsg{kind: msgHeartbeat})
@@ -254,11 +254,11 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	p1.send(&wireMsg{kind: msgUpdate, a: 0, b: f64bits(1), vecs: [][]float64{x1}})
+	p1.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{x1}})
 
 	for _, p := range peers {
 		req := p.expect(msgEvalReq)
-		p.send(&wireMsg{kind: msgEvalRes, a: req.a, b: f64bits(0.5)})
+		p.send(&wireMsg{kind: msgEvalRes, a: req.a, b: math.Float64bits(0.5)})
 	}
 	for _, p := range peers {
 		p.expect(msgStop)

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -37,7 +38,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 	}
 	defer srv.Close()
 
-	up := &wireMsg{kind: msgUpdate, a: 3, b: f64bits(30), vecs: [][]float64{ramp(d, 0.25)}}
+	up := &wireMsg{kind: msgUpdate, a: 3, b: math.Float64bits(30), vecs: [][]float64{ramp(d, 0.25)}}
 	var list vecList
 	enc, dec := plainWire(comm.F64), plainWire(comm.F64)
 	dec.vecs = &list
@@ -51,7 +52,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := decodeMsgWc(b, dec)
+		m, err := decodeMsg(b, dec)
 		if err != nil {
 			t.Fatal(err)
 		}

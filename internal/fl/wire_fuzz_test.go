@@ -16,9 +16,9 @@ func corpusMsgs() []*wireMsg {
 		{kind: msgJoin, ints: []int64{2, 1200, 64, 10, 5000, 650}, vecs: [][]float64{{0.5, -0.25, 1}}},
 		{kind: msgWelcome, ints: []int64{4, 10, 32, 1, int64(-0x7fff3f0011ffffff), 1000, 5000}},
 		{kind: msgDispatch, a: 3, vecs: [][]float64{{1, 2, 3}, nil, {-0.125}}},
-		{kind: msgUpdate, a: 3, b: f64bits(0.25), counts: []int{7, 0, 2}, vecs: [][]float64{{0.5}, {}}},
+		{kind: msgUpdate, a: 3, b: math.Float64bits(0.25), counts: []int{7, 0, 2}, vecs: [][]float64{{0.5}, {}}},
 		{kind: msgEvalReq, a: 4},
-		{kind: msgEvalRes, a: 4, b: f64bits(0.8125)},
+		{kind: msgEvalRes, a: 4, b: math.Float64bits(0.8125)},
 		{kind: msgStop},
 		{kind: msgErr, name: "client 2: local training diverged"},
 		{kind: msgHeartbeat, a: 9},
@@ -37,11 +37,11 @@ func corpusMsgs() []*wireMsg {
 			vecs: [][]float64{{1, 2}, nil, {-0.125}}},
 		{kind: msgTreeDispatch, a: 3, b: treeShared, ints: []int64{2, 3, 5}, counts: []int{2},
 			vecs: [][]float64{{1, 2}, nil}},
-		{kind: msgAggUpdate, a: 3, b: f64bits(2.5),
-			ints:   []int64{2, int64(f64bits(1.5)), int64(f64bits(1))},
+		{kind: msgAggUpdate, a: 3, b: math.Float64bits(2.5),
+			ints:   []int64{2, int64(math.Float64bits(1.5)), int64(math.Float64bits(1))},
 			counts: []int{7, 2}, vecs: [][]float64{{0.5}, {0.25, -1}}},
 		{kind: msgTreeUpdate, a: 3,
-			ints:   []int64{2, int64(f64bits(0.5)), 1, 2, 3, int64(f64bits(0.25)), 1, 0},
+			ints:   []int64{2, int64(math.Float64bits(0.5)), 1, 2, 3, int64(math.Float64bits(0.25)), 1, 0},
 			counts: []int{7, 1}, vecs: [][]float64{{0.5}, {-0.125}}},
 	}
 }
@@ -54,8 +54,8 @@ func corpusMsgs() []*wireMsg {
 // panic on it.
 func FuzzDecodeMsg(f *testing.F) {
 	for _, m := range corpusMsgs() {
-		f.Add(encodeMsg(m, plainWire(comm.F64)))
-		f.Add(encodeMsg(m, plainWire(comm.I8)))
+		f.Add(appendMsg(nil, m, plainWire(comm.F64)))
+		f.Add(appendMsg(nil, m, plainWire(comm.I8)))
 	}
 	// Sparse and delta framed updates: a top-k upload, a delta basis frame
 	// and the delta residual that follows it. The harness decodes with a
@@ -69,16 +69,16 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		return &wireMsg{kind: msgUpdate, a: 3, vecs: [][]float64{v}}
 	}
-	f.Add(encodeMsg(bigUpdate(1), sparse))
-	f.Add(encodeMsg(bigUpdate(1), deltaEnc))
-	f.Add(encodeMsg(bigUpdate(2), deltaEnc))
+	f.Add(appendMsg(nil, bigUpdate(1), sparse))
+	f.Add(appendMsg(nil, bigUpdate(1), deltaEnc))
+	f.Add(appendMsg(nil, bigUpdate(2), deltaEnc))
 	// Malformed seeds steer the fuzzer at the error paths: truncation,
 	// trailing bytes, hostile counts.
 	f.Add([]byte{})
-	f.Add(encodeMsg(&wireMsg{kind: msgHeartbeat, a: 1}, plainWire(comm.F64))[:8])
-	f.Add(append(encodeMsg(&wireMsg{kind: msgStop}, plainWire(comm.F64)), 0xff))
+	f.Add(appendMsg(nil, &wireMsg{kind: msgHeartbeat, a: 1}, plainWire(comm.F64))[:8])
+	f.Add(append(appendMsg(nil, &wireMsg{kind: msgStop}, plainWire(comm.F64)), 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeMsg(data)
+		m, err := decodeMsg(data, nil)
 		if err != nil {
 			return
 		}
@@ -94,7 +94,7 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		// A decoded message re-encodes canonically (f64 frames are exact)
 		// and decodes back to the same message.
-		re, err := decodeMsg(encodeMsg(m, plainWire(comm.F64)))
+		re, err := decodeMsg(appendMsg(nil, m, plainWire(comm.F64)), nil)
 		if err != nil {
 			t.Fatalf("re-decoding a decoded message: %v", err)
 		}

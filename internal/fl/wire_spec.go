@@ -40,7 +40,7 @@ type vecSlot struct {
 type wireCodec struct {
 	sel  comm.Selector
 	refs map[vecSlot]*comm.DeltaRef
-	// vecs, when non-nil, is the free list decodeMsgWc draws payload vectors
+	// vecs, when non-nil, is the free list decodeMsg draws payload vectors
 	// from: the list of the role reading this connection.
 	vecs *vecList
 }

@@ -26,7 +26,7 @@ func TestWireSparseUploadRoundTrip(t *testing.T) {
 	dec := newWireCodec(spec, true)
 	v := specVec(128, 1.5)
 	m := &wireMsg{kind: msgUpdate, a: 3, vecs: [][]float64{append([]float64(nil), v...)}}
-	got, err := decodeMsgWc(encodeMsg(m, enc), dec)
+	got, err := decodeMsg(appendMsg(nil, m, enc), dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +55,18 @@ func TestWireSparseOnlyUploadsSparsify(t *testing.T) {
 	dense := plainWire(comm.F32)
 
 	disp := &wireMsg{kind: msgDispatch, vecs: [][]float64{specVec(128, 0.7)}}
-	if !bytes.Equal(encodeMsg(disp, wc), encodeMsg(disp, dense)) {
+	if !bytes.Equal(appendMsg(nil, disp, wc), appendMsg(nil, disp, dense)) {
 		t.Fatal("dispatch frame sparsified — only msgUpdate may")
 	}
 	small := &wireMsg{kind: msgUpdate, vecs: [][]float64{specVec(8, 0.7)}}
-	if !bytes.Equal(encodeMsg(small, wc), encodeMsg(small, dense)) {
+	if !bytes.Equal(appendMsg(nil, small, wc), appendMsg(nil, small, dense)) {
 		t.Fatal("sub-MinSparse update vector sparsified")
 	}
 	// A non-lossy algorithm's wireCodec drops sparsity entirely, keeping
 	// only the value codec, so prototype uploads stay exact.
 	strict := newWireCodec(spec, false)
 	up := &wireMsg{kind: msgUpdate, vecs: [][]float64{specVec(128, 0.7)}}
-	if !bytes.Equal(encodeMsg(up, strict), encodeMsg(up, dense)) {
+	if !bytes.Equal(appendMsg(nil, up, strict), appendMsg(nil, up, dense)) {
 		t.Fatal("non-lossy algorithm's upload was sparsified")
 	}
 }
@@ -86,11 +86,11 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 	for round := 1; round <= 3; round++ {
 		v := specVec(96, float64(round))
 		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: [][]float64{append([]float64(nil), v...)}}
-		frame := encodeMsg(m, enc)
+		frame := appendMsg(nil, m, enc)
 		if round == 2 {
 			deltaFrame = append([]byte(nil), frame...)
 		}
-		got, err := decodeMsgWc(frame, dec)
+		got, err := decodeMsg(frame, dec)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -106,11 +106,11 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 	// A delta frame landing on a connection without its basis (e.g. a
 	// stale replay onto a fresh connection) must fail the decode, not
 	// silently fold into the wrong basis.
-	if _, err := decodeMsgWc(deltaFrame, newWireCodec(spec, true)); err == nil {
+	if _, err := decodeMsg(deltaFrame, newWireCodec(spec, true)); err == nil {
 		t.Fatal("delta frame decoded without its basis")
 	}
 	// And a nil wireCodec (pre-spec decoder) must reject it too.
-	if _, err := decodeMsg(deltaFrame); err == nil {
+	if _, err := decodeMsg(deltaFrame, nil); err == nil {
 		t.Fatal("delta frame decoded by the plain dense decoder")
 	}
 
@@ -121,7 +121,7 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 	for round := 4; round <= 5; round++ {
 		v := specVec(96, float64(round))
 		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: [][]float64{append([]float64(nil), v...)}}
-		got, err := decodeMsgWc(encodeMsg(m, enc2), dec2)
+		got, err := decodeMsg(appendMsg(nil, m, enc2), dec2)
 		if err != nil {
 			t.Fatalf("post-reconnect round %d: %v", round, err)
 		}

@@ -174,7 +174,7 @@ func encodeTreeJoin(agg, lo, hi int, joins []WireJoin, name string, wc *wireCode
 		m.counts = append(m.counts, len(j.Init))
 		m.vecs = append(m.vecs, j.Init...)
 	}
-	return encodeMsg(m, wc)
+	return appendMsg(nil, m, wc)
 }
 
 // decodeTreeJoin parses a tree handshake and rebuilds the per-child joins.
@@ -337,10 +337,10 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 //	counts = slot-wise summed integer counts
 //	vecs   = pre-weighted vector sums (nil slots allowed)
 func aggUpdateMsg(version uint64, au *AggUpdate) *wireMsg {
-	m := &wireMsg{kind: msgAggUpdate, a: version, b: f64bits(au.Weight)}
+	m := &wireMsg{kind: msgAggUpdate, a: version, b: math.Float64bits(au.Weight)}
 	m.ints = append(m.ints, int64(au.Children))
 	for _, w := range au.VecWeights {
-		m.ints = append(m.ints, int64(f64bits(w)))
+		m.ints = append(m.ints, int64(math.Float64bits(w)))
 	}
 	m.counts = au.Counts
 	m.vecs = au.Vecs
@@ -355,7 +355,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 	au := &AggUpdate{
 		Version:  int(m.a),
 		Children: int(m.ints[0]),
-		Weight:   bitsF64(m.b),
+		Weight:   math.Float64frombits(m.b),
 		Vecs:     m.vecs,
 		Counts:   m.counts,
 	}
@@ -368,7 +368,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 		}
 		au.VecWeights = make([]float64, len(m.vecs))
 		for i := range au.VecWeights {
-			au.VecWeights[i] = bitsF64(uint64(m.ints[1+i]))
+			au.VecWeights[i] = math.Float64frombits(uint64(m.ints[1+i]))
 		}
 	}
 	return au, nil
@@ -386,7 +386,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 func treeUpdateMsg(version uint64, ups []*Update) *wireMsg {
 	m := &wireMsg{kind: msgTreeUpdate, a: version}
 	for _, u := range ups {
-		m.ints = append(m.ints, int64(u.Client), int64(f64bits(u.Scale)),
+		m.ints = append(m.ints, int64(u.Client), int64(math.Float64bits(u.Scale)),
 			int64(len(u.Vecs)), int64(len(u.Counts)))
 		m.counts = append(m.counts, u.Counts...)
 		m.vecs = append(m.vecs, u.Vecs...)
@@ -403,7 +403,7 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 	ups := make([]*Update, 0, len(m.ints)/4)
 	vOff, cOff := 0, 0
 	for i := 0; i < len(m.ints); i += 4 {
-		scale := bitsF64(uint64(m.ints[i+1]))
+		scale := math.Float64frombits(uint64(m.ints[i+1]))
 		nVecs, nCounts := int(m.ints[i+2]), int(m.ints[i+3])
 		if nVecs < 0 || nVecs > len(m.vecs)-vOff {
 			return nil, fmt.Errorf("fl: tree update: vectors overrun at update %d", i/4)

@@ -86,7 +86,7 @@ func TestTreeDispatchLayouts(t *testing.T) {
 			if got := m.b == treeShared; got != tc.shared {
 				t.Fatalf("shared layout = %v, want %v", got, tc.shared)
 			}
-			dm, err := decodeMsg(encodeMsg(m, nil))
+			dm, err := decodeMsg(appendMsg(nil, m, nil), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
