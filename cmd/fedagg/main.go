@@ -67,8 +67,8 @@ func main() {
 	// scripts, the CI tree test — can listen on :0 and scrape the port.
 	fmt.Printf("# fedagg listening on %s\n", ln.Addr())
 	bounds := fl.TreeSplit(s.Clients, cfg.Aggregators)
-	fmt.Printf("# fedagg %d/%d: clients [%d, %d) of %d, upstream %s, prereduce %s\n",
-		cfg.Index, cfg.Aggregators, bounds[cfg.Index], bounds[cfg.Index+1], s.Clients, spec.Upstream, cfg.PreReduce)
+	fmt.Printf("# fedagg %d/%d: clients [%d, %d) of %d, upstream %s\n",
+		cfg.Index, cfg.Aggregators, bounds[cfg.Index], bounds[cfg.Index+1], s.Clients, spec.Upstream)
 
 	cfg.Dialer = func(ctx context.Context, token uint64) (transport.Conn, error) {
 		// First dial waits out server startup for -dial-timeout;

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // FedAvg is communication-efficient federated averaging over homogeneous
@@ -15,32 +14,25 @@ import (
 // locally with cross-entropy, upload all weights, and the server averages
 // them weighted by local dataset size. With Mu > 0 it becomes FedProx
 // (Li et al. 2020): the local objective gains the proximal term
-// (μ/2)·‖w − w_global‖² over all weights.
+// (μ/2)·‖w − w_global‖² over all weights. The server half, sync, async and
+// wire, is the embedded weight-averaging half over the whole model.
 type FedAvg struct {
 	LocalEpochs int
 	// Mu is the FedProx proximal coefficient; 0 yields plain FedAvg.
 	Mu float64
-
-	global []float64
-
-	// Async-scheduler state: the sharded aggregation buffer, the commit
-	// mixing rate, and per-client broadcast snapshots (the proximal
-	// reference must be the weights the client actually downloaded, not
-	// whatever the server has mutated to since).
-	acc   *fl.ShardedAccumulator
-	mix   float64
-	snaps [][]float64
-
-	// pre is the edge-aggregator half's reduction state (PreReduce).
-	pre fl.VecReducer
+	*fl.WeightAvg
 }
 
+var _ fl.ReducibleWireAlgorithm = (*FedAvg)(nil)
+
 // NewFedAvg builds plain FedAvg.
-func NewFedAvg(epochs int) *FedAvg { return &FedAvg{LocalEpochs: max1(epochs)} }
+func NewFedAvg(epochs int) *FedAvg { return NewFedProx(epochs, 0) }
 
 // NewFedProx builds FedProx with proximal coefficient mu.
 func NewFedProx(epochs int, mu float64) *FedAvg {
-	return &FedAvg{LocalEpochs: max1(epochs), Mu: mu}
+	f := &FedAvg{LocalEpochs: max1(epochs), Mu: mu}
+	f.WeightAvg = fl.NewWeightAvg(f)
+	return f
 }
 
 // Name identifies the algorithm.
@@ -54,12 +46,8 @@ func (f *FedAvg) Name() string {
 // EpochsPerRound reports the local epochs per round.
 func (f *FedAvg) EpochsPerRound() int { return f.LocalEpochs }
 
-// LossyUploads marks FedAvg/FedProx weight uploads as tolerant of wire
-// sparsification and delta framing: the server only ever averages them.
-func (f *FedAvg) LossyUploads() bool { return true }
-
-// Setup verifies homogeneity and initializes the global model from client 0
-// so all clients start from one common initialization, as FedAvg assumes.
+// Setup verifies homogeneity and starts the global model from client 0 so
+// all clients start from one common initialization, as FedAvg assumes.
 func (f *FedAvg) Setup(sim *fl.Simulation) error {
 	if sim.NumClients() == 0 {
 		return errors.New("baselines: no clients")
@@ -72,53 +60,42 @@ func (f *FedAvg) Setup(sim *fl.Simulation) error {
 			return fmt.Errorf("baselines: %s requires homogeneous models; client %d differs", f.Name(), c.ID)
 		}
 	}
-	f.global = nn.FlattenParams(sim.Client(probe[0]).Model.Params())
+	f.Start(sim, probe, false)
 	return nil
 }
 
-// Round broadcasts, trains each same-configuration group of participants in
-// lockstep (with the optional proximal term against the broadcast) and
-// aggregates all weights.
-func (f *FedAvg) Round(sim *fl.Simulation, round int, participants []int) error {
-	if len(participants) == 0 {
-		return nil
+// WireSetup verifies homogeneity and adopts client 0's join weights as the
+// global model, exactly like Setup.
+func (f *FedAvg) WireSetup(joins []fl.WireJoin, shards int) error {
+	if len(joins) == 0 {
+		return errors.New("baselines: no clients")
 	}
-	us := make([]*fl.Update, len(participants))
-	errs := make([]error, len(participants))
-	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
-		refs := make([][]float64, len(group))
-		for i, c := range group {
-			if errs[pos[i]] = f.download(sim, c); errs[pos[i]] != nil {
-				return
-			}
-			refs[i] = f.global
-		}
-		for i, u := range f.local(sim, group, refs) {
-			sim.Ledger.AddUp(u.UpBytes)
-			us[pos[i]] = u
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	n := joins[0].NumParams
+	for _, j := range joins[1:] {
+		if j.NumParams != n {
+			return fmt.Errorf("baselines: %s requires homogeneous models; client %d differs", f.Name(), j.ID)
 		}
 	}
-	f.global = fl.WeightedAverage(us, 0)
+	return f.WireStart(joins, n, false, shards)
+}
+
+// Shared is the whole model.
+func (f *FedAvg) Shared(c *fl.Client) []*nn.Param { return c.Model.Params() }
+
+// Ref is the whole downloaded model under FedProx and nothing under FedAvg.
+func (f *FedAvg) Ref(c *fl.Client, shared []float64) []float64 {
+	if f.Mu > 0 {
+		return shared
+	}
 	return nil
 }
 
-// download installs the committed global model on one client.
-func (f *FedAvg) download(sim *fl.Simulation, c *fl.Client) error {
-	if err := nn.SetFlatParams(c.Model.Params(), f.global); err != nil {
-		return err
-	}
-	sim.Downlink(len(f.global))
-	return nil
-}
+// Upload is the model alone.
+func (f *FedAvg) Upload(c *fl.Client, shared []float64) [][]float64 { return [][]float64{shared} }
 
-// train runs a group's local epochs; under FedProx each client's proximal
+// Train runs a group's local epochs; under FedProx each client's proximal
 // reference is refs[k], the weights it downloaded.
-func (f *FedAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
+func (f *FedAvg) Train(group []*fl.Client, batchSize int, refs [][]float64) {
 	var obj fl.Objective
 	if f.Mu > 0 {
 		params := make([][]*nn.Param, len(group))
@@ -131,30 +108,6 @@ func (f *FedAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
 	fl.TrainEpochs(group, batchSize, f.LocalEpochs, obj)
 }
 
-// local trains a group and returns each client's full weights — its
-// FlatUpload vector, valid until its next local — passed through the upload
-// framing with their bytes not yet booked.
-func (f *FedAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]float64) []*fl.Update {
-	f.train(group, sim.Cfg.BatchSize, refs)
-	us := make([]*fl.Update, len(group))
-	for i, c := range group {
-		flat, bytes := sim.QuantizeUplink(c.ID, c.FlatUpload(c.Model.Params()))
-		us[i] = &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}, UpBytes: bytes}
-	}
-	return us
-}
-
-// AsyncLocalGroup trains a group against its dispatch snapshots and
-// returns each client's update, in order.
-func (f *FedAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
-	group := make([]*fl.Client, len(clients))
-	refs := make([][]float64, len(clients))
-	for i, id := range clients {
-		group[i], refs[i] = sim.Client(id), f.snaps[id]
-	}
-	return f.local(sim, group, refs), nil
-}
-
 // AsyncLocal is AsyncLocalGroup for one client. Its only caller is
 // benchmark/shim.go; it retires with the one algorithm surface.
 func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) {
@@ -165,47 +118,12 @@ func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) 
 	return us[0], nil
 }
 
-// AsyncSetup sizes the sharded aggregation state.
-func (f *FedAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	f.acc = fl.NewSharded(len(f.global), tensor.Workers())
-	f.mix = sched.MixRate
-	f.snaps = make([][]float64, sim.NumClients())
-	return nil
-}
-
-// AsyncDispatch broadcasts the committed global model to one client and,
-// for FedProx, snapshots it as the proximal reference.
-func (f *FedAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
-	if err := f.download(sim, sim.Client(client)); err != nil {
-		return err
-	}
-	if f.Mu > 0 {
-		f.snaps[client] = append(f.snaps[client][:0], f.global...)
-	}
-	return nil
-}
-
-// AsyncApply folds a staleness-weighted client model into the accumulator.
-func (f *FedAvg) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
-	f.acc.Accumulate(u.Vecs[0], u.Weight)
-	return nil
-}
-
-// AsyncCommit merges the buffered weighted average into the global model.
-func (f *FedAvg) AsyncCommit(sim *fl.Simulation) error {
-	f.acc.CommitInto(f.global, f.mix, nil)
-	return nil
-}
-
-// Global returns a copy of the current global weight vector.
-func (f *FedAvg) Global() []float64 { return append([]float64(nil), f.global...) }
-
 // AlgoSnapshot captures the server state. Layout: Vecs = [global]. The
 // accumulator is empty at every checkpoint boundary, and per-client proximal
 // snapshots are dead after the engine's quiesce until the next dispatch
 // rewrites them, so neither is captured.
 func (f *FedAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
-	return &fl.AlgoState{Vecs: [][]float64{fl.CloneVec(f.global)}}, nil
+	return &fl.AlgoState{Vecs: [][]float64{f.Global()}}, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
@@ -213,12 +131,7 @@ func (f *FedAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 	if len(st.Ints) != 0 || len(st.Vecs) != 1 {
 		return fmt.Errorf("baselines: malformed %s state (%d ints, %d vecs)", f.Name(), len(st.Ints), len(st.Vecs))
 	}
-	if len(st.Vecs[0]) != len(f.global) {
-		return fmt.Errorf("baselines: %s checkpoint has %d global weights, model has %d",
-			f.Name(), len(st.Vecs[0]), len(f.global))
-	}
-	copy(f.global, st.Vecs[0])
-	return nil
+	return f.RestoreGlobal(st.Vecs[0])
 }
 
 func max1(v int) int {

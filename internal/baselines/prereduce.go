@@ -6,7 +6,8 @@ import (
 	"repro/internal/fl"
 )
 
-// The edge-aggregator halves of the comparison algorithms: PreReduce folds
+// The edge-aggregator halves of the comparison algorithms (FedAvg's are
+// fl.WeightAvg's): PreReduce folds
 // a subtree's updates into one exact aggregate (client side of the edge,
 // no server state touched) and WireApplyAggregate folds aggregates into
 // the root's accumulators. Reductions run on fl.ExactAccumulator, so any
@@ -16,10 +17,9 @@ import (
 // KT-pFL is deliberately absent: its commit builds a similarity matrix
 // from every client's individual knowledge report, which no associative
 // reduction can reconstruct from a sum. Aggregators pass its updates
-// through unreduced (fl.CheckPreReduce refuses a forced reduction).
+// through unreduced.
 var (
 	_ fl.ReducibleWireAlgorithm = (*LocalOnly)(nil)
-	_ fl.ReducibleWireAlgorithm = (*FedAvg)(nil)
 	_ fl.ReducibleWireAlgorithm = (*FedProto)(nil)
 )
 
@@ -32,27 +32,6 @@ func (l *LocalOnly) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 
 // WireApplyAggregate has no server state to fold into.
 func (l *LocalOnly) WireApplyAggregate(u *fl.AggUpdate) error { return nil }
-
-// ---- FedAvg / FedProx ----
-
-// PreReduce folds the subtree's weighted models into one exact sum
-// Σ w_c·v_c with its summed weight, the quantity the root's normalization
-// divides by — identical arithmetic to flat fan-in, regrouped exactly.
-func (f *FedAvg) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
-	return f.pre.PreReduce(updates)
-}
-
-// WireApplyAggregate folds one pre-weighted subtree sum into the accumulator.
-func (f *FedAvg) WireApplyAggregate(u *fl.AggUpdate) error {
-	if u.Children == 0 {
-		return nil
-	}
-	if len(u.Vecs) != 1 || u.Vecs[0] == nil || len(u.Vecs[0]) != f.acc.Len() {
-		return fmt.Errorf("baselines: aggregator %d forwarded a malformed %s aggregate", u.Agg, f.Name())
-	}
-	f.acc.Merge(u.Vecs[0], u.Weight)
-	return nil
-}
 
 // ---- FedProto ----
 

@@ -12,12 +12,12 @@ import (
 
 // The wire-split halves of the comparison algorithms, mirroring their
 // async decompositions with the server half fed by join payloads and wire
-// vectors instead of live client models. See internal/core/wire.go for
-// the pattern and internal/fl/wire.go for the interface contract.
+// vectors instead of live client models. FedAvg's are fl.WeightAvg's (see
+// internal/fl/weightavg.go), and internal/fl/wire.go has the interface
+// contract.
 
 var (
 	_ fl.WireAlgorithm = (*LocalOnly)(nil)
-	_ fl.WireAlgorithm = (*FedAvg)(nil)
 	_ fl.WireAlgorithm = (*FedProto)(nil)
 	_ fl.WireAlgorithm = (*KTpFL)(nil)
 )
@@ -53,70 +53,6 @@ func (l *LocalOnly) WireApply(u *fl.Update) error { return nil }
 
 // WireCommit is a no-op.
 func (l *LocalOnly) WireCommit() error { return nil }
-
-// ---- FedAvg / FedProx ----
-
-// WireInit sends the client's full flat weights; the server adopts client
-// 0's as the common initialization, exactly like Setup.
-func (f *FedAvg) WireInit(c *fl.Client) ([][]float64, error) {
-	return [][]float64{nn.FlattenParams(c.Model.Params())}, nil
-}
-
-// WireSetup verifies homogeneity and adopts client 0's weights as the
-// global model.
-func (f *FedAvg) WireSetup(joins []fl.WireJoin, shards int) error {
-	if len(joins) == 0 {
-		return errors.New("baselines: no clients")
-	}
-	n := joins[0].NumParams
-	for _, j := range joins[1:] {
-		if j.NumParams != n {
-			return fmt.Errorf("baselines: %s requires homogeneous models; client %d differs", f.Name(), j.ID)
-		}
-	}
-	if len(joins[0].Init) != 1 || len(joins[0].Init[0]) != n {
-		return fmt.Errorf("baselines: client %d joined with a malformed init payload", joins[0].ID)
-	}
-	f.global = append([]float64(nil), joins[0].Init[0]...)
-	f.acc = fl.NewSharded(len(f.global), shards)
-	f.mix = 1
-	return nil
-}
-
-// WireDispatch broadcasts the committed global model.
-func (f *FedAvg) WireDispatch(client int) ([][]float64, error) {
-	return [][]float64{f.global}, nil
-}
-
-// WireLocal installs the broadcast, trains (with the FedProx proximal
-// term against the downloaded weights when Mu > 0) and uploads the full
-// model.
-func (f *FedAvg) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*fl.Update, error) {
-	if len(dispatch) != 1 || dispatch[0] == nil {
-		return nil, fmt.Errorf("baselines: %s expects one broadcast vector, got %d", f.Name(), len(dispatch))
-	}
-	if err := nn.SetFlatParams(c.Model.Params(), dispatch[0]); err != nil {
-		return nil, err
-	}
-	f.train([]*fl.Client{c}, batchSize, dispatch)
-	flat := c.FlatUpload(c.Model.Params())
-	return &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{flat}}, nil
-}
-
-// WireApply folds one weighted model into the accumulator.
-func (f *FedAvg) WireApply(u *fl.Update) error {
-	if len(u.Vecs) != 1 || len(u.Vecs[0]) != f.acc.Len() {
-		return fmt.Errorf("baselines: client %d uploaded a malformed %s payload", u.Client, f.Name())
-	}
-	f.acc.Accumulate(u.Vecs[0], u.Weight)
-	return nil
-}
-
-// WireCommit merges the round's weighted average into the global model.
-func (f *FedAvg) WireCommit() error {
-	f.acc.CommitInto(f.global, f.mix, nil)
-	return nil
-}
 
 // ---- FedProto ----
 

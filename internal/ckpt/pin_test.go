@@ -3,6 +3,7 @@ package ckpt_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -29,10 +30,39 @@ import (
 // capture path writes the same files. It holds at any GOMAXPROCS.
 func TestEagerCheckpointBytesPinned(t *testing.T) {
 	const want = "8789b020c8ec58d5a173ba529d0990cedbc0b722811c3ddd6ed3cf88327c4714"
-	s := experiments.Tiny()
 	h := sha256.New()
+	hashCheckpoints(t, h, experiments.MethodProposed, "heterogeneous")
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("eager checkpoint bytes moved: SHA-256 %s, want %s", got, want)
+	}
+}
+
+// TestWeightAveragingCheckpointBytesPinned is the sibling pin for the methods
+// that average a whole weight vector: Tiny-scale FedClassAvg+weight, FedAvg
+// and FedProx on the homogeneous fleet, sync and async, rounds 1 and 2. The
+// async files hold in-flight updates and the FedProx runs read per-dispatch
+// proximal references, so the literal covers the upload layout, the global
+// vector, the accumulator commit and the snapshot layout of each method. It
+// was recorded before the three methods shared one server half, and holds
+// at any GOMAXPROCS.
+func TestWeightAveragingCheckpointBytesPinned(t *testing.T) {
+	const want = "0aead391216e0602e215ecd5d478ee2150515ff6f7d0a25dafc6938225c0fab0"
+	h := sha256.New()
+	for _, method := range []string{experiments.MethodProposedWeight, experiments.MethodFedAvg, experiments.MethodFedProx} {
+		hashCheckpoints(t, h, method, "homogeneous")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("weight-averaging checkpoint bytes moved: SHA-256 %s, want %s", got, want)
+	}
+}
+
+// hashCheckpoints writes into h the marshalled snapshots of a Tiny-scale run
+// of method on the named fleet, sync then async, after rounds 1 and 2.
+func hashCheckpoints(t *testing.T, h hash.Hash, method, fleet string) {
+	t.Helper()
+	s := experiments.Tiny()
 	for _, kind := range []fl.SchedulerKind{fl.SchedSync, fl.SchedAsyncBounded} {
-		build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+		build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, fleet, s.Clients, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +70,7 @@ func TestEagerCheckpointBytesPinned(t *testing.T) {
 		for i := range clients {
 			clients[i] = build(i)
 		}
-		algo, err := experiments.NewAlgorithm(experiments.MethodProposed, experiments.Fashion, s)
+		algo, err := experiments.NewAlgorithm(method, experiments.Fashion, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +86,7 @@ func TestEagerCheckpointBytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if snaps != 2 {
-			t.Fatalf("%s run wrote %d checkpoints, want 2", kind, snaps)
+			t.Fatalf("%s %s run wrote %d checkpoints, want 2", method, kind, snaps)
 		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("eager checkpoint bytes moved: SHA-256 %s, want %s", got, want)
 	}
 }

@@ -57,26 +57,19 @@ func DefaultOptions() Options {
 	return Options{Rho: 0.1, Tau: 0.1, LocalEpochs: 1, UseProximal: true, UseContrastive: true}
 }
 
-// FedClassAvg implements fl.Algorithm and fl.AsyncAlgorithm.
+// FedClassAvg implements fl.Algorithm, fl.AsyncAlgorithm and the wire
+// halves through the weight-averaging half it embeds: the shared vector is
+// the classifier, or with ShareAllWeights the whole model, whose tail is the
+// classifier (extractor precedes classifier in the parameter arena).
 type FedClassAvg struct {
 	Opts Options
+	*fl.WeightAvg
 
-	globalClassifier []float64
-	globalAll        []float64 // only with ShareAllWeights
-
-	// Async-scheduler state: sharded accumulators for the classifier (and,
-	// with ShareAllWeights, the full weights), the commit mixing rate, and
-	// per-client snapshots of the classifier the client downloaded — the
-	// proximal pull must reference that broadcast, not the server's
-	// continuously moving aggregate.
-	accC   *fl.ShardedAccumulator
-	accAll *fl.ShardedAccumulator
-	mix    float64
-	snapC  [][]float64
-
-	// pre is the edge-aggregator half's reduction state (PreReduce).
-	pre fl.VecReducer
+	// nC is the classifier's length, the tail of the global vector.
+	nC int
 }
+
+var _ fl.ReducibleWireAlgorithm = (*FedClassAvg)(nil)
 
 // New builds the algorithm.
 func New(opts Options) *FedClassAvg {
@@ -86,7 +79,9 @@ func New(opts Options) *FedClassAvg {
 	if opts.Tau <= 0 {
 		opts.Tau = 0.1
 	}
-	return &FedClassAvg{Opts: opts}
+	f := &FedClassAvg{Opts: opts}
+	f.WeightAvg = fl.NewWeightAvg(f)
+	return f
 }
 
 // Name identifies the algorithm (with ablation suffixes for clarity).
@@ -110,13 +105,7 @@ func (f *FedClassAvg) Name() string {
 // EpochsPerRound reports E.
 func (f *FedClassAvg) EpochsPerRound() int { return f.Opts.LocalEpochs }
 
-// LossyUploads marks FedClassAvg's weight uploads (classifier, and full
-// model under ShareAllWeights) as tolerant of wire sparsification and
-// delta framing: the server only ever averages them.
-func (f *FedClassAvg) LossyUploads() bool { return true }
-
-// Setup checks classifier compatibility and initializes the global
-// classifier (and, with ShareAllWeights, the global model) as the
+// Setup checks classifier compatibility and starts the global vector as the
 // data-weighted average of the clients' initial weights.
 func (f *FedClassAvg) Setup(sim *fl.Simulation) error {
 	if sim.NumClients() == 0 {
@@ -138,69 +127,71 @@ func (f *FedClassAvg) Setup(sim *fl.Simulation) error {
 			return fmt.Errorf("core: ShareAllWeights requires homogeneous models; client %d differs", c.ID)
 		}
 	}
-	f.globalClassifier = f.averageFlat(sim, probe, func(c *fl.Client) []*nn.Param {
-		return c.Model.ClassifierParams()
-	})
-	if f.Opts.ShareAllWeights {
-		f.globalAll = f.averageFlat(sim, probe, func(c *fl.Client) []*nn.Param {
-			return c.Model.Params()
-		})
-	}
+	f.nC = nn.NumParams(ref.ClassifierParams())
+	f.Start(sim, probe, true)
 	return nil
 }
 
-// Round performs one FedClassAvg communication round: each same-
-// configuration group of participants downloads, trains in lockstep against
-// the broadcast classifier and uploads.
-func (f *FedClassAvg) Round(sim *fl.Simulation, round int, participants []int) error {
-	if len(participants) == 0 {
+// WireSetup validates fleet geometry from the joins and starts the global
+// vector as the |D_k|-weighted average of the init payloads — Setup's
+// arithmetic, fed by wire vectors instead of local models.
+func (f *FedClassAvg) WireSetup(joins []fl.WireJoin, shards int) error {
+	if len(joins) == 0 {
+		return errors.New("core: no clients")
+	}
+	ref := joins[0]
+	for _, j := range joins[1:] {
+		if j.FeatDim != ref.FeatDim || j.NumClasses != ref.NumClasses {
+			return fmt.Errorf("core: client %d classifier shape (%d→%d) differs from client 0 (%d→%d)",
+				j.ID, j.FeatDim, j.NumClasses, ref.FeatDim, ref.NumClasses)
+		}
+		if f.Opts.ShareAllWeights && j.NumParams != ref.NumParams {
+			return fmt.Errorf("core: ShareAllWeights requires homogeneous models; client %d differs", j.ID)
+		}
+	}
+	want := ref.NumClassifier
+	if f.Opts.ShareAllWeights {
+		want = ref.NumParams
+	}
+	if ref.NumClassifier <= 0 || ref.NumClassifier > want {
+		return fmt.Errorf("core: client 0 declared %d classifier weights of %d total", ref.NumClassifier, want)
+	}
+	f.nC = ref.NumClassifier
+	return f.WireStart(joins, want, true, shards)
+}
+
+// Shared is the classifier, or with ShareAllWeights the whole model.
+func (f *FedClassAvg) Shared(c *fl.Client) []*nn.Param {
+	if f.Opts.ShareAllWeights {
+		return c.Model.Params()
+	}
+	return c.Model.ClassifierParams()
+}
+
+// Ref is the classifier tail of a downloaded vector when the proximal term
+// is on: proximal regularization applies to the classifier only, "+weight"
+// included, as in the paper.
+func (f *FedClassAvg) Ref(c *fl.Client, shared []float64) []float64 {
+	if !f.Opts.UseProximal {
 		return nil
 	}
-	us := make([]*fl.Update, len(participants))
-	errs := make([]error, len(participants))
-	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
-		refs := make([][]float64, len(group))
-		for i, c := range group {
-			if errs[pos[i]] = f.download(sim, c); errs[pos[i]] != nil {
-				return
-			}
-			refs[i] = f.globalClassifier
-		}
-		for i, u := range f.local(sim, group, refs) {
-			sim.Ledger.AddUp(u.UpBytes)
-			us[pos[i]] = u
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	f.globalClassifier = fl.WeightedAverage(us, 0)
-	if f.Opts.ShareAllWeights {
-		f.globalAll = fl.WeightedAverage(us, 1)
-	}
-	return nil
+	return shared[len(shared)-nn.NumParams(c.Model.ClassifierParams()):]
 }
 
-// download installs the committed classifier (or, with ShareAllWeights, the
-// full model) on one client.
-func (f *FedClassAvg) download(sim *fl.Simulation, c *fl.Client) error {
-	global, params := f.globalClassifier, c.Model.ClassifierParams()
-	if f.Opts.ShareAllWeights {
-		global, params = f.globalAll, c.Model.Params()
+// Upload is the shared vector; with ShareAllWeights it is led by a view of
+// its classifier tail, the layout in-flight "+weight" updates have in
+// checkpoints.
+func (f *FedClassAvg) Upload(c *fl.Client, shared []float64) [][]float64 {
+	if !f.Opts.ShareAllWeights {
+		return [][]float64{shared}
 	}
-	if err := nn.SetFlatParams(params, global); err != nil {
-		return err
-	}
-	sim.Downlink(len(global))
-	return nil
+	return [][]float64{shared[len(shared)-nn.NumParams(c.Model.ClassifierParams()):], shared}
 }
 
-// train runs a group's local epochs with the paper's composite objective:
+// Train runs a group's local epochs with the paper's composite objective:
 // cross-entropy on view one, SupCon over both views, and the proximal pull of
 // client k's classifier toward refs[k], the classifier it downloaded.
-func (f *FedClassAvg) train(group []*fl.Client, batchSize int, refs [][]float64) {
+func (f *FedClassAvg) Train(group []*fl.Client, batchSize int, refs [][]float64) {
 	obj := fl.Objective{TwoViews: f.Opts.UseContrastive}
 	if f.Opts.UseContrastive {
 		opts := loss.SupConOptions{Temperature: f.Opts.Tau}
@@ -219,100 +210,24 @@ func (f *FedClassAvg) train(group []*fl.Client, batchSize int, refs [][]float64)
 	fl.TrainEpochs(group, batchSize, f.Opts.LocalEpochs, obj)
 }
 
-// local trains a group and returns each client's upload — the classifier,
-// or with ShareAllWeights the full weights and the classifier as their tail —
-// passed through the upload framing with its bytes not yet booked.
-func (f *FedClassAvg) local(sim *fl.Simulation, group []*fl.Client, refs [][]float64) []*fl.Update {
-	f.train(group, sim.Cfg.BatchSize, refs)
-	us := make([]*fl.Update, len(group))
-	for i, c := range group {
-		u := &fl.Update{Client: c.ID, Scale: fl.DataScale(len(c.Train))}
-		if f.Opts.ShareAllWeights {
-			// The classifier rides inside the one full-weight frame
-			// (extractor then classifier), so it is the quantized tail of
-			// that upload — never fresher than what crossed the wire.
-			all, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.Params()))
-			nC := nn.NumParams(c.Model.ClassifierParams())
-			u.Vecs, u.UpBytes = [][]float64{all[len(all)-nC:], all}, bytes
-		} else {
-			flat, bytes := sim.QuantizeUplink(c.ID, nn.FlattenParams(c.Model.ClassifierParams()))
-			u.Vecs, u.UpBytes = [][]float64{flat}, bytes
-		}
-		us[i] = u
-	}
-	return us
-}
-
-// AsyncSetup sizes the sharded aggregation state.
-func (f *FedClassAvg) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	f.accC = fl.NewSharded(len(f.globalClassifier), tensor.Workers())
-	if f.Opts.ShareAllWeights {
-		f.accAll = fl.NewSharded(len(f.globalAll), tensor.Workers())
-	}
-	f.mix = sched.MixRate
-	f.snapC = make([][]float64, sim.NumClients())
-	return nil
-}
-
-// AsyncDispatch broadcasts the committed classifier (or, with
-// ShareAllWeights, the full model) and snapshots the proximal reference.
-func (f *FedClassAvg) AsyncDispatch(sim *fl.Simulation, client int) error {
-	if err := f.download(sim, sim.Client(client)); err != nil {
-		return err
-	}
-	f.snapC[client] = append(f.snapC[client][:0], f.globalClassifier...)
-	return nil
-}
-
-// AsyncLocalGroup trains a group against its dispatch snapshots and
-// uploads each client's classifier (and full weights when shared).
-func (f *FedClassAvg) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
-	group := make([]*fl.Client, len(clients))
-	refs := make([][]float64, len(clients))
-	for i, id := range clients {
-		group[i], refs[i] = sim.Client(id), f.snapC[id]
-	}
-	return f.local(sim, group, refs), nil
-}
-
-// AsyncApply folds the staleness-weighted classifier (and optionally full
-// weights) into the accumulators.
-func (f *FedClassAvg) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
-	f.accC.Accumulate(u.Vecs[0], u.Weight)
-	if f.Opts.ShareAllWeights {
-		f.accAll.Accumulate(u.Vecs[1], u.Weight)
-	}
-	return nil
-}
-
-// AsyncCommit merges the buffered aggregates into the committed globals.
-func (f *FedClassAvg) AsyncCommit(sim *fl.Simulation) error {
-	f.accC.CommitInto(f.globalClassifier, f.mix, nil)
-	if f.Opts.ShareAllWeights {
-		f.accAll.CommitInto(f.globalAll, f.mix, nil)
-	}
-	return nil
-}
-
 // GlobalClassifier exposes the current global classifier weights (a copy),
 // used by analysis tooling.
 func (f *FedClassAvg) GlobalClassifier() []float64 {
-	return append([]float64(nil), f.globalClassifier...)
+	g := f.Global()
+	return g[len(g)-f.nC:]
 }
 
 // AlgoSnapshot captures the server state. Layout: Ints = [shareAll]; Vecs =
-// [globalClassifier, globalAll?]. The accumulators are empty at every
-// checkpoint boundary, and per-client proximal snapshots (snapC) are dead
-// after the engine's quiesce, so neither is captured.
+// [classifier, all weights?] — under ShareAllWeights the classifier is the
+// tail of the second vector. The accumulator is empty at every checkpoint
+// boundary, and per-client proximal snapshots are dead after the engine's
+// quiesce, so neither is captured.
 func (f *FedClassAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
-	shareAll := int64(0)
-	st := &fl.AlgoState{Vecs: [][]float64{fl.CloneVec(f.globalClassifier)}}
-	if f.Opts.ShareAllWeights {
-		shareAll = 1
-		st.Vecs = append(st.Vecs, fl.CloneVec(f.globalAll))
+	g := f.Global()
+	if !f.Opts.ShareAllWeights {
+		return &fl.AlgoState{Ints: []int64{0}, Vecs: [][]float64{g}}, nil
 	}
-	st.Ints = []int64{shareAll}
-	return st, nil
+	return &fl.AlgoState{Ints: []int64{1}, Vecs: [][]float64{fl.CloneVec(g[len(g)-f.nC:]), g}}, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
@@ -324,34 +239,21 @@ func (f *FedClassAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 	if shareAll != f.Opts.ShareAllWeights {
 		return fmt.Errorf("core: checkpoint ShareAllWeights=%v, algorithm has %v", shareAll, f.Opts.ShareAllWeights)
 	}
-	if len(st.Vecs[0]) != len(f.globalClassifier) {
-		return fmt.Errorf("core: checkpoint has %d classifier weights, model has %d",
-			len(st.Vecs[0]), len(f.globalClassifier))
+	if len(st.Vecs[0]) != f.nC {
+		return fmt.Errorf("core: checkpoint has %d classifier weights, model has %d", len(st.Vecs[0]), f.nC)
 	}
-	copy(f.globalClassifier, st.Vecs[0])
-	if shareAll {
-		if len(st.Vecs) < 2 || len(st.Vecs[1]) != len(f.globalAll) {
-			return fmt.Errorf("core: checkpoint full-weight vector does not match the model")
-		}
-		copy(f.globalAll, st.Vecs[1])
+	if !shareAll {
+		return f.RestoreGlobal(st.Vecs[0])
 	}
-	return nil
+	if len(st.Vecs) < 2 {
+		return fmt.Errorf("core: checkpoint has no full-weight vector")
+	}
+	return f.RestoreGlobal(st.Vecs[1])
 }
 
 // LocalUpdate trains one client alone against the global classifier. Its
 // only caller is benchmark/probe.go; it retires with the one algorithm
 // surface.
 func (f *FedClassAvg) LocalUpdate(c *fl.Client, batchSize int) {
-	f.train([]*fl.Client{c}, batchSize, [][]float64{f.globalClassifier})
-}
-
-// averageFlat computes the |D_k|-weighted average of the selected clients'
-// chosen parameter subsets, flattened.
-func (f *FedClassAvg) averageFlat(sim *fl.Simulation, ids []int, pick func(*fl.Client) []*nn.Param) []float64 {
-	us := make([]*fl.Update, len(ids))
-	for i, id := range ids {
-		c := sim.Client(id)
-		us[i] = &fl.Update{Scale: fl.DataScale(len(c.Train)), Vecs: [][]float64{nn.FlattenParams(pick(c))}}
-	}
-	return fl.WeightedAverage(us, 0)
+	f.Train([]*fl.Client{c}, batchSize, [][]float64{f.Ref(c, f.Global())})
 }

@@ -38,7 +38,7 @@ func TestFedClassAvgPreReduceParity(t *testing.T) {
 			ups[c] = &fl.Update{Client: c, Weight: float64(1 + rng.Intn(4)), Vecs: [][]float64{v}}
 		}
 		run := func(sizes []int) ([]float64, []float64) {
-			algo := &FedClassAvg{Opts: Options{ShareAllWeights: shareAll}}
+			algo := New(Options{ShareAllWeights: shareAll})
 			if err := algo.WireSetup(joins, 3); err != nil {
 				t.Fatal(err)
 			}
@@ -64,8 +64,7 @@ func TestFedClassAvgPreReduceParity(t *testing.T) {
 			if err := algo.WireCommit(); err != nil {
 				t.Fatal(err)
 			}
-			return append([]float64(nil), algo.globalClassifier...),
-				append([]float64(nil), algo.globalAll...)
+			return algo.GlobalClassifier(), algo.Global()
 		}
 
 		wantC, wantAll := run(nil)

@@ -240,27 +240,6 @@ func DataScale(trainSize int) float64 {
 	return float64(trainSize)
 }
 
-// WeightedAverage is the sync rounds' |D_k| average of the updates' vec-th
-// vectors: Σ_k (Scale_k/Σ Scale)·Vecs_k[vec], folded in update order, with
-// Scale the clients' DataScale weights.
-func WeightedAverage(us []*Update, vec int) []float64 {
-	var total float64
-	for _, u := range us {
-		total += u.Scale
-	}
-	var out []float64
-	for _, u := range us {
-		w := u.Scale / total
-		if out == nil {
-			out = make([]float64, len(u.Vecs[vec]))
-		}
-		for j, x := range u.Vecs[vec] {
-			out[j] += w * x
-		}
-	}
-	return out
-}
-
 // AsyncAlgorithm is implemented by algorithms that can run under the async
 // and semi-sync schedulers: the broadcast/train/aggregate round is split
 // into dispatch, local, apply and commit steps.

@@ -188,7 +188,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// WeightedAverage weights each update by its DataScale: |D_k| for a client
+// weightedAverage weights each update by its DataScale: |D_k| for a client
 // with data, 1 for an empty one. With every client holding data that is the
 // historical |D_k|/|D| average bit for bit; an empty client among full ones
 // counts as one example.
@@ -208,7 +208,7 @@ func TestWeightedAverageDataScaleRule(t *testing.T) {
 			want[j] += float64(sizes[i]) / total * x
 		}
 	}
-	for j, got := range WeightedAverage(us, 0) {
+	for j, got := range weightedAverage(us, 0) {
 		if math.Float64bits(got) != math.Float64bits(want[j]) {
 			t.Fatalf("element %d: %v, want the |D_k|/|D| average %v", j, got, want[j])
 		}
@@ -217,7 +217,7 @@ func TestWeightedAverageDataScaleRule(t *testing.T) {
 		{Scale: DataScale(3), Vecs: [][]float64{{4}}},
 		{Scale: DataScale(0), Vecs: [][]float64{{8}}},
 	}
-	if got := WeightedAverage(empty, 0)[0]; got != 3.0/4*4+1.0/4*8 {
+	if got := weightedAverage(empty, 0)[0]; got != 3.0/4*4+1.0/4*8 {
 		t.Fatalf("an empty client among full ones averages to %v, want it weighted as one example (5)", got)
 	}
 }

@@ -501,16 +501,16 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	return r.processUpdate(u)
 }
 
-// handleAggUpdate collects one aggregator's pre-reduced contribution. A
-// reduction of a non-reducible algorithm is a protocol violation by a
-// trusted peer (the startup guard on the aggregator should have refused
-// it), so it is fatal, not noise.
+// handleAggUpdate collects one aggregator's pre-reduced contribution. An
+// aggregator pre-reduces exactly the reducible algorithms, so an aggregate
+// of a non-reducible one means the aggregator runs another method than the
+// root: a protocol violation by a trusted peer, fatal, not noise.
 func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
 		return false
 	}
 	if _, ok := r.algo.(ReducibleWireAlgorithm); !ok {
-		r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (run fedagg with -prereduce off)",
+		r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)",
 			sess.id, r.algo.Name())
 		return false
 	}
@@ -643,7 +643,7 @@ func (r *serverRun) completeTreeRound() {
 			}
 			red, isRed := r.algo.(ReducibleWireAlgorithm)
 			if !isRed {
-				r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction", a, r.algo.Name())
+				r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)", a, r.algo.Name())
 				return
 			}
 			if err := red.WireApplyAggregate(au); err != nil {

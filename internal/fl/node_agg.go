@@ -65,10 +65,6 @@ type AggregatorConfig struct {
 	Heartbeat       time.Duration
 	DeadAfter       time.Duration
 	ReconnectWindow time.Duration
-	// PreReduce selects the reduction policy (auto reduces when the
-	// algorithm supports it; force refuses to start without a sound
-	// reduction; off always passes through).
-	PreReduce PreReduceMode
 	// Dialer establishes (and re-establishes) the upstream connection,
 	// presenting the session token (transport.DialRetry with
 	// RetryOptions.Token is the expected implementation).
@@ -149,9 +145,6 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	}
 	if cfg.Dialer == nil {
 		return fmt.Errorf("fl: aggregator %d needs an upstream dialer", cfg.Index)
-	}
-	if err := CheckPreReduce(n.algo, cfg.PreReduce); err != nil {
-		return err
 	}
 	bounds := TreeSplit(cfg.Clients, cfg.Aggregators)
 	lo, hi := bounds[cfg.Index], bounds[cfg.Index+1]
@@ -309,7 +302,7 @@ func (g *aggRun) finishRound() {
 	}
 	g.updates = nil
 	var answer *wireMsg
-	if red, ok := g.algo.(ReducibleWireAlgorithm); ok && g.cfg.PreReduce != PreReduceOff {
+	if red, ok := g.algo.(ReducibleWireAlgorithm); ok {
 		au, err := red.PreReduce(ups)
 		if err != nil {
 			g.fail(fmt.Errorf("%s pre-reduce: %s", g.algo.Name(), err))

@@ -62,89 +62,6 @@ type ReducibleWireAlgorithm interface {
 	WireApplyAggregate(u *AggUpdate) error
 }
 
-// VecReducer is the PreReduce of every algorithm whose upload is a single
-// weight vector (FedAvg, FedProx, FedClassAvg): one exact Σ w_c·v_c with
-// its summed weight. The zero value is ready; it keeps its accumulator
-// between calls, because an aggregator reduces the same geometry every
-// round, so an aggregator's algorithm instance holds one. The aggregate it
-// returns is valid until the next call.
-type VecReducer struct {
-	acc *ExactAccumulator
-	// sum is the rounded aggregate PreReduce returns: the reducer's own
-	// vector, valid until the next PreReduce.
-	sum []float64
-}
-
-// PreReduce folds the subtree's uploads into one exact weighted sum.
-func (r *VecReducer) PreReduce(updates []*Update) (*AggUpdate, error) {
-	au := &AggUpdate{Children: len(updates)}
-	for i, u := range updates {
-		if len(u.Vecs) != 1 || u.Vecs[0] == nil {
-			return nil, fmt.Errorf("fl: client %d uploaded a malformed payload (%d vectors, want 1)", u.Client, len(u.Vecs))
-		}
-		n := len(u.Vecs[0])
-		if i == 0 {
-			r.acc = ReuseExactAccumulator(r.acc, n)
-		} else if n != r.acc.Len() {
-			return nil, fmt.Errorf("fl: client %d uploaded %d weights, subtree peers uploaded %d", u.Client, n, r.acc.Len())
-		}
-		r.acc.Fold(u.Vecs[0], u.Weight)
-	}
-	if len(updates) > 0 {
-		r.sum, au.Weight = r.acc.RoundInto(r.sum)
-		au.Vecs = [][]float64{r.sum}
-	}
-	return au, nil
-}
-
-// PreReduceMode selects an aggregator's reduction policy.
-type PreReduceMode int
-
-const (
-	// PreReduceAuto reduces when the algorithm supports it and passes
-	// updates through otherwise.
-	PreReduceAuto PreReduceMode = iota
-	// PreReduceForce requires a sound reduction and refuses to start
-	// without one.
-	PreReduceForce
-	// PreReduceOff always passes updates through unreduced.
-	PreReduceOff
-)
-
-// String names the mode the way ParsePreReduce spells it.
-func (m PreReduceMode) String() string {
-	switch m {
-	case PreReduceForce:
-		return "force"
-	case PreReduceOff:
-		return "off"
-	}
-	return "auto"
-}
-
-// ParsePreReduce parses a -prereduce flag value.
-func ParsePreReduce(s string) (PreReduceMode, error) {
-	switch s {
-	case "", "auto":
-		return PreReduceAuto, nil
-	case "force":
-		return PreReduceForce, nil
-	case "off":
-		return PreReduceOff, nil
-	}
-	return PreReduceAuto, fmt.Errorf("fl: unknown prereduce mode %q (want auto | force | off)", s)
-}
-
-// CheckPreReduce is the startup guard against configuring a reduction
-// where none is sound: forcing pre-reduction on a non-associative
-// algorithm is refused before any client connects.
-func CheckPreReduce(algo WireAlgorithm, mode PreReduceMode) error {
-	if _, ok := algo.(ReducibleWireAlgorithm); !ok && mode == PreReduceForce {
-		return fmt.Errorf("fl: %s has no sound pre-reduction (its aggregation is not associative); use -prereduce auto or off", algo.Name())
-	}
-	return nil
-}
-
 // TreeSplit partitions k clients across aggs edge aggregators into
 // contiguous balanced ranges: aggregator a owns [bounds[a], bounds[a+1]).
 // Every range is non-empty for aggs ≤ k, and contiguity is what keeps the

@@ -10,14 +10,15 @@ import (
 	"repro/internal/transport"
 )
 
-// VecReducer keeps one accumulator across rounds: a second reduction must
-// not see the first one's sums, a changed geometry must get fresh cells,
-// and malformed or mismatched uploads are errors, not panics.
-func TestVecReducer(t *testing.T) {
+// WeightAvg's PreReduce keeps one accumulator across rounds: a second
+// reduction must not see the first one's sums, a changed geometry must get
+// fresh cells, and malformed or mismatched uploads are errors, not panics.
+// An aggregator runs no setup, so the reduction needs no method.
+func TestWeightAvgPreReduce(t *testing.T) {
 	up := func(client int, w float64, vecs ...[]float64) *Update {
 		return &Update{Client: client, Weight: w, Vecs: vecs}
 	}
-	var r VecReducer
+	var r WeightAvg
 	for _, tc := range []struct {
 		ups     []*Update
 		sum     []float64

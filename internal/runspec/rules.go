@@ -103,8 +103,7 @@ func (s *Spec) Validate(role Role) error {
 		second(comm.ParseSpec(s.Codec, s.TopK, s.Delta)),
 		second(comm.ParseCodec(s.CkptCodec)),
 		second(tensor.ParseDType(s.DType)),
-		second(transport.ParseName(s.Transport)),
-		second(fl.ParsePreReduce(s.PreReduce)))
+		second(transport.ParseName(s.Transport)))
 	if s.Arch != "" {
 		err = errors.Join(err, second(experiments.ParseArchRotation(s.Arch)))
 	}
@@ -136,11 +135,7 @@ func (s *Spec) Validate(role Role) error {
 	if role&Nodes == 0 {
 		return nil
 	}
-	// An unknown or unsplit method, or -prereduce force on a non-associative
-	// one, can never run soundly: a node refuses it before anything binds.
-	algo, err := experiments.WireAlgorithmFor(s.Method, s.DataName(), sc)
-	if err == nil && role == Agg {
-		err = fl.CheckPreReduce(algo, must(fl.ParsePreReduce(s.PreReduce)))
-	}
-	return err
+	// An unknown or unsplit method can never run: a node refuses it before
+	// anything binds.
+	return second(experiments.WireAlgorithmFor(s.Method, s.DataName(), sc))
 }

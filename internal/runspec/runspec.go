@@ -36,7 +36,7 @@ const (
 type Spec struct {
 	Dataset, Partition, Fleet, Method, DType, Codec, Sched, Arch, Width              string
 	Checkpoint, Resume, CkptCodec, Trace, Transport, Topology                        string
-	Addr, Upstream, Session, PreReduce                                               string
+	Addr, Upstream, Session                                                          string
 	Clients, FeatDim, Rounds, Staleness, Quorum, EvalSample, Every                   int
 	Workers, Stragglers, Resident, Aggregators, ID, Agg                              int
 	Rate, Decay, TopK, Mix, Slowdown, Leave, Rejoin, ChaosDrop, ChaosDelay, ChaosDup float64
@@ -108,7 +108,6 @@ func (s *Spec) decls() []decl {
 		{"chaos-dup", Client, &s.ChaosDup, 0.0, "chaos: probability a received message is duplicated"},
 		{"upstream", Agg, &s.Upstream, "", "fedserver TCP address (required)"},
 		{"agg", Agg, &s.Agg, -1, "this aggregator's index, in [0, -aggregators)"},
-		{"prereduce", Agg, &s.PreReduce, "auto", "pre-reduction policy: auto | force | off"},
 	}
 }
 
@@ -237,7 +236,6 @@ func (s *Spec) AggregatorConfig(sc experiments.Scale) fl.AggregatorConfig {
 		Heartbeat:       s.Heartbeat,
 		DeadAfter:       s.Dead,
 		ReconnectWindow: s.Window,
-		PreReduce:       must(fl.ParsePreReduce(s.PreReduce)),
 	}
 }
 

@@ -133,7 +133,6 @@ func TestRangesAndParses(t *testing.T) {
 		{Client, []string{"-id", "0", "-reconnect", "-1s"}, "-reconnect must be >= 0, got -1s"},
 		{Agg, []string{"-agg", "2", "-aggregators", "2", "-upstream", "x"}, "-agg must be in [0, -aggregators)"},
 		{Agg, []string{"-agg", "0", "-aggregators", "2", "-upstream", "x", "-reconnect", "0s"}, "-reconnect must be > 0"},
-		{Agg, []string{"-agg", "0", "-aggregators", "2", "-upstream", "x", "-method", "KT-pFL", "-prereduce", "force"}, "pre-reduction"},
 	}
 	for _, tc := range cases {
 		s, _, err := parse(t, tc.role, tc.args...)
@@ -173,7 +172,7 @@ func TestDefaultsPinned(t *testing.T) {
 		Sim:    `aggregators= arch= checkpoint= ckptcodec="f64" clients= codec="f64" dataset="fashion" decay= delta= dtype="f64" evalsample= every=1 featdim= fleet="heterogeneous" leave= method="Proposed" mix= partition="dir" quorum= rate=1 rejoin= resident= resume= rounds= sched="sync" seed=1 slowdown=2 staleness= stragglers= topk= topology="flat" trace= transport="inproc" width= workers=`,
 		Server: `addr="127.0.0.1:7143" aggregators= checkpoint= ckptcodec="f64" clients= codec="f64" dataset="fashion" dead= decay= delta= dtype="f64" evalsample= every=1 featdim= heartbeat=1s method="Proposed" quorum= rate=1 resume= rounds= sched="sync" seed=1 staleness= topk= window=10s`,
 		Client: `addr="127.0.0.1:7143" chaos-delay= chaos-drop= chaos-dup= chaos-seed= clients= codec="f64" dataset="fashion" delta= dial-timeout=30s dtype="f64" featdim= fleet="heterogeneous" id=-1 method="Proposed" partition="dir" reconnect=30s seed=1 session= topk=`,
-		Agg:    `addr="127.0.0.1:0" agg=-1 aggregators= clients= codec="f64" dataset="fashion" dead= delta= dial-timeout=30s dtype="f64" featdim= heartbeat=1s method="Proposed" prereduce="auto" reconnect=30s seed=1 topk= upstream= window=10s`,
+		Agg:    `addr="127.0.0.1:0" agg=-1 aggregators= clients= codec="f64" dataset="fashion" dead= delta= dial-timeout=30s dtype="f64" featdim= heartbeat=1s method="Proposed" reconnect=30s seed=1 topk= upstream= window=10s`,
 	}
 	for _, r := range roleNames {
 		_, fs, err := parse(t, r.role)
@@ -197,8 +196,8 @@ func TestSharedFlagsAgree(t *testing.T) {
 		}
 		names[d.name] = true
 	}
-	if len(names) != 50 {
-		t.Errorf("%d flag names, want 50", len(names))
+	if len(names) != 49 {
+		t.Errorf("%d flag names, want 49", len(names))
 	}
 	for _, r := range roleNames {
 		_, fs, _ := parse(t, r.role)

@@ -56,7 +56,7 @@ func (t *Inproc) Listen(addr string) (Listener, error) {
 // harness that wires two endpoints with different options together still
 // fails loudly instead of corrupting payloads.
 func (t *Inproc) Dial(ctx context.Context, addr string) (Conn, error) {
-	return t.dial(ctx, addr, t.opts.Token)
+	return t.dial(ctx, addr, 0)
 }
 
 // DialSession dials presenting a per-call session token in the hello,

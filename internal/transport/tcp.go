@@ -65,17 +65,15 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 // Dial connects and handshakes; ctx bounds the whole attempt including the
 // handshake round trip.
 func (t *TCP) Dial(ctx context.Context, addr string) (Conn, error) {
-	return t.dial(ctx, addr, t.opts)
+	return t.dial(ctx, addr, 0)
 }
 
 // DialSession dials presenting a per-call session token in the hello.
 func (t *TCP) DialSession(ctx context.Context, addr string, token uint64) (Conn, error) {
-	opts := t.opts
-	opts.Token = token
-	return t.dial(ctx, addr, opts)
+	return t.dial(ctx, addr, token)
 }
 
-func (t *TCP) dial(ctx context.Context, addr string, opts Options) (Conn, error) {
+func (t *TCP) dial(ctx context.Context, addr string, token uint64) (Conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -86,9 +84,9 @@ func (t *TCP) dial(ctx context.Context, addr string, opts Options) (Conn, error)
 	} else {
 		nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	}
-	c := &tcpConn{nc: nc, limit: opts.MaxFrame}
+	c := &tcpConn{nc: nc, limit: t.opts.MaxFrame}
 	// Dialer speaks first, then validates the reply.
-	if err := c.sendHello(opts); err != nil {
+	if err := c.sendHello(t.opts, token); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -97,7 +95,7 @@ func (t *TCP) dial(ctx context.Context, addr string, opts Options) (Conn, error)
 		nc.Close()
 		return nil, err
 	}
-	if err := checkHello(peer, opts); err != nil {
+	if err := checkHello(peer, t.opts); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -132,7 +130,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	if err := c.sendHello(l.opts); err != nil {
+	if err := c.sendHello(l.opts, 0); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -163,13 +161,13 @@ type tcpConn struct {
 	hsSent, hsRecv int64
 }
 
-func (c *tcpConn) sendHello(o Options) error {
+func (c *tcpConn) sendHello(o Options, token uint64) error {
 	b := make([]byte, helloSize)
 	copy(b, tcpMagic)
 	binary.LittleEndian.PutUint32(b[len(tcpMagic):], Version)
 	binary.LittleEndian.PutUint32(b[len(tcpMagic)+4:], uint32(o.DType))
 	binary.LittleEndian.PutUint32(b[len(tcpMagic)+8:], o.Spec.Pack())
-	binary.LittleEndian.PutUint64(b[len(tcpMagic)+12:], o.Token)
+	binary.LittleEndian.PutUint64(b[len(tcpMagic)+12:], token)
 	if _, err := c.nc.Write(b); err != nil {
 		return fmt.Errorf("transport: sending handshake: %w", err)
 	}

@@ -94,13 +94,6 @@ type Options struct {
 	// MaxFrame caps the size of any single received frame in bytes
 	// (default DefaultMaxFrame).
 	MaxFrame int64
-	// Token is the session token this endpoint presents when dialing: 0
-	// for a fresh connection, a server-issued token when reconnecting to
-	// resume an existing federation session. The handshake carries it as
-	// opaque data — validation is the federation layer's job, not the
-	// transport's (a token is an identity claim, not a compatibility
-	// property).
-	Token uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -116,11 +109,13 @@ type Hello struct {
 	Version uint32
 	DType   tensor.DType
 	Spec    comm.Spec
-	// Token is the session token the peer presented. On an accepted
-	// connection this is the dialer's claim (the interesting direction: a
-	// reconnecting client names its session); on a dialed connection it is
-	// whatever the listener was configured with, normally zero. The
-	// federation layer decides what a nonzero token resumes.
+	// Token is the session token the peer presented: 0 for a fresh
+	// connection, a server-issued token when a client reconnects to resume
+	// its federation session. On an accepted connection this is the
+	// dialer's claim; a listener always presents zero. The handshake
+	// carries it as opaque data — the federation layer decides what a
+	// nonzero token resumes (a token is an identity claim, not a
+	// compatibility property).
 	Token uint64
 }
 
@@ -178,7 +173,7 @@ type Transport interface {
 }
 
 // SessionDialer is implemented by transports whose Dial can present a
-// per-call session token, overriding Options.Token. A client learns its
+// per-call session token; a plain Dial presents zero. A client learns its
 // token only after the first welcome, long after the transport was
 // constructed — reconnects need to attach it per dial.
 type SessionDialer interface {
@@ -187,8 +182,8 @@ type SessionDialer interface {
 
 // DialWithToken dials addr presenting token in the hello when the
 // transport supports per-dial tokens. A zero token (or a transport
-// without per-dial support) falls back to a plain Dial with whatever
-// Options.Token was configured.
+// without per-dial support) falls back to a plain Dial, which presents
+// zero.
 func DialWithToken(ctx context.Context, tr Transport, addr string, token uint64) (Conn, error) {
 	if sd, ok := tr.(SessionDialer); ok && token != 0 {
 		return sd.DialSession(ctx, addr, token)
