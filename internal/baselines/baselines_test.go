@@ -159,8 +159,11 @@ func TestFedProtoFirstCommitTakesMean(t *testing.T) {
 		{mix: 1, first: []float64{4, 4}, later: []float64{8, 8}},
 		{mix: 0.5, first: []float64{4, 4}, later: []float64{6, 6}},
 	} {
-		p := &FedProto{featDim: 2, numClasses: 2, globalProtos: make([][]float64, 2)}
-		p.setupAcc(tc.mix)
+		p := NewFedProto(1, 1)
+		if err := p.WireSetup([]fl.WireJoin{{FeatDim: 2, NumClasses: 2}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		p.mix = tc.mix
 		for round, want := range [][]float64{tc.first, tc.later} {
 			report := []float64{4, 4}
 			if round > 0 {
@@ -240,13 +243,8 @@ func TestKTpFLRunsAndCommunicatesSoftPredictions(t *testing.T) {
 func TestKTpFLCoefficientsFavorSimilarClients(t *testing.T) {
 	algo := NewKTpFL(1, 1, 4)
 	algo.coeff = [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
-	// Distances: clients 0,1 identical; client 2 far away.
-	d := [][]float64{
-		{0, 0, 9},
-		{0, 0, 9},
-		{9, 9, 0},
-	}
-	algo.refreshCoeff([]int{0, 1, 2}, func(a, b int) float64 { return d[a][b] })
+	// Squared distances: clients 0,1 identical; client 2 at 9 from both.
+	algo.refreshCoeff([]int{0, 1, 2}, [][]float64{{0}, {0}, {3}}, 1, nil)
 	if algo.coeff[0][1] <= algo.coeff[0][2] {
 		t.Fatalf("similar client should get higher coefficient: %v", algo.coeff[0])
 	}

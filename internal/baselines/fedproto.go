@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/comm"
@@ -31,10 +30,11 @@ type FedProto struct {
 	// globalProtos[c] is nil until some client has reported class c.
 	globalProtos [][]float64
 
-	// Async-scheduler state: a class-segmented accumulator (each class
-	// aggregates under its own weight) and per-client broadcast snapshots so
-	// local training regularizes against the prototypes the client actually
-	// downloaded.
+	// The server half's state: a class-segmented accumulator (each class
+	// aggregates under its own weight) and its commit mix, 1 unless an async
+	// scheduler sets its rate. Async schedulers also keep per-client
+	// broadcast snapshots so local training regularizes against the
+	// prototypes the client actually downloaded.
 	acc   *fl.ShardedAccumulator
 	mix   float64
 	snaps [][][]float64
@@ -56,28 +56,23 @@ func (p *FedProto) Name() string { return "FedProto" }
 // EpochsPerRound reports the local epochs per round.
 func (p *FedProto) EpochsPerRound() int { return p.LocalEpochs }
 
-// Setup verifies that all feature dimensions agree.
+// Setup reads the probe clients' geometry and builds the server state
+// through WireSetup, the one place it is built.
 func (p *FedProto) Setup(sim *fl.Simulation) error {
-	if sim.NumClients() == 0 {
-		return errors.New("baselines: no clients")
-	}
 	probe := sim.SetupIDs()
-	first := sim.Client(probe[0])
-	p.featDim = first.Model.Cfg.FeatDim
-	p.numClasses = first.Model.Cfg.NumClasses
-	for _, id := range probe[1:] {
-		c := sim.Client(id)
-		if c.Model.Cfg.FeatDim != p.featDim {
-			return fmt.Errorf("baselines: FedProto needs equal feature dims; client %d has %d want %d",
-				c.ID, c.Model.Cfg.FeatDim, p.featDim)
-		}
+	joins := make([]fl.WireJoin, len(probe))
+	for i, id := range probe {
+		cfg := sim.Client(id).Model.Cfg
+		joins[i] = fl.WireJoin{ID: id, FeatDim: cfg.FeatDim, NumClasses: cfg.NumClasses}
 	}
-	p.globalProtos = make([][]float64, p.numClasses)
-	return nil
+	return p.WireSetup(joins, 0)
 }
 
-// Round trains participants with the prototype regularizer, then aggregates
-// their fresh local prototypes weighted by per-class sample counts.
+// Round trains participants with the prototype regularizer against the
+// global table, then makes each reported class's prototype the
+// sample-count-weighted mean of this round's reports: every report folds
+// through WireApply at weight 1, in participant order, and WireCommit runs
+// at mix 1 (sync runs never set another).
 func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) error {
 	us := make([]*fl.Update, len(participants))
 	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
@@ -85,41 +80,19 @@ func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) erro
 		for i := range tables {
 			tables[i] = p.globalProtos
 		}
-		for i, u := range p.local(sim, group, tables) {
+		for i, u := range p.upload(sim, group, tables) {
 			sim.Ledger.AddUp(u.UpBytes)
 			sim.Downlink(p.downloadFloats())
 			us[pos[i]] = u
 		}
 	})
-	// Aggregate prototypes per class, weighted by sample counts.
-	sums := make([][]float64, p.numClasses)
-	totals := make([]int, p.numClasses)
 	for _, u := range us {
-		for cls, proto := range u.Vecs {
-			if proto == nil {
-				continue
-			}
-			if sums[cls] == nil {
-				sums[cls] = make([]float64, p.featDim)
-			}
-			for j, v := range proto {
-				sums[cls][j] += v * float64(u.Counts[cls])
-			}
-			totals[cls] += u.Counts[cls]
+		u.Weight = 1
+		if err := p.WireApply(u); err != nil {
+			return err
 		}
 	}
-	for cls := range sums {
-		if totals[cls] == 0 {
-			continue
-		}
-		proto := sums[cls]
-		inv := 1 / float64(totals[cls])
-		for j := range proto {
-			proto[j] *= inv
-		}
-		p.globalProtos[cls] = proto
-	}
-	return nil
+	return p.WireCommit()
 }
 
 // downloadFloats counts the floats in the current global prototype table.
@@ -133,10 +106,12 @@ func (p *FedProto) downloadFloats() int {
 	return n
 }
 
-// train runs a group's local epochs of CE + prototype regularization, client
+// local runs a group's local epochs of CE + prototype regularization, client
 // k against prototype table tables[k] (the global table in sync rounds, its
-// dispatch snapshot under async schedulers).
-func (p *FedProto) train(group []*fl.Client, batchSize int, tables [][][]float64) {
+// dispatch snapshot under async schedulers, the broadcast in node mode), and
+// returns each client's fresh local prototypes with their per-class sample
+// counts.
+func (p *FedProto) local(group []*fl.Client, batchSize int, tables [][][]float64) []*fl.Update {
 	// Prototype pull: d/df λ‖f − proto‖²/N = 2λ(f − proto)/N. Features and
 	// their gradient are model-dtype; the prototype table is float64
 	// bookkeeping, widened per element inside the pull.
@@ -149,70 +124,35 @@ func (p *FedProto) train(group []*fl.Client, batchSize int, tables [][][]float64
 		}
 	}
 	fl.TrainEpochs(group, batchSize, p.LocalEpochs, fl.Objective{Head: head})
-}
-
-// local trains a group and returns each client's fresh local prototypes
-// with their per-class sample counts, passed through the wire codec with
-// their bytes not yet booked.
-func (p *FedProto) local(sim *fl.Simulation, group []*fl.Client, tables [][][]float64) []*fl.Update {
-	p.train(group, sim.Cfg.BatchSize, tables)
 	us := make([]*fl.Update, len(group))
 	for i, c := range group {
-		protos, counts := p.localPrototypes(c, sim.Cfg.BatchSize)
-		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts, UpBytes: p.quantizeProtos(sim, protos)}
+		protos, counts := p.localPrototypes(c, batchSize)
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts}
 	}
 	return us
 }
 
-// AsyncSetup builds the class-segmented aggregation state: segment s is
-// class s's prototype, aggregated under its own weight.
+// upload is local in process: each update's prototypes pass through the
+// wire codec, their bytes not yet booked.
+func (p *FedProto) upload(sim *fl.Simulation, group []*fl.Client, tables [][][]float64) []*fl.Update {
+	us := p.local(group, sim.Cfg.BatchSize, tables)
+	for _, u := range us {
+		u.UpBytes = p.quantizeProtos(sim, u.Vecs)
+	}
+	return us
+}
+
+// AsyncSetup sets the commit mix and sizes the per-client dispatch
+// snapshots.
 func (p *FedProto) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	p.setupAcc(sched.MixRate)
+	p.mix = sched.MixRate
 	p.snaps = make([][][]float64, sim.NumClients())
 	return nil
 }
 
-// setupAcc sizes the class-segmented accumulator and sets the commit mix.
-func (p *FedProto) setupAcc(mix float64) {
-	segs := make([]int, p.numClasses)
-	for i := range segs {
-		segs[i] = p.featDim
-	}
-	p.acc = fl.NewSegmented(segs)
-	p.mix = mix
-}
-
-// commit merges each class's buffered mean into its global prototype. A
-// class nobody reported keeps its previous prototype; a class reported for
-// the first time takes the mean itself, since there is no previous
-// prototype to mix it with.
-func (p *FedProto) commit() {
-	for cls, proto := range p.globalProtos {
-		if proto != nil {
-			p.acc.CommitSegment(cls, proto, p.mix)
-			continue
-		}
-		proto = make([]float64, p.featDim)
-		if p.acc.CommitSegment(cls, proto, 1) {
-			p.globalProtos[cls] = proto
-		}
-	}
-}
-
-// AsyncDispatch snapshots the committed prototype table down to the client.
+// AsyncDispatch snapshots the broadcast table for the client and books it.
 func (p *FedProto) AsyncDispatch(sim *fl.Simulation, client int) error {
-	snap := p.snaps[client]
-	if snap == nil {
-		snap = make([][]float64, p.numClasses)
-	}
-	for cls := range snap {
-		if proto := p.globalProtos[cls]; proto != nil {
-			snap[cls] = append(snap[cls][:0], proto...)
-		} else {
-			snap[cls] = nil
-		}
-	}
-	p.snaps[client] = snap
+	p.snaps[client], _ = p.WireDispatch(client)
 	sim.Downlink(p.downloadFloats())
 	return nil
 }
@@ -225,7 +165,7 @@ func (p *FedProto) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Upd
 	for i, id := range clients {
 		group[i], tables[i] = sim.Client(id), p.snaps[id]
 	}
-	return p.local(sim, group, tables), nil
+	return p.upload(sim, group, tables), nil
 }
 
 // quantizeProtos passes each reported class prototype through the wire
@@ -242,23 +182,11 @@ func (p *FedProto) quantizeProtos(sim *fl.Simulation, protos [][]float64) int64 
 	return comm.WireSizeAs(sim.Cfg.Codec, sent)
 }
 
-// AsyncApply folds each reported class prototype into its segment, weighted
-// by sample count and staleness decay.
-func (p *FedProto) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
-	for cls, proto := range u.Vecs {
-		if proto == nil || u.Counts[cls] == 0 {
-			continue
-		}
-		p.acc.AccumulateSegment(cls, proto, u.Weight*float64(u.Counts[cls]))
-	}
-	return nil
-}
+// AsyncApply is WireApply.
+func (p *FedProto) AsyncApply(sim *fl.Simulation, u *fl.Update) error { return p.WireApply(u) }
 
-// AsyncCommit merges the per-class means into the global prototypes.
-func (p *FedProto) AsyncCommit(sim *fl.Simulation) error {
-	p.commit()
-	return nil
-}
+// AsyncCommit is WireCommit.
+func (p *FedProto) AsyncCommit(sim *fl.Simulation) error { return p.WireCommit() }
 
 // AlgoSnapshot captures the server state. Layout: Ints = [numClasses];
 // Vecs = numClasses global prototypes (nil for never-reported classes). The

@@ -94,9 +94,9 @@ func localTwin(t *testing.T, arch func(int) models.Arch, newAlgo func() fl.Async
 	}
 	for id := range clients {
 		if k, ok := algo.(*KTpFL); ok {
-			target := make([]float64, len(k.public)*k.numCls)
+			target := make([]float64, k.reportLen)
 			for j := range target {
-				target[j] = 1 / float64(k.numCls)
+				target[j] = float64(len(k.public)) / float64(k.reportLen)
 			}
 			k.pending[id] = target
 		}

@@ -40,23 +40,23 @@ type KTpFL struct {
 	PublicSize   int
 	ShareWeights bool
 
-	public   []data.Example
-	publicX  *tensor.Tensor
-	coeff    [][]float64 // knowledge coefficient matrix
-	initOnce bool
+	public  []data.Example
+	publicX *tensor.Tensor
+	coeff   [][]float64 // knowledge coefficient matrix
 
-	// Async-scheduler state (pending-transfer pattern): the server keeps
-	// each client's latest report (soft predictions, or flat weights for
-	// the "+weight" variant) with its staleness weight; commits refresh
-	// the coefficient matrix over whoever has reported and stage each
-	// client's personalized transfer, which the client consumes at its
+	// The async and wire halves' state (pending-transfer pattern): the
+	// server keeps each client's latest report (soft predictions, or flat
+	// weights for the "+weight" variant) with its staleness weight; commits
+	// refresh the coefficient matrix over whoever has reported and stage
+	// each client's personalized transfer, which the client consumes at its
 	// next dispatch. Knowledge thus flows without ever writing to a model
 	// that is training.
 	latest  [][]float64
 	latestW []float64
 	pending [][]float64
 	staged  [][]float64 // moved pending → staged at dispatch, consumed by AsyncLocalGroup
-	numCls  int
+	// reportLen is the length of every report WireApply accepts.
+	reportLen int
 }
 
 // NewKTpFL builds the soft-prediction variant.
@@ -99,17 +99,28 @@ func (k *KTpFL) SetPublic(public []data.Example, c, h, w int) {
 // Setup validates configuration and initializes the coefficient matrix
 // uniformly.
 func (k *KTpFL) Setup(sim *fl.Simulation) error {
-	if sim.NumClients() == 0 {
+	var params []int
+	if k.ShareWeights {
+		for _, id := range sim.SetupIDs() {
+			params = append(params, nn.NumParams(sim.Client(id).Model.Params()))
+		}
+	}
+	return k.start(sim.NumClients(), params)
+}
+
+// start checks the configuration for an n-client federation — "+weight"
+// needs every one of params, the probed clients' parameter counts, to
+// agree — and initializes the coefficient matrix uniformly.
+func (k *KTpFL) start(n int, params []int) error {
+	if n == 0 {
 		return errors.New("baselines: no clients")
 	}
 	if !k.ShareWeights && k.publicX == nil {
 		return errors.New("baselines: KT-pFL needs a public dataset (call SetPublic)")
 	}
 	if k.ShareWeights {
-		probe := sim.SetupIDs()
-		n := nn.NumParams(sim.Client(probe[0]).Model.Params())
-		for _, id := range probe[1:] {
-			if nn.NumParams(sim.Client(id).Model.Params()) != n {
+		for _, p := range params {
+			if p != params[0] {
 				return errors.New("baselines: KT-pFL+weight requires homogeneous models")
 			}
 		}
@@ -117,113 +128,50 @@ func (k *KTpFL) Setup(sim *fl.Simulation) error {
 	// The dense N×N knowledge-coefficient matrix is inherent to KT-pFL; it
 	// caps the fleet sizes the method is practical at regardless of lazy
 	// client materialization.
-	kk := sim.NumClients()
-	k.coeff = make([][]float64, kk)
+	k.coeff = make([][]float64, n)
 	for i := range k.coeff {
-		k.coeff[i] = make([]float64, kk)
+		k.coeff[i] = make([]float64, n)
 		for j := range k.coeff[i] {
-			k.coeff[i][j] = 1 / float64(kk)
+			k.coeff[i][j] = 1 / float64(n)
 		}
 	}
 	return nil
 }
 
 // Round runs local training, knowledge-coefficient refresh and transfer.
+// Each participant's transfer lands in the round that produced the reports
+// it mixes — unlike the staged commit of the async and wire halves, where a
+// transfer waits for its client's next dispatch.
 func (k *KTpFL) Round(sim *fl.Simulation, round int, participants []int) error {
 	if len(participants) == 0 {
 		return nil
 	}
-	// 1. Local supervised training.
-	fl.ParallelGroups(sim, participants, func(group []*fl.Client, _ []int) {
-		fl.TrainEpochs(group, sim.Cfg.BatchSize, k.LocalEpochs, fl.Objective{})
+	// 1. Local supervised training and every participant's report.
+	reports := make([][]float64, len(participants))
+	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
+		// Without transfers local cannot fail.
+		us, _ := k.local(group, sim.Cfg.BatchSize, make([][]float64, len(group)))
+		for i, u := range us {
+			reports[pos[i]] = u.Vecs[0]
+		}
 	})
+	for i, id := range participants {
+		reports[i] = sim.Uplink(id, reports[i])
+	}
+	// 2. Refresh knowledge coefficients from pairwise report similarity:
+	// squared distance per public example for soft predictions, per weight
+	// for the "+weight" variant.
+	norm := float64(len(k.public))
 	if k.ShareWeights {
-		return k.weightTransfer(sim, participants)
+		norm = float64(len(reports[0]))
 	}
-	return k.softTransfer(sim, participants)
-}
-
-// softTransfer is the heterogeneous path: soft predictions on public data.
-func (k *KTpFL) softTransfer(sim *fl.Simulation, participants []int) error {
-	m := len(k.public)
-	numClasses := sim.Client(participants[0]).Model.Cfg.NumClasses
-	soft := make([]*tensor.Tensor, len(participants))
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		_, logits := c.Model.Forward(k.publicX, false)
-		// Soft predictions widen to float64 bookkeeping before hitting the
-		// wire: the coefficient matrix and personalized targets are server
-		// state (widening f32 predictions is exact, so the f64 path is
-		// unchanged and the f32 path loses nothing).
-		soft[idx] = loss.SoftmaxWithTemperature(logits, k.Temperature).AsType(tensor.F64)
-		sim.Uplink(c.ID, soft[idx].Data)
-	})
-	// 2. Refresh knowledge coefficients from pairwise prediction similarity.
-	k.refreshCoeff(participants, func(a, b int) float64 {
-		d := tensor.Sub(soft[a], soft[b])
-		return d.SumSquares() / float64(m)
-	})
-	// 3. Personalized targets and distillation.
-	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		target := tensor.New(m, numClasses)
-		for j := range participants {
-			target.AxpyInPlace(k.coeff[participants[idx]][participants[j]], soft[j])
-		}
-		// Renormalize rows (coefficients over participants may not sum to 1).
-		for i := 0; i < m; i++ {
-			row := target.Row(i)
-			var s float64
-			for _, v := range row {
-				s += v
-			}
-			if s > 0 {
-				for jj := range row {
-					row[jj] /= s
-				}
-			}
-		}
-		sim.Downlink(m * numClasses)
-		k.distill(c, target)
-	})
-	return nil
-}
-
-// weightTransfer is the homogeneous "+weight" path.
-func (k *KTpFL) weightTransfer(sim *fl.Simulation, participants []int) error {
-	flats := make([][]float64, len(participants))
-	for idx, id := range participants {
-		c := sim.Client(id)
-		flats[idx] = sim.Uplink(c.ID, nn.FlattenParams(c.Model.Params()))
-	}
-	k.refreshCoeff(participants, func(a, b int) float64 {
-		var s float64
-		for j := range flats[a] {
-			d := flats[a][j] - flats[b][j]
-			s += d * d
-		}
-		return s / float64(len(flats[a]))
-	})
+	k.refreshCoeff(participants, reports, norm, nil)
+	// 3. Personalized transfers.
 	errs := make([]error, len(participants))
 	fl.ParallelClients(len(participants), func(idx int) {
-		c := sim.Client(participants[idx])
-		personalized := make([]float64, len(flats[idx]))
-		var wsum float64
-		for j := range participants {
-			w := k.coeff[participants[idx]][participants[j]]
-			wsum += w
-			for p, v := range flats[j] {
-				personalized[p] += w * v
-			}
-		}
-		if wsum > 0 {
-			inv := 1 / wsum
-			for p := range personalized {
-				personalized[p] *= inv
-			}
-		}
-		errs[idx] = nn.SetFlatParams(c.Model.Params(), personalized)
-		sim.Downlink(len(personalized))
+		t := k.transfer(participants[idx], participants, reports)
+		sim.Downlink(len(t))
+		errs[idx] = k.consume(sim.Client(participants[idx]), t)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -233,22 +181,24 @@ func (k *KTpFL) weightTransfer(sim *fl.Simulation, participants []int) error {
 	return nil
 }
 
-// refreshCoeff recomputes coefficient rows for the participating clients
-// from a pairwise distance function over participant indices.
-func (k *KTpFL) refreshCoeff(participants []int, dist func(a, b int) float64) {
-	k.refreshCoeffWeighted(participants, dist, nil)
-}
-
-// refreshCoeffWeighted additionally multiplies each source l's similarity
-// by weight w[l] before row normalization — under async schedulers, stale
-// reports contribute less knowledge.
-func (k *KTpFL) refreshCoeffWeighted(participants []int, dist func(a, b int) float64, w []float64) {
+// refreshCoeff recomputes the coefficient rows of the cohort from pairwise
+// report similarity exp(−(‖r_a − r_b‖²/norm)/σ²), reports[i] being
+// cohort[i]'s. With w set, each source b's similarity is scaled by w[b]
+// before its row is normalized: under async schedulers stale reports
+// contribute less knowledge.
+func (k *KTpFL) refreshCoeff(cohort []int, reports [][]float64, norm float64, w []float64) {
 	sigma2 := k.Sigma * k.Sigma
-	for a := range participants {
-		row := make([]float64, len(participants))
+	for a := range cohort {
+		row := make([]float64, len(cohort))
 		var sum float64
-		for b := range participants {
-			v := math.Exp(-dist(a, b) / sigma2)
+		for b := range cohort {
+			var s float64
+			for j, v := range reports[a] {
+				d := v - reports[b][j]
+				s += d * d
+			}
+			dist := s / norm
+			v := math.Exp(-dist / sigma2)
 			if w != nil {
 				v *= w[b]
 			}
@@ -258,145 +208,151 @@ func (k *KTpFL) refreshCoeffWeighted(participants []int, dist func(a, b int) flo
 		if sum == 0 {
 			continue
 		}
-		for b := range participants {
-			k.coeff[participants[a]][participants[b]] = row[b] / sum
+		for b := range cohort {
+			k.coeff[cohort[a]][cohort[b]] = row[b] / sum
 		}
 	}
 }
 
-// AsyncSetup sizes the pending-transfer tables.
-func (k *KTpFL) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
-	n := sim.NumClients()
-	k.latest = make([][]float64, n)
-	k.latestW = make([]float64, n)
-	k.pending = make([][]float64, n)
-	k.staged = make([][]float64, n)
-	k.numCls = sim.Client(0).Model.Cfg.NumClasses
-	return nil
-}
-
-// AsyncDispatch hands the client its staged personalized transfer (soft
-// target or personalized weights) computed at the last commit.
-func (k *KTpFL) AsyncDispatch(sim *fl.Simulation, client int) error {
-	if k.pending[client] == nil {
-		return nil
+// transfer returns client id's personalized transfer Σ_l c[id][l]·r_l over
+// the cohort, folded in cohort order (reports[i] is cohort[i]'s): soft
+// targets renormalized to a distribution per public example, personalized
+// weights divided by the coefficients' sum.
+func (k *KTpFL) transfer(id int, cohort []int, reports [][]float64) []float64 {
+	mix := make([]float64, len(reports[0]))
+	var wsum float64
+	for i, l := range cohort {
+		cw := k.coeff[id][l]
+		wsum += cw
+		for j, v := range reports[i] {
+			mix[j] += cw * v
+		}
 	}
-	k.staged[client] = k.pending[client]
-	k.pending[client] = nil
-	c := sim.Client(client)
 	if k.ShareWeights {
-		sim.Downlink(len(k.staged[client]))
-		err := nn.SetFlatParams(c.Model.Params(), k.staged[client])
-		k.staged[client] = nil
-		return err
+		if wsum > 0 {
+			inv := 1 / wsum
+			for j := range mix {
+				mix[j] *= inv
+			}
+		}
+		return mix
 	}
-	sim.Downlink(len(k.public) * k.numCls)
+	cols := len(mix) / len(k.public)
+	for i := range k.public {
+		row := mix[i*cols : (i+1)*cols]
+		var s float64
+		for _, v := range row {
+			s += v
+		}
+		if s > 0 {
+			for j := range row {
+				row[j] /= s
+			}
+		}
+	}
+	return mix
+}
+
+// consume lands a personalized transfer on c: the "+weight" variant
+// installs it as c's weights, the soft variant distills toward it.
+func (k *KTpFL) consume(c *fl.Client, transfer []float64) error {
+	if k.ShareWeights {
+		return nn.SetFlatParams(c.Model.Params(), transfer)
+	}
+	k.distill(c, tensor.FromSlice(transfer, len(k.public), len(transfer)/len(k.public)))
 	return nil
 }
 
-// AsyncLocalGroup distills each client toward any staged target, runs the
-// group's supervised local epochs, and uploads a fresh report per client
-// (soft predictions, or flat weights for the "+weight" variant).
-func (k *KTpFL) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
-	group := make([]*fl.Client, len(clients))
-	for i, id := range clients {
-		group[i] = sim.Client(id)
-		if !k.ShareWeights && k.staged[id] != nil {
-			target := tensor.New(len(k.public), k.numCls)
-			target.SetFromFloat64s(k.staged[id])
-			k.staged[id] = nil
-			k.distill(group[i], target)
+// local consumes each member's transfer, where transfers[i] has one, runs
+// the group's supervised local epochs and returns each client's fresh
+// knowledge report (soft predictions on the public set, or flat weights for
+// the "+weight" variant), not yet passed through the upload framing. A
+// "+weight" report is the client's FlatUpload vector.
+func (k *KTpFL) local(group []*fl.Client, batchSize int, transfers [][]float64) ([]*fl.Update, error) {
+	for i, c := range group {
+		if transfers[i] != nil {
+			if err := k.consume(c, transfers[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	fl.TrainEpochs(group, sim.Cfg.BatchSize, k.LocalEpochs, fl.Objective{})
-	us := make([]*fl.Update, len(clients))
+	fl.TrainEpochs(group, batchSize, k.LocalEpochs, fl.Objective{})
+	us := make([]*fl.Update, len(group))
 	for i, c := range group {
 		var report []float64
 		if k.ShareWeights {
-			report = nn.FlattenParams(c.Model.Params())
+			report = c.FlatUpload(c.Model.Params())
 		} else {
 			_, logits := c.Model.Forward(k.publicX, false)
-			soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
-			report = soft.AppendFloat64s(nil)
+			report = loss.SoftmaxWithTemperature(logits, k.Temperature).AppendFloat64s(nil)
 		}
-		report, bytes := sim.QuantizeUplink(c.ID, report)
-		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}, UpBytes: bytes}
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}}
 	}
 	return us, nil
 }
 
-// AsyncApply files the client's latest report with its staleness weight.
-func (k *KTpFL) AsyncApply(sim *fl.Simulation, u *fl.Update) error {
-	k.latest[u.Client] = u.Vecs[0]
-	k.latestW[u.Client] = u.Weight
+// AsyncSetup sizes the pending-transfer tables.
+func (k *KTpFL) AsyncSetup(sim *fl.Simulation, sched *fl.SchedulerConfig) error {
+	c := sim.Client(0)
+	k.sizeTables(sim.NumClients(), c.Model.Cfg.NumClasses, nn.NumParams(c.Model.Params()))
 	return nil
 }
 
-// AsyncCommit refreshes the knowledge-coefficient matrix over every client
-// that has reported (similarities scaled by staleness weight) and stages
-// each one's personalized transfer for its next dispatch.
-func (k *KTpFL) AsyncCommit(sim *fl.Simulation) error {
-	cohort := make([]int, 0, len(k.latest))
-	for id, rep := range k.latest {
-		if rep != nil {
-			cohort = append(cohort, id)
-		}
+// sizeTables sizes the pending-transfer tables for n clients and fixes the
+// report length WireApply accepts: len(public)·numCls soft predictions, or
+// numParams weights for the "+weight" variant.
+func (k *KTpFL) sizeTables(n, numCls, numParams int) {
+	k.latest = make([][]float64, n)
+	k.latestW = make([]float64, n)
+	k.pending = make([][]float64, n)
+	k.staged = make([][]float64, n)
+	k.reportLen = len(k.public) * numCls
+	if k.ShareWeights {
+		k.reportLen = numParams
 	}
-	if len(cohort) < 2 {
+}
+
+// AsyncDispatch hands the client its personalized transfer from the last
+// commit, consumed through WireDispatch, and books it. Personalized weights
+// install now, as the client's download; a soft target is staged for the
+// client's local step, which distills toward it.
+func (k *KTpFL) AsyncDispatch(sim *fl.Simulation, client int) error {
+	d, _ := k.WireDispatch(client)
+	if d == nil {
 		return nil
 	}
-	w := make([]float64, len(cohort))
-	for i, id := range cohort {
-		w[i] = k.latestW[id]
+	sim.Downlink(len(d[0]))
+	if k.ShareWeights {
+		return k.consume(sim.Client(client), d[0])
 	}
-	dim := float64(len(k.latest[cohort[0]]))
-	dist := func(a, b int) float64 {
-		va, vb := k.latest[cohort[a]], k.latest[cohort[b]]
-		var s float64
-		for j := range va {
-			d := va[j] - vb[j]
-			s += d * d
-		}
-		return s / dim
-	}
-	k.refreshCoeffWeighted(cohort, dist, w)
-	for _, id := range cohort {
-		mix := make([]float64, len(k.latest[id]))
-		var wsum float64
-		for _, l := range cohort {
-			cw := k.coeff[id][l]
-			wsum += cw
-			for j, v := range k.latest[l] {
-				mix[j] += cw * v
-			}
-		}
-		if k.ShareWeights {
-			if wsum > 0 {
-				inv := 1 / wsum
-				for j := range mix {
-					mix[j] *= inv
-				}
-			}
-		} else {
-			// Renormalize each public-example row to a distribution.
-			m := len(k.public)
-			for i := 0; i < m; i++ {
-				row := mix[i*k.numCls : (i+1)*k.numCls]
-				var s float64
-				for _, v := range row {
-					s += v
-				}
-				if s > 0 {
-					for j := range row {
-						row[j] /= s
-					}
-				}
-			}
-		}
-		k.pending[id] = mix
-	}
+	k.staged[client] = d[0]
 	return nil
 }
+
+// AsyncLocalGroup runs local over a group with its staged transfers and
+// passes each report through the upload framing.
+func (k *KTpFL) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
+	group := make([]*fl.Client, len(clients))
+	transfers := make([][]float64, len(clients))
+	for i, id := range clients {
+		group[i], transfers[i] = sim.Client(id), k.staged[id]
+		k.staged[id] = nil
+	}
+	us, err := k.local(group, sim.Cfg.BatchSize, transfers)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range us {
+		u.Vecs[0], u.UpBytes = sim.QuantizeUplink(u.Client, u.Vecs[0])
+	}
+	return us, nil
+}
+
+// AsyncApply is WireApply.
+func (k *KTpFL) AsyncApply(sim *fl.Simulation, u *fl.Update) error { return k.WireApply(u) }
+
+// AsyncCommit is WireCommit.
+func (k *KTpFL) AsyncCommit(sim *fl.Simulation) error { return k.WireCommit() }
 
 // AlgoSnapshot captures the server state. Layout: Ints = [k, hasAsync];
 // Vecs = the k coefficient-matrix rows plus, under async schedulers, the k
@@ -443,6 +399,12 @@ func (k *KTpFL) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
 			return fmt.Errorf("baselines: %s checkpoint carries async state for a different scheduler", k.Name())
 		}
 		for i := 0; i < n; i++ {
+			for _, v := range [][]float64{st.Vecs[n+i], st.Vecs[2*n+i]} {
+				if v != nil && len(v) != k.reportLen {
+					return fmt.Errorf("baselines: %s checkpoint report or transfer %d has %d values, want %d",
+						k.Name(), i, len(v), k.reportLen)
+				}
+			}
 			k.latest[i] = fl.CloneVec(st.Vecs[n+i])
 			k.pending[i] = fl.CloneVec(st.Vecs[2*n+i])
 			k.staged[i] = nil

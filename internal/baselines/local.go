@@ -35,9 +35,19 @@ func (l *LocalOnly) Setup(sim *fl.Simulation) error { return nil }
 // Round trains every participant locally; nothing is exchanged.
 func (l *LocalOnly) Round(sim *fl.Simulation, round int, participants []int) error {
 	fl.ParallelGroups(sim, participants, func(group []*fl.Client, _ []int) {
-		fl.TrainEpochs(group, sim.Cfg.BatchSize, l.LocalEpochs, fl.Objective{})
+		l.local(group, sim.Cfg.BatchSize)
 	})
 	return nil
+}
+
+// local trains a group and returns its communication-free updates.
+func (l *LocalOnly) local(group []*fl.Client, batchSize int) []*fl.Update {
+	fl.TrainEpochs(group, batchSize, l.LocalEpochs, fl.Objective{})
+	us := make([]*fl.Update, len(group))
+	for i, c := range group {
+		us[i] = &fl.Update{Client: c.ID}
+	}
+	return us
 }
 
 // The baseline is trivially async: there is no server state, so the
@@ -52,12 +62,10 @@ func (l *LocalOnly) AsyncDispatch(sim *fl.Simulation, client int) error { return
 // AsyncLocalGroup trains a group and reports communication-free updates.
 func (l *LocalOnly) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update, error) {
 	group := make([]*fl.Client, len(clients))
-	us := make([]*fl.Update, len(clients))
 	for i, id := range clients {
-		group[i], us[i] = sim.Client(id), &fl.Update{Client: id}
+		group[i] = sim.Client(id)
 	}
-	fl.TrainEpochs(group, sim.Cfg.BatchSize, l.LocalEpochs, fl.Objective{})
-	return us, nil
+	return l.local(group, sim.Cfg.BatchSize), nil
 }
 
 // AsyncApply is a no-op.

@@ -5,16 +5,19 @@ import (
 	"fmt"
 
 	"repro/internal/fl"
-	"repro/internal/loss"
-	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
-// The wire-split halves of the comparison algorithms, mirroring their
-// async decompositions with the server half fed by join payloads and wire
-// vectors instead of live client models. FedAvg's are fl.WeightAvg's (see
-// internal/fl/weightavg.go), and internal/fl/wire.go has the interface
-// contract.
+// The wire-split halves of the comparison algorithms, each method's one
+// server half and one client half. The in-process schedulers bind to
+// them: every method's local step is one group function
+// that WireLocal runs over a group of one; FedProto's sync round and its
+// async apply and commit fold through WireApply and WireCommit; KT-pFL's
+// async dispatch, apply and commit are WireDispatch, WireApply and
+// WireCommit. KT-pFL's sync Round shares the commit's coefficient refresh
+// and transfer arithmetic but not its staging: it lands each transfer in
+// the round that produced the reports, a different algorithm. FedAvg's
+// halves are fl.WeightAvg's (see internal/fl/weightavg.go), and
+// internal/fl/wire.go has the interface contract.
 
 var (
 	_ fl.WireAlgorithm = (*LocalOnly)(nil)
@@ -44,8 +47,7 @@ func (l *LocalOnly) WireDispatch(client int) ([][]float64, error) { return nil, 
 
 // WireLocal trains locally and uploads a communication-free update.
 func (l *LocalOnly) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*fl.Update, error) {
-	fl.TrainEpochs([]*fl.Client{c}, batchSize, l.LocalEpochs, fl.Objective{})
-	return &fl.Update{Client: c.ID}, nil
+	return l.local([]*fl.Client{c}, batchSize)[0], nil
 }
 
 // WireApply is a no-op.
@@ -59,8 +61,10 @@ func (l *LocalOnly) WireCommit() error { return nil }
 // WireInit sends nothing: prototypes only exist after training.
 func (p *FedProto) WireInit(c *fl.Client) ([][]float64, error) { return nil, nil }
 
-// WireSetup verifies matching feature dimensions and sizes the per-class
-// segmented accumulator from the joins' geometry.
+// WireSetup verifies matching feature dimensions and builds the server
+// state from the joins' geometry: the prototype table and the
+// class-segmented accumulator, committing at mix 1. Setup builds the same
+// state through it from the probe clients.
 func (p *FedProto) WireSetup(joins []fl.WireJoin, shards int) error {
 	if len(joins) == 0 {
 		return errors.New("baselines: no clients")
@@ -78,12 +82,17 @@ func (p *FedProto) WireSetup(joins []fl.WireJoin, shards int) error {
 		}
 	}
 	p.globalProtos = make([][]float64, p.numClasses)
-	p.setupAcc(1)
+	segs := make([]int, p.numClasses)
+	for i := range segs {
+		segs[i] = p.featDim
+	}
+	p.acc = fl.NewSegmented(segs)
+	p.mix = 1
 	return nil
 }
 
-// WireDispatch broadcasts the current prototype table; classes nobody has
-// reported yet travel as nil entries.
+// WireDispatch broadcasts a copy of the current prototype table; classes
+// nobody has reported yet travel as nil entries.
 func (p *FedProto) WireDispatch(client int) ([][]float64, error) {
 	table := make([][]float64, p.numClasses)
 	for cls, proto := range p.globalProtos {
@@ -113,9 +122,7 @@ func (p *FedProto) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) 
 			return nil, fmt.Errorf("baselines: FedProto prototype %d has %d dims, model has %d", cls, len(proto), p.featDim)
 		}
 	}
-	p.train([]*fl.Client{c}, batchSize, [][][]float64{table})
-	protos, counts := p.localPrototypes(c, batchSize)
-	return &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts}, nil
+	return p.local([]*fl.Client{c}, batchSize, [][][]float64{table})[0], nil
 }
 
 // WireApply folds each reported class prototype into its segment,
@@ -137,9 +144,21 @@ func (p *FedProto) WireApply(u *fl.Update) error {
 	return nil
 }
 
-// WireCommit merges the per-class means into the global prototypes.
+// WireCommit merges each class's buffered mean into its global prototype. A
+// class nobody reported keeps its previous prototype; a class reported for
+// the first time takes the mean itself, since there is no previous
+// prototype to mix it with.
 func (p *FedProto) WireCommit() error {
-	p.commit()
+	for cls, proto := range p.globalProtos {
+		if proto != nil {
+			p.acc.CommitSegment(cls, proto, p.mix)
+			continue
+		}
+		proto = make([]float64, p.featDim)
+		if p.acc.CommitSegment(cls, proto, 1) {
+			p.globalProtos[cls] = proto
+		}
+	}
 	return nil
 }
 
@@ -151,33 +170,14 @@ func (k *KTpFL) WireInit(c *fl.Client) ([][]float64, error) { return nil, nil }
 // WireSetup initializes the coefficient matrix uniformly and sizes the
 // pending-transfer tables, the wire form of Setup+AsyncSetup.
 func (k *KTpFL) WireSetup(joins []fl.WireJoin, shards int) error {
-	if len(joins) == 0 {
-		return errors.New("baselines: no clients")
+	params := make([]int, len(joins))
+	for i, j := range joins {
+		params[i] = j.NumParams
 	}
-	if !k.ShareWeights && k.publicX == nil {
-		return errors.New("baselines: KT-pFL needs a public dataset (call SetPublic)")
+	if err := k.start(len(joins), params); err != nil {
+		return err
 	}
-	if k.ShareWeights {
-		n := joins[0].NumParams
-		for _, j := range joins[1:] {
-			if j.NumParams != n {
-				return errors.New("baselines: KT-pFL+weight requires homogeneous models")
-			}
-		}
-	}
-	kk := len(joins)
-	k.coeff = make([][]float64, kk)
-	for i := range k.coeff {
-		k.coeff[i] = make([]float64, kk)
-		for j := range k.coeff[i] {
-			k.coeff[i][j] = 1 / float64(kk)
-		}
-	}
-	k.latest = make([][]float64, kk)
-	k.latestW = make([]float64, kk)
-	k.pending = make([][]float64, kk)
-	k.staged = make([][]float64, kk)
-	k.numCls = joins[0].NumClasses
+	k.sizeTables(len(joins), joins[0].NumClasses, joins[0].NumParams)
 	return nil
 }
 
@@ -193,36 +193,25 @@ func (k *KTpFL) WireDispatch(client int) ([][]float64, error) {
 	return [][]float64{p}, nil
 }
 
-// WireLocal consumes any personalized transfer (distilling toward a soft
-// target, or installing personalized weights), runs the supervised local
-// epochs and uploads a fresh knowledge report.
+// WireLocal checks any personalized transfer's length and runs local over a
+// group of one: consume the transfer, train, report.
 func (k *KTpFL) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*fl.Update, error) {
-	if len(dispatch) > 0 && dispatch[0] != nil {
-		if k.ShareWeights {
-			if err := nn.SetFlatParams(c.Model.Params(), dispatch[0]); err != nil {
-				return nil, err
-			}
-		} else {
-			m := len(k.public)
-			numCls := c.Model.Cfg.NumClasses
-			if m == 0 || len(dispatch[0]) != m*numCls {
-				return nil, fmt.Errorf("baselines: KT-pFL transfer has %d values, want %d×%d", len(dispatch[0]), m, numCls)
-			}
-			target := tensor.New(m, numCls)
-			target.SetFromFloat64s(dispatch[0])
-			k.distill(c, target)
+	var transfer []float64
+	if len(dispatch) > 0 {
+		transfer = dispatch[0]
+	}
+	if transfer != nil && !k.ShareWeights {
+		m := len(k.public)
+		numCls := c.Model.Cfg.NumClasses
+		if m == 0 || len(transfer) != m*numCls {
+			return nil, fmt.Errorf("baselines: KT-pFL transfer has %d values, want %d×%d", len(transfer), m, numCls)
 		}
 	}
-	fl.TrainEpochs([]*fl.Client{c}, batchSize, k.LocalEpochs, fl.Objective{})
-	var report []float64
-	if k.ShareWeights {
-		report = c.FlatUpload(c.Model.Params())
-	} else {
-		_, logits := c.Model.Forward(k.publicX, false)
-		soft := loss.SoftmaxWithTemperature(logits, k.Temperature)
-		report = soft.AppendFloat64s(nil)
+	us, err := k.local([]*fl.Client{c}, batchSize, [][]float64{transfer})
+	if err != nil {
+		return nil, err
 	}
-	return &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}}, nil
+	return us[0], nil
 }
 
 // WireApply files a copy of the client's latest report with its weight: the
@@ -234,14 +223,35 @@ func (k *KTpFL) WireApply(u *fl.Update) error {
 	if u.Client < 0 || u.Client >= len(k.latest) {
 		return fmt.Errorf("baselines: %s report from unknown client %d", k.Name(), u.Client)
 	}
+	if len(u.Vecs[0]) != k.reportLen {
+		return fmt.Errorf("baselines: client %d uploaded a %s report of %d values, want %d",
+			u.Client, k.Name(), len(u.Vecs[0]), k.reportLen)
+	}
 	k.latest[u.Client] = append(k.latest[u.Client][:0], u.Vecs[0]...)
 	k.latestW[u.Client] = u.Weight
 	return nil
 }
 
-// WireCommit refreshes the knowledge-coefficient matrix over everyone who
-// has reported and stages each one's personalized transfer for its next
-// dispatch — the same staged-transfer commit the async engine uses.
+// WireCommit refreshes the knowledge-coefficient matrix over every client
+// that has reported (similarities scaled by staleness weight) and stages
+// each one's personalized transfer for its next dispatch.
 func (k *KTpFL) WireCommit() error {
-	return k.AsyncCommit(nil)
+	var cohort []int
+	var reports [][]float64
+	var w []float64
+	for id, rep := range k.latest {
+		if rep != nil {
+			cohort = append(cohort, id)
+			reports = append(reports, rep)
+			w = append(w, k.latestW[id])
+		}
+	}
+	if len(cohort) < 2 {
+		return nil
+	}
+	k.refreshCoeff(cohort, reports, float64(len(reports[0])), w)
+	for _, id := range cohort {
+		k.pending[id] = k.transfer(id, cohort, reports)
+	}
+	return nil
 }

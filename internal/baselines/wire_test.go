@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/fl"
+	"repro/internal/models"
 	"repro/internal/nn"
 )
 
@@ -95,8 +96,9 @@ func TestFedAvgWireMatchesSyncRounds(t *testing.T) {
 }
 
 // TestFedProtoWireMatchesSyncRounds: the prototype table after wire
-// rounds must match the monolithic aggregation (per-class sample-count
-// weighting), including nil entries for never-reported classes.
+// rounds must equal the sync rounds' bit for bit (per-class sample-count
+// weighting), including nil entries for never-reported classes: the sync
+// round folds its reports through the same WireApply and WireCommit.
 func TestFedProtoWireMatchesSyncRounds(t *testing.T) {
 	const rounds, batch = 2, 8
 	syncClients := fleet(t, 3, het)
@@ -126,7 +128,7 @@ func TestFedProtoWireMatchesSyncRounds(t *testing.T) {
 			t.Fatalf("class %d: sync nil=%v, wire nil=%v", cls, sp == nil, wp == nil)
 		}
 		for j := range sp {
-			if math.Abs(sp[j]-wp[j]) > 1e-9 {
+			if math.Float64bits(sp[j]) != math.Float64bits(wp[j]) {
 				t.Fatalf("prototype %d[%d]: sync %v vs wire %v", cls, j, sp[j], wp[j])
 			}
 		}
@@ -211,6 +213,72 @@ func TestKTpFLWireStagesTransfers(t *testing.T) {
 		}
 		if len(vecs[0]) != len(algo.public)*clients[0].Model.Cfg.NumClasses {
 			t.Fatalf("transfer has %d values", len(vecs[0]))
+		}
+	}
+}
+
+// TestKTpFLWireRejectsWrongLengthReports: a report whose length is not the
+// federation's — len(public)·classes soft predictions, or the joins'
+// parameter count for "+weight" — is an error at WireApply, and the commit
+// over the well-formed reports still runs. Filed, a short report made the
+// commit index past its end and panic the server.
+func TestKTpFLWireRejectsWrongLengthReports(t *testing.T) {
+	soft := NewKTpFL(1, 1, 12)
+	soft.SetPublic(data.PublicSplit(data.SynthFashion(6, 4, 3), 12, 77), 1, 12, 12)
+	for _, tc := range []struct {
+		algo *KTpFL
+		arch func(int) models.Arch
+	}{{soft, het}, {NewKTpFLWeights(1), mlp}} {
+		clients := fleet(t, 3, tc.arch)
+		algo := tc.algo
+		if err := algo.WireSetup(joinsFor(t, algo, clients), 4); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range clients {
+			u, err := algo.WireLocal(c, 8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.Weight = 1
+			if c.ID == 1 {
+				u.Vecs[0] = u.Vecs[0][:3]
+				if err := algo.WireApply(u); err == nil {
+					t.Errorf("%s: WireApply filed a %d-value report", algo.Name(), len(u.Vecs[0]))
+				}
+				continue
+			}
+			if err := algo.WireApply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := algo.WireCommit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKTpFLRestoreRejectsWrongLengthReports: a checkpoint whose latest
+// report or pending transfer has the wrong length is refused at restore,
+// where the next commit would otherwise index past its end.
+func TestKTpFLRestoreRejectsWrongLengthReports(t *testing.T) {
+	const n = 3
+	// Vector n+1 is client 1's latest report, 2n+1 its pending transfer.
+	for _, at := range []int{n + 1, 2*n + 1} {
+		sim := fl.NewSimulation(fleet(t, n, mlp), fl.Config{BatchSize: 8, Seed: 1})
+		algo := NewKTpFLWeights(1)
+		if err := algo.Setup(sim); err != nil {
+			t.Fatal(err)
+		}
+		if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{MixRate: 1}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := algo.AlgoSnapshot(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Vecs[at] = []float64{1, 2, 3}
+		if err := algo.AlgoRestore(sim, st); err == nil {
+			t.Fatalf("restore accepted a 3-value entry at vector %d", at)
 		}
 	}
 }

@@ -56,6 +56,26 @@ func TestWeightAveragingCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
+// TestComparisonCheckpointBytesPinned is the pin for the comparison methods
+// that keep no weight-averaging half: Tiny-scale Baseline, FedProto and
+// KT-pFL on the heterogeneous fleet, then KT-pFL+weight on the homogeneous
+// one, sync and async, rounds 1 and 2. The async files hold in-flight
+// prototype and knowledge reports, FedProto's committed table and KT-pFL's
+// coefficient matrix, latest reports and pending transfers. It was recorded
+// before these methods' in-process schedulers ran through their wire
+// halves, and holds at any GOMAXPROCS.
+func TestComparisonCheckpointBytesPinned(t *testing.T) {
+	const want = "cdc72b94908e591f0508b8b96784cd4fc74c29e59491d453fb95edd5a2221d1b"
+	h := sha256.New()
+	for _, method := range []string{experiments.MethodBaseline, experiments.MethodFedProto, experiments.MethodKTpFL} {
+		hashCheckpoints(t, h, method, "heterogeneous")
+	}
+	hashCheckpoints(t, h, experiments.MethodKTpFLWeight, "homogeneous")
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("comparison-method checkpoint bytes moved: SHA-256 %s, want %s", got, want)
+	}
+}
+
 // hashCheckpoints writes into h the marshalled snapshots of a Tiny-scale run
 // of method on the named fleet, sync then async, after rounds 1 and 2.
 func hashCheckpoints(t *testing.T, h hash.Hash, method, fleet string) {

@@ -40,6 +40,10 @@ func TestLedgerBytesPinnedAcrossCommits(t *testing.T) {
 		{"KT-pFL", f64, true, 15648, 11736, 42},
 		{"KT-pFL", i8, false, 800, 800, 16},
 		{"KT-pFL", i8, true, 2400, 1800, 42},
+		{"KT-pFL+weight", f64, false, 163040, 163040, 16},
+		{"KT-pFL+weight", f64, true, 489120, 366840, 42},
+		{"KT-pFL+weight", i8, false, 20528, 20528, 16},
+		{"KT-pFL+weight", i8, true, 61584, 46188, 42},
 		{"FedClassAvg", f64, false, 5856, 5856, 16},
 		{"FedClassAvg", f64, true, 17568, 19764, 51},
 		{"FedClassAvg", i8, false, 880, 880, 16},
