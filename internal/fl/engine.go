@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -314,11 +315,51 @@ func (t *Trace) add(k TraceEventKind, client, version int, vtime float64) {
 	}
 }
 
-// asyncResult is what a client worker pushes onto the buffered event queue.
+// asyncResult is what a client worker pushes onto the event queue.
 type asyncResult struct {
 	client int
 	u      *Update
 	err    error
+}
+
+// resultQueue carries finished local updates from pool workers to the
+// engine. A push never blocks — a worker holds a pool token while it
+// delivers, and the engine may itself wait on a token to dispatch, so a
+// worker waiting on delivery could deadlock it — and the queue holds only
+// the results the engine has not taken yet, at most one per open flight:
+// its storage follows the flights open at once, not the fleet. Results come
+// out in no particular order; the engine files them by client.
+type resultQueue struct {
+	mu      sync.Mutex
+	arrived sync.Cond
+	rs      []asyncResult
+}
+
+func newResultQueue() *resultQueue {
+	q := &resultQueue{}
+	q.arrived.L = &q.mu
+	return q
+}
+
+func (q *resultQueue) push(r asyncResult) {
+	q.mu.Lock()
+	q.rs = append(q.rs, r)
+	q.mu.Unlock()
+	q.arrived.Signal()
+}
+
+// pop blocks until a result is queued and takes one.
+func (q *resultQueue) pop() asyncResult {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.rs) == 0 {
+		q.arrived.Wait()
+	}
+	n := len(q.rs) - 1
+	r := q.rs[n]
+	q.rs[n] = asyncResult{}
+	q.rs = q.rs[:n]
+	return r
 }
 
 // flight is one in-flight client update: dispatched at a version, due at a
@@ -517,15 +558,11 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 	// ⌈K·rate⌉ applies, semi-sync at its quorum.
 	cohortSize, commitEvery := cohortPolicy(k, s.Cfg.SampleRate, sched.Kind, sched.Quorum)
 
-	// At most one flight exists per client, so a queue that can hold every
-	// client's result guarantees workers never block on delivery while
-	// holding a pool token — the engine may itself block on a token in
-	// dispatch, and a worker stuck sending would deadlock it.
 	e := &Engine{
 		sim:      s,
 		algo:     algo,
 		sched:    sched,
-		queue:    make(chan asyncResult, k),
+		queue:    newResultQueue(),
 		arrived:  make(map[int]*asyncResult, sched.Workers),
 		idle:     make([]bool, k),
 		away:     make([]float64, k),
@@ -642,7 +679,7 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 
 // Engine holds the event-driven scheduler state. All fields are owned by
 // the engine goroutine; client workers communicate only through the
-// buffered event queue. Snapshot and Restore freeze and resume the full
+// event queue. Snapshot and Restore freeze and resume the full
 // engine state at commit boundaries.
 type Engine struct {
 	sim   *Simulation
@@ -654,7 +691,7 @@ type Engine struct {
 	version int
 	applied int
 	heap    flightHeap
-	queue   chan asyncResult
+	queue   *resultQueue
 	arrived map[int]*asyncResult
 	idle    []bool
 	// away[id] is the virtual time until which a churned-out client stays
@@ -780,7 +817,7 @@ func (e *Engine) dispatchCohort(n int) {
 
 // dispatch snapshots server state down to the client and queues its local
 // update for the refill's launch (launchPending). The result is delivered
-// through the buffered event queue and consumed when the update's virtual
+// through the event queue and consumed when the update's virtual
 // completion time is reached.
 func (e *Engine) dispatch(id int) {
 	e.idle[id] = false
@@ -828,7 +865,7 @@ func (e *Engine) launchPending() {
 			}
 			for i, id := range grp {
 				if err != nil {
-					queue <- asyncResult{client: id, err: err}
+					queue.push(asyncResult{client: id, err: err})
 					continue
 				}
 				u := us[i]
@@ -836,7 +873,7 @@ func (e *Engine) launchPending() {
 				if u == nil {
 					uerr = fmt.Errorf("AsyncLocalGroup returned a nil update")
 				}
-				queue <- asyncResult{client: id, u: u, err: uerr}
+				queue.push(asyncResult{client: id, u: u, err: uerr})
 			}
 		})
 	}
@@ -852,9 +889,8 @@ func (e *Engine) resolve(f *flight) *asyncResult {
 			f.res = r
 			break
 		}
-		r := <-e.queue
-		rr := r
-		e.arrived[rr.client] = &rr
+		r := e.queue.pop()
+		e.arrived[r.client] = &r
 	}
 	return f.res
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -330,19 +331,21 @@ func TestShardCommitAllocs(t *testing.T) {
 
 func TestEventQueueDispatchAllocs(t *testing.T) {
 	// One dispatch/delivery cycle: a flight pushed and popped on the heap
-	// plus a result through the buffered queue. Budget: the flight, the
+	// plus a result through the event queue. Budget: the flight, the
 	// result copy filed in the arrived map, and interface boxing.
-	queue := make(chan asyncResult, 8)
+	queue := newResultQueue()
 	arrived := make(map[int]*asyncResult, 8)
 	var h flightHeap
 	u := &Update{Client: 0, Scale: 1}
-	heap.Push(&h, &flight{client: 0, vtime: 1}) // warm the heap's backing array
+	heap.Push(&h, &flight{client: 0, vtime: 1}) // warm the heap's and the queue's backing arrays
 	heap.Pop(&h)
+	queue.push(asyncResult{})
+	queue.pop()
 	avg := testing.AllocsPerRun(100, func() {
 		ft := &flight{client: 0, vtime: 1}
 		heap.Push(&h, ft)
-		queue <- asyncResult{client: 0, u: u}
-		r := <-queue
+		queue.push(asyncResult{client: 0, u: u})
+		r := queue.pop()
 		arrived[r.client] = &r
 		popped := heap.Pop(&h).(*flight)
 		popped.res = arrived[popped.client]
@@ -350,5 +353,37 @@ func TestEventQueueDispatchAllocs(t *testing.T) {
 	})
 	if avg > 6 {
 		t.Fatalf("event dispatch cycle allocates %.1f objects/op, want <= 6", avg)
+	}
+}
+
+// asyncRunAlloc returns the bytes an async run of four commits over a
+// k-client virtual fleet allocates, its cohort fixed at eight.
+func asyncRunAlloc(t *testing.T, k int) uint64 {
+	t.Helper()
+	sim := NewLazySimulation(k, func(i int) *Client { return &Client{ID: i} }, 0, Config{Rounds: 4, SampleRate: 8 / float64(k), Seed: 5})
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := sim.RunScheduled(&stubAsync{}, SchedulerConfig{Kind: SchedAsyncBounded}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// The async engine's event queue holds the results of open flights, not a
+// slot per client: what a run allocates per extra fleet client — the
+// engine's idle flags, away times and ready set, about 9 bytes — stays well
+// under the 32 bytes per client a queue sized by the fleet cost on its own.
+func TestAsyncQueueIndependentOfFleet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
+	}
+	const small, large = 1 << 10, 1 << 17
+	asyncRunAlloc(t, small) // warm the worker pool and the tensor pool
+	perClient := float64(asyncRunAlloc(t, large)-asyncRunAlloc(t, small)) / (large - small)
+	t.Logf("%.1f bytes allocated per fleet client", perClient)
+	if perClient > 16 {
+		t.Fatalf("an async run allocates %.1f bytes per fleet client, want <= 16", perClient)
 	}
 }

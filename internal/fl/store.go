@@ -48,9 +48,10 @@ import (
 // forgetting it, with no write: the builder rebuilds it, or its record —
 // which a clean rehydrated client keeps, and which is released only when the
 // client turns dirty — restores it. Either way the client that comes back
-// is bit-identical. An evicted client's storage (parameters, gradients,
-// optimizer moments, upload vector) goes to the tensor pool, where the next
-// client built takes it over.
+// is bit-identical. An evicted client's model goes whole to the models free
+// list (SplitModel.Recycle), where the next build of its config takes it and
+// initializes it again in place, and its optimizer moments and upload vector
+// go to the tensor pool.
 type ClientStore struct {
 	mu       sync.Mutex
 	n        int
@@ -67,23 +68,22 @@ type ClientStore struct {
 	bufs    []*spillBuf // idle scratch of rehydrating Gets: one per Get that ever overlapped
 }
 
-// resident is a materialized client with its tensor lists, which cost a
-// handful of allocations to enumerate and are needed at both ends of a
-// residency (rehydrate, spill), and its clean bit.
+// resident is a materialized client and its clean bit.
 type resident struct {
-	c      *Client
-	params []*nn.Param
-	bufs   [][]float64
+	c *Client
 	// clean: nothing but evaluation has reached c since it was built or
 	// rehydrated. A clean client is indexed in the segment iff it was
 	// rehydrated; a dirty one never is.
 	clean bool
 }
 
-func (r *resident) list() {
-	if r.params == nil && r.c.Model != nil {
-		r.params, r.bufs = r.c.Model.Params(), r.c.Model.Buffers()
+// lists returns the parameter and buffer lists of c's model — the model's
+// own — or nil ones for a client without a model.
+func (c *Client) lists() (params []*nn.Param, bufs [][]float64) {
+	if c.Model == nil {
+		return nil, nil
 	}
+	return c.Model.Params(), c.Model.Buffers()
 }
 
 // NewClientStore builds a store over n virtual clients.
@@ -191,8 +191,8 @@ func (st *ClientStore) get(id int, dirty bool) *Client {
 // EvictToBudget evicts least-recently-used clients until the resident
 // count is within budget, skipping clients the scheduler still holds in
 // flight (pinned). A nil pinned means nothing is pinned. A dirty client
-// spills its state as a record; a clean one is forgotten. Either way its
-// storage goes back to the tensor pool.
+// spills its state as a record; a clean one is forgotten. Either way what
+// it holds is recycled for the next client built.
 func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -210,7 +210,7 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 			}
 			st.lru.Remove(el)
 			delete(st.resident, r.c.ID)
-			r.recycle()
+			r.c.recycle()
 		}
 		el = prev
 	}
@@ -226,18 +226,15 @@ type lender interface {
 	Fits(opt.Live) error
 }
 
-// recycle hands the storage of a client the store dropped — workspaces,
-// parameter values and gradients, a lending optimizer's moments, the upload
-// vector — to the tensor pool for the next client built to take, and clears
-// the fields that held it. Nothing may use the client afterwards; the
+// recycle hands what a client the store dropped holds to the next client
+// built — its model to the models free list (SplitModel.Recycle), a lending
+// optimizer's moments and the upload vector to the tensor pool — and clears
+// the fields that held them. Nothing may use the client afterwards; the
 // scheduler's pin keeps every client whose update is still in flight
 // resident.
-func (r *resident) recycle() {
-	c := r.c
+func (c *Client) recycle() {
 	if c.Model != nil {
-		r.list()
-		c.Model.ReleaseWorkspaces()
-		nn.RecycleParams(r.params)
+		c.Model.Recycle()
 	}
 	if o, ok := c.Optimizer.(lender); ok {
 		o.Borrow().Recycle()
@@ -274,19 +271,19 @@ func (sb *spillBuf) encodeClient(r *resident) error {
 	default:
 		return fmt.Errorf("optimizer cannot be checkpointed (implement opt.Checkpointable)")
 	}
-	r.list()
+	params, bufs := c.lists()
 	b := binary.LittleEndian.AppendUint64(sb.rec[:0], c.Src.State())
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(live.Ints)))
 	for _, v := range live.Ints {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	if vals, _ := nn.Flat(r.params); vals.DT == tensor.F64 {
+	if vals, _ := nn.Flat(params); vals.DT == tensor.F64 {
 		b = comm.AppendFrame(b, comm.Spec{}, recParams, vals.Data, nil) // where it lies
 	} else {
 		sb.vec = vals.AppendFloat64s(sb.vec[:0])
 		b = comm.AppendFrame(b, comm.Spec{}, recParams, sb.vec, nil)
 	}
-	sb.vec = nn.AppendFlatBuffers(sb.vec[:0], r.bufs)
+	sb.vec = nn.AppendFlatBuffers(sb.vec[:0], bufs)
 	b = comm.AppendFrame(b, comm.Spec{}, recBuffers, sb.vec, nil)
 	for _, v := range vecs {
 		b = comm.AppendFrame(b, comm.Spec{}, recMoment, v, nil)
@@ -304,8 +301,8 @@ func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 		return err
 	}
 	c := r.c
-	r.list()
-	rng, live, err := sb.decode(sb.rec, r.params, r.bufs, true)
+	params, bufs := c.lists()
+	rng, live, err := sb.decode(sb.rec, params, bufs, true)
 	if err != nil {
 		return err
 	}
@@ -376,17 +373,24 @@ func (st *ClientStore) RestoreTouched(recs []ClientRecord, dt tensor.DType) erro
 		}
 		held[cr.ID] = true
 		// A client built for the check is built outside the lock, as Get
-		// builds, and dropped after it.
+		// builds, and dropped after it: recycled, as an evicted client is,
+		// by a store with a budget, so a resume of many touched clients
+		// builds one model per config. An unbounded store never evicts;
+		// NewSimulation's builder hands back the fleet's own clients.
 		st.mu.Lock()
 		el, ok := st.resident[cr.ID]
 		st.mu.Unlock()
-		var c *Client
+		var err error
 		if ok {
-			c = el.Value.(*resident).c
+			err = sb.check(el.Value.(*resident).c, cr.Rec, dt)
 		} else {
-			c = st.build(cr.ID)
+			c := st.build(cr.ID)
+			err = sb.check(c, cr.Rec, dt)
+			if st.budget > 0 {
+				c.recycle()
+			}
 		}
-		if err := sb.check(c, cr.Rec, dt); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -431,9 +435,8 @@ func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
 	if c.Model != nil && c.Model.DType() != dt {
 		return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
 	}
-	r := &resident{c: c}
-	r.list()
-	_, live, err := sb.decode(rec, r.params, r.bufs, false)
+	params, bufs := c.lists()
+	_, live, err := sb.decode(rec, params, bufs, false)
 	if o, ok := c.Optimizer.(lender); ok && err == nil {
 		err = o.Fits(live)
 	} else if _, ok := c.Optimizer.(opt.Checkpointable); !ok && c.Optimizer != nil {

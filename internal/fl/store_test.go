@@ -261,19 +261,33 @@ func TestLazyBudgetByteIdentity(t *testing.T) {
 	}
 }
 
-// primeNaN puts NaN-filled storage into the tensor pool at every length the
-// fleet's clients take — a model's value and gradient slabs and its upload
-// vector, as long as its parameters, an Adam step's moment slab, twice
-// that, and each parameter's float64 initialization before packing, at f64
-// and f32 — once per client, so the next clients built, stepped or
-// rehydrated take dirty storage.
+// primeNaN dirties what the next clients built, stepped or rehydrated take
+// over. Each of fleet's clients trains an epoch, its model's value and
+// gradient slabs and running statistics turn NaN, and the store's recycle
+// hands the model whole to the models free list, where the next builds of
+// its config take it, and its moments to the tensor pool. And NaN-filled
+// storage goes into the pool at every length the clients take — a model's
+// value and gradient slabs and its upload vector, as long as its
+// parameters, an Adam step's moment slab, twice that, and each parameter's
+// float64 initialization before packing, at f64 and f32 — once per client.
 func primeNaN(fleet []*Client) {
 	for _, c := range fleet {
-		n := nn.NumParams(c.Model.Params())
+		params := c.Model.Params()
+		n := nn.NumParams(params)
 		sizes := []int{n, n, n, 2 * n}
-		for _, p := range c.Model.Params() {
+		for _, p := range params {
 			sizes = append(sizes, p.Value.Size())
 		}
+		c.TrainEpochCE(8)
+		vals, grads := nn.Flat(params)
+		vals.Fill(math.NaN())
+		grads.Fill(math.NaN())
+		for _, b := range c.Model.Buffers() {
+			for i := range b {
+				b[i] = math.NaN()
+			}
+		}
+		c.recycle()
 		for _, size := range sizes {
 			v, w := make([]float64, size), make([]float32, size)
 			for i := range v {
@@ -285,11 +299,12 @@ func primeNaN(fleet []*Client) {
 	}
 }
 
-// Storage from the pool is scratch: with NaN-filled storage primed at every
-// length the fleet keeps, TestLazyBudgetByteIdentity's runs give the bits
-// they give without it — metrics, trace and every touched client's final
-// state — under every scheduler, at budget ∞ and at budget 2, where every
-// later build also takes an evicted client's storage.
+// Storage from the pool is scratch: with a NaN-primed model recycled per
+// client and NaN-filled storage primed at every length the fleet keeps,
+// TestLazyBudgetByteIdentity's runs give the bits they give without it —
+// metrics, trace and every touched client's final state — under every
+// scheduler, at budget ∞ and at budget 2, where every later build also
+// takes an evicted client's model.
 func TestRecycledStorageIsScratch(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedSync, SchedAsyncBounded, SchedSemiSync} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -310,11 +325,11 @@ func TestRecycledStorageIsScratch(t *testing.T) {
 			}
 			want, wantTr, wantStates := run(0)
 			build := lazyTestBuilder(t, 12)
-			fleet := make([]*Client, 12)
-			for i := range fleet {
-				fleet[i] = build(i)
-			}
 			for _, resident := range []int{0, 2} {
+				fleet := make([]*Client, 12)
+				for i := range fleet {
+					fleet[i] = build(i)
+				}
 				primeNaN(fleet)
 				got, tr, states := run(resident)
 				if !reflect.DeepEqual(states, wantStates) {

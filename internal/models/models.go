@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -112,16 +113,56 @@ type SplitModel struct {
 	// contract: an input is consumed by the forward/backward pair it feeds.
 	// Like the layer workspaces it is leased for one pass.
 	xcast *tensor.Tensor
-	// params is Params(), in the order of the model's slabs.
-	params []*nn.Param
+	// params is Params(), in the order of the model's slabs; buffers is
+	// Buffers().
+	params  []*nn.Param
+	buffers [][]float64
+}
+
+// free holds recycled models by normalized Config: what New takes before it
+// builds. Every eviction returns one model and every build takes one, so a
+// config's list never holds more than its resident high-water mark.
+var free = struct {
+	sync.Mutex
+	models map[Config][]*SplitModel
+}{models: make(map[Config][]*SplitModel)}
+
+// Recycle ends m's life: its workspaces go back to the tensor pool
+// (ReleaseWorkspaces) and the model itself — layers, parameter slabs,
+// running statistics, cached lists — to a free list, from which the next
+// New of its Config takes it and initializes it again. Nothing may use m,
+// or any tensor or list it handed out, afterwards.
+func (m *SplitModel) Recycle() {
+	m.ReleaseWorkspaces()
+	free.Lock()
+	free.models[m.Cfg] = append(free.models[m.Cfg], m)
+	free.Unlock()
+}
+
+// takeFree returns a recycled model of config cfg, or nil when there is none.
+func takeFree(cfg Config) *SplitModel {
+	free.Lock()
+	defer free.Unlock()
+	ms := free.models[cfg]
+	if len(ms) == 0 {
+		return nil
+	}
+	m := ms[len(ms)-1]
+	ms[len(ms)-1] = nil
+	free.models[cfg] = ms[:len(ms)-1]
+	return m
 }
 
 // New builds a model for the given config with weights drawn from the
 // serializable source, so initialization is snapshot-reproducible exactly
-// like sampling and augmentation streams. Weights are always initialized in
+// like sampling and augmentation streams. Weights are always drawn in
 // float64 — a given seed yields the same draw sequence at every dtype — and
-// packed into Config.DType slabs afterwards (nn.Pack), classifier last,
-// which makes f32-vs-f64 parity runs start from identical weights.
+// narrowed into Config.DType slabs (nn.Pack), classifier last, which makes
+// f32-vs-f64 parity runs start from identical weights. A recycled model of
+// the same config (Recycle) is initialized again in place instead of built:
+// nn.Init makes the constructors' draws, in their order, into its slabs and
+// resets its running statistics, and its gradients are zeroed, so it is
+// bit-identical to a model built from scratch.
 func New(cfg Config, src *xrand.Source) *SplitModel {
 	if cfg.Width <= 0 {
 		cfg.Width = 1
@@ -130,6 +171,12 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 		cfg.FeatDim = 32
 	}
 	rng := rand.New(src)
+	if m := takeFree(cfg); m != nil {
+		nn.Init(m.Extractor, rng)
+		nn.Init(m.Classifier, rng)
+		nn.ZeroGrads(m.params)
+		return m
+	}
 	var ext *nn.Sequential
 	switch cfg.Arch {
 	case ArchMLP:
@@ -154,6 +201,7 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 		Classifier: nn.NewDense(cfg.FeatDim, cfg.NumClasses, rng),
 	}
 	m.params = append(ext.Params(), m.Classifier.Params()...)
+	m.buffers = ext.Buffers()
 	nn.Pack(m.params, cfg.DType)
 	return m
 }
@@ -211,9 +259,10 @@ func (m *SplitModel) Params() []*nn.Param { return m.params }
 func (m *SplitModel) ClassifierParams() []*nn.Param { return m.Classifier.Params() }
 
 // Buffers returns the model's non-trainable state (batch-norm running
-// statistics), which checkpoints capture alongside Params. The classifier
-// is a single dense layer and contributes none.
-func (m *SplitModel) Buffers() [][]float64 { return m.Extractor.Buffers() }
+// statistics), which checkpoints capture alongside Params — the model's own
+// list, which callers must not modify. The classifier is a single dense
+// layer and contributes none.
+func (m *SplitModel) Buffers() [][]float64 { return m.buffers }
 
 // buildMLP: Flatten → Dense(hidden) → ReLU → Dense(featDim).
 func buildMLP(cfg Config, rng *rand.Rand) *nn.Sequential {

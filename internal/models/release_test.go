@@ -207,10 +207,9 @@ func TestReleasedWorkspacesAreScratch(t *testing.T) {
 // TestReleaseCoversEveryLayer checks that ReleaseWorkspaces leaves nothing
 // behind: after a step, every tensor field and ring slot of every layer New
 // builds is nil, and every cached view header points at no storage, so no
-// layer can keep a buffer the pool has handed to another model. Recycling
-// the parameters then leaves no parameter anywhere in the model holding
-// storage either — what the client store relies on when it hands an evicted
-// model's storage to the next one built.
+// layer can keep a buffer the pool has handed to another model. And every
+// parameter anywhere in the model is one of Params(), whose slabs a recycled
+// model's re-initialization zeroes and narrows into.
 func TestReleaseCoversEveryLayer(t *testing.T) {
 	for _, a := range allArchs() {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
@@ -231,14 +230,11 @@ func TestReleaseCoversEveryLayer(t *testing.T) {
 						t.Errorf("view %s still points at storage after ReleaseWorkspaces", path)
 					}
 				})
-				nn.RecycleParams(m.Params())
 				found := 0
 				walkParams(reflect.ValueOf(m), "model", func(path string, p reflect.Value) {
 					found++
-					for _, f := range []string{"Value", "Grad"} {
-						if holdsStorage(p.Elem().FieldByName(f)) {
-							t.Errorf("%s.%s still holds storage after RecycleParams", path, f)
-						}
+					if !slices.ContainsFunc(m.Params(), func(q *nn.Param) bool { return reflect.ValueOf(q).Pointer() == p.Pointer() }) {
+						t.Errorf("%s is not among the model's Params()", path)
 					}
 				})
 				if found == 0 {

@@ -103,8 +103,14 @@ func NewConv2D(inC, outC, k, stride, pad, groups int, rng *rand.Rand) *Conv2D {
 	c.W = newParam("conv.W", outC, c.kernelElems)
 	c.B = newParam("conv.B", outC)
 	c.task = c.runRange
-	heInit(c.W.Value, c.kernelElems, rng)
+	c.init(rng)
 	return c
+}
+
+// init draws He-normal kernels and zeroes the biases (see Dense.init).
+func (c *Conv2D) init(rng *rand.Rand) {
+	heInit(c.W.Value, c.kernelElems, rng)
+	c.B.Value.Zero()
 }
 
 // OutputShape returns the spatial output size for a given input size.

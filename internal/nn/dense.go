@@ -29,8 +29,15 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 		W:   newParam("dense.W", in, out),
 		B:   newParam("dense.B", out),
 	}
-	heInit(d.W.Value, in, rng)
+	d.init(rng)
 	return d
+}
+
+// init draws He-normal weights and zeroes the biases, in the parameters'
+// dtype: the constructor's initialization and Init's re-initialization.
+func (d *Dense) init(rng *rand.Rand) {
+	heInit(d.W.Value, d.In, rng)
+	d.B.Value.Zero()
 }
 
 // Forward computes y = x·W + b.

@@ -25,8 +25,9 @@
 // hands each layer's workspaces back as soon as no later layer can read
 // them (Sequential.Forward). A model's parameters live in two exact-length
 // pool slabs, one for values and one for gradients, in Params() order
-// (Pack), so every flat view of a run of them is one range (Flat);
-// RecycleParams hands the slabs to the next model packed.
+// (Pack), so every flat view of a run of them is one range (Flat); a built
+// model keeps its slabs for life, and Init re-initializes them in place when
+// the model is reused.
 //
 // Activation aliasing contract: a tensor returned by Forward or Backward
 // stays valid until the same layer's corresponding method runs twice more
@@ -161,18 +162,6 @@ func span(t *tensor.Tensor, lo, hi int) tensor.Tensor {
 	return tensor.Tensor{DT: t.DT, Data: t.Data[lo:hi:hi]}
 }
 
-// RecycleParams ends a packed model's life: its two slabs go back to the
-// tensor pool for the next model packed, and every parameter drops its
-// views. params must be all of the model's parameters, in order.
-func RecycleParams(params []*Param) {
-	v, g := Flat(params)
-	tensor.RecycleStorage(&v)
-	tensor.RecycleStorage(&g)
-	for _, p := range params {
-		p.Value, p.Grad = nil, nil
-	}
-}
-
 // Layer is one differentiable stage of a model. Forward consumes the
 // previous activation and returns the next; Backward consumes dL/d(output)
 // and returns dL/d(input), accumulating parameter gradients as a side
@@ -184,6 +173,28 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	release()
+}
+
+// initializer is a layer with parameters or running statistics. Its init
+// sets them to their initial values, drawing from rng in the order the
+// constructors draw: the constructor of a drawing layer calls it, and Init
+// calls it again on a built layer.
+type initializer interface {
+	init(rng *rand.Rand)
+}
+
+// Init re-initializes l and its sublayers in place, in the layer tree's
+// pre-order — the order in which building the tree called the
+// constructors — so a built layer given a source in the same state as its
+// construction's comes out bit-identical to a newly constructed one: the
+// same draws land in the same values, narrowed to the parameters' dtype
+// exactly as Pack narrows a float64 initialization. Gradients, workspaces
+// and every other cache are the caller's: Init sets only what the
+// constructors set.
+func Init(l Layer, rng *rand.Rand) {
+	if in, ok := l.(initializer); ok {
+		in.init(rng)
+	}
 }
 
 // Release ends a pass over l: every workspace l and its sublayers hold —
@@ -253,6 +264,12 @@ func (s *Sequential) Params() []*Param {
 func (s *Sequential) release() {
 	for _, l := range s.Layers {
 		l.release()
+	}
+}
+
+func (s *Sequential) init(rng *rand.Rand) {
+	for _, l := range s.Layers {
+		Init(l, rng)
 	}
 }
 

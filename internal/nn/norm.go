@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -46,11 +47,18 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 		RunningMean: make([]float64, c),
 		RunningVar:  make([]float64, c),
 	}
-	bn.Gamma.Value.Fill(1)
-	for i := range bn.RunningVar {
-		bn.RunningVar[i] = 1
-	}
+	bn.init(nil)
 	return bn
+}
+
+// init sets the identity transform — scale 1, shift 0 — and the running
+// statistics of a unit normal. It draws nothing.
+func (bn *BatchNorm2D) init(*rand.Rand) {
+	bn.Gamma.Value.Fill(1)
+	bn.Beta.Value.Zero()
+	for i := range bn.RunningVar {
+		bn.RunningMean[i], bn.RunningVar[i] = 0, 1
+	}
 }
 
 // Forward normalizes with batch statistics in training mode and running

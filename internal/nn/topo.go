@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -70,6 +71,13 @@ func (r *Residual) release() {
 	}
 	r.out.release()
 	putBack(&r.dx)
+}
+
+func (r *Residual) init(rng *rand.Rand) {
+	r.Body.init(rng)
+	if r.Skip != nil {
+		r.Skip.init(rng)
+	}
 }
 
 // Buffers returns the non-trainable state of both paths.
@@ -176,6 +184,12 @@ func (in *Inception) release() {
 	clear(in.outs)
 	in.out.release()
 	putBack(&in.gb)
+}
+
+func (in *Inception) init(rng *rand.Rand) {
+	for _, br := range in.Branches {
+		br.init(rng)
+	}
 }
 
 // Buffers returns the non-trainable state of all branches.

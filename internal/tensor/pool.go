@@ -15,8 +15,8 @@ import (
 // (GetStorage, ZeroStorage, NewStorageOf) from lists keyed by length, since
 // the same lengths are asked for over and over and a rounded-up buffer
 // would hold its slack for as long as it is kept; it comes back through
-// PutStorage or RecycleStorage for the next request of that length. The
-// two never serve each other. A Pool is safe for concurrent use.
+// PutStorage for the next request of that length. The two never serve each
+// other. A Pool is safe for concurrent use.
 type Pool struct {
 	buckets [numDTypes][poolBuckets]poolBucket
 	f64     exactList[float64]
@@ -208,7 +208,7 @@ func PutStorage[F Float](v []F) { exactFor[F](defaultPool).put(v) }
 // NewStorageOf returns a zero-filled tensor of the given dtype and shape
 // whose storage comes from the default pool at exactly the shape's element
 // count (ZeroStorage): the constructor of tensors a model keeps, such as its
-// parameters and their gradients. RecycleStorage hands the storage back.
+// parameters and their gradients. PutStorage hands the storage back.
 func NewStorageOf(dt DType, shape ...int) *Tensor {
 	t := &Tensor{Shape: append([]int(nil), shape...), DT: dt}
 	if dt.Backing() == F32 {
@@ -217,18 +217,6 @@ func NewStorageOf(dt DType, shape ...int) *Tensor {
 		t.Data = ZeroStorage[float64](sizeOf(shape))
 	}
 	return t
-}
-
-// RecycleStorage hands t's storage to the default pool (PutStorage) and
-// detaches it from t, which then holds no elements. Nothing may use the
-// storage afterwards through another tensor or slice sharing it.
-func RecycleStorage(t *Tensor) {
-	if t.DT.Backing() == F32 {
-		PutStorage(t.F32)
-	} else {
-		PutStorage(t.Data)
-	}
-	t.Data, t.F32 = nil, nil
 }
 
 // Ensure returns a float64 tensor of the given shape, reusing t's storage

@@ -107,16 +107,13 @@ func TestPoolExactStorageConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// NewStorageOf zero-fills storage that arrives dirty, and RecycleStorage
-// detaches it from the tensor it hands back.
+// NewStorageOf zero-fills storage that arrives dirty.
 func TestNewStorageOfZeroFills(t *testing.T) {
 	for _, dt := range []DType{F64, F32, BF16} {
 		dirty := NewStorageOf(dt, 3, 7)
 		dirty.Fill(math.NaN())
-		RecycleStorage(dirty)
-		if dirty.Data != nil || dirty.F32 != nil || dirty.Size() != 0 {
-			t.Fatalf("%v: a recycled tensor still holds storage", dt)
-		}
+		PutStorage(dirty.Data)
+		PutStorage(dirty.F32)
 		x := NewStorageOf(dt, 7, 3)
 		if x.DT != dt || x.Size() != 21 || x.Dim(0) != 7 {
 			t.Fatalf("%v: NewStorageOf gave %v %v", dt, x.DT, x.Shape)
