@@ -59,7 +59,7 @@ var hotPaths = []hotPath{
 	{"ConvTrainStep32", convTrainStep(tensor.F32), 6, 5},
 	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 158, 50},
 	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 156, 50},
-	{"ClientLocalEpochGroup", clientLocalEpochGroup, 927, 270},
+	{"ClientLocalEpochGroup", clientLocalEpochGroup, 296, 270},
 	// One range closure per fold: benchFleet's four uploads and the commit.
 	{"ClassifierAveraging", classifierAveraging, 5, 5},
 	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},

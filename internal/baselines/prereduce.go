@@ -51,6 +51,9 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 			numCls = len(u.Vecs)
 		}
 		for cls, proto := range u.Vecs {
+			if err := checkProtoCount(u, cls); err != nil {
+				return nil, err
+			}
 			if proto == nil || u.Counts[cls] == 0 {
 				continue
 			}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fl"
@@ -194,4 +195,101 @@ func TestKTpFLPreReduceGuard(t *testing.T) {
 	if _, ok := interface{}(NewFedAvg(1)).(fl.ReducibleWireAlgorithm); !ok {
 		t.Fatal("FedAvg must advertise its pre-reduction")
 	}
+}
+
+// protoFleetSize, protoDim and protoClasses are the geometry of the
+// negative-count tests' FedProto reports.
+const protoFleetSize, protoDim, protoClasses = 3, 5, 4
+
+// protoReport is client's FedProto report with the given per-class sample
+// counts and integer-valued prototypes.
+func protoReport(client int, counts ...int) *fl.Update {
+	vecs := make([][]float64, protoClasses)
+	for cls := range vecs {
+		vecs[cls] = make([]float64, protoDim)
+		for i := range vecs[cls] {
+			vecs[cls][i] = float64(10*client + 3*cls - i)
+		}
+	}
+	return &fl.Update{Client: client, Weight: 1, Vecs: vecs, Counts: counts}
+}
+
+// protoServer is a FedProto server half set up for protoFleetSize clients.
+func protoServer(t *testing.T) *FedProto {
+	t.Helper()
+	joins := make([]fl.WireJoin, protoFleetSize)
+	for i := range joins {
+		joins[i] = fl.WireJoin{ID: i, TrainSize: 10, FeatDim: protoDim, NumClasses: protoClasses}
+	}
+	algo := NewFedProto(1, 1)
+	if err := algo.WireSetup(joins, 0); err != nil {
+		t.Fatal(err)
+	}
+	return algo
+}
+
+// commitProtos commits algo and returns a copy of its prototype table.
+func commitProtos(t *testing.T, algo *FedProto) [][]float64 {
+	t.Helper()
+	if err := algo.WireCommit(); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, len(algo.globalProtos))
+	for cls, p := range algo.globalProtos {
+		out[cls] = append([]float64(nil), p...)
+	}
+	return out
+}
+
+// wantNegativeCount fails unless err refuses client 2's class 1, the
+// negative count of negativeReport.
+func wantNegativeCount(t *testing.T, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "client 2") || !strings.Contains(err.Error(), "class 1") {
+		t.Fatalf("a negative class count: err = %v, want one naming client 2 and class 1", err)
+	}
+}
+
+// negativeReport is client 2's report with a well-formed class 0 ahead of
+// a negative class 1 count: refusing it must fold neither.
+func negativeReport() *fl.Update { return protoReport(2, 5, -2, 1, 1) }
+
+func sameProtos(t *testing.T, got, want [][]float64) {
+	t.Helper()
+	for cls := range want {
+		if len(got[cls]) != len(want[cls]) {
+			t.Fatalf("class %d: %d dims, want %d", cls, len(got[cls]), len(want[cls]))
+		}
+		for i := range want[cls] {
+			if math.Float64bits(got[cls][i]) != math.Float64bits(want[cls][i]) {
+				t.Fatalf("proto[%d][%d] = %v, want %v", cls, i, got[cls][i], want[cls][i])
+			}
+		}
+	}
+}
+
+// TestFedProtoPreReduceRejectsNegativeCounts: an aggregator refuses a
+// subtree holding a negative class count, naming the client and class, and
+// its next reduction — of the well-formed reports — commits at the root to
+// the table those reports make alone.
+func TestFedProtoPreReduceRejectsNegativeCounts(t *testing.T) {
+	good := []*fl.Update{protoReport(0, 3, 1, 2, 4), protoReport(1, 2, 2, 0, 1)}
+	agg := NewFedProto(1, 1)
+	_, err := agg.PreReduce([]*fl.Update{good[0], negativeReport()})
+	wantNegativeCount(t, err)
+	au, err := agg.PreReduce(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := protoServer(t)
+	if err := root.WireApplyAggregate(au); err != nil {
+		t.Fatal(err)
+	}
+	flat := protoServer(t)
+	for _, u := range good {
+		if err := flat.WireApply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameProtos(t, commitProtos(t, root), commitProtos(t, flat))
 }

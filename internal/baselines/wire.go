@@ -126,20 +126,33 @@ func (p *FedProto) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) 
 }
 
 // WireApply folds each reported class prototype into its segment,
-// weighted by sample count.
+// weighted by sample count. A malformed report folds nothing.
 func (p *FedProto) WireApply(u *fl.Update) error {
 	if len(u.Vecs) > p.numClasses || len(u.Counts) != len(u.Vecs) {
 		return fmt.Errorf("baselines: client %d uploaded a malformed FedProto report", u.Client)
 	}
 	for cls, proto := range u.Vecs {
-		if proto == nil || u.Counts[cls] == 0 {
-			continue
+		if err := checkProtoCount(u, cls); err != nil {
+			return err
 		}
-		if len(proto) != p.featDim {
+		if proto != nil && u.Counts[cls] != 0 && len(proto) != p.featDim {
 			return fmt.Errorf("baselines: client %d prototype %d has %d dims, server expects %d",
 				u.Client, cls, len(proto), p.featDim)
 		}
-		p.acc.AccumulateSegment(cls, proto, u.Weight*float64(u.Counts[cls]))
+	}
+	for cls, proto := range u.Vecs {
+		if proto != nil && u.Counts[cls] != 0 {
+			p.acc.AccumulateSegment(cls, proto, u.Weight*float64(u.Counts[cls]))
+		}
+	}
+	return nil
+}
+
+// checkProtoCount refuses a negative sample count for class cls of u, which
+// would fold its prototype at negative weight.
+func checkProtoCount(u *fl.Update, cls int) error {
+	if u.Counts[cls] < 0 {
+		return fmt.Errorf("baselines: client %d reports %d samples of class %d", u.Client, u.Counts[cls], cls)
 	}
 	return nil
 }

@@ -282,3 +282,24 @@ func TestKTpFLRestoreRejectsWrongLengthReports(t *testing.T) {
 		}
 	}
 }
+
+// TestFedProtoWireRejectsNegativeCounts: a report with a negative class
+// count is an error at WireApply naming the client and class, and folds
+// none of its classes, so the next commit's prototype table is the one the
+// other reports make alone. Filed, the prototype folded at negative weight.
+func TestFedProtoWireRejectsNegativeCounts(t *testing.T) {
+	good := []*fl.Update{protoReport(0, 3, 1, 2, 4), protoReport(1, 2, 2, 0, 1)}
+	run := func(refused *fl.Update) [][]float64 {
+		algo := protoServer(t)
+		for _, u := range good {
+			if err := algo.WireApply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if refused != nil {
+			wantNegativeCount(t, algo.WireApply(refused))
+		}
+		return commitProtos(t, algo)
+	}
+	sameProtos(t, run(negativeReport()), run(nil))
+}

@@ -82,10 +82,10 @@ type Objective struct {
 // its views in group order, and then the group runs the extractor forward,
 // the classifier forward on view one, the cross-entropy and head, the
 // classifier and extractor backward, the hook, and each client's optimizer
-// step. Clients with fewer batches drop out of later steps. A step of two or
-// more clients runs the nn batched entry points, a step of one the plain
-// layer methods. The epochs are one pass: on return every client's layer
-// workspaces are back in the tensor pool.
+// step. Clients with fewer batches drop out of later steps. Every step runs
+// the nn group entry points over the clients taking it, however many. The
+// epochs are one pass: on return every client's layer workspaces are back in
+// the tensor pool.
 func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float64 {
 	g := len(group)
 	losses := make([]float64, g)
@@ -109,33 +109,21 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 					st.pack(k, c, batches[k][s], obj.TwoViews)
 				}
 			}
-			solo := len(st.k) == 1
-			if solo {
-				st.feats = append(st.feats[:0], st.exts[0].Forward(st.xs[0], true))
-			} else {
-				st.feats = nn.SequentialForwardBatch(st.exts, st.xs, true)
-			}
+			st.feats = nn.SequentialForwardBatch(st.exts, st.xs, true)
 			views := st.feats
 			if obj.TwoViews {
 				views = st.viewOne()
 			}
-			if solo {
-				st.logits = append(st.logits[:0], st.clfs[0].Forward(views[0], true))
-			} else {
-				st.logits = nn.DenseForwardBatch(st.clfs, views, true)
-			}
+			logits := nn.DenseForwardBatch(st.clfs, views, true)
 			st.grads = st.grads[:0]
 			for j, k := range st.k {
-				l, dl := loss.CrossEntropy(st.logits[j], st.ys[j])
+				l, dl := loss.CrossEntropy(logits[j], st.ys[j])
 				losses[k] += l
 				taken[k]++
 				st.grads = append(st.grads, dl)
 			}
-			if solo {
-				st.grads[0] = st.clfs[0].Backward(st.grads[0])
-			} else {
-				st.grads = nn.DenseBackwardBatch(st.clfs, st.grads)
-			}
+			dfeats := nn.DenseBackwardBatch(st.clfs, st.grads)
+			st.grads = append(st.grads[:0], dfeats...)
 			for j, k := range st.k {
 				if obj.TwoViews {
 					// The view-one gradient widens to every row, zero below.
@@ -147,11 +135,7 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 					obj.Head(k, st.feats[j], st.grads[j], st.ys[j])
 				}
 			}
-			if solo {
-				st.exts[0].Backward(st.grads[0])
-			} else {
-				nn.SequentialBackwardBatch(st.exts, st.grads)
-			}
+			nn.SequentialBackwardBatch(st.exts, st.grads)
 			for j, k := range st.k {
 				if obj.TwoViews {
 					tensor.PutTensor(st.grads[j])
@@ -184,11 +168,10 @@ type step struct {
 	clfs  []*nn.Dense
 	xs    []*tensor.Tensor // pooled packed inputs
 	ys    [][]int
-	feats []*tensor.Tensor
+	feats []*tensor.Tensor // the extractors' outputs, in the leader's list
 	// views are row headers over the view-one half of feats (TwoViews).
-	views  []*tensor.Tensor
-	logits []*tensor.Tensor
-	grads  []*tensor.Tensor
+	views []*tensor.Tensor
+	grads []*tensor.Tensor
 }
 
 func (st *step) reset() {

@@ -144,3 +144,64 @@ func TestDenseTrainStepAllocs(t *testing.T) {
 		t.Fatalf("Dense forward+backward allocates %.1f objects/op in steady state, want <= %.0f", avg, budget)
 	}
 }
+
+// groupAllocNet is a MiniResNet-shaped extractor for 8×8 inputs: a
+// convolution stem with batch norm, an identity and a projection residual
+// block, max pooling, global average pooling and a dense head.
+func groupAllocNet(seed int64, dt tensor.DType) *Sequential {
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSequential(
+		NewConv2D(1, 4, 3, 1, 1, 1, rng),
+		NewBatchNorm2D(4),
+		NewReLU(),
+		NewResidual(NewSequential(
+			NewConv2D(4, 4, 3, 1, 1, 1, rng),
+			NewBatchNorm2D(4),
+			NewReLU(),
+		), nil),
+		NewMaxPool2D(2, 2),
+		NewResidual(NewSequential(
+			NewConv2D(4, 8, 3, 1, 1, 1, rng),
+			NewBatchNorm2D(8),
+		), NewSequential(
+			NewConv2D(4, 8, 1, 1, 0, 1, rng),
+			NewBatchNorm2D(8),
+		)),
+		NewReLU(),
+		NewGlobalAvgPool(),
+		NewDense(8, 5, rng),
+	)
+	Pack(s.Params(), dt)
+	return s
+}
+
+// TestGroupTrainStepAllocs is the group pass's allocation gate: a
+// steady-state training step of a two-member group, composites included,
+// allocates no more than a single layer's dispatch allowance — the lists a
+// step needs are its leader's, reused across steps (none is allocated here
+// at any worker count).
+func TestGroupTrainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts; the alloc gate runs without -race")
+	}
+	const g = 2
+	rng := rand.New(rand.NewSource(41))
+	seqs := make([]*Sequential, g)
+	xs := make([]*tensor.Tensor, g)
+	grads := make([]*tensor.Tensor, g)
+	for i := range seqs {
+		seqs[i] = groupAllocNet(int64(i+1), tensor.F64)
+		xs[i] = tensor.New(6, 1, 8, 8)
+		xs[i].FillRandn(rng, 1)
+		grads[i] = tensor.New(6, 5)
+		grads[i].FillRandn(rng, 1)
+	}
+	step := func() {
+		SequentialForwardBatch(seqs, xs, true)
+		SequentialBackwardBatch(seqs, grads)
+	}
+	step()
+	if avg, budget := testing.AllocsPerRun(50, step), parallelDispatchBudget(); avg > budget {
+		t.Fatalf("a two-member group step allocates %.1f objects/op in steady state, want <= %.0f", avg, budget)
+	}
+}

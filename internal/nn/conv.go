@@ -70,6 +70,10 @@ type Conv2D struct {
 	wgV, dwV, dwtV []*tensor.Tensor
 	colsV, gmatV   []*tensor.Tensor
 	dcolsV         []*tensor.Tensor
+
+	// Group scratch while c leads (group.go).
+	ms     []*Conv2D
+	launch launch
 }
 
 // convBlockElems is the im2col element budget of one block: 768 KB at
@@ -251,23 +255,31 @@ func setView(vp **tensor.Tensor, src *tensor.Tensor, lo, hi, r, cols int) {
 	tensor.ViewInto(v, src, lo, hi, r, cols)
 }
 
-// Forward computes the convolution for a batch [N, C, H, W].
+// Forward computes the convolution for a batch [N, C, H, W], as a group of
+// one.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	cs, xs, outs := [1]*Conv2D{c}, [1]*tensor.Tensor{x}, [1]*tensor.Tensor{}
-	convForward(cs[:], xs[:], outs[:], train)
-	return outs[0]
+	cs, acts := [1]*Conv2D{c}, [1]*tensor.Tensor{x}
+	convForward(cs[:], acts[:], train)
+	return acts[0]
 }
 
-// convForward is the forward block driver behind Conv2D.Forward (a group of
-// one) and Conv2DForwardBatch: for each block index, every member lowers
-// its block, then per channel group the members' products run as fused
-// launches and each member scatters its product, bias fused, into its
-// output. The output columns are independent, so the blocks change no bit
-// of the whole-batch product.
-func convForward(cs []*Conv2D, xs, outs []*tensor.Tensor, train bool) {
+func (c *Conv2D) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
+	convForward(members(&c.ms, ls), acts, train)
+	drop(&c.ms)
+}
+
+// convForward is the forward block driver, the group step: for each block
+// index, every member lowers its block, then per channel group the members'
+// products run as fused launches and each member scatters its product,
+// bias fused, into its output. The output columns are independent, so the
+// blocks change no bit of the whole-batch product.
+func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 	nb := 0
 	for g, c := range cs {
-		x := xs[g]
+		x := acts[g]
+		if c.Groups != cs[0].Groups {
+			panic("nn: Conv2D group members differ in channel groups")
+		}
 		if x.Rank() != 4 || x.Dim(1) != c.InC {
 			panic(fmt.Sprintf("nn: Conv2D.Forward input shape %v, want [N,%d,H,W]", x.Shape, c.InC))
 		}
@@ -277,10 +289,10 @@ func convForward(cs []*Conv2D, xs, outs []*tensor.Tensor, train bool) {
 		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 		c.ensureWorkspace(n, h, w)
 		c.x = x
-		outs[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
+		acts[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
 		nb = max(nb, c.blocks())
 	}
-	l := newConvLaunch(len(cs))
+	l := &cs[0].launch
 	for b := 0; b < nb; b++ {
 		for _, c := range cs {
 			if c.hasBlock(b) {
@@ -294,7 +306,7 @@ func convForward(cs []*Conv2D, xs, outs []*tensor.Tensor, train bool) {
 				if !c.hasBlock(b) {
 					continue
 				}
-				if y := outs[g]; y.DT.Backing() == tensor.F32 {
+				if y := acts[g]; y.DT.Backing() == tensor.F32 {
 					convScatterGroup(c, tensor.Of[float32](y), tensor.Of[float32](c.gemmOut), tensor.Of[float32](c.B.Value), grp)
 				} else {
 					convScatterGroup(c, y.Data, c.gemmOut.Data, c.B.Value.Data, grp)
@@ -333,29 +345,34 @@ func (c *Conv2D) convInitsDX() bool {
 	return c.Stride == 1 && c.outW == c.inW && c.outH == c.inH
 }
 
-// Backward accumulates dW, dB and returns dX. It lowers each block of the
-// preceding training Forward's input again (a single-block batch reuses
-// the forward's lowering), so it must follow a training-mode Forward.
+// Backward accumulates dW, dB and returns dX, as a group of one. It lowers
+// each block of the preceding training Forward's input again (a
+// single-block batch reuses the forward's lowering), so it must follow a
+// training-mode Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	cs, grads, dxs := [1]*Conv2D{c}, [1]*tensor.Tensor{grad}, [1]*tensor.Tensor{}
-	convBackward(cs[:], grads[:], dxs[:])
-	return dxs[0]
+	cs, acts := [1]*Conv2D{c}, [1]*tensor.Tensor{grad}
+	convBackward(cs[:], acts[:])
+	return acts[0]
 }
 
-// convBackward is the backward block driver behind Conv2D.Backward and
-// Conv2DBackwardBatch. Per block, every member re-lowers its block and
-// gathers the output gradient into channel-major order, then per channel
-// group the dW and dcols products run as fused launches, then every member
-// scatters its column gradient into dx. dW is the one reduction over
-// samples: dWᵀ = cols·gmatᵀ is an Into at block 0 and an Acc after, in
-// ascending sample order, and the kernels run one multiply-add chain per
-// element across those calls, so the sum is the whole-batch product's bit
-// for bit. It and the bias sums reach the parameter gradients once, after
-// the last block.
-func convBackward(cs []*Conv2D, grads, dxs []*tensor.Tensor) {
+func (c *Conv2D) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
+	convBackward(members(&c.ms, ls), acts)
+	drop(&c.ms)
+}
+
+// convBackward is the backward block driver, the group step. Per block,
+// every member re-lowers its block and gathers the output gradient into
+// channel-major order, then per channel group the dW and dcols products run
+// as fused launches, then every member scatters its column gradient into
+// dx. dW is the one reduction over samples: dWᵀ = cols·gmatᵀ is an Into at
+// block 0 and an Acc after, in ascending sample order, and the kernels run
+// one multiply-add chain per element across those calls, so the sum is the
+// whole-batch product's bit for bit. It and the bias sums reach the
+// parameter gradients once, after the last block.
+func convBackward(cs []*Conv2D, acts []*tensor.Tensor) {
 	nb := 0
 	for g, c := range cs {
-		grad := grads[g]
+		grad := acts[g]
 		if c.x == nil {
 			panic("nn: Conv2D.Backward without a training-mode Forward: an evaluation Forward keeps no input to lower again")
 		}
@@ -368,10 +385,10 @@ func convBackward(cs []*Conv2D, grads, dxs []*tensor.Tensor) {
 			c.dx.Zero()
 		}
 		c.gy = grad
-		dxs[g] = c.dx
+		acts[g] = c.dx
 		nb = max(nb, c.blocks())
 	}
-	l := newConvLaunch(len(cs))
+	l := &cs[0].launch
 	for b := 0; b < nb; b++ {
 		for _, c := range cs {
 			if c.hasBlock(b) {
@@ -475,67 +492,26 @@ func (c *Conv2D) operands(p convProduct, g int) (out, a, b *tensor.Tensor) {
 	}
 }
 
-// convLaunch is the operand lists of a group's fused launches, reused
-// across the blocks of one driver call; a group of one needs none.
-type convLaunch struct {
-	outs, as, bs []*tensor.Tensor
-	fused        []bool
-}
-
-func newConvLaunch(members int) *convLaunch {
-	if members == 1 {
-		return nil
-	}
-	return &convLaunch{
-		outs:  make([]*tensor.Tensor, 0, members),
-		as:    make([]*tensor.Tensor, 0, members),
-		bs:    make([]*tensor.Tensor, 0, members),
-		fused: make([]bool, members),
-	}
-}
-
 // run issues product p for group g of block b of every member that has the
 // block: members whose block widths match share one batched launch, which
 // computes each product bit for bit as its standalone call.
-func (l *convLaunch) run(cs []*Conv2D, b int, p convProduct, g int) {
-	if l == nil {
-		out, a, bm := cs[0].operands(p, g)
-		runProduct(p, out, a, bm)
-		return
-	}
-	clear(l.fused)
+func (l *launch) run(cs []*Conv2D, b int, p convProduct, g int) {
+	fused := sized(&l.fused, len(cs))
+	clear(fused)
 	for lead, c0 := range cs {
-		if l.fused[lead] || !c0.hasBlock(b) {
+		if fused[lead] || !c0.hasBlock(b) {
 			continue
 		}
-		l.outs, l.as, l.bs = l.outs[:0], l.as[:0], l.bs[:0]
+		l.reset()
 		for m := lead; m < len(cs); m++ {
 			c := cs[m]
-			if l.fused[m] || !c.hasBlock(b) || c.bn*c.outH*c.outW != c0.bn*c0.outH*c0.outW {
+			if fused[m] || !c.hasBlock(b) || c.bn*c.outH*c.outW != c0.bn*c0.outH*c0.outW {
 				continue
 			}
-			l.fused[m] = true
-			out, a, bm := c.operands(p, g)
-			l.outs, l.as, l.bs = append(l.outs, out), append(l.as, a), append(l.bs, bm)
+			fused[m] = true
+			l.add(c.operands(p, g))
 		}
-		if len(l.outs) == 1 {
-			runProduct(p, l.outs[0], l.as[0], l.bs[0])
-		} else {
-			runProducts(p, l.outs, l.as, l.bs)
-		}
-	}
-}
-
-func runProduct(p convProduct, out, a, b *tensor.Tensor) {
-	switch p {
-	case productW:
-		tensor.MatMulInto(out, a, b)
-	case productDWInto:
-		tensor.MatMulABTInto(out, a, b)
-	case productDWAcc:
-		tensor.MatMulABTAcc(out, a, b)
-	default:
-		tensor.MatMulATBInto(out, a, b)
+		runProducts(p, l.outs, l.as, l.bs)
 	}
 }
 
@@ -578,6 +554,7 @@ func (c *Conv2D) release() {
 	}
 	c.x, c.gy = nil, nil
 	c.batch, c.bwdOK = 0, false
+	c.launch.release()
 }
 
 // im2col unrolls sample i of x into column block j of the current block's
@@ -839,14 +816,4 @@ func col2im[F tensor.Float](c *Conv2D, dcolsd, dxd []F, i, j, ns int) {
 			}
 		}
 	}
-}
-
-// parallelFor runs f(i) for i in [0,n) on the persistent tensor worker pool,
-// partitioning indices contiguously.
-func parallelFor(n int, f func(i int)) {
-	tensor.ParallelSharded(n, tensor.Workers(), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
 }

@@ -19,6 +19,10 @@ type Dense struct {
 	x   *tensor.Tensor // cached input
 	out ring2
 	dx  *tensor.Tensor
+
+	// Group scratch while d leads (group.go).
+	ms     []*Dense
+	launch launch
 }
 
 // NewDense builds a dense layer with He-normal weights and zero biases.
@@ -40,24 +44,42 @@ func (d *Dense) init(rng *rand.Rand) {
 	d.B.Value.Zero()
 }
 
-// Forward computes y = x·W + b.
+// Forward computes y = x·W + b, as a group of one.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Cols() != d.In {
-		panicShape("Dense.Forward", x, d.In)
+	return DenseForwardBatch([]*Dense{d}, []*tensor.Tensor{x}, train)[0]
+}
+
+// DenseForwardBatch runs ds[g].Forward(xs[g], train) for every g as one
+// group step: the members' products x·W run as one fused launch, then each
+// adds its bias. It returns the outputs in the leader's operand list, valid
+// until the leader's next group step.
+func DenseForwardBatch(ds []*Dense, xs []*tensor.Tensor, train bool) []*tensor.Tensor {
+	l := ds[0].launch.start("DenseForwardBatch", len(ds), len(xs))
+	for g, d := range ds {
+		x := xs[g]
+		if x.Rank() != 2 || x.Cols() != d.In {
+			panicShape("Dense.Forward", x, d.In)
+		}
+		if x.DT != d.W.Value.DT {
+			panic(fmt.Sprintf("nn: Dense.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, d.W.Value.DT))
+		}
+		d.x = x
+		l.add(d.out.next(x.DT, x.Rows(), d.Out), x, d.W.Value)
 	}
-	if x.DT != d.W.Value.DT {
-		panic(fmt.Sprintf("nn: Dense.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, d.W.Value.DT))
+	tensor.MatMulBatchInto(l.outs, l.as, l.bs)
+	for g, d := range ds {
+		if y := l.outs[g]; y.DT.Backing() == tensor.F32 {
+			addBiasRows(tensor.Of[float32](y), tensor.Of[float32](d.B.Value), y.Rows(), d.Out)
+		} else {
+			addBiasRows(y.Data, d.B.Value.Data, y.Rows(), d.Out)
+		}
 	}
-	d.x = x
-	n := x.Rows()
-	y := d.out.next(x.DT, n, d.Out)
-	tensor.MatMulInto(y, x, d.W.Value)
-	if y.DT.Backing() == tensor.F32 {
-		addBiasRows(tensor.Of[float32](y), tensor.Of[float32](d.B.Value), n, d.Out)
-	} else {
-		addBiasRows(y.Data, d.B.Value.Data, n, d.Out)
-	}
-	return y
+	return l.outs
+}
+
+func (d *Dense) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
+	copy(acts, DenseForwardBatch(members(&d.ms, ls), acts, train))
+	drop(&d.ms)
 }
 
 func addBiasRows[F tensor.Float](y, b []F, n, cols int) {
@@ -69,13 +91,36 @@ func addBiasRows[F tensor.Float](y, b []F, n, cols int) {
 	}
 }
 
-// Backward accumulates dW += xᵀ·dy, db += Σ_rows dy and returns dx = dy·Wᵀ.
+// Backward accumulates dW += xᵀ·dy, db += Σ_rows dy and returns dx = dy·Wᵀ,
+// as a group of one.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	tensor.MatMulATBAcc(d.W.Grad, d.x, grad)
-	tensor.ColSumsAcc(d.B.Grad, grad)
-	d.dx = tensor.EnsureOf(grad.DT, d.dx, grad.Rows(), d.In)
-	tensor.MatMulABTInto(d.dx, grad, d.W.Value)
-	return d.dx
+	return DenseBackwardBatch([]*Dense{d}, []*tensor.Tensor{grad})[0]
+}
+
+// DenseBackwardBatch runs ds[g].Backward(grads[g]) for every g as one group
+// step: the weight-gradient and the input-gradient products each run as one
+// fused launch. It returns the input gradients in the leader's operand
+// list, valid until the leader's next group step.
+func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
+	l := ds[0].launch.start("DenseBackwardBatch", len(ds), len(grads))
+	for g, d := range ds {
+		l.add(d.W.Grad, d.x, grads[g])
+	}
+	tensor.MatMulBatchATBAcc(l.outs, l.as, l.bs)
+	l.reset()
+	for g, d := range ds {
+		grad := grads[g]
+		tensor.ColSumsAcc(d.B.Grad, grad)
+		d.dx = tensor.EnsureOf(grad.DT, d.dx, grad.Rows(), d.In)
+		l.add(d.dx, grad, d.W.Value)
+	}
+	tensor.MatMulBatchABTInto(l.outs, l.as, l.bs)
+	return l.outs
+}
+
+func (d *Dense) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
+	copy(acts, DenseBackwardBatch(members(&d.ms, ls), acts))
+	drop(&d.ms)
 }
 
 // Params returns the weight and bias parameters.
@@ -85,6 +130,7 @@ func (d *Dense) release() {
 	d.out.release()
 	putBack(&d.dx)
 	d.x = nil
+	d.launch.release()
 }
 
 func panicShape(op string, x *tensor.Tensor, want int) {

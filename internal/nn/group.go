@@ -1,0 +1,173 @@
+package nn
+
+import "repro/internal/tensor"
+
+// Group stepping (DESIGN.md §12): every layer has one forward and one
+// backward implementation, over a group of same-configuration instances —
+// the layers at one position of structurally identical models — and
+// Forward and Backward are that implementation at a group of one. Dense and
+// Conv2D fuse their members' GEMMs into batched launches, which keep every
+// product's standalone shard plan, so a group step is byte-identical to
+// stepping its members one by one. Sequential's walker steps each position
+// as a group, and Residual and Inception step their sublayers' groups
+// through it; every other layer steps per member inside it, a memory-bound
+// pass with no launch to amortize. Members share one models.Config by
+// construction (fl.GroupCohort), so a member of another type or depth is a
+// programming error and panics, as a shape mismatch does.
+//
+// A group's leader, its first member, keeps the lists a step needs and
+// refills them every step, so a steady-state step allocates nothing at any
+// group size. Lists naming the members are emptied when the call returns,
+// so no model keeps another reachable; operand and activation lists are
+// emptied by release.
+
+// A grouper steps a group of instances of its type; ls[0] is the receiver.
+// acts holds each member's input on entry and its output on return, and
+// likewise its gradients in backward.
+type grouper interface {
+	forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool)
+	backwardGroup(ls []Layer, acts []*tensor.Tensor)
+}
+
+// members fills the list dst with the layers of ls as their concrete type L;
+// a member of another type panics.
+func members[L Layer](dst *[]L, ls []Layer) []L {
+	s := (*dst)[:0]
+	for _, l := range ls {
+		s = append(s, l.(L))
+	}
+	*dst = s
+	return s
+}
+
+// sublayers fills the list dst with sub(m) for every member m of ls.
+func sublayers[L Layer](dst *[]*Sequential, ls []Layer, sub func(L) *Sequential) []*Sequential {
+	s := (*dst)[:0]
+	for _, l := range ls {
+		s = append(s, sub(l.(L)))
+	}
+	*dst = s
+	return s
+}
+
+// sized returns the list *s at length n, reusing its capacity.
+func sized[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// drop empties a list, clearing what it referenced but keeping its capacity.
+func drop[T any](s *[]T) {
+	clear((*s)[:cap(*s)])
+	*s = (*s)[:0]
+}
+
+// launch is a leader's operand lists for one fused product, one entry per
+// member taking part.
+type launch struct {
+	outs, as, bs []*tensor.Tensor
+	fused        []bool // Conv2D: the members already issued for this block
+}
+
+// start begins entry point op's first launch, checking that it was given
+// one activation per member.
+func (l *launch) start(op string, nMembers, nActs int) *launch {
+	if nMembers != nActs {
+		panic("nn: " + op + " length mismatch")
+	}
+	l.reset()
+	return l
+}
+
+func (l *launch) reset() { l.outs, l.as, l.bs = l.outs[:0], l.as[:0], l.bs[:0] }
+
+func (l *launch) add(out, a, b *tensor.Tensor) {
+	l.outs, l.as, l.bs = append(l.outs, out), append(l.as, a), append(l.bs, b)
+}
+
+func (l *launch) release() {
+	drop(&l.outs)
+	drop(&l.as)
+	drop(&l.bs)
+}
+
+// SequentialForwardBatch is the Sequential walker: it runs
+// seqs[g].Forward(xs[g], train) for every g, position by position, each
+// position's members stepped as a group. It returns the outputs in the
+// leader's list, valid until the leader's next group forward.
+//
+// An evaluation-mode walk (train false) keeps nothing for a backward pass,
+// so it hands each position's workspaces back to the pool as soon as
+// nothing downstream can read them: once the position after the one whose
+// storage holds the activations has written its outputs into storage of its
+// own. A layer whose output shares its input's storage (Flatten's view)
+// keeps the owner alive one position longer. The last owner's outputs are
+// what the walk returns, so they stay.
+func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool) []*tensor.Tensor {
+	if len(seqs) != len(xs) {
+		panic("nn: SequentialForwardBatch length mismatch")
+	}
+	lead := seqs[0]
+	acts := sized(&lead.fwd, len(xs))
+	copy(acts, xs)
+	owner := -1 // the position whose storage acts are in; -1 is the caller's input
+	for i, l := range lead.Layers {
+		at, x := lead.position(seqs, i), acts[0]
+		if gl, ok := l.(grouper); ok {
+			gl.forwardGroup(at, acts, train)
+		} else {
+			for g, m := range at {
+				acts[g] = m.Forward(acts[g], train)
+			}
+		}
+		if !train && !sameStorage(x, acts[0]) {
+			if owner >= 0 {
+				for _, s := range seqs {
+					s.Layers[owner].release()
+				}
+			}
+			owner = i
+		}
+	}
+	drop(&lead.at)
+	return acts
+}
+
+// SequentialBackwardBatch is the walker's reverse pass matching
+// SequentialForwardBatch. It returns the input gradients in the leader's
+// list, valid until the leader's next group backward.
+func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tensor.Tensor {
+	if len(seqs) != len(grads) {
+		panic("nn: SequentialBackwardBatch length mismatch")
+	}
+	lead := seqs[0]
+	acts := sized(&lead.bwd, len(grads))
+	copy(acts, grads)
+	for i := len(lead.Layers) - 1; i >= 0; i-- {
+		at := lead.position(seqs, i)
+		if gl, ok := lead.Layers[i].(grouper); ok {
+			gl.backwardGroup(at, acts)
+		} else {
+			for g, m := range at {
+				acts[g] = m.Backward(acts[g])
+			}
+		}
+	}
+	drop(&lead.at)
+	return acts
+}
+
+// position fills the leader's list with every member's layer at index i.
+func (s *Sequential) position(seqs []*Sequential, i int) []Layer {
+	s.at = s.at[:0]
+	for _, m := range seqs {
+		if len(m.Layers) != len(s.Layers) {
+			panic("nn: group members differ in depth")
+		}
+		s.at = append(s.at, m.Layers[i])
+	}
+	return s.at
+}

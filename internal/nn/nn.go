@@ -5,6 +5,10 @@
 // reproduction, plus the parameter flattening the federated aggregation,
 // communication and checkpoint code exchange flat vectors through.
 //
+// Every layer's forward and backward pass steps a group of same-configuration
+// instances in lockstep, one per model (group.go, DESIGN.md §12); Forward
+// and Backward are that pass at a group of one.
+//
 // Layers are stateful: Forward caches whatever Backward needs, so a layer
 // instance must not be shared between concurrently training models. Every
 // client in the federated simulation owns its own model instance. Dense and
@@ -21,9 +25,10 @@
 // gradients and running statistics, and steady-state training performs no
 // heap allocations because the pool serves the next pass. Pooled buffers
 // arrive dirty: every layer overwrites each element it later reads. An
-// evaluation-mode pass keeps nothing for a backward pass, so a Sequential
-// hands each layer's workspaces back as soon as no later layer can read
-// them (Sequential.Forward). A model's parameters live in two exact-length
+// evaluation-mode pass keeps nothing for a backward pass, so the Sequential
+// walker hands each layer's workspaces back as soon as no later layer can
+// read them (SequentialForwardBatch, which Sequential.Forward runs as a
+// group of one). A model's parameters live in two exact-length
 // pool slabs, one for values and one for gradients, in Params() order
 // (Pack), so every flat view of a run of them is one range (Flat); a built
 // model keeps its slabs for life, and Init re-initializes them in place when
@@ -32,8 +37,8 @@
 // Activation aliasing contract: a tensor returned by Forward or Backward
 // stays valid until the same layer's corresponding method runs twice more
 // or Release ends the pass, whichever comes first. Inside an
-// evaluation-mode Sequential.Forward, a layer's output is valid only until
-// the layers after it have read it, so only what that Forward returns
+// evaluation-mode walk of a Sequential, a layer's output is valid only
+// until the layers after it have read it, so only what the walk returns
 // obeys the rule. Callers that retain activations longer (for example to
 // compare outputs across several passes) must Clone them.
 package nn
@@ -205,34 +210,25 @@ func Init(l Layer, rng *rand.Rand) {
 // buffers from the pool again.
 func Release(l Layer) { l.release() }
 
-// Sequential chains layers front to back.
+// Sequential chains layers front to back. Its forward and backward are the
+// one walker (SequentialForwardBatch, SequentialBackwardBatch): Forward and
+// Backward run it over a group of one.
 type Sequential struct {
 	Layers []Layer
+
+	// Group scratch while s leads (group.go): the members' layers at the
+	// current position, held for one call, and the activations the walks
+	// return.
+	at       []Layer
+	fwd, bwd []*tensor.Tensor
 }
 
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward runs every layer in order. An evaluation-mode forward (train
-// false) keeps nothing for a backward pass, so it hands each layer's
-// workspaces back to the pool as soon as nothing downstream can read them:
-// once the layer after the one whose storage holds the activation has
-// written its output into storage of its own. A layer whose output shares
-// its input's storage (Flatten's view) keeps the owner alive one layer
-// longer. The last owner's output is what Forward returns, so it stays.
+// Forward runs every layer in order (see SequentialForwardBatch).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	owner := -1 // the layer whose storage x is in; -1 is the caller's input
-	for i, l := range s.Layers {
-		y := l.Forward(x, train)
-		if !train && !sameStorage(x, y) {
-			if owner >= 0 {
-				s.Layers[owner].release()
-			}
-			owner = i
-		}
-		x = y
-	}
-	return x
+	return SequentialForwardBatch([]*Sequential{s}, []*tensor.Tensor{x}, train)[0]
 }
 
 // sameStorage reports whether b starts at a's first element — a view or
@@ -246,10 +242,7 @@ func sameStorage(a, b *tensor.Tensor) bool {
 
 // Backward runs every layer's backward pass in reverse order.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
+	return SequentialBackwardBatch([]*Sequential{s}, []*tensor.Tensor{grad})[0]
 }
 
 // Params returns the parameters of all layers, in layer order.
@@ -265,6 +258,8 @@ func (s *Sequential) release() {
 	for _, l := range s.Layers {
 		l.release()
 	}
+	drop(&s.fwd)
+	drop(&s.bwd)
 }
 
 func (s *Sequential) init(rng *rand.Rand) {

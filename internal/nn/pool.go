@@ -14,11 +14,21 @@ type MaxPool2D struct {
 	argmax     []int // flat index into the input for every output element
 	out        ring2
 	dx         *tensor.Tensor
+
+	// x and y are Forward's operands for the duration of the call, and task
+	// pools samples [lo,hi) of them: built with the layer, so a dispatch
+	// allocates nothing.
+	x, y *tensor.Tensor
+	task func(shard, lo, hi int)
 }
 
 // NewMaxPool2D builds a pooling layer with square kernel k and the given
 // stride (stride = k gives the usual non-overlapping pooling).
-func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: stride} }
+func NewMaxPool2D(k, stride int) *MaxPool2D {
+	m := &MaxPool2D{K: k, Stride: stride}
+	m.task = m.poolRange
+	return m
+}
 
 // Forward computes per-window maxima and records argmax positions.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -37,14 +47,22 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		m.argmax = make([]int, out.Size())
 	}
 	m.argmax = m.argmax[:out.Size()]
-	if x.DT.Backing() == tensor.F32 {
-		xd, outd := tensor.Of[float32](x), tensor.Of[float32](out)
-		parallelFor(n, func(i int) { maxPoolSample(m, xd, outd, i, c, h, w) })
-	} else {
-		xd, outd := x.Data, out.Data
-		parallelFor(n, func(i int) { maxPoolSample(m, xd, outd, i, c, h, w) })
-	}
+	m.x, m.y = x, out
+	tensor.ParallelSharded(n, tensor.Workers(), m.task)
+	m.x, m.y = nil, nil
 	return out
+}
+
+// poolRange is task: samples [lo,hi) of the current Forward.
+func (m *MaxPool2D) poolRange(_, lo, hi int) {
+	c, h, w := m.inShape[1], m.inShape[2], m.inShape[3]
+	for i := lo; i < hi; i++ {
+		if m.x.DT.Backing() == tensor.F32 {
+			maxPoolSample(m, tensor.Of[float32](m.x), tensor.Of[float32](m.y), i, c, h, w)
+		} else {
+			maxPoolSample(m, m.x.Data, m.y.Data, i, c, h, w)
+		}
+	}
 }
 
 func maxPoolSample[F tensor.Float](m *MaxPool2D, xd, outd []F, i, c, h, w int) {

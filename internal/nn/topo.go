@@ -7,87 +7,92 @@ import (
 	"repro/internal/tensor"
 )
 
-// Residual computes y = Body(x) + Skip(x), the ResNet building block. When
-// Skip is nil the identity shortcut is used, which requires Body to preserve
+// Residual computes y = Body(x) + Skip(x), the ResNet building block. An
+// identity shortcut is a Skip of no layers, which requires Body to preserve
 // the input shape.
 type Residual struct {
 	Body *Sequential
-	Skip *Sequential // nil means identity
+	Skip *Sequential
 
 	out ring2
 	dx  *tensor.Tensor
+
+	subs []*Sequential // while r leads a call: the members' bodies or skips
 }
 
 // NewResidual builds a residual block. Pass skip == nil for an identity
 // shortcut or a projection (for example 1×1 conv) when shapes change.
 func NewResidual(body *Sequential, skip *Sequential) *Residual {
+	if skip == nil {
+		skip = NewSequential()
+	}
 	return &Residual{Body: body, Skip: skip}
 }
 
-// Forward evaluates both paths and sums them.
+// Forward evaluates both paths and sums them, as a group of one.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	main := r.Body.Forward(x, train)
-	var short *tensor.Tensor
-	if r.Skip != nil {
-		short = r.Skip.Forward(x, train)
-	} else {
-		short = x
+	ls, acts := [1]Layer{r}, [1]*tensor.Tensor{x}
+	r.forwardGroup(ls[:], acts[:], train)
+	return acts[0]
+}
+
+// forwardGroup walks the members' bodies, then their skips, as groups, and
+// sums each member's two outputs.
+func (r *Residual) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
+	mains := SequentialForwardBatch(sublayers(&r.subs, ls, (*Residual).body), acts, train)
+	shorts := SequentialForwardBatch(sublayers(&r.subs, ls, (*Residual).skip), acts, train)
+	drop(&r.subs)
+	for g, l := range ls {
+		m, main, short := l.(*Residual), mains[g], shorts[g]
+		if main.Size() != short.Size() {
+			panic(fmt.Sprintf("nn: Residual shape mismatch body %v vs skip %v", main.Shape, short.Shape))
+		}
+		out := m.out.next(main.DT, main.Shape...)
+		tensor.AddInto(out, main, short)
+		acts[g] = out
 	}
-	if main.Size() != short.Size() {
-		panic(fmt.Sprintf("nn: Residual shape mismatch body %v vs skip %v", main.Shape, short.Shape))
-	}
-	out := r.out.next(main.DT, main.Shape...)
-	tensor.AddInto(out, main, short)
-	return out
 }
 
 // Backward propagates the gradient through both paths and sums the input
-// gradients.
+// gradients, as a group of one.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dMain := r.Body.Backward(grad)
-	r.dx = tensor.EnsureOf(dMain.DT, r.dx, dMain.Shape...)
-	if r.Skip != nil {
-		dSkip := r.Skip.Backward(grad)
-		tensor.AddInto(r.dx, dMain, dSkip)
-	} else {
-		tensor.AddInto(r.dx, dMain, grad)
-	}
-	return r.dx
+	ls, acts := [1]Layer{r}, [1]*tensor.Tensor{grad}
+	r.backwardGroup(ls[:], acts[:])
+	return acts[0]
 }
 
-// Params returns the parameters of both paths.
-func (r *Residual) Params() []*Param {
-	ps := r.Body.Params()
-	if r.Skip != nil {
-		ps = append(ps, r.Skip.Params()...)
+func (r *Residual) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
+	dMains := SequentialBackwardBatch(sublayers(&r.subs, ls, (*Residual).body), acts)
+	dSkips := SequentialBackwardBatch(sublayers(&r.subs, ls, (*Residual).skip), acts)
+	drop(&r.subs)
+	for g, l := range ls {
+		m, dMain := l.(*Residual), dMains[g]
+		m.dx = tensor.EnsureOf(dMain.DT, m.dx, dMain.Shape...)
+		tensor.AddInto(m.dx, dMain, dSkips[g])
+		acts[g] = m.dx
 	}
-	return ps
 }
+
+func (r *Residual) body() *Sequential { return r.Body }
+func (r *Residual) skip() *Sequential { return r.Skip }
+
+// Params returns the parameters of both paths.
+func (r *Residual) Params() []*Param { return append(r.Body.Params(), r.Skip.Params()...) }
 
 func (r *Residual) release() {
 	r.Body.release()
-	if r.Skip != nil {
-		r.Skip.release()
-	}
+	r.Skip.release()
 	r.out.release()
 	putBack(&r.dx)
 }
 
 func (r *Residual) init(rng *rand.Rand) {
 	r.Body.init(rng)
-	if r.Skip != nil {
-		r.Skip.init(rng)
-	}
+	r.Skip.init(rng)
 }
 
 // Buffers returns the non-trainable state of both paths.
-func (r *Residual) Buffers() [][]float64 {
-	bs := r.Body.Buffers()
-	if r.Skip != nil {
-		bs = append(bs, r.Skip.Buffers()...)
-	}
-	return bs
-}
+func (r *Residual) Buffers() [][]float64 { return append(r.Body.Buffers(), r.Skip.Buffers()...) }
 
 // Inception evaluates several branches on the same input and concatenates
 // their outputs along the channel axis, as in GoogLeNet. Every branch must
@@ -101,39 +106,60 @@ type Inception struct {
 	outs    []*tensor.Tensor
 	out     ring2
 	gb      *tensor.Tensor
+
+	// Group scratch while in leads: the members' branches at one index,
+	// held for one call, and their branch gradients.
+	subs []*Sequential
+	gbs  []*tensor.Tensor
 }
 
 // NewInception builds the block from its branches.
-func NewInception(branches ...*Sequential) *Inception { return &Inception{Branches: branches} }
+func NewInception(branches ...*Sequential) *Inception {
+	return &Inception{Branches: branches, outs: make([]*tensor.Tensor, len(branches)), branchC: make([]int, len(branches))}
+}
 
-// Forward concatenates branch outputs channel-wise.
+// Forward concatenates branch outputs channel-wise, as a group of one.
 func (in *Inception) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(in.outs) != len(in.Branches) {
-		in.outs = make([]*tensor.Tensor, len(in.Branches))
-		in.branchC = make([]int, len(in.Branches))
+	ls, acts := [1]Layer{in}, [1]*tensor.Tensor{x}
+	in.forwardGroup(ls[:], acts[:], train)
+	return acts[0]
+}
+
+// forwardGroup walks each branch of the members as a group, then
+// concatenates each member's branch outputs.
+func (in *Inception) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
+	for b := range in.Branches {
+		outs := SequentialForwardBatch(in.branch(ls, b), acts, train)
+		for g, l := range ls {
+			m, o := l.(*Inception), outs[g]
+			if o.Rank() != 4 || o.Dim(0) != acts[g].Dim(0) {
+				panic(fmt.Sprintf("nn: Inception branch %d output shape %v", b, o.Shape))
+			}
+			if b == 0 {
+				m.outH, m.outW = o.Dim(2), o.Dim(3)
+			} else if o.Dim(2) != m.outH || o.Dim(3) != m.outW {
+				panic(fmt.Sprintf("nn: Inception branch %d spatial mismatch %v", b, o.Shape))
+			}
+			m.outs[b], m.branchC[b] = o, o.Dim(1)
+		}
 	}
-	outs := in.outs
+	drop(&in.subs)
+	for g, l := range ls {
+		acts[g] = l.(*Inception).concat(acts[g].Dim(0))
+	}
+}
+
+// concat copies the kept branch outputs into one channel-wise output.
+func (in *Inception) concat(n int) *tensor.Tensor {
 	totalC := 0
-	n := x.Dim(0)
-	for b, br := range in.Branches {
-		o := br.Forward(x, train)
-		if o.Rank() != 4 || o.Dim(0) != n {
-			panic(fmt.Sprintf("nn: Inception branch %d output shape %v", b, o.Shape))
-		}
-		if b == 0 {
-			in.outH, in.outW = o.Dim(2), o.Dim(3)
-		} else if o.Dim(2) != in.outH || o.Dim(3) != in.outW {
-			panic(fmt.Sprintf("nn: Inception branch %d spatial mismatch %v", b, o.Shape))
-		}
-		outs[b] = o
-		in.branchC[b] = o.Dim(1)
-		totalC += o.Dim(1)
+	for _, cb := range in.branchC {
+		totalC += cb
 	}
-	out := in.out.next(outs[0].DT, n, totalC, in.outH, in.outW)
+	out := in.out.next(in.outs[0].DT, n, totalC, in.outH, in.outW)
 	spatial := in.outH * in.outW
 	for i := 0; i < n; i++ {
 		chOff := 0
-		for b, o := range outs {
+		for b, o := range in.outs {
 			cb := in.branchC[b]
 			tensor.CopySegment(out, (i*totalC+chOff)*spatial, o, i*cb*spatial, cb*spatial)
 			chOff += cb
@@ -143,29 +169,53 @@ func (in *Inception) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward splits the gradient channel-wise, propagates each slice through
-// its branch, and sums the resulting input gradients.
+// its branch, and sums the resulting input gradients, as a group of one.
 func (in *Inception) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Dim(0)
-	totalC := grad.Dim(1)
+	ls, acts := [1]Layer{in}, [1]*tensor.Tensor{grad}
+	in.backwardGroup(ls[:], acts[:])
+	return acts[0]
+}
+
+func (in *Inception) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
+	gbs := sized(&in.gbs, len(ls))
+	var dxs []*tensor.Tensor
+	for b := range in.Branches {
+		for g, l := range ls {
+			gbs[g] = l.(*Inception).branchGrad(b, acts[g])
+		}
+		d := SequentialBackwardBatch(in.branch(ls, b), gbs)
+		if b == 0 {
+			dxs = d
+			continue
+		}
+		for g, dx := range dxs {
+			dx.AddInPlace(d[g])
+		}
+	}
+	drop(&in.subs)
+	copy(acts, dxs)
+}
+
+// branchGrad copies branch b's channels of grad into the layer's branch
+// gradient.
+func (in *Inception) branchGrad(b int, grad *tensor.Tensor) *tensor.Tensor {
+	n, totalC := grad.Dim(0), grad.Dim(1)
 	spatial := in.outH * in.outW
-	var dx *tensor.Tensor
 	chOff := 0
-	for b, br := range in.Branches {
-		cb := in.branchC[b]
-		in.gb = tensor.EnsureOf(grad.DT, in.gb, n, cb, in.outH, in.outW)
-		gb := in.gb
-		for i := 0; i < n; i++ {
-			tensor.CopySegment(gb, i*cb*spatial, grad, (i*totalC+chOff)*spatial, cb*spatial)
-		}
-		d := br.Backward(gb)
-		if dx == nil {
-			dx = d
-		} else {
-			dx.AddInPlace(d)
-		}
+	for _, cb := range in.branchC[:b] {
 		chOff += cb
 	}
-	return dx
+	cb := in.branchC[b]
+	in.gb = tensor.EnsureOf(grad.DT, in.gb, n, cb, in.outH, in.outW)
+	for i := 0; i < n; i++ {
+		tensor.CopySegment(in.gb, i*cb*spatial, grad, (i*totalC+chOff)*spatial, cb*spatial)
+	}
+	return in.gb
+}
+
+// branch fills the leader's list with every member's branch b.
+func (in *Inception) branch(ls []Layer, b int) []*Sequential {
+	return sublayers(&in.subs, ls, func(m *Inception) *Sequential { return m.Branches[b] })
 }
 
 // Params returns the parameters of all branches.
@@ -184,6 +234,7 @@ func (in *Inception) release() {
 	clear(in.outs)
 	in.out.release()
 	putBack(&in.gb)
+	drop(&in.gbs)
 }
 
 func (in *Inception) init(rng *rand.Rand) {
