@@ -193,11 +193,8 @@ func TestWireRoundAllocs(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			if tc.aggs > 0 {
-				_, err = experiments.RunTreeNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, tc.aggs, s, 1, tc.spec, tr, addr, sample)
-			} else {
-				_, err = experiments.RunNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, s, 1, tc.spec, tr, addr, sample)
-			}
+			tree := func(cfg *fl.NodeConfig) { cfg.Aggregators = tc.aggs }
+			_, err = experiments.RunNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, s, 1, tc.spec, tr, addr, tree, sample)
 			if err != nil {
 				t.Fatal(err)
 			}

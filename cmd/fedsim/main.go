@@ -89,9 +89,8 @@ func main() {
 		fleetDesc = fmt.Sprintf("%s/lazy(resident %d)", fleetDesc, spec.Resident)
 	}
 
-	tree := spec.Topology == "tree"
 	topoDesc := ""
-	if tree {
+	if spec.Topology == "tree" {
 		topoDesc = fmt.Sprintf(", topology tree/%d", spec.Aggregators)
 	}
 	fmt.Printf("# fedsim %s on %s (%s, %s fleet, %d clients, %d rounds, rate %.2f, sched %s, codec %s, dtype %s, transport %s%s)\n",
@@ -111,11 +110,7 @@ func main() {
 			tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
 		}
 		node := func(cfg *fl.NodeConfig) { *cfg = spec.NodeConfig(s) }
-		if tree {
-			hist, err = experiments.RunTreeNodes(context.Background(), spec.Method, name, build, s.Clients, spec.Aggregators, s, spec.Rate, wire, tr, addr, node)
-		} else {
-			hist, err = experiments.RunNodes(context.Background(), spec.Method, name, build, s.Clients, s, spec.Rate, wire, tr, addr, node)
-		}
+		hist, err = experiments.RunNodes(context.Background(), spec.Method, name, build, s.Clients, s, spec.Rate, wire, tr, addr, node)
 	default:
 		hist, err = experiments.RunScheduled(spec.Method, name, build, s.Clients, s, spec.Rate, spec.Resident, spec.EvalSample, sched, wire)
 	}

@@ -134,48 +134,51 @@ func aggListenAddr(tr transport.Transport, addr string, a int) string {
 	return fmt.Sprintf("%s-agg%d", addr, a)
 }
 
-// RunTreeNodes runs a 2-level tree in one process: a root server node,
-// aggs edge aggregators, and k client nodes dialing their owning
-// aggregator — `fedsim -topology tree` uses it, and the parity tests
-// compare it against RunNodes at the same seed. Options mutate the root's
-// node config; the aggregators inherit its failure discipline so one knob
-// tunes every layer.
-func RunTreeNodes(ctx context.Context, method string, name DatasetName, build ClientBuilder, k, aggs int, s Scale, rate float64, spec comm.Spec, tr transport.Transport, addr string, opts ...func(*fl.NodeConfig)) ([]fl.RoundMetrics, error) {
+// RunNodes runs a federation in one process over the given transport: one
+// server node, k client nodes and — when the options set
+// NodeConfig.Aggregators — that many edge aggregators, each client dialing
+// the listener of the session that fronts it (the root's in a flat run, a
+// tree of no aggregators). `fedsim -transport tcp` uses it with real
+// localhost sockets, `fedsim -topology tree` and the tests with inproc
+// channels. Options mutate the root's node config; the aggregators inherit
+// its failure discipline so one knob tunes every layer. Node errors other
+// than churn are surfaced after the server's history.
+func RunNodes(ctx context.Context, method string, name DatasetName, build ClientBuilder, k int, s Scale, rate float64, spec comm.Spec, tr transport.Transport, addr string, opts ...func(*fl.NodeConfig)) ([]fl.RoundMetrics, error) {
+	// Resolve the root config up front for the tree's shape and the
+	// aggregators' discipline; ServeNode re-applies the same opts.
+	cfg := NodeConfigFor(s, rate, spec, k)
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	aggs := cfg.Aggregators
 	rootLn, err := tr.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the root config up front so the aggregators can inherit its
-	// failure discipline; ServeNode re-applies the same opts.
-	rootCfg := NodeConfigFor(s, rate, spec, k)
-	for _, opt := range opts {
-		opt(&rootCfg)
-	}
-	aggLns := make([]transport.Listener, aggs)
-	for a := range aggLns {
-		ln, lerr := tr.Listen(aggListenAddr(tr, addr, a))
-		if lerr != nil {
-			rootLn.Close()
-			for _, l := range aggLns {
-				if l != nil {
+	owners, bounds := []transport.Listener{rootLn}, []int{0, k}
+	if aggs > 0 {
+		owners, bounds = make([]transport.Listener, aggs), fl.TreeSplit(k, aggs)
+		for a := range owners {
+			ln, lerr := tr.Listen(aggListenAddr(tr, addr, a))
+			if lerr != nil {
+				rootLn.Close()
+				for _, l := range owners[:a] {
 					l.Close()
 				}
+				return nil, lerr
 			}
-			return nil, lerr
+			owners[a] = ln
 		}
-		aggLns[a] = ln
 	}
 	type result struct {
 		role string
 		id   int
 		err  error
 	}
-	aggDone := make(chan result, aggs)
-	clientDone := make(chan result, k)
-	rootAddr := rootLn.Addr()
+	done := make(chan result, aggs+k)
 	for a := 0; a < aggs; a++ {
 		go func(a int) {
-			aggDone <- result{"aggregator", a, RunAggregatorNode(ctx, method, name, s, fl.AggregatorConfig{
+			done <- result{"aggregator", a, RunAggregatorNode(ctx, method, name, s, fl.AggregatorConfig{
 				Index:           a,
 				Aggregators:     aggs,
 				Clients:         k,
@@ -183,66 +186,26 @@ func RunTreeNodes(ctx context.Context, method string, name DatasetName, build Cl
 				TopK:            spec.Frac,
 				Delta:           spec.Delta,
 				Seed:            s.Seed + 7 + 101*int64(a),
-				Heartbeat:       rootCfg.Heartbeat,
-				DeadAfter:       rootCfg.DeadAfter,
-				ReconnectWindow: rootCfg.ReconnectWindow,
-			}, tr, rootAddr, aggLns[a])}
+				Heartbeat:       cfg.Heartbeat,
+				DeadAfter:       cfg.DeadAfter,
+				ReconnectWindow: cfg.ReconnectWindow,
+			}, tr, rootLn.Addr(), owners[a])}
 		}(a)
 	}
-	bounds := fl.TreeSplit(k, aggs)
-	for a := 0; a < aggs; a++ {
+	for a, ln := range owners {
 		for id := bounds[a]; id < bounds[a+1]; id++ {
-			go func(id int, aggAddr string) {
-				clientDone <- result{"client", id, RunClientNode(ctx, method, name, build, id, s, tr, aggAddr)}
-			}(id, aggLns[a].Addr())
+			go func(id int, addr string) {
+				done <- result{"client", id, RunClientNode(ctx, method, name, build, id, s, tr, addr)}
+			}(id, ln.Addr())
 		}
 	}
-	treeOpts := append(opts[:len(opts):len(opts)], func(cfg *fl.NodeConfig) { cfg.Aggregators = aggs })
-	_, hist, err := ServeNode(ctx, method, name, s, rate, spec, k, rootLn, treeOpts...)
+	_, hist, err := ServeNode(ctx, method, name, s, rate, spec, k, rootLn, opts...)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < aggs+k; i++ {
-		var r result
-		select {
-		case r = <-aggDone:
-		case r = <-clientDone:
-		}
-		if r.err != nil {
+		if r := <-done; r.err != nil {
 			return nil, fmt.Errorf("experiments: %s node %d: %w", r.role, r.id, r.err)
-		}
-	}
-	return hist, nil
-}
-
-// RunNodes runs one server node plus k in-process client nodes over the
-// given transport — `fedsim -transport tcp` uses it with real localhost
-// sockets, and the tests use it with inproc channels. Client-node errors
-// other than churn are surfaced after the server's history. Options mutate
-// the server's node config.
-func RunNodes(ctx context.Context, method string, name DatasetName, build ClientBuilder, k int, s Scale, rate float64, spec comm.Spec, tr transport.Transport, addr string, opts ...func(*fl.NodeConfig)) ([]fl.RoundMetrics, error) {
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	type result struct {
-		id  int
-		err error
-	}
-	clientDone := make(chan result, k)
-	for i := 0; i < k; i++ {
-		go func(id int) {
-			clientDone <- result{id, RunClientNode(ctx, method, name, build, id, s, tr, ln.Addr())}
-		}(i)
-	}
-	_, hist, err := ServeNode(ctx, method, name, s, rate, spec, k, ln, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < k; i++ {
-		r := <-clientDone
-		if r.err != nil {
-			return nil, fmt.Errorf("experiments: client node %d: %w", r.id, r.err)
 		}
 	}
 	return hist, nil

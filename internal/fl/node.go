@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -65,11 +66,14 @@ import (
 //
 // Tree topology: with cfg.Aggregators > 0 the server becomes the root of a
 // 2-level tree whose downstream peers are AggregatorNodes, each fronting a
-// contiguous range of the client-id space (TreeSplit). The root still
-// samples cohorts from the same RNG stream and still calls WireDispatch
-// once per cohort member — payloads travel batched per subtree, a shared
-// global as one copy — so the model arithmetic is flat fan-in regrouped,
-// not a different algorithm. A
+// contiguous range of the client-id space (TreeSplit). A flat root is the
+// same tree with one client behind every session, so one round opening,
+// one completion and one evaluation start serve both: the root samples
+// cohorts from the same RNG stream, calls WireDispatch once per cohort
+// member — payloads travel batched per subtree, a shared global as one
+// copy — and folds the answers in session order, so the model arithmetic
+// is flat fan-in regrouped, not a different algorithm. Only the frames
+// differ between the topologies. A
 // dead aggregator churns its whole subtree after the reconnect window;
 // checkpoints remain root-only (and are currently mutually exclusive with
 // the tree, see Serve). See DESIGN.md §11.
@@ -254,11 +258,18 @@ type serverRun struct {
 	pt       *PeerTable
 	sessions []*peerSession
 
-	// Tree-topology state: bounds is the TreeSplit partition of the client-id
-	// space over the aggregator sessions.
+	// bounds is the TreeSplit partition of the client-id space over the
+	// sessions: session i fronts the clients [bounds[i], bounds[i+1]). A flat
+	// root is the tree whose every session fronts one client — TreeSplit(k, k)
+	// is the identity — so rounds and evaluations group clients by owner the
+	// same way in both topologies, and tree picks only the frames they speak:
+	// the join, the dispatch, the evaluation request and reply, the answers
+	// handleInbound accepts. all lists every client id, a full sweep's want
+	// list; red is the algorithm's edge reduction, nil when it has none.
 	tree   bool
-	aggs   int
 	bounds []int
+	all    []int
+	red    ReducibleWireAlgorithm
 
 	rng     *rand.Rand
 	rngSrc  *xrand.Source
@@ -272,12 +283,12 @@ type serverRun struct {
 	semiOpen    bool // a semisync cohort is outstanding
 	start       time.Time
 
-	// Sync-barrier state: the updates collected for the round pt.round
-	// awaits. In tree mode the barrier is keyed by aggregator index and
-	// aggUpdates collects the pre-reduced contributions; updates still
-	// carries any passthrough per-client payloads.
-	updates    map[int]*Update
-	aggUpdates map[int]*AggUpdate
+	// Sync-barrier state for the round pt.round awaits: owners lists the
+	// sessions it was dispatched to, ascending, and slots[i] what session i
+	// fronts in it and answered. payloads is the dispatch's scratch.
+	owners   []int
+	slots    []rootSlot
+	payloads [][][]float64
 	// Evaluation state for the evaluation pt.eval awaits: per-client
 	// accuracies, and the sampled id set when cfg.EvalSample is in effect.
 	evalPer []float64
@@ -288,6 +299,16 @@ type serverRun struct {
 
 	fatal error
 	done  bool
+}
+
+// rootSlot is one session's part of the open sync round: the cohort members
+// it fronts — a run of the ascending cohort, one client in a flat federation
+// — and its answer, either their updates in member order (nil where a member
+// sent none) or one pre-reduced aggregate of them.
+type rootSlot struct {
+	members []int
+	ups     []*Update
+	agg     *AggUpdate
 }
 
 // Serve accepts cfg.Clients joins on the listener (cfg.Aggregators tree
@@ -326,12 +347,17 @@ func newServerRun(n *ServerNode) *serverRun {
 	cfg := n.cfg
 	k := cfg.Clients
 	r := &serverRun{n: n, cfg: cfg, algo: n.algo, k: k}
+	r.red, _ = n.algo.(ReducibleWireAlgorithm)
 	noun, sessionCount, readJoin := "client", k, readClientJoin
 	if cfg.Aggregators > 0 {
 		r.tree = true
-		r.aggs = cfg.Aggregators
-		r.bounds = TreeSplit(k, r.aggs)
-		noun, sessionCount, readJoin = "aggregator", r.aggs, r.readTreeJoin
+		noun, sessionCount, readJoin = "aggregator", cfg.Aggregators, r.readTreeJoin
+	}
+	r.bounds = TreeSplit(k, sessionCount)
+	r.slots = make([]rootSlot, sessionCount)
+	r.all = make([]int, k)
+	for i := range r.all {
+		r.all[i] = i
 	}
 	r.pt = newPeerTable(noun, sessionCount, 0, k, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
 		cfg.Seed, n.Ledger, &n.Stats, readJoin)
@@ -419,7 +445,7 @@ func (r *serverRun) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("malformed tree join: %s", err)
 	}
-	if agg >= 0 && agg < r.aggs && (lo != r.bounds[agg] || hi != r.bounds[agg+1]) {
+	if agg >= 0 && agg < len(r.sessions) && (lo != r.bounds[agg] || hi != r.bounds[agg+1]) {
 		return 0, nil, fmt.Errorf("aggregator %d claims range [%d, %d), server assigns [%d, %d)",
 			agg, lo, hi, r.bounds[agg], r.bounds[agg+1])
 	}
@@ -509,7 +535,7 @@ func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
 		return false
 	}
-	if _, ok := r.algo.(ReducibleWireAlgorithm); !ok {
+	if r.red == nil {
 		r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)",
 			sess.id, r.algo.Name())
 		return false
@@ -520,9 +546,7 @@ func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 		return false
 	}
 	au.Agg = sess.id
-	r.aggUpdates[sess.id] = au
-	r.pt.round.resolve(sess.id)
-	return true
+	return r.collect(sess, au)
 }
 
 // handleTreeUpdate collects one aggregator's passthrough bundle: its
@@ -537,19 +561,7 @@ func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) (kept bool) 
 		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed update bundle: %w", sess.id, err)
 		return false
 	}
-	lo, hi := r.bounds[sess.id], r.bounds[sess.id+1]
-	for _, u := range ups {
-		if u.Client < lo || u.Client >= hi {
-			r.fatal = fmt.Errorf("fl: aggregator %d forwarded an update for client %d outside its range [%d, %d)",
-				sess.id, u.Client, lo, hi)
-			return false
-		}
-	}
-	for _, u := range ups {
-		r.updates[u.Client] = u
-	}
-	r.pt.round.resolve(sess.id)
-	return true
+	return r.collect(sess, nil, ups...)
 }
 
 // processUpdate routes an accepted update through the configured schedule
@@ -557,13 +569,12 @@ func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) (kept bool) 
 // fold or drop it on the spot, and its vectors are the caller's to release.
 func (r *serverRun) processUpdate(u *Update) (kept bool) {
 	if r.cfg.Sched == SchedSync {
-		if !r.pt.expects(&r.pt.round, r.sessions[u.Client]) {
+		sess := r.sessions[u.Client]
+		if !r.pt.expects(&r.pt.round, sess) {
 			return false
 		}
 		u.Weight = u.Scale
-		r.updates[u.Client] = u
-		r.pt.round.resolve(u.Client)
-		return true
+		return r.collect(sess, nil, u)
 	}
 	if r.version >= r.cfg.Rounds {
 		// The federation has committed its full horizon; a straggler's
@@ -589,28 +600,62 @@ func (r *serverRun) processUpdate(u *Update) (kept bool) {
 	return false
 }
 
-// completeRound folds what the completed barrier collected, for whichever
-// topology is running.
-func (r *serverRun) completeRound() {
-	if r.tree {
-		r.completeTreeRound()
-	} else {
-		r.completeSyncRound()
+// collect files a session's answer to the open round — its members'
+// updates, or one aggregate of them — and stops waiting for it. An answer
+// naming a client the session was not dispatched this round, naming one
+// twice, or folding more children than it was dispatched is a protocol
+// violation by a trusted peer: fatal, as a malformed frame is.
+func (r *serverRun) collect(sess *peerSession, au *AggUpdate, ups ...*Update) (kept bool) {
+	slot := &r.slots[sess.id]
+	if au != nil && au.Children > len(slot.members) {
+		r.fatal = fmt.Errorf("fl: %s %d folded %d children into its aggregate of round %d, it was dispatched %d",
+			r.pt.noun, sess.id, au.Children, r.version+1, len(slot.members))
+		return false
 	}
+	if len(ups) > 0 {
+		slot.ups = slices.Grow(slot.ups[:0], len(slot.members))[:len(slot.members)]
+	}
+	for _, u := range ups {
+		i, ok := slices.BinarySearch(slot.members, u.Client)
+		if !ok || slot.ups[i] != nil {
+			why := "which it was not dispatched"
+			if ok {
+				why = "twice"
+			}
+			r.fatal = fmt.Errorf("fl: %s %d answered round %d with an update for client %d, %s",
+				r.pt.noun, sess.id, r.version+1, u.Client, why)
+			clear(slot.ups)
+			return false
+		}
+		slot.ups[i] = u
+	}
+	slot.agg = au
+	r.pt.round.resolve(sess.id)
+	return true
 }
 
-// completeSyncRound aggregates the collected barrier updates in client-id
-// order (deterministic), hands their vectors back and commits.
-func (r *serverRun) completeSyncRound() {
-	ids := make([]int, 0, len(r.updates))
-	for id := range r.updates {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := r.algo.WireApply(r.updates[id]); err != nil {
-			r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), id, err)
-			return
+// completeRound folds the answers the completed barrier collected, session
+// by session in ascending order: an aggregate through WireApplyAggregate,
+// updates member by member. Sessions front contiguous ranges and members
+// ascend, so updates apply in sorted client-id order in either topology —
+// flat fan-in's order, which a tree's passthrough reproduces exactly.
+func (r *serverRun) completeRound() {
+	for _, a := range r.owners {
+		slot := &r.slots[a]
+		if au := slot.agg; au != nil && au.Children > 0 {
+			if err := r.red.WireApplyAggregate(au); err != nil {
+				r.fatal = fmt.Errorf("fl: %s aggregate from aggregator %d: %w", r.algo.Name(), a, err)
+				return
+			}
+		}
+		for _, u := range slot.ups {
+			if u == nil {
+				continue
+			}
+			if err := r.algo.WireApply(u); err != nil {
+				r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), u.Client, err)
+				return
+			}
 		}
 	}
 	r.releaseRound()
@@ -621,48 +666,20 @@ func (r *serverRun) completeSyncRound() {
 // aggregate has been folded (WireApply keeps nothing of u.Vecs), so their
 // vectors go back to the fan-in's free list for the next round's decodes.
 func (r *serverRun) releaseRound() {
-	for _, u := range r.updates {
-		r.pt.vecs.put(u.Vecs...)
-	}
-	for _, au := range r.aggUpdates {
-		r.pt.vecs.put(au.Vecs...)
-	}
-	r.updates, r.aggUpdates = nil, nil
-}
-
-// completeTreeRound folds the collected subtree contributions in
-// aggregator order — pre-reduced aggregates through WireApplyAggregate,
-// passthrough bundles client by client. Ranges being contiguous and
-// visited ascending, the passthrough apply order is exactly flat fan-in's
-// sorted client-id order.
-func (r *serverRun) completeTreeRound() {
-	for a := 0; a < r.aggs; a++ {
-		if au, ok := r.aggUpdates[a]; ok {
-			if au.Children == 0 {
-				continue
-			}
-			red, isRed := r.algo.(ReducibleWireAlgorithm)
-			if !isRed {
-				r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)", a, r.algo.Name())
-				return
-			}
-			if err := red.WireApplyAggregate(au); err != nil {
-				r.fatal = fmt.Errorf("fl: %s aggregate from aggregator %d: %w", r.algo.Name(), a, err)
-				return
-			}
-			continue
-		}
-		for id := r.bounds[a]; id < r.bounds[a+1]; id++ {
-			if u := r.updates[id]; u != nil {
-				if err := r.algo.WireApply(u); err != nil {
-					r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), id, err)
-					return
-				}
+	for _, a := range r.owners {
+		slot := &r.slots[a]
+		for _, u := range slot.ups {
+			if u != nil {
+				r.pt.vecs.put(u.Vecs...)
 			}
 		}
+		if slot.agg != nil {
+			r.pt.vecs.put(slot.agg.Vecs...)
+		}
+		clear(slot.ups)
+		*slot = rootSlot{ups: slot.ups[:0]}
 	}
-	r.releaseRound()
-	r.commit()
+	r.owners = r.owners[:0]
 }
 
 // commit completes one round: merge accumulators, advance the version,
@@ -705,12 +722,12 @@ func (r *serverRun) finishRound(m *RoundMetrics) {
 }
 
 // startEval asks every unchurned client — or, under cfg.EvalSample, a
-// fresh sample of the id space — for its personalized accuracy.
-// Disconnected sessions owe theirs on adoption; a session that churns
-// mid-evaluation (or is churned or unsampled at the start) keeps its NaN,
-// excluded from the mean by the NaN-excluding MeanStd. In tree mode the
-// requests fan out through the aggregators, each carrying the id list its
-// subtree owes.
+// fresh sample of the id space — for its personalized accuracy, one
+// request per live session for the wanted clients it fronts (in a tree the
+// request lists them). Disconnected sessions owe theirs on adoption; a
+// client whose session churns mid-evaluation (or is churned or unsampled at
+// the start) keeps its NaN, excluded from the mean by the NaN-excluding
+// MeanStd.
 func (r *serverRun) startEval() {
 	r.pt.eval.open()
 	r.evalPer = make([]float64, r.k)
@@ -718,53 +735,24 @@ func (r *serverRun) startEval() {
 		r.evalPer[i] = math.NaN()
 	}
 	r.evalIDs = nil
+	want := r.all
 	if n := r.cfg.EvalSample; n > 0 && n < r.k {
-		ids := SamplePrefix(r.evalRng, r.k, n)
-		sort.Ints(ids)
-		r.evalIDs = ids
-	}
-	if r.tree {
-		r.startTreeEval()
-		return
-	}
-	ask := r.sessions
-	if r.evalIDs != nil {
-		ask = make([]*peerSession, len(r.evalIDs))
-		for i, id := range r.evalIDs {
-			ask[i] = r.sessions[id]
-		}
+		want = SamplePrefix(r.evalRng, r.k, n)
+		sort.Ints(want)
+		r.evalIDs = want
 	}
 	req := &wireMsg{kind: msgEvalReq, a: uint64(r.version)}
-	for _, s := range ask {
-		if !s.churned {
+	r.byOwner(want, func(a int, ids []int) {
+		if s := r.sessions[a]; !s.churned {
+			if r.tree {
+				req.ints = req.ints[:0]
+				for _, id := range ids {
+					req.ints = append(req.ints, int64(id))
+				}
+			}
 			r.pt.ask(s, req)
 		}
-	}
-	r.pt.eval.settle()
-}
-
-// startTreeEval fans the evaluation out per subtree: each live aggregator
-// gets the ids it owes in the request's ints, and the frame is cached on
-// the session so an adoption replays exactly the same id list.
-func (r *serverRun) startTreeEval() {
-	want := r.evalIDs
-	if want == nil {
-		want = make([]int, r.k)
-		for i := range want {
-			want[i] = i
-		}
-	}
-	perAgg := make([][]int64, r.aggs)
-	for _, id := range want {
-		if a := r.ownerOf(id); !r.sessions[a].churned {
-			perAgg[a] = append(perAgg[a], int64(id))
-		}
-	}
-	for a, ids := range perAgg {
-		if len(ids) > 0 {
-			r.pt.ask(r.sessions[a], &wireMsg{kind: msgEvalReq, a: uint64(r.version), ints: ids})
-		}
-	}
+	})
 	r.pt.eval.settle()
 }
 
@@ -946,11 +934,7 @@ func (r *serverRun) advance() {
 			if r.pt.round.active() {
 				return
 			}
-			if r.tree {
-				r.openTreeRound()
-			} else {
-				r.openSyncRound()
-			}
+			r.openRound()
 			if r.pt.round.active() {
 				return
 			}
@@ -960,81 +944,48 @@ func (r *serverRun) advance() {
 	}
 }
 
-// openSyncRound samples the round's cohort from the shared RNG stream —
-// churned clients are filtered after the draw, so the surviving schedule
-// stays deterministic and matches the inproc sync scheduler — and
-// dispatches to every member.
-func (r *serverRun) openSyncRound() {
+// openRound samples the round's cohort from the shared RNG stream — the
+// cohorts the in-process sync scheduler visits at the same seed; churned
+// sessions are filtered after the draw, so the surviving schedule stays
+// deterministic — groups the members by owning session and dispatches one
+// frame to every live owner, ascending.
+func (r *serverRun) openRound() {
 	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate)
-	r.updates = make(map[int]*Update, len(cohort))
 	r.pt.round.open()
-	for _, id := range cohort {
-		if !r.sessions[id].churned {
-			r.pt.round.ids[id] = true
-		}
-	}
-	for _, id := range cohort {
-		if r.pt.round.ids[id] {
-			r.dispatch(r.sessions[id])
-			if r.fatal != nil {
-				return
-			}
-		}
-	}
-	r.pt.round.settle()
-}
-
-// ownerOf maps a global client id to the aggregator fronting it.
-func (r *serverRun) ownerOf(id int) int {
-	return sort.Search(r.aggs, func(a int) bool { return r.bounds[a+1] > id })
-}
-
-// openTreeRound samples the round's cohort from the same RNG stream flat
-// mode uses — the schedule is identical at equal seeds — then groups the
-// members by subtree and dispatches one batched frame per live aggregator.
-func (r *serverRun) openTreeRound() {
-	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate)
-	members := make([][]int, r.aggs)
-	for _, id := range cohort {
-		if a := r.ownerOf(id); !r.sessions[a].churned {
-			members[a] = append(members[a], id)
-		}
-	}
-	r.updates = make(map[int]*Update)
-	r.aggUpdates = make(map[int]*AggUpdate, r.aggs)
-	r.pt.round.open()
-	for a := range members {
-		if len(members[a]) > 0 {
+	r.byOwner(cohort, func(a int, members []int) {
+		if !r.sessions[a].churned {
+			r.slots[a].members = members
+			r.owners = append(r.owners, a)
 			r.pt.round.ids[a] = true
 		}
-	}
-	for a := range members {
-		if r.pt.round.ids[a] {
-			r.dispatchTree(a, members[a])
-			if r.fatal != nil {
-				return
-			}
+	})
+	for _, a := range r.owners {
+		r.dispatch(r.sessions[a], r.slots[a].members...)
+		if r.fatal != nil {
+			return
 		}
 	}
 	r.pt.round.settle()
 }
 
-// dispatchTree builds one subtree's batched broadcast: WireDispatch once
-// per member (the same calls flat mode makes, in the same ascending
-// order), shipped in a single frame the aggregator fans out — one copy for
-// the whole subtree when every member got the same vectors (treeDispatchMsg
-// decides), one per member otherwise.
-func (r *serverRun) dispatchTree(a int, members []int) {
-	payloads := make([][][]float64, len(members))
-	for i, id := range members {
-		vecs, err := r.algo.WireDispatch(id)
-		if err != nil {
-			r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), id, err)
-			return
+// byOwner calls fn once per session fronting any of ids (ascending), in
+// session order, with the run of ids it fronts: sessions front contiguous
+// ranges, so each run is a sub-slice of ids.
+func (r *serverRun) byOwner(ids []int, fn func(a int, run []int)) {
+	for i := 0; i < len(ids); {
+		a := r.ownerOf(ids[i])
+		j := i + 1
+		for j < len(ids) && ids[j] < r.bounds[a+1] {
+			j++
 		}
-		payloads[i] = vecs
+		fn(a, ids[i:j])
+		i = j
 	}
-	r.pt.dispatchMsg(r.sessions[a], treeDispatchMsg(uint64(r.version), members, payloads))
+}
+
+// ownerOf maps a global client id to the session fronting it.
+func (r *serverRun) ownerOf(id int) int {
+	return sort.Search(len(r.sessions), func(a int) bool { return r.bounds[a+1] > id })
 }
 
 // dispatchIdle keeps the async pipeline full: idle, unchurned sessions are
@@ -1049,7 +1000,7 @@ func (r *serverRun) dispatchIdle() {
 		if s.churned || s.busy {
 			continue
 		}
-		r.dispatch(s)
+		r.dispatch(s, s.id)
 		if r.fatal != nil {
 			return
 		}
@@ -1081,7 +1032,7 @@ func (r *serverRun) openSemiCohort() {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		r.dispatch(r.sessions[id])
+		r.dispatch(r.sessions[id], id)
 		if r.fatal != nil {
 			return
 		}
@@ -1089,16 +1040,32 @@ func (r *serverRun) openSemiCohort() {
 	r.semiOpen = true
 }
 
-// dispatch sends one client its broadcast. An algorithm that broadcasts one
-// global (FedAvg, FedProx, FedClassAvg) returns the identical vectors to
-// every client, so from the second client on the table encodes them once per
-// committed version; a personalized broadcast (KT-pFL's staged transfer,
-// FedProto's table copy) never repeats and gets the session's own frame.
-func (r *serverRun) dispatch(s *peerSession) {
-	vecs, err := r.algo.WireDispatch(s.id)
-	if err != nil {
-		r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), s.id, err)
-		return
+// dispatch sends session s its broadcast for the clients it fronts:
+// WireDispatch once per member, ascending — the calls a flat federation
+// makes, in its order — then one frame. A client gets a broadcast: an
+// algorithm that broadcasts one global (FedAvg, FedProx, FedClassAvg)
+// returns the identical vectors to every client, so from the second client
+// on the table encodes them once per committed version; a personalized
+// broadcast (KT-pFL's staged transfer, FedProto's table copy) never repeats
+// and gets the session's own frame. An aggregator gets its members'
+// payloads batched into one frame it fans out — one copy for the whole
+// subtree when every member got the same vectors (treeDispatchMsg decides),
+// one per member otherwise.
+func (r *serverRun) dispatch(s *peerSession, members ...int) {
+	payloads := r.payloads[:0]
+	for _, id := range members {
+		vecs, err := r.algo.WireDispatch(id)
+		if err != nil {
+			r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), id, err)
+			return
+		}
+		payloads = append(payloads, vecs)
 	}
-	r.pt.broadcast(uint64(r.version), vecs, s)
+	if r.tree {
+		r.pt.dispatchMsg(s, treeDispatchMsg(uint64(r.version), members, payloads))
+	} else {
+		r.pt.broadcast(uint64(r.version), payloads[0], s)
+	}
+	clear(payloads)
+	r.payloads = payloads
 }

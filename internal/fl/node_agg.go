@@ -107,26 +107,52 @@ type aggRun struct {
 	// joinFrame is the tree join, encoded once every child has joined.
 	joinFrame []byte
 
-	// Round state: the dispatch being collected (pt.round is its barrier),
-	// and the cached answer frame of the last finished round — a
-	// re-dispatched round the root lost the answer to is resent, not
-	// recollected.
-	version     uint64
-	updates     map[int]*Update
-	haveLast    bool
-	lastVersion uint64
-	lastFrame   []byte
-
-	// Evaluation state (pt.eval is its barrier), with the same resend cache.
-	evalVersion  uint64
-	evalAcc      map[int]uint64
-	evalIDs      []int
-	haveLastEval bool
-	lastEvalVer  uint64
-	lastEvalFrm  []byte
+	// The root's two requests: rounds relays the dispatch (pt.round is its
+	// barrier) and updates collects its children's answers; evals relays
+	// the evaluation request (pt.eval) and evalAcc/evalIDs collect.
+	rounds, evals relay
+	updates       map[int]*Update
+	evalAcc       map[int]uint64
+	evalIDs       []int
 
 	fatal error
 	done  bool
+}
+
+// relay is the aggregator's memory of one kind of root request: the version
+// it is collecting or last answered, and that answer's frame, its own and
+// cached for replay — an answer the root lost is resent, not recollected.
+type relay struct {
+	await    *awaitSet
+	version  uint64
+	answered bool
+	frame    []byte
+}
+
+// opens reports whether the root's request at version opens a new
+// collection. A duplicate of the request being collected is already in
+// hand; a duplicate of the one answered last means the root lost the
+// answer, which goes out again.
+func (g *aggRun) opens(rl *relay, version uint64) bool {
+	switch {
+	case rl.await.active() && version == rl.version:
+		g.n.Stats.Ignored++
+		return false
+	case !rl.await.active() && rl.answered && version == rl.version:
+		g.n.Stats.Resends++
+		g.up.send(rl.frame)
+		return false
+	}
+	rl.version, rl.answered = version, false
+	return true
+}
+
+// answer encodes the collected answer into the relay's frame and sends it
+// upstream.
+func (g *aggRun) answer(rl *relay, m *wireMsg) {
+	rl.frame = appendMsg(rl.frame[:0], m, g.pt.wc)
+	rl.answered = true
+	g.up.send(rl.frame)
 }
 
 // Run accepts the child range's joins on the listener, joins the root on
@@ -152,6 +178,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
 		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
 	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
+	g.rounds.await, g.evals.await = &g.pt.round, &g.pt.eval
 	// One free list for both readers: the root's batched dispatch is re-encoded
 	// and released before the children's uploads come in, so the uploads
 	// decode into the vectors the dispatch just vacated and those the last
@@ -169,7 +196,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 		case ev := <-g.pt.events:
 			g.handleChild(ev)
 		case ac := <-g.pt.conns:
-			if err := g.pt.admit(ac, g.version); err != nil {
+			if err := g.pt.admit(ac, g.rounds.version); err != nil {
 				g.fail(err)
 			} else if g.pt.full() && g.up.conn == nil && !g.up.dialing {
 				// The subtree is complete: join the root on its behalf.
@@ -188,7 +215,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 				g.up.release(m) // nothing of a root message outlives its handler
 			}
 		case <-ticker.C:
-			g.pt.tick(g.version)
+			g.pt.tick(g.rounds.version)
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -235,20 +262,13 @@ func (g *aggRun) handleUp(m *wireMsg) {
 	}
 }
 
-// handleTreeDispatch fans one batched broadcast out to the subtree. A
-// duplicate of the round being collected is already in hand; a duplicate
-// of a finished round means the root lost the answer — resend the cached
-// frame rather than retraining the subtree. Live members that share one
-// payload — every member, when the root sent the shared layout — go out as
-// one broadcast: one child frame, the same bytes to each.
+// handleTreeDispatch fans one batched broadcast out to the subtree; a
+// duplicate is the relay's (a lost answer is resent rather than the subtree
+// retrained). Live members that share one payload — every member, when the
+// root sent the shared layout — go out as one broadcast: one child frame,
+// the same bytes to each.
 func (g *aggRun) handleTreeDispatch(m *wireMsg) {
-	if g.pt.round.active() && m.a == g.version {
-		g.n.Stats.Ignored++
-		return
-	}
-	if !g.pt.round.active() && g.haveLast && m.a == g.lastVersion {
-		g.n.Stats.Resends++
-		g.up.send(g.lastFrame)
+	if !g.opens(&g.rounds, m.a) {
 		return
 	}
 	ids, payloads, err := decodeTreeDispatch(m)
@@ -268,7 +288,6 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 			live, vecs = append(live, s), append(vecs, payloads[i])
 		}
 	}
-	g.version = m.a
 	g.updates = make(map[int]*Update, len(live))
 	g.pt.round.open()
 	for _, s := range live {
@@ -287,9 +306,9 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 
 // finishRound answers the completed round: pre-reduce the collected updates
 // when the policy and the algorithm allow it, bundle them raw otherwise.
-// Once the answer is encoded — into lastFrame, the aggregator's own, where it
-// stays cached so an upstream loss replays it — the children's vectors go
-// back to the free list.
+// Once the answer is encoded — into the round relay's frame, where it stays
+// cached so an upstream loss replays it — the children's vectors go back to
+// the free list.
 func (g *aggRun) finishRound() {
 	ids := make([]int, 0, len(g.updates))
 	for id := range g.updates {
@@ -309,31 +328,22 @@ func (g *aggRun) finishRound() {
 			return
 		}
 		au.Agg = g.cfg.Index
-		answer = aggUpdateMsg(g.version, au)
+		answer = aggUpdateMsg(g.rounds.version, au)
 	} else {
-		answer = treeUpdateMsg(g.version, ups)
+		answer = treeUpdateMsg(g.rounds.version, ups)
 	}
-	g.lastFrame = appendMsg(g.lastFrame[:0], answer, g.pt.wc)
-	g.lastVersion, g.haveLast = g.version, true
+	g.answer(&g.rounds, answer)
 	for _, u := range ups {
 		g.pt.vecs.put(u.Vecs...)
 	}
-	g.up.send(g.lastFrame)
 }
 
 // handleUpEvalReq fans an evaluation request out to the requested, live
-// children.
+// children; a duplicate is the relay's.
 func (g *aggRun) handleUpEvalReq(m *wireMsg) {
-	if g.pt.eval.active() && m.a == g.evalVersion {
-		g.n.Stats.Ignored++
+	if !g.opens(&g.evals, m.a) {
 		return
 	}
-	if !g.pt.eval.active() && g.haveLastEval && m.a == g.lastEvalVer {
-		g.n.Stats.Resends++
-		g.up.send(g.lastEvalFrm)
-		return
-	}
-	g.evalVersion = m.a
 	g.evalAcc = make(map[int]uint64, len(m.ints))
 	g.evalIDs = g.evalIDs[:0]
 	g.pt.eval.open()
@@ -364,12 +374,9 @@ func (g *aggRun) finishEval() {
 			ids = append(ids, id)
 		}
 	}
-	g.lastEvalFrm = appendMsg(g.lastEvalFrm[:0],
-		&wireMsg{kind: msgEvalRes, a: g.evalVersion, ints: aggEvalInts(ids, g.evalAcc)}, g.pt.wc)
-	g.lastEvalVer, g.haveLastEval = g.evalVersion, true
+	g.answer(&g.evals, &wireMsg{kind: msgEvalRes, a: g.evals.version, ints: aggEvalInts(ids, g.evalAcc)})
 	g.evalAcc = nil
 	g.evalIDs = nil
-	g.up.send(g.lastEvalFrm)
 }
 
 // handleChild interprets what the table's triage left to the role: a

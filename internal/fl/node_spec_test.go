@@ -112,8 +112,8 @@ func TestTreeSparseParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := experiments.RunTreeNodes(ctx, tc.method, experiments.Fashion, build, s.Clients, 2, s, 1.0, spec,
-				transport.NewInproc(transport.Options{Spec: spec}), "tree-sparse")
+			tree, err := experiments.RunNodes(ctx, tc.method, experiments.Fashion, build, s.Clients, s, 1.0, spec,
+				transport.NewInproc(transport.Options{Spec: spec}), "tree-sparse", withAggregators(2))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,6 +113,52 @@ func TestNodeAllMethodsRun(t *testing.T) {
 				t.Fatalf("traffic accounting missing: up %d down %d", fin.UpBytes, fin.DownBytes)
 			}
 		})
+	}
+}
+
+// TestNodeSampledEvaluation runs evaluation sampling (EvalSample below the
+// fleet) through a flat node federation and a two-aggregator tree at the
+// scale and seed of the in-process sync run. Every evaluation point must
+// sample the same clients in all three runs. A node run's PerClient is
+// NaN exactly outside the sample, and each sampled accuracy lies within
+// the 0.02 parity tolerance of the in-process one, whose PerClient lists
+// the sample's accuracies in EvalIDs order.
+func TestNodeSampledEvaluation(t *testing.T) {
+	s := nodeScale()
+	const sample = 2
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunScheduled(experiments.MethodProposed, experiments.Fashion, build, s.Clients, s, 1.0, 0, sample,
+		fl.SchedulerConfig{}, comm.Spec{Value: comm.F64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, tree := runFlatAndTree(t, experiments.MethodProposed, "heterogeneous", s, 2,
+		func(cfg *fl.NodeConfig) { cfg.EvalSample = sample })
+	for name, got := range map[string][]fl.RoundMetrics{"flat": flat, "tree": tree} {
+		if len(got) != len(want) {
+			t.Fatalf("%s run has %d evaluation points, in-process run has %d", name, len(got), len(want))
+		}
+		for i, m := range got {
+			ids := want[i].EvalIDs
+			if len(ids) != sample || !slices.Equal(m.EvalIDs, ids) {
+				t.Fatalf("%s round %d: sampled %v, in-process run sampled %v", name, m.Round, m.EvalIDs, ids)
+			}
+			if len(m.PerClient) != s.Clients {
+				t.Fatalf("%s round %d: %d PerClient entries, want %d", name, m.Round, len(m.PerClient), s.Clients)
+			}
+			for id, acc := range m.PerClient {
+				j, in := slices.BinarySearch(ids, id)
+				if in == math.IsNaN(acc) {
+					t.Fatalf("%s round %d client %d: accuracy %v, sampled %v", name, m.Round, id, acc, in)
+				}
+				if d := math.Abs(acc - want[i].PerClient[j]); in && d > 0.02 {
+					t.Fatalf("%s round %d client %d: node %.4f vs in-process %.4f", name, m.Round, id, acc, want[i].PerClient[j])
+				}
+			}
+		}
 	}
 }
 

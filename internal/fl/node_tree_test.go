@@ -41,12 +41,18 @@ func runFlatAndTree(t *testing.T, method, fleet string, s experiments.Scale, agg
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err = experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
-		transport.NewInproc(transport.Options{}), "tree", opts...)
+	tree, err = experiments.RunNodes(ctx, method, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64},
+		transport.NewInproc(transport.Options{}), "tree", append(opts[:len(opts):len(opts)], withAggregators(aggs))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return flat, tree
+}
+
+// withAggregators makes the root of a node federation the root of a tree
+// of aggs edge aggregators.
+func withAggregators(aggs int) func(*fl.NodeConfig) {
+	return func(cfg *fl.NodeConfig) { cfg.Aggregators = aggs }
 }
 
 // quietHeartbeat keeps liveness probes off the ledger: a run that finishes
@@ -417,8 +423,8 @@ func TestTreeStopAckSurvivesUplinkLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := experiments.RunTreeNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
-		transport.NewInproc(transport.Options{}), "tree")
+	clean, err := experiments.RunNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64},
+		transport.NewInproc(transport.Options{}), "tree", withAggregators(aggs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,8 +519,8 @@ func TestTreeChaosFederation(t *testing.T) {
 			baseline := settledGoroutines()
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
-			clean, err := experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
-				transport.NewInproc(transport.Options{}), "tree")
+			clean, err := experiments.RunNodes(ctx, method, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64},
+				transport.NewInproc(transport.Options{}), "tree", withAggregators(aggs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,8 +529,8 @@ func TestTreeChaosFederation(t *testing.T) {
 					Seed: seed, Drop: 0.03, Dup: 0.05, Delay: 0.1, MaxDelay: 5 * time.Millisecond,
 				})
 				start := time.Now()
-				shaken, err := experiments.RunTreeNodes(ctx, method, experiments.Fashion, build, s.Clients, aggs, s, 1.0, comm.Spec{Value: comm.F64},
-					chaos, "tree", func(cfg *fl.NodeConfig) {
+				shaken, err := experiments.RunNodes(ctx, method, experiments.Fashion, build, s.Clients, s, 1.0, comm.Spec{Value: comm.F64},
+					chaos, "tree", withAggregators(aggs), func(cfg *fl.NodeConfig) {
 						cfg.Heartbeat = 50 * time.Millisecond
 						cfg.DeadAfter = 500 * time.Millisecond
 						cfg.ReconnectWindow = 30 * time.Second

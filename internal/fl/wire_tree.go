@@ -264,7 +264,9 @@ func aggUpdateMsg(version uint64, au *AggUpdate) *wireMsg {
 	return m
 }
 
-// decodeAggUpdate parses a pre-reduced aggregate.
+// decodeAggUpdate parses a pre-reduced aggregate. Its weights are sums of
+// update weights, so each must be finite and non-negative: anything else
+// would reach the root's accumulators as a malformed fold, not a number.
 func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 	if len(m.ints) < 1 {
 		return nil, fmt.Errorf("fl: aggregated update: missing child count")
@@ -279,17 +281,28 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 	if au.Children < 0 {
 		return nil, fmt.Errorf("fl: aggregated update: negative child count %d", au.Children)
 	}
+	if !weightSum(au.Weight) {
+		return nil, fmt.Errorf("fl: aggregated update: weight %v", au.Weight)
+	}
 	if len(m.ints) > 1 {
 		if len(m.ints) != 1+len(m.vecs) {
 			return nil, fmt.Errorf("fl: aggregated update: %d per-vector weights for %d vectors", len(m.ints)-1, len(m.vecs))
 		}
 		au.VecWeights = make([]float64, len(m.vecs))
 		for i := range au.VecWeights {
-			au.VecWeights[i] = math.Float64frombits(uint64(m.ints[1+i]))
+			w := math.Float64frombits(uint64(m.ints[1+i]))
+			if !weightSum(w) {
+				return nil, fmt.Errorf("fl: aggregated update: vector %d weight %v", i, w)
+			}
+			au.VecWeights[i] = w
 		}
 	}
 	return au, nil
 }
+
+// weightSum reports whether w can be a sum of update weights: finite and
+// not negative.
+func weightSum(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 // treeUpdateMsg is a subtree's raw updates unreduced — the
 // passthrough path for algorithms with no sound pre-reduction. The root

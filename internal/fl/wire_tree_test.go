@@ -3,11 +3,14 @@ package fl
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/xrand"
 )
 
 // WeightAvg's PreReduce keeps one accumulator across rounds: a second
@@ -244,5 +247,110 @@ func TestTreeFanOutDeliversEachPayload(t *testing.T) {
 	// per subtree, the other rounds one per client.
 	if shared, own := hist[3].DownBytes, hist[1].DownBytes; 2*shared >= own {
 		t.Errorf("shared round booked %d bytes down, per-client round %d: not one copy per subtree", shared, own)
+	}
+}
+
+// reducingStub is stubWire with an edge reduction, so a root running it
+// accepts pre-reduced aggregates.
+type reducingStub struct{ stubWire }
+
+func (a *reducingStub) PreReduce(ups []*Update) (*AggUpdate, error) {
+	return &AggUpdate{Children: len(ups), Weight: float64(len(ups))}, nil
+}
+func (a *reducingStub) WireApplyAggregate(*AggUpdate) error { return nil }
+
+// TestNodeTreeRootRefusesForeignAnswers opens round 1 of a two-aggregator
+// tree over six clients at half participation — every session joined,
+// none connected, so the dispatches stay owed — and hands the root one
+// aggregator's answer. A bundle may carry only clients that aggregator
+// was dispatched this round, each once. An aggregate's weights must be
+// finite and non-negative, and it may fold at most the members it was
+// dispatched. Anything else is fatal, with a reason naming the aggregator
+// (and the client, for a bundle). The well-formed answers close that
+// aggregator's part of the barrier.
+func TestNodeTreeRootRefusesForeignAnswers(t *testing.T) {
+	const clients, aggs, rate, seed = 6, 2, 0.5, 3
+	rng, _ := xrand.NewRand(seed)
+	bounds := TreeSplit(clients, aggs)
+	members := make([][]int, aggs)
+	for _, id := range SampleCohort(rng, clients, rate) {
+		a := 0
+		for id >= bounds[a+1] {
+			a++
+		}
+		members[a] = append(members[a], id)
+	}
+	// agg fronts some members and some clients it was not dispatched.
+	agg := -1
+	for a := range members {
+		if n := len(members[a]); n > 0 && n < bounds[a+1]-bounds[a] {
+			agg = a
+			break
+		}
+	}
+	if agg < 0 {
+		t.Fatalf("seed %d dispatches no subtree in part: %v", seed, members)
+	}
+	own := members[agg]
+	idle := bounds[agg]
+	for slices.Contains(own, idle) {
+		idle++
+	}
+	bundle := func(ids ...int) *wireMsg {
+		ups := make([]*Update, len(ids))
+		for i, id := range ids {
+			ups[i] = &Update{Client: id, Scale: 1, Vecs: [][]float64{{float64(id)}}}
+		}
+		return treeUpdateMsg(0, ups)
+	}
+	aggregate := func(children int, w float64, vw ...float64) *wireMsg {
+		au := &AggUpdate{Children: children, Weight: w, Vecs: [][]float64{{1}}, VecWeights: vw}
+		if len(vw) > 0 {
+			au.Vecs = make([][]float64, len(vw))
+		}
+		return aggUpdateMsg(0, au)
+	}
+	n := len(own)
+	cases := []struct {
+		name string
+		m    *wireMsg
+		want string // "" when the answer is well formed
+	}{
+		{"bundle", bundle(own...), ""},
+		{"bundle-undispatched", bundle(append(slices.Clone(own), idle)...), fmt.Sprintf("client %d", idle)},
+		{"bundle-twice", bundle(append(slices.Clone(own), own[0])...), fmt.Sprintf("client %d", own[0])},
+		{"aggregate", aggregate(n, float64(n)), ""},
+		{"aggregate-per-vector", aggregate(n, float64(n), 1, 0), ""},
+		{"aggregate-children", aggregate(n+1, float64(n)), "children"},
+		{"aggregate-nan", aggregate(n, math.NaN()), "weight"},
+		{"aggregate-inf", aggregate(n, math.Inf(1)), "weight"},
+		{"aggregate-minus-inf", aggregate(n, math.Inf(-1)), "weight"},
+		{"aggregate-negative", aggregate(n, -1), "weight"},
+		{"aggregate-vector-nan", aggregate(n, float64(n), 1, math.NaN()), "weight"},
+		{"aggregate-vector-inf", aggregate(n, float64(n), math.Inf(1), 1), "weight"},
+		{"aggregate-vector-negative", aggregate(n, float64(n), 1, -2), "weight"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newServerRun(NewServerNode(&reducingStub{}, NodeConfig{
+				Clients: clients, Aggregators: aggs, Rounds: 2, SampleRate: rate, Seed: seed, Heartbeat: time.Hour}))
+			r.pt.assembled = true
+			r.advance()
+			if r.fatal != nil || !r.pt.round.ids[agg] {
+				t.Fatalf("round 1 did not open on aggregator %d: %v", agg, r.fatal)
+			}
+			r.handleInbound(inbound{id: agg, msg: tc.m})
+			switch {
+			case tc.want == "" && r.fatal != nil:
+				t.Fatalf("well-formed answer refused: %v", r.fatal)
+			case tc.want == "" && r.pt.round.ids[agg]:
+				t.Fatalf("the round still awaits aggregator %d", agg)
+			case tc.want == "":
+			case r.fatal == nil:
+				t.Fatal("answer accepted")
+			case !strings.Contains(r.fatal.Error(), fmt.Sprintf("aggregator %d", agg)) || !strings.Contains(r.fatal.Error(), tc.want):
+				t.Fatalf("refusal %q names neither aggregator %d nor %q", r.fatal, agg, tc.want)
+			}
+		})
 	}
 }
