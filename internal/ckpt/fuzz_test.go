@@ -92,7 +92,8 @@ func nodeSeed(t testing.TB) []byte {
 	}
 	var blob []byte
 	srv := fl.NewServerNode(core.New(core.DefaultOptions()), fl.NodeConfig{
-		Clients: len(clients), Rounds: 1, SampleRate: 1, BatchSize: 8, Seed: 3,
+		Config:  fl.Config{Rounds: 1, SampleRate: 1, BatchSize: 8, Seed: 3},
+		Clients: len(clients),
 		Checkpoint: func(snap *fl.Snapshot) error {
 			b, err := ckpt.Marshal(snap, comm.F64)
 			blob = b

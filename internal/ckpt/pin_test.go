@@ -1,16 +1,19 @@
 package ckpt_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
+	"repro/internal/transport"
 )
 
 // TestEagerCheckpointBytesPinned pins what a checkpoint of an eager fleet
@@ -108,5 +111,50 @@ func hashCheckpoints(t *testing.T, h hash.Hash, method, fleet string) {
 		if snaps != 2 {
 			t.Fatalf("%s %s run wrote %d checkpoints, want 2", method, kind, snaps)
 		}
+	}
+}
+
+// TestNodeCheckpointBytesPinned is the node server's sibling pin: one
+// SHA-256 over the marshalled snapshots of a Tiny-scale, flat, sync,
+// three-client FedClassAvg node federation over inproc channels, checkpointed
+// after rounds 1 and 2. A server checkpoint holds no client records but the
+// session table, the join declarations and the root's round record. Each
+// history point's SimTime is wall-clock serving time, so it is zeroed before
+// marshalling; nothing else varies between runs — sessions take their tokens
+// in id order from the seeded stream, and the hour-long heartbeat keeps
+// liveness probes off the ledger. It was recorded before the node root and
+// the in-process engine shared one round record.
+func TestNodeCheckpointBytesPinned(t *testing.T) {
+	const want = "accbb4e8a837bc5bc68408f10b64af4c77a84427c4ea78a793a21f8f905de727"
+	s := experiments.Tiny()
+	s.Clients, s.Rounds = 3, 2
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h, snaps := sha256.New(), 0
+	_, err = experiments.RunNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, s.Clients, s, 1, comm.Spec{Value: comm.F64},
+		transport.NewInproc(transport.Options{}), "srv", func(cfg *fl.NodeConfig) {
+			cfg.Heartbeat = time.Hour
+			cfg.Checkpoint = func(snap *fl.Snapshot) error {
+				for i := range snap.History {
+					snap.History[i].SimTime = 0
+				}
+				b, err := ckpt.Marshal(snap, comm.F64)
+				h.Write(b)
+				snaps++
+				return err
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snaps != 2 {
+		t.Fatalf("node run wrote %d checkpoints, want 2", snaps)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("node checkpoint bytes moved: SHA-256 %s, want %s", got, want)
 	}
 }

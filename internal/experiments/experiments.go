@@ -421,8 +421,8 @@ func RunScheduled(method string, name DatasetName, build ClientBuilder, k int, s
 }
 
 // runConfig is the one place a Scale becomes an fl.Config: the simulation
-// seed is s.Seed+7, and NodeConfigFor copies it so a node federation
-// samples exactly the cohorts the in-process run samples.
+// seed is s.Seed+7, and NodeConfigFor embeds the same Config so a node
+// federation samples exactly the cohorts the in-process run samples.
 func runConfig(s Scale, sampleRate float64, spec comm.Spec) fl.Config {
 	return fl.Config{
 		Rounds:     s.Rounds,

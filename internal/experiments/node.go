@@ -30,22 +30,11 @@ func WireAlgorithmFor(method string, name DatasetName, s Scale) (fl.WireAlgorith
 }
 
 // NodeConfigFor builds the server-node configuration whose schedule
-// matches RunScheduled's simulation at the same scale: the cohort sampler
-// is seeded with the simulation seed (s.Seed+7), so a node federation
-// visits exactly the cohorts the in-process sync run visits.
+// matches RunScheduled's simulation at the same scale: it embeds the
+// simulation's Config (seed s.Seed+7), so a node federation visits exactly
+// the cohorts the in-process sync run visits.
 func NodeConfigFor(s Scale, rate float64, spec comm.Spec, clients int) fl.NodeConfig {
-	c := runConfig(s, rate, spec)
-	return fl.NodeConfig{
-		Clients:    clients,
-		Rounds:     c.Rounds,
-		SampleRate: c.SampleRate,
-		BatchSize:  c.BatchSize,
-		Seed:       c.Seed,
-		Codec:      c.Codec,
-		TopK:       c.TopK,
-		Delta:      c.Delta,
-		DType:      s.DType,
-	}
+	return fl.NodeConfig{Config: runConfig(s, rate, spec), Clients: clients, DType: s.DType}
 }
 
 // ClientDialSeed and AggregatorDialSeed seed a node's dial-retry jitter from

@@ -149,9 +149,6 @@ func (c SchedulerConfig) withDefaults(sim *Simulation) SchedulerConfig {
 	if c.LeaveProb >= 1 {
 		c.LeaveProb = 0.99
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
 	return c
 }
 
@@ -409,6 +406,7 @@ func (s *Simulation) RunScheduled(algo Algorithm, sched SchedulerConfig) ([]Roun
 func (s *Simulation) RunScheduledContext(ctx context.Context, algo Algorithm, sched SchedulerConfig) ([]RoundMetrics, error) {
 	sched = sched.withDefaults(s)
 	s.up = newWireCodec(s.Cfg.WireSpec(), lossyUploads(algo))
+	s.checkpointTo(sched.Checkpoint, sched.CheckpointEvery)
 	switch sched.Kind {
 	case SchedSync:
 		return s.runSync(ctx, algo, &sched)
@@ -434,18 +432,13 @@ func (s *Simulation) runSync(ctx context.Context, algo Algorithm, sched *Schedul
 	var vtime float64
 	start := 1
 	away := make([]float64, s.NumClients())
-	if sched.Resume != nil {
-		snap := sched.Resume
-		if snap.Kind != SchedSync {
-			return nil, fmt.Errorf("fl: cannot resume a %s checkpoint under the sync scheduler", snap.Kind)
-		}
-		if snap.Round > s.Cfg.Rounds {
-			return nil, fmt.Errorf("fl: checkpoint at round %d is past the configured %d rounds", snap.Round, s.Cfg.Rounds)
-		}
-		if len(snap.Away) != len(away) {
-			return nil, fmt.Errorf("fl: checkpoint has %d clients' churn state, simulation has %d", len(snap.Away), len(away))
-		}
-		if err := s.restoreCommon(snap, algo, sched); err != nil {
+	if snap := sched.Resume; snap != nil {
+		if err := s.resume(snap, SchedSync, len(away), algo, s, func() error {
+			if len(snap.Away) != len(away) {
+				return fmt.Errorf("fl: checkpoint has %d clients' churn state, simulation has %d", len(snap.Away), len(away))
+			}
+			return s.restoreFleet(snap, sched)
+		}); err != nil {
 			return nil, err
 		}
 		vtime = snap.Now
@@ -464,24 +457,16 @@ func (s *Simulation) runSync(ctx context.Context, algo Algorithm, sched *Schedul
 			return nil, fmt.Errorf("fl: %s round %d: %w", algo.Name(), t, err)
 		}
 		vtime += syncMakespan(participants, sched)
-		traffic := s.Ledger.EndRound(t)
-		if t%s.Cfg.EvalEvery == 0 || t == s.Cfg.Rounds {
-			m := s.evaluateWith(away, vtime)
-			m.Round = t
-			m.LocalEpochs = t * algo.EpochsPerRound()
-			m.UpBytes = traffic.UpBytes
-			m.DownBytes = traffic.DownBytes
-			m.SimTime = vtime
-			s.History = append(s.History, m)
+		var m *RoundMetrics
+		if s.evaluates(t) {
+			ev := s.evaluateWith(away, vtime)
+			m = &ev
 		}
-		if sched.Checkpoint != nil && t%sched.CheckpointEvery == 0 {
+		if err := s.closeRound(t, algo.EpochsPerRound(), vtime, m, func() (*Snapshot, error) {
 			snap := &Snapshot{Kind: SchedSync, Round: t, Now: vtime, Away: append([]float64(nil), away...)}
-			if err := s.captureCommon(snap, algo, sched); err != nil {
-				return nil, fmt.Errorf("fl: checkpoint at round %d: %w", t, err)
-			}
-			if err := sched.Checkpoint(snap); err != nil {
-				return nil, fmt.Errorf("fl: checkpoint at round %d: %w", t, err)
-			}
+			return snap, s.captureFleet(snap, algo, sched)
+		}); err != nil {
+			return nil, err
 		}
 		// Round boundary is a safe point: nothing is in flight, so any
 		// resident client beyond the budget can spill.
@@ -640,25 +625,14 @@ func (s *Simulation) runAsync(ctx context.Context, algo AsyncAlgorithm, sched *S
 			}
 			e.version++
 			sched.Trace.add(TraceCommit, -1, e.version, e.now)
-			traffic := s.Ledger.EndRound(e.version)
-			if e.version%s.Cfg.EvalEvery == 0 || e.version == s.Cfg.Rounds {
+			var m *RoundMetrics
+			if s.evaluates(e.version) {
 				e.quiesce()
-				m := s.evaluateWith(e.away, e.now)
-				m.Round = e.version
-				m.LocalEpochs = e.version * algo.EpochsPerRound()
-				m.UpBytes = traffic.UpBytes
-				m.DownBytes = traffic.DownBytes
-				m.SimTime = e.now
-				s.History = append(s.History, m)
+				ev := s.evaluateWith(e.away, e.now)
+				m = &ev
 			}
-			if sched.Checkpoint != nil && e.version%sched.CheckpointEvery == 0 {
-				snap, err := e.Snapshot()
-				if err != nil {
-					return nil, fmt.Errorf("fl: checkpoint at round %d: %w", e.version, err)
-				}
-				if err := sched.Checkpoint(snap); err != nil {
-					return nil, fmt.Errorf("fl: checkpoint at round %d: %w", e.version, err)
-				}
+			if err := s.closeRound(e.version, algo.EpochsPerRound(), e.now, m, e.Snapshot); err != nil {
+				return nil, err
 			}
 			if sched.Kind == SchedSemiSync && e.version < s.Cfg.Rounds {
 				e.refill(cohortSize)

@@ -135,12 +135,13 @@ func (c *Client) TrainEpochCE(batchSize int) float64 {
 	return TrainEpochs([]*Client{c}, batchSize, 1, Objective{})[0]
 }
 
-// Config controls a Simulation run.
+// Config controls a federation run: a Simulation's, and a ServerNode's
+// through NodeConfig, which adds what only a server node has.
 type Config struct {
 	Rounds     int
 	SampleRate float64 // fraction of clients participating per round
 	BatchSize  int
-	Seed       int64
+	Seed       int64 // cohort sampling; the same seed samples the same cohorts in both modes
 	// EvalEvery evaluates accuracy every n rounds (default 1).
 	EvalEvery int
 	// EvalSample, when positive, evaluates a fresh cohort of that many
@@ -148,8 +149,9 @@ type Config struct {
 	// the only affordable option for virtual fleets where N is far larger
 	// than the per-round cohort. The sample is drawn from a dedicated RNG
 	// stream, so enabling it never perturbs cohort sampling or failure
-	// injection. 0 sweeps every client, byte-identical to previous
-	// releases; NewLazySimulation turns it into the cohort size.
+	// injection, and a node federation samples the clients the in-process
+	// run at its seed samples. 0 sweeps every client, byte-identical to
+	// previous releases; NewLazySimulation turns it into the cohort size.
 	EvalSample int
 	// Codec selects the wire codec payloads are accounted (and, through
 	// Uplink, quantized) with. The zero value is lossless float64.
@@ -168,8 +170,26 @@ type Config struct {
 }
 
 // WireSpec is the upload framing spec the config describes — what a node
-// federation would negotiate in its transport handshake.
+// federation negotiates in its transport handshake (transport.Options.Spec).
 func (c Config) WireSpec() comm.Spec { return comm.NewSpec(c.Codec, c.TopK, c.Delta) }
+
+// withDefaults fills the zero fields a run needs: one round, the whole
+// fleet per round, batches of 32, an evaluation every round.
+func (c Config) withDefaults() Config {
+	if c.Rounds <= 0 {
+		c.Rounds = 1
+	}
+	if c.SampleRate <= 0 || c.SampleRate > 1 {
+		c.SampleRate = 1
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = 32
+	}
+	if c.EvalEvery <= 0 {
+		c.EvalEvery = 1
+	}
+	return c
+}
 
 // RoundMetrics is one evaluation point.
 type RoundMetrics struct {
@@ -179,14 +199,16 @@ type RoundMetrics struct {
 	StdAcc      float64
 	PerClient   []float64
 	// EvalIDs, when non-nil, names the clients PerClient refers to
-	// (sampled evaluation, Config.EvalSample). Nil means PerClient[i] is
-	// client i's accuracy — the full-sweep layout.
+	// (sampled evaluation, Config.EvalSample): PerClient[j] is client
+	// EvalIDs[j]'s accuracy, in process and in node mode alike. Nil means
+	// PerClient[i] is client i's accuracy — the full-sweep layout.
 	EvalIDs   []int
 	UpBytes   int64
 	DownBytes int64
-	// SimTime is the cumulative virtual time (in client-update cost units)
-	// at this evaluation point; round throughput comparisons across
-	// schedulers divide Round by it.
+	// SimTime is the cumulative time at this evaluation point: virtual time
+	// (in client-update cost units) in process, wall-clock serving seconds
+	// in node mode, where a resumed server continues the restored history's
+	// clock. Round throughput comparisons divide Round by it.
 	SimTime float64
 }
 
@@ -202,7 +224,8 @@ type Algorithm interface {
 	EpochsPerRound() int
 }
 
-// Simulation owns the fleet, the traffic ledger and the metrics history.
+// Simulation owns the fleet and the round record (rounds.go): Cfg, the
+// traffic Ledger, the sampling stream Rng and the metrics History.
 // The fleet is one ClientStore over the ids [0, n), reached through
 // Client/NumClients: NewSimulation holds every client resident from
 // construction, NewLazySimulation materializes clients on demand and spills
@@ -211,14 +234,7 @@ type Algorithm interface {
 // node count and the default evaluation sample — so nothing after
 // construction asks which one ran.
 type Simulation struct {
-	Ledger  *comm.Ledger
-	Rng     *rand.Rand
-	Cfg     Config
-	History []RoundMetrics
-
-	// src is the serializable source behind Rng, so checkpoints can freeze
-	// the scheduler's sampling stream.
-	src *xrand.Source
+	rounds
 
 	store *ClientStore
 	// probe is how many leading ids SetupIDs returns, and workers the
@@ -232,16 +248,7 @@ type Simulation struct {
 	// against parallel client loops.
 	up   *wireCodec
 	upMu sync.Mutex
-	// evalRng/evalSrc drive sampled evaluation (Config.EvalSample). The
-	// stream is separate from Rng and consumed only when sampling, so
-	// full-sweep runs never touch it.
-	evalRng *rand.Rand
-	evalSrc *xrand.Source
 }
-
-// evalSeedMix decorrelates the sampled-evaluation stream from the
-// scheduler stream at the same seed ("eval" in ASCII).
-const evalSeedMix = 0x6576616c
 
 // NewSimulation builds a simulation over the given clients, every one
 // resident from construction and never evicted: a store whose budget is
@@ -282,30 +289,7 @@ func NewLazySimulation(n int, build func(int) *Client, resident int, cfg Config)
 }
 
 func newSimulation(cfg Config, st *ClientStore) *Simulation {
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
-	}
-	if cfg.SampleRate <= 0 || cfg.SampleRate > 1 {
-		cfg.SampleRate = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
-	rng, src := xrand.NewRand(cfg.Seed)
-	evalRng, evalSrc := xrand.NewRand(cfg.Seed ^ evalSeedMix)
-	return &Simulation{
-		Ledger:  comm.NewLedger(),
-		Rng:     rng,
-		Cfg:     cfg,
-		src:     src,
-		store:   st,
-		evalRng: evalRng,
-		evalSrc: evalSrc,
-		up:      plainWire(cfg.Codec),
-	}
+	return &Simulation{rounds: newRounds(cfg), store: st, up: plainWire(cfg.Codec)}
 }
 
 // NumClients returns the fleet size without materializing anyone.
@@ -445,37 +429,30 @@ func (s *Simulation) Evaluate() RoundMetrics {
 // its state, so it leaves a clean client clean. Clients whose away
 // horizon extends past the current virtual time are marked NaN in
 // PerClient and excluded from the mean/std, matching the node runtime's
-// churn semantics (DESIGN.md §9). A nil away slice means no churn. When
-// Config.EvalSample is positive, a fresh cohort of that many clients is
-// drawn from the dedicated eval RNG stream instead of sweeping the fleet;
-// EvalIDs records the sample.
+// churn semantics (DESIGN.md §9). A nil away slice means no churn. The
+// clients measured are the round record's evaluation sample (evalSample):
+// every client, or under Config.EvalSample a fresh sample that EvalIDs
+// records.
 func (s *Simulation) evaluateWith(away []float64, now float64) RoundMetrics {
-	n := s.NumClients()
-	if s.Cfg.EvalSample > 0 && s.Cfg.EvalSample < n {
-		ids := SamplePrefix(s.evalRng, n, s.Cfg.EvalSample)
-		sort.Ints(ids)
-		accs := make([]float64, len(ids))
-		ParallelClients(len(ids), func(i int) {
-			id := ids[i]
-			if away != nil && away[id] > now {
-				accs[i] = math.NaN()
-				return
-			}
-			accs[i] = s.store.getClean(id).EvalAccuracy()
-		})
-		mean, std := MeanStd(accs)
-		return RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: accs, EvalIDs: ids}
+	ids := s.evalSample(s.NumClients())
+	width := s.NumClients()
+	if ids != nil {
+		width = len(ids)
 	}
-	accs := make([]float64, n)
-	ParallelClients(n, func(i int) {
-		if away != nil && away[i] > now {
+	accs := make([]float64, width)
+	ParallelClients(width, func(i int) {
+		id := i
+		if ids != nil {
+			id = ids[i]
+		}
+		if away != nil && away[id] > now {
 			accs[i] = math.NaN()
 			return
 		}
-		accs[i] = s.store.getClean(i).EvalAccuracy()
+		accs[i] = s.store.getClean(id).EvalAccuracy()
 	})
 	mean, std := MeanStd(accs)
-	return RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: accs}
+	return RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: accs, EvalIDs: ids}
 }
 
 // MeanStd returns the mean and population standard deviation over the

@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/tensor"
 	"repro/internal/transport"
-	"repro/internal/xrand"
 )
 
 // This file is the server half of the node runtime: a ServerNode that owns
@@ -91,8 +88,14 @@ const DefaultReconnectWindow = 10 * time.Second
 // accept slot forever.
 const joinTimeout = 30 * time.Second
 
-// NodeConfig configures a ServerNode federation.
+// NodeConfig configures a ServerNode federation: the federation's Config —
+// shared with the in-process engine, so a node run at the same Config
+// samples the cohorts and evaluation samples the in-process run samples —
+// plus what only a server node has. Config.Seed also seeds the session
+// tokens, Config.BatchSize is broadcast in the welcome, and the framing
+// fields must match the transport's negotiated spec (Config.WireSpec).
 type NodeConfig struct {
+	Config
 	// Clients is the fleet size; the server waits for exactly this many
 	// joins before round 1.
 	Clients int
@@ -102,37 +105,6 @@ type NodeConfig struct {
 	// 0 is the flat topology. Tree mode requires the sync scheduler and is
 	// mutually exclusive with Checkpoint/Resume.
 	Aggregators int
-	// Rounds is the number of committed rounds.
-	Rounds int
-	// SampleRate is the per-round cohort fraction, in (0, 1].
-	SampleRate float64
-	// BatchSize is broadcast to clients in the welcome message.
-	BatchSize int
-	// Seed drives cohort sampling (use the simulation's seed for parity)
-	// and session-token issuance.
-	Seed int64
-	// EvalEvery evaluates accuracy every n rounds (default 1).
-	EvalEvery int
-	// EvalSample, when positive and smaller than the fleet, requests
-	// accuracy from a fresh sample of that many clients per evaluation
-	// point instead of all of them; unsampled clients stay NaN in
-	// PerClient and are excluded from the mean. The sample comes from a
-	// dedicated RNG stream, so cohort sampling is unaffected. 0 sweeps
-	// every unchurned client (the historical behavior).
-	EvalSample int
-	// Codec frames payload vectors; it must match the transport's codec so
-	// quantization and accounting agree with what crosses the wire.
-	Codec comm.Codec
-	// TopK, in (0, 1), sparsifies client weight uploads to the ceil(TopK·n)
-	// largest-|v| elements per vector (TOPK frames, kept values stored at
-	// Codec). 0 keeps uploads dense. It must match the transport's
-	// negotiated spec.
-	TopK float64
-	// Delta frames client weight uploads as residuals against the last
-	// upload the server decoded on the same connection (DELTA frames);
-	// reconnects fall back to a dense basis automatically. It must match
-	// the transport's negotiated spec.
-	Delta bool
 	// Sched selects the scheduling policy (default SchedSync).
 	Sched SchedulerKind
 	// MaxStaleness bounds async staleness: an update whose dispatch-time
@@ -178,32 +150,13 @@ type NodeConfig struct {
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
-	if c.Rounds <= 0 {
-		c.Rounds = 1
-	}
-	if c.SampleRate <= 0 || c.SampleRate > 1 {
-		c.SampleRate = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 1
-	}
+	c.Config = c.Config.withDefaults()
 	if c.MaxStaleness <= 0 {
 		c.MaxStaleness = 8
 	}
 	defaultLiveness(&c.Heartbeat, &c.DeadAfter, &c.ReconnectWindow)
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
 	return c
 }
-
-// WireSpec is the connection-level framing spec the config describes —
-// what transport.Options.Spec must carry for the handshake to agree with
-// the node's framing.
-func (c NodeConfig) WireSpec() comm.Spec { return comm.NewSpec(c.Codec, c.TopK, c.Delta) }
 
 // NodeStats counts the failure-path events of one Serve call, for
 // operator-facing summaries and tests. Read it after Serve returns.
@@ -227,22 +180,26 @@ type NodeStats struct {
 	Commits int
 }
 
-// ServerNode runs the server half of a federation over a transport.
+// ServerNode runs the server half of a federation over a transport. Like a
+// Simulation it holds the round record (rounds.go): Cfg, the sampling
+// stream Rng, the metrics History, and the Ledger, which records what
+// actually crosses the wire — message frames with their transport framing,
+// plus per-connection handshake bytes, heartbeats and re-handshakes
+// included.
 type ServerNode struct {
+	rounds
 	cfg  NodeConfig
 	algo WireAlgorithm
-	// Ledger records what actually crosses the wire: message frames with
-	// their transport framing, plus per-connection handshake bytes —
-	// heartbeats and re-handshakes included.
-	Ledger  *comm.Ledger
-	History []RoundMetrics
 	// Stats summarizes the run's failure-path events once Serve returns.
 	Stats NodeStats
 }
 
 // NewServerNode builds a server node.
 func NewServerNode(algo WireAlgorithm, cfg NodeConfig) *ServerNode {
-	return &ServerNode{cfg: cfg.withDefaults(), algo: algo, Ledger: comm.NewLedger()}
+	cfg = cfg.withDefaults()
+	n := &ServerNode{rounds: newRounds(cfg.Config), cfg: cfg, algo: algo}
+	n.checkpointTo(cfg.Checkpoint, cfg.CheckpointEvery)
+	return n
 }
 
 // serverRun is the single-goroutine event loop driving one Serve call.
@@ -271,11 +228,6 @@ type serverRun struct {
 	all    []int
 	red    ReducibleWireAlgorithm
 
-	rng     *rand.Rand
-	rngSrc  *xrand.Source
-	evalRng *rand.Rand
-	evalSrc *xrand.Source
-
 	version     int // committed rounds so far
 	applied     int // applies since the last commit (async/semisync)
 	cohortSize  int
@@ -289,8 +241,9 @@ type serverRun struct {
 	owners   []int
 	slots    []rootSlot
 	payloads [][][]float64
-	// Evaluation state for the evaluation pt.eval awaits: per-client
-	// accuracies, and the sampled id set when cfg.EvalSample is in effect.
+	// Evaluation state for the evaluation pt.eval awaits: the accuracies
+	// in RoundMetrics.PerClient's layout, and the sampled ids when
+	// cfg.EvalSample is in effect (nil on a full sweep).
 	evalPer []float64
 	evalIDs []int
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
@@ -364,11 +317,6 @@ func newServerRun(n *ServerNode) *serverRun {
 	r.pt.fed = [welToken]int64{int64(k), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.EvalEvery)}
 	r.pt.round.done, r.pt.eval.done = r.completeRound, r.completeEval
 	r.sessions = r.pt.sessions
-	r.rng, r.rngSrc = xrand.NewRand(cfg.Seed)
-	// Sampled evaluation draws from its own serializable stream, consumed
-	// only when cfg.EvalSample is in effect — full-sweep runs never touch
-	// it, so their cohort schedule is byte-identical to previous releases.
-	r.evalRng, r.evalSrc = xrand.NewRand(cfg.Seed ^ evalSeedMix)
 	r.cohortSize, r.commitEvery = cohortPolicy(k, cfg.SampleRate, cfg.Sched, cfg.Quorum)
 	return r
 }
@@ -377,8 +325,13 @@ func newServerRun(n *ServerNode) *serverRun {
 func (r *serverRun) loop(ctx context.Context) ([]RoundMetrics, error) {
 	ticker := time.NewTicker(r.pt.tickInterval())
 	defer ticker.Stop()
-	r.start = time.Now()
-	r.pt.lastBeat = r.start
+	r.pt.lastBeat = time.Now()
+	// SimTime is cumulative serving time: a resumed server's clock continues
+	// from the restored history's last point.
+	r.start = r.pt.lastBeat
+	if h := r.n.History; len(h) > 0 {
+		r.start = r.start.Add(-time.Duration(h[len(h)-1].SimTime * float64(time.Second)))
+	}
 	for {
 		if r.pt.assembled && r.fatal == nil {
 			r.advance()
@@ -693,53 +646,45 @@ func (r *serverRun) commit() {
 	r.applied = 0
 	r.semiOpen = false
 	r.n.Stats.Commits++
-	if r.version%r.cfg.EvalEvery == 0 || r.version >= r.cfg.Rounds {
+	if r.n.evaluates(r.version) {
 		r.startEval()
 	} else {
 		r.finishRound(nil)
 	}
 }
 
-// finishRound closes the committed round's traffic accounting, records
-// metrics when an evaluation produced them, and checkpoints. The
-// checkpoint lands before the OnRound announcement: a round an observer
-// has seen is durably recoverable, even if the process dies on the next
-// instruction.
+// finishRound closes the committed round through the round record — its
+// traffic, the evaluation m when one ran, the checkpoint — and then
+// announces it. The checkpoint lands before the OnRound announcement: a
+// round an observer has seen is durably recoverable, even if the process
+// dies on the next instruction.
 func (r *serverRun) finishRound(m *RoundMetrics) {
-	traffic := r.n.Ledger.EndRound(r.version)
-	if m != nil {
-		m.Round = r.version
-		m.LocalEpochs = r.version * r.algo.EpochsPerRound()
-		m.UpBytes = traffic.UpBytes
-		m.DownBytes = traffic.DownBytes
-		m.SimTime = time.Since(r.start).Seconds()
-		r.n.History = append(r.n.History, *m)
+	if err := r.n.closeRound(r.version, r.algo.EpochsPerRound(), time.Since(r.start).Seconds(), m, r.snapshot); err != nil {
+		r.fatal = err
+		return
 	}
-	r.maybeCheckpoint()
 	if m != nil && r.cfg.OnRound != nil {
 		r.cfg.OnRound(*m)
 	}
 }
 
-// startEval asks every unchurned client — or, under cfg.EvalSample, a
-// fresh sample of the id space — for its personalized accuracy, one
-// request per live session for the wanted clients it fronts (in a tree the
-// request lists them). Disconnected sessions owe theirs on adoption; a
-// client whose session churns mid-evaluation (or is churned or unsampled at
-// the start) keeps its NaN, excluded from the mean by the NaN-excluding
-// MeanStd.
+// startEval asks every unchurned client of the round record's evaluation
+// sample — the whole fleet, or under cfg.EvalSample the sample the
+// in-process run draws — for its personalized accuracy, one request per
+// live session for the wanted clients it fronts (in a tree the request
+// lists them). Disconnected sessions owe theirs on adoption; a client whose
+// session churns mid-evaluation (or is churned at the start) keeps its NaN,
+// excluded from the mean by the NaN-excluding MeanStd.
 func (r *serverRun) startEval() {
 	r.pt.eval.open()
-	r.evalPer = make([]float64, r.k)
+	r.evalIDs = r.n.evalSample(r.k)
+	want := r.evalIDs
+	if want == nil {
+		want = r.all
+	}
+	r.evalPer = make([]float64, len(want))
 	for i := range r.evalPer {
 		r.evalPer[i] = math.NaN()
-	}
-	r.evalIDs = nil
-	want := r.all
-	if n := r.cfg.EvalSample; n > 0 && n < r.k {
-		want = SamplePrefix(r.evalRng, r.k, n)
-		sort.Ints(want)
-		r.evalIDs = want
 	}
 	req := &wireMsg{kind: msgEvalReq, a: uint64(r.version)}
 	r.byOwner(want, func(a int, ids []int) {
@@ -773,19 +718,33 @@ func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
 					sess.id, id, lo, hi)
 				return
 			}
-			r.evalPer[id] = acc
+			i, ok := r.evalSlot(id)
+			if !ok {
+				r.fatal = fmt.Errorf("fl: aggregator %d reported accuracy for client %d, which was not sampled", sess.id, id)
+				return
+			}
+			r.evalPer[i] = acc
 		}
-	} else {
-		r.evalPer[sess.id] = math.Float64frombits(m.b)
+	} else if i, ok := r.evalSlot(sess.id); ok {
+		r.evalPer[i] = math.Float64frombits(m.b)
 	}
 	sess.pendingEval = nil
 	r.pt.eval.resolve(sess.id)
 }
 
-// completeEval aggregates the collected accuracies (churned and unsampled
-// clients stay NaN — MeanStd excludes them count-wise, summing the finite
-// entries in the same index order the old pre-filter did), accounts the
-// round, then releases any updates held back during the evaluation.
+// evalSlot is client id's PerClient index in the open evaluation: its
+// place in the sample, or the id itself on a full sweep.
+func (r *serverRun) evalSlot(id int) (int, bool) {
+	if r.evalIDs == nil {
+		return id, true
+	}
+	return slices.BinarySearch(r.evalIDs, id)
+}
+
+// completeEval aggregates the collected accuracies (churned clients stay
+// NaN — MeanStd excludes them count-wise, summing the finite entries in
+// index order), closes the round, then releases any updates held back
+// during the evaluation.
 func (r *serverRun) completeEval() {
 	mean, std := MeanStd(r.evalPer)
 	m := RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: r.evalPer, EvalIDs: r.evalIDs}
@@ -801,45 +760,15 @@ func (r *serverRun) completeEval() {
 	}
 }
 
-// maybeCheckpoint snapshots the server at the commit cadence. The
-// accumulator is clean here (applied == 0, between a commit and the next
-// dispatch decision), so a snapshot is always at a commit boundary.
-func (r *serverRun) maybeCheckpoint() {
-	if r.cfg.Checkpoint == nil || r.version%r.cfg.CheckpointEvery != 0 {
-		return
-	}
-	snap, err := r.buildSnapshot()
-	if err == nil {
-		err = r.cfg.Checkpoint(snap)
-	}
-	if err != nil {
-		r.fatal = fmt.Errorf("fl: checkpoint at round %d: %w", r.version, err)
-	}
-}
-
-// buildSnapshot captures the server's full state: enough that a process
-// killed immediately afterwards can be restarted with cfg.Resume and
-// continue the run, honoring the session tokens clients still hold.
-func (r *serverRun) buildSnapshot() (*Snapshot, error) {
-	ca, ok := r.algo.(CheckpointableAlgorithm)
-	if !ok {
-		return nil, fmt.Errorf("fl: %s cannot be checkpointed (implement fl.CheckpointableAlgorithm)", r.algo.Name())
-	}
-	st, err := ca.AlgoSnapshot(nil)
-	if err != nil {
-		return nil, fmt.Errorf("fl: %s state snapshot: %w", r.algo.Name(), err)
-	}
-	snap := &Snapshot{
-		Kind:      r.cfg.Sched,
-		Round:     r.version,
-		DType:     r.cfg.DType,
-		Rng:       r.rngSrc.State(),
-		EvalRng:   r.evalSrc.State(),
-		FleetSize: r.k,
-		History:   cloneHistory(r.n.History),
-		Ledger:    r.n.Ledger.Snapshot(),
-		Algo:      st,
-		Joins:     cloneJoins(r.pt.joins),
+// snapshot captures the server's full state at a commit boundary — the
+// accumulator is clean between a commit and the next dispatch decision:
+// enough that a process killed immediately afterwards can be restarted with
+// cfg.Resume and continue the run, honoring the session tokens clients
+// still hold.
+func (r *serverRun) snapshot() (*Snapshot, error) {
+	snap := &Snapshot{Kind: r.cfg.Sched, Round: r.version, FleetSize: r.k, DType: r.cfg.DType, Joins: cloneJoins(r.pt.joins)}
+	if err := r.n.capture(snap, r.algo, nil); err != nil {
+		return nil, err
 	}
 	snap.Sessions = make([]SessionState, r.k)
 	for i, s := range r.sessions {
@@ -848,53 +777,39 @@ func (r *serverRun) buildSnapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// restore rebuilds the server from a snapshot before any connection is
-// accepted: algorithm state via WireSetup + AlgoRestore, the session table
-// with its original tokens, and the sampling stream position. Every
-// session starts disconnected with the reconnect-window clock running —
-// surviving clients re-dial with the tokens they hold.
+// restore rebuilds the server from a snapshot the round record admits,
+// before any connection is accepted: algorithm state via WireSetup +
+// AlgoRestore, the session table with its original tokens, and both
+// streams. Every session starts disconnected with the reconnect-window
+// clock running — surviving clients re-dial with the tokens they hold.
 func (r *serverRun) restore(snap *Snapshot) error {
-	if snap.Kind != r.cfg.Sched {
-		return fmt.Errorf("fl: cannot resume a %s checkpoint under the %s scheduler", snap.Kind, r.cfg.Sched)
-	}
-	if snap.Round > r.cfg.Rounds {
-		return fmt.Errorf("fl: checkpoint at round %d is past the configured %d rounds", snap.Round, r.cfg.Rounds)
-	}
-	if len(snap.Sessions) != r.k {
-		return fmt.Errorf("fl: checkpoint has %d sessions, server is configured for %d clients", len(snap.Sessions), r.k)
-	}
-	if len(snap.Joins) != r.k {
-		return fmt.Errorf("fl: checkpoint has %d join records, server is configured for %d clients", len(snap.Joins), r.k)
-	}
-	if snap.DType != r.cfg.DType {
-		return fmt.Errorf("fl: checkpoint was taken at dtype %s, server is %s (resume with the same -dtype)",
-			snap.DType, r.cfg.DType)
-	}
-	ca, ok := r.algo.(CheckpointableAlgorithm)
-	if !ok {
-		return fmt.Errorf("fl: %s cannot restore a checkpoint (implement fl.CheckpointableAlgorithm)", r.algo.Name())
-	}
-	r.pt.joins = cloneJoins(snap.Joins)
-	if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
-		return fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
-	}
-	if snap.Algo != nil {
-		if err := ca.AlgoRestore(nil, snap.Algo); err != nil {
-			return fmt.Errorf("fl: %s state restore: %w", r.algo.Name(), err)
+	if err := r.n.resume(snap, r.cfg.Sched, r.k, r.algo, nil, func() error {
+		switch {
+		case len(snap.Sessions) != r.k:
+			return fmt.Errorf("fl: checkpoint has %d sessions, server is configured for %d clients", len(snap.Sessions), r.k)
+		case len(snap.Joins) != r.k:
+			return fmt.Errorf("fl: checkpoint has %d join records, server is configured for %d clients", len(snap.Joins), r.k)
+		case snap.DType != r.cfg.DType:
+			return fmt.Errorf("fl: checkpoint was taken at dtype %s, server is %s (resume with the same -dtype)",
+				snap.DType, r.cfg.DType)
 		}
+		for i, ss := range snap.Sessions {
+			if ss.ID != i {
+				return fmt.Errorf("fl: checkpoint session %d has id %d", i, ss.ID)
+			}
+		}
+		r.pt.joins = cloneJoins(snap.Joins)
+		if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
+			return fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	r.rngSrc.SetState(snap.Rng)
-	r.evalSrc.SetState(snap.EvalRng)
-	r.n.History = cloneHistory(snap.History)
-	r.n.Ledger.Restore(snap.Ledger)
 	now := time.Now()
 	for i, s := range r.sessions {
-		ss := snap.Sessions[i]
-		if ss.ID != i {
-			return fmt.Errorf("fl: checkpoint session %d has id %d", i, ss.ID)
-		}
-		s.token = ss.Token
-		s.churned = ss.Churned
+		s.token = snap.Sessions[i].Token
+		s.churned = snap.Sessions[i].Churned
 		s.joined = true
 		s.downAt = now
 	}
@@ -950,7 +865,7 @@ func (r *serverRun) advance() {
 // deterministic — groups the members by owning session and dispatches one
 // frame to every live owner, ascending.
 func (r *serverRun) openRound() {
-	cohort := SampleCohort(r.rng, r.k, r.cfg.SampleRate)
+	cohort := SampleCohort(r.n.Rng, r.k, r.cfg.SampleRate)
 	r.pt.round.open()
 	r.byOwner(cohort, func(a int, members []int) {
 		if !r.sessions[a].churned {
@@ -1025,7 +940,7 @@ func (r *serverRun) openSemiCohort() {
 	if n == 0 {
 		return
 	}
-	idx := SamplePrefix(r.rng, len(avail), n)
+	idx := SamplePrefix(r.n.Rng, len(avail), n)
 	ids := make([]int, n)
 	for i, p := range idx {
 		ids[i] = avail[p]

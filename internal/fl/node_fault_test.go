@@ -6,9 +6,12 @@ package fl_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,6 +305,133 @@ func TestNodeServerCheckpointResume(t *testing.T) {
 	}
 	if up, down := srv2.Ledger.TotalUp(), srv2.Ledger.TotalDown(); up <= up1 || down <= down1 {
 		t.Fatalf("resumed ledger totals up %d down %d, first incarnation's were up %d down %d at its checkpoint", up, down, up1, down1)
+	}
+	// SimTime is cumulative serving time: the resumed incarnation's clock
+	// continues the restored history's instead of restarting at zero.
+	for i := 1; i < len(hist); i++ {
+		if hist[i].SimTime < hist[i-1].SimTime {
+			t.Fatalf("SimTime decreases from round %d (%.4fs) to round %d (%.4fs)",
+				hist[i-1].Round, hist[i-1].SimTime, hist[i].Round, hist[i].SimTime)
+		}
+	}
+}
+
+// TestNodeResumeGuard feeds the in-process engine's sync and async
+// schedulers and a node server three checkpoints each must refuse: one of
+// another scheduler kind, one past the configured horizon and one of
+// another fleet size. Every refusal names both sides of the mismatch, and a
+// refused engine run leaves the simulation's history and ledger as they
+// were.
+func TestNodeResumeGuard(t *testing.T) {
+	s := experiments.Tiny()
+	s.Rounds = 2
+	k := s.Clients
+	build, _, err := experiments.NewFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", k, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSim := func() *fl.Simulation {
+		clients := make([]*fl.Client, k)
+		for i := range clients {
+			clients[i] = build(i)
+		}
+		return fl.NewSimulation(clients, fl.Config{Rounds: s.Rounds, BatchSize: s.BatchSize, Seed: s.Seed + 7})
+	}
+	newAlgo := func() fl.WireAlgorithm {
+		algo, err := experiments.WireAlgorithmFor(experiments.MethodProposed, experiments.Fashion, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return algo
+	}
+	// firstSnap keeps a run's round-1 checkpoint.
+	firstSnap := func(snap **fl.Snapshot) func(*fl.Snapshot) error {
+		return func(sn *fl.Snapshot) error {
+			if *snap == nil {
+				*snap = sn
+			}
+			return nil
+		}
+	}
+	var syncSnap, asyncSnap, nodeSnap *fl.Snapshot
+	for kind, snap := range map[fl.SchedulerKind]**fl.Snapshot{fl.SchedSync: &syncSnap, fl.SchedAsyncBounded: &asyncSnap} {
+		if _, err := newSim().RunScheduled(newAlgo(), fl.SchedulerConfig{Kind: kind, Checkpoint: firstSnap(snap)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := experiments.RunNodes(ctx, experiments.MethodProposed, experiments.Fashion, build, k, s, 1, comm.Spec{Value: comm.F64},
+		transport.NewInproc(transport.Options{}), "guard-src", func(cfg *fl.NodeConfig) { cfg.Checkpoint = firstSnap(&nodeSnap) }); err != nil {
+		t.Fatal(err)
+	}
+
+	// The refused variants of a snapshot, each with the words its refusal
+	// must name.
+	type refusal struct {
+		name string
+		snap *fl.Snapshot
+		want []string
+	}
+	refusals := func(snap *fl.Snapshot, other fl.SchedulerKind) []refusal {
+		kind, past, fleet := *snap, *snap, *snap
+		kind.Kind = other
+		past.Round = s.Rounds + 1
+		// Every per-client section of a k+1-client fleet's checkpoint.
+		fleet.FleetSize = k + 1
+		if snap.Away != nil {
+			fleet.Away = make([]float64, k+1)
+		}
+		if snap.Idle != nil {
+			fleet.Idle = make([]bool, k+1)
+		}
+		if snap.Sessions != nil {
+			fleet.Sessions = append(slices.Clone(snap.Sessions), fl.SessionState{ID: k, Token: 1 << 63})
+			fleet.Joins = append(slices.Clone(snap.Joins), snap.Joins[k-1])
+		}
+		return []refusal{
+			{"other kind", &kind, []string{other.String(), snap.Kind.String()}},
+			{"past the horizon", &past, []string{fmt.Sprint(s.Rounds + 1), fmt.Sprint(s.Rounds)}},
+			{"other fleet size", &fleet, []string{fmt.Sprint(k + 1), fmt.Sprint(k)}},
+		}
+	}
+	check := func(t *testing.T, err error, want []string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("resume accepted the checkpoint")
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("refusal %q does not name %q", err, w)
+			}
+		}
+	}
+	for _, engine := range []struct {
+		kind, other fl.SchedulerKind
+		snap        *fl.Snapshot
+	}{{fl.SchedSync, fl.SchedAsyncBounded, syncSnap}, {fl.SchedAsyncBounded, fl.SchedSync, asyncSnap}} {
+		for _, r := range refusals(engine.snap, engine.other) {
+			t.Run(fmt.Sprintf("engine %s/%s", engine.kind, r.name), func(t *testing.T) {
+				sim := newSim()
+				_, err := sim.RunScheduled(newAlgo(), fl.SchedulerConfig{Kind: engine.kind, Resume: r.snap})
+				check(t, err, r.want)
+				if len(sim.History) != 0 || !reflect.DeepEqual(sim.Ledger.Snapshot(), comm.NewLedger().Snapshot()) {
+					t.Fatalf("refused resume touched the simulation: %d history points, ledger %+v", len(sim.History), sim.Ledger.Snapshot())
+				}
+			})
+		}
+	}
+	for i, r := range refusals(nodeSnap, fl.SchedSemiSync) {
+		t.Run("node/"+r.name, func(t *testing.T) {
+			ln, err := transport.NewInproc(transport.Options{}).Listen(fmt.Sprintf("guard-%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := experiments.NodeConfigFor(s, 1, comm.Spec{Value: comm.F64}, k)
+			cfg.Resume = r.snap
+			_, err = fl.NewServerNode(newAlgo(), cfg).Serve(ctx, ln)
+			check(t, err, r.want)
+		})
 	}
 }
 

@@ -177,24 +177,11 @@ func cloneHistory(hist []RoundMetrics) []RoundMetrics {
 	return out
 }
 
-// captureCommon fills the scheduler-independent parts of a snapshot: RNG
-// streams, clients, algorithm state, ledger, history and trace.
-func (s *Simulation) captureCommon(snap *Snapshot, algo Algorithm, sched *SchedulerConfig) error {
-	ca, ok := algo.(CheckpointableAlgorithm)
-	if !ok {
-		return fmt.Errorf("fl: %s cannot be checkpointed (implement fl.CheckpointableAlgorithm)", algo.Name())
-	}
-	if s.src == nil {
-		return fmt.Errorf("fl: simulation has no serializable RNG (use fl.NewSimulation)")
-	}
-	st, err := ca.AlgoSnapshot(s)
-	if err != nil {
-		return fmt.Errorf("fl: %s state snapshot: %w", algo.Name(), err)
-	}
-	snap.Algo = st
-	snap.Rng = s.src.State()
-	if s.evalSrc != nil {
-		snap.EvalRng = s.evalSrc.State()
+// captureFleet fills an engine snapshot around the round record's half: the
+// fleet's size and dtype, every touched client, and the trace so far.
+func (s *Simulation) captureFleet(snap *Snapshot, algo Algorithm, sched *SchedulerConfig) error {
+	if err := s.capture(snap, algo, s); err != nil {
+		return err
 	}
 	snap.FleetSize = s.NumClients()
 	// A fleet trains at one dtype; client 0 speaks for it, read through the
@@ -204,48 +191,25 @@ func (s *Simulation) captureCommon(snap *Snapshot, algo Algorithm, sched *Schedu
 			snap.DType = c.Model.DType()
 		}
 	}
-	snap.History = cloneHistory(s.History)
 	if sched.Trace != nil {
 		snap.Trace = append([]TraceEvent(nil), sched.Trace.Events...)
 	}
-	snap.Ledger = s.Ledger.Snapshot()
 	// Only the touched clients carry state — on an eager simulation, every
 	// client; everyone else is reproduced exactly by the builder.
+	var err error
 	snap.Clients, err = s.store.CaptureTouched()
 	return err
 }
 
-// restoreCommon is the inverse of captureCommon, overwriting simulation,
-// client and algorithm state from a snapshot.
-func (s *Simulation) restoreCommon(snap *Snapshot, algo Algorithm, sched *SchedulerConfig) error {
-	ca, ok := algo.(CheckpointableAlgorithm)
-	if !ok {
-		return fmt.Errorf("fl: %s cannot restore a checkpoint (implement fl.CheckpointableAlgorithm)", algo.Name())
-	}
-	if s.src == nil {
-		return fmt.Errorf("fl: simulation has no serializable RNG (use fl.NewSimulation)")
-	}
-	if snap.FleetSize != s.NumClients() {
-		return fmt.Errorf("fl: checkpoint has a %d-client fleet, simulation has %d", snap.FleetSize, s.NumClients())
-	}
-	// The store checks every state before it replaces anything, so a
-	// rejected checkpoint leaves the simulation as it was.
+// restoreFleet is captureFleet's inverse for the fleet: the touched clients
+// and the trace. The store checks every record before it replaces anything,
+// so a rejected checkpoint leaves the fleet as it was.
+func (s *Simulation) restoreFleet(snap *Snapshot, sched *SchedulerConfig) error {
 	if err := s.store.RestoreTouched(snap.Clients, snap.DType); err != nil {
 		return err
 	}
-	s.src.SetState(snap.Rng)
-	if s.evalSrc != nil {
-		s.evalSrc.SetState(snap.EvalRng)
-	}
-	s.History = cloneHistory(snap.History)
-	s.Ledger.Restore(snap.Ledger)
 	if sched.Trace != nil {
 		sched.Trace.Events = append(sched.Trace.Events[:0], snap.Trace...)
-	}
-	if snap.Algo != nil {
-		if err := ca.AlgoRestore(s, snap.Algo); err != nil {
-			return fmt.Errorf("fl: %s state restore: %w", algo.Name(), err)
-		}
 	}
 	return nil
 }
@@ -283,7 +247,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			Update:  f.res.u.clone(),
 		})
 	}
-	if err := e.sim.captureCommon(snap, e.algo, e.sched); err != nil {
+	if err := e.sim.captureFleet(snap, e.algo, e.sched); err != nil {
 		return nil, err
 	}
 	return snap, nil
@@ -294,23 +258,18 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // where the checkpointed one stopped.
 func (e *Engine) Restore(snap *Snapshot) error {
 	k := len(e.idle)
-	if snap.Kind != e.sched.Kind {
-		return fmt.Errorf("fl: cannot resume a %s checkpoint under the %s scheduler", snap.Kind, e.sched.Kind)
-	}
-	if snap.Round > e.sim.Cfg.Rounds {
-		return fmt.Errorf("fl: checkpoint at round %d is past the configured %d rounds", snap.Round, e.sim.Cfg.Rounds)
-	}
-	if len(snap.Idle) != k {
-		return fmt.Errorf("fl: checkpoint has %d clients' scheduler flags, simulation has %d", len(snap.Idle), k)
-	}
-	if len(snap.NodeFree) != len(e.nodeFree) {
-		return fmt.Errorf("fl: checkpoint has %d virtual nodes, scheduler has %d (resume with the same workers setting)",
-			len(snap.NodeFree), len(e.nodeFree))
-	}
-	if len(snap.Away) != k {
-		return fmt.Errorf("fl: checkpoint has %d clients' churn state, simulation has %d", len(snap.Away), k)
-	}
-	if err := e.sim.restoreCommon(snap, e.algo, e.sched); err != nil {
+	if err := e.sim.resume(snap, e.sched.Kind, k, e.algo, e.sim, func() error {
+		switch {
+		case len(snap.Idle) != k:
+			return fmt.Errorf("fl: checkpoint has %d clients' scheduler flags, simulation has %d", len(snap.Idle), k)
+		case len(snap.NodeFree) != len(e.nodeFree):
+			return fmt.Errorf("fl: checkpoint has %d virtual nodes, scheduler has %d (resume with the same workers setting)",
+				len(snap.NodeFree), len(e.nodeFree))
+		case len(snap.Away) != k:
+			return fmt.Errorf("fl: checkpoint has %d clients' churn state, simulation has %d", len(snap.Away), k)
+		}
+		return e.sim.restoreFleet(snap, e.sched)
+	}); err != nil {
 		return err
 	}
 	e.version = snap.Round

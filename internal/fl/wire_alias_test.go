@@ -210,7 +210,7 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 	defer cancel()
 	const n = 4096
 	algo := &stubWire{global: ramp(n, 0.5)}
-	srv := NewServerNode(algo, NodeConfig{Clients: 2, Rounds: 1, Seed: 1})
+	srv := NewServerNode(algo, NodeConfig{Config: Config{Rounds: 1, Seed: 1}, Clients: 2})
 	tr := transport.NewInproc(transport.Options{})
 	ln, err := tr.Listen("srv")
 	if err != nil {

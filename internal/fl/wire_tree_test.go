@@ -227,7 +227,7 @@ func TestTreeFanOutDeliversEachPayload(t *testing.T) {
 			go func(id int) { errs <- (&ClientNode{Client: &Client{ID: id}, Algo: algo}).Run(ctx, conn) }(id)
 		}
 	}
-	srv := NewServerNode(algo, NodeConfig{Clients: clients, Aggregators: aggs, Rounds: len(modes), Seed: 1, Heartbeat: time.Hour})
+	srv := NewServerNode(algo, NodeConfig{Config: Config{Rounds: len(modes), Seed: 1}, Clients: clients, Aggregators: aggs, Heartbeat: time.Hour})
 	hist, err := srv.Serve(ctx, rootLn)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestNodeTreeRootRefusesForeignAnswers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newServerRun(NewServerNode(&reducingStub{}, NodeConfig{
-				Clients: clients, Aggregators: aggs, Rounds: 2, SampleRate: rate, Seed: seed, Heartbeat: time.Hour}))
+				Config: Config{Rounds: 2, SampleRate: rate, Seed: seed}, Clients: clients, Aggregators: aggs, Heartbeat: time.Hour}))
 			r.pt.assembled = true
 			r.advance()
 			if r.fatal != nil || !r.pt.round.ids[agg] {
