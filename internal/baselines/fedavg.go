@@ -7,6 +7,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // FedAvg is communication-efficient federated averaging over homogeneous
@@ -46,26 +47,19 @@ func (f *FedAvg) Name() string {
 // EpochsPerRound reports the local epochs per round.
 func (f *FedAvg) EpochsPerRound() int { return f.LocalEpochs }
 
-// Setup verifies homogeneity and starts the global model from client 0 so
-// all clients start from one common initialization, as FedAvg assumes.
+// Setup builds the server state from the probe clients' joins through
+// WireSetup, the one place it is built.
 func (f *FedAvg) Setup(sim *fl.Simulation) error {
-	if sim.NumClients() == 0 {
-		return errors.New("baselines: no clients")
+	joins, err := sim.SetupJoins(f)
+	if err != nil {
+		return err
 	}
-	probe := sim.SetupIDs()
-	n := nn.NumParams(sim.Client(probe[0]).Model.Params())
-	for _, id := range probe[1:] {
-		c := sim.Client(id)
-		if nn.NumParams(c.Model.Params()) != n {
-			return fmt.Errorf("baselines: %s requires homogeneous models; client %d differs", f.Name(), c.ID)
-		}
-	}
-	f.Start(sim, probe, false)
-	return nil
+	return f.WireSetup(joins, tensor.Workers())
 }
 
 // WireSetup verifies homogeneity and adopts client 0's join weights as the
-// global model, exactly like Setup.
+// global model, so all clients start from one common initialization, as
+// FedAvg assumes.
 func (f *FedAvg) WireSetup(joins []fl.WireJoin, shards int) error {
 	if len(joins) == 0 {
 		return errors.New("baselines: no clients")
@@ -122,12 +116,12 @@ func (f *FedAvg) AsyncLocal(sim *fl.Simulation, client int) (*fl.Update, error) 
 // accumulator is empty at every checkpoint boundary, and per-client proximal
 // snapshots are dead after the engine's quiesce until the next dispatch
 // rewrites them, so neither is captured.
-func (f *FedAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
+func (f *FedAvg) AlgoSnapshot() (*fl.AlgoState, error) {
 	return &fl.AlgoState{Vecs: [][]float64{f.Global()}}, nil
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
-func (f *FedAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
+func (f *FedAvg) AlgoRestore(st *fl.AlgoState) error {
 	if len(st.Ints) != 0 || len(st.Vecs) != 1 {
 		return fmt.Errorf("baselines: malformed %s state (%d ints, %d vecs)", f.Name(), len(st.Ints), len(st.Vecs))
 	}

@@ -56,16 +56,14 @@ func (p *FedProto) Name() string { return "FedProto" }
 // EpochsPerRound reports the local epochs per round.
 func (p *FedProto) EpochsPerRound() int { return p.LocalEpochs }
 
-// Setup reads the probe clients' geometry and builds the server state
-// through WireSetup, the one place it is built.
+// Setup builds the server state from the probe clients' joins through
+// WireSetup, the one place it is built.
 func (p *FedProto) Setup(sim *fl.Simulation) error {
-	probe := sim.SetupIDs()
-	joins := make([]fl.WireJoin, len(probe))
-	for i, id := range probe {
-		cfg := sim.Client(id).Model.Cfg
-		joins[i] = fl.WireJoin{ID: id, FeatDim: cfg.FeatDim, NumClasses: cfg.NumClasses}
+	joins, err := sim.SetupJoins(p)
+	if err != nil {
+		return err
 	}
-	return p.WireSetup(joins, 0)
+	return p.WireSetup(joins, tensor.Workers())
 }
 
 // Round trains participants with the prototype regularizer against the
@@ -192,7 +190,7 @@ func (p *FedProto) AsyncCommit(sim *fl.Simulation) error { return p.WireCommit()
 // Vecs = numClasses global prototypes (nil for never-reported classes). The
 // accumulator is empty at every checkpoint boundary, and per-client dispatch
 // snapshots are dead after the quiesce, so neither is captured.
-func (p *FedProto) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
+func (p *FedProto) AlgoSnapshot() (*fl.AlgoState, error) {
 	st := &fl.AlgoState{Ints: []int64{int64(p.numClasses)}}
 	for _, proto := range p.globalProtos {
 		st.Vecs = append(st.Vecs, fl.CloneVec(proto))
@@ -201,7 +199,7 @@ func (p *FedProto) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
-func (p *FedProto) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
+func (p *FedProto) AlgoRestore(st *fl.AlgoState) error {
 	if len(st.Ints) != 1 || int(st.Ints[0]) != p.numClasses || len(st.Vecs) != p.numClasses {
 		return fmt.Errorf("baselines: malformed FedProto state (%d ints, %d vecs, %d classes)",
 			len(st.Ints), len(st.Vecs), p.numClasses)

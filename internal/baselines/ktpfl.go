@@ -97,21 +97,23 @@ func (k *KTpFL) SetPublic(public []data.Example, c, h, w int) {
 }
 
 // Setup validates configuration and initializes the coefficient matrix
-// uniformly.
+// uniformly over the whole fleet; only "+weight" reads the probe clients'
+// joins.
 func (k *KTpFL) Setup(sim *fl.Simulation) error {
-	var params []int
+	var joins []fl.WireJoin
 	if k.ShareWeights {
-		for _, id := range sim.SetupIDs() {
-			params = append(params, nn.NumParams(sim.Client(id).Model.Params()))
+		var err error
+		if joins, err = sim.SetupJoins(k); err != nil {
+			return err
 		}
 	}
-	return k.start(sim.NumClients(), params)
+	return k.start(sim.NumClients(), joins)
 }
 
 // start checks the configuration for an n-client federation — "+weight"
-// needs every one of params, the probed clients' parameter counts, to
-// agree — and initializes the coefficient matrix uniformly.
-func (k *KTpFL) start(n int, params []int) error {
+// needs every join's parameter count to agree — and initializes the
+// coefficient matrix uniformly.
+func (k *KTpFL) start(n int, joins []fl.WireJoin) error {
 	if n == 0 {
 		return errors.New("baselines: no clients")
 	}
@@ -119,8 +121,8 @@ func (k *KTpFL) start(n int, params []int) error {
 		return errors.New("baselines: KT-pFL needs a public dataset (call SetPublic)")
 	}
 	if k.ShareWeights {
-		for _, p := range params {
-			if p != params[0] {
+		for _, j := range joins {
+			if j.NumParams != joins[0].NumParams {
 				return errors.New("baselines: KT-pFL+weight requires homogeneous models")
 			}
 		}
@@ -168,7 +170,7 @@ func (k *KTpFL) Round(sim *fl.Simulation, round int, participants []int) error {
 	k.refreshCoeff(participants, reports, norm, nil)
 	// 3. Personalized transfers.
 	errs := make([]error, len(participants))
-	fl.ParallelClients(len(participants), func(idx int) {
+	tensor.Parallel(len(participants), func(idx int) {
 		t := k.transfer(participants[idx], participants, reports)
 		sim.Downlink(len(t))
 		errs[idx] = k.consume(sim.Client(participants[idx]), t)
@@ -359,7 +361,7 @@ func (k *KTpFL) AsyncCommit(sim *fl.Simulation) error { return k.WireCommit() }
 // latest reports (nil-able), the k pending transfers (nil-able) and one
 // k-vector of staleness weights. Staged transfers are not captured: after
 // the engine's quiesce every dispatched client has consumed its stage.
-func (k *KTpFL) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
+func (k *KTpFL) AlgoSnapshot() (*fl.AlgoState, error) {
 	n := len(k.coeff)
 	st := &fl.AlgoState{}
 	for _, row := range k.coeff {
@@ -381,7 +383,7 @@ func (k *KTpFL) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
-func (k *KTpFL) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
+func (k *KTpFL) AlgoRestore(st *fl.AlgoState) error {
 	n := len(k.coeff)
 	if len(st.Ints) != 2 || int(st.Ints[0]) != n || len(st.Vecs) < n {
 		return fmt.Errorf("baselines: malformed %s state (%d ints, %d vecs, %d clients)",

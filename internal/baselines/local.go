@@ -75,9 +75,9 @@ func (l *LocalOnly) AsyncApply(sim *fl.Simulation, u *fl.Update) error { return 
 func (l *LocalOnly) AsyncCommit(sim *fl.Simulation) error { return nil }
 
 // AlgoSnapshot reports an empty state: the baseline has no server state.
-func (l *LocalOnly) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
+func (l *LocalOnly) AlgoSnapshot() (*fl.AlgoState, error) {
 	return &fl.AlgoState{}, nil
 }
 
 // AlgoRestore is a no-op.
-func (l *LocalOnly) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error { return nil }
+func (l *LocalOnly) AlgoRestore(st *fl.AlgoState) error { return nil }

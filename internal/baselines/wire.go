@@ -183,11 +183,7 @@ func (k *KTpFL) WireInit(c *fl.Client) ([][]float64, error) { return nil, nil }
 // WireSetup initializes the coefficient matrix uniformly and sizes the
 // pending-transfer tables, the wire form of Setup+AsyncSetup.
 func (k *KTpFL) WireSetup(joins []fl.WireJoin, shards int) error {
-	params := make([]int, len(joins))
-	for i, j := range joins {
-		params[i] = j.NumParams
-	}
-	if err := k.start(len(joins), params); err != nil {
+	if err := k.start(len(joins), joins); err != nil {
 		return err
 	}
 	k.sizeTables(len(joins), joins[0].NumClasses, joins[0].NumParams)

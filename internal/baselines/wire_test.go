@@ -272,12 +272,12 @@ func TestKTpFLRestoreRejectsWrongLengthReports(t *testing.T) {
 		if err := algo.AsyncSetup(sim, &fl.SchedulerConfig{MixRate: 1}); err != nil {
 			t.Fatal(err)
 		}
-		st, err := algo.AlgoSnapshot(sim)
+		st, err := algo.AlgoSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.Vecs[at] = []float64{1, 2, 3}
-		if err := algo.AlgoRestore(sim, st); err == nil {
+		if err := algo.AlgoRestore(st); err == nil {
 			t.Fatalf("restore accepted a 3-value entry at vector %d", at)
 		}
 	}

@@ -211,12 +211,9 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 	e.u64(uint64(len(snap.Joins)))
 	for i := range snap.Joins {
 		j := &snap.Joins[i]
-		e.u64(uint64(j.ID))
-		e.u64(uint64(j.TrainSize))
-		e.u64(uint64(j.FeatDim))
-		e.u64(uint64(j.NumClasses))
-		e.u64(uint64(j.NumParams))
-		e.u64(uint64(j.NumClassifier))
+		for _, v := range j.AppendInts(nil) {
+			e.i64(v)
+		}
 		e.bool(j.Init != nil)
 		if j.Init != nil {
 			e.u64(uint64(len(j.Init)))
@@ -346,15 +343,16 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 		})
 	}
 	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
-		snap.Joins = append(snap.Joins, fl.WireJoin{
-			ID:            int(d.U64()),
-			TrainSize:     int(d.U64()),
-			FeatDim:       int(d.U64()),
-			NumClasses:    int(d.U64()),
-			NumParams:     int(d.U64()),
-			NumClassifier: int(d.U64()),
-			Init:          vecTable(&d, tagJoinInit),
-		})
+		var ints [fl.JoinInts]int64
+		for k := range ints {
+			ints[k] = d.I64()
+		}
+		j, err := fl.ParseJoin(ints[:])
+		if err != nil {
+			d.Failf("join record %d: %v", len(snap.Joins), err)
+		}
+		j.Init = vecTable(&d, tagJoinInit)
+		snap.Joins = append(snap.Joins, j)
 	}
 
 	if err := d.End(); err != nil {

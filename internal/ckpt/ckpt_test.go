@@ -548,6 +548,31 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesNegativeJoinSize: a node checkpoint's join records
+// are read through the join decoder the wire uses, so a record patched to
+// declare a negative size fails to load, naming the field — restored, it
+// would cancel the |D_k| start's weight total to zero.
+func TestUnmarshalRefusesNegativeJoinSize(t *testing.T) {
+	snap := &fl.Snapshot{Kind: fl.SchedSync, Round: 1, FleetSize: 3}
+	for id := range 3 {
+		snap.Joins = append(snap.Joins, fl.WireJoin{ID: id, TrainSize: 8, FeatDim: 4, NumClasses: 2, NumParams: 30, NumClassifier: 10})
+	}
+	blob, err := ckpt.Marshal(snap, comm.F64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Unmarshal(blob); err != nil {
+		t.Fatalf("unpatched checkpoint: %v", err)
+	}
+	// The file ends with the last join record: its ints, then the byte
+	// marking its init payload absent. TrainSize is the second int.
+	neg := int64(-16)
+	binary.LittleEndian.PutUint64(blob[len(blob)-(fl.JoinInts*8+1)+8:], uint64(neg))
+	if _, err := ckpt.Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "TrainSize -16") {
+		t.Fatalf("got error %v, want one naming TrainSize -16", err)
+	}
+}
+
 // Marshal encodes every vector straight into the output buffer: a snapshot
 // of many vectors must cost far fewer allocations than it has vectors.
 func TestMarshalAllocsNoFramePerVector(t *testing.T) {

@@ -159,34 +159,23 @@ type DeltaRef struct {
 const DefaultMinSparse = 64
 
 // Selector resolves a connection-level Spec into a per-vector Spec by
-// message kind and payload size. The zero value of the kind predicates
-// admits every kind; fl installs predicates that restrict sparsification
-// and delta framing to weight-upload messages.
+// message kind and payload size: a vector of at least DefaultMinSparse
+// elements whose kind Kinds admits is framed sparse and delta as Spec says;
+// every other vector crosses dense at Spec's value codec. A nil Kinds
+// admits every kind; fl installs one that admits weight uploads only.
 type Selector struct {
-	Spec Spec
-	// MinSparse is the smallest eligible vector (0 = DefaultMinSparse).
-	MinSparse int
-	// SparseKinds and DeltaKinds gate top-k and delta framing per message
-	// kind (nil = all kinds).
-	SparseKinds func(kind uint32) bool
-	DeltaKinds  func(kind uint32) bool
+	Spec  Spec
+	Kinds func(kind uint32) bool
 }
 
 // For returns the spec one vector of n elements crosses the wire under.
 func (s *Selector) For(kind uint32, n int) Spec {
 	out := Spec{Value: s.Spec.Value}
-	min := s.MinSparse
-	if min == 0 {
-		min = DefaultMinSparse
-	}
-	if n < min {
-		return out
-	}
-	if s.Spec.Sparse() && (s.SparseKinds == nil || s.SparseKinds(kind)) {
-		out.Frac = s.Spec.Frac
-	}
-	if s.Spec.Delta && (s.DeltaKinds == nil || s.DeltaKinds(kind)) {
-		out.Delta = true
+	if n >= DefaultMinSparse && (s.Kinds == nil || s.Kinds(kind)) {
+		out.Delta = s.Spec.Delta
+		if s.Spec.Sparse() {
+			out.Frac = s.Spec.Frac
+		}
 	}
 	return out
 }

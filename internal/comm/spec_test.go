@@ -75,9 +75,8 @@ func TestParseSpec(t *testing.T) {
 func TestSelectorPolicy(t *testing.T) {
 	upd := uint32(101)
 	sel := &Selector{
-		Spec:        NewSpec(F32, 0.05, true),
-		SparseKinds: func(k uint32) bool { return k == upd },
-		DeltaKinds:  func(k uint32) bool { return k == upd },
+		Spec:  NewSpec(F32, 0.05, true),
+		Kinds: func(k uint32) bool { return k == upd },
 	}
 	if got := sel.For(upd, 1000); got != NewSpec(F32, 0.05, true) {
 		t.Fatalf("update vector got %v", got)

@@ -105,36 +105,19 @@ func (f *FedClassAvg) Name() string {
 // EpochsPerRound reports E.
 func (f *FedClassAvg) EpochsPerRound() int { return f.Opts.LocalEpochs }
 
-// Setup checks classifier compatibility and starts the global vector as the
-// data-weighted average of the clients' initial weights.
+// Setup builds the server state from the probe clients' joins through
+// WireSetup, the one place it is built.
 func (f *FedClassAvg) Setup(sim *fl.Simulation) error {
-	if sim.NumClients() == 0 {
-		return errors.New("core: no clients")
+	joins, err := sim.SetupJoins(f)
+	if err != nil {
+		return err
 	}
-	// SetupIDs is the whole fleet for an eager simulation (the historical
-	// initial average) and a fixed budget-independent prefix for a lazy one,
-	// where averaging a million initial classifiers would materialize them
-	// all for weights that wash out after the first commit anyway.
-	probe := sim.SetupIDs()
-	ref := sim.Client(probe[0]).Model
-	for _, id := range probe[1:] {
-		c := sim.Client(id)
-		if c.Model.Cfg.FeatDim != ref.Cfg.FeatDim || c.Model.Cfg.NumClasses != ref.Cfg.NumClasses {
-			return fmt.Errorf("core: client %d classifier shape (%d→%d) differs from client 0 (%d→%d)",
-				c.ID, c.Model.Cfg.FeatDim, c.Model.Cfg.NumClasses, ref.Cfg.FeatDim, ref.Cfg.NumClasses)
-		}
-		if f.Opts.ShareAllWeights && nn.NumParams(c.Model.Params()) != nn.NumParams(ref.Params()) {
-			return fmt.Errorf("core: ShareAllWeights requires homogeneous models; client %d differs", c.ID)
-		}
-	}
-	f.nC = nn.NumParams(ref.ClassifierParams())
-	f.Start(sim, probe, true)
-	return nil
+	return f.WireSetup(joins, tensor.Workers())
 }
 
-// WireSetup validates fleet geometry from the joins and starts the global
-// vector as the |D_k|-weighted average of the init payloads — Setup's
-// arithmetic, fed by wire vectors instead of local models.
+// WireSetup checks that every join declares client 0's classifier geometry
+// (and, with ShareAllWeights, its parameter count) and starts the global
+// vector as the |D_k|-weighted average of the init payloads.
 func (f *FedClassAvg) WireSetup(joins []fl.WireJoin, shards int) error {
 	if len(joins) == 0 {
 		return errors.New("core: no clients")
@@ -222,7 +205,7 @@ func (f *FedClassAvg) GlobalClassifier() []float64 {
 // tail of the second vector. The accumulator is empty at every checkpoint
 // boundary, and per-client proximal snapshots are dead after the engine's
 // quiesce, so neither is captured.
-func (f *FedClassAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
+func (f *FedClassAvg) AlgoSnapshot() (*fl.AlgoState, error) {
 	g := f.Global()
 	if !f.Opts.ShareAllWeights {
 		return &fl.AlgoState{Ints: []int64{0}, Vecs: [][]float64{g}}, nil
@@ -231,7 +214,7 @@ func (f *FedClassAvg) AlgoSnapshot(sim *fl.Simulation) (*fl.AlgoState, error) {
 }
 
 // AlgoRestore is the inverse of AlgoSnapshot.
-func (f *FedClassAvg) AlgoRestore(sim *fl.Simulation, st *fl.AlgoState) error {
+func (f *FedClassAvg) AlgoRestore(st *fl.AlgoState) error {
 	if len(st.Ints) != 1 || len(st.Vecs) < 1 {
 		return fmt.Errorf("core: malformed %s state (%d ints, %d vecs)", f.Name(), len(st.Ints), len(st.Vecs))
 	}

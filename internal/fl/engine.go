@@ -433,7 +433,7 @@ func (s *Simulation) runSync(ctx context.Context, algo Algorithm, sched *Schedul
 	start := 1
 	away := make([]float64, s.NumClients())
 	if snap := sched.Resume; snap != nil {
-		if err := s.resume(snap, SchedSync, len(away), algo, s, func() error {
+		if err := s.resume(snap, SchedSync, len(away), algo, func() error {
 			if len(snap.Away) != len(away) {
 				return fmt.Errorf("fl: checkpoint has %d clients' churn state, simulation has %d", len(snap.Away), len(away))
 			}

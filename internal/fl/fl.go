@@ -237,7 +237,7 @@ type Simulation struct {
 	rounds
 
 	store *ClientStore
-	// probe is how many leading ids SetupIDs returns, and workers the
+	// probe is how many leading ids SetupJoins reads, and workers the
 	// default SchedulerConfig.Workers.
 	probe, workers int
 	// up frames the simulated uplink (Config.Codec/TopK/Delta): one
@@ -303,20 +303,24 @@ func (s *Simulation) Client(id int) *Client { return s.store.Get(id) }
 // setupProbeWidth caps how many clients Setup probes in a lazy fleet.
 const setupProbeWidth = 64
 
-// SetupIDs returns the client ids an Algorithm's Setup should inspect for
-// fleet-wide invariants (architecture homogeneity, feature dims) and
-// initial aggregates. An eager simulation returns every id — the historical
-// behavior. A lazy one returns a fixed prefix (min(n, 64)): fleet builders
-// construct clients from a small arch rotation, so a prefix witnesses
-// every architecture, and a budget-independent probe set keeps the
-// determinism contract (Setup must not depend on what happens to be
-// resident).
-func (s *Simulation) SetupIDs() []int {
-	ids := make([]int, s.probe)
-	for i := range ids {
-		ids[i] = i
+// SetupJoins returns the joins of the clients an in-process Setup builds
+// server state from, each built as a ClientNode builds its own: Setup hands
+// them to the method's WireSetup, so in process and node mode start from
+// one function. An eager simulation probes every client — the historical
+// behavior. A lazy one probes a fixed prefix (min(n, 64)): fleet builders
+// construct clients from a small arch rotation, so a prefix witnesses every
+// architecture, and a budget-independent probe set keeps the determinism
+// contract (Setup must not depend on what happens to be resident).
+func (s *Simulation) SetupJoins(algo WireAlgorithm) ([]WireJoin, error) {
+	joins := make([]WireJoin, s.probe)
+	for id := range joins {
+		j, err := newJoin(algo, s.Client(id))
+		if err != nil {
+			return nil, err
+		}
+		joins[id] = j
 	}
-	return ids
+	return joins, nil
 }
 
 // Run executes the algorithm for the configured number of rounds under the
@@ -440,7 +444,7 @@ func (s *Simulation) evaluateWith(away []float64, now float64) RoundMetrics {
 		width = len(ids)
 	}
 	accs := make([]float64, width)
-	ParallelClients(width, func(i int) {
+	tensor.Parallel(width, func(i int) {
 		id := i
 		if ids != nil {
 			id = ids[i]
@@ -481,11 +485,4 @@ func MeanStd(xs []float64) (mean, std float64) {
 		std += d * d
 	}
 	return mean, math.Sqrt(std / float64(n))
-}
-
-// ParallelClients runs f(i) for i in [0,n) with dynamic load balancing on
-// the persistent tensor worker pool (no goroutines are spawned per round);
-// client-level parallelism mirrors the paper's MPI node-per-client layout.
-func ParallelClients(n int, f func(i int)) {
-	tensor.Parallel(n, f)
 }

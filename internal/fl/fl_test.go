@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
@@ -49,30 +48,6 @@ func TestMeanStd(t *testing.T) {
 	}
 	if m, s := MeanStd(nil); m != 0 || s != 0 {
 		t.Fatal("empty MeanStd should be 0,0")
-	}
-}
-
-func TestParallelClientsCoversAll(t *testing.T) {
-	var count int64
-	seen := make([]int64, 100)
-	ParallelClients(100, func(i int) {
-		atomic.AddInt64(&count, 1)
-		atomic.AddInt64(&seen[i], 1)
-	})
-	if count != 100 {
-		t.Fatalf("ran %d times", count)
-	}
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d ran %d times", i, v)
-		}
-	}
-	// n=0 and n=1 edge cases.
-	ParallelClients(0, func(int) { t.Fatal("must not run") })
-	ran := false
-	ParallelClients(1, func(int) { ran = true })
-	if !ran {
-		t.Fatal("n=1 did not run")
 	}
 }
 

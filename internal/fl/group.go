@@ -47,7 +47,7 @@ func GroupCohort(sim *Simulation, ids []int) [][]int {
 // positions in ids. It is how a sync round trains its participants.
 func ParallelGroups(sim *Simulation, ids []int, f func(group []*Client, pos []int)) {
 	groups := GroupCohort(sim, ids)
-	ParallelClients(len(groups), func(g int) {
+	tensor.Parallel(len(groups), func(g int) {
 		group := make([]*Client, len(groups[g]))
 		for i, p := range groups[g] {
 			group[i] = sim.Client(ids[p])

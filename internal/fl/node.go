@@ -767,7 +767,7 @@ func (r *serverRun) completeEval() {
 // still hold.
 func (r *serverRun) snapshot() (*Snapshot, error) {
 	snap := &Snapshot{Kind: r.cfg.Sched, Round: r.version, FleetSize: r.k, DType: r.cfg.DType, Joins: cloneJoins(r.pt.joins)}
-	if err := r.n.capture(snap, r.algo, nil); err != nil {
+	if err := r.n.capture(snap, r.algo); err != nil {
 		return nil, err
 	}
 	snap.Sessions = make([]SessionState, r.k)
@@ -783,7 +783,7 @@ func (r *serverRun) snapshot() (*Snapshot, error) {
 // streams. Every session starts disconnected with the reconnect-window
 // clock running — surviving clients re-dial with the tokens they hold.
 func (r *serverRun) restore(snap *Snapshot) error {
-	if err := r.n.resume(snap, r.cfg.Sched, r.k, r.algo, nil, func() error {
+	if err := r.n.resume(snap, r.cfg.Sched, r.k, r.algo, func() error {
 		switch {
 		case len(snap.Sessions) != r.k:
 			return fmt.Errorf("fl: checkpoint has %d sessions, server is configured for %d clients", len(snap.Sessions), r.k)

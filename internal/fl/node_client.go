@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
@@ -143,21 +142,12 @@ func (cr *clientRun) drain() {
 
 // join declares this client on a connection that resumes no session.
 func (cr *clientRun) join() {
-	c := cr.c
-	init, err := cr.cn.Algo.WireInit(c)
+	j, err := newJoin(cr.cn.Algo, cr.c)
 	if err != nil {
-		cr.fatal = fmt.Errorf("fl: client %d init payload: %w", c.ID, err)
+		cr.fatal = err
 		return
 	}
-	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: init, ints: make([]int64, joinIntCount)}
-	join.ints[joinID] = int64(c.ID)
-	join.ints[joinTrainSize] = int64(len(c.Train))
-	if c.Model != nil {
-		join.ints[joinFeatDim] = int64(c.Model.Cfg.FeatDim)
-		join.ints[joinNumClasses] = int64(c.Model.Cfg.NumClasses)
-		join.ints[joinNumParams] = int64(nn.NumParams(c.Model.Params()))
-		join.ints[joinNumClassifier] = int64(nn.NumParams(c.Model.ClassifierParams()))
-	}
+	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: j.Init, ints: j.AppendInts(nil)}
 	// Sent once per connection, and as large as the init payload: a frame of
 	// its own, so the uplink's upload frame is sized by an upload.
 	cr.up.send(appendMsg(nil, join, cr.up.wc))

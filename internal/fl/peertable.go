@@ -211,19 +211,15 @@ var errNotJoin = errors.New("not a join frame")
 
 // readClientJoin is the readJoin of every table whose peers are ClientNodes.
 func readClientJoin(m *wireMsg) (int, []WireJoin, error) {
-	if m.kind != msgJoin || len(m.ints) != joinIntCount {
+	if m.kind != msgJoin || len(m.ints) != JoinInts {
 		return 0, nil, errNotJoin
 	}
-	id := int(m.ints[joinID])
-	return id, []WireJoin{{
-		ID:            id,
-		TrainSize:     int(m.ints[joinTrainSize]),
-		FeatDim:       int(m.ints[joinFeatDim]),
-		NumClasses:    int(m.ints[joinNumClasses]),
-		NumParams:     int(m.ints[joinNumParams]),
-		NumClassifier: int(m.ints[joinNumClassifier]),
-		Init:          m.vecs,
-	}}, nil
+	j, err := ParseJoin(m.ints)
+	if err != nil {
+		return 0, nil, err
+	}
+	j.Init = m.vecs
+	return j.ID, []WireJoin{j}, nil
 }
 
 // defaultLiveness fills the failure discipline NodeConfig and

@@ -107,14 +107,13 @@ func (f *rounds) closeRound(v, epochsPerRound int, simTime float64, m *RoundMetr
 }
 
 // capture fills a snapshot's scheduler-independent half: the algorithm's
-// server state, both streams, the history and the ledger. sim is what the
-// algorithm's AlgoSnapshot receives (nil on a node root).
-func (f *rounds) capture(snap *Snapshot, algo Algorithm, sim *Simulation) error {
+// server state, both streams, the history and the ledger.
+func (f *rounds) capture(snap *Snapshot, algo Algorithm) error {
 	ca, ok := algo.(CheckpointableAlgorithm)
 	if !ok {
 		return fmt.Errorf("fl: %s cannot be checkpointed (implement fl.CheckpointableAlgorithm)", algo.Name())
 	}
-	st, err := ca.AlgoSnapshot(sim)
+	st, err := ca.AlgoSnapshot()
 	if err != nil {
 		return fmt.Errorf("fl: %s state snapshot: %w", algo.Name(), err)
 	}
@@ -131,9 +130,8 @@ func (f *rounds) capture(snap *Snapshot, algo Algorithm, sim *Simulation) error 
 // configured horizon, over a fleet of its size, into a checkpointable
 // algorithm; own then checks and restores the caller's half (client
 // records, sessions). Every check runs before anything is overwritten, so
-// a refused snapshot leaves the record as it was. sim is what the
-// algorithm's AlgoRestore receives (nil on a node root).
-func (f *rounds) resume(snap *Snapshot, kind SchedulerKind, fleet int, algo Algorithm, sim *Simulation, own func() error) error {
+// a refused snapshot leaves the record as it was.
+func (f *rounds) resume(snap *Snapshot, kind SchedulerKind, fleet int, algo Algorithm, own func() error) error {
 	ca, ok := algo.(CheckpointableAlgorithm)
 	switch {
 	case !ok:
@@ -153,7 +151,7 @@ func (f *rounds) resume(snap *Snapshot, kind SchedulerKind, fleet int, algo Algo
 	f.History = cloneHistory(snap.History)
 	f.Ledger.Restore(snap.Ledger)
 	if snap.Algo != nil {
-		if err := ca.AlgoRestore(sim, snap.Algo); err != nil {
+		if err := ca.AlgoRestore(snap.Algo); err != nil {
 			return fmt.Errorf("fl: %s state restore: %w", algo.Name(), err)
 		}
 	}

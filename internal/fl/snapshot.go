@@ -70,10 +70,10 @@ type CheckpointableAlgorithm interface {
 	// AlgoSnapshot captures the algorithm's server state. It runs on the
 	// engine goroutine at a commit boundary, after in-flight local updates
 	// have quiesced.
-	AlgoSnapshot(sim *Simulation) (*AlgoState, error)
+	AlgoSnapshot() (*AlgoState, error)
 	// AlgoRestore overwrites the algorithm's server state from a snapshot.
 	// Setup (and AsyncSetup, under async schedulers) has already run.
-	AlgoRestore(sim *Simulation, st *AlgoState) error
+	AlgoRestore(st *AlgoState) error
 }
 
 // SessionState is one wire client's checkpointed session: the identity
@@ -180,7 +180,7 @@ func cloneHistory(hist []RoundMetrics) []RoundMetrics {
 // captureFleet fills an engine snapshot around the round record's half: the
 // fleet's size and dtype, every touched client, and the trace so far.
 func (s *Simulation) captureFleet(snap *Snapshot, algo Algorithm, sched *SchedulerConfig) error {
-	if err := s.capture(snap, algo, s); err != nil {
+	if err := s.capture(snap, algo); err != nil {
 		return err
 	}
 	snap.FleetSize = s.NumClients()
@@ -258,7 +258,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // where the checkpointed one stopped.
 func (e *Engine) Restore(snap *Snapshot) error {
 	k := len(e.idle)
-	if err := e.sim.resume(snap, e.sched.Kind, k, e.algo, e.sim, func() error {
+	if err := e.sim.resume(snap, e.sched.Kind, k, e.algo, func() error {
 		switch {
 		case len(snap.Idle) != k:
 			return fmt.Errorf("fl: checkpoint has %d clients' scheduler flags, simulation has %d", len(snap.Idle), k)

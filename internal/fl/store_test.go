@@ -56,7 +56,7 @@ func (a *trainAlgo) Name() string                { return "train" }
 func (a *trainAlgo) EpochsPerRound() int         { return 1 }
 func (a *trainAlgo) Setup(sim *Simulation) error { return nil }
 func (a *trainAlgo) Round(sim *Simulation, round int, participants []int) error {
-	ParallelClients(len(participants), func(idx int) {
+	tensor.Parallel(len(participants), func(idx int) {
 		sim.Client(participants[idx]).TrainEpochCE(sim.Cfg.BatchSize)
 	})
 	return nil
@@ -73,10 +73,10 @@ func (a *trainAlgo) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, 
 }
 func (a *trainAlgo) AsyncApply(sim *Simulation, u *Update) error { return nil }
 func (a *trainAlgo) AsyncCommit(sim *Simulation) error           { return nil }
-func (a *trainAlgo) AlgoSnapshot(sim *Simulation) (*AlgoState, error) {
+func (a *trainAlgo) AlgoSnapshot() (*AlgoState, error) {
 	return &AlgoState{}, nil
 }
-func (a *trainAlgo) AlgoRestore(sim *Simulation, st *AlgoState) error { return nil }
+func (a *trainAlgo) AlgoRestore(st *AlgoState) error { return nil }
 
 func TestSamplePrefixDrawsDistinctInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // WeightMethod is what a weight-averaging algorithm supplies to its
@@ -64,24 +63,12 @@ func NewWeightAvg(m WeightMethod) *WeightAvg { return &WeightAvg{m: m} }
 // delta framing: the server only ever averages them.
 func (h *WeightAvg) LossyUploads() bool { return true }
 
-// Start sets the global vector from the fleet: the |D_k|-weighted average of
-// the ids' shared weights when average is set, else a copy of ids[0]'s.
-func (h *WeightAvg) Start(sim *Simulation, ids []int, average bool) {
-	if !average {
-		h.global = nn.FlattenParams(h.m.Shared(sim.Client(ids[0])))
-		return
-	}
-	us := make([]*Update, len(ids))
-	for i, id := range ids {
-		c := sim.Client(id)
-		us[i] = &Update{Scale: DataScale(len(c.Train)), Vecs: [][]float64{nn.FlattenParams(h.m.Shared(c))}}
-	}
-	h.global = weightedAverage(us, 0)
-}
-
-// WireStart is Start from join payloads, each a single vector of want
-// values, and readies the accumulator for plain-average commits with folds
-// split shards ways. Without average only joins[0] is read.
+// WireStart sets the global vector from join payloads, each a single
+// vector of want values — their |D_k|-weighted average when average is set,
+// else a copy of joins[0]'s, the only one read — and readies the
+// accumulator for plain-average commits with folds split shards ways. It is
+// the one start: an in-process Setup reaches it through WireSetup over
+// Simulation.SetupJoins.
 func (h *WeightAvg) WireStart(joins []WireJoin, want int, average bool, shards int) error {
 	if !average {
 		joins = joins[:1]
@@ -169,9 +156,9 @@ func (h *WeightAvg) local(sim *Simulation, group []*Client, refs [][]float64) []
 	return us
 }
 
-// AsyncSetup sizes the accumulator and the snapshot table.
+// AsyncSetup sets the commit mix and sizes the snapshot table; WireStart
+// built the accumulator.
 func (h *WeightAvg) AsyncSetup(sim *Simulation, sched *SchedulerConfig) error {
-	h.acc = NewSharded(len(h.global), tensor.Workers())
 	h.mix = sched.MixRate
 	h.snaps = make([][]float64, sim.NumClients())
 	return nil

@@ -2,8 +2,10 @@ package fl
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/nn"
 )
 
 // This file is the federation's node-mode wire protocol: the message
@@ -76,7 +78,8 @@ const (
 	msgTreeUpdate
 )
 
-// join-message ints layout.
+// A join's integer declarations, in the order WireJoin.AppendInts writes
+// them for a flat join, each child of a tree join and a checkpoint.
 const (
 	joinID = iota
 	joinTrainSize
@@ -84,7 +87,8 @@ const (
 	joinNumClasses
 	joinNumParams
 	joinNumClassifier
-	joinIntCount
+	// JoinInts is how many integers a join declares.
+	JoinInts
 )
 
 // welcome-message ints layout (shared by msgWelcome and msgResume).
@@ -237,6 +241,49 @@ type WireJoin struct {
 	NumParams     int
 	NumClassifier int
 	Init          [][]float64
+}
+
+// newJoin builds c's declaration under algo: its id, |D_k|, model geometry
+// and WireInit payload. A ClientNode joins with it, and SetupJoins builds
+// the in-process probe set with it.
+func newJoin(algo WireAlgorithm, c *Client) (WireJoin, error) {
+	init, err := algo.WireInit(c)
+	if err != nil {
+		return WireJoin{}, fmt.Errorf("fl: client %d init payload: %w", c.ID, err)
+	}
+	j := WireJoin{ID: c.ID, TrainSize: len(c.Train), Init: init}
+	if c.Model != nil {
+		j.FeatDim = c.Model.Cfg.FeatDim
+		j.NumClasses = c.Model.Cfg.NumClasses
+		j.NumParams = nn.NumParams(c.Model.Params())
+		j.NumClassifier = nn.NumParams(c.Model.ClassifierParams())
+	}
+	return j, nil
+}
+
+// AppendInts appends j's JoinInts integer declarations to dst.
+func (j *WireJoin) AppendInts(dst []int64) []int64 {
+	return append(dst, int64(j.ID), int64(j.TrainSize), int64(j.FeatDim),
+		int64(j.NumClasses), int64(j.NumParams), int64(j.NumClassifier))
+}
+
+// ParseJoin is AppendInts' inverse over ints[:JoinInts], without the init
+// payload. A join is a peer's claim, so a negative size is refused by name:
+// a negative |D_k| can cancel the start's weight total to zero.
+func ParseJoin(ints []int64) (WireJoin, error) {
+	for k, name := range [...]string{"TrainSize", "FeatDim", "NumClasses", "NumParams", "NumClassifier"} {
+		if v := ints[joinTrainSize+k]; v < 0 {
+			return WireJoin{}, fmt.Errorf("client %d declares %s %d", ints[joinID], name, v)
+		}
+	}
+	return WireJoin{
+		ID:            int(ints[joinID]),
+		TrainSize:     int(ints[joinTrainSize]),
+		FeatDim:       int(ints[joinFeatDim]),
+		NumClasses:    int(ints[joinNumClasses]),
+		NumParams:     int(ints[joinNumParams]),
+		NumClassifier: int(ints[joinNumClassifier]),
+	}, nil
 }
 
 // WireAlgorithm splits an algorithm across a process boundary. The server

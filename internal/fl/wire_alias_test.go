@@ -230,7 +230,7 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 		}
 		defer conn.Close()
 		peers[id] = &testPeer{t: t, conn: conn}
-		join := &wireMsg{kind: msgJoin, name: algo.Name(), ints: make([]int64, joinIntCount)}
+		join := &wireMsg{kind: msgJoin, name: algo.Name(), ints: make([]int64, JoinInts)}
 		join.ints[joinID] = int64(id)
 		peers[id].send(join)
 	}

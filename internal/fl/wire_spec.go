@@ -131,11 +131,7 @@ func newWireCodec(spec comm.Spec, lossy bool) *wireCodec {
 	if !lossy {
 		return plainWire(spec.Value)
 	}
-	return &wireCodec{sel: comm.Selector{
-		Spec:        spec,
-		SparseKinds: uploadKind,
-		DeltaKinds:  uploadKind,
-	}}
+	return &wireCodec{sel: comm.Selector{Spec: spec, Kinds: uploadKind}}
 }
 
 // specFor resolves the framing of one vector. A nil wireCodec is the plain

@@ -79,15 +79,14 @@ func TreeSplit(k, aggs int) []int {
 // behalf of its whole child range once every child has joined it.
 //
 //	a      = aggregator index
-//	ints   = [lo, hi, then joinIntCount ints per child]
+//	ints   = [lo, hi, then each child's JoinInts ints (WireJoin.AppendInts)]
 //	counts = per-child init-vector count
 //	vecs   = the children's init payloads, concatenated
 func encodeTreeJoin(agg, lo, hi int, joins []WireJoin, name string, wc *wireCodec) []byte {
 	m := &wireMsg{kind: msgTreeJoin, a: uint64(agg), name: name}
 	m.ints = append(m.ints, int64(lo), int64(hi))
 	for _, j := range joins {
-		m.ints = append(m.ints, int64(j.ID), int64(j.TrainSize), int64(j.FeatDim),
-			int64(j.NumClasses), int64(j.NumParams), int64(j.NumClassifier))
+		m.ints = j.AppendInts(m.ints)
 		m.counts = append(m.counts, len(j.Init))
 		m.vecs = append(m.vecs, j.Init...)
 	}
@@ -107,7 +106,7 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	if lo < 0 || children <= 0 {
 		return fail("bad child range [%d,%d)", lo, hi)
 	}
-	if len(m.ints) != 2+children*joinIntCount {
+	if len(m.ints) != 2+children*JoinInts {
 		return fail("%d children declared, %d ints carried", children, len(m.ints)-2)
 	}
 	if len(m.counts) != children {
@@ -116,14 +115,8 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	joins = make([]WireJoin, children)
 	off := 0
 	for i := range joins {
-		ji := m.ints[2+i*joinIntCount:]
-		joins[i] = WireJoin{
-			ID:            int(ji[joinID]),
-			TrainSize:     int(ji[joinTrainSize]),
-			FeatDim:       int(ji[joinFeatDim]),
-			NumClasses:    int(ji[joinNumClasses]),
-			NumParams:     int(ji[joinNumParams]),
-			NumClassifier: int(ji[joinNumClassifier]),
+		if joins[i], err = ParseJoin(m.ints[2+i*JoinInts : 2+(i+1)*JoinInts]); err != nil {
+			return fail("%v", err)
 		}
 		if joins[i].ID != lo+i {
 			return fail("child %d carries id %d, want %d", i, joins[i].ID, lo+i)

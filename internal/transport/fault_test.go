@@ -49,7 +49,8 @@ func pair(t *testing.T, tr Transport) (Conn, Conn) {
 
 // TestSessionTokenHandshake checks DialWithToken carries the session
 // token to the acceptor's Hello verbatim, on every transport that speaks
-// sessions, and that a plain dial presents token zero.
+// sessions, that the dialer's Hello is the listener's (token zero), and
+// that a plain dial presents token zero.
 func TestSessionTokenHandshake(t *testing.T) {
 	const token uint64 = 0x8000beefcafe0001
 	for name, tr := range transports(t, Options{}) {
@@ -75,6 +76,9 @@ func TestSessionTokenHandshake(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cli.Close()
+			if h := cli.Hello(); h.Token != 0 {
+				t.Fatalf("dialer saw token %#x in the listener's hello, want 0", h.Token)
+			}
 			got := <-acceptCh
 			if got.err != nil {
 				t.Fatal(got.err)

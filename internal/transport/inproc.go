@@ -82,7 +82,9 @@ func (t *Inproc) dial(ctx context.Context, addr string, token uint64) (Conn, err
 	c2s, s2c := &pipe.lanes[0], &pipe.lanes[1]
 	c2s.frames = make(chan []byte, 64)
 	s2c.frames = make(chan []byte, 64)
-	dialer := &inprocConn{send: c2s, recv: s2c, pipe: pipe, peer: hello}
+	// Each end holds its peer's hello: the dialer the listener's, which
+	// presents no token, as a tcp listener's does.
+	dialer := &inprocConn{send: c2s, recv: s2c, pipe: pipe, peer: Hello{Version: Version, DType: ln.opts.DType, Spec: ln.opts.Spec}}
 	accepted := &inprocConn{send: s2c, recv: c2s, pipe: pipe, peer: hello}
 	select {
 	case ln.backlog <- accepted:
