@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -198,6 +199,36 @@ func TestF64MatchesLegacyLayout(t *testing.T) {
 	}
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(b[12:])); got != 1 {
 		t.Fatalf("first element %v", got)
+	}
+}
+
+// A dense F64 body is one copy on a little-endian host and a loop of
+// LittleEndian words elsewhere: both write the same bytes and read them
+// back bit for bit, from a body at an odd address too.
+func TestDenseF64CopyMatchesLoop(t *testing.T) {
+	payload := []float64{1, -2, 3.5, math.Copysign(0, -1), math.Inf(1), 0x1p-1074, math.NaN()}
+	host := hostLittleEndian
+	defer func() { hostLittleEndian = host }()
+	var frames [2][]byte
+	var got [2][]float64
+	for i, le := range []bool{false, host} {
+		hostLittleEndian = le
+		// One byte of lead-in puts the body off the 8-byte grid.
+		frames[i] = appendDense([]byte{0xee}, F64, payload)[1:]
+		got[i] = make([]float64, len(payload))
+		if err := decodeDense(got[i], F64, frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(frames[0], frames[1]) {
+		t.Fatalf("copy wrote % x, loop % x", frames[1], frames[0])
+	}
+	for i, v := range payload {
+		for _, g := range got {
+			if math.Float64bits(g[i]) != math.Float64bits(v) {
+				t.Fatalf("element %d read back as %x, wrote %x", i, math.Float64bits(g[i]), math.Float64bits(v))
+			}
+		}
 	}
 }
 

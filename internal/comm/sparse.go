@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -196,11 +197,27 @@ func appendDense(dst []byte, c Codec, payload []float64) []byte {
 			dst = binary.LittleEndian.AppendUint16(dst, tensor.BF16FromF32(float32(v)))
 		}
 	default:
+		if hostLittleEndian {
+			return append(dst, f64Bytes(payload)...)
+		}
 		for _, v := range payload {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
 	return dst
+}
+
+// hostLittleEndian reports whether a float64 in memory is laid out as an
+// F64 frame lays it out, so that a dense F64 body is one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes views v's memory as bytes. The view goes that way round, never
+// bytes as floats, so a frame at any alignment can be its other side.
+func f64Bytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
 }
 
 // topkCount is the deterministic kept count: ceil(frac·n) clamped to
@@ -521,6 +538,10 @@ func decodeDense(payload []float64, c Codec, body []byte) error {
 			payload[i] = float64(tensor.BF16ToF32(binary.LittleEndian.Uint16(body[2*i:])))
 		}
 	default:
+		if hostLittleEndian {
+			copy(f64Bytes(payload), body)
+			break
+		}
 		for i := range payload {
 			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}

@@ -6,9 +6,9 @@ import (
 )
 
 // ExactAccumulator is the grouping-invariant reduction behind hierarchical
-// aggregation: a weighted vector sum carried as an exact fixed-point
-// integer so that folding the same updates in any order, under any
-// grouping, produces byte-identical float64 results.
+// aggregation: a weighted vector sum carried exactly so that folding the
+// same updates in any order, under any grouping, produces byte-identical
+// float64 results.
 //
 // The contract the tree topology rests on: each per-term product w·v[i] is
 // rounded once in float64 (deterministic and independent of grouping), and
@@ -18,17 +18,26 @@ import (
 // lets an edge aggregator pre-reduce its subtree into one exactly-rounded
 // sum whatever order its children reported in.
 //
-// Representation. Every finite float64 is an integer multiple of 2^-1074,
-// so sums live on a fixed-point grid whose bit g weighs 2^(g-1074); a term
-// with biased exponent x puts its 53-bit mantissa at grid bits [x-1, x+51].
-// A cell is a 192-bit two's-complement window onto that grid — three
-// uint64 limbs, struct-of-arrays, plus the grid bit its bit 0 sits on (the
-// anchor) — placed anchorRoom bits below the first term it receives.
-// Model-like data never leaves such a window: it spans 2^96 of dynamic
-// range below the first term and 2^42 above it. A cell whose terms or
-// carries do leave it is promoted, once and exactly, to a full-width
-// Kulisch cell (wideLimbs limbs covering the whole grid) in a side table;
-// from then on the narrow arrays only hold its slot.
+// Representation. A cell is a pair of float64s (hi, lo) whose exact real
+// sum is the cell's value: 16 bytes, struct-of-arrays. A term p joins a
+// cell by two of Knuth's TwoSums — hi+p = s+d exactly, then lo+d = t+r
+// exactly — and the cell becomes (s, t) when the residual r is exactly
+// zero, which keeps hi+lo equal to the exact sum. TwoSum is error-free for
+// any finite operands whose sum does not overflow, subnormals included
+// (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J. Sci.
+// Comput. 2005), so the pair is exact by construction, and Round's fl(hi+lo)
+// is the correctly rounded sum because one IEEE addition is correctly
+// rounded. Model-like data keeps r at zero: the rounding errors lo gathers
+// span far fewer than 53 bits.
+//
+// A term the pair cannot take exactly — a nonzero residual, an overflow —
+// promotes its cell, once, to a full-width Kulisch cell: wideLimbs limbs of
+// a two's-complement integer over the grid of every finite float64, whose
+// bit g weighs 2^(g-1074), held in a side table. A promoted cell keeps a
+// NaN in hi and its slot in lo, so every later term reaches the wide cell
+// through the same one test that catches a residual. On AVX2 hosts the
+// pair step runs four cells at a time (exact_amd64.s) and hands a group
+// with a residual back to the scalar loop unwritten.
 //
 // Nonfinite terms poison the accumulator: an integer grid has no NaN or
 // Inf, so the first nonfinite product degrades the accumulator to plain
@@ -36,11 +45,10 @@ import (
 // stays loudly garbage instead of corrupting the grid.
 type ExactAccumulator struct {
 	// Cells [0, n) are the vector; cell n is the weight sum.
-	n          int
-	anchor     []uint16
-	l0, l1, l2 []uint64
+	n      int
+	hi, lo []float64
 	// wide holds the promoted cells, wideLimbs limbs each, anchored at grid
-	// bit 0. A promoted cell has anchor[i] == promoted and its slot in l0[i].
+	// bit 0.
 	wide []uint64
 	// plain/plainW carry the degraded float64 sums once poisoned.
 	poisoned bool
@@ -48,33 +56,14 @@ type ExactAccumulator struct {
 	plainW   float64
 }
 
-const (
-	// wideLimbs is the width of a promoted cell. Terms occupy grid bits
-	// [0, 2098); the remaining 78 bits are carry headroom, enough for 2^77
-	// same-sign terms.
-	wideLimbs = 34
-	// headroom is how many leading sign bits a freshly anchored window
-	// keeps: 2^42 of growth above what it holds.
-	headroom = 43
-	// anchorRoom is how far below its first term a window is anchored.
-	anchorRoom = 192 - 53 - headroom
-	// maxShift is the highest in-window position of a term's low bit that
-	// keeps its 53 bits clear of the sign bit.
-	maxShift = 192 - 1 - 53
-	// promoted marks a cell that lives in the wide table; no window can be
-	// anchored there (anchors stop at 2045).
-	promoted = math.MaxUint16
-)
+// wideLimbs is the width of a promoted cell. Terms occupy grid bits
+// [0, 2098); the remaining 78 bits are carry headroom, enough for 2^77
+// same-sign terms.
+const wideLimbs = 34
 
 // NewExactAccumulator builds an exact accumulator over n elements.
 func NewExactAccumulator(n int) *ExactAccumulator {
-	return &ExactAccumulator{
-		n:      n,
-		anchor: make([]uint16, n+1),
-		l0:     make([]uint64, n+1),
-		l1:     make([]uint64, n+1),
-		l2:     make([]uint64, n+1),
-	}
+	return &ExactAccumulator{n: n, hi: make([]float64, n+1), lo: make([]float64, n+1)}
 }
 
 // ReuseExactAccumulator returns an empty accumulator over n elements: e
@@ -94,10 +83,8 @@ func (e *ExactAccumulator) Len() int { return e.n }
 // Reset returns the accumulator to its freshly built state, keeping its
 // storage.
 func (e *ExactAccumulator) Reset() {
-	clear(e.anchor)
-	clear(e.l0)
-	clear(e.l1)
-	clear(e.l2)
+	clear(e.hi)
+	clear(e.lo)
 	e.wide = e.wide[:0]
 	e.poisoned, e.plain, e.plainW = false, nil, 0
 }
@@ -127,73 +114,106 @@ func (e *ExactAccumulator) Fold(vec []float64, w float64) {
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		e.poison()
 	}
-	if e.poisoned {
-		for i, v := range vec {
-			e.plain[i] += w * v
+	if !e.poisoned {
+		i := e.foldPairs(vec, w)
+		if !e.poisoned {
+			e.add(e.n, w)
+			return
 		}
-		e.plainW += w
-		return
+		vec = vec[i:]
 	}
-	anchor, l0, l1, l2 := e.anchor[:len(vec)], e.l0[:len(vec)], e.l1[:len(vec)], e.l2[:len(vec)]
+	plain := e.plain[len(e.plain)-len(vec):]
 	for i, v := range vec {
-		b := math.Float64bits(w * v)
-		x := int(b >> 52 & 0x7ff)
-		m := b & (1<<52 - 1)
-		if uint(x-1) >= 0x7fe { // zero, subnormal or nonfinite
-			if x != 0 {
-				e.poison()
-				for j := i; j < len(vec); j++ {
-					e.plain[j] += w * vec[j]
-				}
-				e.plainW += w
-				return
-			}
-			if m == 0 {
-				continue
-			}
-			x = 1
-		} else {
-			m |= 1 << 52
-		}
-		// The term is ±m at grid bit x-1; negation is complement plus a
-		// carry-in, so both signs take the same three adds.
-		neg := b >> 63
-		mask := -neg
-		s := x - 1 - int(anchor[i])
-		if uint(s) > maxShift && anchor[i] != promoted && l0[i]|l1[i]|l2[i] == 0 {
-			// Empty, or cancelled to zero: anchor afresh below this term.
-			s = min(x-1, anchorRoom)
-			anchor[i] = uint16(x - 1 - s)
-		}
-		if uint(s) <= maxShift {
-			r := uint(s) & 63
-			lo, hi := m<<r, m>>(64-r)
-			var t0, t1, t2 uint64
-			switch s >> 6 {
-			case 0:
-				t0, t1 = lo, hi
-			case 1:
-				t1, t2 = lo, hi
-			default:
-				t2 = lo // s ≥ 128 leaves r ≤ 10, so hi is empty
-			}
-			t2 ^= mask
-			a2 := l2[i]
-			s0, c := bits.Add64(l0[i], t0^mask, neg)
-			s1, c := bits.Add64(l1[i], t1^mask, c)
-			s2, _ := bits.Add64(a2, t2, c)
-			if (a2^s2)&(t2^s2)>>63 == 0 { // no signed overflow
-				l0[i], l1[i], l2[i] = s0, s1, s2
-				continue
-			}
-		}
-		e.addTerm(i, w*v)
+		plain[i] += float64(w * v)
 	}
-	e.addTerm(e.n, w)
+	e.plainW += w
 }
 
-// addTerm adds one finite float64 to cell i by the general path.
-func (e *ExactAccumulator) addTerm(i int, t float64) {
+// foldPairs folds w·vec into the cells and returns len(vec), or the index
+// of the nonfinite product that poisoned the accumulator, its cell
+// untouched.
+func (e *ExactAccumulator) foldPairs(vec []float64, w float64) int {
+	hi, lo := e.hi[:len(vec)], e.lo[:len(vec)]
+	for i := 0; i < len(vec); {
+		i += pairFold(hi[i:], lo[i:], vec[i:], w)
+		// The scalar loop takes the group the vector loop stopped at, or
+		// everything when there is none.
+		end := len(vec)
+		if pairSIMD {
+			end = min(i+4, end)
+		}
+		for ; i < end; i++ {
+			// The explicit conversion rounds the product on its own: a
+			// fused hi + w·v would leave TwoSum's error term wrong.
+			p := float64(w * vec[i])
+			s, d := twoSum(hi[i], p)
+			t, r := twoSum(lo[i], d)
+			// The one branch: a residual, an overflow's NaN, a nonfinite
+			// product and a promoted cell's NaN hi all land here.
+			if r != 0 {
+				if !e.add(i, p) {
+					return i
+				}
+				continue
+			}
+			hi[i], lo[i] = s, t
+		}
+	}
+	return len(vec)
+}
+
+// add adds one term to cell i by the general path: Fold's for a term its
+// pair cannot take, Merge's for every term. A nonfinite term poisons the
+// accumulator without touching the cell and reports false.
+func (e *ExactAccumulator) add(i int, t float64) bool {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		e.poison()
+		return false
+	}
+	if !math.IsNaN(e.hi[i]) {
+		s, d := twoSum(e.hi[i], t)
+		u, r := twoSum(e.lo[i], d)
+		if r == 0 {
+			e.hi[i], e.lo[i] = s, u
+			return true
+		}
+		e.promote(i)
+	}
+	e.wideAdd(int(e.lo[i]), t)
+	return true
+}
+
+// twoSum returns s = fl(a+b) and the error d with s+d = a+b exactly
+// (Knuth), for finite a and b whose sum does not overflow.
+func twoSum(a, b float64) (s, d float64) {
+	s = a + b
+	z := s - a
+	return s, (a - (s - z)) + (b - z)
+}
+
+// promote moves cell i's pair into a fresh wide cell, exactly, and leaves
+// the NaN that routes every later term there.
+func (e *ExactAccumulator) promote(i int) {
+	slot := len(e.wide) / wideLimbs
+	e.wide = append(e.wide, make([]uint64, wideLimbs)...)
+	e.wideAdd(slot, e.hi[i])
+	e.wideAdd(slot, e.lo[i])
+	e.hi[i], e.lo[i] = math.NaN(), float64(slot)
+}
+
+// promotions reports how many cells have left the pair path.
+func (e *ExactAccumulator) promotions() int { return len(e.wide) / wideLimbs }
+
+// wideCell returns promoted cell slot's limbs.
+func (e *ExactAccumulator) wideCell(slot int) []uint64 {
+	return e.wide[slot*wideLimbs:][:wideLimbs]
+}
+
+// wideAdd adds the finite t into a wide cell: its 53-bit mantissa at grid
+// bit x-1 (x the biased exponent, 1 for a subnormal), sign-extended to the
+// cell's top. Negation is complement plus a carry-in, so both signs take
+// the same adds.
+func (e *ExactAccumulator) wideAdd(slot int, t float64) {
 	b := math.Float64bits(t)
 	x := int(b >> 52 & 0x7ff)
 	m := b & (1<<52 - 1)
@@ -203,97 +223,14 @@ func (e *ExactAccumulator) addTerm(i int, t float64) {
 		m |= 1 << 52
 	}
 	neg := b >> 63
-	e.addCell(i, (m^-neg)+neg, -neg, -neg, x-1)
-}
-
-// addCell adds the signed 192-bit window o, anchored at grid bit oa, into
-// cell i: the general path under Fold's inlined one, and Merge's only one.
-// The operand anchored higher is shifted down to the other's anchor; if
-// that or the sum does not fit the window, the cell is promoted.
-func (e *ExactAccumulator) addCell(i int, o0, o1, o2 uint64, oa int) {
-	if o0|o1|o2 == 0 {
-		return
-	}
-	if e.anchor[i] == promoted {
-		e.wideAdd(int(e.l0[i]), o0, o1, o2, oa)
-		return
-	}
-	a0, a1, a2, a := e.l0[i], e.l1[i], e.l2[i], int(e.anchor[i])
-	if a0|a1|a2 == 0 {
-		// Empty, or cancelled to zero: anchor afresh below o, as far as
-		// leaves o its headroom.
-		a = oa - min(oa, max(signBits(o0, o1, o2)-headroom, 0))
-	}
-	if lo := min(a, oa); a-lo < signBits(a0, a1, a2) && oa-lo < signBits(o0, o1, o2) {
-		a0, a1, a2 = shl192(a0, a1, a2, a-lo)
-		b0, b1, b2 := shl192(o0, o1, o2, oa-lo)
-		s0, c := bits.Add64(a0, b0, 0)
-		s1, c := bits.Add64(a1, b1, c)
-		s2, _ := bits.Add64(a2, b2, c)
-		if (a2^s2)&(b2^s2)>>63 == 0 {
-			e.l0[i], e.l1[i], e.l2[i], e.anchor[i] = s0, s1, s2, uint16(lo)
-			return
-		}
-	}
-	e.wideAdd(e.promote(i), o0, o1, o2, oa)
-}
-
-// signBits counts the leading bits of a 192-bit two's-complement value
-// that equal its sign bit: shifting left by fewer keeps the value.
-func signBits(x0, x1, x2 uint64) int {
-	s := uint64(int64(x2) >> 63)
-	switch {
-	case x2 != s:
-		return bits.LeadingZeros64(x2 ^ s)
-	case x1 != s:
-		return 64 + bits.LeadingZeros64(x1^s)
-	}
-	return 128 + bits.LeadingZeros64(x0^s)
-}
-
-// shl192 shifts a 192-bit value left by d in [0, 192).
-func shl192(x0, x1, x2 uint64, d int) (uint64, uint64, uint64) {
-	switch d >> 6 {
-	case 1:
-		x0, x1, x2 = 0, x0, x1
-	case 2:
-		x0, x1, x2 = 0, 0, x0
-	}
-	r := uint(d) & 63
-	return x0 << r, x1<<r | x0>>(64-r), x2<<r | x1>>(64-r)
-}
-
-// promote moves cell i into a fresh wide slot and returns the slot.
-func (e *ExactAccumulator) promote(i int) int {
-	slot := len(e.wide) / wideLimbs
-	e.wide = append(e.wide, make([]uint64, wideLimbs)...)
-	e.wideAdd(slot, e.l0[i], e.l1[i], e.l2[i], int(e.anchor[i]))
-	e.anchor[i], e.l0[i] = promoted, uint64(slot)
-	return slot
-}
-
-// promotions reports how many cells have left the narrow path.
-func (e *ExactAccumulator) promotions() int { return len(e.wide) / wideLimbs }
-
-// wideCell returns promoted cell slot's limbs.
-func (e *ExactAccumulator) wideCell(slot int) []uint64 {
-	return e.wide[slot*wideLimbs:][:wideLimbs]
-}
-
-// wideAdd adds the signed window o, anchored at grid bit oa, into a wide
-// cell, sign-extending it to the cell's top.
-func (e *ExactAccumulator) wideAdd(slot int, o0, o1, o2 uint64, oa int) {
-	cell := e.wideCell(slot)
-	ext := uint64(int64(o2) >> 63)
-	r := uint(oa) & 63
-	x := [4]uint64{o0 << r, o1<<r | o0>>(64-r), o2<<r | o1>>(64-r), ext<<r | o2>>(64-r)}
+	mask := -neg
+	r := uint(x-1) & 63
+	cell := e.wideCell(slot)[(x-1)>>6:]
 	var c uint64
-	for j, k := 0, oa>>6; k < wideLimbs; j, k = j+1, k+1 {
-		t := ext
-		if j < len(x) {
-			t = x[j]
-		}
-		cell[k], c = bits.Add64(cell[k], t, c)
+	cell[0], c = bits.Add64(cell[0], m<<r^mask, neg)
+	cell[1], c = bits.Add64(cell[1], m>>(64-r)^mask, c)
+	for k := 2; k < len(cell); k++ {
+		cell[k], c = bits.Add64(cell[k], mask, c)
 	}
 }
 
@@ -315,15 +252,17 @@ func (e *ExactAccumulator) Merge(o *ExactAccumulator) {
 		e.plainW += wsum
 		return
 	}
-	for i, oa := range o.anchor {
-		if oa != promoted {
-			e.addCell(i, o.l0[i], o.l1[i], o.l2[i], int(oa))
+	for i, a := range o.hi {
+		if !math.IsNaN(a) {
+			// A pair is two terms.
+			e.add(i, a)
+			e.add(i, o.lo[i])
 			continue
 		}
-		if e.anchor[i] != promoted {
+		if !math.IsNaN(e.hi[i]) {
 			e.promote(i)
 		}
-		cell, ocell := e.wideCell(int(e.l0[i])), o.wideCell(int(o.l0[i]))
+		cell, ocell := e.wideCell(int(e.lo[i])), o.wideCell(int(o.lo[i]))
 		var c uint64
 		for k := range cell {
 			cell[k], c = bits.Add64(cell[k], ocell[k], c)
@@ -350,28 +289,32 @@ func (e *ExactAccumulator) RoundInto(dst []float64) (sum []float64, wsum float64
 		copy(sum, e.plain)
 		return sum, e.plainW
 	}
+	hi, lo := e.hi[:e.n], e.lo[:e.n]
 	for i := range sum {
-		sum[i] = e.roundCell(i)
+		if sum[i] = hi[i] + lo[i] + 0; sum[i] != sum[i] {
+			sum[i] = e.roundCell(i) // a promoted cell
+		}
 	}
 	return sum, e.roundCell(e.n)
 }
 
-// roundCell rounds cell i to the nearest float64, ties to even.
+// roundCell rounds cell i to the nearest float64, ties to even. Zero is +0:
+// a sum that cancels exactly is +0 under round-to-nearest, and adding +0
+// turns fl(hi+lo)'s -0 into it.
 func (e *ExactAccumulator) roundCell(i int) float64 {
-	if e.anchor[i] == promoted {
-		var x [wideLimbs]uint64
-		copy(x[:], e.wideCell(int(e.l0[i])))
-		return roundInt(x[:], 0)
+	a, b := e.hi[i], e.lo[i]
+	if !math.IsNaN(a) {
+		return a + b + 0
 	}
-	x := [3]uint64{e.l0[i], e.l1[i], e.l2[i]}
-	return roundInt(x[:], int(e.anchor[i]))
+	var x [wideLimbs]uint64
+	copy(x[:], e.wideCell(int(b)))
+	return roundInt(x[:])
 }
 
-// roundInt rounds x·2^(anchor-1074), x a little-endian two's-complement
-// integer (clobbered), to the nearest float64 with ties to even and
-// overflow to ±Inf. Zero is +0: a sum that cancels exactly is +0 under
-// round-to-nearest, and zero terms never reach a cell.
-func roundInt(x []uint64, anchor int) float64 {
+// roundInt rounds x·2^-1074, x a little-endian two's-complement integer
+// (clobbered), to the nearest float64 with ties to even and overflow to
+// ±Inf. Zero is +0.
+func roundInt(x []uint64) float64 {
 	// Magnitude by complement-and-carry under a sign mask: the sign of a
 	// sum is a coin flip, not something to branch on.
 	neg := x[len(x)-1] >> 63
@@ -397,7 +340,7 @@ func roundInt(x []uint64, anchor int) float64 {
 			rest |= limb
 		}
 	}
-	p := anchor + 64*k + 63 - int(lz) // grid bit of the leading one
+	p := 64*k + 63 - int(lz) // grid bit of the leading one
 	var b uint64
 	switch {
 	case p <= 52:

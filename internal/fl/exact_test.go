@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -54,7 +55,7 @@ func (e *bigRefAccumulator) Fold(vec []float64, w float64) {
 	}
 	if e.poisoned {
 		for i, v := range vec {
-			e.plain[i] += w * v
+			e.plain[i] += float64(w * v)
 		}
 		e.plainW += w
 		return
@@ -64,7 +65,7 @@ func (e *bigRefAccumulator) Fold(vec []float64, w float64) {
 		if math.IsNaN(t) || math.IsInf(t, 0) {
 			e.poison()
 			for j := i; j < len(vec); j++ {
-				e.plain[j] += w * vec[j]
+				e.plain[j] += float64(w * vec[j])
 			}
 			e.plainW += w
 			return
@@ -551,17 +552,93 @@ func TestExactAccumulatorMatchesBigFloat(t *testing.T) {
 	})
 }
 
+// The vector pair fold is the scalar loop four cells at a time: folding
+// the same model-like and nasty vectors with it on and off leaves the same
+// cells bit for bit — pairs, promoted cells and their order in the wide
+// table — and a product that overflows mid-vector poisons both alike.
+func TestExactAccumulatorPairFoldTiers(t *testing.T) {
+	if !pairSIMD {
+		t.Skip("no vector pair fold on this host")
+	}
+	const n = 1031 // the last three cells are a scalar tail
+	rng := rand.New(rand.NewSource(67))
+	vecs := make([][]float64, 12)
+	for c := range vecs {
+		if c%3 == 2 {
+			vecs[c] = nastyVec(rng, n, false)
+		} else {
+			vecs[c] = modelLikeVec(rng, n)
+		}
+	}
+	overflow := modelLikeVec(rng, n)
+	overflow[517] = math.MaxFloat64
+	fold := func(simd bool, last []float64) *ExactAccumulator {
+		defer func(old bool) { pairSIMD = old }(pairSIMD)
+		pairSIMD = simd
+		e := NewExactAccumulator(n)
+		for c, v := range vecs {
+			e.Fold(v, []float64{30, -7, 0.5}[c%3])
+		}
+		if last != nil {
+			e.Fold(last, 30)
+		}
+		return e
+	}
+	vector, scalar := fold(true, nil), fold(false, nil)
+	if vector.promotions() == 0 {
+		t.Fatal("no cell promoted: the vector loop never handed a group back")
+	}
+	for i := range vector.hi {
+		if math.Float64bits(vector.hi[i]) != math.Float64bits(scalar.hi[i]) || math.Float64bits(vector.lo[i]) != math.Float64bits(scalar.lo[i]) {
+			t.Fatalf("cell %d: vector (%x, %x), scalar (%x, %x)", i,
+				math.Float64bits(vector.hi[i]), math.Float64bits(vector.lo[i]), math.Float64bits(scalar.hi[i]), math.Float64bits(scalar.lo[i]))
+		}
+	}
+	if !slices.Equal(vector.wide, scalar.wide) {
+		t.Fatal("the wide cells differ")
+	}
+	vector, scalar = fold(true, overflow), fold(false, overflow)
+	got, gotW := vector.Round()
+	want, wantW := scalar.Round()
+	if !vector.poisoned || !scalar.poisoned || !sameFloat(gotW, wantW) {
+		t.Fatalf("overflow: poisoned %v/%v, weight %v/%v", vector.poisoned, scalar.poisoned, gotW, wantW)
+	}
+	for i := range want {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("overflow: sum[%d] = %x vector, %x scalar", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
 // fuzzWeights are the fold weights a fuzz program picks from: a byte
 // cannot spell a useful float64, and most random ones would only poison.
-var fuzzWeights = []float64{1, -1, 30, 0.5, 1e-3, 0x1p-60, 0x1p60, -0x1p-1000, 0, 0x1p900}
+// The NaN comes last, so the seeds written before it keep their weights.
+var fuzzWeights = []float64{1, -1, 30, 0.5, 1e-3, 0x1p-60, 0x1p60, -0x1p-1000, 0, 0x1p900, math.NaN()}
+
+// fuzzFold is one fold of a fuzz program, kept to be replayed.
+type fuzzFold struct {
+	vec []float64
+	w   float64
+}
 
 // FuzzExactAccumulator runs a short program of folds, merges and resets
 // over two accumulators of 1–4 cells and holds every step to the oracle.
 // The first byte sizes the cells; then each op is one opcode byte, and a
 // fold reads a weight byte and eight raw float64 bytes per cell (missing
 // bytes read as zero).
+//
+// At the end each accumulator's folds — the multiset its merges gathered —
+// are replayed flat in program order, and again shuffled and split across
+// two accumulators that are then merged: the property the tree rests on.
+// Both round to the program's bits and to the oracle's; a poisoned
+// multiset, whose plain float64 sums depend on the order, is held to the
+// oracle alone.
 func FuzzExactAccumulator(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
+		var seed int64
+		for _, b := range prog {
+			seed = seed*31 + int64(b)
+		}
 		next := func(n int) []byte {
 			var buf [8]byte
 			k := copy(buf[:n], prog)
@@ -570,25 +647,65 @@ func FuzzExactAccumulator(f *testing.F) {
 		}
 		n := int(next(1)[0])%4 + 1
 		pairs := [2]refPair{newRefPair(n), newRefPair(n)}
-		vec := make([]float64, n)
+		var folds [2][]fuzzFold
 		for steps := 0; len(prog) > 0 && steps < 64; steps++ {
 			op := next(1)[0]
-			dst, src := pairs[op&1], pairs[op&1^1]
+			d := op & 1
+			dst, src := pairs[d], pairs[d^1]
 			switch op >> 1 % 4 {
 			case 0, 1:
 				w := fuzzWeights[int(next(1)[0])%len(fuzzWeights)]
+				vec := make([]float64, n)
 				for i := range vec {
 					vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(next(8)))
 				}
 				dst.fold(vec, w)
+				folds[d] = append(folds[d], fuzzFold{vec, w})
 			case 2:
 				dst.merge(src)
+				folds[d] = append(folds[d], folds[d^1]...)
 			case 3:
 				dst.acc.Reset()
-				pairs[op&1].ref = newBigRef(n)
-				dst = pairs[op&1]
+				pairs[d].ref = newBigRef(n)
+				dst = pairs[d]
+				folds[d] = nil
 			}
 			dst.check(t, "fuzz")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for d, p := range pairs {
+			flat, a, b := newRefPair(n), newRefPair(n), newRefPair(n)
+			for _, fd := range folds[d] {
+				flat.fold(fd.vec, fd.w)
+			}
+			shuffled := slices.Clone(folds[d])
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			cut := rng.Intn(len(shuffled) + 1)
+			for i, fd := range shuffled {
+				if i < cut {
+					a.fold(fd.vec, fd.w)
+				} else {
+					b.fold(fd.vec, fd.w)
+				}
+			}
+			a.merge(b)
+			flat.check(t, "replayed flat")
+			a.check(t, "regrouped")
+			if flat.acc.poisoned {
+				continue
+			}
+			got, gotW := a.acc.Round()
+			for _, other := range []refPair{flat, p} {
+				want, wantW := other.acc.Round()
+				if !sameFloat(gotW, wantW) {
+					t.Fatalf("accumulator %d regrouped: wsum = %x, in order %x", d, math.Float64bits(gotW), math.Float64bits(wantW))
+				}
+				for i := range want {
+					if !sameFloat(got[i], want[i]) {
+						t.Fatalf("accumulator %d regrouped: sum[%d] = %x, in order %x", d, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
 		}
 	})
 }

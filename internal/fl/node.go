@@ -466,10 +466,15 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 	if !r.pt.answered(sess, m.a) {
 		return false
 	}
+	scale := math.Float64frombits(m.b)
+	if !weightSum(scale) {
+		r.fatal = fmt.Errorf("fl: client %d sent update weight %v", sess.id, scale)
+		return false
+	}
 	u := &Update{
 		Client:  sess.id,
 		Version: int(m.a),
-		Scale:   math.Float64frombits(m.b),
+		Scale:   scale,
 		Vecs:    m.vecs,
 		Counts:  m.counts,
 	}

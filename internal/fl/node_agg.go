@@ -172,18 +172,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	if cfg.Dialer == nil {
 		return fmt.Errorf("fl: aggregator %d needs an upstream dialer", cfg.Index)
 	}
-	bounds := TreeSplit(cfg.Clients, cfg.Aggregators)
-	lo, hi := bounds[cfg.Index], bounds[cfg.Index+1]
-	g := &aggRun{n: n, cfg: cfg, algo: n.algo, lo: lo, hi: hi}
-	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
-		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
-	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
-	g.rounds.await, g.evals.await = &g.pt.round, &g.pt.eval
-	// One free list for both readers: the root's batched dispatch is re-encoded
-	// and released before the children's uploads come in, so the uploads
-	// decode into the vectors the dispatch just vacated and those the last
-	// round's uploads left behind.
-	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
+	g := newAggRun(ctx, n)
 	defer g.pt.shutdown()
 	defer g.up.close()
 	go g.pt.acceptLoop(ln)
@@ -205,7 +194,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 		case d := <-g.up.dials:
 			if g.up.dialed(d) {
 				if g.joinFrame == nil {
-					g.joinFrame = encodeTreeJoin(cfg.Index, lo, hi, g.pt.joins, g.algo.Name(), g.pt.wc)
+					g.joinFrame = encodeTreeJoin(cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc)
 				}
 				g.up.send(g.joinFrame)
 			}
@@ -230,6 +219,26 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 		return g.fatal
 	}
 	return g.up.err
+}
+
+// newAggRun builds the event loop's state for a validated config: the
+// child-facing table over the aggregator's range and the uplink, not yet
+// dialed.
+func newAggRun(ctx context.Context, n *AggregatorNode) *aggRun {
+	cfg := n.cfg
+	bounds := TreeSplit(cfg.Clients, cfg.Aggregators)
+	lo, hi := bounds[cfg.Index], bounds[cfg.Index+1]
+	g := &aggRun{n: n, cfg: cfg, algo: n.algo, lo: lo, hi: hi}
+	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
+		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
+	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
+	g.rounds.await, g.evals.await = &g.pt.round, &g.pt.eval
+	// One free list for both readers: the root's batched dispatch is re-encoded
+	// and released before the children's uploads come in, so the uploads
+	// decode into the vectors the dispatch just vacated and those the last
+	// round's uploads left behind.
+	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
+	return g
 }
 
 // fail reports a downstream failure upstream (so the root aborts the run
@@ -393,6 +402,10 @@ func (g *aggRun) handleChild(ev inbound) {
 			break
 		}
 		scale := math.Float64frombits(m.b)
+		if !weightSum(scale) {
+			g.fail(fmt.Errorf("client %d sent update weight %v", s.id, scale))
+			break
+		}
 		g.updates[s.id] = &Update{
 			Client:  s.id,
 			Version: int(m.a),

@@ -293,8 +293,8 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 	return au, nil
 }
 
-// weightSum reports whether w can be a sum of update weights: finite and
-// not negative.
+// weightSum reports whether w can be an update weight or a sum of them:
+// finite and not negative.
 func weightSum(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 // treeUpdateMsg is a subtree's raw updates unreduced — the
@@ -327,6 +327,9 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 	vOff, cOff := 0, 0
 	for i := 0; i < len(m.ints); i += 4 {
 		scale := math.Float64frombits(uint64(m.ints[i+1]))
+		if !weightSum(scale) {
+			return nil, fmt.Errorf("fl: tree update: client %d weight %v", m.ints[i], scale)
+		}
 		nVecs, nCounts := int(m.ints[i+2]), int(m.ints[i+3])
 		if nVecs < 0 || nVecs > len(m.vecs)-vOff {
 			return nil, fmt.Errorf("fl: tree update: vectors overrun at update %d", i/4)

@@ -354,3 +354,68 @@ func TestNodeTreeRootRefusesForeignAnswers(t *testing.T) {
 		})
 	}
 }
+
+// TestNodeRefusesBadUpdateWeights forges a client's update weight at each
+// place one comes off the wire: a flat root's upload, an aggregator's child
+// upload and a tree root's passthrough bundle. A NaN, an infinite or a
+// negative weight would poison an exact pre-reduce or fold at negative
+// weight, so each is fatal and names the client; weight 2 is accepted.
+func TestNodeRefusesBadUpdateWeights(t *testing.T) {
+	check := func(t *testing.T, fatal error, scale float64, who ...string) {
+		t.Helper()
+		switch {
+		case scale == 2 && fatal != nil:
+			t.Fatalf("weight 2 refused: %v", fatal)
+		case scale == 2:
+		case fatal == nil:
+			t.Fatalf("weight %v accepted", scale)
+		default:
+			for _, w := range who {
+				if !strings.Contains(fatal.Error(), w) {
+					t.Fatalf("refusal %q does not name %s", fatal, w)
+				}
+			}
+		}
+	}
+	update := func(version uint64, scale float64) *wireMsg {
+		return &wireMsg{kind: msgUpdate, a: version, b: math.Float64bits(scale), vecs: [][]float64{{1}}}
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 2} {
+		t.Run(fmt.Sprint("flat-root/", scale), func(t *testing.T) {
+			r := newServerRun(NewServerNode(&stubWire{}, NodeConfig{
+				Config: Config{Rounds: 2, Seed: 1}, Clients: 2, Heartbeat: time.Hour}))
+			r.pt.assembled = true
+			r.advance()
+			s := r.pt.sessionByID(1)
+			if r.fatal != nil || !s.busy {
+				t.Fatalf("round 1 did not dispatch client 1: %v", r.fatal)
+			}
+			r.handleInbound(inbound{id: 1, gen: s.gen, msg: update(s.dispVersion, scale)})
+			check(t, r.fatal, scale, "client 1")
+		})
+		t.Run(fmt.Sprint("aggregator/", scale), func(t *testing.T) {
+			n := NewAggregatorNode(&stubWire{}, AggregatorConfig{Index: 1, Aggregators: 2, Clients: 4, Heartbeat: time.Hour})
+			g := newAggRun(context.Background(), n)
+			defer g.up.close()
+			g.handleTreeDispatch(treeDispatchMsg(3, []int{2, 3}, [][][]float64{{{0}}, {{0}}}))
+			s := g.pt.sessionByID(3)
+			if g.fatal != nil || !s.busy {
+				t.Fatalf("the dispatch did not reach client 3: %v", g.fatal)
+			}
+			g.handleChild(inbound{id: 3, gen: s.gen, msg: update(3, scale)})
+			check(t, g.fatal, scale, "aggregator 1", "client 3")
+		})
+		t.Run(fmt.Sprint("tree-root/", scale), func(t *testing.T) {
+			r := newServerRun(NewServerNode(&stubWire{}, NodeConfig{
+				Config: Config{Rounds: 2, Seed: 1}, Clients: 4, Aggregators: 2, Heartbeat: time.Hour}))
+			r.pt.assembled = true
+			r.advance()
+			if r.fatal != nil || !r.pt.round.ids[1] {
+				t.Fatalf("round 1 did not open on aggregator 1: %v", r.fatal)
+			}
+			ups := []*Update{{Client: 2, Scale: 1, Vecs: [][]float64{{2}}}, {Client: 3, Scale: scale, Vecs: [][]float64{{3}}}}
+			r.handleInbound(inbound{id: 1, msg: treeUpdateMsg(0, ups)})
+			check(t, r.fatal, scale, "aggregator 1", "client 3")
+		})
+	}
+}
