@@ -34,8 +34,8 @@ func benchScale() experiments.Scale {
 }
 
 // A hotPath is one gated microbenchmark. setup builds the operands and
-// returns the timed operation; allocs is its allocs/op at one worker, the
-// figure the retired bench-compare job enforced, and loops bounds how many
+// returns the timed operation; allocs is its allocs/op at one worker, as
+// measured (CI runs the gate at GOMAXPROCS=1), and loops bounds how many
 // parallel loops the operation runs: beyond one worker each of them may
 // allocate its range closure and a task closure per worker. (The worker
 // pool's dispatch and the GEMM launches no longer allocate in steady state,
@@ -53,15 +53,18 @@ var hotPaths = []hotPath{
 	{"MatMulInto64", matMul(tensor.F64, true), 0, 1},
 	{"MatMulInto32", matMul(tensor.F32, true), 0, 1},
 	{"MatMulForms", matMulForms, 0, float64(2 * len(gemmForms))},
-	{"ConvForward", convForward(tensor.F64), 14, 8},
-	{"ConvForward32", convForward(tensor.F32), 14, 8},
-	{"ConvTrainStep", convTrainStep(tensor.F64), 6, 5},
-	{"ConvTrainStep32", convTrainStep(tensor.F32), 6, 5},
-	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 158, 50},
-	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 156, 50},
-	{"ClientLocalEpochGroup", clientLocalEpochGroup, 296, 270},
+	{"ConvForward", convForward(tensor.F64), 0, 8},
+	{"ConvForward32", convForward(tensor.F32), 0, 8},
+	{"ConvTrainStep", convTrainStep(tensor.F64), 0, 5},
+	{"ConvTrainStep32", convTrainStep(tensor.F32), 0, 5},
+	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 0, 50},
+	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 0, 50},
+	// The method's per-call lists around the epochs: the classifiers'
+	// parameter lists, the updates and their upload views, the group.
+	{"ClientLocalEpochGroup", clientLocalEpochGroup, 12, 270},
 	// One range closure per fold: benchFleet's four uploads and the commit.
 	{"ClassifierAveraging", classifierAveraging, 5, 5},
+	{"ExactPreReduce", exactPreReduce, 0, 0},
 	{"QuantizedMarshalI8", codecRoundTrip(comm.Spec{Value: comm.I8}), 0, 0},
 	{"MarshalTopK", codecRoundTrip(comm.NewSpec(comm.F32, 0.05, false)), 0, 0},
 	{"DecodeDelta", codecRoundTrip(comm.NewSpec(comm.I8, 0, true)), 0, 0},
@@ -104,6 +107,7 @@ func BenchmarkClassifierAveraging(b *testing.B)   { bench(b, "ClassifierAveragin
 func BenchmarkQuantizedMarshalI8(b *testing.B)    { bench(b, "QuantizedMarshalI8") }
 func BenchmarkMarshalTopK(b *testing.B)           { bench(b, "MarshalTopK") }
 func BenchmarkDecodeDelta(b *testing.B)           { bench(b, "DecodeDelta") }
+func BenchmarkExactPreReduce(b *testing.B)        { bench(b, "ExactPreReduce") }
 
 // BenchmarkTopKDeltaEncode and its Decode twin time the sparse uplink's codec
 // per residual class: the typical one and the three a radix select must not
@@ -142,17 +146,24 @@ func TestHotPathAllocs(t *testing.T) {
 // TestWireRoundAllocs is the node wire path's allocation gate: what one
 // committed round allocates, process-wide, once every owned buffer has come
 // into being. The fleet is the wire benchmark workloads' — 8 FedAvg MLP
-// clients at FeatDim 64, d = 107 722 weights, 862 KB a vector — run 8 sync
+// clients at FeatDim 64, d = 107 722 weights, 862 KB a vector — run 12 sync
 // rounds in this process over the three shapes those workloads take. Each
 // round trains, uploads, folds, broadcasts and evaluates; with a fresh frame
 // per message, a copy per inproc send and fresh vectors per decode the
-// figures were ≈ 48, ≈ 74 and ≈ 31 MB. What is left is training's batch
-// tensors and small envelopes, ≈ 0.5 MB on each row.
+// figures were ≈ 48, ≈ 74 and ≈ 31 MB, and ≈ 0.31 MB on each row while
+// training still allocated its views, loss gradients and per-step lists.
+// What is left is small envelopes, ≈ 0.01 MB on each row. The gate is the
+// median round: above one worker the nodes' goroutines overlap differently
+// every round, and a round that meets a new high-water mark of vectors in
+// flight grows a role's free list by one 862 KB vector (rounds of ≈ 1 MB as
+// late as round 11 at 4 workers here), and the tensor pool meets new
+// high-water marks of leases in flight — buffers coming into being, not
+// garbage. A round that allocates shows in every round, so in the median.
 func TestWireRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
 	}
-	const clients, rounds, warm = 8, 8, 3
+	const clients, rounds, warm = 8, 12, 3
 	for _, tc := range []struct {
 		name  string
 		tcp   bool
@@ -160,9 +171,9 @@ func TestWireRoundAllocs(t *testing.T) {
 		spec  comm.Spec
 		maxMB float64
 	}{
-		{"inproc flat dense f64", false, 0, comm.Spec{}, 6},
-		{"inproc tree dense f64", false, 2, comm.Spec{}, 4},
-		{"tcp flat topk+delta f32", true, 0, comm.NewSpec(comm.F32, 0.05, true), 4},
+		{"inproc flat dense f64", false, 0, comm.Spec{}, 0.1},
+		{"inproc tree dense f64", false, 2, comm.Spec{}, 0.1},
+		{"tcp flat topk+delta f32", true, 0, comm.NewSpec(comm.F32, 0.05, true), 0.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := experiments.Small()
@@ -201,12 +212,75 @@ func TestWireRoundAllocs(t *testing.T) {
 			if len(total) != rounds {
 				t.Fatalf("%d rounds committed, want %d", len(total), rounds)
 			}
-			perRound := float64(total[rounds-1]-total[warm-1]) / float64(rounds-warm) / (1 << 20)
-			t.Logf("%.2f MB allocated per round over rounds %d-%d", perRound, warm+1, rounds)
-			if perRound > tc.maxMB {
-				t.Errorf("%.2f MB allocated per round, want <= %v", perRound, tc.maxMB)
+			var perRound []float64
+			for i := warm; i < rounds; i++ {
+				perRound = append(perRound, float64(total[i]-total[i-1])/(1<<20))
+			}
+			slices.Sort(perRound)
+			median := perRound[len(perRound)/2]
+			mean := float64(total[rounds-1]-total[warm-1]) / float64(rounds-warm) / (1 << 20)
+			t.Logf("%.3f MB allocated in the median round of rounds %d-%d (mean %.3f)", median, warm+1, rounds, mean)
+			if median > tc.maxMB {
+				t.Errorf("%.3f MB allocated in the median round, want <= %v", median, tc.maxMB)
 			}
 		})
+	}
+}
+
+// roundSampler is FedClassAvg with the process's TotalAlloc read as each
+// sync round opens; embedding the concrete type keeps every optional
+// interface satisfied.
+type roundSampler struct {
+	*core.FedClassAvg
+	total []uint64
+}
+
+func (r *roundSampler) Round(sim *fl.Simulation, round int, participants []int) error {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	r.total = append(r.total, ms.TotalAlloc)
+	return r.FedClassAvg.Round(sim, round, participants)
+}
+
+// TestSyncRoundAllocs is the in-process engine's allocation gate: what one
+// sync round of the het_sync fleet — 8 heterogeneous clients under
+// FedClassAvg at Small scale, two augmented views, SupCon and the proximal
+// pull — allocates once the pool, the layers and the clients' kept lists
+// have grown to size. A round trains every client, folds the classifiers and
+// evaluates. While each view, each loss gradient and each step's lists were
+// allocated fresh it was ≈ 0.70 MB a round; it is ≈ 0.01 MB. The groups
+// train one at a time: groups training in parallel interleave their pool
+// leases differently every round, so the pool keeps meeting new high-water
+// marks for many rounds (single rounds of up to 1.9 MB at 4 workers), which
+// would hide what a round itself allocates.
+func TestSyncRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
+	}
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	const rounds, warm, maxMB = 8, 3, 0.05
+	s := experiments.Small()
+	s.Rounds = rounds
+	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := experiments.NewAlgorithm(experiments.MethodProposed, experiments.Fashion, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &roundSampler{FedClassAvg: algo.(*core.FedClassAvg)}
+	sim := fl.NewSimulation(factory(), fl.Config{Rounds: rounds, SampleRate: 1, BatchSize: s.BatchSize, Seed: s.Seed + 7})
+	if _, err := sim.RunScheduled(r, fl.SchedulerConfig{Kind: fl.SchedSync}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.total) != rounds {
+		t.Fatalf("%d rounds opened, want %d", len(r.total), rounds)
+	}
+	perRound := float64(r.total[rounds-1]-r.total[warm]) / float64(rounds-1-warm) / (1 << 20)
+	t.Logf("%.3f MB allocated per round over rounds %d-%d", perRound, warm+1, rounds-1)
+	if perRound > maxMB {
+		t.Errorf("%.3f MB allocated per round, want <= %v", perRound, maxMB)
 	}
 }
 
@@ -483,10 +557,11 @@ func topKDelta(class string, decode bool) func(testing.TB) func() {
 	}
 }
 
-// BenchmarkExactPreReduce is one edge aggregator's round on the tree at the
+// exactPreReduce is one edge aggregator's round on the tree at the
 // benchmark fleet's geometry: four children's 107 722-weight uploads folded
-// exactly into a reused accumulator and rounded once.
-func BenchmarkExactPreReduce(b *testing.B) {
+// exactly into a reused accumulator and rounded once into a reused vector,
+// as WeightAvg.PreReduce rounds.
+func exactPreReduce(testing.TB) func() {
 	const d, children = 107722, 4
 	rng := rand.New(rand.NewSource(1))
 	vecs := make([][]float64, children)
@@ -497,14 +572,13 @@ func BenchmarkExactPreReduce(b *testing.B) {
 		}
 	}
 	acc := fl.NewExactAccumulator(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sum := make([]float64, d)
+	return func() {
 		acc.Reset()
 		for _, v := range vecs {
 			acc.Fold(v, 30)
 		}
-		acc.Round()
+		sum, _ = acc.RoundInto(sum)
 	}
 }
 

@@ -434,6 +434,7 @@ func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 		_, logits := c.Model.Forward(k.publicX, true)
 		_, dlogits := loss.KLDistill(logits, target, k.Temperature)
 		dfeat := c.Model.Classifier.Backward(dlogits)
+		tensor.PutTensor(dlogits)
 		c.Model.Extractor.Backward(dfeat)
 		c.Optimizer.Step(params)
 		nn.ZeroGrads(params)

@@ -181,6 +181,7 @@ func (f *FedClassAvg) Train(group []*fl.Client, batchSize int, refs [][]float64)
 		obj.Head = func(_ int, feats, dfeats *tensor.Tensor, labels []int) {
 			_, dcl := loss.SupCon(feats, labels, opts)
 			dfeats.AddInPlace(dcl)
+			tensor.PutTensor(dcl)
 		}
 	}
 	if f.Opts.UseProximal {

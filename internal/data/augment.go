@@ -3,6 +3,8 @@ package data
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/tensor"
 )
 
 // Augmenter produces the stochastic perturbed views x' and x” used by the
@@ -25,6 +27,35 @@ func NewAugmenter(c, h, w int) *Augmenter {
 // Apply returns a fresh augmented copy of x (length C·H·W).
 func (a *Augmenter) Apply(x []float64, rng *rand.Rand) []float64 {
 	out := make([]float64, len(x))
+	augment(a, out, x, rng, func(v float64) float64 { return v })
+	return out
+}
+
+// TwoViews returns two independent augmentations of x.
+func (a *Augmenter) TwoViews(x []float64, rng *rand.Rand) ([]float64, []float64) {
+	return a.Apply(x, rng), a.Apply(x, rng)
+}
+
+// WriteAt writes one augmentation of x into dst's elements [off,
+// off+len(x)), narrowing each pixel to dst's dtype as WriteFloat64sAt does:
+// the same bytes as WriteFloat64sAt(off, Apply(x, rng)), from the same rng
+// draws, without the intermediate slice.
+func (a *Augmenter) WriteAt(dst *tensor.Tensor, off int, x []float64, rng *rand.Rand) {
+	switch dst.DT {
+	case tensor.F32:
+		augment(a, dst.F32[off:off+len(x)], x, rng, func(v float64) float32 { return float32(v) })
+	case tensor.BF16:
+		augment(a, dst.F32[off:off+len(x)], x, rng, func(v float64) float32 { return tensor.RoundBF16(float32(v)) })
+	default:
+		augment(a, dst.Data[off:off+len(x)], x, rng, func(v float64) float64 { return v })
+	}
+}
+
+// augment is the one augmentation: a random integer shift, an optional
+// horizontal flip and Gaussian pixel noise, in float64, each pixel clamped
+// and narrowed into out. The draws are the shift, the flip, then one normal
+// per pixel in C·H·W order.
+func augment[F tensor.Float](a *Augmenter, out []F, x []float64, rng *rand.Rand, narrow func(float64) F) {
 	dy := 0
 	dx := 0
 	if a.MaxShift > 0 {
@@ -48,16 +79,10 @@ func (a *Augmenter) Apply(x []float64, rng *rand.Rand) []float64 {
 				if a.NoiseStd > 0 {
 					v += rng.NormFloat64() * a.NoiseStd
 				}
-				out[base+i*a.W+j] = clamp(v, -1.5, 1.5)
+				out[base+i*a.W+j] = narrow(clamp(v, -1.5, 1.5))
 			}
 		}
 	}
-	return out
-}
-
-// TwoViews returns two independent augmentations of x.
-func (a *Augmenter) TwoViews(x []float64, rng *rand.Rand) ([]float64, []float64) {
-	return a.Apply(x, rng), a.Apply(x, rng)
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -219,12 +220,28 @@ func BatchTensorOf(dt tensor.DType, examples []Example, c, h, w int) (*tensor.Te
 // fewer than two examples, which the contrastive loss needs; a one-example
 // remainder is folded into the previous batch).
 func Batches(examples []Example, batchSize int, rng *rand.Rand) [][]Example {
-	idx := rng.Perm(len(examples))
-	shuffled := make([]Example, len(examples))
-	for i, j := range idx {
-		shuffled[i] = examples[j]
+	return new(Schedule).Draw(examples, batchSize, rng)
+}
+
+// Schedule is the storage of a batch schedule, kept across epochs: Draw
+// deals the batches Batches deals, from the same rng draws, into the
+// Schedule's own slices, so a warm Draw allocates nothing.
+type Schedule struct {
+	perm     []int
+	shuffled []Example
+	batches  [][]Example
+}
+
+// Draw is Batches into s's storage. The batches are valid until s's next
+// Draw.
+func (s *Schedule) Draw(examples []Example, batchSize int, rng *rand.Rand) [][]Example {
+	s.perm = perm(s.perm, len(examples), rng)
+	s.shuffled = s.shuffled[:0]
+	for _, j := range s.perm {
+		s.shuffled = append(s.shuffled, examples[j])
 	}
-	var out [][]Example
+	shuffled := s.shuffled
+	out := s.batches[:0]
 	for lo := 0; lo < len(shuffled); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(shuffled) {
@@ -238,5 +255,19 @@ func Batches(examples []Example, batchSize int, rng *rand.Rand) [][]Example {
 		out[last-1] = shuffled[len(shuffled)-batchSize-1 : len(shuffled)]
 		out = out[:last]
 	}
+	s.batches = out
 	return out
+}
+
+// perm is rng.Perm(n) written into idx's storage: the same draws give the
+// same permutation. A dirty idx is fine, since the shuffle reads no element
+// before writing it.
+func perm(idx []int, n int, rng *rand.Rand) []int {
+	idx = slices.Grow(idx[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		idx[i] = idx[j]
+		idx[j] = i
+	}
+	return idx
 }

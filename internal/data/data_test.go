@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -428,5 +429,45 @@ func TestLargestRemainderQuota(t *testing.T) {
 	q2 := largestRemainderQuota([]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}, 10)
 	if q2[0]+q2[1]+q2[2] != 10 {
 		t.Fatalf("quota2 sum %v", q2)
+	}
+}
+
+// A Schedule reused across draws deals what Batches deals, from the same
+// draws: its permutation is rng.Perm's, the rng ends where Batches leaves
+// it, and a warm Draw allocates nothing.
+func TestScheduleMatchesBatches(t *testing.T) {
+	var s Schedule
+	for _, n := range []int{0, 1, 2, 5, 17, 33, 64} {
+		examples := make([]Example, n)
+		for i := range examples {
+			examples[i] = Example{X: []float64{float64(i)}, Y: i}
+		}
+		for _, bs := range []int{2, 4, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				if p, q := perm(s.perm, n, rng), ref.Perm(n); !slices.Equal(p, q) {
+					t.Fatalf("n=%d seed %d: perm %v, rng.Perm %v", n, seed, p, q)
+				}
+				ref, rng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want, got := Batches(examples, bs, ref), s.Draw(examples, bs, rng)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d bs=%d seed %d: %d batches, want %d", n, bs, seed, len(got), len(want))
+				}
+				for i := range want {
+					if !slices.EqualFunc(got[i], want[i], func(a, b Example) bool { return a.Y == b.Y }) {
+						t.Fatalf("n=%d bs=%d seed %d: batch %d differs", n, bs, seed, i)
+					}
+				}
+				if rng.Int63() != ref.Int63() {
+					t.Fatalf("n=%d bs=%d seed %d: Draw left the rng elsewhere than Batches does", n, bs, seed)
+				}
+			}
+		}
+	}
+	examples := make([]Example, 40)
+	rng := rand.New(rand.NewSource(1))
+	s.Draw(examples, 16, rng)
+	if avg := testing.AllocsPerRun(20, func() { s.Draw(examples, 16, rng) }); avg > 0 {
+		t.Fatalf("a warm Draw allocates %.1f objects, want 0", avg)
 	}
 }

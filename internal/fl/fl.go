@@ -40,6 +40,8 @@ type Client struct {
 	// upload is the flat vector FlatUpload fills, exact-length storage from
 	// the tensor pool.
 	upload []float64
+	// train is what the client's local steps keep between calls.
+	train trainScratch
 }
 
 // FlatUpload copies params into the one vector the client keeps for its
@@ -82,19 +84,21 @@ func (c *Client) AugmentedBatch(b []data.Example) (x *tensor.Tensor, y []int) {
 // packViews writes the given number of augmented views of each example of b
 // into x — view v of example i at row v·len(b)+i — and the labels into y.
 // Each example draws its views from the client's Rng in order; without an
-// augmenter every view is the example itself. Augmentation runs in float64 bookkeeping (it
-// is per-pixel arithmetic on the stored examples); the batch narrows once,
-// here, at the model boundary.
+// augmenter every view is the example itself. Augmentation runs in float64
+// bookkeeping (it is per-pixel arithmetic on the stored examples) and writes
+// each pixel straight into x, narrowed to the model dtype at the model
+// boundary.
 func (c *Client) packViews(x *tensor.Tensor, b []data.Example, views int, y []int) {
 	ch, h, w := c.InputGeometry()
 	dim := ch * h * w
 	for i, ex := range b {
 		for v := 0; v < views; v++ {
-			view := ex.X
+			off := (v*len(b) + i) * dim
 			if c.Aug != nil {
-				view = c.Aug.Apply(ex.X, c.Rng)
+				c.Aug.WriteAt(x, off, ex.X, c.Rng)
+			} else {
+				x.WriteFloat64sAt(off, ex.X)
 			}
-			x.WriteFloat64sAt((v*len(b)+i)*dim, view)
 		}
 		y[i] = ex.Y
 	}

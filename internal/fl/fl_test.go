@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/opt"
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -209,6 +210,47 @@ func TestAugmentedBatchWithoutAugmenter(t *testing.T) {
 	for j := 0; j < 5; j++ {
 		if x.Data[j] != c.Train[0].X[j] {
 			t.Fatal("nil augmenter must pass raw input")
+		}
+	}
+}
+
+// TestPackViewsMatchesApply: packViews writes each augmented view straight
+// into its row of the batch. At every dtype, with one view and with two, the
+// batch must hold the bytes that Apply followed by WriteFloat64sAt gives,
+// from the same draws: the client's Rng ends where the reference stream
+// does, so the next draw after packing is the same.
+func TestPackViewsMatchesApply(t *testing.T) {
+	ds := data.Generate(data.SynthFashion(6, 4, 3))
+	b := ds.Train[:5]
+	dim := ds.InputDim()
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+		for views := 1; views <= 2; views++ {
+			cfg := models.Config{Arch: models.ArchMLP, InC: ds.C, InH: ds.H, InW: ds.W, FeatDim: 8, NumClasses: 10, Hidden: 16, DType: dt}
+			c := &Client{Model: models.New(cfg, xrand.New(1)), Aug: data.NewAugmenter(ds.C, ds.H, ds.W), Rng: rand.New(rand.NewSource(7))}
+			got := tensor.NewOf(dt, views*len(b), ds.C, ds.H, ds.W)
+			got.Fill(math.NaN()) // every element must be written
+			y := make([]int, len(b))
+			c.packViews(got, b, views, y)
+
+			rng := rand.New(rand.NewSource(7))
+			want := tensor.NewOf(dt, views*len(b), ds.C, ds.H, ds.W)
+			for i, ex := range b {
+				for v := 0; v < views; v++ {
+					want.WriteFloat64sAt((v*len(b)+i)*dim, c.Aug.Apply(ex.X, rng))
+				}
+				if y[i] != ex.Y {
+					t.Fatalf("%v, %d views: label %d is %d, want %d", dt, views, i, y[i], ex.Y)
+				}
+			}
+			g, w := got.AppendFloat64s(nil), want.AppendFloat64s(nil)
+			for i := range w {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("%v, %d views: element %d is %v, want %v", dt, views, i, g[i], w[i])
+				}
+			}
+			if c.Rng.Int63() != rng.Int63() {
+				t.Fatalf("%v, %d views: packing left the client's Rng elsewhere than Apply does", dt, views)
+			}
 		}
 	}
 }

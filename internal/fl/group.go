@@ -85,21 +85,24 @@ type Objective struct {
 // step. Clients with fewer batches drop out of later steps. Every step runs
 // the nn group entry points over the clients taking it, however many. The
 // epochs are one pass: on return every client's layer workspaces are back in
-// the tensor pool.
+// the tensor pool. The group's lists are its leader's (group[0]'s), so a
+// warm call allocates nothing, and the returned losses are valid until the
+// leader's next TrainEpochs.
 func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float64 {
+	ts := &group[0].train
 	g := len(group)
-	losses := make([]float64, g)
-	taken := make([]int, g)
-	params := make([][]*nn.Param, g)
-	batches := make([][][]data.Example, g)
-	for k, c := range group {
-		params[k] = c.Model.Params()
+	losses := append(ts.losses[:0], make([]float64, g)...)
+	taken := append(ts.taken[:0], make([]int, g)...)
+	params := ts.params[:0]
+	batches := append(ts.batches[:0], make([][][]data.Example, g)...)
+	for _, c := range group {
+		params = append(params, c.Model.Params())
 	}
-	var st step
+	st := &ts.st
 	for e := 0; e < epochs; e++ {
 		steps := 0
 		for k, c := range group {
-			batches[k] = data.Batches(c.Train, batchSize, c.Rng)
+			batches[k] = c.train.sched.Draw(c.Train, batchSize, c.Rng)
 			steps = max(steps, len(batches[k]))
 		}
 		for s := 0; s < steps; s++ {
@@ -123,6 +126,9 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 				st.grads = append(st.grads, dl)
 			}
 			dfeats := nn.DenseBackwardBatch(st.clfs, st.grads)
+			for _, dl := range st.grads {
+				tensor.PutTensor(dl)
+			}
 			st.grads = append(st.grads[:0], dfeats...)
 			for j, k := range st.k {
 				if obj.TwoViews {
@@ -157,7 +163,27 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 	for _, c := range group {
 		c.Model.ReleaseWorkspaces()
 	}
+	// Keep the lists' storage, not what they point at: a member may be
+	// evicted before the leader trains again.
+	clear(params)
+	clear(batches)
+	st.drop()
+	ts.losses, ts.taken, ts.params, ts.batches = losses, taken, params, batches
 	return losses
+}
+
+// trainScratch is the storage a client's local steps keep between calls:
+// its batch schedule and labels, and, when it leads a TrainEpochs group,
+// the group's lists.
+type trainScratch struct {
+	sched  data.Schedule
+	labels []int
+
+	st      step
+	losses  []float64
+	taken   []int
+	params  [][]*nn.Param
+	batches [][][]data.Example
 }
 
 // step holds one lockstep step's operands, one entry per client taking the
@@ -178,8 +204,17 @@ func (st *step) reset() {
 	st.k, st.exts, st.clfs, st.xs, st.ys = st.k[:0], st.exts[:0], st.clfs[:0], st.xs[:0], st.ys[:0]
 }
 
+// drop empties the lists, keeping their storage but not the members'
+// layers and labels they point at.
+func (st *step) drop() {
+	st.reset()
+	clear(st.exts[:cap(st.exts)])
+	clear(st.clfs[:cap(st.clfs)])
+	clear(st.ys[:cap(st.ys)])
+}
+
 // pack appends client c (place k) with its batch b packed into a pooled
-// model-dtype input.
+// model-dtype input and c's kept labels.
 func (st *step) pack(k int, c *Client, b []data.Example, twoViews bool) {
 	views := 1
 	if twoViews {
@@ -187,7 +222,10 @@ func (st *step) pack(k int, c *Client, b []data.Example, twoViews bool) {
 	}
 	ch, h, w := c.InputGeometry()
 	x := tensor.GetTensorOf(c.DType(), views*len(b), ch, h, w)
-	y := make([]int, len(b))
+	if cap(c.train.labels) < len(b) {
+		c.train.labels = make([]int, len(b))
+	}
+	y := c.train.labels[:len(b)]
 	c.packViews(x, b, views, y)
 	st.k = append(st.k, k)
 	st.exts = append(st.exts, c.Model.Extractor)

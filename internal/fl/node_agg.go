@@ -104,7 +104,8 @@ type aggRun struct {
 
 	pt *PeerTable
 	up *uplink
-	// joinFrame is the tree join, encoded once every child has joined.
+	// joinFrame is the tree join, encoded once every child has joined; a
+	// re-dial before the welcome resends it.
 	joinFrame []byte
 
 	// The root's two requests: rounds relays the dispatch (pt.round is its
@@ -193,10 +194,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 			}
 		case d := <-g.up.dials:
 			if g.up.dialed(d) {
-				if g.joinFrame == nil {
-					g.joinFrame = encodeTreeJoin(cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc)
-				}
-				g.up.send(g.joinFrame)
+				g.sendJoin()
 			}
 		case f := <-g.up.frames:
 			if m := g.up.receive(f); m != nil {
@@ -219,6 +217,22 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 		return g.fatal
 	}
 	return g.up.err
+}
+
+// sendJoin joins the root on the subtree's behalf over a fresh link. The
+// frame is encoded once; from then on it is the only copy of the children's
+// init payloads the aggregator needs, so their decoded vectors go to the
+// free list for the children's uploads to decode into. (The root keeps its
+// joins whole: its checkpoints carry them.)
+func (g *aggRun) sendJoin() {
+	if g.joinFrame == nil {
+		g.joinFrame = encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc)
+		for i := range g.pt.joins {
+			g.pt.vecs.put(g.pt.joins[i].Init...)
+			g.pt.joins[i].Init = nil
+		}
+	}
+	g.up.send(g.joinFrame)
 }
 
 // newAggRun builds the event loop's state for a validated config: the

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"sync"
@@ -275,4 +276,113 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 			t.Fatalf("client %d: WireApply folded %#x (%d values), uploaded %#x", id, bitsSum(got), len(got), bitsSum(want))
 		}
 	}
+}
+
+// TestAggregatorDropsChildInits: once every child has joined, an aggregator
+// encodes its tree join, which carries each child's init payload. From then
+// on that frame is the only copy it keeps: its table holds no Init, after
+// the join and after assembly, and a link lost before the welcome is
+// re-dialed with a byte-identical frame.
+func TestAggregatorDropsChildInits(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const clients, n = 2, 4096
+	algo := &stubWire{}
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rootLn.Close()
+	childLn, err := tr.Listen("children")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer childLn.Close()
+	agg := NewAggregatorNode(algo, AggregatorConfig{Aggregators: 1, Clients: clients, Heartbeat: time.Hour,
+		Dialer: func(ctx context.Context, _ uint64) (transport.Conn, error) { return tr.Dial(ctx, "root") }})
+	g := newAggRun(ctx, agg)
+	defer g.pt.shutdown()
+	defer g.up.close()
+	go g.pt.acceptLoop(childLn)
+
+	inits := make([][]float64, clients)
+	for id := range inits {
+		inits[id] = ramp(n, float64(id*n))
+		conn, err := tr.Dial(ctx, "children")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		j := WireJoin{ID: id, TrainSize: 10 + id}
+		(&testPeer{t: t, conn: conn}).send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: [][]float64{inits[id]}})
+	}
+	for !g.pt.full() {
+		if err := g.pt.admit(<-g.pt.conns, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noInits := func(when string) {
+		t.Helper()
+		for _, j := range g.pt.joins {
+			if j.Init != nil {
+				t.Fatalf("%s: the table still holds client %d's init payload", when, j.ID)
+			}
+		}
+	}
+	// join takes the dial under way, sends the join over it and returns the
+	// root's end with the frame it received.
+	join := func() (transport.Conn, []byte) {
+		t.Helper()
+		conn, err := rootLn.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.up.dialed(<-g.up.dials) {
+			t.Fatal("no join due on a link that was never welcomed")
+		}
+		g.sendJoin()
+		b, _, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, append([]byte(nil), b...)
+	}
+	g.up.dial(nil)
+	conn, first := join()
+	noInits("after the join")
+	m, err := decodeMsg(first, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, joins, err := decodeTreeJoin(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, j := range joins {
+		if len(j.Init) != 1 || bitsSum(j.Init[0]) != bitsSum(inits[id]) {
+			t.Fatalf("the tree join carries client %d's init payload wrong", id)
+		}
+	}
+
+	conn.Close() // lost before the welcome: the aggregator re-dials and joins again
+	if g.up.receive(<-g.up.frames) != nil {
+		t.Fatal("the lost link delivered a message")
+	}
+	conn, again := join()
+	defer conn.Close()
+	if !bytes.Equal(first, again) {
+		t.Fatalf("the re-dialed join differs from the first: %d and %d bytes", len(first), len(again))
+	}
+	root := &testPeer{t: t, conn: conn}
+	root.send(welcomeFor(algo, clients))
+	welcome := g.up.receive(<-g.up.frames)
+	if welcome == nil || welcome.kind != msgWelcome {
+		t.Fatalf("the welcome did not come through: %v", welcome)
+	}
+	g.handleUp(welcome)
+	if !g.pt.assembled || g.fatal != nil {
+		t.Fatalf("the subtree did not assemble: %v", g.fatal)
+	}
+	noInits("after assembly")
 }

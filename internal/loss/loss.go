@@ -6,6 +6,12 @@
 // KT-pFL baseline. Every function returns both the scalar loss and the
 // gradient with respect to its input so layers can stay autodiff-free.
 //
+// A returned gradient is leased from the tensor pool (tensor.GetTensorOf):
+// once the backward pass has consumed it, the caller hands it back with
+// tensor.PutTensor, and a training step that does so allocates nothing for
+// its losses. A caller that keeps or drops a gradient instead only leaves
+// it to the garbage collector.
+//
 // Losses are dtype-generic: gradients come back in the input activations'
 // dtype (so the backward pass stays on the model's fast path), while scalar
 // loss values are always float64 bookkeeping. Transcendentals are evaluated
@@ -21,13 +27,14 @@ import (
 )
 
 // CrossEntropy computes mean softmax cross-entropy over a batch of logits
-// [N, C] with integer labels, returning the loss and dL/dlogits.
+// [N, C] with integer labels, returning the loss and dL/dlogits, leased
+// from the tensor pool.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n := logits.Rows()
 	if len(labels) != n {
 		panic("loss: CrossEntropy label count mismatch")
 	}
-	grad := tensor.NewOf(logits.DT, n, logits.Cols())
+	grad := tensor.GetTensorOf(logits.DT, n, logits.Cols())
 	if logits.DT.Backing() == tensor.F32 {
 		return crossEntropy(tensor.Of[float32](logits), tensor.Of[float32](grad), labels, logits.Cols()), grad
 	}
@@ -65,7 +72,8 @@ type SupConOptions struct {
 // features must be [2N, D]: rows 0..N-1 are view one, rows N..2N-1 view two,
 // and row i and row i+N share labels[i]. The features need not be
 // normalized; L2 normalization is part of the loss (and its backward pass).
-// It returns the loss and dL/dfeatures of shape [2N, D].
+// It returns the loss and dL/dfeatures of shape [2N, D], leased from the
+// tensor pool.
 //
 // For anchor i with positives P(i) = {j ≠ i : label_j = label_i}:
 //
@@ -82,7 +90,7 @@ func SupCon(features *tensor.Tensor, labels []int, optsIn ...SupConOptions) (flo
 	if m%2 != 0 || m/2 != len(labels) {
 		panic("loss: SupCon expects [2N, D] features and N labels")
 	}
-	df := tensor.NewOf(features.DT, m, features.Cols())
+	df := tensor.GetTensorOf(features.DT, m, features.Cols())
 	var lossVal float64
 	if features.DT.Backing() == tensor.F32 {
 		lossVal = supCon[float32](features, df, labels, opts.Temperature)
@@ -100,17 +108,19 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 
 	// Normalize a pooled copy of the features, remembering norms for the
 	// backward pass through the normalization. All O(m²) intermediates come
-	// from the tensor pool and go back at the end, so per-batch contrastive
-	// steps allocate only the returned gradient in steady state.
+	// from the tensor pool and go back at the end, as the returned gradient
+	// does once the caller is done with it.
 	z := tensor.GetTensorOf(dt, m, d)
 	defer tensor.PutTensor(z)
 	z.CopyFrom(features)
-	norms := z.NormalizeRowsInPlace(1e-12)
-
-	full := make([]int, m)
-	for i := 0; i < n; i++ {
-		full[i] = labels[i]
-		full[i+n] = labels[i]
+	norms := z.NormalizeRowsInPlace(tensor.GetStorage[float64](m), 1e-12)
+	defer tensor.PutStorage(norms)
+	// Rows a and a+n are the two views of example a.
+	label := func(a int) int {
+		if a < n {
+			return labels[a]
+		}
+		return labels[a-n]
 	}
 
 	// Pairwise scaled similarities s_ij = z_i·z_j/τ.
@@ -141,10 +151,11 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 			}
 		}
 		lse := maxV + F(math.Log(float64(sum)))
+		yi := label(i)
 		nPos := 0
 		var posSum F
 		for a := 0; a < m; a++ {
-			if a != i && full[a] == full[i] {
+			if a != i && label(a) == yi {
 				nPos++
 				posSum += row[a]
 			}
@@ -160,7 +171,7 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 				continue
 			}
 			p := F(math.Exp(float64(row[a] - lse)))
-			if full[a] == full[i] {
+			if label(a) == yi {
 				p -= invPos
 			}
 			grow[a] = p
@@ -228,14 +239,15 @@ func proximal[F tensor.Float](w, g []F, globalFlat []float64, rho float64) float
 
 // KLDistill computes the temperature-scaled distillation loss
 // T²·KL(teacher ‖ student) between teacher probabilities [N, C] and student
-// logits [N, C], returning the loss and dL/d(student logits). The T² factor
-// keeps gradient magnitudes comparable across temperatures (Hinton et al.).
+// logits [N, C], returning the loss and dL/d(student logits), leased from
+// the tensor pool. The T² factor keeps gradient magnitudes comparable across
+// temperatures (Hinton et al.).
 func KLDistill(studentLogits, teacherProbs *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 	n, c := studentLogits.Rows(), studentLogits.Cols()
 	if teacherProbs.Rows() != n || teacherProbs.Cols() != c {
 		panic("loss: KLDistill shape mismatch")
 	}
-	grad := tensor.NewOf(studentLogits.DT, n, c)
+	grad := tensor.GetTensorOf(studentLogits.DT, n, c)
 	if studentLogits.DT.Backing() == tensor.F32 {
 		return klDistill(tensor.Of[float32](studentLogits), tensor.Of[float32](teacherProbs),
 			tensor.Of[float32](grad), n, c, temperature), grad
@@ -247,7 +259,8 @@ func klDistill[F tensor.Float](student, teacher, grad []F, n, c int, temperature
 	t := temperature
 	var total float64
 	inv := 1.0 / float64(n)
-	scaled := make([]F, c)
+	scaled := tensor.GetStorage[F](c)
+	defer tensor.PutStorage(scaled)
 	for i := 0; i < n; i++ {
 		srow := student[i*c : (i+1)*c]
 		trow := teacher[i*c : (i+1)*c]

@@ -22,9 +22,13 @@
 // (tensor.EnsureOf), reuses them across the iterations of a pass
 // (outputs double-buffered), and Release hands every one of them back when
 // the pass ends. A model between passes holds only its parameters,
-// gradients and running statistics, and steady-state training performs no
-// heap allocations because the pool serves the next pass. Pooled buffers
-// arrive dirty: every layer overwrites each element it later reads. An
+// gradients and running statistics. Once the pool holds what a pass leases,
+// a training pass allocates nothing: the next pass is served from the
+// buffers the last one handed back, and so are the driver's batch inputs
+// and the losses' gradients (fl.TrainEpochs, package loss), so a warm local
+// epoch makes no heap allocation (the root package's TestHotPathAllocs
+// holds ClientLocalEpoch at 0 allocs/op). Pooled buffers arrive dirty:
+// every layer overwrites each element it later reads. An
 // evaluation-mode pass keeps nothing for a backward pass, so the Sequential
 // walker hands each layer's workspaces back as soon as no later layer can
 // read them (SequentialForwardBatch, which Sequential.Forward runs as a

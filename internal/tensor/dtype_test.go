@@ -251,9 +251,9 @@ func TestReductionRowOpsF32(t *testing.T) {
 		t.Error("SoftmaxRowsInPlace diverges")
 	}
 	n32 := a32.Clone()
-	norms32 := n32.NormalizeRowsInPlace(1e-12)
+	norms32 := n32.NormalizeRowsInPlace(nil, 1e-12)
 	n64 := a64.Clone()
-	norms64 := n64.NormalizeRowsInPlace(1e-12)
+	norms64 := n64.NormalizeRowsInPlace(nil, 1e-12)
 	if !ApproxEqual(n32, n64, 1e-5) {
 		t.Error("NormalizeRowsInPlace diverges")
 	}

@@ -6,12 +6,16 @@ import (
 )
 
 // Pool is a free list of tensor storage that serves two kinds of request.
-// Scratch (Get, GetOf, EnsureOf) is grouped by dtype and by the
-// power-of-two ceiling of its element count, so a Get for any shape is
-// served by any previously Put tensor of the same dtype bucket, and
-// steady-state training that Gets and Puts its scratch performs no heap
-// allocations. Storage a caller keeps — parameters, gradients, optimizer
-// moments, upload vectors — is handed out at exactly the requested length
+// Scratch (Get, GetOf, EnsureOf) is grouped by dtype and by size class: a
+// request of n elements gets a buffer of the smallest class capacity >= n,
+// where the classes are 1 to 8 and then four per binade, at 5/8, 6/8, 7/8
+// and 8/8 of each power of two from 16 up (10, 12, 14, 16, 20, 24, …). A
+// lease so wastes under a quarter of its buffer, where a power-of-two
+// ceiling wasted up to half. A Get for any shape is served by any
+// previously Put tensor of the same dtype and class, and steady-state
+// training that Gets and Puts its scratch performs no heap allocations.
+// Storage a caller keeps — parameters, gradients, optimizer moments,
+// upload vectors — is handed out at exactly the requested length
 // (GetStorage, ZeroStorage, NewStorageOf) from lists keyed by length, since
 // the same lengths are asked for over and over and a rounded-up buffer
 // would hold its slack for as long as it is kept; it comes back through
@@ -75,19 +79,25 @@ func exactFor[F Float](p *Pool) *exactList[F] {
 	return any(&p.f64).(*exactList[F])
 }
 
-// poolBuckets covers element counts up to 2^47; tensors beyond that are
-// allocated directly and never pooled.
-const poolBuckets = 48
+// poolBuckets covers element counts up to 2^47 (the last class is 2^47
+// itself); tensors beyond that are allocated directly and never pooled.
+const poolBuckets = 8 + 4*(47-3)
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// bucketIndex returns the bucket holding buffers of capacity 2^b >= n.
-func bucketIndex(n int) int {
-	if n <= 1 {
-		return 0
+// sizeClass returns the bucket serving requests of n >= 1 elements and that
+// bucket's buffer capacity, the smallest size class >= n. Classes 0–7 hold
+// 1 to 8 elements; above 8, with 2^(k-1) < n <= 2^k, the step is 2^(k-3)
+// and the capacity the first of 5, 6, 7 or 8 steps that holds n.
+func sizeClass(n int) (b, capacity int) {
+	if n <= 8 {
+		return max(n, 1) - 1, max(n, 1)
 	}
-	return bits.Len(uint(n - 1))
+	k := bits.Len(uint(n - 1))
+	step := 1 << (k - 3)
+	m := (n + step - 1) / step // 5..8
+	return 8 + 4*(k-4) + m - 5, m * step
 }
 
 // Get returns a zero-filled float64 tensor of the given shape, reusing a
@@ -112,7 +122,7 @@ func (p *Pool) getRaw(dt DType, shape ...int) *Tensor {
 	if n <= 0 {
 		return NewOf(dt, shape...)
 	}
-	b := bucketIndex(n)
+	b, capacity := sizeClass(n)
 	if b >= poolBuckets {
 		return NewOf(dt, shape...)
 	}
@@ -131,9 +141,9 @@ func (p *Pool) getRaw(dt DType, shape ...int) *Tensor {
 		// allocate on some later Get.
 		t = &Tensor{Shape: make([]int, 0, 4), DT: dt}
 		if dt.Backing() == F32 {
-			t.F32 = make([]float32, 1<<b)
+			t.F32 = make([]float32, capacity)
 		} else {
-			t.Data = make([]float64, 1<<b)
+			t.Data = make([]float64, capacity)
 		}
 	}
 	if dt.Backing() == F32 {
@@ -147,7 +157,7 @@ func (p *Pool) getRaw(dt DType, shape ...int) *Tensor {
 
 // Put returns a tensor's storage to the pool. The caller must not use t (or
 // any view sharing its data) afterwards. Tensors whose capacity is not a
-// pooled size (for example views built with FromSlice) are dropped.
+// size class (for example most views built with FromSlice) are dropped.
 func (p *Pool) Put(t *Tensor) {
 	if t == nil {
 		return
@@ -158,11 +168,11 @@ func (p *Pool) Put(t *Tensor) {
 	} else {
 		c = cap(t.Data)
 	}
-	if c == 0 || c&(c-1) != 0 {
+	if c == 0 {
 		return
 	}
-	b := bucketIndex(c)
-	if b >= poolBuckets {
+	b, capacity := sizeClass(c)
+	if b >= poolBuckets || capacity != c {
 		return
 	}
 	if t.DT.Backing() == F32 {
@@ -178,7 +188,8 @@ func (p *Pool) Put(t *Tensor) {
 
 // defaultPool serves the package-level GetTensorOf/PutTensor helpers used by
 // the training-step and loss code for batch-lifetime scratch (input stacks,
-// feature-gradient accumulators, the O(batch²) contrastive intermediates),
+// feature-gradient accumulators, the O(batch²) contrastive intermediates,
+// the losses' gradients),
 // EnsureOf, through which every layer workspace comes and goes, and the
 // exact-length storage of GetStorage, ZeroStorage and NewStorageOf.
 var defaultPool = NewPool()

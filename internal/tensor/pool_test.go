@@ -15,7 +15,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 	}
 	a.Fill(7)
 	p.Put(a)
-	b := p.Get(5, 6) // same bucket (2^5 = 32), smaller size
+	b := p.Get(5, 6) // same size class (32), smaller size
 	if b.Size() != 30 {
 		t.Fatalf("reused tensor has size %d", b.Size())
 	}
@@ -28,12 +28,45 @@ func TestPoolGetPutReuse(t *testing.T) {
 
 func TestPoolRejectsViews(t *testing.T) {
 	p := NewPool()
-	backing := make([]float64, 30) // not a power of two
+	backing := make([]float64, 30) // not a size class
 	v := FromSlice(backing[:6], 2, 3)
 	p.Put(v) // must not panic, and must not corrupt future Gets
 	g := p.Get(2, 3)
 	if g.Size() != 6 {
 		t.Fatalf("Get after rejected Put: %v", g.Shape)
+	}
+}
+
+// Size classes are 1 to 8, then four a binade (5/8, 6/8, 7/8 and 8/8 of a
+// power of two): each request gets the smallest class that holds it, which
+// wastes under a quarter of the buffer, classes grow with their index, and a
+// class's capacity is its own class.
+func TestPoolSizeClasses(t *testing.T) {
+	prevB, prevCap := -1, 0
+	for n := 1; n <= 1<<16; n++ {
+		b, c := sizeClass(n)
+		switch {
+		case c < n || 4*(c-n) >= c:
+			t.Fatalf("a request of %d gets capacity %d", n, c)
+		case b < prevB || b > prevB+1 || (b == prevB) != (c == prevCap):
+			t.Fatalf("a request of %d gets class %d (capacity %d) after class %d (capacity %d)", n, b, c, prevB, prevCap)
+		}
+		if cb, cc := sizeClass(c); cb != b || cc != c {
+			t.Fatalf("capacity %d is class %d (capacity %d), not class %d", c, cb, cc, b)
+		}
+		prevB, prevCap = b, c
+	}
+	if b, c := sizeClass(1 << 47); b != poolBuckets-1 || c != 1<<47 {
+		t.Fatalf("2^47 is class %d (capacity %d), want the last, %d", b, c, poolBuckets-1)
+	}
+	p := NewPool()
+	x := p.Get(9)
+	if cap(x.Data) != 10 {
+		t.Fatalf("a pooled 9 has capacity %d, want 10", cap(x.Data))
+	}
+	p.Put(x)
+	if y := p.Get(10); &y.Data[0] != &x.Data[:1][0] {
+		t.Fatal("a request of 10 did not take the buffer a 9 put back")
 	}
 }
 

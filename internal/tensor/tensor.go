@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major tensor. The zero value is an empty float64
@@ -730,17 +731,21 @@ func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 
 // NormalizeRowsInPlace scales each row of a rank-2 tensor to unit L2 norm
 // and returns the original norms (rows with norm < eps are left unscaled
-// and report norm eps to keep downstream divisions finite). Norms are
-// returned as float64 bookkeeping regardless of dtype.
-func (t *Tensor) NormalizeRowsInPlace(eps float64) []float64 {
+// and report norm eps to keep downstream divisions finite), written into
+// norms' storage when it has room for one per row. Norms are float64
+// bookkeeping regardless of dtype.
+func (t *Tensor) NormalizeRowsInPlace(norms []float64, eps float64) []float64 {
+	norms = slices.Grow(norms[:0], t.Shape[0])[:t.Shape[0]]
 	if t.DT.Backing() == F32 {
-		return normalizeRowsK(Of[float32](t), t.Shape[0], t.Shape[1], eps)
+		normalizeRowsK(Of[float32](t), norms, t.Shape[1], eps)
+	} else {
+		normalizeRowsK(t.Data, norms, t.Shape[1], eps)
 	}
-	return normalizeRowsK(t.Data, t.Shape[0], t.Shape[1], eps)
+	return norms
 }
 
-func normalizeRowsK[F Float](d []F, r, c int, eps float64) []float64 {
-	norms := make([]float64, r)
+func normalizeRowsK[F Float](d []F, norms []float64, c int, eps float64) {
+	r := len(norms)
 	for i := 0; i < r; i++ {
 		row := d[i*c : (i+1)*c]
 		var s F
@@ -758,7 +763,6 @@ func normalizeRowsK[F Float](d []F, r, c int, eps float64) []float64 {
 			row[j] *= inv
 		}
 	}
-	return norms
 }
 
 // LogSumExpOf is the dtype-generic stable log-sum-exp: the max is found in

@@ -194,7 +194,7 @@ func TestNormalizeRowsProperty(t *testing.T) {
 		x := New(5, 7)
 		x.FillRandn(rng, 2)
 		orig := x.Clone()
-		norms := x.NormalizeRowsInPlace(1e-12)
+		norms := x.NormalizeRowsInPlace(nil, 1e-12)
 		for i := 0; i < 5; i++ {
 			var s float64
 			for _, v := range x.Row(i) {
@@ -219,7 +219,7 @@ func TestNormalizeRowsProperty(t *testing.T) {
 
 func TestNormalizeZeroRow(t *testing.T) {
 	x := New(1, 4)
-	norms := x.NormalizeRowsInPlace(1e-12)
+	norms := x.NormalizeRowsInPlace(nil, 1e-12)
 	if norms[0] != 1e-12 {
 		t.Fatalf("zero row should report eps norm, got %v", norms[0])
 	}

@@ -150,14 +150,23 @@ type lane struct {
 	free [2][]byte
 }
 
-// take removes and returns the tightest free buffer that holds n bytes, or
-// nil when neither does.
+// laneSlack is how many times its frame's size a free buffer may be and
+// still be taken for it. A control frame that took the model-sized buffer
+// would leave the model frame sent right after it — before the receiver
+// retires the control frame — without one, so whether a lane grew a second
+// model-sized buffer would depend on goroutine timing. A frame a quarter
+// of its buffer (an aggregate in the buffer its subtree's join grew) still
+// reuses it.
+const laneSlack = 16
+
+// take removes and returns the tightest free buffer that holds n bytes and
+// is at most laneSlack times n, or nil when neither is.
 func (l *lane) take(n int) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	best := -1
 	for i, b := range l.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(l.free[best])) {
+		if c := cap(b); c >= n && c <= laneSlack*n && (best < 0 || c < cap(l.free[best])) {
 			best = i
 		}
 	}

@@ -106,3 +106,56 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 		})
 	}
 }
+
+// TestInprocControlFrameLeavesModelBuffer pins which buffer an inproc lane
+// hands a frame: a control frame sent while the receiver still holds the
+// previous one does not take the lane's model-sized buffer, so the model
+// frame sent right after it reuses that buffer instead of growing a second
+// one. How many model-sized buffers a lane allocates then depends on the
+// frames sent, not on when the receiver's next Recv retires a frame.
+func TestInprocControlFrameLeavesModelBuffer(t *testing.T) {
+	tr := NewInproc(Options{})
+	ln, err := tr.Listen("lane")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	cli, err := tr.Dial(context.Background(), ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv := <-accepted
+	defer srv.Close()
+
+	const model, control = 1 << 16, 52
+	send := func(n int) {
+		if _, err := cli.Send(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func(n int) []byte {
+		got, _, err := srv.Recv()
+		if err != nil || len(got) != n {
+			t.Fatalf("recv: %d bytes, err %v; want %d bytes", len(got), err, n)
+		}
+		return got
+	}
+	send(model)
+	first := &recv(model)[0]
+	send(control)
+	recv(control) // retires the model frame: its buffer is free again
+	// The receiver still holds the first control frame.
+	send(control)
+	send(model)
+	recv(control)
+	if got := &recv(model)[0]; got != first {
+		t.Fatal("the model frame sent after a control frame grew a new buffer instead of reusing the free one")
+	}
+}
