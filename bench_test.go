@@ -59,9 +59,10 @@ var hotPaths = []hotPath{
 	{"ConvTrainStep32", convTrainStep(tensor.F32), 0, 5},
 	{"ClientLocalEpoch", clientLocalEpoch(tensor.F64), 0, 50},
 	{"ClientLocalEpoch32", clientLocalEpoch(tensor.F32), 0, 50},
-	// The method's per-call lists around the epochs: the classifiers'
-	// parameter lists, the updates and their upload views, the group.
-	{"ClientLocalEpochGroup", clientLocalEpochGroup, 12, 270},
+	// The method's per-call lists around the epochs: the group, its refs
+	// and classifier lists, the update list, the updates and their upload
+	// views. The classifiers' parameter lists are the models' own.
+	{"ClientLocalEpochGroup", clientLocalEpochGroup, 8, 270},
 	// One range closure per fold: benchFleet's four uploads and the commit.
 	{"ClassifierAveraging", classifierAveraging, 5, 5},
 	{"ExactPreReduce", exactPreReduce, 0, 0},
@@ -163,52 +164,15 @@ func TestWireRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
 	}
-	const clients, rounds, warm = 8, 12, 3
-	for _, tc := range []struct {
-		name  string
-		tcp   bool
-		aggs  int
-		spec  comm.Spec
-		maxMB float64
-	}{
-		{"inproc flat dense f64", false, 0, comm.Spec{}, 0.1},
-		{"inproc tree dense f64", false, 2, comm.Spec{}, 0.1},
-		{"tcp flat topk+delta f32", true, 0, comm.NewSpec(comm.F32, 0.05, true), 0.1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := experiments.Small()
-			s.Rounds, s.FeatDim, s.TrainPerClass, s.TestPerClass = rounds, 64, 24, 16
-			factory, _, err := experiments.NewRotationFleet(experiments.Fashion, data.Dirichlet, clients, s,
-				[]models.Arch{models.ArchMLP}, []int{8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fleet := factory()
-			build := func(i int) *fl.Client { return fleet[i] }
-			if d := nn.NumParams(fleet[0].Model.Params()); d != 107722 {
-				t.Fatalf("fleet geometry drifted: d = %d, the benchmark's is 107722", d)
-			}
-			opts := transport.Options{DType: s.DType, Spec: tc.spec}
-			var tr transport.Transport = transport.NewInproc(opts)
-			addr := "allocs"
-			if tc.tcp {
-				tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
-			}
+	const rounds, warm, maxMB = 12, 3, 0.1
+	for _, f := range wireFleets {
+		t.Run(f.name, func(t *testing.T) {
 			var total []uint64 // TotalAlloc as each round commits
-			sample := func(cfg *fl.NodeConfig) {
-				cfg.OnRound = func(fl.RoundMetrics) {
-					var ms runtime.MemStats
-					runtime.ReadMemStats(&ms)
-					total = append(total, ms.TotalAlloc)
-				}
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			tree := func(cfg *fl.NodeConfig) { cfg.Aggregators = tc.aggs }
-			_, err = experiments.RunNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, s, 1, tc.spec, tr, addr, tree, sample)
-			if err != nil {
-				t.Fatal(err)
-			}
+			runWireFleet(t, f, rounds, func() {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				total = append(total, ms.TotalAlloc)
+			})
 			if len(total) != rounds {
 				t.Fatalf("%d rounds committed, want %d", len(total), rounds)
 			}
@@ -220,10 +184,86 @@ func TestWireRoundAllocs(t *testing.T) {
 			median := perRound[len(perRound)/2]
 			mean := float64(total[rounds-1]-total[warm-1]) / float64(rounds-warm) / (1 << 20)
 			t.Logf("%.3f MB allocated in the median round of rounds %d-%d (mean %.3f)", median, warm+1, rounds, mean)
-			if median > tc.maxMB {
-				t.Errorf("%.3f MB allocated in the median round, want <= %v", median, tc.maxMB)
+			if median > maxMB {
+				t.Errorf("%.3f MB allocated in the median round, want <= %v", median, maxMB)
 			}
 		})
+	}
+}
+
+// BenchmarkWireRound times one committed sync round of each wire fleet
+// (TestWireRoundAllocs'), after three warm-up rounds: ns/op is the wall
+// time from the third round's commit to the last one's over b.N rounds,
+// and B/op and allocs/op are what the whole process allocated over them,
+// per round.
+func BenchmarkWireRound(b *testing.B) {
+	const warm = 3
+	for _, f := range wireFleets {
+		b.Run(f.name, func(b *testing.B) {
+			var start, end time.Time
+			var ms0, ms1 runtime.MemStats
+			n := 0
+			runWireFleet(b, f, warm+b.N, func() {
+				if n++; n == warm {
+					runtime.ReadMemStats(&ms0)
+					start = time.Now()
+				}
+				end = time.Now()
+				runtime.ReadMemStats(&ms1)
+			})
+			per := func(x uint64) float64 { return float64(x) / float64(b.N) }
+			b.ReportMetric(float64(end.Sub(start).Nanoseconds())/float64(b.N), "ns/op")
+			b.ReportMetric(per(ms1.TotalAlloc-ms0.TotalAlloc), "B/op")
+			b.ReportMetric(per(ms1.Mallocs-ms0.Mallocs), "allocs/op")
+		})
+	}
+}
+
+// wireFleet is one shape the wire benchmark workloads take: transport,
+// topology and framing.
+type wireFleet struct {
+	name string
+	tcp  bool
+	aggs int
+	spec comm.Spec
+}
+
+var wireFleets = []wireFleet{
+	{"inproc flat dense f64", false, 0, comm.Spec{}},
+	{"inproc tree dense f64", false, 2, comm.Spec{}},
+	{"tcp flat topk+delta f32", true, 0, comm.NewSpec(comm.F32, 0.05, true)},
+}
+
+// runWireFleet runs the wire workloads' fleet — 8 FedAvg MLP clients at
+// FeatDim 64, d = 107 722 weights, 862 KB a vector — for rounds sync rounds
+// in this process over f, calling onRound as each round commits. Each round
+// trains, uploads, folds, broadcasts and evaluates.
+func runWireFleet(tb testing.TB, f wireFleet, rounds int, onRound func()) {
+	const clients = 8
+	s := experiments.Small()
+	s.Rounds, s.FeatDim, s.TrainPerClass, s.TestPerClass = rounds, 64, 24, 16
+	factory, _, err := experiments.NewRotationFleet(experiments.Fashion, data.Dirichlet, clients, s,
+		[]models.Arch{models.ArchMLP}, []int{8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fleet := factory()
+	build := func(i int) *fl.Client { return fleet[i] }
+	if d := nn.NumParams(fleet[0].Model.Params()); d != 107722 {
+		tb.Fatalf("fleet geometry drifted: d = %d, the benchmark's is 107722", d)
+	}
+	opts := transport.Options{DType: s.DType, Spec: f.spec}
+	var tr transport.Transport = transport.NewInproc(opts)
+	addr := "allocs"
+	if f.tcp {
+		tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	tree := func(cfg *fl.NodeConfig) { cfg.Aggregators = f.aggs }
+	sample := func(cfg *fl.NodeConfig) { cfg.OnRound = func(fl.RoundMetrics) { onRound() } }
+	if _, err := experiments.RunNodes(ctx, experiments.MethodFedAvg, experiments.Fashion, build, clients, s, 1, f.spec, tr, addr, tree, sample); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -84,6 +84,9 @@ func (f *FedAvg) Ref(c *fl.Client, shared []float64) []float64 {
 	return nil
 }
 
+// Pulls is FedProx's proximal term.
+func (f *FedAvg) Pulls(*fl.Client) bool { return f.Mu > 0 }
+
 // Upload is the model alone.
 func (f *FedAvg) Upload(c *fl.Client, shared []float64) [][]float64 { return [][]float64{shared} }
 

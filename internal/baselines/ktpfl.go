@@ -435,7 +435,7 @@ func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 		_, dlogits := loss.KLDistill(logits, target, k.Temperature)
 		dfeat := c.Model.Classifier.Backward(dlogits)
 		tensor.PutTensor(dlogits)
-		c.Model.Extractor.Backward(dfeat)
+		c.Model.Extractor.BackwardParams(dfeat)
 		c.Optimizer.Step(params)
 		nn.ZeroGrads(params)
 	}

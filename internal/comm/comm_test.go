@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -324,5 +326,45 @@ func TestParseCodec(t *testing.T) {
 	}
 	if _, err := ParseCodec("f16"); err == nil {
 		t.Fatal("unknown codec string must error")
+	}
+}
+
+// TestDecodeIntoMatchesDecodeThenSet: decoding a dense frame straight into
+// model-dtype storage leaves the bits DecodeSpec followed by
+// SetFromFloat64s leaves, for every dense codec into every dtype, across
+// the decoder's chunk boundaries; a frame of another length or family is
+// refused.
+func TestDecodeIntoMatchesDecodeThenSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := make([]float64, 700)
+	for i := range v {
+		v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+	for _, c := range []Codec{F64, F32, I8, BF16} {
+		frame := MarshalSpecInto(nil, Spec{Value: c}, 9, v, nil)
+		_, dec, err := DecodeSpec(nil, frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+			want, got := tensor.NewOf(dt, len(v)), tensor.NewOf(dt, len(v))
+			want.SetFromFloat64s(dec)
+			if err := DecodeInto(got, frame); err != nil {
+				t.Fatalf("%s into %s: %v", c, dt, err)
+			}
+			w, g := want.AppendFloat64s(nil), got.AppendFloat64s(nil)
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+					t.Fatalf("%s into %s: element %d is %v, want %v", c, dt, i, g[i], w[i])
+				}
+			}
+			if err := DecodeInto(tensor.NewOf(dt, len(v)-1), frame); err == nil {
+				t.Fatalf("%s into %s: a frame of another length was decoded", c, dt)
+			}
+		}
+	}
+	sparse := MarshalSpecInto(nil, NewSpec(F32, 0.05, false), 9, v, nil)
+	if err := DecodeInto(tensor.NewOf(tensor.F64, len(v)), sparse); err == nil {
+		t.Fatal("a top-k frame was decoded as dense")
 	}
 }

@@ -519,8 +519,15 @@ func DecodeSpec(scratch []float64, b []byte, ref *DeltaRef) (kind uint32, v []fl
 // decodeDense fills payload from a dense body whose length the caller has
 // already validated against c.payloadBytes(len(payload)).
 func decodeDense(payload []float64, c Codec, body []byte) error {
+	return decodeDenseAt(payload, c, body, 0)
+}
+
+// decodeDenseAt fills payload with elements [off, off+len(payload)) of a
+// dense body validated as decodeDense's.
+func decodeDenseAt(payload []float64, c Codec, body []byte, off int) error {
 	switch c {
 	case F32:
+		body = body[4*off:]
 		for i := range payload {
 			payload[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
 		}
@@ -529,15 +536,17 @@ func decodeDense(payload []float64, c Codec, body []byte) error {
 		if !validScale(scale) {
 			return fmt.Errorf("comm: invalid int8 scale %g", scale)
 		}
-		q := body[8:]
+		q := body[8+off:]
 		for i := range payload {
 			payload[i] = float64(int8(q[i])) * scale
 		}
 	case BF16:
+		body = body[2*off:]
 		for i := range payload {
 			payload[i] = float64(tensor.BF16ToF32(binary.LittleEndian.Uint16(body[2*i:])))
 		}
 	default:
+		body = body[8*off:]
 		if hostLittleEndian {
 			copy(f64Bytes(payload), body)
 			break
@@ -547,6 +556,59 @@ func decodeDense(payload []float64, c Codec, body []byte) error {
 		}
 	}
 	return nil
+}
+
+// DecodeInto decodes a dense frame of dst.Size() elements straight into
+// dst, each value narrowed to dst's dtype as tensor.WriteFloat64sAt narrows
+// it: the bits DecodeSpec and SetFromFloat64s would leave, with no vector in
+// between. An F64 frame into F64 storage is one copy.
+func DecodeInto(dst *tensor.Tensor, frame []byte) error {
+	c, _, n, err := FrameInfo(frame)
+	switch {
+	case err != nil:
+		return err
+	case !c.Dense():
+		return fmt.Errorf("comm: %s frame where a dense one belongs", c)
+	case int64(len(frame)) != WireSizeAs(c, n):
+		return fmt.Errorf("comm: %s frame of %d elements wants %d bytes, got %d", c, n, WireSizeAs(c, n), len(frame))
+	case n != dst.Size():
+		return fmt.Errorf("comm: frame of %d elements decoded into %d", n, dst.Size())
+	}
+	body := frame[headerSize:]
+	if c == F64 && dst.DT == tensor.F64 && hostLittleEndian {
+		copy(f64Bytes(dst.Data), body)
+		return nil
+	}
+	var chunk [256]float64
+	for off := 0; off < n; off += len(chunk) {
+		part := chunk[:min(len(chunk), n-off)]
+		if err := decodeDenseAt(part, c, body, off); err != nil {
+			return err
+		}
+		dst.WriteFloat64sAt(off, part)
+	}
+	return nil
+}
+
+// F64Body returns the body of a dense F64 frame of exactly its declared
+// length — its elements as little-endian float64s, read where they lie at
+// any alignment — or false for any other frame.
+func F64Body(frame []byte) ([]byte, bool) {
+	c, _, n, err := FrameInfo(frame)
+	if err != nil || c != F64 || int64(len(frame)) != WireSizeAs(F64, n) {
+		return nil, false
+	}
+	return frame[headerSize:], true
+}
+
+// AsF64Body returns v as a dense F64 frame body: v's own memory on a
+// little-endian host, an encoded copy on a big-endian one. A fold that reads
+// F64 bodies serves decoded vectors through it.
+func AsF64Body(v []float64) []byte {
+	if hostLittleEndian {
+		return f64Bytes(v)
+	}
+	return appendDense(nil, F64, v)
 }
 
 // parseTopK parses the top-k body of an n-element vector into c.idx and

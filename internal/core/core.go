@@ -161,6 +161,9 @@ func (f *FedClassAvg) Ref(c *fl.Client, shared []float64) []float64 {
 	return shared[len(shared)-nn.NumParams(c.Model.ClassifierParams()):]
 }
 
+// Pulls is the proximal term.
+func (f *FedClassAvg) Pulls(*fl.Client) bool { return f.Opts.UseProximal }
+
 // Upload is the shared vector; with ShareAllWeights it is led by a view of
 // its classifier tail, the layout in-flight "+weight" updates have in
 // checkpoints.

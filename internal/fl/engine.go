@@ -226,6 +226,10 @@ type Update struct {
 	// attribution themselves, or per-round byte counts would depend on real
 	// scheduling.
 	UpBytes int64
+	// msg is the received message a node read the update from, if it did:
+	// a vector it left in its frame (nil in Vecs) is read there (wireBody),
+	// and releasing msg returns the frame and the decoded vectors.
+	msg *wireMsg
 }
 
 // DataScale is the |D_k| aggregation weight of a client with trainSize

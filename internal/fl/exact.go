@@ -1,8 +1,11 @@
 package fl
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
+
+	"repro/internal/comm"
 )
 
 // ExactAccumulator is the grouping-invariant reduction behind hierarchical
@@ -111,41 +114,57 @@ func (e *ExactAccumulator) Fold(vec []float64, w float64) {
 	if len(vec) != e.n {
 		panic("fl: ExactAccumulator.Fold length mismatch")
 	}
+	e.foldBody(comm.AsF64Body(vec), w)
+}
+
+// foldBody is Fold for a vector given as a dense F64 body (comm.F64Body),
+// read where it lies at any alignment: the one fold kernel, which a decoded
+// vector reaches through its byte view.
+func (e *ExactAccumulator) foldBody(body []byte, w float64) {
+	if len(body) != 8*e.n {
+		panic("fl: ExactAccumulator.Fold length mismatch")
+	}
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		e.poison()
 	}
 	if !e.poisoned {
-		i := e.foldPairs(vec, w)
+		i := e.foldPairs(body, w)
 		if !e.poisoned {
 			e.add(e.n, w)
 			return
 		}
-		vec = vec[i:]
+		body = body[8*i:]
 	}
-	plain := e.plain[len(e.plain)-len(vec):]
-	for i, v := range vec {
-		plain[i] += float64(w * v)
+	plain := e.plain[e.n-len(body)/8:]
+	for i := range plain {
+		plain[i] += float64(w * f64At(body, i))
 	}
 	e.plainW += w
 }
 
-// foldPairs folds w·vec into the cells and returns len(vec), or the index
-// of the nonfinite product that poisoned the accumulator, its cell
-// untouched.
-func (e *ExactAccumulator) foldPairs(vec []float64, w float64) int {
-	hi, lo := e.hi[:len(vec)], e.lo[:len(vec)]
-	for i := 0; i < len(vec); {
-		i += pairFold(hi[i:], lo[i:], vec[i:], w)
+// f64At loads element i of a dense F64 body.
+func f64At(body []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+}
+
+// foldPairs folds w·body into the cells and returns the element count, or
+// the index of the nonfinite product that poisoned the accumulator, its
+// cell untouched.
+func (e *ExactAccumulator) foldPairs(body []byte, w float64) int {
+	n := len(body) / 8
+	hi, lo := e.hi[:n], e.lo[:n]
+	for i := 0; i < n; {
+		i += pairFold(hi[i:], lo[i:], body[8*i:], w)
 		// The scalar loop takes the group the vector loop stopped at, or
 		// everything when there is none.
-		end := len(vec)
+		end := n
 		if pairSIMD {
 			end = min(i+4, end)
 		}
 		for ; i < end; i++ {
 			// The explicit conversion rounds the product on its own: a
 			// fused hi + w·v would leave TwoSum's error term wrong.
-			p := float64(w * vec[i])
+			p := float64(w * f64At(body, i))
 			s, d := twoSum(hi[i], p)
 			t, r := twoSum(lo[i], d)
 			// The one branch: a residual, an overflow's NaN, a nonfinite
@@ -159,7 +178,7 @@ func (e *ExactAccumulator) foldPairs(vec []float64, w float64) int {
 			hi[i], lo[i] = s, t
 		}
 	}
-	return len(vec)
+	return n
 }
 
 // add adds one term to cell i by the general path: Fold's for a term its

@@ -1,8 +1,9 @@
 #include "textflag.h"
 
-// func pairFoldAVX2(hi, lo, vec *float64, n int, w float64) int
+// func pairFoldAVX2(hi, lo *float64, vec *byte, n int, w float64) int
 //
-// Fold's pair step four cells at a time: p = w·v rounded on its own (no
+// vec is a dense F64 body at any alignment: VMULPD's memory operand needs
+// none. Fold's pair step four cells at a time: p = w·v rounded on its own (no
 // fused multiply-add), TwoSum(hi, p) = (s, d), TwoSum(lo, d) = (t, r), and
 // the cells become (s, t) when r is 0 in every lane. The first group with a
 // lane whose r is nonzero or NaN (NEQ_UQ) stops the loop unwritten. Each

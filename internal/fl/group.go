@@ -141,7 +141,7 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 					obj.Head(k, st.feats[j], st.grads[j], st.ys[j])
 				}
 			}
-			nn.SequentialBackwardBatch(st.exts, st.grads)
+			nn.SequentialBackwardParams(st.exts, st.grads)
 			for j, k := range st.k {
 				if obj.TwoViews {
 					tensor.PutTensor(st.grads[j])

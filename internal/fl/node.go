@@ -477,6 +477,7 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 		Scale:   scale,
 		Vecs:    m.vecs,
 		Counts:  m.counts,
+		msg:     m,
 	}
 	if r.pt.eval.active() && r.cfg.Sched != SchedSync {
 		r.holdback = append(r.holdback, u)
@@ -621,18 +622,21 @@ func (r *serverRun) completeRound() {
 }
 
 // releaseRound closes the sync barrier's collections: every update and
-// aggregate has been folded (WireApply keeps nothing of u.Vecs), so their
-// vectors go back to the fan-in's free list for the next round's decodes.
+// aggregate has been folded (WireApply keeps nothing of u.Vecs), so the
+// messages they were read from are released — their vectors back to the
+// fan-in's free list for the next round's decodes, the frames they were
+// folded from back to their connections. A passthrough bundle's updates
+// share one message, which the first release returns whole.
 func (r *serverRun) releaseRound() {
 	for _, a := range r.owners {
 		slot := &r.slots[a]
 		for _, u := range slot.ups {
 			if u != nil {
-				r.pt.vecs.put(u.Vecs...)
+				r.pt.vecs.release(u.msg)
 			}
 		}
 		if slot.agg != nil {
-			r.pt.vecs.put(slot.agg.Vecs...)
+			r.pt.vecs.release(slot.agg.msg)
 		}
 		clear(slot.ups)
 		*slot = rootSlot{ups: slot.ups[:0]}
@@ -760,7 +764,7 @@ func (r *serverRun) completeEval() {
 		u := r.holdback[0]
 		r.holdback = r.holdback[1:]
 		if !r.processUpdate(u) {
-			r.pt.vecs.put(u.Vecs...)
+			r.pt.vecs.release(u.msg)
 		}
 	}
 }
@@ -984,7 +988,7 @@ func (r *serverRun) dispatch(s *peerSession, members ...int) {
 	if r.tree {
 		r.pt.dispatchMsg(s, treeDispatchMsg(uint64(r.version), members, payloads))
 	} else {
-		r.pt.broadcast(uint64(r.version), payloads[0], s)
+		r.pt.broadcast(uint64(r.version), payloads[0], nil, s)
 	}
 	clear(payloads)
 	r.payloads = payloads

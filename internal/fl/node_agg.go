@@ -221,14 +221,14 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 
 // sendJoin joins the root on the subtree's behalf over a fresh link. The
 // frame is encoded once; from then on it is the only copy of the children's
-// init payloads the aggregator needs, so their decoded vectors go to the
-// free list for the children's uploads to decode into. (The root keeps its
+// init payloads the aggregator needs, so their decoded vectors are dropped —
+// not kept on the free list, where nothing would take them while the
+// children's uploads are folded from their frames. (The root keeps its
 // joins whole: its checkpoints carry them.)
 func (g *aggRun) sendJoin() {
 	if g.joinFrame == nil {
 		g.joinFrame = encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc)
 		for i := range g.pt.joins {
-			g.pt.vecs.put(g.pt.joins[i].Init...)
 			g.pt.joins[i].Init = nil
 		}
 	}
@@ -252,7 +252,19 @@ func newAggRun(ctx context.Context, n *AggregatorNode) *aggRun {
 	// decode into the vectors the dispatch just vacated and those the last
 	// round's uploads left behind.
 	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
+	g.up.rc.inPlace = sharedInPlace(cfg.WireSpec().Value)
 	return g
+}
+
+// sharedInPlace is an aggregator's uplink inPlace: a tree dispatch's shared
+// payload stays in the root's frame, to be copied into the children's
+// dispatch frames as it lies, when it is framed at the codec those frames
+// carry and re-encoding its decoded values would give back its bytes — every
+// dense codec but I8, whose scale re-encoding recomputes.
+func sharedInPlace(value comm.Codec) func(*wireMsg, comm.Codec) bool {
+	return func(m *wireMsg, c comm.Codec) bool {
+		return m.kind == msgTreeDispatch && m.b == treeShared && c == value && c != comm.I8
+	}
 }
 
 // fail reports a downstream failure upstream (so the root aborts the run
@@ -316,12 +328,19 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 	for _, s := range live {
 		g.pt.round.ids[s.id] = true
 	}
+	if m.raw != nil && len(live) > 0 {
+		// The shared payload, still in the root's frame: every child's
+		// dispatch frame copies its bytes (sharedInPlace).
+		g.pt.broadcast(m.a, m.vecs, m.raw, live...)
+		g.pt.round.settle()
+		return
+	}
 	for i := 0; i < len(live); {
 		j := i + 1
 		for j < len(live) && sameVecs(vecs[j], vecs[i]) {
 			j++
 		}
-		g.pt.broadcast(m.a, vecs[i], live[i:j]...)
+		g.pt.broadcast(m.a, vecs[i], nil, live[i:j]...)
 		i = j
 	}
 	g.pt.round.settle()
@@ -330,8 +349,9 @@ func (g *aggRun) handleTreeDispatch(m *wireMsg) {
 // finishRound answers the completed round: pre-reduce the collected updates
 // when the policy and the algorithm allow it, bundle them raw otherwise.
 // Once the answer is encoded — into the round relay's frame, where it stays
-// cached so an upstream loss replays it — the children's vectors go back to
-// the free list.
+// cached so an upstream loss replays it — the children's messages are
+// released: their vectors back to the free list, the frames their uploads
+// were folded from back to their connections.
 func (g *aggRun) finishRound() {
 	ids := make([]int, 0, len(g.updates))
 	for id := range g.updates {
@@ -357,7 +377,7 @@ func (g *aggRun) finishRound() {
 	}
 	g.answer(&g.rounds, answer)
 	for _, u := range ups {
-		g.pt.vecs.put(u.Vecs...)
+		g.pt.vecs.release(u.msg)
 	}
 }
 
@@ -429,8 +449,10 @@ func (g *aggRun) handleChild(ev inbound) {
 			Weight: scale,
 			Vecs:   m.vecs,
 			Counts: m.counts,
+			msg:    m,
 		}
-		// The open round holds the vectors now; finishRound releases them.
+		// The open round holds the message now — its vectors, or the frame
+		// the upload is folded from — and finishRound releases it.
 		g.pt.round.resolve(s.id)
 		return
 	case m.kind == msgEvalRes:

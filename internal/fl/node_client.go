@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/comm"
+	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
@@ -102,6 +104,7 @@ type clientRun struct {
 func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	cr := &clientRun{cn: cn, c: cn.Client, batch: 32, trainDone: make(chan trainResult, 1)}
 	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, &cr.vecs, cn.Dialer, cn.OnToken)
+	cr.up.rc.inPlace = dispatchInPlace
 	defer cr.drain()
 	defer cr.up.close()
 	if cr.up.attach(conn) {
@@ -130,6 +133,10 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	}
 	return cr.up.err
 }
+
+// dispatchInPlace is a client's uplink inPlace: a dispatch stays in its
+// frame until the training that consumes it starts (startTraining).
+func dispatchInPlace(m *wireMsg, _ comm.Codec) bool { return m.kind == msgDispatch }
 
 // drain reaps an in-flight training worker so Run never leaks a goroutine,
 // even when it returns mid-round.
@@ -204,15 +211,75 @@ func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 	return false
 }
 
-// startTraining hands one dispatch to the worker goroutine.
+// startTraining takes one dispatch out of its frame and hands it to the
+// worker goroutine. A frame installer's broadcast vector is decoded straight
+// into the client's parameters — nothing trains or evaluates on them until
+// the worker is done — and the local round runs on what it installed; any
+// other dispatch is decoded into vectors from the free list for WireLocal.
+// The frame is released either way.
 func (cr *clientRun) startTraining(m *wireMsg) {
+	version, batch := m.a, cr.batch
+	var local func() (*Update, error)
+	var err error
+	if params := cr.installParams(m); params != nil {
+		vals, _ := nn.Flat(params)
+		err = comm.DecodeInto(&vals, m.raw[0])
+		fi := cr.cn.Algo.(frameInstaller)
+		local = func() (*Update, error) { return fi.localInstalled(cr.c, batch, nil) }
+	} else {
+		err = cr.decodeRaw(m)
+		vecs := m.vecs
+		local = func() (*Update, error) { return cr.cn.Algo.WireLocal(cr.c, batch, vecs) }
+	}
+	m.raw = nil
+	m.held.release()
+	if err != nil {
+		cr.fatal = fmt.Errorf("fl: client %d: dispatch: %w", cr.c.ID, err)
+		cr.up.release(m)
+		return
+	}
 	cr.training = true
-	cr.trainVersion, cr.trainMsg = m.a, m
-	version, vecs, batch := m.a, m.vecs, cr.batch
+	cr.trainVersion, cr.trainMsg = version, m
 	go func() {
-		u, err := cr.cn.Algo.WireLocal(cr.c, batch, vecs)
+		u, err := local()
 		cr.trainDone <- trainResult{version: version, u: u, err: err}
 	}()
+}
+
+// installParams returns the parameters a dispatch's one vector installs
+// into straight from its frame, or nil when the dispatch must be decoded:
+// the algorithm is no frame installer, or its local round reads the vector
+// too, or the frame's length is not the parameters' (WireLocal then reports
+// it).
+func (cr *clientRun) installParams(m *wireMsg) []*nn.Param {
+	fi, ok := cr.cn.Algo.(frameInstaller)
+	if !ok || len(m.raw) != 1 || m.raw[0] == nil {
+		return nil
+	}
+	params := fi.installParams(cr.c)
+	if _, _, n, err := comm.FrameInfo(m.raw[0]); err != nil || n != nn.NumParams(params) {
+		return nil
+	}
+	return params
+}
+
+// decodeRaw decodes the vectors a dispatch left in its frame into vectors
+// from the free list.
+func (cr *clientRun) decodeRaw(m *wireMsg) error {
+	for i, vb := range m.raw {
+		if vb == nil {
+			continue
+		}
+		_, _, n, _ := comm.FrameInfo(vb)
+		scratch := cr.vecs.take(n)
+		_, v, err := comm.DecodeSpec(scratch, vb, nil)
+		if err != nil {
+			cr.vecs.put(scratch)
+			return err
+		}
+		m.vecs[i] = v
+	}
+	return nil
 }
 
 // finishTraining uploads a finished round, caching the message for

@@ -62,8 +62,11 @@ type PeerTable struct {
 	// is the frame every uncached send — welcome, resume, heartbeat — is
 	// encoded into; both come into being with the first frame that needs
 	// them.
-	vecs      vecList
-	ctl       []byte
+	vecs vecList
+	ctl  []byte
+	// inPlace is what the readers leave in the frames they read (a
+	// wireCodec's inPlace): the uploads of an algorithm that folds frames.
+	inPlace   func(m *wireMsg, c comm.Codec) bool
 	heartbeat time.Duration
 	deadAfter time.Duration
 	window    time.Duration
@@ -261,6 +264,9 @@ func newPeerTable(noun string, count, base, fleet int, algo WireAlgorithm, spec 
 		embryos:   make(map[transport.Conn]struct{}),
 	}
 	pt.wc = newWireCodec(spec, pt.lossy)
+	if _, ok := algo.(frameFolder); ok {
+		pt.inPlace = foldsInPlace
+	}
 	for i := range pt.sessions {
 		pt.sessions[i] = &peerSession{id: base + i}
 	}
@@ -318,6 +324,17 @@ const (
 	acceptBackoff     = 10 * time.Millisecond
 )
 
+// frameFolder is a wire algorithm whose server half folds a dense F64
+// upload or aggregate straight from the frame it arrived in (wireBody):
+// WeightAvg's methods. Every other algorithm is handed decoded vectors.
+type frameFolder interface{ foldsFrames() }
+
+// foldsInPlace is a frame folder's fan-in inPlace: dense F64 updates and
+// aggregates stay in their frames.
+func foldsInPlace(m *wireMsg, c comm.Codec) bool {
+	return c == comm.F64 && (m.kind == msgUpdate || m.kind == msgAggUpdate)
+}
+
 // acceptLoop feeds handshaken connections into the event loop until the
 // listener dies.
 func (pt *PeerTable) acceptLoop(ln transport.Listener) {
@@ -362,7 +379,9 @@ func (pt *PeerTable) greet(conn transport.Conn) {
 	if err == nil {
 		conn.SetReadDeadline(time.Time{})
 		var m *wireMsg
-		if m, err = decodeMsg(frame, nil); err == nil {
+		m, err = decodeMsg(frame, nil)
+		conn.Release(frame) // the join decodes whole: nothing of it reads the frame
+		if err == nil {
 			ac.name = m.name
 			ac.id, ac.decls, ac.bad = pt.readJoin(m)
 		}
@@ -390,10 +409,12 @@ func (pt *PeerTable) deliverConn(ac acceptedConn) {
 // connection dies. Each reader owns a fresh wireCodec: the delta bases a
 // connection's uploads accumulate are discarded with the connection, so an
 // adopted reconnect starts dense — exactly as the peer's rebuilt encoder
-// does. Every frame is decoded before the next Recv retires it.
+// does. A frame is released as soon as it is decoded, unless its message
+// left an upload in it to be folded from there (inPlace); the role releases
+// that message once the fold is done.
 func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 	wc := newWireCodec(pt.spec, pt.lossy)
-	wc.vecs = &pt.vecs
+	wc.vecs, wc.inPlace = &pt.vecs, pt.inPlace
 	deliver := func(ev inbound) bool {
 		select {
 		case pt.events <- ev:
@@ -408,7 +429,7 @@ func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 			deliver(inbound{id: id, gen: gen, err: err})
 			return
 		}
-		m, err := decodeMsg(frame, wc)
+		m, err := readMsg(conn, frame, wc)
 		if err != nil {
 			deliver(inbound{id: id, gen: gen, err: err})
 			return
@@ -650,11 +671,13 @@ func sameVecs(a, b [][]float64) bool {
 // stateless (uploadKind gates sparse and delta framing to msgUpdate), so its
 // bytes are the same for every session by construction. A broadcast for one
 // session that does not repeat the last (KT-pFL's staged transfer, FedProto's
-// table copy) is encoded into that session's own frame.
-func (pt *PeerTable) broadcast(version uint64, vecs [][]float64, ss ...*peerSession) {
-	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs}
+// table copy) is encoded into that session's own frame. raw, when set, holds
+// vectors still in a received frame (wireMsg.raw), which the encode copies
+// where vecs has nil: such a payload is never the same as the last.
+func (pt *PeerTable) broadcast(version uint64, vecs [][]float64, raw [][]byte, ss ...*peerSession) {
+	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs, raw: raw}
 	b := &pt.bcast
-	same := sameVecs(vecs, b.last)
+	same := raw == nil && sameVecs(vecs, b.last)
 	b.last = append(b.last[:0], vecs...)
 	if !same {
 		b.valid = false

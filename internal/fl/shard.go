@@ -1,6 +1,12 @@
 package fl
 
-import "repro/internal/tensor"
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/comm"
+	"repro/internal/tensor"
+)
 
 // ShardedAccumulator is the server-side aggregation state of every
 // scheduler: a running weighted sum over a flat vector cut into segments,
@@ -56,14 +62,55 @@ func (a *ShardedAccumulator) Accumulate(vec []float64, w float64) {
 	if len(vec) != len(a.sum) {
 		panic("fl: ShardedAccumulator.Accumulate length mismatch")
 	}
+	a.accumulateBody(comm.AsF64Body(vec), w)
+}
+
+// accumulateBody is Accumulate for a vector given as a dense F64 body
+// (comm.F64Body), read where it lies: the one fold kernel, which a decoded
+// vector reaches through its byte view.
+func (a *ShardedAccumulator) accumulateBody(body []byte, w float64) {
+	if len(body) != 8*len(a.sum) {
+		panic("fl: ShardedAccumulator.Accumulate length mismatch")
+	}
 	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
-		sum := a.sum[lo:hi]
-		for i, v := range vec[lo:hi] {
-			sum[i] += w * v
-		}
+		axpyBody(a.sum[lo:hi], body[8*lo:8*hi], w)
 	})
 	for s := range a.wsum {
 		a.wsum[s] += w
+	}
+}
+
+// axpyBody adds w·v to sum, v given as a dense F64 body as long as sum. It
+// loads four elements a step, with one bounds check for the four, which
+// keeps the little-endian loads near a []float64 loop's speed.
+func axpyBody(sum []float64, body []byte, w float64) {
+	body = body[:8*len(sum)]
+	for len(sum) >= 4 {
+		b := body[:32]
+		sum[0] += w * math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+		sum[1] += w * math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		sum[2] += w * math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+		sum[3] += w * math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+		sum, body = sum[4:], body[32:]
+	}
+	for i := range sum {
+		sum[i] += w * f64At(body, i)
+	}
+}
+
+// addBody adds v to sum the way axpyBody adds w·v.
+func addBody(sum []float64, body []byte) {
+	body = body[:8*len(sum)]
+	for len(sum) >= 4 {
+		b := body[:32]
+		sum[0] += math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+		sum[1] += math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		sum[2] += math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+		sum[3] += math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+		sum, body = sum[4:], body[32:]
+	}
+	for i := range sum {
+		sum[i] += f64At(body, i)
 	}
 }
 
@@ -87,11 +134,17 @@ func (a *ShardedAccumulator) Merge(vec []float64, w float64) {
 	if len(vec) != len(a.sum) {
 		panic("fl: ShardedAccumulator.Merge length mismatch")
 	}
+	a.mergeBody(comm.AsF64Body(vec), w)
+}
+
+// mergeBody is Merge for a partial sum given as a dense F64 body, the way
+// accumulateBody is Accumulate's.
+func (a *ShardedAccumulator) mergeBody(body []byte, w float64) {
+	if len(body) != 8*len(a.sum) {
+		panic("fl: ShardedAccumulator.Merge length mismatch")
+	}
 	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
-		sum := a.sum[lo:hi]
-		for i, v := range vec[lo:hi] {
-			sum[i] += v
-		}
+		addBody(a.sum[lo:hi], body[8*lo:8*hi])
 	})
 	for s := range a.wsum {
 		a.wsum[s] += w

@@ -47,7 +47,9 @@ type uplink struct {
 	wc *wireCodec
 	// rc is the pump's decode context: plain dense (nothing sent down is
 	// ever sparse or delta framed), drawing payload vectors from the owning
-	// role's free list, which the role refills through release. out is the
+	// role's free list, which the role refills through release, and leaving
+	// in their frames the vectors the role reads there (its inPlace: a
+	// client's dispatch, an aggregator's shared tree payload). out is the
 	// frame every uncached message the role sends up is encoded into — a
 	// client's upload above all; it comes into being with the first send.
 	rc  wireCodec
@@ -164,7 +166,8 @@ func (u *uplink) attach(conn transport.Conn) (join bool) {
 }
 
 // pump moves one connection's messages into the event loop until it dies,
-// decoding each frame before the next Recv retires it. Once a welcome
+// releasing each frame once it is decoded, unless its message holds it
+// (readMsg) until the role releases the message. Once a welcome
 // announced the dead interval it bounds every read: a peer that goes silent
 // — not merely slow — trips the deadline and is re-dialed.
 func (u *uplink) pump(gen int, conn transport.Conn) {
@@ -175,7 +178,7 @@ func (u *uplink) pump(gen int, conn transport.Conn) {
 		f := upFrame{gen: gen}
 		var b []byte
 		if b, _, f.err = conn.Recv(); f.err == nil {
-			f.m, f.bad = decodeMsg(b, &u.rc)
+			f.m, f.bad = readMsg(conn, b, &u.rc)
 		}
 		select {
 		case u.frames <- f:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // WeightMethod is what a weight-averaging algorithm supplies to its
@@ -18,6 +19,9 @@ type WeightMethod interface {
 	// Ref returns the tail of a shared vector c downloaded that c's local
 	// objective pulls toward, or nil when the objective reads none.
 	Ref(c *Client, shared []float64) []float64
+	// Pulls reports whether c's local objective reads a Ref at all; when
+	// it does not, a broadcast is installed and nothing else of it read.
+	Pulls(c *Client) bool
 	// Train runs one group's local epochs; refs[k] is member k's Ref.
 	Train(group []*Client, batchSize int, refs [][]float64)
 	// Upload returns an in-process update's vectors around c's quantized
@@ -218,21 +222,58 @@ func (h *WeightAvg) WireLocal(c *Client, batchSize int, dispatch [][]float64) (*
 	if len(dispatch) != 1 || dispatch[0] == nil {
 		return nil, fmt.Errorf("fl: %s expects one broadcast vector, got %d", h.m.Name(), len(dispatch))
 	}
-	shared := h.m.Shared(c)
-	if err := nn.SetFlatParams(shared, dispatch[0]); err != nil {
+	if err := nn.SetFlatParams(h.m.Shared(c), dispatch[0]); err != nil {
 		return nil, err
 	}
-	h.m.Train([]*Client{c}, batchSize, [][]float64{h.m.Ref(c, dispatch[0])})
-	return &Update{Client: c.ID, Scale: DataScale(len(c.Train)), Vecs: [][]float64{c.FlatUpload(shared)}}, nil
+	return h.localInstalled(c, batchSize, h.m.Ref(c, dispatch[0]))
 }
 
-// WireApply folds one weighted upload into the accumulator.
+// installParams returns the parameters a broadcast installs into when the
+// local round reads nothing else of it (frameInstaller), else nil.
+func (h *WeightAvg) installParams(c *Client) []*nn.Param {
+	if h.m.Pulls(c) {
+		return nil
+	}
+	return h.m.Shared(c)
+}
+
+// localInstalled is WireLocal once the broadcast is in the shared weights:
+// it trains against ref, the broadcast's Ref, and uploads.
+func (h *WeightAvg) localInstalled(c *Client, batchSize int, ref []float64) (*Update, error) {
+	shared := h.m.Shared(c)
+	h.m.Train([]*Client{c}, batchSize, [][]float64{ref})
+	return &Update{Client: c.ID, Scale: DataScale(len(c.Train)), Vecs: [][]float64{wireUpload(c, shared)}}, nil
+}
+
+// wireUpload is a wire upload of c's shared weights: an F64 model's value
+// slab itself, which nothing writes until the client trains again, or
+// FlatUpload's widened copy of a narrower one. The in-process rounds keep
+// FlatUpload, whose vector the uplink quantization rounds in place.
+func wireUpload(c *Client, shared []*nn.Param) []float64 {
+	if nn.ParamsDType(shared) == tensor.F64 {
+		vals, _ := nn.Flat(shared)
+		return vals.Data
+	}
+	return c.FlatUpload(shared)
+}
+
+// WireApply folds one weighted upload into the accumulator, from the frame
+// it arrived in when the fan-in left it there.
 func (h *WeightAvg) WireApply(u *Update) error {
 	if len(u.Vecs) != 1 {
 		return fmt.Errorf("fl: client %d uploaded %d %s vectors, want 1", u.Client, len(u.Vecs), h.m.Name())
 	}
-	return h.AsyncApply(nil, u)
+	body, _ := wireBody(u.Vecs[0], u.msg)
+	if len(body) != 8*h.acc.Len() {
+		return fmt.Errorf("fl: client %d uploaded %d %s weights, server expects %d", u.Client, len(body)/8, h.m.Name(), h.acc.Len())
+	}
+	h.acc.accumulateBody(body, u.Weight)
+	return nil
 }
+
+// foldsFrames marks the server half as folding dense F64 uploads and
+// aggregates from the frames they arrive in (frameFolder).
+func (h *WeightAvg) foldsFrames() {}
 
 // WireCommit merges the round's accumulated average into the global vector.
 func (h *WeightAvg) WireCommit() error {
@@ -247,16 +288,21 @@ func (h *WeightAvg) WireCommit() error {
 func (h *WeightAvg) PreReduce(updates []*Update) (*AggUpdate, error) {
 	au := &AggUpdate{Children: len(updates)}
 	for i, u := range updates {
-		if len(u.Vecs) != 1 || u.Vecs[0] == nil {
+		var body []byte
+		ok := len(u.Vecs) == 1
+		if ok {
+			body, ok = wireBody(u.Vecs[0], u.msg)
+		}
+		if !ok {
 			return nil, fmt.Errorf("fl: client %d uploaded a malformed payload (%d vectors, want 1)", u.Client, len(u.Vecs))
 		}
-		n := len(u.Vecs[0])
+		n := len(body) / 8
 		if i == 0 {
 			h.pre = ReuseExactAccumulator(h.pre, n)
 		} else if n != h.pre.Len() {
 			return nil, fmt.Errorf("fl: client %d uploaded %d weights, subtree peers uploaded %d", u.Client, n, h.pre.Len())
 		}
-		h.pre.Fold(u.Vecs[0], u.Weight)
+		h.pre.foldBody(body, u.Weight)
 	}
 	if len(updates) > 0 {
 		h.preSum, au.Weight = h.pre.RoundInto(h.preSum)
@@ -271,10 +317,14 @@ func (h *WeightAvg) WireApplyAggregate(u *AggUpdate) error {
 	if u.Children == 0 {
 		return nil
 	}
-	if len(u.Vecs) != 1 || u.Vecs[0] == nil || len(u.Vecs[0]) != h.acc.Len() {
+	var body []byte
+	if len(u.Vecs) == 1 {
+		body, _ = wireBody(u.Vecs[0], u.msg)
+	}
+	if body == nil || len(body) != 8*h.acc.Len() {
 		return fmt.Errorf("fl: aggregator %d forwarded a malformed %s aggregate", u.Agg, h.m.Name())
 	}
-	h.acc.Merge(u.Vecs[0], u.Weight)
+	h.acc.mergeBody(body, u.Weight)
 	return nil
 }
 

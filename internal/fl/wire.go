@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/nn"
+	"repro/internal/transport"
 )
 
 // This file is the federation's node-mode wire protocol: the message
@@ -115,6 +116,40 @@ type wireMsg struct {
 	ints   []int64
 	counts []int
 	vecs   [][]float64
+	// raw is set when decodeMsg left vectors where they lie (the codec's
+	// inPlace): raw[i] is vector i's comm frame inside the received frame,
+	// and vecs[i] is nil, or raw[i] is nil for a vector decoded into vecs.
+	// held is that received frame, the message's until it is released.
+	raw  [][]byte
+	held heldFrame
+}
+
+// heldFrame is a received frame a message still reads, and the connection
+// it goes back to.
+type heldFrame struct {
+	frame []byte
+	conn  transport.Conn
+}
+
+// release hands the frame back, once.
+func (h *heldFrame) release() {
+	if h.conn != nil {
+		h.conn.Release(h.frame)
+	}
+	*h = heldFrame{}
+}
+
+// wireBody returns a payload's vector 0 as a dense F64 body: the bytes of
+// v, the decoded vector, or those of the frame msg left it in. ok is false
+// for a nil vector.
+func wireBody(v []float64, msg *wireMsg) (body []byte, ok bool) {
+	if v != nil {
+		return comm.AsF64Body(v), true
+	}
+	if msg != nil && len(msg.raw) > 0 && msg.raw[0] != nil {
+		return comm.F64Body(msg.raw[0])
+	}
+	return nil, false
 }
 
 // appendMsg serializes a message after dst[:len(dst)] and returns the
@@ -126,10 +161,12 @@ type wireMsg struct {
 // MarshalSpecBound, when its capacity is short.
 func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	size := 4 + 8 + 8 + 8 + len(m.name) + 8 + 8*len(m.ints) + 8 + 8*len(m.counts) + 8
-	for _, v := range m.vecs {
+	for i, v := range m.vecs {
 		size++ // presence byte
 		if v != nil {
 			size += 8 + comm.MarshalSpecBound(wc.specFor(m.kind, len(v)), len(v))
+		} else if i < len(m.raw) {
+			size += 8 + len(m.raw[i])
 		}
 	}
 	b := dst
@@ -151,11 +188,19 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.vecs)))
 	for i, v := range m.vecs {
-		if v == nil {
+		switch {
+		case v != nil:
+			b = comm.AppendFrame(append(b, 1), wc.specFor(m.kind, len(v)), m.kind, v, wc.ref(m.kind, i, len(v)))
+		case i < len(m.raw) && m.raw[i] != nil:
+			// A vector frame another message carried, framed as wc frames
+			// this one's (the caller's to ensure): the same bytes, tagged
+			// with this message's kind.
+			b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(len(m.raw[i])))
+			b = append(b, m.raw[i]...)
+			binary.LittleEndian.PutUint32(b[len(b)-len(m.raw[i]):], m.kind)
+		default:
 			b = append(b, 0)
-			continue
 		}
-		b = comm.AppendFrame(append(b, 1), wc.specFor(m.kind, len(v)), m.kind, v, wc.ref(m.kind, i, len(v)))
 	}
 	return b
 }
@@ -163,9 +208,12 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 // decodeMsg parses one message frame, resolving sparse and delta vector
 // frames through the connection's wireCodec (nil accepts dense and top-k
 // frames but rejects delta, which needs a negotiated basis). Nothing in the
-// result aliases frame. Payload vectors are drawn from the codec's vecList
-// when it has one: they are the message's until the role that owns the list
-// puts them back, and a message that fails to decode returns its own.
+// result aliases frame but the vector frames the codec's inPlace admits,
+// which are left where they lie (m.raw): a message with any is the frame's
+// reader until it is released (readMsg). Decoded payload vectors are drawn
+// from the codec's vecList when it has one: they are the message's until
+// the role that owns the list puts them back, and a message that fails to
+// decode returns its own.
 func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 	list := wc.list()
 	r := comm.NewReader(frame, "fl: wire message")
@@ -191,11 +239,21 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			if !r.Bool() {
 				m.vecs = append(m.vecs, nil)
+				if m.raw != nil {
+					m.raw = append(m.raw, nil)
+				}
 				continue
 			}
 			vb := r.Frame()
 			if r.Err() != nil {
 				break
+			}
+			if wc.leaves(m, i, vb) {
+				if m.raw == nil {
+					m.raw = make([][]byte, i, cap(m.vecs))
+				}
+				m.vecs, m.raw = append(m.vecs, nil), append(m.raw, vb)
+				continue
 			}
 			// The scratch is only ever resized after DecodeSpec has checked
 			// the declared count against the bytes the frame carries, so a
@@ -215,6 +273,9 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 				break
 			}
 			m.vecs = append(m.vecs, payload)
+			if m.raw != nil {
+				m.raw = append(m.raw, nil)
+			}
 			if tag != m.kind {
 				r.Failf("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
 			}
@@ -224,6 +285,18 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 		list.put(m.vecs...)
 		return nil, err
 	}
+	return m, nil
+}
+
+// readMsg decodes one frame conn received. The frame goes back to conn at
+// once unless the message left vectors in it, which then holds it.
+func readMsg(conn transport.Conn, frame []byte, wc *wireCodec) (*wireMsg, error) {
+	m, err := decodeMsg(frame, wc)
+	if err != nil || m.raw == nil {
+		conn.Release(frame)
+		return m, err
+	}
+	m.held = heldFrame{frame: frame, conn: conn}
 	return m, nil
 }
 
@@ -286,6 +359,19 @@ func ParseJoin(ints []int64) (WireJoin, error) {
 	}, nil
 }
 
+// frameInstaller is a wire algorithm whose broadcast is one vector
+// installed whole into the client's parameters: WeightAvg's methods. A
+// client node decodes such a dispatch straight from its frame into
+// installParams and runs localInstalled — WireLocal after the install, with
+// ref the Ref the broadcast would give — instead of WireLocal.
+type frameInstaller interface {
+	// installParams returns the parameters c installs a broadcast into, or
+	// nil when its local round also reads the broadcast vector (a proximal
+	// reference), which then arrives decoded through WireLocal.
+	installParams(c *Client) []*nn.Param
+	localInstalled(c *Client, batchSize int, ref []float64) (*Update, error)
+}
+
 // WireAlgorithm splits an algorithm across a process boundary. The server
 // half (WireSetup, WireDispatch, WireApply, WireCommit) owns aggregation
 // state — sharded accumulators, coefficient matrices, prototype tables —
@@ -316,12 +402,16 @@ type WireAlgorithm interface {
 	// arrives exactly as WireDispatch produced it, modulo codec
 	// quantization; it is the caller's again when WireLocal returns, so
 	// nothing of it may be kept. The returned Update.Vecs are valid until
-	// the next WireLocal on the same client (Client.FlatUpload's vector).
+	// the next WireLocal on the same client — or until a client node
+	// installs its next dispatch from the frame (frameInstaller): they may
+	// be the client's own parameters (WeightAvg's upload of an F64 model
+	// is its value slab), so nothing may write them.
 	WireLocal(c *Client, batchSize int, dispatch [][]float64) (*Update, error)
 	// WireApply folds one weighted update into the server's accumulators
-	// (server half; u.Weight is final). It must not retain u.Vecs past the
-	// call — the fan-in decodes the next upload into them — and copies what
-	// it needs to keep.
+	// (server half; u.Weight is final). It must not retain u.Vecs, or the
+	// frame an upload was left in, past the call — the fan-in releases
+	// both to the next uploads — and copies what it needs to keep. Only a
+	// frameFolder is handed uploads still in their frames.
 	WireApply(u *Update) error
 	// WireCommit merges accumulated state into the committed globals,
 	// completing one round (server half).

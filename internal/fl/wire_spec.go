@@ -43,6 +43,22 @@ type wireCodec struct {
 	// vecs, when non-nil, is the free list decodeMsg draws payload vectors
 	// from: the list of the role reading this connection.
 	vecs *vecList
+	// inPlace, when set, names the dense vector frames decodeMsg leaves
+	// where they lie, by message (its header as parsed so far) and codec:
+	// those the reading role consumes straight from the frame.
+	inPlace func(m *wireMsg, c comm.Codec) bool
+}
+
+// leaves reports whether decodeMsg leaves vector frame vb, slot i of m,
+// undecoded: a dense frame of its declared size and the message's tag,
+// which inPlace admits and no delta basis tracks.
+func (wc *wireCodec) leaves(m *wireMsg, i int, vb []byte) bool {
+	if wc == nil || wc.inPlace == nil {
+		return false
+	}
+	c, tag, n, err := comm.FrameInfo(vb)
+	return err == nil && c.Dense() && tag == m.kind && int64(len(vb)) == comm.WireSizeAs(c, n) &&
+		wc.inPlace(m, c) && wc.ref(m.kind, i, n) == nil
 }
 
 // list is the codec's decode free list; nil — allocate fresh — for a nil
@@ -87,13 +103,15 @@ func (l *vecList) take(n int) []float64 {
 	return nil
 }
 
-// release hands a message's vectors back and takes them off the message:
-// the role is done with it (a nil message has none). Anything still holding
-// m.vecs — an Update built from it — must be done too.
+// release hands a message's vectors back, and the frame it still reads to
+// its connection, and takes them off the message: the role is done with it
+// (a nil message has none). Anything still holding m.vecs — an Update built
+// from it — must be done too. Releasing a message twice is a no-op.
 func (l *vecList) release(m *wireMsg) {
 	if m != nil {
 		l.put(m.vecs...)
-		m.vecs = nil
+		m.vecs, m.raw = nil, nil
+		m.held.release()
 	}
 }
 

@@ -39,6 +39,9 @@ type AggUpdate struct {
 	VecWeights []float64
 	// Counts are the children's integer counts summed slot-wise.
 	Counts []int
+	// msg is the received message the root read the aggregate from, as
+	// Update's.
+	msg *wireMsg
 }
 
 // ReducibleWireAlgorithm extends WireAlgorithm for algorithms whose
@@ -270,6 +273,7 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 		Weight:   math.Float64frombits(m.b),
 		Vecs:     m.vecs,
 		Counts:   m.counts,
+		msg:      m,
 	}
 	if au.Children < 0 {
 		return nil, fmt.Errorf("fl: aggregated update: negative child count %d", au.Children)
@@ -344,6 +348,7 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 			Weight:  scale,
 			Vecs:    m.vecs[vOff : vOff+nVecs],
 			Counts:  m.counts[cOff : cOff+nCounts],
+			msg:     m,
 		}
 		if len(u.Vecs) == 0 {
 			u.Vecs = nil

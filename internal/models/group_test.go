@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -88,4 +89,77 @@ func sameBits(t *testing.T, ctx string, got, want *tensor.Tensor) {
 	if !slices.Equal(got.Shape, want.Shape) || !slices.Equal(bits(got.AppendFloat64s(nil)), bits(want.AppendFloat64s(nil))) {
 		t.Fatalf("%s: the group's bits differ from the groups of one", ctx)
 	}
+}
+
+// TestBackwardParamsMatchesFullWalk: the reverse walk for callers that read
+// no input gradient (SequentialBackwardParams, what every training step
+// runs) leaves every parameter gradient bit-identical to the full walk's,
+// for every architecture at every dtype, alone and in a group of three,
+// through two steps whose gradients accumulate. The first layer with
+// weights leases no input-gradient buffer in it.
+func TestBackwardParamsMatchesFullWalk(t *testing.T) {
+	for _, a := range allArchs() {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+			for _, g := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%v/%v/group=%d", a, dt, g), func(t *testing.T) {
+					cfg := cfgFor(a)
+					cfg.DType = dt
+					rng := rand.New(rand.NewSource(9))
+					full, short := make([]*SplitModel, g), make([]*SplitModel, g)
+					xs, gs := make([]*tensor.Tensor, g), make([]*tensor.Tensor, g)
+					for i := range full {
+						full[i], short[i] = New(cfg, xrand.New(int64(i+1))), New(cfg, xrand.New(int64(i+1)))
+						xs[i] = tensor.NewOf(dt, 10+i, cfg.InC, cfg.InH, cfg.InW)
+						xs[i].FillUniform(rng, -1, 1)
+						gs[i] = tensor.NewOf(dt, 10+i, cfg.NumClasses)
+						gs[i].FillUniform(rng, -1, 1)
+					}
+					step := func(ms []*SplitModel, walk func([]*nn.Sequential, []*tensor.Tensor)) {
+						exts, clfs := make([]*nn.Sequential, g), make([]*nn.Dense, g)
+						for i, m := range ms {
+							exts[i], clfs[i] = m.Extractor, m.Classifier
+						}
+						nn.DenseForwardBatch(clfs, nn.SequentialForwardBatch(exts, xs, true), true)
+						walk(exts, nn.DenseBackwardBatch(clfs, gs))
+					}
+					for s := 0; s < 2; s++ {
+						step(full, func(exts []*nn.Sequential, grads []*tensor.Tensor) { nn.SequentialBackwardBatch(exts, grads) })
+						step(short, nn.SequentialBackwardParams)
+						for i := range full {
+							_, got := nn.Flat(short[i].Params())
+							_, want := nn.Flat(full[i].Params())
+							sameBits(t, fmt.Sprintf("step %d member %d parameter gradients", s, i), &got, &want)
+							dx, ok := firstWeightsDX(short[i].Extractor)
+							if dx != nil {
+								t.Fatalf("step %d member %d: the first layer with weights leased an input gradient of shape %v", s, i, dx.Shape)
+							}
+							if dx, _ := firstWeightsDX(full[i].Extractor); ok && dx == nil {
+								t.Fatalf("step %d member %d: the full walk leased no input gradient to compare with", s, i)
+							}
+						}
+					}
+					for i := range full {
+						full[i].ReleaseWorkspaces()
+						short[i].ReleaseWorkspaces()
+					}
+				})
+			}
+		}
+	}
+}
+
+// firstWeightsDX returns the input-gradient buffer of s's first layer with
+// parameters, and whether that layer is a Dense or a Conv2D.
+func firstWeightsDX(s *nn.Sequential) (*tensor.Tensor, bool) {
+	for _, l := range s.Layers {
+		switch l := l.(type) {
+		case *nn.Dense, *nn.Conv2D:
+			dx := reflect.ValueOf(l).Elem().FieldByName("dx")
+			return (*tensor.Tensor)(dx.UnsafePointer()), true
+		}
+		if len(l.Params()) > 0 {
+			return nil, false
+		}
+	}
+	return nil, false
 }

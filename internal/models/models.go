@@ -255,8 +255,11 @@ func (m *SplitModel) ReleaseWorkspaces() {
 func (m *SplitModel) Params() []*nn.Param { return m.params }
 
 // ClassifierParams returns only the classifier parameters — the payload
-// FedClassAvg exchanges, and the tail of the model's slabs.
-func (m *SplitModel) ClassifierParams() []*nn.Param { return m.Classifier.Params() }
+// FedClassAvg exchanges, and the tail of the model's slabs: the tail of
+// Params(), which callers must not modify either.
+func (m *SplitModel) ClassifierParams() []*nn.Param {
+	return m.params[len(m.params)-len(m.Classifier.Params()):]
+}
 
 // Buffers returns the model's non-trainable state (batch-norm running
 // statistics), which checkpoints capture alongside Params — the model's own

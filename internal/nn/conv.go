@@ -351,12 +351,17 @@ func (c *Conv2D) convInitsDX() bool {
 // training-mode Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	cs, acts := [1]*Conv2D{c}, [1]*tensor.Tensor{grad}
-	convBackward(cs[:], acts[:])
+	convBackward(cs[:], acts[:], true)
 	return acts[0]
 }
 
 func (c *Conv2D) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
-	convBackward(members(&c.ms, ls), acts)
+	convBackward(members(&c.ms, ls), acts, true)
+	drop(&c.ms)
+}
+
+func (c *Conv2D) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
+	convBackward(members(&c.ms, ls), grads, false)
 	drop(&c.ms)
 }
 
@@ -368,8 +373,10 @@ func (c *Conv2D) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
 // block 0 and an Acc after, in ascending sample order, and the kernels run
 // one multiply-add chain per element across those calls, so the sum is the
 // whole-batch product's bit for bit. It and the bias sums reach the
-// parameter gradients once, after the last block.
-func convBackward(cs []*Conv2D, acts []*tensor.Tensor) {
+// parameter gradients once, after the last block. Without inputGrad the
+// members compute parameter gradients alone: no dx is leased, cleared or
+// scattered into, no dcols product runs, and acts is left as it is.
+func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 	nb := 0
 	for g, c := range cs {
 		grad := acts[g]
@@ -380,12 +387,14 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor) {
 			panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward batch %d", grad.Shape, c.batch))
 		}
 		c.ensureBackwardWorkspace()
-		c.dx = tensor.EnsureOf(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
-		if !c.convInitsDX() {
-			c.dx.Zero()
-		}
 		c.gy = grad
-		acts[g] = c.dx
+		if inputGrad {
+			c.dx = tensor.EnsureOf(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
+			if !c.convInitsDX() {
+				c.dx.Zero()
+			}
+			acts[g] = c.dx
+		}
 		nb = max(nb, c.blocks())
 	}
 	l := &cs[0].launch
@@ -407,7 +416,12 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor) {
 		}
 		for grp := 0; grp < cs[0].Groups; grp++ {
 			l.run(cs, b, dw, grp)
-			l.run(cs, b, productDCols, grp)
+			if inputGrad {
+				l.run(cs, b, productDCols, grp)
+			}
+		}
+		if !inputGrad {
+			continue
 		}
 		for _, c := range cs {
 			if c.hasBlock(b) {

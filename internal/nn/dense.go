@@ -102,15 +102,11 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // fused launch. It returns the input gradients in the leader's operand
 // list, valid until the leader's next group step.
 func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
-	l := ds[0].launch.start("DenseBackwardBatch", len(ds), len(grads))
-	for g, d := range ds {
-		l.add(d.W.Grad, d.x, grads[g])
-	}
-	tensor.MatMulBatchATBAcc(l.outs, l.as, l.bs)
+	denseParamGrads(ds, grads)
+	l := &ds[0].launch
 	l.reset()
 	for g, d := range ds {
 		grad := grads[g]
-		tensor.ColSumsAcc(d.B.Grad, grad)
 		d.dx = tensor.EnsureOf(grad.DT, d.dx, grad.Rows(), d.In)
 		l.add(d.dx, grad, d.W.Value)
 	}
@@ -118,8 +114,26 @@ func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
 	return l.outs
 }
 
+// denseParamGrads is the parameter half of a group backward step: dW += xᵀ·dy
+// as one fused launch, then db += Σ_rows dy per member.
+func denseParamGrads(ds []*Dense, grads []*tensor.Tensor) {
+	l := ds[0].launch.start("DenseBackwardBatch", len(ds), len(grads))
+	for g, d := range ds {
+		l.add(d.W.Grad, d.x, grads[g])
+	}
+	tensor.MatMulBatchATBAcc(l.outs, l.as, l.bs)
+	for g, d := range ds {
+		tensor.ColSumsAcc(d.B.Grad, grads[g])
+	}
+}
+
 func (d *Dense) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
 	copy(acts, DenseBackwardBatch(members(&d.ms, ls), acts))
+	drop(&d.ms)
+}
+
+func (d *Dense) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
+	denseParamGrads(members(&d.ms, ls), grads)
 	drop(&d.ms)
 }
 

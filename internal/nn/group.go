@@ -29,6 +29,13 @@ type grouper interface {
 	backwardGroup(ls []Layer, acts []*tensor.Tensor)
 }
 
+// A paramGrouper can also step its group's backward for parameter
+// gradients alone, computing no input gradient (SequentialBackwardParams).
+type paramGrouper interface {
+	grouper
+	backwardParamsGroup(ls []Layer, grads []*tensor.Tensor)
+}
+
 // members fills the list dst with the layers of ls as their concrete type L;
 // a member of another type panics.
 func members[L Layer](dst *[]L, ls []Layer) []L {
@@ -140,6 +147,41 @@ func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool)
 // SequentialForwardBatch. It returns the input gradients in the leader's
 // list, valid until the leader's next group backward.
 func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tensor.Tensor {
+	return sequentialBackward(seqs, grads, -1)
+}
+
+// SequentialBackwardParams is SequentialBackwardBatch for a caller that
+// reads no input gradient — a training step, which only wants the parameter
+// gradients. The walk ends at the first layer with parameters, which
+// computes its parameter gradients alone (Dense, Conv2D): the input-gradient
+// product of a model's first layer, its buffer and, for a convolution, the
+// column scatter are skipped, and the parameter-free layers in front of it
+// (Flatten) are not visited. Every parameter gradient is the full walk's,
+// bit for bit. A first layer of another kind (Residual, Inception,
+// BatchNorm) gets the full walk.
+func SequentialBackwardParams(seqs []*Sequential, grads []*tensor.Tensor) {
+	sequentialBackward(seqs, grads, seqs[0].firstWeights())
+}
+
+// firstWeights returns the index of the first layer with parameters or
+// running statistics when it can compute its parameter gradients alone,
+// else -1 (a layer without either implements no initializer).
+func (s *Sequential) firstWeights() int {
+	for i, l := range s.Layers {
+		if _, ok := l.(initializer); ok {
+			if _, ok := l.(paramGrouper); ok {
+				return i
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// sequentialBackward walks the positions from the last down: all of them,
+// returning the input gradients, when stop is -1; down to stop otherwise,
+// whose layer computes its parameter gradients alone, returning nil.
+func sequentialBackward(seqs []*Sequential, grads []*tensor.Tensor, stop int) []*tensor.Tensor {
 	if len(seqs) != len(grads) {
 		panic("nn: SequentialBackwardBatch length mismatch")
 	}
@@ -148,7 +190,13 @@ func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tens
 	copy(acts, grads)
 	for i := len(lead.Layers) - 1; i >= 0; i-- {
 		at := lead.position(seqs, i)
-		if gl, ok := lead.Layers[i].(grouper); ok {
+		l := lead.Layers[i]
+		if i == stop {
+			l.(paramGrouper).backwardParamsGroup(at, acts)
+			acts = nil
+			break
+		}
+		if gl, ok := l.(grouper); ok {
 			gl.backwardGroup(at, acts)
 		} else {
 			for g, m := range at {

@@ -38,6 +38,15 @@
 // model keeps its slabs for life, and Init re-initializes them in place when
 // the model is reused.
 //
+// A training step reads no input gradient from the model's first layer, so
+// its reverse walk (SequentialBackwardParams, Sequential.BackwardParams)
+// ends at the first layer with parameters, which computes its parameter
+// gradients alone: a Dense or Conv2D there skips the input-gradient product
+// and leases no input-gradient buffer, and the parameter-free layers in
+// front of it are not visited. The full walk (Backward,
+// SequentialBackwardBatch) returns the input gradient, which Residual,
+// Inception and the gradient checks read.
+//
 // Activation aliasing contract: a tensor returned by Forward or Backward
 // stays valid until the same layer's corresponding method runs twice more
 // or Release ends the pass, whichever comes first. Inside an
@@ -247,6 +256,13 @@ func sameStorage(a, b *tensor.Tensor) bool {
 // Backward runs every layer's backward pass in reverse order.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return SequentialBackwardBatch([]*Sequential{s}, []*tensor.Tensor{grad})[0]
+}
+
+// BackwardParams runs the backward pass for the parameter gradients alone
+// (SequentialBackwardParams), as a group of one.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	seqs, grads := [1]*Sequential{s}, [1]*tensor.Tensor{grad}
+	SequentialBackwardParams(seqs[:], grads[:])
 }
 
 // Params returns the parameters of all layers, in layer order.

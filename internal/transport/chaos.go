@@ -146,12 +146,18 @@ type chaosConn struct {
 	cfg     ChaosConfig
 	sendRng *rand.Rand
 	recvRng *rand.Rand
-	// replay is the connection's own copy of a duplicated frame — the inner
-	// connection recycles the original on its next Recv — and replaying
-	// marks it as awaiting redelivery.
+	// replay is the connection's own copy of a duplicated frame — the reader
+	// may release the original before the copy is delivered — and replaying
+	// marks it as awaiting redelivery. Delivered, a copy is the reader's
+	// like any frame (lent, by first byte); released, its buffer goes to
+	// spares for the duplicates after it. mu guards lent, which Release
+	// touches; spares locks itself.
 	replay     []byte
 	replayWire int64
 	replaying  bool
+	spares     freeList
+	mu         sync.Mutex
+	lent       map[*byte]bool
 }
 
 func (c *chaosConn) Send(frame []byte) (int64, error) {
@@ -168,6 +174,14 @@ func (c *chaosConn) Send(frame []byte) (int64, error) {
 func (c *chaosConn) Recv() ([]byte, int64, error) {
 	if c.replaying {
 		c.replaying = false
+		if len(c.replay) > 0 {
+			c.mu.Lock()
+			if c.lent == nil {
+				c.lent = make(map[*byte]bool)
+			}
+			c.lent[&c.replay[0]] = true
+			c.mu.Unlock()
+		}
 		return c.replay, c.replayWire, nil
 	}
 	b, wire, err := c.Conn.Recv()
@@ -175,6 +189,7 @@ func (c *chaosConn) Recv() ([]byte, int64, error) {
 		return b, wire, err
 	}
 	if c.cfg.Drop > 0 && c.recvRng.Float64() < c.cfg.Drop {
+		c.Conn.Release(b)
 		c.Conn.Close()
 		return nil, 0, fmt.Errorf("transport: chaos: injected connection loss on recv")
 	}
@@ -182,8 +197,24 @@ func (c *chaosConn) Recv() ([]byte, int64, error) {
 		time.Sleep(time.Duration(c.recvRng.Int63n(int64(c.cfg.MaxDelay))) + 1)
 	}
 	if c.cfg.Dup > 0 && c.recvRng.Float64() < c.cfg.Dup {
-		c.replay = append(c.replay[:0], b...)
+		c.replay = append(c.spares.take(len(b))[:0], b...)
 		c.replayWire, c.replaying = wire, true
 	}
 	return b, wire, nil
+}
+
+// Release keeps a released replay copy's buffer for the duplicates to come
+// and hands every other frame to the inner connection.
+func (c *chaosConn) Release(frame []byte) {
+	c.mu.Lock()
+	mine := len(frame) > 0 && c.lent[&frame[0]]
+	if mine {
+		delete(c.lent, &frame[0])
+	}
+	c.mu.Unlock()
+	if mine {
+		c.spares.put(frame)
+	} else {
+		c.Conn.Release(frame)
+	}
 }

@@ -140,33 +140,38 @@ func (p *pipeState) close() { p.once.Do(func() { close(p.closed) }) }
 // lane is one direction of an inproc connection: the frames in flight and
 // the free list their buffers cycle through. The sender copies every frame
 // into a buffer it takes from the list; the receiver puts a frame's buffer
-// back when its next Recv retires that frame. Two slots, so a direction
-// that alternates a model-sized frame with a control frame keeps one
-// buffer of each size instead of growing the small one every round.
+// back when it releases the frame.
 type lane struct {
 	frames chan []byte
+	freeList
+}
 
+// freeList is a connection's spare frame buffers: inproc's per lane, tcp's
+// per connection for what it reads. Two slots, so a direction that
+// alternates a model-sized frame with a control frame keeps one buffer of
+// each size instead of growing the small one every round.
+type freeList struct {
 	mu   sync.Mutex
 	free [2][]byte
 }
 
-// laneSlack is how many times its frame's size a free buffer may be and
+// freeSlack is how many times its frame's size a free buffer may be and
 // still be taken for it. A control frame that took the model-sized buffer
-// would leave the model frame sent right after it — before the receiver
-// retires the control frame — without one, so whether a lane grew a second
+// would leave the model frame that follows it — arriving before the control
+// frame is released — without one, so whether a connection grew a second
 // model-sized buffer would depend on goroutine timing. A frame a quarter
 // of its buffer (an aggregate in the buffer its subtree's join grew) still
 // reuses it.
-const laneSlack = 16
+const freeSlack = 16
 
 // take removes and returns the tightest free buffer that holds n bytes and
-// is at most laneSlack times n, or nil when neither is.
-func (l *lane) take(n int) []byte {
+// is at most freeSlack times n, or nil when neither is.
+func (l *freeList) take(n int) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	best := -1
 	for i, b := range l.free {
-		if c := cap(b); c >= n && c <= laneSlack*n && (best < 0 || c < cap(l.free[best])) {
+		if c := cap(b); c >= n && c <= freeSlack*n && (best < 0 || c < cap(l.free[best])) {
 			best = i
 		}
 	}
@@ -178,9 +183,9 @@ func (l *lane) take(n int) []byte {
 	return b
 }
 
-// put returns a retired frame's buffer to the free list, displacing the
-// smaller resident when both slots are taken.
-func (l *lane) put(b []byte) {
+// put returns a released frame's buffer to the list, displacing the smaller
+// resident when both slots are taken.
+func (l *freeList) put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
@@ -207,11 +212,9 @@ type inprocConn struct {
 	readDeadline  time.Time
 	writeDeadline time.Time
 
-	// held is the frame the last Recv returned; the next Recv recycles it.
 	// sendTimer and recvTimer are the two directions' deadline timers, each
 	// built by the first deadline-bounded call and Reset by the later ones.
 	// Each is touched only by its direction's single caller.
-	held                 []byte
 	sendTimer, recvTimer *time.Timer
 }
 
@@ -262,8 +265,6 @@ func (c *inprocConn) Send(frame []byte) (int64, error) {
 }
 
 func (c *inprocConn) Recv() ([]byte, int64, error) {
-	c.recv.put(c.held)
-	c.held = nil
 	c.mu.Lock()
 	dl := c.readDeadline
 	c.mu.Unlock()
@@ -271,7 +272,6 @@ func (c *inprocConn) Recv() ([]byte, int64, error) {
 	defer disarm(c.recvTimer)
 	select {
 	case b := <-c.recv.frames:
-		c.held = b
 		return b, FrameOverhead + int64(len(b)), nil
 	case <-expire:
 		return nil, 0, fmt.Errorf("transport: inproc recv: %w", ErrDeadline)
@@ -280,13 +280,15 @@ func (c *inprocConn) Recv() ([]byte, int64, error) {
 		// graceful shutdown message is not lost to a racing Close.
 		select {
 		case b := <-c.recv.frames:
-			c.held = b
 			return b, FrameOverhead + int64(len(b)), nil
 		default:
 			return nil, 0, io.EOF
 		}
 	}
 }
+
+// Release puts a received frame's buffer back on its lane's free list.
+func (c *inprocConn) Release(frame []byte) { c.recv.put(frame) }
 
 func (c *inprocConn) Close() error {
 	c.pipe.close()

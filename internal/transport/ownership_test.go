@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestRecvFrameValidUntilNextRecv pins Conn.Recv's lifetime rule on every
-// transport that recycles frame memory: a received frame stays intact while
-// the sender sends — and then scribbles over — the next two frames, right up
-// to the receiver's next Recv. Frame sizes alternate between large and tiny
-// so recycled buffers change hands between size classes. Under Chaos{Dup: 1}
-// every frame also arrives a second time from the chaos connection's own
-// copy, which must hold the original bytes even though the inner connection
-// is free to recycle the original. Over tcp, a frame above MaxFrame is
-// refused without growing the connection's read buffer.
-func TestRecvFrameValidUntilNextRecv(t *testing.T) {
-	const maxFrame = 1 << 16
+// TestRecvFrameValidUntilReleased pins Conn.Recv's lifetime rule on every
+// transport: a received frame is the reader's until it releases it. The
+// reader holds every frame across the next three Recvs — while the sender
+// sends, and then scribbles over, the frames after it — and each must still
+// be byte-identical when it is released. Frame sizes alternate between large
+// and tiny so recycled buffers change hands between size classes, and a
+// frame received after the releases must land in a buffer released before.
+// Under Chaos{Dup: 1} every frame also arrives a second time from the chaos
+// connection's own copy, which must hold the original bytes however long
+// the original is held, and whose release recycles it for the next
+// duplicate. Over tcp, a frame above MaxFrame is refused without growing
+// the connection's free buffers.
+func TestRecvFrameValidUntilReleased(t *testing.T) {
+	const maxFrame, hold = 1 << 16, 3
 	opts := Options{MaxFrame: maxFrame}
 	cases := map[string]struct {
 		tr     Transport
@@ -27,7 +30,7 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 		"tcp":    {NewTCP(opts), 1},
 		"chaos":  {NewChaos(NewInproc(opts), ChaosConfig{Seed: 5, Dup: 1}), 2},
 	}
-	sizes := []int{40000, 9, 52, 40000, 1, 30000, 52, 40000, 17, 52, 36000, 3}
+	sizes := []int{40000, 9, 52, 40000, 1, 30000, 52, 40000, 17, 52, 36000, 3, 40000, 52}
 	pattern := func(i int) []byte {
 		b := make([]byte, sizes[i])
 		for j := range b {
@@ -59,9 +62,6 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 			// send writes frame i and then overwrites the sender's buffer: the
 			// receiver must never see the scribble.
 			send := func(i int) {
-				if i >= len(sizes) {
-					return
-				}
 				b := pattern(i)
 				if _, err := cli.Send(b); err != nil {
 					t.Fatalf("send %d: %v", i, err)
@@ -70,28 +70,70 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 					b[j] = 0xEE
 				}
 			}
-			send(0)
-			send(1)
+			type held struct {
+				i     int
+				frame []byte
+			}
+			var window []held
+			released := map[*byte]bool{}
+			check := func(h held, when string) {
+				if !bytes.Equal(h.frame, pattern(h.i)) {
+					t.Fatalf("frame %d changed while held (%s)", h.i, when)
+				}
+			}
+			release := func(h held) {
+				check(h, "at release")
+				if len(h.frame) > 0 {
+					released[&h.frame[:1][0]] = true
+				}
+				srv.Release(h.frame)
+			}
 			for i := range sizes {
+				send(i)
 				for c := 0; c < tc.copies; c++ {
 					got, wire, err := srv.Recv()
 					if err != nil {
 						t.Fatalf("recv %d (copy %d): %v", i, c, err)
 					}
-					if c == 0 {
-						send(i + 2) // frames i+1 and i+2 are now sent and scribbled over
+					if wire != int64(FrameOverhead+sizes[i]) {
+						t.Fatalf("frame %d (copy %d): wire %d, want %d", i, c, wire, FrameOverhead+sizes[i])
 					}
-					if want := pattern(i); !bytes.Equal(got, want) || wire != int64(FrameOverhead+len(want)) {
-						t.Fatalf("frame %d (copy %d) changed while held: %d bytes (wire %d), want %d",
-							i, c, len(got), wire, len(want))
+					window = append(window, held{i, got})
+					for _, h := range window {
+						check(h, "a later Recv returned")
 					}
 				}
+				if len(window) > hold*tc.copies {
+					for _, h := range window[:tc.copies] {
+						release(h)
+					}
+					window = window[tc.copies:]
+				}
+			}
+			for _, h := range window {
+				release(h)
+			}
+			// A frame the size of one released keeps to the released buffers.
+			send(0)
+			for c := 0; c < tc.copies; c++ {
+				got, _, err := srv.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, pattern(0)) {
+					t.Fatalf("copy %d of the last frame arrived changed", c)
+				}
+				if !released[&got[0]] {
+					t.Fatalf("copy %d of the last frame grew a buffer instead of reusing a released one", c)
+				}
+				srv.Release(got)
 			}
 
 			if tcp, ok := srv.(*tcpConn); ok {
-				before := cap(tcp.rbuf)
-				if before == 0 || before > maxFrame {
-					t.Fatalf("read buffer holds %d bytes after frames of at most %d", before, maxFrame)
+				caps := func() [2]int { return [2]int{cap(tcp.free.free[0]), cap(tcp.free.free[1])} }
+				before := caps()
+				if before[0] == 0 && before[1] == 0 || max(before[0], before[1]) > maxFrame {
+					t.Fatalf("free buffers of %v bytes after frames of at most %d", before, maxFrame)
 				}
 				if _, err := cli.Send(make([]byte, maxFrame+1)); err != nil {
 					t.Fatal(err)
@@ -99,8 +141,8 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 				if _, _, err := srv.Recv(); err == nil || !strings.Contains(err.Error(), "limit") {
 					t.Fatalf("oversized frame: err = %v, want a read-limit rejection", err)
 				}
-				if cap(tcp.rbuf) != before {
-					t.Fatalf("refused frame grew the read buffer from %d to %d bytes", before, cap(tcp.rbuf))
+				if after := caps(); after != before {
+					t.Fatalf("refused frame changed the free buffers from %v to %v bytes", before, after)
 				}
 			}
 		})
@@ -112,7 +154,7 @@ func TestRecvFrameValidUntilNextRecv(t *testing.T) {
 // previous one does not take the lane's model-sized buffer, so the model
 // frame sent right after it reuses that buffer instead of growing a second
 // one. How many model-sized buffers a lane allocates then depends on the
-// frames sent, not on when the receiver's next Recv retires a frame.
+// frames sent, not on when the receiver releases a frame.
 func TestInprocControlFrameLeavesModelBuffer(t *testing.T) {
 	tr := NewInproc(Options{})
 	ln, err := tr.Listen("lane")
@@ -148,12 +190,15 @@ func TestInprocControlFrameLeavesModelBuffer(t *testing.T) {
 		return got
 	}
 	send(model)
-	first := &recv(model)[0]
+	m := recv(model)
+	first := &m[0]
 	send(control)
-	recv(control) // retires the model frame: its buffer is free again
+	c := recv(control)
+	srv.Release(m) // the model frame's buffer is free again
 	// The receiver still holds the first control frame.
 	send(control)
 	send(model)
+	srv.Release(c)
 	recv(control)
 	if got := &recv(model)[0]; got != first {
 		t.Fatal("the model frame sent after a control frame grew a new buffer instead of reusing the free one")

@@ -154,9 +154,10 @@ type tcpConn struct {
 
 	sendMu sync.Mutex // Send is called from round and shutdown paths
 
-	// rbuf is the read buffer every Recv fills and returns a prefix of: it
-	// comes into being on the first frame and grows to the largest seen.
-	rbuf []byte
+	// free holds the released read buffers a Recv fills and returns a
+	// prefix of, reusing one when it fits (freeList.take) and growing a
+	// fresh one otherwise.
+	free freeList
 
 	hsSent, hsRecv int64
 }
@@ -243,15 +244,20 @@ func (c *tcpConn) Recv() ([]byte, int64, error) {
 	if n > c.limit {
 		return nil, FrameOverhead, fmt.Errorf("transport: peer declared a %d-byte frame, connection limit is %d", n, c.limit)
 	}
-	if int64(cap(c.rbuf)) < n {
-		c.rbuf = make([]byte, n)
+	b := c.free.take(int(n))
+	if b == nil {
+		b = make([]byte, n)
 	}
-	b := c.rbuf[:n]
+	b = b[:n]
 	if _, err := io.ReadFull(c.nc, b); err != nil {
+		c.free.put(b)
 		return nil, FrameOverhead, wrapIOErr(err)
 	}
 	return b, FrameOverhead + n, nil
 }
+
+// Release puts a received frame's buffer back on the connection's free list.
+func (c *tcpConn) Release(frame []byte) { c.free.put(frame) }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }
 

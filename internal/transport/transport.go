@@ -129,10 +129,16 @@ type Conn interface {
 	// Send returns: no transport keeps a reference to it.
 	Send(frame []byte) (int64, error)
 	// Recv reads the next frame and returns the wire bytes consumed. The
-	// frame is valid until the next Recv on this connection, which may
-	// reuse its memory (the bufio.Scanner.Bytes contract): decode or copy
-	// it before reading on. A cleanly closed peer yields io.EOF.
+	// frame belongs to the caller until it hands it back with Release,
+	// however many Recvs later: a reader may read a frame where it lies
+	// instead of copying it out first. A cleanly closed peer yields io.EOF.
 	Recv() ([]byte, int64, error)
+	// Release hands back a frame Recv returned; the connection may reuse
+	// its memory for a later frame, so nothing may read it afterwards.
+	// Release each frame at most once. A frame never released is left to
+	// the garbage collector, and a later Recv grows a buffer of its own.
+	// Release may run concurrently with Send and Recv, and after Close.
+	Release(frame []byte)
 	// Close tears the connection down, unblocking any pending Recv.
 	Close() error
 	// SetReadDeadline bounds every subsequent Recv: a Recv not completed by
