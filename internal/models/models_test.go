@@ -157,7 +157,9 @@ func TestTrainEvalModesDiffer(t *testing.T) {
 	m := New(cfgFor(ArchResNet), xrand.New(9))
 	x := tensor.New(4, 1, 12, 12)
 	x.FillRandn(rng, 1)
+	// The classifier's output is one buffer, reused by the next forward.
 	_, trainLogits := m.Forward(x, true)
+	trainLogits = trainLogits.Clone()
 	_, evalLogits := m.Forward(x, false)
 	if tensor.ApproxEqual(trainLogits, evalLogits, 1e-9) {
 		t.Fatal("train and eval outputs identical; batch norm inactive?")

@@ -19,8 +19,8 @@ var (
 )
 
 // walkTensors calls visit for every *tensor.Tensor slot a model reaches
-// outside its parameters: struct fields and ring slots (leases, or
-// references into another layer's lease) with view false, and cached view
+// outside its parameters: struct fields (leases, or references into
+// another layer's lease) with view false, and cached view
 // headers — elements of tensor slices and of the shape layers' view rings —
 // with view true. Reflection reaches every layer type, including ones added
 // later, so none can escape the checks below.
@@ -87,41 +87,15 @@ func holdsStorage(t reflect.Value) bool {
 	return !e.FieldByName("Data").IsNil() || !e.FieldByName("F32").IsNil()
 }
 
-// leaseShape is one buffer a model held: its dtype and shape.
-type leaseShape struct {
-	dt    tensor.DType
-	shape []int
-}
-
-// leases lists the buffers m holds in struct fields and ring slots.
-func leases(m *SplitModel) []leaseShape {
-	var out []leaseShape
+// leases counts the buffers m holds in struct fields.
+func leases(m *SplitModel) int {
+	n := 0
 	walkTensors(reflect.ValueOf(m), "model", false, func(_ string, t reflect.Value, view bool) {
-		if view || t.IsNil() {
-			return
+		if !view && !t.IsNil() {
+			n++
 		}
-		e := t.Elem()
-		ls := leaseShape{dt: tensor.DType(e.FieldByName("DT").Uint())}
-		sh := e.FieldByName("Shape")
-		for i := 0; i < sh.Len(); i++ {
-			ls.shape = append(ls.shape, int(sh.Index(i).Int()))
-		}
-		out = append(out, ls)
 	})
-	return out
-}
-
-// fillPool puts one tensor per listed buffer, filled with v, on top of its
-// bucket in the default pool: the next requests of those sizes get them.
-func fillPool(ls []leaseShape, v float64) {
-	ts := make([]*tensor.Tensor, len(ls))
-	for i, l := range ls {
-		ts[i] = tensor.GetTensorOf(l.dt, l.shape...)
-		ts[i].Fill(v)
-	}
-	for _, t := range ts {
-		tensor.PutTensor(t)
-	}
+	return n
 }
 
 // releaseInput returns the fixed operands of the release tests: an input
@@ -160,11 +134,15 @@ func bits(v []float64) []uint64 {
 
 // TestReleasedWorkspacesAreScratch guards the lease contract: pooled buffers
 // arrive dirty, so every layer must write each element before it reads it.
-// A probe pass records the buffers a model takes; the reference model then
-// runs on zero-filled buffers of those sizes (what a fresh allocation gives)
-// and the model under test on NaN-filled ones, through a train-mode step, a
-// release and an eval-mode forward. Any read of an unwritten element shows
-// as a NaN, or as any other bit difference.
+// A probe pass leaves the pool holding every buffer a pass takes at once;
+// the reference model then runs with every buffer the pool holds free or
+// takes back zero-filled (what a fresh allocation gives) and the model under
+// test with every one NaN-filled, through a train-mode step, a release and
+// an eval-mode forward. Scrubbing at the pool, rather than the buffers a
+// model holds after the step, reaches the scratch leased for one call and
+// the gradients handed back mid-walk too, each time the pass leases them
+// again. Any read of an unwritten element shows as a NaN, or as any other
+// bit difference.
 func TestReleasedWorkspacesAreScratch(t *testing.T) {
 	for _, a := range allArchs() {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
@@ -175,15 +153,13 @@ func TestReleasedWorkspacesAreScratch(t *testing.T) {
 
 				probe := New(cfg, xrand.New(21))
 				trainStep(probe, x, g)
-				ls := leases(probe)
 				probe.ReleaseWorkspaces()
 
 				run := func(fill float64) (logits, grads, eval []uint64) {
 					m := New(cfg, xrand.New(21))
-					fillPool(ls, fill)
+					defer tensor.ScrubFreed(fill)()
 					logits, grads = trainStep(m, x, g)
 					m.ReleaseWorkspaces()
-					fillPool(ls, fill)
 					eval = evalLogits(m, x)
 					m.ReleaseWorkspaces()
 					return logits, grads, eval
@@ -205,8 +181,8 @@ func TestReleasedWorkspacesAreScratch(t *testing.T) {
 }
 
 // TestReleaseCoversEveryLayer checks that ReleaseWorkspaces leaves nothing
-// behind: after a step, every tensor field and ring slot of every layer New
-// builds is nil, and every cached view header points at no storage, so no
+// behind: after a step, every tensor field of every layer New builds is
+// nil, and every cached view header points at no storage, so no
 // layer can keep a buffer the pool has handed to another model. And every
 // parameter anywhere in the model is one of Params(), whose slabs a recycled
 // model's re-initialization zeroes and narrows into.
@@ -219,7 +195,7 @@ func TestReleaseCoversEveryLayer(t *testing.T) {
 				x, g := releaseInput(dt, cfg.NumClasses)
 				m := New(cfg, xrand.New(22))
 				trainStep(m, x, g)
-				if len(leases(m)) == 0 {
+				if leases(m) == 0 {
 					t.Fatal("the walk found no buffers after a step")
 				}
 				m.ReleaseWorkspaces()

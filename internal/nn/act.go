@@ -7,9 +7,7 @@ import "repro/internal/tensor"
 // the input was positive, so the pass-through set is recoverable for free
 // and the forward loop writes one array instead of two.
 type ReLU struct {
-	y   *tensor.Tensor // last forward output (owned by the ring)
-	out ring2
-	dx  *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewReLU builds the layer.
@@ -17,14 +15,13 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative activations.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := r.out.next(x.DT, x.Shape...)
+	r.out = tensor.EnsureOf(x.DT, r.out, x.Shape...)
 	if x.DT.Backing() == tensor.F32 {
-		reluFwd(tensor.Of[float32](out), tensor.Of[float32](x))
+		reluFwd(tensor.Of[float32](r.out), tensor.Of[float32](x))
 	} else {
-		reluFwd(out.Data, x.Data)
+		reluFwd(r.out.Data, x.Data)
 	}
-	r.y = out
-	return out
+	return r.out
 }
 
 func reluFwd[F tensor.Float](out, x []F) {
@@ -35,9 +32,9 @@ func reluFwd[F tensor.Float](out, x []F) {
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.EnsureOf(grad.DT, r.dx, grad.Shape...)
 	if grad.DT.Backing() == tensor.F32 {
-		reluBwd(tensor.Of[float32](r.dx), tensor.Of[float32](grad), tensor.Of[float32](r.y))
+		reluBwd(tensor.Of[float32](r.dx), tensor.Of[float32](grad), tensor.Of[float32](r.out))
 	} else {
-		reluBwd(r.dx.Data, grad.Data, r.y.Data)
+		reluBwd(r.dx.Data, grad.Data, r.out.Data)
 	}
 	return r.dx
 }
@@ -49,8 +46,6 @@ func reluBwd[F tensor.Float](dx, grad, y []F) {
 // Params returns nil; ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-func (r *ReLU) release() {
-	r.out.release()
-	putBack(&r.dx)
-	r.y = nil
-}
+func (r *ReLU) release() { putBack(&r.out, &r.dx) }
+
+func (r *ReLU) releaseGrad() { putBack(&r.dx) }

@@ -18,13 +18,15 @@ import (
 // matrix stays cache-resident between the lowering and the products that
 // read it. Only the last block's columns survive a forward, so a training
 // Forward keeps its input and Backward lowers each block again, as Dense
-// reads its input again; a batch that fits one block reuses the forward's
-// lowering.
+// reads its input again; a training batch that fits one block keeps the
+// forward's lowering for Backward to reuse.
 //
-// The layer keeps its im2col, GEMM and gradient workspaces across the calls
-// of a pass, sized and typed to match the parameters' dtype; steady-state
-// training allocates nothing. See the package comment for the workspace
-// lease and the activation aliasing contract.
+// The im2col, GEMM and gradient scratch is leased for one call, sized and
+// typed to match the parameters' dtype, and handed back when the call
+// returns; only the output, the input gradient and a single-block training
+// lowering outlive it. Steady-state training allocates nothing. See the
+// package comment for the workspace lease and the activation aliasing
+// contract.
 type Conv2D struct {
 	InC, OutC    int
 	KH, KW       int
@@ -50,23 +52,25 @@ type Conv2D struct {
 	phase  convPhase
 	task   func(shard, lo, hi int)
 
-	// Reusable workspaces, sized on first use in a pass and whenever the
-	// input geometry changes. The backward-only workspaces (gmat, dcols,
-	// dwt, dbs, dx) are taken lazily in Backward so evaluation-mode forwards
-	// never pay for them.
+	// Per-call scratch, leased when Forward or Backward starts and handed
+	// back when it returns. cols alone may outlive a call: a training
+	// Forward whose batch fits one block keeps its lowering for Backward,
+	// which hands it back. The backward-only scratch (gmat, dcols, dwt, dbs)
+	// is never taken by an evaluation-mode forward.
 	cols    *tensor.Tensor // [Groups·kernelElems, blk·spatial] one block's im2col matrix
 	gemmOut *tensor.Tensor // [outCPerGroup, blk·spatial] per-group product
 	gmat    *tensor.Tensor // [OutC, blk·spatial] one block's gathered output gradient
-	dcols   *tensor.Tensor // [Groups·kernelElems, blk·spatial] column gradient
+	dcols   *tensor.Tensor // [Groups·kernelElems, blk·spatial] column gradient; input-gradient calls only
 	dwt     *tensor.Tensor // [Groups·kernelElems, outCPerGroup] transposed dW, summed over blocks
 	dbs     *tensor.Tensor // [OutC] bias gradient, summed over blocks
-	dx      *tensor.Tensor
-	out     ring2
-	bwdOK   bool // backward workspaces match the current geometry
+	gather  convPhase      // Backward's gather phase: phaseLowerGather unless cols holds the forward's lowering
+
+	out, dx *tensor.Tensor // the output and the input gradient, held past the call
 
 	// Cached per-group views over the workspaces and weights. The weight
-	// views are rebuilt on geometry changes, the block views retargeted per
-	// block, so the hot path creates no tensor headers.
+	// views are rebuilt on geometry changes, the weight-gradient views
+	// retargeted per Backward and the block views per block, so the hot path
+	// creates no tensor headers.
 	wgV, dwV, dwtV []*tensor.Tensor
 	colsV, gmatV   []*tensor.Tensor
 	dcolsV         []*tensor.Tensor
@@ -88,9 +92,10 @@ const convBlockElems = 96 << 10
 type convPhase uint8
 
 const (
-	phaseLower  convPhase = iota // im2col from x
-	phaseGather                  // gather gy into gmat, lowering first when the block must be rebuilt
-	phaseCol2im                  // scatter dcols into dx
+	phaseLower       convPhase = iota // im2col from x
+	phaseLowerGather                  // im2col from x, then phaseGather
+	phaseGather                       // gather gy into gmat
+	phaseCol2im                       // scatter dcols into dx
 )
 
 // NewConv2D constructs a grouped convolution layer with He-normal weights.
@@ -133,7 +138,7 @@ func (c *Conv2D) blockSamples(n int) int {
 // blocks reports how many blocks the current batch lowers in.
 func (c *Conv2D) blocks() int { return (c.batch + c.blk - 1) / c.blk }
 
-// ensureWorkspace (re)builds the block workspaces and the weight views when
+// ensureWorkspace sets the block geometry and rebuilds the weight views when
 // the input geometry (or the model dtype) changes; with a stable geometry
 // it is a cheap no-op.
 func (c *Conv2D) ensureWorkspace(n, h, w int) {
@@ -142,15 +147,12 @@ func (c *Conv2D) ensureWorkspace(n, h, w int) {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D output %dx%d not positive for input %dx%d", oh, ow, h, w))
 	}
-	if n == c.batch && h == c.inH && w == c.inW && c.cols != nil && c.cols.DT == dt {
+	if n == c.batch && h == c.inH && w == c.inW && len(c.wgV) == c.Groups && c.wgV[0].DT == dt {
 		return
 	}
 	c.batch, c.inH, c.inW, c.outH, c.outW = n, h, w, oh, ow
 	c.blk = c.blockSamples(n)
-	c.bwdOK = false
-	ke, sp := c.kernelElems, c.blk*oh*ow
-	c.cols = tensor.EnsureOf(dt, c.cols, c.Groups*ke, sp)
-	c.gemmOut = tensor.EnsureOf(dt, c.gemmOut, c.outCPerGroup, sp)
+	ke := c.kernelElems
 	if len(c.wgV) != c.Groups {
 		c.wgV = make([]*tensor.Tensor, c.Groups)
 		c.dwV = make([]*tensor.Tensor, c.Groups)
@@ -165,25 +167,39 @@ func (c *Conv2D) ensureWorkspace(n, h, w int) {
 	}
 }
 
-// ensureBackwardWorkspace lazily sizes the gradient workspaces to the
-// geometry of the preceding Forward. Evaluation-only layers never build
-// them.
-func (c *Conv2D) ensureBackwardWorkspace() {
-	if c.bwdOK {
-		return
-	}
+// leaseForward takes a forward call's scratch, sized to the current
+// geometry: the lowering (unless a single-block training forward left it)
+// and the product.
+func (c *Conv2D) leaseForward() {
+	dt, sp := c.W.Value.DT, c.blk*c.outH*c.outW
+	c.cols = tensor.EnsureOf(dt, c.cols, c.Groups*c.kernelElems, sp)
+	c.gemmOut = tensor.EnsureOf(dt, c.gemmOut, c.outCPerGroup, sp)
+}
+
+// leaseBackward takes a backward call's scratch, sized to the geometry of
+// the preceding Forward, and points the weight-gradient views at it. When
+// the forward's lowering is gone (a multi-block batch, or a second Backward)
+// the gather lowers each block again into fresh columns. Only a call that
+// computes the input gradient takes the column gradient.
+func (c *Conv2D) leaseBackward(inputGrad bool) {
 	dt := c.W.Value.DT
 	ke, ocg := c.kernelElems, c.outCPerGroup
 	sp := c.blk * c.outH * c.outW
+	c.gather = phaseGather
+	if c.cols == nil {
+		c.cols = tensor.EnsureOf(dt, nil, c.Groups*ke, sp)
+		c.gather = phaseLowerGather
+	}
 	c.gmat = tensor.EnsureOf(dt, c.gmat, c.OutC, sp)
-	c.dcols = tensor.EnsureOf(dt, c.dcols, c.Groups*ke, sp)
+	if inputGrad {
+		c.dcols = tensor.EnsureOf(dt, c.dcols, c.Groups*ke, sp)
+	}
 	c.dwt = tensor.EnsureOf(dt, c.dwt, c.Groups*ke, ocg)
 	c.dbs = tensor.EnsureOf(dt, c.dbs, c.OutC)
 	for g := 0; g < c.Groups; g++ {
 		setView(&c.dwV[g], c.W.Grad, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
 		setView(&c.dwtV[g], c.dwt, g*ke*ocg, (g+1)*ke*ocg, ke, ocg)
 	}
-	c.bwdOK = true
 }
 
 // hasBlock reports whether block b holds any of the batch's samples.
@@ -199,7 +215,9 @@ func (c *Conv2D) setBlock(b int, backward bool) {
 	for g := 0; g < c.Groups; g++ {
 		setView(&c.colsV[g], c.cols, g*ke*w, (g+1)*ke*w, ke, w)
 		if backward {
-			setView(&c.dcolsV[g], c.dcols, g*ke*w, (g+1)*ke*w, ke, w)
+			if c.dcols != nil {
+				setView(&c.dcolsV[g], c.dcols, g*ke*w, (g+1)*ke*w, ke, w)
+			}
 			setView(&c.gmatV[g], c.gmat, g*ocg*w, (g+1)*ocg*w, ocg, w)
 		}
 	}
@@ -233,10 +251,10 @@ func convRange[F tensor.Float](c *Conv2D, lo, hi int) {
 		switch c.phase {
 		case phaseLower:
 			im2col(c, tensor.Of[F](c.x), tensor.Of[F](c.cols), i, j, w)
+		case phaseLowerGather:
+			im2col(c, tensor.Of[F](c.x), tensor.Of[F](c.cols), i, j, w)
+			convGatherGrad(c, tensor.Of[F](c.gy), tensor.Of[F](c.gmat), i, j, w)
 		case phaseGather:
-			if c.blocks() > 1 {
-				im2col(c, tensor.Of[F](c.x), tensor.Of[F](c.cols), i, j, w)
-			}
 			convGatherGrad(c, tensor.Of[F](c.gy), tensor.Of[F](c.gmat), i, j, w)
 		case phaseCol2im:
 			col2im(c, tensor.Of[F](c.dcols), tensor.Of[F](c.dx), i, j, w)
@@ -272,7 +290,9 @@ func (c *Conv2D) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
 // index, every member lowers its block, then per channel group the members'
 // products run as fused launches and each member scatters its product,
 // bias fused, into its output. The output columns are independent, so the
-// blocks change no bit of the whole-batch product.
+// blocks change no bit of the whole-batch product. The members' scratch goes
+// back to the pool together after the last block, since a fused launch reads
+// every member's block at once.
 func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 	nb := 0
 	for g, c := range cs {
@@ -288,8 +308,10 @@ func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 		}
 		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 		c.ensureWorkspace(n, h, w)
+		c.leaseForward()
 		c.x = x
-		acts[g] = c.out.next(x.DT, n, c.OutC, c.outH, c.outW)
+		c.out = tensor.EnsureOf(x.DT, c.out, n, c.OutC, c.outH, c.outW)
+		acts[g] = c.out
 		nb = max(nb, c.blocks())
 	}
 	l := &cs[0].launch
@@ -314,8 +336,12 @@ func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 			}
 		}
 	}
-	if !train {
-		for _, c := range cs {
+	for _, c := range cs {
+		putBack(&c.gemmOut)
+		if !train || c.blocks() > 1 {
+			putBack(&c.cols)
+		}
+		if !train {
 			c.x = nil
 		}
 	}
@@ -346,9 +372,9 @@ func (c *Conv2D) convInitsDX() bool {
 }
 
 // Backward accumulates dW, dB and returns dX, as a group of one. It lowers
-// each block of the preceding training Forward's input again (a
-// single-block batch reuses the forward's lowering), so it must follow a
-// training-mode Forward.
+// each block of the preceding training Forward's input again (the first
+// Backward after a single-block training Forward reuses its lowering), so
+// it must follow a training-mode Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	cs, acts := [1]*Conv2D{c}, [1]*tensor.Tensor{grad}
 	convBackward(cs[:], acts[:], true)
@@ -373,8 +399,9 @@ func (c *Conv2D) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
 // block 0 and an Acc after, in ascending sample order, and the kernels run
 // one multiply-add chain per element across those calls, so the sum is the
 // whole-batch product's bit for bit. It and the bias sums reach the
-// parameter gradients once, after the last block. Without inputGrad the
-// members compute parameter gradients alone: no dx is leased, cleared or
+// parameter gradients once, after the last block, and the members' scratch
+// goes back to the pool together. Without inputGrad the members compute
+// parameter gradients alone: no dx or dcols is leased, no dx cleared or
 // scattered into, no dcols product runs, and acts is left as it is.
 func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 	nb := 0
@@ -386,7 +413,7 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 		if grad.Rank() != 4 || grad.Dim(0) != c.batch || grad.Dim(1) != c.OutC {
 			panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v does not match forward batch %d", grad.Shape, c.batch))
 		}
-		c.ensureBackwardWorkspace()
+		c.leaseBackward(inputGrad)
 		c.gy = grad
 		if inputGrad {
 			c.dx = tensor.EnsureOf(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
@@ -402,7 +429,7 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 		for _, c := range cs {
 			if c.hasBlock(b) {
 				c.setBlock(b, true)
-				c.runPhase(phaseGather)
+				c.runPhase(c.gather)
 				if c.dbs.DT.Backing() == tensor.F32 {
 					convBiasSums(c, tensor.Of[float32](c.gmat), tensor.Of[float32](c.dbs), b == 0)
 				} else {
@@ -436,6 +463,7 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 			convApplyGrads(c, c.B.Grad.Data, c.dbs.Data)
 		}
 		c.gy = nil
+		putBack(&c.cols, &c.gmat, &c.dcols, &c.dwt, &c.dbs)
 	}
 }
 
@@ -558,18 +586,19 @@ func addTransposed[F tensor.Float](dst, src []F, m, n int) {
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // release also forgets the geometry and the retained input, so the next
-// Forward rebuilds the workspaces and every group view, and a Backward
-// before it fails.
+// Forward rebuilds every group view, and a Backward before it fails. The
+// per-call scratch is already back in the pool.
 func (c *Conv2D) release() {
-	c.out.release()
-	putBack(&c.cols, &c.gemmOut, &c.gmat, &c.dcols, &c.dwt, &c.dbs, &c.dx)
+	putBack(&c.out, &c.cols, &c.dx)
 	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.dwtV, c.colsV, c.gmatV, c.dcolsV} {
 		dropViews(vs)
 	}
 	c.x, c.gy = nil, nil
-	c.batch, c.bwdOK = 0, false
+	c.batch = 0
 	c.launch.release()
 }
+
+func (c *Conv2D) releaseGrad() { putBack(&c.dx) }
 
 // im2col unrolls sample i of x into column block j of the current block's
 // im2col matrix, whose rows are ns wide: cols[row, j·spatial + p] holds the

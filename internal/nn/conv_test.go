@@ -77,14 +77,12 @@ func wholeBatchConv[F tensor.Float](c *Conv2D, x, gy *tensor.Tensor) (y, dx *ten
 	return y, dx
 }
 
-// poisonWorkspaces fills every buffer c leases with NaN and releases it, so
-// the next layer of the same geometry takes dirty storage from the pool.
+// poisonWorkspaces releases c with the pool scrubbing every buffer it holds
+// free with NaN — the ones c held past its calls and its per-call scratch
+// alike — so the next layer of the same geometry takes dirty storage from
+// the pool.
 func poisonWorkspaces(c *Conv2D) {
-	for _, t := range []*tensor.Tensor{c.cols, c.gemmOut, c.gmat, c.dcols, c.dwt, c.dbs, c.dx, c.out.bufs[0], c.out.bufs[1]} {
-		if t != nil {
-			t.Fill(math.NaN())
-		}
-	}
+	defer tensor.ScrubFreed(math.NaN())()
 	c.release()
 }
 

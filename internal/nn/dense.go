@@ -16,9 +16,8 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x   *tensor.Tensor // cached input
-	out ring2
-	dx  *tensor.Tensor
+	x       *tensor.Tensor // cached input
+	out, dx *tensor.Tensor
 
 	// Group scratch while d leads (group.go).
 	ms     []*Dense
@@ -64,7 +63,8 @@ func DenseForwardBatch(ds []*Dense, xs []*tensor.Tensor, train bool) []*tensor.T
 			panic(fmt.Sprintf("nn: Dense.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, d.W.Value.DT))
 		}
 		d.x = x
-		l.add(d.out.next(x.DT, x.Rows(), d.Out), x, d.W.Value)
+		d.out = tensor.EnsureOf(x.DT, d.out, x.Rows(), d.Out)
+		l.add(d.out, x, d.W.Value)
 	}
 	tensor.MatMulBatchInto(l.outs, l.as, l.bs)
 	for g, d := range ds {
@@ -141,11 +141,12 @@ func (d *Dense) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 func (d *Dense) release() {
-	d.out.release()
-	putBack(&d.dx)
+	putBack(&d.out, &d.dx)
 	d.x = nil
 	d.launch.release()
 }
+
+func (d *Dense) releaseGrad() { putBack(&d.dx) }
 
 func panicShape(op string, x *tensor.Tensor, want int) {
 	panic(fmt.Sprintf("%s: unexpected input shape %v (want trailing dim %d)", op, x.Shape, want))

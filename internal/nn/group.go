@@ -131,11 +131,7 @@ func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool)
 			}
 		}
 		if !train && !sameStorage(x, acts[0]) {
-			if owner >= 0 {
-				for _, s := range seqs {
-					s.Layers[owner].release()
-				}
-			}
+			handBack(seqs, owner, Layer.release)
 			owner = i
 		}
 	}
@@ -143,9 +139,27 @@ func SequentialForwardBatch(seqs []*Sequential, xs []*tensor.Tensor, train bool)
 	return acts
 }
 
+// handBack applies release to every member's layer at position i; -1, the
+// walk's caller, owns what it passed in and is left alone.
+func handBack(seqs []*Sequential, i int, release func(Layer)) {
+	if i < 0 {
+		return
+	}
+	for _, s := range seqs {
+		release(s.Layers[i])
+	}
+}
+
 // SequentialBackwardBatch is the walker's reverse pass matching
 // SequentialForwardBatch. It returns the input gradients in the leader's
 // list, valid until the leader's next group backward.
+//
+// The walk hands each position's input gradients back to the pool as soon
+// as the position in front has read them, the evaluation forward's
+// release-behind rule run in reverse: once a position has written its
+// gradients into storage of its own, the previous owner's go back. A layer
+// whose gradient shares its argument's storage (Flatten's view) keeps the
+// owner alive one position longer. What the walk returns stays.
 func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tensor.Tensor {
 	return sequentialBackward(seqs, grads, -1)
 }
@@ -158,7 +172,8 @@ func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tens
 // column scatter are skipped, and the parameter-free layers in front of it
 // (Flatten) are not visited. Every parameter gradient is the full walk's,
 // bit for bit. A first layer of another kind (Residual, Inception,
-// BatchNorm) gets the full walk.
+// BatchNorm) gets the full walk. The last gradient the walk read goes back
+// to the pool too, so the walk leaves no input gradient leased.
 func SequentialBackwardParams(seqs []*Sequential, grads []*tensor.Tensor) {
 	sequentialBackward(seqs, grads, seqs[0].firstWeights())
 }
@@ -188,11 +203,13 @@ func sequentialBackward(seqs []*Sequential, grads []*tensor.Tensor, stop int) []
 	lead := seqs[0]
 	acts := sized(&lead.bwd, len(grads))
 	copy(acts, grads)
+	owner := -1 // the position whose storage acts are in; -1 is the caller's gradient
 	for i := len(lead.Layers) - 1; i >= 0; i-- {
-		at := lead.position(seqs, i)
+		at, grad := lead.position(seqs, i), acts[0]
 		l := lead.Layers[i]
 		if i == stop {
 			l.(paramGrouper).backwardParamsGroup(at, acts)
+			handBack(seqs, owner, Layer.releaseGrad)
 			acts = nil
 			break
 		}
@@ -202,6 +219,10 @@ func sequentialBackward(seqs []*Sequential, grads []*tensor.Tensor, stop int) []
 			for g, m := range at {
 				acts[g] = m.Backward(acts[g])
 			}
+		}
+		if !sameStorage(grad, acts[0]) {
+			handBack(seqs, owner, Layer.releaseGrad)
+			owner = i
 		}
 	}
 	drop(&lead.at)

@@ -17,22 +17,32 @@
 // a training-mode Forward; the aliasing contract below already keeps that
 // input valid, since the producing layer runs no Forward in between.
 //
-// Workspaces are leased per pass. A layer takes its output, gradient and
-// scratch buffers from the tensor package's default pool on first use
-// (tensor.EnsureOf), reuses them across the iterations of a pass
-// (outputs double-buffered), and Release hands every one of them back when
-// the pass ends. A model between passes holds only its parameters,
-// gradients and running statistics. Once the pool holds what a pass leases,
-// a training pass allocates nothing: the next pass is served from the
-// buffers the last one handed back, and so are the driver's batch inputs
-// and the losses' gradients (fl.TrainEpochs, package loss), so a warm local
-// epoch makes no heap allocation (the root package's TestHotPathAllocs
-// holds ClientLocalEpoch at 0 allocs/op). Pooled buffers arrive dirty:
-// every layer overwrites each element it later reads. An
-// evaluation-mode pass keeps nothing for a backward pass, so the Sequential
-// walker hands each layer's workspaces back as soon as no later layer can
-// read them (SequentialForwardBatch, which Sequential.Forward runs as a
-// group of one). A model's parameters live in two exact-length
+// A pass holds only what a later step of it reads. A layer takes its
+// buffers from the tensor package's default pool (tensor.EnsureOf), so the
+// pool is sized by what is leased at once, not by what has run:
+//   - Scratch no later call reads is leased for one call and handed back
+//     when the call returns: a convolution's im2col, product and gradient
+//     matrices. The one exception is a training Forward whose batch fits one
+//     convolution block, which keeps its lowering for the Backward that
+//     reuses it; that Backward hands it back.
+//   - A layer keeps one output, which each Forward of the pass overwrites,
+//     and what its Backward reads of the forward (batch norm's x̂).
+//   - Input gradients are handed back behind the training backward walk:
+//     once the layer in front has read one, it goes back to the pool
+//     (SequentialBackwardBatch). An evaluation-mode pass keeps nothing for a
+//     backward pass, so the walker hands each layer's workspaces back as
+//     soon as no later layer can read them (SequentialForwardBatch, which
+//     Sequential.Forward runs as a group of one).
+//   - Release hands back everything left when the pass ends.
+//
+// A model between passes holds only its parameters, gradients and running
+// statistics. Once the pool holds what a pass leases, a training pass
+// allocates nothing: each lease is served from buffers handed back earlier,
+// and so are the driver's batch inputs and the losses' gradients
+// (fl.TrainEpochs, package loss), so a warm local epoch makes no heap
+// allocation (the root package's TestHotPathAllocs holds ClientLocalEpoch
+// at 0 allocs/op). Pooled buffers arrive dirty: every layer overwrites each
+// element it later reads. A model's parameters live in two exact-length
 // pool slabs, one for values and one for gradients, in Params() order
 // (Pack), so every flat view of a run of them is one range (Flat); a built
 // model keeps its slabs for life, and Init re-initializes them in place when
@@ -48,12 +58,14 @@
 // Inception and the gradient checks read.
 //
 // Activation aliasing contract: a tensor returned by Forward or Backward
-// stays valid until the same layer's corresponding method runs twice more
-// or Release ends the pass, whichever comes first. Inside an
-// evaluation-mode walk of a Sequential, a layer's output is valid only
-// until the layers after it have read it, so only what the walk returns
-// obeys the rule. Callers that retain activations longer (for example to
-// compare outputs across several passes) must Clone them.
+// stays valid until the same layer's corresponding method runs again or
+// Release ends the pass, whichever comes first. Inside an evaluation-mode
+// walk of a Sequential, a layer's output is valid only until the layers
+// after it have read it; inside a training backward walk, a layer's input
+// gradient is valid only until the layer before it has read it. So in
+// either walk only what the walk returns obeys the rule. Callers that
+// retain activations longer (for example to compare the outputs of two
+// passes) must Clone them.
 package nn
 
 import (
@@ -63,25 +75,6 @@ import (
 
 	"repro/internal/tensor"
 )
-
-// ring2 double-buffers a layer's output so its two most recent activations
-// stay valid (see the package comment). next returns a buffer of the given
-// dtype and shape with unspecified contents; the layer must overwrite every
-// element. Buffers follow the dtype of the activations flowing through, so
-// a whole model runs end to end in its configured element type.
-type ring2 struct {
-	bufs [2]*tensor.Tensor
-	idx  int
-}
-
-func (r *ring2) next(dt tensor.DType, shape ...int) *tensor.Tensor {
-	r.idx ^= 1
-	t := tensor.EnsureOf(dt, r.bufs[r.idx], shape...)
-	r.bufs[r.idx] = t
-	return t
-}
-
-func (r *ring2) release() { putBack(&r.bufs[0], &r.bufs[1]) }
 
 // putBack returns workspaces to the tensor pool and clears their fields.
 func putBack(ws ...**tensor.Tensor) {
@@ -184,13 +177,16 @@ func span(t *tensor.Tensor, lo, hi int) tensor.Tensor {
 // previous activation and returns the next; Backward consumes dL/d(output)
 // and returns dL/d(input), accumulating parameter gradients as a side
 // effect. The train flag selects training behaviour (batch statistics).
-// release ends a pass (see Release), so every layer is declared in this
+// release ends a pass (see Release), and releaseGrad hands back the input
+// gradient Backward returned once the layer in front has read it (the
+// backward walk's release-behind rule), so every layer is declared in this
 // package.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	release()
+	releaseGrad()
 }
 
 // initializer is a layer with parameters or running statistics. Its init
@@ -216,8 +212,8 @@ func Init(l Layer, rng *rand.Rand) {
 }
 
 // Release ends a pass over l: every workspace l and its sublayers hold —
-// output rings, input gradients, normalization caches, im2col and GEMM
-// scratch — goes back to the tensor pool, and every cached reference to an
+// outputs, input gradients, normalization caches, a kept im2col lowering —
+// goes back to the tensor pool, and every cached reference to an
 // activation is dropped. Parameters, gradients and running statistics
 // stay. Tensors l returned are invalid afterwards; the next pass takes its
 // buffers from the pool again.
@@ -280,6 +276,14 @@ func (s *Sequential) release() {
 	}
 	drop(&s.fwd)
 	drop(&s.bwd)
+}
+
+// releaseGrad hands back every layer's input gradient: once a walk's
+// returned gradient has been read, nothing else of the walk's is live.
+func (s *Sequential) releaseGrad() {
+	for _, l := range s.Layers {
+		l.releaseGrad()
+	}
 }
 
 func (s *Sequential) init(rng *rand.Rand) {

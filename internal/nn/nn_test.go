@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -171,11 +172,120 @@ func TestEvalForwardReleasesBehind(t *testing.T) {
 				}
 			}
 		}
-		if c := s.Layers[0].(*Conv2D); c.cols != nil || c.out.bufs != [2]*tensor.Tensor{} {
+		if c := s.Layers[0].(*Conv2D); c.cols != nil || c.out != nil {
 			t.Fatalf("%v: the first convolution still holds workspaces after an evaluation forward", dt)
 		}
-		if s.Layers[6].(*Dense).out.bufs == [2]*tensor.Tensor{} {
+		if s.Layers[6].(*Dense).out == nil {
 			t.Fatalf("%v: the last layer released the output Forward returned", dt)
+		}
+		Release(s)
+	}
+}
+
+// heldGrad returns the input gradient a layer of TestBackwardReleasesBehind's
+// model holds; Flatten's are views, which hold none.
+func heldGrad(l Layer) *tensor.Tensor {
+	switch l := l.(type) {
+	case *Conv2D:
+		return l.dx
+	case *ReLU:
+		return l.dx
+	case *Dense:
+		return l.dx
+	}
+	return nil
+}
+
+// A training backward walk hands each input gradient back once the layer in
+// front has read it, and a convolution leases its scratch for one call. The
+// walk must give the parameter gradients and the input gradient its layers
+// give run one by one with nothing handed back — through a convolution
+// whose batch fits one block (Backward reuses, then hands back, the
+// forward's lowering), one that lowers in two, and a Flatten view whose
+// gradient lives in the Dense behind it — and leave the returned gradient
+// intact, no layer but the first holding an input gradient and no
+// convolution holding scratch; a params-only walk leaves no input gradient
+// at all. A second Backward after one training Forward, which must lower
+// again, adds the first one's increments bit for bit on both convolutions.
+func TestBackwardReleasesBehind(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+		build := func() *Sequential {
+			rng := rand.New(rand.NewSource(33))
+			s := NewSequential(
+				NewConv2D(1, 8, 3, 1, 1, 1, rng),
+				NewConv2D(8, 4, 3, 1, 1, 1, rng),
+				NewReLU(),
+				NewFlatten(),
+				NewDense(4*16*16, 3, rng),
+			)
+			Pack(s.Params(), dt)
+			return s
+		}
+		grads := func(s *Sequential) *tensor.Tensor {
+			_, g := Flat(s.Params())
+			return tensor.FromSlice(g.AppendFloat64s(nil), g.Size())
+		}
+		rng := rand.New(rand.NewSource(34))
+		x := tensor.NewOf(dt, 6, 1, 16, 16)
+		x.FillRandn(rng, 1)
+		gy := tensor.NewOf(dt, 6, 3)
+		gy.FillRandn(rng, 1)
+
+		ref := build()
+		a := x
+		for _, l := range ref.Layers {
+			a = l.Forward(a, true)
+		}
+		wantDX := gy
+		for i := len(ref.Layers) - 1; i >= 0; i-- {
+			wantDX = ref.Layers[i].Backward(wantDX)
+		}
+
+		s := build()
+		convs := []*Conv2D{s.Layers[0].(*Conv2D), s.Layers[1].(*Conv2D)}
+		s.Forward(x, true)
+		if convs[0].blocks() != 1 || convs[1].blocks() != 2 {
+			t.Fatalf("%v: the convolutions lower in %d and %d blocks, want 1 and 2", dt, convs[0].blocks(), convs[1].blocks())
+		}
+		if convs[0].cols == nil || convs[1].cols != nil {
+			t.Fatalf("%v: after a training forward only the single-block convolution may keep its lowering", dt)
+		}
+		dx := s.Backward(gy)
+		bitsEqual(t, fmt.Sprintf("%v: the walk's input gradient", dt), dx, wantDX)
+		bitsEqual(t, fmt.Sprintf("%v: the walk's parameter gradients", dt), grads(s), grads(ref))
+		for i, l := range s.Layers {
+			if i > 0 && heldGrad(l) != nil {
+				t.Errorf("%v: layer %d still holds its input gradient after the walk", dt, i)
+			}
+		}
+		for i, c := range convs {
+			if c.cols != nil || c.gemmOut != nil || c.gmat != nil || c.dcols != nil || c.dwt != nil || c.dbs != nil {
+				t.Errorf("%v: convolution %d still holds scratch after a training step", dt, i)
+			}
+		}
+
+		Release(s)
+		ZeroGrads(s.Params())
+		s.Forward(x, true)
+		s.BackwardParams(gy)
+		bitsEqual(t, fmt.Sprintf("%v: the params-only walk's parameter gradients", dt), grads(s), grads(ref))
+		for i, l := range s.Layers {
+			if heldGrad(l) != nil {
+				t.Errorf("%v: layer %d still holds its input gradient after a params-only walk", dt, i)
+			}
+		}
+
+		s.Forward(x, true)
+		for i, c := range convs {
+			oy := tensor.NewOf(dt, 6, c.OutC, 16, 16)
+			oy.FillRandn(rng, 1)
+			ZeroGrads(s.Params())
+			dx1 := c.Backward(oy).Clone()
+			twice := grads(s)
+			twice.AddInPlace(twice)
+			dx2 := c.Backward(oy)
+			bitsEqual(t, fmt.Sprintf("%v: convolution %d's second backward's input gradient", dt, i), dx2, dx1)
+			bitsEqual(t, fmt.Sprintf("%v: convolution %d's parameter gradients after two backwards", dt, i), grads(s), twice)
 		}
 		Release(s)
 	}

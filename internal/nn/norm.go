@@ -32,8 +32,7 @@ type BatchNorm2D struct {
 	invStd         []float64
 	inShape        []int
 	usedBatchStats bool
-	out            ring2
-	dx             *tensor.Tensor
+	out, dx        *tensor.Tensor
 }
 
 // NewBatchNorm2D builds a batch-norm layer for c channels.
@@ -69,7 +68,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	bn.inShape = append(bn.inShape[:0], n, c, h, w)
-	out := bn.out.next(x.DT, n, c, h, w)
+	bn.out = tensor.EnsureOf(x.DT, bn.out, n, c, h, w)
+	out := bn.out
 	bn.xhat = tensor.EnsureOf(x.DT, bn.xhat, n, c, h, w)
 	if cap(bn.invStd) < c {
 		bn.invStd = make([]float64, c)
@@ -170,10 +170,9 @@ func bn2dBackward[F tensor.Float](bn *BatchNorm2D, gradd, xhd, dxd, gamma, dGamm
 // Params returns gamma and beta.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-func (bn *BatchNorm2D) release() {
-	bn.out.release()
-	putBack(&bn.xhat, &bn.dx)
-}
+func (bn *BatchNorm2D) release() { putBack(&bn.out, &bn.xhat, &bn.dx) }
+
+func (bn *BatchNorm2D) releaseGrad() { putBack(&bn.dx) }
 
 // Buffers returns the running statistics, the layer's non-trainable state.
 func (bn *BatchNorm2D) Buffers() [][]float64 {

@@ -12,8 +12,7 @@ type MaxPool2D struct {
 	inShape    []int
 	outH, outW int
 	argmax     []int // flat index into the input for every output element
-	out        ring2
-	dx         *tensor.Tensor
+	out, dx    *tensor.Tensor
 
 	// x and y are Forward's operands for the duration of the call, and task
 	// pools samples [lo,hi) of them: built with the layer, so a dispatch
@@ -42,7 +41,8 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if m.outH <= 0 || m.outW <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D output not positive for input %dx%d kernel %d", h, w, m.K))
 	}
-	out := m.out.next(x.DT, n, c, m.outH, m.outW)
+	m.out = tensor.EnsureOf(x.DT, m.out, n, c, m.outH, m.outW)
+	out := m.out
 	if cap(m.argmax) < out.Size() {
 		m.argmax = make([]int, out.Size())
 	}
@@ -188,17 +188,15 @@ func maxPoolBwd[F tensor.Float](dxd, gradd []F, argmax []int) {
 // Params returns nil; pooling has no parameters.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
-func (m *MaxPool2D) release() {
-	m.out.release()
-	putBack(&m.dx)
-}
+func (m *MaxPool2D) release() { putBack(&m.out, &m.dx) }
+
+func (m *MaxPool2D) releaseGrad() { putBack(&m.dx) }
 
 // GlobalAvgPool averages each channel's spatial map, mapping [N, C, H, W]
 // to [N, C]. It is the standard head before the final FC layers.
 type GlobalAvgPool struct {
 	inShape []int
-	out     ring2
-	dx      *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewGlobalAvgPool builds the layer.
@@ -211,13 +209,13 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.inShape = append(g.inShape[:0], n, c, h, w)
-	out := g.out.next(x.DT, n, c)
+	g.out = tensor.EnsureOf(x.DT, g.out, n, c)
 	if x.DT.Backing() == tensor.F32 {
-		gapFwd(tensor.Of[float32](out), tensor.Of[float32](x), n, c, h, w)
+		gapFwd(tensor.Of[float32](g.out), tensor.Of[float32](x), n, c, h, w)
 	} else {
-		gapFwd(out.Data, x.Data, n, c, h, w)
+		gapFwd(g.out.Data, x.Data, n, c, h, w)
 	}
-	return out
+	return g.out
 }
 
 func gapFwd[F tensor.Float](outd, xd []F, n, c, h, w int) {
@@ -259,10 +257,9 @@ func gapBwd[F tensor.Float](dxd, gradd []F, n, c, h, w int) {
 // Params returns nil; pooling has no parameters.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
 
-func (g *GlobalAvgPool) release() {
-	g.out.release()
-	putBack(&g.dx)
-}
+func (g *GlobalAvgPool) release() { putBack(&g.out, &g.dx) }
+
+func (g *GlobalAvgPool) releaseGrad() { putBack(&g.dx) }
 
 // Flatten reshapes [N, ...] activations to [N, rest], remembering the input
 // shape so Backward can restore it. Both directions return cached view
@@ -299,3 +296,7 @@ func (f *Flatten) release() {
 	f.fwd.release()
 	f.bwd.release()
 }
+
+// releaseGrad has nothing to hand back: Backward returns a view of its
+// argument's storage, whose owner hands it back.
+func (f *Flatten) releaseGrad() {}

@@ -14,8 +14,7 @@ type Residual struct {
 	Body *Sequential
 	Skip *Sequential
 
-	out ring2
-	dx  *tensor.Tensor
+	out, dx *tensor.Tensor
 
 	subs []*Sequential // while r leads a call: the members' bodies or skips
 }
@@ -47,14 +46,15 @@ func (r *Residual) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
 		if main.Size() != short.Size() {
 			panic(fmt.Sprintf("nn: Residual shape mismatch body %v vs skip %v", main.Shape, short.Shape))
 		}
-		out := m.out.next(main.DT, main.Shape...)
-		tensor.AddInto(out, main, short)
-		acts[g] = out
+		m.out = tensor.EnsureOf(main.DT, m.out, main.Shape...)
+		tensor.AddInto(m.out, main, short)
+		acts[g] = m.out
 	}
 }
 
 // Backward propagates the gradient through both paths and sums the input
-// gradients, as a group of one.
+// gradients, as a group of one. The paths' input gradients go back to the
+// pool once summed.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	ls, acts := [1]Layer{r}, [1]*tensor.Tensor{grad}
 	r.backwardGroup(ls[:], acts[:])
@@ -70,6 +70,8 @@ func (r *Residual) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
 		m.dx = tensor.EnsureOf(dMain.DT, m.dx, dMain.Shape...)
 		tensor.AddInto(m.dx, dMain, dSkips[g])
 		acts[g] = m.dx
+		m.Body.releaseGrad()
+		m.Skip.releaseGrad()
 	}
 }
 
@@ -82,9 +84,10 @@ func (r *Residual) Params() []*Param { return append(r.Body.Params(), r.Skip.Par
 func (r *Residual) release() {
 	r.Body.release()
 	r.Skip.release()
-	r.out.release()
-	putBack(&r.dx)
+	putBack(&r.out, &r.dx)
 }
+
+func (r *Residual) releaseGrad() { putBack(&r.dx) }
 
 func (r *Residual) init(rng *rand.Rand) {
 	r.Body.init(rng)
@@ -104,8 +107,8 @@ type Inception struct {
 	outH    int
 	outW    int
 	outs    []*tensor.Tensor
-	out     ring2
-	gb      *tensor.Tensor
+	out     *tensor.Tensor
+	gb      *tensor.Tensor // a branch's slice of the output gradient, for one Backward
 
 	// Group scratch while in leads: the members' branches at one index,
 	// held for one call, and their branch gradients.
@@ -155,7 +158,8 @@ func (in *Inception) concat(n int) *tensor.Tensor {
 	for _, cb := range in.branchC {
 		totalC += cb
 	}
-	out := in.out.next(in.outs[0].DT, n, totalC, in.outH, in.outW)
+	in.out = tensor.EnsureOf(in.outs[0].DT, in.out, n, totalC, in.outH, in.outW)
+	out := in.out
 	spatial := in.outH * in.outW
 	for i := 0; i < n; i++ {
 		chOff := 0
@@ -169,7 +173,10 @@ func (in *Inception) concat(n int) *tensor.Tensor {
 }
 
 // Backward splits the gradient channel-wise, propagates each slice through
-// its branch, and sums the resulting input gradients, as a group of one.
+// its branch, and sums the resulting input gradients, as a group of one. The
+// sum accumulates into branch 0's input gradient, so that is what Backward
+// returns (and releaseGrad hands back); every other branch's goes back to
+// the pool once added, and the slices once the last branch has run.
 func (in *Inception) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	ls, acts := [1]Layer{in}, [1]*tensor.Tensor{grad}
 	in.backwardGroup(ls[:], acts[:])
@@ -190,10 +197,14 @@ func (in *Inception) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
 		}
 		for g, dx := range dxs {
 			dx.AddInPlace(d[g])
+			ls[g].(*Inception).Branches[b].releaseGrad()
 		}
 	}
 	drop(&in.subs)
 	copy(acts, dxs)
+	for _, l := range ls {
+		putBack(&l.(*Inception).gb)
+	}
 }
 
 // branchGrad copies branch b's channels of grad into the layer's branch
@@ -232,10 +243,11 @@ func (in *Inception) release() {
 		br.release()
 	}
 	clear(in.outs)
-	in.out.release()
-	putBack(&in.gb)
+	putBack(&in.out)
 	drop(&in.gbs)
 }
+
+func (in *Inception) releaseGrad() { in.Branches[0].releaseGrad() }
 
 func (in *Inception) init(rng *rand.Rand) {
 	for _, br := range in.Branches {
@@ -258,8 +270,7 @@ func (in *Inception) Buffers() [][]float64 {
 type ChannelShuffle struct {
 	Groups  int
 	inShape []int
-	out     ring2
-	dx      *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewChannelShuffle builds the layer.
@@ -287,7 +298,8 @@ func (cs *ChannelShuffle) permute(x *tensor.Tensor, inverse bool) *tensor.Tensor
 		cs.dx = tensor.EnsureOf(x.DT, cs.dx, n, c, h, w)
 		out = cs.dx
 	} else {
-		out = cs.out.next(x.DT, n, c, h, w)
+		cs.out = tensor.EnsureOf(x.DT, cs.out, n, c, h, w)
+		out = cs.out
 	}
 	spatial := h * w
 	for i := 0; i < n; i++ {
@@ -307,7 +319,6 @@ func (cs *ChannelShuffle) permute(x *tensor.Tensor, inverse bool) *tensor.Tensor
 // Params returns nil; shuffling has no parameters.
 func (cs *ChannelShuffle) Params() []*Param { return nil }
 
-func (cs *ChannelShuffle) release() {
-	cs.out.release()
-	putBack(&cs.dx)
-}
+func (cs *ChannelShuffle) release() { putBack(&cs.out, &cs.dx) }
+
+func (cs *ChannelShuffle) releaseGrad() { putBack(&cs.dx) }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a free list of tensor storage that serves two kinds of request.
@@ -25,6 +26,7 @@ type Pool struct {
 	buckets [numDTypes][poolBuckets]poolBucket
 	f64     exactList[float64]
 	f32     exactList[float32]
+	scrub   atomic.Pointer[float64] // while set, what Put writes over a returned buffer (ScrubFreed)
 }
 
 type poolBucket struct {
@@ -175,6 +177,10 @@ func (p *Pool) Put(t *Tensor) {
 	if b >= poolBuckets || capacity != c {
 		return
 	}
+	if v := p.scrub.Load(); v != nil {
+		fillK(t.Data[:cap(t.Data)], *v)
+		fillK(t.F32[:cap(t.F32)], float32(*v))
+	}
 	if t.DT.Backing() == F32 {
 		t.F32 = t.F32[:0]
 	} else {
@@ -184,6 +190,47 @@ func (p *Pool) Put(t *Tensor) {
 	bk.mu.Lock()
 	bk.free = append(bk.free, t)
 	bk.mu.Unlock()
+}
+
+// fill sets every element of every free buffer p holds, scratch and
+// exact-length storage alike, to v.
+func (p *Pool) fill(v float64) {
+	for dt := range p.buckets {
+		for b := range p.buckets[dt] {
+			bk := &p.buckets[dt][b]
+			bk.mu.Lock()
+			for _, t := range bk.free {
+				fillK(t.Data[:cap(t.Data)], v)
+				fillK(t.F32[:cap(t.F32)], float32(v))
+			}
+			bk.mu.Unlock()
+		}
+	}
+	fillExact(&p.f64, v)
+	fillExact(&p.f32, float32(v))
+}
+
+func fillExact[F Float](l *exactList[F], v F) {
+	l.mu.Lock()
+	for _, vs := range l.free {
+		for _, s := range vs {
+			fillK(s, v)
+		}
+	}
+	l.mu.Unlock()
+}
+
+// ScrubFreed is a test instrument for the lease contract: a lease arrives
+// holding whatever its last owner wrote, so its holder must write every
+// element before it reads it. ScrubFreed sets every element of every buffer
+// the default pool holds free to v, and of every buffer handed back to it
+// until stop is called, so a pass run under ScrubFreed(NaN) shows each
+// element it reads before writing, however often a buffer is recycled
+// within the pass.
+func ScrubFreed(v float64) (stop func()) {
+	defaultPool.fill(v)
+	defaultPool.scrub.Store(&v)
+	return func() { defaultPool.scrub.Store(nil) }
 }
 
 // defaultPool serves the package-level GetTensorOf/PutTensor helpers used by
@@ -214,7 +261,12 @@ func ZeroStorage[F Float](n int) []F { return exactFor[F](defaultPool).get(n, tr
 // PutStorage hands storage to the default pool for the next GetStorage of
 // its capacity. The caller must not use v (or any slice sharing it)
 // afterwards. A nil or empty v is ignored.
-func PutStorage[F Float](v []F) { exactFor[F](defaultPool).put(v) }
+func PutStorage[F Float](v []F) {
+	if s := defaultPool.scrub.Load(); s != nil {
+		fillK(v[:cap(v)], F(*s))
+	}
+	exactFor[F](defaultPool).put(v)
+}
 
 // NewStorageOf returns a zero-filled tensor of the given dtype and shape
 // whose storage comes from the default pool at exactly the shape's element
