@@ -157,9 +157,9 @@ func TestHotPathAllocs(t *testing.T) {
 // median round: above one worker the nodes' goroutines overlap differently
 // every round, and a round that meets a new high-water mark of vectors in
 // flight grows a role's free list by one 862 KB vector (rounds of ≈ 1 MB as
-// late as round 11 at 4 workers here), and the tensor pool meets new
-// high-water marks of leases in flight — buffers coming into being, not
-// garbage. A round that allocates shows in every round, so in the median.
+// late as round 11 at 4 workers here), and more passes than ever before run
+// at once and take an arena each — buffers coming into being, not garbage.
+// A round that allocates shows in every round, so in the median.
 func TestWireRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
@@ -285,19 +285,20 @@ func (r *roundSampler) Round(sim *fl.Simulation, round int, participants []int) 
 // TestSyncRoundAllocs is the in-process engine's allocation gate: what one
 // sync round of the het_sync fleet — 8 heterogeneous clients under
 // FedClassAvg at Small scale, two augmented views, SupCon and the proximal
-// pull — allocates once the pool, the layers and the clients' kept lists
+// pull — allocates once the arenas, the layers and the clients' kept lists
 // have grown to size. A round trains every client, folds the classifiers and
 // evaluates. While each view, each loss gradient and each step's lists were
-// allocated fresh it was ≈ 0.70 MB a round; it is ≈ 0.01 MB. The groups
-// train one at a time: groups training in parallel interleave their pool
-// leases differently every round, so the pool keeps meeting new high-water
-// marks for many rounds (single rounds of up to 1.9 MB at 4 workers), which
-// would hide what a round itself allocates.
+// allocated fresh it was ≈ 0.70 MB a round; it is ≈ 0.01 MB. It holds at
+// every worker count: groups training in parallel take separate arenas, and
+// each pass takes the free arena nearest the most its model has leased at
+// once (tensor.TakeArena), so an arena does not grow to every group's
+// layout in turn. While one pool served every pass, parallel groups met new
+// high-water marks for many rounds (single rounds of up to 5 MB at 4
+// workers) and the gate ran its groups one at a time.
 func TestSyncRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates every allocation; the alloc gate runs without -race")
 	}
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	const rounds, warm, maxMB = 8, 3, 0.05
 	s := experiments.Small()
 	s.Rounds = rounds
@@ -321,6 +322,65 @@ func TestSyncRoundAllocs(t *testing.T) {
 	t.Logf("%.3f MB allocated per round over rounds %d-%d", perRound, warm+1, rounds-1)
 	if perRound > maxMB {
 		t.Errorf("%.3f MB allocated per round, want <= %v", perRound, maxMB)
+	}
+}
+
+// arenaSampler is FedClassAvg with the arenas read as each sync round
+// opens, when every pass of the round before has ended.
+type arenaSampler struct {
+	*core.FedClassAvg
+	stats [][]tensor.ArenaStat
+}
+
+func (r *arenaSampler) Round(sim *fl.Simulation, round int, participants []int) error {
+	r.stats = append(r.stats, tensor.ArenaStats())
+	return r.FedClassAvg.Round(sim, round, participants)
+}
+
+// TestArenaBoundedByLiveSet checks that a pass's arena holds what a pass
+// leases at once, not what passes have leased: on the het_sync fleet at
+// one worker, starting from no arena, once a round has trained and
+// evaluated all four architectures, the next round's training and
+// evaluation passes make no chunk, and every arena is within one least
+// chunk (1 MiB) of the most it ever had leased at once. (One arena: the
+// groups train one after another, each in its leader's arena.)
+func TestArenaBoundedByLiveSet(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	tensor.DropArenas()
+	const rounds = 3
+	s := experiments.Small()
+	s.Rounds = rounds
+	factory, _, err := experiments.NewHeterogeneousFleet(experiments.Fashion, data.Dirichlet, s.Clients, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := experiments.NewAlgorithm(experiments.MethodProposed, experiments.Fashion, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &arenaSampler{FedClassAvg: algo.(*core.FedClassAvg)}
+	sim := fl.NewSimulation(factory(), fl.Config{Rounds: rounds, SampleRate: 1, BatchSize: s.BatchSize, Seed: s.Seed + 7})
+	if _, err := sim.RunScheduled(r, fl.SchedulerConfig{Kind: fl.SchedSync}); err != nil {
+		t.Fatal(err)
+	}
+	chunks := func(st []tensor.ArenaStat) (n int) {
+		for _, a := range st {
+			n += a.Chunks
+		}
+		return n
+	}
+	warm, next := r.stats[1], r.stats[2]
+	if len(warm) == 0 {
+		t.Fatal("no arena is free after the warm round")
+	}
+	if len(next) != len(warm) || chunks(next) != chunks(warm) {
+		t.Errorf("the round after the warm one went from %d arenas of %d chunks to %d of %d", len(warm), chunks(warm), len(next), chunks(next))
+	}
+	for i, a := range next {
+		t.Logf("arena %d: %d chunks, %.2f MB, %.2f MB leased at most", i, a.Chunks, float64(a.Bytes)/(1<<20), float64(a.High)/(1<<20))
+		if a.Bytes > a.High+1<<20 {
+			t.Errorf("arena %d holds %d bytes, more than 1 MiB over its lease high-water %d", i, a.Bytes, a.High)
+		}
 	}
 }
 

@@ -214,7 +214,8 @@ func (p *FedProto) AlgoRestore(st *fl.AlgoState) error {
 }
 
 // localPrototypes computes per-class mean features over the client's
-// training data in evaluation mode.
+// training data in evaluation mode. It is one pass: it hands the model's
+// arena back when it has read the features.
 func (p *FedProto) localPrototypes(c *fl.Client, batchSize int) ([][]float64, []int) {
 	sums := make([][]float64, p.numClasses)
 	counts := make([]int, p.numClasses)
@@ -238,6 +239,7 @@ func (p *FedProto) localPrototypes(c *fl.Client, batchSize int) ([][]float64, []
 			counts[cls]++
 		}
 	}
+	c.Model.ReleaseWorkspaces()
 	for cls := range sums {
 		if counts[cls] == 0 {
 			continue

@@ -287,6 +287,7 @@ func (k *KTpFL) local(group []*fl.Client, batchSize int, transfers [][]float64) 
 		} else {
 			_, logits := c.Model.Forward(k.publicX, false)
 			report = loss.SoftmaxWithTemperature(logits, k.Temperature).AppendFloat64s(nil)
+			c.Model.ReleaseWorkspaces()
 		}
 		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}}
 	}

@@ -105,8 +105,9 @@ func (c *Client) packViews(x *tensor.Tensor, b []data.Example, views int, y []in
 }
 
 // EvalAccuracy computes test accuracy with the model in evaluation mode,
-// batching the test set into pooled model-dtype tensors to bound memory. It
-// is one pass: on return the model's workspaces are back in the pool.
+// batching the test set into model-dtype tensors leased from the model's
+// arena to bound memory. It is one pass: on return the arena is back on the
+// free list.
 func (c *Client) EvalAccuracy() float64 {
 	if len(c.Test) == 0 {
 		return 0
@@ -117,7 +118,7 @@ func (c *Client) EvalAccuracy() float64 {
 	correct := 0
 	for lo := 0; lo < len(c.Test); lo += evalBatch {
 		b := c.Test[lo:min(lo+evalBatch, len(c.Test))]
-		x := tensor.GetTensorOf(c.DType(), len(b), ch, h, w)
+		x := nn.ArenaOf(c.Model.Extractor).Lease(c.DType(), len(b), ch, h, w)
 		for i, ex := range b {
 			x.WriteFloat64sAt(i*dim, ex.X)
 		}

@@ -84,10 +84,11 @@ type Objective struct {
 // classifier and extractor backward, the hook, and each client's optimizer
 // step. Clients with fewer batches drop out of later steps. Every step runs
 // the nn group entry points over the clients taking it, however many. The
-// epochs are one pass: on return every client's layer workspaces are back in
-// the tensor pool. The group's lists are its leader's (group[0]'s), so a
-// warm call allocates nothing, and the returned losses are valid until the
-// leader's next TrainEpochs.
+// epochs are one pass, whose batches, loss gradients and layer workspaces
+// every client leases from the leader's arena (nn.Join): on return it is
+// back on the free list (models.SplitModel.ReleaseWorkspaces). The group's
+// lists are its leader's (group[0]'s), so a warm call allocates nothing,
+// and the returned losses are valid until the leader's next TrainEpochs.
 func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float64 {
 	ts := &group[0].train
 	g := len(group)
@@ -97,6 +98,7 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 	batches := append(ts.batches[:0], make([][][]data.Example, g)...)
 	for _, c := range group {
 		params = append(params, c.Model.Params())
+		nn.Join(c.Model.Extractor, group[0].Model.Extractor)
 	}
 	st := &ts.st
 	for e := 0; e < epochs; e++ {
@@ -134,7 +136,7 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 				if obj.TwoViews {
 					// The view-one gradient widens to every row, zero below.
 					f, d := st.feats[j], st.grads[j]
-					st.grads[j] = tensor.GetTensorOf(f.DT, f.Rows(), f.Cols())
+					st.grads[j] = tensor.LeaseBeside(f, f.DT, f.Rows(), f.Cols())
 					tensor.CopySegment(st.grads[j], 0, d, 0, d.Size())
 				}
 				if obj.Head != nil {
@@ -160,9 +162,10 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 			losses[k] /= float64(n)
 		}
 	}
-	for _, c := range group {
+	for _, c := range group[1:] {
 		c.Model.ReleaseWorkspaces()
 	}
+	group[0].Model.ReleaseWorkspaces()
 	// Keep the lists' storage, not what they point at: a member may be
 	// evicted before the leader trains again.
 	clear(params)
@@ -192,7 +195,7 @@ type step struct {
 	k     []int // the clients' places in the group
 	exts  []*nn.Sequential
 	clfs  []*nn.Dense
-	xs    []*tensor.Tensor // pooled packed inputs
+	xs    []*tensor.Tensor // packed inputs, leased from the leader's arena
 	ys    [][]int
 	feats []*tensor.Tensor // the extractors' outputs, in the leader's list
 	// views are row headers over the view-one half of feats (TwoViews).
@@ -213,15 +216,15 @@ func (st *step) drop() {
 	clear(st.ys[:cap(st.ys)])
 }
 
-// pack appends client c (place k) with its batch b packed into a pooled
-// model-dtype input and c's kept labels.
+// pack appends client c (place k) with its batch b packed into a
+// model-dtype input leased from its pass's arena, and c's kept labels.
 func (st *step) pack(k int, c *Client, b []data.Example, twoViews bool) {
 	views := 1
 	if twoViews {
 		views = 2
 	}
 	ch, h, w := c.InputGeometry()
-	x := tensor.GetTensorOf(c.DType(), views*len(b), ch, h, w)
+	x := nn.ArenaOf(c.Model.Extractor).Lease(c.DType(), views*len(b), ch, h, w)
 	if cap(c.train.labels) < len(b) {
 		c.train.labels = make([]int, len(b))
 	}

@@ -6,11 +6,12 @@
 // KT-pFL baseline. Every function returns both the scalar loss and the
 // gradient with respect to its input so layers can stay autodiff-free.
 //
-// A returned gradient is leased from the tensor pool (tensor.GetTensorOf):
-// once the backward pass has consumed it, the caller hands it back with
-// tensor.PutTensor, and a training step that does so allocates nothing for
-// its losses. A caller that keeps or drops a gradient instead only leaves
-// it to the garbage collector.
+// A returned gradient, and every intermediate, is leased beside the loss's
+// input (tensor.LeaseBeside): from the arena of the pass that produced the
+// logits or features. Once the backward pass has consumed the gradient,
+// the caller hands it back with tensor.PutTensor, and a training step that
+// does so allocates nothing for its losses; the pass's end reclaims one
+// the caller keeps. An input that is no lease gets new tensors.
 //
 // Losses are dtype-generic: gradients come back in the input activations'
 // dtype (so the backward pass stays on the model's fast path), while scalar
@@ -28,13 +29,13 @@ import (
 
 // CrossEntropy computes mean softmax cross-entropy over a batch of logits
 // [N, C] with integer labels, returning the loss and dL/dlogits, leased
-// from the tensor pool.
+// beside the logits.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n := logits.Rows()
 	if len(labels) != n {
 		panic("loss: CrossEntropy label count mismatch")
 	}
-	grad := tensor.GetTensorOf(logits.DT, n, logits.Cols())
+	grad := tensor.LeaseBeside(logits, logits.DT, n, logits.Cols())
 	if logits.DT.Backing() == tensor.F32 {
 		return crossEntropy(tensor.Of[float32](logits), tensor.Of[float32](grad), labels, logits.Cols()), grad
 	}
@@ -72,8 +73,8 @@ type SupConOptions struct {
 // features must be [2N, D]: rows 0..N-1 are view one, rows N..2N-1 view two,
 // and row i and row i+N share labels[i]. The features need not be
 // normalized; L2 normalization is part of the loss (and its backward pass).
-// It returns the loss and dL/dfeatures of shape [2N, D], leased from the
-// tensor pool.
+// It returns the loss and dL/dfeatures of shape [2N, D], leased beside the
+// features.
 //
 // For anchor i with positives P(i) = {j ≠ i : label_j = label_i}:
 //
@@ -90,7 +91,7 @@ func SupCon(features *tensor.Tensor, labels []int, optsIn ...SupConOptions) (flo
 	if m%2 != 0 || m/2 != len(labels) {
 		panic("loss: SupCon expects [2N, D] features and N labels")
 	}
-	df := tensor.GetTensorOf(features.DT, m, features.Cols())
+	df := tensor.LeaseBeside(features, features.DT, m, features.Cols())
 	var lossVal float64
 	if features.DT.Backing() == tensor.F32 {
 		lossVal = supCon[float32](features, df, labels, opts.Temperature)
@@ -106,11 +107,11 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 	d := features.Cols()
 	n := m / 2
 
-	// Normalize a pooled copy of the features, remembering norms for the
-	// backward pass through the normalization. All O(m²) intermediates come
-	// from the tensor pool and go back at the end, as the returned gradient
-	// does once the caller is done with it.
-	z := tensor.GetTensorOf(dt, m, d)
+	// Normalize a leased copy of the features, remembering norms for the
+	// backward pass through the normalization. All O(m²) intermediates are
+	// leased beside the features and go back at the end, as the returned
+	// gradient does once the caller is done with it.
+	z := tensor.LeaseBeside(features, dt, m, d)
 	defer tensor.PutTensor(z)
 	z.CopyFrom(features)
 	norms := z.NormalizeRowsInPlace(tensor.GetStorage[float64](m), 1e-12)
@@ -124,14 +125,14 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 	}
 
 	// Pairwise scaled similarities s_ij = z_i·z_j/τ.
-	sim := tensor.GetTensorOf(dt, m, m)
+	sim := tensor.LeaseBeside(features, dt, m, m)
 	defer tensor.PutTensor(sim)
 	tensor.MatMulABTInto(sim, z, z)
 	sim.ScaleInPlace(1 / tau)
 	simd := tensor.Of[F](sim)
 
 	// G_ia = softmax over a≠i of s_ia, minus 1/|P(i)| for positives.
-	g := tensor.GetTensorOf(dt, m, m)
+	g := tensor.LeaseBeside(features, dt, m, m)
 	defer tensor.PutTensor(g)
 	gd := tensor.Of[F](g)
 	var total float64
@@ -181,7 +182,7 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 
 	// dL/dz_i = (1/(Mτ)) Σ_a (G_ia + G_ai)·z_a
 	scale := F(1.0 / (float64(m) * tau))
-	gSym := tensor.GetTensorOf(dt, m, m)
+	gSym := tensor.LeaseBeside(features, dt, m, m)
 	defer tensor.PutTensor(gSym)
 	gSymd := tensor.Of[F](gSym)
 	for i := 0; i < m; i++ {
@@ -189,7 +190,7 @@ func supCon[F tensor.Float](features, df *tensor.Tensor, labels []int, tau float
 			gSymd[i*m+a] = (gd[i*m+a] + gd[a*m+i]) * scale
 		}
 	}
-	dz := tensor.GetTensorOf(dt, m, d)
+	dz := tensor.LeaseBeside(features, dt, m, d)
 	defer tensor.PutTensor(dz)
 	tensor.MatMulInto(dz, gSym, z)
 
@@ -239,15 +240,15 @@ func proximal[F tensor.Float](w, g []F, globalFlat []float64, rho float64) float
 
 // KLDistill computes the temperature-scaled distillation loss
 // T²·KL(teacher ‖ student) between teacher probabilities [N, C] and student
-// logits [N, C], returning the loss and dL/d(student logits), leased from
-// the tensor pool. The T² factor keeps gradient magnitudes comparable across
-// temperatures (Hinton et al.).
+// logits [N, C], returning the loss and dL/d(student logits), leased
+// beside the student logits. The T² factor keeps gradient magnitudes
+// comparable across temperatures (Hinton et al.).
 func KLDistill(studentLogits, teacherProbs *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 	n, c := studentLogits.Rows(), studentLogits.Cols()
 	if teacherProbs.Rows() != n || teacherProbs.Cols() != c {
 		panic("loss: KLDistill shape mismatch")
 	}
-	grad := tensor.GetTensorOf(studentLogits.DT, n, c)
+	grad := tensor.LeaseBeside(studentLogits, studentLogits.DT, n, c)
 	if studentLogits.DT.Backing() == tensor.F32 {
 		return klDistill(tensor.Of[float32](studentLogits), tensor.Of[float32](teacherProbs),
 			tensor.Of[float32](grad), n, c, temperature), grad

@@ -111,7 +111,7 @@ type SplitModel struct {
 	// different dtype (dataset tensors are always float64 bookkeeping).
 	// It is overwritten by the next cast, matching the layer buffer
 	// contract: an input is consumed by the forward/backward pair it feeds.
-	// Like the layer workspaces it is leased for one pass.
+	// Like the layer workspaces it is leased from the pass's arena.
 	xcast *tensor.Tensor
 	// params is Params(), in the order of the model's slabs; buffers is
 	// Buffers().
@@ -127,7 +127,7 @@ var free = struct {
 	models map[Config][]*SplitModel
 }{models: make(map[Config][]*SplitModel)}
 
-// Recycle ends m's life: its workspaces go back to the tensor pool
+// Recycle ends m's life: its workspaces go back to their arena
 // (ReleaseWorkspaces) and the model itself — layers, parameter slabs,
 // running statistics, cached lists — to a free list, from which the next
 // New of its Config takes it and initializes it again. Nothing may use m,
@@ -200,6 +200,7 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 		Extractor:  ext,
 		Classifier: nn.NewDense(cfg.FeatDim, cfg.NumClasses, rng),
 	}
+	nn.Bind(ext, m.Classifier)
 	m.params = append(ext.Params(), m.Classifier.Params()...)
 	m.buffers = ext.Buffers()
 	nn.Pack(m.params, cfg.DType)
@@ -216,7 +217,7 @@ func (m *SplitModel) CastInput(x *tensor.Tensor) *tensor.Tensor {
 	if x.DT == m.Cfg.DType {
 		return x
 	}
-	m.xcast = tensor.EnsureOf(m.Cfg.DType, m.xcast, x.Shape...)
+	m.xcast = nn.ArenaOf(m.Extractor).Ensure(m.Cfg.DType, m.xcast, x.Shape...)
 	tensor.ConvertInto(m.xcast, x)
 	return m.xcast
 }
@@ -235,19 +236,19 @@ func (m *SplitModel) Forward(x *tensor.Tensor, train bool) (feats, logits *tenso
 	return feats, logits
 }
 
-// ReleaseWorkspaces ends a pass: the extractor's and the classifier's layer
-// workspaces and the input staging buffer go back to the tensor pool
-// (nn.Release), so a model between passes holds only its parameters,
-// gradients and running statistics. Every tensor Forward or Features
-// returned is invalid afterwards. The pass drivers — fl.TrainEpochs,
-// fl.Client.EvalAccuracy, KT-pFL's distillation — call it when they return;
-// any other Forward caller's buffers stay leased until the model's next
-// pass ends.
+// ReleaseWorkspaces ends a pass: the input staging buffer and the
+// extractor's and the classifier's layer workspaces go back to the model's
+// arena, and the arena to the free list (nn.Release), so a model between
+// passes holds only its parameters, gradients and running statistics.
+// Every tensor Forward or Features returned is invalid afterwards, and so
+// is every other lease of the pass (nn.ArenaOf). The pass drivers —
+// fl.TrainEpochs, fl.Client.EvalAccuracy, KT-pFL's distillation — call it
+// when they return; any other Forward caller's arena stays the model's
+// until its next pass ends.
 func (m *SplitModel) ReleaseWorkspaces() {
-	nn.Release(m.Extractor)
-	nn.Release(m.Classifier)
 	tensor.PutTensor(m.xcast)
 	m.xcast = nil
+	nn.Release(m.Extractor, m.Classifier)
 }
 
 // Params returns all trainable parameters (extractor then classifier) —

@@ -44,11 +44,19 @@ func walkTensors(v reflect.Value, path string, view bool, visit func(path string
 			walkTensors(v.Field(i), path+"."+v.Type().Field(i).Name, view, visit)
 		}
 	case reflect.Slice, reflect.Array:
+		if numeric(v.Type().Elem()) {
+			return // an arena's chunks, say: nothing in them points anywhere
+		}
 		for i := 0; i < v.Len(); i++ {
 			el := v.Index(i)
 			walkTensors(el, fmt.Sprintf("%s[%d]", path, i), view || (v.Kind() == reflect.Slice && el.Type() == tensorPtr), visit)
 		}
 	}
+}
+
+// numeric reports whether t is a number type, which holds no pointer.
+func numeric(t reflect.Type) bool {
+	return t.Kind() >= reflect.Int && t.Kind() <= reflect.Complex128
 }
 
 // walkParams calls visit for every *nn.Param slot a model reaches by
@@ -72,6 +80,9 @@ func walkParams(v reflect.Value, path string, visit func(path string, p reflect.
 			walkParams(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
 		}
 	case reflect.Slice, reflect.Array:
+		if numeric(v.Type().Elem()) {
+			return
+		}
 		for i := 0; i < v.Len(); i++ {
 			walkParams(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
 		}

@@ -7,6 +7,7 @@ import "repro/internal/tensor"
 // the input was positive, so the pass-through set is recoverable for free
 // and the forward loop writes one array instead of two.
 type ReLU struct {
+	ws
 	out, dx *tensor.Tensor
 }
 
@@ -15,7 +16,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative activations.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.out = tensor.EnsureOf(x.DT, r.out, x.Shape...)
+	r.out = r.ensure(x.DT, r.out, x.Shape...)
 	if x.DT.Backing() == tensor.F32 {
 		reluFwd(tensor.Of[float32](r.out), tensor.Of[float32](x))
 	} else {
@@ -30,7 +31,7 @@ func reluFwd[F tensor.Float](out, x []F) {
 
 // Backward passes gradients only through positive activations.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	r.dx = tensor.EnsureOf(grad.DT, r.dx, grad.Shape...)
+	r.dx = r.ensure(grad.DT, r.dx, grad.Shape...)
 	if grad.DT.Backing() == tensor.F32 {
 		reluBwd(tensor.Of[float32](r.dx), tensor.Of[float32](grad), tensor.Of[float32](r.out))
 	} else {

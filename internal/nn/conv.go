@@ -28,6 +28,7 @@ import (
 // package comment for the workspace lease and the activation aliasing
 // contract.
 type Conv2D struct {
+	ws
 	InC, OutC    int
 	KH, KW       int
 	Stride, Pad  int
@@ -172,8 +173,8 @@ func (c *Conv2D) ensureWorkspace(n, h, w int) {
 // and the product.
 func (c *Conv2D) leaseForward() {
 	dt, sp := c.W.Value.DT, c.blk*c.outH*c.outW
-	c.cols = tensor.EnsureOf(dt, c.cols, c.Groups*c.kernelElems, sp)
-	c.gemmOut = tensor.EnsureOf(dt, c.gemmOut, c.outCPerGroup, sp)
+	c.cols = c.ensure(dt, c.cols, c.Groups*c.kernelElems, sp)
+	c.gemmOut = c.ensure(dt, c.gemmOut, c.outCPerGroup, sp)
 }
 
 // leaseBackward takes a backward call's scratch, sized to the geometry of
@@ -187,15 +188,15 @@ func (c *Conv2D) leaseBackward(inputGrad bool) {
 	sp := c.blk * c.outH * c.outW
 	c.gather = phaseGather
 	if c.cols == nil {
-		c.cols = tensor.EnsureOf(dt, nil, c.Groups*ke, sp)
+		c.cols = c.ensure(dt, nil, c.Groups*ke, sp)
 		c.gather = phaseLowerGather
 	}
-	c.gmat = tensor.EnsureOf(dt, c.gmat, c.OutC, sp)
+	c.gmat = c.ensure(dt, c.gmat, c.OutC, sp)
 	if inputGrad {
-		c.dcols = tensor.EnsureOf(dt, c.dcols, c.Groups*ke, sp)
+		c.dcols = c.ensure(dt, c.dcols, c.Groups*ke, sp)
 	}
-	c.dwt = tensor.EnsureOf(dt, c.dwt, c.Groups*ke, ocg)
-	c.dbs = tensor.EnsureOf(dt, c.dbs, c.OutC)
+	c.dwt = c.ensure(dt, c.dwt, c.Groups*ke, ocg)
+	c.dbs = c.ensure(dt, c.dbs, c.OutC)
 	for g := 0; g < c.Groups; g++ {
 		setView(&c.dwV[g], c.W.Grad, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
 		setView(&c.dwtV[g], c.dwt, g*ke*ocg, (g+1)*ke*ocg, ke, ocg)
@@ -222,7 +223,7 @@ func (c *Conv2D) setBlock(b int, backward bool) {
 		}
 	}
 	if !backward {
-		c.gemmOut = tensor.EnsureOf(c.gemmOut.DT, c.gemmOut, ocg, w)
+		c.gemmOut = c.ensure(c.gemmOut.DT, c.gemmOut, ocg, w)
 	}
 }
 
@@ -291,7 +292,7 @@ func (c *Conv2D) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
 // products run as fused launches and each member scatters its product,
 // bias fused, into its output. The output columns are independent, so the
 // blocks change no bit of the whole-batch product. The members' scratch goes
-// back to the pool together after the last block, since a fused launch reads
+// back to the arena together after the last block, since a fused launch reads
 // every member's block at once.
 func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 	nb := 0
@@ -310,7 +311,7 @@ func convForward(cs []*Conv2D, acts []*tensor.Tensor, train bool) {
 		c.ensureWorkspace(n, h, w)
 		c.leaseForward()
 		c.x = x
-		c.out = tensor.EnsureOf(x.DT, c.out, n, c.OutC, c.outH, c.outW)
+		c.out = c.ensure(x.DT, c.out, n, c.OutC, c.outH, c.outW)
 		acts[g] = c.out
 		nb = max(nb, c.blocks())
 	}
@@ -400,7 +401,7 @@ func (c *Conv2D) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
 // one multiply-add chain per element across those calls, so the sum is the
 // whole-batch product's bit for bit. It and the bias sums reach the
 // parameter gradients once, after the last block, and the members' scratch
-// goes back to the pool together. Without inputGrad the members compute
+// goes back to the arena together. Without inputGrad the members compute
 // parameter gradients alone: no dx or dcols is leased, no dx cleared or
 // scattered into, no dcols product runs, and acts is left as it is.
 func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
@@ -416,7 +417,7 @@ func convBackward(cs []*Conv2D, acts []*tensor.Tensor, inputGrad bool) {
 		c.leaseBackward(inputGrad)
 		c.gy = grad
 		if inputGrad {
-			c.dx = tensor.EnsureOf(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
+			c.dx = c.ensure(grad.DT, c.dx, c.batch, c.InC, c.inH, c.inW)
 			if !c.convInitsDX() {
 				c.dx.Zero()
 			}
@@ -587,7 +588,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // release also forgets the geometry and the retained input, so the next
 // Forward rebuilds every group view, and a Backward before it fails. The
-// per-call scratch is already back in the pool.
+// per-call scratch is already back in the arena.
 func (c *Conv2D) release() {
 	putBack(&c.out, &c.cols, &c.dx)
 	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.dwtV, c.colsV, c.gmatV, c.dcolsV} {

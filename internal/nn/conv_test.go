@@ -77,13 +77,13 @@ func wholeBatchConv[F tensor.Float](c *Conv2D, x, gy *tensor.Tensor) (y, dx *ten
 	return y, dx
 }
 
-// poisonWorkspaces releases c with the pool scrubbing every buffer it holds
-// free with NaN — the ones c held past its calls and its per-call scratch
-// alike — so the next layer of the same geometry takes dirty storage from
-// the pool.
+// poisonWorkspaces ends c's pass with every arena no pass holds scrubbed
+// with NaN — c's own, with what c held past its calls and its per-call
+// scratch alike — so the next layer of the same geometry takes dirty
+// storage from its arena.
 func poisonWorkspaces(c *Conv2D) {
 	defer tensor.ScrubFreed(math.NaN())()
-	c.release()
+	Release(c)
 }
 
 // convSide is the input size at which one sample's lowering takes between
@@ -103,7 +103,7 @@ func convSide(inC, k, stride, pad int) int {
 // whole-batch lowering bit for bit — y, dX, W.Grad and B.Grad — at every
 // dtype, group count, kernel, stride and padding, for batches of exactly
 // one block, two blocks and a ragged three, at one worker and at all of
-// them, with the layer's workspaces taken dirty from the pool.
+// them, with the layer's workspaces taken dirty from its arena.
 func TestConvBlockedMatchesWholeBatch(t *testing.T) {
 	const inC, outC = 8, 12
 	for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
@@ -172,7 +172,7 @@ func checkConvBlocked(t *testing.T, dt tensor.DType, inC, outC, k, stride, pad, 
 	bitsEqual(t, "dx", dx, wantDX)
 	bitsEqual(t, "W.Grad", c.W.Grad, ref.W.Grad)
 	bitsEqual(t, "B.Grad", c.B.Grad, ref.B.Grad)
-	c.release()
+	Release(c)
 }
 
 // TestConvBackwardNeedsTrainingForward pins the contract Backward relies on

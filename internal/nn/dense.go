@@ -13,6 +13,7 @@ import (
 // steady-state step allocates nothing. All buffers follow the parameters'
 // dtype.
 type Dense struct {
+	ws
 	In, Out int
 	W, B    *Param
 
@@ -63,7 +64,7 @@ func DenseForwardBatch(ds []*Dense, xs []*tensor.Tensor, train bool) []*tensor.T
 			panic(fmt.Sprintf("nn: Dense.Forward input dtype %v, model is %v (cast inputs at the model boundary)", x.DT, d.W.Value.DT))
 		}
 		d.x = x
-		d.out = tensor.EnsureOf(x.DT, d.out, x.Rows(), d.Out)
+		d.out = d.ensure(x.DT, d.out, x.Rows(), d.Out)
 		l.add(d.out, x, d.W.Value)
 	}
 	tensor.MatMulBatchInto(l.outs, l.as, l.bs)
@@ -107,7 +108,7 @@ func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
 	l.reset()
 	for g, d := range ds {
 		grad := grads[g]
-		d.dx = tensor.EnsureOf(grad.DT, d.dx, grad.Rows(), d.In)
+		d.dx = d.ensure(grad.DT, d.dx, grad.Rows(), d.In)
 		l.add(d.dx, grad, d.W.Value)
 	}
 	tensor.MatMulBatchABTInto(l.outs, l.as, l.bs)

@@ -107,7 +107,7 @@ func (l *launch) release() {
 // leader's list, valid until the leader's next group forward.
 //
 // An evaluation-mode walk (train false) keeps nothing for a backward pass,
-// so it hands each position's workspaces back to the pool as soon as
+// so it hands each position's workspaces back to the arena as soon as
 // nothing downstream can read them: once the position after the one whose
 // storage holds the activations has written its outputs into storage of its
 // own. A layer whose output shares its input's storage (Flatten's view)
@@ -154,7 +154,7 @@ func handBack(seqs []*Sequential, i int, release func(Layer)) {
 // SequentialForwardBatch. It returns the input gradients in the leader's
 // list, valid until the leader's next group backward.
 //
-// The walk hands each position's input gradients back to the pool as soon
+// The walk hands each position's input gradients back to the arena as soon
 // as the position in front has read them, the evaluation forward's
 // release-behind rule run in reverse: once a position has written its
 // gradients into storage of its own, the previous owner's go back. A layer
@@ -173,7 +173,7 @@ func SequentialBackwardBatch(seqs []*Sequential, grads []*tensor.Tensor) []*tens
 // (Flatten) are not visited. Every parameter gradient is the full walk's,
 // bit for bit. A first layer of another kind (Residual, Inception,
 // BatchNorm) gets the full walk. The last gradient the walk read goes back
-// to the pool too, so the walk leaves no input gradient leased.
+// to the arena too, so the walk leaves no input gradient leased.
 func SequentialBackwardParams(seqs []*Sequential, grads []*tensor.Tensor) {
 	sequentialBackward(seqs, grads, seqs[0].firstWeights())
 }

@@ -17,9 +17,14 @@
 // a training-mode Forward; the aliasing contract below already keeps that
 // input valid, since the producing layer runs no Forward in between.
 //
-// A pass holds only what a later step of it reads. A layer takes its
-// buffers from the tensor package's default pool (tensor.EnsureOf), so the
-// pool is sized by what is leased at once, not by what has run:
+// A pass holds only what a later step of it reads. A layer leases its
+// buffers from its model's arena (tensor.Arena): every layer of a model
+// shares one pass (Bind, and the composite constructors), whose arena is
+// taken from a free list at the model's first lease and goes back there
+// when Release ends the pass, for the next pass of any model. The arena
+// serves each lease at the lowest free range that fits and takes each
+// hand-back into its free neighbours, so it is sized by what is leased at
+// once, not by what has run:
 //   - Scratch no later call reads is leased for one call and handed back
 //     when the call returns: a convolution's im2col, product and gradient
 //     matrices. The one exception is a training Forward whose batch fits one
@@ -28,25 +33,28 @@
 //   - A layer keeps one output, which each Forward of the pass overwrites,
 //     and what its Backward reads of the forward (batch norm's x̂).
 //   - Input gradients are handed back behind the training backward walk:
-//     once the layer in front has read one, it goes back to the pool
-//     (SequentialBackwardBatch). An evaluation-mode pass keeps nothing for a
-//     backward pass, so the walker hands each layer's workspaces back as
-//     soon as no later layer can read them (SequentialForwardBatch, which
-//     Sequential.Forward runs as a group of one).
-//   - Release hands back everything left when the pass ends.
+//     once the layer in front has read one, it goes back to the arena
+//     (SequentialBackwardBatch), and with a max pooling layer's input
+//     gradient go its argmax positions. An evaluation-mode pass keeps
+//     nothing for a backward pass, so the walker hands each layer's
+//     workspaces back as soon as no later layer can read them
+//     (SequentialForwardBatch, which Sequential.Forward runs as a group of
+//     one).
+//   - Release hands back everything left when the pass ends, and then the
+//     arena.
 //
 // A model between passes holds only its parameters, gradients and running
-// statistics. Once the pool holds what a pass leases, a training pass
-// allocates nothing: each lease is served from buffers handed back earlier,
-// and so are the driver's batch inputs and the losses' gradients
-// (fl.TrainEpochs, package loss), so a warm local epoch makes no heap
-// allocation (the root package's TestHotPathAllocs holds ClientLocalEpoch
-// at 0 allocs/op). Pooled buffers arrive dirty: every layer overwrites each
-// element it later reads. A model's parameters live in two exact-length
-// pool slabs, one for values and one for gradients, in Params() order
-// (Pack), so every flat view of a run of them is one range (Flat); a built
-// model keeps its slabs for life, and Init re-initializes them in place when
-// the model is reused.
+// statistics. Once an arena has served a pass's leases, a training pass
+// allocates nothing: each lease is a range of a chunk it already has, under
+// a recycled header, and so are the driver's batch inputs and the losses'
+// gradients and intermediates (fl.TrainEpochs, package loss, ArenaOf), so
+// a warm local epoch makes no heap allocation (the root package's
+// TestHotPathAllocs holds ClientLocalEpoch at 0 allocs/op). Leases arrive
+// dirty: every layer overwrites each element it later reads. A model's
+// parameters live in two exact-length pool slabs, one for values and one
+// for gradients, in Params() order (Pack), so every flat view of a run of
+// them is one range (Flat); a built model keeps its slabs for life, and
+// Init re-initializes them in place when the model is reused.
 //
 // A training step reads no input gradient from the model's first layer, so
 // its reverse walk (SequentialBackwardParams, Sequential.BackwardParams)
@@ -76,13 +84,90 @@ import (
 	"repro/internal/tensor"
 )
 
-// putBack returns workspaces to the tensor pool and clears their fields.
+// putBack hands workspaces back to their arena and clears their fields.
 func putBack(ws ...**tensor.Tensor) {
 	for _, w := range ws {
 		tensor.PutTensor(*w)
 		*w = nil
 	}
 }
+
+// pass is the arena one model's passes lease from. Every layer of a model
+// points at the same pass (bind): the constructors of Sequential, Residual
+// and Inception bind what they are given to a new one, so the outermost
+// constructor's pass is the model's, and Bind joins layers built apart. The
+// arena is taken from the tensor package's free list at the model's first
+// lease and goes back when Release ends the pass — unless the pass is lent
+// a group leader's (Join), which the leader's Release hands back.
+type pass struct {
+	a    *tensor.Arena
+	lent bool // a is another model's pass's
+	need int  // the most a pass of it leased at once, for TakeArena
+}
+
+// ws is a layer's handle on its model's pass; every layer embeds one.
+type ws struct{ p *pass }
+
+func (w *ws) bind(p *pass) { w.p = p }
+
+func (w *ws) scope() *ws { return w }
+
+// arena returns the arena of w's pass, taking one from the free list when
+// the pass holds none. A layer never bound is a model of its own.
+func (w *ws) arena() *tensor.Arena {
+	if w.p == nil {
+		w.p = new(pass)
+	}
+	if w.p.a == nil {
+		w.p.a = tensor.TakeArena(w.p.need)
+	}
+	return w.p.a
+}
+
+// ensure is tensor.Arena.Ensure on w's arena.
+func (w *ws) ensure(dt tensor.DType, t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	return w.arena().Ensure(dt, t, shape...)
+}
+
+// end ends w's pass: its own arena goes back to the free list, and the
+// most it leased at once is kept as the next pass's need; a lent arena
+// stays its lender's.
+func (w *ws) end() {
+	if w.p == nil || w.p.a == nil {
+		return
+	}
+	if !w.p.lent {
+		w.p.need = max(w.p.need, w.p.a.Free())
+	}
+	w.p.a, w.p.lent = nil, false
+}
+
+// Bind makes ls one model: their passes lease from one arena, which
+// Release of them all hands back. models.SplitModel binds its extractor and
+// its classifier, which it steps apart.
+func Bind(ls ...Layer) {
+	p := new(pass)
+	for _, l := range ls {
+		l.bind(p)
+	}
+}
+
+// Join makes l's next pass lease from lead's arena, until Release ends it:
+// a group stepped in lockstep (fl.TrainEpochs) holds one arena, its
+// leader's, so its members' leases share chunks instead of each member
+// taking an arena of its own. Release the members before the leader, whose
+// Release hands the arena back. A pass that already holds an arena keeps
+// it.
+func Join(l, lead Layer) {
+	if p := l.scope().p; p != nil && p.a == nil && p != lead.scope().p {
+		p.a, p.lent = ArenaOf(lead), true
+	}
+}
+
+// ArenaOf returns the arena l's pass leases from, taking one when the pass
+// holds none: where a pass driver leases the scratch around its layers (the
+// batch, a cast input), so that Release hands it back with theirs.
+func ArenaOf(l Layer) *tensor.Arena { return l.scope().arena() }
 
 // dropViews detaches cached view headers from the storage they point into;
 // the headers stay for the next pass to re-point.
@@ -131,8 +216,8 @@ func newParam(name string, shape ...int) *Param {
 // Pack moves freshly built parameters into one value slab and one gradient
 // slab of dtype dt, in order: each Value becomes a view of its block,
 // narrowed from its float64 initialization, each Grad a zero view, and the
-// value storage they had goes back to the pool. Layer workspaces follow the
-// activations' dtype lazily on the first pass.
+// value storage they had goes back to the tensor package's pool. Layer
+// workspaces follow the activations' dtype lazily on the first pass.
 func Pack(params []*Param, dt tensor.DType) {
 	n, off := NumParams(params), 0
 	vals, grads := tensor.NewStorageOf(dt, n), tensor.NewStorageOf(dt, n)
@@ -177,16 +262,18 @@ func span(t *tensor.Tensor, lo, hi int) tensor.Tensor {
 // previous activation and returns the next; Backward consumes dL/d(output)
 // and returns dL/d(input), accumulating parameter gradients as a side
 // effect. The train flag selects training behaviour (batch statistics).
-// release ends a pass (see Release), and releaseGrad hands back the input
-// gradient Backward returned once the layer in front has read it (the
-// backward walk's release-behind rule), so every layer is declared in this
-// package.
+// release hands back what a pass leased (see Release), releaseGrad hands
+// back the input gradient Backward returned once the layer in front has
+// read it (the backward walk's release-behind rule), and bind and scope
+// reach the layer's pass, so every layer is declared in this package.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	release()
 	releaseGrad()
+	bind(p *pass)
+	scope() *ws
 }
 
 // initializer is a layer with parameters or running statistics. Its init
@@ -211,18 +298,28 @@ func Init(l Layer, rng *rand.Rand) {
 	}
 }
 
-// Release ends a pass over l: every workspace l and its sublayers hold —
-// outputs, input gradients, normalization caches, a kept im2col lowering —
-// goes back to the tensor pool, and every cached reference to an
-// activation is dropped. Parameters, gradients and running statistics
-// stay. Tensors l returned are invalid afterwards; the next pass takes its
-// buffers from the pool again.
-func Release(l Layer) { l.release() }
+// Release ends a pass over ls: every workspace they and their sublayers
+// hold — outputs, input gradients, normalization caches, a kept im2col
+// lowering — goes back to the arena, every cached reference to an
+// activation is dropped, and then their pass's arena goes back to the free
+// list. Parameters, gradients and running statistics stay. Tensors ls
+// returned are invalid afterwards; the next pass takes an arena again.
+// Layers bound together (Bind) end their pass together, so Release is
+// given them all.
+func Release(ls ...Layer) {
+	for _, l := range ls {
+		l.release()
+	}
+	for _, l := range ls {
+		l.scope().end()
+	}
+}
 
 // Sequential chains layers front to back. Its forward and backward are the
 // one walker (SequentialForwardBatch, SequentialBackwardBatch): Forward and
 // Backward run it over a group of one.
 type Sequential struct {
+	ws
 	Layers []Layer
 
 	// Group scratch while s leads (group.go): the members' layers at the
@@ -232,8 +329,20 @@ type Sequential struct {
 	fwd, bwd []*tensor.Tensor
 }
 
-// NewSequential builds a Sequential from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+// NewSequential builds a Sequential from the given layers, binding them to
+// one pass (see Bind).
+func NewSequential(layers ...Layer) *Sequential {
+	s := &Sequential{Layers: layers}
+	s.bind(new(pass))
+	return s
+}
+
+func (s *Sequential) bind(p *pass) {
+	s.ws.bind(p)
+	for _, l := range s.Layers {
+		l.bind(p)
+	}
+}
 
 // Forward runs every layer in order (see SequentialForwardBatch).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -292,8 +401,16 @@ func (s *Sequential) init(rng *rand.Rand) {
 	}
 }
 
-// Append adds layers to the end of the sequence.
-func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layers...) }
+// Append adds layers to the end of the sequence, in its pass.
+func (s *Sequential) Append(layers ...Layer) {
+	if s.p == nil {
+		s.bind(new(pass))
+	}
+	for _, l := range layers {
+		l.bind(s.p)
+	}
+	s.Layers = append(s.Layers, layers...)
+}
 
 // BufferedLayer is implemented by layers carrying non-trainable state that
 // checkpoints must capture alongside parameters — batch-norm running

@@ -19,6 +19,7 @@ import (
 // batch and spatial dimensions, with learnable scale (gamma) and shift
 // (beta). Running statistics are tracked for evaluation mode.
 type BatchNorm2D struct {
+	ws
 	C           int
 	Eps         float64
 	Momentum    float64
@@ -68,9 +69,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	bn.inShape = append(bn.inShape[:0], n, c, h, w)
-	bn.out = tensor.EnsureOf(x.DT, bn.out, n, c, h, w)
+	bn.out = bn.ensure(x.DT, bn.out, n, c, h, w)
 	out := bn.out
-	bn.xhat = tensor.EnsureOf(x.DT, bn.xhat, n, c, h, w)
+	bn.xhat = bn.ensure(x.DT, bn.xhat, n, c, h, w)
 	if cap(bn.invStd) < c {
 		bn.invStd = make([]float64, c)
 	}
@@ -124,7 +125,7 @@ func bn2dForward[F tensor.Float](bn *BatchNorm2D, xd, outd, xhd, gamma, beta []F
 // with m elements: dx = γ·invStd/m · (m·dy − Σdy − x̂·Σ(dy·x̂)).
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := bn.inShape[0], bn.inShape[1], bn.inShape[2], bn.inShape[3]
-	bn.dx = tensor.EnsureOf(grad.DT, bn.dx, n, c, h, w)
+	bn.dx = bn.ensure(grad.DT, bn.dx, n, c, h, w)
 	if grad.DT.Backing() == tensor.F32 {
 		bn2dBackward(bn, tensor.Of[float32](grad), tensor.Of[float32](bn.xhat), tensor.Of[float32](bn.dx),
 			tensor.Of[float32](bn.Gamma.Value), tensor.Of[float32](bn.Gamma.Grad), tensor.Of[float32](bn.Beta.Grad), n, c, h, w)

@@ -8,11 +8,17 @@ import (
 
 // MaxPool2D is a max pooling layer over [N, C, H, W] inputs.
 type MaxPool2D struct {
+	ws
 	K, Stride  int
 	inShape    []int
 	outH, outW int
-	argmax     []int // flat index into the input for every output element
 	out, dx    *tensor.Tensor
+
+	// argmax is the flat index into the input of every output element, for
+	// Backward: ints over am, a lease of the pass's arena, which goes back
+	// with dx (releaseGrad) or when the pass ends.
+	argmax []int
+	am     *tensor.Tensor
 
 	// x and y are Forward's operands for the duration of the call, and task
 	// pools samples [lo,hi) of them: built with the layer, so a dispatch
@@ -41,12 +47,9 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if m.outH <= 0 || m.outW <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D output not positive for input %dx%d kernel %d", h, w, m.K))
 	}
-	m.out = tensor.EnsureOf(x.DT, m.out, n, c, m.outH, m.outW)
+	m.out = m.ensure(x.DT, m.out, n, c, m.outH, m.outW)
 	out := m.out
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size())
-	}
-	m.argmax = m.argmax[:out.Size()]
+	m.am, m.argmax = m.arena().EnsureInts(x.DT, m.am, out.Size())
 	m.x, m.y = x, out
 	tensor.ParallelSharded(n, tensor.Workers(), m.task)
 	m.x, m.y = nil, nil
@@ -167,9 +170,14 @@ func maxPool2x2AsmF64(m *MaxPool2D, xd, outd []float64, i, c, h, w int) bool {
 	return true
 }
 
-// Backward routes each output gradient to its argmax input position.
+// Backward routes each output gradient to its argmax input position. The
+// positions are the preceding Forward's, which the backward walk hands
+// back with the input gradient, so it follows a Forward.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	m.dx = tensor.EnsureOf(grad.DT, m.dx, m.inShape...)
+	if m.am == nil {
+		panic("nn: MaxPool2D.Backward without a Forward: the argmax positions have been handed back")
+	}
+	m.dx = m.ensure(grad.DT, m.dx, m.inShape...)
 	m.dx.Zero()
 	if grad.DT.Backing() == tensor.F32 {
 		maxPoolBwd(tensor.Of[float32](m.dx), tensor.Of[float32](grad), m.argmax)
@@ -188,13 +196,20 @@ func maxPoolBwd[F tensor.Float](dxd, gradd []F, argmax []int) {
 // Params returns nil; pooling has no parameters.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
-func (m *MaxPool2D) release() { putBack(&m.out, &m.dx) }
+func (m *MaxPool2D) release() {
+	putBack(&m.out, &m.dx, &m.am)
+	m.argmax = nil
+}
 
-func (m *MaxPool2D) releaseGrad() { putBack(&m.dx) }
+func (m *MaxPool2D) releaseGrad() {
+	putBack(&m.dx, &m.am)
+	m.argmax = nil
+}
 
 // GlobalAvgPool averages each channel's spatial map, mapping [N, C, H, W]
 // to [N, C]. It is the standard head before the final FC layers.
 type GlobalAvgPool struct {
+	ws
 	inShape []int
 	out, dx *tensor.Tensor
 }
@@ -209,7 +224,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.inShape = append(g.inShape[:0], n, c, h, w)
-	g.out = tensor.EnsureOf(x.DT, g.out, n, c)
+	g.out = g.ensure(x.DT, g.out, n, c)
 	if x.DT.Backing() == tensor.F32 {
 		gapFwd(tensor.Of[float32](g.out), tensor.Of[float32](x), n, c, h, w)
 	} else {
@@ -232,7 +247,7 @@ func gapFwd[F tensor.Float](outd, xd []F, n, c, h, w int) {
 // Backward spreads each channel gradient uniformly over its spatial map.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
-	g.dx = tensor.EnsureOf(grad.DT, g.dx, n, c, h, w)
+	g.dx = g.ensure(grad.DT, g.dx, n, c, h, w)
 	if grad.DT.Backing() == tensor.F32 {
 		gapBwd(tensor.Of[float32](g.dx), tensor.Of[float32](grad), n, c, h, w)
 	} else {
@@ -266,6 +281,7 @@ func (g *GlobalAvgPool) releaseGrad() { putBack(&g.dx) }
 // headers over the argument's storage, so no data moves and nothing is
 // allocated.
 type Flatten struct {
+	ws
 	inShape []int
 	fwd     viewRing2
 	bwd     viewRing2

@@ -11,6 +11,7 @@ import (
 // identity shortcut is a Skip of no layers, which requires Body to preserve
 // the input shape.
 type Residual struct {
+	ws
 	Body *Sequential
 	Skip *Sequential
 
@@ -25,7 +26,15 @@ func NewResidual(body *Sequential, skip *Sequential) *Residual {
 	if skip == nil {
 		skip = NewSequential()
 	}
-	return &Residual{Body: body, Skip: skip}
+	r := &Residual{Body: body, Skip: skip}
+	r.bind(new(pass))
+	return r
+}
+
+func (r *Residual) bind(p *pass) {
+	r.ws.bind(p)
+	r.Body.bind(p)
+	r.Skip.bind(p)
 }
 
 // Forward evaluates both paths and sums them, as a group of one.
@@ -46,7 +55,7 @@ func (r *Residual) forwardGroup(ls []Layer, acts []*tensor.Tensor, train bool) {
 		if main.Size() != short.Size() {
 			panic(fmt.Sprintf("nn: Residual shape mismatch body %v vs skip %v", main.Shape, short.Shape))
 		}
-		m.out = tensor.EnsureOf(main.DT, m.out, main.Shape...)
+		m.out = m.ensure(main.DT, m.out, main.Shape...)
 		tensor.AddInto(m.out, main, short)
 		acts[g] = m.out
 	}
@@ -67,7 +76,7 @@ func (r *Residual) backwardGroup(ls []Layer, acts []*tensor.Tensor) {
 	drop(&r.subs)
 	for g, l := range ls {
 		m, dMain := l.(*Residual), dMains[g]
-		m.dx = tensor.EnsureOf(dMain.DT, m.dx, dMain.Shape...)
+		m.dx = m.ensure(dMain.DT, m.dx, dMain.Shape...)
 		tensor.AddInto(m.dx, dMain, dSkips[g])
 		acts[g] = m.dx
 		m.Body.releaseGrad()
@@ -101,6 +110,7 @@ func (r *Residual) Buffers() [][]float64 { return append(r.Body.Buffers(), r.Ski
 // their outputs along the channel axis, as in GoogLeNet. Every branch must
 // produce [N, C_b, H, W] with identical N, H, W.
 type Inception struct {
+	ws
 	Branches []*Sequential
 
 	branchC []int
@@ -118,7 +128,16 @@ type Inception struct {
 
 // NewInception builds the block from its branches.
 func NewInception(branches ...*Sequential) *Inception {
-	return &Inception{Branches: branches, outs: make([]*tensor.Tensor, len(branches)), branchC: make([]int, len(branches))}
+	in := &Inception{Branches: branches, outs: make([]*tensor.Tensor, len(branches)), branchC: make([]int, len(branches))}
+	in.bind(new(pass))
+	return in
+}
+
+func (in *Inception) bind(p *pass) {
+	in.ws.bind(p)
+	for _, br := range in.Branches {
+		br.bind(p)
+	}
 }
 
 // Forward concatenates branch outputs channel-wise, as a group of one.
@@ -158,7 +177,7 @@ func (in *Inception) concat(n int) *tensor.Tensor {
 	for _, cb := range in.branchC {
 		totalC += cb
 	}
-	in.out = tensor.EnsureOf(in.outs[0].DT, in.out, n, totalC, in.outH, in.outW)
+	in.out = in.ensure(in.outs[0].DT, in.out, n, totalC, in.outH, in.outW)
 	out := in.out
 	spatial := in.outH * in.outW
 	for i := 0; i < n; i++ {
@@ -176,7 +195,7 @@ func (in *Inception) concat(n int) *tensor.Tensor {
 // its branch, and sums the resulting input gradients, as a group of one. The
 // sum accumulates into branch 0's input gradient, so that is what Backward
 // returns (and releaseGrad hands back); every other branch's goes back to
-// the pool once added, and the slices once the last branch has run.
+// the arena once added, and the slices once the last branch has run.
 func (in *Inception) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	ls, acts := [1]Layer{in}, [1]*tensor.Tensor{grad}
 	in.backwardGroup(ls[:], acts[:])
@@ -217,7 +236,7 @@ func (in *Inception) branchGrad(b int, grad *tensor.Tensor) *tensor.Tensor {
 		chOff += cb
 	}
 	cb := in.branchC[b]
-	in.gb = tensor.EnsureOf(grad.DT, in.gb, n, cb, in.outH, in.outW)
+	in.gb = in.ensure(grad.DT, in.gb, n, cb, in.outH, in.outW)
 	for i := 0; i < n; i++ {
 		tensor.CopySegment(in.gb, i*cb*spatial, grad, (i*totalC+chOff)*spatial, cb*spatial)
 	}
@@ -268,6 +287,7 @@ func (in *Inception) Buffers() [][]float64 {
 // grouped convolutions exchange information, as in ShuffleNet. With G
 // groups, channel g·(C/G)+i moves to position i·G+g.
 type ChannelShuffle struct {
+	ws
 	Groups  int
 	inShape []int
 	out, dx *tensor.Tensor
@@ -295,10 +315,10 @@ func (cs *ChannelShuffle) permute(x *tensor.Tensor, inverse bool) *tensor.Tensor
 	perGroup := c / cs.Groups
 	var out *tensor.Tensor
 	if inverse {
-		cs.dx = tensor.EnsureOf(x.DT, cs.dx, n, c, h, w)
+		cs.dx = cs.ensure(x.DT, cs.dx, n, c, h, w)
 		out = cs.dx
 	} else {
-		cs.out = tensor.EnsureOf(x.DT, cs.out, n, c, h, w)
+		cs.out = cs.ensure(x.DT, cs.out, n, c, h, w)
 		out = cs.out
 	}
 	spatial := h * w

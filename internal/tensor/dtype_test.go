@@ -199,38 +199,36 @@ func TestMatMulF32MatchesF64(t *testing.T) {
 	}
 }
 
+// The pool's element types never serve each other: float32 storage handed
+// back serves the next float32 request of its length, and a float64 request
+// of that length gets storage of its own.
 func TestPoolDTypeSeparation(t *testing.T) {
 	p := NewPool()
-	a := p.GetOf(F32, 4, 4)
-	if a.DT != F32 || len(a.F32) != 16 {
-		t.Fatalf("GetOf(F32): %+v", a)
+	f64, f32 := exactFor[float64](p), exactFor[float32](p)
+	a := f32.get(16, false)
+	for i := range a {
+		a[i] = 3
 	}
-	a.Fill(3)
-	p.Put(a)
-	// The same bucket must serve the next f32 request, zeroed…
-	b := p.GetOf(F32, 2, 8)
-	if b.DT != F32 || b.Sum() != 0 {
-		t.Fatalf("pooled f32 reuse broken: %+v", b)
+	f32.put(a)
+	if b := f32.get(16, true); &b[0] != &a[0] || b[15] != 0 {
+		t.Fatal("expected the float32 storage handed back, zeroed, to serve the next float32 request")
 	}
-	if &b.F32[0] != &a.F32[:1][0] {
-		t.Fatal("expected f32 buffer reuse within the dtype bucket")
-	}
-	// …while an f64 request of the same size must NOT get the f32 buffer.
-	c := p.Get(4, 4)
-	if c.DT != F64 || len(c.Data) != 16 {
-		t.Fatalf("Get after f32 Put: %+v", c)
+	if c := f64.get(16, false); len(c) != 16 {
+		t.Fatalf("float64 request after a float32 hand-back: %d elements", len(c))
 	}
 }
 
 func TestEnsureOfDTypeChange(t *testing.T) {
-	t64 := New(4)
-	t32 := EnsureOf(F32, t64, 4)
-	if t32 == t64 || t32.DT != F32 {
-		t.Fatal("EnsureOf must allocate on dtype change")
+	a := TakeArena(0)
+	defer a.Free()
+	t64 := a.Ensure(F64, nil, 4)
+	t32 := a.Ensure(F32, t64, 4)
+	if t32.DT != F32 || len(t32.F32) != 4 || t32.Data != nil {
+		t.Fatal("Ensure must lease anew on dtype change")
 	}
-	again := EnsureOf(F32, t32, 2)
+	again := a.Ensure(F32, t32, 2)
 	if again != t32 || len(again.F32) != 2 {
-		t.Fatal("EnsureOf must reuse matching-dtype storage")
+		t.Fatal("Ensure must reuse matching-dtype storage")
 	}
 }
 

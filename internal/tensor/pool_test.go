@@ -7,84 +7,25 @@ import (
 	"testing"
 )
 
-func TestPoolGetPutReuse(t *testing.T) {
-	p := NewPool()
-	a := p.Get(4, 8)
-	if a.Size() != 32 || a.Dim(0) != 4 || a.Dim(1) != 8 {
-		t.Fatalf("Get shape wrong: %v", a.Shape)
-	}
-	a.Fill(7)
-	p.Put(a)
-	b := p.Get(5, 6) // same size class (32), smaller size
-	if b.Size() != 30 {
-		t.Fatalf("reused tensor has size %d", b.Size())
-	}
-	for i, v := range b.Data {
-		if v != 0 {
-			t.Fatalf("pooled Get not zeroed at %d: %v", i, v)
-		}
-	}
-}
-
-func TestPoolRejectsViews(t *testing.T) {
-	p := NewPool()
-	backing := make([]float64, 30) // not a size class
-	v := FromSlice(backing[:6], 2, 3)
-	p.Put(v) // must not panic, and must not corrupt future Gets
-	g := p.Get(2, 3)
-	if g.Size() != 6 {
-		t.Fatalf("Get after rejected Put: %v", g.Shape)
-	}
-}
-
-// Size classes are 1 to 8, then four a binade (5/8, 6/8, 7/8 and 8/8 of a
-// power of two): each request gets the smallest class that holds it, which
-// wastes under a quarter of the buffer, classes grow with their index, and a
-// class's capacity is its own class.
-func TestPoolSizeClasses(t *testing.T) {
-	prevB, prevCap := -1, 0
-	for n := 1; n <= 1<<16; n++ {
-		b, c := sizeClass(n)
-		switch {
-		case c < n || 4*(c-n) >= c:
-			t.Fatalf("a request of %d gets capacity %d", n, c)
-		case b < prevB || b > prevB+1 || (b == prevB) != (c == prevCap):
-			t.Fatalf("a request of %d gets class %d (capacity %d) after class %d (capacity %d)", n, b, c, prevB, prevCap)
-		}
-		if cb, cc := sizeClass(c); cb != b || cc != c {
-			t.Fatalf("capacity %d is class %d (capacity %d), not class %d", c, cb, cc, b)
-		}
-		prevB, prevCap = b, c
-	}
-	if b, c := sizeClass(1 << 47); b != poolBuckets-1 || c != 1<<47 {
-		t.Fatalf("2^47 is class %d (capacity %d), want the last, %d", b, c, poolBuckets-1)
-	}
-	p := NewPool()
-	x := p.Get(9)
-	if cap(x.Data) != 10 {
-		t.Fatalf("a pooled 9 has capacity %d, want 10", cap(x.Data))
-	}
-	p.Put(x)
-	if y := p.Get(10); &y.Data[0] != &x.Data[:1][0] {
-		t.Fatal("a request of 10 did not take the buffer a 9 put back")
-	}
-}
-
+// A warmed exact-length list hands storage of every element type back and
+// forth without allocating.
 func TestPoolSteadyStateAllocs(t *testing.T) {
 	p := NewPool()
-	p.Put(p.Get(16, 16))
+	f64, f32 := exactFor[float64](p), exactFor[float32](p)
+	f64.put(f64.get(256, false))
+	f32.put(f32.get(256, false))
 	avg := testing.AllocsPerRun(100, func() {
-		x := p.Get(16, 16)
-		p.Put(x)
+		f64.put(f64.get(256, false))
+		f32.put(f32.get(256, true))
 	})
 	if avg > 0 {
-		t.Fatalf("pooled Get/Put allocates %.1f objects/op, want 0", avg)
+		t.Fatalf("exact-length get/put allocates %.1f objects/op, want 0", avg)
 	}
 }
 
 // Exact-length storage comes back at exactly the requested length, serves
-// only later requests of its length and element type, never scratch, and a
-// warmed list hands storage back and forth without allocating.
+// only later requests of its length and element type, never an arena, and
+// a warmed list hands storage back and forth without allocating.
 func TestPoolExactStorage(t *testing.T) {
 	p := NewPool()
 	f64, f32 := exactFor[float64](p), exactFor[float32](p)
@@ -104,8 +45,10 @@ func TestPoolExactStorage(t *testing.T) {
 	}
 	pow := f64.get(32, false)
 	f64.put(pow)
-	if g := p.Get(32); &g.Data[0] == &pow[0] {
-		t.Fatal("scratch took exact-length storage")
+	a := TakeArena(0)
+	defer a.Free()
+	if g := a.Lease(F64, 32); &g.Data[0] == &pow[0] {
+		t.Fatal("an arena lease took exact-length storage")
 	}
 	if avg := testing.AllocsPerRun(100, func() { f64.put(f64.get(32, false)) }); avg > 0 {
 		t.Fatalf("exact Get/Put allocates %.1f objects/op, want 0", avg)
@@ -160,18 +103,19 @@ func TestNewStorageOfZeroFills(t *testing.T) {
 }
 
 func TestEnsureReusesCapacity(t *testing.T) {
-	x := Ensure(nil, 4, 4)
+	a := TakeArena(0)
+	defer a.Free()
+	x := a.Ensure(F64, nil, 4, 4)
 	x.Fill(3)
-	y := Ensure(x, 2, 5)
+	y := a.Ensure(F64, x, 2, 5)
 	if y != x {
 		t.Fatal("Ensure should reuse storage when capacity suffices")
 	}
 	if y.Dim(0) != 2 || y.Dim(1) != 5 || y.Size() != 10 {
 		t.Fatalf("Ensure shape wrong: %v", y.Shape)
 	}
-	z := Ensure(y, 8, 8)
-	if z == y {
-		t.Fatal("Ensure must reallocate when capacity is too small")
+	if z := a.Ensure(F64, y, 8, 8); z.Size() != 64 || cap(z.Data) < 64 {
+		t.Fatalf("Ensure must lease anew when capacity is too small: %v, capacity %d", z.Shape, cap(z.Data))
 	}
 }
 

@@ -33,6 +33,9 @@ type Tensor struct {
 	F32   []float32 // F32 backing (nil for F64 tensors)
 	Shape []int
 	DT    DType
+
+	arena *Arena // the arena the storage is leased from (Arena.Lease), or nil
+	epoch uint64 // the arena's pass the lease belongs to
 }
 
 func sizeOf(shape []int) int {
