@@ -153,7 +153,9 @@ func TestHotPathAllocs(t *testing.T) {
 // per message, a copy per inproc send and fresh vectors per decode the
 // figures were ≈ 48, ≈ 74 and ≈ 31 MB, and ≈ 0.31 MB on each row while
 // training still allocated its views, loss gradients and per-step lists.
-// What is left is small envelopes, ≈ 0.01 MB on each row. The gate is the
+// What is left is small envelopes, ≈ 0.01 MB on each row. An inproc send
+// now copies only control frames: a model-sized frame is lent and crosses
+// its lane as it lies (TestInprocLanesKeepNoModelBuffer). The gate is the
 // median round: above one worker the nodes' goroutines overlap differently
 // every round, and a round that meets a new high-water mark of vectors in
 // flight grows a role's free list by one 862 KB vector (rounds of ≈ 1 MB as
@@ -168,7 +170,7 @@ func TestWireRoundAllocs(t *testing.T) {
 	for _, f := range wireFleets {
 		t.Run(f.name, func(t *testing.T) {
 			var total []uint64 // TotalAlloc as each round commits
-			runWireFleet(t, f, rounds, func() {
+			runWireFleet(t, f, rounds, nil, func() {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				total = append(total, ms.TotalAlloc)
@@ -203,7 +205,7 @@ func BenchmarkWireRound(b *testing.B) {
 			var start, end time.Time
 			var ms0, ms1 runtime.MemStats
 			n := 0
-			runWireFleet(b, f, warm+b.N, func() {
+			runWireFleet(b, f, warm+b.N, nil, func() {
 				if n++; n == warm {
 					runtime.ReadMemStats(&ms0)
 					start = time.Now()
@@ -237,8 +239,9 @@ var wireFleets = []wireFleet{
 // runWireFleet runs the wire workloads' fleet — 8 FedAvg MLP clients at
 // FeatDim 64, d = 107 722 weights, 862 KB a vector — for rounds sync rounds
 // in this process over f, calling onRound as each round commits. Each round
-// trains, uploads, folds, broadcasts and evaluates.
-func runWireFleet(tb testing.TB, f wireFleet, rounds int, onRound func()) {
+// trains, uploads, folds, broadcasts and evaluates. wrap, when set, wraps
+// the transport the nodes connect over.
+func runWireFleet(tb testing.TB, f wireFleet, rounds int, wrap func(transport.Transport) transport.Transport, onRound func()) {
 	const clients = 8
 	s := experiments.Small()
 	s.Rounds, s.FeatDim, s.TrainPerClass, s.TestPerClass = rounds, 64, 24, 16
@@ -258,6 +261,9 @@ func runWireFleet(tb testing.TB, f wireFleet, rounds int, onRound func()) {
 	if f.tcp {
 		tr, addr = transport.NewTCP(opts), "127.0.0.1:0"
 	}
+	if wrap != nil {
+		tr = wrap(tr)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	tree := func(cfg *fl.NodeConfig) { cfg.Aggregators = f.aggs }
@@ -266,6 +272,87 @@ func runWireFleet(tb testing.TB, f wireFleet, rounds int, onRound func()) {
 		tb.Fatal(err)
 	}
 }
+
+// TestInprocLanesKeepNoModelBuffer checks that a model-sized frame crosses
+// an inproc lane without a copy. On the inproc tree row of the wire fleet —
+// 10 connections, 8 client–aggregator and 2 aggregator–root, so 20 lanes —
+// no lane keeps a spare buffer of a model frame's size once the warm rounds
+// are done: every model-sized frame (join, upload, aggregate, dispatch) is
+// lent, so a lane carries it as it lies and only frames in flight hold model
+// memory. While every Send copied, each lane kept one: 0.86 MB on 18 lanes
+// and 3.4 MB on the two aggregator→root lanes, grown by the 4-child tree
+// joins and reused for the aggregates.
+func TestInprocLanesKeepNoModelBuffer(t *testing.T) {
+	const rounds, warm, modelSized = 6, 3, 64 << 10
+	rec := &connRecorder{}
+	wrap := func(tr transport.Transport) transport.Transport {
+		rec.Transport = tr
+		return rec
+	}
+	n, worst := 0, 0
+	read := func() {
+		for _, c := range rec.all() {
+			for _, b := range transport.LaneSpares(c) {
+				worst = max(worst, b)
+			}
+		}
+	}
+	runWireFleet(t, wireFleets[1], rounds, wrap, func() {
+		if n++; n > warm {
+			read()
+		}
+	})
+	read()
+	if got := len(rec.all()); got != 20 {
+		t.Fatalf("%d connection ends recorded, want 20 (10 connections)", got)
+	}
+	if worst >= modelSized {
+		t.Fatalf("a lane keeps a spare %d-byte buffer after the warm rounds; want every one under %d bytes", worst, modelSized)
+	}
+	t.Logf("largest spare lane buffer after round %d: %d bytes", warm, worst)
+}
+
+// connRecorder wraps a transport and keeps every connection end it dials or
+// accepts.
+type connRecorder struct {
+	transport.Transport
+	mu    sync.Mutex
+	conns []transport.Conn
+}
+
+func (r *connRecorder) add(c transport.Conn, err error) (transport.Conn, error) {
+	if err == nil {
+		r.mu.Lock()
+		r.conns = append(r.conns, c)
+		r.mu.Unlock()
+	}
+	return c, err
+}
+
+func (r *connRecorder) all() []transport.Conn {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.conns)
+}
+
+func (r *connRecorder) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	return r.add(r.Transport.Dial(ctx, addr))
+}
+
+func (r *connRecorder) Listen(addr string) (transport.Listener, error) {
+	ln, err := r.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingListener{Listener: ln, r: r}, nil
+}
+
+type recordingListener struct {
+	transport.Listener
+	r *connRecorder
+}
+
+func (l *recordingListener) Accept() (transport.Conn, error) { return l.r.add(l.Listener.Accept()) }
 
 // roundSampler is FedClassAvg with the process's TotalAlloc read as each
 // sync round opens; embedding the concrete type keeps every optional

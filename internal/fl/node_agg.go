@@ -151,7 +151,7 @@ func (g *aggRun) opens(rl *relay, version uint64) bool {
 // answer encodes the collected answer into the relay's frame and sends it
 // upstream.
 func (g *aggRun) answer(rl *relay, m *wireMsg) {
-	rl.frame = appendMsg(rl.frame[:0], m, g.pt.wc)
+	rl.frame = lendMsg(rl.frame, m, g.pt.wc)
 	rl.answered = true
 	g.up.send(rl.frame)
 }
@@ -227,7 +227,7 @@ func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 // joins whole: its checkpoints carry them.)
 func (g *aggRun) sendJoin() {
 	if g.joinFrame == nil {
-		g.joinFrame = encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc)
+		g.joinFrame = transport.Lend(encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc))
 		for i := range g.pt.joins {
 			g.pt.joins[i].Init = nil
 		}

@@ -156,8 +156,9 @@ func (cr *clientRun) join() {
 	}
 	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: j.Init, ints: j.AppendInts(nil)}
 	// Sent once per connection, and as large as the init payload: a frame of
-	// its own, so the uplink's upload frame is sized by an upload.
-	cr.up.send(appendMsg(nil, join, cr.up.wc))
+	// its own, so the uplink's upload frame is sized by an upload, and lent,
+	// so it crosses an inproc lane without a copy.
+	cr.up.send(transport.Lend(appendMsg(nil, join, cr.up.wc)))
 }
 
 // handle processes one server message the uplink passed through and reports
@@ -187,7 +188,7 @@ func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 			// The server re-dispatched a round already answered: the update
 			// was lost in the disconnect. Re-encode the cached message
 			// through this connection's codec state and resend.
-			cr.up.sendMsg(cr.lastUpdate)
+			cr.up.sendUpload(cr.lastUpdate)
 		default:
 			cr.startTraining(m)
 			return true
@@ -292,7 +293,7 @@ func (cr *clientRun) finishTraining(res trainResult) {
 	}
 	up := &wireMsg{kind: msgUpdate, a: res.version, b: math.Float64bits(res.u.Scale), vecs: res.u.Vecs, counts: res.u.Counts}
 	cr.lastUpdate, cr.lastVersion, cr.haveLast = up, res.version, true
-	cr.up.sendMsg(up)
+	cr.up.sendUpload(up)
 	if nd := cr.nextDispatch; nd != nil {
 		cr.nextDispatch = nil
 		cr.startTraining(nd)

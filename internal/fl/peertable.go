@@ -633,7 +633,7 @@ func (pt *PeerTable) owes(frame []byte) bool {
 // dispatchMsg is dispatch for a broadcast only this session gets, encoded
 // into the session's own frame.
 func (pt *PeerTable) dispatchMsg(s *peerSession, m *wireMsg) {
-	s.dispFrame = appendMsg(s.dispFrame[:0], m, pt.wc)
+	s.dispFrame = lendMsg(s.dispFrame, m, pt.wc)
 	pt.dispatch(s, m.a, s.dispFrame)
 }
 
@@ -689,12 +689,13 @@ func (pt *PeerTable) broadcast(version uint64, vecs [][]float64, raw [][]byte, s
 	if !b.valid || b.version != version {
 		// A straggler of an older version (async) may still owe an answer to
 		// the frame's bytes: they are then its to replay, and this version
-		// gets a buffer of its own.
+		// gets a buffer of its own (as it does while a receiver still holds
+		// the last one: lendMsg).
 		buf := b.frame
 		if pt.owes(buf) {
 			buf = nil
 		}
-		b.frame = appendMsg(buf[:0], m, pt.wc)
+		b.frame = lendMsg(buf, m, pt.wc)
 		b.version, b.valid = version, true
 	}
 	for _, s := range ss {
@@ -832,7 +833,7 @@ func (pt *PeerTable) beginStop() {
 		return
 	}
 	pt.stopping = true
-	pt.stopFrame = appendMsg(nil, &wireMsg{kind: msgStop}, pt.wc)
+	pt.stopFrame = transport.Lend(appendMsg(nil, &wireMsg{kind: msgStop}, pt.wc))
 	for _, s := range pt.sessions {
 		if !s.churned {
 			s.stopSent = pt.send(s, pt.stopFrame)

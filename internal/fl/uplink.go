@@ -50,10 +50,11 @@ type uplink struct {
 	// role's free list, which the role refills through release, and leaving
 	// in their frames the vectors the role reads there (its inPlace: a
 	// client's dispatch, an aggregator's shared tree payload). out is the
-	// frame every uncached message the role sends up is encoded into — a
-	// client's upload above all; it comes into being with the first send.
-	rc  wireCodec
-	out []byte
+	// frame a client's upload is encoded into, lent to the peer above
+	// (lendMsg), and ctl the one every other uncached message the role sends
+	// up is; each comes into being with its first send.
+	rc       wireCodec
+	out, ctl []byte
 	// deadMs is the announced dead interval in milliseconds, read by the
 	// pump to bound each Recv (atomic: the event loop stores it when a
 	// welcome arrives).
@@ -191,9 +192,18 @@ func (u *uplink) pump(gen int, conn transport.Conn) {
 	}
 }
 
-// sendMsg encodes one message into the link's own frame and sends it up.
+// sendMsg encodes one control message into the link's control frame and
+// sends it up.
 func (u *uplink) sendMsg(m *wireMsg) bool {
-	u.out = appendMsg(u.out[:0], m, u.wc)
+	u.ctl = appendMsg(u.ctl[:0], m, u.wc)
+	return u.send(u.ctl)
+}
+
+// sendUpload encodes an upload into the link's upload frame and hands it
+// over: lent, it crosses an inproc lane as it lies, and the next upload
+// reuses it once the peer above released it.
+func (u *uplink) sendUpload(m *wireMsg) bool {
+	u.out = lendMsg(u.out, m, u.wc)
 	return u.send(u.out)
 }
 

@@ -152,6 +152,16 @@ func wireBody(v []float64, msg *wireMsg) (body []byte, ok bool) {
 	return nil, false
 }
 
+// lendMsg encodes m into buf and lends the frame (transport.Lend), so an
+// inproc Send hands its receivers the buffer itself. A buffer a receiver
+// still holds stays as it is, and the frame gets a buffer of its own.
+func lendMsg(buf []byte, m *wireMsg, wc *wireCodec) []byte {
+	if transport.Held(buf) {
+		buf = nil
+	}
+	return transport.Lend(appendMsg(buf[:0], m, wc))
+}
+
 // appendMsg serializes a message after dst[:len(dst)] and returns the
 // extended buffer, framing payload vectors per the connection's wireCodec
 // (nil = plain dense f64). The buffer is the caller's: a role passes the

@@ -140,7 +140,12 @@ func (l *chaosListener) Close() error { return l.ln.Close() }
 
 // chaosConn injects faults around an inner connection. Send and Recv own
 // separate RNG streams (they may run concurrently); each is used only
-// under its caller's single-goroutine contract.
+// under its caller's single-goroutine contract. A lent frame (Lend) meets
+// the same faults as any other: a send dropped before the inner Send fails
+// with the frame still the caller's, a dropped received frame is released
+// to the inner connection, a delay only holds it longer, and a duplicate
+// is this connection's own copy — the reader may release the original, and
+// so end its hold on the sender's buffer, before the copy is delivered.
 type chaosConn struct {
 	Conn
 	cfg     ChaosConfig

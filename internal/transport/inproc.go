@@ -138,9 +138,10 @@ type pipeState struct {
 func (p *pipeState) close() { p.once.Do(func() { close(p.closed) }) }
 
 // lane is one direction of an inproc connection: the frames in flight and
-// the free list their buffers cycle through. The sender copies every frame
-// into a buffer it takes from the list; the receiver puts a frame's buffer
-// back when it releases the frame.
+// the free list their copies cycle through. The sender copies every frame
+// that is not lent into a buffer it takes from the list; the receiver puts
+// that buffer back when it releases the frame. A lent frame crosses as it
+// lies and never enters the list.
 type lane struct {
 	frames chan []byte
 	freeList
@@ -241,27 +242,45 @@ func disarm(t *time.Timer) {
 	}
 }
 
-// Send copies the frame at the boundary — the receiver must never observe a
-// sender-side mutation, exactly as bytes on a socket would not — into a
-// buffer recycled through the lane's free list.
+// Send hands the receiver a lent frame itself, counting it held until the
+// receiver releases it. Any other frame is copied at the boundary — the
+// receiver must never observe a sender-side mutation, exactly as bytes on a
+// socket would not — into a buffer recycled through the lane's free list.
+// A Send that fails keeps nothing: the frame is the caller's, and not held.
 func (c *inprocConn) Send(frame []byte) (int64, error) {
-	// A lane with no buffer to spare grows one by append, which does not
-	// clear what the copy is about to overwrite.
-	b := append(c.send.take(len(frame))[:0], frame...)
+	select {
+	case <-c.pipe.closed:
+		return 0, io.ErrClosedPipe
+	default:
+	}
+	b, held := frame, loanOf(frame)
+	if held != nil {
+		held.Add(1)
+	} else {
+		// A lane with no buffer to spare grows one by append, which does not
+		// clear what the copy is about to overwrite.
+		b = append(c.send.take(len(frame))[:0], frame...)
+	}
 	c.mu.Lock()
 	dl := c.writeDeadline
 	c.mu.Unlock()
 	expire := arm(&c.sendTimer, dl)
 	defer disarm(c.sendTimer)
+	var err error
 	select {
 	case c.send.frames <- b:
 		return FrameOverhead + int64(len(b)), nil
 	case <-expire:
-		c.send.put(b)
-		return 0, fmt.Errorf("transport: inproc send: %w", ErrDeadline)
+		err = fmt.Errorf("transport: inproc send: %w", ErrDeadline)
 	case <-c.pipe.closed:
-		return 0, io.ErrClosedPipe
+		err = io.ErrClosedPipe
 	}
+	if held != nil {
+		held.Add(-1)
+	} else {
+		c.send.put(b)
+	}
+	return 0, err
 }
 
 func (c *inprocConn) Recv() ([]byte, int64, error) {
@@ -287,8 +306,37 @@ func (c *inprocConn) Recv() ([]byte, int64, error) {
 	}
 }
 
-// Release puts a received frame's buffer back on its lane's free list.
-func (c *inprocConn) Release(frame []byte) { c.recv.put(frame) }
+// Release ends the receiver's hold on a lent frame, and puts a copied
+// frame's buffer back on its lane's free list.
+func (c *inprocConn) Release(frame []byte) {
+	if held := loanOf(frame); held != nil {
+		held.Add(-1)
+		return
+	}
+	c.recv.put(frame)
+}
+
+// LaneSpares reports the capacity of each spare buffer the lane c receives
+// on keeps for the copies its peer's Sends make, or nil when c is no inproc
+// connection. It is a test instrument: the root package's
+// TestInprocLanesKeepNoModelBuffer reads every lane of a tree federation
+// with it.
+func LaneSpares(c Conn) []int {
+	ic, ok := c.(*inprocConn)
+	if !ok {
+		return nil
+	}
+	l := &ic.recv.freeList
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var caps []int
+	for _, b := range l.free {
+		if cap(b) > 0 {
+			caps = append(caps, cap(b))
+		}
+	}
+	return caps
+}
 
 func (c *inprocConn) Close() error {
 	c.pipe.close()

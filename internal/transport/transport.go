@@ -125,8 +125,25 @@ type Hello struct {
 // framing overhead included, so callers can account real traffic.
 type Conn interface {
 	// Send writes one frame and returns the bytes put on the wire
-	// (FrameOverhead + len(frame)). The frame is the caller's again when
-	// Send returns: no transport keeps a reference to it.
+	// (FrameOverhead + len(frame)). Who owns the frame afterwards depends on
+	// its buffer:
+	//   - A frame whose buffer is not lent (Lend) is the caller's again when
+	//     Send returns: no transport keeps a reference to it, and the inproc
+	//     transport delivers a copy.
+	//   - A lent frame crosses an inproc connection as it lies: the receiver
+	//     reads the caller's buffer, which stays held (Held) until the
+	//     receiver releases it. A buffer sent to k connections, or k times,
+	//     is held until the k-th release, and the caller rewrites it only
+	//     when Held reports it free. A tcp Send writes the bytes out and
+	//     holds nothing.
+	//   - A Send that fails keeps nothing: the frame is the caller's, and a
+	//     lent one is not held.
+	// The chaos wrapper fails a send it drops before the frame reaches the
+	// connection it wraps, so the frame stays the caller's. It delays a
+	// frame without changing who holds it. It releases a received frame it
+	// drops before it closes the connection. A duplicate it delivers is its
+	// own copy, so the duplicate's release ends no hold on the caller's
+	// buffer.
 	Send(frame []byte) (int64, error)
 	// Recv reads the next frame and returns the wire bytes consumed. The
 	// frame belongs to the caller until it hands it back with Release,
