@@ -147,13 +147,17 @@ func (c *coder) scatter(out []float64) {
 	}
 }
 
-// resizeF returns scratch resized to n elements, reallocating only when the
-// capacity is short — the decode-side analogue of append-style encoding.
+// resizeF returns scratch resized to n elements — the decode-side analogue
+// of append-style encoding — or, when its capacity is short, exactly n
+// elements of tensor pool storage (tensor.GetStorage), which the caller may
+// hand back with tensor.PutStorage. A decode calls it only once the frame's
+// declared length has passed its checks, so a count the frame cannot back
+// takes no storage.
 func resizeF(scratch []float64, n int) []float64 {
 	if cap(scratch) >= n && (n > 0 || scratch != nil) {
 		return scratch[:n]
 	}
-	return make([]float64, n)
+	return tensor.GetStorage[float64](n)
 }
 
 // elemBytes is the per-element payload cost of a dense codec, excluding the
@@ -478,11 +482,13 @@ func FrameInfo(b []byte) (c Codec, kind uint32, n int, err error) {
 }
 
 // DecodeSpec parses any frame family into a dense float64 vector, reusing
-// scratch when its capacity suffices. ref carries the slot's delta basis:
-// nil rejects delta frames outright (no negotiated basis), and a non-nil
-// ref is advanced on every frame exactly as the sender's MarshalSpecInto
-// advanced its own — dense and top-k frames re-establish the basis, delta
-// frames verify the tag and fold the residual in.
+// scratch when its capacity suffices and otherwise drawing exact-length
+// storage from the tensor pool once the frame's declared length has passed
+// its checks. ref carries the slot's delta basis: nil rejects delta frames
+// outright (no negotiated basis), and a non-nil ref is advanced on every
+// frame exactly as the sender's MarshalSpecInto advanced its own — dense
+// and top-k frames re-establish the basis, delta frames verify the tag and
+// fold the residual in.
 func DecodeSpec(scratch []float64, b []byte, ref *DeltaRef) (kind uint32, v []float64, err error) {
 	c, kind, n, err := FrameInfo(b)
 	if err != nil {

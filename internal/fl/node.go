@@ -17,19 +17,18 @@ import (
 // evaluation collection, speaking the wire protocol of wire.go over any
 // transport.Listener — in-memory channels for deterministic single-process
 // federations, real TCP sockets for `fedserver` plus N `fedclient`
-// processes. Everything a listener decides about the peers below it —
-// admission, adoption, triage, the round and evaluation barriers, liveness,
-// the stop drain — is the PeerTable's (peertable.go), shared with the edge
-// AggregatorNode (node_agg.go); this file is what only the root does:
-// scheduling, tree joins, commit, evaluation aggregation, checkpoints. The
-// client half lives in node_client.go.
+// processes. The client half lives in node_client.go.
 //
-// The runtime is a single-goroutine event loop. Reader goroutines (one per
-// live connection) and the accept loop deliver decoded messages and
-// handshaken connections into channels; the loop serializes every state
-// transition — scheduling, aggregation, session management, heartbeats,
-// checkpoints — so there is no locking discipline to get wrong. The three
-// schedulers mirror the in-process engine's semantics:
+// One run serves the root and the edge AggregatorNode (node_agg.go): a
+// serverRun, a single-goroutine event loop. Reader goroutines (one per live
+// connection) and the accept loop deliver decoded messages and handshaken
+// connections into channels; the loop serializes every state transition,
+// so there is no locking discipline to get wrong. Admission, adoption,
+// triage, the barriers, liveness and the stop drain are the PeerTable's
+// (peertable.go); update intake, collection and evaluation fan-out are the
+// run's. What opens and closes a round or an evaluation is the run's clock:
+// an edge's uplink, or the root's schedule, whose three schedulers mirror
+// the in-process engine's semantics:
 //
 //   - sync: the classic barrier. Each round samples a cohort from the same
 //     RNG stream the simulation's sync scheduler uses, so a node federation
@@ -42,38 +41,26 @@ import (
 //   - semisync: K-of-N quorum. A cohort is dispatched, the server commits
 //     after Quorum applies; stragglers from earlier cohorts still count.
 //
-// The wire schedulers are parity-tested against the inproc engine at a
-// tolerance, not byte-identically: real processes have no virtual clock —
-// see DESIGN.md §8 for the determinism boundary and §9 for the wire
-// fault-tolerance contract this file implements.
+// They are parity-tested against the inproc engine at a tolerance, not
+// byte-identically: real processes have no virtual clock (DESIGN.md §8).
 //
-// Fault tolerance: a client whose connection dies enters a bounded
-// reconnect window. It keeps its identity — the server-issued session token
-// presented in the re-dial's transport hello names the session — and on
-// adoption the server resends whatever the client still owes (a dispatch,
-// an evaluation request). A client that stays gone past the window degrades
-// to churn semantics: subsequent cohorts skip it, pending barriers stop
-// waiting for it, its PerClient slot reads NaN. Churn never aborts the run;
-// only an algorithm error reported by a client does (that is a bug, not
-// churn). The server's own crash is survivable too: at every commit
-// boundary it can snapshot its full state — committed round, algorithm
-// server half, ledger, history, RNG position, session table and join
-// declarations — through cfg.Checkpoint, and cfg.Resume rebuilds a server
-// mid-run whose still-held tokens remain valid.
+// Fault tolerance (DESIGN.md §9): a client whose connection dies keeps its
+// session for a reconnect window — its re-dial presents the session token —
+// and is resent on adoption whatever it still owes; one that stays gone
+// churns: cohorts skip it, barriers stop waiting for it, its PerClient slot
+// reads NaN. Churn never aborts the run; an error a client reports does.
+// At every commit boundary the root can snapshot its state (cfg.Checkpoint)
+// for cfg.Resume to rebuild mid-run, the tokens clients hold still valid.
 //
-// Tree topology: with cfg.Aggregators > 0 the server becomes the root of a
-// 2-level tree whose downstream peers are AggregatorNodes, each fronting a
-// contiguous range of the client-id space (TreeSplit). A flat root is the
-// same tree with one client behind every session, so one round opening,
-// one completion and one evaluation start serve both: the root samples
-// cohorts from the same RNG stream, calls WireDispatch once per cohort
-// member — payloads travel batched per subtree, a shared global as one
-// copy — and folds the answers in session order, so the model arithmetic
-// is flat fan-in regrouped, not a different algorithm. Only the frames
-// differ between the topologies. A
-// dead aggregator churns its whole subtree after the reconnect window;
-// checkpoints remain root-only (and are currently mutually exclusive with
-// the tree, see Serve). See DESIGN.md §11.
+// Tree topology (DESIGN.md §11): with cfg.Aggregators > 0 the root's
+// sessions are AggregatorNodes, each fronting a contiguous client range
+// (TreeSplit). A flat root is the same tree with one client behind every
+// session, so rounds and evaluations are the same code: the root calls
+// WireDispatch once per cohort member — payloads travel batched per
+// subtree, a shared global as one copy — and folds the answers in session
+// order, flat fan-in regrouped. Only the frames differ. A dead aggregator
+// churns its whole subtree after the reconnect window; checkpoints remain
+// root-only (see Serve).
 
 // DefaultHeartbeat is the server's liveness-probe cadence when the config
 // sets none.
@@ -202,66 +189,371 @@ func NewServerNode(algo WireAlgorithm, cfg NodeConfig) *ServerNode {
 	return n
 }
 
-// serverRun is the single-goroutine event loop driving one Serve call.
-type serverRun struct {
-	n    *ServerNode
-	cfg  NodeConfig
-	algo WireAlgorithm
-	k    int
+// clock opens and closes a serverRun's rounds and evaluations: the root's
+// is its schedule (rootClock: the sampler opens a round, a commit closes
+// it), an edge's its uplink (edgeClock, node_agg.go: the root's requests
+// open them, an answer upstream closes them). Each embeds the run it drives.
+type clock interface {
+	full()                      // every seat is taken before the welcome
+	advance()                   // before every event: open what is due, end the run when its stop completes
+	take(u *Update) (kept bool) // route an accepted upload
+	closeRound()                // the round barrier completed
+	closeEval()                 // the evaluation barrier completed
+	fromUp(f upFrame)           // an uplink delivery (an edge's; nil channels at the root)
+	redial(d upDial)
+	failed(cause error) error // a fatal cause, in the role's words (an edge also reports it up)
+}
 
-	// pt is the fan-in (clients in flat mode, aggregators in tree mode):
-	// sessions, joins, the round and evaluation barriers, the stop drain.
-	// sessions aliases pt's table for direct indexing.
+// serverRun is the single-goroutine event loop driving one Serve call or
+// one aggregator's Run.
+type serverRun struct {
+	clock clock
+	algo  WireAlgorithm
+	// pt is the fan-in (clients, a tree root's aggregators, an edge's child
+	// range); sessions aliases its table, indexed by id less pt.base.
 	pt       *PeerTable
 	sessions []*peerSession
-
-	// bounds is the TreeSplit partition of the client-id space over the
-	// sessions: session i fronts the clients [bounds[i], bounds[i+1]). A flat
-	// root is the tree whose every session fronts one client — TreeSplit(k, k)
-	// is the identity — so rounds and evaluations group clients by owner the
-	// same way in both topologies, and tree picks only the frames they speak:
-	// the join, the dispatch, the evaluation request and reply, the answers
-	// handleInbound accepts. all lists every client id, a full sweep's want
-	// list; red is the algorithm's edge reduction, nil when it has none.
+	// Session a fronts the clients [bounds[a], bounds[a+1]): one each at a
+	// flat root and an edge, a subtree each at a tree root, where tree picks
+	// the frames spoken (join, dispatch, evaluation request and reply, the
+	// answers handleInbound accepts). red is the edge reduction, or nil.
 	tree   bool
 	bounds []int
-	all    []int
 	red    ReducibleWireAlgorithm
+	// version stamps dispatches, heartbeats and resumes: the root's
+	// committed rounds, an edge's last dispatch from the root.
+	version int
+	// The open round: the sessions dispatched, ascending, and what each
+	// fronts and answered. The open evaluation: the accuracies of the
+	// clients in evalIDs (nil on the root's full sweep), NaN until answered.
+	owners  []int
+	slots   []roundSlot
+	evalPer []float64
+	evalIDs []int
+	// frames and dials are an edge's uplink deliveries (nil at the root).
+	frames <-chan upFrame
+	dials  <-chan upDial
+	fatal  error
+	done   bool
+}
 
-	version     int // committed rounds so far
+// roundSlot is one session's part of the open sync round: the run of the
+// ascending cohort it fronts and its answer, their updates in member order
+// (nil where a member sent none) or one pre-reduced aggregate of them.
+type roundSlot struct {
+	members []int
+	ups     []*Update
+	agg     *AggUpdate
+}
+
+// newRun builds the run clock c drives over table pt, whose sessions front
+// the clients bounds partitions.
+func newRun(c clock, algo WireAlgorithm, pt *PeerTable, bounds []int) *serverRun {
+	r := &serverRun{clock: c, algo: algo, pt: pt, sessions: pt.sessions, bounds: bounds, slots: make([]roundSlot, len(pt.sessions))}
+	r.red, _ = algo.(ReducibleWireAlgorithm)
+	pt.round.done, pt.eval.done = c.closeRound, c.closeEval
+	return r
+}
+
+// loop is the event loop: every state transition happens here. Before each
+// event the clock advances; the run ends when it is done, on a fatal error,
+// or when ctx is cancelled (ctx's error).
+func (r *serverRun) loop(ctx context.Context) error {
+	ticker := time.NewTicker(r.pt.tickInterval())
+	defer ticker.Stop()
+	r.pt.lastBeat = time.Now()
+	for {
+		if r.fatal == nil {
+			r.clock.advance()
+		}
+		if r.done || r.fatal != nil {
+			return r.fatal
+		}
+		select {
+		case ev := <-r.pt.events:
+			r.handleInbound(ev)
+		case ac := <-r.pt.conns:
+			if err := r.pt.admit(ac, uint64(r.version)); err != nil {
+				r.failf("%w", err)
+			} else if r.pt.full() {
+				r.clock.full()
+			}
+		case f := <-r.frames:
+			r.clock.fromUp(f)
+		case d := <-r.dials:
+			r.clock.redial(d)
+		case <-ticker.C:
+			r.pt.tick(uint64(r.version))
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// failf ends the run with a fatal cause.
+func (r *serverRun) failf(format string, args ...any) {
+	r.fatal = r.clock.failed(fmt.Errorf(format, args...))
+}
+
+// handleInbound interprets what the table's triage left to the run: the
+// answers to its dispatches and evaluation requests, in whichever shape the
+// topology delivers them. The update handlers report whether the run now
+// holds the message (a barrier waits on it, or it is held back behind an
+// evaluation); any other is released here: a dropped message's vectors go
+// to the collector, and an applied one's are back in the pool already.
+func (r *serverRun) handleInbound(ev inbound) {
+	sess, m, err := r.pt.triage(ev)
+	kept := false
+	switch {
+	case err != nil:
+		r.failf("%w", err)
+	case m == nil:
+	case m.kind == msgUpdate && !r.tree:
+		kept = r.handleUpdate(sess, m)
+	case (m.kind == msgAggUpdate || m.kind == msgTreeUpdate) && r.tree:
+		kept = r.handleSubtree(sess, m)
+	case m.kind == msgEvalRes:
+		r.handleEvalRes(sess, m)
+	default:
+		// Duplicate joins, replayed frames after a chaos duplication, and
+		// unknown kinds are tolerated noise, not protocol violations: the
+		// reconnect machinery makes duplicates a normal occurrence.
+		r.pt.stats.Ignored++
+	}
+	if !kept {
+		ev.msg.release()
+	}
+}
+
+// handleUpdate takes one client upload in and hands it to the clock.
+func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
+	if !r.pt.answered(sess, m.a) {
+		return false
+	}
+	scale := math.Float64frombits(m.b)
+	if !weightSum(scale) {
+		r.failf("client %d sent update weight %v", sess.id, scale)
+		return false
+	}
+	return r.clock.take(&Update{Client: sess.id, Version: int(m.a), Scale: scale, Vecs: m.vecs, Counts: m.counts, msg: m})
+}
+
+// handleSubtree collects one aggregator's answer: its children's updates
+// bundled unreduced (the passthrough) or one pre-reduced aggregate. An
+// aggregate of a method with no sound reduction means the aggregator runs
+// another method than the root: a protocol violation, fatal, not noise.
+func (r *serverRun) handleSubtree(sess *peerSession, m *wireMsg) (kept bool) {
+	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
+		return false
+	}
+	if m.kind == msgTreeUpdate {
+		ups, err := decodeTreeUpdate(m)
+		if err != nil {
+			r.failf("aggregator %d sent a malformed update bundle: %w", sess.id, err)
+			return false
+		}
+		return r.collect(sess, nil, ups...)
+	}
+	if r.red == nil {
+		r.failf("aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)",
+			sess.id, r.algo.Name())
+		return false
+	}
+	au, err := decodeAggUpdate(m)
+	if err != nil {
+		r.failf("aggregator %d sent a malformed aggregate: %w", sess.id, err)
+		return false
+	}
+	au.Agg = sess.id
+	return r.collect(sess, au)
+}
+
+// collectUpdate files a sync upload into the open round. The barrier's
+// weight IS the scale: the root folds by it, an edge pre-reduces by it.
+func (r *serverRun) collectUpdate(u *Update) (kept bool) {
+	sess := r.pt.sessionByID(u.Client)
+	if !r.pt.expects(&r.pt.round, sess) {
+		return false
+	}
+	u.Weight = u.Scale
+	return r.collect(sess, nil, u)
+}
+
+// collect files a session's answer to the open round — its members'
+// updates, or one aggregate of them — and stops waiting for it. An answer
+// naming a client the session was not dispatched this round, naming one
+// twice, or folding more children than it was dispatched is a protocol
+// violation by a trusted peer: fatal, as a malformed frame is.
+func (r *serverRun) collect(sess *peerSession, au *AggUpdate, ups ...*Update) (kept bool) {
+	slot := &r.slots[sess.id-r.pt.base]
+	if au != nil && au.Children > len(slot.members) {
+		r.failf("%s %d folded %d children into its aggregate of round %d, it was dispatched %d",
+			r.pt.noun, sess.id, au.Children, r.version+1, len(slot.members))
+		return false
+	}
+	if len(ups) > 0 {
+		slot.ups = slices.Grow(slot.ups[:0], len(slot.members))[:len(slot.members)]
+	}
+	for _, u := range ups {
+		i, ok := slices.BinarySearch(slot.members, u.Client)
+		if !ok || slot.ups[i] != nil {
+			why := "which it was not dispatched"
+			if ok {
+				why = "twice"
+			}
+			r.failf("%s %d answered round %d with an update for client %d, %s",
+				r.pt.noun, sess.id, r.version+1, u.Client, why)
+			clear(slot.ups)
+			return false
+		}
+		slot.ups[i] = u
+	}
+	slot.agg = au
+	r.pt.round.resolve(sess.id)
+	return true
+}
+
+// releaseRound recycles the messages the closed round's answers were read
+// from, once folded or answered (WireApply and PreReduce keep nothing of
+// u.Vecs): their vectors go back to the pool, their frames to their
+// connections. A passthrough bundle's updates share one message, which the
+// first recycle returns whole.
+func (r *serverRun) releaseRound() {
+	for _, a := range r.owners {
+		slot := &r.slots[a]
+		for _, u := range slot.ups {
+			if u != nil {
+				u.msg.recycle()
+			}
+		}
+		if slot.agg != nil {
+			slot.agg.msg.recycle()
+		}
+		clear(slot.ups)
+		*slot = roundSlot{ups: slot.ups[:0]}
+	}
+	r.owners = r.owners[:0]
+}
+
+// beginRound opens the sync barrier on the live sessions fronting cohort
+// (ascending ids). Churned sessions are filtered after the draw, so the
+// surviving schedule stays deterministic.
+func (r *serverRun) beginRound(cohort []int) {
+	r.pt.round.open()
+	r.byOwner(cohort, func(a int, members []int) {
+		if s := r.sessions[a]; !s.churned {
+			r.slots[a].members = members
+			r.owners = append(r.owners, a)
+			r.pt.round.ids[s.id] = true
+		}
+	})
+}
+
+// askEval opens the evaluation barrier at version: every live session
+// fronting one of want (ascending ids) is asked for their accuracies (a
+// tree request lists them), each NaN until answered — for good when its
+// session churns; a disconnected one owes its request on adoption.
+func (r *serverRun) askEval(version uint64, want []int) {
+	r.pt.eval.open()
+	r.evalPer = make([]float64, len(want))
+	for i := range r.evalPer {
+		r.evalPer[i] = math.NaN()
+	}
+	req := &wireMsg{kind: msgEvalReq, a: version}
+	r.byOwner(want, func(a int, ids []int) {
+		if s := r.sessions[a]; !s.churned {
+			if r.tree {
+				req.ints = req.ints[:0]
+				for _, id := range ids {
+					req.ints = append(req.ints, int64(id))
+				}
+			}
+			r.pt.ask(s, req)
+		}
+	})
+	r.pt.eval.settle()
+}
+
+func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
+	if !r.pt.expects(&r.pt.eval, sess) {
+		return
+	}
+	if r.tree {
+		// [id, accuracy bits] pairs (aggEvalInts).
+		if len(m.ints)%2 != 0 {
+			r.failf("aggregator %d sent a malformed evaluation reply: odd int count %d", sess.id, len(m.ints))
+			return
+		}
+		lo, hi := r.bounds[sess.id], r.bounds[sess.id+1]
+		for p := 0; p < len(m.ints); p += 2 {
+			id := int(m.ints[p])
+			switch i, ok := r.evalSlot(id); {
+			case id < lo || id >= hi:
+				r.failf("aggregator %d reported accuracy for client %d outside its range [%d, %d)", sess.id, id, lo, hi)
+			case !ok:
+				r.failf("aggregator %d reported accuracy for client %d, which was not sampled", sess.id, id)
+			default:
+				r.evalPer[i] = math.Float64frombits(uint64(m.ints[p+1]))
+				continue
+			}
+			return
+		}
+	} else if i, ok := r.evalSlot(sess.id); ok {
+		r.evalPer[i] = math.Float64frombits(m.b)
+	}
+	sess.pendingEval = nil
+	r.pt.eval.resolve(sess.id)
+}
+
+// evalSlot is client id's index in the open evaluation: its place in
+// evalIDs, or the id itself on the root's full sweep.
+func (r *serverRun) evalSlot(id int) (int, bool) {
+	if r.evalIDs == nil {
+		return id, true
+	}
+	return slices.BinarySearch(r.evalIDs, id)
+}
+
+// byOwner calls fn once per session fronting any of ids (ascending), in
+// session order, with the run of ids it fronts: sessions front contiguous
+// ranges, so each run is a sub-slice of ids.
+func (r *serverRun) byOwner(ids []int, fn func(a int, run []int)) {
+	for i := 0; i < len(ids); {
+		a := r.ownerOf(ids[i])
+		j := i + 1
+		for j < len(ids) && ids[j] < r.bounds[a+1] {
+			j++
+		}
+		fn(a, ids[i:j])
+		i = j
+	}
+}
+
+// ownerOf maps a client id to the index of the session fronting it.
+func (r *serverRun) ownerOf(id int) int {
+	return sort.Search(len(r.sessions), func(a int) bool { return r.bounds[a+1] > id })
+}
+
+// rootClock is the root's clock, its schedule: rounds are sampled (sync),
+// kept full (async) or drawn as cohorts (semisync) and committed into the
+// round record; evaluations open at its cadence and close into its metrics.
+type rootClock struct {
+	*serverRun
+	n   *ServerNode
+	cfg NodeConfig
+	k   int
+	all []int // every client id, a full sweep's want list
+
 	applied     int // applies since the last commit (async/semisync)
 	cohortSize  int
 	commitEvery int
 	semiOpen    bool // a semisync cohort is outstanding
 	start       time.Time
-
-	// Sync-barrier state for the round pt.round awaits: owners lists the
-	// sessions it was dispatched to, ascending, and slots[i] what session i
-	// fronts in it and answered. payloads is the dispatch's scratch.
-	owners   []int
-	slots    []rootSlot
-	payloads [][][]float64
-	// Evaluation state for the evaluation pt.eval awaits: the accuracies
-	// in RoundMetrics.PerClient's layout, and the sampled ids when
-	// cfg.EvalSample is in effect (nil on a full sweep).
-	evalPer []float64
-	evalIDs []int
+	payloads    [][][]float64 // the dispatch's scratch
+	avail       []int         // idle's scratch
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
 	// an evaluation observes one consistent committed model.
 	holdback []*Update
-
-	fatal error
-	done  bool
-}
-
-// rootSlot is one session's part of the open sync round: the cohort members
-// it fronts — a run of the ascending cohort, one client in a flat federation
-// — and its answer, either their updates in member order (nil where a member
-// sent none) or one pre-reduced aggregate of them.
-type rootSlot struct {
-	members []int
-	ups     []*Update
-	agg     *AggUpdate
 }
 
 // Serve accepts cfg.Clients joins on the listener (cfg.Aggregators tree
@@ -293,104 +585,57 @@ func (n *ServerNode) Serve(ctx context.Context, ln transport.Listener) ([]RoundM
 		}
 	}
 	go r.pt.acceptLoop(ln)
-	return r.loop(ctx)
+	// SimTime is cumulative serving time: a resumed server's clock continues
+	// from the restored history's last point.
+	r.start = time.Now()
+	if h := n.History; len(h) > 0 {
+		r.start = r.start.Add(-time.Duration(h[len(h)-1].SimTime * float64(time.Second)))
+	}
+	if err := r.loop(ctx); err != nil {
+		return nil, err
+	}
+	return n.History, nil
 }
 
-func newServerRun(n *ServerNode) *serverRun {
+func newServerRun(n *ServerNode) *rootClock {
 	cfg := n.cfg
 	k := cfg.Clients
-	r := &serverRun{n: n, cfg: cfg, algo: n.algo, k: k}
-	r.red, _ = n.algo.(ReducibleWireAlgorithm)
-	noun, sessionCount, readJoin := "client", k, readClientJoin
-	if cfg.Aggregators > 0 {
-		r.tree = true
-		noun, sessionCount, readJoin = "aggregator", cfg.Aggregators, r.readTreeJoin
-	}
-	r.bounds = TreeSplit(k, sessionCount)
-	r.slots = make([]rootSlot, sessionCount)
-	r.all = make([]int, k)
+	r := &rootClock{n: n, cfg: cfg, k: k, all: make([]int, k)}
 	for i := range r.all {
 		r.all[i] = i
 	}
-	r.pt = newPeerTable(noun, sessionCount, 0, k, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
+	noun, sessionCount, readJoin := "client", k, readClientJoin
+	if cfg.Aggregators > 0 {
+		noun, sessionCount, readJoin = "aggregator", cfg.Aggregators, r.readTreeJoin
+	}
+	pt := newPeerTable(noun, sessionCount, 0, k, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
 		cfg.Seed, n.Ledger, &n.Stats, readJoin)
-	r.pt.fed = [welToken]int64{int64(k), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.EvalEvery)}
-	r.pt.round.done, r.pt.eval.done = r.completeRound, r.completeEval
-	r.sessions = r.pt.sessions
+	pt.fed = [welToken]int64{int64(k), int64(cfg.Rounds), int64(cfg.BatchSize), int64(cfg.EvalEvery)}
+	r.serverRun = newRun(r, n.algo, pt, TreeSplit(k, sessionCount))
+	r.tree = cfg.Aggregators > 0
 	r.cohortSize, r.commitEvery = cohortPolicy(k, cfg.SampleRate, cfg.Sched, cfg.Quorum)
 	return r
 }
 
-// loop is the event loop: every state transition happens here.
-func (r *serverRun) loop(ctx context.Context) ([]RoundMetrics, error) {
-	ticker := time.NewTicker(r.pt.tickInterval())
-	defer ticker.Stop()
-	r.pt.lastBeat = time.Now()
-	// SimTime is cumulative serving time: a resumed server's clock continues
-	// from the restored history's last point.
-	r.start = r.pt.lastBeat
-	if h := r.n.History; len(h) > 0 {
-		r.start = r.start.Add(-time.Duration(h[len(h)-1].SimTime * float64(time.Second)))
+// full builds the algorithm's server state from the complete fleet's joins
+// and welcomes everyone; advance then opens round 1.
+func (r *rootClock) full() {
+	if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
+		r.failf("%s wire setup: %w", r.algo.Name(), err)
+		return
 	}
-	for {
-		if r.pt.assembled && r.fatal == nil {
-			r.advance()
-		}
-		if r.done || r.fatal != nil {
-			break
-		}
-		if err := r.step(ctx, ticker); err != nil {
-			return nil, err
-		}
-	}
-	// Graceful shutdown: the stop phase holds every unchurned session open
-	// until its peer acknowledged the goodbye — adopt hands it to a session
-	// that was disconnected at the finish — or its window degrades it to
-	// churn; when everyone acks at once, the drain is a few frames long.
-	if r.fatal == nil {
-		r.pt.beginStop()
-	}
-	for r.fatal == nil && r.pt.pendingStops() {
-		if err := r.step(ctx, ticker); err != nil {
-			return nil, err
-		}
-	}
-	if r.fatal != nil {
-		return nil, r.fatal
-	}
-	return r.n.History, nil
+	r.pt.assemble()
 }
 
-// step serves one event of the fan-in; the error is ctx's.
-func (r *serverRun) step(ctx context.Context, ticker *time.Ticker) error {
-	select {
-	case ev := <-r.pt.events:
-		r.handleInbound(ev)
-	case ac := <-r.pt.conns:
-		if err := r.pt.admit(ac, uint64(r.version)); err != nil {
-			r.fatal = fmt.Errorf("fl: server %w", err)
-		} else if r.pt.full() {
-			// The fleet is complete: build the algorithm's server state from
-			// its joins and welcome everyone; advance() then opens round 1.
-			if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
-				r.fatal = fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
-			} else {
-				r.pt.assemble()
-			}
-		}
-	case <-ticker.C:
-		r.pt.tick(uint64(r.version))
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return nil
-}
+func (r *rootClock) fromUp(upFrame)           {} // the root has no uplink
+func (r *rootClock) redial(upDial)            {}
+func (r *rootClock) failed(cause error) error { return fmt.Errorf("fl: %w", cause) }
 
 // readTreeJoin is the tree root's readJoin: an aggregator's join carries its
 // whole child range's declarations in one frame, validated against the
 // server's own TreeSplit so both sides agree on who fronts whom. (The table
 // refuses an index outside [0, aggs) itself.)
-func (r *serverRun) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
+func (r *rootClock) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
 	if m.kind != msgTreeJoin || len(m.ints) < 2 {
 		return 0, nil, errNotJoin
 	}
@@ -405,135 +650,17 @@ func (r *serverRun) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
 	return agg, joins, nil
 }
 
-func (r *serverRun) aliveCount() int {
-	alive := 0
-	for _, s := range r.sessions {
-		if !s.churned {
-			alive++
-		}
-	}
-	return alive
-}
-
-// outstanding counts dispatched-but-unanswered sessions.
-func (r *serverRun) outstanding() int {
-	busy := 0
-	for _, s := range r.sessions {
-		if s.busy && !s.churned {
-			busy++
-		}
-	}
-	return busy
-}
-
-// handleInbound interprets what the table's triage left to the role: the
-// answers to the root's dispatches and evaluation requests, in whichever
-// shape the topology delivers them.
-//
-// The three update handlers report whether the round now holds the
-// message's vectors (a barrier waits on them, or they are held back behind
-// an evaluation); everything else — folded already, noise, or consumed by
-// the triage — is released here, the one place a dropped message's vectors
-// go back to the free list.
-func (r *serverRun) handleInbound(ev inbound) {
-	sess, m, err := r.pt.triage(ev)
-	kept := false
+// take routes an accepted update through the configured schedule and
+// reports whether the run now holds it: the sync barrier collects it, the
+// async schedules hold it back while an evaluation is open and otherwise
+// fold or drop it on the spot, leaving its message the caller's to release.
+func (r *rootClock) take(u *Update) (kept bool) {
 	switch {
-	case err != nil:
-		r.fatal = fmt.Errorf("fl: %w", err)
-	case m == nil:
-	case m.kind == msgUpdate && !r.tree:
-		kept = r.handleUpdate(sess, m)
-	case m.kind == msgAggUpdate && r.tree:
-		kept = r.handleAggUpdate(sess, m)
-	case m.kind == msgTreeUpdate && r.tree:
-		kept = r.handleTreeUpdate(sess, m)
-	case m.kind == msgEvalRes:
-		r.handleEvalRes(sess, m)
-	default:
-		// Duplicate joins, replayed frames after a chaos duplication, and
-		// unknown kinds are tolerated noise, not protocol violations: the
-		// reconnect machinery makes duplicates a normal occurrence.
-		r.n.Stats.Ignored++
-	}
-	if !kept {
-		r.pt.vecs.release(ev.msg)
-	}
-}
-
-// handleUpdate folds one upload into the scheduler.
-func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
-	if !r.pt.answered(sess, m.a) {
-		return false
-	}
-	scale := math.Float64frombits(m.b)
-	if !weightSum(scale) {
-		r.fatal = fmt.Errorf("fl: client %d sent update weight %v", sess.id, scale)
-		return false
-	}
-	u := &Update{
-		Client:  sess.id,
-		Version: int(m.a),
-		Scale:   scale,
-		Vecs:    m.vecs,
-		Counts:  m.counts,
-		msg:     m,
-	}
-	if r.pt.eval.active() && r.cfg.Sched != SchedSync {
+	case r.cfg.Sched == SchedSync:
+		return r.collectUpdate(u)
+	case r.pt.eval.active():
 		r.holdback = append(r.holdback, u)
 		return true
-	}
-	return r.processUpdate(u)
-}
-
-// handleAggUpdate collects one aggregator's pre-reduced contribution. An
-// aggregator pre-reduces exactly the reducible algorithms, so an aggregate
-// of a non-reducible one means the aggregator runs another method than the
-// root: a protocol violation by a trusted peer, fatal, not noise.
-func (r *serverRun) handleAggUpdate(sess *peerSession, m *wireMsg) (kept bool) {
-	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
-		return false
-	}
-	if r.red == nil {
-		r.fatal = fmt.Errorf("fl: aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)",
-			sess.id, r.algo.Name())
-		return false
-	}
-	au, err := decodeAggUpdate(m)
-	if err != nil {
-		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed aggregate: %w", sess.id, err)
-		return false
-	}
-	au.Agg = sess.id
-	return r.collect(sess, au)
-}
-
-// handleTreeUpdate collects one aggregator's passthrough bundle: its
-// children's raw updates, unreduced, for algorithms with no sound
-// pre-reduction.
-func (r *serverRun) handleTreeUpdate(sess *peerSession, m *wireMsg) (kept bool) {
-	if !r.pt.answered(sess, m.a) || !r.pt.expects(&r.pt.round, sess) {
-		return false
-	}
-	ups, err := decodeTreeUpdate(m)
-	if err != nil {
-		r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed update bundle: %w", sess.id, err)
-		return false
-	}
-	return r.collect(sess, nil, ups...)
-}
-
-// processUpdate routes an accepted update through the configured schedule
-// and reports whether the sync barrier now holds it: the async schedules
-// fold or drop it on the spot, and its vectors are the caller's to release.
-func (r *serverRun) processUpdate(u *Update) (kept bool) {
-	if r.cfg.Sched == SchedSync {
-		sess := r.sessions[u.Client]
-		if !r.pt.expects(&r.pt.round, sess) {
-			return false
-		}
-		u.Weight = u.Scale
-		return r.collect(sess, nil, u)
 	}
 	if r.version >= r.cfg.Rounds {
 		// The federation has committed its full horizon; a straggler's
@@ -549,9 +676,10 @@ func (r *serverRun) processUpdate(u *Update) (kept bool) {
 	}
 	u.Weight = u.Scale * stalenessWeight(r.cfg.Decay, u.Staleness)
 	if err := r.algo.WireApply(u); err != nil {
-		r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), u.Client, err)
+		r.failf("%s apply from client %d: %w", r.algo.Name(), u.Client, err)
 		return false
 	}
+	u.msg.recycle()
 	r.applied++
 	if r.applied >= r.commitEvery {
 		r.commit()
@@ -559,51 +687,15 @@ func (r *serverRun) processUpdate(u *Update) (kept bool) {
 	return false
 }
 
-// collect files a session's answer to the open round — its members'
-// updates, or one aggregate of them — and stops waiting for it. An answer
-// naming a client the session was not dispatched this round, naming one
-// twice, or folding more children than it was dispatched is a protocol
-// violation by a trusted peer: fatal, as a malformed frame is.
-func (r *serverRun) collect(sess *peerSession, au *AggUpdate, ups ...*Update) (kept bool) {
-	slot := &r.slots[sess.id]
-	if au != nil && au.Children > len(slot.members) {
-		r.fatal = fmt.Errorf("fl: %s %d folded %d children into its aggregate of round %d, it was dispatched %d",
-			r.pt.noun, sess.id, au.Children, r.version+1, len(slot.members))
-		return false
-	}
-	if len(ups) > 0 {
-		slot.ups = slices.Grow(slot.ups[:0], len(slot.members))[:len(slot.members)]
-	}
-	for _, u := range ups {
-		i, ok := slices.BinarySearch(slot.members, u.Client)
-		if !ok || slot.ups[i] != nil {
-			why := "which it was not dispatched"
-			if ok {
-				why = "twice"
-			}
-			r.fatal = fmt.Errorf("fl: %s %d answered round %d with an update for client %d, %s",
-				r.pt.noun, sess.id, r.version+1, u.Client, why)
-			clear(slot.ups)
-			return false
-		}
-		slot.ups[i] = u
-	}
-	slot.agg = au
-	r.pt.round.resolve(sess.id)
-	return true
-}
-
-// completeRound folds the answers the completed barrier collected, session
-// by session in ascending order: an aggregate through WireApplyAggregate,
-// updates member by member. Sessions front contiguous ranges and members
-// ascend, so updates apply in sorted client-id order in either topology —
-// flat fan-in's order, which a tree's passthrough reproduces exactly.
-func (r *serverRun) completeRound() {
+// closeRound folds the collected answers session by session, ascending: an
+// aggregate through WireApplyAggregate, updates member by member — sorted
+// client-id order in either topology, as flat fan-in applies them.
+func (r *rootClock) closeRound() {
 	for _, a := range r.owners {
 		slot := &r.slots[a]
 		if au := slot.agg; au != nil && au.Children > 0 {
 			if err := r.red.WireApplyAggregate(au); err != nil {
-				r.fatal = fmt.Errorf("fl: %s aggregate from aggregator %d: %w", r.algo.Name(), a, err)
+				r.failf("%s aggregate from aggregator %d: %w", r.algo.Name(), a, err)
 				return
 			}
 		}
@@ -612,7 +704,7 @@ func (r *serverRun) completeRound() {
 				continue
 			}
 			if err := r.algo.WireApply(u); err != nil {
-				r.fatal = fmt.Errorf("fl: %s apply from client %d: %w", r.algo.Name(), u.Client, err)
+				r.failf("%s apply from client %d: %w", r.algo.Name(), u.Client, err)
 				return
 			}
 		}
@@ -621,34 +713,11 @@ func (r *serverRun) completeRound() {
 	r.commit()
 }
 
-// releaseRound closes the sync barrier's collections: every update and
-// aggregate has been folded (WireApply keeps nothing of u.Vecs), so the
-// messages they were read from are released — their vectors back to the
-// fan-in's free list for the next round's decodes, the frames they were
-// folded from back to their connections. A passthrough bundle's updates
-// share one message, which the first release returns whole.
-func (r *serverRun) releaseRound() {
-	for _, a := range r.owners {
-		slot := &r.slots[a]
-		for _, u := range slot.ups {
-			if u != nil {
-				r.pt.vecs.release(u.msg)
-			}
-		}
-		if slot.agg != nil {
-			r.pt.vecs.release(slot.agg.msg)
-		}
-		clear(slot.ups)
-		*slot = rootSlot{ups: slot.ups[:0]}
-	}
-	r.owners = r.owners[:0]
-}
-
 // commit completes one round: merge accumulators, advance the version,
 // then evaluate or account the round directly.
-func (r *serverRun) commit() {
+func (r *rootClock) commit() {
 	if err := r.algo.WireCommit(); err != nil {
-		r.fatal = fmt.Errorf("fl: %s commit: %w", r.algo.Name(), err)
+		r.failf("%s commit: %w", r.algo.Name(), err)
 		return
 	}
 	r.version++
@@ -664,10 +733,8 @@ func (r *serverRun) commit() {
 
 // finishRound closes the committed round through the round record — its
 // traffic, the evaluation m when one ran, the checkpoint — and then
-// announces it. The checkpoint lands before the OnRound announcement: a
-// round an observer has seen is durably recoverable, even if the process
-// dies on the next instruction.
-func (r *serverRun) finishRound(m *RoundMetrics) {
+// announces it: a round an observer has seen is durably recoverable.
+func (r *rootClock) finishRound(m *RoundMetrics) {
 	if err := r.n.closeRound(r.version, r.algo.EpochsPerRound(), time.Since(r.start).Seconds(), m, r.snapshot); err != nil {
 		r.fatal = err
 		return
@@ -679,102 +746,36 @@ func (r *serverRun) finishRound(m *RoundMetrics) {
 
 // startEval asks every unchurned client of the round record's evaluation
 // sample — the whole fleet, or under cfg.EvalSample the sample the
-// in-process run draws — for its personalized accuracy, one request per
-// live session for the wanted clients it fronts (in a tree the request
-// lists them). Disconnected sessions owe theirs on adoption; a client whose
-// session churns mid-evaluation (or is churned at the start) keeps its NaN,
-// excluded from the mean by the NaN-excluding MeanStd.
-func (r *serverRun) startEval() {
-	r.pt.eval.open()
+// in-process run draws — for its personalized accuracy.
+func (r *rootClock) startEval() {
 	r.evalIDs = r.n.evalSample(r.k)
 	want := r.evalIDs
 	if want == nil {
 		want = r.all
 	}
-	r.evalPer = make([]float64, len(want))
-	for i := range r.evalPer {
-		r.evalPer[i] = math.NaN()
-	}
-	req := &wireMsg{kind: msgEvalReq, a: uint64(r.version)}
-	r.byOwner(want, func(a int, ids []int) {
-		if s := r.sessions[a]; !s.churned {
-			if r.tree {
-				req.ints = req.ints[:0]
-				for _, id := range ids {
-					req.ints = append(req.ints, int64(id))
-				}
-			}
-			r.pt.ask(s, req)
-		}
-	})
-	r.pt.eval.settle()
+	r.askEval(uint64(r.version), want)
 }
 
-func (r *serverRun) handleEvalRes(sess *peerSession, m *wireMsg) {
-	if !r.pt.expects(&r.pt.eval, sess) {
-		return
-	}
-	if r.tree {
-		accs, err := parseAggEvalInts(m.ints)
-		if err != nil {
-			r.fatal = fmt.Errorf("fl: aggregator %d sent a malformed evaluation reply: %w", sess.id, err)
-			return
-		}
-		lo, hi := r.bounds[sess.id], r.bounds[sess.id+1]
-		for id, acc := range accs {
-			if id < lo || id >= hi {
-				r.fatal = fmt.Errorf("fl: aggregator %d reported accuracy for client %d outside its range [%d, %d)",
-					sess.id, id, lo, hi)
-				return
-			}
-			i, ok := r.evalSlot(id)
-			if !ok {
-				r.fatal = fmt.Errorf("fl: aggregator %d reported accuracy for client %d, which was not sampled", sess.id, id)
-				return
-			}
-			r.evalPer[i] = acc
-		}
-	} else if i, ok := r.evalSlot(sess.id); ok {
-		r.evalPer[i] = math.Float64frombits(m.b)
-	}
-	sess.pendingEval = nil
-	r.pt.eval.resolve(sess.id)
-}
-
-// evalSlot is client id's PerClient index in the open evaluation: its
-// place in the sample, or the id itself on a full sweep.
-func (r *serverRun) evalSlot(id int) (int, bool) {
-	if r.evalIDs == nil {
-		return id, true
-	}
-	return slices.BinarySearch(r.evalIDs, id)
-}
-
-// completeEval aggregates the collected accuracies (churned clients stay
-// NaN — MeanStd excludes them count-wise, summing the finite entries in
-// index order), closes the round, then releases any updates held back
-// during the evaluation.
-func (r *serverRun) completeEval() {
+// closeEval closes the round with the collected accuracies' MeanStd (NaN
+// excluded), then releases the updates held back during the evaluation.
+func (r *rootClock) closeEval() {
 	mean, std := MeanStd(r.evalPer)
 	m := RoundMetrics{MeanAcc: mean, StdAcc: std, PerClient: r.evalPer, EvalIDs: r.evalIDs}
-	r.evalPer = nil
-	r.evalIDs = nil
+	r.evalPer, r.evalIDs = nil, nil
 	r.finishRound(&m)
 	for len(r.holdback) > 0 && !r.pt.eval.active() && r.fatal == nil {
 		u := r.holdback[0]
 		r.holdback = r.holdback[1:]
-		if !r.processUpdate(u) {
-			r.pt.vecs.release(u.msg)
+		if !r.take(u) {
+			u.msg.release()
 		}
 	}
 }
 
-// snapshot captures the server's full state at a commit boundary — the
-// accumulator is clean between a commit and the next dispatch decision:
-// enough that a process killed immediately afterwards can be restarted with
-// cfg.Resume and continue the run, honoring the session tokens clients
-// still hold.
-func (r *serverRun) snapshot() (*Snapshot, error) {
+// snapshot captures the server's full state at a commit boundary, where the
+// accumulator is clean: enough that a process killed immediately afterwards
+// can be restarted with cfg.Resume, honoring the tokens clients still hold.
+func (r *rootClock) snapshot() (*Snapshot, error) {
 	snap := &Snapshot{Kind: r.cfg.Sched, Round: r.version, FleetSize: r.k, DType: r.cfg.DType, Joins: cloneJoins(r.pt.joins)}
 	if err := r.n.capture(snap, r.algo); err != nil {
 		return nil, err
@@ -787,11 +788,10 @@ func (r *serverRun) snapshot() (*Snapshot, error) {
 }
 
 // restore rebuilds the server from a snapshot the round record admits,
-// before any connection is accepted: algorithm state via WireSetup +
-// AlgoRestore, the session table with its original tokens, and both
-// streams. Every session starts disconnected with the reconnect-window
-// clock running — surviving clients re-dial with the tokens they hold.
-func (r *serverRun) restore(snap *Snapshot) error {
+// before any connection is accepted: algorithm state, both streams and the
+// session table with its tokens, every session disconnected with its
+// reconnect window running.
+func (r *rootClock) restore(snap *Snapshot) error {
 	if err := r.n.resume(snap, r.cfg.Sched, r.k, r.algo, func() error {
 		switch {
 		case len(snap.Sessions) != r.k:
@@ -830,18 +830,23 @@ func (r *serverRun) restore(snap *Snapshot) error {
 
 // advance makes every scheduling decision that is currently possible. It
 // loops so that a round completed without any wire traffic (an all-churned
-// cohort) rolls directly into the next instead of waiting for a tick.
-func (r *serverRun) advance() {
-	for r.fatal == nil && !r.done {
-		if r.aliveCount() == 0 {
-			r.fatal = fmt.Errorf("fl: round %d: every client has left the federation", r.version+1)
+// cohort) rolls directly into the next instead of waiting for a tick. Once
+// the horizon is committed it opens the stop phase, which holds every
+// unchurned session open until its peer acknowledged the goodbye — adopt
+// hands it to a session that was disconnected at the finish — or its
+// window degrades it to churn; the run is done when the stop is.
+func (r *rootClock) advance() {
+	r.done = r.pt.stopping && !r.pt.pendingStops()
+	for r.pt.assembled && !r.pt.stopping && r.fatal == nil {
+		if !slices.ContainsFunc(r.sessions, func(s *peerSession) bool { return !s.churned }) {
+			r.failf("round %d: every client has left the federation", r.version+1)
 			return
 		}
 		if r.pt.eval.active() {
 			return
 		}
 		if r.version >= r.cfg.Rounds {
-			r.done = true
+			r.pt.beginStop()
 			return
 		}
 		switch r.cfg.Sched {
@@ -849,7 +854,7 @@ func (r *serverRun) advance() {
 			r.dispatchIdle()
 			return
 		case SchedSemiSync:
-			if r.semiOpen && r.outstanding() > 0 {
+			if _, busy := r.idle(); r.semiOpen && busy > 0 {
 				return
 			}
 			r.openSemiCohort()
@@ -868,21 +873,10 @@ func (r *serverRun) advance() {
 	}
 }
 
-// openRound samples the round's cohort from the shared RNG stream — the
-// cohorts the in-process sync scheduler visits at the same seed; churned
-// sessions are filtered after the draw, so the surviving schedule stays
-// deterministic — groups the members by owning session and dispatches one
-// frame to every live owner, ascending.
-func (r *serverRun) openRound() {
-	cohort := SampleCohort(r.n.Rng, r.k, r.cfg.SampleRate)
-	r.pt.round.open()
-	r.byOwner(cohort, func(a int, members []int) {
-		if !r.sessions[a].churned {
-			r.slots[a].members = members
-			r.owners = append(r.owners, a)
-			r.pt.round.ids[a] = true
-		}
-	})
+// openRound samples the cohort the in-process sync scheduler draws at the
+// same seed and dispatches one frame to every live owner, ascending.
+func (r *rootClock) openRound() {
+	r.beginRound(SampleCohort(r.n.Rng, r.k, r.cfg.SampleRate))
 	for _, a := range r.owners {
 		r.dispatch(r.sessions[a], r.slots[a].members...)
 		if r.fatal != nil {
@@ -892,95 +886,73 @@ func (r *serverRun) openRound() {
 	r.pt.round.settle()
 }
 
-// byOwner calls fn once per session fronting any of ids (ascending), in
-// session order, with the run of ids it fronts: sessions front contiguous
-// ranges, so each run is a sub-slice of ids.
-func (r *serverRun) byOwner(ids []int, fn func(a int, run []int)) {
-	for i := 0; i < len(ids); {
-		a := r.ownerOf(ids[i])
-		j := i + 1
-		for j < len(ids) && ids[j] < r.bounds[a+1] {
-			j++
-		}
-		fn(a, ids[i:j])
-		i = j
-	}
-}
-
-// ownerOf maps a global client id to the session fronting it.
-func (r *serverRun) ownerOf(id int) int {
-	return sort.Search(len(r.sessions), func(a int) bool { return r.bounds[a+1] > id })
-}
-
-// dispatchIdle keeps the async pipeline full: idle, unchurned sessions are
-// dispatched in id order until cohortSize updates are in flight —
-// mirroring the engine's bounded concurrency.
-func (r *serverRun) dispatchIdle() {
-	inFlight := r.outstanding()
+// idle lists the live sessions with no dispatch outstanding, in id order,
+// and counts those with one.
+func (r *rootClock) idle() (ids []int, busy int) {
+	r.avail = r.avail[:0]
 	for _, s := range r.sessions {
-		if inFlight >= r.cohortSize {
-			return
+		switch {
+		case s.churned:
+		case s.busy:
+			busy++
+		default:
+			r.avail = append(r.avail, s.id)
 		}
-		if s.churned || s.busy {
-			continue
-		}
-		r.dispatch(s, s.id)
-		if r.fatal != nil {
-			return
-		}
-		inFlight++
 	}
+	return r.avail, busy
+}
+
+// dispatchIdle keeps the async pipeline full: idle sessions are dispatched
+// in id order until cohortSize updates are in flight — mirroring the
+// engine's bounded concurrency.
+func (r *rootClock) dispatchIdle() {
+	idle, busy := r.idle()
+	r.dispatchEach(idle[:min(len(idle), max(r.cohortSize-busy, 0))])
 }
 
 // openSemiCohort dispatches a fresh semisync cohort. Stragglers from an
 // earlier cohort keep their outstanding dispatches — their late updates
 // still count toward the quorum, exactly as in the engine.
-func (r *serverRun) openSemiCohort() {
-	avail := make([]int, 0, r.k)
-	for _, s := range r.sessions {
-		if !s.churned && !s.busy {
-			avail = append(avail, s.id)
-		}
-	}
-	n := r.cohortSize
-	if n > len(avail) {
-		n = len(avail)
-	}
+func (r *rootClock) openSemiCohort() {
+	avail, _ := r.idle()
+	n := min(r.cohortSize, len(avail))
 	if n == 0 {
 		return
 	}
-	idx := SamplePrefix(r.n.Rng, len(avail), n)
 	ids := make([]int, n)
-	for i, p := range idx {
+	for i, p := range SamplePrefix(r.n.Rng, len(avail), n) {
 		ids[i] = avail[p]
 	}
 	sort.Ints(ids)
+	r.dispatchEach(ids)
+	r.semiOpen = true
+}
+
+// dispatchEach dispatches to each client of ids, a session each.
+func (r *rootClock) dispatchEach(ids []int) {
 	for _, id := range ids {
 		r.dispatch(r.sessions[id], id)
 		if r.fatal != nil {
 			return
 		}
 	}
-	r.semiOpen = true
 }
 
 // dispatch sends session s its broadcast for the clients it fronts:
 // WireDispatch once per member, ascending — the calls a flat federation
-// makes, in its order — then one frame. A client gets a broadcast: an
-// algorithm that broadcasts one global (FedAvg, FedProx, FedClassAvg)
-// returns the identical vectors to every client, so from the second client
-// on the table encodes them once per committed version; a personalized
-// broadcast (KT-pFL's staged transfer, FedProto's table copy) never repeats
-// and gets the session's own frame. An aggregator gets its members'
-// payloads batched into one frame it fans out — one copy for the whole
-// subtree when every member got the same vectors (treeDispatchMsg decides),
-// one per member otherwise.
-func (r *serverRun) dispatch(s *peerSession, members ...int) {
+// makes, in its order — then one frame. A client gets a broadcast, which the
+// table encodes once per committed version for a global that every client
+// gets (FedAvg, FedProx, FedClassAvg) and into the session's own frame for a
+// personalized one (KT-pFL, FedProto). An aggregator gets its members'
+// payloads batched into one frame it fans out: one copy for the subtree
+// when every member got the same vectors (treeDispatchMsg), one per member
+// otherwise.
+func (r *rootClock) dispatch(s *peerSession, members ...int) {
 	payloads := r.payloads[:0]
 	for _, id := range members {
 		vecs, err := r.algo.WireDispatch(id)
 		if err != nil {
-			r.fatal = fmt.Errorf("fl: %s dispatch to client %d: %w", r.algo.Name(), id, err)
+			r.failf("%s dispatch to client %d: %w", r.algo.Name(), id, err)
 			return
 		}
 		payloads = append(payloads, vecs)

@@ -3,8 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -12,30 +11,25 @@ import (
 )
 
 // This file is the edge-aggregator role of the tree topology. An
-// AggregatorNode is composed, not restated: facing its contiguous range of
-// clients it runs the PeerTable — the same fan-in, admission to stop drain,
-// the root runs — and facing the root it keeps the uplink a ClientNode
-// keeps, so it joins (on behalf of its whole child range, msgTreeJoin),
-// echoes heartbeats and re-dials with its session token exactly as a client
-// does. What is written here is only what an aggregator does that neither
-// of them does: relay the root's welcome to its children, fan a batched
-// dispatch out (a shared payload as one cached frame, through the table's
-// broadcast) and answer it with either a pre-reduced aggregate
-// (ReducibleWireAlgorithm + ExactAccumulator, exact regrouping of flat
-// fan-in) or the children's raw updates bundled unreduced (the passthrough
-// for non-associative algorithms like KT-pFL), relay evaluations, and
-// acknowledge the root's stop once every child acknowledged its own.
+// AggregatorNode drives the root's serverRun (node.go) over a flat table of
+// its contiguous client range, and keeps a client's uplink to the root: it
+// joins on behalf of the whole range (msgTreeJoin), echoes heartbeats and
+// re-dials with its session token as a client does. The uplink is the run's
+// clock (edgeClock): the root's tree dispatch opens a round and its
+// evaluation request an evaluation, and each closes by answering upstream —
+// a pre-reduced aggregate (ReducibleWireAlgorithm + ExactAccumulator, exact
+// regrouping of flat fan-in) or the children's updates bundled unreduced
+// (the passthrough for KT-pFL), and the children's accuracies. What is
+// written here is only what an edge does that a root does not: the relay's
+// rule for a duplicate request, the tree dispatch's fan-out, the upstream
+// join, and relaying the root's welcome and stop.
 //
 // The aggregator holds no round state worth checkpointing: every frame it
 // owes upstream is cached and replayed when the root re-dispatches after an
 // adoption, and if the process dies outright the root churns its whole
-// subtree after the reconnect window — restart-from-scratch semantics,
-// documented in DESIGN.md §11.
-//
-// Ledger accounting: the aggregator's ledger prices its downstream side
-// (child joins, dispatch fan-out, uploads, heartbeats). Its upstream
-// traffic is priced by the root's ledger — the uplink-reduction claim is
-// verified there, where the bytes actually land.
+// subtree after the reconnect window (DESIGN.md §11). Its ledger prices its
+// downstream side (child joins, dispatch fan-out, uploads, heartbeats); the
+// root's prices the upstream, where those bytes land.
 
 // AggregatorConfig configures one edge aggregator.
 type AggregatorConfig struct {
@@ -83,8 +77,8 @@ func (c AggregatorConfig) WireSpec() comm.Spec { return comm.NewSpec(c.Codec, c.
 type AggregatorNode struct {
 	cfg  AggregatorConfig
 	algo WireAlgorithm
-	// Ledger prices the aggregator's downstream traffic (see the file
-	// comment for the accounting split).
+	// Ledger prices the aggregator's downstream traffic (the root's prices
+	// its upstream).
 	Ledger *comm.Ledger
 	// Stats summarizes the downstream failure-path events once Run returns.
 	Stats NodeStats
@@ -95,29 +89,18 @@ func NewAggregatorNode(algo WireAlgorithm, cfg AggregatorConfig) *AggregatorNode
 	return &AggregatorNode{cfg: cfg.withDefaults(), algo: algo, Ledger: comm.NewLedger()}
 }
 
-// aggRun is the single-goroutine event loop driving one Run call.
-type aggRun struct {
-	n      *AggregatorNode
+// edgeClock is an edge aggregator's clock, its uplink.
+type edgeClock struct {
+	*serverRun
 	cfg    AggregatorConfig
-	algo   WireAlgorithm
 	lo, hi int
-
-	pt *PeerTable
-	up *uplink
+	up     *uplink
 	// joinFrame is the tree join, encoded once every child has joined; a
-	// re-dial before the welcome resends it.
+	// re-dial before the welcome resends it, and the welcome drops it.
 	joinFrame []byte
-
 	// The root's two requests: rounds relays the dispatch (pt.round is its
-	// barrier) and updates collects its children's answers; evals relays
-	// the evaluation request (pt.eval) and evalAcc/evalIDs collect.
+	// barrier), evals the evaluation request (pt.eval).
 	rounds, evals relay
-	updates       map[int]*Update
-	evalAcc       map[int]uint64
-	evalIDs       []int
-
-	fatal error
-	done  bool
 }
 
 // relay is the aggregator's memory of one kind of root request: the version
@@ -134,14 +117,14 @@ type relay struct {
 // collection. A duplicate of the request being collected is already in
 // hand; a duplicate of the one answered last means the root lost the
 // answer, which goes out again.
-func (g *aggRun) opens(rl *relay, version uint64) bool {
+func (e *edgeClock) opens(rl *relay, version uint64) bool {
 	switch {
 	case rl.await.active() && version == rl.version:
-		g.n.Stats.Ignored++
+		e.pt.stats.Ignored++
 		return false
 	case !rl.await.active() && rl.answered && version == rl.version:
-		g.n.Stats.Resends++
-		g.up.send(rl.frame)
+		e.pt.stats.Resends++
+		e.up.send(rl.frame)
 		return false
 	}
 	rl.version, rl.answered = version, false
@@ -150,10 +133,10 @@ func (g *aggRun) opens(rl *relay, version uint64) bool {
 
 // answer encodes the collected answer into the relay's frame and sends it
 // upstream.
-func (g *aggRun) answer(rl *relay, m *wireMsg) {
-	rl.frame = lendMsg(rl.frame, m, g.pt.wc)
+func (e *edgeClock) answer(rl *relay, m *wireMsg) {
+	rl.frame = lendMsg(rl.frame, m, e.pt.wc)
 	rl.answered = true
-	g.up.send(rl.frame)
+	e.up.send(rl.frame)
 }
 
 // Run accepts the child range's joins on the listener, joins the root on
@@ -162,98 +145,41 @@ func (g *aggRun) answer(rl *relay, m *wireMsg) {
 // Cancelling ctx tears everything down and returns ctx.Err().
 func (n *AggregatorNode) Run(ctx context.Context, ln transport.Listener) error {
 	defer ln.Close()
-	cfg := n.cfg
-	if cfg.Aggregators <= 0 || cfg.Aggregators > cfg.Clients {
+	switch cfg := n.cfg; {
+	case cfg.Aggregators <= 0 || cfg.Aggregators > cfg.Clients:
 		return fmt.Errorf("fl: %d aggregators cannot front %d clients (need 1 <= aggregators <= clients)",
 			cfg.Aggregators, cfg.Clients)
-	}
-	if cfg.Index < 0 || cfg.Index >= cfg.Aggregators {
+	case cfg.Index < 0 || cfg.Index >= cfg.Aggregators:
 		return fmt.Errorf("fl: aggregator index %d out of range [0, %d)", cfg.Index, cfg.Aggregators)
-	}
-	if cfg.Dialer == nil {
+	case cfg.Dialer == nil:
 		return fmt.Errorf("fl: aggregator %d needs an upstream dialer", cfg.Index)
 	}
-	g := newAggRun(ctx, n)
-	defer g.pt.shutdown()
-	defer g.up.close()
-	go g.pt.acceptLoop(ln)
-
-	ticker := time.NewTicker(g.pt.tickInterval())
-	defer ticker.Stop()
-	g.pt.lastBeat = time.Now()
-	for g.fatal == nil && g.up.err == nil && !g.done {
-		select {
-		case ev := <-g.pt.events:
-			g.handleChild(ev)
-		case ac := <-g.pt.conns:
-			if err := g.pt.admit(ac, g.rounds.version); err != nil {
-				g.fail(err)
-			} else if g.pt.full() && g.up.conn == nil && !g.up.dialing {
-				// The subtree is complete: join the root on its behalf.
-				g.up.dial(nil)
-			}
-		case d := <-g.up.dials:
-			if g.up.dialed(d) {
-				g.sendJoin()
-			}
-		case f := <-g.up.frames:
-			if m := g.up.receive(f); m != nil {
-				g.handleUp(m)
-				g.up.release(m) // nothing of a root message outlives its handler
-			}
-		case <-ticker.C:
-			g.pt.tick(g.rounds.version)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if g.pt.stopping && !g.pt.pendingStops() && g.fatal == nil {
-			// Every child is stopped or churned: acknowledge the root's stop.
-			// If the link is down the re-dial is already under way, and the
-			// ack goes out the moment it lands.
-			g.done = g.up.sendMsg(&wireMsg{kind: msgStopAck})
-		}
-	}
-	if g.fatal != nil {
-		return g.fatal
-	}
-	return g.up.err
+	e := newEdgeRun(ctx, n)
+	defer e.pt.shutdown()
+	defer e.up.close()
+	go e.pt.acceptLoop(ln)
+	return e.loop(ctx)
 }
 
-// sendJoin joins the root on the subtree's behalf over a fresh link. The
-// frame is encoded once; from then on it is the only copy of the children's
-// init payloads the aggregator needs, so their decoded vectors are dropped —
-// not kept on the free list, where nothing would take them while the
-// children's uploads are folded from their frames. (The root keeps its
-// joins whole: its checkpoints carry them.)
-func (g *aggRun) sendJoin() {
-	if g.joinFrame == nil {
-		g.joinFrame = transport.Lend(encodeTreeJoin(g.cfg.Index, g.lo, g.hi, g.pt.joins, g.algo.Name(), g.pt.wc))
-		for i := range g.pt.joins {
-			g.pt.joins[i].Init = nil
-		}
-	}
-	g.up.send(g.joinFrame)
-}
-
-// newAggRun builds the event loop's state for a validated config: the
-// child-facing table over the aggregator's range and the uplink, not yet
-// dialed.
-func newAggRun(ctx context.Context, n *AggregatorNode) *aggRun {
+// newEdgeRun builds the run for a validated config: a flat table over the
+// child range (one client per session, base lo) and the uplink, undialed.
+func newEdgeRun(ctx context.Context, n *AggregatorNode) *edgeClock {
 	cfg := n.cfg
 	bounds := TreeSplit(cfg.Clients, cfg.Aggregators)
 	lo, hi := bounds[cfg.Index], bounds[cfg.Index+1]
-	g := &aggRun{n: n, cfg: cfg, algo: n.algo, lo: lo, hi: hi}
-	g.pt = newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
+	e := &edgeClock{cfg: cfg, lo: lo, hi: hi}
+	pt := newPeerTable("client", hi-lo, lo, hi-lo, n.algo, cfg.WireSpec(), cfg.Heartbeat, cfg.DeadAfter, cfg.ReconnectWindow,
 		cfg.Seed, n.Ledger, &n.Stats, readClientJoin)
-	g.pt.round.done, g.pt.eval.done = g.finishRound, g.finishEval
-	g.rounds.await, g.evals.await = &g.pt.round, &g.pt.eval
-	// One free list for both readers: the root's batched dispatch is re-encoded
-	// and released before the children's uploads come in, so the uploads
-	// decode into the vectors the dispatch just vacated and those the last
-	// round's uploads left behind.
-	g.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, &g.pt.vecs, cfg.Dialer, nil)
-	g.up.rc.inPlace = sharedInPlace(cfg.WireSpec().Value)
-	return g
+	children := make([]int, hi-lo+1)
+	for i := range children {
+		children[i] = lo + i
+	}
+	e.serverRun = newRun(e, n.algo, pt, children)
+	e.rounds.await, e.evals.await = &pt.round, &pt.eval
+	e.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, cfg.Dialer, nil)
+	e.up.rc.inPlace = sharedInPlace(cfg.WireSpec().Value)
+	e.frames, e.dials = e.up.frames, e.up.dials
+	return e
 }
 
 // sharedInPlace is an aggregator's uplink inPlace: a tree dispatch's shared
@@ -267,205 +193,179 @@ func sharedInPlace(value comm.Codec) func(*wireMsg, comm.Codec) bool {
 	}
 }
 
-// fail reports a downstream failure upstream (so the root aborts the run
-// with the cause) and ends this aggregator.
-func (g *aggRun) fail(err error) {
-	g.up.sendMsg(&wireMsg{kind: msgErr, name: err.Error()})
-	g.fatal = fmt.Errorf("fl: aggregator %d: %w", g.cfg.Index, err)
-}
-
-// handleUp processes one root message the uplink passed through.
-func (g *aggRun) handleUp(m *wireMsg) {
-	switch m.kind {
-	case msgWelcome, msgResume:
-		if !g.pt.assembled {
-			// Relay the root's federation parameters downstream; the table
-			// substitutes its own token grants and liveness discipline.
-			copy(g.pt.fed[:], m.ints)
-			g.pt.assemble()
-		}
-	case msgTreeDispatch:
-		g.handleTreeDispatch(m)
-	case msgEvalReq:
-		g.handleUpEvalReq(m)
-	case msgStop:
-		// Relay the goodbye; the loop acknowledges upstream once every
-		// child session resolves.
-		g.pt.beginStop()
-	default:
-		g.n.Stats.Ignored++
+// full joins the root on behalf of the complete subtree.
+func (e *edgeClock) full() {
+	if e.up.conn == nil && !e.up.dialing {
+		e.up.dial(nil)
 	}
 }
 
-// handleTreeDispatch fans one batched broadcast out to the subtree; a
-// duplicate is the relay's (a lost answer is resent rather than the subtree
-// retrained). Live members that share one payload — every member, when the
-// root sent the shared layout — go out as one broadcast: one child frame,
-// the same bytes to each.
-func (g *aggRun) handleTreeDispatch(m *wireMsg) {
-	if !g.opens(&g.rounds, m.a) {
+// redial takes a dial delivery; a link that resumes no session joins.
+func (e *edgeClock) redial(d upDial) {
+	if e.up.dialed(d) {
+		e.sendJoin()
+	}
+}
+
+// sendJoin joins the root on the subtree's behalf over a fresh link. The
+// frame is encoded once and is from then on the only copy of the children's
+// init payloads, whose decoded vectors are dropped. (The root keeps its
+// joins whole: its checkpoints carry them.)
+func (e *edgeClock) sendJoin() {
+	if e.joinFrame == nil {
+		e.joinFrame = transport.Lend(encodeTreeJoin(e.cfg.Index, e.lo, e.hi, e.pt.joins, e.algo.Name(), e.pt.wc))
+		for i := range e.pt.joins {
+			e.pt.joins[i].Init = nil
+		}
+	}
+	e.up.send(e.joinFrame)
+}
+
+// failed reports a fatal cause upstream (so the root aborts the run with
+// it) and names this aggregator in the run's error.
+func (e *edgeClock) failed(cause error) error {
+	e.up.sendMsg(&wireMsg{kind: msgErr, name: cause.Error()})
+	return fmt.Errorf("fl: aggregator %d: %w", e.cfg.Index, cause)
+}
+
+// advance ends the run on the uplink's terminal error, or acknowledges the
+// root's stop once every child is stopped or churned — the moment the link
+// is up, if a re-dial is under way.
+func (e *edgeClock) advance() {
+	switch {
+	case e.up.err != nil:
+		e.fatal = e.up.err
+	case e.pt.stopping && !e.pt.pendingStops():
+		e.done = e.up.sendMsg(&wireMsg{kind: msgStopAck})
+	}
+}
+
+// fromUp handles and recycles the message an uplink delivery passes
+// through: nothing of a root message outlives its handler, which has
+// fanned out any vectors it decoded.
+func (e *edgeClock) fromUp(f upFrame) {
+	if m := e.up.receive(f); m != nil {
+		e.handleUp(m)
+		m.recycle()
+	}
+}
+
+// handleUp processes one root message.
+func (e *edgeClock) handleUp(m *wireMsg) {
+	switch m.kind {
+	case msgWelcome, msgResume:
+		// The welcome granted a token, so no join is due again: the link
+		// resumes its session from now on.
+		e.joinFrame = nil
+		if !e.pt.assembled {
+			// Relay the root's federation parameters downstream; the table
+			// substitutes its own token grants and liveness discipline.
+			copy(e.pt.fed[:], m.ints)
+			e.pt.assemble()
+		}
+	case msgTreeDispatch:
+		e.relayRound(m)
+	case msgEvalReq:
+		e.relayEval(m)
+	case msgStop:
+		// Relay the goodbye; advance acknowledges upstream once every child
+		// session resolves.
+		e.pt.beginStop()
+	default:
+		e.pt.stats.Ignored++
+	}
+}
+
+// inRange reports whether every id of a root request is a child's; one
+// that is not is fatal.
+func (e *edgeClock) inRange(what string, ids []int) bool {
+	for _, id := range ids {
+		if id < e.lo || id >= e.hi {
+			e.failf("%s for client %d outside range [%d, %d)", what, id, e.lo, e.hi)
+			return false
+		}
+	}
+	return true
+}
+
+// relayRound opens the round a tree dispatch names and fans its payloads
+// out, a shared payload as one broadcast (one child frame, the same bytes
+// to each); a duplicate is the relay's.
+func (e *edgeClock) relayRound(m *wireMsg) {
+	if !e.opens(&e.rounds, m.a) {
 		return
 	}
 	ids, payloads, err := decodeTreeDispatch(m)
 	if err != nil {
-		g.fatal = fmt.Errorf("fl: aggregator %d: %w", g.cfg.Index, err)
+		e.failf("%w", err)
 		return
 	}
-	live := make([]*peerSession, 0, len(ids))
-	vecs := make([][][]float64, 0, len(ids))
+	if !e.inRange("dispatch", ids) {
+		return
+	}
+	e.version = int(m.a)
+	e.beginRound(ids)
+	var shared []*peerSession
 	for i, id := range ids {
-		if id < g.lo || id >= g.hi {
-			g.fatal = fmt.Errorf("fl: aggregator %d: dispatch for client %d outside range [%d, %d)",
-				g.cfg.Index, id, g.lo, g.hi)
-			return
+		switch s := e.pt.sessionByID(id); {
+		case !e.pt.round.ids[id]:
+		case m.b == treeShared:
+			shared = append(shared, s)
+		default:
+			e.pt.broadcast(m.a, payloads[i], nil, s)
 		}
-		if s := g.pt.sessionByID(id); !s.churned {
-			live, vecs = append(live, s), append(vecs, payloads[i])
-		}
 	}
-	g.updates = make(map[int]*Update, len(live))
-	g.pt.round.open()
-	for _, s := range live {
-		g.pt.round.ids[s.id] = true
+	if len(shared) > 0 {
+		e.pt.broadcast(m.a, m.vecs, m.raw, shared...) // from the root's frame, unless decoded (sharedInPlace)
 	}
-	if m.raw != nil && len(live) > 0 {
-		// The shared payload, still in the root's frame: every child's
-		// dispatch frame copies its bytes (sharedInPlace).
-		g.pt.broadcast(m.a, m.vecs, m.raw, live...)
-		g.pt.round.settle()
-		return
-	}
-	for i := 0; i < len(live); {
-		j := i + 1
-		for j < len(live) && sameVecs(vecs[j], vecs[i]) {
-			j++
-		}
-		g.pt.broadcast(m.a, vecs[i], nil, live[i:j]...)
-		i = j
-	}
-	g.pt.round.settle()
+	e.pt.round.settle()
 }
 
-// finishRound answers the completed round: pre-reduce the collected updates
-// when the policy and the algorithm allow it, bundle them raw otherwise.
-// Once the answer is encoded — into the round relay's frame, where it stays
-// cached so an upstream loss replays it — the children's messages are
-// released: their vectors back to the free list, the frames their uploads
-// were folded from back to their connections.
-func (g *aggRun) finishRound() {
-	ids := make([]int, 0, len(g.updates))
-	for id := range g.updates {
-		ids = append(ids, id)
+// take files a child's upload into the open round.
+func (e *edgeClock) take(u *Update) (kept bool) { return e.collectUpdate(u) }
+
+// closeRound answers the completed round — the collected updates
+// pre-reduced when the algorithm allows it, bundled raw otherwise — and,
+// the answer encoded into the relay's frame, releases them.
+func (e *edgeClock) closeRound() {
+	var ups []*Update
+	for _, a := range e.owners {
+		ups = append(ups, e.slots[a].ups...)
 	}
-	sort.Ints(ids)
-	ups := make([]*Update, len(ids))
-	for i, id := range ids {
-		ups[i] = g.updates[id]
-	}
-	g.updates = nil
-	var answer *wireMsg
-	if red, ok := g.algo.(ReducibleWireAlgorithm); ok {
-		au, err := red.PreReduce(ups)
-		if err != nil {
-			g.fail(fmt.Errorf("%s pre-reduce: %s", g.algo.Name(), err))
-			return
-		}
-		au.Agg = g.cfg.Index
-		answer = aggUpdateMsg(g.rounds.version, au)
+	ups = slices.DeleteFunc(ups, func(u *Update) bool { return u == nil })
+	if e.red == nil {
+		e.answer(&e.rounds, treeUpdateMsg(e.rounds.version, ups))
 	} else {
-		answer = treeUpdateMsg(g.rounds.version, ups)
-	}
-	g.answer(&g.rounds, answer)
-	for _, u := range ups {
-		g.pt.vecs.release(u.msg)
-	}
-}
-
-// handleUpEvalReq fans an evaluation request out to the requested, live
-// children; a duplicate is the relay's.
-func (g *aggRun) handleUpEvalReq(m *wireMsg) {
-	if !g.opens(&g.evals, m.a) {
-		return
-	}
-	g.evalAcc = make(map[int]uint64, len(m.ints))
-	g.evalIDs = g.evalIDs[:0]
-	g.pt.eval.open()
-	req := &wireMsg{kind: msgEvalReq, a: m.a}
-	for _, iv := range m.ints {
-		id := int(iv)
-		if id < g.lo || id >= g.hi {
-			g.fatal = fmt.Errorf("fl: aggregator %d: evaluation request for client %d outside range [%d, %d)",
-				g.cfg.Index, id, g.lo, g.hi)
+		au, err := e.red.PreReduce(ups)
+		if err != nil {
+			e.failf("%s pre-reduce: %s", e.algo.Name(), err)
 			return
 		}
-		if s := g.pt.sessionByID(id); !s.churned {
-			g.evalIDs = append(g.evalIDs, id)
-			g.pt.ask(s, req)
-		}
+		e.answer(&e.rounds, aggUpdateMsg(e.rounds.version, au))
 	}
-	g.pt.eval.settle()
+	e.releaseRound()
 }
 
-// finishEval relays the collected accuracies upstream as [id, bits] pairs
-// — through the ints slot, never the vecs slot, so a lossy codec cannot
-// quantize a metric. Children that churned mid-evaluation are simply
-// absent; their root-side slots stay NaN.
-func (g *aggRun) finishEval() {
-	ids := make([]int, 0, len(g.evalAcc))
-	for _, id := range g.evalIDs {
-		if _, ok := g.evalAcc[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	g.answer(&g.evals, &wireMsg{kind: msgEvalRes, a: g.evals.version, ints: aggEvalInts(ids, g.evalAcc)})
-	g.evalAcc = nil
-	g.evalIDs = nil
-}
-
-// handleChild interprets what the table's triage left to the role: a
-// child's upload into the open round, a child's accuracy into the open
-// evaluation.
-func (g *aggRun) handleChild(ev inbound) {
-	s, m, err := g.pt.triage(ev)
-	switch {
-	case err != nil:
-		g.fail(err)
-	case m == nil:
-	case m.kind == msgUpdate:
-		if !g.pt.answered(s, m.a) || !g.pt.expects(&g.pt.round, s) {
-			break
-		}
-		scale := math.Float64frombits(m.b)
-		if !weightSum(scale) {
-			g.fail(fmt.Errorf("client %d sent update weight %v", s.id, scale))
-			break
-		}
-		g.updates[s.id] = &Update{
-			Client:  s.id,
-			Version: int(m.a),
-			Scale:   scale,
-			// The sync barrier's final weight IS the scale (the root applies
-			// the same rule on its flat path); pre-reduction folds by Weight.
-			Weight: scale,
-			Vecs:   m.vecs,
-			Counts: m.counts,
-			msg:    m,
-		}
-		// The open round holds the message now — its vectors, or the frame
-		// the upload is folded from — and finishRound releases it.
-		g.pt.round.resolve(s.id)
+// relayEval asks the requested, live children for their accuracies; a
+// duplicate is the relay's.
+func (e *edgeClock) relayEval(m *wireMsg) {
+	if !e.opens(&e.evals, m.a) {
 		return
-	case m.kind == msgEvalRes:
-		if !g.pt.expects(&g.pt.eval, s) {
-			break
-		}
-		// Relayed upstream bit for bit: the float64 pattern never leaves
-		// the integer slots.
-		g.evalAcc[s.id] = m.b
-		s.pendingEval = nil
-		g.pt.eval.resolve(s.id)
-	default:
-		g.n.Stats.Ignored++
 	}
-	g.pt.vecs.release(ev.msg)
+	ids := make([]int, len(m.ints))
+	for i, id := range m.ints {
+		ids[i] = int(id)
+	}
+	if !e.inRange("evaluation request", ids) {
+		return
+	}
+	slices.Sort(ids)
+	e.evalIDs = ids
+	e.askEval(m.a, ids)
+}
+
+// closeEval relays the collected accuracies upstream (aggEvalInts).
+func (e *edgeClock) closeEval() {
+	e.answer(&e.evals, &wireMsg{kind: msgEvalRes, a: e.evals.version, ints: aggEvalInts(e.evalIDs, e.evalPer)})
+	e.evalPer, e.evalIDs = nil, nil
 }

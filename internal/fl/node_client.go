@@ -63,13 +63,10 @@ type clientRun struct {
 	batch    int
 	welcomed bool
 
-	// vecs is the free list the uplink's pump decodes dispatches into. A
-	// dispatch's vectors are released when WireLocal has returned — not when
-	// the next dispatch is decoded, which may be queued in nextDispatch while
-	// the worker is still training against this one — or at once when the
-	// dispatch is dropped as a duplicate.
-	vecs vecList
-
+	// A dispatch's decoded vectors go back to the pool when WireLocal has
+	// returned — not when the next dispatch is decoded, which may be queued
+	// in nextDispatch while the worker is still training against this one —
+	// and a dispatch dropped as a duplicate is released at once.
 	training     bool
 	trainVersion uint64
 	trainMsg     *wireMsg // the dispatch the worker is training on
@@ -103,7 +100,7 @@ type clientRun struct {
 // ctx closes the connection and returns ctx.Err().
 func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	cr := &clientRun{cn: cn, c: cn.Client, batch: 32, trainDone: make(chan trainResult, 1)}
-	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, &cr.vecs, cn.Dialer, cn.OnToken)
+	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, cn.Dialer, cn.OnToken)
 	cr.up.rc.inPlace = dispatchInPlace
 	defer cr.drain()
 	defer cr.up.close()
@@ -114,7 +111,7 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 		select {
 		case f := <-cr.up.frames:
 			if m := cr.up.receive(f); m != nil && !cr.handle(m) {
-				cr.up.release(m)
+				m.release()
 			}
 		case d := <-cr.up.dials:
 			if cr.up.dialed(d) {
@@ -122,7 +119,7 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 			}
 		case res := <-cr.trainDone:
 			cr.training = false
-			cr.up.release(cr.trainMsg)
+			cr.trainMsg.recycle()
 			cr.finishTraining(res)
 		case <-ctx.Done():
 			return ctx.Err()
@@ -181,7 +178,7 @@ func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 			// A resend of the round being trained (the server adopted a
 			// reconnect while the worker was mid-round): already in hand.
 		case cr.training:
-			cr.up.release(cr.nextDispatch) // superseded unread, if any
+			cr.nextDispatch.release() // superseded unread, if any
 			cr.nextDispatch = m
 			return true
 		case cr.haveLast && m.a == cr.lastVersion:
@@ -216,7 +213,7 @@ func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 // worker goroutine. A frame installer's broadcast vector is decoded straight
 // into the client's parameters — nothing trains or evaluates on them until
 // the worker is done — and the local round runs on what it installed; any
-// other dispatch is decoded into vectors from the free list for WireLocal.
+// other dispatch is decoded into pool storage for WireLocal.
 // The frame is released either way.
 func (cr *clientRun) startTraining(m *wireMsg) {
 	version, batch := m.a, cr.batch
@@ -236,7 +233,7 @@ func (cr *clientRun) startTraining(m *wireMsg) {
 	m.held.release()
 	if err != nil {
 		cr.fatal = fmt.Errorf("fl: client %d: dispatch: %w", cr.c.ID, err)
-		cr.up.release(m)
+		m.release()
 		return
 	}
 	cr.training = true
@@ -264,18 +261,15 @@ func (cr *clientRun) installParams(m *wireMsg) []*nn.Param {
 	return params
 }
 
-// decodeRaw decodes the vectors a dispatch left in its frame into vectors
-// from the free list.
+// decodeRaw decodes the vectors a dispatch left in its frame into storage
+// from the tensor pool, which the dispatch's recycle hands back.
 func (cr *clientRun) decodeRaw(m *wireMsg) error {
 	for i, vb := range m.raw {
 		if vb == nil {
 			continue
 		}
-		_, _, n, _ := comm.FrameInfo(vb)
-		scratch := cr.vecs.take(n)
-		_, v, err := comm.DecodeSpec(scratch, vb, nil)
+		_, v, err := comm.DecodeSpec(nil, vb, nil)
 		if err != nil {
-			cr.vecs.put(scratch)
 			return err
 		}
 		m.vecs[i] = v

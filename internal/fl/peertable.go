@@ -56,14 +56,9 @@ type PeerTable struct {
 	spec  comm.Spec
 	lossy bool
 	wc    *wireCodec
-	// vecs is the role's free list of decoded payload vectors: the readers
-	// decode into it, and the role releases a message's vectors once it has
-	// folded or re-encoded them (or at once, when it drops the message). ctl
-	// is the frame every uncached send — welcome, resume, heartbeat — is
-	// encoded into; both come into being with the first frame that needs
-	// them.
-	vecs vecList
-	ctl  []byte
+	// ctl is the frame every uncached send — welcome, resume, heartbeat — is
+	// encoded into; it comes into being with the first frame that needs it.
+	ctl []byte
 	// inPlace is what the readers leave in the frames they read (a
 	// wireCodec's inPlace): the uploads of an algorithm that folds frames.
 	inPlace   func(m *wireMsg, c comm.Codec) bool
@@ -414,7 +409,7 @@ func (pt *PeerTable) deliverConn(ac acceptedConn) {
 // that message once the fold is done.
 func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 	wc := newWireCodec(pt.spec, pt.lossy)
-	wc.vecs, wc.inPlace = &pt.vecs, pt.inPlace
+	wc.inPlace = pt.inPlace
 	deliver := func(ev inbound) bool {
 		select {
 		case pt.events <- ev:

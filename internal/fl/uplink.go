@@ -46,10 +46,9 @@ type uplink struct {
 	// reconnect goes dense — matching the equally fresh decoder above.
 	wc *wireCodec
 	// rc is the pump's decode context: plain dense (nothing sent down is
-	// ever sparse or delta framed), drawing payload vectors from the owning
-	// role's free list, which the role refills through release, and leaving
-	// in their frames the vectors the role reads there (its inPlace: a
-	// client's dispatch, an aggregator's shared tree payload). out is the
+	// ever sparse or delta framed), leaving in their frames the vectors the
+	// role reads there (its inPlace: a client's dispatch, an aggregator's
+	// shared tree payload). out is the
 	// frame a client's upload is encoded into, lent to the peer above
 	// (lendMsg), and ctl the one every other uncached message the role sends
 	// up is; each comes into being with its first send.
@@ -86,12 +85,11 @@ type upDial struct {
 	err   error
 }
 
-// newUplink builds a link that decodes into vecs, the owning role's free
-// list.
-func newUplink(ctx context.Context, who string, algo WireAlgorithm, token uint64, vecs *vecList,
+// newUplink builds a link for the node named who, running algo, holding
+// token (0: none granted yet).
+func newUplink(ctx context.Context, who string, algo WireAlgorithm, token uint64,
 	dialer func(context.Context, uint64) (transport.Conn, error), onToken func(uint64)) *uplink {
 	u := &uplink{
-		rc:      wireCodec{vecs: vecs},
 		who:     who,
 		algo:    algo.Name(),
 		lossy:   lossyUploads(algo),
@@ -207,9 +205,6 @@ func (u *uplink) sendUpload(m *wireMsg) bool {
 	return u.send(u.out)
 }
 
-// release hands a message's decoded vectors back to the role's free list.
-func (u *uplink) release(m *wireMsg) { u.rc.vecs.release(m) }
-
 // send writes one frame up, bounded by the announced dead interval (by
 // joinTimeout before any welcome). A failure loses the connection; the
 // frame stays owed — every upstream frame is either re-derivable or cached
@@ -257,7 +252,7 @@ func (u *uplink) lost(cause error) {
 func (u *uplink) receive(f upFrame) *wireMsg {
 	m := f.m
 	if f.gen != u.gen {
-		u.release(m)
+		m.release()
 		return nil
 	}
 	if f.err != nil {

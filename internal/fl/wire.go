@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -139,6 +140,33 @@ func (h *heldFrame) release() {
 	*h = heldFrame{}
 }
 
+// release hands the frame the message still reads back to its connection
+// and takes it and the decoded vectors off the message, leaving the vectors
+// to the collector: the message is dropped, or its reader is done with it
+// without having used them (a nil message has none). Anything still holding
+// m.vecs — an Update built from it — must be done too. Releasing a message
+// twice is a no-op.
+func (m *wireMsg) release() {
+	if m != nil {
+		m.vecs, m.raw = nil, nil
+		m.held.release()
+	}
+}
+
+// recycle is release for a message whose vectors its role has used — folded,
+// pre-reduced, re-encoded or trained on — so they are of lengths the role
+// decodes again, and go back to the tensor pool for that. A dropped message
+// is only released: the pool keeps a list per length, and a vector of a
+// length nothing asks for again would stay in it for good.
+func (m *wireMsg) recycle() {
+	if m != nil {
+		for _, v := range m.vecs {
+			tensor.PutStorage(v)
+		}
+		m.release()
+	}
+}
+
 // wireBody returns a payload's vector 0 as a dense F64 body: the bytes of
 // v, the decoded vector, or those of the frame msg left it in. ok is false
 // for a nil vector.
@@ -220,12 +248,11 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 // frames but rejects delta, which needs a negotiated basis). Nothing in the
 // result aliases frame but the vector frames the codec's inPlace admits,
 // which are left where they lie (m.raw): a message with any is the frame's
-// reader until it is released (readMsg). Decoded payload vectors are drawn
-// from the codec's vecList when it has one: they are the message's until
-// the role that owns the list puts them back, and a message that fails to
-// decode returns its own.
+// reader until it is released (readMsg). Decoded payload vectors are
+// exact-length storage from the tensor pool, which comm draws only for a
+// frame whose declared length has passed its checks: they are the
+// message's until it is recycled or released.
 func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
-	list := wc.list()
 	r := comm.NewReader(frame, "fl: wire message")
 	m := &wireMsg{kind: r.U32(), a: r.U64(), b: r.U64()}
 	m.name = string(r.Take(r.Count(1)))
@@ -265,20 +292,12 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 				m.vecs, m.raw = append(m.vecs, nil), append(m.raw, vb)
 				continue
 			}
-			// The scratch is only ever resized after DecodeSpec has checked
-			// the declared count against the bytes the frame carries, so a
-			// hostile count allocates nothing, with or without scratch.
 			var ref *comm.DeltaRef
-			var scratch []float64
-			if wc != nil {
-				if _, _, n, err := comm.FrameInfo(vb); err == nil {
-					ref = wc.ref(m.kind, i, n)
-					scratch = list.take(n)
-				}
+			if _, _, n, err := comm.FrameInfo(vb); err == nil {
+				ref = wc.ref(m.kind, i, n)
 			}
-			tag, payload, err := comm.DecodeSpec(scratch, vb, ref)
+			tag, payload, err := comm.DecodeSpec(nil, vb, ref)
 			if err != nil {
-				list.put(scratch)
 				r.Failf("vector %d: %v", i, err)
 				break
 			}
@@ -292,7 +311,7 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 		}
 	}
 	if err := r.End(); err != nil {
-		list.put(m.vecs...)
+		m.release()
 		return nil, err
 	}
 	return m, nil

@@ -8,12 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
-// The two ownership tests of the node wire path, each at the spot where a
-// wrong release would silently train or aggregate on someone else's bytes.
-// Both play one side of the protocol by hand over an inproc connection.
+// The ownership tests of the node wire path, each at the spot where a wrong
+// release would silently train or aggregate on someone else's bytes, or
+// keep memory nothing asks for. Each plays one side of the protocol by hand
+// over an inproc connection.
 
 // testPeer speaks the wire protocol from the test's side of a connection.
 type testPeer struct {
@@ -282,7 +285,8 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 // encodes its tree join, which carries each child's init payload. From then
 // on that frame is the only copy it keeps: its table holds no Init, after
 // the join and after assembly, and a link lost before the welcome is
-// re-dialed with a byte-identical frame.
+// re-dialed with a byte-identical frame. The welcome grants a token, after
+// which no join is ever due, and the frame goes too.
 func TestAggregatorDropsChildInits(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -301,7 +305,7 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 	defer childLn.Close()
 	agg := NewAggregatorNode(algo, AggregatorConfig{Aggregators: 1, Clients: clients, Heartbeat: time.Hour,
 		Dialer: func(ctx context.Context, _ uint64) (transport.Conn, error) { return tr.Dial(ctx, "root") }})
-	g := newAggRun(ctx, agg)
+	g := newEdgeRun(ctx, agg)
 	defer g.pt.shutdown()
 	defer g.up.close()
 	go g.pt.acceptLoop(childLn)
@@ -385,4 +389,110 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 		t.Fatalf("the subtree did not assemble: %v", g.fatal)
 	}
 	noInits("after assembly")
+	if g.joinFrame != nil {
+		t.Fatal("the aggregator keeps its join frame after the welcome")
+	}
+}
+
+// TestDroppedVectorsStayOutOfThePool: the tensor pool keeps a free list per
+// exact length for good, so only a vector its role has used may go back to
+// it. Top-k frames claim their length in a header a few bytes long, and a
+// server meets them of every length: in joins its greeter refuses — frames
+// that fail to decode and valid ones of an id out of range — and in
+// uploads an admitted client sends after its round has closed, which
+// triage drops. None of those lengths may be left pooled: under
+// ScrubFreed(NaN) every hand-back is NaN-filled, so pool storage of a
+// length shows as NaN when it is asked for again, and fresh storage as 0.
+func TestDroppedVectorsStayOutOfThePool(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	defer tensor.ScrubFreed(math.NaN())()
+	// Lengths nothing else in the package decodes, so no other test's
+	// hand-back can stand in the pool for them.
+	const lengths, base = 6, 70001
+	spec := comm.NewSpec(comm.F64, 1e-4, false)
+	topk := func(n int) []byte {
+		v := make([]float64, n)
+		v[n/2] = 1
+		return comm.MarshalSpecInto(nil, spec, msgJoin, v, nil)
+	}
+	var claimed []int
+	algo := &stubWire{global: ramp(8, 0.5)}
+	srv := NewServerNode(algo, NodeConfig{Config: Config{Rounds: 1, Seed: 1}, Clients: 1})
+	tr := transport.NewInproc(transport.Options{})
+	ln, err := tr.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(ctx, ln)
+		served <- err
+	}()
+	dial := func() *testPeer {
+		t.Helper()
+		conn, err := tr.Dial(ctx, "srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return &testPeer{t: t, conn: conn}
+	}
+
+	// The greeter: each join is refused or its connection closed, which
+	// the drained read waits for.
+	for i := range lengths {
+		n := base + 2*i
+		claimed = append(claimed, n)
+		vb := topk(n)
+		if i%2 == 0 {
+			vb = vb[:len(vb)-1] // one value byte short: the decode fails
+		}
+		j := WireJoin{ID: 5, TrainSize: 10}
+		p := dial()
+		p.send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: [][]float64{nil}, raw: [][]byte{vb}})
+		for {
+			if _, _, err := p.conn.Recv(); err != nil {
+				break
+			}
+		}
+	}
+
+	// A session reader: the client's one upload closes the round, and every
+	// later one is a duplicate triage drops.
+	p := dial()
+	j := WireJoin{ID: 0, TrainSize: 10}
+	p.send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil)})
+	p.expect(msgWelcome)
+	p.expect(msgDispatch)
+	p.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{ramp(8, 1)}})
+	req := p.expect(msgEvalReq)
+	for i := range lengths {
+		n := base + 2*(lengths+i)
+		claimed = append(claimed, n)
+		p.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{nil}, raw: [][]byte{topk(n)}})
+	}
+	// The event loop books a frame when it starts on it, so the heartbeat
+	// being booked means the duplicates before it are fully dealt with.
+	p.send(&wireMsg{kind: msgHeartbeat})
+	for srv.Ledger.TotalUp() != p.wire {
+		if ctx.Err() != nil {
+			t.Fatalf("server booked %d of the client's %d bytes", srv.Ledger.TotalUp(), p.wire)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.send(&wireMsg{kind: msgEvalRes, a: req.a, b: math.Float64bits(0.5)})
+	p.expect(msgStop)
+	p.send(&wireMsg{kind: msgStopAck})
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if srv.Stats.Ignored != lengths {
+		t.Fatalf("triage dropped %d uploads, want the %d duplicates", srv.Stats.Ignored, lengths)
+	}
+	for _, n := range claimed {
+		if v := tensor.GetStorage[float64](n); math.IsNaN(v[0]) {
+			t.Errorf("the pool holds a %d-element vector, a length only dropped frames claimed", n)
+		}
+	}
 }

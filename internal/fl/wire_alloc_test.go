@@ -11,7 +11,7 @@ import (
 
 // TestWireMsgRoundTripAllocs is the wireMsgRoundTrip hot path — one model-
 // sized msgUpdate encoded into an owned frame, sent over an inproc
-// connection, received, decoded into the reader's free list and released —
+// connection, received, decoded into pool storage and recycled —
 // at the wire benchmark's geometry (d = 107 722). In steady state the frame,
 // the transport's copy and the decoded vector are all recycled: what is left
 // is the decoded message's envelope. It lives here rather than among the
@@ -39,9 +39,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 	defer srv.Close()
 
 	up := &wireMsg{kind: msgUpdate, a: 3, b: math.Float64bits(30), vecs: [][]float64{ramp(d, 0.25)}}
-	var list vecList
 	enc, dec := plainWire(comm.F64), plainWire(comm.F64)
-	dec.vecs = &list
 	var frame []byte
 	roundTrip := func() {
 		frame = appendMsg(frame[:0], up, enc)
@@ -59,7 +57,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 		if len(m.vecs) != 1 || m.vecs[0][d-1] != up.vecs[0][d-1] {
 			t.Fatal("round trip lost the payload")
 		}
-		list.put(m.vecs...)
+		m.recycle()
 	}
 	roundTrip()
 	roundTrip() // the second trip retires the first frame into the lane's free list

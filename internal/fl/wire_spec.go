@@ -1,10 +1,6 @@
 package fl
 
-import (
-	"sync"
-
-	"repro/internal/comm"
-)
+import "repro/internal/comm"
 
 // This file is the per-connection codec seam of the node-mode protocol: a
 // wireCodec resolves the connection's negotiated comm.Spec into a per-vector
@@ -40,9 +36,6 @@ type vecSlot struct {
 type wireCodec struct {
 	sel  comm.Selector
 	refs map[vecSlot]*comm.DeltaRef
-	// vecs, when non-nil, is the free list decodeMsg draws payload vectors
-	// from: the list of the role reading this connection.
-	vecs *vecList
 	// inPlace, when set, names the dense vector frames decodeMsg leaves
 	// where they lie, by message (its header as parsed so far) and codec:
 	// those the reading role consumes straight from the frame.
@@ -59,75 +52,6 @@ func (wc *wireCodec) leaves(m *wireMsg, i int, vb []byte) bool {
 	c, tag, n, err := comm.FrameInfo(vb)
 	return err == nil && c.Dense() && tag == m.kind && int64(len(vb)) == comm.WireSizeAs(c, n) &&
 		wc.inPlace(m, c) && wc.ref(m.kind, i, n) == nil
-}
-
-// list is the codec's decode free list; nil — allocate fresh — for a nil
-// codec or one without a list.
-func (wc *wireCodec) list() *vecList {
-	if wc == nil {
-		return nil
-	}
-	return wc.vecs
-}
-
-// vecList is a role's free list of decoded payload vectors. The role's
-// reader goroutines take from it while decoding; the role's event loop puts
-// a message's vectors back when it is done with the message — after the
-// fold or the re-encode that consumed them, or at once for a message it
-// drops. Ownership is by release, not by "until the next decode": a client
-// trains on one dispatch while the next is already decoded and queued. The
-// list only ever holds what was handed out before, so it is as long as the
-// most vectors the role has had outstanding at once, and it starts empty:
-// a nil *vecList is valid and means "allocate, and let the GC collect".
-type vecList struct {
-	mu   sync.Mutex
-	free [][]float64
-}
-
-// take removes and returns a free vector with room for n elements, or nil
-// when there is none and the decoder must allocate.
-func (l *vecList) take(n int) []float64 {
-	if l == nil || n == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := len(l.free) - 1; i >= 0; i-- {
-		if v := l.free[i]; cap(v) >= n {
-			last := len(l.free) - 1
-			l.free[i], l.free[last] = l.free[last], nil
-			l.free = l.free[:last]
-			return v
-		}
-	}
-	return nil
-}
-
-// release hands a message's vectors back, and the frame it still reads to
-// its connection, and takes them off the message: the role is done with it
-// (a nil message has none). Anything still holding m.vecs — an Update built
-// from it — must be done too. Releasing a message twice is a no-op.
-func (l *vecList) release(m *wireMsg) {
-	if m != nil {
-		l.put(m.vecs...)
-		m.vecs, m.raw = nil, nil
-		m.held.release()
-	}
-}
-
-// put hands vectors back. The caller must hold the only references: a
-// vector put twice, or put while something still reads it, is decoded over.
-func (l *vecList) put(vecs ...[]float64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, v := range vecs {
-		if cap(v) > 0 {
-			l.free = append(l.free, v)
-		}
-	}
 }
 
 // uploadKind gates sparse and delta framing to client weight uploads.

@@ -115,8 +115,11 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	if len(m.counts) != children {
 		return fail("%d children declared, %d init counts carried", children, len(m.counts))
 	}
+	inits, err := splitRuns(m.vecs, m.counts)
+	if err != nil {
+		return fail("init vectors: %v", err)
+	}
 	joins = make([]WireJoin, children)
-	off := 0
 	for i := range joins {
 		if joins[i], err = ParseJoin(m.ints[2+i*JoinInts : 2+(i+1)*JoinInts]); err != nil {
 			return fail("%v", err)
@@ -124,15 +127,7 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 		if joins[i].ID != lo+i {
 			return fail("child %d carries id %d, want %d", i, joins[i].ID, lo+i)
 		}
-		n := m.counts[i]
-		if n < 0 || n > len(m.vecs)-off {
-			return fail("init vectors overrun: child %d wants %d of %d", i, n, len(m.vecs)-off)
-		}
-		joins[i].Init = m.vecs[off : off+n]
-		off += n
-	}
-	if off != len(m.vecs) {
-		return fail("%d trailing init vectors", len(m.vecs)-off)
+		joins[i].Init = inits[i]
 	}
 	return agg, lo, hi, joins, nil
 }
@@ -211,12 +206,12 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 			return fail("member id %d follows %d (want strictly ascending)", ids[i], ids[i-1])
 		}
 	}
-	payloads = make([][][]float64, len(ids))
 	switch m.b {
 	case treeShared:
 		if len(ids) == 0 || len(m.counts) != 1 || m.counts[0] != len(m.vecs) {
 			return fail("shared payload for %d members declares %v vectors, carries %d", len(ids), m.counts, len(m.vecs))
 		}
+		payloads = make([][][]float64, len(ids))
 		for i := range payloads {
 			payloads[i] = m.vecs
 		}
@@ -224,21 +219,30 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 		if len(m.counts) != len(ids) {
 			return fail("%d members, %d payload counts", len(ids), len(m.counts))
 		}
-		off := 0
-		for i, n := range m.counts {
-			if n < 0 || n > len(m.vecs)-off {
-				return fail("payload vectors overrun at member %d", i)
-			}
-			payloads[i] = m.vecs[off : off+n]
-			off += n
-		}
-		if off != len(m.vecs) {
-			return fail("%d trailing vectors", len(m.vecs)-off)
+		if payloads, err = splitRuns(m.vecs, m.counts); err != nil {
+			return fail("payload vectors: %v", err)
 		}
 	default:
 		return fail("unknown layout %d", m.b)
 	}
 	return ids, payloads, nil
+}
+
+// splitRuns cuts xs back into the runs the tree frames concatenate into
+// one slot: run i is the next lens[i] elements.
+func splitRuns[T any](xs []T, lens []int) ([][]T, error) {
+	runs := make([][]T, len(lens))
+	off := 0
+	for i, n := range lens {
+		if n < 0 || n > len(xs)-off {
+			return nil, fmt.Errorf("run %d overruns: wants %d of %d", i, n, len(xs)-off)
+		}
+		runs[i], off = xs[off:off+n], off+n
+	}
+	if off != len(xs) {
+		return nil, fmt.Errorf("%d trailing", len(xs)-off)
+	}
+	return runs, nil
 }
 
 // aggUpdateMsg is a pre-reduced aggregate.
@@ -327,64 +331,49 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 	if len(m.ints)%4 != 0 {
 		return nil, fmt.Errorf("fl: tree update: %d header ints, want a multiple of 4", len(m.ints))
 	}
-	ups := make([]*Update, 0, len(m.ints)/4)
-	vOff, cOff := 0, 0
-	for i := 0; i < len(m.ints); i += 4 {
-		scale := math.Float64frombits(uint64(m.ints[i+1]))
-		if !weightSum(scale) {
-			return nil, fmt.Errorf("fl: tree update: client %d weight %v", m.ints[i], scale)
-		}
-		nVecs, nCounts := int(m.ints[i+2]), int(m.ints[i+3])
-		if nVecs < 0 || nVecs > len(m.vecs)-vOff {
-			return nil, fmt.Errorf("fl: tree update: vectors overrun at update %d", i/4)
-		}
-		if nCounts < 0 || nCounts > len(m.counts)-cOff {
-			return nil, fmt.Errorf("fl: tree update: counts overrun at update %d", i/4)
-		}
-		u := &Update{
-			Client:  int(m.ints[i]),
-			Version: int(m.a),
-			Scale:   scale,
-			Weight:  scale,
-			Vecs:    m.vecs[vOff : vOff+nVecs],
-			Counts:  m.counts[cOff : cOff+nCounts],
-			msg:     m,
-		}
-		if len(u.Vecs) == 0 {
-			u.Vecs = nil
-		}
-		if len(u.Counts) == 0 {
-			u.Counts = nil
-		}
-		vOff += nVecs
-		cOff += nCounts
-		ups = append(ups, u)
+	n := len(m.ints) / 4
+	nVecs, nCounts := make([]int, n), make([]int, n)
+	for i := range n {
+		nVecs[i], nCounts[i] = int(m.ints[4*i+2]), int(m.ints[4*i+3])
 	}
-	if vOff != len(m.vecs) || cOff != len(m.counts) {
-		return nil, fmt.Errorf("fl: tree update: %d trailing vectors, %d trailing counts", len(m.vecs)-vOff, len(m.counts)-cOff)
+	vecs, err := splitRuns(m.vecs, nVecs)
+	if err != nil {
+		return nil, fmt.Errorf("fl: tree update: vectors: %v", err)
+	}
+	counts, err := splitRuns(m.counts, nCounts)
+	if err != nil {
+		return nil, fmt.Errorf("fl: tree update: counts: %v", err)
+	}
+	ups := make([]*Update, n)
+	for i := range ups {
+		scale := math.Float64frombits(uint64(m.ints[4*i+1]))
+		if !weightSum(scale) {
+			return nil, fmt.Errorf("fl: tree update: client %d weight %v", m.ints[4*i], scale)
+		}
+		u := &Update{Client: int(m.ints[4*i]), Version: int(m.a), Scale: scale, Weight: scale, msg: m}
+		if len(vecs[i]) > 0 {
+			u.Vecs = vecs[i]
+		}
+		if len(counts[i]) > 0 {
+			u.Counts = counts[i]
+		}
+		ups[i] = u
 	}
 	return ups, nil
 }
 
-// aggEvalInts packs per-client accuracies for the tree evaluation reply:
-// [id, accuracy bits] pairs in the ints slot, never the vecs slot, so a
-// lossy codec cannot quantize a metric.
-func aggEvalInts(ids []int, accs map[int]uint64) []int64 {
+// aggEvalInts packs an edge's accuracies, accs[i] client ids[i]'s, for the
+// tree evaluation reply: [id, accuracy bits] pairs in the ints slot, never
+// the vecs slot, so a lossy codec cannot quantize a metric. A client that
+// did not answer holds askEval's NaN, the root's own default, and is left
+// out.
+func aggEvalInts(ids []int, accs []float64) []int64 {
+	unanswered := math.Float64bits(math.NaN())
 	ints := make([]int64, 0, 2*len(ids))
-	for _, id := range ids {
-		ints = append(ints, int64(id), int64(accs[id]))
+	for i, id := range ids {
+		if bits := math.Float64bits(accs[i]); bits != unanswered {
+			ints = append(ints, int64(id), int64(bits))
+		}
 	}
 	return ints
-}
-
-// parseAggEvalInts unpacks a tree evaluation reply.
-func parseAggEvalInts(ints []int64) (map[int]float64, error) {
-	if len(ints)%2 != 0 {
-		return nil, fmt.Errorf("fl: tree eval reply: odd int count %d", len(ints))
-	}
-	accs := make(map[int]float64, len(ints)/2)
-	for i := 0; i+1 < len(ints); i += 2 {
-		accs[int(ints[i])] = math.Float64frombits(uint64(ints[i+1]))
-	}
-	return accs, nil
 }

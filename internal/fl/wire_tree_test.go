@@ -395,14 +395,14 @@ func TestNodeRefusesBadUpdateWeights(t *testing.T) {
 		})
 		t.Run(fmt.Sprint("aggregator/", scale), func(t *testing.T) {
 			n := NewAggregatorNode(&stubWire{}, AggregatorConfig{Index: 1, Aggregators: 2, Clients: 4, Heartbeat: time.Hour})
-			g := newAggRun(context.Background(), n)
+			g := newEdgeRun(context.Background(), n)
 			defer g.up.close()
-			g.handleTreeDispatch(treeDispatchMsg(3, []int{2, 3}, [][][]float64{{{0}}, {{0}}}))
+			g.relayRound(treeDispatchMsg(3, []int{2, 3}, [][][]float64{{{0}}, {{0}}}))
 			s := g.pt.sessionByID(3)
 			if g.fatal != nil || !s.busy {
 				t.Fatalf("the dispatch did not reach client 3: %v", g.fatal)
 			}
-			g.handleChild(inbound{id: 3, gen: s.gen, msg: update(3, scale)})
+			g.handleInbound(inbound{id: 3, gen: s.gen, msg: update(3, scale)})
 			check(t, g.fatal, scale, "aggregator 1", "client 3")
 		})
 		t.Run(fmt.Sprint("tree-root/", scale), func(t *testing.T) {
@@ -417,5 +417,110 @@ func TestNodeRefusesBadUpdateWeights(t *testing.T) {
 			r.handleInbound(inbound{id: 1, msg: treeUpdateMsg(0, ups)})
 			check(t, r.fatal, scale, "aggregator 1", "client 3")
 		})
+	}
+}
+
+// TestTreeRelayDuplicateDispatch drives one edge aggregator, over inproc
+// connections, through a tree dispatch and two duplicates of it, with the
+// root and both children played by hand. The duplicate that arrives while
+// the children train is already in hand: it is ignored, and no child sees
+// a second dispatch. The duplicate that arrives after the answer means the
+// root lost that answer: the cached frame goes up again, byte for byte, and
+// no child retrains. A heartbeat after the first duplicate orders it: the
+// uplink delivers frames in order, so its echo means the duplicate was read.
+func TestTreeRelayDuplicateDispatch(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const clients = 2
+	algo := &stubWire{}
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rootLn.Close()
+	aggLn, err := tr.Listen("agg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := NewAggregatorNode(algo, AggregatorConfig{Aggregators: 1, Clients: clients, Heartbeat: time.Hour,
+		Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
+			return transport.DialWithToken(ctx, tr, "root", token)
+		}})
+	ran := make(chan error, 1)
+	go func() { ran <- agg.Run(ctx, aggLn) }()
+
+	children := make([]*testPeer, clients)
+	for id := range children {
+		conn, err := tr.Dial(ctx, "agg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		children[id] = &testPeer{t: t, conn: conn}
+		j := WireJoin{ID: id, TrainSize: 10}
+		children[id].send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil)})
+	}
+	conn, err := rootLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	root := &testPeer{t: t, conn: conn}
+	root.expect(msgTreeJoin)
+	root.send(welcomeFor(algo, clients))
+	for _, c := range children {
+		c.expect(msgWelcome)
+	}
+	// answer reads the edge's next frame up, skipping heartbeat echoes, and
+	// returns a copy of its bytes.
+	answer := func() []byte {
+		t.Helper()
+		for {
+			b, _, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := decodeMsg(b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.kind != msgHeartbeat {
+				if m.kind != msgTreeUpdate {
+					t.Fatalf("the edge answered with message %#x, want the passthrough bundle", m.kind)
+				}
+				return append([]byte(nil), b...)
+			}
+		}
+	}
+
+	dispatch := treeDispatchMsg(0, []int{0, 1}, [][][]float64{{ramp(64, 0)}, {ramp(64, 100)}})
+	root.send(dispatch)
+	for _, c := range children {
+		c.expect(msgDispatch)
+	}
+	root.send(dispatch)
+	root.send(&wireMsg{kind: msgHeartbeat, a: 0})
+	root.expect(msgHeartbeat)
+	for id, c := range children {
+		c.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{{float64(id)}}})
+	}
+	first := answer()
+	root.send(dispatch)
+	if again := answer(); string(again) != string(first) {
+		t.Fatalf("the resent answer differs from the first: %d and %d bytes", len(again), len(first))
+	}
+
+	root.send(&wireMsg{kind: msgStop})
+	for _, c := range children {
+		c.expect(msgStop) // a second dispatch, from either duplicate, fails here
+		c.send(&wireMsg{kind: msgStopAck})
+	}
+	root.expect(msgStopAck)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	if agg.Stats.Ignored != 1 || agg.Stats.Resends != 1 {
+		t.Fatalf("Stats.Ignored = %d, Stats.Resends = %d; want 1 and 1", agg.Stats.Ignored, agg.Stats.Resends)
 	}
 }
