@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/models"
@@ -169,7 +170,7 @@ func TestFedProtoFirstCommitTakesMean(t *testing.T) {
 			if round > 0 {
 				report = []float64{8, 8}
 			}
-			u := &fl.Update{Vecs: [][]float64{report, nil}, Counts: []int{3, 0}, Weight: 1}
+			u := &fl.Update{Vecs: bodies(report, nil), Counts: []int{3, 0}, Weight: 1}
 			if err := p.AsyncApply(nil, u); err != nil {
 				t.Fatal(err)
 			}
@@ -273,4 +274,22 @@ func TestEpochsPerRoundReporting(t *testing.T) {
 	if NewFedAvg(0).EpochsPerRound() != 1 {
 		t.Fatal("FedAvg must default to 1 epoch")
 	}
+}
+
+// bodies returns vs as F64 bodies over their own memory: a test builds a
+// payload from floats.
+func bodies(vs ...[]float64) []comm.Body {
+	out := make([]comm.Body, len(vs))
+	for i, v := range vs {
+		out[i] = comm.AsF64Body(v)
+	}
+	return out
+}
+
+// floats decodes a body into a fresh vector, nil for an absent one.
+func floats(b comm.Body) []float64 {
+	if b.Nil() {
+		return nil
+	}
+	return b.Decode(make([]float64, b.Len()))
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
@@ -88,7 +89,9 @@ func (f *FedAvg) Ref(c *fl.Client, shared []float64) []float64 {
 func (f *FedAvg) Pulls(*fl.Client) bool { return f.Mu > 0 }
 
 // Upload is the model alone.
-func (f *FedAvg) Upload(c *fl.Client, shared []float64) [][]float64 { return [][]float64{shared} }
+func (f *FedAvg) Upload(c *fl.Client, shared []float64) []comm.Body {
+	return []comm.Body{comm.AsF64Body(shared)}
+}
 
 // Train runs a group's local epochs; under FedProx each client's proximal
 // reference is refs[k], the weights it downloaded.

@@ -40,9 +40,11 @@ type FedProto struct {
 	snaps [][][]float64
 
 	// preW and preAccs are the edge-aggregator half's reduction state
-	// (PreReduce): the weight accumulator and one per class.
+	// (PreReduce): the weight accumulator and one per class, and preVec the
+	// scratch a reported prototype is decoded into for its fold.
 	preW    *fl.ExactAccumulator
 	preAccs []*fl.ExactAccumulator
+	preVec  []float64
 }
 
 // NewFedProto builds the algorithm.
@@ -78,7 +80,7 @@ func (p *FedProto) Round(sim *fl.Simulation, round int, participants []int) erro
 		for i := range tables {
 			tables[i] = p.globalProtos
 		}
-		for i, u := range p.upload(sim, group, tables) {
+		for i, u := range p.local(sim, group, sim.Cfg.BatchSize, tables) {
 			sim.Ledger.AddUp(u.UpBytes)
 			sim.Downlink(p.downloadFloats())
 			us[pos[i]] = u
@@ -108,8 +110,9 @@ func (p *FedProto) downloadFloats() int {
 // k against prototype table tables[k] (the global table in sync rounds, its
 // dispatch snapshot under async schedulers, the broadcast in node mode), and
 // returns each client's fresh local prototypes with their per-class sample
-// counts.
-func (p *FedProto) local(group []*fl.Client, batchSize int, tables [][][]float64) []*fl.Update {
+// counts. In process (sim non-nil) the prototypes pass through the wire
+// codec first, their bytes not yet booked.
+func (p *FedProto) local(sim *fl.Simulation, group []*fl.Client, batchSize int, tables [][][]float64) []*fl.Update {
 	// Prototype pull: d/df λ‖f − proto‖²/N = 2λ(f − proto)/N. Features and
 	// their gradient are model-dtype; the prototype table is float64
 	// bookkeeping, widened per element inside the pull.
@@ -125,17 +128,13 @@ func (p *FedProto) local(group []*fl.Client, batchSize int, tables [][][]float64
 	us := make([]*fl.Update, len(group))
 	for i, c := range group {
 		protos, counts := p.localPrototypes(c, batchSize)
-		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: protos, Counts: counts}
-	}
-	return us
-}
-
-// upload is local in process: each update's prototypes pass through the
-// wire codec, their bytes not yet booked.
-func (p *FedProto) upload(sim *fl.Simulation, group []*fl.Client, tables [][][]float64) []*fl.Update {
-	us := p.local(group, sim.Cfg.BatchSize, tables)
-	for _, u := range us {
-		u.UpBytes = p.quantizeProtos(sim, u.Vecs)
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: make([]comm.Body, len(protos)), Counts: counts}
+		if sim != nil {
+			us[i].UpBytes = p.quantizeProtos(sim, protos)
+		}
+		for cls, proto := range protos {
+			us[i].Vecs[cls] = comm.AsF64Body(proto)
+		}
 	}
 	return us
 }
@@ -163,7 +162,7 @@ func (p *FedProto) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Upd
 	for i, id := range clients {
 		group[i], tables[i] = sim.Client(id), p.snaps[id]
 	}
-	return p.upload(sim, group, tables), nil
+	return p.local(sim, group, sim.Cfg.BatchSize, tables), nil
 }
 
 // quantizeProtos passes each reported class prototype through the wire

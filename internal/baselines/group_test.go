@@ -171,7 +171,7 @@ func compareUpdates(t *testing.T, name string, a, b *fl.Update) {
 		t.Fatalf("%s: grouped update %+v, solo %+v", name, a, b)
 	}
 	for i := range a.Vecs {
-		sameBits(t, fmt.Sprintf("%s update vec %d", name, i), a.Vecs[i], b.Vecs[i])
+		sameBits(t, fmt.Sprintf("%s update vec %d", name, i), floats(a.Vecs[i]), floats(b.Vecs[i]))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/loss"
@@ -152,9 +153,9 @@ func (k *KTpFL) Round(sim *fl.Simulation, round int, participants []int) error {
 	reports := make([][]float64, len(participants))
 	fl.ParallelGroups(sim, participants, func(group []*fl.Client, pos []int) {
 		// Without transfers local cannot fail.
-		us, _ := k.local(group, sim.Cfg.BatchSize, make([][]float64, len(group)))
-		for i, u := range us {
-			reports[pos[i]] = u.Vecs[0]
+		rs, _ := k.local(group, sim.Cfg.BatchSize, make([][]float64, len(group)))
+		for i, r := range rs {
+			reports[pos[i]] = r
 		}
 	})
 	for i, id := range participants {
@@ -270,7 +271,7 @@ func (k *KTpFL) consume(c *fl.Client, transfer []float64) error {
 // knowledge report (soft predictions on the public set, or flat weights for
 // the "+weight" variant), not yet passed through the upload framing. A
 // "+weight" report is the client's FlatUpload vector.
-func (k *KTpFL) local(group []*fl.Client, batchSize int, transfers [][]float64) ([]*fl.Update, error) {
+func (k *KTpFL) local(group []*fl.Client, batchSize int, transfers [][]float64) ([][]float64, error) {
 	for i, c := range group {
 		if transfers[i] != nil {
 			if err := k.consume(c, transfers[i]); err != nil {
@@ -279,19 +280,17 @@ func (k *KTpFL) local(group []*fl.Client, batchSize int, transfers [][]float64) 
 		}
 	}
 	fl.TrainEpochs(group, batchSize, k.LocalEpochs, fl.Objective{})
-	us := make([]*fl.Update, len(group))
+	reports := make([][]float64, len(group))
 	for i, c := range group {
-		var report []float64
 		if k.ShareWeights {
-			report = c.FlatUpload(c.Model.Params())
+			reports[i] = c.FlatUpload(c.Model.Params())
 		} else {
 			_, logits := c.Model.Forward(k.publicX, false)
-			report = loss.SoftmaxWithTemperature(logits, k.Temperature).AppendFloat64s(nil)
+			reports[i] = loss.SoftmaxWithTemperature(logits, k.Temperature).AppendFloat64s(nil)
 			c.Model.ReleaseWorkspaces()
 		}
-		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: [][]float64{report}}
 	}
-	return us, nil
+	return reports, nil
 }
 
 // AsyncSetup sizes the pending-transfer tables.
@@ -341,12 +340,14 @@ func (k *KTpFL) AsyncLocalGroup(sim *fl.Simulation, clients []int) ([]*fl.Update
 		group[i], transfers[i] = sim.Client(id), k.staged[id]
 		k.staged[id] = nil
 	}
-	us, err := k.local(group, sim.Cfg.BatchSize, transfers)
+	reports, err := k.local(group, sim.Cfg.BatchSize, transfers)
 	if err != nil {
 		return nil, err
 	}
-	for _, u := range us {
-		u.Vecs[0], u.UpBytes = sim.QuantizeUplink(u.Client, u.Vecs[0])
+	us := make([]*fl.Update, len(group))
+	for i, c := range group {
+		report, bytes := sim.QuantizeUplink(c.ID, reports[i])
+		us[i] = &fl.Update{Client: c.ID, Scale: 1, Vecs: []comm.Body{comm.AsF64Body(report)}, UpBytes: bytes}
 	}
 	return us, nil
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/fl"
 )
 
@@ -54,14 +55,14 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 			if err := checkProtoCount(u, cls); err != nil {
 				return nil, err
 			}
-			if proto == nil || u.Counts[cls] == 0 {
+			if proto.Nil() || u.Counts[cls] == 0 {
 				continue
 			}
 			if featDim == 0 {
-				featDim = len(proto)
-			} else if len(proto) != featDim {
+				featDim = proto.Len()
+			} else if proto.Len() != featDim {
 				return nil, fmt.Errorf("baselines: client %d prototype %d has %d dims, subtree peers have %d",
-					u.Client, cls, len(proto), featDim)
+					u.Client, cls, proto.Len(), featDim)
 			}
 		}
 	}
@@ -77,7 +78,7 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 		p.preW.Fold(nil, u.Weight)
 		for cls, proto := range u.Vecs {
 			counts[cls] += u.Counts[cls]
-			if proto == nil || u.Counts[cls] == 0 {
+			if proto.Nil() || u.Counts[cls] == 0 {
 				continue
 			}
 			if accs[cls] == nil {
@@ -85,19 +86,21 @@ func (p *FedProto) PreReduce(updates []*fl.Update) (*fl.AggUpdate, error) {
 				accs[cls] = p.preAccs[cls]
 			}
 			// The same once-rounded product flat WireApply folds.
-			accs[cls].Fold(proto, u.Weight*float64(u.Counts[cls]))
+			p.preVec = proto.Decode(p.preVec)
+			accs[cls].Fold(p.preVec, u.Weight*float64(u.Counts[cls]))
 		}
 	}
 	_, au.Weight = p.preW.Round()
 	if numCls > 0 {
-		au.Vecs = make([][]float64, numCls)
+		au.Vecs = make([]comm.Body, numCls)
 		au.VecWeights = make([]float64, numCls)
 		au.Counts = counts
 		for cls, acc := range accs {
 			if acc == nil {
 				continue
 			}
-			au.Vecs[cls], au.VecWeights[cls] = acc.Round()
+			sum, w := acc.Round()
+			au.Vecs[cls], au.VecWeights[cls] = comm.AsF64Body(sum), w
 		}
 	}
 	return au, nil
@@ -113,12 +116,12 @@ func (p *FedProto) WireApplyAggregate(u *fl.AggUpdate) error {
 		return fmt.Errorf("baselines: aggregator %d forwarded a malformed FedProto aggregate", u.Agg)
 	}
 	for cls, sum := range u.Vecs {
-		if sum == nil || u.VecWeights[cls] == 0 {
+		if sum.Nil() || u.VecWeights[cls] == 0 {
 			continue
 		}
-		if len(sum) != p.featDim {
+		if sum.Len() != p.featDim {
 			return fmt.Errorf("baselines: aggregator %d prototype sum %d has %d dims, server expects %d",
-				u.Agg, cls, len(sum), p.featDim)
+				u.Agg, cls, sum.Len(), p.featDim)
 		}
 		p.acc.MergeSegment(cls, sum, u.VecWeights[cls])
 	}

@@ -69,7 +69,7 @@ func TestFedAvgPreReduceParity(t *testing.T) {
 			if !integer {
 				w = rng.Float64() + 0.5
 			}
-			ups[c] = &fl.Update{Client: c, Weight: w, Vecs: [][]float64{v}}
+			ups[c] = &fl.Update{Client: c, Weight: w, Vecs: bodies(v)}
 		}
 		return ups
 	}
@@ -142,7 +142,7 @@ func TestFedProtoPreReduceParity(t *testing.T) {
 			vecs[cls] = v
 			counts[cls] = 1 + rng.Intn(9)
 		}
-		ups[c] = &fl.Update{Client: c, Weight: 1, Vecs: vecs, Counts: counts}
+		ups[c] = &fl.Update{Client: c, Weight: 1, Vecs: bodies(vecs...), Counts: counts}
 	}
 	run := func(sizes []int) [][]float64 {
 		algo := NewFedProto(1, 1)
@@ -211,7 +211,7 @@ func protoReport(client int, counts ...int) *fl.Update {
 			vecs[cls][i] = float64(10*client + 3*cls - i)
 		}
 	}
-	return &fl.Update{Client: client, Weight: 1, Vecs: vecs, Counts: counts}
+	return &fl.Update{Client: client, Weight: 1, Vecs: bodies(vecs...), Counts: counts}
 }
 
 // protoServer is a FedProto server half set up for protoFleetSize clients.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/fl"
 )
 
@@ -122,7 +123,7 @@ func (p *FedProto) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) 
 			return nil, fmt.Errorf("baselines: FedProto prototype %d has %d dims, model has %d", cls, len(proto), p.featDim)
 		}
 	}
-	return p.local([]*fl.Client{c}, batchSize, [][][]float64{table})[0], nil
+	return p.local(nil, []*fl.Client{c}, batchSize, [][][]float64{table})[0], nil
 }
 
 // WireApply folds each reported class prototype into its segment,
@@ -135,13 +136,13 @@ func (p *FedProto) WireApply(u *fl.Update) error {
 		if err := checkProtoCount(u, cls); err != nil {
 			return err
 		}
-		if proto != nil && u.Counts[cls] != 0 && len(proto) != p.featDim {
+		if !proto.Nil() && u.Counts[cls] != 0 && proto.Len() != p.featDim {
 			return fmt.Errorf("baselines: client %d prototype %d has %d dims, server expects %d",
-				u.Client, cls, len(proto), p.featDim)
+				u.Client, cls, proto.Len(), p.featDim)
 		}
 	}
 	for cls, proto := range u.Vecs {
-		if proto != nil && u.Counts[cls] != 0 {
+		if !proto.Nil() && u.Counts[cls] != 0 {
 			p.acc.AccumulateSegment(cls, proto, u.Weight*float64(u.Counts[cls]))
 		}
 	}
@@ -216,27 +217,28 @@ func (k *KTpFL) WireLocal(c *fl.Client, batchSize int, dispatch [][]float64) (*f
 			return nil, fmt.Errorf("baselines: KT-pFL transfer has %d values, want %d×%d", len(transfer), m, numCls)
 		}
 	}
-	us, err := k.local([]*fl.Client{c}, batchSize, [][]float64{transfer})
+	reports, err := k.local([]*fl.Client{c}, batchSize, [][]float64{transfer})
 	if err != nil {
 		return nil, err
 	}
-	return us[0], nil
+	return &fl.Update{Client: c.ID, Scale: 1, Vecs: []comm.Body{comm.AsF64Body(reports[0])}}, nil
 }
 
-// WireApply files a copy of the client's latest report with its weight: the
-// report outlives the call (the next commits read it), u.Vecs does not.
+// WireApply files a decoded copy of the client's latest report with its
+// weight: the report outlives the call (the next commits read it), u.Vecs
+// does not.
 func (k *KTpFL) WireApply(u *fl.Update) error {
-	if len(u.Vecs) != 1 || u.Vecs[0] == nil {
+	if len(u.Vecs) != 1 || u.Vecs[0].Nil() {
 		return fmt.Errorf("baselines: client %d uploaded a malformed %s report", u.Client, k.Name())
 	}
 	if u.Client < 0 || u.Client >= len(k.latest) {
 		return fmt.Errorf("baselines: %s report from unknown client %d", k.Name(), u.Client)
 	}
-	if len(u.Vecs[0]) != k.reportLen {
+	if u.Vecs[0].Len() != k.reportLen {
 		return fmt.Errorf("baselines: client %d uploaded a %s report of %d values, want %d",
-			u.Client, k.Name(), len(u.Vecs[0]), k.reportLen)
+			u.Client, k.Name(), u.Vecs[0].Len(), k.reportLen)
 	}
-	k.latest[u.Client] = append(k.latest[u.Client][:0], u.Vecs[0]...)
+	k.latest[u.Client] = u.Vecs[0].Decode(k.latest[u.Client])
 	k.latestW[u.Client] = u.Weight
 	return nil
 }

@@ -1,9 +1,12 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/fl"
 	"repro/internal/models"
@@ -241,9 +244,9 @@ func TestKTpFLWireRejectsWrongLengthReports(t *testing.T) {
 			}
 			u.Weight = 1
 			if c.ID == 1 {
-				u.Vecs[0] = u.Vecs[0][:3]
+				u.Vecs[0] = comm.AsF64Body(floats(u.Vecs[0])[:3])
 				if err := algo.WireApply(u); err == nil {
-					t.Errorf("%s: WireApply filed a %d-value report", algo.Name(), len(u.Vecs[0]))
+					t.Errorf("%s: WireApply filed a %d-value report", algo.Name(), u.Vecs[0].Len())
 				}
 				continue
 			}
@@ -302,4 +305,137 @@ func TestFedProtoWireRejectsNegativeCounts(t *testing.T) {
 		return commitProtos(t, algo)
 	}
 	sameProtos(t, run(negativeReport()), run(nil))
+}
+
+// TestFoldFromFrameMatchesDecodedPerMethod: FedProto and KT-pFL read their
+// uploads and aggregates as bodies, in the frames they arrive in. At every
+// dense codec and byte offset, FedProto's segment fold (WireApply), its
+// per-class exact PreReduce and its WireApplyAggregate, and KT-pFL's report
+// copy leave exactly the state the decoded vectors leave.
+func TestFoldFromFrameMatchesDecodedPerMethod(t *testing.T) {
+	const clients, numCls, featDim = 3, 4, 19
+	rng := rand.New(rand.NewSource(12))
+	protos := make([][][]float64, clients)
+	for c := range protos {
+		protos[c] = make([][]float64, numCls)
+		for cls := range protos[c] {
+			if cls == c { // every client leaves one class unreported
+				continue
+			}
+			protos[c][cls] = make([]float64, featDim)
+			for i := range protos[c][cls] {
+				protos[c][cls][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+		}
+	}
+	joins := make([]fl.WireJoin, clients)
+	for c := range joins {
+		joins[c] = fl.WireJoin{ID: c, TrainSize: 10, FeatDim: featDim, NumClasses: numCls, NumParams: featDim}
+	}
+	for _, codec := range []comm.Codec{comm.F64, comm.F32, comm.BF16, comm.I8} {
+		for off := range 8 {
+			// framed lays v out as a dense frame at codec and offset and
+			// returns its body there and its decoded vector as a body.
+			framed := func(v []float64) (frame, decoded comm.Body) {
+				if v == nil {
+					return comm.Body{}, comm.Body{}
+				}
+				buf := comm.MarshalSpecInto(make([]byte, off, 64+8*len(v)), comm.Spec{Value: codec}, 7, v, nil)
+				if !frame.SetFrame(buf[off:]) {
+					t.Fatalf("%s: no dense body", codec)
+				}
+				_, dec, _ := comm.DecodeSpec(nil, buf[off:], nil)
+				return frame, comm.AsF64Body(dec)
+			}
+			upsFrame, upsDecoded := make([]*fl.Update, clients), make([]*fl.Update, clients)
+			for c := range protos {
+				counts := []int{3, 1, 4, 1}
+				upsFrame[c] = &fl.Update{Client: c, Weight: float64(c + 1), Vecs: make([]comm.Body, numCls), Counts: counts}
+				upsDecoded[c] = &fl.Update{Client: c, Weight: float64(c + 1), Vecs: make([]comm.Body, numCls), Counts: counts}
+				for cls, v := range protos[c] {
+					upsFrame[c].Vecs[cls], upsDecoded[c].Vecs[cls] = framed(v)
+				}
+			}
+			where := fmt.Sprintf("%s/offset %d", codec, off)
+			server := func() *FedProto {
+				p := NewFedProto(1, 1)
+				if err := p.WireSetup(joins, 1); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+
+			// The segment fold.
+			got, want := server(), server()
+			for c := range upsFrame {
+				if err := got.WireApply(upsFrame[c]); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.WireApply(upsDecoded[c]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			committedSame(t, got, want)
+
+			// The per-class exact pre-reduction.
+			auGot, err := NewFedProto(1, 1).PreReduce(upsFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			auWant, err := NewFedProto(1, 1).PreReduce(upsDecoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(auGot.Weight) != math.Float64bits(auWant.Weight) || fmt.Sprint(auGot.Counts) != fmt.Sprint(auWant.Counts) {
+				t.Fatalf("%s: PreReduce's weights or counts differ", where)
+			}
+			sameBits(t, where+": PreReduce class weights", auGot.VecWeights, auWant.VecWeights)
+			for cls := range auWant.Vecs {
+				sameBits(t, fmt.Sprintf("%s: PreReduce class %d", where, cls), floats(auGot.Vecs[cls]), floats(auWant.Vecs[cls]))
+			}
+
+			// The aggregate fold, its sums framed in turn.
+			aggFrame := &fl.AggUpdate{Children: clients, Weight: auWant.Weight, VecWeights: auWant.VecWeights,
+				Counts: auWant.Counts, Vecs: make([]comm.Body, numCls)}
+			aggDecoded := *aggFrame
+			aggDecoded.Vecs = make([]comm.Body, numCls)
+			for cls, sum := range auWant.Vecs {
+				aggFrame.Vecs[cls], aggDecoded.Vecs[cls] = framed(floats(sum))
+			}
+			got, want = server(), server()
+			if err := got.WireApplyAggregate(aggFrame); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WireApplyAggregate(&aggDecoded); err != nil {
+				t.Fatal(err)
+			}
+			committedSame(t, got, want)
+
+			// KT-pFL's report copy.
+			k := NewKTpFLWeights(1)
+			if err := k.WireSetup(joins, 1); err != nil {
+				t.Fatal(err)
+			}
+			for c := range protos {
+				report, decoded := framed(protos[c][(c+1)%numCls])
+				if err := k.WireApply(&fl.Update{Client: c, Weight: 1, Vecs: []comm.Body{report}}); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%s: KT-pFL report %d", where, c), k.latest[c], floats(decoded))
+			}
+		}
+	}
+}
+
+// committedSame commits two FedProto servers and fails unless their
+// prototype tables are the same bits.
+func committedSame(t *testing.T, got, want *FedProto) {
+	t.Helper()
+	if err := got.WireCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WireCommit(); err != nil {
+		t.Fatal(err)
+	}
+	sameProtos(t, got.globalProtos, want.globalProtos)
 }

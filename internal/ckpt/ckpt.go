@@ -107,12 +107,12 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 	e.u64(snap.Rng)
 	e.u64(snap.EvalRng)
 	e.u64(uint64(snap.FleetSize))
-	e.vec(tagNodeFree, snap.NodeFree, true)
+	e.vec(tagNodeFree, comm.AsF64Body(snap.NodeFree), true)
 	e.u64(uint64(len(snap.Idle)))
 	for _, ok := range snap.Idle {
 		e.bool(ok)
 	}
-	e.vec(tagAway, snap.Away, true)
+	e.vec(tagAway, comm.AsF64Body(snap.Away), true)
 
 	e.u64(uint64(len(snap.Flights)))
 	for i := range snap.Flights {
@@ -153,7 +153,7 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 		e.f64(m.SimTime)
 		e.i64(m.UpBytes)
 		e.i64(m.DownBytes)
-		e.vec(tagPerClient, m.PerClient, true)
+		e.vec(tagPerClient, comm.AsF64Body(m.PerClient), true)
 		e.bool(m.EvalIDs != nil)
 		if m.EvalIDs != nil {
 			e.u64(uint64(len(m.EvalIDs)))
@@ -197,7 +197,7 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 		}
 		e.u64(uint64(len(snap.Algo.Vecs)))
 		for _, v := range snap.Algo.Vecs {
-			e.vec(tagAlgoVec, v, false)
+			e.vec(tagAlgoVec, comm.AsF64Body(v), false)
 		}
 	}
 
@@ -218,7 +218,7 @@ func Marshal(snap *fl.Snapshot, codec comm.Codec) ([]byte, error) {
 		if j.Init != nil {
 			e.u64(uint64(len(j.Init)))
 			for _, v := range j.Init {
-				e.vec(tagJoinInit, v, false)
+				e.vec(tagJoinInit, comm.AsF64Body(v), false)
 			}
 		}
 	}
@@ -269,7 +269,12 @@ func Unmarshal(b []byte) (*fl.Snapshot, error) {
 			VTime:   d.F64(),
 		}
 		u := &fl.Update{Client: fs.Client, Scale: d.F64(), UpBytes: d.I64()}
-		u.Vecs = vecTable(&d, tagFlightVec)
+		if vecs := vecTable(&d, tagFlightVec); vecs != nil {
+			u.Vecs = make([]comm.Body, len(vecs))
+			for j, v := range vecs {
+				u.Vecs[j] = comm.AsF64Body(v)
+			}
+		}
 		if d.Bool() {
 			u.Counts = make([]int, d.Count(8))
 			for j := range u.Counts {
@@ -368,8 +373,10 @@ func vec(d *comm.Reader, tag uint32) []float64 {
 	if !d.Bool() {
 		return nil
 	}
-	fr, _, _ := d.DenseFrame(tag)
-	return d.Decode(fr, nil)
+	if b := d.DenseFrame(tag); d.Err() == nil {
+		return b.Decode(nil)
+	}
+	return nil
 }
 
 // vecTable reads a presence byte and, when it is set, a count of vector
@@ -417,8 +424,8 @@ func (e *encoder) bool(v bool) {
 // vec writes a presence byte and, when present, a comm frame encoded
 // straight into the buffer behind its byte length. Bookkeeping vectors pass
 // lossless=true to pin the f64 codec.
-func (e *encoder) vec(tag uint32, v []float64, lossless bool) {
-	if v == nil {
+func (e *encoder) vec(tag uint32, v comm.Body, lossless bool) {
+	if v.Nil() {
 		e.buf = append(e.buf, 0)
 		return
 	}
@@ -426,7 +433,7 @@ func (e *encoder) vec(tag uint32, v []float64, lossless bool) {
 	if lossless {
 		codec = comm.F64
 	}
-	e.buf = comm.AppendFrame(append(e.buf, 1), comm.Spec{Value: codec}, tag, v, nil)
+	e.buf = v.AppendFrame(append(e.buf, 1), comm.Spec{Value: codec}, tag, nil)
 }
 
 func (e *encoder) traffic(t comm.RoundTraffic) {

@@ -246,7 +246,7 @@ func TestKillResumeGoldenSparseUplink(t *testing.T) {
 				t.Fatal("snapshot holds no in-flight update; the test would not exercise the flight's byte count")
 			}
 			for _, f := range snap.Flights {
-				if dense := comm.WireSizeAs(comm.F32, len(f.Update.Vecs[0])); f.Update.UpBytes <= 0 || f.Update.UpBytes >= dense/4 {
+				if dense := comm.WireSizeAs(comm.F32, f.Update.Vecs[0].Len()); f.Update.UpBytes <= 0 || f.Update.UpBytes >= dense/4 {
 					t.Fatalf("in-flight top-k upload restored at %d bytes (dense would be %d)", f.Update.UpBytes, dense)
 				}
 			}
@@ -664,7 +664,10 @@ func TestUnmarshalAllocsBoundedByInput(t *testing.T) {
 	vecsAt := 20 + 8*8 + slot(snap.NodeFree) + 8 + len(snap.Idle) + slot(snap.Away) + 8 + 6*8 + 1
 	countsAt := vecsAt + 8 + 1
 	for _, v := range u.Vecs {
-		countsAt += slot(v)
+		countsAt += 1
+		if !v.Nil() {
+			countsAt += 8 + int(comm.WireSizeAs(comm.F64, v.Len()))
+		}
 	}
 	for _, c := range []struct {
 		name    string

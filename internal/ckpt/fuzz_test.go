@@ -209,8 +209,14 @@ func decodedElems(s *fl.Snapshot) int {
 			n += len(v)
 		}
 	}
+	bodies := func(vs []comm.Body) {
+		n += len(vs)
+		for _, v := range vs {
+			n += v.Len()
+		}
+	}
 	for _, f := range s.Flights {
-		vecs(f.Update.Vecs)
+		bodies(f.Update.Vecs)
 		n += len(f.Update.Counts)
 	}
 	for _, m := range s.History {

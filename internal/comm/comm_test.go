@@ -346,10 +346,14 @@ func TestDecodeIntoMatchesDecodeThenSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var b Body
+		if !b.SetFrame(frame) {
+			t.Fatalf("%s: a dense frame is no body", c)
+		}
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
 			want, got := tensor.NewOf(dt, len(v)), tensor.NewOf(dt, len(v))
 			want.SetFromFloat64s(dec)
-			if err := DecodeInto(got, frame); err != nil {
+			if err := b.DecodeInto(got); err != nil {
 				t.Fatalf("%s into %s: %v", c, dt, err)
 			}
 			w, g := want.AppendFloat64s(nil), got.AppendFloat64s(nil)
@@ -358,13 +362,13 @@ func TestDecodeIntoMatchesDecodeThenSet(t *testing.T) {
 					t.Fatalf("%s into %s: element %d is %v, want %v", c, dt, i, g[i], w[i])
 				}
 			}
-			if err := DecodeInto(tensor.NewOf(dt, len(v)-1), frame); err == nil {
+			if err := b.DecodeInto(tensor.NewOf(dt, len(v)-1)); err == nil {
 				t.Fatalf("%s into %s: a frame of another length was decoded", c, dt)
 			}
 		}
 	}
 	sparse := MarshalSpecInto(nil, NewSpec(F32, 0.05, false), 9, v, nil)
-	if err := DecodeInto(tensor.NewOf(tensor.F64, len(v)), sparse); err == nil {
+	if b := (Body{}); b.SetFrame(sparse) {
 		t.Fatal("a top-k frame was decoded as dense")
 	}
 }

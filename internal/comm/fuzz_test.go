@@ -105,8 +105,7 @@ func readerAgrees(t *testing.T, b []byte) {
 		kind = binary.LittleEndian.Uint32(b)
 	}
 	r := NewReader(append(binary.LittleEndian.AppendUint64(nil, uint64(len(b))), b...), "fuzz")
-	fr, _, _ := r.DenseFrame(kind)
-	got := r.Decode(fr, nil)
+	got := r.DenseFrame(kind).Decode(nil)
 	c, _, _, _ := FrameInfo(b)
 	_, want, err := DecodeSpec(nil, b, nil)
 	if accepted := r.End() == nil; accepted != (err == nil && c.Dense()) {

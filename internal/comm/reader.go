@@ -132,12 +132,12 @@ func (r *Reader) Frame() []byte { return r.take(r.U64()) }
 
 // DenseFrame reads one length-prefixed frame that must carry the given kind
 // tag, be dense and be exactly as long as its element count says — so the
-// count bounds what decoding it allocates — and returns it, its codec and
-// that count.
-func (r *Reader) DenseFrame(kind uint32) (fr []byte, c Codec, n int) {
-	fr = r.Frame()
+// count bounds what decoding it allocates — and returns its body, the zero
+// Body after a failure.
+func (r *Reader) DenseFrame(kind uint32) (b Body) {
+	fr := r.Frame()
 	if r.err != nil {
-		return nil, 0, 0
+		return Body{}
 	}
 	c, k, n, err := FrameInfo(fr)
 	switch {
@@ -149,24 +149,8 @@ func (r *Reader) DenseFrame(kind uint32) (fr []byte, c Codec, n int) {
 		r.Failf("%s frame of kind %d where dense frames only belong", c, k)
 	case int64(len(fr)) != WireSizeAs(c, n):
 		r.Failf("%s frame of %d bytes claiming %d values", c, len(fr), n)
+	case !b.SetFrame(fr):
+		r.Failf("invalid int8 scale")
 	}
-	if r.err != nil {
-		return nil, 0, 0
-	}
-	return fr, c, n
-}
-
-// Decode decodes a frame DenseFrame returned into scratch's capacity, or
-// into a fresh vector when that is short. After a failure it returns
-// scratch.
-func (r *Reader) Decode(fr []byte, scratch []float64) []float64 {
-	if r.err != nil {
-		return scratch
-	}
-	_, v, err := DecodeSpec(scratch, fr, nil)
-	if err != nil {
-		r.Failf("%v", err)
-		return scratch
-	}
-	return v
+	return b
 }

@@ -18,8 +18,8 @@ func TestReader(t *testing.T) {
 	if n := r.Count(8); n != 2 || r.U64() != 7 || r.I64() != -1<<63 {
 		t.Fatalf("words read back wrong (count %d, err %v)", n, r.Err())
 	}
-	fr, c, n := r.DenseFrame(3)
-	if v := r.Decode(fr, nil); c != I8 || n != 2 || len(v) != 2 || v[0] != 1 {
+	fb := r.DenseFrame(3)
+	if v, c, n := fb.Decode(nil), fb.Codec(), fb.Len(); c != I8 || n != 2 || len(v) != 2 || v[0] != 1 {
 		t.Fatalf("frame read back as %s/%d %v (err %v)", c, n, v, r.Err())
 	}
 	if err := r.End(); err != nil {
@@ -57,8 +57,7 @@ func TestReader(t *testing.T) {
 	huge := AppendFrame(nil, Spec{}, 3, []float64{1}, nil)
 	binary.LittleEndian.PutUint64(huge[8+4:], uint64(F64)<<56|1<<40)
 	r = NewReader(huge, "test")
-	fr, _, _ = r.DenseFrame(3)
-	if v := r.Decode(fr, nil); v != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "claiming 1099511627776 values") {
-		t.Fatalf("forged dense frame decoded %d values (err %v)", len(v), r.Err())
+	if fb = r.DenseFrame(3); !fb.Nil() || r.Err() == nil || !strings.Contains(r.Err().Error(), "claiming 1099511627776 values") {
+		t.Fatalf("forged dense frame decoded %d values (err %v)", fb.Len(), r.Err())
 	}
 }

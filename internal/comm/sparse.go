@@ -211,17 +211,15 @@ func appendDense(dst []byte, c Codec, payload []float64) []byte {
 	return dst
 }
 
-// hostLittleEndian reports whether a float64 in memory is laid out as an
-// F64 frame lays it out, so that a dense F64 body is one copy.
-var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+// hostLittleEndian is nativeLittleEndian for the dense codec's paths, a
+// variable so that a test can take the portable loop on a little-endian
+// host: with it set, a dense F64 body is one copy.
+var hostLittleEndian = nativeLittleEndian
 
 // f64Bytes views v's memory as bytes. The view goes that way round, never
 // bytes as floats, so a frame at any alignment can be its other side.
 func f64Bytes(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
 // topkCount is the deterministic kept count: ceil(frac·n) clamped to
@@ -562,59 +560,6 @@ func decodeDenseAt(payload []float64, c Codec, body []byte, off int) error {
 		}
 	}
 	return nil
-}
-
-// DecodeInto decodes a dense frame of dst.Size() elements straight into
-// dst, each value narrowed to dst's dtype as tensor.WriteFloat64sAt narrows
-// it: the bits DecodeSpec and SetFromFloat64s would leave, with no vector in
-// between. An F64 frame into F64 storage is one copy.
-func DecodeInto(dst *tensor.Tensor, frame []byte) error {
-	c, _, n, err := FrameInfo(frame)
-	switch {
-	case err != nil:
-		return err
-	case !c.Dense():
-		return fmt.Errorf("comm: %s frame where a dense one belongs", c)
-	case int64(len(frame)) != WireSizeAs(c, n):
-		return fmt.Errorf("comm: %s frame of %d elements wants %d bytes, got %d", c, n, WireSizeAs(c, n), len(frame))
-	case n != dst.Size():
-		return fmt.Errorf("comm: frame of %d elements decoded into %d", n, dst.Size())
-	}
-	body := frame[headerSize:]
-	if c == F64 && dst.DT == tensor.F64 && hostLittleEndian {
-		copy(f64Bytes(dst.Data), body)
-		return nil
-	}
-	var chunk [256]float64
-	for off := 0; off < n; off += len(chunk) {
-		part := chunk[:min(len(chunk), n-off)]
-		if err := decodeDenseAt(part, c, body, off); err != nil {
-			return err
-		}
-		dst.WriteFloat64sAt(off, part)
-	}
-	return nil
-}
-
-// F64Body returns the body of a dense F64 frame of exactly its declared
-// length — its elements as little-endian float64s, read where they lie at
-// any alignment — or false for any other frame.
-func F64Body(frame []byte) ([]byte, bool) {
-	c, _, n, err := FrameInfo(frame)
-	if err != nil || c != F64 || int64(len(frame)) != WireSizeAs(F64, n) {
-		return nil, false
-	}
-	return frame[headerSize:], true
-}
-
-// AsF64Body returns v as a dense F64 frame body: v's own memory on a
-// little-endian host, an encoded copy on a big-endian one. A fold that reads
-// F64 bodies serves decoded vectors through it.
-func AsF64Body(v []float64) []byte {
-	if hostLittleEndian {
-		return f64Bytes(v)
-	}
-	return appendDense(nil, F64, v)
 }
 
 // parseTopK parses the top-k body of an n-element vector into c.idx and

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/fl"
 	"repro/internal/loss"
 	"repro/internal/nn"
@@ -167,11 +168,11 @@ func (f *FedClassAvg) Pulls(*fl.Client) bool { return f.Opts.UseProximal }
 // Upload is the shared vector; with ShareAllWeights it is led by a view of
 // its classifier tail, the layout in-flight "+weight" updates have in
 // checkpoints.
-func (f *FedClassAvg) Upload(c *fl.Client, shared []float64) [][]float64 {
+func (f *FedClassAvg) Upload(c *fl.Client, shared []float64) []comm.Body {
 	if !f.Opts.ShareAllWeights {
-		return [][]float64{shared}
+		return []comm.Body{comm.AsF64Body(shared)}
 	}
-	return [][]float64{shared[len(shared)-nn.NumParams(c.Model.ClassifierParams()):], shared}
+	return []comm.Body{comm.AsF64Body(shared[len(shared)-nn.NumParams(c.Model.ClassifierParams()):]), comm.AsF64Body(shared)}
 }
 
 // Train runs a group's local epochs with the paper's composite objective:

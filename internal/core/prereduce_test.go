@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/fl"
 )
 
@@ -35,7 +36,7 @@ func TestFedClassAvgPreReduceParity(t *testing.T) {
 			for i := range v {
 				v[i] = float64(rng.Intn(512) - 256)
 			}
-			ups[c] = &fl.Update{Client: c, Weight: float64(1 + rng.Intn(4)), Vecs: [][]float64{v}}
+			ups[c] = &fl.Update{Client: c, Weight: float64(1 + rng.Intn(4)), Vecs: []comm.Body{comm.AsF64Body(v)}}
 		}
 		run := func(sizes []int) ([]float64, []float64) {
 			algo := New(Options{ShareAllWeights: shareAll})
@@ -97,7 +98,7 @@ func TestFedClassAvgPreReduceAllocs(t *testing.T) {
 		for i := range v {
 			v[i] = 0.05 * rng.NormFloat64()
 		}
-		ups[c] = &fl.Update{Client: c, Weight: 30, Vecs: [][]float64{v}}
+		ups[c] = &fl.Update{Client: c, Weight: 30, Vecs: []comm.Body{comm.AsF64Body(v)}}
 	}
 	algo := New(Options{})
 	reduce := func() {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/tensor"
 )
 
@@ -213,10 +214,12 @@ type Update struct {
 	// stamped by the engine before AsyncApply.
 	Weight float64
 	// Vecs carries the algorithm's payload vectors (flat weights,
-	// per-class prototypes, soft predictions, ...). A nil Vecs with zero
-	// Scale marks a communication-free update (the local-only baseline):
-	// it advances the virtual round without touching server state.
-	Vecs [][]float64
+	// per-class prototypes, soft predictions, ...) as bodies: an
+	// in-process vector's F64 body over its own memory, a received one's as
+	// its frame carries it. A nil Vecs with zero Scale marks a
+	// communication-free update (the local-only baseline): it advances the
+	// virtual round without touching server state.
+	Vecs []comm.Body
 	// Counts carries optional per-vector sample counts (FedProto).
 	Counts []int
 	// UpBytes is the exact upload frame size, as returned by
@@ -226,10 +229,6 @@ type Update struct {
 	// attribution themselves, or per-round byte counts would depend on real
 	// scheduling.
 	UpBytes int64
-	// msg is the received message a node read the update from, if it did:
-	// a vector it left in its frame (nil in Vecs) is read there (wireBody),
-	// and releasing msg returns the frame and the decoded vectors.
-	msg *wireMsg
 }
 
 // DataScale is the |D_k| aggregation weight of a client with trainSize

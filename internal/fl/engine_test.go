@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/tensor"
 )
 
@@ -29,7 +30,7 @@ func (s *stubAsync) AsyncDispatch(sim *Simulation, client int) error          { 
 func (s *stubAsync) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, error) {
 	us := make([]*Update, len(clients))
 	for i, id := range clients {
-		us[i] = &Update{Client: id, Scale: 1, Vecs: [][]float64{{1}}}
+		us[i] = &Update{Client: id, Scale: 1, Vecs: bodiesOf([][]float64{{1}})}
 	}
 	return us, nil
 }
@@ -253,7 +254,7 @@ func TestShardedAccumulator(t *testing.T) {
 
 func TestShardedAccumulatorSegmentsAndMix(t *testing.T) {
 	a := NewSegmented([]int{2, 2})
-	a.AccumulateSegment(0, []float64{4, 4}, 2)
+	a.AccumulateSegment(0, comm.AsF64Body([]float64{4, 4}), 2)
 	dst := []float64{1, 1, 9, 9}
 	touched := make([]bool, 2)
 	a.CommitInto(dst, 0.5, touched)

@@ -111,35 +111,33 @@ func (e *ExactAccumulator) poison() {
 // the same rounding every grouping performs — so the accumulated sum is a
 // pure function of the multiset of (vec, w) pairs.
 func (e *ExactAccumulator) Fold(vec []float64, w float64) {
-	if len(vec) != e.n {
-		panic("fl: ExactAccumulator.Fold length mismatch")
-	}
 	e.foldBody(comm.AsF64Body(vec), w)
 }
 
-// foldBody is Fold for a vector given as a dense F64 body (comm.F64Body),
-// read where it lies at any alignment: the one fold kernel, which a decoded
-// vector reaches through its byte view.
-func (e *ExactAccumulator) foldBody(body []byte, w float64) {
-	if len(body) != 8*e.n {
+// foldBody is Fold for a vector given as a body, read where it lies at any
+// alignment: the one fold kernel.
+func (e *ExactAccumulator) foldBody(b comm.Body, w float64) {
+	if b.Len() != e.n {
 		panic("fl: ExactAccumulator.Fold length mismatch")
 	}
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		e.poison()
 	}
-	if !e.poisoned {
-		i := e.foldPairs(body, w)
+	withF64(b, func(body []byte) {
 		if !e.poisoned {
-			e.add(e.n, w)
-			return
+			i := e.foldPairs(body, w)
+			if !e.poisoned {
+				e.add(e.n, w)
+				return
+			}
+			body = body[8*i:]
 		}
-		body = body[8*i:]
-	}
-	plain := e.plain[e.n-len(body)/8:]
-	for i := range plain {
-		plain[i] += float64(w * f64At(body, i))
-	}
-	e.plainW += w
+		plain := e.plain[e.n-len(body)/8:]
+		for i := range plain {
+			plain[i] += float64(w * f64At(body, i))
+		}
+		e.plainW += w
+	})
 }
 
 // f64At loads element i of a dense F64 body.

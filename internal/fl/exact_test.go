@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 // bigRefAccumulator is the oracle ExactAccumulator is held to: the same
@@ -342,7 +344,7 @@ func TestSegmentedMergeMatchesFlatAccumulate(t *testing.T) {
 	for _, ct := range contribs {
 		for s, seg := range ct.segs {
 			if seg != nil {
-				flat.AccumulateSegment(s, seg, ct.w)
+				flat.AccumulateSegment(s, comm.AsF64Body(seg), ct.w)
 			}
 		}
 	}
@@ -372,7 +374,7 @@ func TestSegmentedMergeMatchesFlatAccumulate(t *testing.T) {
 					continue
 				}
 				sum, wsum := g.Round()
-				tree.MergeSegment(s, sum, wsum)
+				tree.MergeSegment(s, comm.AsF64Body(sum), wsum)
 			}
 		}
 		gotDst := make([]float64, total)

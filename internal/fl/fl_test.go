@@ -175,12 +175,12 @@ func TestWeightedAverageDataScaleRule(t *testing.T) {
 	var total float64
 	for _, n := range sizes {
 		v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		us = append(us, &Update{Scale: DataScale(n), Vecs: [][]float64{v}})
+		us = append(us, &Update{Scale: DataScale(n), Vecs: bodiesOf([][]float64{v})})
 		total += float64(n)
 	}
 	want := make([]float64, 3)
 	for i, u := range us {
-		for j, x := range u.Vecs[0] {
+		for j, x := range floatsOf(u.Vecs)[0] {
 			want[j] += float64(sizes[i]) / total * x
 		}
 	}
@@ -190,8 +190,8 @@ func TestWeightedAverageDataScaleRule(t *testing.T) {
 		}
 	}
 	empty := []*Update{
-		{Scale: DataScale(3), Vecs: [][]float64{{4}}},
-		{Scale: DataScale(0), Vecs: [][]float64{{8}}},
+		{Scale: DataScale(3), Vecs: bodiesOf([][]float64{{4}})},
+		{Scale: DataScale(0), Vecs: bodiesOf([][]float64{{8}})},
 	}
 	if got := weightedAverage(empty, 0)[0]; got != 3.0/4*4+1.0/4*8 {
 		t.Fatalf("an empty client among full ones averages to %v, want it weighted as one example (5)", got)

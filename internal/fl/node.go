@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -194,12 +195,12 @@ func NewServerNode(algo WireAlgorithm, cfg NodeConfig) *ServerNode {
 // it), an edge's its uplink (edgeClock, node_agg.go: the root's requests
 // open them, an answer upstream closes them). Each embeds the run it drives.
 type clock interface {
-	full()                      // every seat is taken before the welcome
-	advance()                   // before every event: open what is due, end the run when its stop completes
-	take(u *Update) (kept bool) // route an accepted upload
-	closeRound()                // the round barrier completed
-	closeEval()                 // the evaluation barrier completed
-	fromUp(f upFrame)           // an uplink delivery (an edge's; nil channels at the root)
+	full()                                  // every seat is taken before the welcome
+	advance()                               // before every event: open what is due, end the run when its stop completes
+	take(u *Update, m *wireMsg) (kept bool) // route an accepted upload, read from m
+	closeRound()                            // the round barrier completed
+	closeEval()                             // the evaluation barrier completed
+	fromUp(f upFrame)                       // an uplink delivery (an edge's; nil channels at the root)
 	redial(d upDial)
 	failed(cause error) error // a fatal cause, in the role's words (an edge also reports it up)
 }
@@ -239,11 +240,13 @@ type serverRun struct {
 
 // roundSlot is one session's part of the open sync round: the run of the
 // ascending cohort it fronts and its answer, their updates in member order
-// (nil where a member sent none) or one pre-reduced aggregate of them.
+// (nil where a member sent none) or one pre-reduced aggregate of them, and
+// the messages the answer was read from, which the slot releases.
 type roundSlot struct {
 	members []int
 	ups     []*Update
 	agg     *AggUpdate
+	msgs    []*wireMsg
 }
 
 // newRun builds the run clock c drives over table pt, whose sessions front
@@ -335,7 +338,7 @@ func (r *serverRun) handleUpdate(sess *peerSession, m *wireMsg) (kept bool) {
 		r.failf("client %d sent update weight %v", sess.id, scale)
 		return false
 	}
-	return r.clock.take(&Update{Client: sess.id, Version: int(m.a), Scale: scale, Vecs: m.vecs, Counts: m.counts, msg: m})
+	return r.clock.take(&Update{Client: sess.id, Version: int(m.a), Scale: scale, Vecs: m.vecs, Counts: m.counts}, m)
 }
 
 // handleSubtree collects one aggregator's answer: its children's updates
@@ -352,7 +355,7 @@ func (r *serverRun) handleSubtree(sess *peerSession, m *wireMsg) (kept bool) {
 			r.failf("aggregator %d sent a malformed update bundle: %w", sess.id, err)
 			return false
 		}
-		return r.collect(sess, nil, ups...)
+		return r.collect(sess, m, nil, ups...)
 	}
 	if r.red == nil {
 		r.failf("aggregator %d pre-reduced %s, which has no sound reduction (the aggregator must run the root's method)",
@@ -365,26 +368,28 @@ func (r *serverRun) handleSubtree(sess *peerSession, m *wireMsg) (kept bool) {
 		return false
 	}
 	au.Agg = sess.id
-	return r.collect(sess, au)
+	return r.collect(sess, m, au)
 }
 
-// collectUpdate files a sync upload into the open round. The barrier's
-// weight IS the scale: the root folds by it, an edge pre-reduces by it.
-func (r *serverRun) collectUpdate(u *Update) (kept bool) {
+// collectUpdate files a sync upload, read from m, into the open round. The
+// barrier's weight IS the scale: the root folds by it, an edge pre-reduces
+// by it.
+func (r *serverRun) collectUpdate(u *Update, m *wireMsg) (kept bool) {
 	sess := r.pt.sessionByID(u.Client)
 	if !r.pt.expects(&r.pt.round, sess) {
 		return false
 	}
 	u.Weight = u.Scale
-	return r.collect(sess, nil, u)
+	return r.collect(sess, m, nil, u)
 }
 
 // collect files a session's answer to the open round — its members'
-// updates, or one aggregate of them — and stops waiting for it. An answer
+// updates, or one aggregate of them, read from m — and stops waiting for it.
+// An answer
 // naming a client the session was not dispatched this round, naming one
 // twice, or folding more children than it was dispatched is a protocol
 // violation by a trusted peer: fatal, as a malformed frame is.
-func (r *serverRun) collect(sess *peerSession, au *AggUpdate, ups ...*Update) (kept bool) {
+func (r *serverRun) collect(sess *peerSession, m *wireMsg, au *AggUpdate, ups ...*Update) (kept bool) {
 	slot := &r.slots[sess.id-r.pt.base]
 	if au != nil && au.Children > len(slot.members) {
 		r.failf("%s %d folded %d children into its aggregate of round %d, it was dispatched %d",
@@ -409,28 +414,24 @@ func (r *serverRun) collect(sess *peerSession, au *AggUpdate, ups ...*Update) (k
 		slot.ups[i] = u
 	}
 	slot.agg = au
+	slot.msgs = append(slot.msgs, m)
 	r.pt.round.resolve(sess.id)
 	return true
 }
 
 // releaseRound recycles the messages the closed round's answers were read
 // from, once folded or answered (WireApply and PreReduce keep nothing of
-// u.Vecs): their vectors go back to the pool, their frames to their
-// connections. A passthrough bundle's updates share one message, which the
-// first recycle returns whole.
+// u.Vecs): the vectors they decoded go back to the pool, their frames to
+// their connections.
 func (r *serverRun) releaseRound() {
 	for _, a := range r.owners {
 		slot := &r.slots[a]
-		for _, u := range slot.ups {
-			if u != nil {
-				u.msg.recycle()
-			}
-		}
-		if slot.agg != nil {
-			slot.agg.msg.recycle()
+		for _, m := range slot.msgs {
+			m.recycle()
 		}
 		clear(slot.ups)
-		*slot = roundSlot{ups: slot.ups[:0]}
+		clear(slot.msgs)
+		*slot = roundSlot{ups: slot.ups[:0], msgs: slot.msgs[:0]}
 	}
 	r.owners = r.owners[:0]
 }
@@ -549,11 +550,17 @@ type rootClock struct {
 	commitEvery int
 	semiOpen    bool // a semisync cohort is outstanding
 	start       time.Time
-	payloads    [][][]float64 // the dispatch's scratch
+	payloads    [][]comm.Body // the dispatch's scratch
 	avail       []int         // idle's scratch
 	// holdback queues async/semisync updates that arrive mid-evaluation, so
 	// an evaluation observes one consistent committed model.
-	holdback []*Update
+	holdback []heldUpdate
+}
+
+// heldUpdate is an update held back, and the message it was read from.
+type heldUpdate struct {
+	u *Update
+	m *wireMsg
 }
 
 // Serve accepts cfg.Clients joins on the listener (cfg.Aggregators tree
@@ -654,12 +661,12 @@ func (r *rootClock) readTreeJoin(m *wireMsg) (int, []WireJoin, error) {
 // reports whether the run now holds it: the sync barrier collects it, the
 // async schedules hold it back while an evaluation is open and otherwise
 // fold or drop it on the spot, leaving its message the caller's to release.
-func (r *rootClock) take(u *Update) (kept bool) {
+func (r *rootClock) take(u *Update, m *wireMsg) (kept bool) {
 	switch {
 	case r.cfg.Sched == SchedSync:
-		return r.collectUpdate(u)
+		return r.collectUpdate(u, m)
 	case r.pt.eval.active():
-		r.holdback = append(r.holdback, u)
+		r.holdback = append(r.holdback, heldUpdate{u, m})
 		return true
 	}
 	if r.version >= r.cfg.Rounds {
@@ -679,7 +686,7 @@ func (r *rootClock) take(u *Update) (kept bool) {
 		r.failf("%s apply from client %d: %w", r.algo.Name(), u.Client, err)
 		return false
 	}
-	u.msg.recycle()
+	m.recycle()
 	r.applied++
 	if r.applied >= r.commitEvery {
 		r.commit()
@@ -764,10 +771,10 @@ func (r *rootClock) closeEval() {
 	r.evalPer, r.evalIDs = nil, nil
 	r.finishRound(&m)
 	for len(r.holdback) > 0 && !r.pt.eval.active() && r.fatal == nil {
-		u := r.holdback[0]
+		h := r.holdback[0]
 		r.holdback = r.holdback[1:]
-		if !r.take(u) {
-			u.msg.release()
+		if !r.take(h.u, h.m) {
+			h.m.release()
 		}
 	}
 }
@@ -955,12 +962,12 @@ func (r *rootClock) dispatch(s *peerSession, members ...int) {
 			r.failf("%s dispatch to client %d: %w", r.algo.Name(), id, err)
 			return
 		}
-		payloads = append(payloads, vecs)
+		payloads = append(payloads, f64Bodies(nil, vecs))
 	}
 	if r.tree {
 		r.pt.dispatchMsg(s, treeDispatchMsg(uint64(r.version), members, payloads))
 	} else {
-		r.pt.broadcast(uint64(r.version), payloads[0], nil, s)
+		r.pt.broadcast(uint64(r.version), payloads[0], s)
 	}
 	clear(payloads)
 	r.payloads = payloads

@@ -177,20 +177,8 @@ func newEdgeRun(ctx context.Context, n *AggregatorNode) *edgeClock {
 	e.serverRun = newRun(e, n.algo, pt, children)
 	e.rounds.await, e.evals.await = &pt.round, &pt.eval
 	e.up = newUplink(ctx, fmt.Sprintf("aggregator %d", cfg.Index), n.algo, 0, cfg.Dialer, nil)
-	e.up.rc.inPlace = sharedInPlace(cfg.WireSpec().Value)
 	e.frames, e.dials = e.up.frames, e.up.dials
 	return e
-}
-
-// sharedInPlace is an aggregator's uplink inPlace: a tree dispatch's shared
-// payload stays in the root's frame, to be copied into the children's
-// dispatch frames as it lies, when it is framed at the codec those frames
-// carry and re-encoding its decoded values would give back its bytes — every
-// dense codec but I8, whose scale re-encoding recomputes.
-func sharedInPlace(value comm.Codec) func(*wireMsg, comm.Codec) bool {
-	return func(m *wireMsg, c comm.Codec) bool {
-		return m.kind == msgTreeDispatch && m.b == treeShared && c == value && c != comm.I8
-	}
 }
 
 // full joins the root on behalf of the complete subtree.
@@ -242,7 +230,7 @@ func (e *edgeClock) advance() {
 
 // fromUp handles and recycles the message an uplink delivery passes
 // through: nothing of a root message outlives its handler, which has
-// fanned out any vectors it decoded.
+// encoded its payloads into the children's dispatch frames.
 func (e *edgeClock) fromUp(f upFrame) {
 	if m := e.up.receive(f); m != nil {
 		e.handleUp(m)
@@ -289,8 +277,8 @@ func (e *edgeClock) inRange(what string, ids []int) bool {
 }
 
 // relayRound opens the round a tree dispatch names and fans its payloads
-// out, a shared payload as one broadcast (one child frame, the same bytes
-// to each); a duplicate is the relay's.
+// out as they lie in the root's frame, a shared payload as one broadcast
+// (one child frame, the same bytes to each); a duplicate is the relay's.
 func (e *edgeClock) relayRound(m *wireMsg) {
 	if !e.opens(&e.rounds, m.a) {
 		return
@@ -312,17 +300,17 @@ func (e *edgeClock) relayRound(m *wireMsg) {
 		case m.b == treeShared:
 			shared = append(shared, s)
 		default:
-			e.pt.broadcast(m.a, payloads[i], nil, s)
+			e.pt.broadcast(m.a, payloads[i], s)
 		}
 	}
 	if len(shared) > 0 {
-		e.pt.broadcast(m.a, m.vecs, m.raw, shared...) // from the root's frame, unless decoded (sharedInPlace)
+		e.pt.broadcast(m.a, m.vecs, shared...)
 	}
 	e.pt.round.settle()
 }
 
 // take files a child's upload into the open round.
-func (e *edgeClock) take(u *Update) (kept bool) { return e.collectUpdate(u) }
+func (e *edgeClock) take(u *Update, m *wireMsg) (kept bool) { return e.collectUpdate(u, m) }
 
 // closeRound answers the completed round — the collected updates
 // pre-reduced when the algorithm allows it, bundled raw otherwise — and,

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/comm"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -63,13 +63,14 @@ type clientRun struct {
 	batch    int
 	welcomed bool
 
-	// A dispatch's decoded vectors go back to the pool when WireLocal has
-	// returned — not when the next dispatch is decoded, which may be queued
-	// in nextDispatch while the worker is still training against this one —
-	// and a dispatch dropped as a duplicate is released at once.
+	// The vectors a dispatch was decoded into for WireLocal go back to the
+	// pool when WireLocal has returned — not when the next dispatch is
+	// decoded, which may be queued in nextDispatch while the worker is
+	// still training against this one — and a dispatch dropped as a
+	// duplicate is released at once.
 	training     bool
 	trainVersion uint64
-	trainMsg     *wireMsg // the dispatch the worker is training on
+	trainVecs    [][]float64 // the dispatch the worker is training on
 	trainDone    chan trainResult
 	// nextDispatch holds a dispatch that arrived mid-training (the server
 	// moved on — async redispatch); pendingEval an evaluation request that
@@ -101,7 +102,6 @@ type clientRun struct {
 func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	cr := &clientRun{cn: cn, c: cn.Client, batch: 32, trainDone: make(chan trainResult, 1)}
 	cr.up = newUplink(ctx, fmt.Sprintf("client %d", cn.Client.ID), cn.Algo, cn.Token, cn.Dialer, cn.OnToken)
-	cr.up.rc.inPlace = dispatchInPlace
 	defer cr.drain()
 	defer cr.up.close()
 	if cr.up.attach(conn) {
@@ -119,7 +119,10 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 			}
 		case res := <-cr.trainDone:
 			cr.training = false
-			cr.trainMsg.recycle()
+			for _, v := range cr.trainVecs {
+				tensor.PutStorage(v)
+			}
+			cr.trainVecs = nil
 			cr.finishTraining(res)
 		case <-ctx.Done():
 			return ctx.Err()
@@ -130,10 +133,6 @@ func (cn *ClientNode) Run(ctx context.Context, conn transport.Conn) error {
 	}
 	return cr.up.err
 }
-
-// dispatchInPlace is a client's uplink inPlace: a dispatch stays in its
-// frame until the training that consumes it starts (startTraining).
-func dispatchInPlace(m *wireMsg, _ comm.Codec) bool { return m.kind == msgDispatch }
 
 // drain reaps an in-flight training worker so Run never leaks a goroutine,
 // even when it returns mid-round.
@@ -151,7 +150,7 @@ func (cr *clientRun) join() {
 		cr.fatal = err
 		return
 	}
-	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: j.Init, ints: j.AppendInts(nil)}
+	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: f64Bodies(nil, j.Init), ints: j.AppendInts(nil)}
 	// Sent once per connection, and as large as the init payload: a frame of
 	// its own, so the uplink's upload frame is sized by an upload, and lent,
 	// so it crosses an inproc lane without a copy.
@@ -210,34 +209,32 @@ func (cr *clientRun) handle(m *wireMsg) (kept bool) {
 }
 
 // startTraining takes one dispatch out of its frame and hands it to the
-// worker goroutine. A frame installer's broadcast vector is decoded straight
+// worker goroutine. A frame installer's broadcast body is decoded straight
 // into the client's parameters — nothing trains or evaluates on them until
 // the worker is done — and the local round runs on what it installed; any
-// other dispatch is decoded into pool storage for WireLocal.
-// The frame is released either way.
+// other dispatch is decoded into pool storage for WireLocal. The message is
+// recycled either way.
 func (cr *clientRun) startTraining(m *wireMsg) {
 	version, batch := m.a, cr.batch
 	var local func() (*Update, error)
 	var err error
 	if params := cr.installParams(m); params != nil {
 		vals, _ := nn.Flat(params)
-		err = comm.DecodeInto(&vals, m.raw[0])
+		err = m.vecs[0].DecodeInto(&vals)
 		fi := cr.cn.Algo.(frameInstaller)
 		local = func() (*Update, error) { return fi.localInstalled(cr.c, batch, nil) }
 	} else {
-		err = cr.decodeRaw(m)
-		vecs := m.vecs
+		vecs := decodeVecs(m.vecs)
+		cr.trainVecs = vecs
 		local = func() (*Update, error) { return cr.cn.Algo.WireLocal(cr.c, batch, vecs) }
 	}
-	m.raw = nil
-	m.held.release()
+	m.recycle()
 	if err != nil {
 		cr.fatal = fmt.Errorf("fl: client %d: dispatch: %w", cr.c.ID, err)
-		m.release()
 		return
 	}
 	cr.training = true
-	cr.trainVersion, cr.trainMsg = version, m
+	cr.trainVersion = version
 	go func() {
 		u, err := local()
 		cr.trainDone <- trainResult{version: version, u: u, err: err}
@@ -245,36 +242,20 @@ func (cr *clientRun) startTraining(m *wireMsg) {
 }
 
 // installParams returns the parameters a dispatch's one vector installs
-// into straight from its frame, or nil when the dispatch must be decoded:
+// into straight from its body, or nil when the dispatch must be decoded:
 // the algorithm is no frame installer, or its local round reads the vector
-// too, or the frame's length is not the parameters' (WireLocal then reports
+// too, or the body's length is not the parameters' (WireLocal then reports
 // it).
 func (cr *clientRun) installParams(m *wireMsg) []*nn.Param {
 	fi, ok := cr.cn.Algo.(frameInstaller)
-	if !ok || len(m.raw) != 1 || m.raw[0] == nil {
+	if !ok || len(m.vecs) != 1 || m.vecs[0].Nil() {
 		return nil
 	}
 	params := fi.installParams(cr.c)
-	if _, _, n, err := comm.FrameInfo(m.raw[0]); err != nil || n != nn.NumParams(params) {
+	if m.vecs[0].Len() != nn.NumParams(params) {
 		return nil
 	}
 	return params
-}
-
-// decodeRaw decodes the vectors a dispatch left in its frame into storage
-// from the tensor pool, which the dispatch's recycle hands back.
-func (cr *clientRun) decodeRaw(m *wireMsg) error {
-	for i, vb := range m.raw {
-		if vb == nil {
-			continue
-		}
-		_, v, err := comm.DecodeSpec(nil, vb, nil)
-		if err != nil {
-			return err
-		}
-		m.vecs[i] = v
-	}
-	return nil
 }
 
 // finishTraining uploads a finished round, caching the message for

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,10 +59,7 @@ type PeerTable struct {
 	wc    *wireCodec
 	// ctl is the frame every uncached send — welcome, resume, heartbeat — is
 	// encoded into; it comes into being with the first frame that needs it.
-	ctl []byte
-	// inPlace is what the readers leave in the frames they read (a
-	// wireCodec's inPlace): the uploads of an algorithm that folds frames.
-	inPlace   func(m *wireMsg, c comm.Codec) bool
+	ctl       []byte
 	heartbeat time.Duration
 	deadAfter time.Duration
 	window    time.Duration
@@ -216,7 +214,7 @@ func readClientJoin(m *wireMsg) (int, []WireJoin, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	j.Init = m.vecs
+	j.Init = decodeVecs(m.vecs)
 	return j.ID, []WireJoin{j}, nil
 }
 
@@ -259,9 +257,6 @@ func newPeerTable(noun string, count, base, fleet int, algo WireAlgorithm, spec 
 		embryos:   make(map[transport.Conn]struct{}),
 	}
 	pt.wc = newWireCodec(spec, pt.lossy)
-	if _, ok := algo.(frameFolder); ok {
-		pt.inPlace = foldsInPlace
-	}
 	for i := range pt.sessions {
 		pt.sessions[i] = &peerSession{id: base + i}
 	}
@@ -319,17 +314,6 @@ const (
 	acceptBackoff     = 10 * time.Millisecond
 )
 
-// frameFolder is a wire algorithm whose server half folds a dense F64
-// upload or aggregate straight from the frame it arrived in (wireBody):
-// WeightAvg's methods. Every other algorithm is handed decoded vectors.
-type frameFolder interface{ foldsFrames() }
-
-// foldsInPlace is a frame folder's fan-in inPlace: dense F64 updates and
-// aggregates stay in their frames.
-func foldsInPlace(m *wireMsg, c comm.Codec) bool {
-	return c == comm.F64 && (m.kind == msgUpdate || m.kind == msgAggUpdate)
-}
-
 // acceptLoop feeds handshaken connections into the event loop until the
 // listener dies.
 func (pt *PeerTable) acceptLoop(ln transport.Listener) {
@@ -374,12 +358,11 @@ func (pt *PeerTable) greet(conn transport.Conn) {
 	if err == nil {
 		conn.SetReadDeadline(time.Time{})
 		var m *wireMsg
-		m, err = decodeMsg(frame, nil)
-		conn.Release(frame) // the join decodes whole: nothing of it reads the frame
-		if err == nil {
+		if m, err = decodeMsg(frame, nil); err == nil {
 			ac.name = m.name
-			ac.id, ac.decls, ac.bad = pt.readJoin(m)
+			ac.id, ac.decls, ac.bad = pt.readJoin(m) // decodes what it keeps of the frame
 		}
+		conn.Release(frame)
 	}
 	if err != nil || errors.Is(ac.bad, errNotJoin) {
 		pt.forgetEmbryo(conn)
@@ -404,12 +387,11 @@ func (pt *PeerTable) deliverConn(ac acceptedConn) {
 // connection dies. Each reader owns a fresh wireCodec: the delta bases a
 // connection's uploads accumulate are discarded with the connection, so an
 // adopted reconnect starts dense — exactly as the peer's rebuilt encoder
-// does. A frame is released as soon as it is decoded, unless its message
-// left an upload in it to be folded from there (inPlace); the role releases
-// that message once the fold is done.
+// does. A frame is released as soon as it is decoded, unless a vector of
+// its message lies in it (readMsg); the role releases that message once it
+// has read it.
 func (pt *PeerTable) reader(id, gen int, conn transport.Conn) {
 	wc := newWireCodec(pt.spec, pt.lossy)
-	wc.inPlace = pt.inPlace
 	deliver := func(ev inbound) bool {
 		select {
 		case pt.events <- ev:
@@ -636,25 +618,20 @@ func (pt *PeerTable) dispatchMsg(s *peerSession, m *wireMsg) {
 // carried (by identity, not content) and, once they reached more than one
 // session, their encoding at one version.
 type broadcastFrame struct {
-	last    [][]float64
+	last    []comm.Body
 	frame   []byte
 	version uint64
 	valid   bool
 }
 
-// sameVecs reports whether two payloads are the same vectors — same backing
-// arrays, lengths and nil entries — not merely equal ones.
-func sameVecs(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) || (a[i] == nil) != (b[i] == nil) ||
-			len(a[i]) > 0 && &a[i][0] != &b[i][0] {
-			return false
-		}
-	}
-	return true
+// sameVecs reports whether two payloads are the same vectors — same codecs,
+// lengths, nil entries and memory — not merely equal ones.
+func sameVecs(a, b []comm.Body) bool {
+	return slices.EqualFunc(a, b, func(x, y comm.Body) bool {
+		bx, by := x.Bytes(), y.Bytes()
+		return x.Codec() == y.Codec() && len(bx) == len(by) && (bx == nil) == (by == nil) &&
+			(len(bx) == 0 || &bx[0] == &by[0])
+	})
 }
 
 // broadcast dispatches vecs, stamped version, to every session in ss. Vectors
@@ -666,13 +643,14 @@ func sameVecs(a, b [][]float64) bool {
 // stateless (uploadKind gates sparse and delta framing to msgUpdate), so its
 // bytes are the same for every session by construction. A broadcast for one
 // session that does not repeat the last (KT-pFL's staged transfer, FedProto's
-// table copy) is encoded into that session's own frame. raw, when set, holds
-// vectors still in a received frame (wireMsg.raw), which the encode copies
-// where vecs has nil: such a payload is never the same as the last.
-func (pt *PeerTable) broadcast(version uint64, vecs [][]float64, raw [][]byte, ss ...*peerSession) {
-	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs, raw: raw}
+// table copy) is encoded into that session's own frame. A body still in a
+// received frame (an aggregator relaying the root's payloads) is copied as
+// it lies; the frame is live for the whole relay of one version, so no
+// other payload of that version can share its memory.
+func (pt *PeerTable) broadcast(version uint64, vecs []comm.Body, ss ...*peerSession) {
+	m := &wireMsg{kind: msgDispatch, a: version, vecs: vecs}
 	b := &pt.bcast
-	same := raw == nil && sameVecs(vecs, b.last)
+	same := sameVecs(vecs, b.last)
 	b.last = append(b.last[:0], vecs...)
 	if !same {
 		b.valid = false

@@ -59,25 +59,36 @@ func (a *ShardedAccumulator) Len() int { return len(a.sum) }
 // Accumulate folds one full-length vector under weight w into every
 // segment: sum[i] += w·vec[i], and each segment's weight total gains w.
 func (a *ShardedAccumulator) Accumulate(vec []float64, w float64) {
-	if len(vec) != len(a.sum) {
-		panic("fl: ShardedAccumulator.Accumulate length mismatch")
-	}
 	a.accumulateBody(comm.AsF64Body(vec), w)
 }
 
-// accumulateBody is Accumulate for a vector given as a dense F64 body
-// (comm.F64Body), read where it lies: the one fold kernel, which a decoded
-// vector reaches through its byte view.
-func (a *ShardedAccumulator) accumulateBody(body []byte, w float64) {
-	if len(body) != 8*len(a.sum) {
+// accumulateBody is Accumulate for a vector given as a body, read where it
+// lies: the one fold kernel.
+func (a *ShardedAccumulator) accumulateBody(b comm.Body, w float64) {
+	if b.Len() != len(a.sum) {
 		panic("fl: ShardedAccumulator.Accumulate length mismatch")
 	}
-	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
-		axpyBody(a.sum[lo:hi], body[8*lo:8*hi], w)
+	withF64(b, func(body []byte) {
+		tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
+			axpyBody(a.sum[lo:hi], body[8*lo:8*hi], w)
+		})
 	})
 	for s := range a.wsum {
 		a.wsum[s] += w
 	}
+}
+
+// withF64 hands f b's elements as a dense F64 body: b's own bytes, or for a
+// body of another codec its decoding into pool scratch, which goes back to
+// the pool once f has read it.
+func withF64(b comm.Body, f func(body []byte)) {
+	if b.Codec() == comm.F64 {
+		f(b.Bytes())
+		return
+	}
+	scratch := b.Decode(nil)
+	f(comm.AsF64Body(scratch).Bytes())
+	tensor.PutStorage(scratch)
 }
 
 // axpyBody adds w·v to sum, v given as a dense F64 body as long as sum. It
@@ -114,13 +125,12 @@ func addBody(sum []float64, body []byte) {
 	}
 }
 
-// AccumulateSegment folds a weighted vector into one segment (for example
-// one class prototype). seg must have the segment's exact length.
-func (a *ShardedAccumulator) AccumulateSegment(s int, seg []float64, w float64) {
-	sum := a.segment(s, seg, "AccumulateSegment")
-	for i, v := range seg {
-		sum[i] += w * v
-	}
+// AccumulateSegment folds a weighted vector, given as a body, into one
+// segment (for example one class prototype), as accumulateBody folds a whole
+// vector. seg must have the segment's exact length.
+func (a *ShardedAccumulator) AccumulateSegment(s int, seg comm.Body, w float64) {
+	sum := a.segment(s, seg.Len(), "AccumulateSegment")
+	withF64(seg, func(body []byte) { axpyBody(sum, body, w) })
 	a.wsum[s] += w
 }
 
@@ -131,42 +141,39 @@ func (a *ShardedAccumulator) AccumulateSegment(s int, seg []float64, w float64) 
 // fold must not weight the vector again. The flat Accumulate path is the
 // degenerate case Merge(w·v, w) computed exactly by the aggregator.
 func (a *ShardedAccumulator) Merge(vec []float64, w float64) {
-	if len(vec) != len(a.sum) {
-		panic("fl: ShardedAccumulator.Merge length mismatch")
-	}
 	a.mergeBody(comm.AsF64Body(vec), w)
 }
 
-// mergeBody is Merge for a partial sum given as a dense F64 body, the way
+// mergeBody is Merge for a partial sum given as a body, the way
 // accumulateBody is Accumulate's.
-func (a *ShardedAccumulator) mergeBody(body []byte, w float64) {
-	if len(body) != 8*len(a.sum) {
+func (a *ShardedAccumulator) mergeBody(b comm.Body, w float64) {
+	if b.Len() != len(a.sum) {
 		panic("fl: ShardedAccumulator.Merge length mismatch")
 	}
-	tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
-		addBody(a.sum[lo:hi], body[8*lo:8*hi])
+	withF64(b, func(body []byte) {
+		tensor.ParallelSharded(len(a.sum), a.split, func(_, lo, hi int) {
+			addBody(a.sum[lo:hi], body[8*lo:8*hi])
+		})
 	})
 	for s := range a.wsum {
 		a.wsum[s] += w
 	}
 }
 
-// MergeSegment folds a pre-weighted partial sum into one segment, the
-// segmented counterpart of Merge (per-class prototype sums arriving from an
-// aggregator with their summed weights).
-func (a *ShardedAccumulator) MergeSegment(s int, seg []float64, w float64) {
-	sum := a.segment(s, seg, "MergeSegment")
-	for i, v := range seg {
-		sum[i] += v
-	}
+// MergeSegment folds a pre-weighted partial sum, given as a body, into one
+// segment, the segmented counterpart of mergeBody (per-class prototype sums
+// arriving from an aggregator with their summed weights).
+func (a *ShardedAccumulator) MergeSegment(s int, seg comm.Body, w float64) {
+	sum := a.segment(s, seg.Len(), "MergeSegment")
+	withF64(seg, func(body []byte) { addBody(sum, body) })
 	a.wsum[s] += w
 }
 
-// segment returns segment s's running sum after checking that seg has its
-// length.
-func (a *ShardedAccumulator) segment(s int, seg []float64, op string) []float64 {
+// segment returns segment s's running sum after checking that it has n
+// elements.
+func (a *ShardedAccumulator) segment(s, n int, op string) []float64 {
 	sum := a.sum[a.bounds[s]:a.bounds[s+1]]
-	if len(seg) != len(sum) {
+	if n != len(sum) {
 		panic("fl: ShardedAccumulator." + op + " length mismatch")
 	}
 	return sum
@@ -198,7 +205,7 @@ func (a *ShardedAccumulator) CommitInto(dst []float64, mix float64, touched []bo
 // and it reports true; otherwise dst is left as it is (so, for example, an
 // unseen prototype class keeps its previous value) and it reports false.
 func (a *ShardedAccumulator) CommitSegment(s int, dst []float64, mix float64) bool {
-	sum := a.segment(s, dst, "CommitSegment")
+	sum := a.segment(s, len(dst), "CommitSegment")
 	w := a.wsum[s]
 	if w <= 0 {
 		return false

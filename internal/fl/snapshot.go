@@ -155,9 +155,11 @@ func CloneVec(v []float64) []float64 {
 func (u *Update) clone() *Update {
 	c := *u
 	if u.Vecs != nil {
-		c.Vecs = make([][]float64, len(u.Vecs))
+		c.Vecs = make([]comm.Body, len(u.Vecs))
 		for i, v := range u.Vecs {
-			c.Vecs[i] = CloneVec(v)
+			if !v.Nil() {
+				c.Vecs[i] = comm.AsF64Body(v.Decode(make([]float64, v.Len())))
+			}
 		}
 	}
 	if u.Counts != nil {

@@ -550,16 +550,9 @@ func AppendRecord(dst, rec []byte, c comm.Codec) ([]byte, error) {
 	r := comm.NewReader(rec, "client record")
 	recHeader(&r)
 	dst = append(dst, rec[:len(rec)-r.Len()]...)
-	var v []float64
 	for kind := recParams; r.Err() == nil && (kind <= recBuffers || r.Len() > 0); kind = min(kind+1, recMoment) {
-		switch fr, fc, _ := r.DenseFrame(kind); {
-		case r.Err() != nil:
-		case fc == c:
-			dst = append(binary.LittleEndian.AppendUint64(dst, uint64(len(fr))), fr...)
-		default:
-			if v = r.Decode(fr, v[:0]); r.Err() == nil {
-				dst = comm.AppendFrame(dst, comm.Spec{Value: c}, kind, v, nil)
-			}
+		if b := r.DenseFrame(kind); r.Err() == nil {
+			dst = b.AppendFrame(dst, comm.Spec{Value: c}, kind, nil)
 		}
 	}
 	return dst, r.Err()
@@ -597,18 +590,18 @@ func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, int
 	r := comm.NewReader(rec, "client record")
 	rng, live.Ints = recHeader(&r)
 	model, total := params != nil, nn.NumParams(params)
-	if fr, _, n := r.DenseFrame(recParams); model && r.Err() == nil && n != total {
-		return rng, live, fmt.Errorf("parameters: checkpoint has %d values, model has %d", n, total)
+	if b := r.DenseFrame(recParams); model && r.Err() == nil && b.Len() != total {
+		return rng, live, fmt.Errorf("parameters: checkpoint has %d values, model has %d", b.Len(), total)
 	} else if vals, _ := nn.Flat(params); into && vals.DT == tensor.F64 {
-		r.Decode(fr, vals.Data[:0])
-	} else if sb.vec = r.Decode(fr, sb.vec[:0]); into && r.Err() == nil {
+		b.Decode(vals.Data[:0])
+	} else if sb.vec = b.Decode(sb.vec[:0]); into && r.Err() == nil {
 		if err := nn.SetFlatParams(params, sb.vec); err != nil {
 			return rng, live, fmt.Errorf("parameters: %w", err)
 		}
 	}
-	if fr, _, n := r.DenseFrame(recBuffers); model && r.Err() == nil && n != nn.NumBuffered(bufs) {
-		return rng, live, fmt.Errorf("buffers: checkpoint has %d values, model has %d", n, nn.NumBuffered(bufs))
-	} else if sb.vec = r.Decode(fr, sb.vec[:0]); into && r.Err() == nil {
+	if b := r.DenseFrame(recBuffers); model && r.Err() == nil && b.Len() != nn.NumBuffered(bufs) {
+		return rng, live, fmt.Errorf("buffers: checkpoint has %d values, model has %d", b.Len(), nn.NumBuffered(bufs))
+	} else if sb.vec = b.Decode(sb.vec[:0]); into && r.Err() == nil {
 		if err := nn.SetFlatBuffers(bufs, sb.vec); err != nil {
 			return rng, live, fmt.Errorf("buffers: %w", err)
 		}
@@ -616,12 +609,12 @@ func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, int
 	// The moment frames, end to end, are the slab.
 	sb.vec = sb.vec[:0]
 	for i := 0; r.Err() == nil && r.Len() > 0; i++ {
-		fr, _, n := r.DenseFrame(recMoment)
-		if model && r.Err() == nil && (len(params) == 0 || n != params[i%len(params)].Value.Size()) {
-			return rng, live, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", i, n)
+		b := r.DenseFrame(recMoment)
+		if model && r.Err() == nil && (len(params) == 0 || b.Len() != params[i%len(params)].Value.Size()) {
+			return rng, live, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", i, b.Len())
 		}
-		sb.vec = slices.Grow(sb.vec, n)
-		sb.vec = sb.vec[:len(sb.vec)+len(r.Decode(fr, sb.vec[len(sb.vec):]))]
+		sb.vec = slices.Grow(sb.vec, b.Len())
+		sb.vec = sb.vec[:len(sb.vec)+len(b.Decode(sb.vec[len(sb.vec):]))]
 	}
 	switch {
 	case r.Err() != nil:

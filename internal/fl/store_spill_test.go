@@ -77,8 +77,7 @@ func rewriteRecord(t *testing.T, rec []byte, edit func(vecs [][]float64) [][]flo
 	out := append([]byte(nil), rec[:len(rec)-r.Len()]...)
 	var vecs [][]float64
 	for kind := recParams; r.Err() == nil && r.Len() > 0; kind = min(kind+1, recMoment) {
-		fr, _, _ := r.DenseFrame(kind)
-		vecs = append(vecs, r.Decode(fr, nil))
+		vecs = append(vecs, r.DenseFrame(kind).Decode(nil))
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())

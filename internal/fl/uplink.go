@@ -45,14 +45,9 @@ type uplink struct {
 	// connection: delta bases die with it, so the first upload after a
 	// reconnect goes dense — matching the equally fresh decoder above.
 	wc *wireCodec
-	// rc is the pump's decode context: plain dense (nothing sent down is
-	// ever sparse or delta framed), leaving in their frames the vectors the
-	// role reads there (its inPlace: a client's dispatch, an aggregator's
-	// shared tree payload). out is the
-	// frame a client's upload is encoded into, lent to the peer above
-	// (lendMsg), and ctl the one every other uncached message the role sends
-	// up is; each comes into being with its first send.
-	rc       wireCodec
+	// out is the frame a client's upload is encoded into, lent to the peer
+	// above (lendMsg), and ctl the one every other uncached message the role
+	// sends up is; each comes into being with its first send.
 	out, ctl []byte
 	// deadMs is the announced dead interval in milliseconds, read by the
 	// pump to bound each Recv (atomic: the event loop stores it when a
@@ -177,7 +172,7 @@ func (u *uplink) pump(gen int, conn transport.Conn) {
 		f := upFrame{gen: gen}
 		var b []byte
 		if b, _, f.err = conn.Recv(); f.err == nil {
-			f.m, f.bad = readMsg(conn, b, &u.rc)
+			f.m, f.bad = readMsg(conn, b, nil) // nothing sent down is sparse or delta framed
 		}
 		select {
 		case u.frames <- f:

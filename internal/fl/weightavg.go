@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -27,7 +28,7 @@ type WeightMethod interface {
 	// Upload returns an in-process update's vectors around c's quantized
 	// shared upload, which is their last entry and the one the half
 	// averages. Checkpoints store in-flight updates as they are.
-	Upload(c *Client, shared []float64) [][]float64
+	Upload(c *Client, shared []float64) []comm.Body
 }
 
 // WeightAvg is the server half, and the local step, of every method whose
@@ -82,7 +83,7 @@ func (h *WeightAvg) WireStart(joins []WireJoin, want int, average bool, shards i
 		if len(j.Init) != 1 || len(j.Init[0]) != want {
 			return fmt.Errorf("fl: client %d joined %s with a malformed init payload", j.ID, h.m.Name())
 		}
-		inits[i] = &Update{Client: j.ID, Scale: DataScale(j.TrainSize), Vecs: j.Init}
+		inits[i] = &Update{Client: j.ID, Scale: DataScale(j.TrainSize), Vecs: f64Bodies(nil, j.Init)}
 	}
 	if average {
 		h.global = weightedAverage(inits, 0)
@@ -195,11 +196,15 @@ func (h *WeightAvg) AsyncLocalGroup(sim *Simulation, clients []int) ([]*Update, 
 // AsyncApply folds a staleness-weighted update's shared weights into the
 // accumulator.
 func (h *WeightAvg) AsyncApply(_ *Simulation, u *Update) error {
-	v := u.Vecs[len(u.Vecs)-1]
-	if len(v) != h.acc.Len() {
-		return fmt.Errorf("fl: client %d uploaded %d %s weights, server expects %d", u.Client, len(v), h.m.Name(), h.acc.Len())
+	return h.apply(u, u.Vecs[len(u.Vecs)-1])
+}
+
+// apply folds v, u's shared weights, into the accumulator.
+func (h *WeightAvg) apply(u *Update, v comm.Body) error {
+	if v.Len() != h.acc.Len() {
+		return fmt.Errorf("fl: client %d uploaded %d %s weights, server expects %d", u.Client, v.Len(), h.m.Name(), h.acc.Len())
 	}
-	h.acc.Accumulate(v, u.Weight)
+	h.acc.accumulateBody(v, u.Weight)
 	return nil
 }
 
@@ -242,7 +247,7 @@ func (h *WeightAvg) installParams(c *Client) []*nn.Param {
 func (h *WeightAvg) localInstalled(c *Client, batchSize int, ref []float64) (*Update, error) {
 	shared := h.m.Shared(c)
 	h.m.Train([]*Client{c}, batchSize, [][]float64{ref})
-	return &Update{Client: c.ID, Scale: DataScale(len(c.Train)), Vecs: [][]float64{wireUpload(c, shared)}}, nil
+	return &Update{Client: c.ID, Scale: DataScale(len(c.Train)), Vecs: []comm.Body{comm.AsF64Body(wireUpload(c, shared))}}, nil
 }
 
 // wireUpload is a wire upload of c's shared weights: an F64 model's value
@@ -257,23 +262,13 @@ func wireUpload(c *Client, shared []*nn.Param) []float64 {
 	return c.FlatUpload(shared)
 }
 
-// WireApply folds one weighted upload into the accumulator, from the frame
-// it arrived in when the fan-in left it there.
+// WireApply folds one weighted upload into the accumulator.
 func (h *WeightAvg) WireApply(u *Update) error {
 	if len(u.Vecs) != 1 {
 		return fmt.Errorf("fl: client %d uploaded %d %s vectors, want 1", u.Client, len(u.Vecs), h.m.Name())
 	}
-	body, _ := wireBody(u.Vecs[0], u.msg)
-	if len(body) != 8*h.acc.Len() {
-		return fmt.Errorf("fl: client %d uploaded %d %s weights, server expects %d", u.Client, len(body)/8, h.m.Name(), h.acc.Len())
-	}
-	h.acc.accumulateBody(body, u.Weight)
-	return nil
+	return h.apply(u, u.Vecs[0])
 }
-
-// foldsFrames marks the server half as folding dense F64 uploads and
-// aggregates from the frames they arrive in (frameFolder).
-func (h *WeightAvg) foldsFrames() {}
 
 // WireCommit merges the round's accumulated average into the global vector.
 func (h *WeightAvg) WireCommit() error {
@@ -288,25 +283,20 @@ func (h *WeightAvg) WireCommit() error {
 func (h *WeightAvg) PreReduce(updates []*Update) (*AggUpdate, error) {
 	au := &AggUpdate{Children: len(updates)}
 	for i, u := range updates {
-		var body []byte
-		ok := len(u.Vecs) == 1
-		if ok {
-			body, ok = wireBody(u.Vecs[0], u.msg)
-		}
-		if !ok {
+		if len(u.Vecs) != 1 || u.Vecs[0].Nil() {
 			return nil, fmt.Errorf("fl: client %d uploaded a malformed payload (%d vectors, want 1)", u.Client, len(u.Vecs))
 		}
-		n := len(body) / 8
+		n := u.Vecs[0].Len()
 		if i == 0 {
 			h.pre = ReuseExactAccumulator(h.pre, n)
 		} else if n != h.pre.Len() {
 			return nil, fmt.Errorf("fl: client %d uploaded %d weights, subtree peers uploaded %d", u.Client, n, h.pre.Len())
 		}
-		h.pre.foldBody(body, u.Weight)
+		h.pre.foldBody(u.Vecs[0], u.Weight)
 	}
 	if len(updates) > 0 {
 		h.preSum, au.Weight = h.pre.RoundInto(h.preSum)
-		au.Vecs = [][]float64{h.preSum}
+		au.Vecs = []comm.Body{comm.AsF64Body(h.preSum)}
 	}
 	return au, nil
 }
@@ -317,14 +307,10 @@ func (h *WeightAvg) WireApplyAggregate(u *AggUpdate) error {
 	if u.Children == 0 {
 		return nil
 	}
-	var body []byte
-	if len(u.Vecs) == 1 {
-		body, _ = wireBody(u.Vecs[0], u.msg)
-	}
-	if body == nil || len(body) != 8*h.acc.Len() {
+	if len(u.Vecs) != 1 || u.Vecs[0].Nil() || u.Vecs[0].Len() != h.acc.Len() {
 		return fmt.Errorf("fl: aggregator %d forwarded a malformed %s aggregate", u.Agg, h.m.Name())
 	}
-	h.acc.mergeBody(body, u.Weight)
+	h.acc.mergeBody(u.Vecs[0], u.Weight)
 	return nil
 }
 
@@ -338,13 +324,10 @@ func weightedAverage(us []*Update, vec int) []float64 {
 	}
 	var out []float64
 	for _, u := range us {
-		w := u.Scale / total
 		if out == nil {
-			out = make([]float64, len(u.Vecs[vec]))
+			out = make([]float64, u.Vecs[vec].Len())
 		}
-		for j, x := range u.Vecs[vec] {
-			out[j] += w * x
-		}
+		withF64(u.Vecs[vec], func(body []byte) { axpyBody(out, body, u.Scale/total) })
 	}
 	return out
 }

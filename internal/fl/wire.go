@@ -3,6 +3,8 @@ package fl
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -109,24 +111,22 @@ const (
 	welIntCount
 )
 
-// wireMsg is one decoded protocol message.
+// wireMsg is one decoded protocol message. Its payload vectors are bodies
+// (comm.Body): a dense vector frame is read where it lies in the received
+// frame, which held keeps — the message's until it is released — and a top-k
+// or delta frame is decoded into tensor pool storage.
 type wireMsg struct {
 	kind   uint32
 	a, b   uint64
 	name   string
 	ints   []int64
 	counts []int
-	vecs   [][]float64
-	// raw is set when decodeMsg left vectors where they lie (the codec's
-	// inPlace): raw[i] is vector i's comm frame inside the received frame,
-	// and vecs[i] is nil, or raw[i] is nil for a vector decoded into vecs.
-	// held is that received frame, the message's until it is released.
-	raw  [][]byte
-	held heldFrame
+	vecs   []comm.Body
+	held   heldFrame
 }
 
-// heldFrame is a received frame a message still reads, and the connection
-// it goes back to.
+// heldFrame is the frame a message was decoded from, and the connection it
+// goes back to while the message still reads it (nil once it went back).
 type heldFrame struct {
 	frame []byte
 	conn  transport.Conn
@@ -140,44 +140,67 @@ func (h *heldFrame) release() {
 	*h = heldFrame{}
 }
 
+// holds reports whether b lies inside the frame.
+func (h *heldFrame) holds(b []byte) bool {
+	if len(b) == 0 || len(h.frame) == 0 {
+		return false
+	}
+	at, lo := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&h.frame[0]))
+	return at >= lo && at < lo+uintptr(len(h.frame))
+}
+
 // release hands the frame the message still reads back to its connection
-// and takes it and the decoded vectors off the message, leaving the vectors
-// to the collector: the message is dropped, or its reader is done with it
-// without having used them (a nil message has none). Anything still holding
-// m.vecs — an Update built from it — must be done too. Releasing a message
+// and takes the vectors off the message, leaving any it decoded to the
+// collector: the message is dropped, or its reader is done with it without
+// having used them (a nil message has none). Anything still reading its
+// vectors — an Update built from it — must be done too. Releasing a message
 // twice is a no-op.
 func (m *wireMsg) release() {
 	if m != nil {
-		m.vecs, m.raw = nil, nil
+		m.vecs = nil
 		m.held.release()
 	}
 }
 
 // recycle is release for a message whose vectors its role has used — folded,
-// pre-reduced, re-encoded or trained on — so they are of lengths the role
-// decodes again, and go back to the tensor pool for that. A dropped message
-// is only released: the pool keeps a list per length, and a vector of a
-// length nothing asks for again would stay in it for good.
+// pre-reduced, re-encoded or trained on — so that the vectors it decoded
+// (those not in its frame) are of lengths the role decodes again, and go
+// back to the tensor pool for that. A dropped message is only released: the
+// pool keeps a list per length, and a vector of a length nothing asks for
+// again would stay in it for good.
 func (m *wireMsg) recycle() {
 	if m != nil {
-		for _, v := range m.vecs {
-			tensor.PutStorage(v)
+		for _, b := range m.vecs {
+			if !m.held.holds(b.Bytes()) {
+				tensor.PutStorage(b.Floats())
+			}
 		}
 		m.release()
 	}
 }
 
-// wireBody returns a payload's vector 0 as a dense F64 body: the bytes of
-// v, the decoded vector, or those of the frame msg left it in. ok is false
-// for a nil vector.
-func wireBody(v []float64, msg *wireMsg) (body []byte, ok bool) {
-	if v != nil {
-		return comm.AsF64Body(v), true
+// f64Bodies appends vs to dst as F64 bodies over their own memory.
+func f64Bodies(dst []comm.Body, vs [][]float64) []comm.Body {
+	for _, v := range vs {
+		dst = append(dst, comm.AsF64Body(v))
 	}
-	if msg != nil && len(msg.raw) > 0 && msg.raw[0] != nil {
-		return comm.F64Body(msg.raw[0])
+	return dst
+}
+
+// decodeVecs decodes bodies into vectors of tensor pool storage, nil for an
+// absent one: for a reader that keeps float64s (a join's init payload) or
+// hands them to WireLocal, which tensor.PutStorage takes back.
+func decodeVecs(bodies []comm.Body) [][]float64 {
+	if bodies == nil {
+		return nil
 	}
-	return nil, false
+	vs := make([][]float64, len(bodies))
+	for i, b := range bodies {
+		if !b.Nil() {
+			vs[i] = b.Decode(nil)
+		}
+	}
+	return vs
 }
 
 // lendMsg encodes m into buf and lends the frame (transport.Lend), so an
@@ -192,19 +215,19 @@ func lendMsg(buf []byte, m *wireMsg, wc *wireCodec) []byte {
 
 // appendMsg serializes a message after dst[:len(dst)] and returns the
 // extended buffer, framing payload vectors per the connection's wireCodec
-// (nil = plain dense f64). The buffer is the caller's: a role passes the
-// same one back every round (buf = appendMsg(buf[:0], …)) and the frame is
-// valid until it does; a frame encoded once and kept (a join, the stop)
-// starts from nil. Vectors are encoded straight into it — grown once, from
-// MarshalSpecBound, when its capacity is short.
+// (nil = plain dense f64): a body already framed at its slot's spec is
+// copied as it lies, any other is encoded from its elements. The buffer is
+// the caller's: a role passes the same one back every round (buf =
+// appendMsg(buf[:0], …)) and the frame is valid until it does; a frame
+// encoded once and kept (a join, the stop) starts from nil. Vectors are
+// written straight into it — grown once, from MarshalSpecBound, when its
+// capacity is short.
 func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	size := 4 + 8 + 8 + 8 + len(m.name) + 8 + 8*len(m.ints) + 8 + 8*len(m.counts) + 8
-	for i, v := range m.vecs {
+	for _, v := range m.vecs {
 		size++ // presence byte
-		if v != nil {
-			size += 8 + comm.MarshalSpecBound(wc.specFor(m.kind, len(v)), len(v))
-		} else if i < len(m.raw) {
-			size += 8 + len(m.raw[i])
+		if !v.Nil() {
+			size += 8 + comm.MarshalSpecBound(wc.specFor(m.kind, v.Len()), v.Len())
 		}
 	}
 	b := dst
@@ -226,19 +249,11 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.vecs)))
 	for i, v := range m.vecs {
-		switch {
-		case v != nil:
-			b = comm.AppendFrame(append(b, 1), wc.specFor(m.kind, len(v)), m.kind, v, wc.ref(m.kind, i, len(v)))
-		case i < len(m.raw) && m.raw[i] != nil:
-			// A vector frame another message carried, framed as wc frames
-			// this one's (the caller's to ensure): the same bytes, tagged
-			// with this message's kind.
-			b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(len(m.raw[i])))
-			b = append(b, m.raw[i]...)
-			binary.LittleEndian.PutUint32(b[len(b)-len(m.raw[i]):], m.kind)
-		default:
+		if v.Nil() {
 			b = append(b, 0)
+			continue
 		}
+		b = v.AppendFrame(append(b, 1), wc.specFor(m.kind, v.Len()), m.kind, wc.ref(m.kind, i, v.Len()))
 	}
 	return b
 }
@@ -246,15 +261,15 @@ func appendMsg(dst []byte, m *wireMsg, wc *wireCodec) []byte {
 // decodeMsg parses one message frame, resolving sparse and delta vector
 // frames through the connection's wireCodec (nil accepts dense and top-k
 // frames but rejects delta, which needs a negotiated basis). Nothing in the
-// result aliases frame but the vector frames the codec's inPlace admits,
-// which are left where they lie (m.raw): a message with any is the frame's
-// reader until it is released (readMsg). Decoded payload vectors are
-// exact-length storage from the tensor pool, which comm draws only for a
-// frame whose declared length has passed its checks: they are the
-// message's until it is recycled or released.
+// result aliases frame but the bodies of its dense vector frames, which are
+// read where they lie: a message with any is the frame's reader until it is
+// released (readMsg). A top-k or delta frame is decoded into exact-length
+// storage from the tensor pool, which comm draws only for a frame whose
+// declared length has passed its checks: it is the message's until the
+// message is recycled or released.
 func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 	r := comm.NewReader(frame, "fl: wire message")
-	m := &wireMsg{kind: r.U32(), a: r.U64(), b: r.U64()}
+	m := &wireMsg{kind: r.U32(), a: r.U64(), b: r.U64(), held: heldFrame{frame: frame}}
 	m.name = string(r.Take(r.Count(1)))
 	if n := r.Count(8); n > 0 {
 		m.ints = make([]int64, n)
@@ -269,45 +284,38 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 		}
 	}
 	if n := r.Count(1); n > 0 {
-		// A vector slot costs one presence byte on the wire but 24 bytes
-		// of slice header decoded, so the table grows with the slots
-		// actually parsed instead of trusting the declared count.
-		m.vecs = make([][]float64, 0, min(n, 64))
+		// A vector slot costs one presence byte on the wire but a body's
+		// 40 bytes decoded, so the table grows with the slots actually
+		// parsed instead of trusting the declared count.
+		m.vecs = make([]comm.Body, 0, min(n, 64))
 		for i := 0; i < n && r.Err() == nil; i++ {
-			if !r.Bool() {
-				m.vecs = append(m.vecs, nil)
-				if m.raw != nil {
-					m.raw = append(m.raw, nil)
+			var body comm.Body
+			if r.Bool() {
+				vb := r.Frame()
+				if r.Err() != nil {
+					break
 				}
-				continue
-			}
-			vb := r.Frame()
-			if r.Err() != nil {
-				break
-			}
-			if wc.leaves(m, i, vb) {
-				if m.raw == nil {
-					m.raw = make([][]byte, i, cap(m.vecs))
+				_, tag, count, err := comm.FrameInfo(vb)
+				var ref *comm.DeltaRef
+				if err == nil {
+					ref = wc.ref(m.kind, i, count)
 				}
-				m.vecs, m.raw = append(m.vecs, nil), append(m.raw, vb)
-				continue
+				if body.SetFrame(vb) {
+					if ref != nil {
+						// A dense frame on a delta slot establishes its basis.
+						ref.Base, ref.Tag = body.Decode(ref.Base), 1
+					}
+				} else if _, v, err := comm.DecodeSpec(nil, vb, ref); err != nil {
+					r.Failf("vector %d: %v", i, err)
+					break
+				} else {
+					body = comm.AsF64Body(v)
+				}
+				if tag != m.kind {
+					r.Failf("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
+				}
 			}
-			var ref *comm.DeltaRef
-			if _, _, n, err := comm.FrameInfo(vb); err == nil {
-				ref = wc.ref(m.kind, i, n)
-			}
-			tag, payload, err := comm.DecodeSpec(nil, vb, ref)
-			if err != nil {
-				r.Failf("vector %d: %v", i, err)
-				break
-			}
-			m.vecs = append(m.vecs, payload)
-			if m.raw != nil {
-				m.raw = append(m.raw, nil)
-			}
-			if tag != m.kind {
-				r.Failf("vector %d tagged %#x inside a %#x message", i, tag, m.kind)
-			}
+			m.vecs = append(m.vecs, body)
 		}
 	}
 	if err := r.End(); err != nil {
@@ -318,15 +326,15 @@ func decodeMsg(frame []byte, wc *wireCodec) (*wireMsg, error) {
 }
 
 // readMsg decodes one frame conn received. The frame goes back to conn at
-// once unless the message left vectors in it, which then holds it.
+// once unless a vector of the message lies in it, which then holds it.
 func readMsg(conn transport.Conn, frame []byte, wc *wireCodec) (*wireMsg, error) {
 	m, err := decodeMsg(frame, wc)
-	if err != nil || m.raw == nil {
-		conn.Release(frame)
-		return m, err
+	if err == nil && slices.ContainsFunc(m.vecs, func(b comm.Body) bool { return m.held.holds(b.Bytes()) }) {
+		m.held.conn = conn
+		return m, nil
 	}
-	m.held = heldFrame{frame: frame, conn: conn}
-	return m, nil
+	conn.Release(frame)
+	return m, err
 }
 
 // WireJoin is a client's handshake-time declaration: its identity, data
@@ -390,9 +398,9 @@ func ParseJoin(ints []int64) (WireJoin, error) {
 
 // frameInstaller is a wire algorithm whose broadcast is one vector
 // installed whole into the client's parameters: WeightAvg's methods. A
-// client node decodes such a dispatch straight from its frame into
-// installParams and runs localInstalled — WireLocal after the install, with
-// ref the Ref the broadcast would give — instead of WireLocal.
+// client node decodes such a dispatch's body straight into installParams
+// and runs localInstalled — WireLocal after the install, with ref the Ref
+// the broadcast would give — instead of WireLocal.
 type frameInstaller interface {
 	// installParams returns the parameters c installs a broadcast into, or
 	// nil when its local round also reads the broadcast vector (a proximal
@@ -432,15 +440,15 @@ type WireAlgorithm interface {
 	// quantization; it is the caller's again when WireLocal returns, so
 	// nothing of it may be kept. The returned Update.Vecs are valid until
 	// the next WireLocal on the same client — or until a client node
-	// installs its next dispatch from the frame (frameInstaller): they may
-	// be the client's own parameters (WeightAvg's upload of an F64 model
-	// is its value slab), so nothing may write them.
+	// installs its next dispatch (frameInstaller): they may be the
+	// client's own parameters (WeightAvg's upload of an F64 model is its
+	// value slab), so nothing may write them.
 	WireLocal(c *Client, batchSize int, dispatch [][]float64) (*Update, error)
 	// WireApply folds one weighted update into the server's accumulators
-	// (server half; u.Weight is final). It must not retain u.Vecs, or the
-	// frame an upload was left in, past the call — the fan-in releases
-	// both to the next uploads — and copies what it needs to keep. Only a
-	// frameFolder is handed uploads still in their frames.
+	// (server half; u.Weight is final). u.Vecs are bodies, most often read
+	// where they lie in the frame the upload arrived in: nothing of them
+	// may be retained past the call — the fan-in releases them to the next
+	// uploads — and what is kept is decoded into storage of its own.
 	WireApply(u *Update) error
 	// WireCommit merges accumulated state into the committed globals,
 	// completing one round (server half).

@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
@@ -27,11 +28,28 @@ type testPeer struct {
 
 func (p *testPeer) send(m *wireMsg) {
 	p.t.Helper()
-	n, err := p.conn.Send(appendMsg(nil, m, nil))
+	p.sendFrame(appendMsg(nil, m, nil))
+}
+
+// sendFrame sends one encoded message as it is.
+func (p *testPeer) sendFrame(frame []byte) {
+	p.t.Helper()
+	n, err := p.conn.Send(frame)
 	if err != nil {
-		p.t.Fatalf("send %#x: %v", m.kind, err)
+		p.t.Fatalf("send %#x: %v", binary.LittleEndian.Uint32(frame), err)
 	}
 	p.wire += n
+}
+
+// rawVecMsg encodes m, which carries no vectors, with one vector slot
+// holding vector frame vb, valid or not, tagged with m's kind.
+func rawVecMsg(m *wireMsg, vb []byte) []byte {
+	b := appendMsg(nil, m, nil) // ends with the vector count, 0
+	binary.LittleEndian.PutUint64(b[len(b)-8:], 1)
+	b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(len(vb)))
+	b = append(b, vb...)
+	binary.LittleEndian.PutUint32(b[len(b)-len(vb):], m.kind)
+	return b
 }
 
 // expect reads until a message of the wanted kind arrives, skipping
@@ -101,7 +119,7 @@ func (a *stubWire) WireLocal(c *Client, _ int, dispatch [][]float64) (*Update, e
 	if a.local != nil {
 		a.local(dispatch)
 	}
-	return &Update{Client: c.ID, Scale: 1, Vecs: [][]float64{{float64(c.ID)}}}, nil
+	return &Update{Client: c.ID, Scale: 1, Vecs: bodiesOf([][]float64{{float64(c.ID)}})}, nil
 }
 func (a *stubWire) WireApply(u *Update) error {
 	a.mu.Lock()
@@ -109,7 +127,7 @@ func (a *stubWire) WireApply(u *Update) error {
 	if a.applied == nil {
 		a.applied = map[int][]float64{}
 	}
-	a.applied[u.Client] = append([]float64(nil), u.Vecs[0]...)
+	a.applied[u.Client] = floatsOf(u.Vecs)[0]
 	return nil
 }
 func (a *stubWire) WireCommit() error { return nil }
@@ -171,11 +189,11 @@ func TestClientDispatchValidUntilWireLocalReturns(t *testing.T) {
 
 	srv.expect(msgJoin)
 	srv.send(welcomeFor(algo, 1))
-	srv.send(&wireMsg{kind: msgDispatch, a: 0, vecs: [][]float64{first}})
+	srv.send(&wireMsg{kind: msgDispatch, a: 0, vecs: bodiesOf([][]float64{first})})
 	<-entered
 	// The worker is inside WireLocal. Push the next version through the same
 	// uplink; the heartbeat echo proves the client has decoded and queued it.
-	srv.send(&wireMsg{kind: msgDispatch, a: 1, vecs: [][]float64{second}})
+	srv.send(&wireMsg{kind: msgDispatch, a: 1, vecs: bodiesOf([][]float64{second})})
 	srv.send(&wireMsg{kind: msgHeartbeat, a: 99})
 	if hb := srv.expect(msgHeartbeat); hb.a != 99 {
 		t.Fatalf("heartbeat echo carries %d, want 99", hb.a)
@@ -240,15 +258,15 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 	}
 	for _, p := range peers {
 		p.expect(msgWelcome)
-		if d := p.expect(msgDispatch); bitsSum(d.vecs[0]) != bitsSum(algo.global) {
+		if d := p.expect(msgDispatch); bitsSum(floatsOf(d.vecs)[0]) != bitsSum(algo.global) {
 			t.Fatal("dispatch does not carry the global")
 		}
 	}
 
 	x0, dup, x1 := ramp(n, 100), ramp(n, -100), ramp(n, 3e9)
 	p0, p1 := peers[0], peers[1]
-	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{x0}})
-	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{dup}})
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: bodiesOf([][]float64{x0})})
+	p0.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: bodiesOf([][]float64{dup})})
 	// The event loop books a frame when it starts on it, so the heartbeat
 	// being booked means the duplicate before it is fully dealt with.
 	p0.send(&wireMsg{kind: msgHeartbeat})
@@ -258,7 +276,7 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	p1.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{x1}})
+	p1.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: bodiesOf([][]float64{x1})})
 
 	for _, p := range peers {
 		req := p.expect(msgEvalReq)
@@ -319,7 +337,7 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 		}
 		defer conn.Close()
 		j := WireJoin{ID: id, TrainSize: 10 + id}
-		(&testPeer{t: t, conn: conn}).send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: [][]float64{inits[id]}})
+		(&testPeer{t: t, conn: conn}).send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: bodiesOf([][]float64{inits[id]})})
 	}
 	for !g.pt.full() {
 		if err := g.pt.admit(<-g.pt.conns, 0); err != nil {
@@ -450,7 +468,7 @@ func TestDroppedVectorsStayOutOfThePool(t *testing.T) {
 		}
 		j := WireJoin{ID: 5, TrainSize: 10}
 		p := dial()
-		p.send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: [][]float64{nil}, raw: [][]byte{vb}})
+		p.sendFrame(rawVecMsg(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil)}, vb))
 		for {
 			if _, _, err := p.conn.Recv(); err != nil {
 				break
@@ -465,12 +483,12 @@ func TestDroppedVectorsStayOutOfThePool(t *testing.T) {
 	p.send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil)})
 	p.expect(msgWelcome)
 	p.expect(msgDispatch)
-	p.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{ramp(8, 1)}})
+	p.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: bodiesOf([][]float64{ramp(8, 1)})})
 	req := p.expect(msgEvalReq)
 	for i := range lengths {
 		n := base + 2*(lengths+i)
 		claimed = append(claimed, n)
-		p.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{nil}, raw: [][]byte{topk(n)}})
+		p.sendFrame(rawVecMsg(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1)}, topk(n)))
 	}
 	// The event loop books a frame when it starts on it, so the heartbeat
 	// being booked means the duplicates before it are fully dealt with.

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // TestWireMsgRoundTripAllocs is the wireMsgRoundTrip hot path — one model-
 // sized msgUpdate encoded into an owned frame, sent over an inproc
-// connection, received, decoded into pool storage and recycled —
+// connection, received, decoded (its body read where it lies) and recycled —
 // at the wire benchmark's geometry (d = 107 722). In steady state the frame,
 // the transport's copy and the decoded vector are all recycled: what is left
 // is the decoded message's envelope. It lives here rather than among the
@@ -38,7 +39,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 	}
 	defer srv.Close()
 
-	up := &wireMsg{kind: msgUpdate, a: 3, b: math.Float64bits(30), vecs: [][]float64{ramp(d, 0.25)}}
+	up := &wireMsg{kind: msgUpdate, a: 3, b: math.Float64bits(30), vecs: bodiesOf([][]float64{ramp(d, 0.25)})}
 	enc, dec := plainWire(comm.F64), plainWire(comm.F64)
 	var frame []byte
 	roundTrip := func() {
@@ -54,7 +55,7 @@ func TestWireMsgRoundTripAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.vecs) != 1 || m.vecs[0][d-1] != up.vecs[0][d-1] {
+		if len(m.vecs) != 1 || !bytes.Equal(m.vecs[0].Bytes()[8*(d-1):], up.vecs[0].Bytes()[8*(d-1):]) {
 			t.Fatal("round trip lost the payload")
 		}
 		m.recycle()

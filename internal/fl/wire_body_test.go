@@ -16,12 +16,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestFoldFromFrameMatchesDecoded: the fan-in folds a dense F64 upload or
-// aggregate from the frame it arrived in, wherever the vector lies in it.
-// At every byte offset, folding the frame body leaves each accumulator
-// exactly as folding the decoded vector does: the exact accumulator cell
-// for cell — promoted cells and a poisoning nonfinite term included — and
-// the sharded one's sums and weights bit for bit, for Accumulate and Merge.
+// TestFoldFromFrameMatchesDecoded: the fan-in folds an upload or aggregate
+// from the frame it arrived in, wherever the vector lies in it and whatever
+// its dense codec. At every byte offset, folding the frame's body leaves
+// each accumulator exactly as folding the decoded vector does: the exact
+// accumulator cell for cell — promoted cells and a poisoning nonfinite term
+// included — and the sharded one's sums and weights bit for bit, for
+// Accumulate and Merge and their segment forms.
 func TestFoldFromFrameMatchesDecoded(t *testing.T) {
 	const n = 203
 	rng := rand.New(rand.NewSource(11))
@@ -30,37 +31,61 @@ func TestFoldFromFrameMatchesDecoded(t *testing.T) {
 	weights := []float64{3, 0.25, 17, 1}
 	for off := 0; off < 8; off++ {
 		t.Run(fmt.Sprintf("offset %d", off), func(t *testing.T) {
-			bodies := make([][]byte, len(vecs))
-			for i, v := range vecs {
-				buf := comm.MarshalSpecInto(make([]byte, off, off+int(comm.WireSizeAs(comm.F64, n))), comm.Spec{}, msgUpdate, v, nil)
-				body, ok := comm.F64Body(buf[off:])
-				if !ok || len(body) != 8*n {
-					t.Fatalf("vector %d: no dense F64 body in its frame", i)
-				}
-				bodies[i] = body
-			}
-			for k := 1; k <= len(vecs); k++ {
-				want, got := NewExactAccumulator(n), NewExactAccumulator(n)
-				for i := range vecs[:k] {
-					want.Fold(vecs[i], weights[i])
-					got.foldBody(bodies[i], weights[i])
-				}
-				if k == 3 && got.promotions() == 0 {
-					t.Fatal("no cell promoted: the wide path went untested")
-				}
-				sameExact(t, fmt.Sprintf("%d folds", k), got, want)
-			}
-			want, got := NewSharded(n, 3), NewSharded(n, 3)
-			for i := range vecs {
-				want.Accumulate(vecs[i], weights[i])
-				got.accumulateBody(bodies[i], weights[i])
-				want.Merge(vecs[i], weights[i])
-				got.mergeBody(bodies[i], weights[i])
-			}
-			if !sameBitsF(got.sum, want.sum) || !sameBitsF(got.wsum, want.wsum) {
-				t.Fatal("the sharded accumulator's frame folds differ from its vector folds")
+			for _, c := range []comm.Codec{comm.F64, comm.F32, comm.BF16, comm.I8} {
+				t.Run(c.String(), func(t *testing.T) { foldFromFrame(t, c, off, vecs, weights) })
 			}
 		})
+	}
+}
+
+// foldFromFrame is TestFoldFromFrameMatchesDecoded at one codec and offset:
+// each vector is framed at codec c, its body read at offset off, and its
+// decoded form folded for the reference.
+func foldFromFrame(t *testing.T, c comm.Codec, off int, framed [][]float64, weights []float64) {
+	n := len(framed[0])
+	bodies := make([]comm.Body, len(framed))
+	vecs := make([][]float64, len(framed))
+	for i, v := range framed {
+		buf := comm.MarshalSpecInto(make([]byte, off, off+int(comm.WireSizeAs(c, n))), comm.Spec{Value: c}, msgUpdate, v, nil)
+		if !bodies[i].SetFrame(buf[off:]) || bodies[i].Len() != n || bodies[i].Codec() != c {
+			t.Fatalf("vector %d: no dense %s body in its frame", i, c)
+		}
+		_, vecs[i], _ = comm.DecodeSpec(nil, buf[off:], nil)
+	}
+	for k := 1; k <= len(vecs); k++ {
+		want, got := NewExactAccumulator(n), NewExactAccumulator(n)
+		for i := range vecs[:k] {
+			want.Fold(vecs[i], weights[i])
+			got.foldBody(bodies[i], weights[i])
+		}
+		if k == 3 && c == comm.F64 && got.promotions() == 0 {
+			t.Fatal("no cell promoted: the wide path went untested")
+		}
+		sameExact(t, fmt.Sprintf("%d folds", k), got, want)
+	}
+	want, got := NewSharded(n, 3), NewSharded(n, 3)
+	seg := n / 2
+	wantSeg, gotSeg := NewSegmented([]int{seg, seg}), NewSegmented([]int{seg, seg})
+	for i, v := range vecs {
+		want.Accumulate(v, weights[i])
+		got.accumulateBody(bodies[i], weights[i])
+		want.Merge(v, weights[i])
+		got.mergeBody(bodies[i], weights[i])
+		// A class's segment as a frame of its own, at the same offset.
+		var part comm.Body
+		buf := comm.MarshalSpecInto(make([]byte, off, 64+8*seg), comm.Spec{Value: c}, msgUpdate, v[:seg], nil)
+		part.SetFrame(buf[off:])
+		decoded := comm.AsF64Body(floatsOf([]comm.Body{part})[0])
+		wantSeg.AccumulateSegment(0, decoded, weights[i])
+		gotSeg.AccumulateSegment(0, part, weights[i])
+		wantSeg.MergeSegment(1, decoded, weights[i])
+		gotSeg.MergeSegment(1, part, weights[i])
+	}
+	if !sameBitsF(got.sum, want.sum) || !sameBitsF(got.wsum, want.wsum) {
+		t.Fatal("the sharded accumulator's frame folds differ from its vector folds")
+	}
+	if !sameBitsF(gotSeg.sum, wantSeg.sum) || !sameBitsF(gotSeg.wsum, wantSeg.wsum) {
+		t.Fatal("the segmented accumulator's frame folds differ from its vector folds")
 	}
 }
 
@@ -95,11 +120,13 @@ func sameBitsF(a, b []float64) bool {
 // local epoch.
 type wholeModel struct{}
 
-func (wholeModel) Name() string                              { return "whole" }
-func (wholeModel) Shared(c *Client) []*nn.Param              { return c.Model.Params() }
-func (wholeModel) Ref(*Client, []float64) []float64          { return nil }
-func (wholeModel) Pulls(*Client) bool                        { return false }
-func (wholeModel) Upload(_ *Client, v []float64) [][]float64 { return [][]float64{v} }
+func (wholeModel) Name() string                     { return "whole" }
+func (wholeModel) Shared(c *Client) []*nn.Param     { return c.Model.Params() }
+func (wholeModel) Ref(*Client, []float64) []float64 { return nil }
+func (wholeModel) Pulls(*Client) bool               { return false }
+func (wholeModel) Upload(_ *Client, v []float64) []comm.Body {
+	return []comm.Body{comm.AsF64Body(v)}
+}
 func (wholeModel) Train(group []*Client, batchSize int, _ [][]float64) {
 	TrainEpochs(group, batchSize, 1, Objective{})
 }
@@ -108,7 +135,7 @@ func (wholeModel) Train(group []*Client, batchSize int, _ [][]float64) {
 // the update's vector is the slab, and the upload frame carries the slab's
 // bytes — while an F32 or BF16 client's upload is FlatUpload's widening, its
 // frame byte-identical to one encoded from nn.FlattenParams. A dispatch
-// installed straight from its frame (localInstalled after comm.DecodeInto)
+// installed straight from its body (localInstalled after Body.DecodeInto)
 // trains and uploads exactly what WireLocal does from the decoded vector.
 func TestWireUploadIsTheArena(t *testing.T) {
 	ds := data.Generate(data.SynthFashion(6, 4, 3))
@@ -132,31 +159,32 @@ func TestWireUploadIsTheArena(t *testing.T) {
 			frame := appendMsg(nil, &wireMsg{kind: msgUpdate, vecs: u.Vecs}, nil)
 			vals, _ := nn.Flat(a.Model.Params())
 			if dt == tensor.F64 {
-				if &u.Vecs[0][0] != &vals.Data[0] {
+				if &u.Vecs[0].Floats()[0] != &vals.Data[0] {
 					t.Fatal("an F64 upload is not the value slab")
 				}
-				if !bytes.Contains(frame, comm.AsF64Body(vals.Data)) {
+				if !bytes.Contains(frame, comm.AsF64Body(vals.Data).Bytes()) {
 					t.Fatal("the upload frame does not carry the slab's bytes")
 				}
 			} else {
-				parent := appendMsg(nil, &wireMsg{kind: msgUpdate, vecs: [][]float64{nn.FlattenParams(a.Model.Params())}}, nil)
+				parent := appendMsg(nil, &wireMsg{kind: msgUpdate, vecs: bodiesOf([][]float64{nn.FlattenParams(a.Model.Params())})}, nil)
 				if !bytes.Equal(frame, parent) {
 					t.Fatal("a narrow client's upload frame differs from FlatUpload's")
 				}
 			}
-			want := append([]float64(nil), u.Vecs[0]...)
+			want := floatsOf(u.Vecs)[0]
 
 			b := client()
 			bvals, _ := nn.Flat(b.Model.Params())
-			disp := comm.MarshalSpecInto(nil, comm.Spec{}, msgDispatch, global, nil)
-			if err := comm.DecodeInto(&bvals, disp); err != nil {
+			var disp comm.Body
+			disp.SetFrame(comm.MarshalSpecInto(nil, comm.Spec{}, msgDispatch, global, nil))
+			if err := disp.DecodeInto(&bvals); err != nil {
 				t.Fatal(err)
 			}
 			ub, err := h.localInstalled(b, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBitsF(ub.Vecs[0], want) {
+			if !sameBitsF(floatsOf(ub.Vecs)[0], want) {
 				t.Fatal("training on a dispatch installed from its frame uploads other bits than WireLocal")
 			}
 		})

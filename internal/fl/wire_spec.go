@@ -36,22 +36,6 @@ type vecSlot struct {
 type wireCodec struct {
 	sel  comm.Selector
 	refs map[vecSlot]*comm.DeltaRef
-	// inPlace, when set, names the dense vector frames decodeMsg leaves
-	// where they lie, by message (its header as parsed so far) and codec:
-	// those the reading role consumes straight from the frame.
-	inPlace func(m *wireMsg, c comm.Codec) bool
-}
-
-// leaves reports whether decodeMsg leaves vector frame vb, slot i of m,
-// undecoded: a dense frame of its declared size and the message's tag,
-// which inPlace admits and no delta basis tracks.
-func (wc *wireCodec) leaves(m *wireMsg, i int, vb []byte) bool {
-	if wc == nil || wc.inPlace == nil {
-		return false
-	}
-	c, tag, n, err := comm.FrameInfo(vb)
-	return err == nil && c.Dense() && tag == m.kind && int64(len(vb)) == comm.WireSizeAs(c, n) &&
-		wc.inPlace(m, c) && wc.ref(m.kind, i, n) == nil
 }
 
 // uploadKind gates sparse and delta framing to client weight uploads.

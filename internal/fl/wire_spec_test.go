@@ -25,7 +25,7 @@ func TestWireSparseUploadRoundTrip(t *testing.T) {
 	enc := newWireCodec(spec, true)
 	dec := newWireCodec(spec, true)
 	v := specVec(128, 1.5)
-	m := &wireMsg{kind: msgUpdate, a: 3, vecs: [][]float64{append([]float64(nil), v...)}}
+	m := &wireMsg{kind: msgUpdate, a: 3, vecs: bodiesOf([][]float64{append([]float64(nil), v...)})}
 	got, err := decodeMsg(appendMsg(nil, m, enc), dec)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestWireSparseUploadRoundTrip(t *testing.T) {
 	comm.RoundTripSpec(spec, want, nil)
 	zeros := 0
 	for i := range want {
-		if got.vecs[0][i] != want[i] {
-			t.Fatalf("value[%d] = %v, want sparsified %v", i, got.vecs[0][i], want[i])
+		if floatsOf(got.vecs)[0][i] != want[i] {
+			t.Fatalf("value[%d] = %v, want sparsified %v", i, floatsOf(got.vecs)[0][i], want[i])
 		}
 		if want[i] == 0 {
 			zeros++
@@ -54,18 +54,18 @@ func TestWireSparseOnlyUploadsSparsify(t *testing.T) {
 	wc := newWireCodec(spec, true)
 	dense := plainWire(comm.F32)
 
-	disp := &wireMsg{kind: msgDispatch, vecs: [][]float64{specVec(128, 0.7)}}
+	disp := &wireMsg{kind: msgDispatch, vecs: bodiesOf([][]float64{specVec(128, 0.7)})}
 	if !bytes.Equal(appendMsg(nil, disp, wc), appendMsg(nil, disp, dense)) {
 		t.Fatal("dispatch frame sparsified — only msgUpdate may")
 	}
-	small := &wireMsg{kind: msgUpdate, vecs: [][]float64{specVec(8, 0.7)}}
+	small := &wireMsg{kind: msgUpdate, vecs: bodiesOf([][]float64{specVec(8, 0.7)})}
 	if !bytes.Equal(appendMsg(nil, small, wc), appendMsg(nil, small, dense)) {
 		t.Fatal("sub-MinSparse update vector sparsified")
 	}
 	// A non-lossy algorithm's wireCodec drops sparsity entirely, keeping
 	// only the value codec, so prototype uploads stay exact.
 	strict := newWireCodec(spec, false)
-	up := &wireMsg{kind: msgUpdate, vecs: [][]float64{specVec(128, 0.7)}}
+	up := &wireMsg{kind: msgUpdate, vecs: bodiesOf([][]float64{specVec(128, 0.7)})}
 	if !bytes.Equal(appendMsg(nil, up, strict), appendMsg(nil, up, dense)) {
 		t.Fatal("non-lossy algorithm's upload was sparsified")
 	}
@@ -85,7 +85,7 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 	var deltaFrame []byte
 	for round := 1; round <= 3; round++ {
 		v := specVec(96, float64(round))
-		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: [][]float64{append([]float64(nil), v...)}}
+		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: bodiesOf([][]float64{append([]float64(nil), v...)})}
 		frame := appendMsg(nil, m, enc)
 		if round == 2 {
 			deltaFrame = append([]byte(nil), frame...)
@@ -97,8 +97,8 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 		want := append([]float64(nil), v...)
 		comm.RoundTripSpec(spec, want, ref)
 		for i := range want {
-			if got.vecs[0][i] != want[i] {
-				t.Fatalf("round %d value[%d] = %v, want %v", round, i, got.vecs[0][i], want[i])
+			if floatsOf(got.vecs)[0][i] != want[i] {
+				t.Fatalf("round %d value[%d] = %v, want %v", round, i, floatsOf(got.vecs)[0][i], want[i])
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 	ref2 := &comm.DeltaRef{}
 	for round := 4; round <= 5; round++ {
 		v := specVec(96, float64(round))
-		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: [][]float64{append([]float64(nil), v...)}}
+		m := &wireMsg{kind: msgUpdate, a: uint64(round), vecs: bodiesOf([][]float64{append([]float64(nil), v...)})}
 		got, err := decodeMsg(appendMsg(nil, m, enc2), dec2)
 		if err != nil {
 			t.Fatalf("post-reconnect round %d: %v", round, err)
@@ -128,8 +128,8 @@ func TestWireDeltaLockstepAndResync(t *testing.T) {
 		want := append([]float64(nil), v...)
 		comm.RoundTripSpec(spec, want, ref2)
 		for i := range want {
-			if got.vecs[0][i] != want[i] {
-				t.Fatalf("post-reconnect round %d value[%d] = %v, want %v", round, i, got.vecs[0][i], want[i])
+			if floatsOf(got.vecs)[0][i] != want[i] {
+				t.Fatalf("post-reconnect round %d value[%d] = %v, want %v", round, i, floatsOf(got.vecs)[0][i], want[i])
 			}
 		}
 	}

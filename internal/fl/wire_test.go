@@ -20,7 +20,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 		name:   "FedClassAvg",
 		ints:   []int64{1, -2, 3},
 		counts: []int{0, 9, 0, 4},
-		vecs:   [][]float64{{1, 2, 3}, nil, {-0.5}},
+		vecs:   bodiesOf([][]float64{{1, 2, 3}, nil, {-0.5}}),
 	}
 	got, err := decodeMsg(appendMsg(nil, m, plainWire(comm.F64)), nil)
 	if err != nil {
@@ -35,15 +35,15 @@ func TestWireMessageRoundTrip(t *testing.T) {
 	if len(got.counts) != 4 || got.counts[1] != 9 || got.counts[3] != 4 {
 		t.Fatalf("counts corrupted: %v", got.counts)
 	}
-	if len(got.vecs) != 3 || got.vecs[1] != nil {
+	if len(got.vecs) != 3 || !got.vecs[1].Nil() {
 		t.Fatalf("vec shape corrupted: %v", got.vecs)
 	}
-	for i, v := range m.vecs[0] {
-		if got.vecs[0][i] != v {
-			t.Fatalf("vec[0][%d] = %v, want %v", i, got.vecs[0][i], v)
+	for i, v := range floatsOf(m.vecs)[0] {
+		if floatsOf(got.vecs)[0][i] != v {
+			t.Fatalf("vec[0][%d] = %v, want %v", i, floatsOf(got.vecs)[0][i], v)
 		}
 	}
-	if got.vecs[2][0] != -0.5 {
+	if floatsOf(got.vecs)[2][0] != -0.5 {
 		t.Fatalf("vec[2] = %v", got.vecs[2])
 	}
 }
@@ -52,7 +52,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 // vectors exactly as comm.RoundTripSpec models — the wire IS the codec.
 func TestWireMessageQuantizes(t *testing.T) {
 	v := []float64{0.123456789, -1.75, 3.0}
-	m := &wireMsg{kind: msgDispatch, vecs: [][]float64{append([]float64(nil), v...)}}
+	m := &wireMsg{kind: msgDispatch, vecs: bodiesOf([][]float64{append([]float64(nil), v...)})}
 	got, err := decodeMsg(appendMsg(nil, m, plainWire(comm.F32)), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestWireMessageQuantizes(t *testing.T) {
 	want := append([]float64(nil), v...)
 	comm.RoundTripSpec(comm.Spec{Value: comm.F32}, want, nil)
 	for i := range want {
-		if got.vecs[0][i] != want[i] {
-			t.Fatalf("f32 wire value[%d] = %v, want quantized %v", i, got.vecs[0][i], want[i])
+		if floatsOf(got.vecs)[0][i] != want[i] {
+			t.Fatalf("f32 wire value[%d] = %v, want quantized %v", i, floatsOf(got.vecs)[0][i], want[i])
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestWireMessageEmpty(t *testing.T) {
 // TestWireMessageRejectsCorruption checks truncation, tag mismatches,
 // hostile counts and trailing bytes all fail cleanly.
 func TestWireMessageRejectsCorruption(t *testing.T) {
-	good := appendMsg(nil, &wireMsg{kind: msgUpdate, b: math.Float64bits(1), vecs: [][]float64{{1, 2}}}, plainWire(comm.F64))
+	good := appendMsg(nil, &wireMsg{kind: msgUpdate, b: math.Float64bits(1), vecs: bodiesOf([][]float64{{1, 2}})}, plainWire(comm.F64))
 	if _, err := decodeMsg(good, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWireMessageRejectsCorruption(t *testing.T) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 	// A vector tagged with a different message kind (decoder desync).
-	evil := &wireMsg{kind: msgDispatch, vecs: [][]float64{{1}}}
+	evil := &wireMsg{kind: msgDispatch, vecs: bodiesOf([][]float64{{1}})}
 	frame := appendMsg(nil, evil, plainWire(comm.F64))
 	// Rewrite the outer kind without re-tagging the vec frame.
 	frame[0], frame[1] = byte(msgUpdate&0xFF), byte(msgUpdate>>8)
@@ -178,17 +178,17 @@ func TestWireMessageBytesPinned(t *testing.T) {
 			shared := []float64{0.25 * s, -1, 3}
 			for _, m := range []*wireMsg{
 				{kind: msgJoin, name: "FedClassAvg", ints: []int64{3, 120, 16, 10, 1234, 170},
-					counts: []int{2, 0, 7}, vecs: [][]float64{specVec(170, s), nil, {0.5, -1}}},
-				{kind: msgDispatch, a: 4, vecs: [][]float64{specVec(200, s), nil}},
+					counts: []int{2, 0, 7}, vecs: bodiesOf([][]float64{specVec(170, s), nil, {0.5, -1}})},
+				{kind: msgDispatch, a: 4, vecs: bodiesOf([][]float64{specVec(200, s), nil})},
 				{kind: msgUpdate, a: 4, b: math.Float64bits(0.25 * s), counts: []int{5, 0, 2},
-					vecs: [][]float64{specVec(256, 0.5*s), specVec(8, s), nil}},
-				treeDispatchMsg(5, []int{2, 3}, [][][]float64{{specVec(96, s)}, {specVec(96, -s), nil}}),
-				treeDispatchMsg(5, []int{2, 3, 4}, [][][]float64{{shared}, {shared}, {shared}}),
+					vecs: bodiesOf([][]float64{specVec(256, 0.5*s), specVec(8, s), nil})},
+				treeDispatchMsg(5, []int{2, 3}, payloadsOf([][][]float64{{specVec(96, s)}, {specVec(96, -s), nil}})),
+				treeDispatchMsg(5, []int{2, 3, 4}, payloadsOf([][][]float64{{shared}, {shared}, {shared}})),
 				treeUpdateMsg(5, []*Update{
-					{Client: 2, Scale: 1.5, Vecs: [][]float64{specVec(128, s)}, Counts: []int{1}},
-					{Client: 3, Scale: 0.5 * s, Vecs: [][]float64{specVec(128, -s), nil}},
+					{Client: 2, Scale: 1.5, Vecs: bodiesOf([][]float64{specVec(128, s)}), Counts: []int{1}},
+					{Client: 3, Scale: 0.5 * s, Vecs: bodiesOf([][]float64{specVec(128, -s), nil})},
 				}),
-				aggUpdateMsg(5, &AggUpdate{Children: 2, Weight: 2 * s, Vecs: [][]float64{specVec(128, 2*s), nil},
+				aggUpdateMsg(5, &AggUpdate{Children: 2, Weight: 2 * s, Vecs: bodiesOf([][]float64{specVec(128, 2*s), nil}),
 					VecWeights: []float64{1.5, 0}, Counts: []int{3}}),
 			} {
 				buf = appendMsg(buf[:0], m, wc)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/comm"
 )
 
 // This file is the hierarchical half of the wire protocol: the message
@@ -29,9 +31,10 @@ type AggUpdate struct {
 	Children int
 	// Weight is the exact sum of the children's update weights.
 	Weight float64
-	// Vecs are the pre-weighted vector sums, Σ_c w_c·v_c per slot. Nil
-	// entries are first-class (unreported prototype classes).
-	Vecs [][]float64
+	// Vecs are the pre-weighted vector sums, Σ_c w_c·v_c per slot, as
+	// bodies (Update's). Nil entries are first-class (unreported prototype
+	// classes).
+	Vecs []comm.Body
 	// VecWeights carries a per-slot weight sum for segmented algorithms
 	// whose slots accumulate under independent weights (FedProto's
 	// per-class prototypes). Nil for monolithic algorithms, where Weight
@@ -39,9 +42,6 @@ type AggUpdate struct {
 	VecWeights []float64
 	// Counts are the children's integer counts summed slot-wise.
 	Counts []int
-	// msg is the received message the root read the aggregate from, as
-	// Update's.
-	msg *wireMsg
 }
 
 // ReducibleWireAlgorithm extends WireAlgorithm for algorithms whose
@@ -91,7 +91,7 @@ func encodeTreeJoin(agg, lo, hi int, joins []WireJoin, name string, wc *wireCode
 	for _, j := range joins {
 		m.ints = j.AppendInts(m.ints)
 		m.counts = append(m.counts, len(j.Init))
-		m.vecs = append(m.vecs, j.Init...)
+		m.vecs = f64Bodies(m.vecs, j.Init)
 	}
 	return appendMsg(nil, m, wc)
 }
@@ -127,7 +127,7 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 		if joins[i].ID != lo+i {
 			return fail("child %d carries id %d, want %d", i, joins[i].ID, lo+i)
 		}
-		joins[i].Init = inits[i]
+		joins[i].Init = decodeVecs(inits[i])
 	}
 	return agg, lo, hi, joins, nil
 }
@@ -156,7 +156,7 @@ const treeShared = 1
 //	ints   = cohort member ids (ascending)
 //	counts = per-member payload vector count
 //	vecs   = the members' dispatch payloads, concatenated
-func treeDispatchMsg(version uint64, members []int, payloads [][][]float64) *wireMsg {
+func treeDispatchMsg(version uint64, members []int, payloads [][]comm.Body) *wireMsg {
 	m := &wireMsg{kind: msgTreeDispatch, a: version}
 	for _, id := range members {
 		m.ints = append(m.ints, int64(id))
@@ -178,8 +178,8 @@ func treeDispatchMsg(version uint64, members []int, payloads [][][]float64) *wir
 // least one vector with elements to carry that identity. An empty payload or
 // a table of nil entries has none — a fresh per-client table of nils looks
 // exactly like a shared one — so it keeps the per-member layout.
-func sharedPayload(payloads [][][]float64) bool {
-	held := func(v []float64) bool { return len(v) > 0 }
+func sharedPayload(payloads [][]comm.Body) bool {
+	held := func(v comm.Body) bool { return v.Len() > 0 }
 	if len(payloads) < 2 || !slices.ContainsFunc(payloads[0], held) {
 		return false
 	}
@@ -195,8 +195,8 @@ func sharedPayload(payloads [][][]float64) bool {
 // payloads; in the shared layout every member's is the same slice. Member
 // ids must be strictly ascending, as TreeSplit's contiguous ranges send
 // them: a repeated id would dispatch twice to one session.
-func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err error) {
-	fail := func(format string, args ...any) ([]int, [][][]float64, error) {
+func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][]comm.Body, err error) {
+	fail := func(format string, args ...any) ([]int, [][]comm.Body, error) {
 		return nil, nil, fmt.Errorf("fl: tree dispatch: "+format, args...)
 	}
 	ids = make([]int, len(m.ints))
@@ -211,7 +211,7 @@ func decodeTreeDispatch(m *wireMsg) (ids []int, payloads [][][]float64, err erro
 		if len(ids) == 0 || len(m.counts) != 1 || m.counts[0] != len(m.vecs) {
 			return fail("shared payload for %d members declares %v vectors, carries %d", len(ids), m.counts, len(m.vecs))
 		}
-		payloads = make([][][]float64, len(ids))
+		payloads = make([][]comm.Body, len(ids))
 		for i := range payloads {
 			payloads[i] = m.vecs
 		}
@@ -277,7 +277,6 @@ func decodeAggUpdate(m *wireMsg) (*AggUpdate, error) {
 		Weight:   math.Float64frombits(m.b),
 		Vecs:     m.vecs,
 		Counts:   m.counts,
-		msg:      m,
 	}
 	if au.Children < 0 {
 		return nil, fmt.Errorf("fl: aggregated update: negative child count %d", au.Children)
@@ -350,7 +349,7 @@ func decodeTreeUpdate(m *wireMsg) ([]*Update, error) {
 		if !weightSum(scale) {
 			return nil, fmt.Errorf("fl: tree update: client %d weight %v", m.ints[4*i], scale)
 		}
-		u := &Update{Client: int(m.ints[4*i]), Version: int(m.a), Scale: scale, Weight: scale, msg: m}
+		u := &Update{Client: int(m.ints[4*i]), Version: int(m.a), Scale: scale, Weight: scale}
 		if len(vecs[i]) > 0 {
 			u.Vecs = vecs[i]
 		}

@@ -1,14 +1,17 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/transport"
 	"repro/internal/xrand"
 )
@@ -19,7 +22,7 @@ import (
 // An aggregator runs no setup, so the reduction needs no method.
 func TestWeightAvgPreReduce(t *testing.T) {
 	up := func(client int, w float64, vecs ...[]float64) *Update {
-		return &Update{Client: client, Weight: w, Vecs: vecs}
+		return &Update{Client: client, Weight: w, Vecs: bodiesOf(vecs)}
 	}
 	var r WeightAvg
 	for _, tc := range []struct {
@@ -55,12 +58,12 @@ func TestWeightAvgPreReduce(t *testing.T) {
 			}
 			continue
 		}
-		if len(au.Vecs) != 1 || len(au.Vecs[0]) != len(tc.sum) {
+		if len(au.Vecs) != 1 || au.Vecs[0].Len() != len(tc.sum) {
 			t.Fatalf("aggregate vectors %v, want [%v]", au.Vecs, tc.sum)
 		}
 		for i, v := range tc.sum {
-			if au.Vecs[0][i] != v {
-				t.Fatalf("sum[%d] = %v, want %v", i, au.Vecs[0][i], v)
+			if floatsOf(au.Vecs)[0][i] != v {
+				t.Fatalf("sum[%d] = %v, want %v", i, floatsOf(au.Vecs)[0][i], v)
 			}
 		}
 	}
@@ -86,7 +89,7 @@ func TestTreeDispatchLayouts(t *testing.T) {
 		{"one differs", []int{0, 1, 2}, [][][]float64{global, global, fresh()}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := treeDispatchMsg(7, tc.members, tc.payloads)
+			m := treeDispatchMsg(7, tc.members, payloadsOf(tc.payloads))
 			if got := m.b == treeShared; got != tc.shared {
 				t.Fatalf("shared layout = %v, want %v", got, tc.shared)
 			}
@@ -109,7 +112,7 @@ func TestTreeDispatchLayouts(t *testing.T) {
 					t.Fatalf("member %d: %d vectors, want %d", i, len(payloads[i]), len(tc.payloads[i]))
 				}
 				for j, v := range tc.payloads[i] {
-					if got := payloads[i][j]; (got == nil) != (v == nil) || len(got) != len(v) || len(v) > 0 && got[0] != v[0] {
+					if got := floatsOf(payloads[i])[j]; (got == nil) != (v == nil) || len(got) != len(v) || len(v) > 0 && got[0] != v[0] {
 						t.Fatalf("member %d vector %d: %v, want %v", i, j, got, v)
 					}
 				}
@@ -129,15 +132,15 @@ func TestTreeDispatchRejects(t *testing.T) {
 		m    *wireMsg
 		want string
 	}{
-		{"repeated id", &wireMsg{b: treeShared, ints: []int64{2, 2}, counts: []int{1}, vecs: [][]float64{{1}}}, "strictly ascending"},
+		{"repeated id", &wireMsg{b: treeShared, ints: []int64{2, 2}, counts: []int{1}, vecs: bodiesOf([][]float64{{1}})}, "strictly ascending"},
 		{"descending ids", &wireMsg{ints: []int64{3, 2}, counts: []int{0, 0}}, "strictly ascending"},
 		{"unknown layout", &wireMsg{b: 2, ints: []int64{1}, counts: []int{0}}, "unknown layout"},
 		{"shared, no members", &wireMsg{b: treeShared, counts: []int{0}}, "shared payload"},
-		{"shared, two counts", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{1, 1}, vecs: [][]float64{{1}, {2}}}, "shared payload"},
-		{"shared, short", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{2}, vecs: [][]float64{{1}}}, "shared payload"},
+		{"shared, two counts", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{1, 1}, vecs: bodiesOf([][]float64{{1}, {2}})}, "shared payload"},
+		{"shared, short", &wireMsg{b: treeShared, ints: []int64{1, 2}, counts: []int{2}, vecs: bodiesOf([][]float64{{1}})}, "shared payload"},
 		{"count mismatch", &wireMsg{ints: []int64{1, 2}, counts: []int{1}}, "2 members, 1 payload counts"},
-		{"overflowing count", &wireMsg{ints: []int64{1, 2}, counts: []int{1, int(^uint(0) >> 1)}, vecs: [][]float64{{1}}}, "overrun"},
-		{"trailing", &wireMsg{ints: []int64{1}, counts: []int{0}, vecs: [][]float64{{1}}}, "trailing"},
+		{"overflowing count", &wireMsg{ints: []int64{1, 2}, counts: []int{1, int(^uint(0) >> 1)}, vecs: bodiesOf([][]float64{{1}})}, "overrun"},
+		{"trailing", &wireMsg{ints: []int64{1}, counts: []int{0}, vecs: bodiesOf([][]float64{{1}})}, "trailing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.m.kind = msgTreeDispatch
@@ -169,11 +172,11 @@ func (a *echoWire) WireDispatch(id int) ([][]float64, error) {
 }
 
 func (a *echoWire) WireLocal(c *Client, _ int, dispatch [][]float64) (*Update, error) {
-	return &Update{Client: c.ID, Scale: 1, Vecs: [][]float64{append([]float64(nil), dispatch[0]...)}}, nil
+	return &Update{Client: c.ID, Scale: 1, Vecs: bodiesOf([][]float64{append([]float64(nil), dispatch[0]...)})}, nil
 }
 
 func (a *echoWire) WireApply(u *Update) error {
-	if want := a.sent[u.Client]; len(u.Vecs) != 1 || bitsSum(u.Vecs[0]) != bitsSum(want) {
+	if want := a.sent[u.Client]; len(u.Vecs) != 1 || bitsSum(floatsOf(u.Vecs)[0]) != bitsSum(want) {
 		a.bad = append(a.bad, fmt.Sprintf("round %d client %d received another payload", a.commit+1, u.Client))
 	}
 	return nil
@@ -299,14 +302,14 @@ func TestNodeTreeRootRefusesForeignAnswers(t *testing.T) {
 	bundle := func(ids ...int) *wireMsg {
 		ups := make([]*Update, len(ids))
 		for i, id := range ids {
-			ups[i] = &Update{Client: id, Scale: 1, Vecs: [][]float64{{float64(id)}}}
+			ups[i] = &Update{Client: id, Scale: 1, Vecs: bodiesOf([][]float64{{float64(id)}})}
 		}
 		return treeUpdateMsg(0, ups)
 	}
 	aggregate := func(children int, w float64, vw ...float64) *wireMsg {
-		au := &AggUpdate{Children: children, Weight: w, Vecs: [][]float64{{1}}, VecWeights: vw}
+		au := &AggUpdate{Children: children, Weight: w, Vecs: bodiesOf([][]float64{{1}}), VecWeights: vw}
 		if len(vw) > 0 {
-			au.Vecs = make([][]float64, len(vw))
+			au.Vecs = make([]comm.Body, len(vw))
 		}
 		return aggUpdateMsg(0, au)
 	}
@@ -378,7 +381,7 @@ func TestNodeRefusesBadUpdateWeights(t *testing.T) {
 		}
 	}
 	update := func(version uint64, scale float64) *wireMsg {
-		return &wireMsg{kind: msgUpdate, a: version, b: math.Float64bits(scale), vecs: [][]float64{{1}}}
+		return &wireMsg{kind: msgUpdate, a: version, b: math.Float64bits(scale), vecs: bodiesOf([][]float64{{1}})}
 	}
 	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 2} {
 		t.Run(fmt.Sprint("flat-root/", scale), func(t *testing.T) {
@@ -397,7 +400,7 @@ func TestNodeRefusesBadUpdateWeights(t *testing.T) {
 			n := NewAggregatorNode(&stubWire{}, AggregatorConfig{Index: 1, Aggregators: 2, Clients: 4, Heartbeat: time.Hour})
 			g := newEdgeRun(context.Background(), n)
 			defer g.up.close()
-			g.relayRound(treeDispatchMsg(3, []int{2, 3}, [][][]float64{{{0}}, {{0}}}))
+			g.relayRound(treeDispatchMsg(3, []int{2, 3}, payloadsOf([][][]float64{{{0}}, {{0}}})))
 			s := g.pt.sessionByID(3)
 			if g.fatal != nil || !s.busy {
 				t.Fatalf("the dispatch did not reach client 3: %v", g.fatal)
@@ -413,7 +416,7 @@ func TestNodeRefusesBadUpdateWeights(t *testing.T) {
 			if r.fatal != nil || !r.pt.round.ids[1] {
 				t.Fatalf("round 1 did not open on aggregator 1: %v", r.fatal)
 			}
-			ups := []*Update{{Client: 2, Scale: 1, Vecs: [][]float64{{2}}}, {Client: 3, Scale: scale, Vecs: [][]float64{{3}}}}
+			ups := []*Update{{Client: 2, Scale: 1, Vecs: bodiesOf([][]float64{{2}})}, {Client: 3, Scale: scale, Vecs: bodiesOf([][]float64{{3}})}}
 			r.handleInbound(inbound{id: 1, msg: treeUpdateMsg(0, ups)})
 			check(t, r.fatal, scale, "aggregator 1", "client 3")
 		})
@@ -494,7 +497,7 @@ func TestTreeRelayDuplicateDispatch(t *testing.T) {
 		}
 	}
 
-	dispatch := treeDispatchMsg(0, []int{0, 1}, [][][]float64{{ramp(64, 0)}, {ramp(64, 100)}})
+	dispatch := treeDispatchMsg(0, []int{0, 1}, payloadsOf([][][]float64{{ramp(64, 0)}, {ramp(64, 100)}}))
 	root.send(dispatch)
 	for _, c := range children {
 		c.expect(msgDispatch)
@@ -503,7 +506,7 @@ func TestTreeRelayDuplicateDispatch(t *testing.T) {
 	root.send(&wireMsg{kind: msgHeartbeat, a: 0})
 	root.expect(msgHeartbeat)
 	for id, c := range children {
-		c.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: [][]float64{{float64(id)}}})
+		c.send(&wireMsg{kind: msgUpdate, a: 0, b: math.Float64bits(1), vecs: bodiesOf([][]float64{{float64(id)}})})
 	}
 	first := answer()
 	root.send(dispatch)
@@ -522,5 +525,79 @@ func TestTreeRelayDuplicateDispatch(t *testing.T) {
 	}
 	if agg.Stats.Ignored != 1 || agg.Stats.Resends != 1 {
 		t.Fatalf("Stats.Ignored = %d, Stats.Resends = %d; want 1 and 1", agg.Stats.Ignored, agg.Stats.Resends)
+	}
+}
+
+// TestTreeRelaysSharedPayloadAsItLies: an aggregator relays a shared tree
+// payload to its children as the root framed it. At I8, a child's dispatch
+// body is the root's body byte for byte — its scale included, which a
+// decode and re-encode at the edge would recompute.
+func TestTreeRelaysSharedPayloadAsItLies(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const clients = 2
+	algo := &stubWire{}
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rootLn.Close()
+	aggLn, err := tr.Listen("agg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := NewAggregatorNode(algo, AggregatorConfig{Aggregators: 1, Clients: clients, Codec: comm.I8, Heartbeat: time.Hour,
+		Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
+			return transport.DialWithToken(ctx, tr, "root", token)
+		}})
+	go agg.Run(ctx, aggLn)
+	children := make([]*testPeer, clients)
+	for id := range children {
+		conn, err := tr.Dial(ctx, "agg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		children[id] = &testPeer{t: t, conn: conn}
+		j := WireJoin{ID: id, TrainSize: 10}
+		children[id].send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil)})
+	}
+	conn, err := rootLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	root := &testPeer{t: t, conn: conn}
+	root.expect(msgTreeJoin)
+	root.send(welcomeFor(algo, clients))
+	for _, c := range children {
+		c.expect(msgWelcome)
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for round := range 20 {
+		v := make([]float64, 97)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		dispatch := treeDispatchMsg(uint64(round), []int{0, 1}, payloadsOf([][][]float64{{v}, {v}}))
+		if dispatch.b != treeShared {
+			t.Fatal("the payload is not shared")
+		}
+		frame := appendMsg(nil, dispatch, plainWire(comm.I8))
+		sent, err := decodeMsg(frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.sendFrame(frame)
+		for id, c := range children {
+			got := c.expect(msgDispatch).vecs
+			if len(got) != 1 || got[0].Codec() != comm.I8 || !bytes.Equal(got[0].Bytes(), sent.vecs[0].Bytes()) {
+				t.Fatalf("round %d: child %d's dispatch body differs from the root's I8 payload", round, id)
+			}
+			c.send(&wireMsg{kind: msgUpdate, a: uint64(round), b: math.Float64bits(1), vecs: bodiesOf([][]float64{{float64(id)}})})
+		}
+		root.expect(msgTreeUpdate)
 	}
 }
