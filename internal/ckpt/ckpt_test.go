@@ -410,7 +410,7 @@ func TestBF16CheckpointRestores(t *testing.T) {
 			bf16Blob, err = ckpt.Marshal(snap, comm.BF16)
 			return err
 		}}
-		if _, err := tinySim(t, budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
+		if _, err := tinySim(t, tensor.F64, budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
 			t.Fatal(err)
 		}
 		if len(bf16Blob) >= len(f32Blob) {
@@ -421,7 +421,7 @@ func TestBF16CheckpointRestores(t *testing.T) {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
 		res := fl.SchedulerConfig{Kind: fl.SchedAsyncBounded, Resume: snap}
-		hist, err := tinySim(t, budget, cfg).RunScheduled(tinyFedClassAvg(t), res)
+		hist, err := tinySim(t, tensor.F64, budget, cfg).RunScheduled(tinyFedClassAvg(t), res)
 		if err != nil {
 			t.Fatalf("budget %d: bf16 resume: %v", budget, err)
 		}

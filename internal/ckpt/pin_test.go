@@ -13,6 +13,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fl"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -76,6 +77,49 @@ func TestComparisonCheckpointBytesPinned(t *testing.T) {
 	hashCheckpoints(t, h, experiments.MethodKTpFLWeight, "homogeneous")
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("comparison-method checkpoint bytes moved: SHA-256 %s, want %s", got, want)
+	}
+}
+
+// TestNarrowCheckpointBytesPinned is the sibling pin for fleets that train
+// below float64: one SHA-256 over the marshalled snapshots of Tiny-scale
+// FedClassAvg on the heterogeneous fleet at f32, then at bf16 — an eager
+// sync run and a lazy async run at budget 2, whose client records come from
+// the store's segment too — after rounds 1 and 2, each marshalled at the
+// f64 and the i8 checkpoint codec. It was recorded while every spill record
+// still widened the model's float32 slabs to float64, so it holds only if
+// a record framed at the slab's own codec checkpoints to the same bytes. It
+// holds at any GOMAXPROCS.
+func TestNarrowCheckpointBytesPinned(t *testing.T) {
+	const want = "5c38b1f927fda963571c3800ce238df2814e64d806e6aecbd23caaf2af831287"
+	s := experiments.Tiny()
+	cfg := fl.Config{Rounds: 2, BatchSize: s.BatchSize, Seed: s.Seed + 7}
+	h, snaps := sha256.New(), 0
+	for _, dt := range []tensor.DType{tensor.F32, tensor.BF16} {
+		for _, run := range []struct {
+			kind   fl.SchedulerKind
+			budget int // 0: an eager fleet
+		}{{fl.SchedSync, 0}, {fl.SchedAsyncBounded, 2}} {
+			sched := fl.SchedulerConfig{Kind: run.kind, Checkpoint: func(snap *fl.Snapshot) error {
+				for _, codec := range []comm.Codec{comm.F64, comm.I8} {
+					b, err := ckpt.Marshal(snap, codec)
+					if err != nil {
+						return err
+					}
+					h.Write(b)
+				}
+				snaps++
+				return nil
+			}}
+			if _, err := tinySim(t, dt, run.budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if snaps != 8 {
+		t.Fatalf("the runs wrote %d checkpoints, want 8", snaps)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("narrow-dtype checkpoint bytes moved: SHA-256 %s, want %s", got, want)
 	}
 }
 

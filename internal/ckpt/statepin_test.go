@@ -15,13 +15,16 @@ import (
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/tensor"
 )
 
 // tinySim builds a Tiny-scale simulation over the heterogeneous Fashion
-// fleet: eager for budget 0, lazy with that many residents otherwise.
-func tinySim(t testing.TB, budget int, cfg fl.Config) *fl.Simulation {
+// fleet at dtype dt: eager for budget 0, lazy with that many residents
+// otherwise.
+func tinySim(t testing.TB, dt tensor.DType, budget int, cfg fl.Config) *fl.Simulation {
 	t.Helper()
 	s := experiments.Tiny()
+	s.DType = dt
 	if budget > 0 {
 		build, _, err := experiments.NewLazyFleetBuilder(experiments.Fashion, data.Dirichlet, "heterogeneous", s.Clients, s)
 		if err != nil {
@@ -81,7 +84,7 @@ func TestRestoredStatePinned(t *testing.T) {
 			}
 			return nil
 		}}
-		if _, err := tinySim(t, run.budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
+		if _, err := tinySim(t, tensor.F64, run.budget, cfg).RunScheduled(tinyFedClassAvg(t), sched); err != nil {
 			t.Fatal(err)
 		}
 		for _, codec := range codecs {
@@ -92,7 +95,7 @@ func TestRestoredStatePinned(t *testing.T) {
 			if len(snap.Clients) == 0 {
 				t.Fatalf("%s budget %d: the checkpoint holds no client", run.kind, run.budget)
 			}
-			sim := tinySim(t, run.budget, cfg)
+			sim := tinySim(t, tensor.F64, run.budget, cfg)
 			res := fl.SchedulerConfig{Kind: run.kind, Resume: snap}
 			if _, err := sim.RunScheduled(tinyFedClassAvg(t), res); err != nil {
 				t.Fatalf("%s budget %d %s resume: %v", run.kind, run.budget, codec, err)
@@ -108,7 +111,10 @@ func TestRestoredStatePinned(t *testing.T) {
 }
 
 // hashClient writes c's id, flat parameters, flat buffers, optimizer state
-// and RNG position into h, each vector behind its length.
+// and RNG position into h, each vector behind its length. The optimizer
+// state is its counters, then the model's moments as the optimizer's
+// snapshot once held them: a count of 2·len(params), then every parameter's
+// m block and every v block (a count of 0 for a model that never stepped).
 func hashClient(h hash.Hash, c *fl.Client) {
 	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	vec := func(v []float64) {
@@ -118,16 +124,24 @@ func hashClient(h hash.Hash, c *fl.Client) {
 		}
 	}
 	word(uint64(c.ID))
-	vec(nn.FlattenParams(c.Model.Params()))
+	params := c.Model.Params()
+	vec(nn.FlattenParams(params))
 	vec(nn.AppendFlatBuffers(nil, c.Model.Buffers()))
 	st := c.Optimizer.(opt.Checkpointable).State()
 	word(uint64(len(st.Ints)))
 	for _, v := range st.Ints {
 		word(uint64(v))
 	}
-	word(uint64(len(st.Vecs)))
-	for _, v := range st.Vecs {
-		vec(v)
+	if !nn.MomentsLive(params) {
+		word(0)
+	} else {
+		word(uint64(2 * len(params)))
+		for _, p := range params {
+			vec(p.M.AppendFloat64s(nil))
+		}
+		for _, p := range params {
+			vec(p.V.AppendFloat64s(nil))
+		}
 	}
 	word(c.Src.State())
 }

@@ -31,6 +31,20 @@ func AsF64Body(v []float64) Body {
 	return Body{codec: F64, n: len(v), bytes: f64Bytes(v)}
 }
 
+// SlabBody returns t's storage as a body at its storage codec — F64 for a
+// float64 tensor, F32 for a float32 or bf16 one, whose elements are
+// float32s — in t's own memory on a little-endian host, an encoded copy on a
+// big-endian one.
+func SlabBody(t *tensor.Tensor) Body {
+	if t.DT.Backing() != tensor.F32 {
+		return AsF64Body(t.Data)
+	}
+	if !nativeLittleEndian && t.F32 != nil {
+		return Body{codec: F32, n: len(t.F32), bytes: appendDense(nil, F32, t.AppendFloat64s(nil))}
+	}
+	return Body{codec: F32, n: len(t.F32), bytes: unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t.F32))), 4*len(t.F32))}
+}
+
 // SetFrame makes b the body of frame, read where it lies, when frame is a
 // dense frame exactly as long as its declared count says (an I8 frame with a
 // valid scale), and reports whether it is. Any other frame — top-k, delta,

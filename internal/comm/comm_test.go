@@ -329,6 +329,33 @@ func TestParseCodec(t *testing.T) {
 	}
 }
 
+// A slab is framed where it lies at its storage codec — F64 for float64,
+// F32 for float32 and bf16 — and decodes back into its dtype bit for bit.
+func TestSlabBodyFramesStorageAsItLies(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+		src := tensor.NewOf(dt, 37)
+		src.FillRandn(rand.New(rand.NewSource(4)), 1)
+		b := SlabBody(src)
+		if want := map[bool]Codec{true: F64, false: F32}[dt == tensor.F64]; b.Codec() != want || b.Len() != 37 {
+			t.Fatalf("%s slab is a %s body of %d elements", dt, b.Codec(), b.Len())
+		}
+		if nativeLittleEndian && &b.Bytes()[0] != &SlabBody(src).Bytes()[0] {
+			t.Fatalf("%s slab body is a copy", dt)
+		}
+		r := NewReader(b.AppendFrame(nil, Spec{Value: b.Codec()}, 5, nil), "slab")
+		dst := tensor.NewOf(dt, 37)
+		if err := r.DenseFrame(5).DecodeInto(dst); err != nil {
+			t.Fatal(err)
+		}
+		w, g := src.AppendFloat64s(nil), dst.AppendFloat64s(nil)
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+				t.Fatalf("%s element %d came back %v, want %v", dt, i, g[i], w[i])
+			}
+		}
+	}
+}
+
 // TestDecodeIntoMatchesDecodeThenSet: decoding a dense frame straight into
 // model-dtype storage leaves the bits DecodeSpec followed by
 // SetFromFloat64s leaves, for every dense codec into every dtype, across

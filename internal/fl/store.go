@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"sync"
 
@@ -217,27 +216,15 @@ func (st *ClientStore) EvictToBudget(pinned func(id int) bool) error {
 	return nil
 }
 
-// lender is an optimizer that hands its state over by reference
-// (opt.Adam); one that is only opt.Checkpointable goes through
-// the copying State/SetState.
-type lender interface {
-	Borrow() opt.Live
-	Adopt(opt.Live) error
-	Fits(opt.Live) error
-}
-
 // recycle hands what a client the store dropped holds to the next client
-// built — its model to the models free list (SplitModel.Recycle), a lending
-// optimizer's moments and the upload vector to the tensor pool — and clears
+// built — its model, moments included, to the models free list
+// (SplitModel.Recycle), its upload vector to the tensor pool — and clears
 // the fields that held them. Nothing may use the client afterwards; the
 // scheduler's pin keeps every client whose update is still in flight
 // resident.
 func (c *Client) recycle() {
 	if c.Model != nil {
 		c.Model.Recycle()
-	}
-	if o, ok := c.Optimizer.(lender); ok {
-		o.Borrow().Recycle()
 	}
 	tensor.PutStorage(c.upload)
 	c.Model, c.Optimizer, c.upload = nil, nil, nil
@@ -251,67 +238,74 @@ func (st *ClientStore) spillLocked(r *resident) error {
 	return st.seg.put(r.c.ID, st.sb.rec)
 }
 
-// encodeClient writes r's state as one record into sb.rec. Float64
-// parameters and moments are framed where they lie, in their slabs; the
-// buffers and float32 values pass through sb.vec.
+// counters returns the optimizer's State: what a record carries of it
+// beside the model's moments.
+func (c *Client) counters() (opt.State, error) {
+	if c.Optimizer == nil {
+		return opt.State{}, nil
+	}
+	o, ok := c.Optimizer.(opt.Checkpointable)
+	if !ok {
+		return opt.State{}, fmt.Errorf("optimizer: cannot be checkpointed (implement opt.Checkpointable)")
+	}
+	return o.State(), nil
+}
+
+// encodeClient writes r's state as one record into sb.rec. The parameters
+// and the moments in use are framed where they lie, in the model's slabs at
+// their storage codec; the buffers pass through sb.vec.
 func (sb *spillBuf) encodeClient(r *resident) error {
 	c := r.c
 	if c.Src == nil {
 		return fmt.Errorf("client has no serializable RNG (set fl.Client.Src via xrand.NewRand)")
 	}
-	var live opt.Live
-	var vecs [][]float64 // a copying optimizer's moments, one vector per parameter
-	switch o := c.Optimizer.(type) {
-	case nil:
-	case lender:
-		live = o.Borrow()
-	case opt.Checkpointable:
-		s := o.State()
-		live.Ints, vecs = s.Ints, s.Vecs
-	default:
-		return fmt.Errorf("optimizer cannot be checkpointed (implement opt.Checkpointable)")
+	st, err := c.counters()
+	if err != nil {
+		return err
 	}
 	params, bufs := c.lists()
 	b := binary.LittleEndian.AppendUint64(sb.rec[:0], c.Src.State())
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(live.Ints)))
-	for _, v := range live.Ints {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(st.Ints)))
+	for _, v := range st.Ints {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	if vals, _ := nn.Flat(params); vals.DT == tensor.F64 {
-		b = comm.AppendFrame(b, comm.Spec{}, recParams, vals.Data, nil) // where it lies
-	} else {
-		sb.vec = vals.AppendFloat64s(sb.vec[:0])
-		b = comm.AppendFrame(b, comm.Spec{}, recParams, sb.vec, nil)
-	}
+	vals, _ := nn.Flat(params)
+	b = appendSlab(b, recParams, &vals)
 	sb.vec = nn.AppendFlatBuffers(sb.vec[:0], bufs)
 	b = comm.AppendFrame(b, comm.Spec{}, recBuffers, sb.vec, nil)
-	for _, v := range vecs {
-		b = comm.AppendFrame(b, comm.Spec{}, recMoment, v, nil)
+	if nn.MomentsLive(params) {
+		for _, p := range params {
+			b = appendSlab(b, recMoment, p.M)
+		}
+		for _, p := range params {
+			b = appendSlab(b, recMoment, p.V)
+		}
 	}
-	live.Blocks(&sb.vec, func(v []float64) { b = comm.AppendFrame(b, comm.Spec{}, recMoment, v, nil) })
 	sb.rec = b
 	return nil
 }
 
-// rehydrate reads r's record and decodes it into the freshly built client:
-// float64 parameters straight into the model's value slab, moments into a
-// slab the optimizer adopts as it is.
+// appendSlab frames t where it lies, at its storage codec.
+func appendSlab(b []byte, kind uint32, t *tensor.Tensor) []byte {
+	body := comm.SlabBody(t)
+	return body.AppendFrame(b, comm.Spec{Value: body.Codec()}, kind, nil)
+}
+
+// rehydrate reads r's record and decodes it straight into the freshly
+// built client's model, and its counters into the optimizer.
 func (r *resident) rehydrate(f *os.File, sp span, sb *spillBuf) error {
 	if err := sb.read(f, sp); err != nil {
 		return err
 	}
 	c := r.c
 	params, bufs := c.lists()
-	rng, live, err := sb.decode(sb.rec, params, bufs, true)
+	rng, ints, err := sb.decode(sb.rec, params, bufs, true)
 	if err != nil {
 		return err
 	}
 	c.Src.SetState(rng) // non-nil, or the spill or restore would have failed
-	switch o := c.Optimizer.(type) {
-	case lender:
-		return o.Adopt(opt.LiveOf(live.Ints, live.F64, live.Sizes, c.DType().Backing() == tensor.F32))
-	case opt.Checkpointable:
-		return o.SetState(live.State())
+	if o, ok := c.Optimizer.(opt.Checkpointable); ok {
+		return o.SetState(opt.State{Ints: ints})
 	}
 	return nil
 }
@@ -426,8 +420,8 @@ func (st *ClientStore) RestoreTouched(recs []ClientRecord, dt tensor.DType) erro
 
 // check reports, without touching c, why rec — a record taken at dtype dt —
 // cannot be rehydrated into c: it does not decode, or it does not fit c's
-// architecture, dtype or optimizer (a lending one is asked; another checks
-// at rehydration), and the first Get would fail mid-run.
+// architecture, dtype or optimizer counters, and the first Get would fail
+// mid-run.
 func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
 	if c.Src == nil {
 		return fmt.Errorf("fl: client %d has no serializable RNG (set fl.Client.Src via xrand.NewRand)", c.ID)
@@ -436,11 +430,13 @@ func (sb *spillBuf) check(c *Client, rec []byte, dt tensor.DType) error {
 		return fmt.Errorf("fl: checkpoint was taken at dtype %s, fleet is %s (resume with the same -dtype)", dt, c.Model.DType())
 	}
 	params, bufs := c.lists()
-	_, live, err := sb.decode(rec, params, bufs, false)
-	if o, ok := c.Optimizer.(lender); ok && err == nil {
-		err = o.Fits(live)
-	} else if _, ok := c.Optimizer.(opt.Checkpointable); !ok && c.Optimizer != nil {
-		return fmt.Errorf("fl: client %d optimizer cannot be restored (implement opt.Checkpointable)", c.ID)
+	st, err := c.counters()
+	var ints []int64
+	if err == nil {
+		_, ints, err = sb.decode(rec, params, bufs, false)
+	}
+	if err == nil && len(ints) != len(st.Ints) {
+		err = fmt.Errorf("optimizer: checkpoint has %d counters, the optimizer keeps %d", len(ints), len(st.Ints))
 	}
 	if err != nil {
 		return fmt.Errorf("fl: restoring client %d %w", c.ID, err)
@@ -524,20 +520,22 @@ func (s *segment) close() {
 //	[rng u64] [#ints u64] [ints i64…] [params] [buffers] [moment]…
 //
 // where each bracketed vector is a u64 byte length, then a dense comm frame
-// (lossless f64 when spilled) whose kind tag is one of the rec* constants:
-// written by comm.AppendFrame, read back through comm.Reader.DenseFrame.
-// The moments run to the end, a frame per parameter per kind of moment: the
-// optimizer's slab in blocks. The checkpoint's client section is these
-// records.
+// whose kind tag is one of the rec* constants, read back through
+// comm.Reader.DenseFrame. A spilled record frames the parameters and the
+// moments at their slab's storage codec (F64, or F32 for f32 and bf16
+// models) and the buffers at F64, all lossless; a checkpoint writes them at
+// its own codec (AppendRecord). The moments run to the end: none, or the
+// model's moment slab in blocks, every parameter's m and then every v. The
+// checkpoint's client section is these records.
 const (
 	recParams uint32 = iota + 1
 	recBuffers
 	recMoment
 )
 
-// spillBuf is the scratch one record passes through: its bytes and a
-// staging vector. Both keep their capacity, so a warmed store encodes
-// without allocating.
+// spillBuf is the scratch one record passes through: its bytes and the
+// staging vector of the batch-norm buffers, float64 bookkeeping. Both keep
+// their capacity, so a warmed store encodes without allocating.
 type spillBuf struct {
 	rec []byte
 	vec []float64
@@ -582,51 +580,54 @@ func recHeader(r *comm.Reader) (rng uint64, ints []int64) {
 
 // decode parses rec and checks it against a model with the given
 // parameters and buffers (none with nil params): the value counts, and
-// moment frames as long as their parameters, a whole number of kinds. With
-// into set it writes the values into the model, a float64 model's straight
-// into its value slab. It returns the RNG position and the optimizer state,
-// whose moment slab is sb's scratch: valid until sb is next used.
-func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, into bool) (rng uint64, live opt.Live, err error) {
+// either no moment frames or two per parameter, each as long as its
+// parameter. With into set it decodes every frame straight into the model,
+// whatever codec wrote it, and takes the moments out of use when the record
+// has none. It returns the RNG position and the optimizer counters.
+func (sb *spillBuf) decode(rec []byte, params []*nn.Param, bufs [][]float64, into bool) (rng uint64, ints []int64, err error) {
 	r := comm.NewReader(rec, "client record")
-	rng, live.Ints = recHeader(&r)
+	rng, ints = recHeader(&r)
 	model, total := params != nil, nn.NumParams(params)
 	if b := r.DenseFrame(recParams); model && r.Err() == nil && b.Len() != total {
-		return rng, live, fmt.Errorf("parameters: checkpoint has %d values, model has %d", b.Len(), total)
-	} else if vals, _ := nn.Flat(params); into && vals.DT == tensor.F64 {
-		b.Decode(vals.Data[:0])
-	} else if sb.vec = b.Decode(sb.vec[:0]); into && r.Err() == nil {
-		if err := nn.SetFlatParams(params, sb.vec); err != nil {
-			return rng, live, fmt.Errorf("parameters: %w", err)
+		return rng, ints, fmt.Errorf("parameters: checkpoint has %d values, model has %d", b.Len(), total)
+	} else if vals, _ := nn.Flat(params); into && r.Err() == nil {
+		if err := b.DecodeInto(&vals); err != nil {
+			return rng, ints, fmt.Errorf("parameters: %w", err)
 		}
 	}
 	if b := r.DenseFrame(recBuffers); model && r.Err() == nil && b.Len() != nn.NumBuffered(bufs) {
-		return rng, live, fmt.Errorf("buffers: checkpoint has %d values, model has %d", b.Len(), nn.NumBuffered(bufs))
+		return rng, ints, fmt.Errorf("buffers: checkpoint has %d values, model has %d", b.Len(), nn.NumBuffered(bufs))
 	} else if sb.vec = b.Decode(sb.vec[:0]); into && r.Err() == nil {
 		if err := nn.SetFlatBuffers(bufs, sb.vec); err != nil {
-			return rng, live, fmt.Errorf("buffers: %w", err)
+			return rng, ints, fmt.Errorf("buffers: %w", err)
 		}
 	}
-	// The moment frames, end to end, are the slab.
-	sb.vec = sb.vec[:0]
-	for i := 0; r.Err() == nil && r.Len() > 0; i++ {
+	frames := 0
+	for ; r.Err() == nil && r.Len() > 0; frames++ {
 		b := r.DenseFrame(recMoment)
-		if model && r.Err() == nil && (len(params) == 0 || b.Len() != params[i%len(params)].Value.Size()) {
-			return rng, live, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", i, b.Len())
+		if !model || r.Err() != nil || frames >= 2*len(params) { // too many: counted, refused below
+			continue
 		}
-		sb.vec = slices.Grow(sb.vec, b.Len())
-		sb.vec = sb.vec[:len(sb.vec)+len(b.Decode(sb.vec[len(sb.vec):]))]
+		p := params[frames%len(params)]
+		if b.Len() != p.Value.Size() {
+			return rng, ints, fmt.Errorf("moments: frame %d has %d values, not one per value of its parameter", frames, b.Len())
+		}
+		if into {
+			nn.UseMoments(params)
+			dst := p.M
+			if frames >= len(params) {
+				dst = p.V
+			}
+			b.DecodeInto(dst) // as long as dst: checked above
+		}
 	}
 	switch {
 	case r.Err() != nil:
-		return rng, live, r.Err()
-	case !model || len(sb.vec) == 0:
-	case len(sb.vec)%total != 0:
-		return rng, live, fmt.Errorf("moments: %d values are not a whole number of kinds over %d parameter values", len(sb.vec), total)
-	default:
-		live.F64, live.Sizes = sb.vec, make([]int, len(params))
-		for i, p := range params {
-			live.Sizes[i] = p.Value.Size()
-		}
+		return rng, ints, r.Err()
+	case model && frames != 0 && frames != 2*len(params):
+		return rng, ints, fmt.Errorf("moments: %d frames, want none or 2 per parameter of %d", frames, len(params))
+	case into && frames == 0 && len(params) > 0:
+		nn.DropMoments(params)
 	}
-	return rng, live, nil
+	return rng, ints, nil
 }

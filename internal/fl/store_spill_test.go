@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -144,6 +145,40 @@ func TestRestoreTouchedRejectsBeforeMutating(t *testing.T) {
 	noSpillFiles(t)
 }
 
+// A record must carry the counters of its client's optimizer, as many as
+// its State holds, and either no moment frames or two per parameter: one
+// with another number of counters, or with a third kind of moment, is
+// rejected before the store changes.
+func TestRestoreTouchedRejectsForeignOptimizerState(t *testing.T) {
+	st := NewClientStore(8, lazyTestBuilder(t, 8), 2)
+	want := spillTrained(t, st, 3, 0, 1)
+	withInts := func(rec []byte, ints ...int64) []byte {
+		r := comm.NewReader(rec, "client record")
+		rng, _ := recHeader(&r)
+		out := binary.LittleEndian.AppendUint64(nil, rng)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(ints)))
+		for _, v := range ints {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+		return append(out, rec[len(rec)-r.Len():]...)
+	}
+	for name, rec := range map[string][]byte{
+		"no counter":   withInts(want[1]),
+		"two counters": withInts(want[1], 4, 4),
+		"three kinds of moment": rewriteRecord(t, want[1], func(vecs [][]float64) [][]float64 {
+			return append(vecs, vecs[2:8]...)
+		}),
+	} {
+		recs := []ClientRecord{{ID: 0, Rec: want[0]}, {ID: 1, Rec: rec}, {ID: 3, Rec: want[3]}}
+		if err := st.RestoreTouched(recs, tensor.F64); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+	}
+	if !bytes.Equal(clientRecord(t, st.Get(3)), want[3]) {
+		t.Fatal("client 3 lost its spilled state to a rejected restore")
+	}
+}
+
 // allocBytes returns the heap bytes f allocates.
 func allocBytes(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -254,27 +289,86 @@ func TestClientStoreSameIDConcurrentGet(t *testing.T) {
 }
 
 // float32 and bfloat16 models round-trip bit-identically through a record
-// (widening is lossless), and their moments come back in float32.
+// framed at their slabs' codec: parameters and moments at 4 B an element,
+// where a float64 twin's take 8, so a record is about half its twin's, and
+// so is the segment of a lazy fleet after the same churn. The rehydrated
+// moments are the model's, float32 and not rounded to bf16.
 func TestClientStoreRecordDTypes(t *testing.T) {
+	frame := func(n, elem int) int { return 8 + 12 + elem*n }
+	segment := func(dt tensor.DType) int64 {
+		st := NewClientStore(24, lazyTestBuilderOf(t, 24, dt), 3)
+		churn(t, st, 24)
+		return st.segmentLen()
+	}
+	seg64 := segment(tensor.F64)
+	rec64 := len(clientRecord(t, trainedTwin(lazyTestBuilderOf(t, 8, tensor.F64), 3)))
 	for _, dt := range []tensor.DType{tensor.F32, tensor.BF16} {
 		t.Run(dt.String(), func(t *testing.T) {
 			build := lazyTestBuilderOf(t, 8, dt)
 			st := NewClientStore(8, build, 1)
 			want := spillTrained(t, st, 3, 0)
 			c := st.Get(3)
-			if live := c.Optimizer.(lender).Borrow(); live.F32 == nil || live.F64 != nil {
-				t.Fatalf("rehydrated %s moments are not float32", dt)
+			params := c.Model.Params()
+			wantLen := 8 + 8 + 8 + frame(nn.NumParams(params), 4) + frame(nn.NumBuffered(c.Model.Buffers()), 8)
+			for _, p := range params {
+				wantLen += 2 * frame(p.Value.Size(), 4)
+			}
+			if len(want[3]) != wantLen {
+				t.Fatalf("%s record is %d bytes, want %d: parameters and moments at 4 B an element", dt, len(want[3]), wantLen)
+			}
+			t.Logf("%s record %d B, its f64 twin's %d B (%.3f×)", dt, len(want[3]), rec64, float64(len(want[3]))/float64(rec64))
+			rounded := true
+			for _, p := range params {
+				if !nn.MomentsLive(params) || p.M.DT != tensor.F32 || p.V.DT != tensor.F32 {
+					t.Fatalf("rehydrated %s moments are not float32 moments of the model", dt)
+				}
+				for _, x := range p.V.F32 {
+					rounded = rounded && tensor.RoundBF16(x) == x
+				}
+			}
+			if rounded {
+				t.Fatalf("rehydrated %s moments are rounded to bf16", dt)
 			}
 			if !bytes.Equal(clientRecord(t, c), want[3]) {
 				t.Fatalf("%s client differs after a spill round trip", dt)
 			}
-			twin := build(3)
-			twin.TrainEpochCE(8)
+			twin := trainedTwin(build, 3)
 			if a, b := c.TrainEpochCE(8), twin.TrainEpochCE(8); a != b {
 				t.Fatalf("post-rehydration training diverged: %g vs %g", a, b)
 			}
+			seg := segment(dt)
+			t.Logf("%s segment %d B after the churn, f64 %d B (%.3f×)", dt, seg, seg64, float64(seg)/float64(seg64))
+			if float64(seg) > 0.55*float64(seg64) {
+				t.Fatalf("%s segment is %d bytes after the churn, f64 %d: want at most 0.55×", dt, seg, seg64)
+			}
 		})
 	}
+}
+
+// trainedTwin builds client id and trains it for an epoch.
+func trainedTwin(build func(int) *Client, id int) *Client {
+	c := build(id)
+	c.TrainEpochCE(8)
+	return c
+}
+
+// churn runs 400 seeded steps over st's k clients — a Get of a random id,
+// an epoch of training two times in three, an eviction every second step —
+// and returns the spilled high-water mark.
+func churn(t *testing.T, st *ClientStore, k int) (peak int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 400; step++ {
+		c := st.Get(rng.Intn(k))
+		if rng.Intn(3) > 0 {
+			c.TrainEpochCE(8)
+		}
+		if step%2 == 1 {
+			mustEvict(t, st, nil)
+		}
+		peak = max(peak, st.spilledBytes())
+	}
+	return peak
 }
 
 // The segment reuses vacated slots: under any churn of first touches,
@@ -284,20 +378,7 @@ func TestClientStoreRecordDTypes(t *testing.T) {
 func TestSegmentBoundedBySpilledHighWater(t *testing.T) {
 	const k = 24
 	st := NewClientStore(k, lazyTestBuilder(t, k), 3)
-	rng := rand.New(rand.NewSource(5))
-	var peak int64
-	for step := 0; step < 400; step++ {
-		c := st.Get(rng.Intn(k))
-		if rng.Intn(3) > 0 {
-			c.TrainEpochCE(8)
-		}
-		if step%2 == 1 {
-			mustEvict(t, st, nil)
-		}
-		if n := st.spilledBytes(); n > peak {
-			peak = n
-		}
-	}
+	peak := churn(t, st, k)
 	if peak == 0 {
 		t.Fatal("nothing was spilled — test exercises nothing")
 	}

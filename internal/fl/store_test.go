@@ -262,19 +262,19 @@ func TestLazyBudgetByteIdentity(t *testing.T) {
 }
 
 // primeNaN dirties what the next clients built, stepped or rehydrated take
-// over. Each of fleet's clients trains an epoch, its model's value and
-// gradient slabs and running statistics turn NaN, and the store's recycle
-// hands the model whole to the models free list, where the next builds of
-// its config take it, and its moments to the tensor pool. And NaN-filled
-// storage goes into the pool at every length the clients take — a model's
-// value and gradient slabs and its upload vector, as long as its
-// parameters, an Adam step's moment slab, twice that, and each parameter's
-// float64 initialization before packing, at f64 and f32 — once per client.
+// over. Each of fleet's clients trains an epoch, its model's value,
+// gradient and moment slabs and running statistics turn NaN, and the
+// store's recycle hands the model whole to the models free list, where the
+// next builds of its config take it. And NaN-filled storage goes into the
+// pool at every length the clients take — a model's value and gradient
+// slabs and its upload vector, as long as its parameters, and each
+// parameter's float64 initialization before packing, at f64 and f32 — once
+// per client.
 func primeNaN(fleet []*Client) {
 	for _, c := range fleet {
 		params := c.Model.Params()
 		n := nn.NumParams(params)
-		sizes := []int{n, n, n, 2 * n}
+		sizes := []int{n, n, n}
 		for _, p := range params {
 			sizes = append(sizes, p.Value.Size())
 		}
@@ -282,6 +282,10 @@ func primeNaN(fleet []*Client) {
 		vals, grads := nn.Flat(params)
 		vals.Fill(math.NaN())
 		grads.Fill(math.NaN())
+		for _, p := range params {
+			p.M.Fill(math.NaN())
+			p.V.Fill(math.NaN())
+		}
 		for _, b := range c.Model.Buffers() {
 			for i := range b {
 				b[i] = math.NaN()

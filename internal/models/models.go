@@ -128,8 +128,8 @@ var free = struct {
 }{models: make(map[Config][]*SplitModel)}
 
 // Recycle ends m's life: its workspaces go back to their arena
-// (ReleaseWorkspaces) and the model itself — layers, parameter slabs,
-// running statistics, cached lists — to a free list, from which the next
+// (ReleaseWorkspaces) and the model itself — layers, parameter and moment
+// slabs, running statistics, cached lists — to a free list, from which the next
 // New of its Config takes it and initializes it again. Nothing may use m,
 // or any tensor or list it handed out, afterwards.
 func (m *SplitModel) Recycle() {
@@ -161,7 +161,8 @@ func takeFree(cfg Config) *SplitModel {
 // f32-vs-f64 parity runs start from identical weights. A recycled model of
 // the same config (Recycle) is initialized again in place instead of built:
 // nn.Init makes the constructors' draws, in their order, into its slabs and
-// resets its running statistics, and its gradients are zeroed, so it is
+// resets its running statistics, its gradients are zeroed and its moments
+// taken out of use (the slab stays, zeroed at the first step), so it is
 // bit-identical to a model built from scratch.
 func New(cfg Config, src *xrand.Source) *SplitModel {
 	if cfg.Width <= 0 {
@@ -175,6 +176,7 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 		nn.Init(m.Extractor, rng)
 		nn.Init(m.Classifier, rng)
 		nn.ZeroGrads(m.params)
+		nn.DropMoments(m.params)
 		return m
 	}
 	var ext *nn.Sequential

@@ -200,11 +200,16 @@ func (r *viewRing2) next(src *tensor.Tensor, shape ...int) *tensor.Tensor {
 
 func (r *viewRing2) release() { dropViews(r.views[:]) }
 
-// Param is a trainable parameter with its accumulated gradient.
+// Param is a trainable parameter with its accumulated gradient and its
+// optimizer moments.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+	// M and V are Adam's first and second moments of Value: views of the
+	// model's moment slab while it is in use (UseMoments), empty before.
+	M, V *tensor.Tensor
+	mv   *moments
 }
 
 // newParam builds a named float64 parameter for a layer to initialize: a
@@ -216,19 +221,73 @@ func newParam(name string, shape ...int) *Param {
 // Pack moves freshly built parameters into one value slab and one gradient
 // slab of dtype dt, in order: each Value becomes a view of its block,
 // narrowed from its float64 initialization, each Grad a zero view, and the
-// value storage they had goes back to the tensor package's pool. Layer
-// workspaces follow the activations' dtype lazily on the first pass.
+// value storage they had goes back to the tensor package's pool. The
+// moments have no storage until they first come into use (UseMoments).
+// Layer workspaces follow the activations' dtype lazily on the first pass.
 func Pack(params []*Param, dt tensor.DType) {
 	n, off := NumParams(params), 0
 	vals, grads := tensor.NewStorageOf(dt, n), tensor.NewStorageOf(dt, n)
+	mv := &moments{params: params}
 	for _, p := range params {
 		init, size := p.Value.Data, p.Value.Size()
 		tensor.ViewInto(p.Value, vals, off, off+size, p.Value.Shape...)
 		tensor.ViewInto(p.Grad, grads, off, off+size, p.Value.Shape...)
 		p.Value.SetFromFloat64s(init)
 		tensor.PutStorage(init)
+		p.M, p.V, p.mv = new(tensor.Tensor), new(tensor.Tensor), mv
 		off += size
 	}
+}
+
+// moments is a packed model's optimizer state: one slab in the values'
+// storage type (float32 for a bf16 model, whose moments are never rounded
+// to bf16), every parameter's M block and then every V block in Params()
+// order. It is allocated when the model first steps and kept for the
+// model's life, reuse included; live says whether it holds a training state.
+type moments struct {
+	params []*Param
+	slab   *tensor.Tensor
+	live   bool
+}
+
+// UseMoments brings the moments of params' model into use: moments not in
+// use are zeroed, in the slab the model already has or in one allocated
+// now, and moments in use are left as they are. params is any run of one
+// packed model's parameters; the optimizer calls it before each step, and
+// a spill record's reader before it writes the moments.
+func UseMoments(params []*Param) {
+	mv := momentsOf(params)
+	switch {
+	case mv.live:
+		return
+	case mv.slab != nil:
+		mv.slab.Zero()
+	default:
+		n, off := NumParams(mv.params), 0
+		mv.slab = tensor.NewOf(ParamsDType(mv.params).Backing(), 2*n)
+		for _, p := range mv.params {
+			size := p.Value.Size()
+			tensor.ViewInto(p.M, mv.slab, off, off+size, p.Value.Shape...)
+			tensor.ViewInto(p.V, mv.slab, n+off, n+off+size, p.Value.Shape...)
+			off += size
+		}
+	}
+	mv.live = true
+}
+
+// DropMoments takes the moments of params' model out of use: it holds no
+// optimizer state until the next UseMoments.
+func DropMoments(params []*Param) { momentsOf(params).live = false }
+
+// MomentsLive reports whether the moments of params' model are in use. A
+// model without parameters has none.
+func MomentsLive(params []*Param) bool { return len(params) > 0 && momentsOf(params).live }
+
+func momentsOf(params []*Param) *moments {
+	if len(params) == 0 || params[0].mv == nil {
+		panic("nn: optimizer moments of parameters that are not packed")
+	}
+	return params[0].mv
 }
 
 // Flat returns the values and the gradients params cover as two flat

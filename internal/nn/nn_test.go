@@ -8,6 +8,54 @@ import (
 	"repro/internal/tensor"
 )
 
+// A packed model's moments are one slab of the values' storage type, every
+// m block and then every v block: none in use until UseMoments, zero when
+// they come into use — in a reused slab too — and left alone while in use.
+// A run of the model's parameters reaches the whole model's moments.
+func TestMomentsComeIntoUseZeroed(t *testing.T) {
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32, tensor.BF16} {
+		params := NewSequential(NewDense(4, 6, rand.New(rand.NewSource(1))), NewDense(6, 3, rand.New(rand.NewSource(2)))).Params()
+		Pack(params, dt)
+		if MomentsLive(params) {
+			t.Fatalf("%v: a packed model's moments are in use before any step", dt)
+		}
+		UseMoments(params[2:]) // the second layer's run
+		n, off := NumParams(params), 0
+		slab := span(params[0].M, 0, 2*n)
+		for i, p := range params {
+			m, v := span(&slab, off, 2*n), span(&slab, n+off, 2*n)
+			if p.M.DT != dt.Backing() || p.M.Size() != p.Value.Size() || p.V.Size() != p.Value.Size() || !sameStorage(&m, p.M) || !sameStorage(&v, p.V) {
+				t.Fatalf("%v: parameter %d's moments are not its blocks of one %v slab, every m then every v", dt, i, dt.Backing())
+			}
+			if p.M.MaxAbs() != 0 || p.V.MaxAbs() != 0 {
+				t.Fatalf("%v: parameter %d's moments came into use dirty", dt, i)
+			}
+			off += p.Value.Size()
+		}
+		for _, p := range params {
+			p.M.Fill(0.5)
+			p.V.Fill(0.25)
+		}
+		UseMoments(params)
+		if !MomentsLive(params) || params[3].V.AppendFloat64s(nil)[0] != 0.25 {
+			t.Fatalf("%v: UseMoments changed moments in use", dt)
+		}
+		DropMoments(params)
+		if MomentsLive(params) {
+			t.Fatalf("%v: dropped moments are in use", dt)
+		}
+		UseMoments(params)
+		for i, p := range params {
+			if p.M.MaxAbs() != 0 || p.V.MaxAbs() != 0 {
+				t.Fatalf("%v: parameter %d's reused moments came into use dirty", dt, i)
+			}
+		}
+		if !sameStorage(&slab, params[0].M) {
+			t.Fatalf("%v: moments reused no slab", dt)
+		}
+	}
+}
+
 func TestFlattenSetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewSequential(
