@@ -439,7 +439,6 @@ func (k *KTpFL) distill(c *fl.Client, target *tensor.Tensor) {
 		tensor.PutTensor(dlogits)
 		c.Model.Extractor.BackwardParams(dfeat)
 		c.Optimizer.Step(params)
-		nn.ZeroGrads(params)
 	}
 	c.Model.ReleaseWorkspaces()
 }

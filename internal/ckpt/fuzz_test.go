@@ -39,6 +39,7 @@ func (plainStep) Step(params []*nn.Param) {
 			p.Value.Data[i] -= 0.05 * g
 		}
 	}
+	nn.DropGrads(params)
 }
 
 func (plainStep) State() opt.State { return opt.State{} }

@@ -153,7 +153,6 @@ func TrainEpochs(group []*Client, batchSize, epochs int, obj Objective) []float6
 					obj.Hook(k)
 				}
 				group[k].Optimizer.Step(params[k])
-				nn.ZeroGrads(params[k])
 			}
 		}
 	}

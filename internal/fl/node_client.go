@@ -153,8 +153,13 @@ func (cr *clientRun) join() {
 	join := &wireMsg{kind: msgJoin, name: cr.cn.Algo.Name(), vecs: f64Bodies(nil, j.Init), ints: j.AppendInts(nil)}
 	// Sent once per connection, and as large as the init payload: a frame of
 	// its own, so the uplink's upload frame is sized by an upload, and lent,
-	// so it crosses an inproc lane without a copy.
-	cr.up.send(transport.Lend(appendMsg(nil, join, cr.up.wc)))
+	// so it crosses an inproc lane without a copy. The frame holds the
+	// payload, so its vectors go back to the pool.
+	frame := appendMsg(nil, join, cr.up.wc)
+	for _, v := range j.Init {
+		tensor.PutStorage(v)
+	}
+	cr.up.send(transport.Lend(frame))
 }
 
 // handle processes one server message the uplink passed through and reports

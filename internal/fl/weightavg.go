@@ -211,9 +211,11 @@ func (h *WeightAvg) apply(u *Update, v comm.Body) error {
 // AsyncCommit merges the accumulated average into the global vector.
 func (h *WeightAvg) AsyncCommit(_ *Simulation) error { return h.WireCommit() }
 
-// WireInit returns the client's shared weights for the server's start.
+// WireInit returns the client's shared weights for the server's start, on
+// tensor pool storage.
 func (h *WeightAvg) WireInit(c *Client) ([][]float64, error) {
-	return [][]float64{nn.FlattenParams(h.m.Shared(c))}, nil
+	shared := h.m.Shared(c)
+	return [][]float64{nn.AppendFlatParams(tensor.GetStorage[float64](nn.NumParams(shared))[:0], shared)}, nil
 }
 
 // WireDispatch broadcasts the global vector.

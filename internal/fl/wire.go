@@ -421,7 +421,9 @@ type frameInstaller interface {
 // the wire halves reuse.
 type WireAlgorithm interface {
 	Algorithm
-	// WireInit returns the client's join-time init payload (client half).
+	// WireInit returns the client's join-time init payload (client half):
+	// vectors that alias no live state, so a caller done with them may hand
+	// them to the tensor pool (tensor.PutStorage).
 	WireInit(c *Client) ([][]float64, error)
 	// WireSetup builds initial server state from the full fleet's joins,
 	// ordered by client id (server half). It replaces Setup+AsyncSetup in

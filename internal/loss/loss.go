@@ -221,6 +221,7 @@ func Proximal(params []*nn.Param, globalFlat []float64, rho float64) float64 {
 	if rho == 0 {
 		return 0
 	}
+	nn.UseGrads(params)
 	w, g := nn.Flat(params)
 	if w.DT.Backing() == tensor.F32 {
 		return rho * proximal(w.F32, g.F32, globalFlat, rho)

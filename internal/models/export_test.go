@@ -17,16 +17,15 @@ func DrainFree() {
 	free.Unlock()
 }
 
-// PrimeNaN dirties everything a model keeps for its next life: the value,
-// gradient and moment slabs and the running statistics turn NaN, and so does every
+// PrimeNaN dirties everything a model keeps for its next life: the value
+// and moment slabs and the running statistics turn NaN, and so does every
 // float slice a layer retains (batch-norm caches); every int slice (pooling
 // argmax, cached shapes) turns −1; and every tensor header still reachable
 // — a recycled model's view headers — points at NaN storage. A model built
 // again from it that reads any of these before writing shows it.
 func PrimeNaN(m *SplitModel) {
-	vals, grads := nn.Flat(m.params)
+	vals, _ := nn.Flat(m.params)
 	vals.Fill(math.NaN())
-	grads.Fill(math.NaN())
 	for _, p := range m.params {
 		p.M.Fill(math.NaN())
 		p.V.Fill(math.NaN())

@@ -128,7 +128,7 @@ var free = struct {
 }{models: make(map[Config][]*SplitModel)}
 
 // Recycle ends m's life: its workspaces go back to their arena
-// (ReleaseWorkspaces) and the model itself — layers, parameter and moment
+// (ReleaseWorkspaces) and the model itself — layers, value and moment
 // slabs, running statistics, cached lists — to a free list, from which the next
 // New of its Config takes it and initializes it again. Nothing may use m,
 // or any tensor or list it handed out, afterwards.
@@ -160,10 +160,11 @@ func takeFree(cfg Config) *SplitModel {
 // narrowed into Config.DType slabs (nn.Pack), classifier last, which makes
 // f32-vs-f64 parity runs start from identical weights. A recycled model of
 // the same config (Recycle) is initialized again in place instead of built:
-// nn.Init makes the constructors' draws, in their order, into its slabs and
-// resets its running statistics, its gradients are zeroed and its moments
-// taken out of use (the slab stays, zeroed at the first step), so it is
-// bit-identical to a model built from scratch.
+// nn.Init makes the constructors' draws, in their order, into its value
+// slab and resets its running statistics, and its moments are taken out of
+// use (the slab stays, zeroed at the first step); it holds no gradients,
+// which a step leases zeroed, so it is bit-identical to a model built from
+// scratch.
 func New(cfg Config, src *xrand.Source) *SplitModel {
 	if cfg.Width <= 0 {
 		cfg.Width = 1
@@ -175,7 +176,6 @@ func New(cfg Config, src *xrand.Source) *SplitModel {
 	if m := takeFree(cfg); m != nil {
 		nn.Init(m.Extractor, rng)
 		nn.Init(m.Classifier, rng)
-		nn.ZeroGrads(m.params)
 		nn.DropMoments(m.params)
 		return m
 	}
@@ -240,8 +240,9 @@ func (m *SplitModel) Forward(x *tensor.Tensor, train bool) (feats, logits *tenso
 
 // ReleaseWorkspaces ends a pass: the input staging buffer and the
 // extractor's and the classifier's layer workspaces go back to the model's
-// arena, and the arena to the free list (nn.Release), so a model between
-// passes holds only its parameters, gradients and running statistics.
+// arena with any gradients still in use, and the arena to the free list
+// (nn.Release), so a model between passes holds only its parameter values,
+// moments and running statistics.
 // Every tensor Forward or Features returned is invalid afterwards, and so
 // is every other lease of the pass (nn.ArenaOf). The pass drivers —
 // fl.TrainEpochs, fl.Client.EvalAccuracy, KT-pFL's distillation — call it

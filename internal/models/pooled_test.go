@@ -16,11 +16,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// slabBits returns the bits of a model's value slab, gradient slab and
-// buffers.
-func slabBits(m *models.SplitModel) (vals, grads, bufs []uint64) {
-	v, g := nn.Flat(m.Params())
-	return f64bits(v.AppendFloat64s(nil)), f64bits(g.AppendFloat64s(nil)), f64bits(nn.AppendFlatBuffers(nil, m.Buffers()))
+// slabBits returns the bits of a model's value slab and buffers.
+func slabBits(m *models.SplitModel) (vals, bufs []uint64) {
+	v, _ := nn.Flat(m.Params())
+	return f64bits(v.AppendFloat64s(nil)), f64bits(nn.AppendFlatBuffers(nil, m.Buffers()))
 }
 
 func f64bits(v []float64) []uint64 {
@@ -48,8 +47,8 @@ func trainedClient(m *models.SplitModel, part data.ClientData, ds *data.Dataset)
 // from scratch: for every architecture, dtype and two widths, a model that
 // trained, was recycled and then had its slabs, running statistics and
 // every slice and view header its layers retain NaN-primed comes back with
-// the value slab, gradient slab and buffers of a fresh build from the same
-// seed, and one TrainEpochs epoch from each gives the same bits. A recycled
+// the value slab and buffers of a fresh build from the same seed, and one
+// TrainEpochs epoch from each gives the same bits. A recycled
 // model serves only its own config.
 func TestPooledModelMatchesFresh(t *testing.T) {
 	ds := data.Generate(data.SynthFashion(6, 4, 3))
@@ -66,7 +65,7 @@ func TestPooledModelMatchesFresh(t *testing.T) {
 					defer models.DrainFree()
 					cfg := models.Config{Arch: arch, InC: ds.C, InH: ds.H, InW: ds.W, FeatDim: 16, NumClasses: ds.NumClasses, Width: width, DType: dt}
 					fresh := models.New(cfg, xrand.New(7))
-					wantV, wantG, wantB := slabBits(fresh)
+					wantV, wantB := slabBits(fresh)
 
 					used := models.New(cfg, xrand.New(3))
 					trainedClient(used, parts[0], ds)
@@ -76,21 +75,18 @@ func TestPooledModelMatchesFresh(t *testing.T) {
 					if pooled != used {
 						t.Fatal("New built a model with a recycled one of its config free")
 					}
-					gotV, gotG, gotB := slabBits(pooled)
+					gotV, gotB := slabBits(pooled)
 					if !slices.Equal(gotV, wantV) {
 						t.Error("a recycled model's values differ from a fresh build's")
-					}
-					if !slices.Equal(gotG, wantG) {
-						t.Error("a recycled model's gradients differ from a fresh build's")
 					}
 					if !slices.Equal(gotB, wantB) {
 						t.Error("a recycled model's buffers differ from a fresh build's")
 					}
 
 					want, got := trainedClient(fresh, parts[1], ds), trainedClient(pooled, parts[1], ds)
-					wantV, wantG, wantB = slabBits(want.Model)
-					gotV, gotG, gotB = slabBits(got.Model)
-					if !slices.Equal(gotV, wantV) || !slices.Equal(gotG, wantG) || !slices.Equal(gotB, wantB) {
+					wantV, wantB = slabBits(want.Model)
+					gotV, gotB = slabBits(got.Model)
+					if !slices.Equal(gotV, wantV) || !slices.Equal(gotB, wantB) {
 						t.Error("an epoch from a recycled model differs from one from a fresh build")
 					}
 					if a, b := want.EvalAccuracy(), got.EvalAccuracy(); a != b {

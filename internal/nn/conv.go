@@ -110,8 +110,7 @@ func NewConv2D(inC, outC, k, stride, pad, groups int, rng *rand.Rand) *Conv2D {
 		outCPerGroup: outC / groups,
 	}
 	c.kernelElems = c.inCPerGroup * k * k
-	c.W = newParam("conv.W", outC, c.kernelElems)
-	c.B = newParam("conv.B", outC)
+	c.W, c.B = c.newParam("conv.W", outC, c.kernelElems), c.newParam("conv.B", outC)
 	c.task = c.runRange
 	c.init(rng)
 	return c
@@ -197,6 +196,7 @@ func (c *Conv2D) leaseBackward(inputGrad bool) {
 	}
 	c.dwt = c.ensure(dt, c.dwt, c.Groups*ke, ocg)
 	c.dbs = c.ensure(dt, c.dbs, c.OutC)
+	useGrads(c.W)
 	for g := 0; g < c.Groups; g++ {
 		setView(&c.dwV[g], c.W.Grad, g*ocg*ke, (g+1)*ocg*ke, ocg, ke)
 		setView(&c.dwtV[g], c.dwt, g*ke*ocg, (g+1)*ke*ocg, ke, ocg)
@@ -498,8 +498,8 @@ func convBiasSums[F tensor.Float](c *Conv2D, gm, dbs []F, first bool) {
 
 // convApplyGrads adds the summed bias gradient and the transposed weight
 // gradient, each once, to the parameter gradients. dW is zero on entry
-// (grads are cleared each step), so scattering the transpose is
-// bit-identical to accumulating the direct product.
+// (a step's gradients come into use zeroed), so scattering the transpose
+// is bit-identical to accumulating the direct product.
 func convApplyGrads[F tensor.Float](c *Conv2D, db, dbs []F) {
 	for ch, s := range dbs {
 		db[ch] += s
@@ -590,6 +590,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // Forward rebuilds every group view, and a Backward before it fails. The
 // per-call scratch is already back in the arena.
 func (c *Conv2D) release() {
+	dropGrads(c.W)
 	putBack(&c.out, &c.cols, &c.dx)
 	for _, vs := range [][]*tensor.Tensor{c.wgV, c.dwV, c.dwtV, c.colsV, c.gmatV, c.dcolsV} {
 		dropViews(vs)

@@ -138,6 +138,7 @@ func checkConvBlocked(t *testing.T, dt tensor.DType, inC, outC, k, stride, pad, 
 	layer := func() *Conv2D {
 		c := NewConv2D(inC, outC, k, stride, pad, groups, rand.New(rand.NewSource(5)))
 		Pack(c.Params(), dt)
+		UseGrads(c.Params())
 		rng := rand.New(rand.NewSource(6))
 		c.W.Grad.FillUniform(rng, -1, 1)
 		c.B.Grad.FillUniform(rng, -1, 1)

@@ -27,12 +27,8 @@ type Dense struct {
 
 // NewDense builds a dense layer with He-normal weights and zero biases.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   newParam("dense.W", in, out),
-		B:   newParam("dense.B", out),
-	}
+	d := &Dense{In: in, Out: out}
+	d.W, d.B = d.newParam("dense.W", in, out), d.newParam("dense.B", out)
 	d.init(rng)
 	return d
 }
@@ -120,6 +116,7 @@ func DenseBackwardBatch(ds []*Dense, grads []*tensor.Tensor) []*tensor.Tensor {
 func denseParamGrads(ds []*Dense, grads []*tensor.Tensor) {
 	l := ds[0].launch.start("DenseBackwardBatch", len(ds), len(grads))
 	for g, d := range ds {
+		useGrads(d.W)
 		l.add(d.W.Grad, d.x, grads[g])
 	}
 	tensor.MatMulBatchATBAcc(l.outs, l.as, l.bs)
@@ -142,6 +139,7 @@ func (d *Dense) backwardParamsGroup(ls []Layer, grads []*tensor.Tensor) {
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 func (d *Dense) release() {
+	dropGrads(d.W)
 	putBack(&d.out, &d.dx)
 	d.x = nil
 	d.launch.release()

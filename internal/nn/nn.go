@@ -40,21 +40,25 @@
 //     workspaces back as soon as no later layer can read them
 //     (SequentialForwardBatch, which Sequential.Forward runs as a group of
 //     one).
+//   - A step's parameter gradients are one range, leased at the step's
+//     first gradient write (UseGrads) and handed back when its optimizer
+//     step ends (DropGrads).
 //   - Release hands back everything left when the pass ends, and then the
 //     arena.
 //
-// A model between passes holds only its parameters, gradients and running
-// statistics. Once an arena has served a pass's leases, a training pass
-// allocates nothing: each lease is a range of a chunk it already has, under
-// a recycled header, and so are the driver's batch inputs and the losses'
-// gradients and intermediates (fl.TrainEpochs, package loss, ArenaOf), so
-// a warm local epoch makes no heap allocation (the root package's
-// TestHotPathAllocs holds ClientLocalEpoch at 0 allocs/op). Leases arrive
-// dirty: every layer overwrites each element it later reads. A model's
-// parameters live in two exact-length pool slabs, one for values and one
-// for gradients, in Params() order (Pack), so every flat view of a run of
-// them is one range (Flat); a built model keeps its slabs for life, and
-// Init re-initializes them in place when the model is reused.
+// A model between passes holds only its parameter values, its optimizer
+// moments and its running statistics. Once an arena has served a pass's
+// leases, a training pass allocates nothing: each lease is a range of a
+// chunk it already has, under a recycled header, and so are the driver's
+// batch inputs and the losses' gradients and intermediates (fl.TrainEpochs,
+// package loss, ArenaOf), so a warm local epoch makes no heap allocation
+// (the root package's TestHotPathAllocs holds ClientLocalEpoch at 0
+// allocs/op). Leases arrive dirty: every layer overwrites each element it
+// later reads, and the gradient lease comes into use zeroed. A model's
+// parameter values live in one exact-length pool slab, in Params() order
+// (Pack), and so do their gradients in a step's lease, so every flat view
+// of a run of them is one range (Flat); a built model keeps its value slab
+// for life, and Init re-initializes it in place when the model is reused.
 //
 // A training step reads no input gradient from the model's first layer, so
 // its reverse walk (SequentialBackwardParams, Sequential.BackwardParams)
@@ -200,54 +204,62 @@ func (r *viewRing2) next(src *tensor.Tensor, shape ...int) *tensor.Tensor {
 
 func (r *viewRing2) release() { dropViews(r.views[:]) }
 
-// Param is a trainable parameter with its accumulated gradient and its
-// optimizer moments.
+// Param is a trainable parameter: its value, the gradient a step
+// accumulates into, and its optimizer moments.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	// Grad is a view of its block of the model's gradient lease while a
+	// step has one (UseGrads) and holds no storage otherwise.
+	Grad *tensor.Tensor
 	// M and V are Adam's first and second moments of Value: views of the
 	// model's moment slab while it is in use (UseMoments), empty before.
-	M, V *tensor.Tensor
-	mv   *moments
+	M, V  *tensor.Tensor
+	model *packed
+	// owner is the handle of the parameter's layer, whose pass the model's
+	// gradients are leased from; nil for a Param literal.
+	owner *ws
 }
 
-// newParam builds a named float64 parameter for a layer to initialize: a
-// zero value on exact-length pool storage, and no gradient until Pack.
-func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, Value: tensor.NewStorageOf(tensor.F64, shape...), Grad: new(tensor.Tensor)}
+// newParam builds a named float64 parameter of w's layer for the layer to
+// initialize: a zero value on exact-length pool storage, and no gradient.
+func (w *ws) newParam(name string, shape ...int) *Param {
+	return &Param{Name: name, Value: tensor.NewStorageOf(tensor.F64, shape...), Grad: new(tensor.Tensor), owner: w}
 }
 
-// Pack moves freshly built parameters into one value slab and one gradient
-// slab of dtype dt, in order: each Value becomes a view of its block,
-// narrowed from its float64 initialization, each Grad a zero view, and the
-// value storage they had goes back to the tensor package's pool. The
-// moments have no storage until they first come into use (UseMoments).
-// Layer workspaces follow the activations' dtype lazily on the first pass.
+// Pack moves freshly built parameters into one value slab of dtype dt, in
+// order: each Value becomes a view of its block, narrowed from its float64
+// initialization, and the value storage they had goes back to the tensor
+// package's pool. The gradients and the moments have no storage until they
+// come into use (UseGrads, UseMoments). Layer workspaces follow the
+// activations' dtype lazily on the first pass.
 func Pack(params []*Param, dt tensor.DType) {
 	n, off := NumParams(params), 0
-	vals, grads := tensor.NewStorageOf(dt, n), tensor.NewStorageOf(dt, n)
-	mv := &moments{params: params}
+	vals := tensor.NewStorageOf(dt, n)
+	m := &packed{params: params, n: n}
 	for _, p := range params {
 		init, size := p.Value.Data, p.Value.Size()
 		tensor.ViewInto(p.Value, vals, off, off+size, p.Value.Shape...)
-		tensor.ViewInto(p.Grad, grads, off, off+size, p.Value.Shape...)
 		p.Value.SetFromFloat64s(init)
 		tensor.PutStorage(init)
-		p.M, p.V, p.mv = new(tensor.Tensor), new(tensor.Tensor), mv
+		p.M, p.V, p.model = new(tensor.Tensor), new(tensor.Tensor), m
 		off += size
 	}
 }
 
-// moments is a packed model's optimizer state: one slab in the values'
-// storage type (float32 for a bf16 model, whose moments are never rounded
-// to bf16), every parameter's M block and then every V block in Params()
-// order. It is allocated when the model first steps and kept for the
-// model's life, reuse included; live says whether it holds a training state.
-type moments struct {
+// packed is what a packed model holds beside its value slab. Its optimizer
+// state is one slab in the values' storage type (float32 for a bf16 model,
+// whose moments are never rounded to bf16), every parameter's M block and
+// then every V block in Params() order, allocated when the model first
+// steps and kept for the model's life, reuse included; live says whether
+// it holds a training state. Its gradients are a step's: one range of the
+// arena of the pass that writes them, leased while a step has them in use.
+type packed struct {
 	params []*Param
+	n      int // NumParams(params)
 	slab   *tensor.Tensor
 	live   bool
+	grads  *tensor.Tensor // the gradient lease, nil outside a step
 }
 
 // UseMoments brings the moments of params' model into use: moments not in
@@ -256,52 +268,122 @@ type moments struct {
 // packed model's parameters; the optimizer calls it before each step, and
 // a spill record's reader before it writes the moments.
 func UseMoments(params []*Param) {
-	mv := momentsOf(params)
+	m := packedOf(params)
 	switch {
-	case mv.live:
+	case m.live:
 		return
-	case mv.slab != nil:
-		mv.slab.Zero()
+	case m.slab != nil:
+		m.slab.Zero()
 	default:
-		n, off := NumParams(mv.params), 0
-		mv.slab = tensor.NewOf(ParamsDType(mv.params).Backing(), 2*n)
-		for _, p := range mv.params {
+		off := 0
+		m.slab = tensor.NewOf(ParamsDType(m.params).Backing(), 2*m.n)
+		for _, p := range m.params {
 			size := p.Value.Size()
-			tensor.ViewInto(p.M, mv.slab, off, off+size, p.Value.Shape...)
-			tensor.ViewInto(p.V, mv.slab, n+off, n+off+size, p.Value.Shape...)
+			tensor.ViewInto(p.M, m.slab, off, off+size, p.Value.Shape...)
+			tensor.ViewInto(p.V, m.slab, m.n+off, m.n+off+size, p.Value.Shape...)
 			off += size
 		}
 	}
-	mv.live = true
+	m.live = true
 }
 
 // DropMoments takes the moments of params' model out of use: it holds no
 // optimizer state until the next UseMoments.
-func DropMoments(params []*Param) { momentsOf(params).live = false }
+func DropMoments(params []*Param) { packedOf(params).live = false }
 
 // MomentsLive reports whether the moments of params' model are in use. A
 // model without parameters has none.
-func MomentsLive(params []*Param) bool { return len(params) > 0 && momentsOf(params).live }
+func MomentsLive(params []*Param) bool { return len(params) > 0 && packedOf(params).live }
 
-func momentsOf(params []*Param) *moments {
-	if len(params) == 0 || params[0].mv == nil {
+func packedOf(params []*Param) *packed {
+	if len(params) == 0 || params[0].model == nil {
 		panic("nn: optimizer moments of parameters that are not packed")
 	}
-	return params[0].mv
+	return params[0].model
+}
+
+// UseGrads brings the gradients of params' model into use, the twin of
+// UseMoments: gradients in use are left as they are, and otherwise one
+// zeroed range of the model's parameter count is leased from the arena of
+// the pass the write belongs to — a group member's is its leader's (Join)
+// — and every Grad of the model points at its block, in Params() order.
+// Every gradient writer goes through it at its first write of a step — the
+// backward passes of Dense, Conv2D and BatchNorm2D, and loss.Proximal — and
+// so does the optimizer, whose step reads zeros when nothing wrote any.
+// Parameters outside any layer (a Param literal) keep the gradients they
+// were built with.
+func UseGrads(params []*Param) {
+	if len(params) > 0 && params[0].owner != nil {
+		useGrads(params[0])
+	}
+}
+
+// useGrads is UseGrads for the model p belongs to, leasing from the pass of
+// p's layer.
+func useGrads(p *Param) {
+	m := p.model
+	if m == nil {
+		panic("nn: gradients of parameters that are not packed")
+	}
+	if m.grads != nil {
+		return
+	}
+	m.grads = p.owner.arena().Lease(ParamsDType(m.params), m.n)
+	m.grads.Zero()
+	off := 0
+	for _, q := range m.params {
+		size := q.Value.Size()
+		tensor.ViewInto(q.Grad, m.grads, off, off+size, q.Value.Shape...)
+		off += size
+	}
+}
+
+// DropGrads ends the step of params' model: its gradient lease goes back
+// to the arena and no Grad of the model holds storage until the next
+// UseGrads. The optimizer calls it when its step has read the gradients,
+// and Release when a pass ends with them in use. Gradients not in use, or
+// of parameters outside any layer, are left as they are.
+func DropGrads(params []*Param) {
+	if len(params) > 0 {
+		dropGrads(params[0])
+	}
+}
+
+func dropGrads(p *Param) {
+	m := p.model
+	if m == nil || m.grads == nil {
+		return
+	}
+	tensor.PutTensor(m.grads)
+	m.grads = nil
+	for _, q := range m.params {
+		q.Grad.Data, q.Grad.F32 = nil, nil
+	}
 }
 
 // Flat returns the values and the gradients params cover as two flat
-// tensors over their model's slabs — the storage itself. params must be a
-// contiguous run of one packed model's parameters, such as Params() or
-// ClassifierParams(); it panics otherwise.
+// tensors over their model's storage — the storage itself. The gradients
+// are empty when params hold none, as a packed model's do outside a step.
+// params must be a contiguous run of one packed model's parameters, such as
+// Params() or ClassifierParams(); it panics otherwise.
 func Flat(params []*Param) (vals, grads tensor.Tensor) {
 	if len(params) == 0 {
 		return vals, grads
 	}
 	n, off := NumParams(params), 0
-	vals, grads = span(params[0].Value, 0, n), span(params[0].Grad, 0, n)
+	vals = span(params[0].Value, 0, n)
+	held := params[0].Grad.Size() > 0
+	if held {
+		grads = span(params[0].Grad, 0, n)
+	}
 	for _, p := range params {
-		if v, g := span(&vals, off, n), span(&grads, off, n); !sameStorage(&v, p.Value) || !sameStorage(&g, p.Grad) {
+		v := span(&vals, off, n)
+		ok := sameStorage(&v, p.Value)
+		if held {
+			g := span(&grads, off, n)
+			ok = ok && sameStorage(&g, p.Grad)
+		}
+		if !ok {
 			panic("nn: parameters are not a contiguous run of one packed model")
 		}
 		off += p.Value.Size()
@@ -348,7 +430,7 @@ type initializer interface {
 // constructors — so a built layer given a source in the same state as its
 // construction's comes out bit-identical to a newly constructed one: the
 // same draws land in the same values, narrowed to the parameters' dtype
-// exactly as Pack narrows a float64 initialization. Gradients, workspaces
+// exactly as Pack narrows a float64 initialization. Moments, workspaces
 // and every other cache are the caller's: Init sets only what the
 // constructors set.
 func Init(l Layer, rng *rand.Rand) {
@@ -359,10 +441,11 @@ func Init(l Layer, rng *rand.Rand) {
 
 // Release ends a pass over ls: every workspace they and their sublayers
 // hold — outputs, input gradients, normalization caches, a kept im2col
-// lowering — goes back to the arena, every cached reference to an
-// activation is dropped, and then their pass's arena goes back to the free
-// list. Parameters, gradients and running statistics stay. Tensors ls
-// returned are invalid afterwards; the next pass takes an arena again.
+// lowering, parameter gradients still in use — goes back to the arena,
+// every cached reference to an activation is dropped, and then their
+// pass's arena goes back to the free list. Parameter values, moments and
+// running statistics stay. Tensors ls returned are invalid afterwards; the
+// next pass takes an arena again.
 // Layers bound together (Bind) end their pass together, so Release is
 // given them all.
 func Release(ls ...Layer) {
@@ -526,7 +609,10 @@ func SetFlatBuffers(bufs [][]float64, flat []float64) error {
 	return nil
 }
 
-// ZeroGrads resets the gradients of a packed run of parameters (see Flat).
+// ZeroGrads zeroes the gradients of a packed run of parameters (see Flat)
+// while they are in use, and does nothing when none are: the optimizer step
+// hands them back, and the next write brings them into use zeroed. No
+// training loop calls it; the benchmark's probe does, and pins its name.
 func ZeroGrads(params []*Param) {
 	_, g := Flat(params)
 	g.Zero()

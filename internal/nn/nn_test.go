@@ -2,7 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -87,14 +89,48 @@ func TestFlattenSetRoundTrip(t *testing.T) {
 	}
 }
 
+// A packed model's gradients are a step's: none before UseGrads, which
+// leases one range of the model's pass arena — zero, though the arena is
+// dirty — and points every Grad at its block; a run of the parameters
+// reaches the whole model's. ZeroGrads zeroes gradients in use and brings
+// none into use, and DropGrads and the end of the pass hand them back.
 func TestZeroGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDense(3, 3, rng)
-	Pack(d.Params(), tensor.F64)
-	d.W.Grad.Fill(5)
-	ZeroGrads(d.Params())
-	if d.W.Grad.MaxAbs() != 0 {
-		t.Fatal("ZeroGrads left gradient nonzero")
+	defer tensor.ScrubFreed(math.NaN())()
+	s := NewSequential(NewDense(3, 4, rand.New(rand.NewSource(2))), NewDense(4, 3, rand.New(rand.NewSource(3))))
+	params := s.Params()
+	Pack(params, tensor.F64)
+	holds := func() bool { _, g := Flat(params); return g.Size() > 0 }
+	zeros := func(g *tensor.Tensor) bool {
+		return !slices.ContainsFunc(g.AppendFloat64s(nil), func(v float64) bool { return v != 0 })
+	}
+	ZeroGrads(params)
+	if holds() {
+		t.Fatal("ZeroGrads brought gradients into use")
+	}
+	for range 2 {
+		UseGrads(params[2:])
+		_, g := Flat(params)
+		if g.Size() != NumParams(params) || !zeros(&g) {
+			t.Fatalf("%d gradients came into use, want %d zeros", g.Size(), NumParams(params))
+		}
+		params[0].Grad.Fill(5)
+		UseGrads(params)
+		if params[0].Grad.MaxAbs() != 5 {
+			t.Fatal("UseGrads changed gradients in use")
+		}
+		ZeroGrads(params)
+		if !zeros(&g) {
+			t.Fatal("ZeroGrads left gradient nonzero")
+		}
+		DropGrads(params)
+		if holds() || g.AppendFloat64s(nil)[0] == 0 {
+			t.Fatal("DropGrads kept the lease")
+		}
+	}
+	UseGrads(params)
+	Release(s)
+	if holds() {
+		t.Fatal("a pass ended with its gradients in use")
 	}
 }
 

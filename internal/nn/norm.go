@@ -42,11 +42,10 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 		C:           c,
 		Eps:         1e-5,
 		Momentum:    0.9,
-		Gamma:       newParam("bn2d.gamma", c),
-		Beta:        newParam("bn2d.beta", c),
 		RunningMean: make([]float64, c),
 		RunningVar:  make([]float64, c),
 	}
+	bn.Gamma, bn.Beta = bn.newParam("bn2d.gamma", c), bn.newParam("bn2d.beta", c)
 	bn.init(nil)
 	return bn
 }
@@ -125,6 +124,7 @@ func bn2dForward[F tensor.Float](bn *BatchNorm2D, xd, outd, xhd, gamma, beta []F
 // with m elements: dx = γ·invStd/m · (m·dy − Σdy − x̂·Σ(dy·x̂)).
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := bn.inShape[0], bn.inShape[1], bn.inShape[2], bn.inShape[3]
+	useGrads(bn.Gamma)
 	bn.dx = bn.ensure(grad.DT, bn.dx, n, c, h, w)
 	if grad.DT.Backing() == tensor.F32 {
 		bn2dBackward(bn, tensor.Of[float32](grad), tensor.Of[float32](bn.xhat), tensor.Of[float32](bn.dx),
@@ -171,7 +171,10 @@ func bn2dBackward[F tensor.Float](bn *BatchNorm2D, gradd, xhd, dxd, gamma, dGamm
 // Params returns gamma and beta.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-func (bn *BatchNorm2D) release() { putBack(&bn.out, &bn.xhat, &bn.dx) }
+func (bn *BatchNorm2D) release() {
+	dropGrads(bn.Gamma)
+	putBack(&bn.out, &bn.xhat, &bn.dx)
+}
 
 func (bn *BatchNorm2D) releaseGrad() { putBack(&bn.dx) }
 

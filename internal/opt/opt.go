@@ -3,11 +3,12 @@
 //
 // An optimizer's own state is its step count; the moments it updates are
 // the model's (nn.UseMoments): one slab in the values' storage type beside
-// the value and gradient slabs, every m then every v in Params() order,
-// stepped one block per kernel call (see tensor.AdamStep). The slab comes
-// into use, zeroed, at the model's first step and stays with the model
-// through its reuse, and the client store frames it where it lies. So the
-// serializable State is the step count alone.
+// the value slab, every m then every v in Params() order, stepped one block
+// per kernel call (see tensor.AdamStep). The slab comes into use, zeroed,
+// at the model's first step and stays with the model through its reuse,
+// and the client store frames it where it lies. So the serializable State
+// is the step count alone. The gradients it reads are the step's, leased
+// from the pass (nn.UseGrads), and go back when the step ends.
 package opt
 
 import (
@@ -20,8 +21,9 @@ import (
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
-	// Step applies one update to params using their Grad fields. The caller
-	// is responsible for zeroing gradients between steps.
+	// Step applies one update to params using their Grad fields and ends
+	// the step: it hands the gradients back (nn.DropGrads), so the next
+	// step's first write brings them into use zeroed.
 	Step(params []*nn.Param)
 }
 
@@ -70,9 +72,11 @@ func (a *Adam) SetState(st State) error {
 	return nil
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update and hands the gradients back.
+// A step that nothing wrote gradients for steps on zeros.
 func (a *Adam) Step(params []*nn.Param) {
 	nn.UseMoments(params)
+	nn.UseGrads(params)
 	a.t[0]++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t[0]))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t[0]))
@@ -87,6 +91,7 @@ func (a *Adam) Step(params []*nn.Param) {
 			adamStep(p.Value.Data, p.Grad.Data, p.M.Data, p.V.Data, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 		}
 	}
+	nn.DropGrads(params)
 }
 
 // adamStep updates block w with its moments m and v.

@@ -6,7 +6,7 @@ import (
 )
 
 // Pool is a free list of exact-length storage: what a caller keeps —
-// parameters, gradients, upload vectors — handed out at
+// parameter values, upload vectors — handed out at
 // exactly the requested length (GetStorage, ZeroStorage, NewStorageOf) from
 // lists keyed by element type and length, since the same lengths are asked
 // for over and over and a rounded-up buffer would hold its slack for as long

@@ -206,18 +206,6 @@ func TestElementwiseInto(t *testing.T) {
 	if !ApproxEqual(dst, FromSlice([]float64{6, 8, 10, 12}, 2, 2), 0) {
 		t.Fatalf("AddInto wrong: %v", dst.Data)
 	}
-	SubInto(dst, a, b)
-	if !ApproxEqual(dst, FromSlice([]float64{-4, -4, -4, -4}, 2, 2), 0) {
-		t.Fatalf("SubInto wrong: %v", dst.Data)
-	}
-	MulInto(dst, a, b)
-	if !ApproxEqual(dst, FromSlice([]float64{5, 12, 21, 32}, 2, 2), 0) {
-		t.Fatalf("MulInto wrong: %v", dst.Data)
-	}
-	ScaleInto(dst, a, -2)
-	if !ApproxEqual(dst, FromSlice([]float64{-2, -4, -6, -8}, 2, 2), 0) {
-		t.Fatalf("ScaleInto wrong: %v", dst.Data)
-	}
 	sums := New(2)
 	sums.Fill(1)
 	ColSumsAcc(sums, a)

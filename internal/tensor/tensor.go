@@ -420,42 +420,6 @@ func scaleInPlaceK[F Float](d []F, a F) {
 	}
 }
 
-// AxpyInPlace computes t += a*o elementwise.
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
-	if t.Size() != o.Size() {
-		panic("tensor: AxpyInPlace size mismatch")
-	}
-	if t.DT.Backing() == F32 {
-		axpyK(t.F32, float32(a), Of[float32](o))
-		return
-	}
-	axpyK(t.Data, a, Of[float64](o))
-}
-
-func axpyK[F Float](d []F, a F, o []F) {
-	for i, v := range o {
-		d[i] += a * v
-	}
-}
-
-// MulInPlace computes t *= o elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) {
-	if t.Size() != o.Size() {
-		panic("tensor: MulInPlace size mismatch")
-	}
-	if t.DT.Backing() == F32 {
-		mulInPlaceK(t.F32, Of[float32](o))
-		return
-	}
-	mulInPlaceK(t.Data, Of[float64](o))
-}
-
-func mulInPlaceK[F Float](d, o []F) {
-	for i, v := range o {
-		d[i] *= v
-	}
-}
-
 // CopyFrom overwrites t's elements with o's (sizes and dtypes must match;
 // use ConvertInto to cross dtypes).
 func (t *Tensor) CopyFrom(o *Tensor) {
@@ -484,60 +448,6 @@ func AddInto(dst, a, b *Tensor) {
 func addIntoK[F Float](dst, a, b []F) {
 	for i, v := range a {
 		dst[i] = v + b[i]
-	}
-}
-
-// SubInto computes dst = a - b elementwise without allocating.
-func SubInto(dst, a, b *Tensor) {
-	if dst.Size() != a.Size() || a.Size() != b.Size() {
-		panic("tensor: SubInto size mismatch")
-	}
-	if dst.DT.Backing() == F32 {
-		subIntoK(dst.F32, Of[float32](a), Of[float32](b))
-		return
-	}
-	subIntoK(dst.Data, Of[float64](a), Of[float64](b))
-}
-
-func subIntoK[F Float](dst, a, b []F) {
-	for i, v := range a {
-		dst[i] = v - b[i]
-	}
-}
-
-// MulInto computes dst = a ⊙ b (Hadamard product) without allocating.
-func MulInto(dst, a, b *Tensor) {
-	if dst.Size() != a.Size() || a.Size() != b.Size() {
-		panic("tensor: MulInto size mismatch")
-	}
-	if dst.DT.Backing() == F32 {
-		mulIntoK(dst.F32, Of[float32](a), Of[float32](b))
-		return
-	}
-	mulIntoK(dst.Data, Of[float64](a), Of[float64](b))
-}
-
-func mulIntoK[F Float](dst, a, b []F) {
-	for i, v := range a {
-		dst[i] = v * b[i]
-	}
-}
-
-// ScaleInto computes dst = s·a elementwise without allocating.
-func ScaleInto(dst, a *Tensor, s float64) {
-	if dst.Size() != a.Size() {
-		panic("tensor: ScaleInto size mismatch")
-	}
-	if dst.DT.Backing() == F32 {
-		scaleIntoK(dst.F32, Of[float32](a), float32(s))
-		return
-	}
-	scaleIntoK(dst.Data, Of[float64](a), s)
-}
-
-func scaleIntoK[F Float](dst, a []F, s F) {
-	for i, v := range a {
-		dst[i] = s * v
 	}
 }
 
@@ -584,26 +494,6 @@ func Scale(t *Tensor, a float64) *Tensor {
 	out := t.Clone()
 	out.ScaleInPlace(a)
 	return out
-}
-
-// Dot returns the inner product of two equally sized tensors, accumulated
-// in the tensors' dtype and widened on return.
-func Dot(a, b *Tensor) float64 {
-	if a.Size() != b.Size() {
-		panic("tensor: Dot size mismatch")
-	}
-	if a.DT.Backing() == F32 {
-		return float64(dotK(a.F32, Of[float32](b)))
-	}
-	return dotK(a.Data, Of[float64](b))
-}
-
-func dotK[F Float](a, b []F) F {
-	var s F
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // SumSquares returns Σ t_i², accumulated in the tensor's dtype.
