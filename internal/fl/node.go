@@ -625,13 +625,25 @@ func newServerRun(n *ServerNode) *rootClock {
 }
 
 // full builds the algorithm's server state from the complete fleet's joins
-// and welcomes everyone; advance then opens round 1.
+// and welcomes everyone; advance then opens round 1. The joins' init
+// payloads, read where they lie in their frames, are kept only for a run
+// whose checkpoints carry them (releaseJoins).
 func (r *rootClock) full() {
 	if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
 		r.failf("%s wire setup: %w", r.algo.Name(), err)
 		return
 	}
+	r.releaseJoins()
 	r.pt.assemble()
+}
+
+// releaseJoins drops the joins' init payloads, and hands their frames back,
+// once the server state is built, unless a checkpoint will read them: a
+// tree root never checkpoints, and WireSetup is their only other reader.
+func (r *rootClock) releaseJoins() {
+	if r.cfg.Checkpoint == nil {
+		r.pt.dropJoins()
+	}
 }
 
 func (r *rootClock) fromUp(upFrame)           {} // the root has no uplink
@@ -818,6 +830,7 @@ func (r *rootClock) restore(snap *Snapshot) error {
 		if err := r.algo.WireSetup(r.pt.joins, tensor.Workers()); err != nil {
 			return fmt.Errorf("fl: %s wire setup: %w", r.algo.Name(), err)
 		}
+		r.releaseJoins()
 		return nil
 	}); err != nil {
 		return err

@@ -196,15 +196,13 @@ func (e *edgeClock) redial(d upDial) {
 }
 
 // sendJoin joins the root on the subtree's behalf over a fresh link. The
-// frame is encoded once and is from then on the only copy of the children's
-// init payloads, whose decoded vectors are dropped. (The root keeps its
-// joins whole: its checkpoints carry them.)
+// frame is encoded once, the children's init payloads copied into it as
+// they lie in their join frames, and is from then on the only copy of them:
+// the table drops the payloads and hands the children's frames back.
 func (e *edgeClock) sendJoin() {
 	if e.joinFrame == nil {
 		e.joinFrame = transport.Lend(encodeTreeJoin(e.cfg.Index, e.lo, e.hi, e.pt.joins, e.algo.Name(), e.pt.wc))
-		for i := range e.pt.joins {
-			e.pt.joins[i].Init = nil
-		}
+		e.pt.dropJoins()
 	}
 	e.up.send(e.joinFrame)
 }

@@ -76,9 +76,13 @@ type PeerTable struct {
 
 	sessions []*peerSession
 	// joins collects the declarations of every client at or below this
-	// table, indexed by client id - base; joined counts taken seats.
-	joins  []WireJoin
-	joined int
+	// table, indexed by client id - base; joined counts taken seats. Their
+	// init payloads lie in the join frames the sessions hold (peerSession.
+	// join) until dropJoins; dropped marks that they went, so a join admitted
+	// later keeps none.
+	joins   []WireJoin
+	joined  int
+	dropped bool
 	// assembled flips when the role welcomes the full table: from then on an
 	// admitted connection is an adoption, and the liveness tick runs.
 	assembled bool
@@ -147,6 +151,10 @@ type peerSession struct {
 	gen     int
 	joined  bool
 	churned bool
+	// join is the join message the session's declarations were read from:
+	// their init payloads lie in its frame, which it holds until the table
+	// drops the payloads, a re-join replaces them or the table shuts down.
+	join *wireMsg
 	// lastSeen is the last time any frame arrived (liveness).
 	lastSeen time.Time
 	// downAt is when the connection was lost (reconnect-window clock).
@@ -188,14 +196,17 @@ type inbound struct {
 // acceptedConn is one accept-loop delivery: a handshaken connection with
 // either the session token it presented in the transport hello
 // (reconnecting peer) or its parsed join frame (fresh peer) — the claimed
-// seat, the algorithm name, the declarations, or bad, the reason to refuse
-// it — or the error that ended accepting.
+// seat, the algorithm name, the declarations and msg, the message whose
+// frame their payloads lie in, or bad, the reason to refuse it — or the
+// error that ended accepting. Whoever takes the delivery releases msg,
+// unless a session keeps it.
 type acceptedConn struct {
 	conn  transport.Conn
 	token uint64
 	id    int
 	name  string
 	decls []WireJoin
+	msg   *wireMsg
 	bad   error
 	wire  int64
 	err   error
@@ -205,7 +216,8 @@ type acceptedConn struct {
 // all: the greeter drops the connection without a word.
 var errNotJoin = errors.New("not a join frame")
 
-// readClientJoin is the readJoin of every table whose peers are ClientNodes.
+// readClientJoin is the readJoin of every table whose peers are ClientNodes:
+// the init payload is read where it lies in the join's frame.
 func readClientJoin(m *wireMsg) (int, []WireJoin, error) {
 	if m.kind != msgJoin || len(m.ints) != JoinInts {
 		return 0, nil, errNotJoin
@@ -214,7 +226,7 @@ func readClientJoin(m *wireMsg) (int, []WireJoin, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	j.Init = decodeVecs(m.vecs)
+	j.payload = m.vecs
 	return j.ID, []WireJoin{j}, nil
 }
 
@@ -278,9 +290,13 @@ func (pt *PeerTable) sessionByID(id int) *peerSession { return pt.sessions[id-pt
 
 // shutdown releases everything the event loop owns: the stop channel
 // unblocks deliveries, closing embryo and session connections unblocks
-// their goroutines' reads.
+// their goroutines' reads, and every join frame still held goes back.
 func (pt *PeerTable) shutdown() {
 	pt.stopOnce.Do(func() { close(pt.stop) })
+	pt.dropJoins()
+	for len(pt.conns) > 0 { // the loop's own channel: nobody else receives
+		(<-pt.conns).msg.release()
+	}
 	pt.embryoMu.Lock()
 	for c := range pt.embryos {
 		c.Close()
@@ -346,7 +362,8 @@ func (pt *PeerTable) acceptLoop(ln transport.Listener) {
 // greet classifies one accepted connection. A nonzero hello token is a
 // reconnect claim, forwarded immediately; a fresh connection must produce
 // a join frame within joinTimeout or be dropped (a handshaken-but-silent
-// peer must not pin the federation).
+// peer must not pin the federation). A join's payload is read where it
+// lies, so the delivery holds its frame (acceptedConn.msg).
 func (pt *PeerTable) greet(conn transport.Conn) {
 	if tok := conn.Hello().Token; tok != 0 {
 		pt.deliverConn(acceptedConn{conn: conn, token: tok})
@@ -357,14 +374,13 @@ func (pt *PeerTable) greet(conn transport.Conn) {
 	ac := acceptedConn{conn: conn, wire: wire}
 	if err == nil {
 		conn.SetReadDeadline(time.Time{})
-		var m *wireMsg
-		if m, err = decodeMsg(frame, nil); err == nil {
-			ac.name = m.name
-			ac.id, ac.decls, ac.bad = pt.readJoin(m) // decodes what it keeps of the frame
+		if ac.msg, err = readMsg(conn, frame, nil); err == nil {
+			ac.name = ac.msg.name
+			ac.id, ac.decls, ac.bad = pt.readJoin(ac.msg)
 		}
-		conn.Release(frame)
 	}
 	if err != nil || errors.Is(ac.bad, errNotJoin) {
+		ac.msg.release()
 		pt.forgetEmbryo(conn)
 		conn.Close()
 		return
@@ -376,6 +392,7 @@ func (pt *PeerTable) deliverConn(ac acceptedConn) {
 	select {
 	case pt.conns <- ac:
 	case <-pt.stop:
+		ac.msg.release()
 		if ac.conn != nil {
 			pt.forgetEmbryo(ac.conn)
 			ac.conn.Close()
@@ -453,13 +470,15 @@ func (pt *PeerTable) full() bool { return pt.joined == len(pt.sessions) && !pt.a
 
 // admit seats one accepted connection: a token names its session, a join
 // claims the seat of its id. Before assembly a seat is (re)claimed and its
-// declarations recorded; after it, every admitted connection — token or
-// token-less re-join (a restarted process that lost its token file, or one
-// whose join-phase connection died before the welcome) — is an adoption.
-// The error is the listener dying before the table filled; after that a
-// dead listener only forecloses reconnects, and the window churns whoever
-// needed one.
+// declarations recorded, the session holding their join frame; after it,
+// every admitted connection — token or token-less re-join (a restarted
+// process that lost its token file, or one whose join-phase connection died
+// before the welcome) — is an adoption. A join frame no session keeps goes
+// back at once. The error is the listener dying before the table filled;
+// after that a dead listener only forecloses reconnects, and the window
+// churns whoever needed one.
 func (pt *PeerTable) admit(ac acceptedConn, version uint64) error {
+	defer func() { ac.msg.release() }()
 	if ac.err != nil {
 		if pt.joined < len(pt.sessions) {
 			return fmt.Errorf("listener closed with %d of %d %ss joined: %w", pt.joined, len(pt.sessions), pt.noun, ac.err)
@@ -500,7 +519,14 @@ func (pt *PeerTable) admit(ac acceptedConn, version uint64) error {
 		return nil
 	}
 	for _, j := range ac.decls {
+		if pt.dropped {
+			j.payload = nil
+		}
 		pt.joins[j.ID-pt.base] = j
+	}
+	if !pt.dropped {
+		s.join.release()
+		s.join, ac.msg = ac.msg, nil
 	}
 	pt.attach(s, ac.conn, ac.wire)
 	if !s.joined {
@@ -508,6 +534,21 @@ func (pt *PeerTable) admit(ac acceptedConn, version uint64) error {
 		pt.joined++
 	}
 	return nil
+}
+
+// dropJoins drops every join's init payload and hands back the frames they
+// lay in, each to the connection it came on: a role does so once nothing
+// reads the payloads any more — the root once its server state is built and
+// no checkpoint will carry them, the edge once its tree join is framed.
+func (pt *PeerTable) dropJoins() {
+	pt.dropped = true
+	for i := range pt.joins {
+		pt.joins[i].Init, pt.joins[i].payload = nil, nil
+	}
+	for _, s := range pt.sessions {
+		s.join.release()
+		s.join = nil
+	}
 }
 
 // welcomeInts is the welcome/resume layout for one session: the

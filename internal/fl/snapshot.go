@@ -127,15 +127,21 @@ type Snapshot struct {
 	Joins    []WireJoin
 }
 
-// cloneJoins deep-copies join declarations (their init payloads alias
-// live state otherwise).
+// cloneJoins deep-copies join declarations, each init payload into vectors
+// of its own: Init's cloned, a received payload decoded out of the frame it
+// lies in.
 func cloneJoins(joins []WireJoin) []WireJoin {
 	out := append([]WireJoin(nil), joins...)
-	for i := range out {
-		if joins[i].Init != nil {
-			out[i].Init = make([][]float64, len(joins[i].Init))
-			for j, v := range joins[i].Init {
-				out[i].Init[j] = CloneVec(v)
+	for i, j := range joins {
+		out[i].payload = nil
+		if j.Init == nil && j.payload == nil {
+			continue
+		}
+		init := j.initBodies()
+		out[i].Init = make([][]float64, len(init))
+		for k, b := range init {
+			if b.Len() > 0 { // CloneVec's rule: an empty vector is nil
+				out[i].Init[k] = b.Decode(make([]float64, b.Len()))
 			}
 		}
 	}

@@ -69,26 +69,27 @@ func NewWeightAvg(m WeightMethod) *WeightAvg { return &WeightAvg{m: m} }
 func (h *WeightAvg) LossyUploads() bool { return true }
 
 // WireStart sets the global vector from join payloads, each a single
-// vector of want values — their |D_k|-weighted average when average is set,
-// else a copy of joins[0]'s, the only one read — and readies the
-// accumulator for plain-average commits with folds split shards ways. It is
-// the one start: an in-process Setup reaches it through WireSetup over
-// Simulation.SetupJoins.
+// vector of want values read as bodies — their |D_k|-weighted average when
+// average is set, else joins[0]'s decoded, the only one read — and readies
+// the accumulator for plain-average commits with folds split shards ways.
+// It is the one start: an in-process Setup reaches it through WireSetup
+// over Simulation.SetupJoins.
 func (h *WeightAvg) WireStart(joins []WireJoin, want int, average bool, shards int) error {
 	if !average {
 		joins = joins[:1]
 	}
 	inits := make([]*Update, len(joins))
 	for i, j := range joins {
-		if len(j.Init) != 1 || len(j.Init[0]) != want {
+		init := j.initBodies()
+		if len(init) != 1 || init[0].Len() != want {
 			return fmt.Errorf("fl: client %d joined %s with a malformed init payload", j.ID, h.m.Name())
 		}
-		inits[i] = &Update{Client: j.ID, Scale: DataScale(j.TrainSize), Vecs: f64Bodies(nil, j.Init)}
+		inits[i] = &Update{Client: j.ID, Scale: DataScale(j.TrainSize), Vecs: init}
 	}
 	if average {
 		h.global = weightedAverage(inits, 0)
 	} else {
-		h.global = CloneVec(joins[0].Init[0])
+		h.global = inits[0].Vecs[0].Decode(make([]float64, want))
 	}
 	h.acc = NewSharded(len(h.global), shards)
 	h.mix = 1

@@ -188,8 +188,8 @@ func f64Bodies(dst []comm.Body, vs [][]float64) []comm.Body {
 }
 
 // decodeVecs decodes bodies into vectors of tensor pool storage, nil for an
-// absent one: for a reader that keeps float64s (a join's init payload) or
-// hands them to WireLocal, which tensor.PutStorage takes back.
+// absent one: for a client's dispatch reader, which hands them to WireLocal
+// and tensor.PutStorage takes them back.
 func decodeVecs(bodies []comm.Body) [][]float64 {
 	if bodies == nil {
 		return nil
@@ -342,7 +342,8 @@ func readMsg(conn transport.Conn, frame []byte, wc *wireCodec) (*wireMsg, error)
 // server folds into its initial global state (initial classifier weights
 // for FedClassAvg, the common model for FedAvg — whatever WireInit
 // returns). The server node collects one per client before the first
-// round.
+// round. A WireSetup reads the payload through initBodies, whichever form
+// it is in.
 type WireJoin struct {
 	ID            int
 	TrainSize     int
@@ -350,7 +351,21 @@ type WireJoin struct {
 	NumClasses    int
 	NumParams     int
 	NumClassifier int
-	Init          [][]float64
+	// Init is the payload in its in-process form: WireInit's vectors (a
+	// client's join, SetupJoins' probe set) or a checkpoint's records.
+	Init [][]float64
+	// payload is the payload as a fan-in received it: bodies lying in the
+	// join's frame, which the table holds while they are read (DESIGN §8).
+	payload []comm.Body
+}
+
+// initBodies returns j's init payload as bodies: as it was received, or
+// Init's vectors as F64 bodies over their own memory.
+func (j *WireJoin) initBodies() []comm.Body {
+	if j.payload != nil {
+		return j.payload
+	}
+	return f64Bodies(nil, j.Init)
 }
 
 // newJoin builds c's declaration under algo: its id, |D_k|, model geometry
@@ -428,7 +443,9 @@ type WireAlgorithm interface {
 	// WireSetup builds initial server state from the full fleet's joins,
 	// ordered by client id (server half). It replaces Setup+AsyncSetup in
 	// node mode; shards caps the pool ranges an accumulator fold splits
-	// into (NewSharded).
+	// into (NewSharded). A join's init payload may lie in the frame it
+	// arrived in, which a node hands back once WireSetup returns, so
+	// nothing of it may be kept: what is kept is decoded.
 	WireSetup(joins []WireJoin, shards int) error
 	// WireDispatch encodes the broadcast payload for one client (server
 	// half). A nil or empty result is a valid "nothing to send" broadcast

@@ -300,11 +300,13 @@ func TestFanInDuplicateUpdateAliasing(t *testing.T) {
 }
 
 // TestAggregatorDropsChildInits: once every child has joined, an aggregator
-// encodes its tree join, which carries each child's init payload. From then
-// on that frame is the only copy it keeps: its table holds no Init, after
-// the join and after assembly, and a link lost before the welcome is
-// re-dialed with a byte-identical frame. The welcome grants a token, after
-// which no join is ever due, and the frame goes too.
+// encodes its tree join, which relays each child's init payload body as it
+// lay in the child's join frame. From then on that frame is the only copy it
+// keeps: its table holds no payload and no child's join frame (each lent
+// frame reads transport.Held false), after the join and after assembly, and
+// a link lost before the welcome is re-dialed with a byte-identical frame.
+// The welcome grants a token, after which no join is ever due, and the
+// frame goes too.
 func TestAggregatorDropsChildInits(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -329,6 +331,7 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 	go g.pt.acceptLoop(childLn)
 
 	inits := make([][]float64, clients)
+	sent := make([][]byte, clients)
 	for id := range inits {
 		inits[id] = ramp(n, float64(id*n))
 		conn, err := tr.Dial(ctx, "children")
@@ -337,18 +340,29 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 		}
 		defer conn.Close()
 		j := WireJoin{ID: id, TrainSize: 10 + id}
-		(&testPeer{t: t, conn: conn}).send(&wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: bodiesOf([][]float64{inits[id]})})
+		sent[id] = transport.Lend(appendMsg(nil, &wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: bodiesOf([][]float64{inits[id]})}, nil))
+		(&testPeer{t: t, conn: conn}).sendFrame(sent[id])
 	}
 	for !g.pt.full() {
 		if err := g.pt.admit(<-g.pt.conns, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for id, frame := range sent {
+		if !transport.Held(frame) {
+			t.Fatalf("client %d's join frame went back before the tree join was framed", id)
+		}
+	}
 	noInits := func(when string) {
 		t.Helper()
 		for _, j := range g.pt.joins {
-			if j.Init != nil {
+			if j.Init != nil || j.payload != nil {
 				t.Fatalf("%s: the table still holds client %d's init payload", when, j.ID)
+			}
+		}
+		for id, frame := range sent {
+			if transport.Held(frame) {
+				t.Fatalf("%s: the table still holds client %d's join frame", when, id)
 			}
 		}
 	}
@@ -382,8 +396,12 @@ func TestAggregatorDropsChildInits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, j := range joins {
-		if len(j.Init) != 1 || bitsSum(j.Init[0]) != bitsSum(inits[id]) {
-			t.Fatalf("the tree join carries client %d's init payload wrong", id)
+		child, err := decodeMsg(sent[id], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.payload) != 1 || !bytes.Equal(j.payload[0].Bytes(), child.vecs[0].Bytes()) {
+			t.Fatalf("the tree join carries client %d's init payload body wrong", id)
 		}
 	}
 

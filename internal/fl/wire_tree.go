@@ -79,7 +79,8 @@ func TreeSplit(k, aggs int) []int {
 }
 
 // encodeTreeJoin frames an aggregator's handshake: it joins the root on
-// behalf of its whole child range once every child has joined it.
+// behalf of its whole child range once every child has joined it, relaying
+// each child's init payload as it lies in the child's join frame.
 //
 //	a      = aggregator index
 //	ints   = [lo, hi, then each child's JoinInts ints (WireJoin.AppendInts)]
@@ -89,14 +90,16 @@ func encodeTreeJoin(agg, lo, hi int, joins []WireJoin, name string, wc *wireCode
 	m := &wireMsg{kind: msgTreeJoin, a: uint64(agg), name: name}
 	m.ints = append(m.ints, int64(lo), int64(hi))
 	for _, j := range joins {
+		init := j.initBodies()
 		m.ints = j.AppendInts(m.ints)
-		m.counts = append(m.counts, len(j.Init))
-		m.vecs = f64Bodies(m.vecs, j.Init)
+		m.counts = append(m.counts, len(init))
+		m.vecs = append(m.vecs, init...)
 	}
 	return appendMsg(nil, m, wc)
 }
 
-// decodeTreeJoin parses a tree handshake and rebuilds the per-child joins.
+// decodeTreeJoin parses a tree handshake and rebuilds the per-child joins,
+// their init payloads read where they lie in m's frame.
 func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 	fail := func(format string, args ...any) (int, int, int, []WireJoin, error) {
 		return 0, 0, 0, nil, fmt.Errorf("fl: tree join: "+format, args...)
@@ -127,7 +130,7 @@ func decodeTreeJoin(m *wireMsg) (agg, lo, hi int, joins []WireJoin, err error) {
 		if joins[i].ID != lo+i {
 			return fail("child %d carries id %d, want %d", i, joins[i].ID, lo+i)
 		}
-		joins[i].Init = decodeVecs(inits[i])
+		joins[i].payload = inits[i]
 	}
 	return agg, lo, hi, joins, nil
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -599,5 +600,73 @@ func TestTreeRelaysSharedPayloadAsItLies(t *testing.T) {
 			c.send(&wireMsg{kind: msgUpdate, a: uint64(round), b: math.Float64bits(1), vecs: bodiesOf([][]float64{{float64(id)}})})
 		}
 		root.expect(msgTreeUpdate)
+	}
+}
+
+// TestTreeRelaysJoinBodiesAsTheyLie: an aggregator relays each child's join
+// payload into its tree join as the child framed it. At I8, the root reads a
+// child's init body byte for byte — its scale included, which a decode and
+// re-encode at the edge would recompute. (Re-encoding what an I8 encoder
+// made gives the same bytes, so each child frames its payload at twice the
+// scale its values need, halving every level: a valid body no encoder
+// here makes.)
+func TestTreeRelaysJoinBodiesAsTheyLie(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const clients = 3
+	algo := &stubWire{}
+	tr := transport.NewInproc(transport.Options{})
+	rootLn, err := tr.Listen("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rootLn.Close()
+	aggLn, err := tr.Listen("agg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := NewAggregatorNode(algo, AggregatorConfig{Aggregators: 1, Clients: clients, Codec: comm.I8, Heartbeat: time.Hour,
+		Dialer: func(ctx context.Context, token uint64) (transport.Conn, error) {
+			return transport.DialWithToken(ctx, tr, "root", token)
+		}})
+	go agg.Run(ctx, aggLn)
+	rng := rand.New(rand.NewSource(9))
+	sent := make([]*wireMsg, clients)
+	for id := range sent {
+		conn, err := tr.Dial(ctx, "agg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		v := make([]float64, 97+id)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		j := WireJoin{ID: id, TrainSize: 10}
+		frame := appendMsg(nil, &wireMsg{kind: msgJoin, name: algo.Name(), ints: j.AppendInts(nil), vecs: bodiesOf([][]float64{v})}, plainWire(comm.I8))
+		if sent[id], err = decodeMsg(frame, nil); err != nil {
+			t.Fatal(err)
+		}
+		body := sent[id].vecs[0].Bytes() // in frame: [scale f64][levels i8...]
+		binary.LittleEndian.PutUint64(body, math.Float64bits(2*math.Float64frombits(binary.LittleEndian.Uint64(body))))
+		for i := 8; i < len(body); i++ {
+			body[i] = byte(int8(body[i]) / 2)
+		}
+		(&testPeer{t: t, conn: conn}).sendFrame(frame)
+	}
+	conn, err := rootLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, _, _, joins, err := decodeTreeJoin((&testPeer{t: t, conn: conn}).expect(msgTreeJoin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, j := range joins {
+		want := sent[id].vecs[0]
+		if len(j.payload) != 1 || j.payload[0].Codec() != comm.I8 || !bytes.Equal(j.payload[0].Bytes(), want.Bytes()) {
+			t.Fatalf("client %d's init body reached the root other than the child framed it", id)
+		}
 	}
 }
